@@ -20,8 +20,10 @@ Two gate families:
   the run.  Deterministic service metrics (total network steps, and
   the observer's own ``pram_steps_total`` / ``network_steps_total``
   counters) are pinned by the ``--check-baseline`` gate.
-* **overhead** (ratio of medians in one process, so host speed
-  cancels) — the ``null`` configuration must stay within 3 % of
+* **overhead** (ratio of medians in one process, configurations
+  interleaved round-robin within every repeat after a discarded
+  warm-up round, so host speed and warm-up cancel) — the ``null``
+  configuration must stay within 3 % of
   ``disabled``: opting out of observability is free.  The measured
   ``metrics``/``full`` ratios are reported in the artifact for
   humans but not gated — they are real work by design.
@@ -49,7 +51,8 @@ from repro.topology import DAryButterflyLeveled, Mesh2D
 #: opting out of observability must cost < 3 % (null vs disabled)
 NULL_OVERHEAD_GATE = 1.03
 
-#: timing repeats per (scenario, config); medians absorb scheduler noise
+#: timed rounds per scenario (each round runs every config once, after
+#: one discarded warm-up round); medians absorb scheduler noise
 REPEATS = 5
 
 TRACE_STEPS = 12
@@ -106,15 +109,19 @@ def _time_once(build, n_procs, observer_factory) -> tuple[float, dict]:
 def run_suite() -> list[dict]:
     rows: list[dict] = []
     for scenario, (build, n_procs) in _scenarios().items():
+        # Round-robin over the configs within each repeat, after one
+        # discarded warm-up round: timing each config in its own block
+        # charged import/allocator warm-up to whichever ran first
+        # (``disabled``) and let a slow spell of the host land on one
+        # config only.
         summaries: dict[str, dict] = {}
-        medians: dict[str, float] = {}
-        for config in CONFIGS:
-            times = []
-            for _ in range(REPEATS):
-                elapsed, summary = _time_once(build, n_procs, CONFIGS[config])
-                times.append(elapsed)
-            summaries[config] = summary
-            medians[config] = statistics.median(times)
+        times: dict[str, list[float]] = {config: [] for config in CONFIGS}
+        for rep in range(REPEATS + 1):
+            for config, factory in CONFIGS.items():
+                elapsed, summaries[config] = _time_once(build, n_procs, factory)
+                if rep:
+                    times[config].append(elapsed)
+        medians = {config: statistics.median(ts) for config, ts in times.items()}
         base = medians["disabled"]
         row = {
             "scenario": scenario,
@@ -241,8 +248,10 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "observability",
         "note": (
-            "observer overhead by configuration (median of repeats, ratios "
-            "vs observer=None in the same process, so host speed cancels); "
+            "observer overhead by configuration (median of repeats with the "
+            "configurations interleaved round-robin after one warm-up round, "
+            "ratios vs observer=None in the same process, so host speed "
+            "cancels); "
             "the null-observer gate pins opt-out below 3%; step counts are "
             "deterministic under the committed seeds, wall times are not"
         ),

@@ -9,7 +9,12 @@
 """
 
 from repro.routing.batcher import bitonic_route, bitonic_stage_count
-from repro.routing.engine import RoutingTimeout, SynchronousEngine, route_with_function
+from repro.routing.engine import (
+    NetworkDrainedError,
+    RoutingTimeout,
+    SynchronousEngine,
+    route_with_function,
+)
 from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
 from repro.routing.flow_control import (
     FLOW_CONTROL_MODES,
@@ -48,6 +53,7 @@ __all__ = [
     "GreedyRouter",
     "LeveledRouter",
     "MeshRouter",
+    "NetworkDrainedError",
     "Packet",
     "RoutingStats",
     "RoutingTimeout",

@@ -94,6 +94,29 @@ class RoutingTimeout(RuntimeError):
         self.stats = stats
 
 
+class NetworkDrainedError(RuntimeError):
+    """Packets are still owed but nothing is queued, buffered or due.
+
+    Raised by both engines at step ``t`` when ``remaining`` packets are
+    undelivered while no link holds a packet, no escape buffer is
+    occupied and no injection is pending — the run's bookkeeping is
+    inconsistent (e.g. a packet routed again without resetting its
+    ``arrived_at``), so spinning to ``max_steps`` would only hide it.
+    ``flight_tail`` holds the observer's flight-recorder tail when the
+    raising engine had one, ``()`` otherwise.
+    """
+
+    def __init__(self, remaining: int, t: int, observer=None) -> None:
+        super().__init__(
+            f"{remaining} packets undeliverable: network drained at t={t}"
+        )
+        self.remaining = remaining
+        self.t = t
+        self.flight_tail: tuple = (
+            observer.flight_tail() if observer is not None else ()
+        )
+
+
 class SynchronousEngine:
     """Reusable synchronous router.
 
@@ -309,9 +332,7 @@ class SynchronousEngine:
                 and not pending_times
                 and (fc is None or not fc.escape_at)
             ):
-                raise RuntimeError(
-                    f"{remaining} packets undeliverable: network drained at t={t}"
-                )
+                raise NetworkDrainedError(remaining, t, obs)
 
             # transmission phase: every active link sends one packet
             # (unless node_service_rate caps departures per node, the

@@ -75,7 +75,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.obs.clock import wall_time
-from repro.routing.engine import RoutingTimeout
+from repro.routing.engine import NetworkDrainedError, RoutingTimeout
 from repro.routing.flow_control import (
     CreditState,
     DeadlockError,
@@ -661,9 +661,7 @@ class FastPathEngine:
                 and not pending_times
                 and (fc is None or not fc.escape_at)
             ):
-                raise RuntimeError(
-                    f"{remaining} packets undeliverable: network drained at t={t}"
-                )
+                raise NetworkDrainedError(remaining, t, _obs)
 
             fault_blocked_step = False
             if link_faults is not None:
@@ -998,19 +996,45 @@ class FastPathEngine:
         vector ops.  FIFO discipline is the one-class special case.
 
         Reference-order equivalence: links transmit in activation order
-        (first arrival first), packets that arrive at one link in one
-        step enqueue in transmission order of their source links, and
-        both orders are preserved here by stable grouping — see the
-        differential tests.
+        (first arrival first) and packets that arrive at one link in one
+        step enqueue in transmission order of their source links.  An
+        arrival batch is already in that order, and ``admit`` keeps it
+        through two lanes.  The **solo lane** takes every packet that is
+        alone on a previously idle link (``q_len`` reads 1 after the
+        batch's scatter-add — nearly all served traffic, since the
+        paper's emulations keep link queues O(1)): it is its queue's
+        head and tail, an idle link's class counts are all zero so its
+        class *is* the link's maximum (``cls_max`` is set, not maxed),
+        and solo links join ``active`` in batch order.  The **contended
+        residue** (a link shared within the batch, or already busy) is
+        grouped by one stable sort on (virtual link, batch position) and
+        each group's chain is spliced onto its queue's tail.  With a
+        residue present, newly activated links are ordered by a reverse
+        first-writer scatter: a repeated index keeps its last write, so
+        scattering batch positions back to front leaves each idle link
+        the position of its *first* arrival — O(batch), no scan over all
+        links.  ``tests/test_batch_arrival.py`` pins both lanes by
+        construction.
+
+        Every per-position table (link id, class, virtual link, combine
+        code) is raveled once per run and read through one flat cursor
+        per packet: packet i at position k reads slot
+        ``i * (width - 1) + k``, and delivery is ``cursor == last slot``.
 
         CRCW combining vectorizes through interned (link, combine-group)
         codes: a link holds at most one resident packet per combine key
         (an arrival matching a resident is absorbed instead of queued),
         so the combine index is a flat ``host_at`` array over the
-        interned codes — gathers find hosts, scatters claim and release
-        them, and absorption trees are kept as parent pointers plus
-        subtree sizes (resolved to the reference engine's delivery
-        cascade after the run).
+        interned codes.  Arrival is sort-free: gather the residents,
+        scatter the batch in reverse (the first arrival per code wins),
+        restore the codes that had a resident, re-gather — whoever holds
+        a packet's code is its host, and a packet that is not its own
+        host is absorbed, exactly the reference engine's
+        arrival-by-arrival outcome with hosts and children in batch
+        order.  Every queued packet is its code's resident, so a pop
+        releases the code unconditionally.  Absorption trees are kept as
+        parent pointers plus subtree sizes (resolved to the reference
+        engine's delivery cascade after the run).
 
         Constrained mode (``node_capacity``, flow_control "none" or
         "credit") keeps the same queue/arrival machinery and replaces
@@ -1079,9 +1103,9 @@ class FastPathEngine:
         if capacity is not None and link_dst is None:
             link_dst = np.empty(0, dtype=np.int64)
 
+        n_slots = width - 1  # link positions per packet row
         if priorities is None:
             n_classes = 1
-            cls_mat = None
         else:
             prio_arr = (
                 priorities
@@ -1093,7 +1117,8 @@ class FastPathEngine:
             pmin = int(prio_arr.min()) if prio_arr.size else 0
             pmax = int(prio_arr.max()) if prio_arr.size else 0
             n_classes = pmax - pmin + 1
-            cls_mat = (prio_arr - pmin).astype(np.int64)
+            if prio_arr.shape[1] < n_slots:
+                raise ValueError("one priority per link position required")
 
         combine = self.combine
         combines = 0
@@ -1101,13 +1126,14 @@ class FastPathEngine:
         if spawn_mode:
             if combine:
                 raise ValueError("spawn_plan and combining are mutually exclusive")
-            # Per-parent spawn schedule, sorted by trigger position; a
-            # packet's next pending trigger lives in ``nsp`` so the hot
-            # loop detects hits with one vector compare.
+            # Per-parent spawn schedule, sorted by trigger position (as
+            # flat cursors, see ``fl`` below); a packet's next pending
+            # trigger lives in ``nsp`` so the hot loop detects hits with
+            # one vector compare.
             sched: dict[int, list] = {}
             dormant = np.zeros(n, dtype=bool)
             for par, q, kids in spawn_plan:
-                sched.setdefault(par, []).append((q, list(kids)))
+                sched.setdefault(par, []).append((par * n_slots + q, list(kids)))
                 for c in kids:
                     dormant[c] = True
             for entries in sched.values():
@@ -1142,7 +1168,7 @@ class FastPathEngine:
                     gid[i] = g
             vc_codes = link_mat * np.int64(max(next_gid, 1)) + gid[:, None]
             vc_uniq, vc_inv = np.unique(vc_codes, return_inverse=True)
-            vc_mat = vc_inv.reshape(vc_codes.shape)
+            vc_flat = vc_inv.ravel()
             #: resident host per interned (link, gid) code, -1 if none
             host_at = np.full(vc_uniq.size, -1, dtype=np.int64)
             parent = np.full(n, -1, dtype=np.int64)
@@ -1162,7 +1188,17 @@ class FastPathEngine:
         cls_max = np.zeros(n_links, dtype=np.int64)
         q_len = np.zeros(n_links, dtype=np.int64)
         node_load = np.zeros(num_nodes, dtype=np.int64)
-        pos = np.zeros(n, dtype=np.int64)
+        # One flat cursor per packet into the raveled per-position
+        # tables: packet i at position k reads slot ``i*n_slots + k``.
+        fl_base = np.arange(n, dtype=np.int64) * n_slots
+        fl = fl_base.copy()
+        fl_last = fl_base + last
+        li_flat = link_mat.ravel()
+        if n_classes > 1:
+            cls_flat = (prio_arr[:, :n_slots] - pmin).astype(np.int64).ravel()
+            vli_flat = li_flat * n_classes + cls_flat
+        # first-writer scratch: only entries just written are read
+        first_at = np.empty(n_links, dtype=np.int64)
         arrived = np.full(n, -1, dtype=np.int64)
 
         #: links with queued packets, in activation order
@@ -1185,10 +1221,6 @@ class FastPathEngine:
             f_cur = np.empty(0, dtype=np.int64)
             f_last_parts: tuple | None = None
         remaining = n - int(dormant.sum()) if spawn_mode else n
-        # Scratch buffers for activation bookkeeping, reset after use.
-        flag = np.zeros(n_links, dtype=bool)
-        n_links_sentinel = np.int64(n + 1)
-        first_at = np.full(n_links, n_links_sentinel, dtype=np.int64)
         deadlocked = False
         if capacity is not None:
             # Constrained-mode state: each packet's exit node (for the
@@ -1227,18 +1259,18 @@ class FastPathEngine:
         def admit(batch: np.ndarray, t: int):
             """Place a batch of packets (in order): deliver or enqueue."""
             nonlocal active, max_queue, max_node_load, remaining, combines
-            k = pos[batch]
-            if spawn_mode and (k == nsp[batch]).any():
+            f = fl[batch]
+            if spawn_mode and (f == nsp[batch]).any():
                 # Spawn triggers: expand the batch in place.  Matching
                 # the reference hook order, a parent's spawned children
                 # (and their own position-0 spawns, recursively) are
                 # placed *before* the parent at the same node and step.
                 out: list[int] = []
 
-                def emit(i: int, ki: int) -> None:
+                def emit(i: int, fi: int) -> None:
                     nonlocal remaining
                     entries = sched.get(i)
-                    if entries and entries[0][0] == ki:
+                    if entries and entries[0][0] == fi:
                         _, kids = entries.pop(0)
                         nsp[i] = entries[0][0] if entries else -9
                         for c in kids:
@@ -1246,137 +1278,142 @@ class FastPathEngine:
                             injected_at_arr[c] = t
                             remaining += 1
                             spawn_seq.append(c)
-                            emit(c, 0)
+                            emit(c, c * n_slots)
                     out.append(i)
 
-                for i, ki in zip(batch.tolist(), k.tolist()):
-                    if ki == nsp[i]:
-                        emit(i, ki)
+                for i, fi, ni in zip(
+                    batch.tolist(), f.tolist(), nsp[batch].tolist()
+                ):
+                    if fi == ni:
+                        emit(i, fi)
                     else:
                         out.append(i)
                 batch = np.asarray(out, dtype=np.int64)
-                k = pos[batch]
-            done = k == last[batch]
-            done_idx = batch[done]
-            if done_idx.size:
+                f = fl[batch]
+            done = f == fl_last[batch]
+            if done.any():
+                done_idx = batch[done]
                 arrived[done_idx] = t
                 # A delivered host delivers its whole absorption subtree
                 # (the reference engine's deliver cascade).
                 remaining -= (
                     int(subtree[done_idx].sum()) if combine else int(done_idx.size)
                 )
-                batch = batch[~done]
-                k = k[~done]
-            if not batch.size:
-                return
+                keep = ~done
+                batch = batch[keep]
+                if not batch.size:
+                    return
+                f = f[keep]
             if combine:
-                # Group the batch stably by (link, combine key); each
-                # group either absorbs into that code's resident host or
-                # promotes its first member to host — exactly the
-                # reference engine's arrival-by-arrival semantics, since
-                # a code never holds two residents.
+                # Sort-free combining over the interned (link, key)
+                # codes.  A code never holds two residents, so a batch
+                # member is absorbed iff its code already had a resident
+                # or an earlier member of the batch claimed it: the
+                # batch is scattered in reverse (a repeated index keeps
+                # its last write, i.e. the *first* arrival), codes that
+                # had a resident are restored, and whoever the re-gather
+                # finds is the host — exactly the reference engine's
+                # arrival-by-arrival semantics, with hosts and children
+                # left in batch order.
                 _c0 = wall_time() if _prof is not None else 0.0
-                vc = vc_mat[batch, k]
-                order0 = np.argsort(
-                    vc * np.int64(vc.size) + np.arange(vc.size, dtype=np.int64)
-                )
-                sv = vc[order0]
-                si = batch[order0]
-                firsts0 = np.empty(sv.shape, dtype=bool)
-                firsts0[0] = True
-                firsts0[1:] = sv[1:] != sv[:-1]
-                grp = np.cumsum(firsts0) - 1
-                ex_host = host_at[sv[firsts0]][grp]
-                absorbed_s = (ex_host >= 0) | ~firsts0
-                new_host = firsts0 & (ex_host < 0)
-                host_at[sv[new_host]] = si[new_host]
-                if absorbed_s.any():
-                    host_elem = np.where(ex_host >= 0, ex_host, si[firsts0][grp])
-                    ch = si[absorbed_s]
-                    hs = host_elem[absorbed_s]
+                vc = vc_flat[f]
+                resident = host_at[vc]
+                host_at[vc[::-1]] = batch[::-1]
+                had = resident >= 0
+                if had.any():
+                    host_at[vc[had]] = resident[had]
+                hosts = host_at[vc]
+                absorbed = hosts != batch
+                if absorbed.any():
+                    ch = batch[absorbed]
+                    hs = hosts[absorbed]
                     parent[ch] = hs
                     combined_arr[ch] = True
                     np.add.at(subtree, hs, subtree[ch])
                     combines += int(ch.size)
                     child_pairs.append((hs, ch))
-                    keep = np.ones(batch.size, dtype=bool)
-                    keep[order0[absorbed_s]] = False
+                    keep = ~absorbed
                     batch = batch[keep]
-                    k = k[keep]
-                    if not batch.size:
-                        if _prof is not None:
-                            _prof.add_phase("combining", wall_time() - _c0)
-                        return
+                    f = f[keep]
                 if _prof is not None:
                     _prof.add_phase("combining", wall_time() - _c0)
-            li = link_mat[batch, k]
-            if cls_mat is not None:
-                cls = cls_mat[batch, k]
-                vli = li * n_classes + cls
-            else:
-                cls = None
-                vli = li
-            # Stable grouping keeps, per virtual link, the batch's own
-            # arrival order — the FIFO tie order of the reference engine.
-            # Sorting (vli, position) as one combined key gives stable
-            # group order with the default introsort (faster than a
-            # stable mergesort on int64).
-            order = np.argsort(
-                vli * np.int64(li.size) + np.arange(li.size, dtype=np.int64)
-            )
-            s_v = vli[order]
-            s_i = batch[order]
-            same = np.empty(s_v.shape, dtype=bool)
-            same[0] = False
-            same[1:] = s_v[1:] == s_v[:-1]
-            firsts = ~same
-            lasts = np.empty(s_v.shape, dtype=bool)
-            lasts[-1] = True
-            lasts[:-1] = ~same[1:]
-            # Thread each group's chain, then splice it onto the queue.
-            q_next[s_i[lasts]] = -1
-            intra_prev = s_i[:-1][same[1:]]
-            if intra_prev.size:
-                q_next[intra_prev] = s_i[1:][same[1:]]
-            f_v = s_v[firsts]
-            f_i = s_i[firsts]
-            old_tail = q_tail[f_v]
-            was_empty = old_tail < 0
-            q_head[f_v[was_empty]] = f_i[was_empty]
-            q_next[old_tail[~was_empty]] = f_i[~was_empty]
-            q_tail[f_v] = s_i[lasts]
+                if not batch.size:
+                    return
+            li = li_flat[f]
             pre_len = q_len[li]  # pre-batch lengths (gather before add)
             np.add.at(q_len, li, 1)
-            if counts is not None:
-                np.add.at(counts, vli, 1)
-                np.maximum.at(cls_max, li, cls)
+            post_len = q_len[li]
             srcs = link_src[li]
             np.add.at(node_load, srcs, 1)
             # Max stats only need the touched entries: within the phase
             # lengths/loads only grow, so the post-batch values are the
             # step's peaks (gathers see each link's final value at its
             # last duplicate).
-            mq = int(q_len[li].max())
+            mq = int(post_len.max())
             if mq > max_queue:
                 max_queue = mq
             mnl = int(node_load[srcs].max())
             if mnl > max_node_load:
                 max_node_load = mnl
-            # Newly activated links, ordered by their first arrival.
-            was_idle = pre_len == 0
-            if was_idle.any():
-                idle_links = li[was_idle]
-                flag[idle_links] = True
-                newly = np.nonzero(flag)[0]
-                flag[idle_links] = False  # reset the scratch buffer
-                if newly.size > 1:
-                    np.minimum.at(
-                        first_at, idle_links,
-                        np.nonzero(was_idle)[0].astype(np.int64),
-                    )
-                    newly = newly[np.argsort(first_at[newly], kind="stable")]
-                    first_at[idle_links] = n_links_sentinel
-                active = np.concatenate([active, newly])
+            if counts is not None:
+                vli = vli_flat[f]
+                cls = cls_flat[f]
+            else:
+                vli = li
+            # Solo lane: ``post_len == 1`` marks a packet alone on a
+            # previously idle link.  It is its queue's head and tail, and
+            # every class count of an idle link is zero, so its class
+            # *is* the link's maximum (set, not maxed — a stale-high
+            # ``cls_max`` is overwritten).  Solo links activate in batch
+            # order, which is their first-arrival order.
+            solo = post_len == 1
+            if solo.all():
+                newly = li
+            else:
+                # Contended residue (shared or already-busy links):
+                # stable grouping keeps, per virtual link, the batch's
+                # own arrival order — the FIFO tie order of the reference
+                # engine.  Sorting (vli, position) as one combined key
+                # gives stable group order with the default introsort
+                # (faster than a stable mergesort on int64).
+                rest = ~solo
+                r_v = vli[rest]
+                order = np.argsort(
+                    r_v * np.int64(r_v.size) + np.arange(r_v.size, dtype=np.int64)
+                )
+                s_v = r_v[order]
+                s_i = batch[rest][order]
+                # Each packet chains behind the previous member of its
+                # group, a group's first behind the queue's old tail.
+                prev = q_tail[s_v]
+                cont = s_v[1:] == s_v[:-1]
+                prev[1:][cont] = s_i[:-1][cont]
+                chained = prev >= 0
+                q_next[s_i] = -1
+                q_next[prev[chained]] = s_i[chained]
+                q_head[s_v[~chained]] = s_i[~chained]
+                # a repeated index keeps its last write: the group's tail
+                q_tail[s_v] = s_i
+                if counts is not None:
+                    np.add.at(counts, r_v, 1)
+                    np.maximum.at(cls_max, li[rest], cls[rest])
+                    cls = cls[solo]
+                # Newly activated links in first-arrival order: scattered
+                # back to front, each link keeps its first writer.
+                idx = np.nonzero(pre_len == 0)[0]
+                newly = li[idx]
+                first_at[newly[::-1]] = idx[::-1]
+                newly = newly[first_at[newly] == idx]
+                batch = batch[solo]
+                vli = vli[solo]
+                li = li[solo]
+            q_head[vli] = batch
+            q_tail[vli] = batch
+            q_next[batch] = -1
+            if counts is not None:
+                counts[vli] = 1
+                cls_max[li] = cls
+            active = np.concatenate([active, newly])
 
         if _prof is not None:
             # Arrival-phase timing wraps admit(); combining time booked
@@ -1408,9 +1445,7 @@ class FastPathEngine:
                 and not pending_times
                 and (fc is None or not fc.escape_at)
             ):
-                raise RuntimeError(
-                    f"{remaining} packets undeliverable: network drained at t={t}"
-                )
+                raise NetworkDrainedError(remaining, t, _obs)
 
             fault_blocked_step = False
             f_any = False
@@ -1445,11 +1480,12 @@ class FastPathEngine:
                 cls = cls_max[active]
                 vli = active * n_classes + cls
                 stale = np.nonzero(counts[vli] == 0)[0]
-                while stale.size:
-                    cls[stale] -= 1
-                    vli[stale] -= 1
-                    stale = stale[counts[vli[stale]] == 0]
-                cls_max[active] = cls
+                if stale.size:
+                    while stale.size:
+                        cls[stale] -= 1
+                        vli[stale] -= 1
+                        stale = stale[counts[vli[stale]] == 0]
+                    cls_max[active] = cls
             else:
                 vli = active
             heads = q_head[vli]
@@ -1473,12 +1509,10 @@ class FastPathEngine:
                     if counts is not None:
                         counts[vli_s] -= 1
                     if combine:
-                        vc_pop = vc_mat[heads_s, pos[heads_s]]
-                        mine = host_at[vc_pop] == heads_s
-                        host_at[vc_pop[mine]] = -1
+                        host_at[vc_flat[fl[heads_s]]] = -1
                     q_len[act_s] -= 1
                     np.subtract.at(node_load, link_src[act_s], 1)
-                    pos[heads_s] += 1
+                    fl[heads_s] += 1
                     arrivals = heads_s
                     active = active[q_len[active] > 0]
                 else:
@@ -1488,15 +1522,14 @@ class FastPathEngine:
                     if counts is not None:
                         counts[vli] -= 1
                     if combine:
-                        # A departing host releases its combine-code
-                        # residency.
-                        vc_pop = vc_mat[heads, pos[heads]]
-                        mine = host_at[vc_pop] == heads
-                        host_at[vc_pop[mine]] = -1
+                        # A departing packet releases its combine-code
+                        # residency (every queued packet is its code's
+                        # resident: arrivals that met one were absorbed).
+                        host_at[vc_flat[fl[heads]]] = -1
                     ql_after = q_len[active] - 1
                     q_len[active] = ql_after
                     np.subtract.at(node_load, link_src[active], 1)
-                    pos[heads] += 1
+                    fl[heads] += 1
                     arrivals = heads
                     active = active[ql_after > 0]
             else:
@@ -1547,7 +1580,7 @@ class FastPathEngine:
                     fc.credits_stalled += stalls
                     fc.escape_hops += ehops
                     if esc_arrivals:
-                        pos[np.asarray(esc_arrivals, dtype=np.int64)] += 1
+                        fl[np.asarray(esc_arrivals, dtype=np.int64)] += 1
                     if _prof is not None:
                         _esc_dt = wall_time() - _esc0
                         _prof.add_phase("escape", _esc_dt)
@@ -1688,12 +1721,10 @@ class FastPathEngine:
                         if counts is not None:
                             counts[vli_t] -= 1
                         if combine:
-                            vc_pop = vc_mat[heads_t, pos[heads_t]]
-                            mine = host_at[vc_pop] == heads_t
-                            host_at[vc_pop[mine]] = -1
+                            host_at[vc_flat[fl[heads_t]]] = -1
                         q_len[tr] -= 1
                         np.subtract.at(node_load, link_src[tr], 1)
-                        pos[heads_t] += 1
+                        fl[heads_t] += 1
                         bulk_arrivals = heads_t
                         active = active[q_len[active] > 0]
                     else:
@@ -1756,7 +1787,7 @@ class FastPathEngine:
                 esc_at = fc.escape_at
                 esc_next = fc.escape_next
                 for i, nl in zip(
-                    landed.tolist(), link_mat[landed, pos[landed]].tolist()
+                    landed.tolist(), li_flat[fl[landed]].tolist()
                 ):
                     el = pending_escape.pop(i)
                     esc_at[el] = i
@@ -1786,6 +1817,7 @@ class FastPathEngine:
             for hs, ch in child_pairs:
                 for h, c in zip(hs.tolist(), ch.tolist()):
                     children_map.setdefault(h, []).append(c)
+        pos = fl - fl_base
         pos_l = pos.tolist()
         arrived_l = arrived.tolist()
         node_vals = path_arr[np.arange(n), pos].tolist()

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.obs import Observer
 from repro.routing import (
+    FastPathEngine,
     FIFOQueue,
     FurthestFirstQueue,
+    NetworkDrainedError,
     Packet,
     RoutingTimeout,
     SynchronousEngine,
     collect_stats,
+    fast_engine,
     make_packets,
     route_with_function,
 )
@@ -205,6 +209,62 @@ class TestEngineBasics:
         # "delivered" at wrong node still counts as delivered by contract:
         # the policy is responsible for correctness.
         assert stats.completed
+
+
+class _ForgetfulTable(dict):
+    """Stands in for the fast engine's injection table and forgets every
+    packet: the run starts with packets owed and nothing to inject — the
+    inconsistent bookkeeping the drain check exists to report (no
+    well-formed input reaches it on the fast engine)."""
+
+    def __init__(self, factory):
+        super().__init__()
+
+    def __getitem__(self, key):
+        return []
+
+
+class TestNetworkDrained:
+    def test_reference_engine_reports_stale_packet(self):
+        """A delivered packet routed again without a reset is never
+        counted down: typed error with the diagnostics attached."""
+        array = LinearArray(6)
+        pkts = make_packets([0, 0], [5, 5])
+        pkts[0].arrived_at = 3  # stale: left over from an earlier run
+        obs = Observer(flight_recorder=4)
+        engine = SynchronousEngine(observer=obs)
+        with pytest.raises(NetworkDrainedError) as exc:
+            engine.run(pkts, line_next_hop(array), max_steps=100)
+        err = exc.value
+        assert isinstance(err, RuntimeError)
+        assert (err.remaining, err.t) == (1, 6)
+        assert "1 packets undeliverable: network drained at t=6" in str(err)
+        assert len(err.flight_tail) == 4
+        assert err.flight_tail == obs.flight_tail()
+
+    def test_without_observer_tail_is_empty(self):
+        pkts = make_packets([0], [5])
+        pkts[0].arrived_at = 3
+        with pytest.raises(RuntimeError) as exc:
+            route_with_function(pkts, line_next_hop(LinearArray(6)), max_steps=9)
+        assert isinstance(exc.value, NetworkDrainedError)
+        assert exc.value.flight_tail == ()
+
+    @pytest.mark.parametrize(
+        "paths, mode",
+        [([[0, 1, 2], [2, 1, 0]], "batch"), ([[0, 1], [2, 1, 0]], "event")],
+    )
+    def test_fast_engine_raises_the_same_type(self, monkeypatch, paths, mode):
+        monkeypatch.setattr(fast_engine, "defaultdict", _ForgetfulTable)
+        obs = Observer(flight_recorder=4)
+        obs.record("note", virtual_clock=0, what="before the run")
+        engine = FastPathEngine(observer=obs)
+        pkts = make_packets([p[0] for p in paths], [p[-1] for p in paths])
+        with pytest.raises(NetworkDrainedError) as exc:
+            engine.run(pkts, paths, num_nodes=3, max_steps=10)
+        assert engine.last_run_mode == mode
+        assert (exc.value.remaining, exc.value.t) == (2, 0)
+        assert exc.value.flight_tail == obs.flight_tail() != ()
 
 
 class TestEngineCombining:
