@@ -18,8 +18,8 @@ benchmarks cannot express:
   ``credits_stalled`` all nonzero.
 
 All scenarios run ``engine="fast"`` and must dispatch every epoch to a
-vectorized batch mode — any ``"event"`` or ``"reference"`` entry in a
-dispatch history fails the run (the no-silent-fallback gate).
+vectorized batch mode — a ``"reference"`` entry in a dispatch history
+fails the run (the no-silent-fallback gate).
 
 Every row is a pure function of its seeds (the generators pre-draw all
 randomness), so the gate against the committed baseline compares

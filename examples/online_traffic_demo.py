@@ -107,5 +107,5 @@ assert not ss["saturated"]
 
 modes = report.run_mode_counts()
 print(f"\nEngine dispatch history across all epochs: {modes}")
-assert set(modes) <= {"batch", "batch-constrained"}, "silent per-event fallback!"
+assert set(modes) <= {"batch", "batch-constrained"}, "silent reference fallback!"
 print("Every online epoch stayed on the vectorized batch paths.")

@@ -51,8 +51,8 @@ class StepCost:
     #: step, in order: each request attempt (rehash retries included)
     #: followed by the reply phase.  Values are
     #: :attr:`repro.routing.metrics.RoutingStats.run_mode` strings;
-    #: online runs assert on these that rectangular epochs never fall
-    #: back to the per-event loop.
+    #: online runs assert on these that no epoch falls back to the
+    #: reference engine.
     run_modes: tuple[str, ...] = ()
 
     @property

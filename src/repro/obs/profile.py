@@ -5,8 +5,7 @@ orthogonal question of where *real* time goes while they do it.  Two
 bucket families:
 
 * **modes** — wall seconds per dispatch mode (``"reference"``,
-  ``"batch"``, ``"batch-constrained"``, ``"event"``), one sample per
-  engine run;
+  ``"batch"``, ``"batch-constrained"``), one sample per engine run;
 * **phases** — wall seconds per step-loop phase: ``"transmission"``
   (links send), ``"arrival"`` (packets place/enqueue), ``"escape"``
   (the credit flow-control escape subphase), ``"combining"`` (CRCW

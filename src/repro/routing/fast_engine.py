@@ -3,53 +3,52 @@
 :class:`FastPathEngine` replays the exact queue dynamics of
 :class:`repro.routing.engine.SynchronousEngine` — same one-packet-per-link
 steps, link queues, enqueue-time combining, injection times, timeouts,
-node-capacity backpressure, per-node service rates, and insertion-ordered
-transmission — but over **precompiled integer trajectories** instead of
-hashable node keys and a per-hop ``next_hop`` callback:
+node-capacity backpressure, and insertion-ordered transmission — but
+over **precompiled integer trajectories** instead of hashable node keys
+and a per-hop ``next_hop`` callback, with whole transmission and arrival
+phases as numpy array operations:
 
 * each packet i carries ``paths[i]``: the full list of integer node ids
   it will visit (produced by, e.g.,
   :meth:`repro.topology.compiled.CompiledLeveledTopology.build_paths` or
-  :meth:`repro.topology.compiled.CompiledMesh2D.three_stage`);
-  variable-length trajectories may be passed as one padded rectangular
-  matrix plus ``path_lengths`` (the pad repeats the destination), which
-  keeps the link interning a single vectorized ``np.unique``;
+  :meth:`repro.topology.compiled.CompiledMesh2D.three_stage`).  The
+  paper's routing is oblivious, so every itinerary is known before the
+  first step; variable-length trajectories arrive as one padded
+  rectangular matrix plus ``path_lengths`` (the pad repeats the
+  destination), and a ragged list of per-packet lists is padded into
+  that form on entry (:func:`_normalise_paths`);
 * every directed link a packet will ever cross is interned up front to a
-  dense link index, and each packet's remaining itinerary becomes one C
-  iterator over those indices — the hot loop never hashes a node pair or
-  re-indexes a path row;
+  dense link index (one vectorized ``np.unique``, or a precompiled
+  arithmetic encoding handed in as ``links``), and each packet reads its
+  itinerary through one flat cursor into the raveled tables;
 * link FIFO queues are intrusive: head/tail/next arrays of packet
-  *indices* (a packet waits in at most one queue), so pushes and pops
-  are pure list arithmetic with no container allocation; CRCW combining
-  is O(1) per arrival via a per-link dict from combine key to the
-  resident host's index (mirroring the LinkQueue side index);
+  *indices* (a packet waits in at most one queue); CRCW combining is a
+  flat resident-host table over interned (link, combine key) codes;
 * furthest-destination-first arbitration (the §3.4 mesh discipline) is
   array-based: when per-hop ``priorities`` are supplied, each link keeps
-  a heap of packed integers ``(bias - priority, push counter, packet)``
-  — the priority-and-index part of every key is precomputed as one
-  vectorized matrix, so a push is one OR and one shift, with the exact
-  order of the reference ``FurthestFirstQueue`` (largest priority first,
-  FIFO among ties);
-* per-node load and per-link activity live in flat lists, and the
-  capacity/service-rate arbitration reserves arrival slots during the
-  transmission phase exactly like the reference engine.
+  one FIFO chain per priority class and pops the head of its highest
+  nonempty class — the exact order of the reference
+  ``FurthestFirstQueue`` (largest priority first, FIFO among ties);
+* per-node load and per-link activity live in flat arrays, and the
+  capacity arbitration reserves arrival slots during the transmission
+  phase exactly like the reference engine.
 
-The engine picks one of three execution modes per run (recorded in
-``last_run_mode`` for tests and diagnostics):
+The engine picks one of two execution modes per run (recorded in
+``last_run_mode`` and ``RoutingStats.run_mode``):
 
-* ``"batch"`` — the fully vectorized unconstrained mode: whole
-  transmission and arrival phases as numpy array operations;
-* ``"batch-constrained"`` — the vectorized *constrained* mode for
+* ``"batch"`` — the unconstrained mode;
+* ``"batch-constrained"`` — the *constrained* mode for
   ``node_capacity`` runs (``flow_control="none"`` or ``"credit"``):
   per-node credit counters are updated with segment reductions
   (``np.add.at``), escape-buffer occupancy lives in a parallel table
   keyed by compiled link id, and each step's transmission phase splits
   the active links into a provably-unconstrained majority (resolved
   vectorized) and a small contended residue replayed in exact
-  reference order — see :meth:`FastPathEngine._run_batch`;
-* ``"event"`` — the per-event compiled loop, kept for dynamic
-  injection (``on_arrival``), ``node_service_rate``, and ragged
-  (non-rectangular) trajectory lists.
+  reference order — see :meth:`FastPathEngine._run_batch`.
+
+What the compiled replay does not model — the dynamic ``on_arrival``
+injection hook and ``node_service_rate`` — runs on the reference engine
+only (``run_mode == "reference"``).
 
 Because routers pre-draw all randomness (coin matrices, intermediate
 nodes/rows) *before* choosing an engine, the fast and reference engines
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,21 +112,78 @@ def resolve_engine_mode(mode: str) -> str:
     )
 
 
+def _normalise_paths(
+    paths, path_lengths: Sequence[int] | None, n_packets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate *paths* / *path_lengths*; return ``(path matrix, last)``.
+
+    The matrix is rectangular (a ragged list of per-packet lists is
+    padded by repeating each packet's destination, the convention of
+    :class:`~repro.topology.compiled.TrajectoryPlan`) and ``last[i]`` is
+    the int64 position at which packet i is delivered.  An empty run
+    comes back as a ``(0, 1)`` matrix, so :meth:`FastPathEngine._run_batch`
+    sees at least one path position in every case.
+    """
+    flat = None
+    if isinstance(paths, np.ndarray):
+        if paths.ndim != 2:
+            raise ValueError("ndarray paths must be 2-D (packets x positions)")
+        n, width = paths.shape
+        path_arr = paths if n else np.empty((0, 1), dtype=np.int64)
+        widths = np.full(n, width, dtype=np.int64)
+    else:
+        rows = list(paths)
+        n = len(rows)
+        widths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        width = int(widths.max()) if n else 1
+        if (widths == width).all():
+            path_arr = np.asarray(rows, dtype=np.int64).reshape(n, width)
+        else:
+            flat = np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64, count=int(widths.sum())
+            )
+    if n_packets != n:
+        raise ValueError("one path per packet required")
+    if not widths.all():
+        raise ValueError(
+            f"paths[{int(np.argmin(widths))}] is empty: a path starts at its source"
+        )
+    if path_lengths is None:
+        last = widths - 1
+    else:
+        last = np.asarray(path_lengths, dtype=np.int64)
+        if last.shape != (n,):
+            raise ValueError("one path length per packet required")
+        bad = np.nonzero((last < 0) | (last >= widths))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"path_lengths[{i}]={int(last[i])} outside its {int(widths[i])}"
+                "-node path"
+            )
+    if flat is not None:
+        # Ragged rows: scatter the entries row-major into the matrix and
+        # fill each row's tail with its destination.
+        starts = np.cumsum(widths) - widths
+        filled = np.arange(width, dtype=np.int64)[None, :] < widths[:, None]
+        path_arr = np.repeat(flat[starts + last], width).reshape(n, width)
+        path_arr[filled] = flat
+    return path_arr, last
+
+
 class FastPathEngine:
     """Synchronous router over precompiled integer paths.
 
     Parameters mirror the reference engine: ``node_capacity`` enables the
     backpressure model (arrival slots reserved during the transmission
-    phase, delivered-at-target heads exempt) and ``node_service_rate``
-    caps departures per node per step, with capacity-stalled links never
-    consuming a service slot — both bit-for-bit the semantics of
-    :class:`~repro.routing.engine.SynchronousEngine`.
+    phase, delivered-at-target heads exempt) — bit-for-bit the semantics
+    of :class:`~repro.routing.engine.SynchronousEngine`.
     ``flow_control="credit"`` adds the deadlock-free credit/escape
-    protocol of :mod:`repro.routing.flow_control` to the per-event loop
-    (escape buffers are keyed by interned link index — 1:1 with the
-    reference engine's ``(u, w)`` link keys), and a no-progress step
-    with queued packets raises
-    :class:`~repro.routing.flow_control.DeadlockError` in both engines.
+    protocol of :mod:`repro.routing.flow_control` (escape buffers are
+    keyed by interned link index — 1:1 with the reference engine's
+    ``(u, w)`` link keys), and a no-progress step with queued packets
+    raises :class:`~repro.routing.flow_control.DeadlockError` in both
+    engines.
 
     The capacity exemption compares a head's *final node id* against the
     link's target, which equals the reference engine's ``head.dest ==
@@ -141,10 +197,9 @@ class FastPathEngine:
     Attributes
     ----------
     last_run_mode:
-        After each :meth:`run`: ``"batch"`` (vectorized, unconstrained),
-        ``"batch-constrained"`` (vectorized with ``node_capacity`` /
-        credits), or ``"event"`` (per-event compiled loop).  Tests use
-        this to assert that a configuration takes the intended path.
+        After each :meth:`run`: ``"batch"`` (unconstrained) or
+        ``"batch-constrained"`` (``node_capacity`` / credits).  Tests
+        use this to assert that a configuration takes the intended path.
     """
 
     def __init__(
@@ -153,18 +208,14 @@ class FastPathEngine:
         combine: bool = False,
         track_paths: bool = False,
         node_capacity: int | None = None,
-        node_service_rate: int | None = None,
         flow_control: str = "none",
         observer=None,
     ) -> None:
         self.combine = combine
         self.track_paths = track_paths
         self.node_capacity = node_capacity
-        self.node_service_rate = node_service_rate
         self.flow_control = resolve_flow_control(
-            flow_control,
-            node_capacity=node_capacity,
-            node_service_rate=node_service_rate,
+            flow_control, node_capacity=node_capacity
         )
         #: optional repro.obs.Observer — profile buckets per dispatch
         #: mode / phase, flight-recorder step events, DeadlockError
@@ -186,8 +237,6 @@ class FastPathEngine:
         links: tuple[np.ndarray, np.ndarray] | None = None,
         spawn_plan: "list[tuple[int, int, list[int]]] | None" = None,
         raise_on_timeout: bool = False,
-        on_arrival: Callable | None = None,
-        hook_filter: Callable[[Packet], bool] | None = None,
         node_key: Callable[[int, int], object] | None = None,
         trace_key: Callable[[int, int], object] | None = None,
         link_faults=None,
@@ -197,35 +246,28 @@ class FastPathEngine:
 
         ``paths[i]`` is packet i's node-id itinerary including its start;
         the packet is delivered on reaching entry ``path_lengths[i]``
-        (default: the last entry).  A 2-D ``np.ndarray`` of paths padded
-        past each packet's end (repeating the destination) is accepted —
-        with ``path_lengths`` the pad is never traversed.  ``num_nodes``
-        bounds the id space (used to intern links and size load tables).
+        (default: the last entry).  *paths* is either a 2-D
+        ``np.ndarray`` padded past each packet's end (repeating the
+        destination) or a list of per-packet lists, which may be ragged:
+        those are padded here with the same destination-repeat
+        convention — the pad is never traversed.  ``num_nodes`` bounds
+        the id space (used to intern links and size load tables).
         ``priorities[i][k]`` — when given — is packet i's integer queue
         priority at its k-th link crossing (largest first, FIFO ties):
         the furthest-destination-first discipline with priorities
         evaluated at push time, exactly like the reference
-        ``FurthestFirstQueue``.  ``on_arrival(index, packet, key, t)``
-        mirrors the reference engine's hook: called at every node a
-        packet reaches (``key`` is the decoded position key) and may
-        return ``[(packet, path), ...]`` to inject there immediately.
-        ``hook_filter(packet)``, evaluated once when a packet is
-        registered, exempts packets for which the hook could never act
-        (it must be a pure function of the packet — a False means
-        on_arrival is skipped for every node that packet reaches).
-        ``node_key`` / ``trace_key`` decode ``(position, node_id)`` into
-        the hashable keys written back to ``packet.node`` /
-        ``packet.trace`` (identity when omitted).  ``links`` — a
-        precompiled ``(link_id_matrix, link_src)`` pair or
+        ``FurthestFirstQueue``.  ``node_key`` / ``trace_key`` decode
+        ``(position, node_id)`` into the hashable keys written back to
+        ``packet.node`` / ``packet.trace`` (identity when omitted).
+        ``links`` — a precompiled ``(link_id_matrix, link_src)`` pair or
         ``(link_id_matrix, link_src, link_dst)`` triple aligned with a
         rectangular *paths* matrix (e.g. the arithmetic mesh encoding of
         :meth:`repro.topology.compiled.CompiledMesh2D.link_matrix` or
         the leveled encoding of
         :meth:`repro.topology.compiled.CompiledLeveledTopology.link_matrix`)
-        — lets the vectorized batch modes skip their np.unique interning
-        pass (the constrained mode derives ``link_dst`` from the path
-        matrix when only the pair is given); the per-event mode ignores
-        it.
+        — skips the np.unique interning pass (the constrained mode
+        derives ``link_dst`` from the path matrix when only the pair is
+        given).
 
         ``link_faults`` is an optional
         :class:`~repro.faults.runtime.LinkFaultView` whose keys are
@@ -235,735 +277,41 @@ class FastPathEngine:
         ``fault_base + t`` — semantics identical to the reference
         engine's, so differential tests stay bit-exact.
 
-        ``spawn_plan`` is the static alternative to ``on_arrival`` for
-        reply fan-out: entries ``(parent, position, children)`` mean that
-        when packet *parent* reaches path position *position*, the listed
-        packet indices activate there (they are passed in *packets* /
-        *paths* up front but stay dormant until triggered; packets never
-        triggered are excluded from the run's stats, exactly as if they
-        were never created).  Requires the vectorized batch mode and is
-        mutually exclusive with ``on_arrival``.
+        ``spawn_plan`` is the static form of the reference engine's
+        ``on_arrival`` hook for reply fan-out: entries
+        ``(parent, position, children)`` mean that when packet *parent*
+        reaches path position *position*, the listed packet indices
+        activate there (they are passed in *packets* / *paths* up front
+        but stay dormant until triggered; packets never triggered are
+        excluded from the run's stats, exactly as if they were never
+        created).  Not supported with ``node_capacity``.
         """
-        combine = self.combine
-        capacity = self.node_capacity
-        service_rate = self.node_service_rate
         _obs = self.observer
         _prof = _obs.profile if _obs is not None else None
-        _rec = _obs.recorder if _obs is not None else None
         _t_run0 = wall_time() if _prof is not None else 0.0
-        fc = CreditState() if self.flow_control == "credit" else None
-        # Packet index -> escape link claimed at transmit time; place()
-        # turns the claim into an occupancy (or drops it on delivery).
-        pending_escape: dict[int, int] = {}
-        use_heap = priorities is not None
-        if use_heap and on_arrival is not None:
-            raise ValueError(
-                "on_arrival injection is not supported with priority queues"
-            )
-
-        all_packets: list[Packet] = list(packets)
-        rectangular = False
-        path_arr: np.ndarray | None = None
-        if isinstance(paths, np.ndarray):
-            if paths.ndim != 2:
-                raise ValueError("ndarray paths must be 2-D (packets x positions)")
-            path_arr = paths
-            path_list: list[list[int]] = []
-            rectangular = paths.shape[1] > 0
-            n = paths.shape[0]
-        else:
-            path_list = [list(p) for p in paths]
-            widths = {len(p) for p in path_list}
-            rectangular = len(widths) == 1 and widths != {0}
-            n = len(path_list)
-        if len(all_packets) != n:
-            raise ValueError("one path per packet required")
-        if path_lengths is None:
-            if path_arr is not None:
-                last = [path_arr.shape[1] - 1] * n
-            else:
-                last = [len(p) - 1 for p in path_list]
-        else:
-            last = [int(x) for x in path_lengths]
-            if len(last) != n:
-                raise ValueError("one path length per packet required")
-            width_of = (
-                (lambda i: path_arr.shape[1])
-                if path_arr is not None
-                else (lambda i: len(path_list[i]))
-            )
-            for i, k in enumerate(last):
-                if not 0 <= k < width_of(i):
-                    raise ValueError(
-                        f"path_lengths[{i}]={k} outside its {width_of(i)}"
-                        "-node path"
-                    )
-
-        # ---- fully vectorized batch modes -------------------------------
-        # The hook-free rectangular case (permutation / many-one /
-        # CRCW-combining routing on any compiled topology, under FIFO or
-        # furthest-first arbitration) steps whole transmission and
-        # arrival phases as numpy array operations; per-link priority
-        # heaps become class-indexed FIFO chains and combining becomes
-        # gathers over interned (link, combine-group) codes, so both
-        # vectorize too.  ``node_capacity`` runs (flow_control "none" or
-        # "credit") take the vectorized *constrained* variant of the same
-        # loop (batch credit accounting).  Everything else — dynamic
-        # injection, service rates, ragged paths — falls through to the
-        # per-event loop below.
-        if spawn_plan is not None and capacity is not None:
+        if spawn_plan is not None and self.node_capacity is not None:
             raise ValueError("spawn_plan is not supported with node_capacity")
-        if (
-            rectangular
-            and n
-            and on_arrival is None
-            and service_rate is None
-        ):
-            if path_arr is None:
-                path_arr = np.asarray(path_list, dtype=np.int64)
-            try:
-                return self._run_batch(
-                    all_packets,
-                    path_arr,
-                    np.asarray(last, dtype=np.int64),
-                    priorities,
-                    links=links,
-                    spawn_plan=spawn_plan,
-                    num_nodes=num_nodes,
-                    max_steps=max_steps,
-                    raise_on_timeout=raise_on_timeout,
-                    node_key=node_key,
-                    trace_key=trace_key,
-                    link_faults=link_faults,
-                    fault_base=fault_base,
-                )
-            finally:
-                if _prof is not None:
-                    _prof.add_mode(
-                        self.last_run_mode or "batch", wall_time() - _t_run0
-                    )
-        if spawn_plan is not None:
-            raise ValueError(
-                "spawn_plan requires the vectorized batch mode (rectangular "
-                "paths, no on_arrival/capacity/service-rate)"
+        all_packets: list[Packet] = list(packets)
+        path_arr, last = _normalise_paths(paths, path_lengths, len(all_packets))
+        try:
+            return self._run_batch(
+                all_packets,
+                path_arr,
+                last,
+                priorities,
+                links=links,
+                spawn_plan=spawn_plan,
+                num_nodes=num_nodes,
+                max_steps=max_steps,
+                raise_on_timeout=raise_on_timeout,
+                node_key=node_key,
+                trace_key=trace_key,
+                link_faults=link_faults,
+                fault_base=fault_base,
             )
-        self.last_run_mode = "event"
-        if path_arr is not None:
-            path_list = path_arr.tolist()
-        pos = [0] * n
-        arrived: list[int | None] = [None] * n
-        combined_flag = [False] * n
-        children: list[list[int] | None] = [None] * n
-        ckeys: list[tuple | None] = (
-            [p.combine_key for p in all_packets] if combine else []
-        )
-        hooked: list[bool] = []
-        if on_arrival is not None:
-            hooked = (
-                [True] * n
-                if hook_filter is None
-                else [bool(hook_filter(p)) for p in all_packets]
-            )
-        node_load = [0] * num_nodes
-        # Final node id per packet, for the backpressure exit exemption.
-        dest_id: list[int] = (
-            [path_list[i][last[i]] for i in range(n)] if capacity is not None else []
-        )
-
-        # ---- intern every link each path crosses to a dense index ------
-        link_of: dict[int, int] = {}
-        link_src: list[int] = []
-        link_dst: list[int] = []
-        link_rows: list[list[int]] = []
-        if rectangular and n:
-            # Rectangular trajectory matrix: one np.unique interns all
-            # links at C speed (the common case for compiled routes).
-            # Padded rows contribute dest->dest self-loop codes; those
-            # links exist but are never enqueued (a packet stops at
-            # position ``last``), so they cost a few idle table slots.
-            arr = (
-                paths
-                if isinstance(paths, np.ndarray)
-                else np.asarray(path_list, dtype=np.int64)
-            )
-            if arr.shape[1] > 1:
-                codes = arr[:, :-1] * num_nodes + arr[:, 1:]
-                uniq, inverse = np.unique(codes, return_inverse=True)
-                link_src = (uniq // num_nodes).tolist()
-                link_dst = (uniq % num_nodes).tolist()
-                link_rows = inverse.reshape(codes.shape).tolist()
-                if on_arrival is not None or link_faults is not None:
-                    # Spawned packets intern their links dynamically and
-                    # must share the dense id space; fault views resolve
-                    # their (u, w) pairs through the same code table.
-                    link_of = dict(zip(uniq.tolist(), range(uniq.size)))
-            else:
-                link_rows = [[] for _ in range(n)]
-        else:
-            for path in path_list:
-                link_rows.append(
-                    self._intern_path(path, link_of, link_src, link_dst, num_nodes)
-                )
-
-        # ---- priority packing ------------------------------------------
-        # Heap entries are packed ints ``(bias - prio, counter, index)``
-        # with each field just wide enough for this run; the counter is
-        # globally increasing, so ties within one link's heap break FIFO
-        # — the same order as the reference FurthestFirstQueue's
-        # per-queue counter.  The (priority | index) part of every key is
-        # precomputed per link crossing, so a push ORs in the counter and
-        # nothing else.
-        prio_bias = idx_mask = shift_counter = shift_prio = 0
-        kb_rows: list[list[int]] = []
-        if use_heap:
-            prio_arr = (
-                priorities
-                if isinstance(priorities, np.ndarray)
-                else np.asarray([list(p) for p in priorities], dtype=np.int64)
-            )
-            if prio_arr.shape[0] != n:
-                raise ValueError("one priority row per packet required")
-            pmax = int(prio_arr.max()) if prio_arr.size else 0
-            idx_bits = max(1, n.bit_length())
-            counter_bits = max(1, (sum(last) + 1).bit_length())
-            prio_bits = max(1, pmax.bit_length() + 1)
-            prio_bias = 1 << prio_bits
-            idx_mask = (1 << idx_bits) - 1
-            shift_counter = idx_bits
-            shift_prio = idx_bits + counter_bits
-            if shift_prio + prio_bits + 1 <= 62 and prio_arr.size:
-                kb = (prio_bias - prio_arr.astype(np.int64)) << shift_prio
-                kb |= np.arange(n, dtype=np.int64)[:, None]
-                kb_rows = kb.tolist()
-            else:  # fields too wide for int64: pack in Python big ints
-                kb_rows = [
-                    [((prio_bias - p) << shift_prio) | i for p in row]
-                    for i, row in enumerate(prio_arr.tolist())
-                ]
-
-        # Each packet's remaining itinerary as one C-level iterator:
-        # exhaustion is delivery, so the hot loop does no bounds checks
-        # or row indexing.  Heap mode keeps a parallel iterator of
-        # precomputed key bases (two allocation-free next() calls beat a
-        # zip tuple per hop).
-        iters = [iter(link_rows[i][: last[i]]) for i in range(n)]
-        kb_iters = (
-            [iter(kb_rows[i][: last[i]]) for i in range(n)] if use_heap else []
-        )
-
-        # Each link's FIFO queue is threaded through the packets
-        # themselves (a packet waits in at most one queue): q_head/q_tail
-        # hold packet indices, q_next links them.  No per-link containers
-        # to allocate, pushes and pops are pure list-index arithmetic.
-        # Priority mode replaces the threading with per-link heaps of
-        # packed integer keys.  A link is in ``active`` iff its queue is
-        # nonempty (the rebuild after each transmission phase filters on
-        # q_len, preserving the reference engine's activation order).
-        n_links = len(link_src)
-        q_head = [-1] * n_links
-        q_tail = [-1] * n_links
-        q_len = [0] * n_links
-        q_next = [-1] * n
-        q_heap: list[list[int]] = [[] for _ in range(n_links)] if use_heap else []
-        push_counter = 0
-        cindex: list[dict | None] = [None] * n_links
-        active: list[int] = []
-
-        max_queue = 0
-        max_node_load = 0
-        combines = 0
-        remaining = n
-
-        injections: dict[int, list[int]] = defaultdict(list)
-        for i, p in enumerate(all_packets):
-            injections[p.injected_at].append(i)
-        pending_times = sorted(injections, reverse=True)
-
-        def deliver(i: int, t: int) -> None:
-            nonlocal remaining
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                if arrived[j] is None:
-                    arrived[j] = t
-                    remaining -= 1
-                ch = children[j]
-                if ch:
-                    stack.extend(ch)
-
-        def place(i: int, t: int) -> None:
-            nonlocal remaining, max_queue, max_node_load, combines, push_counter
-            if on_arrival is not None and hooked[i]:
-                k = pos[i]
-                here = path_list[i][k]
-                key = trace_key(k, here) if trace_key is not None else here
-                spawned = on_arrival(i, all_packets[i], key, t)
-                if spawned:
-                    for q_pkt, q_path in spawned:
-                        q_path = list(q_path)
-                        if q_path[0] != here:
-                            raise ValueError(
-                                f"spawned packet {q_pkt.pid} starts at "
-                                f"{q_path[0]}, expected {here}"
-                            )
-                        q_pkt.injected_at = t
-                        all_packets.append(q_pkt)
-                        path_list.append(q_path)
-                        row = self._intern_path(
-                            q_path, link_of, link_src, link_dst, num_nodes
-                        )
-                        link_rows.append(row)
-                        iters.append(iter(row))
-                        while len(q_head) < len(link_src):
-                            q_head.append(-1)
-                            q_tail.append(-1)
-                            q_len.append(0)
-                            cindex.append(None)
-                        q_next.append(-1)
-                        pos.append(0)
-                        last.append(len(q_path) - 1)
-                        if capacity is not None:
-                            dest_id.append(q_path[-1])
-                        arrived.append(None)
-                        combined_flag.append(False)
-                        children.append(None)
-                        if combine:
-                            ckeys.append(q_pkt.combine_key)
-                        hooked.append(
-                            True if hook_filter is None else bool(hook_filter(q_pkt))
-                        )
-                        remaining += 1
-                        place(len(all_packets) - 1, t)
-            li = next(iters[i], None)
-            if li is None:
-                if fc is not None:
-                    pending_escape.pop(i, None)
-                deliver(i, t)
-                return
-            if use_heap:
-                # Consumed even on an escape landing: the kb iterator
-                # must stay aligned with the link iterator (an escape
-                # crossing simply never enters a heap).
-                kb = next(kb_iters[i])
-            if fc is not None:
-                el = pending_escape.pop(i, None)
-                if el is not None:
-                    # The packet crossed link `el` into its escape
-                    # buffer; it advances from there (skipping bulk
-                    # queues and combining) until a credit frees up.
-                    fc.occupy(el, i, li)
-                    return
-            if combine:
-                key = ckeys[i]
-                if key is not None:
-                    index = cindex[li]
-                    if index is None:
-                        index = cindex[li] = {}
-                    host = index.get(key)
-                    if host is not None:
-                        ch = children[host]
-                        if ch is None:
-                            ch = children[host] = []
-                        ch.append(i)
-                        combined_flag[i] = True
-                        combines += 1
-                        return
-                    index[key] = i
-            if use_heap:
-                heappush(q_heap[li], kb | (push_counter << shift_counter))
-                push_counter += 1
-            else:
-                tail = q_tail[li]
-                if tail < 0:
-                    q_head[li] = i
-                else:
-                    q_next[tail] = i
-                q_tail[li] = i
-                q_next[i] = -1
-            length = q_len[li] + 1
-            q_len[li] = length
-            if length == 1:
-                active.append(li)
-            u = link_src[li]
-            load = node_load[u] + 1
-            node_load[u] = load
-            if length > max_queue:
-                max_queue = length
-            if load > max_node_load:
-                max_node_load = load
-
-        t = 0
-        deadlocked = False
-        fault_stalls = 0
-        f_blocked_li: set[int] | None = None
-        if link_faults is not None:
-            # Fault pairs resolve through link_of (code -> dense index);
-            # the static part is cached per timeline segment.
-            f_last_static: frozenset | None = None
-            f_static_li: set[int] = set()
-            f_n_links = len(link_src)
-        simple = capacity is None and service_rate is None
-        if not simple:
-            # Constrained transmission state and helpers, hoisted out of
-            # the step loop (they'd otherwise be rebuilt every step):
-            # mirror the reference engine's reserve-as-you-transmit
-            # capacity discipline and service-rate slot filling
-            # (stalled links keep their slots for ready siblings).
-            arrivals: list[int] = []
-            arrivals_append = arrivals.append
-            reserved: dict[int, int] = {}
-            used: set[int] = set()
-
-            def stalled(li: int) -> bool:
-                w = link_dst[li]
-                if node_load[w] + reserved.get(w, 0) < capacity:
-                    return False
-                head = (q_heap[li][0] & idx_mask) if use_heap else q_head[li]
-                return dest_id[head] != w
-
-            def transmit(li: int, reserve: bool = True) -> int:
-                # reserve=False is the escape landing: the packet
-                # crosses into the link's dedicated escape buffer, so
-                # it claims no bulk slot at the target.
-                if use_heap:
-                    i = heappop(q_heap[li]) & idx_mask
-                else:
-                    i = q_head[li]
-                    q_head[li] = q_next[i]
-                    if q_len[li] == 1:
-                        q_tail[li] = -1
-                q_len[li] -= 1
-                if combine:
-                    key = ckeys[i]
-                    if key is not None:
-                        index = cindex[li]
-                        if index.get(key) == i:
-                            del index[key]
-                if reserve and capacity is not None:
-                    w = link_dst[li]
-                    if dest_id[i] != w:
-                        reserved[w] = reserved.get(w, 0) + 1
-                node_load[link_src[li]] -= 1
-                pos[i] += 1
-                arrivals_append(i)
-                return i
-
-        while remaining > 0:
-            while pending_times and pending_times[-1] <= t:
-                for i in injections[pending_times.pop()]:
-                    place(i, t)
-            if remaining == 0:
-                break
-            if t >= max_steps:
-                break
-            if (
-                not active
-                and not pending_times
-                and (fc is None or not fc.escape_at)
-            ):
-                raise NetworkDrainedError(remaining, t, _obs)
-
-            fault_blocked_step = False
-            if link_faults is not None:
-                fstatic, fextra = link_faults.parts_at(fault_base + t)
-                if fstatic is not f_last_static or len(link_src) != f_n_links:
-                    f_static_li = set()
-                    for u, w in sorted(fstatic):
-                        li = link_of.get(u * num_nodes + w)
-                        if li is not None:
-                            f_static_li.add(li)
-                    f_last_static = fstatic
-                    f_n_links = len(link_src)
-                if fextra:
-                    f_blocked_li = set(f_static_li)
-                    for u, w in fextra:
-                        li = link_of.get(u * num_nodes + w)
-                        if li is not None:
-                            f_blocked_li.add(li)
-                else:
-                    f_blocked_li = f_static_li or None
-            if simple:
-                arrivals = []
-                arrivals_append = arrivals.append
-            else:
-                arrivals.clear()
-                reserved.clear()
-                used.clear()
-            _tx0 = wall_time() if _prof is not None else 0.0
-            _esc_dt = 0.0
-            if simple and not use_heap:
-                for li in active:
-                    if f_blocked_li is not None and li in f_blocked_li:
-                        fault_stalls += 1
-                        fault_blocked_step = True
-                        continue
-                    i = q_head[li]
-                    q_head[li] = q_next[i]
-                    q_len[li] -= 1
-                    if combine:
-                        key = ckeys[i]
-                        if key is not None:
-                            index = cindex[li]
-                            if index.get(key) == i:
-                                del index[key]
-                    node_load[link_src[li]] -= 1
-                    pos[i] += 1
-                    arrivals_append(i)
-                    if q_len[li] == 0:
-                        q_tail[li] = -1
-            elif simple:
-                for li in active:
-                    if f_blocked_li is not None and li in f_blocked_li:
-                        fault_stalls += 1
-                        fault_blocked_step = True
-                        continue
-                    i = heappop(q_heap[li]) & idx_mask
-                    q_len[li] -= 1
-                    if combine:
-                        key = ckeys[i]
-                        if key is not None:
-                            index = cindex[li]
-                            if index.get(key) == i:
-                                del index[key]
-                    node_load[link_src[li]] -= 1
-                    pos[i] += 1
-                    arrivals_append(i)
-            else:
-                if fc is not None:
-                    # Escape subphase: occupants advance first (absolute
-                    # priority on their next link), in occupancy order;
-                    # `used` then blocks the bulk heads of those links.
-                    # Mirrors the reference engine statement for
-                    # statement — same orders, same counters.
-                    _esc0 = wall_time() if _prof is not None else 0.0
-                    for el in list(fc.escape_at):
-                        i = fc.escape_at[el]
-                        nl = fc.escape_next[el]
-                        if f_blocked_li is not None and nl in f_blocked_li:
-                            fault_stalls += 1
-                            fault_blocked_step = True
-                            continue
-                        if nl in used:
-                            fc.stall()
-                            continue
-                        w = link_dst[nl]
-                        if dest_id[i] != w:
-                            if node_load[w] + reserved.get(w, 0) < capacity:
-                                reserved[w] = reserved.get(w, 0) + 1
-                            elif fc.available(nl):
-                                fc.claim(nl)
-                                pending_escape[i] = nl
-                            else:
-                                fc.stall()
-                                continue
-                        used.add(nl)
-                        fc.vacate(el)
-                        pos[i] += 1
-                        arrivals_append(i)
-                    if _prof is not None:
-                        _esc_dt = wall_time() - _esc0
-                        _prof.add_phase("escape", _esc_dt)
-                    # Bulk subphase: credit-starved heads take the
-                    # escape buffer of the link they cross.
-                    for li in active:
-                        if f_blocked_li is not None and li in f_blocked_li:
-                            fault_stalls += 1
-                            fault_blocked_step = True
-                            continue
-                        if li in used:
-                            fc.stall()
-                            continue
-                        if not stalled(li):
-                            transmit(li)
-                        elif fc.available(li):
-                            fc.claim(li)
-                            pending_escape[transmit(li, reserve=False)] = li
-                        else:
-                            fc.stall()
-                elif service_rate is None:
-                    for li in active:
-                        if f_blocked_li is not None and li in f_blocked_li:
-                            fault_stalls += 1
-                            fault_blocked_step = True
-                            continue
-                        if stalled(li):
-                            continue  # backpressure: hold the link this step
-                        transmit(li)
-                else:
-                    by_node: dict[int, list[int]] = {}
-                    for li in active:
-                        by_node.setdefault(link_src[li], []).append(li)
-                    for _u, links in by_node.items():
-                        # Stable sort + activation-ordered `active`: ties
-                        # go to the link that became active first.
-                        links.sort(key=lambda l: -q_len[l])
-                        slots = service_rate
-                        for li in links:
-                            if slots == 0:
-                                break
-                            if f_blocked_li is not None and li in f_blocked_li:
-                                fault_stalls += 1
-                                fault_blocked_step = True
-                                continue
-                            if capacity is not None and stalled(li):
-                                continue  # stalled links don't burn slots
-                            transmit(li)
-                            slots -= 1
-            active = [li for li in active if q_len[li]]
+        finally:
             if _prof is not None:
-                _prof.add_phase("transmission", wall_time() - _tx0 - _esc_dt)
-            if _rec is not None:
-                _rec.record(
-                    "engine_step",
-                    virtual_clock=t,
-                    arrivals=len(arrivals),
-                    active_links=len(active),
-                    remaining=remaining,
-                    fault_stalls=fault_stalls,
-                )
-
-            if not arrivals and not pending_times and not fault_blocked_step:
-                # No transmission, no future injections, and nothing held
-                # back by a (possibly transient) fault: the state is
-                # provably static forever.  Report instead of spinning.
-                deadlocked = True
-                break
-
-            t += 1
-            _a0 = wall_time() if _prof is not None else 0.0
-            if on_arrival is not None or fc is not None:
-                for i in arrivals:
-                    place(i, t)
-            elif use_heap:
-                # Hot path: hook-free arrivals are placed inline, saving
-                # a Python call (and the hook/spawn checks) per hop.
-                for i in arrivals:
-                    li = next(iters[i], None)
-                    if li is None:
-                        if combine:
-                            deliver(i, t)
-                        else:
-                            arrived[i] = t
-                            remaining -= 1
-                        continue
-                    kb = next(kb_iters[i])
-                    if combine:
-                        key = ckeys[i]
-                        if key is not None:
-                            index = cindex[li]
-                            if index is None:
-                                index = cindex[li] = {}
-                            host = index.get(key)
-                            if host is not None:
-                                ch = children[host]
-                                if ch is None:
-                                    ch = children[host] = []
-                                ch.append(i)
-                                combined_flag[i] = True
-                                combines += 1
-                                continue
-                            index[key] = i
-                    heappush(q_heap[li], kb | (push_counter << shift_counter))
-                    push_counter += 1
-                    length = q_len[li] + 1
-                    q_len[li] = length
-                    if length == 1:
-                        active.append(li)
-                    u = link_src[li]
-                    load = node_load[u] + 1
-                    node_load[u] = load
-                    if length > max_queue:
-                        max_queue = length
-                    if load > max_node_load:
-                        max_node_load = load
-            else:
-                for i in arrivals:
-                    li = next(iters[i], None)
-                    if li is None:
-                        if combine:
-                            deliver(i, t)
-                        else:
-                            arrived[i] = t
-                            remaining -= 1
-                        continue
-                    if combine:
-                        key = ckeys[i]
-                        if key is not None:
-                            index = cindex[li]
-                            if index is None:
-                                index = cindex[li] = {}
-                            host = index.get(key)
-                            if host is not None:
-                                ch = children[host]
-                                if ch is None:
-                                    ch = children[host] = []
-                                ch.append(i)
-                                combined_flag[i] = True
-                                combines += 1
-                                continue
-                            index[key] = i
-                    tail = q_tail[li]
-                    if tail < 0:
-                        q_head[li] = i
-                    else:
-                        q_next[tail] = i
-                    q_tail[li] = i
-                    q_next[i] = -1
-                    length = q_len[li] + 1
-                    q_len[li] = length
-                    if length == 1:
-                        active.append(li)
-                    u = link_src[li]
-                    load = node_load[u] + 1
-                    node_load[u] = load
-                    if length > max_queue:
-                        max_queue = length
-                    if load > max_node_load:
-                        max_node_load = load
-            if _prof is not None:
-                _prof.add_phase("arrival", wall_time() - _a0)
-
-        if _prof is not None:
-            _prof.add_mode("event", wall_time() - _t_run0)
-        completed = remaining == 0
-        track = self.track_paths
-        tkey = trace_key if trace_key is not None else node_key
-        for i, p in enumerate(all_packets):
-            k = pos[i]
-            path = path_list[i]
-            p.hops = k
-            p.arrived_at = arrived[i]
-            p.combined = combined_flag[i]
-            ch = children[i]
-            p.children = [all_packets[j] for j in ch] if ch else None
-            p.node = node_key(k, path[k]) if node_key is not None else path[k]
-            if track:
-                if tkey is not None:
-                    p.trace = [tkey(j, path[j]) for j in range(k + 1)]
-                else:
-                    p.trace = path[: k + 1]
-        stats = collect_stats(
-            all_packets,
-            steps=t,
-            max_queue=max_queue,
-            completed=completed,
-            combines=combines,
-            max_node_load=max_node_load,
-            credits_stalled=fc.credits_stalled if fc is not None else 0,
-            escape_hops=fc.escape_hops if fc is not None else 0,
-            fault_stalls=fault_stalls,
-            run_mode="event",
-        )
-        if deadlocked:
-            err = DeadlockError(
-                stats, detail=no_progress_detail(t, remaining, len(active), fc)
-            )
-            if _obs is not None:
-                err.flight_tail = _obs.flight_tail()
-            raise err
-        if not completed and raise_on_timeout:
-            raise RoutingTimeout(stats)
-        return stats
+                _prof.add_mode(self.last_run_mode or "batch", wall_time() - _t_run0)
 
     def _run_batch(
         self,
@@ -1051,8 +399,8 @@ class FastPathEngine:
         ``np.searchsorted``) before the scalar walk, so the walk touches
         contended links only.  Escape-buffer occupancy lives in a
         :class:`CreditState` keyed by dense link id (each directed
-        link's id *is* its escape slot), identical to the per-event
-        loop, and a no-progress step raises :class:`DeadlockError`.
+        link's id *is* its escape slot), and a no-progress step raises
+        :class:`DeadlockError`.
         """
         n, width = path_arr.shape
         capacity = self.node_capacity
@@ -1880,26 +1228,3 @@ class FastPathEngine:
         if not completed and raise_on_timeout:
             raise RoutingTimeout(stats)
         return stats
-
-    @staticmethod
-    def _intern_path(
-        path: list[int],
-        link_of: dict[int, int],
-        link_src: list[int],
-        link_dst: list[int],
-        num_nodes: int,
-    ) -> list[int]:
-        """Dense link index per hop of *path*, growing the intern tables."""
-        row = []
-        append = row.append
-        prev = path[0]
-        for nxt in path[1:]:
-            code = prev * num_nodes + nxt
-            li = link_of.get(code)
-            if li is None:
-                li = link_of[code] = len(link_src)
-                link_src.append(prev)
-                link_dst.append(nxt)
-            append(li)
-            prev = nxt
-        return row

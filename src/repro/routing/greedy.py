@@ -48,8 +48,9 @@ class GreedyRouter:
     engine:
         ``"auto"`` (default), ``"fast"``, or ``"reference"``.  The fast
         path runs vectorized batch (constrained batch under
-        ``node_capacity``) on mesh/linear/hypercube topologies and the
-        per-event compiled loop on ragged ``route_next`` walks.
+        ``node_capacity``) on every topology: compiled paths on
+        mesh/linear/hypercube, ragged ``route_next`` walks (padded by
+        the engine) elsewhere.
     """
 
     def __init__(
@@ -98,8 +99,9 @@ class GreedyRouter:
 
         Mesh / linear-array / hypercube paths come out of the vectorized
         builders in :mod:`repro.topology.compiled`; any other topology
-        falls back to walking ``route_next`` per packet (still one walk
-        up front instead of one call per packet per step).
+        walks ``route_next`` per packet (one walk up front instead of
+        one call per packet per step) and hands the engine the ragged
+        list.
         """
         topo = self.topology
         sources = [p.source for p in packets]

@@ -48,12 +48,12 @@ class RoutingStats:
     fault_stalls: int = 0
     #: execution mode that produced this run: ``"reference"`` (the
     #: per-hop readable engine) or one of the fast engine's modes —
-    #: ``"batch"``, ``"batch-constrained"``, ``"event"`` (see
+    #: ``"batch"``, ``"batch-constrained"`` (see
     #: ``FastPathEngine.last_run_mode``).  Deliberately excluded from
     #: the engine-differential equality contract: the *numbers* must
     #: match across engines, the mode must not.  The traffic subsystem
     #: aggregates these into a per-epoch dispatch history so online
-    #: runs can assert "no silent per-event fallback".
+    #: runs can assert "no silent reference fallback".
     run_mode: str = ""
 
     @property

@@ -12,11 +12,11 @@ Two reference points from the paper's discussion:
   Algorithm 2.3 under the parallel-link model achieves Õ(n).  Experiment
   E12 measures the growing gap.
 
-Both baselines pre-draw their random intermediates, so every itinerary
-is known before routing and ``engine="auto" | "fast" | "reference"``
-selects between the reference engine and a compiled replay — including
-the serialized (``node_service_rate=1``) shuffle model, which the fast
-engine arbitrates exactly like the reference one.
+Both baselines pre-draw their random intermediates.  The hypercube
+router's itineraries are therefore known before routing and
+``engine="auto" | "fast" | "reference"`` selects between the reference
+engine and the compiled replay; the serialized (``node_service_rate=1``)
+shuffle model is arbitrated by the reference engine only.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
 from repro.routing.queues import fifo_factory
-from repro.topology.compiled import hypercube_paths, shuffle_unique_paths
+from repro.topology.compiled import hypercube_paths
 from repro.topology.hypercube import Hypercube
 from repro.topology.shuffle import DWayShuffle
 from repro.util.rng import as_generator
@@ -120,7 +120,6 @@ def valiant_shuffle_route(
     *,
     seed=None,
     max_steps: int | None = None,
-    engine: str = "auto",
 ) -> RoutingStats:
     """Valiant's 2-phase scheme on the d-way shuffle, serialized node model.
 
@@ -152,13 +151,5 @@ def valiant_shuffle_route(
     inters = rng.integers(shuffle.num_nodes, size=len(packets))
     for p, r in zip(packets, inters):
         p.state = (0, 0, int(r))
-    if resolve_engine_mode(engine) == "fast":
-        paths = shuffle_unique_paths(
-            shuffle, [p.source for p in packets], [inters, dests]
-        )
-        fast = FastPathEngine(node_service_rate=1)
-        return fast.run(
-            packets, paths, num_nodes=shuffle.num_nodes, max_steps=max_steps
-        )
     ref = SynchronousEngine(queue_factory=fifo_factory, node_service_rate=1)
     return ref.run(packets, next_hop, max_steps=max_steps)

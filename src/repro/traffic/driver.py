@@ -45,12 +45,12 @@ its own every epoch, so a :class:`~repro.faults.FaultSchedule` runs on
 the same timeline the telemetry reports, and it annotates each epoch
 with the fault events that fired during it.
 
-Admitted batches are *rectangular* work for the engines: requests
+Admitted batches are precompiled work for the engines: requests
 become one PRAM step, which the emulators route through their
 ``engine="auto"`` dispatch, so online epochs stay on the vectorized
 batch / constrained-batch paths.  The per-epoch dispatch history on the
 report (``run_modes``) lets tests assert that no epoch silently fell
-back to the per-event mode.
+back to the reference engine.
 
 Reproducibility: the workload stream is a pure function of the
 generator's seed and the emulator pre-draws its routing randomness, so

@@ -12,7 +12,7 @@ the epoch that served it.
 records, sliding-window throughput and latency-percentile series,
 steady-state summaries, and the per-epoch engine-dispatch history
 (``run_modes``) that lets tests assert an online run never silently
-fell back to the per-event engine mode.
+fell back to the reference engine.
 """
 
 from __future__ import annotations

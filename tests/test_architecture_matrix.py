@@ -1,0 +1,212 @@
+"""The router rows of the docs/architecture.md coverage matrix, executed.
+
+Each probe names a row of the matrix (by the start of its first cell),
+runs that component on a small instance with ``engine="fast"`` and
+asserts the dispatch mode the row claims — both in behaviour
+(``RoutingStats.run_mode``) and in the row's own words, so neither the
+code nor the table can drift alone.  Emulator and cross-cutting rows
+("as the underlying row dictates") are pinned by their own suites.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.routing import (
+    GreedyMeshRouter,
+    GreedyRouter,
+    LeveledRouter,
+    MeshRouter,
+    ShuffleRouter,
+    StarRouter,
+    ValiantHypercubeRouter,
+    route_linear,
+    valiant_shuffle_route,
+)
+from repro.topology import (
+    DAryButterflyLeveled,
+    DWayShuffle,
+    Hypercube,
+    Mesh2D,
+    StarGraph,
+)
+
+DOC = Path(__file__).resolve().parent.parent / "docs" / "architecture.md"
+
+#: how a row's "Fast path taken" cell spells each fast run_mode; a
+#: "reference" probe needs a "Falls back to reference when" cell instead
+PHRASE = {"batch": "vectorized batch", "batch-constrained": "constrained batch"}
+
+CAPACITY = dict(node_capacity=3, flow_control="credit")
+
+
+def matrix_rows() -> dict[str, tuple[str, str]]:
+    """Component cell -> (fast path taken, falls back when) cells."""
+    rows = {}
+    for line in DOC.read_text().splitlines():
+        if line.startswith("| `"):
+            component, fast, fallback = line[1:].split("|")[:3]
+            rows[component.strip()] = (fast.strip(), fallback.strip())
+    return rows
+
+
+MATRIX = matrix_rows()
+
+
+class OddButterfly(DAryButterflyLeveled):
+    """Coins cannot be pre-drawn without uniform out-degree tables."""
+
+    uniform_out_degree = False
+
+
+def _leveled(intermediate, net=DAryButterflyLeveled(2, 3), **kwargs):
+    return lambda: LeveledRouter(
+        net, intermediate=intermediate, seed=1, engine="fast", **kwargs
+    ).route_random_permutation()
+
+
+def _permutation(topology, make_router):
+    n = topology.num_nodes
+    perm = np.random.default_rng(0).permutation(n)
+    return lambda: make_router(topology).route(np.arange(n), perm)
+
+
+def _greedy(topology, **kwargs):
+    return _permutation(
+        topology, lambda t: GreedyRouter(t, engine="fast", **kwargs)
+    )
+
+
+MESH = Mesh2D.square(4)
+LEVELED_COIN = "`LeveledRouter` coin mode"
+LEVELED_NODE = "`LeveledRouter` node mode"
+GREEDY = "`GreedyMeshRouter`, `GreedyRouter`"
+
+#: (row prefix, expected run_mode, probe) — one entry per claim of a row
+PROBES = {
+    "leveled-coin": (LEVELED_COIN, "batch", _leveled("coin")),
+    "leveled-coin-capacity": (
+        LEVELED_COIN,
+        "batch-constrained",
+        _leveled("coin", **CAPACITY),
+    ),
+    "leveled-coin-nonuniform": (
+        LEVELED_COIN,
+        "reference",
+        _leveled("coin", OddButterfly(2, 3)),
+    ),
+    "leveled-node": (LEVELED_NODE, "batch", _leveled("node")),
+    "leveled-node-capacity": (
+        LEVELED_NODE,
+        "batch-constrained",
+        _leveled("node", **CAPACITY),
+    ),
+    "leveled-node-nonuniform": (
+        LEVELED_NODE,
+        "batch",
+        _leveled("node", OddButterfly(2, 3)),
+    ),
+    "shuffle": (
+        "`ShuffleRouter`",
+        "batch",
+        lambda: ShuffleRouter(
+            DWayShuffle(2, 3), seed=1, engine="fast"
+        ).route_random_permutation(),
+    ),
+    "star-randomized": (
+        "`StarRouter`",
+        "batch",
+        lambda: StarRouter(
+            StarGraph(4), seed=1, engine="fast"
+        ).route_random_permutation(),
+    ),
+    "star-greedy": (
+        "`StarRouter`",
+        "batch",
+        lambda: StarRouter(
+            StarGraph(4), randomized=False, engine="fast"
+        ).route_random_permutation(),
+    ),
+    "mesh": (
+        "`MeshRouter` (furthest-first",
+        "batch",
+        _permutation(MESH, lambda m: MeshRouter(m, seed=1, engine="fast")),
+    ),
+    "mesh-capacity": (
+        "`MeshRouter` with `node_capacity`",
+        "batch-constrained",
+        _permutation(
+            MESH, lambda m: MeshRouter(m, seed=1, engine="fast", **CAPACITY)
+        ),
+    ),
+    "greedy-mesh": (
+        GREEDY,
+        "batch",
+        _permutation(MESH, lambda m: GreedyMeshRouter(m, engine="fast")),
+    ),
+    "greedy-mesh-capacity": (
+        GREEDY,
+        "batch-constrained",
+        _permutation(MESH, lambda m: GreedyMeshRouter(m, engine="fast", **CAPACITY)),
+    ),
+    "greedy-hypercube": (GREEDY, "batch", _greedy(Hypercube(3))),
+    "greedy-ragged": (GREEDY, "batch", _greedy(StarGraph(4))),
+    "greedy-ragged-capacity": (
+        GREEDY,
+        "batch-constrained",
+        _greedy(StarGraph(4), **CAPACITY),
+    ),
+    "valiant-hypercube": (
+        "`ValiantHypercubeRouter`",
+        "batch",
+        _permutation(
+            Hypercube(3), lambda c: ValiantHypercubeRouter(c, seed=1, engine="fast")
+        ),
+    ),
+    "valiant-shuffle": (
+        "`valiant_shuffle_route`",
+        "reference",
+        lambda: valiant_shuffle_route(
+            DWayShuffle(2, 3), np.arange(8), np.arange(8)[::-1], seed=1
+        ),
+    ),
+    "route-linear": (
+        "`route_linear` helper",
+        "batch",
+        lambda: route_linear(8, range(8), range(7, -1, -1), engine="fast"),
+    ),
+}
+
+
+def _row(prefix: str) -> tuple[str, str]:
+    hits = [
+        cells
+        for component, cells in MATRIX.items()
+        if component.startswith(prefix)
+    ]
+    assert len(hits) == 1, f"{prefix!r} names {len(hits)} rows of the matrix"
+    return hits[0]
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_router_row_takes_the_mode_it_documents(name):
+    prefix, mode, probe = PROBES[name]
+    fast, fallback = _row(prefix)
+    if mode == "reference":
+        assert fallback != "—"
+    else:
+        assert PHRASE[mode] in fast
+    stats = probe()
+    assert stats.completed
+    assert stats.run_mode == mode
+
+
+def test_every_router_row_is_probed():
+    routers = {c for c in MATRIX if "Router" in c or "route" in c}
+    probed = {
+        c
+        for c in routers
+        if any(c.startswith(prefix) for prefix, _, _ in PROBES.values())
+    }
+    assert routers and probed == routers

@@ -10,6 +10,11 @@ reference engine field for field, each scenario unconstrained, under
 link (which also makes queues grow, i.e. arrivals meet waiters).  A
 hypothesis sweep over layered many-to-one traffic closes the gaps
 between the hand-picked cases.
+
+Ragged path lists (the star-graph and generic greedy walks) reach the
+same kernel through the padding in ``FastPathEngine.run``; the edges of
+that normalisation — an empty run, zero-hop packets, explicit
+``path_lengths`` on ragged rows — are pinned here the same way.
 """
 
 import numpy as np
@@ -64,16 +69,20 @@ def run_both(
 ):
     """Route one hand-built instance through both engines.
 
-    ``paths`` is a rectangular node-id matrix; the reference engine
-    follows the same rows through ``packet.hops``.  Returns the fast
+    ``paths`` holds one node-id row per packet — handed to the fast
+    engine as a matrix when rectangular, as the ragged list otherwise;
+    the reference engine follows the same rows through ``packet.hops``.
+    ``lengths`` (the fast engine's ``path_lengths``) defaults to every
+    row's last position.  Returns the fast
     engine's ``RoutingStats`` once they equal the reference's (a
     ``DeadlockError`` counts as its ``stats``, and must then be raised
     by both engines).
     """
     n = len(paths)
-    last = list(lengths) if lengths is not None else [len(paths[0]) - 1] * n
+    last = list(lengths) if lengths is not None else [len(row) - 1 for row in paths]
     inject = list(inject) if inject is not None else [0] * n
-    num_nodes = max(max(row) for row in paths) + 1
+    num_nodes = max((max(row) for row in paths), default=0) + 1
+    ragged = len({len(row) for row in paths}) > 1
     combine = addresses is not None
     kwargs = dict(
         combine=combine, node_capacity=node_capacity, flow_control=flow_control
@@ -87,10 +96,10 @@ def run_both(
     def fast():
         return fast_engine.run(
             fast_packets,
-            np.asarray(paths, dtype=np.int64),
+            paths if ragged else np.asarray(paths, dtype=np.int64),
             num_nodes=num_nodes,
             max_steps=max_steps,
-            path_lengths=last,
+            path_lengths=lengths,
             priorities=priorities,
             spawn_plan=spawn_plan,
             link_faults=faults(),
@@ -259,6 +268,72 @@ def test_scenario_matches_reference(scenario, regime):
     assert f.completed
 
 
+def ragged_mixed():
+    """Ragged rows through the hub, one of them a zero-hop packet
+    (source == destination: delivered where it is injected) and one
+    ending *at* the hub, so padded tails sit next to live queues."""
+    return dict(
+        paths=[
+            [0, HUB, SINK],
+            [1, 5, HUB, SINK],
+            [2, HUB],
+            [HUB],
+            [3, 6, 7, HUB, SINK, 12],
+            [4, HUB, SINK],
+        ],
+        inject=[0, 0, 0, 1, 0, 1],
+    )
+
+
+def ragged_all_zero_hop():
+    """Every packet is delivered at injection; no link is ever used."""
+    return dict(paths=[[3], [4, 5], [3, 9, 9]], lengths=[0, 0, 0], inject=[0, 2, 2])
+
+
+def ragged_explicit_lengths():
+    """``path_lengths`` on ragged rows: packets stop short of their
+    row's end (one of them before the hub), the rest is never walked."""
+    return dict(
+        paths=[[0, HUB, SINK, 12, 13], [1, HUB, SINK], [2, 5, HUB, SINK], [3, HUB]],
+        lengths=[2, 2, 1, 1],
+    )
+
+
+#: ragged input must reach both batch modes, under every constraint
+RAGGED_REGIMES = {**REGIMES, "capacity": dict(node_capacity=1)}
+
+
+@pytest.mark.parametrize("regime", RAGGED_REGIMES)
+@pytest.mark.parametrize(
+    "scenario", [ragged_mixed, ragged_all_zero_hop, ragged_explicit_lengths]
+)
+def test_ragged_paths_match_reference(scenario, regime):
+    kwargs = scenario()
+    f = run_both(**kwargs, **RAGGED_REGIMES[regime])
+    assert f.completed
+    assert f.hops == kwargs.get("lengths", [len(r) - 1 for r in kwargs["paths"]])
+
+
+@pytest.mark.parametrize("regime", RAGGED_REGIMES)
+@pytest.mark.parametrize(
+    "paths", [[], np.empty((0, 3), dtype=np.int64)], ids=["list", "matrix"]
+)
+def test_empty_run_matches_reference(paths, regime):
+    """No packets: zero steps, completed, in either batch mode."""
+    kwargs = dict(RAGGED_REGIMES[regime])
+    down = kwargs.pop("down", None)
+    fast = FastPathEngine(**kwargs).run(
+        [],
+        paths,
+        num_nodes=SINK + 1,
+        max_steps=5,
+        link_faults=DownUntil(*down) if down else None,
+    )
+    ref = SynchronousEngine(**kwargs).run([], lambda p: None, max_steps=5)
+    assert_stats_equal(fast, ref)
+    assert (fast.steps, fast.completed, fast.total_packets) == (0, True, 0)
+
+
 def test_fan_in_order_is_source_activation_order():
     """The pinned order itself, not just agreement: sources were listed
     4, 2, 0, 3, 1 and all activate at t=0 in that (batch) order."""
@@ -307,6 +382,8 @@ def layered_instances(draw):
     for row in paths:  # hotspot: most packets end on one node
         if draw(st.integers(0, 3)):
             row[-1] = depth * m + hot
+    if draw(st.booleans()):  # ragged: rows stop anywhere, some at once
+        paths = [row[: draw(st.integers(1, depth + 1))] for row in paths]
     inject = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     out = dict(paths=paths, inject=inject)
     if draw(st.booleans()):

@@ -1,17 +1,16 @@
 """The vectorized constrained-batch mode (batch credit accounting).
 
-Capacity-bounded runs on rectangular compiled trajectories used to fall
-back to the fast engine's per-event loop; they now take a vectorized
-batch mode that must stay bit-identical to the reference engine.  This
-suite pins that contract:
+Capacity-bounded runs take the fast engine's vectorized constrained
+batch mode, which must stay bit-identical to the reference engine.
+This suite pins that contract:
 
 * differential sweeps over (capacity, flow_control, topology) — mesh
   greedy and 3-stage (priority classes), leveled coin/node (wrap
   aliasing), linear arrays — including the hub-star and crossing-flow
   regressions;
 * mode dispatch: ``engine="fast"`` on a capacity run must take the
-  constrained *batch* path (``last_run_mode == "batch-constrained"``),
-  never silently the per-event loop, for routers and emulators alike;
+  constrained *batch* path (``last_run_mode == "batch-constrained"``)
+  for routers and emulators alike;
 * constrained-specific details: staggered injections, combining with
   credits, deadlock parity under ``flow_control="none"``.
 """
@@ -51,7 +50,7 @@ def _routed_modes(monkeypatch):
 
 
 class TestDispatch:
-    """No silent per-event fallback for capacity runs."""
+    """Capacity runs take the constrained batch mode, by name."""
 
     def test_engine_reports_constrained_batch(self):
         engine = FastPathEngine(node_capacity=1)
@@ -65,11 +64,17 @@ class TestDispatch:
         engine.run(make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50)
         assert engine.last_run_mode == "batch"
 
-    def test_ragged_paths_fall_back_to_event_loop(self):
-        engine = FastPathEngine(node_capacity=1)
+    @pytest.mark.parametrize(
+        "capacity, mode", [(None, "batch"), (1, "batch-constrained")]
+    )
+    def test_ragged_paths_pad_into_the_batch_modes(self, capacity, mode):
+        engine = FastPathEngine(node_capacity=capacity)
         paths = [[0, 2, 3], [1, 2, 3, 4]]
-        engine.run(make_packets([0, 1], [3, 4]), paths, num_nodes=5, max_steps=50)
-        assert engine.last_run_mode == "event"
+        stats = engine.run(
+            make_packets([0, 1], [3, 4]), paths, num_nodes=5, max_steps=50
+        )
+        assert engine.last_run_mode == stats.run_mode == mode
+        assert stats.hops == [2, 3]
 
     @pytest.mark.parametrize("flow", ["none", "credit"])
     def test_mesh_routers_take_constrained_batch(self, monkeypatch, flow):
@@ -114,8 +119,7 @@ class TestDispatch:
         )
         em.emulate_step(hotspot_step(n, 4 * n, hot_addresses=2, seed=4))
         # Request phase(s) constrained-batch; CRCW replies unconstrained.
-        assert "batch-constrained" in modes
-        assert "event" not in modes
+        assert set(modes) == {"batch-constrained", "batch"}
 
 
 class TestPinnedRegressions:

@@ -17,6 +17,7 @@ from repro.emulation.leveled import LeveledEmulator
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import h_relation_step, hotspot_step, permutation_step
 from repro.routing import (
+    DeadlockError,
     FastPathEngine,
     GreedyMeshRouter,
     GreedyRouter,
@@ -26,7 +27,6 @@ from repro.routing import (
     StarRouter,
     ValiantHypercubeRouter,
     resolve_engine_mode,
-    valiant_shuffle_route,
 )
 from repro.routing.fast_engine import ENGINE_ENV_VAR
 from repro.routing.packet import make_packets
@@ -152,6 +152,7 @@ class TestPhysicalRouterDifferential:
         fast = StarRouter(star, seed=8, engine="fast").route_permutation(perm)
         ref = StarRouter(star, seed=8, engine="reference").route_permutation(perm)
         assert fast.completed
+        assert (fast.run_mode, ref.run_mode) == ("batch", "reference")
         assert_stats_equal(fast, ref)
 
     def test_star_nonrandomized_matches(self):
@@ -161,6 +162,24 @@ class TestPhysicalRouterDifferential:
         ref = StarRouter(star, randomized=False, engine="reference").route_permutation(
             perm
         )
+        assert (fast.run_mode, ref.run_mode) == ("batch", "reference")
+        assert_stats_equal(fast, ref)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("randomized", [True, False])
+    def test_star_n_relation_matches(self, n, randomized):
+        """Ragged greedy walks (zero-hop packets included: a partial
+        n-relation may send a node to itself) pad into the batch mode."""
+        star = StarGraph(n)
+
+        def run(engine):
+            return StarRouter(
+                star, seed=n, randomized=randomized, engine=engine
+            ).route_n_relation(h=2)
+
+        fast, ref = run("fast"), run("reference")
+        assert fast.completed
+        assert (fast.run_mode, ref.run_mode) == ("batch", "reference")
         assert_stats_equal(fast, ref)
 
     def test_shuffle_permutation_matches(self):
@@ -284,7 +303,7 @@ class TestMeshStackDifferential:
     )
     def test_greedy_router_matches(self, topology):
         """GreedyRouter fast paths: vectorized builders for mesh, linear
-        array and hypercube; generic route_next walk otherwise."""
+        array and hypercube; generic (ragged) route_next walk otherwise."""
         rng = np.random.default_rng(12)
         n = topology.num_nodes
         sources = np.arange(n)
@@ -295,7 +314,39 @@ class TestMeshStackDifferential:
 
         fast, ref = run("fast"), run("reference")
         assert fast.completed
+        assert (fast.run_mode, ref.run_mode) == ("batch", "reference")
         assert_stats_equal(fast, ref)
+
+    @pytest.mark.parametrize("flow", ["none", "credit"])
+    @pytest.mark.parametrize(
+        "topology", [StarGraph(4), DWayShuffle(2, 4)], ids=lambda t: type(t).__name__
+    )
+    def test_greedy_router_ragged_capacity_matches(self, topology, flow):
+        """Ragged route_next walks under node_capacity take the
+        constrained batch mode.  Three hot destinations behind
+        capacity-1 nodes make the bound bind: credits stall and escape
+        buffers fill, and the star's cyclic greedy paths deadlock
+        without credits — then both engines must, with equal stats."""
+        n = topology.num_nodes
+        sources = np.arange(n)
+        dests = np.random.default_rng(12).integers(0, 3, size=n)
+
+        def run(engine):
+            router = GreedyRouter(
+                topology, node_capacity=1, flow_control=flow, engine=engine
+            )
+            try:
+                return router.route(sources, dests), False
+            except DeadlockError as err:
+                return err.stats, True
+
+        (fast, fast_dead), (ref, ref_dead) = run("fast"), run("reference")
+        assert fast_dead == ref_dead
+        assert fast_dead == (flow == "none" and isinstance(topology, StarGraph))
+        assert (fast.run_mode, ref.run_mode) == ("batch-constrained", "reference")
+        assert_stats_equal(fast, ref)
+        if flow == "credit":
+            assert fast.escape_hops > 0 and fast.max_node_load == 1
 
     @pytest.mark.parametrize("randomized", [True, False])
     def test_valiant_hypercube_matches(self, randomized):
@@ -306,20 +357,6 @@ class TestMeshStackDifferential:
             return ValiantHypercubeRouter(
                 cube, seed=15, randomized=randomized, engine=engine
             ).route(np.arange(cube.num_nodes), perm)
-
-        fast, ref = run("fast"), run("reference")
-        assert fast.completed
-        assert_stats_equal(fast, ref)
-
-    def test_valiant_shuffle_serialized_matches(self):
-        """The node_service_rate=1 model must arbitrate identically."""
-        sh = DWayShuffle(3, 3)
-        perm = np.random.default_rng(16).permutation(sh.num_nodes)
-
-        def run(engine):
-            return valiant_shuffle_route(
-                sh, np.arange(sh.num_nodes), perm, seed=17, engine=engine
-            )
 
         fast, ref = run("fast"), run("reference")
         assert fast.completed
@@ -362,9 +399,8 @@ class TestMeshStackDifferential:
         """Corollary 3.3's O(1)-queue emulation, differentially.
 
         The CRCW case pins the combine-with-capacity interaction in the
-        fast engine's constrained per-event loop (combining index
-        release inside transmit, stalled-head checks on a combining
-        heap)."""
+        fast engine's constrained batch mode (combine-code release on
+        transmit, stalled-head checks across priority classes)."""
         n_side = 6
         n = n_side * n_side
         step = (
@@ -566,6 +602,36 @@ class TestFastPathEngineUnit:
         pkts = make_packets([0], [1])
         with pytest.raises(ValueError):
             FastPathEngine().run(pkts, [], num_nodes=2, max_steps=5)
+
+    @pytest.mark.parametrize(
+        "paths, lengths, message",
+        [
+            ([[0, 1]] * 3, [1, 2, -1], r"path_lengths\[1\]=2 outside its 2-node path"),
+            (np.zeros((3, 2), dtype=np.int64), [1, 1, -1], r"path_lengths\[2\]=-1 "),
+            ([[0, 1], [0], [0, 1, 1]], [1, 1, 0], r"path_lengths\[1\]=1 outside its 1-node"),
+            ([[0, 1]] * 3, [1], "one path length per packet"),
+            ([[0, 1], [], [0]], None, r"paths\[1\] is empty"),
+            (np.zeros((3, 0), dtype=np.int64), None, r"paths\[0\] is empty"),
+        ],
+    )
+    def test_malformed_paths_rejected(self, paths, lengths, message):
+        pkts = make_packets([0, 0, 0], [1, 1, 1])
+        with pytest.raises(ValueError, match=message):
+            FastPathEngine().run(
+                pkts, paths, num_nodes=2, max_steps=5, path_lengths=lengths
+            )
+
+    def test_reference_only_options_are_plain_type_errors(self):
+        """node_service_rate and the on_arrival hook live on the
+        reference engine only; the fast engine has no such parameters."""
+        with pytest.raises(TypeError):
+            FastPathEngine(node_service_rate=1)
+        pkts = make_packets([0], [1])
+        for hook in ({"on_arrival": lambda *a: None}, {"hook_filter": bool}):
+            with pytest.raises(TypeError):
+                FastPathEngine().run(
+                    pkts, [[0, 1]], num_nodes=2, max_steps=5, **hook
+                )
 
     def test_single_packet_delivers(self):
         pkts = make_packets([0], [1])

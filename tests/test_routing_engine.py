@@ -252,13 +252,18 @@ class TestNetworkDrained:
 
     @pytest.mark.parametrize(
         "paths, mode",
-        [([[0, 1, 2], [2, 1, 0]], "batch"), ([[0, 1], [2, 1, 0]], "event")],
+        [
+            ([[0, 1, 2], [2, 1, 0]], "batch"),
+            ([[0, 1], [2, 1, 0]], "batch"),
+            ([[0, 1], [2, 1, 0]], "batch-constrained"),
+        ],
     )
     def test_fast_engine_raises_the_same_type(self, monkeypatch, paths, mode):
         monkeypatch.setattr(fast_engine, "defaultdict", _ForgetfulTable)
         obs = Observer(flight_recorder=4)
         obs.record("note", virtual_clock=0, what="before the run")
-        engine = FastPathEngine(observer=obs)
+        capacity = 2 if mode == "batch-constrained" else None
+        engine = FastPathEngine(node_capacity=capacity, observer=obs)
         pkts = make_packets([p[0] for p in paths], [p[-1] for p in paths])
         with pytest.raises(NetworkDrainedError) as exc:
             engine.run(pkts, paths, num_nodes=3, max_steps=10)

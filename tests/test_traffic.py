@@ -9,9 +9,9 @@ Pins the three contracts ISSUE 5 calls out:
 * **conservation** — admission-queue carry-over under saturation never
   loses or duplicates a request, with either overflow policy;
 
-plus the dispatch-history guarantee: rectangular online epochs stay on
-the vectorized batch / constrained-batch engine modes, never silently
-the per-event loop.
+plus the dispatch-history guarantee: online epochs stay on the
+vectorized batch / constrained-batch engine modes, never silently the
+reference engine.
 """
 
 import numpy as np
@@ -260,7 +260,7 @@ class TestEngineDifferential:
 
 
 class TestDispatchHistory:
-    """Rectangular online epochs never fall back to the per-event mode."""
+    """Online epochs never fall back to the reference engine."""
 
     def test_mesh_online_dispatches_batch_every_epoch(self):
         report = _mesh_driver("fast").run(15)
@@ -279,7 +279,6 @@ class TestDispatchHistory:
         # reply fan-out intentionally runs unconstrained (plain batch).
         assert set(flat) <= {"batch-constrained", "batch"}
         assert "batch-constrained" in flat
-        assert "event" not in flat and "reference" not in flat
 
     def test_reference_engine_reports_reference_modes(self):
         report = _mesh_driver("reference").run(6)
