@@ -12,10 +12,24 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Sequence
 
+import numpy as np
+
+from repro.emulation.combining import (
+    ReplySpawner,
+    build_replies,
+    reply_next_hop,
+    route_replies_fast,
+)
 from repro.faults import RehashStormError
+from repro.obs import NULL_OBSERVER
 from repro.pram.trace import MemoryTrace, StepTrace
+from repro.pram.variants import resolve_writes
+from repro.routing.engine import SynchronousEngine
+from repro.routing.flow_control import DeadlockError
+from repro.routing.packet import Packet
 from repro.util.stats import Summary, summarize
 
 
@@ -64,8 +78,9 @@ class StepCost:
 class AttemptLog:
     """Accounting across one step's request-phase attempts.
 
-    Both emulators thread one of these through their rehash/retry loops
-    so the fault bookkeeping (failed-attempt steps, fault stalls,
+    ``Emulator._route_requests`` threads one of these through its
+    rehash/retry loop (and the mesh's fresh-route reply retries add to
+    it), so the fault bookkeeping (failed-attempt steps, fault stalls,
     deadlock retries, fail-fast detections) lands in the
     :class:`StepCost` identically on either network.
     """
@@ -213,12 +228,104 @@ class Emulator(ABC):
             costs.append(self.emulate_step(self.inbox.popleft()))
         return costs
 
+    # ---- the step pipeline --------------------------------------------
+    # hash -> route requests (rehash + retry) -> memory -> route replies
+    # -> StepCost: one scheme, parameterised by the network (Theorems
+    # 2.5/2.6, 3.2, 3.3).  A served emulator's ``emulate_step`` composes
+    # the pieces below and supplies what is network-specific:
+    # ``_make_router(engine_mode, fault_base)``, ``_route(router,
+    # packets, max_steps)``, its allotment and budgets, placement
+    # (``_modules_of``), source-node encoding (``_source_nodes``) and the
+    # shape of its reply phase.  The pieces read the instance's ``hash``
+    # / ``family`` / ``rng`` / ``faults`` / ``memory`` / ``max_rehashes``
+    # / ``validate`` / ``virtual_clock``.
+
+    #: label on step metrics, rehash events and failure messages
+    network = "network"
+
+    @property
+    def _obs(self):
+        """The observer to call: ``self.observer`` or the no-op one.
+        Computed, not stored, so pickles and ``emulator.observer`` keep
+        their meaning."""
+        return self.observer or NULL_OBSERVER
+
+    def rehash(self) -> None:
+        """Draw a fresh hash function (the §2.1 recovery action)."""
+        self.hash = self.family.sample(self.rng)
+        self.rehash_count += 1
+
+    def _modules_of(self, addrs: np.ndarray) -> np.ndarray:
+        """Home module of every address (placement, before fault remap)."""
+        return self.hash.map(addrs)
+
+    def _source_nodes(self, pids: list[int]) -> list:
+        """The routers' node keys for processors *pids*."""
+        return pids
+
+    def _build_request_packets(self, step: StepTrace) -> list[Packet]:
+        # One vectorized hash evaluation covers the whole step (the
+        # scalar PolynomialHash.__call__ is an O(S) Python Horner loop
+        # per address), and the network hooks are per step as well: an
+        # address array in, a pid list in — nothing dispatches per request.
+        reads, writes = step.reads, step.writes
+        addrs = step.addresses()
+        if not addrs:
+            return []
+        faults = self.faults
+        pids = [r.pid for r in reads]
+        pids += [w.pid for w in writes]
+        if max(pids) >= faults.num_processors:
+            raise ValueError(
+                f"processor {max(pids)} exceeds {self.network} size "
+                f"{faults.num_processors}"
+            )
+        modules = self._modules_of(np.asarray(addrs, dtype=np.int64))
+        if faults.known_dead:
+            # Addresses homed on a detected-dead module are served by
+            # its deterministic surrogate (next live module, cyclic) —
+            # engine-independent, so differential runs stay identical.
+            modules = faults.map_modules(modules)
+        dests = modules.tolist()
+        if faults.has_processor_faults:
+            pids = faults.map_processors(np.asarray(pids, dtype=np.int64)).tolist()
+        sources = self._source_nodes(pids)
+        packets = [
+            Packet(i, sources[i], dests[i], kind="read", address=r.addr)
+            for i, r in enumerate(reads)
+        ]
+        packets += [
+            Packet(
+                i, sources[i], dests[i], kind="write", address=w.addr, payload=w.value
+            )
+            for i, w in enumerate(writes, len(reads))
+        ]
+        return packets
+
+    def _failure(self, message: str, log: AttemptLog, burned: int = 0) -> RuntimeError:
+        """The exception for a phase that gave up.  Under a fault
+        schedule it is the typed :class:`RehashStormError` a service
+        loop can charge and retry — *log*'s accounting (plus the
+        *burned* steps of an attempt not yet charged to it) and the
+        flight tail; without one, non-completion is a real bug."""
+        if not self.faults.schedule:
+            return RuntimeError(message)
+        err = RehashStormError(
+            message + " (fault schedule active)",
+            rehashes=log.rehashes,
+            stall_steps=log.stall_steps + burned,
+            deadlock_retries=log.deadlock_retries,
+            fault_failfasts=log.fault_failfasts,
+            run_modes=tuple(log.run_modes),
+        )
+        err.flight_tail = self._obs.flight_tail()
+        return err
+
     def _prepare_attempt(
         self, step: StepTrace, fault_base: int, log: AttemptLog, *, rehash=True
-    ) -> list:
+    ) -> list[Packet]:
         """Liveness refresh + fail-fast detection before one routing
-        attempt (shared by the concrete emulators, which provide
-        ``faults``/``rehash``/``max_rehashes``/``_build_request_packets``).
+        attempt.
 
         Revives become visible, then any request aimed at an
         *undetected* dead module fails fast — the module's home switch
@@ -242,19 +349,184 @@ class Emulator(ABC):
             log.fault_failfasts += 1
             log.run_modes.append("fault-failfast")
             if log.fault_failfasts > self.max_rehashes + faults.num_modules:
-                err = RehashStormError(
-                    "fault detections keep forcing rehashes",
-                    rehashes=log.rehashes,
-                    stall_steps=log.stall_steps,
-                    deadlock_retries=log.deadlock_retries,
-                    fault_failfasts=log.fault_failfasts,
-                    run_modes=tuple(log.run_modes),
-                )
-                if self.observer is not None:
-                    err.flight_tail = self.observer.flight_tail()
-                raise err
+                raise self._failure("fault detections keep forcing rehashes", log)
             packets = self._build_request_packets(step)
         return packets
+
+    def _route_requests(
+        self,
+        step: StepTrace,
+        engine_mode: str,
+        *,
+        allotment: int,
+        last_resort: int,
+        rehash: bool = True,
+    ):
+        """Route the step's requests; rehash + retry on a missed allotment.
+
+        "If within the allotted time the communication has not been
+        completed, a designated processor chooses a new hash function,
+        and all the M memory locations are remapped" (§2.1): up to
+        ``max_rehashes + 1`` attempts run under *allotment* steps with a
+        rehash between consecutive ones, then one attempt under the
+        generous *last_resort* budget so the emulation still
+        terminates.  A wedged credit run (``DeadlockError``) is just a
+        failed attempt — the rehash redraws the trajectories.  With
+        ``rehash=False`` (direct placement: kills are still detected
+        fail-fast, but the remap alone reroutes an address) the first
+        missed allotment goes straight to the last resort.
+
+        Returns ``(router, packets, stats, log)`` of the attempt that
+        completed.
+        """
+        log = AttemptLog()
+        obs = self._obs
+        bounded = self.max_rehashes + 1 if rehash else 1
+        for attempt in count():
+            last = attempt == bounded
+            # Each attempt starts where the previous one gave up: failed
+            # steps accumulate into the global fault timeline.
+            fault_base = self.virtual_clock + log.stall_steps
+            packets = self._prepare_attempt(step, fault_base, log, rehash=rehash)
+            router = self._make_router(engine_mode, fault_base)
+            wedged = False
+            with obs.span(
+                "route_attempt",
+                category="request",
+                virtual_clock=fault_base,
+                attempt=attempt,
+                requests=len(packets),
+                last_resort=last,
+            ) as sp:
+                try:
+                    stats = self._route(
+                        router, packets, last_resort if last else allotment
+                    )
+                except DeadlockError as exc:
+                    if last:
+                        raise
+                    stats = exc.stats
+                    wedged = True
+                sp.virtual_end = fault_base + stats.steps
+            log.run_modes.append(stats.run_mode)
+            log.fault_stalls += stats.fault_stalls
+            if stats.completed:
+                return router, packets, stats, log
+            if last:
+                raise self._failure(
+                    f"{self.network} request routing failed after rehashes",
+                    log,
+                    stats.steps,
+                )
+            log.stall_steps += stats.steps
+            if wedged:
+                log.deadlock_retries += 1
+            if rehash and attempt < self.max_rehashes:
+                now = self.virtual_clock + log.stall_steps
+                with obs.span(
+                    "rehash",
+                    category="recovery",
+                    virtual_clock=now,
+                    attempt=attempt,
+                    wedged=wedged,
+                ):
+                    self.rehash()
+                log.rehashes += 1
+                obs.count("emulator_rehashes_total", network=self.network)
+                obs.record("rehash", virtual_clock=now, attempt=attempt, wedged=wedged)
+
+    def _apply_memory(self, reads, writes) -> dict:
+        """One step's memory semantics: reads see pre-step memory, then
+        each written address takes ``resolve_writes`` of its writers.
+
+        *reads* yields ``(key, addr)`` pairs, *writes* ``(addr, writer
+        id, value)`` triples; returns ``{key: value read}``.
+        """
+        memory = self.memory
+        values = {key: memory.read(addr) for key, addr in reads}
+        by_addr: dict[int, list[tuple[int, object]]] = {}
+        for addr, writer, value in writes:
+            by_addr.setdefault(addr, []).append((writer, value))
+        for addr, writers in by_addr.items():
+            memory.write(
+                addr,
+                resolve_writes(sorted(writers), self.write_policy, self.combine_op),
+            )
+        return values
+
+    def _reverse_path_replies(
+        self, router, packets, read_hosts, values, *, budget, num_nodes, node_key=None
+    ):
+        """Replies walk the request paths in reverse, splitting at the
+        combining-tree merge points (Theorem 2.6).
+
+        Runs *unconstrained* on both engines — ``node_capacity`` applies
+        to request routing only — and without a link-fault view.  If
+        capacity is ever added to one branch it must be added to both
+        (and the differential tests extended), or the bit-for-bit
+        contract breaks.
+        """
+        if router.last_fast_paths is not None:
+            # The fast request run left compiled integer trajectories:
+            # replay them backwards off a static spawn plan.
+            stats, _tally, _roots = route_replies_fast(
+                read_hosts,
+                values,
+                packets,
+                router.last_fast_paths,
+                budget=budget,
+                num_nodes=num_nodes,
+                node_key=node_key,
+                observer=self.observer,
+            )
+            return stats
+        # Reference engine: the requests recorded traces (track_paths).
+        return SynchronousEngine(observer=self.observer).run(
+            build_replies(read_hosts, values),
+            reply_next_hop,
+            max_steps=budget,
+            on_arrival=ReplySpawner(),
+        )
+
+    def _finish_step(self, step: StepTrace, req_stats, reply_stats, log) -> StepCost:
+        """Check the reply phase (``None`` when the step had no reads),
+        assemble the :class:`StepCost`, advance ``virtual_clock`` past
+        the step and emit the step metrics."""
+        reply_steps = 0
+        max_queue = req_stats.max_queue
+        credits_stalled = req_stats.credits_stalled
+        if reply_stats is not None:
+            if not reply_stats.completed:
+                raise self._failure(f"{self.network} replies did not complete", log)
+            if self.validate and reply_stats.delivered != len(step.reads):
+                raise AssertionError(
+                    f"{len(step.reads)} reads but {reply_stats.delivered} "
+                    "replies delivered"
+                )
+            reply_steps = reply_stats.steps
+            max_queue = max(max_queue, reply_stats.max_queue)
+            credits_stalled += reply_stats.credits_stalled
+            log.fault_stalls += reply_stats.fault_stalls
+            log.run_modes.append(reply_stats.run_mode)
+        cost = StepCost(
+            request_steps=req_stats.steps,
+            reply_steps=reply_steps,
+            rehashes=log.rehashes,
+            combines=req_stats.combines,
+            max_queue=max_queue,
+            requests=step.num_requests,
+            credits_stalled=credits_stalled,
+            stall_steps=log.stall_steps,
+            fault_stalls=log.fault_stalls,
+            deadlock_retries=log.deadlock_retries,
+            run_modes=tuple(log.run_modes),
+        )
+        self.virtual_clock += cost.total_steps + cost.stall_steps
+        obs = self._obs
+        obs.count("pram_steps_total", network=self.network)
+        obs.count("network_steps_total", cost.total_steps, network=self.network)
+        obs.observe("step_total_steps", cost.total_steps, network=self.network)
+        return cost
 
     @property
     @abstractmethod

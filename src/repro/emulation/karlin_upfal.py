@@ -18,8 +18,7 @@ from __future__ import annotations
 from repro.emulation.base import Emulator, StepCost
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import StepTrace
-from repro.pram.variants import resolve_writes
-from repro.routing.mesh_router import MeshRouter
+from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.packet import Packet
 
 
@@ -33,13 +32,7 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
         super().__init__(mesh, address_space, **kwargs)
 
     def _route_leg(self, sources, dests, kinds_addrs_payloads):
-        router = MeshRouter(
-            self.mesh,
-            seed=self.rng,
-            slice_rows=self.slice_rows,
-            node_capacity=self.node_capacity,
-            flow_control=self.flow_control,
-        )
+        router = self._make_router(resolve_engine_mode(self.engine_mode))
         packets = [
             Packet(i, int(s), int(d), kind=k, address=a, payload=v)
             for i, (s, d, (k, a, v)) in enumerate(
@@ -47,10 +40,10 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
             )
         ]
         n = self.mesh.rows + self.mesh.cols
-        stats = router.route(None, None, max_steps=500 * n + 2000, packets=packets)
+        stats = self._route(router, packets, 500 * n + 2000)
         if not stats.completed:
             raise RuntimeError("Karlin–Upfal leg did not complete")
-        return packets, stats
+        return stats
 
     def emulate_step(self, step: StepTrace) -> StepCost:
         if not step.is_erew():
@@ -66,45 +59,31 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
 
         # Phase 1: to a random processor each.
         rand1 = self.rng.integers(0, n_nodes, size=len(reqs)).tolist()
-        _, s1 = self._route_leg(sources, rand1, meta)
+        legs = [self._route_leg(sources, rand1, meta)]
         # Phase 2: random processor -> memory module h(addr).
-        _, s2 = self._route_leg(rand1, modules, meta)
+        legs.append(self._route_leg(rand1, modules, meta))
+        request_steps = legs[0].steps + legs[1].steps
 
-        # Memory operations (reads pre-step, then writes).
-        read_values = {}
-        for i, (kind, addr, _val) in enumerate(meta):
-            if kind == "read":
-                read_values[i] = self.memory.read(addr)
-        by_addr: dict[int, list[tuple[int, object]]] = {}
-        for i, (kind, addr, val) in enumerate(meta):
-            if kind == "write":
-                by_addr.setdefault(addr, []).append((i, val))
-        for addr, writers in by_addr.items():
-            self.memory.write(
-                addr,
-                resolve_writes(sorted(writers), self.write_policy, self.combine_op),
-            )
+        read_values = self._apply_memory(
+            [(i, addr) for i, (kind, addr, _) in enumerate(meta) if kind == "read"],
+            [(addr, i, val) for i, (kind, addr, val) in enumerate(meta) if kind == "write"],
+        )
 
-        reply_steps = 0
-        max_queue = max(s1.max_queue, s2.max_queue)
-        read_idx = [i for i, (kind, _, _) in enumerate(meta) if kind == "read"]
-        if read_idx:
+        if read_values:
+            read_idx = list(read_values)
             r_modules = [modules[i] for i in read_idx]
             r_meta = [("reply", meta[i][1], read_values[i]) for i in read_idx]
             r_sources = [sources[i] for i in read_idx]
             # Phase 3: module -> another random processor.
             rand2 = self.rng.integers(0, n_nodes, size=len(read_idx)).tolist()
-            _, s3 = self._route_leg(r_modules, rand2, r_meta)
+            legs.append(self._route_leg(r_modules, rand2, r_meta))
             # Phase 4: random processor -> original requester.
-            _, s4 = self._route_leg(rand2, r_sources, r_meta)
-            reply_steps = s3.steps + s4.steps
-            max_queue = max(max_queue, s3.max_queue, s4.max_queue)
+            legs.append(self._route_leg(rand2, r_sources, r_meta))
 
         return StepCost(
-            request_steps=s1.steps + s2.steps,
-            reply_steps=reply_steps,
-            rehashes=0,
-            combines=0,
-            max_queue=max_queue,
+            request_steps=request_steps,
+            reply_steps=sum(leg.steps for leg in legs[2:]),
+            max_queue=max(leg.max_queue for leg in legs),
             requests=step.num_requests,
+            run_modes=tuple(leg.run_mode for leg in legs),
         )

@@ -23,24 +23,14 @@ from __future__ import annotations
 
 from typing import Literal
 
-import numpy as np
-
-from repro.emulation.base import AttemptLog, Emulator, StepCost
-from repro.emulation.combining import (
-    ReplySpawner,
-    build_replies,
-    reply_next_hop,
-    route_replies_fast,
-)
-from repro.faults import FaultState, RehashStormError
+from repro.emulation.base import Emulator, StepCost
+from repro.faults import FaultState
 from repro.hashing.family import HashFamily, degree_for_diameter
-from repro.obs import NULL_OBSERVER
 from repro.pram.memory import SharedMemory
 from repro.pram.trace import StepTrace
-from repro.pram.variants import WritePolicy, resolve_writes
-from repro.routing.engine import SynchronousEngine
+from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
-from repro.routing.flow_control import DeadlockError, resolve_flow_control
+from repro.routing.flow_control import resolve_flow_control
 from repro.routing.leveled_router import LeveledRouter
 from repro.routing.packet import Packet
 from repro.topology.compiled import compile_leveled
@@ -83,6 +73,8 @@ class LeveledEmulator(Emulator):
         request and reply phases honour the choice and produce identical
         step costs under a fixed seed.
     """
+
+    network = "leveled"
 
     def __init__(
         self,
@@ -160,181 +152,39 @@ class LeveledEmulator(Emulator):
     def n_processors(self) -> int:
         return self.net.column_size
 
-    def rehash(self) -> None:
-        """Draw a fresh hash function (the §2.1 recovery action)."""
-        self.hash = self.family.sample(self.rng)
-        self.rehash_count += 1
-
     def module_of(self, addr: int) -> int:
         """Module currently serving ``addr`` (dead modules remapped)."""
         return self.faults.map_module(int(self.hash(addr)))
 
-    # ------------------------------------------------------------------
-    def _build_request_packets(self, step: StepTrace) -> list[Packet]:
-        # One vectorized hash evaluation covers the whole step: the
-        # scalar PolynomialHash.__call__ is O(S) = O(L) per address, so
-        # hashing per request used to cost O(requests * L) Python-level
-        # Horner loops per attempt.
-        addrs = [r.addr for r in step.reads]
-        addrs += [w.addr for w in step.writes]
-        if not addrs:
-            return []
-        module_arr = self.hash.map(np.asarray(addrs, dtype=np.int64))
-        if self.faults.known_dead:
-            # Addresses hashed to a detected-dead module are served by
-            # its deterministic surrogate (next live module, cyclic) —
-            # engine-independent, so differential runs stay identical.
-            module_arr = self.faults.map_modules(module_arr)
-        modules = module_arr.tolist()
-        remap_procs = self.faults.has_processor_faults
-        packets: list[Packet] = []
-        pid = 0
-        for r in step.reads:
-            if r.pid >= self.n_processors:
-                raise ValueError(
-                    f"processor {r.pid} exceeds network size {self.n_processors}"
-                )
-            src = self.faults.map_processor(r.pid) if remap_procs else r.pid
-            p = Packet(
-                pid,
-                (0, 0, src),
-                int(modules[pid]),
-                kind="read",
-                address=r.addr,
-            )
-            packets.append(p)
-            pid += 1
-        for w in step.writes:
-            if w.pid >= self.n_processors:
-                raise ValueError(
-                    f"processor {w.pid} exceeds network size {self.n_processors}"
-                )
-            src = self.faults.map_processor(w.pid) if remap_procs else w.pid
-            p = Packet(
-                pid,
-                (0, 0, src),
-                int(modules[pid]),
-                kind="write",
-                address=w.addr,
-                payload=w.value,
-            )
-            packets.append(p)
-            pid += 1
-        return packets
+    def _source_nodes(self, pids: list[int]) -> list:
+        # processors are the column-0 rows of the first pass
+        return [(0, 0, pid) for pid in pids]
 
-    def _route_requests(self, step: StepTrace, mode: str):
-        """Route the step's requests; rehash + retry on timeout.
-
-        Traces are only recorded on the reference engine — the fast reply
-        phase rebuilds reverse itineraries from the router's compiled
-        integer paths instead.
-        """
-        L = self.net.num_levels
-        # Allotment below the 2L path length guarantees timeouts; that is
-        # intentional (tests force rehash storms this way).
-        allotment = max(int(self.rehash_factor * 2 * L), 1)
-        log = AttemptLog()
-
+    def _make_router(self, engine_mode: str, fault_base: int = 0) -> LeveledRouter:
         # The fast engine only engages when trajectories are compilable
-        # (node mode, or coin mode on a uniform-degree network); when the
-        # router will fall back to the reference engine, traces must be
-        # recorded because the reply phase then has no integer paths.
-        fast_engages = mode == "fast" and (
+        # (node mode, or coin mode on a uniform-degree network).  Traces
+        # are recorded only when the router will run on the reference
+        # engine: the fast reply phase rebuilds reverse itineraries from
+        # the router's compiled integer paths instead.
+        fast_engages = engine_mode == "fast" and (
             self.intermediate == "node" or self.net.uniform_out_degree
         )
+        return LeveledRouter(
+            self.net,
+            intermediate=self.intermediate,
+            seed=self.rng,
+            combine=(self.mode == "crcw"),
+            node_capacity=self.node_capacity,
+            flow_control=self.flow_control,
+            track_paths=not fast_engages,
+            engine=engine_mode,
+            link_faults=self.faults.link_timeline,
+            fault_base=fault_base,
+            observer=self.observer,
+        )
 
-        def make_router(fault_base: int):
-            return LeveledRouter(
-                self.net,
-                intermediate=self.intermediate,
-                seed=self.rng,
-                combine=(self.mode == "crcw"),
-                node_capacity=self.node_capacity,
-                flow_control=self.flow_control,
-                track_paths=not fast_engages,
-                engine=mode,
-                link_faults=self.faults.link_timeline,
-                fault_base=fault_base,
-                observer=self.observer,
-            )
-
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
-        for attempt in range(self.max_rehashes + 1):
-            # Each attempt starts where the previous one gave up: failed
-            # steps accumulate into the global fault timeline.
-            fault_base = self.virtual_clock + log.stall_steps
-            packets = self._prepare_attempt(step, fault_base, log)
-            router = make_router(fault_base)
-            wedged = False
-            with obs.span(
-                "route_attempt",
-                category="request",
-                virtual_clock=fault_base,
-                attempt=attempt,
-                requests=len(packets),
-            ) as sp:
-                try:
-                    stats = router.route_packets(packets, max_steps=allotment)
-                except DeadlockError as exc:
-                    # A wedged attempt is just a failed attempt: a rehash
-                    # redraws the trajectories.
-                    stats = exc.stats
-                    wedged = True
-                sp.virtual_end = fault_base + stats.steps
-            log.run_modes.append(stats.run_mode)
-            log.fault_stalls += stats.fault_stalls
-            if stats.completed:
-                return router, packets, stats, log
-            log.stall_steps += stats.steps
-            if wedged:
-                log.deadlock_retries += 1
-            if attempt < self.max_rehashes:
-                with obs.span(
-                    "rehash",
-                    category="recovery",
-                    virtual_clock=self.virtual_clock + log.stall_steps,
-                    attempt=attempt,
-                    wedged=wedged,
-                ):
-                    self.rehash()
-                log.rehashes += 1
-                obs.count("emulator_rehashes_total", network="leveled")
-                obs.record(
-                    "rehash",
-                    virtual_clock=self.virtual_clock + log.stall_steps,
-                    attempt=attempt,
-                    wedged=wedged,
-                )
-        # Last resort: generous budget so the emulation still terminates.
-        fault_base = self.virtual_clock + log.stall_steps
-        packets = self._prepare_attempt(step, fault_base, log)
-        router = make_router(fault_base)
-        with obs.span(
-            "route_attempt",
-            category="request",
-            virtual_clock=fault_base,
-            attempt=self.max_rehashes + 1,
-            last_resort=True,
-        ) as sp:
-            stats = router.route_packets(packets, max_steps=400 * L + 1000)
-            sp.virtual_end = fault_base + stats.steps
-        log.run_modes.append(stats.run_mode)
-        log.fault_stalls += stats.fault_stalls
-        if not stats.completed:
-            if self.faults.schedule:
-                err = RehashStormError(
-                    "request routing failed even after rehashes "
-                    "(fault schedule active)",
-                    rehashes=log.rehashes,
-                    stall_steps=log.stall_steps + stats.steps,
-                    deadlock_retries=log.deadlock_retries,
-                    fault_failfasts=log.fault_failfasts,
-                    run_modes=tuple(log.run_modes),
-                )
-                err.flight_tail = obs.flight_tail()
-                raise err
-            raise RuntimeError("request routing failed even after rehashes")
-        return router, packets, stats, log
+    def _route(self, router: LeveledRouter, packets: list[Packet], max_steps: int):
+        return router.route_packets(packets, max_steps=max_steps)
 
     # ------------------------------------------------------------------
     def emulate_step(self, step: StepTrace) -> StepCost:
@@ -343,105 +193,49 @@ class LeveledEmulator(Emulator):
                 "EREW emulator given a step with concurrent accesses; "
                 "use mode='crcw'"
             )
-
-        mode = resolve_engine_mode(self.engine_mode)
-        router, packets, req_stats, log = self._route_requests(step, mode)
-        run_modes = log.run_modes
+        engine_mode = resolve_engine_mode(self.engine_mode)
+        L = self.net.num_levels
+        router, packets, req_stats, log = self._route_requests(
+            step,
+            engine_mode,
+            # An allotment below the 2L path length guarantees timeouts;
+            # that is intentional (tests force rehash storms this way).
+            allotment=max(int(self.rehash_factor * 2 * L), 1),
+            last_resort=400 * L + 1000,
+        )
         hosts = [p for p in packets if not p.combined]
-
-        # Memory semantics: reads see pre-step state, then writes land.
         read_hosts = [p for p in hosts if p.kind == "read"]
-        values = {p.pid: self.memory.read(p.address) for p in read_hosts}
-        write_hosts = [p for p in hosts if p.kind == "write"]
-        by_addr: dict[int, list[tuple[int, object]]] = {}
-        for host in write_hosts:
-            for w in host.all_represented():
-                # w.source == (0, 0, processor id); conflict resolution
-                # must use the PRAM processor id, not the packet id.
-                by_addr.setdefault(w.address, []).append((w.source[2], w.payload))
-        for addr, writers in by_addr.items():
-            self.memory.write(
-                addr, resolve_writes(sorted(writers), self.write_policy, self.combine_op)
-            )
-
+        values = self._apply_memory(
+            ((p.pid, p.address) for p in read_hosts),
+            # w.source == (0, 0, processor id): conflict resolution must
+            # use the PRAM processor id, not the packet id.
+            (
+                (w.address, w.source[2], w.payload)
+                for host in hosts
+                if host.kind == "write"
+                for w in host.all_represented()
+            ),
+        )
         # Reply phase (reads only): reverse paths + combining-tree fan-out.
-        reply_steps = 0
-        max_queue = req_stats.max_queue
-        credits_stalled = req_stats.credits_stalled
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
+        reply_stats = None
         if read_hosts:
-            L = self.net.num_levels
-            budget = int(self.rehash_factor * 4 * L) + 1000
-            with obs.span(
+            compiled = compile_leveled(self.net)
+            with self._obs.span(
                 "reply_phase",
                 category="reply",
                 virtual_clock=self.virtual_clock + req_stats.steps,
                 replies=len(read_hosts),
             ) as sp:
-                if mode == "fast" and router.last_fast_paths is not None:
-                    reply_stats, spawner, replies = self._route_replies_fast(
-                        read_hosts, values, packets, router.last_fast_paths, budget
-                    )
-                else:
-                    replies = build_replies(read_hosts, values)
-                    spawner = ReplySpawner()
-                    engine = SynchronousEngine(observer=self.observer)
-                    reply_stats = engine.run(
-                        replies,
-                        reply_next_hop,
-                        max_steps=budget,
-                        on_arrival=spawner,
-                    )
+                reply_stats = self._reverse_path_replies(
+                    router,
+                    packets,
+                    read_hosts,
+                    values,
+                    budget=int(self.rehash_factor * 4 * L) + 1000,
+                    num_nodes=compiled.num_node_ids,
+                    node_key=compiled.reply_key,
+                )
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
-            if not reply_stats.completed:
-                raise RuntimeError("reply routing did not complete")
-            reply_steps = reply_stats.steps
-            max_queue = max(max_queue, reply_stats.max_queue)
-            credits_stalled += reply_stats.credits_stalled
-            run_modes.append(reply_stats.run_mode)
-            if self.validate:
-                self._check_replies(step, packets, spawner, replies)
-
-        cost = StepCost(
-            request_steps=req_stats.steps,
-            reply_steps=reply_steps,
-            rehashes=log.rehashes,
-            combines=req_stats.combines,
-            max_queue=max_queue,
-            requests=step.num_requests,
-            credits_stalled=credits_stalled,
-            stall_steps=log.stall_steps,
-            fault_stalls=log.fault_stalls,
-            deadlock_retries=log.deadlock_retries,
-            run_modes=tuple(run_modes),
-        )
-        self.virtual_clock += cost.total_steps + cost.stall_steps
-        obs.count("pram_steps_total", network="leveled")
-        obs.count("network_steps_total", cost.total_steps, network="leveled")
-        obs.observe("step_total_steps", cost.total_steps, network="leveled")
-        return cost
-
-    def _route_replies_fast(self, hosts, values, packets, int_paths, budget: int):
-        """Reply fan-out on the compiled fast engine (shared helper)."""
-        compiled = compile_leveled(self.net)
-        return route_replies_fast(
-            hosts,
-            values,
-            packets,
-            int_paths,
-            budget=budget,
-            num_nodes=compiled.num_node_ids,
-            node_key=compiled.reply_key,
-            observer=self.observer,
-        )
-
-    def _check_replies(self, step, packets, spawner, root_replies) -> None:
-        """Every read request must have produced a correctly-valued reply."""
-        n_reads = len(step.reads)
-        total_replies = len(root_replies) + spawner.spawned
-        if total_replies != n_reads:
-            raise AssertionError(
-                f"{n_reads} reads but {total_replies} replies delivered"
-            )
+        return self._finish_step(step, req_stats, reply_stats, log)

@@ -30,22 +30,14 @@ from typing import Literal
 
 import numpy as np
 
-from repro.emulation.base import AttemptLog, Emulator, StepCost
-from repro.emulation.combining import (
-    ReplySpawner,
-    build_replies,
-    reply_next_hop,
-    route_replies_fast,
-)
-from repro.faults import FaultState, RehashStormError
+from repro.emulation.base import Emulator, StepCost
+from repro.faults import FaultState
 from repro.hashing.family import HashFamily, degree_for_diameter
-from repro.obs import NULL_OBSERVER
 from repro.pram.memory import SharedMemory
 from repro.pram.trace import StepTrace
-from repro.pram.variants import WritePolicy, resolve_writes
-from repro.routing.engine import SynchronousEngine
+from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
-from repro.routing.flow_control import DeadlockError, resolve_flow_control
+from repro.routing.flow_control import resolve_flow_control
 from repro.routing.mesh_router import MeshRouter
 from repro.routing.packet import Packet
 from repro.topology.mesh import Mesh2D
@@ -88,6 +80,8 @@ class MeshEmulator(Emulator):
         ``"auto"`` (default), ``"fast"``, or ``"reference"`` for every
         routing phase; identical step costs under a fixed seed.
     """
+
+    network = "mesh"
 
     def __init__(
         self,
@@ -176,9 +170,8 @@ class MeshEmulator(Emulator):
         home = addr if self.placement == "direct" else int(self.hash(addr))
         return self.faults.map_module(home)
 
-    def rehash(self) -> None:
-        self.hash = self.family.sample(self.rng)
-        self.rehash_count += 1
+    def _modules_of(self, addrs: np.ndarray) -> np.ndarray:
+        return addrs if self.placement == "direct" else self.hash.map(addrs)
 
     def _make_router(self, engine_mode: str, fault_base: int = 0) -> MeshRouter:
         # Traces are only recorded on the reference engine — the fast
@@ -198,139 +191,8 @@ class MeshEmulator(Emulator):
             observer=self.observer,
         )
 
-    # ------------------------------------------------------------------
-    def _build_request_packets(self, step: StepTrace) -> list[Packet]:
-        # One vectorized hash evaluation covers the whole step: the
-        # scalar PolynomialHash.__call__ is O(S) per address, so hashing
-        # per request used to cost O(requests * S) Python-level Horner
-        # loops per attempt.
-        addrs = [r.addr for r in step.reads]
-        addrs += [w.addr for w in step.writes]
-        if not addrs:
-            return []
-        if self.placement == "direct":
-            module_arr = np.asarray(addrs, dtype=np.int64)
-        else:
-            module_arr = self.hash.map(np.asarray(addrs, dtype=np.int64))
-        if self.faults.known_dead:
-            # Addresses homed on a detected-dead module are served by
-            # its deterministic surrogate (next live module, cyclic) —
-            # engine-independent, so differential runs stay identical.
-            module_arr = self.faults.map_modules(module_arr)
-        modules = module_arr.tolist()
-        remap_procs = self.faults.has_processor_faults
-        packets: list[Packet] = []
-        pid = 0
-        n = self.mesh.num_nodes
-        for r in step.reads:
-            if r.pid >= n:
-                raise ValueError(f"processor {r.pid} exceeds mesh size {n}")
-            src = self.faults.map_processor(r.pid) if remap_procs else r.pid
-            packets.append(
-                Packet(
-                    pid, src, int(modules[pid]), kind="read", address=r.addr
-                )
-            )
-            pid += 1
-        for w in step.writes:
-            if w.pid >= n:
-                raise ValueError(f"processor {w.pid} exceeds mesh size {n}")
-            src = self.faults.map_processor(w.pid) if remap_procs else w.pid
-            packets.append(
-                Packet(
-                    pid,
-                    src,
-                    int(modules[pid]),
-                    kind="write",
-                    address=w.addr,
-                    payload=w.value,
-                )
-            )
-            pid += 1
-        return packets
-
-    def _route_requests(self, step: StepTrace, engine_mode: str):
-        n = self.mesh.rows + self.mesh.cols
-        allotment = max(int(self.rehash_factor * n), n + 4)
-        log = AttemptLog()
-        hashed = self.placement == "hash"
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
-        for _attempt in range(self.max_rehashes + 1):
-            # Each attempt starts where the previous one gave up: failed
-            # steps accumulate into the global fault timeline.  Direct
-            # placement still fail-fast-detects kills, it just cannot
-            # rehash (the remap alone reroutes the address).
-            fault_base = self.virtual_clock + log.stall_steps
-            packets = self._prepare_attempt(
-                step, fault_base, log, rehash=hashed
-            )
-            router = self._make_router(engine_mode, fault_base)
-            wedged = False
-            with obs.span(
-                "route_attempt",
-                category="request",
-                virtual_clock=fault_base,
-                attempt=_attempt,
-                requests=len(packets),
-            ) as sp:
-                try:
-                    stats = router.route(
-                        None, None, max_steps=allotment, packets=packets
-                    )
-                except DeadlockError as exc:
-                    # A wedged attempt is just a failed attempt: a rehash
-                    # (and fresh stage-1 rows) redraws the trajectories.
-                    stats = exc.stats
-                    wedged = True
-                sp.virtual_end = fault_base + stats.steps
-            log.run_modes.append(stats.run_mode)
-            log.fault_stalls += stats.fault_stalls
-            if stats.completed:
-                return router, packets, stats, log
-            log.stall_steps += stats.steps
-            if wedged:
-                log.deadlock_retries += 1
-            if not hashed:
-                break  # rehashing cannot help direct placement
-            self.rehash()
-            log.rehashes += 1
-            obs.count("emulator_rehashes_total", network="mesh")
-            obs.record(
-                "rehash",
-                virtual_clock=self.virtual_clock + log.stall_steps,
-                attempt=_attempt,
-                wedged=wedged,
-            )
-        fault_base = self.virtual_clock + log.stall_steps
-        packets = self._prepare_attempt(step, fault_base, log, rehash=hashed)
-        router = self._make_router(engine_mode, fault_base)
-        with obs.span(
-            "route_attempt",
-            category="request",
-            virtual_clock=fault_base,
-            last_resort=True,
-        ) as sp:
-            stats = router.route(
-                None, None, max_steps=500 * n + 2000, packets=packets
-            )
-            sp.virtual_end = fault_base + stats.steps
-        log.run_modes.append(stats.run_mode)
-        log.fault_stalls += stats.fault_stalls
-        if not stats.completed:
-            if self.faults.schedule:
-                err = RehashStormError(
-                    "mesh request routing failed after rehashes "
-                    "(fault schedule active)",
-                    rehashes=log.rehashes,
-                    stall_steps=log.stall_steps + stats.steps,
-                    deadlock_retries=log.deadlock_retries,
-                    fault_failfasts=log.fault_failfasts,
-                    run_modes=tuple(log.run_modes),
-                )
-                err.flight_tail = obs.flight_tail()
-                raise err
-            raise RuntimeError("mesh request routing failed after rehashes")
-        return router, packets, stats, log
+    def _route(self, router: MeshRouter, packets: list[Packet], max_steps: int):
+        return router.route(None, None, max_steps=max_steps, packets=packets)
 
     # ------------------------------------------------------------------
     def emulate_step(self, step: StepTrace) -> StepCost:
@@ -338,104 +200,63 @@ class MeshEmulator(Emulator):
             raise ValueError(
                 "EREW mesh emulator given concurrent accesses; use mode='crcw'"
             )
-
         engine_mode = resolve_engine_mode(self.engine_mode)
-        router, packets, req_stats, log = self._route_requests(step, engine_mode)
-        run_modes = log.run_modes
+        n = self.mesh.rows + self.mesh.cols
+        patience = 500 * n + 2000  # last-resort request and reply budget
+        router, packets, req_stats, log = self._route_requests(
+            step,
+            engine_mode,
+            allotment=max(int(self.rehash_factor * n), n + 4),
+            last_resort=patience,
+            rehash=self.placement == "hash",
+        )
         hosts = [p for p in packets if not p.combined]
         read_hosts = [p for p in hosts if p.kind == "read"]
-        values = {p.pid: self.memory.read(p.address) for p in read_hosts}
-        write_hosts = [p for p in hosts if p.kind == "write"]
-        by_addr: dict[int, list[tuple[int, object]]] = {}
-        for host in write_hosts:
-            for w in host.all_represented():
-                # w.source is the requesting processor's node id on the mesh
-                by_addr.setdefault(w.address, []).append((w.source, w.payload))
-        for addr, writers in by_addr.items():
-            self.memory.write(
-                addr,
-                resolve_writes(sorted(writers), self.write_policy, self.combine_op),
-            )
-
-        reply_steps = 0
-        max_queue = req_stats.max_queue
-        credits_stalled = req_stats.credits_stalled
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
+        values = self._apply_memory(
+            ((p.pid, p.address) for p in read_hosts),
+            # w.source is the requesting processor's node id on the mesh
+            (
+                (w.address, w.source, w.payload)
+                for host in hosts
+                if host.kind == "write"
+                for w in host.all_represented()
+            ),
+        )
+        reply_stats = None
         if read_hosts:
-            with obs.span(
+            with self._obs.span(
                 "reply_phase",
                 category="reply",
                 virtual_clock=self.virtual_clock + req_stats.steps,
                 replies=len(read_hosts),
             ) as sp:
                 if self.mode == "crcw":
-                    # Both engines intentionally run the CRCW reverse-path
-                    # fan-out *unconstrained*: the reference phase below
-                    # uses a bare SynchronousEngine() and the fast phase a
-                    # bare FastPathEngine(), so node_capacity applies to
-                    # request routing only.  If capacity is ever added to
-                    # one reply phase it must be added to both (and the
-                    # differential tests extended), or the bit-for-bit
-                    # contract breaks.
-                    if engine_mode == "fast" and router.last_fast_paths is not None:
-                        n = self.mesh.rows + self.mesh.cols
-                        reply_stats, _spawner, _replies = route_replies_fast(
-                            read_hosts,
-                            values,
-                            packets,
-                            router.last_fast_paths,
-                            budget=500 * n + 2000,
-                            num_nodes=self.mesh.num_nodes,
-                            observer=self.observer,
-                        )
-                        if not reply_stats.completed:
-                            raise RuntimeError(
-                                "mesh reverse-path replies did not complete"
-                            )
-                    else:
-                        reply_stats = self._replies_reverse_path(
-                            read_hosts, values
-                        )
+                    reply_stats = self._reverse_path_replies(
+                        router,
+                        packets,
+                        read_hosts,
+                        values,
+                        budget=patience,
+                        num_nodes=self.mesh.num_nodes,
+                    )
                 else:
                     reply_stats = self._replies_fresh_route(
                         read_hosts,
                         values,
                         engine_mode,
+                        patience,
+                        log,
                         fault_base=(
                             self.virtual_clock + log.stall_steps + req_stats.steps
                         ),
-                        log=log,
                     )
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
-            reply_steps = reply_stats.steps
-            max_queue = max(max_queue, reply_stats.max_queue)
-            credits_stalled += reply_stats.credits_stalled
-            log.fault_stalls += reply_stats.fault_stalls
-            run_modes.append(reply_stats.run_mode)
-
-        cost = StepCost(
-            request_steps=req_stats.steps,
-            reply_steps=reply_steps,
-            rehashes=log.rehashes,
-            combines=req_stats.combines,
-            max_queue=max_queue,
-            requests=step.num_requests,
-            credits_stalled=credits_stalled,
-            stall_steps=log.stall_steps,
-            fault_stalls=log.fault_stalls,
-            deadlock_retries=log.deadlock_retries,
-            run_modes=tuple(run_modes),
-        )
-        self.virtual_clock += cost.total_steps + cost.stall_steps
-        obs.count("pram_steps_total", network="mesh")
-        obs.count("network_steps_total", cost.total_steps, network="mesh")
-        obs.observe("step_total_steps", cost.total_steps, network="mesh")
-        return cost
+        return self._finish_step(step, req_stats, reply_stats, log)
 
     def _replies_fresh_route(
-        self, read_hosts, values, engine_mode: str, fault_base: int = 0, log=None
+        self, read_hosts, values, engine_mode: str, budget: int, log, fault_base: int
     ):
         """EREW replies: an independent run of the 3-stage router from the
         modules back to the requesting processors (the paper's phase 2).
@@ -448,12 +269,9 @@ class MeshEmulator(Emulator):
         window is ridden out attempt by attempt instead of surfacing
         as a hard error.  Failed attempts are charged to the step's
         stall accounting (``log``), mirroring the request-phase retry
-        loop; a healthy first attempt is bit-identical to the old
-        single-shot path.
+        loop; the stats of the last attempt are returned, and a run
+        that never completed is ``_finish_step``'s to raise.
         """
-        n = self.mesh.rows + self.mesh.cols
-        budget = 500 * n + 2000
-        stats = None
         for _attempt in range(self.max_rehashes + 1):
             router = self._make_router(engine_mode, fault_base)
             # rebuild each attempt: routing mutates the packets
@@ -463,49 +281,11 @@ class MeshEmulator(Emulator):
                 )
                 for i, host in enumerate(read_hosts)
             ]
-            stats = router.route(None, None, max_steps=budget, packets=replies)
+            stats = self._route(router, replies, budget)
             if stats.completed:
                 break
             fault_base += stats.steps
-            if log is not None:
-                log.stall_steps += stats.steps
-                log.fault_stalls += stats.fault_stalls
-                log.run_modes.append(stats.run_mode)
-        if not stats.completed:
-            if self.faults.schedule:
-                err = RehashStormError(
-                    "mesh reply routing failed after retries "
-                    "(fault schedule active)",
-                    rehashes=log.rehashes if log is not None else 0,
-                    stall_steps=log.stall_steps if log is not None else 0,
-                    deadlock_retries=(
-                        log.deadlock_retries if log is not None else 0
-                    ),
-                    fault_failfasts=(
-                        log.fault_failfasts if log is not None else 0
-                    ),
-                    run_modes=tuple(log.run_modes) if log is not None else (),
-                )
-                if self.observer is not None:
-                    err.flight_tail = self.observer.flight_tail()
-                raise err
-            raise RuntimeError("mesh reply routing did not complete")
-        if self.validate and stats.delivered != len(read_hosts):
-            raise AssertionError("lost replies in mesh emulation")
-        return stats
-
-    def _replies_reverse_path(self, read_hosts, values):
-        """CRCW replies: reverse the request paths, splitting at merges."""
-        replies = build_replies(read_hosts, values)
-        spawner = ReplySpawner()
-        engine = SynchronousEngine(observer=self.observer)
-        n = self.mesh.rows + self.mesh.cols
-        stats = engine.run(
-            replies,
-            reply_next_hop,
-            max_steps=500 * n + 2000,
-            on_arrival=spawner,
-        )
-        if not stats.completed:
-            raise RuntimeError("mesh reverse-path replies did not complete")
+            log.stall_steps += stats.steps
+            log.fault_stalls += stats.fault_stalls
+            log.run_modes.append(stats.run_mode)
         return stats

@@ -29,7 +29,7 @@ from repro.emulation.base import Emulator, StepCost
 from repro.hashing.family import HashFamily
 from repro.pram.memory import SharedMemory
 from repro.pram.trace import StepTrace
-from repro.pram.variants import WritePolicy, resolve_writes
+from repro.pram.variants import WritePolicy
 from repro.util.rng import as_generator
 
 _EOS = object()  # end-of-stream marker
@@ -221,20 +221,10 @@ class RanadeEmulator(Emulator):
 
         request_steps = self._merge_pass(injections, lambda s: s)
 
-        # Memory operations.
-        read_values = {}
-        for pkt in reads:
-            pid, addr, _ = pkt.payload
-            read_values[id(pkt)] = self.memory.read(addr)
-        by_addr: dict[int, list[tuple[int, object]]] = {}
-        for pkt in writes:
-            pid, addr, val = pkt.payload
-            by_addr.setdefault(addr, []).append((pid, val))
-        for addr, writers in by_addr.items():
-            self.memory.write(
-                addr,
-                resolve_writes(sorted(writers), self.write_policy, self.combine_op),
-            )
+        read_values = self._apply_memory(
+            ((id(pkt), pkt.payload[1]) for pkt in reads),
+            ((addr, pid, val) for pid, addr, val in (p.payload for p in writes)),
+        )
 
         # Reply pass (reads only): mirrored butterfly, keyed by requester.
         reply_steps = 0

@@ -81,9 +81,7 @@ def replay_program(
             f"{emulator.memory.size}"
         )
 
-    obs = getattr(emulator, "observer", None)
-    if obs is None:
-        obs = NULL_OBSERVER
+    obs = getattr(emulator, "observer", None) or NULL_OBSERVER
     with obs.span("native_run", category="app", program=spec.name):
         pram = spec.run(max_steps=max_steps)  # native reference (also verifies)
     configure_emulator_for(spec, emulator)

@@ -46,7 +46,6 @@ from typing import Callable, Sequence
 
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import RehashStormError
-from repro.obs import NULL_OBSERVER
 from repro.pram.trace import StepTrace
 from repro.sharding.placement import ShardPlacement
 from repro.util.rng import as_generator
@@ -248,7 +247,7 @@ class ShardedEmulator(Emulator):
 
     # ---- the scatter/gather step -------------------------------------
     def emulate_step(self, step: StepTrace) -> StepCost:
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
+        obs = self._obs
         with obs.span(
             "shard_scatter",
             category="sharding",
@@ -280,8 +279,8 @@ class ShardedEmulator(Emulator):
             # re-applied writes carry the same values).
             for shard in self.shards:
                 shard.inbox.clear()
-            if not err.flight_tail and self.observer is not None:
-                err.flight_tail = self.observer.flight_tail()
+            if not err.flight_tail:
+                err.flight_tail = obs.flight_tail()
             raise
         merged = merge_costs(costs)
         obs.count("shard_gathers_total")

@@ -418,7 +418,7 @@ class OnlineEmulator:
         stream = self.workload.stream(epochs)
         report = TrafficReport()
         emu = self.emulator
-        obs = self.observer if self.observer is not None else NULL_OBSERVER
+        obs = self.observer or NULL_OBSERVER
         faults = getattr(emu, "faults", None)
         annotate = faults is not None and bool(faults.schedule)
         for epoch in range(epochs):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.emulation import LeveledEmulator
+from repro.emulation import LeveledEmulator, MeshEmulator
+from repro.faults import FaultSchedule
+from repro.obs import Observer
 from repro.pram import (
     AccessMode,
     MemoryTrace,
@@ -15,7 +17,12 @@ from repro.pram import (
     permutation_step,
     random_trace,
 )
-from repro.topology import DAryButterflyLeveled, ShuffleLeveled, StarLogicalLeveled
+from repro.topology import (
+    DAryButterflyLeveled,
+    Mesh2D,
+    ShuffleLeveled,
+    StarLogicalLeveled,
+)
 
 
 def _net():
@@ -181,6 +188,34 @@ class TestRehashing:
         cost = emu.emulate_step(step)
         assert cost.rehashes == 2
         assert emu.rehash_count == 2
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("network", ["leveled", "mesh"])
+    def test_exhausted_loop_draws_max_rehashes(self, network, engine):
+        # Every bounded attempt fails and the last resort completes: one
+        # rehash *between* consecutive attempts is max_rehashes draws —
+        # none after the last bounded attempt (the mesh used to draw one
+        # more).  The mesh allotment never drops below rows + cols + 4,
+        # so its attempts are failed by cutting node 5 off until t=150.
+        obs = Observer(metrics=False, profiling=False)
+        kw = dict(
+            rehash_factor=0.1, max_rehashes=2, seed=22, engine=engine, observer=obs
+        )
+        if network == "leveled":
+            emu = LeveledEmulator(_net(), 128, **kw)
+        else:
+            sched = FaultSchedule()
+            for u in (1, 4, 6, 9):
+                sched.link_down(0, (u, 5)).link_up(150, (u, 5))
+            emu = MeshEmulator(Mesh2D.square(4), 128, faults=sched, **kw)
+        cost = emu.emulate_step(permutation_step(16, 128, seed=23))
+        assert len(cost.run_modes) >= emu.max_rehashes + 2  # loop exhausted
+        assert cost.rehashes == emu.rehash_count == emu.max_rehashes
+        # and the storm reads the same on either network's timeline
+        spans = obs.tracer.events()
+        assert sum(e["name"] == "rehash" for e in spans) == emu.max_rehashes
+        last = [e["args"] for e in spans if e["name"] == "route_attempt"][-1]
+        assert last["last_resort"] and last["attempt"] == emu.max_rehashes + 1
 
     def test_normal_runs_do_not_rehash(self):
         net = _net()

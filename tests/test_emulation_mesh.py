@@ -1,5 +1,7 @@
 """Tests for mesh emulation (Theorems 3.2-3.3) and the baselines."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.emulation import (
@@ -135,6 +137,19 @@ class TestKarlinUpfalBaseline:
         ratio = c_ku.total_steps / c_ours.total_steps
         assert 1.3 <= ratio <= 3.5  # ≈2 with small-n noise
 
+    def test_ku_honours_engine_and_reports_run_modes(self):
+        step = permutation_step(16, 32, seed=14)
+        costs = {}
+        for engine in ("fast", "reference"):
+            emu = KarlinUpfalMeshEmulator(Mesh2D.square(4), 32, seed=15, engine=engine)
+            costs[engine] = emu.emulate_step(step)
+        assert costs["reference"].run_modes == ("reference",) * 4
+        assert "reference" not in costs["fast"].run_modes
+        # run_mode is outside the differential contract; the numbers are in
+        assert replace(costs["fast"], run_modes=()) == replace(
+            costs["reference"], run_modes=()
+        )
+
     def test_ku_memory_correctness(self):
         emu = KarlinUpfalMeshEmulator(Mesh2D.square(4), 32, seed=16)
         emu.emulate_step(StepTrace(writes=[WriteRequest(1, 5, "x")]))
@@ -214,6 +229,43 @@ class TestCrossEmulatorConsistency:
         for addr in range(9):
             assert mesh_emu.memory.read(addr) == addr * 10
             assert lev_emu.memory.read(addr) == addr * 10
+
+    @pytest.mark.parametrize("name", ["mesh", "leveled", "karlin_upfal", "ranade"])
+    def test_skeleton_contract(self, name):
+        # One request -> memory -> reply skeleton: whatever the network,
+        # an EREW program that reads and writes leaves the native PRAM's
+        # memory, every step accounts for its requests, routed steps
+        # name their engine runs, and the served emulators' fault clock
+        # advances by exactly what each step cost.
+        from repro.emulation import replay_program
+        from repro.pram import prefix_sum
+        from repro.topology import DAryButterflyLeveled
+
+        spec = prefix_sum([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3])
+        emu = {
+            "mesh": lambda: MeshEmulator(Mesh2D.square(4), spec.memory_size, seed=27),
+            "leveled": lambda: LeveledEmulator(
+                DAryButterflyLeveled(2, 4), spec.memory_size, mode="erew", seed=27
+            ),
+            "karlin_upfal": lambda: KarlinUpfalMeshEmulator(
+                Mesh2D.square(4), spec.memory_size, seed=27
+            ),
+            "ranade": lambda: RanadeEmulator(4, spec.memory_size, seed=27),
+        }[name]()
+        result = replay_program(spec, emu)
+        assert result.memory_matches
+        steps = result.pram.trace.steps
+        assert any(s.reads for s in steps) and any(s.writes for s in steps)
+        assert [c.requests for c in result.report.costs] == [
+            s.num_requests for s in steps
+        ]
+        if name != "ranade":  # merge passes are not engine runs
+            for cost in result.report.costs:
+                assert bool(cost.run_modes) == (cost.total_steps > 0)
+        if name in ("mesh", "leveled"):
+            assert emu.virtual_clock == sum(
+                c.total_steps + c.stall_steps for c in result.report.costs
+            )
 
 
 class TestRanadeDeterminismPin:
