@@ -455,7 +455,7 @@ class Emulator(ABC):
         return values
 
     def _reverse_path_replies(
-        self, router, packets, read_hosts, values, *, budget, num_nodes, node_key=None
+        self, router, read_hosts, values, *, budget, num_nodes, links_of=None
     ):
         """Replies walk the request paths in reverse, splitting at the
         combining-tree merge points (Theorem 2.6).
@@ -466,20 +466,20 @@ class Emulator(ABC):
         (and the differential tests extended), or the bit-for-bit
         contract breaks.
         """
-        if router.last_fast_paths is not None:
-            # The fast request run left compiled integer trajectories:
-            # replay them backwards off a static spawn plan.
-            stats, _tally, _roots = route_replies_fast(
-                read_hosts,
-                values,
-                packets,
-                router.last_fast_paths,
+        if router.last_fast_run is not None:
+            # The fast request run left its arrays: replay the compiled
+            # trajectories backwards off a static spawn plan.  A request
+            # packet's pid is its row (``_build_request_packets``).
+            return route_replies_fast(
+                router.last_fast_run,
+                np.fromiter(
+                    (p.pid for p in read_hosts), dtype=np.int64, count=len(read_hosts)
+                ),
                 budget=budget,
                 num_nodes=num_nodes,
-                node_key=node_key,
+                links_of=links_of,
                 observer=self.observer,
             )
-            return stats
         # Reference engine: the requests recorded traces (track_paths).
         return SynchronousEngine(observer=self.observer).run(
             build_replies(read_hosts, values),

@@ -23,7 +23,8 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.routing.fast_engine import FastPathEngine
+from repro.routing.fast_engine import FastPathEngine, RunArrays
+from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet
 
 
@@ -162,117 +163,120 @@ def build_replies(hosts: list[Packet], values: dict[int, object], pid_base: int 
     return replies
 
 
-class _SpawnTally:
-    """Duck-typed stand-in for :class:`ReplySpawner` bookkeeping."""
+class MergeNodeMissingError(RuntimeError):
+    """A child reply has nowhere to spawn: its absorption node is not on
+    its parent's reverse path.  Compiled request paths make this
+    impossible; it means the run's arrays disagree with one another.
 
-    def __init__(self, spawned: int) -> None:
-        self.spawned = spawned
+    ``child_row`` / ``parent_row`` index the routed request population,
+    ``merge_node`` is the compiled id of the node the child was
+    absorbed at.
+    """
+
+    def __init__(self, child_row: int, parent_row: int, merge_node: int) -> None:
+        super().__init__(
+            f"merge node {merge_node} of request {child_row} is missing from "
+            f"the reply path of request {parent_row}, which absorbed it"
+        )
+        self.child_row = child_row
+        self.parent_row = parent_row
+        self.merge_node = merge_node
 
 
 def route_replies_fast(
-    hosts: list[Packet],
-    values: dict[int, object],
-    packets: list[Packet],
-    int_paths,
+    requests: RunArrays,
+    host_rows,
     *,
     budget: int,
     num_nodes: int,
-    node_key: Callable[[int, int], object] | None = None,
+    links_of: Callable[[np.ndarray], tuple] | None = None,
     observer=None,
-):
+) -> RoutingStats:
     """Run the reply fan-out on the compiled fast engine.
 
-    Shared by the leveled and mesh emulators.  A reply's itinerary is
-    its request's compiled integer path in reverse (up to the hop where
-    the request stopped — delivery for hosts, absorption for combined
-    children), so no trace keys are encoded or decoded.
+    Shared by the leveled and mesh emulators.  *requests* is what the
+    fast request run left behind (:attr:`FastPathEngine.last_arrays`):
+    compiled integer paths, the hop each request stopped at — delivery
+    for hosts, absorption for combined children — and the absorptions
+    in the order they happened.  *host_rows* names the delivered read
+    hosts (rows of that population) in host order.  A reply's itinerary
+    is its request's path in reverse up to that hop, so no trace keys
+    are encoded or decoded, and the replies themselves exist only as
+    rows: the engine routes them as an anonymous population.
 
-    The whole combining forest is materialized up front: every absorbed
-    request's reply, its padded reverse itinerary, and the *spawn plan*
-    — a child reply activates when its parent reply first reaches the
-    child's absorption node, which is a static property of the compiled
-    paths (the first occurrence of the merge node on the parent's
-    reverse path, exactly where :class:`ReplySpawner` would fire).  That
-    keeps the entire reply phase on the engine's vectorized batch mode;
-    replies whose trigger never fires (parent timed out) are excluded
-    from the stats just as if they had never been spawned.
+    The whole combining forest is laid out up front, breadth first —
+    roots in host order, then level by level every absorbed request's
+    reply, the children of one request in absorption order
+    (:class:`ReplySpawner`'s order; it fixes the order of the stats'
+    ``delays`` / ``hops``) — together with the padded reverse
+    itineraries and the *spawn plan*: a child reply activates when its
+    parent reply first reaches the child's absorption node, which is a
+    static property of the compiled paths (the **first** occurrence of
+    the merge node on the parent's reverse path — mesh same-column
+    routes revisit nodes — exactly where :class:`ReplySpawner` would
+    fire).  That keeps the entire reply phase on the engine's
+    vectorized batch mode; replies whose trigger never fires (parent
+    timed out) are excluded from the stats just as if they had never
+    been spawned.
 
-    ``int_paths`` is aligned with *packets* (the routed request
-    population, combined children included); padded rows are fine
-    because only the prefix up to ``packet.hops`` is read.
-
-    Returns ``(stats, spawn_tally, root_replies)``.
+    ``links_of`` maps the reply matrix to the engine's precompiled
+    ``links`` (see :meth:`FastPathEngine.run`); without it the engine
+    interns the links itself.
     """
-    index_of = {p.pid: i for i, p in enumerate(packets)}
-    int_arr = np.asarray(int_paths, dtype=np.int64)
-
-    def reply_factory(request: Packet, pid: int, payload) -> Packet:
-        # Trace-free analogue of make_reply: the itinerary lives in the
-        # engine's integer paths; state keeps the originating request.
-        reply = Packet(
-            pid,
-            request.node,
-            request.source,
-            kind="reply",
-            address=request.address,
-            payload=payload,
+    roots = np.asarray(host_rows, dtype=np.int64)
+    # Children of every request, grouped by host with one stable sort
+    # (absorption order survives within a host).
+    n = requests.hops.size
+    by_host = np.argsort(requests.absorbed_by, kind="stable")
+    kids = requests.absorbed[by_host]
+    n_kids = np.bincount(requests.absorbed_by, minlength=n)
+    first_kid = np.cumsum(n_kids) - n_kids
+    levels = [roots]
+    level_parents = []
+    frontier, base = roots, 0
+    while True:
+        cnt = n_kids[frontier]
+        total = int(cnt.sum())
+        if not total:
+            break
+        level_parents.append(
+            np.repeat(np.arange(base, base + frontier.size, dtype=np.int64), cnt)
         )
-        reply.state = (None, 0, request)
-        return reply
-
-    # Breadth-first over the combining forest: roots in host order, then
-    # every absorbed child's reply (children of one request stay in
-    # absorption order, ReplySpawner's bucket order).
-    all_replies: list[Packet] = []
-    req_of: list[Packet] = []
-    parent_reply: list[int] = []
-    for i, host in enumerate(hosts):
-        all_replies.append(reply_factory(host, i, values.get(host.pid)))
-        req_of.append(host)
-        parent_reply.append(-1)
-    next_pid = 10_000_000
-    qidx = 0
-    while qidx < len(all_replies):
-        for child in req_of[qidx].children or ():
-            next_pid += 1
-            all_replies.append(
-                reply_factory(child, next_pid, all_replies[qidx].payload)
-            )
-            req_of.append(child)
-            parent_reply.append(qidx)
-        qidx += 1
-    roots = all_replies[: len(hosts)]
-    m = len(all_replies)
-
-    rows = np.fromiter((index_of[r.pid] for r in req_of), dtype=np.int64, count=m)
-    hops = np.fromiter((r.hops for r in req_of), dtype=np.int64, count=m)
+        base += frontier.size
+        # slot j of this level holds its parent's first child plus j's
+        # rank among that parent's children
+        shift = first_kid[frontier] - (np.cumsum(cnt) - cnt)
+        frontier = kids[np.arange(total, dtype=np.int64) + np.repeat(shift, cnt)]
+        levels.append(frontier)
+    rows = np.concatenate(levels)
+    hops = requests.hops[rows]
     width = int(hops.max()) + 1
     rev = np.clip(hops[:, None] - np.arange(width), 0, None)
-    reply_mat = int_arr[rows[:, None], rev]
+    reply_mat = requests.paths[rows[:, None], rev]
 
-    spawn_plan: list[tuple[int, int, list[int]]] = []
-    if m > len(hosts):
-        child_idx = np.arange(len(hosts), m)
-        par = np.asarray(parent_reply[len(hosts) :], dtype=np.int64)
-        merge_nodes = int_arr[rows[child_idx], hops[child_idx]]
+    spawn_plan = None
+    if level_parents:
+        par = np.concatenate(level_parents)
+        child = np.arange(roots.size, rows.size, dtype=np.int64)
+        # a child reply starts at the node its request was absorbed at
+        merge_nodes = reply_mat[child, 0]
         hit = reply_mat[par] == merge_nodes[:, None]
         hit &= np.arange(width)[None, :] <= hops[par][:, None]
-        if not hit.any(axis=1).all():
-            raise RuntimeError("merge node missing from a parent reply path")
         qpos = hit.argmax(axis=1)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for c, pr, q in zip(child_idx.tolist(), par.tolist(), qpos.tolist()):
-            buckets.setdefault((pr, q), []).append(c)
-        spawn_plan = [(pr, q, kids) for (pr, q), kids in buckets.items()]
+        lost = np.nonzero(~hit[np.arange(child.size), qpos])[0]
+        if lost.size:
+            j = int(lost[0])
+            raise MergeNodeMissingError(
+                int(rows[child[j]]), int(rows[par[j]]), int(merge_nodes[j])
+            )
+        spawn_plan = (par, qpos, child)
 
-    fast = FastPathEngine(observer=observer)
-    stats = fast.run(
-        all_replies,
+    return FastPathEngine(observer=observer).run(
+        None,
         reply_mat,
         num_nodes=num_nodes,
         max_steps=budget,
         path_lengths=hops,
-        spawn_plan=spawn_plan or None,
-        node_key=node_key,
+        links=links_of(reply_mat) if links_of is not None else None,
+        spawn_plan=spawn_plan,
     )
-    return stats, _SpawnTally(stats.total_packets - len(hosts)), roots

@@ -228,12 +228,10 @@ class LeveledEmulator(Emulator):
             ) as sp:
                 reply_stats = self._reverse_path_replies(
                     router,
-                    packets,
                     read_hosts,
                     values,
                     budget=int(self.rehash_factor * 4 * L) + 1000,
                     num_nodes=compiled.num_node_ids,
-                    node_key=compiled.reply_key,
                 )
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps

@@ -9,14 +9,19 @@ bucket families:
 * **phases** — wall seconds per step-loop phase: ``"transmission"``
   (links send), ``"arrival"`` (packets place/enqueue), ``"escape"``
   (the credit flow-control escape subphase), ``"combining"`` (CRCW
-  combine-index work).
+  combine-index work); and, on the fast engine, the two edges of a run:
+  ``"setup"`` (everything before the first step — path normalisation,
+  link interning, the spawn plan's trigger tables) and ``"finish"``
+  (everything after the last — absorption roots, ``Packet`` write-back,
+  stats).
 
 Phase buckets are disjoint: time attributed to ``combining`` or
 ``escape`` is subtracted from the enclosing ``arrival`` /
-``transmission`` measurement, so the buckets sum to (approximately) the
-engines' total step-loop time.  All accumulation is guarded by the
-observer being attached — with the default :class:`NullObserver`, the
-engines never read the wall clock at all.
+``transmission`` measurement, so the step-loop buckets sum to
+(approximately) the engines' total step-loop time and, with ``setup``
+and ``finish``, to the fast engine's mode totals.  All accumulation is
+guarded by the observer being attached — with the default
+:class:`NullObserver`, the engines never read the wall clock at all.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 __all__ = ["PhaseProfile"]
 
 #: canonical phase vocabulary (engines may add none or all per run)
-PHASES = ("transmission", "arrival", "escape", "combining")
+PHASES = ("transmission", "arrival", "escape", "combining", "setup", "finish")
 
 
 class PhaseProfile:

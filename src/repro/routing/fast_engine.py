@@ -67,7 +67,7 @@ path.
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -81,7 +81,7 @@ from repro.routing.flow_control import (
     no_progress_detail,
     resolve_flow_control,
 )
-from repro.routing.metrics import RoutingStats, collect_stats
+from repro.routing.metrics import RoutingStats, stats_from_arrays
 from repro.routing.packet import Packet
 
 ENGINE_MODES = ("auto", "fast", "reference")
@@ -171,6 +171,151 @@ def _normalise_paths(
     return path_arr, last
 
 
+def _injection_batches(
+    roots: np.ndarray, times: np.ndarray
+) -> list[tuple[int, np.ndarray]]:
+    """``(step, packets)`` injection batches of *roots*, latest first
+    (the run pops them off the end); packets sharing an injection step
+    enter in input order."""
+    if not roots.size:
+        return []
+    if (times == times[0]).all():
+        return [(int(times[0]), roots)]
+    by_time = np.argsort(times, kind="stable")
+    times = times[by_time]
+    cuts = np.nonzero(times[1:] != times[:-1])[0] + 1
+    steps = times[np.append(0, cuts)].tolist()
+    return list(zip(steps, np.split(roots[by_time], cuts)))[::-1]
+
+
+def _combine_groups(packets: Sequence[Packet]) -> np.ndarray:
+    """Dense combine-group id per packet: two packets share an id iff
+    they share a combine key; keyless packets get singleton ids."""
+    gid = np.empty(len(packets), dtype=np.int64)
+    key_ids: dict = {}
+    next_gid = 0
+    for i, p in enumerate(packets):
+        key = p.combine_key
+        if key is None:
+            gid[i] = next_gid
+            next_gid += 1
+        else:
+            g = key_ids.get(key)
+            if g is None:
+                g = key_ids[key] = next_gid
+                next_gid += 1
+            gid[i] = g
+    return gid
+
+
+def _spawn_tables(spawn_plan, n: int, width: int):
+    """Validate an array spawn plan and index it by trigger.
+
+    *spawn_plan* is ``(parent, position, child)``: aligned int arrays,
+    one row per dormant packet, in the order the children of one trigger
+    activate.  A *trigger* is a distinct ``(parent, position)``; one
+    stable sort groups the rows by trigger — a parent's triggers end up
+    adjacent and ascending in position — and the result is a CSR over
+    them: trigger k belongs to ``trig_parent[k]``, fires at flat cursor
+    ``trig_cursor[k]`` (``parent * (width - 1) + position``) and
+    activates ``kids[bounds[k]:bounds[k + 1]]``.  ``next_trig[i]`` is
+    packet i's first trigger (-1: none) and ``nsp[i]`` that trigger's
+    cursor (-9: none).  Returns ``(dormant, nsp, next_trig, kids,
+    bounds, trig_parent, trig_cursor)`` — the first two as arrays for
+    the vector compares, the rest as lists for the per-trigger reads.
+    """
+    sp_parent, sp_pos, sp_child = (np.asarray(a, dtype=np.int64) for a in spawn_plan)
+    if not (sp_parent.ndim == 1 and sp_parent.shape == sp_pos.shape == sp_child.shape):
+        raise ValueError(
+            "spawn_plan must be three aligned (parent, position, child) int arrays"
+        )
+    ids = np.concatenate([sp_parent, sp_child])
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise ValueError(
+            f"spawn_plan names packet {int(ids[bad][0])}, outside the "
+            f"{n}-packet population"
+        )
+    bad = (sp_pos < 0) | (sp_pos >= width)
+    if bad.any():
+        raise ValueError(
+            f"spawn_plan position {int(sp_pos[bad][0])} is outside the "
+            f"{width}-node paths"
+        )
+    dormant = np.zeros(n, dtype=bool)
+    dormant[sp_child] = True
+    if int(dormant.sum()) != sp_child.size:
+        twice = sp_child[np.bincount(sp_child, minlength=n)[sp_child] > 1]
+        raise ValueError(
+            f"spawn_plan lists child {int(twice[0])} twice: a dormant packet "
+            "has one trigger"
+        )
+    order = np.argsort(sp_parent * width + sp_pos, kind="stable")
+    by_parent = sp_parent[order]
+    by_pos = sp_pos[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (by_parent[1:] != by_parent[:-1]) | (by_pos[1:] != by_pos[:-1])
+    starts = np.nonzero(first)[0]
+    trig_parent = by_parent[starts]
+    trig_cursor = trig_parent * (width - 1) + by_pos[starts]
+    # a repeated index keeps its last write: scattered back to front,
+    # each parent keeps its first (lowest-position) trigger
+    back = trig_parent[::-1]
+    next_trig = np.full(n, -1, dtype=np.int64)
+    next_trig[back] = np.arange(starts.size - 1, -1, -1)
+    nsp = np.full(n, -9, dtype=np.int64)
+    nsp[back] = trig_cursor[::-1]
+    return (
+        dormant,
+        nsp,
+        next_trig.tolist(),
+        sp_child[order].tolist(),
+        np.append(starts, order.size).tolist(),
+        trig_parent.tolist() + [-1],  # sentinel: the last trigger has no successor
+        trig_cursor.tolist(),
+    )
+
+
+@dataclass(frozen=True)
+class RunArrays:
+    """What a finished fast run knows, as arrays (row i = packet i).
+
+    :meth:`FastPathEngine.run` turns these into ``Packet`` fields and a
+    :class:`RoutingStats`; the reply phase reads them directly
+    (:func:`repro.emulation.combining.route_replies_fast`), so a
+    request's path, the hop it stopped at and who absorbed whom never
+    go through ``Packet`` objects on the way back.
+    """
+
+    #: the padded ``(n, width)`` node-id itineraries the run followed
+    paths: np.ndarray
+    #: position each packet stopped at: delivery, absorption, or the
+    #: queue it sat in when the run ended
+    hops: np.ndarray
+    #: arrival step (an absorbed packet's is its absorption root's);
+    #: -1 = not delivered
+    arrived: np.ndarray
+    #: injection step; a spawned packet's is the step its trigger fired
+    injected_at: np.ndarray
+    #: CRCW absorptions in the order they happened: ``absorbed[j]`` was
+    #: merged into ``absorbed_by[j]`` (both empty without combining)
+    absorbed_by: np.ndarray
+    absorbed: np.ndarray
+    #: packets that took part, in stats order — roots in input order,
+    #: then spawned packets in spawn order; ``None`` = all, input order
+    order: np.ndarray | None
+    steps: int
+    completed: bool
+    max_queue: int
+    max_node_load: int
+    combines: int
+    credits_stalled: int
+    escape_hops: int
+    fault_stalls: int
+    #: the no-progress report of a wedged constrained run, else ``None``
+    deadlock: str | None
+
+
 class FastPathEngine:
     """Synchronous router over precompiled integer paths.
 
@@ -224,10 +369,12 @@ class FastPathEngine:
         self.observer = observer
         #: execution mode of the most recent run() — see class docstring
         self.last_run_mode: str | None = None
+        #: per-packet arrays of the most recent run() (None before one)
+        self.last_arrays: RunArrays | None = None
 
     def run(
         self,
-        packets: Sequence[Packet],
+        packets: Sequence[Packet] | None,
         paths,
         *,
         num_nodes: int,
@@ -235,7 +382,7 @@ class FastPathEngine:
         path_lengths: Sequence[int] | None = None,
         priorities=None,
         links: tuple[np.ndarray, np.ndarray] | None = None,
-        spawn_plan: "list[tuple[int, int, list[int]]] | None" = None,
+        spawn_plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         raise_on_timeout: bool = False,
         node_key: Callable[[int, int], object] | None = None,
         trace_key: Callable[[int, int], object] | None = None,
@@ -269,6 +416,13 @@ class FastPathEngine:
         derives ``link_dst`` from the path matrix when only the pair is
         given).
 
+        ``packets=None`` routes an *anonymous* population: one packet
+        per row of *paths*, all injected at step 0, none with a combine
+        key, nothing to write back — the reply phase, whose packets
+        exist only as rows of the reverse-path matrix.  The returned
+        stats are the same either way; the run's per-packet arrays stay
+        on :attr:`last_arrays`.
+
         ``link_faults`` is an optional
         :class:`~repro.faults.runtime.LinkFaultView` whose keys are
         ``(u, w)`` integer node-id pairs: a blocked link holds its
@@ -278,59 +432,159 @@ class FastPathEngine:
         engine's, so differential tests stay bit-exact.
 
         ``spawn_plan`` is the static form of the reference engine's
-        ``on_arrival`` hook for reply fan-out: entries
-        ``(parent, position, children)`` mean that when packet *parent*
-        reaches path position *position*, the listed packet indices
-        activate there (they are passed in *packets* / *paths* up front
-        but stay dormant until triggered; packets never triggered are
-        excluded from the run's stats, exactly as if they were never
-        created).  Not supported with ``node_capacity``.
+        ``on_arrival`` hook for reply fan-out: three aligned int arrays
+        ``(parent, position, child)``, one row per dormant packet,
+        meaning that when packet *parent* reaches path position
+        *position*, packet *child* activates there.  Rows sharing a
+        ``(parent, position)`` are one trigger and activate in row
+        order, before the parent is placed (a child's own position-0
+        trigger fires as it activates, recursively) — the order of
+        :class:`~repro.emulation.combining.ReplySpawner`.  Dormant
+        packets are passed in *paths* up front; one never triggered is
+        excluded from the run's stats, exactly as if it were never
+        created.  Not supported with ``node_capacity``.
         """
         _obs = self.observer
         _prof = _obs.profile if _obs is not None else None
         _t_run0 = wall_time() if _prof is not None else 0.0
         if spawn_plan is not None and self.node_capacity is not None:
             raise ValueError("spawn_plan is not supported with node_capacity")
-        all_packets: list[Packet] = list(packets)
-        path_arr, last = _normalise_paths(paths, path_lengths, len(all_packets))
         try:
-            return self._run_batch(
-                all_packets,
+            all_packets = None if packets is None else list(packets)
+            n = len(paths) if all_packets is None else len(all_packets)
+            path_arr, last = _normalise_paths(paths, path_lengths, n)
+            if all_packets is None:
+                injected_at = np.zeros(n, dtype=np.int64)
+                gid = None
+            else:
+                injected_at = np.fromiter(
+                    (p.injected_at for p in all_packets), dtype=np.int64, count=n
+                )
+                gid = _combine_groups(all_packets) if self.combine else None
+            if _prof is not None:
+                _prof.add_phase("setup", wall_time() - _t_run0)
+            arrays = self._run_batch(
                 path_arr,
                 last,
+                injected_at,
+                gid,
                 priorities,
                 links=links,
                 spawn_plan=spawn_plan,
                 num_nodes=num_nodes,
                 max_steps=max_steps,
-                raise_on_timeout=raise_on_timeout,
-                node_key=node_key,
-                trace_key=trace_key,
                 link_faults=link_faults,
                 fault_base=fault_base,
             )
+            self.last_arrays = arrays
+            _t_fin0 = wall_time() if _prof is not None else 0.0
+            if all_packets is not None:
+                self._write_back(all_packets, arrays, node_key, trace_key)
+            rows = slice(None) if arrays.order is None else arrays.order
+            stats = stats_from_arrays(
+                arrays.hops[rows],
+                arrays.injected_at[rows],
+                arrays.arrived[rows],
+                steps=arrays.steps,
+                max_queue=arrays.max_queue,
+                completed=arrays.completed,
+                combines=arrays.combines,
+                max_node_load=arrays.max_node_load,
+                credits_stalled=arrays.credits_stalled,
+                escape_hops=arrays.escape_hops,
+                fault_stalls=arrays.fault_stalls,
+                run_mode=self.last_run_mode,
+            )
+            if _prof is not None:
+                _prof.add_phase("finish", wall_time() - _t_fin0)
         finally:
             if _prof is not None:
                 _prof.add_mode(self.last_run_mode or "batch", wall_time() - _t_run0)
+        if arrays.deadlock is not None:
+            err = DeadlockError(stats, detail=arrays.deadlock)
+            if _obs is not None:
+                err.flight_tail = _obs.flight_tail()
+            raise err
+        if not arrays.completed and raise_on_timeout:
+            raise RoutingTimeout(stats)
+        return stats
+
+    def _write_back(
+        self, all_packets: list[Packet], arrays: RunArrays, node_key, trace_key
+    ) -> None:
+        """Copy a run's outcome onto its ``Packet`` objects.
+
+        Without combining, ``combined`` / ``children`` keep their
+        constructor defaults — matching the reference engine, which also
+        only touches them through combining.
+        """
+        combine = self.combine
+        track = self.track_paths
+        tkey = trace_key if trace_key is not None else node_key
+        n = len(all_packets)
+        hops = arrays.hops
+        hops_l = hops.tolist()
+        arrived_l = arrays.arrived.tolist()
+        node_vals = arrays.paths[np.arange(n), hops].tolist()
+        path_rows = arrays.paths.tolist() if track else None
+        if combine:
+            combined = np.zeros(n, dtype=bool)
+            combined[arrays.absorbed] = True
+            combined_l = combined.tolist()
+            # hosts get their children in absorption order
+            children_map: dict[int, list[Packet]] = {}
+            for h, c in zip(arrays.absorbed_by.tolist(), arrays.absorbed.tolist()):
+                children_map.setdefault(h, []).append(all_packets[c])
+        if arrays.order is None:
+            sel = range(n)
+            inj_l = None
+        else:
+            # spawned packets were injected when their trigger fired;
+            # never-triggered ones were never part of the run
+            sel = arrays.order.tolist()
+            inj_l = arrays.injected_at.tolist()
+        for i in sel:
+            p = all_packets[i]
+            k = hops_l[i]
+            a = arrived_l[i]
+            nv = node_vals[i]
+            p.hops = k
+            p.arrived_at = None if a < 0 else a
+            p.node = node_key(k, nv) if node_key is not None else nv
+            if inj_l is not None:
+                p.injected_at = inj_l[i]
+            if combine:
+                p.combined = combined_l[i]
+                p.children = children_map.get(i)
+            if track:
+                path = path_rows[i]
+                if tkey is not None:
+                    p.trace = [tkey(j, path[j]) for j in range(k + 1)]
+                else:
+                    p.trace = path[: k + 1]
 
     def _run_batch(
         self,
-        all_packets: list[Packet],
         path_arr: np.ndarray,
         last: np.ndarray,
+        injected_at: np.ndarray,
+        gid: np.ndarray | None,
         priorities,
         *,
         links: tuple[np.ndarray, np.ndarray] | None,
-        spawn_plan: "list[tuple[int, int, list[int]]] | None" = None,
+        spawn_plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
         num_nodes: int,
         max_steps: int,
-        raise_on_timeout: bool,
-        node_key,
-        trace_key,
         link_faults=None,
         fault_base: int = 0,
-    ) -> RoutingStats:
+    ) -> RunArrays:
         """Vectorized replay: whole phases as array operations.
+
+        Takes and returns arrays only — *injected_at* (owned by the
+        run: a spawn plan's trigger steps are written into it) and the
+        dense combine-group ids *gid* (``None``: nothing combines) in,
+        :class:`RunArrays` out; :meth:`run` does the ``Packet``
+        extraction and write-back around it.
 
         Queue state lives in flat arrays over *virtual links* — a
         (link, priority-class) pair — each holding an intrusive FIFO
@@ -384,6 +638,12 @@ class FastPathEngine:
         parent pointers plus subtree sizes (resolved to the reference
         engine's delivery cascade after the run).
 
+        Spawn plans (reply fan-out) stay off the per-packet path: a
+        packet's next pending trigger lives in ``nsp`` as a flat cursor,
+        so ``admit`` finds the triggers an arrival batch fires with one
+        vector compare and expands only those positions — Python work is
+        O(triggers fired), whatever the batch size.
+
         Constrained mode (``node_capacity``, flow_control "none" or
         "credit") keeps the same queue/arrival machinery and replaces
         only the transmission phase with *batch credit accounting*: the
@@ -407,6 +667,7 @@ class FastPathEngine:
         _obs = self.observer
         _prof = _obs.profile if _obs is not None else None
         _rec = _obs.recorder if _obs is not None else None
+        _t_setup0 = wall_time() if _prof is not None else 0.0
         fc = CreditState() if self.flow_control == "credit" else None
         self.last_run_mode = "batch" if capacity is None else "batch-constrained"
         link_dst: np.ndarray | None = None
@@ -468,60 +729,51 @@ class FastPathEngine:
             if prio_arr.shape[1] < n_slots:
                 raise ValueError("one priority per link position required")
 
-        combine = self.combine
+        combine = gid is not None
         combines = 0
-        spawn_mode = bool(spawn_plan)
+        spawn_mode = spawn_plan is not None
         if spawn_mode:
             if combine:
                 raise ValueError("spawn_plan and combining are mutually exclusive")
-            # Per-parent spawn schedule, sorted by trigger position (as
-            # flat cursors, see ``fl`` below); a packet's next pending
-            # trigger lives in ``nsp`` so the hot loop detects hits with
-            # one vector compare.
-            sched: dict[int, list] = {}
-            dormant = np.zeros(n, dtype=bool)
-            for par, q, kids in spawn_plan:
-                sched.setdefault(par, []).append((par * n_slots + q, list(kids)))
-                for c in kids:
-                    dormant[c] = True
-            for entries in sched.values():
-                entries.sort(key=lambda e: e[0])
-                for j in range(len(entries) - 1):
-                    if entries[j][0] == entries[j + 1][0]:
-                        raise ValueError("duplicate spawn position for one parent")
-            nsp = np.full(n, -9, dtype=np.int64)
-            for par, entries in sched.items():
-                nsp[par] = entries[0][0]
-            is_root = ~dormant
-            injected_at_arr = np.fromiter(
-                (p.injected_at for p in all_packets), dtype=np.int64, count=n
+            # A packet's next pending trigger lives in ``nsp`` (as a flat
+            # cursor, see ``fl`` below) so the hot loop detects hits with
+            # one vector compare; the trigger tables are plain lists,
+            # read only for the triggers that fire.
+            dormant, nsp, next_trig, kids, bounds, trig_parent, trig_cursor = (
+                _spawn_tables(spawn_plan, n, width)
             )
-            spawn_seq: list[int] = []
-        if combine:
-            # Dense combine-group ids: packets share a gid iff they share
-            # a combine key; keyless packets get singleton gids.
-            gid = np.empty(n, dtype=np.int64)
-            key_ids: dict = {}
-            next_gid = 0
-            for i, p in enumerate(all_packets):
-                key = p.combine_key
-                if key is None:
-                    gid[i] = next_gid
-                    next_gid += 1
+            spawned: list[np.ndarray] = []
+
+            def fire(i: int, out: list[int], seq: list[int]) -> None:
+                """Packet i's pending trigger fires: append its children
+                to *seq* in spawn order (parents first) and to *out* in
+                placement order — a child that has a trigger at its own
+                position 0 fires it on activation, so its children are
+                placed before it."""
+                k = next_trig[i]
+                group = kids[bounds[k] : bounds[k + 1]]
+                k += 1
+                if trig_parent[k] == i:
+                    next_trig[i] = k
+                    nsp[i] = trig_cursor[k]
                 else:
-                    g = key_ids.get(key)
-                    if g is None:
-                        g = key_ids[key] = next_gid
-                        next_gid += 1
-                    gid[i] = g
-            vc_codes = link_mat * np.int64(max(next_gid, 1)) + gid[:, None]
+                    next_trig[i] = -1
+                    nsp[i] = -9
+                for c in group:
+                    seq.append(c)
+                    kc = next_trig[c]
+                    if kc >= 0 and trig_cursor[kc] == c * n_slots:
+                        fire(c, out, seq)
+                    out.append(c)
+
+        if combine:
+            vc_codes = link_mat * (np.int64(gid.max()) + 1 if n else 1) + gid[:, None]
             vc_uniq, vc_inv = np.unique(vc_codes, return_inverse=True)
             vc_flat = vc_inv.ravel()
             #: resident host per interned (link, gid) code, -1 if none
             host_at = np.full(vc_uniq.size, -1, dtype=np.int64)
             parent = np.full(n, -1, dtype=np.int64)
             subtree = np.ones(n, dtype=np.int64)
-            combined_arr = np.zeros(n, dtype=bool)
             child_pairs: list[tuple[np.ndarray, np.ndarray]] = []
 
         # All-int64 state: values double as fancy indices, and mixed
@@ -597,47 +849,35 @@ class FastPathEngine:
             res_list = [0] * num_nodes
             dep_list = [0] * num_nodes
 
-        inj_times: dict[int, list[int]] = defaultdict(list)
-        for i, p in enumerate(all_packets):
-            if spawn_mode and dormant[i]:
-                continue  # triggered later by its parent, not by time
-            inj_times[p.injected_at].append(i)
-        pending_times = sorted(inj_times, reverse=True)
+        roots = np.nonzero(~dormant)[0] if spawn_mode else np.arange(n, dtype=np.int64)
+        pending = _injection_batches(roots, injected_at[roots])
 
         def admit(batch: np.ndarray, t: int):
             """Place a batch of packets (in order): deliver or enqueue."""
             nonlocal active, max_queue, max_node_load, remaining, combines
             f = fl[batch]
-            if spawn_mode and (f == nsp[batch]).any():
-                # Spawn triggers: expand the batch in place.  Matching
-                # the reference hook order, a parent's spawned children
-                # (and their own position-0 spawns, recursively) are
-                # placed *before* the parent at the same node and step.
-                out: list[int] = []
-
-                def emit(i: int, fi: int) -> None:
-                    nonlocal remaining
-                    entries = sched.get(i)
-                    if entries and entries[0][0] == fi:
-                        _, kids = entries.pop(0)
-                        nsp[i] = entries[0][0] if entries else -9
-                        for c in kids:
-                            dormant[c] = False
-                            injected_at_arr[c] = t
-                            remaining += 1
-                            spawn_seq.append(c)
-                            emit(c, c * n_slots)
-                    out.append(i)
-
-                for i, fi, ni in zip(
-                    batch.tolist(), f.tolist(), nsp[batch].tolist()
-                ):
-                    if fi == ni:
-                        emit(i, fi)
-                    else:
-                        out.append(i)
-                batch = np.asarray(out, dtype=np.int64)
-                f = fl[batch]
+            if spawn_mode:
+                hits = (f == nsp[batch]).nonzero()[0]
+                if hits.size:
+                    # Spawn triggers: only the hit positions are walked.
+                    # Matching the reference hook order, a parent's
+                    # spawned children (and their own position-0 spawns,
+                    # recursively) are placed *before* the parent at the
+                    # same node and step — spliced into the batch in
+                    # front of it.
+                    out: list[int] = []
+                    seq: list[int] = []
+                    sizes = []
+                    for i in batch[hits].tolist():
+                        before = len(out)
+                        fire(i, out, seq)
+                        sizes.append(len(out) - before)
+                    new = np.asarray(out, dtype=np.int64)
+                    injected_at[new] = t
+                    remaining += len(out)
+                    spawned.append(np.asarray(seq, dtype=np.int64))
+                    batch = np.insert(batch, np.repeat(hits, sizes), new)
+                    f = fl[batch]
             done = f == fl_last[batch]
             if done.any():
                 done_idx = batch[done]
@@ -676,7 +916,6 @@ class FastPathEngine:
                     ch = batch[absorbed]
                     hs = hosts[absorbed]
                     parent[ch] = hs
-                    combined_arr[ch] = True
                     np.add.at(subtree, hs, subtree[ch])
                     combines += int(ch.size)
                     child_pairs.append((hs, ch))
@@ -778,19 +1017,19 @@ class FastPathEngine:
                     - (_prof.phase_total("combining") - _c_before),
                 )
 
+        if _prof is not None:
+            _prof.add_phase("setup", wall_time() - _t_setup0)
         t = 0
         while remaining > 0:
-            while pending_times and pending_times[-1] <= t:
-                admit(
-                    np.asarray(inj_times[pending_times.pop()], dtype=np.int64), t
-                )
+            while pending and pending[-1][0] <= t:
+                admit(pending.pop()[1], t)
             if remaining == 0:
                 break
             if t >= max_steps:
                 break
             if (
                 not active.size
-                and not pending_times
+                and not pending
                 and (fc is None or not fc.escape_at)
             ):
                 raise NetworkDrainedError(remaining, t, _obs)
@@ -1087,7 +1326,7 @@ class FastPathEngine:
                     arrivals = bulk_arrivals
                 if (
                     not arrivals.size
-                    and not pending_times
+                    and not pending
                     and not fault_blocked_step
                 ):
                     # No transmission, no future injections, and nothing
@@ -1146,85 +1385,47 @@ class FastPathEngine:
             if arrivals.size:
                 admit(arrivals, t)
 
-        completed = remaining == 0
-        track = self.track_paths
-        tkey = trace_key if trace_key is not None else node_key
-        children_map: dict[int, list[int]] = {}
-        if combine:
+        _t_fin0 = wall_time() if _prof is not None else 0.0
+        empty = np.empty(0, dtype=np.int64)
+        absorbed_by = absorbed = empty
+        if combine and child_pairs:
+            absorbed_by = np.concatenate([hs for hs, _ in child_pairs])
+            absorbed = np.concatenate([ch for _, ch in child_pairs])
             # Absorbed packets arrive when their absorption root does
-            # (the deliver cascade), and hosts get their children lists
-            # in absorption order.
-            parent_l = parent.tolist()
-            arrived_l0 = arrived.tolist()
-            for j, par in enumerate(parent_l):
-                if par >= 0:
-                    root = par
-                    while parent_l[root] >= 0:
-                        root = parent_l[root]
-                    arrived[j] = arrived_l0[root]
-            for hs, ch in child_pairs:
-                for h, c in zip(hs.tolist(), ch.tolist()):
-                    children_map.setdefault(h, []).append(c)
-        pos = fl - fl_base
-        pos_l = pos.tolist()
-        arrived_l = arrived.tolist()
-        node_vals = path_arr[np.arange(n), pos].tolist()
-        path_rows = path_arr.tolist() if track else None
-        combined_l = combined_arr.tolist() if combine else None
-        if spawn_mode:
+            # (the deliver cascade): pointer-jump every packet to its
+            # root, doubling the distance covered each round.
+            root = np.where(parent >= 0, parent, np.arange(n, dtype=np.int64))
+            while True:
+                up = root[root]
+                if (up == root).all():
+                    break
+                root = up
+            arrived[absorbed] = arrived[root[absorbed]]
+        arrays = RunArrays(
+            paths=path_arr,
+            hops=fl - fl_base,
+            arrived=arrived,
+            injected_at=injected_at,
+            absorbed_by=absorbed_by,
+            absorbed=absorbed,
             # Never-triggered packets were never part of the run; stats
             # cover roots (input order) then spawned packets in spawn
             # order — the reference engine's dynamic append order.
-            sel = np.nonzero(is_root)[0].tolist() + spawn_seq
-            inj_l = injected_at_arr.tolist()
-        else:
-            sel = range(n)
-            inj_l = None
-        # Note: without combining, combined/children keep their
-        # Packet-constructor defaults — matching the reference engine,
-        # which also only touches them through combining.
-        stats_packets = []
-        for i in sel:
-            p = all_packets[i]
-            stats_packets.append(p)
-            k = pos_l[i]
-            a = arrived_l[i]
-            nv = node_vals[i]
-            p.hops = k
-            p.arrived_at = None if a < 0 else a
-            p.node = node_key(k, nv) if node_key is not None else nv
-            if inj_l is not None:
-                p.injected_at = inj_l[i]
-            if combine:
-                p.combined = combined_l[i]
-                ch = children_map.get(i)
-                p.children = [all_packets[j] for j in ch] if ch else None
-            if track:
-                path = path_rows[i]
-                if tkey is not None:
-                    p.trace = [tkey(j, path[j]) for j in range(k + 1)]
-                else:
-                    p.trace = path[: k + 1]
-        stats = collect_stats(
-            stats_packets,
+            order=np.concatenate([roots, *spawned]) if spawn_mode else None,
             steps=t,
+            completed=remaining == 0,
             max_queue=max_queue,
-            completed=completed,
-            combines=combines,
             max_node_load=max_node_load,
+            combines=combines,
             credits_stalled=fc.credits_stalled if fc is not None else 0,
             escape_hops=fc.escape_hops if fc is not None else 0,
             fault_stalls=fault_stalls,
-            run_mode=self.last_run_mode,
+            deadlock=(
+                no_progress_detail(t, remaining, int(active.size), fc)
+                if deadlocked
+                else None
+            ),
         )
-        if deadlocked:
-            err = DeadlockError(
-                stats,
-                detail=no_progress_detail(t, remaining, int(active.size), fc),
-            )
-            if _obs is not None:
-                err.flight_tail = _obs.flight_tail()
-            raise err
-        if not completed and raise_on_timeout:
-            raise RoutingTimeout(stats)
-        return stats
+        if _prof is not None:
+            _prof.add_phase("finish", wall_time() - _t_fin0)
+        return arrays

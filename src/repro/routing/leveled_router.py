@@ -32,7 +32,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
+from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
 from repro.routing.queues import fifo_factory
@@ -121,12 +121,12 @@ class LeveledRouter:
 
             self._ref_fault_view = link_faults.view(ref_translate)
             self._fast_fault_view = link_faults.view(fast_translate)
-        #: after a fast-path run: the packets' compiled node-id
-        #: itineraries as an ``(n, 2L + 1)`` int matrix, aligned with
-        #: the routed packet list (None after a reference run).  The
-        #: emulation layer reuses these to build reply itineraries
-        #: without re-encoding traces.
-        self.last_fast_paths: np.ndarray | None = None
+        #: after a fast-path run: its per-packet arrays, aligned with
+        #: the routed packet list — the compiled ``(n, 2L + 1)`` node-id
+        #: itineraries, the hop each packet stopped at, the absorptions
+        #: (None after a reference run).  The emulation layer builds the
+        #: reply phase from these without re-encoding traces.
+        self.last_fast_run: RunArrays | None = None
         L = net.num_levels
         self.engine = SynchronousEngine(
             queue_factory=fifo_factory,
@@ -198,7 +198,7 @@ class LeveledRouter:
             for p, row in zip(packets, coins.tolist()):
                 p.state = row
         mode = resolve_engine_mode(self.engine_mode)
-        self.last_fast_paths = None
+        self.last_fast_run = None
         if mode == "fast" and (self.intermediate == "node" or coins is not None):
             return self._run_fast(packets, coins, max_steps)
         return self.engine.run(
@@ -229,7 +229,6 @@ class LeveledRouter:
             )
         else:
             paths = compiled.build_paths(sources, dests, coins=coins)
-        self.last_fast_paths = paths
         fast = FastPathEngine(
             combine=self.combine,
             track_paths=self.track_paths,
@@ -245,7 +244,7 @@ class LeveledRouter:
         if self.net.uniform_out_degree:
             link_src, link_dst = compiled.link_arrays()
             links = (compiled.link_matrix(paths), link_src, link_dst)
-        return fast.run(
+        stats = fast.run(
             packets,
             paths,
             num_nodes=compiled.num_node_ids,
@@ -256,6 +255,8 @@ class LeveledRouter:
             link_faults=self._fast_fault_view,
             fault_base=self.fault_base,
         )
+        self.last_fast_run = fast.last_arrays
+        return stats
 
     def route(
         self,

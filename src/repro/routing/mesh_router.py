@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
+from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
 from repro.routing.queues import fifo_factory, furthest_first_factory
@@ -70,7 +70,7 @@ def _run_fast_mesh(
     """Compile mesh trajectories and replay them on the fast engine.
 
     Shared by the 3-stage and greedy routers (greedy is the 3-stage plan
-    with an empty random stage).  Returns ``(plan, stats)``.
+    with an empty random stage).  Returns ``(run arrays, stats)``.
     """
     compiled = compile_mesh(mesh)
     plan = compiled.three_stage(
@@ -103,7 +103,7 @@ def _run_fast_mesh(
         link_faults=link_faults,
         fault_base=fault_base,
     )
-    return plan, stats
+    return fast.last_arrays, stats
 
 
 class MeshRouter:
@@ -132,7 +132,7 @@ class MeshRouter:
         credit/escape protocol of :mod:`repro.routing.flow_control`.
     track_paths:
         Record visited nodes in ``packet.trace`` (reference engine; the
-        fast path exposes compiled itineraries via ``last_fast_paths``).
+        fast path exposes compiled itineraries via ``last_fast_run``).
     combine:
         CRCW combining of same-(kind, address, dest) packets at enqueue.
     engine:
@@ -178,13 +178,13 @@ class MeshRouter:
         self.track_paths = track_paths
         self.engine_mode = engine
         resolve_engine_mode(engine)  # validate eagerly
-        #: after a fast-path run: the packets' compiled (padded) node-id
-        #: itineraries as an ``(n, maxlen+1)`` int matrix, aligned with
-        #: the routed packet list (None after a reference run).  The
-        #: emulation layer reuses these to build reply itineraries
-        #: without re-encoding traces; row i is valid up to position
-        #: ``packet.hops``.
-        self.last_fast_paths: np.ndarray | None = None
+        #: after a fast-path run: its per-packet arrays, aligned with
+        #: the routed packet list — the compiled (padded) ``(n,
+        #: maxlen+1)`` node-id itineraries, the hop each packet stopped
+        #: at (row i is valid up to it), the absorptions (None after a
+        #: reference run).  The emulation layer builds the reply phase
+        #: from these without re-encoding traces.
+        self.last_fast_run: RunArrays | None = None
         # Mesh link keys are (u, v) packed-node-id pairs in *both*
         # engines, so one identity-translated view serves each; the
         # emulator validates specs against the topology up front.
@@ -272,7 +272,7 @@ class MeshRouter:
         if packets is None:
             packets = make_packets(list(map(int, sources)), list(map(int, dests)))
         self._assign_random_rows(packets)
-        self.last_fast_paths = None
+        self.last_fast_run = None
         if resolve_engine_mode(self.engine_mode) == "fast":
             return self._run_fast(packets, max_steps)
         return self.engine.run(
@@ -285,7 +285,7 @@ class MeshRouter:
 
     def _run_fast(self, packets: list[Packet], max_steps: int) -> RoutingStats:
         """Compile 3-stage trajectories + priorities; replay them fast."""
-        plan, stats = _run_fast_mesh(
+        self.last_fast_run, stats = _run_fast_mesh(
             self.mesh,
             packets,
             max_steps=max_steps,
@@ -299,7 +299,6 @@ class MeshRouter:
             fault_base=self.fault_base,
             observer=self.observer,
         )
-        self.last_fast_paths = plan.ids
         return stats
 
     def route_permutation(
@@ -363,7 +362,7 @@ class GreedyMeshRouter:
             max_steps = 200 * (self.mesh.rows + self.mesh.cols) + 200
         packets = make_packets(list(map(int, sources)), list(map(int, dests)))
         if resolve_engine_mode(self.engine_mode) == "fast":
-            _plan, stats = _run_fast_mesh(
+            _arrays, stats = _run_fast_mesh(
                 self.mesh,
                 packets,
                 max_steps=max_steps,

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.routing.packet import Packet
 from repro.util.stats import Summary, summarize
 
@@ -117,6 +119,48 @@ def collect_stats(
         completed=completed,
         delays=[p.delay for p in delivered],
         hops=[p.hops for p in delivered],
+        combines=combines,
+        max_node_load=max_node_load,
+        credits_stalled=credits_stalled,
+        escape_hops=escape_hops,
+        fault_stalls=fault_stalls,
+        run_mode=run_mode,
+    )
+
+
+def stats_from_arrays(
+    hops: np.ndarray,
+    injected_at: np.ndarray,
+    arrived_at: np.ndarray,
+    *,
+    steps: int,
+    max_queue: int,
+    completed: bool,
+    combines: int = 0,
+    max_node_load: int = 0,
+    credits_stalled: int = 0,
+    escape_hops: int = 0,
+    fault_stalls: int = 0,
+    run_mode: str = "",
+) -> RoutingStats:
+    """:func:`collect_stats` over per-packet arrays instead of packets.
+
+    Row i describes one packet of the run, in the order
+    :func:`collect_stats` would have met it; ``arrived_at[i] < 0`` means
+    it was not delivered.  The fast engine's runs end here, so a reply
+    population that never existed as :class:`Packet` objects is counted
+    exactly like one that did.
+    """
+    ok = arrived_at >= 0
+    done_hops = hops[ok]
+    return RoutingStats(
+        steps=steps,
+        delivered=int(done_hops.size),
+        total_packets=int(hops.size),
+        max_queue=max_queue,
+        completed=completed,
+        delays=(arrived_at[ok] - injected_at[ok] - done_hops).tolist(),
+        hops=done_hops.tolist(),
         combines=combines,
         max_node_load=max_node_load,
         credits_stalled=credits_stalled,

@@ -95,18 +95,6 @@ class CompiledLeveledTopology:
             return (0, position, row)
         return (1, position - self.L, row)
 
-    def reply_key(self, _position: int, node_id: int) -> tuple[int, int, int]:
-        """Position-independent decode for reply-phase paths.
-
-        Reply paths walk traces in reverse, so positions no longer track
-        columns.  Trace keys never contain ``(1, 0, row)`` (the wrap is
-        recorded as ``(0, L, row)``), which makes the decode unambiguous.
-        """
-        col_idx, row = divmod(node_id, self.N)
-        if col_idx <= self.L:
-            return (0, col_idx, row)
-        return (1, col_idx - self.L, row)
-
     # ---- trajectory compilation ----------------------------------------
     def build_paths(
         self,

@@ -115,14 +115,17 @@ def run_both(
         )
     roots = ref_packets
     on_arrival = None
-    if spawn_plan:
-        dormant = {c for _, _, kids in spawn_plan for c in kids}
+    if spawn_plan is not None:
+        # the reference form of the array plan: a hook that hands the
+        # engine each trigger's children, in row order
+        dormant = set(spawn_plan[2])
         roots = [p for p in ref_packets if p.pid not in dormant]
-        plan = {(par, q): kids for par, q, kids in spawn_plan}
+        plan = {}
+        for par, q, c in zip(*spawn_plan):
+            plan.setdefault((par, q), []).append(ref_packets[c])
 
         def on_arrival(p):
-            kids = plan.get((p.pid, p.hops))
-            return [ref_packets[c] for c in kids] if kids else None
+            return plan.get((p.pid, p.hops))
 
     def ref():
         return SynchronousEngine(**ref_kwargs).run(
@@ -242,7 +245,58 @@ def scenario_spawn_at_zero():
             [HUB, SINK, 12],  # child of 0 at position 1
             [1, HUB, SINK],  # an unrelated root sharing the hub link
         ],
-        spawn_plan=[(0, 0, [1, 2]), (1, 0, [3]), (0, 1, [4])],
+        spawn_plan=([0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]),
+    )
+
+
+def scenario_spawn_nested_three_deep():
+    """Position-0 triggers nested three deep: activating 1 fires its own
+    trigger, which activates 2, which activates 3 — placed 3, 2, 1 and
+    only then the root, but counted in spawn order 1, 2, 3."""
+    return dict(
+        paths=[[0, HUB, SINK]] * 4 + [[1, HUB, SINK]],
+        spawn_plan=([0, 1, 2], [0, 0, 0], [1, 2, 3]),
+    )
+
+
+def scenario_spawn_shared_trigger():
+    """Several children on one trigger activate in row order, all before
+    their parent; the rows of the plan are not sorted by child."""
+    return dict(
+        paths=[[0, HUB, SINK, 12]] + [[HUB, SINK, 12, 13]] * 3 + [[1, HUB, SINK, 12]],
+        spawn_plan=([0, 0, 0], [1, 1, 1], [3, 1, 2]),
+    )
+
+
+def scenario_spawn_two_triggers():
+    """Two triggers on one parent, listed later position first: the
+    parent's next trigger advances past the one that fired."""
+    return dict(
+        paths=[[0, 5, HUB, SINK], [HUB, SINK, 12, 13], [5, HUB, SINK, 12]],
+        spawn_plan=([0, 0], [2, 1], [1, 2]),
+    )
+
+
+def scenario_spawn_interleaved():
+    """One large arrival batch — twelve roots reach the hub in the same
+    step — in which only the third, sixth and tenth fire a trigger:
+    their children are spliced in *front* of them and nothing else
+    moves, which the FIFO order on the hub's out-link records."""
+    roots = [[s, HUB, SINK] for s in range(12)]
+    kids = [[HUB, SINK, 12 + k] for k in range(6)]
+    return dict(
+        paths=roots + kids,
+        spawn_plan=([2, 5, 5, 9, 9, 9], [1] * 6, [12, 13, 14, 15, 16, 17]),
+    )
+
+
+def scenario_spawn_never_triggered():
+    """A trigger past its parent's delivery never fires: the dormant
+    child (and its own child) were never part of the run."""
+    return dict(
+        paths=[[0, HUB, SINK], [SINK, 12, 13], [12, 13, 14], [HUB, SINK, 12]],
+        lengths=[1, 2, 2, 2],
+        spawn_plan=([0, 1, 0], [2, 1, 1], [1, 2, 3]),
     )
 
 
@@ -255,16 +309,26 @@ SCENARIOS = [
     scenario_combining,
     scenario_width_one,
     scenario_spawn_at_zero,
+    scenario_spawn_nested_three_deep,
+    scenario_spawn_shared_trigger,
+    scenario_spawn_two_triggers,
+    scenario_spawn_interleaved,
+    scenario_spawn_never_triggered,
 ]
 
 
-@pytest.mark.parametrize("regime", REGIMES)
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__[9:])
+@pytest.mark.parametrize(
+    "scenario, regime",
+    [
+        pytest.param(scenario, regime, id=f"{scenario.__name__[9:]}-{regime}")
+        for scenario in SCENARIOS
+        for regime in REGIMES
+        # spawn_plan is not supported with node_capacity
+        if not ("spawn_plan" in scenario() and "node_capacity" in REGIMES[regime])
+    ],
+)
 def test_scenario_matches_reference(scenario, regime):
-    kwargs = {**scenario(), **REGIMES[regime]}
-    if kwargs.get("spawn_plan") and kwargs.get("node_capacity") is not None:
-        pytest.skip("spawn_plan is not supported with node_capacity")
-    f = run_both(**kwargs)
+    f = run_both(**scenario(), **REGIMES[regime])
     assert f.completed
 
 
@@ -339,6 +403,63 @@ def test_fan_in_order_is_source_activation_order():
     4, 2, 0, 3, 1 and all activate at t=0 in that (batch) order."""
     f = run_both(**scenario_fan_in())
     assert f.delays == [0, 1, 2, 3, 4]
+
+
+def test_spawn_order_is_children_then_parent():
+    """Placement order (the hub link's FIFO) and stats order, pinned as
+    values: stats list the roots, then the spawned packets parents first;
+    the queue holds the deepest child first and the root last."""
+    f = run_both(**scenario_spawn_nested_three_deep())
+    # the link into the hub serves 3, 2, 1, 0 (packet 4 slips in behind
+    # 3 from its own link); listed as roots 0 and 4, then 1, 2, 3
+    assert f.delays == [4, 1, 3, 2, 0]
+
+
+def test_spawn_splice_leaves_the_rest_of_the_batch_in_place():
+    f = run_both(**scenario_spawn_interleaved())
+    # hub-link order: 0 1 [12] 2 3 4 [13 14] 5 6 7 8 [15 16 17] 9 10 11;
+    # roots arrive there at t=1, children are injected there at t=1
+    assert f.delays == [0, 1, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17] + [2, 6, 7, 12, 13, 14]
+
+
+def test_never_triggered_packets_are_not_counted():
+    f = run_both(**scenario_spawn_never_triggered())
+    assert (f.total_packets, f.delivered) == (2, 2)
+    assert f.hops == [1, 2]
+
+
+def test_anonymous_population_counts_like_packets():
+    """``packets=None`` (how replies are routed) returns the stats the
+    same run returns for ``Packet`` objects, field for field."""
+    kwargs = scenario_spawn_interleaved()
+    paths = np.asarray(kwargs["paths"], dtype=np.int64)
+    engine = FastPathEngine()
+    anonymous = engine.run(
+        None, paths, num_nodes=SINK + 8, max_steps=400, spawn_plan=kwargs["spawn_plan"]
+    )
+    assert_stats_equal(anonymous, run_both(**kwargs))
+    assert engine.last_arrays.order.tolist() == [*range(12), *range(12, 18)]
+
+
+@pytest.mark.parametrize(
+    "plan, engine_kwargs, match",
+    [
+        (([0], [1], [1]), dict(node_capacity=2), "not supported with node_capacity"),
+        (([0], [1], [1]), dict(combine=True), "mutually exclusive"),
+        (([0], [1], [3]), {}, "names packet 3"),
+        (([-1], [1], [1]), {}, "names packet -1"),
+        (([0], [3], [1]), {}, "position 3"),
+        (([0, 2], [0, 1], [1, 1]), {}, "lists child 1 twice"),
+        (([0, 0], [1], [1, 2]), {}, "three aligned"),
+    ],
+)
+def test_malformed_spawn_plans_are_value_errors(plan, engine_kwargs, match):
+    paths = np.asarray([[0, HUB, SINK]] * 3, dtype=np.int64)
+    packets = _packets(paths.tolist(), [2] * 3, [0] * 3, [None] * 3)
+    with pytest.raises(ValueError, match=match):
+        FastPathEngine(**engine_kwargs).run(
+            packets, paths, num_nodes=SINK + 1, max_steps=9, spawn_plan=plan
+        )
 
 
 def test_combining_counts_and_hosts():

@@ -282,15 +282,49 @@ class TestStatParityRule:
         vs = self._lint(tmp_path, bad)
         assert any("warp" in v.message for v in vs)
 
-    def test_inconsistent_sites_within_one_file(self, tmp_path):
-        split = """
-            def run(packets):
-                if packets:
-                    return collect_stats(packets, steps=1, delivered=2, combines=3)
-                return collect_stats(packets, steps=0, delivered=0)
-        """
-        vs = self._lint(tmp_path, split)
-        assert any("sibling sites" in v.message for v in vs)
+    _METRICS_ARRAYS = _METRICS + """
+    def stats_from_arrays(hops, injected_at, arrived_at, *, steps, delivered, combines=0):
+        pass
+"""
+
+    _FAST_ARRAYS = """
+        def run(arrays):
+            return stats_from_arrays(
+                arrays.hops, arrays.inj, arrays.arr, steps=1, delivered=2, combines=3
+            )
+    """
+
+    def _lint_arrays(self, tmp_path, fast_src, metrics_src=None):
+        root = _tree(
+            tmp_path,
+            {
+                "src/repro/routing/metrics.py": metrics_src or self._METRICS_ARRAYS,
+                "src/repro/routing/engine.py": _ENGINE_OK,
+                "src/repro/routing/fast_engine.py": fast_src,
+            },
+        )
+        return run_lint(root, rules=[StatParityRule()])
+
+    def test_array_constructor_is_a_stats_site(self, tmp_path):
+        assert self._lint_arrays(tmp_path, self._FAST_ARRAYS) == []
+        # a counter the reference engine reports but the array site drops
+        drifted = self._FAST_ARRAYS.replace(", combines=3", "")
+        vs = self._lint_arrays(tmp_path, drifted)
+        assert [v.path for v in vs] == ["src/repro/routing/fast_engine.py"]
+        assert "combines" in vs[0].message
+        # ... and a keyword the array constructor does not take
+        bad = self._FAST_ARRAYS.replace("combines=3", "combines=3, warp=9")
+        assert any("warp" in v.message for v in self._lint_arrays(tmp_path, bad))
+
+    def test_constructor_signatures_must_agree(self, tmp_path):
+        lagging = self._METRICS_ARRAYS.replace(
+            "steps, delivered, combines=0):\n        pass\n\n    def stats",
+            "steps, delivered, combines=0, stalls=0):\n        pass\n\n    def stats",
+        )
+        assert lagging != self._METRICS_ARRAYS
+        vs = self._lint_arrays(tmp_path, self._FAST_ARRAYS, lagging)
+        assert [v.path for v in vs] == ["src/repro/routing/metrics.py"]
+        assert "stalls" in vs[0].message
 
     def test_partial_invocation_is_silent(self, tmp_path):
         root = _tree(tmp_path, {"src/repro/routing/engine.py": _ENGINE_OK})

@@ -211,17 +211,12 @@ class TestEngineBasics:
         assert stats.completed
 
 
-class _ForgetfulTable(dict):
-    """Stands in for the fast engine's injection table and forgets every
-    packet: the run starts with packets owed and nothing to inject — the
-    inconsistent bookkeeping the drain check exists to report (no
-    well-formed input reaches it on the fast engine)."""
-
-    def __init__(self, factory):
-        super().__init__()
-
-    def __getitem__(self, key):
-        return []
+def _forgetful_batches(roots, times):
+    """Stands in for the fast engine's injection batching and forgets
+    every packet: the run starts with packets owed and nothing to
+    inject — the inconsistent bookkeeping the drain check exists to
+    report (no well-formed input reaches it on the fast engine)."""
+    return []
 
 
 class TestNetworkDrained:
@@ -259,7 +254,7 @@ class TestNetworkDrained:
         ],
     )
     def test_fast_engine_raises_the_same_type(self, monkeypatch, paths, mode):
-        monkeypatch.setattr(fast_engine, "defaultdict", _ForgetfulTable)
+        monkeypatch.setattr(fast_engine, "_injection_batches", _forgetful_batches)
         obs = Observer(flight_recorder=4)
         obs.record("note", virtual_clock=0, what="before the run")
         capacity = 2 if mode == "batch-constrained" else None

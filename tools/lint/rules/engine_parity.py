@@ -4,11 +4,12 @@ The differential tests prove the reference and fast engines agree on
 the runs they exercise; these rules prove the *code* cannot silently
 drift on the axes the tests don't enumerate:
 
-* REPRO004 ``stat-parity`` — every ``RoutingStats`` field passed to
-  ``collect_stats(...)`` / ``RoutingStats(...)`` in ``routing/engine.py``
-  must also be passed in ``routing/fast_engine.py`` (and vice versa),
-  every call site within a file must pass the same field set, and every
-  keyword must actually exist on ``collect_stats`` /``RoutingStats``.
+* REPRO004 ``stat-parity`` — the reference engine reports through
+  ``collect_stats(packets, ...)``, the fast engine through the
+  array-backed ``stats_from_arrays(...)``; every stat keyword passed in
+  ``routing/engine.py`` must also be passed in ``routing/fast_engine.py``
+  (and vice versa), every keyword must exist on the constructor it is
+  passed to, and the two constructors must take the same keywords.
   Adding a counter to one engine only now fails lint instead of
   surfacing as a baffling differential-test diff three PRs later.
 * REPRO005 ``event-kind-order`` — ``EVENT_KINDS`` in ``faults/plan.py``
@@ -45,19 +46,24 @@ def _routing_stats_fields(ctx: FileContext) -> set[str]:
     return set()
 
 
-def _collect_stats_params(ctx: FileContext) -> set[str]:
+#: the functions that assemble a RoutingStats, by engine of use
+STAT_CONSTRUCTORS = ("collect_stats", "stats_from_arrays")
+
+
+def _constructor_params(ctx: FileContext) -> dict[str, tuple[int, set[str]]]:
+    """``{name: (line, keyword-only parameter names)}`` of the stat
+    constructors defined in metrics.py (the packets / per-packet arrays
+    they count are positional and not part of the contract)."""
+    found: dict[str, tuple[int, set[str]]] = {}
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "collect_stats":
-            names = {a.arg for a in node.args.args}
-            names |= {a.arg for a in node.args.kwonlyargs}
-            names.discard("packets")
-            return names
-    return set()
+        if isinstance(node, ast.FunctionDef) and node.name in STAT_CONSTRUCTORS:
+            found[node.name] = (node.lineno, {a.arg for a in node.args.kwonlyargs})
+    return found
 
 
-def _stat_call_sites(ctx: FileContext) -> list[tuple[int, frozenset[str]]]:
-    """(line, kwarg-name set) per collect_stats/RoutingStats call site."""
-    sites: list[tuple[int, frozenset[str]]] = []
+def _stat_call_sites(ctx: FileContext) -> list[tuple[int, str, frozenset[str]]]:
+    """(line, callee, kwarg-name set) per stats-assembling call site."""
+    sites: list[tuple[int, str, frozenset[str]]] = []
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -67,12 +73,12 @@ def _stat_call_sites(ctx: FileContext) -> list[tuple[int, frozenset[str]]]:
             callee = func.id
         elif isinstance(func, ast.Attribute):
             callee = func.attr
-        if callee not in ("collect_stats", "RoutingStats"):
+        if callee not in (*STAT_CONSTRUCTORS, "RoutingStats"):
             continue
         if any(kw.arg is None for kw in node.keywords):
             continue  # **kwargs call: not statically checkable
         names = frozenset(kw.arg for kw in node.keywords if kw.arg is not None)
-        sites.append((node.lineno, names))
+        sites.append((node.lineno, callee, names))
     return sites
 
 
@@ -90,8 +96,8 @@ class StatParityRule(ProjectRule):
             return  # partial lint invocation: nothing to cross-check
 
         fields = _routing_stats_fields(metrics)
-        params = _collect_stats_params(metrics)
-        if not fields or not params:
+        constructors = _constructor_params(metrics)
+        if not fields or "collect_stats" not in constructors:
             yield Violation(
                 self.id,
                 METRICS_PATH,
@@ -101,7 +107,20 @@ class StatParityRule(ProjectRule):
                 "parameters — the stat-parity contract has no anchor",
             )
             return
-        legal = fields | params
+        legal = {name: params for name, (_, params) in constructors.items()}
+        legal["RoutingStats"] = fields
+        if "stats_from_arrays" in constructors:
+            line, array_params = constructors["stats_from_arrays"]
+            drift = array_params ^ constructors["collect_stats"][1]
+            if drift:
+                yield Violation(
+                    self.id,
+                    METRICS_PATH,
+                    line,
+                    0,
+                    f"stats_from_arrays and collect_stats disagree on {sorted(drift)} "
+                    "— both engines' constructors must take the same stat keywords",
+                )
 
         unions: dict[str, frozenset[str]] = {}
         first_line: dict[str, int] = {}
@@ -114,14 +133,14 @@ class StatParityRule(ProjectRule):
                     path,
                     1,
                     0,
-                    "no collect_stats()/RoutingStats() call site found; "
-                    "the engine no longer reports stats?",
+                    "no collect_stats()/stats_from_arrays()/RoutingStats() "
+                    "call site found; the engine no longer reports stats?",
                 )
                 continue
             union: frozenset[str] = frozenset()
-            for line, names in sites:
+            for line, callee, names in sites:
                 union |= names
-                unknown = names - legal
+                unknown = names - legal.get(callee, fields)
                 if unknown:
                     yield Violation(
                         self.id,
@@ -129,18 +148,7 @@ class StatParityRule(ProjectRule):
                         line,
                         0,
                         "unknown RoutingStats field(s) "
-                        f"{sorted(unknown)} passed to collect_stats",
-                    )
-            for line, names in sites:
-                missing = union - names
-                if missing:
-                    yield Violation(
-                        self.id,
-                        path,
-                        line,
-                        0,
-                        f"call site omits stat field(s) {sorted(missing)} "
-                        "that sibling sites in this engine set",
+                        f"{sorted(unknown)} passed to {callee}",
                     )
             unions[path] = union
             first_line[path] = sites[0][0]
