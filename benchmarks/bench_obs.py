@@ -13,20 +13,23 @@ seeded multi-step trace:
 * ``full`` — everything on: metrics + spans on both clocks + per-phase
   engine profiling + the flight-recorder ring.
 
-Two gate families:
+What is gated and what is only reported:
 
-* **bit identity** (seed-exact, host-speed-safe) — every configuration
-  produces the identical emulation report; observation never changes
-  the run.  Deterministic service metrics (total network steps, and
-  the observer's own ``pram_steps_total`` / ``network_steps_total``
-  counters) are pinned by the ``--check-baseline`` gate.
-* **overhead** (ratio of medians in one process, configurations
-  interleaved round-robin within every repeat after a discarded
-  warm-up round, so host speed and warm-up cancel) — the ``null``
-  configuration must stay within 3 % of
-  ``disabled``: opting out of observability is free.  The measured
-  ``metrics``/``full`` ratios are reported in the artifact for
-  humans but not gated — they are real work by design.
+* **bit identity** (seed-exact, host-speed-safe; gated) — every
+  configuration produces the identical emulation report; observation
+  never changes the run.  Deterministic service metrics (total network
+  steps, and the observer's own ``pram_steps_total`` /
+  ``network_steps_total`` counters) are pinned by the
+  ``--check-baseline`` gate.
+* **overhead** (reported, never gated) — ratio of medians in one
+  process, configurations interleaved round-robin within every repeat
+  after a discarded warm-up round, so host speed and warm-up cancel.
+  The ``null`` / ``disabled`` ratio used to be gated at 3 %, a
+  threshold inside this benchmark's own run-to-run spread (0.98-1.10 on
+  unchanged code); that "opting out is free" is pinned instead by a
+  count that cannot flake — ``tests/test_obs.py`` runs unobserved steps
+  with the wall clock rigged to raise, so the engines must read it zero
+  times.
 
 Not collected by pytest (file name is not ``test_*``); run directly:
 
@@ -47,9 +50,6 @@ from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.obs import NullObserver, Observer
 from repro.pram.trace import random_trace
 from repro.topology import DAryButterflyLeveled, Mesh2D
-
-#: opting out of observability must cost < 3 % (null vs disabled)
-NULL_OVERHEAD_GATE = 1.03
 
 #: timed rounds per scenario (each round runs every config once, after
 #: one discarded warm-up round); medians absorb scheduler noise
@@ -163,11 +163,6 @@ def structural_gates(rows: list[dict]) -> int:
             f"{key}: every observer config produces the identical report",
         )
         check(
-            r["overhead_ratio"]["null"] <= NULL_OVERHEAD_GATE,
-            f"{key}: null-observer overhead < {NULL_OVERHEAD_GATE - 1:.0%} "
-            f"(got {r['overhead_ratio']['null']:.4f}x)",
-        )
-        check(
             r["pram_steps_total"] == r["trace_steps"],
             f"{key}: metrics counted every PRAM step "
             f"({r['pram_steps_total']} == {r['trace_steps']})",
@@ -251,9 +246,8 @@ def main(argv=None) -> int:
             "observer overhead by configuration (median of repeats with the "
             "configurations interleaved round-robin after one warm-up round, "
             "ratios vs observer=None in the same process, so host speed "
-            "cancels); "
-            "the null-observer gate pins opt-out below 3%; step counts are "
-            "deterministic under the committed seeds, wall times are not"
+            "cancels) - reported, not gated; step counts are "
+            "deterministic under the committed seeds and gated exactly"
         ),
         "scenarios": rows,
     }

@@ -261,7 +261,7 @@ class MeshEmulator(Emulator):
         is ``u * 4 + direction`` whichever way the route runs, so the
         reply run skips the engine's interning sort like the requests."""
         compiled = compile_mesh(self.mesh)
-        return compiled.link_matrix(reply_ids), compiled.link_arrays()[0]
+        return (compiled.link_matrix(reply_ids), *compiled.link_arrays())
 
     def _replies_fresh_route(
         self, read_hosts, values, engine_mode: str, budget: int, log, fault_base: int

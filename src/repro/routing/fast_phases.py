@@ -1,0 +1,1043 @@
+"""Run state and phase functions of the fast engine's step loop.
+
+One run of :class:`~repro.routing.fast_engine.FastPathEngine` is one
+:class:`RunState`, advanced by ``FastPathEngine._run_batch`` through the
+paper's synchronous step (§2.3.2): every link transmits one packet
+(:func:`transmit_unconstrained`, or :func:`transmit_constrained` under
+``node_capacity`` — Corollary 3.3's credits and escape buffers), then
+every arrival is delivered, combined or enqueued (:func:`admit`);
+:func:`finish` turns the final state into :class:`RunArrays`.  Every
+phase takes the state explicitly, so each is called — and tested
+(``tests/test_fast_engine_phases.py``) — alone.
+
+How the state is laid out:
+
+* Queue state lives in flat arrays over *virtual links* — a (link,
+  priority-class) pair, id ``link * n_classes + class`` — each holding an
+  intrusive FIFO chain of packet indices (``q_head`` / ``q_tail`` per
+  virtual link, ``q_next`` per packet: a packet waits in at most one
+  queue).  A link's pop takes the head of its highest nonempty class
+  (largest priority first, FIFO among ties: exactly the reference
+  ``FurthestFirstQueue`` order, since two equal priorities pop in push
+  order).  FIFO discipline is the one-class special case, where a
+  virtual link *is* its link.
+* Every per-position table (link id, class, virtual link, combine code)
+  is raveled once per run and read through one flat cursor per packet:
+  packet i at position k reads slot ``i * (width - 1) + k``, and
+  delivery is ``cursor == last slot``.
+* All state is int64: values double as fancy indices, and mixed dtypes
+  make numpy recast index arrays (and buffer ``ufunc.at`` operands) on
+  every call.
+
+Reference-order equivalence, which every phase preserves: links transmit
+in activation order (first arrival first — the order of ``active``) and
+packets that arrive at one link in one step enqueue in transmission
+order of their source links.
+
+The phase functions bind the arrays they touch to locals on entry and
+write scalar counters back once per call: a step of a 16-packet batch
+costs ~50 µs, so an attribute read per array *use* would show.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.obs.clock import wall_time
+from repro.routing.flow_control import CreditState, no_progress_detail
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class RunArrays:
+    """What a finished fast run knows, as arrays (row i = packet i).
+
+    :meth:`FastPathEngine.run` turns these into ``Packet`` fields and a
+    :class:`RoutingStats`; the reply phase reads them directly
+    (:func:`repro.emulation.combining.route_replies_fast`), so a
+    request's path, the hop it stopped at and who absorbed whom never
+    go through ``Packet`` objects on the way back.
+    """
+
+    #: the padded ``(n, width)`` node-id itineraries the run followed
+    paths: np.ndarray
+    #: position each packet stopped at: delivery, absorption, or the
+    #: queue it sat in when the run ended
+    hops: np.ndarray
+    #: arrival step (an absorbed packet's is its absorption root's);
+    #: -1 = not delivered
+    arrived: np.ndarray
+    #: injection step; a spawned packet's is the step its trigger fired
+    injected_at: np.ndarray
+    #: CRCW absorptions in the order they happened: ``absorbed[j]`` was
+    #: merged into ``absorbed_by[j]`` (both empty without combining)
+    absorbed_by: np.ndarray
+    absorbed: np.ndarray
+    #: packets that took part, in stats order — roots in input order,
+    #: then spawned packets in spawn order; ``None`` = all, input order
+    order: np.ndarray | None
+    steps: int
+    completed: bool
+    max_queue: int
+    max_node_load: int
+    combines: int
+    credits_stalled: int
+    escape_hops: int
+    fault_stalls: int
+    #: the no-progress report of a wedged constrained run, else ``None``
+    deadlock: str | None
+
+
+def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
+    """``ValueError`` unless every entry of the int64 array *ids* is in
+    ``[0, bound)`` — in one reduction per run: viewed unsigned, a
+    negative id is larger than any bound."""
+    if ids.size and int(ids.view(np.uint64).max()) >= bound:
+        bad = ids[(ids < 0) | (ids >= bound)]
+        raise ValueError(f"{what} {int(bad.flat[0])} is outside [0, {bound})")
+
+
+def link_tables(
+    path_arr: np.ndarray, links, num_nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense link ids of a path matrix: ``(link_mat, link_src, link_dst)``.
+
+    ``link_mat[i, k]`` is the id of the link packet i crosses at its
+    k-th hop (pad positions included — a pad's self-loop gets an id too,
+    never traversed), ``link_src`` / ``link_dst`` the endpoints per id.
+    *links* is either that triple, precompiled by the topology
+    (arithmetic ids: ``u * 4 + direction`` on the mesh, ``u * d + slot``
+    on uniform-degree leveled networks — several ids may then share one
+    ``(src, dst)`` pair), or ``None``: one ``np.unique`` over the
+    ``src * num_nodes + dst`` codes interns them.  This is the only
+    place that knows the format; a malformed triple, a link id outside
+    the endpoint tables or a node id outside ``num_nodes`` is a
+    ``ValueError`` here rather than an ``IndexError`` from inside the
+    step loop (the endpoint tables themselves are the topology's own
+    and taken on trust).
+    """
+    n, width = path_arr.shape
+    if links is not None:
+        if len(links) != 3:
+            raise ValueError(
+                "links must be the (link_id_matrix, link_src, link_dst) triple"
+            )
+        link_mat, link_src, link_dst = (np.asarray(a, dtype=np.int64) for a in links)
+        if link_mat.shape != (n, width - 1):
+            raise ValueError("links matrix must align with the path matrix")
+        if link_src.ndim != 1 or link_src.shape != link_dst.shape:
+            raise ValueError("link_src and link_dst must be aligned 1-D arrays")
+        _check_ids(link_mat, link_src.size, "links matrix names link id")
+        return link_mat, link_src, link_dst
+    path_arr = np.asarray(path_arr, dtype=np.int64)
+    _check_ids(path_arr, num_nodes, "paths name node id")
+    codes = path_arr[:, :-1] * num_nodes + path_arr[:, 1:]
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(codes.shape), uniq // num_nodes, uniq % num_nodes
+
+
+def pack_priorities(priorities, n: int, n_slots: int) -> tuple[int, np.ndarray | None]:
+    """Priority classes of a run: ``(n_classes, cls_flat)``.
+
+    ``priorities[i][k]`` is packet i's queue priority at its k-th link
+    crossing; its class is ``priority - min`` (so the largest priority
+    is the highest class) and ``cls_flat`` the raveled ``(n, n_slots)``
+    class table, read through the flat cursor.  Without priorities — or
+    with all of them equal — there is one class and no table.
+    """
+    if priorities is None:
+        return 1, None
+    prio = np.asarray(priorities)
+    if prio.ndim != 2:
+        raise ValueError("priorities must be 2-D (packets x link positions)")
+    if prio.shape[0] != n:
+        raise ValueError("one priority row per packet required")
+    if prio.shape[1] < n_slots:
+        raise ValueError("one priority per link position required")
+    pmin = int(prio.min()) if prio.size else 0
+    n_classes = int(prio.max()) - pmin + 1 if prio.size else 1
+    if n_classes == 1:
+        return 1, None
+    return n_classes, (prio[:, :n_slots] - pmin).astype(np.int64).ravel()
+
+
+def combine_codes(link_mat: np.ndarray, gid: np.ndarray) -> tuple[np.ndarray, int]:
+    """Interned (link, combine-group) codes: ``(vc_flat, n_codes)``.
+
+    A link holds at most one resident packet per combine key (an arrival
+    matching a resident is absorbed instead of queued), so the combine
+    index is a flat array over these codes; ``vc_flat`` is the raveled
+    per-position code table.
+    """
+    groups = np.int64(gid.max()) + 1 if gid.size else 1
+    uniq, inverse = np.unique(link_mat * groups + gid[:, None], return_inverse=True)
+    return inverse.ravel(), int(uniq.size)
+
+
+class SpawnTables:
+    """An array spawn plan, validated and indexed by trigger.
+
+    *spawn_plan* is ``(parent, position, child)``: aligned int arrays,
+    one row per dormant packet, in the order the children of one trigger
+    activate.  A *trigger* is a distinct ``(parent, position)``; one
+    stable sort groups the rows by trigger — a parent's triggers end up
+    adjacent and ascending in position — and the result is a CSR over
+    them: trigger k belongs to ``trig_parent[k]``, fires at flat cursor
+    ``trig_cursor[k]`` (``parent * (width - 1) + position``) and
+    activates ``kids[bounds[k]:bounds[k + 1]]``.  ``next_trig[i]`` is
+    packet i's first pending trigger (-1: none) and ``nsp[i]`` that
+    trigger's cursor (-9: none).  ``dormant`` and ``nsp`` are arrays —
+    :func:`admit` finds the triggers a batch fires with one vector
+    compare — the rest plain lists, read only for the triggers that
+    fire: Python work is O(triggers fired), whatever the batch size.
+    """
+
+    def __init__(self, spawn_plan, n: int, width: int) -> None:
+        sp_parent, sp_pos, sp_child = (
+            np.asarray(a, dtype=np.int64) for a in spawn_plan
+        )
+        if not (
+            sp_parent.ndim == 1 and sp_parent.shape == sp_pos.shape == sp_child.shape
+        ):
+            raise ValueError(
+                "spawn_plan must be three aligned (parent, position, child) int arrays"
+            )
+        ids = np.concatenate([sp_parent, sp_child])
+        bad = (ids < 0) | (ids >= n)
+        if bad.any():
+            raise ValueError(
+                f"spawn_plan names packet {int(ids[bad][0])}, outside the "
+                f"{n}-packet population"
+            )
+        bad = (sp_pos < 0) | (sp_pos >= width)
+        if bad.any():
+            raise ValueError(
+                f"spawn_plan position {int(sp_pos[bad][0])} is outside the "
+                f"{width}-node paths"
+            )
+        dormant = np.zeros(n, dtype=bool)
+        dormant[sp_child] = True
+        if int(dormant.sum()) != sp_child.size:
+            twice = sp_child[np.bincount(sp_child, minlength=n)[sp_child] > 1]
+            raise ValueError(
+                f"spawn_plan lists child {int(twice[0])} twice: a dormant packet "
+                "has one trigger"
+            )
+        order = np.argsort(sp_parent * width + sp_pos, kind="stable")
+        by_parent = sp_parent[order]
+        by_pos = sp_pos[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (by_parent[1:] != by_parent[:-1]) | (by_pos[1:] != by_pos[:-1])
+        starts = np.nonzero(first)[0]
+        trig_parent = by_parent[starts]
+        trig_cursor = trig_parent * (width - 1) + by_pos[starts]
+        # a repeated index keeps its last write: scattered back to front,
+        # each parent keeps its first (lowest-position) trigger
+        back = trig_parent[::-1]
+        next_trig = np.full(n, -1, dtype=np.int64)
+        next_trig[back] = np.arange(starts.size - 1, -1, -1)
+        self.nsp = np.full(n, -9, dtype=np.int64)
+        self.nsp[back] = trig_cursor[::-1]
+        self.dormant = dormant
+        self.n_slots = width - 1
+        self.next_trig: list[int] = next_trig.tolist()
+        self.kids: list[int] = sp_child[order].tolist()
+        self.bounds: list[int] = np.append(starts, order.size).tolist()
+        # sentinel: the last trigger has no successor
+        self.trig_parent: list[int] = trig_parent.tolist() + [-1]
+        self.trig_cursor: list[int] = trig_cursor.tolist()
+        #: the packets each fired batch activated, in spawn order
+        self.spawned: list[np.ndarray] = []
+
+    def fire(self, i: int, out: list[int], seq: list[int]) -> None:
+        """Packet i's pending trigger fires: append its children to
+        *seq* in spawn order (parents first) and to *out* in placement
+        order — a child that has a trigger at its own position 0 fires
+        it on activation, so its children are placed before it."""
+        next_trig = self.next_trig
+        trig_cursor = self.trig_cursor
+        k = next_trig[i]
+        group = self.kids[self.bounds[k] : self.bounds[k + 1]]
+        k += 1
+        if self.trig_parent[k] == i:
+            next_trig[i] = k
+            self.nsp[i] = trig_cursor[k]
+        else:
+            next_trig[i] = -1
+            self.nsp[i] = -9
+        for c in group:
+            seq.append(c)
+            kc = next_trig[c]
+            if kc >= 0 and trig_cursor[kc] == c * self.n_slots:
+                self.fire(c, out, seq)
+            out.append(c)
+
+    def splice(self, batch: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fire the triggers of ``batch[hits]``: ``(batch with the
+        activated packets spliced in, the activated packets)``.
+
+        Matching the reference hook order, a parent's spawned children
+        (and their own position-0 spawns, recursively) are placed
+        *before* the parent at the same node and step — spliced into
+        the batch in front of it; only the hit positions are walked.
+        """
+        out: list[int] = []
+        seq: list[int] = []
+        sizes = []
+        for i in batch[hits].tolist():
+            before = len(out)
+            self.fire(i, out, seq)
+            sizes.append(len(out) - before)
+        new = np.asarray(out, dtype=np.int64)
+        self.spawned.append(np.asarray(seq, dtype=np.int64))
+        return np.insert(batch, np.repeat(hits, sizes), new), new
+
+
+class RunState:
+    """Everything one fast run reads and mutates (see the module docstring).
+
+    Built from arrays only — the padded path matrix, each packet's last
+    position, injection steps (owned by the run: a spawn plan's trigger
+    steps are written into it), dense combine-group ids *gid* (``None``:
+    nothing combines), per-hop *priorities*, a precompiled *links*
+    triple and an array *spawn_plan* (each optional) — through the table
+    builders above, which is where malformed input is rejected.
+    *capacity* selects the constrained tables, *credit* the escape
+    buffers; *profile* is the observer's ``PhaseProfile`` or ``None``.
+    """
+
+    # Slots, not a dict: a phase reads a dozen fields per call, and past
+    # 30 attributes CPython stops sharing instance-dict keys, which
+    # makes every such read a hash lookup.
+    __slots__ = (
+        "path_arr", "num_nodes", "injected_at", "prof",
+        "link_src", "link_dst", "li_flat",
+        "n_classes", "cls_flat", "vli_flat", "counts", "cls_max",
+        "spawn", "roots", "remaining",
+        "vc_flat", "host_at", "parent", "subtree", "child_pairs", "combines",
+        "q_head", "q_tail", "q_next", "q_len", "node_load", "active", "first_at",
+        "fl_base", "fl", "fl_last", "arrived",
+        "max_queue", "max_node_load", "fault_stalls",
+        "link_faults", "f_any", "capacity", "fc", "pending_escape",
+        # set only with a link-fault view
+        "f_code_li", "f_flags", "f_cur", "f_last_parts",
+        # set only with a node capacity
+        "dest_arr", "dest_l", "link_dst_l",
+        "inc_np", "res_np", "used_flag", "pend_flag", "res_list", "dep_list",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        path_arr: np.ndarray,
+        last: np.ndarray,
+        injected_at: np.ndarray,
+        gid: np.ndarray | None = None,
+        priorities=None,
+        *,
+        num_nodes: int,
+        links=None,
+        spawn_plan=None,
+        capacity: int | None = None,
+        credit: bool = False,
+        link_faults=None,
+        profile=None,
+    ) -> None:
+        n, width = path_arr.shape
+        n_slots = width - 1  # link positions per packet row
+        self.path_arr = path_arr
+        self.num_nodes = num_nodes
+        self.injected_at = injected_at
+        self.prof = profile
+        link_mat, self.link_src, self.link_dst = link_tables(path_arr, links, num_nodes)
+        n_links = int(self.link_src.size)
+        self.li_flat = link_mat.ravel()
+        self.n_classes, self.cls_flat = pack_priorities(priorities, n, n_slots)
+        n_virtual = n_links * self.n_classes
+        if self.cls_flat is None:
+            # With one class a link's class-count IS its queue length.
+            self.vli_flat = self.counts = None
+        else:
+            self.vli_flat = self.li_flat * self.n_classes + self.cls_flat
+            self.counts = np.zeros(n_virtual, dtype=np.int64)
+
+        #: reply fan-out (:class:`SpawnTables`) or None
+        self.spawn = None
+        if spawn_plan is not None:
+            if gid is not None:
+                raise ValueError("spawn_plan and combining are mutually exclusive")
+            self.spawn = SpawnTables(spawn_plan, n, width)
+            #: packets injected by the run's schedule, not by a trigger
+            self.roots = np.nonzero(~self.spawn.dormant)[0]
+        else:
+            self.roots = np.arange(n, dtype=np.int64)
+        #: packets injected or spawned so far and not yet delivered
+        self.remaining = int(self.roots.size)
+
+        # CRCW combining: ``host_at[code]`` is the resident host of an
+        # interned (link, gid) code, -1 if none; absorption trees are
+        # parent pointers plus subtree sizes, resolved to the reference
+        # engine's delivery cascade by finish().
+        self.vc_flat = self.host_at = self.parent = self.subtree = None
+        self.child_pairs = []  # (hosts, children) per absorbing batch, in order
+        self.combines = 0
+        if gid is not None:
+            self.vc_flat, n_codes = combine_codes(link_mat, gid)
+            self.host_at = np.full(n_codes, -1, dtype=np.int64)
+            self.parent = np.full(n, -1, dtype=np.int64)
+            self.subtree = np.ones(n, dtype=np.int64)
+
+        self.q_head = np.full(n_virtual, -1, dtype=np.int64)
+        self.q_tail = np.full(n_virtual, -1, dtype=np.int64)
+        self.q_next = np.full(n, -1, dtype=np.int64)
+        #: per link: highest class that may be nonempty (lazily stale-high)
+        self.cls_max = np.zeros(n_links, dtype=np.int64)
+        self.q_len = np.zeros(n_links, dtype=np.int64)
+        self.node_load = np.zeros(num_nodes, dtype=np.int64)
+        self.fl_base = np.arange(n, dtype=np.int64) * n_slots
+        self.fl = self.fl_base.copy()
+        self.fl_last = self.fl_base + last
+        # first-writer scratch: only entries just written are read
+        self.first_at = np.empty(n_links, dtype=np.int64)
+        self.arrived = np.full(n, -1, dtype=np.int64)
+        #: links with queued packets, in activation order
+        self.active = _EMPTY
+        self.max_queue = 0
+        self.max_node_load = 0
+        self.fault_stalls = 0
+
+        # Link faults: ``f_flags`` marks the dense link ids that are
+        # down now; refresh_fault_flags() rebuilds it only when the
+        # blocked set changes.
+        self.link_faults = link_faults
+        self.f_any = False
+        if link_faults is not None:
+            self.f_code_li = None  # fault code -> dense link ids, built lazily
+            self.f_flags = np.zeros(n_links, dtype=bool)
+            self.f_cur = _EMPTY
+            self.f_last_parts = None
+
+        # Constrained mode: each packet's exit node (for the
+        # delivered-at-target capacity exemption), per-step scratch
+        # counters (zeroed lazily — only touched entries are reset), and
+        # the escape-claim ledger (packet -> link crossed into its
+        # escape buffer; resolved to an occupancy by land_escapes()).
+        # Escape-buffer occupancy lives in a CreditState keyed by dense
+        # link id: each directed link's id *is* its escape slot.
+        self.capacity = capacity
+        self.fc = CreditState() if credit else None
+        self.pending_escape = None
+        if capacity is not None:
+            self.dest_arr = path_arr[np.arange(n), last] if n else _EMPTY
+            self.dest_l = self.dest_arr.tolist()
+            self.link_dst_l = self.link_dst.tolist()
+            self.inc_np = np.zeros(num_nodes, dtype=np.int64)
+            self.res_np = np.zeros(num_nodes, dtype=np.int64)
+            self.pending_escape = {}
+            # Membership scratch flags (reset after use): np.isin sorts
+            # its operands, which dwarfs these O(1) scatter/gathers.
+            self.used_flag = np.zeros(n_links, dtype=bool)
+            self.pend_flag = np.zeros(n, dtype=bool)
+            # Per-node counters for the scalar contended walk, as plain
+            # Python lists (faster than dict.get chains and numpy
+            # scalar indexing); only touched entries are reset.
+            self.res_list = [0] * num_nodes
+            self.dep_list = [0] * num_nodes
+
+
+def refresh_fault_flags(s: RunState, t: int) -> None:
+    """Point ``f_flags`` / ``f_any`` at the links down at global step *t*.
+
+    Fault pairs resolve to dense link ids through the interned code
+    table (built lazily on the first nonempty blocked set); the boolean
+    flag array is rebuilt only when the blocked set actually changes
+    (per timeline segment, plus slow-link phase flips).  A code maps to
+    a *list* of dense ids: arithmetic link interning (mesh
+    ``u*4+direction``, leveled ``u*d+slot``) gives boundary nodes
+    several slots with the same (src, dst) endpoints, and a down wire
+    must block every slot that crosses it.
+    """
+    parts = s.link_faults.parts_at(t)
+    if parts == s.f_last_parts:
+        return
+    fstatic, fextra = parts
+    num_nodes = s.num_nodes
+    s.f_flags[s.f_cur] = False
+    lis: list[int] = []
+    if fstatic or fextra:
+        if s.f_code_li is None:
+            s.f_code_li = {}
+            codes = (s.link_src * num_nodes + s.link_dst).tolist()
+            for li, code in enumerate(codes):
+                s.f_code_li.setdefault(code, []).append(li)
+        for u, w in sorted(fstatic):
+            lis.extend(s.f_code_li.get(u * num_nodes + w, ()))
+        for u, w in fextra:
+            lis.extend(s.f_code_li.get(u * num_nodes + w, ()))
+    s.f_cur = np.asarray(lis, dtype=np.int64)
+    s.f_flags[s.f_cur] = True
+    s.f_last_parts = parts
+    s.f_any = bool(lis)
+
+
+def select_heads(s: RunState) -> tuple[np.ndarray, np.ndarray]:
+    """``(vli, heads)``: per active link, the virtual queue of its
+    highest nonempty class and the packet at that queue's head.
+
+    The per-link maximum class is maintained lazily: pushes raise it
+    (``np.maximum.at`` in :func:`enqueue`), pops let it go stale, and
+    this walk steps it down until it hits a nonempty class.  The loop
+    narrows to the still-stale subset, so total work is amortized by
+    pushes, not classes x active links — O(1) per event, all masked
+    vector ops.
+    """
+    active = s.active
+    counts = s.counts
+    if counts is None or not active.size:
+        vli = active
+    else:
+        cls = s.cls_max[active]
+        vli = active * s.n_classes + cls
+        stale = np.nonzero(counts[vli] == 0)[0]
+        if stale.size:
+            while stale.size:
+                cls[stale] -= 1
+                vli[stale] -= 1
+                stale = stale[counts[vli[stale]] == 0]
+            s.cls_max[active] = cls
+    return vli, s.q_head[vli]
+
+
+def pop_heads(s: RunState, links: np.ndarray, vli: np.ndarray, heads: np.ndarray) -> None:
+    """Each of *links* (a subset of ``active``, in its order) sends
+    ``heads[k]``, the head of its virtual queue ``vli[k]``: unlink it,
+    advance its cursor, and drop emptied links from ``active``."""
+    nxt = s.q_next[heads]
+    s.q_head[vli] = nxt
+    s.q_tail[vli[nxt < 0]] = -1
+    if s.counts is not None:
+        s.counts[vli] -= 1
+    fl = s.fl
+    if s.host_at is not None:
+        # A departing packet releases its combine-code residency (every
+        # queued packet is its code's resident: arrivals that met one
+        # were absorbed).
+        s.host_at[s.vc_flat[fl[heads]]] = -1
+    q_len = s.q_len
+    after = q_len[links] - 1
+    q_len[links] = after
+    np.subtract.at(s.node_load, s.link_src[links], 1)
+    fl[heads] += 1
+    active = s.active
+    # every active link sent: the lengths just written say who stays
+    s.active = active[after > 0] if links is active else active[q_len[active] > 0]
+
+
+def transmit_unconstrained(s: RunState) -> np.ndarray:
+    """Transmission without ``node_capacity``: every active link sends
+    the head of its highest nonempty class; returns the packets sent, in
+    link activation order.  A fault-blocked link holds its queue this
+    step (counted in ``fault_stalls``); the rest transmit as usual."""
+    vli, heads = select_heads(s)
+    links = s.active
+    if s.f_any and links.size:
+        keep = ~s.f_flags[links]
+        nblocked = int(links.size) - int(keep.sum())
+        if nblocked:
+            s.fault_stalls += nblocked
+            links, vli, heads = links[keep], vli[keep], heads[keep]
+    pop_heads(s, links, vli, heads)
+    return heads
+
+
+def advance_escapes(s: RunState) -> tuple[list[int], set[int], dict[int, int]]:
+    """Escape subphase: occupants advance in occupancy order, with
+    absolute priority on their next link — exactly like the reference
+    engine.  Returns ``(packets that moved, links they used, arrival
+    slots they reserved per node)``; ``used`` then blocks the bulk heads
+    of those links.  Needs at least one occupant.
+
+    An occupant crosses its next link if it exits there (capacity
+    exemption), if the target has a credit left, or else into that
+    link's own escape buffer when it is free (a claim in
+    ``pending_escape``, landed by :func:`land_escapes`); otherwise it
+    stalls.  ``node_load`` is static for the whole subphase (pops and
+    enqueues happen later), so the target loads are gathered once
+    instead of per-occupant scalar reads, and CreditState's dict ops are
+    inlined: this loop runs once per occupant per step.
+    """
+    prof = s.prof
+    t0 = wall_time() if prof is not None else 0.0
+    fc = s.fc
+    capacity = s.capacity
+    esc_at = fc.escape_at
+    esc_next = fc.escape_next
+    f_flags = s.f_flags if s.f_any else None
+    link_dst_l = s.link_dst_l
+    dest_l = s.dest_l
+    pending_escape = s.pending_escape
+    moved: list[int] = []
+    used: set[int] = set()
+    reserved: dict[int, int] = {}
+    stalls = ehops = fstalls = 0
+    snapshot = list(esc_at.items())
+    nls = [esc_next[el] for el, _ in snapshot]
+    load_at = s.node_load[s.link_dst[nls]].tolist()
+    for (el, i), nl, ld in zip(snapshot, nls, load_at):
+        if f_flags is not None and f_flags[nl]:
+            fstalls += 1
+            continue
+        if nl in used:
+            stalls += 1
+            continue
+        w = link_dst_l[nl]
+        if dest_l[i] != w:
+            if ld + reserved.get(w, 0) < capacity:
+                reserved[w] = reserved.get(w, 0) + 1
+            elif nl not in esc_at:
+                ehops += 1
+                pending_escape[i] = nl
+            else:
+                stalls += 1
+                continue
+        used.add(nl)
+        del esc_at[el]
+        del esc_next[el]
+        moved.append(i)
+    fc.credits_stalled += stalls
+    fc.escape_hops += ehops
+    s.fault_stalls += fstalls
+    if moved:
+        s.fl[np.asarray(moved, dtype=np.int64)] += 1
+    if prof is not None:
+        prof.add_phase("escape", wall_time() - t0)
+    return moved, used, reserved
+
+
+def classify_constrained(
+    s: RunState, heads: np.ndarray, used, reserved
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk subphase of a constrained step, vectorized: ``(sure,
+    contended)`` — a boolean mask over ``active`` of the links certain
+    to transmit *heads*, and the positions in ``active`` of the links
+    only an ordered replay can settle.
+
+    A link is **sure** when its head exits at the target (capacity
+    exemption) or when the target has room for every comer this step no
+    matter the order — ``node_load`` only falls and ``reserved`` grows
+    at most by the other non-exempt in-links, so
+    ``load + reserved + incoming_nonexempt <= capacity`` is
+    order-independent.  A link in *used* (an escape occupant crossed it)
+    stalls; a fault-blocked one never transmits, exempt head or not,
+    and counts as a fault stall, never a credit stall (reference order:
+    the fault check precedes every other stall reason).  Everything
+    else is **contended** (:func:`replay_contended`).  Per-node credit
+    counters are segment reductions (``np.add.at``) into scratch that is
+    zeroed again through the same indices.  Needs a nonempty ``active``.
+    """
+    active = s.active
+    w_arr = s.link_dst[active]
+    exempt = s.dest_arr[heads] == w_arr
+    can = None  # the links neither fault nor escape occupant holds; None = all
+    if s.f_any:
+        fb = s.f_flags[active]
+        nb = int(fb.sum())
+        if nb:
+            s.fault_stalls += nb
+            can = ~fb
+    if used:
+        used_flag = s.used_flag
+        used_list = sorted(used)
+        used_flag[used_list] = True
+        blocked = used_flag[active]
+        used_flag[used_list] = False
+        if can is not None:
+            blocked &= can
+        s.fc.credits_stalled += int(blocked.sum())
+        can = ~blocked if can is None else can & ~blocked
+    nonex = ~exempt if can is None else can & ~exempt
+    inc_np = s.inc_np
+    tgt = w_arr[nonex]
+    np.add.at(inc_np, tgt, 1)
+    budget_at_w = s.node_load[w_arr] + inc_np[w_arr]
+    inc_np[tgt] = 0
+    if reserved:
+        res_np = s.res_np
+        for wn, v in reserved.items():
+            res_np[wn] = v
+        budget_at_w += res_np[w_arr]
+        for wn in reserved:
+            res_np[wn] = 0
+    fine = budget_at_w <= s.capacity
+    sure = exempt | fine
+    if can is not None:
+        sure &= can
+    return sure, np.nonzero(nonex & ~fine)[0]
+
+
+def replay_contended(
+    s: RunState,
+    heads: np.ndarray,
+    sure: np.ndarray,
+    c_idx: np.ndarray,
+    reserved: dict[int, int],
+) -> list[bool]:
+    """Settle the contended links ``active[c_idx]`` scalar, in exact
+    reference activation order; returns who transmits.
+
+    Sure links settle before the walk; the only effect they have on a
+    contended link is a departure out of its (congested) target — a rank
+    query "sure links with src == w before position p", answered for all
+    contended links with two vectorized searchsorteds over sorted
+    ``(src, position)`` keys — so the walk touches contended links only.
+    A link transmits if its target still has a credit, counting the
+    escape subphase's *reserved* slots, this walk's reservations and
+    every departure before it; else, under credit flow control, its
+    credit-starved head takes the escape buffer of the link it crosses
+    if that is free (claimed in ``pending_escape``); else it stalls.
+    """
+    active = s.active
+    capacity = s.capacity
+    link_src = s.link_src
+    c_links = active[c_idx]
+    c_w = s.link_dst[c_links]
+    s_idx = np.nonzero(sure)[0]
+    a1 = np.int64(active.size + 1)
+    if s_idx.size:
+        s_key = link_src[active[s_idx]] * a1 + s_idx
+        s_key.sort()
+        c_sdep = np.searchsorted(s_key, c_w * a1 + c_idx) - np.searchsorted(
+            s_key, c_w * a1
+        )
+    else:
+        c_sdep = np.zeros(c_idx.size, dtype=np.int64)
+    c_w_l = c_w.tolist()
+    c_src_l = link_src[c_links].tolist()
+    res_l = s.res_list
+    dep_l = s.dep_list
+    for wn, v in reserved.items():
+        res_l[wn] = v
+    fc = s.fc
+    esc_at = fc.escape_at if fc is not None else None
+    pending_escape = s.pending_escape
+    stalls = ehops = 0
+    c_dec: list[bool] = []
+    c_append = c_dec.append
+    for li, wn, src, h, sd, ld in zip(
+        c_links.tolist(),
+        c_w_l,
+        c_src_l,
+        heads[c_idx].tolist(),
+        c_sdep.tolist(),
+        s.node_load[c_w].tolist(),
+    ):
+        if ld - sd - dep_l[wn] + res_l[wn] < capacity:
+            res_l[wn] += 1
+            dep_l[src] += 1
+            c_append(True)
+        elif esc_at is not None and li not in esc_at:
+            ehops += 1
+            pending_escape[h] = li
+            dep_l[src] += 1
+            c_append(True)
+        else:
+            stalls += 1
+            c_append(False)
+    if fc is not None:
+        fc.credits_stalled += stalls
+        fc.escape_hops += ehops
+    # Reset the touched per-node counters.
+    for wn in c_w_l:
+        res_l[wn] = 0
+    for src in c_src_l:
+        dep_l[src] = 0
+    for wn in reserved:
+        res_l[wn] = 0
+    return c_dec
+
+
+def transmit_constrained(s: RunState) -> np.ndarray:
+    """Transmission under ``node_capacity`` — *batch credit accounting*:
+    the escape subphase, then the bulk heads that classification and the
+    contended replay let through; returns the packets sent, escape
+    movers first (the reference engine's order).  Only this phase
+    differs from the unconstrained mode: capacity arbitration is
+    order-dependent (the reference engine reserves arrival slots link by
+    link in activation order, and a departure can free a slot for a
+    later link in the same step)."""
+    vli, heads = select_heads(s)
+    fc = s.fc
+    if fc is not None and fc.escape_at:
+        moved, used, reserved = advance_escapes(s)
+    else:
+        moved, used, reserved = [], (), {}
+    bulk = _EMPTY
+    active = s.active
+    if active.size:
+        sends, c_idx = classify_constrained(s, heads, used, reserved)
+        if c_idx.size:
+            sends[c_idx] = replay_contended(s, heads, sends, c_idx, reserved)
+        sel = np.nonzero(sends)[0]
+        if sel.size:
+            bulk = heads[sel]
+            pop_heads(s, active[sel], vli[sel], bulk)
+    if moved:
+        return np.concatenate([np.asarray(moved, dtype=np.int64), bulk])
+    return bulk
+
+
+def land_escapes(s: RunState, arrivals: np.ndarray) -> np.ndarray:
+    """Arrivals holding an escape claim occupy their buffer instead of
+    enqueueing; returns the rest.  Occupancy order is arrival order,
+    exactly the reference engine's place() order."""
+    prof = s.prof
+    t0 = wall_time() if prof is not None else 0.0
+    pending_escape = s.pending_escape
+    pend_flag = s.pend_flag
+    pe = list(pending_escape)
+    pend_flag[pe] = True
+    pmask = pend_flag[arrivals]
+    pend_flag[pe] = False
+    landed = arrivals[pmask]
+    esc_at = s.fc.escape_at
+    esc_next = s.fc.escape_next
+    for i, nl in zip(landed.tolist(), s.li_flat[s.fl[landed]].tolist()):
+        el = pending_escape.pop(i)
+        esc_at[el] = i
+        esc_next[el] = nl
+    if prof is not None:
+        prof.add_phase("escape", wall_time() - t0)
+    return arrivals[~pmask]
+
+
+def admit(s: RunState, batch: np.ndarray, t: int) -> None:
+    """Place a batch of packets, in order, at step *t*: fire the spawn
+    triggers it hits, deliver what has arrived, absorb what combines,
+    enqueue the rest.
+
+    An arrival batch is already in reference order (transmission order
+    of the source links), and every stage keeps it.  A delivered host
+    delivers its whole absorption subtree (the reference engine's
+    deliver cascade).  Profile time is booked to ``arrival``, minus the
+    ``combining`` share booked inside, so the buckets stay disjoint.
+    """
+    prof = s.prof
+    t0 = wall_time() if prof is not None else 0.0
+    combining_dt = 0.0
+    fl = s.fl
+    f = fl[batch]
+    spawn = s.spawn
+    if spawn is not None:
+        hits = (f == spawn.nsp[batch]).nonzero()[0]
+        if hits.size:
+            batch, new = spawn.splice(batch, hits)
+            s.injected_at[new] = t
+            s.remaining += int(new.size)
+            f = fl[batch]
+    done = f == s.fl_last[batch]
+    if done.any():
+        done_idx = batch[done]
+        s.arrived[done_idx] = t
+        subtree = s.subtree
+        s.remaining -= int(
+            done_idx.size if subtree is None else subtree[done_idx].sum()
+        )
+        keep = ~done
+        batch = batch[keep]
+        f = f[keep]
+    if batch.size and s.host_at is not None:
+        c0 = wall_time() if prof is not None else 0.0
+        batch, f = combine_arrivals(s, batch, f)
+        if prof is not None:
+            combining_dt = wall_time() - c0
+            prof.add_phase("combining", combining_dt)
+    if batch.size:
+        enqueue(s, batch, f)
+    if prof is not None:
+        prof.add_phase("arrival", wall_time() - t0 - combining_dt)
+
+
+def combine_arrivals(
+    s: RunState, batch: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb the members of *batch* (cursors *f*) that meet a resident
+    of their (link, key) code; returns the survivors and their cursors.
+
+    Sort-free: a code never holds two residents, so a batch member is
+    absorbed iff its code already had a resident or an earlier member
+    of the batch claimed it.  The batch is scattered in reverse (a
+    repeated index keeps its last write, i.e. the *first* arrival),
+    codes that had a resident are restored, and whoever the re-gather
+    finds is the host — exactly the reference engine's
+    arrival-by-arrival semantics, with hosts and children left in batch
+    order.
+    """
+    host_at = s.host_at
+    vc = s.vc_flat[f]
+    resident = host_at[vc]
+    host_at[vc[::-1]] = batch[::-1]
+    had = resident >= 0
+    if had.any():
+        host_at[vc[had]] = resident[had]
+    hosts = host_at[vc]
+    absorbed = hosts != batch
+    if absorbed.any():
+        ch = batch[absorbed]
+        hs = hosts[absorbed]
+        subtree = s.subtree
+        s.parent[ch] = hs
+        np.add.at(subtree, hs, subtree[ch])
+        s.combines += int(ch.size)
+        s.child_pairs.append((hs, ch))
+        keep = ~absorbed
+        batch = batch[keep]
+        f = f[keep]
+    return batch, f
+
+
+def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> None:
+    """Append *batch* (cursors *f*, batch order = arrival order) to the
+    queues of the links its packets cross next: a solo lane for nearly
+    all served traffic (the paper's emulations keep link queues O(1)),
+    a sort-and-splice residue for the rest.
+    ``tests/test_batch_arrival.py`` pins both lanes by construction.
+    """
+    q_head = s.q_head
+    q_tail = s.q_tail
+    q_next = s.q_next
+    q_len = s.q_len
+    node_load = s.node_load
+    counts = s.counts
+    li = s.li_flat[f]
+    pre_len = q_len[li]  # pre-batch lengths (gather before add)
+    np.add.at(q_len, li, 1)
+    post_len = q_len[li]
+    srcs = s.link_src[li]
+    np.add.at(node_load, srcs, 1)
+    # Max stats only need the touched entries: within the phase
+    # lengths/loads only grow, so the post-batch values are the step's
+    # peaks (gathers see each link's final value at its last duplicate).
+    mq = int(post_len.max())
+    if mq > s.max_queue:
+        s.max_queue = mq
+    mnl = int(node_load[srcs].max())
+    if mnl > s.max_node_load:
+        s.max_node_load = mnl
+    if counts is not None:
+        vli = s.vli_flat[f]
+        cls = s.cls_flat[f]
+        cls_max = s.cls_max
+    else:
+        vli = li
+    # Solo lane: after the scatter-add, ``post_len == 1`` marks a packet
+    # alone on a previously idle link.  It is its queue's head and tail,
+    # and every class count of an idle link is zero, so its class *is*
+    # the link's maximum (set, not maxed — a stale-high ``cls_max`` is
+    # overwritten).  Solo links activate in batch order, which is their
+    # first-arrival order.
+    solo = post_len == 1
+    if solo.all():
+        newly = li
+    else:
+        # Contended residue (a link shared within the batch, or already
+        # busy): stable grouping keeps, per virtual link, the batch's
+        # own arrival order — the FIFO tie order of the reference
+        # engine.  Sorting (vli, position) as one combined key gives
+        # stable group order with the default introsort (faster than a
+        # stable mergesort on int64).
+        rest = ~solo
+        r_v = vli[rest]
+        order = np.argsort(
+            r_v * np.int64(r_v.size) + np.arange(r_v.size, dtype=np.int64)
+        )
+        s_v = r_v[order]
+        s_i = batch[rest][order]
+        # Each packet chains behind the previous member of its group, a
+        # group's first behind the queue's old tail.
+        prev = q_tail[s_v]
+        cont = s_v[1:] == s_v[:-1]
+        prev[1:][cont] = s_i[:-1][cont]
+        chained = prev >= 0
+        q_next[s_i] = -1
+        q_next[prev[chained]] = s_i[chained]
+        q_head[s_v[~chained]] = s_i[~chained]
+        # a repeated index keeps its last write: the group's tail
+        q_tail[s_v] = s_i
+        if counts is not None:
+            np.add.at(counts, r_v, 1)
+            np.maximum.at(cls_max, li[rest], cls[rest])
+            cls = cls[solo]
+        # Newly activated links in first-arrival order: a repeated index
+        # keeps its last write, so scattering batch positions back to
+        # front leaves each idle link the position of its *first*
+        # arrival — O(batch), no scan over all links.
+        first_at = s.first_at
+        idx = np.nonzero(pre_len == 0)[0]
+        newly = li[idx]
+        first_at[newly[::-1]] = idx[::-1]
+        newly = newly[first_at[newly] == idx]
+        batch = batch[solo]
+        vli = vli[solo]
+        li = li[solo]
+    q_head[vli] = batch
+    q_tail[vli] = batch
+    q_next[batch] = -1
+    if counts is not None:
+        counts[vli] = 1
+        cls_max[li] = cls
+    s.active = np.concatenate([s.active, newly])
+
+
+def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
+    """The run's outcome after *t* steps, as :class:`RunArrays`.
+
+    Absorbed packets arrive when their absorption root does (the deliver
+    cascade): every packet is pointer-jumped to its root, doubling the
+    distance covered each round.
+    """
+    prof = s.prof
+    t0 = wall_time() if prof is not None else 0.0
+    arrived = s.arrived
+    absorbed_by = absorbed = _EMPTY
+    if s.child_pairs:
+        absorbed_by = np.concatenate([hs for hs, _ in s.child_pairs])
+        absorbed = np.concatenate([ch for _, ch in s.child_pairs])
+        parent = s.parent
+        root = np.where(parent >= 0, parent, np.arange(parent.size, dtype=np.int64))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+        arrived[absorbed] = arrived[root[absorbed]]
+    fc = s.fc
+    arrays = RunArrays(
+        paths=s.path_arr,
+        hops=s.fl - s.fl_base,
+        arrived=arrived,
+        injected_at=s.injected_at,
+        absorbed_by=absorbed_by,
+        absorbed=absorbed,
+        # Never-triggered packets were never part of the run; stats
+        # cover roots (input order) then spawned packets in spawn
+        # order — the reference engine's dynamic append order.
+        order=None if s.spawn is None else np.concatenate([s.roots, *s.spawn.spawned]),
+        steps=t,
+        completed=s.remaining == 0,
+        max_queue=s.max_queue,
+        max_node_load=s.max_node_load,
+        combines=s.combines,
+        credits_stalled=fc.credits_stalled if fc is not None else 0,
+        escape_hops=fc.escape_hops if fc is not None else 0,
+        fault_stalls=s.fault_stalls,
+        deadlock=(
+            no_progress_detail(t, s.remaining, int(s.active.size), fc)
+            if deadlocked
+            else None
+        ),
+    )
+    if prof is not None:
+        prof.add_phase("finish", wall_time() - t0)
+    return arrays

@@ -6,8 +6,13 @@ asserts the dispatch mode the row claims — both in behaviour
 (``RoutingStats.run_mode``) and in the row's own words, so neither the
 code nor the table can drift alone.  Emulator and cross-cutting rows
 ("as the underlying row dictates") are pinned by their own suites.
+
+The document's "The fast path" section also promises a shape — a step
+loop over phase functions that each take the run state explicitly —
+which the last test here pins, so it cannot regrow into one method.
 """
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +215,27 @@ def test_every_router_row_is_probed():
         if any(c.startswith(prefix) for prefix, _, _ in PROBES.values())
     }
     assert routers and probed == routers
+
+
+#: the fast engine and every module split out of it
+FAST_ENGINE_MODULES = ("fast_engine.py", "fast_phases.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@pytest.mark.parametrize("module", FAST_ENGINE_MODULES)
+def test_fast_engine_stays_a_loop_over_phase_functions(module):
+    """No function past 150 lines (docstring included), none defined
+    inside another (closures over a run's locals are what the phase
+    functions replaced), no ``nonlocal``."""
+    source = (DOC.parent.parent / "src/repro/routing" / module).read_text()
+    tree = ast.parse(source)
+    for fn in (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)):
+        length = fn.end_lineno - fn.lineno + 1
+        assert length <= 150, f"{module}:{fn.name} is {length} lines"
+        nested = [
+            n.lineno
+            for n in ast.walk(fn)
+            if n is not fn and isinstance(n, (*FUNCTIONS, ast.Lambda))
+        ]
+        assert not nested, f"{module}:{fn.name} nests a def/lambda at line {nested}"
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]

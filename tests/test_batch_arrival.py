@@ -1,6 +1,6 @@
 """The batch arrival kernel, pinned by construction: fast ≡ reference.
 
-``FastPathEngine._run_batch`` places each step's arrivals through two
+``repro.routing.fast_phases.admit`` places a step's arrivals through two
 lanes — a *solo* lane for a packet alone on a previously idle link and a
 sort-and-thread *residue* for everything else — plus sort-free CRCW
 combining.  Served traffic is > 90 % solo, so the residue and the

@@ -398,34 +398,6 @@ class TestDifferentialSweep:
         assert_stats_equal(f, r)
         assert f.completed
 
-    def test_two_tuple_links_derive_dst_from_traversed_positions(self):
-        """``links=(mat, src)`` pairs make the engine derive link_dst
-        itself; padded self-loop columns alias *real* arithmetic link
-        ids on the mesh and must not clobber their targets."""
-        from repro.topology.compiled import compile_mesh
-
-        mesh = Mesh2D.square(6)
-        compiled = compile_mesh(mesh)
-        n = mesh.num_nodes
-        rng = np.random.default_rng(3)
-        dests = rng.choice(rng.choice(n, size=3, replace=False), size=n)
-        plan = compiled.three_stage(list(range(n)), dests.tolist())
-        engine = FastPathEngine(node_capacity=2, flow_control="credit")
-        f = engine.run(
-            make_packets(list(range(n)), dests.tolist()),
-            plan.ids,
-            num_nodes=n,
-            max_steps=8000,
-            path_lengths=plan.lengths,
-            links=(compiled.link_matrix(plan.ids), compiled.link_arrays()[0]),
-        )
-        assert engine.last_run_mode == "batch-constrained"
-        r = GreedyMeshRouter(
-            mesh, node_capacity=2, flow_control="credit", engine="reference"
-        ).route(np.arange(n), dests, max_steps=8000)
-        assert_stats_equal(f, r)
-        assert f.completed
-
     def test_emulator_step_costs_match(self):
         """End-to-end: CRCW leveled emulation with credits, constrained
         requests + unconstrained reply fan-out, equal step costs."""

@@ -604,21 +604,37 @@ class TestFastPathEngineUnit:
             FastPathEngine().run(pkts, [], num_nodes=2, max_steps=5)
 
     @pytest.mark.parametrize(
-        "paths, lengths, message",
+        "paths, lengths, message, extra",
         [
-            ([[0, 1]] * 3, [1, 2, -1], r"path_lengths\[1\]=2 outside its 2-node path"),
-            (np.zeros((3, 2), dtype=np.int64), [1, 1, -1], r"path_lengths\[2\]=-1 "),
-            ([[0, 1], [0], [0, 1, 1]], [1, 1, 0], r"path_lengths\[1\]=1 outside its 1-node"),
-            ([[0, 1]] * 3, [1], "one path length per packet"),
-            ([[0, 1], [], [0]], None, r"paths\[1\] is empty"),
-            (np.zeros((3, 0), dtype=np.int64), None, r"paths\[0\] is empty"),
+            ([[0, 1]] * 3, [1, 2, -1], r"path_lengths\[1\]=2 outside its 2-node path", {}),
+            (np.zeros((3, 2), dtype=np.int64), [1, 1, -1], r"path_lengths\[2\]=-1 ", {}),
+            ([[0, 1], [0], [0, 1, 1]], [1, 1, 0], r"path_lengths\[1\]=1 outside its 1-node", {}),
+            ([[0, 1]] * 3, [1], "one path length per packet", {}),
+            ([[0, 1], [], [0]], None, r"paths\[1\] is empty", {}),
+            (np.zeros((3, 0), dtype=np.int64), None, r"paths\[0\] is empty", {}),
+            # these used to surface as IndexErrors from inside the step loop
+            ([[0, 1], [0, 5], [0, 1]], None, r"paths name node id 5", {}),
+            ([[0, 1], [-1, 1], [0, 1]], None, r"paths name node id -1", {}),
+            ([[0, 1]] * 3, None, "priorities must be 2-D", {"priorities": np.array([1, 2])}),
+            (
+                [[0, 1]] * 3,
+                None,
+                r"links matrix names link id 5 is outside \[0, 2\)",
+                {"links": (np.full((3, 1), 5), np.zeros(2, int), np.ones(2, int))},
+            ),
+            (
+                [[0, 1]] * 3,
+                None,
+                "links must be the .* triple",
+                {"links": (np.zeros((3, 1), int), np.zeros(1, int))},
+            ),
         ],
     )
-    def test_malformed_paths_rejected(self, paths, lengths, message):
+    def test_malformed_paths_rejected(self, paths, lengths, message, extra):
         pkts = make_packets([0, 0, 0], [1, 1, 1])
         with pytest.raises(ValueError, match=message):
             FastPathEngine().run(
-                pkts, paths, num_nodes=2, max_steps=5, path_lengths=lengths
+                pkts, paths, num_nodes=2, max_steps=5, path_lengths=lengths, **extra
             )
 
     def test_reference_only_options_are_plain_type_errors(self):

@@ -1,0 +1,377 @@
+"""Each phase of the fast engine's step loop, called alone.
+
+The differential suites pin whole runs against the reference engine;
+here a :class:`~repro.routing.fast_phases.RunState` is built by hand on
+fixtures of 3-6 links, one phase function is called, and the state it
+leaves is read back field by field — so a phase that breaks names
+itself instead of surfacing as a stats mismatch many steps later.
+
+Without ``links`` the state interns each directed link by its
+``src * num_nodes + dst`` code, so ids follow (src, dst) order; the
+fixtures spell the ids they rely on.
+"""
+
+import numpy as np
+
+from repro.routing.fast_phases import (
+    RunState,
+    SpawnTables,
+    admit,
+    advance_escapes,
+    classify_constrained,
+    finish,
+    land_escapes,
+    link_tables,
+    pack_priorities,
+    pop_heads,
+    refresh_fault_flags,
+    replay_contended,
+    select_heads,
+    transmit_constrained,
+    transmit_unconstrained,
+)
+from repro.topology import Mesh2D
+from repro.topology.compiled import compile_mesh
+from test_batch_arrival import DownUntil
+
+
+def ids(*values):
+    return np.asarray(values, dtype=np.int64)
+
+
+def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
+    path_arr = np.asarray(paths, dtype=np.int64)
+    n, width = path_arr.shape
+    last = np.full(n, width - 1, dtype=np.int64) if last is None else ids(*last)
+    if num_nodes is None:
+        num_nodes = int(path_arr.max()) + 1
+    gid = kwargs.pop("gid", None)
+    return RunState(
+        path_arr,
+        last,
+        np.zeros(n, dtype=np.int64),
+        None if gid is None else ids(*gid),
+        kwargs.pop("priorities", None),
+        num_nodes=num_nodes,
+        **kwargs,
+    )
+
+
+def chain(s: RunState, vli: int) -> list[int]:
+    """Packets queued on virtual link *vli*, head first."""
+    out = []
+    i = int(s.q_head[vli])
+    while i >= 0:
+        out.append(i)
+        i = int(s.q_next[i])
+    assert (out[-1] if out else -1) == s.q_tail[vli]
+    return out
+
+
+# ---------------------------------------------------------------- setup
+
+
+def test_arithmetic_link_tables_match_interned_up_to_relabelling():
+    mesh = Mesh2D.square(4)
+    compiled = compile_mesh(mesh)
+    n = mesh.num_nodes
+    perm = np.random.default_rng(2).permutation(n)
+    plan = compiled.three_stage(list(range(n)), perm.tolist())
+    triple = (compiled.link_matrix(plan.ids), *compiled.link_arrays())
+    a_mat, a_src, a_dst = link_tables(plan.ids, triple, n)
+    i_mat, i_src, i_dst = link_tables(plan.ids, None, n)
+    # pad columns repeat the destination: never traversed, and the two
+    # schemes need not agree on what they call that self-loop
+    traversed = np.arange(plan.ids.shape[1] - 1)[None, :] < plan.lengths[:, None]
+    a_ids, i_ids = a_mat[traversed], i_mat[traversed]
+    assert (a_src[a_ids] == i_src[i_ids]).all()
+    assert (a_dst[a_ids] == i_dst[i_ids]).all()
+    assert (a_src[a_ids] == plan.ids[:, :-1][traversed]).all()
+    assert (a_dst[a_ids] == plan.ids[:, 1:][traversed]).all()
+    pairs = set(zip(a_ids.tolist(), i_ids.tolist()))
+    assert len(pairs) == len(set(a_ids.tolist())) == len(set(i_ids.tolist()))
+
+
+def test_priority_packing():
+    assert pack_priorities(None, 2, 2) == (1, None)
+    n_classes, cls_flat = pack_priorities([[5, 7, 9], [6, 5, 9]], 2, 2)
+    # class = priority - min over the whole table; extra columns past
+    # the link positions are not read
+    assert n_classes == 5
+    assert cls_flat.tolist() == [0, 2, 1, 0]
+    # equal priorities order nothing: one class, no table
+    assert pack_priorities(np.full((2, 2), 4), 2, 2) == (1, None)
+
+
+# -------------------------------------------------------------- arrival
+
+#: three packets on three links of their own: (0,3)=0 (1,4)=1 (2,5)=2
+DISJOINT = [[0, 3, 6], [1, 4, 6], [2, 5, 6]]
+
+
+def test_admit_solo_lane():
+    s = make_state(DISJOINT)
+    admit(s, ids(2, 0, 1), 0)
+    assert s.q_head[:3].tolist() == s.q_tail[:3].tolist() == [0, 1, 2]
+    assert s.q_next.tolist() == [-1, -1, -1]
+    assert s.active.tolist() == [2, 0, 1]  # batch order = first-arrival order
+    assert s.q_len.tolist() == [1, 1, 1, 0, 0, 0]
+    assert s.node_load.tolist() == [1, 1, 1, 0, 0, 0, 0]
+    assert (s.max_queue, s.max_node_load, s.remaining) == (1, 1, 3)
+
+
+def test_admit_contended_residue():
+    s = make_state([[0, 1, 2]] * 4)  # all four cross link (0,1)=0
+    admit(s, ids(1, 0, 2), 0)
+    assert chain(s, 0) == [1, 0, 2]  # fan-in onto an idle link, batch order
+    assert s.active.tolist() == [0]
+    assert (s.max_queue, s.max_node_load) == (3, 3)
+    admit(s, ids(3), 1)  # an arrival onto waiters chains behind the tail
+    assert chain(s, 0) == [1, 0, 2, 3]
+    assert s.active.tolist() == [0]  # an already active link is not re-added
+    assert (s.max_queue, s.max_node_load) == (4, 4)
+
+
+def test_admit_mixed_batch_activates_links_in_first_arrival_order():
+    # links: (0,4)=0 for A, (1,4)=1 for B and C, (2,4)=2 for D
+    s = make_state([[0, 4, 5], [1, 4, 5], [1, 4, 5], [2, 4, 5]])
+    a, b, c, d = range(4)
+    admit(s, ids(b, a, c, d), 0)
+    assert s.active.tolist() == [1, 0, 2]
+    assert chain(s, 1) == [b, c]
+    assert chain(s, 0) == [a] and chain(s, 2) == [d]
+    assert s.q_len[:3].tolist() == [1, 2, 1]
+    assert (s.max_queue, s.max_node_load) == (2, 2)
+
+
+def test_delivered_host_delivers_its_absorption_subtree():
+    s = make_state([[0, 1]] * 3, gid=[0, 0, 0])
+    assert s.remaining == 3
+    s.subtree[0] = 3  # packets 1 and 2 were absorbed into 0 on the way
+    s.fl[0] = s.fl_last[0]
+    admit(s, ids(0), 7)
+    assert s.remaining == 0
+    assert s.arrived.tolist() == [7, -1, -1]  # finish() resolves the absorbed
+    assert not s.active.size
+
+
+def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
+    s = make_state([[0, 1, 2]] * 4, gid=[0, 0, 1, 1])
+    admit(s, ids(0), 0)  # packet 0 becomes key 0's resident on link 0
+    admit(s, ids(1, 2, 3), 1)
+    # 1 meets the resident; 2 is key 1's first arrival, so it hosts 3
+    assert s.parent.tolist() == [-1, 0, -1, 2]
+    assert s.subtree.tolist() == [2, 1, 2, 1]
+    assert s.combines == 2
+    (hosts, children), = s.child_pairs
+    assert (hosts.tolist(), children.tolist()) == ([0, 2], [1, 3])
+    assert chain(s, 0) == [0, 2]
+    assert sorted(s.host_at[s.vc_flat[s.fl[ids(0, 2)]]].tolist()) == [0, 2]
+    assert s.remaining == 4  # absorbed packets leave with their host
+
+
+#: packet 0 triggers {1, 2} at its position 1 and {4} at position 2;
+#: child 1 triggers {3} at its own position 0
+SPAWN_PLAN = ([0, 0, 1, 0], [1, 1, 0, 2], [1, 2, 3, 4])
+SPAWN_PATHS = [[0, 1, 3]] + [[1, 2, 3]] * 4
+
+
+def test_spawn_firing_order():
+    sp = SpawnTables(SPAWN_PLAN, 5, 3)
+    assert sp.dormant.tolist() == [False, True, True, True, True]
+    assert sp.nsp.tolist() == [1, 2, -9, -9, -9]  # flat cursors: i * 2 + position
+    out, seq = [], []
+    sp.fire(0, out, seq)
+    # spawn order is parents first; placement puts a child's own
+    # position-0 children in front of it
+    assert (seq, out) == ([1, 3, 2], [3, 1, 2])
+    assert sp.nsp.tolist() == [2, -9, -9, -9, -9]  # 0's next trigger; 1's is spent
+    out, seq = [], []
+    sp.fire(0, out, seq)
+    assert (seq, out) == ([4], [4])
+    assert sp.nsp[0] == -9
+
+
+def test_admit_splices_spawned_children_in_front_of_their_parent():
+    s = make_state(SPAWN_PATHS, spawn_plan=SPAWN_PLAN, num_nodes=4)
+    assert (s.roots.tolist(), s.remaining) == ([0], 1)
+    admit(s, ids(0), 0)  # position 0: no trigger there
+    assert s.remaining == 1 and not s.spawn.spawned
+    transmit_unconstrained(s)
+    admit(s, ids(0), 4)  # position 1: the trigger fires
+    assert s.remaining == 4
+    assert s.injected_at.tolist() == [0, 4, 4, 4, 0]
+    link_12 = int(s.li_flat[s.fl[1]])
+    link_13 = int(s.li_flat[s.fl[0]])
+    assert chain(s, link_12) == [3, 1, 2]
+    assert s.active.tolist() == [link_12, link_13]
+    assert [a.tolist() for a in s.spawn.spawned] == [[1, 3, 2]]
+
+
+# --------------------------------------------------------- transmission
+
+
+def test_select_heads_walks_a_stale_class_maximum_down():
+    # both packets cross link 0; packet 0 in class 2, packet 1 in class 0
+    s = make_state([[0, 1, 2]] * 2, priorities=[[2, 0], [0, 0]])
+    assert s.n_classes == 3
+    admit(s, ids(1, 0), 0)
+    assert s.cls_max[0] == 2
+    assert transmit_unconstrained(s).tolist() == [0]  # highest class first
+    assert s.cls_max[0] == 2  # pops leave the maximum stale
+    vli, heads = select_heads(s)
+    assert (vli.tolist(), heads.tolist()) == ([0], [1])  # past empty class 1
+    assert s.cls_max[0] == 0
+
+
+def test_pop_heads_empties_queues_and_releases_combine_residency():
+    s = make_state([[0, 1, 2]] * 2, gid=[0, 1])
+    admit(s, ids(0, 1), 0)
+    codes = s.vc_flat[s.fl[ids(0, 1)]]
+    assert s.host_at[codes].tolist() == [0, 1]
+    pop_heads(s, s.active, *select_heads(s))
+    assert chain(s, 0) == [1]
+    assert s.host_at[codes].tolist() == [-1, 1]
+    assert (s.fl[0] - s.fl_base[0], s.q_len[0], s.node_load[0]) == (1, 1, 1)
+    assert s.active.tolist() == [0]
+    pop_heads(s, s.active, *select_heads(s))
+    assert (s.q_head[0], s.q_tail[0]) == (-1, -1)
+    assert s.host_at[codes].tolist() == [-1, -1]
+    assert (s.q_len[0], s.node_load[0]) == (0, 0)
+    assert not s.active.size
+
+
+def test_fault_flags_cover_every_slot_of_a_down_wire():
+    # arithmetic ids may give one (src, dst) wire several slots
+    links = (ids(0, 2, 1).reshape(3, 1), ids(0, 0, 1), ids(1, 1, 2))
+    s = make_state(
+        [[0, 1], [1, 2], [0, 1]],
+        last=[1, 1, 1],
+        links=links,
+        link_faults=DownUntil((0, 1), 2),
+    )
+    admit(s, ids(0, 1, 2), 0)
+    refresh_fault_flags(s, 0)
+    assert s.f_any and s.f_flags.tolist() == [True, True, False]
+    assert transmit_unconstrained(s).tolist() == [1]  # blocked links hold
+    assert s.fault_stalls == 2 and s.active.tolist() == [0, 1]
+    refresh_fault_flags(s, 2)
+    assert not s.f_any and not s.f_flags.any()
+    assert transmit_unconstrained(s).tolist() == [0, 2]
+
+
+#: links (0,3)=0 (1,3)=1 (2,4)=2 (3,5)=3 (4,5)=4.  Packets 0 and 1 pass
+#: through node 3, packet 2 exits at 4, packet 3 waits at node 3 and
+#: exits at 5 — so with capacity 1 node 3 is full.
+CROSSING = [[0, 3, 5], [1, 3, 5], [2, 4, 4], [3, 5, 5]]
+CROSSING_LAST = [2, 2, 1, 1]
+
+
+def crossing_state(order, **kwargs) -> RunState:
+    s = make_state(CROSSING, last=CROSSING_LAST, capacity=1, **kwargs)
+    admit(s, ids(*order), 0)
+    return s
+
+
+def test_classification_splits_sure_from_contended():
+    s = crossing_state([0, 1, 2, 3])
+    assert s.active.tolist() == [0, 1, 2, 3]
+    _, heads = select_heads(s)
+    sure, contended = classify_constrained(s, heads, (), {})
+    # exempt heads (2, 3) are sure; node 3 cannot take both 0 and 1
+    assert sure.tolist() == [False, False, True, True]
+    assert contended.tolist() == [0, 1]
+    assert not s.inc_np.any() and not s.res_np.any()  # scratch is reset
+    # room for every comer makes everyone sure, whatever the order
+    s.capacity = 3
+    sure, contended = classify_constrained(s, heads, (), {})
+    assert sure.all() and not contended.size
+    # a link an escape occupant used this step stalls, exempt or not
+    s = crossing_state([0, 1, 2, 3], credit=True)
+    s.capacity = 3
+    sure, _ = classify_constrained(s, heads, {2}, {})
+    assert sure.tolist() == [True, True, False, True]
+    assert s.fc.credits_stalled == 1
+
+
+def test_replay_counts_departures_before_a_link_but_not_after():
+    # link 3 (out of node 3) is sure; activated first, its departure
+    # frees the slot for the first contended link only
+    s = crossing_state([3, 0, 1, 2])
+    _, heads = select_heads(s)
+    sure, contended = classify_constrained(s, heads, (), {})
+    assert (sure.tolist(), contended.tolist()) == ([True, False, False, True], [1, 2])
+    assert replay_contended(s, heads, sure, contended, {}) == [True, False]
+    assert not any(s.res_list) and not any(s.dep_list)
+    # activated last, it frees nothing in time: both stall
+    s = crossing_state([0, 1, 2, 3])
+    _, heads = select_heads(s)
+    sure, contended = classify_constrained(s, heads, (), {})
+    assert replay_contended(s, heads, sure, contended, {}) == [False, False]
+
+
+def test_replay_honours_reserved_slots_and_escape_claims():
+    s = crossing_state([3, 0, 1, 2], credit=True)
+    _, heads = select_heads(s)
+    sure, contended = classify_constrained(s, heads, (), {3: 1})
+    # the escape subphase reserved node 3's freed slot: packet 0 takes
+    # link 0's escape buffer; link 1's is occupied, so packet 1 stalls
+    s.fc.escape_at[1] = 99
+    assert replay_contended(s, heads, sure, contended, {3: 1}) == [True, False]
+    assert s.pending_escape == {0: 0}
+    assert (s.fc.escape_hops, s.fc.credits_stalled) == (1, 1)
+    assert not any(s.res_list) and not any(s.dep_list)
+
+
+def test_escape_subphase_moves_occupants_in_occupancy_order():
+    s = crossing_state([3], credit=True)
+    # packets 0 and 1 sit in the escape buffers of links 0 and 1, both
+    # about to cross link 3 (3 -> 5), where they exit
+    for i in (0, 1):
+        s.fl[i] += 1
+        s.fc.escape_at[i] = i
+        s.fc.escape_next[i] = 3
+    moved, used, reserved = advance_escapes(s)
+    assert (moved, used, reserved) == ([0], {3}, {})  # exits reserve nothing
+    assert s.fc.escape_at == {1: 1} and s.fc.credits_stalled == 1
+    assert s.fl[0] == s.fl_last[0]
+    # the bulk head of the used link stalls behind the occupant
+    arrivals = transmit_constrained(s)
+    assert arrivals.tolist() == [1]
+    assert s.active.tolist() == [3] and s.fc.credits_stalled == 2
+
+
+def test_escape_claims_land_in_arrival_order():
+    s = crossing_state([0, 1, 2, 3], credit=True)
+    s.fl[ids(0, 1, 2)] += 1  # as if they had just crossed their links
+    s.pending_escape.update({1: 1, 0: 0})
+    rest = land_escapes(s, ids(0, 2, 1))
+    assert rest.tolist() == [2]
+    assert list(s.fc.escape_at.items()) == [(0, 0), (1, 1)]
+    assert s.fc.escape_next == {0: 3, 1: 3}  # both cross (3,5) next
+    assert s.pending_escape == {} and not s.pend_flag.any()
+
+
+# --------------------------------------------------------------- finish
+
+
+def test_finish_jumps_absorbed_packets_to_their_root():
+    s = make_state([[0, 1]] * 5, gid=[0, 0, 0, 0, 1])
+    # a depth-3 chain: 3 into 2, 2 into 1, 1 into 0; packet 4 on its own
+    s.parent[:] = [-1, 0, 1, 2, -1]
+    s.child_pairs = [(ids(2), ids(3)), (ids(1), ids(2)), (ids(0), ids(1))]
+    s.arrived[:] = [9, -1, -1, -1, 5]
+    s.remaining = 0
+    arrays = finish(s, 9, False)
+    assert arrays.arrived.tolist() == [9, 9, 9, 9, 5]
+    assert arrays.absorbed_by.tolist() == [2, 1, 0]
+    assert arrays.absorbed.tolist() == [3, 2, 1]
+    assert (arrays.steps, arrays.completed, arrays.deadlock) == (9, True, None)
+    assert arrays.order is None and arrays.hops.tolist() == [0] * 5
+
+
+def test_finish_reports_a_deadlock():
+    s = crossing_state([0, 1, 2, 3], credit=True)
+    arrays = finish(s, 4, True)
+    assert not arrays.completed
+    assert arrays.deadlock == "no progress at t=4 with 4 packets queued over 4 links"

@@ -19,6 +19,7 @@ Pins the ISSUE 10 contracts:
 """
 
 import json
+import sys
 
 import pytest
 
@@ -45,7 +46,7 @@ from repro.obs import (
     versioned,
 )
 from repro.pram.machine import PRAM
-from repro.pram.trace import permutation_step
+from repro.pram.trace import hotspot_step, permutation_step
 from repro.pram.variants import AccessMode
 from repro.routing import (
     DeadlockError,
@@ -392,6 +393,37 @@ class TestBitIdentity:
         assert all(t >= 0 for t in prof["phases"].values())
         # flight data: recent engine steps are on the ring
         assert any(e["kind"] == "engine_step" for e in obs.flight_tail())
+
+    @pytest.mark.parametrize("observer", [None, NullObserver()], ids=["none", "null"])
+    def test_unobserved_run_never_reads_the_wall_clock(self, monkeypatch, observer):
+        """The counted form of "opting out is free": with the clock
+        portal rigged to raise, a mesh CRCW step and a credit-butterfly
+        step (constrained + escape) still complete."""
+
+        def no_clock():
+            raise AssertionError("wall clock read on an unobserved run")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and hasattr(module, "wall_time"):
+                monkeypatch.setattr(module, "wall_time", no_clock)
+        mesh = Mesh2D.square(4)
+        emu = MeshEmulator(mesh, 64, mode="crcw", seed=3, observer=observer)
+        emu.emulate_step(hotspot_step(mesh.num_nodes, 64, seed=4))
+        net = DAryButterflyLeveled(2, 4)
+        emu = LeveledEmulator(
+            net, 64, seed=3, node_capacity=1, flow_control="credit", observer=observer
+        )
+        cost = emu.emulate_step(permutation_step(net.column_size, 64, seed=4))
+        assert {"batch-constrained", "reference"} & set(cost.run_modes)
+        assert cost.credits_stalled  # credits ran out: escape buffers were in play
+
+    def test_failed_setup_is_billed_to_the_configured_mode(self):
+        obs = Observer(metrics=False, tracing=False, flight_recorder=0)
+        with pytest.raises(ValueError, match="one path per packet"):
+            FastPathEngine(node_capacity=2, observer=obs).run(
+                make_packets([0], [1]), [], num_nodes=2, max_steps=5
+            )
+        assert list(obs.profile.to_dict()["modes"]) == ["batch-constrained"]
 
     def test_profile_phases_on_both_engines(self):
         phases = {}
