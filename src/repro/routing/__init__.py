@@ -6,6 +6,8 @@
 * §3.4 — :class:`MeshRouter` (3-stage, furthest-destination-first)
 * baselines — :class:`GreedyRouter`, :class:`GreedyMeshRouter`,
   :class:`ValiantHypercubeRouter`, :func:`valiant_shuffle_route`
+
+All of them share one skeleton, :class:`repro.routing.router.Router`.
 """
 
 from repro.routing.batcher import bitonic_route, bitonic_stage_count

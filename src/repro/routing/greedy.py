@@ -1,57 +1,63 @@
-"""Generic deterministic greedy (oblivious) router on any Topology.
+"""Greedy (oblivious) routing on any Topology, optionally via a random intermediate.
 
 The simplest baseline: every packet follows ``topology.route_next`` with
 FIFO link queues.  Oblivious and deterministic — exactly the class of
 algorithms whose worst case motivates Valiant randomization (§2.2.1).
+The randomized form sends each packet greedily to a pre-drawn random
+intermediate first; it is the same walk with one more target, and the
+named two-phase routers (:class:`~repro.routing.star_router.StarRouter`,
+:class:`~repro.routing.valiant.ValiantHypercubeRouter`) are this class
+with randomization on by default.
 
-Because the itinerary is a pure function of (source, dest), the whole
-population's paths can be precompiled and replayed on the fast engine
-(``engine="auto" | "fast" | "reference"``): meshes, linear arrays, and
-hypercubes get fully vectorized builders, any other topology walks
-``route_next`` once per packet up front.  ``node_capacity`` backpressure
-is honoured by both engines, and ``flow_control="credit"`` enables the
-deadlock-free credit/escape protocol — sound for dimension-ordered
-routes (mesh, linear array, hypercube), whose link ranks are monotone
-(:mod:`repro.routing.flow_control` invariant I3); a topology with cyclic
-greedy paths may instead surface a ``DeadlockError`` diagnostic.
+Because the itinerary is a pure function of (source, intermediate,
+dest), the whole population's paths are precompiled for the fast engine:
+meshes, linear arrays, and hypercubes get fully vectorized builders, any
+other topology walks ``route_next`` once per packet up front.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
-from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
-from repro.routing.queues import fifo_factory
-from repro.topology.base import Topology
+from repro.routing.packet import Packet
+from repro.routing.router import CompiledRun, Router
+from repro.topology.base import RouteStalledError, Topology
 from repro.topology.compiled import compile_mesh, hypercube_paths, linear_paths
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import LinearArray, Mesh2D
 
 
-class GreedyRouter:
+def compile_mesh_run(
+    mesh: Mesh2D, sources, dests, inter_rows=None, *, with_priorities: bool = False
+) -> CompiledRun:
+    """Mesh trajectories for the fast engine: the §3.4 3-stage plan, or
+    greedy dimension order — the same plan with an empty random stage —
+    when *inter_rows* is omitted."""
+    compiled = compile_mesh(mesh)
+    plan = compiled.three_stage(
+        sources, dests, inter_rows, with_priorities=with_priorities
+    )
+    # Arithmetic link ids skip the engine's np.unique interning pass in
+    # both vectorized modes (capacity runs also need link_dst for the
+    # credit/exemption accounting).
+    links = (compiled.link_matrix(plan.ids), *compiled.link_arrays())
+    return CompiledRun(
+        plan.ids, mesh.num_nodes, plan.lengths, plan.priorities, links
+    )
+
+
+class GreedyRouter(Router):
     """Deterministic greedy router over an arbitrary topology.
 
-    Parameters
-    ----------
-    node_capacity:
-        Bound on packets resident at one node (backpressure); ``None``
-        disables the capacity model.
-    flow_control:
-        ``"none"`` (default) or ``"credit"`` (requires
-        ``node_capacity``): the deadlock-free credit/escape protocol of
-        :mod:`repro.routing.flow_control` — sound on rank-monotone
-        routes (mesh, linear array, hypercube); cyclic greedy paths may
-        surface a :class:`~repro.routing.flow_control.DeadlockError`.
-    engine:
-        ``"auto"`` (default), ``"fast"``, or ``"reference"``.  The fast
-        path runs vectorized batch (constrained batch under
-        ``node_capacity``) on every topology: compiled paths on
-        mesh/linear/hypercube, ragged ``route_next`` walks (padded by
-        the engine) elsewhere.
+    ``node_capacity`` / ``flow_control`` / ``engine`` are
+    :class:`~repro.routing.router.Router`'s.  ``flow_control="credit"``
+    is sound on rank-monotone routes (mesh, linear array, hypercube:
+    :mod:`repro.routing.flow_control` invariant I3); a topology with
+    cyclic greedy paths may instead surface a
+    :class:`~repro.routing.flow_control.DeadlockError` diagnostic.
     """
+
+    #: route via a pre-drawn random intermediate first (Valiant's phase
+    #: 1); the two-phase subclasses turn it on
+    randomized = False
 
     def __init__(
         self,
@@ -61,70 +67,63 @@ class GreedyRouter:
         flow_control: str = "none",
         engine: str = "auto",
     ) -> None:
-        self.topology = topology
-        self.node_capacity = node_capacity
-        self.flow_control = flow_control
-        self.engine_mode = engine
-        resolve_engine_mode(engine)  # validate eagerly
-        self.engine = SynchronousEngine(
-            queue_factory=fifo_factory,
+        super().__init__(
+            topology,
+            default_max_steps=100 * max(1, topology.diameter) + 200,
             node_capacity=node_capacity,
             flow_control=flow_control,
+            engine=engine,
         )
 
-    def _next_hop(self, p: Packet):
-        if p.node == p.dest:
+    def _draw(self, packets: list[Packet]):
+        if not self.randomized:
             return None
-        nxt = self.topology.route_next(p.node, p.dest)
+        inters = self.rng.integers(self.topology.num_nodes, size=len(packets))
+        for p, r in zip(packets, inters):
+            p.state = int(r)
+        return inters
+
+    def _next_hop(self, p: Packet):
+        # state = intermediate node id, or None once phase 2 has begun
+        # (deterministic runs begin there)
+        target = p.dest
+        if p.state is not None:
+            if p.node == p.state:
+                p.state = None  # reached the intermediate: start phase 2
+            else:
+                target = p.state
+        if p.node == target:
+            return None
+        nxt = self.topology.route_next(p.node, target)
         if nxt == p.node:
-            raise RuntimeError(f"greedy route stalled for packet {p.pid} at {p.node}")
+            raise RouteStalledError(p.node, target, packet=p.pid)
         return nxt
 
-    def route(
-        self,
-        sources: Sequence[int],
-        dests: Sequence[int],
-        *,
-        max_steps: int | None = None,
-    ) -> RoutingStats:
-        if max_steps is None:
-            max_steps = 100 * max(1, self.topology.diameter) + 200
-        packets = make_packets(list(map(int, sources)), list(map(int, dests)))
-        if resolve_engine_mode(self.engine_mode) == "fast":
-            return self._run_fast(packets, max_steps)
-        return self.engine.run(packets, self._next_hop, max_steps=max_steps)
-
-    def _run_fast(self, packets: list[Packet], max_steps: int) -> RoutingStats:
-        """Precompile greedy itineraries; replay them on the fast engine.
-
-        Mesh / linear-array / hypercube paths come out of the vectorized
-        builders in :mod:`repro.topology.compiled`; any other topology
-        walks ``route_next`` per packet (one walk up front instead of
-        one call per packet per step) and hands the engine the ragged
-        list.
-        """
+    def _compile(self, packets: list[Packet], inters) -> CompiledRun:
+        """Mesh / linear-array / hypercube paths come out of the
+        vectorized builders in :mod:`repro.topology.compiled`; any other
+        topology walks ``route_next`` per packet (one guarded walk up
+        front instead of one call per packet per step) and hands the
+        engine the ragged list."""
         topo = self.topology
         sources = [p.source for p in packets]
         dests = [p.dest for p in packets]
-        fast = FastPathEngine(
-            node_capacity=self.node_capacity, flow_control=self.flow_control
-        )
-        kwargs: dict = {}
-        if isinstance(topo, Mesh2D):
-            plan = compile_mesh(topo).three_stage(sources, dests)
-            paths, kwargs["path_lengths"] = plan.ids, plan.lengths
-        elif isinstance(topo, LinearArray):
+        if isinstance(topo, Hypercube):
+            plan = hypercube_paths(topo.n, sources, dests, inters=inters)
+            return CompiledRun(plan.ids, topo.num_nodes, plan.lengths)
+        if inters is None and isinstance(topo, Mesh2D):
+            return compile_mesh_run(topo, sources, dests)
+        if inters is None and isinstance(topo, LinearArray):
             plan = linear_paths(sources, dests)
-            paths, kwargs["path_lengths"] = plan.ids, plan.lengths
-        elif isinstance(topo, Hypercube):
-            plan = hypercube_paths(topo.n, sources, dests)
-            paths, kwargs["path_lengths"] = plan.ids, plan.lengths
-        else:
-            paths = [topo.greedy_path(p.source, p.dest) for p in packets]
-        return fast.run(
-            packets,
-            paths,
-            num_nodes=topo.num_nodes,
-            max_steps=max_steps,
-            **kwargs,
-        )
+            return CompiledRun(plan.ids, topo.num_nodes, plan.lengths)
+        paths = []
+        for p in packets:
+            via = p.dest if p.state is None else p.state
+            try:
+                path = topo.greedy_path(p.source, via)
+                if via != p.dest:
+                    path += topo.greedy_path(via, p.dest)[1:]
+            except RouteStalledError as stall:
+                raise RouteStalledError(stall.node, stall.dest, packet=p.pid) from None
+            paths.append(path)
+        return CompiledRun(paths, topo.num_nodes)

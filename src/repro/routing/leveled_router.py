@@ -10,13 +10,6 @@ standard variants are both implemented:
 * ``intermediate="node"`` — Algorithms 2.2/2.3: pick a uniformly random
   intermediate *node* up front and follow the unique path to it.
 
-All randomness is drawn **before** routing begins: coin flips arrive as
-one batched ``(n_packets, L)`` RNG call (elementwise identical to the
-scalar draws, but orders of magnitude cheaper) and intermediates as one
-vector draw.  That also makes the run independent of the engine used, so
-the compiled fast path (:mod:`repro.routing.fast_engine`) — selected by
-default — reproduces the reference engine's results bit for bit.
-
 Networks whose last column is identified with the first (shuffle,
 wrapped butterfly, the star's logical network — all our families) let the
 packet re-enter column 0 for the second pass, so every packet traverses
@@ -29,37 +22,28 @@ from __future__ import annotations
 
 from typing import Literal, Sequence
 
-import numpy as np
-
-from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
+from repro.routing.engine import RoutingTimeout
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
-from repro.routing.queues import fifo_factory
+from repro.routing.router import CompiledRun, Router
+from repro.topology.base import RouteStalledError
 from repro.topology.compiled import compile_leveled
 from repro.topology.leveled import LeveledNetwork
-from repro.util.rng import as_generator
 
 
-class LeveledRouter:
+class LeveledRouter(Router):
     """Two-phase randomized router for a :class:`LeveledNetwork`.
-
-    ``engine`` selects the simulator: ``"reference"`` is the readable
-    per-hop engine, ``"fast"`` the compiled integer path
-    (:class:`~repro.routing.fast_engine.FastPathEngine`); ``"auto"``
-    (default) resolves via the ``REPRO_ENGINE`` environment variable and
-    falls back to the fast path.  Both produce identical results under a
-    fixed seed.
 
     ``node_capacity`` bounds each node's resident packets (leveled paths
     move strictly forward in (pass, level), so plain backpressure cannot
     cycle here), and ``flow_control="credit"`` adds the escape channel
     of :mod:`repro.routing.flow_control` for O(1)-queue runs.  Capacity
     accounting identifies the wrap aliases ``(0, L, r)`` / ``(1, 0, r)``
-    as one physical node, matching the compiled ids.  On the fast
-    engine, capacity runs take the vectorized constrained-batch mode
-    (batch credit accounting; escape buffers keyed by arithmetic link
-    id) — see ``docs/architecture.md``.
+    as one physical node, matching the compiled ids (escape buffers are
+    keyed by arithmetic link id there).  ``link_faults`` specs are
+    ``(col, u_row, v_row)`` physical wires, blocked on both passes.
+    Everything else — ``engine``, option forwarding, the permutation
+    entry points — is :class:`~repro.routing.router.Router`'s.
     """
 
     def __init__(
@@ -79,78 +63,54 @@ class LeveledRouter:
     ) -> None:
         if intermediate not in ("coin", "node"):
             raise ValueError(f"unknown intermediate mode {intermediate!r}")
-        self.net = net
-        self.intermediate = intermediate
-        self.rng = as_generator(seed)
-        self.combine = combine
-        self.node_capacity = node_capacity
-        self.flow_control = flow_control
-        self.track_paths = track_paths
-        self.engine_mode = engine
-        #: forwarded to whichever engine runs (profiling / flight data)
-        self.observer = observer
-        resolve_engine_mode(engine)  # validate eagerly
-        # Link-fault support: specs are (col, u_row, v_row) physical
-        # wires, blocked on both passes; each engine gets a view in its
-        # own key space (tuples vs. arithmetic ids), translated so the
-        # two stay step-equivalent.  ``fault_base`` offsets this run
-        # into the emulator's global virtual clock.
-        self.fault_base = int(fault_base)
-        self._link_faults = link_faults
-        self._ref_fault_view = None
-        self._fast_fault_view = None
-        if link_faults is not None:
-            Lf, Nf = net.num_levels, net.column_size
-
-            def _check(spec):
-                c, u, v = spec
-                if not (0 <= c < Lf and 0 <= u < Nf and 0 <= v < Nf):
-                    raise ValueError(f"link fault spec {spec!r} out of range")
-                return c, u, v
-
-            def ref_translate(spec):
-                c, u, v = _check(spec)
-                return (((0, c, u), (0, c + 1, v)), ((1, c, u), (1, c + 1, v)))
-
-            def fast_translate(spec):
-                c, u, v = _check(spec)
-                return (
-                    (c * Nf + u, (c + 1) * Nf + v),
-                    ((Lf + c) * Nf + u, (Lf + c + 1) * Nf + v),
-                )
-
-            self._ref_fault_view = link_faults.view(ref_translate)
-            self._fast_fault_view = link_faults.view(fast_translate)
-        #: after a fast-path run: its per-packet arrays, aligned with
-        #: the routed packet list — the compiled ``(n, 2L + 1)`` node-id
-        #: itineraries, the hop each packet stopped at, the absorptions
-        #: (None after a reference run).  The emulation layer builds the
-        #: reply phase from these without re-encoding traces.
-        self.last_fast_run: RunArrays | None = None
-        L = net.num_levels
-        self.engine = SynchronousEngine(
-            queue_factory=fifo_factory,
+        super().__init__(
+            net,
+            # a generous multiple of the 2L lower bound; Theorem 2.1
+            # says Õ(L) suffices w.h.p.
+            default_max_steps=40 * net.num_levels + 100,
+            num_endpoints=net.column_size,
+            seed=seed,
             combine=combine,
             node_capacity=node_capacity,
             flow_control=flow_control,
-            # Capacity bookkeeping needs the two key spaces reconciled:
-            # a packet exits at the (pass, column, row) key (1, L, dest)
-            # while packet.dest is the bare row, and the wrap identifies
-            # (0, L, r) with (1, 0, r) as one physical node — exactly
-            # how the compiled ids see it (id L*N + r).
-            exit_dest=lambda p: (1, L, p.dest),
-            capacity_key=lambda k: (1, 0, k[2]) if k[0] == 0 and k[1] == L else k,
             track_paths=track_paths,
+            engine=engine,
+            link_faults=link_faults,
+            fault_base=fault_base,
             observer=observer,
         )
+        self.net = net
+        self.intermediate = intermediate
 
-    # ------------------------------------------------------------------
+    # ---- the itinerary -------------------------------------------------
+    def _draw(self, packets: list[Packet]):
+        """Intermediates as one vector draw, coins as one batched
+        ``(n_packets, L)`` draw — elementwise identical to a scalar
+        ``rng.integers`` per packet per level, but orders of magnitude
+        cheaper.  ``None`` when coins cannot be pre-drawn (non-uniform
+        out-degree): the reference engine then flips them hop by hop."""
+        if self.intermediate == "node":
+            inters = self.rng.integers(self.net.column_size, size=len(packets))
+            for p, r in zip(packets, inters):
+                p.state = int(r)
+            return inters
+        if not (self.net.uniform_out_degree and packets):
+            return None
+        coins = self.rng.integers(
+            self.net.degree, size=(len(packets), self.net.num_levels)
+        )
+        for p, row in zip(packets, coins.tolist()):
+            p.state = row
+        return coins
+
     def _next_hop(self, p: Packet):
         pass_idx, col, row = p.node
         L = self.net.num_levels
         if col == L:
             if pass_idx == 1:
-                return None if row == p.dest else self._fail(p)
+                if row != p.dest:
+                    raise RouteStalledError(row, p.dest, packet=p.pid)
+                return None
             # wrap into the second pass (columns identified)
             pass_idx, col = 1, 0
             p.node = (1, 0, row)
@@ -167,52 +127,9 @@ class LeveledRouter:
             nxt = self.net.unique_next(col, row, p.dest)
         return (pass_idx, col + 1, nxt)
 
-    @staticmethod
-    def _fail(p: Packet):
-        raise RuntimeError(
-            f"packet {p.pid} finished pass 2 at row {p.node[2]} != dest {p.dest}"
-        )
-
-    # ------------------------------------------------------------------
-    def route_packets(
-        self, packets: list[Packet], *, max_steps: int | None = None
-    ) -> RoutingStats:
-        """Route prebuilt packets (node keys ``(0, 0, row)``; int dests).
-
-        Used directly by the emulation layer, which needs to attach
-        addresses/payloads/kinds to the packets it routes.
-        """
-        L = self.net.num_levels
-        if max_steps is None:
-            max_steps = 40 * L + 100
-        coins = None
-        if self.intermediate == "node":
-            inters = self.rng.integers(self.net.column_size, size=len(packets))
-            for p, r in zip(packets, inters):
-                p.state = int(r)
-        elif self.net.uniform_out_degree and packets:
-            # One batched draw replaces a scalar rng.integers per packet
-            # per level; elementwise the stream is identical, and both
-            # engines read the same matrix.
-            coins = self.rng.integers(self.net.degree, size=(len(packets), L))
-            for p, row in zip(packets, coins.tolist()):
-                p.state = row
-        mode = resolve_engine_mode(self.engine_mode)
-        self.last_fast_run = None
-        if mode == "fast" and (self.intermediate == "node" or coins is not None):
-            return self._run_fast(packets, coins, max_steps)
-        return self.engine.run(
-            packets,
-            self._next_hop,
-            max_steps=max_steps,
-            link_faults=self._ref_fault_view,
-            fault_base=self.fault_base,
-        )
-
-    def _run_fast(
-        self, packets: list[Packet], coins, max_steps: int
-    ) -> RoutingStats:
-        """Compile trajectories and replay them on the fast engine."""
+    def _compile(self, packets: list[Packet], draw) -> CompiledRun | None:
+        if draw is None:
+            return None
         compiled = compile_leveled(self.net)
         sources = []
         for p in packets:
@@ -224,39 +141,70 @@ class LeveledRouter:
             sources.append(row)
         dests = [p.dest for p in packets]
         if self.intermediate == "node":
-            paths = compiled.build_paths(
-                sources, dests, inters=[p.state for p in packets]
-            )
+            paths = compiled.build_paths(sources, dests, inters=draw)
         else:
-            paths = compiled.build_paths(sources, dests, coins=coins)
-        fast = FastPathEngine(
-            combine=self.combine,
-            track_paths=self.track_paths,
-            node_capacity=self.node_capacity,
-            flow_control=self.flow_control,
-            observer=self.observer,
-        )
+            paths = compiled.build_paths(sources, dests, coins=draw)
         # Arithmetic link ids skip the engine's np.unique interning pass
         # (and carry link_dst for the constrained batch mode's credit
         # accounting); they need the out-neighbor tables, so non-uniform
         # out-degree networks fall back to interning.
         links = None
         if self.net.uniform_out_degree:
-            link_src, link_dst = compiled.link_arrays()
-            links = (compiled.link_matrix(paths), link_src, link_dst)
-        stats = fast.run(
-            packets,
+            links = (compiled.link_matrix(paths), *compiled.link_arrays())
+        return CompiledRun(
             paths,
-            num_nodes=compiled.num_node_ids,
-            max_steps=max_steps,
+            compiled.num_node_ids,
             links=links,
             node_key=compiled.node_key,
             trace_key=compiled.trace_key,
-            link_faults=self._fast_fault_view,
-            fault_base=self.fault_base,
         )
-        self.last_fast_run = fast.last_arrays
-        return stats
+
+    def _reference_options(self) -> dict:
+        # Capacity bookkeeping needs the two key spaces reconciled: a
+        # packet exits at the (pass, column, row) key (1, L, dest) while
+        # packet.dest is the bare row, and the wrap identifies (0, L, r)
+        # with (1, 0, r) as one physical node — exactly how the compiled
+        # ids see it (id L*N + r).
+        L = self.net.num_levels
+        return dict(
+            exit_dest=lambda p: (1, L, p.dest),
+            capacity_key=lambda k: (1, 0, k[2]) if k[0] == 0 and k[1] == L else k,
+        )
+
+    # A (col, u_row, v_row) wire is blocked on both passes; each engine
+    # gets the pair in its own key space (tuples vs. arithmetic ids),
+    # translated so the two stay step-equivalent.
+    def _wire(self, spec):
+        c, u, v = spec
+        N = self.net.column_size
+        if not (0 <= c < self.net.num_levels and 0 <= u < N and 0 <= v < N):
+            raise ValueError(f"link fault spec {spec!r} out of range")
+        return c, u, v
+
+    def _reference_fault_keys(self, spec):
+        c, u, v = self._wire(spec)
+        return (((0, c, u), (0, c + 1, v)), ((1, c, u), (1, c + 1, v)))
+
+    def _fast_fault_keys(self, spec):
+        c, u, v = self._wire(spec)
+        L, N = self.net.num_levels, self.net.column_size
+        return (
+            (c * N + u, (c + 1) * N + v),
+            ((L + c) * N + u, (L + c + 1) * N + v),
+        )
+
+    # ---- entry points --------------------------------------------------
+    def route_packets(
+        self, packets: list[Packet], *, max_steps: int | None = None
+    ) -> RoutingStats:
+        """Route prebuilt packets (node keys ``(0, 0, row)``; int dests).
+
+        Used directly by the emulation layer, which needs to attach
+        addresses/payloads/kinds to the packets it routes — and defined
+        on this class because the end-to-end benchmark's tracer wraps it
+        here by name.
+        """
+        return super().route_packets(packets, max_steps=max_steps)
 
     def route(
         self,
@@ -266,32 +214,13 @@ class LeveledRouter:
         max_steps: int | None = None,
         addresses: Sequence[int] | None = None,
     ) -> RoutingStats:
-        """Route packets from column-0 *sources* to last-column *dests*.
-
-        ``max_steps`` defaults to a generous multiple of the 2L lower
-        bound; Theorem 2.1 says Õ(L) suffices w.h.p.
-        """
+        """Route packets from column-0 *sources* to last-column *dests*."""
         packets = make_packets(
             [(0, 0, int(s)) for s in sources],
             [int(d) for d in dests],
             addresses=None if addresses is None else list(addresses),
         )
         return self.route_packets(packets, max_steps=max_steps)
-
-    def route_permutation(
-        self, perm: Sequence[int] | np.ndarray, *, max_steps: int | None = None
-    ) -> RoutingStats:
-        """Permutation routing: packet i goes from row i to row perm[i]."""
-        perm = np.asarray(perm)
-        n = self.net.column_size
-        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-            raise ValueError("perm must be a permutation of the column rows")
-        return self.route(np.arange(n), perm, max_steps=max_steps)
-
-    def route_random_permutation(self, *, max_steps: int | None = None) -> RoutingStats:
-        return self.route_permutation(
-            self.rng.permutation(self.net.column_size), max_steps=max_steps
-        )
 
     def route_h_relation(
         self,
@@ -324,7 +253,9 @@ class LeveledRouter:
         Returns ``(aggregate_stats, rounds_used)``; the aggregate's
         ``steps`` charges, per round, the allotment plus the trace-back
         time (the maximum progress any straggler must unwind), and the
-        final round's actual completion time.
+        final round's actual completion time.  Stragglers left after
+        *max_rounds* raise :class:`~repro.routing.engine.RoutingTimeout`
+        with the last round's stats.
         """
         L = self.net.num_levels
         if allotment is None:
@@ -368,7 +299,6 @@ class LeveledRouter:
             traceback = max(p.hops for p in failed)
             total_time += allotment + traceback
             pending = [(p.source[2], p.dest) for p in failed]
-        raise RuntimeError(
-            f"{len(pending)} packets undelivered after {max_rounds} rounds; "
-            "increase the allotment (Lemma 2.1 needs c1 f(N) per trial)"
-        )
+        # stragglers outlived every round: the allotment is below the
+        # c1 f(N) per trial that Lemma 2.1 needs
+        raise RoutingTimeout(stats)

@@ -5,8 +5,8 @@ i holds k_i packets (Σ k_i = n'), each packet picks a destination on the
 line, and contention is resolved furthest-destination-first.  The claimed
 bound is n' + o(n) steps w.h.p. for random destinations.
 
-Like the routers, :func:`route_linear` takes ``engine="auto" | "fast" |
-"reference"``: the monotone walks compile to padded integer trajectories
+Like the routers, :func:`route_linear` runs on either engine: the
+monotone walks compile to padded integer trajectories
 (:func:`repro.topology.compiled.linear_paths`) and the push-time
 furthest-destination-first priorities are a closed form of
 ``|dest - node|`` along the walk, so the fast engine replays the
@@ -19,14 +19,35 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
+from repro.routing.greedy import GreedyRouter
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
-from repro.routing.queues import fifo_factory, furthest_first_factory
-from repro.topology.compiled import linear_paths
+from repro.routing.packet import Packet
+from repro.routing.queues import furthest_first_factory
+from repro.routing.router import CompiledRun
 from repro.topology.mesh import LinearArray
 from repro.util.rng import as_generator
+
+
+class _FurthestFirstLine(GreedyRouter):
+    """Greedy walks on a line, queues ordered furthest destination first."""
+
+    def _reference_options(self) -> dict:
+        return {"queue_factory": furthest_first_factory(self._priority)}
+
+    @staticmethod
+    def _priority(p: Packet) -> float:
+        return abs(p.dest - p.node)
+
+    def _compile(self, packets: list[Packet], inters) -> CompiledRun:
+        run = super()._compile(packets, inters)
+        # Push-time priority of the k-th crossing: distance left from
+        # the node the packet is pushed at — |dest - paths[:, k]|.
+        dests = np.fromiter(
+            (p.dest for p in packets), dtype=np.int64, count=len(packets)
+        )
+        return run._replace(
+            priorities=np.abs(dests[:, None] - run.paths[:, :-1])
+        )
 
 
 def route_linear(
@@ -49,45 +70,10 @@ def route_linear(
         max_steps = 50 * n + 200
     if discipline not in ("furthest_first", "fifo"):
         raise ValueError(f"unknown discipline {discipline!r}")
-    mode = resolve_engine_mode(engine)
-
-    origins = list(map(int, origins))
-    dests = list(map(int, dests))
-    packets = make_packets(origins, dests)
-    if mode == "fast":
-        plan = linear_paths(origins, dests)
-        priorities = None
-        if discipline == "furthest_first":
-            # Push-time priority of the k-th crossing: distance left
-            # from the node the packet is pushed at — |dest - ids[:, k]|.
-            priorities = np.abs(
-                np.asarray(dests, dtype=np.int64)[:, None] - plan.ids[:, :-1]
-            )
-        return FastPathEngine().run(
-            packets,
-            plan.ids,
-            num_nodes=n,
-            max_steps=max_steps,
-            path_lengths=plan.lengths,
-            priorities=priorities,
-        )
-
-    def priority(p: Packet) -> float:
-        return abs(p.dest - p.node)
-
-    factory = (
-        furthest_first_factory(priority)
-        if discipline == "furthest_first"
-        else fifo_factory
+    router_class = GreedyRouter if discipline == "fifo" else _FurthestFirstLine
+    return router_class(array, engine=engine).route(
+        origins, dests, max_steps=max_steps
     )
-
-    def next_hop(p: Packet):
-        if p.node == p.dest:
-            return None
-        return array.route_next(p.node, p.dest)
-
-    ref = SynchronousEngine(queue_factory=factory)
-    return ref.run(packets, next_hop, max_steps=max_steps)
 
 
 def random_linear_instance(

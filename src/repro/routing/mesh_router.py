@@ -17,15 +17,14 @@ The greedy dimension-order router (no stage 1 randomization) is the
 classical baseline that suffers Θ(n²)-ish hot spots on adversarial
 many-one patterns.
 
-Both routers honour ``engine="auto" | "fast" | "reference"``: the stage-0
-random rows are pre-drawn in one batched RNG call before an engine is
-chosen, and the whole trajectory (plus its per-hop
-furthest-destination-first priorities) is a closed-form function of
-(source, i', dest), so the compiled fast path replays the reference
-engine's queue dynamics bit for bit.  ``node_capacity`` runs take the
-fast engine's vectorized constrained-batch mode (batch credit
-accounting); with ``flow_control="credit"`` they realize Corollary
-3.3's deadlock-free O(1)-queue discipline (see ``docs/flow_control.md``).
+Both routers run on either engine: the stage-0 random rows are
+pre-drawn in one batched RNG call before an engine is chosen, and the
+whole trajectory (plus its per-hop furthest-destination-first
+priorities) is a closed-form function of (source, i', dest), so the
+compiled fast path replays the reference engine's queue dynamics bit
+for bit.  With ``node_capacity`` and ``flow_control="credit"`` they
+realize Corollary 3.3's deadlock-free O(1)-queue discipline (see
+``docs/flow_control.md``).
 """
 
 from __future__ import annotations
@@ -35,14 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
+from repro.routing.greedy import GreedyRouter, compile_mesh_run
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
-from repro.routing.queues import fifo_factory, furthest_first_factory
-from repro.topology.compiled import compile_mesh
+from repro.routing.packet import Packet
+from repro.routing.queues import furthest_first_factory
+from repro.routing.router import CompiledRun, Router
 from repro.topology.mesh import Mesh2D
-from repro.util.rng import as_generator
 
 
 def default_slice_rows(n: int) -> int:
@@ -52,92 +49,23 @@ def default_slice_rows(n: int) -> int:
     return max(1, round(n / math.log2(n)))
 
 
-def _run_fast_mesh(
-    mesh: Mesh2D,
-    packets: list[Packet],
-    *,
-    max_steps: int,
-    inter_rows=None,
-    with_priorities: bool = False,
-    combine: bool = False,
-    track_paths: bool = False,
-    node_capacity: int | None = None,
-    flow_control: str = "none",
-    link_faults=None,
-    fault_base: int = 0,
-    observer=None,
-):
-    """Compile mesh trajectories and replay them on the fast engine.
-
-    Shared by the 3-stage and greedy routers (greedy is the 3-stage plan
-    with an empty random stage).  Returns ``(run arrays, stats)``.
-    """
-    compiled = compile_mesh(mesh)
-    plan = compiled.three_stage(
-        [p.source for p in packets],
-        [p.dest for p in packets],
-        inter_rows,
-        with_priorities=with_priorities,
-    )
-    fast = FastPathEngine(
-        combine=combine,
-        track_paths=track_paths,
-        node_capacity=node_capacity,
-        flow_control=flow_control,
-        observer=observer,
-    )
-    # Arithmetic link ids skip the engine's np.unique interning pass in
-    # both vectorized modes (unconstrained batch and the constrained
-    # batch-credit mode take them; capacity runs also need link_dst for
-    # the credit/exemption accounting).
-    link_src, link_dst = compiled.link_arrays()
-    links = (compiled.link_matrix(plan.ids), link_src, link_dst)
-    stats = fast.run(
-        packets,
-        plan.ids,
-        num_nodes=mesh.num_nodes,
-        max_steps=max_steps,
-        path_lengths=plan.lengths,
-        priorities=plan.priorities,
-        links=links,
-        link_faults=link_faults,
-        fault_base=fault_base,
-    )
-    return fast.last_arrays, stats
-
-
-class MeshRouter:
+class MeshRouter(Router):
     """3-stage randomized router with furthest-destination-first queues.
 
-    Parameters
+    Parameters (the rest are :class:`~repro.routing.router.Router`'s)
     ----------
     seed:
         RNG seed/generator for the stage-0 random rows (and permutation
-        draws); a fixed seed gives bit-identical results on both engines.
+        draws).
     slice_rows:
         Height of the horizontal slices confining the stage-0 random
         row (default: the paper's n / log2(n)).
     discipline:
         Queue arbitration: ``"furthest_first"`` (§3.4's
         furthest-destination-first, the default) or ``"fifo"``.
-    node_capacity:
-        Bound on packets resident at one node; upstream links stall
-        when a node is full (backpressure, §3.4 / Corollary 3.3).
-        ``None`` (default) disables the capacity model.
-    flow_control:
-        ``"none"`` (default) is plain backpressure — tight capacities
-        can wedge crossing flows, surfaced as
-        :class:`~repro.routing.flow_control.DeadlockError`;
-        ``"credit"`` (requires ``node_capacity``) adds the deadlock-free
-        credit/escape protocol of :mod:`repro.routing.flow_control`.
-    track_paths:
-        Record visited nodes in ``packet.trace`` (reference engine; the
-        fast path exposes compiled itineraries via ``last_fast_run``).
-    combine:
-        CRCW combining of same-(kind, address, dest) packets at enqueue.
-    engine:
-        ``"auto"`` (default; fast path, ``REPRO_ENGINE`` overridable),
-        ``"fast"``, or ``"reference"`` — see ``docs/architecture.md``.
+    link_faults:
+        ``(u, w)`` packed-node-id pairs — mesh link keys in *both*
+        engines; the emulator validates specs against the topology.
     """
 
     def __init__(
@@ -156,58 +84,28 @@ class MeshRouter:
         fault_base: int = 0,
         observer=None,
     ) -> None:
+        super().__init__(
+            mesh,
+            default_max_steps=30 * (mesh.rows + mesh.cols) + 200,
+            seed=seed,
+            combine=combine,
+            node_capacity=node_capacity,
+            flow_control=flow_control,
+            track_paths=track_paths,
+            engine=engine,
+            link_faults=link_faults,
+            fault_base=fault_base,
+            observer=observer,
+        )
         self.mesh = mesh
-        self.rng = as_generator(seed)
-        #: forwarded to whichever engine runs (profiling / flight data)
-        self.observer = observer
         self.slice_rows = (
             default_slice_rows(mesh.rows) if slice_rows is None else slice_rows
         )
         if self.slice_rows < 1:
             raise ValueError("slice_rows must be >= 1")
-        if discipline == "furthest_first":
-            factory = furthest_first_factory(self._priority)
-        elif discipline == "fifo":
-            factory = fifo_factory
-        else:
+        if discipline not in ("furthest_first", "fifo"):
             raise ValueError(f"unknown discipline {discipline!r}")
         self.discipline = discipline
-        self.node_capacity = node_capacity
-        self.flow_control = flow_control
-        self.combine = combine
-        self.track_paths = track_paths
-        self.engine_mode = engine
-        resolve_engine_mode(engine)  # validate eagerly
-        #: after a fast-path run: its per-packet arrays, aligned with
-        #: the routed packet list — the compiled (padded) ``(n,
-        #: maxlen+1)`` node-id itineraries, the hop each packet stopped
-        #: at (row i is valid up to it), the absorptions (None after a
-        #: reference run).  The emulation layer builds the reply phase
-        #: from these without re-encoding traces.
-        self.last_fast_run: RunArrays | None = None
-        # Mesh link keys are (u, v) packed-node-id pairs in *both*
-        # engines, so one identity-translated view serves each; the
-        # emulator validates specs against the topology up front.
-        self.fault_base = int(fault_base)
-        self._fault_view = None
-        if link_faults is not None:
-            nn = mesh.num_nodes
-
-            def translate(spec):
-                u, w = spec
-                if not (0 <= u < nn and 0 <= w < nn):
-                    raise ValueError(f"link fault spec {spec!r} out of range")
-                return ((int(u), int(w)),)
-
-            self._fault_view = link_faults.view(translate)
-        self.engine = SynchronousEngine(
-            queue_factory=factory,
-            node_capacity=node_capacity,
-            flow_control=flow_control,
-            track_paths=track_paths,
-            combine=combine,
-            observer=observer,
-        )
 
     # ------------------------------------------------------------------
     def _priority(self, p: Packet) -> float:
@@ -241,23 +139,41 @@ class MeshRouter:
         return None
 
     # ------------------------------------------------------------------
-    def _assign_random_rows(self, packets: list[Packet]) -> None:
-        """Draw every packet's stage-0 random row in one batched RNG call.
-
-        The batch happens *before* an engine is chosen, so both engines
-        consume identical random bits (the differential-test contract).
-        """
+    def _draw(self, packets: list[Packet]) -> list[int]:
+        """Every packet's stage-0 random row, in one batched RNG call."""
         if not packets:
-            return
+            return []
         src = np.fromiter(
             (p.source for p in packets), dtype=np.int64, count=len(packets)
         )
         rows = src // self.mesh.cols
         lo = (rows // self.slice_rows) * self.slice_rows
         hi = np.minimum(lo + self.slice_rows, self.mesh.rows)
-        draws = self.rng.integers(lo, hi)
-        for p, i_rand in zip(packets, draws.tolist()):
+        draws = self.rng.integers(lo, hi).tolist()
+        for p, i_rand in zip(packets, draws):
             p.state = (0, i_rand)
+        return draws
+
+    def _compile(self, packets: list[Packet], inter_rows: list[int]) -> CompiledRun:
+        return compile_mesh_run(
+            self.mesh,
+            [p.source for p in packets],
+            [p.dest for p in packets],
+            inter_rows,
+            with_priorities=(self.discipline == "furthest_first"),
+        )
+
+    def _reference_options(self) -> dict:
+        if self.discipline == "fifo":
+            return {}
+        return {"queue_factory": furthest_first_factory(self._priority)}
+
+    def _reference_fault_keys(self, spec):
+        u, w = spec
+        nn = self.mesh.num_nodes
+        if not (0 <= u < nn and 0 <= w < nn):
+            raise ValueError(f"link fault spec {spec!r} out of range")
+        return ((int(u), int(w)),)
 
     def route(
         self,
@@ -267,61 +183,22 @@ class MeshRouter:
         max_steps: int | None = None,
         packets: list[Packet] | None = None,
     ) -> RoutingStats:
-        if max_steps is None:
-            max_steps = 30 * (self.mesh.rows + self.mesh.cols) + 200
+        """Route *sources* → *dests*, or the prebuilt *packets* (packed
+        node ids) when given — the emulation layer's entry, defined on
+        this class because the end-to-end benchmark's tracer wraps it
+        here by name."""
         if packets is None:
-            packets = make_packets(list(map(int, sources)), list(map(int, dests)))
-        self._assign_random_rows(packets)
-        self.last_fast_run = None
-        if resolve_engine_mode(self.engine_mode) == "fast":
-            return self._run_fast(packets, max_steps)
-        return self.engine.run(
-            packets,
-            self._next_hop,
-            max_steps=max_steps,
-            link_faults=self._fault_view,
-            fault_base=self.fault_base,
-        )
-
-    def _run_fast(self, packets: list[Packet], max_steps: int) -> RoutingStats:
-        """Compile 3-stage trajectories + priorities; replay them fast."""
-        self.last_fast_run, stats = _run_fast_mesh(
-            self.mesh,
-            packets,
-            max_steps=max_steps,
-            inter_rows=[p.state[1] for p in packets],
-            with_priorities=(self.discipline == "furthest_first"),
-            combine=self.combine,
-            track_paths=self.track_paths,
-            node_capacity=self.node_capacity,
-            flow_control=self.flow_control,
-            link_faults=self._fault_view,
-            fault_base=self.fault_base,
-            observer=self.observer,
-        )
-        return stats
-
-    def route_permutation(
-        self, perm: Sequence[int] | np.ndarray, *, max_steps: int | None = None
-    ) -> RoutingStats:
-        perm = np.asarray(perm)
-        n = self.mesh.num_nodes
-        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-            raise ValueError("perm must be a permutation of all mesh nodes")
-        return self.route(np.arange(n), perm, max_steps=max_steps)
-
-    def route_random_permutation(self, *, max_steps: int | None = None) -> RoutingStats:
-        return self.route_permutation(
-            self.rng.permutation(self.mesh.num_nodes), max_steps=max_steps
-        )
+            return super().route(sources, dests, max_steps=max_steps)
+        return self.route_packets(packets, max_steps=max_steps)
 
 
-class GreedyMeshRouter:
-    """Deterministic dimension-order (column-then-row) FIFO baseline.
+class GreedyMeshRouter(GreedyRouter):
+    """Deterministic dimension-order (column-then-row) FIFO baseline:
+    :class:`~repro.routing.greedy.GreedyRouter` on a mesh, with the
+    mesh's step budget and an ``observer``.
 
-    ``node_capacity`` / ``flow_control`` / ``engine`` behave exactly as
-    on :class:`MeshRouter` (dimension-order routes are rank-monotone,
-    so ``flow_control="credit"`` is deadlock-free here too).
+    Dimension-order routes are rank-monotone, so
+    ``flow_control="credit"`` is deadlock-free here too.
     """
 
     def __init__(
@@ -333,42 +210,13 @@ class GreedyMeshRouter:
         engine: str = "auto",
         observer=None,
     ) -> None:
-        self.mesh = mesh
-        self.node_capacity = node_capacity
-        self.flow_control = flow_control
-        self.engine_mode = engine
-        self.observer = observer
-        resolve_engine_mode(engine)  # validate eagerly
-        self.engine = SynchronousEngine(
-            queue_factory=fifo_factory,
+        Router.__init__(
+            self,
+            mesh,
+            default_max_steps=200 * (mesh.rows + mesh.cols) + 200,
             node_capacity=node_capacity,
             flow_control=flow_control,
+            engine=engine,
             observer=observer,
         )
-
-    def _next_hop(self, p: Packet):
-        if p.node == p.dest:
-            return None
-        return self.mesh.route_next(p.node, p.dest)
-
-    def route(
-        self,
-        sources: Sequence[int],
-        dests: Sequence[int],
-        *,
-        max_steps: int | None = None,
-    ) -> RoutingStats:
-        if max_steps is None:
-            max_steps = 200 * (self.mesh.rows + self.mesh.cols) + 200
-        packets = make_packets(list(map(int, sources)), list(map(int, dests)))
-        if resolve_engine_mode(self.engine_mode) == "fast":
-            _arrays, stats = _run_fast_mesh(
-                self.mesh,
-                packets,
-                max_steps=max_steps,
-                node_capacity=self.node_capacity,
-                flow_control=self.flow_control,
-                observer=self.observer,
-            )
-            return stats
-        return self.engine.run(packets, self._next_hop, max_steps=max_steps)
+        self.mesh = mesh

@@ -1,0 +1,261 @@
+"""The router skeleton: everything about a routing run that is not an itinerary.
+
+The paper has *one* routing scheme.  Algorithm 2.1 is "universal", and
+Algorithms 2.2/2.3 and the §3.4 mesh router are the same plan on a
+specific network: pre-draw the randomness, walk to an intermediate, walk
+to the destination.  :class:`Router` owns what every instance of that
+plan shares — engine selection, the one place a router meets an engine,
+option forwarding, the link-fault views, packet construction and the
+permutation / relation entry points — and a concrete router keeps only
+its itinerary, as a few hooks called once per routing run (never per
+packet):
+
+``_draw(packets)``
+    pre-draw the run's randomness (intermediates, coins, stage-0 rows),
+    stamp it on ``packet.state`` and return it for the compile step
+``_next_hop(packet)``
+    the reference engine's per-hop policy
+``_compile(packets, draw)``
+    the same itineraries as a :class:`CompiledRun` for the fast engine,
+    or ``None`` when they cannot be compiled (the run then takes the
+    reference engine)
+``_reference_options()``
+    what the reference engine needs beyond the shared options (queue
+    discipline, key-space reconciliation, service rate)
+``_reference_fault_keys(spec)`` / ``_fast_fault_keys(spec)``
+    a physical link-fault spec in each engine's key space
+
+plus two numbers at construction: the step budget of a run that names
+none, and how many endpoints a permutation has.
+
+All randomness is drawn *before* an engine is chosen — the permutation
+first, then ``_draw`` — so both engines consume identical random bits
+and a fixed seed gives field-for-field identical
+:class:`~repro.routing.metrics.RoutingStats` on either (the
+differential-test contract).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.routing.engine import SynchronousEngine
+from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
+from repro.routing.flow_control import resolve_flow_control
+from repro.routing.metrics import RoutingStats
+from repro.routing.packet import Packet, make_packets
+from repro.util.rng import as_generator, random_h_relation
+
+
+class CompiledRun(NamedTuple):
+    """A population's itineraries: the keywords of
+    ``FastPathEngine.run`` that describe them (see there for each
+    field); only ``paths`` and ``num_nodes`` are required."""
+
+    paths: np.ndarray | list
+    num_nodes: int
+    path_lengths: np.ndarray | None = None
+    priorities: np.ndarray | None = None
+    links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    node_key: Callable[[int, int], object] | None = None
+    trace_key: Callable[[int, int], object] | None = None
+
+
+class Router:
+    """Base of every router: one routing run on either engine.
+
+    A concrete router exposes the subset of these options its network
+    supports and forwards them here unchanged.
+
+    Parameters
+    ----------
+    seed:
+        RNG seed/generator for every draw of a run (permutation, then
+        intermediates / coins / rows); a fixed seed gives bit-identical
+        results on both engines.
+    combine:
+        CRCW combining of same-(kind, address, dest) packets at enqueue.
+    node_capacity:
+        Bound on packets resident at one node; upstream links stall
+        when a node is full (backpressure, §3.4 / Corollary 3.3).
+        ``None`` (default) disables the capacity model.
+    flow_control:
+        ``"none"`` (default) is plain backpressure — tight capacities
+        can wedge crossing flows, surfaced as
+        :class:`~repro.routing.flow_control.DeadlockError`;
+        ``"credit"`` (requires ``node_capacity``) adds the deadlock-free
+        credit/escape protocol of :mod:`repro.routing.flow_control`.
+    track_paths:
+        Record visited nodes in ``packet.trace`` (reference engine; the
+        fast path exposes compiled itineraries via ``last_fast_run``).
+    engine:
+        ``"reference"`` is the readable per-hop engine, ``"fast"`` the
+        compiled integer path
+        (:class:`~repro.routing.fast_engine.FastPathEngine`: vectorized
+        batch, constrained batch under ``node_capacity`` — see
+        ``docs/architecture.md``); ``"auto"`` (default) resolves via the
+        ``REPRO_ENGINE`` environment variable and falls back to the fast
+        path.  ``RoutingStats.run_mode`` says which ran: a router whose
+        itineraries cannot be compiled runs ``"reference"`` regardless.
+    link_faults, fault_base:
+        A :class:`~repro.faults.runtime.LinkFaultTimeline` of
+        physical-wire specs; each engine gets a view in its own key
+        space, sampled at the global virtual step ``fault_base + t``.
+    observer:
+        Optional :class:`repro.obs.Observer`, handed to whichever
+        engine runs (profiling / flight data).
+    """
+
+    def __init__(
+        self,
+        topology,
+        *,
+        default_max_steps: int,
+        num_endpoints: int | None = None,
+        seed=None,
+        combine: bool = False,
+        node_capacity: int | None = None,
+        flow_control: str = "none",
+        track_paths: bool = False,
+        engine: str = "auto",
+        link_faults=None,
+        fault_base: int = 0,
+        observer=None,
+    ) -> None:
+        # validate eagerly: the engines are only built when a run needs one
+        resolve_engine_mode(engine)
+        resolve_flow_control(flow_control, node_capacity=node_capacity)
+        self.topology = topology
+        #: step budget of a run that names none
+        self.default_max_steps = default_max_steps
+        #: sources of a permutation (every node unless the router says)
+        self.num_endpoints = (
+            topology.num_nodes if num_endpoints is None else num_endpoints
+        )
+        self.rng = as_generator(seed)
+        self.combine = combine
+        self.node_capacity = node_capacity
+        self.flow_control = flow_control
+        self.track_paths = track_paths
+        self.engine_mode = engine
+        self.observer = observer
+        self.fault_base = int(fault_base)
+        self._link_faults = link_faults
+        #: built by the first run that takes the reference engine
+        self._reference: SynchronousEngine | None = None
+        #: after a fast-path run: its per-packet arrays, aligned with
+        #: the routed packet list — the compiled (padded) node-id
+        #: itineraries, the hop each packet stopped at (row i is valid
+        #: up to it), the absorptions (None after a reference run).  The
+        #: emulation layer builds the reply phase from these without
+        #: re-encoding traces.
+        self.last_fast_run: RunArrays | None = None
+
+    # ---- the hooks a concrete router supplies --------------------------
+    def _draw(self, packets: list[Packet]):
+        """Pre-draw this run's randomness; deterministic routers draw none."""
+        return None
+
+    def _next_hop(self, p: Packet):
+        raise NotImplementedError
+
+    def _compile(self, packets: list[Packet], draw) -> CompiledRun | None:
+        raise NotImplementedError
+
+    def _reference_options(self) -> dict:
+        return {}
+
+    def _reference_fault_keys(self, spec) -> tuple:
+        raise NotImplementedError
+
+    def _fast_fault_keys(self, spec) -> tuple:
+        # flat integer topologies key a link alike in both engines
+        return self._reference_fault_keys(spec)
+
+    # ---- the one place a router meets an engine ------------------------
+    def route_packets(
+        self, packets: list[Packet], *, max_steps: int | None = None
+    ) -> RoutingStats:
+        """Route prebuilt packets (``packet.node`` / ``packet.dest`` in
+        the router's own key space)."""
+        if max_steps is None:
+            max_steps = self.default_max_steps
+        draw = self._draw(packets)
+        self.last_fast_run = None
+        fast = resolve_engine_mode(self.engine_mode) == "fast"
+        run = self._compile(packets, draw) if fast else None
+        faults = None
+        if self._link_faults is not None:
+            faults = self._link_faults.view(
+                self._reference_fault_keys if run is None else self._fast_fault_keys
+            )
+        # forwarded unchanged to whichever engine runs
+        options = dict(
+            combine=self.combine,
+            node_capacity=self.node_capacity,
+            flow_control=self.flow_control,
+            track_paths=self.track_paths,
+            observer=self.observer,
+        )
+        if run is None:
+            if self._reference is None:
+                self._reference = SynchronousEngine(
+                    **options, **self._reference_options()
+                )
+            return self._reference.run(
+                packets,
+                self._next_hop,
+                max_steps=max_steps,
+                link_faults=faults,
+                fault_base=self.fault_base,
+            )
+        engine = FastPathEngine(**options)
+        stats = engine.run(
+            packets,
+            max_steps=max_steps,
+            link_faults=faults,
+            fault_base=self.fault_base,
+            **run._asdict(),
+        )
+        self.last_fast_run = engine.last_arrays
+        return stats
+
+    # ---- entry points --------------------------------------------------
+    def route(
+        self,
+        sources: Sequence[int],
+        dests: Sequence[int],
+        *,
+        max_steps: int | None = None,
+    ) -> RoutingStats:
+        """Route one packet from each of *sources* to the matching entry
+        of *dests*; ``max_steps`` defaults to the router's own budget."""
+        packets = make_packets(list(map(int, sources)), list(map(int, dests)))
+        return self.route_packets(packets, max_steps=max_steps)
+
+    def route_permutation(
+        self, perm: Sequence[int] | np.ndarray, *, max_steps: int | None = None
+    ) -> RoutingStats:
+        """Permutation routing: packet i goes from endpoint i to perm[i]."""
+        perm = np.asarray(perm)
+        n = self.num_endpoints
+        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
+            raise ValueError(f"perm must be a permutation of the {n} endpoints")
+        return self.route(np.arange(n), perm, max_steps=max_steps)
+
+    def route_random_permutation(self, *, max_steps: int | None = None) -> RoutingStats:
+        return self.route_permutation(
+            self.rng.permutation(self.num_endpoints), max_steps=max_steps
+        )
+
+    def route_n_relation(
+        self, *, h: int | None = None, max_steps: int | None = None
+    ) -> RoutingStats:
+        """Random partial h-relation routing (Corollaries 2.1 / 2.2);
+        ``h`` defaults to the network's own ``n`` — the n of the n-star,
+        the n-cube, the n-digit shuffle."""
+        h = self.topology.n if h is None else h
+        s, d = random_h_relation(self.rng, self.num_endpoints, h)
+        return self.route(s, d, max_steps=max_steps)

@@ -8,28 +8,23 @@ links; both phases share those links, so contention is modeled physically.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
-from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
-from repro.routing.queues import fifo_factory
+from repro.routing.packet import Packet
+from repro.routing.router import CompiledRun, Router
 from repro.topology.compiled import shuffle_unique_paths
 from repro.topology.shuffle import DWayShuffle
-from repro.util.rng import as_generator
 
 
-class ShuffleRouter:
+class ShuffleRouter(Router):
     """Two-phase unique-path router on the physical d-way shuffle.
 
     Intermediates are pre-drawn, so a packet's whole 2n-hop itinerary is
-    known up front; with ``engine="auto"``/``"fast"`` the itineraries are
-    compiled by digit arithmetic (one vectorized pass per hop index) and
-    replayed on :class:`~repro.routing.fast_engine.FastPathEngine`,
-    reproducing the reference engine's results exactly.
+    known up front: the fast path compiles it by digit arithmetic (one
+    vectorized pass per hop index), the reference engine walks the same
+    digits hop by hop.  ``randomized=False`` is the ablation baseline:
+    one deterministic unique-path pass straight to the destination (no
+    Valiant phase 1).
     """
 
     def __init__(
@@ -40,12 +35,24 @@ class ShuffleRouter:
         randomized: bool = True,
         engine: str = "auto",
     ) -> None:
+        super().__init__(
+            shuffle,
+            default_max_steps=60 * shuffle.n + 200,
+            seed=seed,
+            engine=engine,
+        )
         self.shuffle = shuffle
         self.randomized = randomized
-        self.rng = as_generator(seed)
-        self.engine_mode = engine
-        resolve_engine_mode(engine)  # validate eagerly
-        self.engine = SynchronousEngine(queue_factory=fifo_factory)
+
+    def _draw(self, packets: list[Packet]):
+        if not self.randomized:
+            for p in packets:
+                p.state = (1, 0, None)
+            return None
+        inters = self.rng.integers(self.shuffle.num_nodes, size=len(packets))
+        for p, r in zip(packets, inters):
+            p.state = (0, 0, int(r))
+        return inters
 
     def _next_hop(self, p: Packet):
         # state = (phase, hops_in_phase, intermediate)
@@ -63,71 +70,16 @@ class ShuffleRouter:
         p.state = (1, k + 1, inter)
         return self.shuffle.unique_path_next(p.node, p.dest, k)
 
-    def route(
-        self,
-        sources: Sequence[int],
-        dests: Sequence[int],
-        *,
-        max_steps: int | None = None,
-    ) -> RoutingStats:
-        if max_steps is None:
-            max_steps = 60 * self.shuffle.n + 200
-        packets = make_packets(list(map(int, sources)), list(map(int, dests)))
-        inters = None
-        if self.randomized:
-            inters = self.rng.integers(self.shuffle.num_nodes, size=len(packets))
-            for p, r in zip(packets, inters):
-                p.state = (0, 0, int(r))
-        else:
-            # Ablation baseline: one deterministic unique-path pass straight
-            # to the destination (no Valiant phase 1).
-            for p in packets:
-                p.state = (1, 0, None)
-        if resolve_engine_mode(self.engine_mode) == "fast":
-            return self._run_fast(packets, inters, max_steps)
-        return self.engine.run(packets, self._next_hop, max_steps=max_steps)
-
-    def _run_fast(self, packets, inters, max_steps: int) -> RoutingStats:
-        """Compile every packet's digit-insertion itinerary; replay fast.
-
-        Hop k of a unique-path phase inserts the target's k-th least
+    def _compile(self, packets: list[Packet], inters) -> CompiledRun:
+        """Hop k of a unique-path phase inserts the target's k-th least
         significant digit at the front, so the whole trajectory matrix
         falls out of n (or 2n) vectorized shift-and-insert operations
-        (:func:`repro.topology.compiled.shuffle_unique_paths`).
-        """
-        sh = self.shuffle
+        (:func:`repro.topology.compiled.shuffle_unique_paths`)."""
         dests = np.fromiter(
             (p.dest for p in packets), dtype=np.int64, count=len(packets)
         )
         targets = ([inters] if inters is not None else []) + [dests]
         paths = shuffle_unique_paths(
-            sh, [p.node for p in packets], targets
+            self.shuffle, [p.node for p in packets], targets
         )
-        fast = FastPathEngine()
-        return fast.run(
-            packets, paths, num_nodes=sh.num_nodes, max_steps=max_steps
-        )
-
-    def route_permutation(
-        self, perm: Sequence[int] | np.ndarray, *, max_steps: int | None = None
-    ) -> RoutingStats:
-        perm = np.asarray(perm)
-        n = self.shuffle.num_nodes
-        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-            raise ValueError("perm must be a permutation of all shuffle nodes")
-        return self.route(np.arange(n), perm, max_steps=max_steps)
-
-    def route_random_permutation(self, *, max_steps: int | None = None) -> RoutingStats:
-        return self.route_permutation(
-            self.rng.permutation(self.shuffle.num_nodes), max_steps=max_steps
-        )
-
-    def route_n_relation(
-        self, *, h: int | None = None, max_steps: int | None = None
-    ) -> RoutingStats:
-        """Random partial n-relation routing (Corollary 2.2)."""
-        from repro.util.rng import random_h_relation
-
-        h = h if h is not None else self.shuffle.n
-        s, d = random_h_relation(self.rng, self.shuffle.num_nodes, h)
-        return self.route(s, d, max_steps=max_steps)
+        return CompiledRun(paths, self.shuffle.num_nodes)

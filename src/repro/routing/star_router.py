@@ -13,27 +13,22 @@ on structured permutations, which is *why* phase 1 exists.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.routing.engine import SynchronousEngine
-from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
-from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
-from repro.routing.queues import fifo_factory
+from repro.routing.greedy import GreedyRouter
+from repro.routing.router import Router
 from repro.topology.star import StarGraph
-from repro.util.rng import as_generator
 
 
-class StarRouter:
-    """Two-phase randomized router on the physical n-star graph.
+class StarRouter(GreedyRouter):
+    """Two-phase randomized router on the physical n-star graph:
+    :class:`~repro.routing.greedy.GreedyRouter` over the greedy cycle
+    algorithm, via a pre-drawn random intermediate unless
+    ``randomized=False``.
 
     Intermediates are pre-drawn and the greedy cycle algorithm is
-    deterministic, so each packet's itinerary is known before routing;
-    with ``engine="auto"``/``"fast"`` the itineraries are precompiled and
-    replayed on :class:`~repro.routing.fast_engine.FastPathEngine`,
-    reproducing the reference engine's results exactly.
+    deterministic, so each packet's itinerary is known before routing
+    and both engines replay it exactly.
     """
 
     def __init__(
@@ -44,84 +39,15 @@ class StarRouter:
         randomized: bool = True,
         engine: str = "auto",
     ) -> None:
+        Router.__init__(
+            self,
+            star,
+            default_max_steps=60 * star.diameter + 200,
+            seed=seed,
+            engine=engine,
+        )
         self.star = star
         self.randomized = randomized
-        self.rng = as_generator(seed)
-        self.engine_mode = engine
-        resolve_engine_mode(engine)  # validate eagerly
-        self.engine = SynchronousEngine(queue_factory=fifo_factory)
-
-    def _next_hop(self, p: Packet):
-        # state = intermediate node id, or None once phase 2 has begun
-        if p.state is not None:
-            if p.node == p.state:
-                p.state = None  # reached the intermediate: start phase 2
-            else:
-                return self.star.route_next(p.node, p.state)
-        if p.node == p.dest:
-            return None
-        return self.star.route_next(p.node, p.dest)
-
-    def route(
-        self,
-        sources: Sequence[int],
-        dests: Sequence[int],
-        *,
-        max_steps: int | None = None,
-    ) -> RoutingStats:
-        if max_steps is None:
-            max_steps = 60 * self.star.diameter + 200
-        packets = make_packets(list(map(int, sources)), list(map(int, dests)))
-        if self.randomized:
-            inters = self.rng.integers(self.star.num_nodes, size=len(packets))
-            for p, r in zip(packets, inters):
-                p.state = int(r)
-        if resolve_engine_mode(self.engine_mode) == "fast":
-            return self._run_fast(packets, max_steps)
-        return self.engine.run(packets, self._next_hop, max_steps=max_steps)
-
-    def _run_fast(self, packets, max_steps: int) -> RoutingStats:
-        """Precompute greedy itineraries (via intermediates); replay fast."""
-        route_next = self.star.route_next
-        paths = []
-        for p in packets:
-            cur = p.node
-            path = [cur]
-            inter = p.state
-            if inter is not None:
-                while cur != inter:
-                    cur = route_next(cur, inter)
-                    path.append(cur)
-            while cur != p.dest:
-                cur = route_next(cur, p.dest)
-                path.append(cur)
-            paths.append(path)
-        fast = FastPathEngine()
-        return fast.run(
-            packets, paths, num_nodes=self.star.num_nodes, max_steps=max_steps
-        )
-
-    def route_permutation(
-        self, perm: Sequence[int] | np.ndarray, *, max_steps: int | None = None
-    ) -> RoutingStats:
-        perm = np.asarray(perm)
-        n = self.star.num_nodes
-        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-            raise ValueError("perm must be a permutation of all star nodes")
-        return self.route(np.arange(n), perm, max_steps=max_steps)
-
-    def route_random_permutation(self, *, max_steps: int | None = None) -> RoutingStats:
-        return self.route_permutation(
-            self.rng.permutation(self.star.num_nodes), max_steps=max_steps
-        )
-
-    def route_n_relation(self, *, h: int | None = None, max_steps: int | None = None) -> RoutingStats:
-        """Random partial n-relation routing (Corollary 2.1)."""
-        from repro.util.rng import random_h_relation
-
-        h = h if h is not None else self.star.n
-        s, d = random_h_relation(self.rng, self.star.num_nodes, h)
-        return self.route(s, d, max_steps=max_steps)
 
 
 def adversarial_star_permutation(star: StarGraph) -> np.ndarray:

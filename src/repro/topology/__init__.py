@@ -5,7 +5,7 @@ enumeration, deterministic greedy routing, and exact distances, so the
 routing engine can stay topology-agnostic.
 """
 
-from repro.topology.base import Topology
+from repro.topology.base import RouteStalledError, Topology
 from repro.topology.star import StarGraph
 from repro.topology.shuffle import DWayShuffle
 from repro.topology.hypercube import Hypercube
@@ -39,6 +39,7 @@ __all__ = [
     "LeveledNetwork",
     "LinearArray",
     "Mesh2D",
+    "RouteStalledError",
     "ShuffleLeveled",
     "StarGraph",
     "StarLogicalLeveled",

@@ -7,6 +7,28 @@ from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 
+class RouteStalledError(RuntimeError):
+    """A walk that cannot reach where it is headed.
+
+    Raised wherever an itinerary is followed or compiled — by
+    :meth:`Topology.greedy_path`, the compiled leveled path builder and
+    the routers' reference ``_next_hop`` policies, so the same failure
+    has the same type whichever engine ran: ``route_next`` stopped
+    advancing (or wandered past any possible path length) at ``node`` on
+    the way to ``dest``, or a leveled second pass ended on row ``node``
+    instead of ``dest``.  ``packet`` is the packet id when a router
+    knows it (the compiled leveled builder, which sees no packets,
+    gives the row of its input), ``None`` for a bare path walk.
+    """
+
+    def __init__(self, node, dest, *, packet: int | None = None) -> None:
+        who = "route" if packet is None else f"packet {packet}"
+        super().__init__(f"{who} stalled at {node!r} short of {dest!r}")
+        self.packet = packet
+        self.node = node
+        self.dest = dest
+
+
 class Topology(ABC):
     """A static point-to-point interconnection network.
 
@@ -90,7 +112,7 @@ class Topology(ABC):
             cur = self.route_next(cur, v)
             path.append(cur)
             if len(path) > limit + 1:
-                raise RuntimeError(f"greedy path from {u} to {v} did not converge")
+                raise RouteStalledError(cur, v)
         return path
 
     def bfs_distance(self, u: int, v: int) -> int:

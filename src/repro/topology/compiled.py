@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.topology.base import RouteStalledError
 from repro.topology.leveled import LeveledNetwork
 
 
@@ -136,9 +137,8 @@ class CompiledLeveledTopology:
             cols[:, L + 1 + level] = rows
         if not np.array_equal(rows, dests_arr):
             bad = int(np.nonzero(rows != dests_arr)[0][0])
-            raise RuntimeError(
-                f"packet {bad} finished pass 2 at row {int(rows[bad])} "
-                f"!= dest {int(dests_arr[bad])}"
+            raise RouteStalledError(
+                int(rows[bad]), int(dests_arr[bad]), packet=bad
             )
         ids = cols + (np.arange(2 * L + 1, dtype=np.int64) * N)[None, :]
         return ids

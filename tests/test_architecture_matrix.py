@@ -9,15 +9,21 @@ code nor the table can drift alone.  Emulator and cross-cutting rows
 
 The document's "The fast path" section also promises a shape — a step
 loop over phase functions that each take the run state explicitly —
-which the last test here pins, so it cannot regrow into one method.
+which a test here pins, so it cannot regrow into one method.  Its
+"Routers" section promises another — seven routers on one base that
+meets an engine in exactly one place, with no option added or lost —
+and the last tests pin that.
 """
 
 import ast
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.routing
 from repro.routing import (
     GreedyMeshRouter,
     GreedyRouter,
@@ -239,3 +245,95 @@ def test_fast_engine_stays_a_loop_over_phase_functions(module):
         ]
         assert not nested, f"{module}:{fn.name} nests a def/lambda at line {nested}"
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]
+
+
+#: the router skeleton and every module built on it
+ROUTER_MODULES = (
+    "router.py",
+    "leveled_router.py",
+    "mesh_router.py",
+    "star_router.py",
+    "shuffle_router.py",
+    "greedy.py",
+    "valiant.py",
+    "linear.py",
+)
+
+
+def test_routers_meet_an_engine_in_one_place():
+    """One construction site per engine, one definition of every shared
+    entry point, no per-class dispatch block — over all router modules."""
+    calls, defs = Counter(), Counter()
+    for module in ROUTER_MODULES:
+        source = (DOC.parent.parent / "src/repro/routing" / module).read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                # a bare name or an attribute; None for a called call
+                func = node.func
+                calls[getattr(func, "id", None) or getattr(func, "attr", None)] += 1
+            elif isinstance(node, FUNCTIONS):
+                defs[node.name] += 1
+    assert calls["FastPathEngine"] == 1
+    assert calls["SynchronousEngine"] == 1
+    assert calls["resolve_engine_mode"] <= 2
+    assert defs["_run_fast"] == 0
+    for shared in ("route_permutation", "route_random_permutation", "route_n_relation"):
+        assert defs[shared] == 1, shared
+    # star ≡ cube ≡ greedy(-mesh), shuffle ≡ serialized shuffle: a walk
+    # policy exists once per distinct itinerary
+    assert defs["_next_hop"] == 5  # base stub, leveled, mesh, greedy, shuffle
+
+
+def test_traced_entry_points_stay_on_their_own_classes():
+    """benchmarks/e2e wraps these two by ``owner.__dict__[attr]``."""
+    assert "route" in MeshRouter.__dict__
+    assert "route_packets" in LeveledRouter.__dict__
+    assert repro.routing.mesh_router.MeshRouter is MeshRouter
+    assert repro.routing.leveled_router.LeveledRouter is LeveledRouter
+
+
+#: the public surface before the routers moved onto one base: no knob
+#: was added to get there, and none was lost
+SIGNATURES = {
+    LeveledRouter: "(net, *, intermediate='coin', seed=None, combine=False, "
+    "node_capacity=None, flow_control='none', track_paths=False, engine='auto', "
+    "link_faults=None, fault_base=0, observer=None)",
+    MeshRouter: "(mesh, *, seed=None, slice_rows=None, discipline='furthest_first', "
+    "node_capacity=None, flow_control='none', track_paths=False, combine=False, "
+    "engine='auto', link_faults=None, fault_base=0, observer=None)",
+    GreedyMeshRouter: "(mesh, *, node_capacity=None, flow_control='none', "
+    "engine='auto', observer=None)",
+    GreedyRouter: "(topology, *, node_capacity=None, flow_control='none', engine='auto')",
+    StarRouter: "(star, *, seed=None, randomized=True, engine='auto')",
+    ShuffleRouter: "(shuffle, *, seed=None, randomized=True, engine='auto')",
+    ValiantHypercubeRouter: "(cube, *, seed=None, randomized=True, engine='auto')",
+    route_linear: "(n, origins, dests, *, discipline='furthest_first', "
+    "max_steps=None, engine='auto')",
+    valiant_shuffle_route: "(shuffle, sources, dests, *, seed=None, max_steps=None)",
+}
+
+PUBLIC_NAMES = """
+    CreditState DeadlockError FIFOQueue FLOW_CONTROL_MODES FastPathEngine
+    FurthestFirstQueue GreedyMeshRouter GreedyRouter LeveledRouter MeshRouter
+    NetworkDrainedError Packet RoutingStats RoutingTimeout ShuffleRouter StarRouter
+    SynchronousEngine ValiantHypercubeRouter adversarial_star_permutation
+    bitonic_route bitonic_stage_count collect_stats default_slice_rows fifo_factory
+    furthest_first_factory make_packets random_linear_instance resolve_engine_mode
+    resolve_flow_control route_linear route_with_function transpose_permutation
+    valiant_shuffle_route
+"""
+
+
+@pytest.mark.parametrize("entry", SIGNATURES, ids=lambda entry: entry.__name__)
+def test_no_router_option_added_or_lost(entry):
+    sig = inspect.signature(entry)
+    empty = inspect.Parameter.empty
+    bare = sig.replace(
+        parameters=[p.replace(annotation=empty) for p in sig.parameters.values()],
+        return_annotation=empty,
+    )
+    assert str(bare) == SIGNATURES[entry]
+
+
+def test_public_routing_names_unchanged():
+    assert sorted(repro.routing.__all__) == sorted(PUBLIC_NAMES.split())

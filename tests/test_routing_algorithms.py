@@ -1,5 +1,9 @@
 """Tests for the paper's routing algorithms (Algorithms 2.1-2.3, §3.4)."""
 
+import signal
+import zlib
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -22,11 +26,30 @@ from repro.topology import (
     DAryButterflyLeveled,
     DWayShuffle,
     Hypercube,
+    LinearArray,
     Mesh2D,
+    RouteStalledError,
     ShuffleLeveled,
     StarGraph,
     StarLogicalLeveled,
 )
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test instead of hanging the suite: the alarm interrupts
+    a Python-level loop that no longer terminates."""
+
+    def expired(_signum, _frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestLeveledRouter:
@@ -320,3 +343,228 @@ class TestGreedyRouter:
         router = GreedyRouter(Broken(3))
         with pytest.raises(RuntimeError):
             router.route([0], [5])
+        # one guarded walk serves every greedy router on both engines;
+        # under a deadline, because an unguarded walk spins forever on
+        # this topology instead of failing
+        for cls, kwargs in (
+            (GreedyRouter, {}),
+            (StarRouter, {"randomized": False}),
+            (StarRouter, {"seed": 1}),
+            (ValiantHypercubeRouter, {"randomized": False}),
+        ):
+            for engine in ("fast", "reference"):
+                router = cls(Broken(3), engine=engine, **kwargs)
+                with deadline(5), pytest.raises(RouteStalledError) as err:
+                    router.route([0], [5])
+                stalled = err.value
+                assert (stalled.packet, stalled.node) == (0, 0), (cls, engine)
+                assert stalled.dest == 5 or kwargs.get("seed"), (cls, engine)
+
+
+# ----------------------------------------------------------------------
+# The router contract: every router class on both engines.
+#
+# GOLDEN holds each seeded case's RoutingStats as recorded at the commit
+# before the routers were folded onto one base (`Router`): the numbers a
+# refactor of the routing layer may not move.  Both engines must
+# reproduce a row, so the table is the fast ≡ reference contract too.
+# ----------------------------------------------------------------------
+
+BFLY = DAryButterflyLeveled(2, 4)
+MESH = Mesh2D.square(6)
+CUBE = Hypercube(4)
+STAR = StarGraph(4)
+SHUFFLE = DWayShuffle(2, 4)
+CREDIT = dict(node_capacity=2, flow_control="credit")
+TIGHT = dict(node_capacity=1, flow_control="credit")
+
+
+def _seeded_permutation(router, n):
+    """A fixed permutation for the routers that hold no seed."""
+    return router.route(np.arange(n), np.random.default_rng(5).permutation(n))
+
+
+def _hot_reads(engine):
+    # CRCW combining: 16 reads of 3 addresses, each address one row
+    addrs = [i % 3 for i in range(16)]
+    return LeveledRouter(BFLY, seed=11, combine=True, engine=engine).route(
+        range(16), [5 * a for a in addrs], addresses=addrs
+    )
+
+
+def _valiant_shuffle(_engine):
+    perm = np.random.default_rng(5).permutation(16)
+    return valiant_shuffle_route(SHUFFLE, np.arange(16), perm, seed=11)
+
+
+#: case -> engine -> RoutingStats
+CASES = {
+    "leveled-coin": lambda e: LeveledRouter(
+        BFLY, seed=11, engine=e
+    ).route_random_permutation(),
+    "leveled-node": lambda e: LeveledRouter(
+        BFLY, intermediate="node", seed=11, engine=e
+    ).route_random_permutation(),
+    "leveled-coin-credit": lambda e: LeveledRouter(
+        BFLY, seed=11, engine=e, **CREDIT
+    ).route_random_permutation(),
+    "leveled-node-credit": lambda e: LeveledRouter(
+        BFLY, intermediate="node", seed=11, engine=e, **TIGHT
+    ).route_random_permutation(),
+    "leveled-coin-combine": _hot_reads,
+    "leveled-star-logical": lambda e: LeveledRouter(
+        StarLogicalLeveled(4), seed=11, engine=e
+    ).route_random_permutation(),
+    "mesh": lambda e: MeshRouter(MESH, seed=11, engine=e).route_random_permutation(),
+    "mesh-fifo": lambda e: MeshRouter(
+        MESH, seed=11, discipline="fifo", engine=e
+    ).route_random_permutation(),
+    "mesh-capacity": lambda e: MeshRouter(
+        MESH, seed=11, node_capacity=2, engine=e
+    ).route_random_permutation(),
+    "mesh-credit": lambda e: MeshRouter(
+        MESH, seed=11, engine=e, **CREDIT
+    ).route_random_permutation(),
+    "greedy-mesh": lambda e: _seeded_permutation(GreedyMeshRouter(MESH, engine=e), 36),
+    "greedy-mesh-credit": lambda e: _seeded_permutation(
+        GreedyMeshRouter(MESH, engine=e, **CREDIT), 36
+    ),
+    "greedy-on-mesh": lambda e: _seeded_permutation(GreedyRouter(MESH, engine=e), 36),
+    "greedy-on-mesh-credit": lambda e: _seeded_permutation(
+        GreedyRouter(MESH, engine=e, **CREDIT), 36
+    ),
+    "greedy-on-cube": lambda e: _seeded_permutation(GreedyRouter(CUBE, engine=e), 16),
+    "greedy-on-cube-credit": lambda e: _seeded_permutation(
+        GreedyRouter(CUBE, engine=e, **CREDIT), 16
+    ),
+    "greedy-on-line": lambda e: _seeded_permutation(
+        GreedyRouter(LinearArray(12), engine=e), 12
+    ),
+    "greedy-on-star": lambda e: _seeded_permutation(GreedyRouter(STAR, engine=e), 24),
+    "greedy-on-star-credit": lambda e: _seeded_permutation(
+        GreedyRouter(STAR, engine=e, **TIGHT), 24
+    ),
+    "star": lambda e: StarRouter(STAR, seed=11, engine=e).route_random_permutation(),
+    "star-greedy": lambda e: StarRouter(
+        STAR, seed=11, randomized=False, engine=e
+    ).route_random_permutation(),
+    "star-n-relation": lambda e: StarRouter(STAR, seed=11, engine=e).route_n_relation(),
+    "shuffle": lambda e: ShuffleRouter(
+        SHUFFLE, seed=11, engine=e
+    ).route_random_permutation(),
+    "shuffle-single-pass": lambda e: ShuffleRouter(
+        SHUFFLE, seed=11, randomized=False, engine=e
+    ).route_random_permutation(),
+    "shuffle-n-relation": lambda e: ShuffleRouter(
+        SHUFFLE, seed=11, engine=e
+    ).route_n_relation(),
+    "valiant-cube": lambda e: ValiantHypercubeRouter(
+        CUBE, seed=11, engine=e
+    ).route_random_permutation(),
+    "valiant-cube-greedy": lambda e: ValiantHypercubeRouter(
+        CUBE, seed=11, randomized=False, engine=e
+    ).route(np.arange(16), transpose_permutation(CUBE)),
+    "route-linear": lambda e: route_linear(
+        12, *random_linear_instance(12, 30, seed=11), engine=e
+    ),
+    "route-linear-fifo": lambda e: route_linear(
+        12, *random_linear_instance(12, 30, seed=11), discipline="fifo", engine=e
+    ),
+    "valiant-shuffle": _valiant_shuffle,
+}
+
+
+def stats_row(stats):
+    """The fields the theorems bound, plus a checksum that pins the
+    per-packet ``delays`` / ``hops`` lists including their order."""
+    assert stats.completed and stats.delivered == stats.total_packets
+    return (
+        stats.steps,
+        stats.max_queue,
+        stats.max_node_load,
+        stats.combines,
+        stats.credits_stalled,
+        stats.escape_hops,
+        sum(stats.delays),
+        sum(stats.hops),
+        zlib.crc32(repr((stats.delays, stats.hops)).encode()),
+    )
+
+
+#: case -> (fast run_mode, stats_row) at the parent commit
+GOLDEN = {
+    "leveled-coin": ("batch", (10, 2, 3, 0, 0, 0, 9, 128, 904534325)),
+    "leveled-node": ("batch", (9, 2, 2, 0, 0, 0, 6, 128, 2853675100)),
+    "leveled-coin-credit": ("batch-constrained", (10, 2, 2, 0, 1, 3, 9, 128, 2792245301)),
+    "leveled-node-credit": ("batch-constrained", (9, 1, 1, 0, 6, 30, 6, 128, 823048237)),
+    "leveled-coin-combine": ("batch", (9, 2, 2, 8, 0, 0, 23, 108, 479110915)),
+    "leveled-star-logical": ("batch", (15, 3, 4, 0, 0, 0, 16, 288, 1711641123)),
+    "mesh": ("batch", (9, 2, 3, 0, 0, 0, 2, 156, 644822661)),
+    "mesh-fifo": ("batch", (9, 2, 3, 0, 0, 0, 2, 156, 3524081040)),
+    "mesh-capacity": ("batch-constrained", (9, 2, 2, 0, 0, 0, 12, 156, 588251203)),
+    "mesh-credit": ("batch-constrained", (9, 2, 2, 0, 1, 8, 2, 156, 3964792595)),
+    "greedy-mesh": ("batch", (10, 2, 3, 0, 0, 0, 3, 150, 1852064477)),
+    "greedy-mesh-credit": ("batch-constrained", (10, 2, 2, 0, 0, 12, 3, 150, 1852064477)),
+    "greedy-on-mesh": ("batch", (10, 2, 3, 0, 0, 0, 3, 150, 1852064477)),
+    "greedy-on-mesh-credit": ("batch-constrained", (10, 2, 2, 0, 0, 12, 3, 150, 1852064477)),
+    "greedy-on-cube": ("batch", (3, 1, 2, 0, 0, 0, 0, 30, 3080070604)),
+    "greedy-on-cube-credit": ("batch-constrained", (3, 1, 2, 0, 0, 0, 0, 30, 3080070604)),
+    "greedy-on-line": ("batch", (10, 1, 2, 0, 0, 0, 0, 40, 425674012)),
+    "greedy-on-star": ("batch", (4, 2, 2, 0, 0, 0, 1, 62, 2387631493)),
+    "greedy-on-star-credit": ("batch-constrained", (5, 1, 1, 0, 1, 20, 1, 62, 4173800149)),
+    "star": ("batch", (9, 2, 3, 0, 0, 0, 13, 146, 1001990166)),
+    "star-greedy": ("batch", (5, 2, 2, 0, 0, 0, 1, 58, 3539206716)),
+    "star-n-relation": ("batch", (14, 4, 6, 0, 0, 0, 269, 516, 3271901132)),
+    "shuffle": ("batch", (10, 3, 3, 0, 0, 0, 15, 128, 3348744408)),
+    "shuffle-single-pass": ("batch", (5, 2, 2, 0, 0, 0, 2, 64, 1593001892)),
+    "shuffle-n-relation": ("batch", (22, 6, 7, 0, 0, 0, 569, 512, 2660712646)),
+    "valiant-cube": ("batch", (7, 1, 2, 0, 0, 0, 0, 80, 2728664663)),
+    "valiant-cube-greedy": ("batch", (4, 1, 2, 0, 0, 0, 0, 32, 3023442712)),
+    "route-linear": ("batch", (11, 5, 5, 0, 0, 0, 56, 105, 3444350474)),
+    "route-linear-fifo": ("batch", (14, 5, 5, 0, 0, 0, 49, 105, 681849716)),
+    "valiant-shuffle": ("reference", (13, 3, 3, 0, 0, 0, 45, 128, 4232337647)),
+}
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("case", CASES)
+def test_seeded_stats_equal_the_recorded_goldens(case, engine):
+    fast_mode, row = GOLDEN[case]
+    stats = CASES[case](engine)
+    assert stats_row(stats) == row
+    assert stats.run_mode == (fast_mode if engine == "fast" else "reference")
+
+
+#: the seven router classes on a small instance, as engine -> router
+ROUTERS = {
+    "LeveledRouter": lambda e: LeveledRouter(BFLY, seed=3, engine=e),
+    "MeshRouter": lambda e: MeshRouter(MESH, seed=3, engine=e),
+    "StarRouter": lambda e: StarRouter(STAR, seed=3, engine=e),
+    "ShuffleRouter": lambda e: ShuffleRouter(SHUFFLE, seed=3, engine=e),
+    "ValiantHypercubeRouter": lambda e: ValiantHypercubeRouter(CUBE, seed=3, engine=e),
+    "GreedyRouter": lambda e: GreedyRouter(STAR, engine=e),
+    "GreedyMeshRouter": lambda e: GreedyMeshRouter(MESH, engine=e),
+}
+
+
+@pytest.mark.parametrize("name", ROUTERS)
+def test_inherited_random_permutation_agrees_across_engines(name):
+    runs = []
+    for engine in ("fast", "reference"):
+        router = ROUTERS[name](engine)
+        router.rng = np.random.default_rng(3)  # the greedy classes take no seed
+        runs.append(vars(router.route_random_permutation()))
+    fast, reference = runs
+    assert fast.pop("run_mode") == "batch"
+    assert reference.pop("run_mode") == "reference"
+    assert fast == reference and fast["completed"]
+
+
+@pytest.mark.parametrize("name", ROUTERS)
+def test_route_permutation_rejects_a_non_permutation(name):
+    router = ROUTERS[name]("fast")
+    n = router.num_endpoints
+    router.route_permutation(np.arange(n)[::-1])
+    for bad in (np.zeros(n, dtype=int), np.arange(n - 1), np.arange(n + 1)):
+        with pytest.raises(ValueError, match="permutation"):
+            router.route_permutation(bad)
