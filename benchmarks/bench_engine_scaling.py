@@ -2,7 +2,8 @@
 
 Times the two routing engines on the workloads the paper's headline
 claims need at scale — leveled permutation routing (Theorem 2.1), CRCW
-hotspot emulation with combining (Theorem 2.6), 3-stage mesh permutation
+hotspot emulation with combining on the butterfly and on the star's
+logical network (Theorem 2.6), 3-stage mesh permutation
 routing (Theorem 3.1), mesh EREW/CRCW PRAM emulation (Theorems 3.2/2.6),
 and credit-flow-control routing under O(1) node buffers (Corollary 3.3,
 the vectorized constrained-batch mode) — at N >= 512 processors, asserts
@@ -45,7 +46,7 @@ from repro.pram.trace import hotspot_step, permutation_step
 from repro.routing.fast_engine import FastPathEngine
 from repro.routing.leveled_router import LeveledRouter
 from repro.routing.mesh_router import GreedyMeshRouter, MeshRouter
-from repro.topology.leveled import DAryButterflyLeveled
+from repro.topology.leveled import DAryButterflyLeveled, StarLogicalLeveled
 from repro.topology.mesh import Mesh2D
 
 
@@ -117,13 +118,13 @@ def bench_permutation(d: int, levels: int, *, seed: int, repeats: int) -> dict:
     }
 
 
-def bench_crcw_hotspot(d: int, levels: int, *, seed: int, repeats: int) -> dict:
-    """CRCW hotspot emulation: combining + reply fan-out, both engines.
+def bench_crcw_hotspot(net, network: str, *, seed: int, repeats: int) -> dict:
+    """CRCW hotspot emulation on the leveled network *net* (reported as
+    *network*): combining + reply fan-out, both engines.
 
     Each timed run emulates several PRAM steps, the realistic usage
     pattern (a program is many steps against one emulator).
     """
-    net = DAryButterflyLeveled(d, levels)
     n = net.column_size
     space = 4 * n
     n_steps = 3
@@ -146,7 +147,7 @@ def bench_crcw_hotspot(d: int, levels: int, *, seed: int, repeats: int) -> dict:
         ), "engines diverged"
     return {
         "scenario": "crcw-hotspot-emulation",
-        "network": f"dary-butterfly(d={d}, L={levels})",
+        "network": network,
         "n": n,
         "packets": n * n_steps,
         "pram_steps": n_steps,
@@ -322,8 +323,15 @@ def run_suite(quick: bool) -> list[dict]:
     for d, levels in perm_settings:
         rows.append(bench_permutation(d, levels, seed=1, repeats=repeats))
         print(_render(rows[-1]))
-    for d, levels in emu_settings:
-        rows.append(bench_crcw_hotspot(d, levels, seed=2, repeats=repeats))
+    # The star's logical network (Theorem 2.6's own row, N = 6! = 720)
+    # is the leveled network whose link space is largest against a
+    # batch; quick mode included, so the CI ratio gate covers it.
+    emu_nets = [
+        (DAryButterflyLeveled(d, levels), f"dary-butterfly(d={d}, L={levels})")
+        for d, levels in emu_settings
+    ] + [(StarLogicalLeveled(6), "star-logical(n=6)")]
+    for net, network in emu_nets:
+        rows.append(bench_crcw_hotspot(net, network, seed=2, repeats=repeats))
         print(_render(rows[-1]))
     for n_side in mesh_perm_sides:
         rows.append(bench_mesh_permutation(n_side, seed=3, repeats=repeats))

@@ -454,9 +454,7 @@ class Emulator(ABC):
             )
         return values
 
-    def _reverse_path_replies(
-        self, router, read_hosts, values, *, budget, num_nodes, links_of=None
-    ):
+    def _reverse_path_replies(self, router, read_hosts, values, *, budget, num_nodes):
         """Replies walk the request paths in reverse, splitting at the
         combining-tree merge points (Theorem 2.6).
 
@@ -468,8 +466,9 @@ class Emulator(ABC):
         """
         if router.last_fast_run is not None:
             # The fast request run left its arrays: replay the compiled
-            # trajectories backwards off a static spawn plan.  A request
-            # packet's pid is its row (``_build_request_packets``).
+            # trajectories backwards, on the link ids that run already
+            # made, off a static spawn plan.  A request packet's pid is
+            # its row (``_build_request_packets``).
             return route_replies_fast(
                 router.last_fast_run,
                 np.fromiter(
@@ -477,7 +476,6 @@ class Emulator(ABC):
                 ),
                 budget=budget,
                 num_nodes=num_nodes,
-                links_of=links_of,
                 observer=self.observer,
             )
         # Reference engine: the requests recorded traces (track_paths).

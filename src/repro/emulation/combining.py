@@ -19,7 +19,7 @@ Requests routed with ``track_paths=True`` have everything needed.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
@@ -189,7 +189,6 @@ def route_replies_fast(
     *,
     budget: int,
     num_nodes: int,
-    links_of: Callable[[np.ndarray], tuple] | None = None,
     observer=None,
 ) -> RoutingStats:
     """Run the reply fan-out on the compiled fast engine.
@@ -219,9 +218,10 @@ def route_replies_fast(
     timed out) are excluded from the stats just as if they had never
     been spawned.
 
-    ``links_of`` maps the reply matrix to the engine's precompiled
-    ``links`` (see :meth:`FastPathEngine.run`); without it the engine
-    interns the links itself.
+    The reply run interns nothing: hop k of a reply crosses link
+    ``hops - 1 - k`` of its request the other way, so it keeps that
+    link's id (:attr:`RunArrays.links`) — one gather, whatever the
+    encoding, mesh and leveled alike — with the endpoint tables swapped.
     """
     roots = np.asarray(host_rows, dtype=np.int64)
     # Children of every request, grouped by host with one stable sort
@@ -253,6 +253,13 @@ def route_replies_fast(
     width = int(hops.max()) + 1
     rev = np.clip(hops[:, None] - np.arange(width), 0, None)
     reply_mat = requests.paths[rows[:, None], rev]
+    links = None
+    if requests.links is not None:
+        # position k + 1 of a reply is position ``rev[:, k + 1]`` of its
+        # request, which is also the index of the request link between
+        # the two (a pad names link 0 reversed: never traversed)
+        link_mat, link_src, link_dst = requests.links
+        links = (link_mat[rows[:, None], rev[:, 1:]], link_dst, link_src)
 
     spawn_plan = None
     if level_parents:
@@ -277,6 +284,6 @@ def route_replies_fast(
         num_nodes=num_nodes,
         max_steps=budget,
         path_lengths=hops,
-        links=links_of(reply_mat) if links_of is not None else None,
+        links=links,
         spawn_plan=spawn_plan,
     )

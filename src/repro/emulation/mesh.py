@@ -40,7 +40,6 @@ from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.mesh_router import MeshRouter
 from repro.routing.packet import Packet
-from repro.topology.compiled import compile_mesh
 from repro.topology.mesh import Mesh2D
 from repro.util.rng import as_generator
 
@@ -238,7 +237,6 @@ class MeshEmulator(Emulator):
                         values,
                         budget=patience,
                         num_nodes=self.mesh.num_nodes,
-                        links_of=self._reply_links,
                     )
                 else:
                     reply_stats = self._replies_fresh_route(
@@ -255,13 +253,6 @@ class MeshEmulator(Emulator):
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
         return self._finish_step(step, req_stats, reply_stats, log)
-
-    def _reply_links(self, reply_ids: np.ndarray):
-        """Arithmetic link ids of a reverse-path matrix: a mesh link id
-        is ``u * 4 + direction`` whichever way the route runs, so the
-        reply run skips the engine's interning sort like the requests."""
-        compiled = compile_mesh(self.mesh)
-        return (compiled.link_matrix(reply_ids), *compiled.link_arrays())
 
     def _replies_fresh_route(
         self, read_hosts, values, engine_mode: str, budget: int, log, fault_base: int

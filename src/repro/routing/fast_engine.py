@@ -281,14 +281,15 @@ class FastPathEngine:
         ``FurthestFirstQueue``.  ``node_key`` / ``trace_key`` decode
         ``(position, node_id)`` into the hashable keys written back to
         ``packet.node`` / ``packet.trace`` (identity when omitted).
-        ``links`` — a precompiled ``(link_id_matrix, link_src, link_dst)``
-        triple aligned with a rectangular *paths* matrix (e.g. the
-        arithmetic mesh encoding of
-        :meth:`repro.topology.compiled.CompiledMesh2D.link_matrix` or
-        the leveled encoding of
-        :meth:`repro.topology.compiled.CompiledLeveledTopology.link_matrix`,
-        each with its topology's ``link_arrays()``) — skips the np.unique
-        interning pass.
+        ``links`` — a ready ``(link_id_matrix, link_src, link_dst)``
+        triple aligned with a rectangular *paths* matrix — skips the
+        np.unique interning pass, which otherwise gives the run a dense
+        id per link this population crosses.  Two callers have one: the
+        mesh (the arithmetic encoding of
+        :meth:`repro.topology.compiled.CompiledMesh2D.link_matrix` with
+        its ``link_arrays()``) and the reply phase, which inherits its
+        request run's triple (:attr:`RunArrays.links`).  Leveled runs
+        pass none.
 
         ``packets=None`` routes an *anonymous* population: one packet
         per row of *paths*, all injected at step 0, none with a combine

@@ -64,6 +64,12 @@ class RunArrays:
 
     #: the padded ``(n, width)`` node-id itineraries the run followed
     paths: np.ndarray
+    #: the run's :func:`link_tables` triple ``(link_mat, link_src,
+    #: link_dst)``, ``link_mat`` being ``(n, width - 1)``: a reply
+    #: crosses its request's links the other way, so the reply run
+    #: inherits these ids instead of interning the same links again
+    #: (``None`` on hand-built arrays: the reply run interns its own)
+    links: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     #: position each packet stopped at: delivery, absorption, or the
     #: queue it sat in when the run ended
     hops: np.ndarray
@@ -108,16 +114,19 @@ def link_tables(
     ``link_mat[i, k]`` is the id of the link packet i crosses at its
     k-th hop (pad positions included — a pad's self-loop gets an id too,
     never traversed), ``link_src`` / ``link_dst`` the endpoints per id.
-    *links* is either that triple, precompiled by the topology
-    (arithmetic ids: ``u * 4 + direction`` on the mesh, ``u * d + slot``
-    on uniform-degree leveled networks — several ids may then share one
-    ``(src, dst)`` pair), or ``None``: one ``np.unique`` over the
-    ``src * num_nodes + dst`` codes interns them.  This is the only
-    place that knows the format; a malformed triple, a link id outside
-    the endpoint tables or a node id outside ``num_nodes`` is a
-    ``ValueError`` here rather than an ``IndexError`` from inside the
-    step loop (the endpoint tables themselves are the topology's own
-    and taken on trust).
+    *links* is either that triple, made elsewhere — the mesh's
+    arithmetic ``u * 4 + direction`` ids (a 4N id space, smaller than a
+    served batch; boundary slots may share a ``(src, dst)`` pair), or a
+    reply run's, inherited from its request run
+    (:attr:`RunArrays.links`) — or ``None``: one ``np.unique`` over the
+    ``src * num_nodes + dst`` codes interns the links this batch
+    crosses, which is what every leveled run takes, so its per-link
+    tables are sized by the batch and not by the network.  Ids are
+    opaque to every phase, and this is the only place that knows the
+    format; a malformed triple, a link id outside the endpoint tables
+    or a node id outside ``num_nodes`` is a ``ValueError`` here rather
+    than an ``IndexError`` from inside the step loop (the endpoint
+    tables themselves are their maker's and taken on trust).
     """
     n, width = path_arr.shape
     if links is not None:
@@ -454,10 +463,10 @@ def refresh_fault_flags(s: RunState, t: int) -> None:
     table (built lazily on the first nonempty blocked set); the boolean
     flag array is rebuilt only when the blocked set actually changes
     (per timeline segment, plus slow-link phase flips).  A code maps to
-    a *list* of dense ids: arithmetic link interning (mesh
-    ``u*4+direction``, leveled ``u*d+slot``) gives boundary nodes
-    several slots with the same (src, dst) endpoints, and a down wire
-    must block every slot that crosses it.
+    a *list* of dense ids: the mesh's arithmetic ``u*4+direction`` ids
+    give boundary nodes several slots with the same (src, dst)
+    endpoints, and a down wire must block every slot that crosses it
+    (interned ids — every leveled run — are 1:1 with their pairs).
     """
     parts = s.link_faults.parts_at(t)
     if parts == s.f_last_parts:
@@ -1013,8 +1022,10 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
             root = up
         arrived[absorbed] = arrived[root[absorbed]]
     fc = s.fc
+    n, width = s.path_arr.shape
     arrays = RunArrays(
         paths=s.path_arr,
+        links=(s.li_flat.reshape(n, width - 1), s.link_src, s.link_dst),
         hops=s.fl - s.fl_base,
         arrived=arrived,
         injected_at=s.injected_at,

@@ -40,7 +40,8 @@ class LeveledRouter(Router):
     of :mod:`repro.routing.flow_control` for O(1)-queue runs.  Capacity
     accounting identifies the wrap aliases ``(0, L, r)`` / ``(1, 0, r)``
     as one physical node, matching the compiled ids (escape buffers are
-    keyed by arithmetic link id there).  ``link_faults`` specs are
+    keyed by the fast run's interned link ids, 1:1 with the reference
+    engine's ``(u, w)`` keys).  ``link_faults`` specs are
     ``(col, u_row, v_row)`` physical wires, blocked on both passes.
     Everything else — ``engine``, option forwarding, the permutation
     entry points — is :class:`~repro.routing.router.Router`'s.
@@ -144,17 +145,11 @@ class LeveledRouter(Router):
             paths = compiled.build_paths(sources, dests, inters=draw)
         else:
             paths = compiled.build_paths(sources, dests, coins=draw)
-        # Arithmetic link ids skip the engine's np.unique interning pass
-        # (and carry link_dst for the constrained batch mode's credit
-        # accounting); they need the out-neighbor tables, so non-uniform
-        # out-degree networks fall back to interning.
-        links = None
-        if self.net.uniform_out_degree:
-            links = (compiled.link_matrix(paths), *compiled.link_arrays())
+        # no ``links``: the engine interns the links this batch crosses,
+        # so its tables are batch-sized, not 2L * N * d
         return CompiledRun(
             paths,
             compiled.num_node_ids,
-            links=links,
             node_key=compiled.node_key,
             trace_key=compiled.trace_key,
         )
@@ -172,7 +167,7 @@ class LeveledRouter(Router):
         )
 
     # A (col, u_row, v_row) wire is blocked on both passes; each engine
-    # gets the pair in its own key space (tuples vs. arithmetic ids),
+    # gets the pair in its own key space (tuples vs. compiled node ids),
     # translated so the two stay step-equivalent.
     def _wire(self, spec):
         c, u, v = spec

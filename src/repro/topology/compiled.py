@@ -143,58 +143,6 @@ class CompiledLeveledTopology:
         ids = cols + (np.arange(2 * L + 1, dtype=np.int64) * N)[None, :]
         return ids
 
-    # ---- arithmetic link ids -------------------------------------------
-    # Crossing k runs from unrolled column k to column k + 1, and a
-    # uniform-degree node has exactly d out-links, so directed link
-    # (u, v) gets the dense id ``u * d + j`` (j = v's index in u's
-    # out-neighbor table) with no interning pass — the fast engine's
-    # np.unique over a whole trajectory matrix is its most expensive
-    # setup step at scale.  The id space doubles as the escape-slot
-    # layout of ``flow_control="credit"``: every directed link owns one
-    # escape buffer, keyed by this id in the constrained batch mode.
-    # The wrap aliasing is inherited from the node ids themselves:
-    # ``(0, L, r)`` and ``(1, 0, r)`` share id ``L * N + r``, so
-    # capacity accounting (and the link ids built from it) sees one
-    # physical node per wrap pair with no extra alias table.
-
-    def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(link_src, link_dst)`` tables for the arithmetic ids.
-
-        Sized ``2L * N * d`` (last-column ids have no out-links).
-        Parallel links — two out-table slots of one node naming the same
-        neighbor — keep only their first slot's id in use
-        (:meth:`link_matrix` resolves every crossing to the first
-        matching slot, mirroring how the reference engine's ``(u, w)``
-        keys collapse parallel links); the duplicate ids exist in the
-        table but are never referenced.  Requires uniform out-degree.
-        """
-        cached = getattr(self, "_link_arrays", None)
-        if cached is None:
-            L, N, d = self.L, self.N, self.net.degree
-            dst_cols = []
-            for k in range(2 * L):
-                level = k if k < L else k - L
-                dst_cols.append((k + 1) * N + self.out_table(level))
-            dst = np.concatenate(dst_cols, axis=0).reshape(-1)
-            src = np.repeat(np.arange(2 * L * N, dtype=np.int64), d)
-            cached = self._link_arrays = (src, dst.astype(np.int64))
-        return cached
-
-    def link_matrix(self, ids: np.ndarray) -> np.ndarray:
-        """Arithmetic link id per hop of a compiled trajectory matrix."""
-        L, N, d = self.L, self.N, self.net.degree
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty((ids.shape[0], 2 * L), dtype=np.int64)
-        for k in range(2 * L):
-            level = k if k < L else k - L
-            rows = ids[:, k] - k * N
-            nxt_rows = ids[:, k + 1] - (k + 1) * N
-            j = np.argmax(
-                self.out_table(level)[rows] == nxt_rows[:, None], axis=1
-            )
-            out[:, k] = ids[:, k] * d + j
-        return out
-
 
 def compile_leveled(net: LeveledNetwork) -> CompiledLeveledTopology:
     """Compiled view of *net*, cached on the network instance."""
@@ -309,9 +257,13 @@ class CompiledMesh2D:
 
     # ---- arithmetic link ids -----------------------------------------
     # A mesh node has at most 4 out-links, so directed link (u, v) gets
-    # the dense id ``u * 4 + direction`` with no interning pass at all —
-    # the fast engine's np.unique over a whole trajectory matrix is the
-    # single most expensive setup step at scale, and meshes don't need it.
+    # the dense id ``u * 4 + direction`` with no interning pass at all.
+    # That pays on the mesh only: its 4N id space is smaller than the
+    # links a served batch crosses, so the engine's per-link tables stay
+    # batch-sized either way.  Leveled networks have no such encoding —
+    # their ``2L * N * d`` link space dwarfs any batch, so the engine
+    # interns the links a leveled batch actually crosses (one np.unique,
+    # :func:`repro.routing.fast_phases.link_tables`).
     _DIR_EAST, _DIR_WEST, _DIR_SOUTH, _DIR_NORTH = 0, 1, 2, 3
 
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ loop over phase functions that each take the run state explicitly —
 which a test here pins, so it cannot regrow into one method.  Its
 "Routers" section promises another — seven routers on one base that
 meets an engine in exactly one place, with no option added or lost —
-and the last tests pin that.
+and the last tests pin that — plus where a run's links get their ids.
 """
 
 import ast
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.routing
+import repro.topology.compiled
 from repro.routing import (
     GreedyMeshRouter,
     GreedyRouter,
@@ -282,6 +283,40 @@ def test_routers_meet_an_engine_in_one_place():
     # star ≡ cube ≡ greedy(-mesh), shuffle ≡ serialized shuffle: a walk
     # policy exists once per distinct itinerary
     assert defs["_next_hop"] == 5  # base stub, leveled, mesh, greedy, shuffle
+
+
+def test_links_are_interned_in_one_place():
+    """A run's links get their dense ids in ``fast_phases.link_tables``
+    and nowhere else: the only sorts in ``routing/`` + ``emulation/``
+    are its ``np.unique`` and ``combine_codes``'s, the leveled
+    arithmetic id space is gone, and the reply run is handed the request
+    run's tables instead of a per-emulator ``links_of`` hook."""
+    src = DOC.parent.parent / "src/repro"
+    uniques, names = [], set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            # every way an identifier is spelled: def, argument, keyword,
+            # bare name, attribute
+            for field in ("name", "arg", "id", "attr"):
+                names.add(getattr(node, field, None))
+        if path.parent.name in ("routing", "emulation"):
+            uniques += [
+                (path.name, fn.name)
+                for fn in ast.walk(tree)
+                if isinstance(fn, FUNCTIONS)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and node.attr == "unique"
+            ]
+    assert uniques == [
+        ("fast_phases.py", "link_tables"),
+        ("fast_phases.py", "combine_codes"),
+    ]
+    assert not names & {"links_of", "_reply_links"}
+    compiled = repro.topology.compiled
+    assert not hasattr(compiled.CompiledLeveledTopology, "link_matrix")
+    assert not hasattr(compiled.CompiledLeveledTopology, "link_arrays")
+    assert hasattr(compiled.CompiledMesh2D, "link_matrix")  # 4N ids: kept
 
 
 def test_traced_entry_points_stay_on_their_own_classes():

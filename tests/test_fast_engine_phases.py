@@ -30,7 +30,8 @@ from repro.routing.fast_phases import (
     transmit_constrained,
     transmit_unconstrained,
 )
-from repro.topology import Mesh2D
+from repro.routing import LeveledRouter, make_packets
+from repro.topology import Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh
 from test_batch_arrival import DownUntil
 
@@ -90,6 +91,45 @@ def test_arithmetic_link_tables_match_interned_up_to_relabelling():
     assert (a_dst[a_ids] == plan.ids[:, 1:][traversed]).all()
     pairs = set(zip(a_ids.tolist(), i_ids.tolist()))
     assert len(pairs) == len(set(a_ids.tolist())) == len(set(i_ids.tolist()))
+
+
+def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
+    """The star's logical network has ``2L * N * d`` links; a CRCW
+    request population compiled by ``LeveledRouter`` carries no link
+    ids, so the run interns the pairs it crosses and every per-link
+    table is that long — at most packets x path length, whatever the
+    network."""
+    net = StarLogicalLeveled(6)
+    L, N = net.num_levels, net.column_size
+    rng = np.random.default_rng(4)
+    n = N // 2
+    packets = make_packets(
+        [(0, 0, int(r)) for r in rng.integers(0, N, n)],
+        [int(d) for d in rng.integers(0, 6, n)],
+        kind="read",
+        addresses=rng.integers(0, 12, n).tolist(),
+    )
+    router = LeveledRouter(net, seed=9, combine=True, engine="fast")
+    run = router._compile(packets, router._draw(packets))
+    assert run.links is None and run.paths.shape == (n, 2 * L + 1)
+    s = make_state(run.paths, num_nodes=run.num_nodes, gid=range(n))
+    crossed = set(
+        zip(run.paths[:, :-1].ravel().tolist(), run.paths[:, 1:].ravel().tolist())
+    )
+    assert s.link_src.size == len(crossed) <= n * 2 * L < 2 * L * N * net.degree
+    assert set(zip(s.link_src.tolist(), s.link_dst.tolist())) == crossed
+    for table in ("link_dst", "q_head", "q_tail", "q_len", "cls_max", "first_at"):
+        assert getattr(s, table).size == len(crossed), table
+    assert s.host_at.size <= n * 2 * L
+    # ... and the finished run hands the same tables on, for its replies
+    # (a fresh router on the same seed draws the same coins)
+    rerun = LeveledRouter(net, seed=9, combine=True, engine="fast")
+    assert rerun.route_packets(packets).completed
+    link_mat, link_src, link_dst = rerun.last_fast_run.links
+    assert link_mat.shape == (n, 2 * L)
+    assert np.array_equal(link_mat.ravel(), s.li_flat)
+    assert np.array_equal(link_src, s.link_src)
+    assert np.array_equal(link_dst, s.link_dst)
 
 
 def test_priority_packing():

@@ -8,6 +8,13 @@ costs only carry three numbers of a reply run, so the sweeps here
 compare the reply ``RoutingStats`` themselves — including the order of
 ``delays`` / ``hops``, which is the forest's breadth-first order — on
 generated hot-key steps.
+
+Every comparison is three-way.  The fast reply run inherits its link
+ids from the request run (``RunArrays.links``: the request's ids, the
+endpoint tables swapped) instead of interning the reply matrix; since
+link ids are opaque to the engine, the same run with ``links=None``
+(self-interned) must give the same stats, and both must equal the
+reference engine's.
 """
 
 from dataclasses import replace
@@ -18,23 +25,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.emulation import LeveledEmulator, MeshEmulator
-from repro.emulation.combining import MergeNodeMissingError, route_replies_fast
+from repro.emulation.combining import (
+    MergeNodeMissingError,
+    ReplySpawner,
+    build_replies,
+    reply_next_hop,
+    route_replies_fast,
+)
 from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
-from repro.routing import Packet, collect_stats
+from repro.routing import LeveledRouter, Packet, SynchronousEngine, collect_stats
+from repro.routing import fast_phases
 from repro.routing.fast_engine import RunArrays
 from repro.routing.metrics import stats_from_arrays
 from repro.topology import DAryButterflyLeveled, Mesh2D, StarLogicalLeveled
 from test_fast_engine import assert_stats_equal
 
 
+def rows_of(packets) -> list[int]:
+    """A request packet's pid is its row of the routed population."""
+    return [p.pid for p in packets]
+
+
 def reply_stats(make_emulator, step, engine):
-    """The reply run's ``RoutingStats`` of one emulated step, plus its cost."""
+    """The reply run's ``RoutingStats`` of one emulated step, plus its
+    cost.  A fast reply run is made twice — on the request run's link
+    ids (what the emulator does) and self-interned — and must agree."""
     emulator = make_emulator(engine)
     seen = []
     inner = emulator._reverse_path_replies
 
-    def spy(*args, **kwargs):
-        seen.append(inner(*args, **kwargs))
+    def spy(router, read_hosts, values, **kwargs):
+        seen.append(inner(router, read_hosts, values, **kwargs))
+        requests = router.last_fast_run
+        if requests is not None:
+            n, width = requests.paths.shape
+            assert requests.links[0].shape == (n, width - 1)
+            interned = route_replies_fast(
+                replace(requests, links=None), rows_of(read_hosts), **kwargs
+            )
+            assert_stats_equal(seen[-1], interned)
         return seen[-1]
 
     emulator._reverse_path_replies = spy
@@ -157,6 +186,117 @@ def test_same_column_hot_spot_builds_deep_forests():
     assert cost.combines > len(step.reads) // 2  # most replies are spawned
 
 
+# ---- the shapes the link hand-over has to survive ---------------------------
+
+
+@pytest.mark.parametrize("far_write", [False, True])
+def test_hosts_that_never_left_their_node_reply_on_an_empty_link_matrix(far_write):
+    """Every read targets the reader's own node (direct placement,
+    one-row slices: no stage-0 detour), so every host stops at hop 0 and
+    the reply matrix is one column wide — an ``(n, 0)`` link matrix,
+    gathered from a request link matrix that is itself ``(n, 0)`` or,
+    with a write crossing the mesh, has columns nobody's reply uses."""
+    mesh = Mesh2D(3, 4)
+    step = StepTrace(
+        reads=[ReadRequest(pid, pid) for pid in range(12)],
+        writes=[WriteRequest(0, 11, 5)] if far_write else [],
+    )
+
+    def make(engine):
+        return MeshEmulator(
+            mesh,
+            12,
+            mode="crcw",
+            placement="direct",
+            slice_rows=1,
+            seed=2,
+            engine=engine,
+        )
+
+    cost = assert_reply_phase_matches(make, step)
+    assert cost.reply_steps == 0
+    assert (cost.request_steps > 0) == far_write
+
+
+def routed_hot_requests(engine, max_steps):
+    """Hot-key CRCW reads on a butterfly under a step budget too small
+    for all of them: ``(router, packets)`` after the request run."""
+    net = DAryButterflyLeveled(2, 4)
+    rng = np.random.default_rng(8)
+    n = 3 * net.column_size
+    packets = [
+        Packet(i, (0, 0, i % net.column_size), int(dest), kind="read", address=int(dest))
+        for i, dest in enumerate(rng.integers(0, 3, n))
+    ]
+    router = LeveledRouter(
+        net, seed=21, combine=True, track_paths=engine == "reference", engine=engine
+    )
+    stats = router.route_packets(packets, max_steps=max_steps)
+    assert not stats.completed and 0 < stats.delivered
+    return router, packets
+
+
+def test_undelivered_request_rows_stay_out_of_the_reply_run():
+    """A request run that timed out leaves rows that never arrived —
+    some of them hosts holding absorbed children.  Replies go to the
+    delivered hosts' forests only, and the link gather reads nothing of
+    the rest: inherited ≡ self-interned ≡ reference."""
+    fast_router, fast_packets = routed_hot_requests("fast", 9)
+    ref_router, ref_packets = routed_hot_requests("reference", 9)
+    requests = fast_router.last_fast_run
+    hosts = [p for p in ref_packets if p.delivered and not p.combined]
+    assert rows_of(hosts) == rows_of(
+        p for p in fast_packets if p.delivered and not p.combined
+    )
+    stranded = set(np.nonzero(requests.arrived < 0)[0].tolist())
+    assert stranded & set(requests.absorbed_by.tolist())
+    kwargs = dict(budget=200, num_nodes=int(requests.paths.max()) + 1)
+    inherited = route_replies_fast(requests, rows_of(hosts), **kwargs)
+    interned = route_replies_fast(
+        replace(requests, links=None), rows_of(hosts), **kwargs
+    )
+    reference = SynchronousEngine().run(
+        build_replies(hosts, {}),
+        reply_next_hop,
+        max_steps=200,
+        on_arrival=ReplySpawner(),
+    )
+    assert_stats_equal(inherited, interned)
+    assert_stats_equal(inherited, reference)
+    # one reply per request that arrived, as a host or absorbed into one
+    assert inherited.completed
+    assert len(hosts) < inherited.delivered == len(fast_packets) - len(stranded)
+
+
+def test_a_step_interns_its_links_once(monkeypatch):
+    """One CRCW step on the star's logical network, counted: the
+    request run interns the links its batch crosses, the reply run is
+    handed them — never a second sort, never the network's id space."""
+    net = StarLogicalLeveled(4)
+    calls = []
+    inner = fast_phases.link_tables
+
+    def spy(path_arr, links, num_nodes):
+        tables = inner(path_arr, links, num_nodes)
+        calls.append((links is None, tables[1].size, path_arr[:, :-1].size))
+        return tables
+
+    monkeypatch.setattr(fast_phases, "link_tables", spy)
+    emulator = LeveledEmulator(
+        net, 4 * net.column_size, mode="crcw", seed=5, engine="fast"
+    )
+    rng = np.random.default_rng(6)
+    reads = [
+        ReadRequest(pid, int(addr))
+        for pid, addr in enumerate(rng.integers(0, 8, net.column_size))
+    ]
+    cost = emulator.emulate_step(StepTrace(reads=reads))
+    assert cost.run_modes == ("batch", "batch") and cost.combines
+    (req_interned, req_links, req_hops), (rep_interned, rep_links, _) = calls
+    assert (req_interned, rep_interned) == (True, False)
+    assert rep_links == req_links <= req_hops
+
+
 # ---- the array-backed stats constructor -------------------------------------
 
 
@@ -205,8 +345,10 @@ def test_missing_merge_node_is_a_typed_error():
     been absorbed by request 0 at node 7, which request 0 never visited —
     name the rows and the node instead of a bare RuntimeError."""
     empty = np.empty(0, dtype=np.int64)
+    paths = np.asarray([[0, 1, 2], [5, 6, 7]], dtype=np.int64)
     requests = RunArrays(
-        paths=np.asarray([[0, 1, 2], [5, 6, 7]], dtype=np.int64),
+        paths=paths,
+        links=fast_phases.link_tables(paths, None, 8),
         hops=np.asarray([2, 2], dtype=np.int64),
         arrived=np.asarray([2, 2], dtype=np.int64),
         injected_at=np.zeros(2, dtype=np.int64),
