@@ -38,6 +38,11 @@ class SharedMemory:
         self._check(addr)
         self._cells[addr] = value
 
+    def touched(self):
+        """The addresses ever written, as a live set-like view; every
+        other cell reads 0."""
+        return self._cells.keys()
+
     def snapshot(self, lo: int = 0, hi: int | None = None) -> list:
         """Cells [lo, hi) as a list (hi defaults to the used extent)."""
         if hi is None:

@@ -14,10 +14,9 @@ Theorem 3.3.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from repro.util.rng import as_generator
 
@@ -51,10 +50,9 @@ class StepTrace:
 
     def max_concurrency(self) -> int:
         """Largest number of requests aimed at one address (1 = exclusive)."""
-        addrs = self.addresses()
-        if not addrs:
-            return 0
-        return int(np.bincount(np.asarray(addrs)).max())
+        # counted over the requests, not the address space: a step's
+        # cost must not depend on how large its addresses are
+        return max(Counter(self.addresses()).values(), default=0)
 
     def is_erew(self) -> bool:
         return self.max_concurrency() <= 1

@@ -18,7 +18,7 @@ form on entry (:func:`_normalise_paths`).
 
 This module is the engine's interface — validation, ``Packet`` read-in
 and write-back, the step loop.  The run state the loop advances (dense
-link ids, intrusive queues, priority classes, combining residency,
+link ids, intrusive queues kept in service order, combining residency,
 credit accounting) and the phase functions it calls live in
 :mod:`repro.routing.fast_phases`.
 

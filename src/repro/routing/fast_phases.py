@@ -12,16 +12,19 @@ phase takes the state explicitly, so each is called — and tested
 
 How the state is laid out:
 
-* Queue state lives in flat arrays over *virtual links* — a (link,
-  priority-class) pair, id ``link * n_classes + class`` — each holding an
-  intrusive FIFO chain of packet indices (``q_head`` / ``q_tail`` per
-  virtual link, ``q_next`` per packet: a packet waits in at most one
-  queue).  A link's pop takes the head of its highest nonempty class
-  (largest priority first, FIFO among ties: exactly the reference
-  ``FurthestFirstQueue`` order, since two equal priorities pop in push
-  order).  FIFO discipline is the one-class special case, where a
-  virtual link *is* its link.
-* Every per-position table (link id, class, virtual link, combine code)
+* Queue state is one intrusive chain of packet indices per link, kept
+  in *service order* (``q_head`` / ``q_tail`` / ``q_len`` per link,
+  ``q_next`` per packet: a packet waits in at most one queue), so every
+  queue table is sized by the links the batch crosses and a link always
+  sends its chain head (:func:`select_heads`, :func:`pop_heads`).
+  Under FIFO service order is push order: arrivals append.  Under
+  furthest-destination-first it is largest priority first, push order
+  among ties — exactly the order the reference ``FurthestFirstQueue``
+  pops in, priorities being fixed at push time — and it is arrivals
+  that keep it: one that finds waiters and outranks the last of them
+  is spliced in ahead (:func:`insert_ahead`); every other arrival
+  appends, as under FIFO.
+* Every per-position table (link id, priority, combine code)
   is raveled once per run and read through one flat cursor per packet:
   packet i at position k reads slot ``i * (width - 1) + k``, and
   delivery is ``cursor == last slot``.
@@ -148,17 +151,18 @@ def link_tables(
     return inverse.reshape(codes.shape), uniq // num_nodes, uniq % num_nodes
 
 
-def pack_priorities(priorities, n: int, n_slots: int) -> tuple[int, np.ndarray | None]:
-    """Priority classes of a run: ``(n_classes, cls_flat)``.
+def pack_priorities(priorities, n: int, n_slots: int) -> np.ndarray | None:
+    """The per-position priority table of a run, raveled, or ``None``.
 
-    ``priorities[i][k]`` is packet i's queue priority at its k-th link
-    crossing; its class is ``priority - min`` (so the largest priority
-    is the highest class) and ``cls_flat`` the raveled ``(n, n_slots)``
-    class table, read through the flat cursor.  Without priorities — or
-    with all of them equal — there is one class and no table.
+    ``priorities[i][k]`` is packet i's integer queue priority at its
+    k-th link crossing; the result is the ``(n, n_slots)`` table as one
+    flat int64 array, read through the flat cursor — the only priority
+    state a run has, whatever range the values span.  Without
+    priorities — or with all of them equal — queues are FIFO and there
+    is no table.
     """
     if priorities is None:
-        return 1, None
+        return None
     prio = np.asarray(priorities)
     if prio.ndim != 2:
         raise ValueError("priorities must be 2-D (packets x link positions)")
@@ -166,11 +170,9 @@ def pack_priorities(priorities, n: int, n_slots: int) -> tuple[int, np.ndarray |
         raise ValueError("one priority row per packet required")
     if prio.shape[1] < n_slots:
         raise ValueError("one priority per link position required")
-    pmin = int(prio.min()) if prio.size else 0
-    n_classes = int(prio.max()) - pmin + 1 if prio.size else 1
-    if n_classes == 1:
-        return 1, None
-    return n_classes, (prio[:, :n_slots] - pmin).astype(np.int64).ravel()
+    if not prio.size or prio.min() == prio.max():
+        return None
+    return prio[:, :n_slots].astype(np.int64).ravel()
 
 
 def combine_codes(link_mat: np.ndarray, gid: np.ndarray) -> tuple[np.ndarray, int]:
@@ -316,6 +318,12 @@ class RunState:
     builders above, which is where malformed input is rejected.
     *capacity* selects the constrained tables, *credit* the escape
     buffers; *profile* is the observer's ``PhaseProfile`` or ``None``.
+
+    Every table is sized by the batch: per packet, per link position
+    (``li_flat``, ``prio_flat``, ``vc_flat``), per link or combine code
+    the batch crosses, or per node.  Queue discipline adds no table of
+    its own beyond ``prio_flat`` — FIFO and furthest-first runs share
+    the one chain per link.
     """
 
     # Slots, not a dict: a phase reads a dozen fields per call, and past
@@ -324,7 +332,7 @@ class RunState:
     __slots__ = (
         "path_arr", "num_nodes", "injected_at", "prof",
         "link_src", "link_dst", "li_flat",
-        "n_classes", "cls_flat", "vli_flat", "counts", "cls_max",
+        "prio_flat",
         "spawn", "roots", "remaining",
         "vc_flat", "host_at", "parent", "subtree", "child_pairs", "combines",
         "q_head", "q_tail", "q_next", "q_len", "node_load", "active", "first_at",
@@ -363,14 +371,8 @@ class RunState:
         link_mat, self.link_src, self.link_dst = link_tables(path_arr, links, num_nodes)
         n_links = int(self.link_src.size)
         self.li_flat = link_mat.ravel()
-        self.n_classes, self.cls_flat = pack_priorities(priorities, n, n_slots)
-        n_virtual = n_links * self.n_classes
-        if self.cls_flat is None:
-            # With one class a link's class-count IS its queue length.
-            self.vli_flat = self.counts = None
-        else:
-            self.vli_flat = self.li_flat * self.n_classes + self.cls_flat
-            self.counts = np.zeros(n_virtual, dtype=np.int64)
+        #: per-position queue priorities (None: every queue is FIFO)
+        self.prio_flat = pack_priorities(priorities, n, n_slots)
 
         #: reply fan-out (:class:`SpawnTables`) or None
         self.spawn = None
@@ -398,11 +400,9 @@ class RunState:
             self.parent = np.full(n, -1, dtype=np.int64)
             self.subtree = np.ones(n, dtype=np.int64)
 
-        self.q_head = np.full(n_virtual, -1, dtype=np.int64)
-        self.q_tail = np.full(n_virtual, -1, dtype=np.int64)
+        self.q_head = np.full(n_links, -1, dtype=np.int64)
+        self.q_tail = np.full(n_links, -1, dtype=np.int64)
         self.q_next = np.full(n, -1, dtype=np.int64)
-        #: per link: highest class that may be nonempty (lazily stale-high)
-        self.cls_max = np.zeros(n_links, dtype=np.int64)
         self.q_len = np.zeros(n_links, dtype=np.int64)
         self.node_load = np.zeros(num_nodes, dtype=np.int64)
         self.fl_base = np.arange(n, dtype=np.int64) * n_slots
@@ -491,43 +491,20 @@ def refresh_fault_flags(s: RunState, t: int) -> None:
     s.f_any = bool(lis)
 
 
-def select_heads(s: RunState) -> tuple[np.ndarray, np.ndarray]:
-    """``(vli, heads)``: per active link, the virtual queue of its
-    highest nonempty class and the packet at that queue's head.
-
-    The per-link maximum class is maintained lazily: pushes raise it
-    (``np.maximum.at`` in :func:`enqueue`), pops let it go stale, and
-    this walk steps it down until it hits a nonempty class.  The loop
-    narrows to the still-stale subset, so total work is amortized by
-    pushes, not classes x active links — O(1) per event, all masked
-    vector ops.
-    """
-    active = s.active
-    counts = s.counts
-    if counts is None or not active.size:
-        vli = active
-    else:
-        cls = s.cls_max[active]
-        vli = active * s.n_classes + cls
-        stale = np.nonzero(counts[vli] == 0)[0]
-        if stale.size:
-            while stale.size:
-                cls[stale] -= 1
-                vli[stale] -= 1
-                stale = stale[counts[vli[stale]] == 0]
-            s.cls_max[active] = cls
-    return vli, s.q_head[vli]
+def select_heads(s: RunState) -> np.ndarray:
+    """The packet each active link sends next: its chain head, under
+    either discipline — chains are kept in service order by the arrival
+    phase (:func:`enqueue`), so transmission never looks at a priority."""
+    return s.q_head[s.active]
 
 
-def pop_heads(s: RunState, links: np.ndarray, vli: np.ndarray, heads: np.ndarray) -> None:
-    """Each of *links* (a subset of ``active``, in its order) sends
-    ``heads[k]``, the head of its virtual queue ``vli[k]``: unlink it,
-    advance its cursor, and drop emptied links from ``active``."""
+def pop_heads(s: RunState, links: np.ndarray, heads: np.ndarray) -> None:
+    """Each of *links* (a subset of ``active``, in its order) sends its
+    chain head ``heads[k]``: unlink it, advance its cursor, and drop
+    emptied links from ``active``."""
     nxt = s.q_next[heads]
-    s.q_head[vli] = nxt
-    s.q_tail[vli[nxt < 0]] = -1
-    if s.counts is not None:
-        s.counts[vli] -= 1
+    s.q_head[links] = nxt
+    s.q_tail[links[nxt < 0]] = -1
     fl = s.fl
     if s.host_at is not None:
         # A departing packet releases its combine-code residency (every
@@ -546,18 +523,18 @@ def pop_heads(s: RunState, links: np.ndarray, vli: np.ndarray, heads: np.ndarray
 
 def transmit_unconstrained(s: RunState) -> np.ndarray:
     """Transmission without ``node_capacity``: every active link sends
-    the head of its highest nonempty class; returns the packets sent, in
-    link activation order.  A fault-blocked link holds its queue this
-    step (counted in ``fault_stalls``); the rest transmit as usual."""
-    vli, heads = select_heads(s)
+    its chain head; returns the packets sent, in link activation order.
+    A fault-blocked link holds its queue this step (counted in
+    ``fault_stalls``); the rest transmit as usual."""
+    heads = select_heads(s)
     links = s.active
     if s.f_any and links.size:
         keep = ~s.f_flags[links]
         nblocked = int(links.size) - int(keep.sum())
         if nblocked:
             s.fault_stalls += nblocked
-            links, vli, heads = links[keep], vli[keep], heads[keep]
-    pop_heads(s, links, vli, heads)
+            links, heads = links[keep], heads[keep]
+    pop_heads(s, links, heads)
     return heads
 
 
@@ -776,7 +753,7 @@ def transmit_constrained(s: RunState) -> np.ndarray:
     order-dependent (the reference engine reserves arrival slots link by
     link in activation order, and a departure can free a slot for a
     later link in the same step)."""
-    vli, heads = select_heads(s)
+    heads = select_heads(s)
     fc = s.fc
     if fc is not None and fc.escape_at:
         moved, used, reserved = advance_escapes(s)
@@ -791,7 +768,7 @@ def transmit_constrained(s: RunState) -> np.ndarray:
         sel = np.nonzero(sends)[0]
         if sel.size:
             bulk = heads[sel]
-            pop_heads(s, active[sel], vli[sel], bulk)
+            pop_heads(s, active[sel], bulk)
     if moved:
         return np.concatenate([np.asarray(moved, dtype=np.int64), bulk])
     return bulk
@@ -906,19 +883,68 @@ def combine_arrivals(
     return batch, f
 
 
+def insert_ahead(
+    s: RunState, links: np.ndarray, packets: np.ndarray, prios: np.ndarray
+) -> None:
+    """Splice *packets* — sorted by (link, priority descending, arrival)
+    — into the chains of *links*, each of which holds waiters whose last
+    has a priority below the packet's *prios* entry: behind the last
+    waiter whose priority is not smaller (ties go to the earlier push),
+    at the head when there is none.
+
+    Every packet walks its chain from the head, all of them together,
+    one chain position per round, narrowing to the packets still
+    passing waiters; the walk ends at the chain's last waiter at the
+    latest.  Cost: one numpy round per waiter ahead of the deepest
+    insertion point, paid only by these arrivals — the chains a step
+    merely sends from are never walked.
+    """
+    prio = s.prio_flat
+    fl = s.fl
+    q_next = s.q_next
+    q_head = s.q_head
+    pred = np.full(packets.size, -1, dtype=np.int64)  # -1: goes in at the head
+    walking = np.arange(packets.size, dtype=np.int64)
+    cur = q_head[links]
+    while True:
+        passes = prio[fl[cur]] >= prios
+        if not passes.all():
+            if not passes.any():
+                break
+            walking = walking[passes]
+            cur = cur[passes]
+            prios = prios[passes]
+        pred[walking] = cur
+        cur = q_next[cur]
+    at_head = pred < 0
+    nxt = np.where(at_head, q_head[links], q_next[pred])
+    # packets of one link behind one waiter stay in their sorted order
+    follows = (links[1:] == links[:-1]) & (pred[1:] == pred[:-1])
+    nxt[:-1][follows] = packets[1:][follows]
+    q_next[packets] = nxt
+    new_head = at_head.copy()
+    new_head[1:] &= ~follows
+    q_head[links[new_head]] = packets[new_head]
+    behind = ~at_head
+    behind[1:] &= ~follows
+    q_next[pred[behind]] = packets[behind]
+
+
 def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> None:
-    """Append *batch* (cursors *f*, batch order = arrival order) to the
-    queues of the links its packets cross next: a solo lane for nearly
-    all served traffic (the paper's emulations keep link queues O(1)),
-    a sort-and-splice residue for the rest.
-    ``tests/test_batch_arrival.py`` pins both lanes by construction.
+    """Add *batch* (cursors *f*, batch order = arrival order) to the
+    chains of the links its packets cross next, keeping each chain in
+    service order: a solo lane for nearly all served traffic (the
+    paper's emulations keep link queues O(1)), a sort-and-splice
+    residue for the rest.  Only a prioritised arrival that finds
+    waiters and outranks the last of them is not an append
+    (:func:`insert_ahead`).
+    ``tests/test_batch_arrival.py`` pins the lanes by construction.
     """
     q_head = s.q_head
     q_tail = s.q_tail
     q_next = s.q_next
     q_len = s.q_len
     node_load = s.node_load
-    counts = s.counts
     li = s.li_flat[f]
     pre_len = q_len[li]  # pre-batch lengths (gather before add)
     np.add.at(q_len, li, 1)
@@ -934,50 +960,55 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> None:
     mnl = int(node_load[srcs].max())
     if mnl > s.max_node_load:
         s.max_node_load = mnl
-    if counts is not None:
-        vli = s.vli_flat[f]
-        cls = s.cls_flat[f]
-        cls_max = s.cls_max
-    else:
-        vli = li
     # Solo lane: after the scatter-add, ``post_len == 1`` marks a packet
-    # alone on a previously idle link.  It is its queue's head and tail,
-    # and every class count of an idle link is zero, so its class *is*
-    # the link's maximum (set, not maxed — a stale-high ``cls_max`` is
-    # overwritten).  Solo links activate in batch order, which is their
-    # first-arrival order.
+    # alone on a previously idle link.  It is its queue's head and tail.
+    # Solo links activate in batch order, which is their first-arrival
+    # order.
     solo = post_len == 1
     if solo.all():
         newly = li
     else:
         # Contended residue (a link shared within the batch, or already
-        # busy): stable grouping keeps, per virtual link, the batch's
-        # own arrival order — the FIFO tie order of the reference
-        # engine.  Sorting (vli, position) as one combined key gives
-        # stable group order with the default introsort (faster than a
-        # stable mergesort on int64).
+        # busy), grouped by link in service order.  FIFO: the batch's
+        # own arrival order — sorting (link, position) as one combined
+        # key gives stable group order with the default introsort
+        # (faster than a stable mergesort on int64).  Prioritised:
+        # largest first, arrival order among ties (lexsort is stable).
         rest = ~solo
-        r_v = vli[rest]
-        order = np.argsort(
-            r_v * np.int64(r_v.size) + np.arange(r_v.size, dtype=np.int64)
-        )
-        s_v = r_v[order]
+        r_li = li[rest]
+        prio = s.prio_flat
+        if prio is None:
+            order = np.argsort(
+                r_li * np.int64(r_li.size) + np.arange(r_li.size, dtype=np.int64)
+            )
+        else:
+            r_p = prio[f[rest]]
+            order = np.lexsort((-r_p, r_li))
+        s_li = r_li[order]
         s_i = batch[rest][order]
+        prev = q_tail[s_li]
+        if prio is not None:
+            # Whoever outranks the last waiter of its link goes in ahead
+            # of it; the others (a group's lowest, sorted last) append.
+            met = np.nonzero(prev >= 0)[0]
+            if met.size:
+                s_p = r_p[order]
+                ahead = met[s_p[met] > prio[s.fl[prev[met]]]]
+                if ahead.size:
+                    insert_ahead(s, s_li[ahead], s_i[ahead], s_p[ahead])
+                    behind = np.ones(s_i.size, dtype=bool)
+                    behind[ahead] = False
+                    s_li, s_i, prev = s_li[behind], s_i[behind], prev[behind]
         # Each packet chains behind the previous member of its group, a
         # group's first behind the queue's old tail.
-        prev = q_tail[s_v]
-        cont = s_v[1:] == s_v[:-1]
+        cont = s_li[1:] == s_li[:-1]
         prev[1:][cont] = s_i[:-1][cont]
         chained = prev >= 0
         q_next[s_i] = -1
         q_next[prev[chained]] = s_i[chained]
-        q_head[s_v[~chained]] = s_i[~chained]
+        q_head[s_li[~chained]] = s_i[~chained]
         # a repeated index keeps its last write: the group's tail
-        q_tail[s_v] = s_i
-        if counts is not None:
-            np.add.at(counts, r_v, 1)
-            np.maximum.at(cls_max, li[rest], cls[rest])
-            cls = cls[solo]
+        q_tail[s_li] = s_i
         # Newly activated links in first-arrival order: a repeated index
         # keeps its last write, so scattering batch positions back to
         # front leaves each idle link the position of its *first*
@@ -988,14 +1019,10 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> None:
         first_at[newly[::-1]] = idx[::-1]
         newly = newly[first_at[newly] == idx]
         batch = batch[solo]
-        vli = vli[solo]
         li = li[solo]
-    q_head[vli] = batch
-    q_tail[vli] = batch
+    q_head[li] = batch
+    q_tail[li] = batch
     q_next[batch] = -1
-    if counts is not None:
-        counts[vli] = 1
-        cls_max[li] = cls
     s.active = np.concatenate([s.active, newly])
 
 

@@ -99,6 +99,11 @@ class ShardedMemory:
         svc = self._service
         svc.shards[svc.placement.shard_of(addr)].memory.write(addr, value)
 
+    def touched(self) -> set[int]:
+        """The addresses ever written on any shard (each lives on the
+        shard that owns it); every other cell reads 0."""
+        return set().union(*(s.memory.touched() for s in self._service.shards))
+
     def __len__(self) -> int:
         return self.size
 

@@ -12,7 +12,8 @@ loop over phase functions that each take the run state explicitly —
 which a test here pins, so it cannot regrow into one method.  Its
 "Routers" section promises another — seven routers on one base that
 meets an engine in exactly one place, with no option added or lost —
-and the last tests pin that — plus where a run's links get their ids.
+and the last tests pin that — plus where a run's links get their ids
+and that queue state is per link, never per (link, priority class).
 """
 
 import ast
@@ -246,6 +247,25 @@ def test_fast_engine_stays_a_loop_over_phase_functions(module):
         ]
         assert not nested, f"{module}:{fn.name} nests a def/lambda at line {nested}"
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]
+
+
+def test_queue_state_has_no_priority_class_tables():
+    """One chain per link serves FIFO and furthest-first: nothing in
+    ``fast_phases`` is indexed by a (link, priority class) pair, so no
+    identifier of the class machinery survives — as a name, attribute,
+    argument or ``RunState`` slot."""
+    from repro.routing.fast_phases import RunState
+
+    gone = {"n_virtual", "vli_flat", "cls_max", "counts", "n_classes", "cls_flat"}
+    source = (DOC.parent.parent / "src/repro/routing/fast_phases.py").read_text()
+    names = {
+        getattr(node, field, None)
+        for node in ast.walk(ast.parse(source))
+        for field in ("name", "arg", "id", "attr")
+    }
+    assert not names & gone
+    assert not set(RunState.__slots__) & gone
+    assert "prio_flat" in RunState.__slots__
 
 
 #: the router skeleton and every module built on it

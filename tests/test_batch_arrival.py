@@ -9,7 +9,10 @@ reference engine field for field, each scenario unconstrained, under
 ``node_capacity`` + credit flow control, and with one transiently down
 link (which also makes queues grow, i.e. arrivals meet waiters).  A
 hypothesis sweep over layered many-to-one traffic closes the gaps
-between the hand-picked cases.
+between the hand-picked cases; a second one drives the
+furthest-destination-first order — deep queues under sparse, wide
+priority ranges — by hand-built fan-ins and through the mesh and
+linear-array routers.
 
 Ragged path lists (the star-graph and generic greedy walks) reach the
 same kernel through the padding in ``FastPathEngine.run``; the edges of
@@ -22,13 +25,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultSchedule
+from repro.faults.runtime import LinkFaultTimeline
 from repro.routing import (
     DeadlockError,
     FastPathEngine,
+    MeshRouter,
     Packet,
     SynchronousEngine,
     furthest_first_factory,
+    make_packets,
+    route_linear,
 )
+from repro.topology import Mesh2D
 from test_fast_engine import assert_stats_equal
 
 
@@ -199,11 +208,11 @@ def scenario_waiters():
 
 
 def scenario_stale_class_max():
-    """Two priority classes on one link whose ``cls_max`` is stale-high:
-    a high-class packet passes and leaves the idle link's maximum stale;
-    then come a simultaneous low pair (residue on an idle link), a solo
-    low arrival (the maximum is *set*), and a mixed pair plus a late
-    joiner while the low one still waits."""
+    """Mixed priorities on one link that keeps emptying and refilling
+    (named after the per-link class maximum the engine once kept, which
+    a pop left stale): a high-priority packet passes alone; then come a
+    simultaneous low pair (residue on an idle link), a solo low arrival,
+    and a mixed pair plus a late joiner that outranks a waiter."""
     inject = [0, 3, 3, 8, 12, 12, 13]
     hub_prio = [5, 1, 2, 1, 3, 0, 3]
     return dict(
@@ -529,3 +538,142 @@ def layered_instances(draw):
 @settings(max_examples=60, deadline=None)
 def test_hotspot_sweep_matches_reference(instance):
     run_both(**instance)
+
+
+#: priority values a furthest-first sweep draws from: a dense handful
+#: (ties are the common case) and a sparse, wide tail — what a table per
+#: (link, priority value) would pay 10^6 slots a link for
+PRIORITY_VALUES = st.one_of(
+    st.integers(0, 3), st.sampled_from([0, 999_999, 10**6]), st.integers(0, 10**6)
+)
+
+
+@st.composite
+def deep_queue_instances(draw):
+    """40-60 packets from sources of their own through ``feeders`` nodes
+    into one hub link: queues >= 40 deep behind it when nothing
+    constrains them, arrivals of several steps meeting waiters of every
+    priority.  Crossed with combining, ``node_capacity`` (with and
+    without credits) and a down hub link."""
+    n = draw(st.integers(40, 60))
+    feeders = draw(st.integers(1, 3))
+    hub, sink = n + feeders, n + feeders + 1
+    paths = [[i, n + draw(st.integers(0, feeders - 1)), hub, sink] for i in range(n)]
+    out = dict(
+        paths=paths,
+        inject=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        priorities=[
+            draw(st.lists(PRIORITY_VALUES, min_size=3, max_size=3)) for _ in range(n)
+        ],
+        max_steps=4 * n + 50,
+    )
+    if draw(st.booleans()):
+        out["addresses"] = [draw(st.sampled_from([None, 1, 2, 3])) for _ in range(n)]
+    if draw(st.booleans()):
+        out["node_capacity"] = draw(st.integers(2, 50))
+        out["flow_control"] = draw(st.sampled_from(["none", "credit"]))
+    if draw(st.booleans()):
+        out["down"] = ((hub, sink), draw(st.integers(1, 45)))
+    return out
+
+
+@given(instance=deep_queue_instances())
+@settings(max_examples=40, deadline=None)
+def test_deep_prioritised_queues_match_reference(instance):
+    f = run_both(**instance)
+    if "node_capacity" not in instance and "addresses" not in instance:
+        # everyone is pushed onto a feeder's out-link within four steps
+        assert f.max_queue >= 40 // 3
+
+
+def _routed(run):
+    try:
+        return run(), False
+    except DeadlockError as err:
+        return err.stats, True
+
+
+@given(
+    side=st.integers(4, 7),
+    hot_share=st.sampled_from([0, 2, 4]),
+    combine=st.booleans(),
+    constraint=st.sampled_from([None, ("none", 3), ("credit", 2), ("credit", 4)]),
+    down_for=st.sampled_from([0, 5, 30]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_mesh_furthest_first_matches_reference(
+    side, hot_share, combine, constraint, down_for, seed
+):
+    """The §3.4 router under many-one traffic (``hot_share`` of every
+    four packets go to one node), CRCW combining, capacity with and
+    without credits, and a wire that is down for the first steps."""
+    mesh = Mesh2D.square(side)
+    n = mesh.num_nodes
+    rng = np.random.default_rng(seed)
+    dests = rng.integers(0, n, size=n)
+    dests[rng.integers(0, 4, size=n) < hot_share] = int(rng.integers(0, n))
+    addresses = rng.integers(0, 3, size=n).tolist()
+    u = int(rng.integers(0, n - side))
+    wire = (u, u + side) if rng.integers(0, 2) else (u + side, u)  # a column wire
+    sched = FaultSchedule().link_down(0, wire).link_up(down_for, wire)
+    flow, capacity = constraint or ("none", None)
+
+    def run(engine):
+        router = MeshRouter(
+            mesh,
+            seed=seed,
+            combine=combine,
+            node_capacity=capacity,
+            flow_control=flow,
+            engine=engine,
+            link_faults=LinkFaultTimeline(sched.link_events) if down_for else None,
+        )
+        packets = make_packets(
+            list(range(n)), dests.tolist(), kind="read", addresses=addresses
+        )
+        return router.route(None, None, max_steps=60 * side + 200, packets=packets)
+
+    (fast, fast_dead), (ref, ref_dead) = _routed(lambda: run("fast")), _routed(
+        lambda: run("reference")
+    )
+    assert fast_dead == ref_dead
+    assert fast.run_mode == ("batch" if capacity is None else "batch-constrained")
+    assert_stats_equal(fast, ref)
+
+
+@given(
+    n=st.integers(8, 48),
+    total=st.integers(1, 120),
+    hot=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_linear_furthest_first_matches_reference(n, total, hot, seed):
+    """§3.4.1's line, random and many-one (everybody to one end node's
+    neighbourhood: queues as deep as the instance is large)."""
+    rng = np.random.default_rng(seed)
+    origins = rng.integers(0, n, size=total).tolist()
+    dests = rng.integers(n - 2 if hot else 0, n, size=total).tolist()
+    fast = route_linear(n, origins, dests, engine="fast")
+    ref = route_linear(n, origins, dests, engine="reference")
+    assert fast.completed and fast.run_mode == "batch"
+    assert_stats_equal(fast, ref)
+
+
+def test_many_one_on_the_32x32_mesh_matches_reference():
+    """1,024 packets to one corner: queues 46 deep in which packets
+    still in their first stage starve behind a run of equal, larger
+    priorities — the worst case of the arrival-side walk, which passes
+    that whole run once per arrival (see ``insert_ahead``)."""
+    mesh = Mesh2D.square(32)
+    n = mesh.num_nodes
+
+    def run(engine):
+        return MeshRouter(mesh, seed=3, engine=engine).route(
+            np.arange(n), np.zeros(n, dtype=np.int64), max_steps=5000
+        )
+
+    fast, ref = run("fast"), run("reference")
+    assert (fast.completed, fast.steps, fast.max_queue) == (True, 997, 46)
+    assert_stats_equal(fast, ref)

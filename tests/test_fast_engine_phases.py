@@ -58,14 +58,15 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
     )
 
 
-def chain(s: RunState, vli: int) -> list[int]:
-    """Packets queued on virtual link *vli*, head first."""
+def chain(s: RunState, link: int) -> list[int]:
+    """Packets queued on *link*, head first."""
     out = []
-    i = int(s.q_head[vli])
+    i = int(s.q_head[link])
     while i >= 0:
         out.append(i)
         i = int(s.q_next[i])
-    assert (out[-1] if out else -1) == s.q_tail[vli]
+    assert (out[-1] if out else -1) == s.q_tail[link]
+    assert len(out) == s.q_len[link]
     return out
 
 
@@ -118,7 +119,7 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     )
     assert s.link_src.size == len(crossed) <= n * 2 * L < 2 * L * N * net.degree
     assert set(zip(s.link_src.tolist(), s.link_dst.tolist())) == crossed
-    for table in ("link_dst", "q_head", "q_tail", "q_len", "cls_max", "first_at"):
+    for table in ("link_dst", "q_head", "q_tail", "q_len", "first_at"):
         assert getattr(s, table).size == len(crossed), table
     assert s.host_at.size <= n * 2 * L
     # ... and the finished run hands the same tables on, for its replies
@@ -133,14 +134,29 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
 
 
 def test_priority_packing():
-    assert pack_priorities(None, 2, 2) == (1, None)
-    n_classes, cls_flat = pack_priorities([[5, 7, 9], [6, 5, 9]], 2, 2)
-    # class = priority - min over the whole table; extra columns past
-    # the link positions are not read
-    assert n_classes == 5
-    assert cls_flat.tolist() == [0, 2, 1, 0]
-    # equal priorities order nothing: one class, no table
-    assert pack_priorities(np.full((2, 2), 4), 2, 2) == (1, None)
+    assert pack_priorities(None, 2, 2) is None
+    prio_flat = pack_priorities([[5, 7, 9], [6, 5, 9]], 2, 2)
+    # the table as given, raveled; extra columns past the link positions
+    # are not read
+    assert prio_flat.dtype == np.int64 and prio_flat.tolist() == [5, 7, 6, 5]
+    # equal priorities order nothing: FIFO, no table
+    assert pack_priorities(np.full((2, 2), 4), 2, 2) is None
+
+
+def test_run_state_is_sized_by_links_whatever_the_priority_range():
+    """Priorities spanning 10^6 values cost one table entry per link
+    position: every queue table has one slot per link, and no array on
+    the state is larger than the path matrix."""
+    s = make_state([[0, 1, 2], [3, 1, 2]], priorities=[[0, 10**6], [7, 3]])
+    n_links = 3  # (0,1) (1,2) (3,1)
+    assert s.link_src.size == n_links
+    assert s.prio_flat.tolist() == [0, 10**6, 7, 3]
+    for table in ("q_head", "q_tail", "q_len", "first_at"):
+        assert getattr(s, table).size == n_links, table
+    for name in RunState.__slots__:
+        value = getattr(s, name, None)
+        if isinstance(value, np.ndarray):
+            assert value.size <= s.path_arr.size, name
 
 
 # -------------------------------------------------------------- arrival
@@ -252,16 +268,106 @@ def test_admit_splices_spawned_children_in_front_of_their_parent():
 
 
 def test_select_heads_walks_a_stale_class_maximum_down():
-    # both packets cross link 0; packet 0 in class 2, packet 1 in class 0
-    s = make_state([[0, 1, 2]] * 2, priorities=[[2, 0], [0, 0]])
-    assert s.n_classes == 3
-    admit(s, ids(1, 0), 0)
-    assert s.cls_max[0] == 2
-    assert transmit_unconstrained(s).tolist() == [0]  # highest class first
-    assert s.cls_max[0] == 2  # pops leave the maximum stale
-    vli, heads = select_heads(s)
-    assert (vli.tolist(), heads.tolist()) == ([0], [1])  # past empty class 1
-    assert s.cls_max[0] == 0
+    """What the class tables' stale-maximum walk protected: on one link
+    class 2 leaves before class 0 whatever the push order, and the link
+    then offers the survivor."""
+    for pushes in ([ids(1, 0)], [ids(0, 1)], [ids(1), ids(0)], [ids(0), ids(1)]):
+        # both packets cross link 0; packet 0 in class 2, packet 1 in class 0
+        s = make_state([[0, 1, 2]] * 2, priorities=[[2, 0], [0, 0]])
+        for t, batch in enumerate(pushes):
+            admit(s, batch, t)
+        assert transmit_unconstrained(s).tolist() == [0]  # highest class first
+        assert chain(s, 0) == [1]
+        assert select_heads(s).tolist() == [1]
+        assert transmit_unconstrained(s).tolist() == [1]
+        assert chain(s, 0) == [] and not s.active.size
+
+
+#: link (0,1)=0 carries the chain under test; the packets of DEEP cross
+#: it with priorities 7, 5, 5, 3 (pushed in that order), and every later
+#: row is an arrival for the tests below to push
+DEEP_PRIO = [7, 5, 5, 3]
+
+
+def deep_chain(arriving_prio) -> RunState:
+    """Packets 0-3 wait on link 0 in service order; packets 4.. (with
+    priorities *arriving_prio* there) have not been admitted yet."""
+    hub_prio = DEEP_PRIO + list(arriving_prio)
+    s = make_state([[0, 1, 2]] * len(hub_prio), priorities=[[p, 0] for p in hub_prio])
+    admit(s, ids(0, 1, 2, 3), 0)
+    assert chain(s, 0) == [0, 1, 2, 3]
+    return s
+
+
+def test_an_arrival_goes_in_at_the_head_the_middle_or_the_tail_of_a_chain():
+    # outranks every waiter: the new chain head
+    s = deep_chain([9])
+    admit(s, ids(4), 1)
+    assert chain(s, 0) == [4, 0, 1, 2, 3]
+    assert (s.q_head[0], s.q_next[4], s.q_tail[0]) == (4, 0, 3)
+    # outranks the last waiter only: the middle, just ahead of it
+    s = deep_chain([4])
+    admit(s, ids(4), 1)
+    assert chain(s, 0) == [0, 1, 2, 4, 3]
+    assert (s.q_head[0], s.q_next[2], s.q_next[4], s.q_tail[0]) == (0, 4, 3, 3)
+    # ties with waiters: behind the last of them (FIFO among ties)
+    s = deep_chain([5])
+    admit(s, ids(4), 1)
+    assert chain(s, 0) == [0, 1, 2, 4, 3]
+    s = deep_chain([7])
+    admit(s, ids(4), 1)
+    assert chain(s, 0) == [0, 4, 1, 2, 3]
+    # outranks nobody — lower than, or tied with, the last waiter: the
+    # plain append, no walk
+    for low in (1, 3):
+        s = deep_chain([low])
+        admit(s, ids(4), 1)
+        assert chain(s, 0) == [0, 1, 2, 3, 4]
+        assert (s.q_next[3], s.q_next[4], s.q_tail[0]) == (4, -1, 4)
+    assert (s.q_len[0], s.max_queue, s.active.tolist()) == (5, 5, [0])
+
+
+def test_arrivals_of_one_step_are_merged_into_a_chain_in_service_order():
+    # pushed 6, 4, 9, 1, 6, 4, 8 onto waiters 7, 5, 5, 3: two land behind
+    # the same waiter twice over (the 6s behind 7, the 4s behind the
+    # second 5) and keep their arrival order, two go to the head, one
+    # appends
+    s = deep_chain([6, 4, 9, 1, 6, 4, 8])
+    admit(s, ids(4, 5, 6, 7, 8, 9, 10), 1)
+    assert chain(s, 0) == [6, 10, 0, 4, 8, 1, 2, 5, 9, 3, 7]
+    # ... which is the order the link then sends in
+    sent = [transmit_unconstrained(s).tolist() for _ in range(11)]
+    assert [batch[0] for batch in sent] == [6, 10, 0, 4, 8, 1, 2, 5, 9, 3, 7]
+    assert (s.q_head[0], s.q_tail[0], s.q_len[0]) == (-1, -1, 0)
+    assert not s.active.size and not s.node_load.any()
+
+
+def test_a_group_landing_on_an_idle_link_is_chained_in_service_order():
+    s = make_state([[0, 1, 2]] * 4, priorities=[[2, 0], [7, 0], [2, 0], [7, 0]])
+    admit(s, ids(0, 1, 2, 3), 0)
+    assert chain(s, 0) == [1, 3, 0, 2]  # equal priorities keep push order
+
+
+def test_merges_on_several_links_in_one_step():
+    # links (0,2)=0 and (1,2)=1 each hold a [5, 1] chain; one step brings
+    # each a new head (two packets with no predecessor, on different
+    # links) and link 1 one for the middle and one that appends
+    paths = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 5
+    hub_prio = [5, 1, 9] + [5, 1, 3, 0, 9]
+    s = make_state(paths, priorities=[[p, 0] for p in hub_prio])
+    admit(s, ids(0, 1, 3, 4), 0)
+    admit(s, ids(6, 5, 2, 7), 1)
+    assert chain(s, 0) == [2, 0, 1]
+    assert chain(s, 1) == [7, 3, 5, 4, 6]
+    assert s.active.tolist() == [0, 1]
+
+
+def test_a_fifo_run_appends_whatever_arrives():
+    s = make_state([[0, 1, 2]] * 3)
+    assert s.prio_flat is None
+    admit(s, ids(2), 0)
+    admit(s, ids(0, 1), 1)
+    assert chain(s, 0) == [2, 0, 1]
 
 
 def test_pop_heads_empties_queues_and_releases_combine_residency():
@@ -269,12 +375,12 @@ def test_pop_heads_empties_queues_and_releases_combine_residency():
     admit(s, ids(0, 1), 0)
     codes = s.vc_flat[s.fl[ids(0, 1)]]
     assert s.host_at[codes].tolist() == [0, 1]
-    pop_heads(s, s.active, *select_heads(s))
+    pop_heads(s, s.active, select_heads(s))
     assert chain(s, 0) == [1]
     assert s.host_at[codes].tolist() == [-1, 1]
     assert (s.fl[0] - s.fl_base[0], s.q_len[0], s.node_load[0]) == (1, 1, 1)
     assert s.active.tolist() == [0]
-    pop_heads(s, s.active, *select_heads(s))
+    pop_heads(s, s.active, select_heads(s))
     assert (s.q_head[0], s.q_tail[0]) == (-1, -1)
     assert s.host_at[codes].tolist() == [-1, -1]
     assert (s.q_len[0], s.node_load[0]) == (0, 0)
@@ -316,7 +422,7 @@ def crossing_state(order, **kwargs) -> RunState:
 def test_classification_splits_sure_from_contended():
     s = crossing_state([0, 1, 2, 3])
     assert s.active.tolist() == [0, 1, 2, 3]
-    _, heads = select_heads(s)
+    heads = select_heads(s)
     sure, contended = classify_constrained(s, heads, (), {})
     # exempt heads (2, 3) are sure; node 3 cannot take both 0 and 1
     assert sure.tolist() == [False, False, True, True]
@@ -338,21 +444,21 @@ def test_replay_counts_departures_before_a_link_but_not_after():
     # link 3 (out of node 3) is sure; activated first, its departure
     # frees the slot for the first contended link only
     s = crossing_state([3, 0, 1, 2])
-    _, heads = select_heads(s)
+    heads = select_heads(s)
     sure, contended = classify_constrained(s, heads, (), {})
     assert (sure.tolist(), contended.tolist()) == ([True, False, False, True], [1, 2])
     assert replay_contended(s, heads, sure, contended, {}) == [True, False]
     assert not any(s.res_list) and not any(s.dep_list)
     # activated last, it frees nothing in time: both stall
     s = crossing_state([0, 1, 2, 3])
-    _, heads = select_heads(s)
+    heads = select_heads(s)
     sure, contended = classify_constrained(s, heads, (), {})
     assert replay_contended(s, heads, sure, contended, {}) == [False, False]
 
 
 def test_replay_honours_reserved_slots_and_escape_claims():
     s = crossing_state([3, 0, 1, 2], credit=True)
-    _, heads = select_heads(s)
+    heads = select_heads(s)
     sure, contended = classify_constrained(s, heads, (), {3: 1})
     # the escape subphase reserved node 3's freed slot: packet 0 takes
     # link 0's escape buffer; link 1's is occupied, so packet 1 stalls

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.pram import (
     prefix_sum,
     random_trace,
 )
+from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
 
 
 class TestPrograms:
@@ -136,6 +138,27 @@ class TestSyntheticTraces:
     def test_hotspot_step_concentrates(self):
         step = hotspot_step(64, 256, hot_addresses=1, hot_fraction=1.0, seed=4)
         assert step.max_concurrency() == 64
+
+    def test_max_concurrency_counts_requests_not_the_address_space(self):
+        # the old count — a bincount over addresses up to the largest —
+        # stays the definition, wherever it can be afforded
+        steps = [
+            permutation_step(16, 64, seed=1),
+            permutation_step(8, 32, seed=2, kind="write"),
+            h_relation_step(16, 64, h=3, seed=3),
+            hotspot_step(64, 256, hot_addresses=1, hot_fraction=1.0, seed=4),
+            hotspot_step(64, 256, hot_addresses=3, hot_fraction=0.5, seed=5),
+        ]
+        for step in steps:
+            assert step.max_concurrency() == int(np.bincount(step.addresses()).max())
+        assert StepTrace().max_concurrency() == 0 and StepTrace().is_erew()
+        # an address no counter array could span
+        far = StepTrace(
+            reads=[ReadRequest(0, 2**40), ReadRequest(1, 5)],
+            writes=[WriteRequest(2, 2**40, 1)],
+        )
+        assert far.max_concurrency() == 2 and not far.is_erew()
+        assert StepTrace(reads=[ReadRequest(0, 2**40)]).is_erew()
 
     def test_hotspot_fraction_validation(self):
         with pytest.raises(ValueError):

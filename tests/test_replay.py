@@ -5,9 +5,12 @@ leaves identical memory on the abstract PRAM and on every emulating
 network, while the emulation cost obeys the theorems.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.emulation import LeveledEmulator, MeshEmulator, replay_program
+from repro.pram.memory import SharedMemory
 from repro.pram import (
     boolean_or,
     broadcast,
@@ -17,6 +20,7 @@ from repro.pram import (
     parallel_sum,
     prefix_sum,
 )
+from repro.sharding import ShardedEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D, ShuffleLeveled, StarLogicalLeveled
 
 
@@ -112,3 +116,109 @@ class TestReplayValidation:
         result = replay_program(spec, leveled_emulator(net, spec.memory_size, seed=10))
         assert result.slowdown > 0
         assert result.cells_checked == spec.memory_size
+
+
+def replay_tampered(spec, emulator, tamper):
+    """``replay_program`` with *tamper(memory)* applied to the emulator's
+    memory between the emulation and the check."""
+    emulate = emulator.emulate_trace
+
+    def emulate_then_tamper(trace):
+        report = emulate(trace)
+        tamper(emulator.memory)
+        return report
+
+    emulator.emulate_trace = emulate_then_tamper
+    return replay_program(spec, emulator)
+
+
+class TestMemoryVerification:
+    """The check reads the cells either execution wrote — both memories
+    are sparse and read 0 elsewhere — and covers all ``memory_size``."""
+
+    #: broadcast over cells [0, 16) of a 64-cell memory
+    SPEC = replace(broadcast(16, value=7), memory_size=64)
+
+    def emulator(self, seed=11):
+        return leveled_emulator(DAryButterflyLeveled(2, 4), 64, seed=seed, mode="erew")
+
+    def test_untampered_run_matches(self):
+        result = replay_tampered(self.SPEC, self.emulator(), lambda memory: None)
+        assert result.memory_matches and result.cells_checked == 64
+
+    def test_a_cell_written_by_the_emulator_only_is_a_mismatch(self):
+        result = replay_tampered(
+            self.SPEC, self.emulator(), lambda memory: memory.write(40, 1)
+        )
+        assert not result.memory_matches
+        # ... unless what it wrote is what an untouched cell reads
+        result = replay_tampered(
+            self.SPEC, self.emulator(), lambda memory: memory.write(40, 0)
+        )
+        assert result.memory_matches
+
+    def test_a_cell_written_natively_only_is_a_mismatch(self):
+        emulator = self.emulator()
+        emulator.emulate_trace = lambda trace: None  # the network ran nothing
+        result = replay_program(self.SPEC, emulator)
+        assert set(emulator.memory.touched()) == {0}  # the program's init value
+        assert not result.memory_matches
+
+    def test_a_touched_cell_that_differs_is_found(self):
+        result = replay_tampered(
+            self.SPEC, self.emulator(), lambda memory: memory.write(9, 8)
+        )
+        assert not result.memory_matches
+
+    def test_cells_past_the_program_memory_are_not_compared(self):
+        emulator = leveled_emulator(DAryButterflyLeveled(2, 4), 128, seed=11, mode="erew")
+        result = replay_tampered(self.SPEC, emulator, lambda memory: memory.write(100, 1))
+        assert result.memory_matches
+
+    def sharded(self):
+        net = DAryButterflyLeveled(2, 4)
+
+        def factory(index, seed):
+            return LeveledEmulator(net, 64, mode="erew", seed=seed)
+
+        return ShardedEmulator(factory, 3, 64, seed=5)
+
+    def test_sharded_memory_is_verified_over_the_union_of_its_shards(self):
+        service = self.sharded()
+        result = replay_tampered(self.SPEC, service, lambda memory: None)
+        assert result.memory_matches
+        assert service.memory.touched() == set(range(16))
+        per_shard = [set(shard.memory.touched()) for shard in service.shards]
+        assert sum(map(len, per_shard)) == 16 and max(map(len, per_shard)) < 16
+        # a stray cell on one shard is seen through the facade
+        result = replay_tampered(
+            self.SPEC, self.sharded(), lambda memory: memory.write(40, 1)
+        )
+        assert not result.memory_matches
+
+    def test_a_large_sparse_memory_is_verified_in_reads_of_touched_cells(
+        self, monkeypatch
+    ):
+        spec = replace(self.SPEC, memory_size=1 << 20)
+        emulator = leveled_emulator(
+            DAryButterflyLeveled(2, 4), 1 << 20, seed=11, mode="erew"
+        )
+        reads = []
+        read = SharedMemory.read
+
+        def counted(memory, addr):
+            reads.append(addr)
+            return read(memory, addr)
+
+        emulate = emulator.emulate_trace
+
+        def emulate_then_count(trace):
+            report = emulate(trace)
+            monkeypatch.setattr(SharedMemory, "read", counted)
+            return report
+
+        emulator.emulate_trace = emulate_then_count
+        result = replay_program(spec, emulator)
+        assert result.memory_matches and result.cells_checked == 1 << 20
+        # two reads (one a side) per cell either execution wrote
+        assert sorted(reads) == sorted(list(range(16)) * 2)
