@@ -9,7 +9,12 @@
   large hidden constant the paper argues against.
 """
 
-from repro.emulation.base import EmulationReport, Emulator, StepCost
+from repro.emulation.base import (
+    EmulationReport,
+    Emulator,
+    RequestRoutingError,
+    StepCost,
+)
 from repro.emulation.combining import (
     ReplySpawner,
     build_replies,
@@ -32,6 +37,7 @@ __all__ = [
     "RanadeEmulator",
     "ReplayResult",
     "ReplySpawner",
+    "RequestRoutingError",
     "StepCost",
     "build_replies",
     "configure_emulator_for",

@@ -29,7 +29,6 @@ from repro.pram.trace import MemoryTrace, StepTrace
 from repro.pram.variants import resolve_writes
 from repro.routing.engine import SynchronousEngine
 from repro.routing.flow_control import DeadlockError
-from repro.routing.packet import Packet
 from repro.util.stats import Summary, summarize
 
 
@@ -91,6 +90,55 @@ class AttemptLog:
     deadlock_retries: int = 0
     fault_failfasts: int = 0
     run_modes: list[str] = field(default_factory=list)
+
+
+@dataclass
+class StepColumns:
+    """One step's requests as aligned columns: row i is the i-th request,
+    reads first, then writes.  Read once per ``emulate_step``; nothing
+    here depends on the hash, so a rehash retry recomputes the module
+    column and nothing else."""
+
+    #: rows below this are reads, the rest writes
+    n_reads: int
+    #: the requesting processors' endpoint ids (after the static
+    #: processor-fault remap): what the router routes from, and the
+    #: writer id of concurrent-write resolution
+    sources: np.ndarray
+    addrs: np.ndarray
+    #: ``address * 2 + is_write``: requests that may combine (Theorem
+    #: 2.6) share one, and then share a module
+    combine_keys: np.ndarray
+    #: the writes' values, in row order from ``n_reads``
+    payloads: list
+
+    @property
+    def n(self) -> int:
+        return len(self.addrs)
+
+
+class RequestRoutingError(RuntimeError):
+    """A routing phase gave up with no fault schedule to blame.
+
+    Terminal: without injected faults, non-completion after every
+    rehash and the last-resort budget is a bug (or a budget far below
+    the network's diameter), not a condition to retry — the retryable
+    twin under a fault schedule is
+    :class:`~repro.faults.RehashStormError`.  Carries the same
+    :class:`AttemptLog` accounting and, when the emulator's observer has
+    a flight recorder, the last recorded step events (oldest first).
+    """
+
+    flight_tail: tuple = ()
+
+    def __init__(self, message: str, log: AttemptLog, burned: int = 0) -> None:
+        super().__init__(message)
+        self.rehashes = log.rehashes
+        #: network steps spent on the failed attempts, the last included
+        self.stall_steps = log.stall_steps + burned
+        self.deadlock_retries = log.deadlock_retries
+        self.fault_failfasts = log.fault_failfasts
+        self.run_modes = tuple(log.run_modes)
 
 
 @dataclass
@@ -229,16 +277,20 @@ class Emulator(ABC):
         return costs
 
     # ---- the step pipeline --------------------------------------------
-    # hash -> route requests (rehash + retry) -> memory -> route replies
-    # -> StepCost: one scheme, parameterised by the network (Theorems
-    # 2.5/2.6, 3.2, 3.3).  A served emulator's ``emulate_step`` composes
-    # the pieces below and supplies what is network-specific:
-    # ``_make_router(engine_mode, fault_base)``, ``_route(router,
-    # packets, max_steps)``, its allotment and budgets, placement
-    # (``_modules_of``), source-node encoding (``_source_nodes``) and the
-    # shape of its reply phase.  The pieces read the instance's ``hash``
-    # / ``family`` / ``rng`` / ``faults`` / ``memory`` / ``max_rehashes``
-    # / ``validate`` / ``virtual_clock``.
+    # columns -> hash -> route requests (rehash + retry) -> memory ->
+    # route replies -> StepCost: one scheme, parameterised by the network
+    # (Theorems 2.5/2.6, 3.2, 3.3), on integer columns from end to end —
+    # ``_step_columns`` reads the ``StepTrace`` once, the router is handed
+    # (source, module, combine key) columns, and hosts / absorbed rows
+    # come back as row arrays (``Router.absorbed_rows``); no ``Packet`` is
+    # built here (the reference engine's are the router's business).  A
+    # served emulator's ``emulate_step`` composes the pieces below and
+    # supplies what is network-specific: ``_make_router(engine_mode,
+    # fault_base)``, its allotment and budgets, placement
+    # (``_modules_of``) and the shape of its reply phase.  The pieces
+    # read the instance's ``mode`` / ``hash`` / ``family`` / ``rng`` /
+    # ``faults`` / ``memory`` / ``max_rehashes`` / ``validate`` /
+    # ``virtual_clock``.
 
     #: label on step metrics, rehash events and failure messages
     network = "network"
@@ -259,73 +311,73 @@ class Emulator(ABC):
         """Home module of every address (placement, before fault remap)."""
         return self.hash.map(addrs)
 
-    def _source_nodes(self, pids: list[int]) -> list:
-        """The routers' node keys for processors *pids*."""
-        return pids
-
-    def _build_request_packets(self, step: StepTrace) -> list[Packet]:
-        # One vectorized hash evaluation covers the whole step (the
-        # scalar PolynomialHash.__call__ is an O(S) Python Horner loop
-        # per address), and the network hooks are per step as well: an
-        # address array in, a pid list in — nothing dispatches per request.
+    def _step_columns(self, step: StepTrace) -> StepColumns:
+        """Read *step* into columns, checking what does not depend on
+        the hash: exclusivity (EREW mode) and the processor bound."""
         reads, writes = step.reads, step.writes
         addrs = step.addresses()
-        if not addrs:
-            return []
-        faults = self.faults
+        if self.mode == "erew" and len(set(addrs)) < len(addrs):
+            raise ValueError(
+                f"EREW {self.network} emulator given concurrent accesses; "
+                "use mode='crcw'"
+            )
         pids = [r.pid for r in reads]
         pids += [w.pid for w in writes]
-        if max(pids) >= faults.num_processors:
+        faults = self.faults
+        if pids and max(pids) >= faults.num_processors:
             raise ValueError(
                 f"processor {max(pids)} exceeds {self.network} size "
                 f"{faults.num_processors}"
             )
-        modules = self._modules_of(np.asarray(addrs, dtype=np.int64))
-        if faults.known_dead:
-            # Addresses homed on a detected-dead module are served by
-            # its deterministic surrogate (next live module, cyclic) —
-            # engine-independent, so differential runs stay identical.
-            modules = faults.map_modules(modules)
-        dests = modules.tolist()
+        sources = np.asarray(pids, dtype=np.int64)
         if faults.has_processor_faults:
-            pids = faults.map_processors(np.asarray(pids, dtype=np.int64)).tolist()
-        sources = self._source_nodes(pids)
-        packets = [
-            Packet(i, sources[i], dests[i], kind="read", address=r.addr)
-            for i, r in enumerate(reads)
-        ]
-        packets += [
-            Packet(
-                i, sources[i], dests[i], kind="write", address=w.addr, payload=w.value
-            )
-            for i, w in enumerate(writes, len(reads))
-        ]
-        return packets
+            sources = faults.map_processors(sources)
+        addrs = np.asarray(addrs, dtype=np.int64)
+        keys = addrs * 2
+        keys[len(reads) :] += 1
+        return StepColumns(
+            len(reads), sources, addrs, keys, [w.value for w in writes]
+        )
+
+    def _serving_modules(self, addrs: np.ndarray) -> np.ndarray:
+        """The module serving every address under the current hash: one
+        vectorized evaluation for the whole step (the scalar
+        ``PolynomialHash.__call__`` is an O(S) Python Horner loop per
+        address), then the detected-dead remap — a dead module's
+        addresses go to its deterministic surrogate (next live module,
+        cyclic), engine-independent, so differential runs stay
+        identical."""
+        modules = self._modules_of(addrs)
+        if self.faults.known_dead:
+            modules = self.faults.map_modules(modules)
+        return modules
 
     def _failure(self, message: str, log: AttemptLog, burned: int = 0) -> RuntimeError:
-        """The exception for a phase that gave up.  Under a fault
-        schedule it is the typed :class:`RehashStormError` a service
-        loop can charge and retry — *log*'s accounting (plus the
-        *burned* steps of an attempt not yet charged to it) and the
-        flight tail; without one, non-completion is a real bug."""
-        if not self.faults.schedule:
-            return RuntimeError(message)
-        err = RehashStormError(
-            message + " (fault schedule active)",
-            rehashes=log.rehashes,
-            stall_steps=log.stall_steps + burned,
-            deadlock_retries=log.deadlock_retries,
-            fault_failfasts=log.fault_failfasts,
-            run_modes=tuple(log.run_modes),
-        )
+        """The exception for a phase that gave up, carrying *log*'s
+        accounting (plus the *burned* steps of an attempt not yet
+        charged to it) and the flight tail.  Under a fault schedule it
+        is the :class:`RehashStormError` a service loop charges and
+        retries; without one, non-completion is a real bug and the
+        :class:`RequestRoutingError` is terminal."""
+        if self.faults.schedule:
+            err = RehashStormError(
+                message + " (fault schedule active)",
+                rehashes=log.rehashes,
+                stall_steps=log.stall_steps + burned,
+                deadlock_retries=log.deadlock_retries,
+                fault_failfasts=log.fault_failfasts,
+                run_modes=tuple(log.run_modes),
+            )
+        else:
+            err = RequestRoutingError(message, log, burned)
         err.flight_tail = self._obs.flight_tail()
         return err
 
     def _prepare_attempt(
-        self, step: StepTrace, fault_base: int, log: AttemptLog, *, rehash=True
-    ) -> list[Packet]:
+        self, addrs: np.ndarray, fault_base: int, log: AttemptLog, *, rehash=True
+    ) -> np.ndarray:
         """Liveness refresh + fail-fast detection before one routing
-        attempt.
+        attempt; returns the attempt's module column.
 
         Revives become visible, then any request aimed at an
         *undetected* dead module fails fast — the module's home switch
@@ -337,10 +389,10 @@ class Emulator(ABC):
         faults = self.faults
         if faults.has_module_faults:
             faults.refresh(fault_base)
-        packets = self._build_request_packets(step)
+        modules = self._serving_modules(addrs)
         while faults.has_module_faults:
             dead = faults.undetected_dead(fault_base)
-            if not dead or not any(p.dest in dead for p in packets):
+            if not dead or not np.isin(modules, list(dead)).any():
                 break
             faults.acknowledge(fault_base)
             if rehash:
@@ -350,12 +402,12 @@ class Emulator(ABC):
             log.run_modes.append("fault-failfast")
             if log.fault_failfasts > self.max_rehashes + faults.num_modules:
                 raise self._failure("fault detections keep forcing rehashes", log)
-            packets = self._build_request_packets(step)
-        return packets
+            modules = self._serving_modules(addrs)
+        return modules
 
     def _route_requests(
         self,
-        step: StepTrace,
+        cols: StepColumns,
         engine_mode: str,
         *,
         allotment: int,
@@ -376,8 +428,8 @@ class Emulator(ABC):
         fail-fast, but the remap alone reroutes an address) the first
         missed allotment goes straight to the last resort.
 
-        Returns ``(router, packets, stats, log)`` of the attempt that
-        completed.
+        Returns ``(router, modules, stats, log)`` of the attempt that
+        completed: its module column and the router holding its run.
         """
         log = AttemptLog()
         obs = self._obs
@@ -387,7 +439,7 @@ class Emulator(ABC):
             # Each attempt starts where the previous one gave up: failed
             # steps accumulate into the global fault timeline.
             fault_base = self.virtual_clock + log.stall_steps
-            packets = self._prepare_attempt(step, fault_base, log, rehash=rehash)
+            modules = self._prepare_attempt(cols.addrs, fault_base, log, rehash=rehash)
             router = self._make_router(engine_mode, fault_base)
             wedged = False
             with obs.span(
@@ -395,12 +447,15 @@ class Emulator(ABC):
                 category="request",
                 virtual_clock=fault_base,
                 attempt=attempt,
-                requests=len(packets),
+                requests=cols.n,
                 last_resort=last,
             ) as sp:
                 try:
-                    stats = self._route(
-                        router, packets, last_resort if last else allotment
+                    stats = router.route(
+                        cols.sources,
+                        modules,
+                        max_steps=last_resort if last else allotment,
+                        combine_keys=cols.combine_keys,
                     )
                 except DeadlockError as exc:
                     if last:
@@ -411,7 +466,7 @@ class Emulator(ABC):
             log.run_modes.append(stats.run_mode)
             log.fault_stalls += stats.fault_stalls
             if stats.completed:
-                return router, packets, stats, log
+                return router, modules, stats, log
             if last:
                 raise self._failure(
                     f"{self.network} request routing failed after rehashes",
@@ -454,9 +509,34 @@ class Emulator(ABC):
             )
         return values
 
+    def _serve_memory(self, cols: StepColumns, router) -> tuple[np.ndarray, dict]:
+        """The modules' work for a routed step: ``(read hosts, values)``.
+
+        A *host* is a request that reached its module — every row the
+        run did not absorb into another.  Each read host reads for the
+        requests combined into it (``values`` is keyed by its row);
+        every write of the step is applied, a combined one standing
+        behind the host that carried it, with the requesting
+        processor's id — not the row — deciding write conflicts.
+        """
+        n_reads = cols.n_reads
+        is_host = np.ones(cols.n, dtype=bool)
+        is_host[router.absorbed_rows()] = False
+        read_hosts = np.flatnonzero(is_host[:n_reads])
+        values = self._apply_memory(
+            zip(read_hosts.tolist(), cols.addrs[read_hosts].tolist()),
+            zip(
+                cols.addrs[n_reads:].tolist(),
+                cols.sources[n_reads:].tolist(),
+                cols.payloads,
+            ),
+        )
+        return read_hosts, values
+
     def _reverse_path_replies(self, router, read_hosts, values, *, budget, num_nodes):
         """Replies walk the request paths in reverse, splitting at the
-        combining-tree merge points (Theorem 2.6).
+        combining-tree merge points (Theorem 2.6); *read_hosts* are rows
+        of the request population *router* just routed.
 
         Runs *unconstrained* on both engines — ``node_capacity`` applies
         to request routing only — and without a link-fault view.  If
@@ -467,26 +547,25 @@ class Emulator(ABC):
         if router.last_fast_run is not None:
             # The fast request run left its arrays: replay the compiled
             # trajectories backwards, on the link ids that run already
-            # made, off a static spawn plan.  A request packet's pid is
-            # its row (``_build_request_packets``).
+            # made, off a static spawn plan.
             return route_replies_fast(
                 router.last_fast_run,
-                np.fromiter(
-                    (p.pid for p in read_hosts), dtype=np.int64, count=len(read_hosts)
-                ),
+                read_hosts,
                 budget=budget,
                 num_nodes=num_nodes,
                 observer=self.observer,
             )
-        # Reference engine: the requests recorded traces (track_paths).
+        # Reference engine: the requests recorded traces (track_paths)
+        # on the packets the router materialised.
+        requests = router.last_packets
         return SynchronousEngine(observer=self.observer).run(
-            build_replies(read_hosts, values),
+            build_replies([requests[i] for i in read_hosts.tolist()], values),
             reply_next_hop,
             max_steps=budget,
             on_arrival=ReplySpawner(),
         )
 
-    def _finish_step(self, step: StepTrace, req_stats, reply_stats, log) -> StepCost:
+    def _finish_step(self, cols: StepColumns, req_stats, reply_stats, log) -> StepCost:
         """Check the reply phase (``None`` when the step had no reads),
         assemble the :class:`StepCost`, advance ``virtual_clock`` past
         the step and emit the step metrics."""
@@ -496,9 +575,9 @@ class Emulator(ABC):
         if reply_stats is not None:
             if not reply_stats.completed:
                 raise self._failure(f"{self.network} replies did not complete", log)
-            if self.validate and reply_stats.delivered != len(step.reads):
+            if self.validate and reply_stats.delivered != cols.n_reads:
                 raise AssertionError(
-                    f"{len(step.reads)} reads but {reply_stats.delivered} "
+                    f"{cols.n_reads} reads but {reply_stats.delivered} "
                     "replies delivered"
                 )
             reply_steps = reply_stats.steps
@@ -512,7 +591,7 @@ class Emulator(ABC):
             rehashes=log.rehashes,
             combines=req_stats.combines,
             max_queue=max_queue,
-            requests=step.num_requests,
+            requests=cols.n,
             credits_stalled=credits_stalled,
             stall_steps=log.stall_steps,
             fault_stalls=log.fault_stalls,

@@ -19,7 +19,6 @@ from repro.emulation.base import Emulator, StepCost
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import StepTrace
 from repro.routing.fast_engine import resolve_engine_mode
-from repro.routing.packet import Packet
 
 
 class KarlinUpfalMeshEmulator(MeshEmulator):
@@ -31,16 +30,10 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
             raise ValueError("the Karlin–Upfal baseline is measured on EREW traces")
         super().__init__(mesh, address_space, **kwargs)
 
-    def _route_leg(self, sources, dests, kinds_addrs_payloads):
+    def _route_leg(self, sources, dests):
         router = self._make_router(resolve_engine_mode(self.engine_mode))
-        packets = [
-            Packet(i, int(s), int(d), kind=k, address=a, payload=v)
-            for i, (s, d, (k, a, v)) in enumerate(
-                zip(sources, dests, kinds_addrs_payloads)
-            )
-        ]
         n = self.mesh.rows + self.mesh.cols
-        stats = self._route(router, packets, 500 * n + 2000)
+        stats = router.route(sources, dests, max_steps=500 * n + 2000)
         if not stats.completed:
             raise RuntimeError("Karlin–Upfal leg did not complete")
         return stats
@@ -59,9 +52,9 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
 
         # Phase 1: to a random processor each.
         rand1 = self.rng.integers(0, n_nodes, size=len(reqs)).tolist()
-        legs = [self._route_leg(sources, rand1, meta)]
+        legs = [self._route_leg(sources, rand1)]
         # Phase 2: random processor -> memory module h(addr).
-        legs.append(self._route_leg(rand1, modules, meta))
+        legs.append(self._route_leg(rand1, modules))
         request_steps = legs[0].steps + legs[1].steps
 
         read_values = self._apply_memory(
@@ -72,13 +65,12 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
         if read_values:
             read_idx = list(read_values)
             r_modules = [modules[i] for i in read_idx]
-            r_meta = [("reply", meta[i][1], read_values[i]) for i in read_idx]
             r_sources = [sources[i] for i in read_idx]
             # Phase 3: module -> another random processor.
             rand2 = self.rng.integers(0, n_nodes, size=len(read_idx)).tolist()
-            legs.append(self._route_leg(r_modules, rand2, r_meta))
+            legs.append(self._route_leg(r_modules, rand2))
             # Phase 4: random processor -> original requester.
-            legs.append(self._route_leg(rand2, r_sources, r_meta))
+            legs.append(self._route_leg(rand2, r_sources))
 
         return StepCost(
             request_steps=request_steps,

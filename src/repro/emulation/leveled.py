@@ -32,7 +32,6 @@ from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.leveled_router import LeveledRouter
-from repro.routing.packet import Packet
 from repro.topology.compiled import compile_leveled
 from repro.topology.leveled import LeveledNetwork
 from repro.util.rng import as_generator
@@ -156,10 +155,6 @@ class LeveledEmulator(Emulator):
         """Module currently serving ``addr`` (dead modules remapped)."""
         return self.faults.map_module(int(self.hash(addr)))
 
-    def _source_nodes(self, pids: list[int]) -> list:
-        # processors are the column-0 rows of the first pass
-        return [(0, 0, pid) for pid in pids]
-
     def _make_router(self, engine_mode: str, fault_base: int = 0) -> LeveledRouter:
         # The fast engine only engages when trajectories are compilable
         # (node mode, or coin mode on a uniform-degree network).  Traces
@@ -183,42 +178,23 @@ class LeveledEmulator(Emulator):
             observer=self.observer,
         )
 
-    def _route(self, router: LeveledRouter, packets: list[Packet], max_steps: int):
-        return router.route_packets(packets, max_steps=max_steps)
-
     # ------------------------------------------------------------------
     def emulate_step(self, step: StepTrace) -> StepCost:
-        if self.mode == "erew" and not step.is_erew():
-            raise ValueError(
-                "EREW emulator given a step with concurrent accesses; "
-                "use mode='crcw'"
-            )
+        cols = self._step_columns(step)
         engine_mode = resolve_engine_mode(self.engine_mode)
         L = self.net.num_levels
-        router, packets, req_stats, log = self._route_requests(
-            step,
+        router, _modules, req_stats, log = self._route_requests(
+            cols,
             engine_mode,
             # An allotment below the 2L path length guarantees timeouts;
             # that is intentional (tests force rehash storms this way).
             allotment=max(int(self.rehash_factor * 2 * L), 1),
             last_resort=400 * L + 1000,
         )
-        hosts = [p for p in packets if not p.combined]
-        read_hosts = [p for p in hosts if p.kind == "read"]
-        values = self._apply_memory(
-            ((p.pid, p.address) for p in read_hosts),
-            # w.source == (0, 0, processor id): conflict resolution must
-            # use the PRAM processor id, not the packet id.
-            (
-                (w.address, w.source[2], w.payload)
-                for host in hosts
-                if host.kind == "write"
-                for w in host.all_represented()
-            ),
-        )
+        read_hosts, values = self._serve_memory(cols, router)
         # Reply phase (reads only): reverse paths + combining-tree fan-out.
         reply_stats = None
-        if read_hosts:
+        if read_hosts.size:
             compiled = compile_leveled(self.net)
             with self._obs.span(
                 "reply_phase",
@@ -236,4 +212,4 @@ class LeveledEmulator(Emulator):
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
-        return self._finish_step(step, req_stats, reply_stats, log)
+        return self._finish_step(cols, req_stats, reply_stats, log)

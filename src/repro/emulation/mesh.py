@@ -39,7 +39,6 @@ from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.mesh_router import MeshRouter
-from repro.routing.packet import Packet
 from repro.topology.mesh import Mesh2D
 from repro.util.rng import as_generator
 
@@ -191,39 +190,22 @@ class MeshEmulator(Emulator):
             observer=self.observer,
         )
 
-    def _route(self, router: MeshRouter, packets: list[Packet], max_steps: int):
-        return router.route(None, None, max_steps=max_steps, packets=packets)
-
     # ------------------------------------------------------------------
     def emulate_step(self, step: StepTrace) -> StepCost:
-        if self.mode == "erew" and not step.is_erew():
-            raise ValueError(
-                "EREW mesh emulator given concurrent accesses; use mode='crcw'"
-            )
+        cols = self._step_columns(step)
         engine_mode = resolve_engine_mode(self.engine_mode)
         n = self.mesh.rows + self.mesh.cols
         patience = 500 * n + 2000  # last-resort request and reply budget
-        router, packets, req_stats, log = self._route_requests(
-            step,
+        router, modules, req_stats, log = self._route_requests(
+            cols,
             engine_mode,
             allotment=max(int(self.rehash_factor * n), n + 4),
             last_resort=patience,
             rehash=self.placement == "hash",
         )
-        hosts = [p for p in packets if not p.combined]
-        read_hosts = [p for p in hosts if p.kind == "read"]
-        values = self._apply_memory(
-            ((p.pid, p.address) for p in read_hosts),
-            # w.source is the requesting processor's node id on the mesh
-            (
-                (w.address, w.source, w.payload)
-                for host in hosts
-                if host.kind == "write"
-                for w in host.all_represented()
-            ),
-        )
+        read_hosts, values = self._serve_memory(cols, router)
         reply_stats = None
-        if read_hosts:
+        if read_hosts.size:
             with self._obs.span(
                 "reply_phase",
                 category="reply",
@@ -240,8 +222,8 @@ class MeshEmulator(Emulator):
                     )
                 else:
                     reply_stats = self._replies_fresh_route(
-                        read_hosts,
-                        values,
+                        modules[read_hosts],
+                        cols.sources[read_hosts],
                         engine_mode,
                         patience,
                         log,
@@ -252,13 +234,14 @@ class MeshEmulator(Emulator):
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
-        return self._finish_step(step, req_stats, reply_stats, log)
+        return self._finish_step(cols, req_stats, reply_stats, log)
 
     def _replies_fresh_route(
-        self, read_hosts, values, engine_mode: str, budget: int, log, fault_base: int
+        self, modules, processors, engine_mode: str, budget: int, log, fault_base: int
     ):
         """EREW replies: an independent run of the 3-stage router from the
-        modules back to the requesting processors (the paper's phase 2).
+        *modules* back to the requesting *processors* (the paper's
+        phase 2).
 
         Link faults apply here too: a down link stalls replies exactly
         like requests, and the generous budget rides out transient
@@ -273,14 +256,7 @@ class MeshEmulator(Emulator):
         """
         for _attempt in range(self.max_rehashes + 1):
             router = self._make_router(engine_mode, fault_base)
-            # rebuild each attempt: routing mutates the packets
-            replies = [
-                Packet(
-                    i, host.node, host.source, kind="reply", payload=values[host.pid]
-                )
-                for i, host in enumerate(read_hosts)
-            ]
-            stats = self._route(router, replies, budget)
+            stats = router.route(modules, processors, max_steps=budget)
             if stats.completed:
                 break
             fault_base += stats.steps

@@ -66,7 +66,7 @@ from repro.routing.fast_phases import (
 )
 from repro.routing.flow_control import DeadlockError, resolve_flow_control
 from repro.routing.metrics import RoutingStats, stats_from_arrays
-from repro.routing.packet import Packet
+from repro.routing.packet import Packet, combine_groups_of
 
 ENGINE_MODES = ("auto", "fast", "reference")
 
@@ -172,25 +172,6 @@ def _injection_batches(
     return list(zip(steps, np.split(roots[by_time], cuts)))[::-1]
 
 
-def _combine_groups(packets: Sequence[Packet]) -> np.ndarray:
-    """Dense combine-group id per packet: two packets share an id iff
-    they share a combine key; keyless packets get singleton ids."""
-    gid = np.empty(len(packets), dtype=np.int64)
-    key_ids: dict = {}
-    next_gid = 0
-    for i, p in enumerate(packets):
-        key = p.combine_key
-        if key is None:
-            gid[i] = next_gid
-            next_gid += 1
-        else:
-            g = key_ids.get(key)
-            if g is None:
-                g = key_ids[key] = next_gid
-                next_gid += 1
-            gid[i] = g
-    return gid
-
 class FastPathEngine:
     """Synchronous router over precompiled integer paths.
 
@@ -258,6 +239,7 @@ class FastPathEngine:
         priorities=None,
         links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         spawn_plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        combine_groups: np.ndarray | None = None,
         raise_on_timeout: bool = False,
         node_key: Callable[[int, int], object] | None = None,
         trace_key: Callable[[int, int], object] | None = None,
@@ -292,11 +274,17 @@ class FastPathEngine:
         pass none.
 
         ``packets=None`` routes an *anonymous* population: one packet
-        per row of *paths*, all injected at step 0, none with a combine
-        key, nothing to write back — the reply phase, whose packets
-        exist only as rows of the reverse-path matrix.  The returned
-        stats are the same either way; the run's per-packet arrays stay
-        on :attr:`last_arrays`.
+        per row of *paths*, all injected at step 0, no ``Packet`` read
+        or written back — every served run: requests routed from
+        :class:`~repro.routing.packet.PacketColumns`, and replies, which
+        exist only as rows of the reverse-path matrix.  The stats are
+        the same either way; the run's per-packet arrays stay on
+        :attr:`last_arrays`.  ``combine_groups`` is a combining
+        engine's key column: one non-negative int per row, two packets
+        may merge iff they share it (and then share a destination — the
+        caller's guarantee).  Omitted, caller-built *packets* are
+        grouped by their ``combine_key`` and an anonymous population
+        does not combine.
 
         ``link_faults`` is an optional
         :class:`~repro.faults.runtime.LinkFaultView` whose keys are
@@ -333,19 +321,16 @@ class FastPathEngine:
             all_packets = None if packets is None else list(packets)
             n = len(paths) if all_packets is None else len(all_packets)
             path_arr, last = _normalise_paths(paths, path_lengths, n)
-            if all_packets is None:
-                injected_at = np.zeros(n, dtype=np.int64)
-                gid = None
-            else:
-                injected_at = np.fromiter(
-                    (p.injected_at for p in all_packets), dtype=np.int64, count=n
-                )
-                gid = _combine_groups(all_packets) if self.combine else None
+            injected_at = np.zeros(n, dtype=np.int64)
+            if all_packets is not None:
+                injected_at[:] = [p.injected_at for p in all_packets]
+                if self.combine and combine_groups is None:
+                    combine_groups = combine_groups_of(all_packets)
             state = RunState(
                 path_arr,
                 last,
                 injected_at,
-                gid,
+                combine_groups if self.combine else None,
                 priorities,
                 num_nodes=num_nodes,
                 links=links,

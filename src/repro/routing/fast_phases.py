@@ -58,11 +58,13 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class RunArrays:
     """What a finished fast run knows, as arrays (row i = packet i).
 
-    :meth:`FastPathEngine.run` turns these into ``Packet`` fields and a
-    :class:`RoutingStats`; the reply phase reads them directly
-    (:func:`repro.emulation.combining.route_replies_fast`), so a
-    request's path, the hop it stopped at and who absorbed whom never
-    go through ``Packet`` objects on the way back.
+    :meth:`FastPathEngine.run` turns these into a :class:`RoutingStats`
+    (and into ``Packet`` fields, for a caller that brought packets); the
+    emulators read them directly — hosts are the rows not in
+    ``absorbed``, and the reply phase
+    (:func:`repro.emulation.combining.route_replies_fast`) replays
+    ``paths`` up to ``hops`` backwards — so a request's path, the hop it
+    stopped at and who absorbed whom never go through ``Packet`` objects.
     """
 
     #: the padded ``(n, width)`` node-id itineraries the run followed
@@ -175,15 +177,22 @@ def pack_priorities(priorities, n: int, n_slots: int) -> np.ndarray | None:
     return prio[:, :n_slots].astype(np.int64).ravel()
 
 
-def combine_codes(link_mat: np.ndarray, gid: np.ndarray) -> tuple[np.ndarray, int]:
+def combine_codes(link_mat: np.ndarray, gid, n_links: int) -> tuple[np.ndarray, int]:
     """Interned (link, combine-group) codes: ``(vc_flat, n_codes)``.
 
     A link holds at most one resident packet per combine key (an arrival
     matching a resident is absorbed instead of queued), so the combine
     index is a flat array over these codes; ``vc_flat`` is the raveled
-    per-position code table.
+    per-position code table.  *gid* is any non-negative int label per
+    packet (a served run passes ``address * 2 + is_write`` as is; the
+    one sort below is what makes the codes dense), small enough that
+    ``link * groups + gid`` over the run's *n_links* links fits int64.
     """
-    groups = np.int64(gid.max()) + 1 if gid.size else 1
+    gid = np.asarray(gid, dtype=np.int64)
+    if gid.shape != link_mat.shape[:1]:
+        raise ValueError("one combine group per packet required")
+    _check_ids(gid, (1 << 63) // max(n_links, 1), "combine group")
+    groups = int(gid.max()) + 1 if gid.size else 1
     uniq, inverse = np.unique(link_mat * groups + gid[:, None], return_inverse=True)
     return inverse.ravel(), int(uniq.size)
 
@@ -395,7 +404,7 @@ class RunState:
         self.child_pairs = []  # (hosts, children) per absorbing batch, in order
         self.combines = 0
         if gid is not None:
-            self.vc_flat, n_codes = combine_codes(link_mat, gid)
+            self.vc_flat, n_codes = combine_codes(link_mat, gid, n_links)
             self.host_at = np.full(n_codes, -1, dtype=np.int64)
             self.parent = np.full(n, -1, dtype=np.int64)
             self.subtree = np.ones(n, dtype=np.int64)

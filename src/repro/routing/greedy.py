@@ -75,13 +75,10 @@ class GreedyRouter(Router):
             engine=engine,
         )
 
-    def _draw(self, packets: list[Packet]):
+    def _draw(self, sources, dests):
         if not self.randomized:
             return None
-        inters = self.rng.integers(self.topology.num_nodes, size=len(packets))
-        for p, r in zip(packets, inters):
-            p.state = int(r)
-        return inters
+        return self.rng.integers(self.topology.num_nodes, size=len(sources))
 
     def _next_hop(self, p: Packet):
         # state = intermediate node id, or None once phase 2 has begun
@@ -99,15 +96,13 @@ class GreedyRouter(Router):
             raise RouteStalledError(p.node, target, packet=p.pid)
         return nxt
 
-    def _compile(self, packets: list[Packet], inters) -> CompiledRun:
+    def _compile(self, sources, dests, inters) -> CompiledRun:
         """Mesh / linear-array / hypercube paths come out of the
         vectorized builders in :mod:`repro.topology.compiled`; any other
         topology walks ``route_next`` per packet (one guarded walk up
         front instead of one call per packet per step) and hands the
         engine the ragged list."""
         topo = self.topology
-        sources = [p.source for p in packets]
-        dests = [p.dest for p in packets]
         if isinstance(topo, Hypercube):
             plan = hypercube_paths(topo.n, sources, dests, inters=inters)
             return CompiledRun(plan.ids, topo.num_nodes, plan.lengths)
@@ -117,13 +112,15 @@ class GreedyRouter(Router):
             plan = linear_paths(sources, dests)
             return CompiledRun(plan.ids, topo.num_nodes, plan.lengths)
         paths = []
-        for p in packets:
-            via = p.dest if p.state is None else p.state
+        vias = dests if inters is None else inters
+        for row, (s, via, d) in enumerate(
+            zip(sources.tolist(), vias.tolist(), dests.tolist())
+        ):
             try:
-                path = topo.greedy_path(p.source, via)
-                if via != p.dest:
-                    path += topo.greedy_path(via, p.dest)[1:]
+                path = topo.greedy_path(s, via)
+                if via != d:
+                    path += topo.greedy_path(via, d)[1:]
             except RouteStalledError as stall:
-                raise RouteStalledError(stall.node, stall.dest, packet=p.pid) from None
+                raise RouteStalledError(stall.node, stall.dest, packet=row) from None
             paths.append(path)
         return CompiledRun(paths, topo.num_nodes)

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from typing import Literal, Sequence
 
+import numpy as np
+
 from repro.routing.engine import RoutingTimeout
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
+from repro.routing.packet import Packet, PacketColumns, make_packets
 from repro.routing.router import CompiledRun, Router
 from repro.topology.base import RouteStalledError
 from repro.topology.compiled import compile_leveled
@@ -84,25 +86,19 @@ class LeveledRouter(Router):
         self.intermediate = intermediate
 
     # ---- the itinerary -------------------------------------------------
-    def _draw(self, packets: list[Packet]):
+    def _draw(self, sources, dests):
         """Intermediates as one vector draw, coins as one batched
         ``(n_packets, L)`` draw — elementwise identical to a scalar
         ``rng.integers`` per packet per level, but orders of magnitude
         cheaper.  ``None`` when coins cannot be pre-drawn (non-uniform
         out-degree): the reference engine then flips them hop by hop."""
         if self.intermediate == "node":
-            inters = self.rng.integers(self.net.column_size, size=len(packets))
-            for p, r in zip(packets, inters):
-                p.state = int(r)
-            return inters
-        if not (self.net.uniform_out_degree and packets):
+            return self.rng.integers(self.net.column_size, size=len(sources))
+        if not (self.net.uniform_out_degree and len(sources)):
             return None
-        coins = self.rng.integers(
-            self.net.degree, size=(len(packets), self.net.num_levels)
+        return self.rng.integers(
+            self.net.degree, size=(len(sources), self.net.num_levels)
         )
-        for p, row in zip(packets, coins.tolist()):
-            p.state = row
-        return coins
 
     def _next_hop(self, p: Packet):
         pass_idx, col, row = p.node
@@ -128,19 +124,10 @@ class LeveledRouter(Router):
             nxt = self.net.unique_next(col, row, p.dest)
         return (pass_idx, col + 1, nxt)
 
-    def _compile(self, packets: list[Packet], draw) -> CompiledRun | None:
+    def _compile(self, sources, dests, draw) -> CompiledRun | None:
         if draw is None:
             return None
         compiled = compile_leveled(self.net)
-        sources = []
-        for p in packets:
-            pass_idx, col, row = p.node
-            if pass_idx != 0 or col != 0:
-                raise ValueError(
-                    f"packet {p.pid} must start in column 0, not {p.node}"
-                )
-            sources.append(row)
-        dests = [p.dest for p in packets]
         if self.intermediate == "node":
             paths = compiled.build_paths(sources, dests, inters=draw)
         else:
@@ -153,6 +140,17 @@ class LeveledRouter(Router):
             node_key=compiled.node_key,
             trace_key=compiled.trace_key,
         )
+
+    # endpoints are column-0 rows; the engines' keys are (pass, column,
+    # row) triples
+    def _source_key(self, endpoint: int):
+        return (0, 0, endpoint)
+
+    def _endpoint(self, p: Packet) -> int:
+        pass_idx, col, row = p.node
+        if pass_idx != 0 or col != 0:
+            raise ValueError(f"packet {p.pid} must start in column 0, not {p.node}")
+        return row
 
     def _reference_options(self) -> dict:
         # Capacity bookkeeping needs the two key spaces reconciled: a
@@ -190,14 +188,14 @@ class LeveledRouter(Router):
 
     # ---- entry points --------------------------------------------------
     def route_packets(
-        self, packets: list[Packet], *, max_steps: int | None = None
+        self, packets: list[Packet] | PacketColumns, *, max_steps: int | None = None
     ) -> RoutingStats:
-        """Route prebuilt packets (node keys ``(0, 0, row)``; int dests).
+        """Route a population: columns of column-0 source rows and
+        last-column dest rows, or prebuilt packets (node keys
+        ``(0, 0, row)``; int dests).
 
-        Used directly by the emulation layer, which needs to attach
-        addresses/payloads/kinds to the packets it routes — and defined
-        on this class because the end-to-end benchmark's tracer wraps it
-        here by name.
+        Defined on this class because the end-to-end benchmark's tracer
+        wraps it here by name.
         """
         return super().route_packets(packets, max_steps=max_steps)
 
@@ -207,15 +205,16 @@ class LeveledRouter(Router):
         dests: Sequence[int],
         *,
         max_steps: int | None = None,
+        combine_keys: Sequence[int] | None = None,
         addresses: Sequence[int] | None = None,
     ) -> RoutingStats:
-        """Route packets from column-0 *sources* to last-column *dests*."""
-        packets = make_packets(
-            [(0, 0, int(s)) for s in sources],
-            [int(d) for d in dests],
-            addresses=None if addresses is None else list(addresses),
+        """Route packets from column-0 *sources* to last-column *dests*;
+        with *addresses*, packets sharing (address, dest) may combine."""
+        if addresses is not None:
+            combine_keys = np.asarray(addresses) * self.num_endpoints + np.asarray(dests)
+        return super().route(
+            sources, dests, max_steps=max_steps, combine_keys=combine_keys
         )
-        return self.route_packets(packets, max_steps=max_steps)
 
     def route_h_relation(
         self,

@@ -38,13 +38,10 @@ class _FurthestFirstLine(GreedyRouter):
     def _priority(p: Packet) -> float:
         return abs(p.dest - p.node)
 
-    def _compile(self, packets: list[Packet], inters) -> CompiledRun:
-        run = super()._compile(packets, inters)
+    def _compile(self, sources, dests, inters) -> CompiledRun:
+        run = super()._compile(sources, dests, inters)
         # Push-time priority of the k-th crossing: distance left from
         # the node the packet is pushed at — |dest - paths[:, k]|.
-        dests = np.fromiter(
-            (p.dest for p in packets), dtype=np.int64, count=len(packets)
-        )
         return run._replace(
             priorities=np.abs(dests[:, None] - run.paths[:, :-1])
         )

@@ -139,26 +139,22 @@ class MeshRouter(Router):
         return None
 
     # ------------------------------------------------------------------
-    def _draw(self, packets: list[Packet]) -> list[int]:
+    def _draw(self, sources, dests) -> np.ndarray:
         """Every packet's stage-0 random row, in one batched RNG call."""
-        if not packets:
-            return []
-        src = np.fromiter(
-            (p.source for p in packets), dtype=np.int64, count=len(packets)
-        )
-        rows = src // self.mesh.cols
+        rows = sources // self.mesh.cols
         lo = (rows // self.slice_rows) * self.slice_rows
         hi = np.minimum(lo + self.slice_rows, self.mesh.rows)
-        draws = self.rng.integers(lo, hi).tolist()
-        for p, i_rand in zip(packets, draws):
-            p.state = (0, i_rand)
-        return draws
+        return self.rng.integers(lo, hi)
 
-    def _compile(self, packets: list[Packet], inter_rows: list[int]) -> CompiledRun:
+    def _states(self, inter_rows):
+        # (stage, stage-0 random row)
+        return [(0, r) for r in inter_rows.tolist()]
+
+    def _compile(self, sources, dests, inter_rows) -> CompiledRun:
         return compile_mesh_run(
             self.mesh,
-            [p.source for p in packets],
-            [p.dest for p in packets],
+            sources,
+            dests,
             inter_rows,
             with_priorities=(self.discipline == "furthest_first"),
         )
@@ -182,13 +178,16 @@ class MeshRouter(Router):
         *,
         max_steps: int | None = None,
         packets: list[Packet] | None = None,
+        combine_keys: Sequence[int] | None = None,
     ) -> RoutingStats:
-        """Route *sources* → *dests*, or the prebuilt *packets* (packed
-        node ids) when given — the emulation layer's entry, defined on
+        """Route *sources* → *dests* (packed node ids), or the prebuilt
+        *packets* when given.  The emulation layer's entry, defined on
         this class because the end-to-end benchmark's tracer wraps it
         here by name."""
         if packets is None:
-            return super().route(sources, dests, max_steps=max_steps)
+            return super().route(
+                sources, dests, max_steps=max_steps, combine_keys=combine_keys
+            )
         return self.route_packets(packets, max_steps=max_steps)
 
 

@@ -9,7 +9,28 @@ remembered merge structure).
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple, Sequence
+
+import numpy as np
+
+
+class PacketColumns(NamedTuple):
+    """A packet population as aligned integer columns (row i = packet i).
+
+    What the routers' hooks and the fast engine work on: the paper's
+    routing is defined on (source, destination) pairs and Theorem 2.6's
+    combining on (address, module) keys, so a population needs no
+    per-packet object until the reference engine walks it hop by hop.
+    ``sources`` / ``dests`` are the router's endpoint ids (a column-0
+    row and a last-column row on a leveled network, node ids on a flat
+    topology).  Rows sharing a ``combine_keys`` entry (non-negative
+    ints) may combine when the router combines — the caller guarantees
+    that they also share a destination; ``None``: nothing combines.
+    """
+
+    sources: np.ndarray
+    dests: np.ndarray
+    combine_keys: np.ndarray | None = None
 
 
 class Packet:
@@ -142,3 +163,16 @@ def make_packets(
             Packet(i, s, d, kind=kind, address=addr, payload=pay)
         )
     return packets
+
+
+def combine_groups_of(packets: Sequence[Packet]) -> np.ndarray:
+    """The combine-key column of caller-built packets: two rows share an
+    id iff the packets share a :attr:`Packet.combine_key`; keyless
+    packets get singleton ids."""
+    gid = np.empty(len(packets), dtype=np.int64)
+    key_ids: dict = {}
+    for i, p in enumerate(packets):
+        key = p.combine_key
+        # a keyless packet is keyed by its row: a 1-tuple no key equals
+        gid[i] = key_ids.setdefault((i,) if key is None else key, len(key_ids))
+    return gid

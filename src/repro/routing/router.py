@@ -5,20 +5,22 @@ Algorithms 2.2/2.3 and the §3.4 mesh router are the same plan on a
 specific network: pre-draw the randomness, walk to an intermediate, walk
 to the destination.  :class:`Router` owns what every instance of that
 plan shares — engine selection, the one place a router meets an engine,
-option forwarding, the link-fault views, packet construction and the
-permutation / relation entry points — and a concrete router keeps only
-its itinerary, as a few hooks called once per routing run (never per
-packet):
+option forwarding, the link-fault views, the permutation / relation
+entry points and the one place ``Packet`` objects are made — and a
+concrete router keeps only its itinerary, as a few hooks called once
+per routing run (never per packet) on the population's integer columns
+(:class:`~repro.routing.packet.PacketColumns`: row i is packet i):
 
-``_draw(packets)``
-    pre-draw the run's randomness (intermediates, coins, stage-0 rows),
-    stamp it on ``packet.state`` and return it for the compile step
-``_next_hop(packet)``
-    the reference engine's per-hop policy
-``_compile(packets, draw)``
-    the same itineraries as a :class:`CompiledRun` for the fast engine,
-    or ``None`` when they cannot be compiled (the run then takes the
+``_draw(sources, dests)``
+    pre-draw the run's randomness (intermediates, coins, stage-0 rows)
+    as arrays and return it for the compile step
+``_compile(sources, dests, draw)``
+    the itineraries as a :class:`CompiledRun` for the fast engine, or
+    ``None`` when they cannot be compiled (the run then takes the
     reference engine)
+``_next_hop(packet)``
+    the reference engine's per-hop policy, started from the
+    ``packet.state`` that ``_states(draw)`` derives from the draw
 ``_reference_options()``
     what the reference engine needs beyond the shared options (queue
     discipline, key-space reconciliation, service rate)
@@ -26,7 +28,17 @@ packet):
     a physical link-fault spec in each engine's key space
 
 plus two numbers at construction: the step budget of a run that names
-none, and how many endpoints a permutation has.
+none, and how many endpoints a permutation has.  A router whose engine
+keys are not its endpoint ids (the leveled ``(pass, column, row)``
+triples) also says how the two convert (``_source_key`` /
+``_endpoint``).
+
+A run on the fast engine is an anonymous population: no ``Packet`` is
+built, read or written.  ``Packet`` objects exist at the reference
+engine's boundary only — :meth:`Router.route_packets` materialises the
+columns there — and in the hands of callers that bring their own list
+(whose columns are read once, and whose packets get the run's outcome
+written back on either engine).
 
 All randomness is drawn *before* an engine is chosen — the permutation
 first, then ``_draw`` — so both engines consume identical random bits
@@ -37,7 +49,8 @@ differential-test contract).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +58,7 @@ from repro.routing.engine import SynchronousEngine
 from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, make_packets
+from repro.routing.packet import Packet, PacketColumns
 from repro.util.rng import as_generator, random_h_relation
 
 
@@ -146,23 +159,43 @@ class Router:
         #: built by the first run that takes the reference engine
         self._reference: SynchronousEngine | None = None
         #: after a fast-path run: its per-packet arrays, aligned with
-        #: the routed packet list — the compiled (padded) node-id
+        #: the routed population — the compiled (padded) node-id
         #: itineraries, the hop each packet stopped at (row i is valid
         #: up to it), the absorptions (None after a reference run).  The
-        #: emulation layer builds the reply phase from these without
-        #: re-encoding traces.
+        #: emulation layer reads its hosts and builds the reply phase
+        #: from these.
         self.last_fast_run: RunArrays | None = None
+        #: after a reference run: the packets it routed, row by row —
+        #: the caller's own, or the ones materialised from columns
+        #: (None after a fast run)
+        self.last_packets: list[Packet] | None = None
 
     # ---- the hooks a concrete router supplies --------------------------
-    def _draw(self, packets: list[Packet]):
+    def _draw(self, sources: np.ndarray, dests: np.ndarray):
         """Pre-draw this run's randomness; deterministic routers draw none."""
         return None
+
+    def _compile(
+        self, sources: np.ndarray, dests: np.ndarray, draw
+    ) -> CompiledRun | None:
+        raise NotImplementedError
 
     def _next_hop(self, p: Packet):
         raise NotImplementedError
 
-    def _compile(self, packets: list[Packet], draw) -> CompiledRun | None:
-        raise NotImplementedError
+    def _states(self, draw) -> Iterable:
+        """Each packet's initial ``state`` for ``_next_hop``, in row
+        order: its row of the draw as plain Python values, ``None``
+        without one."""
+        return repeat(None) if draw is None else draw.tolist()
+
+    def _source_key(self, endpoint: int):
+        """The engine node key a packet from *endpoint* starts at."""
+        return endpoint
+
+    def _endpoint(self, p: Packet) -> int:
+        """The endpoint id a caller-built packet starts from."""
+        return p.source
 
     def _reference_options(self) -> dict:
         return {}
@@ -176,16 +209,30 @@ class Router:
 
     # ---- the one place a router meets an engine ------------------------
     def route_packets(
-        self, packets: list[Packet], *, max_steps: int | None = None
+        self, packets: list[Packet] | PacketColumns, *, max_steps: int | None = None
     ) -> RoutingStats:
-        """Route prebuilt packets (``packet.node`` / ``packet.dest`` in
-        the router's own key space)."""
+        """Route a population: :class:`PacketColumns`, or prebuilt packets
+        (``packet.node`` / ``packet.dest`` in the router's own key
+        space), which get the run's outcome written back.
+
+        This is the only fast-vs-reference branch of a request run, and
+        its reference side the only place columns become ``Packet``
+        objects (kept on :attr:`last_packets`).
+        """
         if max_steps is None:
             max_steps = self.default_max_steps
-        draw = self._draw(packets)
-        self.last_fast_run = None
+        if isinstance(packets, PacketColumns):
+            cols, packets = packets, None
+        else:
+            n = len(packets)
+            cols = PacketColumns(
+                np.fromiter(map(self._endpoint, packets), dtype=np.int64, count=n),
+                np.fromiter((p.dest for p in packets), dtype=np.int64, count=n),
+            )
+        draw = self._draw(cols.sources, cols.dests)
+        self.last_fast_run = self.last_packets = None
         fast = resolve_engine_mode(self.engine_mode) == "fast"
-        run = self._compile(packets, draw) if fast else None
+        run = self._compile(cols.sources, cols.dests, draw) if fast else None
         faults = None
         if self._link_faults is not None:
             faults = self._link_faults.view(
@@ -200,6 +247,11 @@ class Router:
             observer=self.observer,
         )
         if run is None:
+            if packets is None:
+                packets = self._materialise(cols)
+            for p, state in zip(packets, self._states(draw)):
+                p.state = state
+            self.last_packets = packets
             if self._reference is None:
                 self._reference = SynchronousEngine(
                     **options, **self._reference_options()
@@ -215,12 +267,34 @@ class Router:
         stats = engine.run(
             packets,
             max_steps=max_steps,
+            combine_groups=cols.combine_keys,
             link_faults=faults,
             fault_base=self.fault_base,
             **run._asdict(),
         )
         self.last_fast_run = engine.last_arrays
         return stats
+
+    def _materialise(self, cols: PacketColumns) -> list[Packet]:
+        """The reference engine's packets for *cols*: pid = row, and a
+        row's combine key travels as the packet's ``address`` (all the
+        engine asks of an address is equality)."""
+        sources = map(self._source_key, cols.sources.tolist())
+        keys = (
+            repeat(None) if cols.combine_keys is None else cols.combine_keys.tolist()
+        )
+        return [
+            Packet(i, s, d, address=k)
+            for i, (s, d, k) in enumerate(zip(sources, cols.dests.tolist(), keys))
+        ]
+
+    def absorbed_rows(self) -> np.ndarray:
+        """Rows of the last routed population that were combined into
+        another packet on the way; every other row of a completed run
+        was delivered as a host."""
+        if self.last_fast_run is not None:
+            return self.last_fast_run.absorbed
+        return np.flatnonzero([p.combined for p in self.last_packets])
 
     # ---- entry points --------------------------------------------------
     def route(
@@ -229,11 +303,20 @@ class Router:
         dests: Sequence[int],
         *,
         max_steps: int | None = None,
+        combine_keys: Sequence[int] | None = None,
     ) -> RoutingStats:
         """Route one packet from each of *sources* to the matching entry
-        of *dests*; ``max_steps`` defaults to the router's own budget."""
-        packets = make_packets(list(map(int, sources)), list(map(int, dests)))
-        return self.route_packets(packets, max_steps=max_steps)
+        of *dests*; ``max_steps`` defaults to the router's own budget.
+        Rows sharing a ``combine_keys`` entry may combine (see
+        :class:`~repro.routing.packet.PacketColumns`)."""
+        cols = PacketColumns(
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(dests, dtype=np.int64),
+            None if combine_keys is None else np.asarray(combine_keys, dtype=np.int64),
+        )
+        if cols.sources.shape != cols.dests.shape or cols.sources.ndim != 1:
+            raise ValueError("sources and dests must have equal length")
+        return self.route_packets(cols, max_steps=max_steps)
 
     def route_permutation(
         self, perm: Sequence[int] | np.ndarray, *, max_steps: int | None = None
@@ -241,7 +324,12 @@ class Router:
         """Permutation routing: packet i goes from endpoint i to perm[i]."""
         perm = np.asarray(perm)
         n = self.num_endpoints
-        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
+        if (
+            perm.shape != (n,)
+            or perm.dtype.kind not in "iu"
+            or ((perm < 0) | (perm >= n)).any()
+            or (np.bincount(perm, minlength=n) != 1).any()
+        ):
             raise ValueError(f"perm must be a permutation of the {n} endpoints")
         return self.route(np.arange(n), perm, max_steps=max_steps)
 

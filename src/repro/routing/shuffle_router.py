@@ -8,7 +8,7 @@ links; both phases share those links, so contention is modeled physically.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import repeat
 
 from repro.routing.packet import Packet
 from repro.routing.router import CompiledRun, Router
@@ -44,15 +44,16 @@ class ShuffleRouter(Router):
         self.shuffle = shuffle
         self.randomized = randomized
 
-    def _draw(self, packets: list[Packet]):
+    def _draw(self, sources, dests):
         if not self.randomized:
-            for p in packets:
-                p.state = (1, 0, None)
             return None
-        inters = self.rng.integers(self.shuffle.num_nodes, size=len(packets))
-        for p, r in zip(packets, inters):
-            p.state = (0, 0, int(r))
-        return inters
+        return self.rng.integers(self.shuffle.num_nodes, size=len(sources))
+
+    def _states(self, inters):
+        # (phase, hops_in_phase, intermediate)
+        if inters is None:
+            return repeat((1, 0, None))
+        return [(0, 0, r) for r in inters.tolist()]
 
     def _next_hop(self, p: Packet):
         # state = (phase, hops_in_phase, intermediate)
@@ -70,16 +71,11 @@ class ShuffleRouter(Router):
         p.state = (1, k + 1, inter)
         return self.shuffle.unique_path_next(p.node, p.dest, k)
 
-    def _compile(self, packets: list[Packet], inters) -> CompiledRun:
+    def _compile(self, sources, dests, inters) -> CompiledRun:
         """Hop k of a unique-path phase inserts the target's k-th least
         significant digit at the front, so the whole trajectory matrix
         falls out of n (or 2n) vectorized shift-and-insert operations
         (:func:`repro.topology.compiled.shuffle_unique_paths`)."""
-        dests = np.fromiter(
-            (p.dest for p in packets), dtype=np.int64, count=len(packets)
-        )
         targets = ([inters] if inters is not None else []) + [dests]
-        paths = shuffle_unique_paths(
-            self.shuffle, [p.node for p in packets], targets
-        )
+        paths = shuffle_unique_paths(self.shuffle, sources, targets)
         return CompiledRun(paths, self.shuffle.num_nodes)

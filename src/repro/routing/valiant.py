@@ -77,7 +77,7 @@ class _SerializedShuffleRouter(ShuffleRouter):
     def _reference_options(self) -> dict:
         return {"node_service_rate": 1}
 
-    def _compile(self, packets, inters) -> None:
+    def _compile(self, sources, dests, inters) -> None:
         return None  # the service-rate model is a reference-engine semantic
 
 

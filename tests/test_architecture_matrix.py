@@ -305,6 +305,87 @@ def test_routers_meet_an_engine_in_one_place():
     assert defs["_next_hop"] == 5  # base stub, leveled, mesh, greedy, shuffle
 
 
+def _calls(tree) -> set:
+    """Names called anywhere under *tree* (bare or as an attribute)."""
+    return {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_the_request_phase_is_columns_until_the_reference_engine():
+    """Routers are handed ``(sources, dests)`` columns: no ``_draw`` /
+    ``_compile`` sees a packet (by argument, by name or by loop), the
+    served emulators build none, and the fast engine's per-packet
+    combine-key loop is gone — ``Packet`` objects are made by
+    ``Router._materialise``, on the reference side of the one branch."""
+    src = DOC.parent.parent / "src/repro"
+    for module in ROUTER_MODULES:
+        tree = ast.parse((src / "routing" / module).read_text())
+        for fn in (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)):
+            if fn.name not in ("_draw", "_compile"):
+                continue
+            args = [a.arg for a in fn.args.args]
+            assert args[:3] == ["self", "sources", "dests"], (module, fn.name)
+            assert len(args) == (3 if fn.name == "_draw" else 4), (module, fn.name)
+            names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            assert not names & {"packets", "p", "Packet", "make_packets"}, (
+                module,
+                fn.name,
+            )
+    for module in ("base.py", "leveled.py", "mesh.py"):
+        tree = ast.parse((src / "emulation" / module).read_text())
+        assert not _calls(tree) & {"Packet", "make_packets"}, module
+    # Packets are made in the skeleton (once) and by route_with_restarts,
+    # which hands its own list in and reads it back
+    makers = {
+        module: _calls(ast.parse((src / "routing" / module).read_text()))
+        & {"Packet", "make_packets"}
+        for module in ROUTER_MODULES
+    }
+    assert {m: c for m, c in makers.items() if c} == {
+        "router.py": {"Packet"},
+        "leveled_router.py": {"make_packets"},
+    }
+    engine = ast.parse((src / "routing/fast_engine.py").read_text())
+    defined = {n.name for n in ast.walk(engine) if isinstance(n, FUNCTIONS)}
+    assert "_combine_groups" not in defined
+    run = next(n for n in ast.walk(engine) if isinstance(n, FUNCTIONS) and n.name == "run")
+    assert "combine_groups" in [a.arg for a in run.args.kwonlyargs]
+
+
+@pytest.fixture
+def built_packets(monkeypatch):
+    """Every ``Packet`` constructed during the test, in order."""
+    built = []
+    init = repro.routing.Packet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(repro.routing.Packet, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (_, mode, _) in PROBES.items() if mode != "reference"]
+)
+def test_a_fast_run_from_columns_constructs_no_packet(name, built_packets):
+    """Counted: ``route`` / ``route_permutation`` on the fast engine is
+    an anonymous population — zero ``Packet`` objects built."""
+    assert PROBES[name][2]().completed
+    assert not built_packets
+
+
+def test_a_reference_run_from_columns_materialises_one_packet_a_row(built_packets):
+    router = LeveledRouter(DAryButterflyLeveled(2, 3), seed=1, engine="reference")
+    assert router.route_random_permutation().completed
+    assert built_packets == router.last_packets and len(built_packets) == 8
+    assert [p.source for p in built_packets] == [(0, 0, r) for r in range(8)]
+
+
 def test_links_are_interned_in_one_place():
     """A run's links get their dense ids in ``fast_phases.link_tables``
     and nowhere else: the only sorts in ``routing/`` + ``emulation/``

@@ -104,14 +104,15 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     L, N = net.num_levels, net.column_size
     rng = np.random.default_rng(4)
     n = N // 2
+    sources, dests = rng.integers(0, N, n), rng.integers(0, 6, n)
     packets = make_packets(
-        [(0, 0, int(r)) for r in rng.integers(0, N, n)],
-        [int(d) for d in rng.integers(0, 6, n)],
+        [(0, 0, int(r)) for r in sources],
+        [int(d) for d in dests],
         kind="read",
         addresses=rng.integers(0, 12, n).tolist(),
     )
     router = LeveledRouter(net, seed=9, combine=True, engine="fast")
-    run = router._compile(packets, router._draw(packets))
+    run = router._compile(sources, dests, router._draw(sources, dests))
     assert run.links is None and run.paths.shape == (n, 2 * L + 1)
     s = make_state(run.paths, num_nodes=run.num_nodes, gid=range(n))
     crossed = set(

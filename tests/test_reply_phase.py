@@ -60,8 +60,9 @@ def reply_stats(make_emulator, step, engine):
         if requests is not None:
             n, width = requests.paths.shape
             assert requests.links[0].shape == (n, width - 1)
+            # the emulator's read hosts are rows of the request run
             interned = route_replies_fast(
-                replace(requests, links=None), rows_of(read_hosts), **kwargs
+                replace(requests, links=None), read_hosts, **kwargs
             )
             assert_stats_equal(seen[-1], interned)
         return seen[-1]

@@ -1,0 +1,303 @@
+"""The request phase in columns: three ways to serve a step must agree.
+
+An emulator hands its router ``(source, module, combine key)`` columns
+and never builds a ``Packet``.  On the fast engine that run is an
+anonymous population; on the reference engine
+``Router.route_packets`` materialises the packets; and a caller may
+still bring its own ``Packet`` list to the fast engine, which reads its
+columns once and writes the outcome back.  The three are one
+simulation: same ``StepCost``, same ``RoutingStats`` for every routing
+run (``delays`` / ``hops`` order included), same memory, same RNG
+state afterwards — over generated networks, access modes, phase-1
+flavours and fault scenarios, and on the degenerate steps (empty, all
+writes, everything combined into one host).
+"""
+
+from dataclasses import replace
+from itertools import repeat
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.emulation import LeveledEmulator, MeshEmulator, RequestRoutingError
+from repro.faults import FaultPlan, FaultSchedule, RehashStormError
+from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
+from repro.routing import Packet
+from repro.topology import DAryButterflyLeveled, Mesh2D, StarLogicalLeveled
+from test_fast_engine import assert_stats_equal
+
+NETWORKS = {
+    "butterfly": DAryButterflyLeveled(2, 3),
+    "star": StarLogicalLeveled(4),
+    "mesh": Mesh2D(4, 4),
+}
+FAULTS = ("none", "dead_module", "dead_processor", "down_link")
+
+
+def n_procs(net) -> int:
+    return net.num_nodes if isinstance(net, Mesh2D) else net.column_size
+
+
+def make_emulator(net, mode, intermediate, faults, seed, engine):
+    space = 4 * n_procs(net)
+    common = dict(mode=mode, seed=seed, engine=engine, faults=faults)
+    if isinstance(net, Mesh2D):
+        return MeshEmulator(net, space, **common)
+    return LeveledEmulator(net, space, intermediate=intermediate, **common)
+
+
+def fault_spec(kind, net, mode, intermediate, seed, step):
+    """A fault that bites *step*: the module its first address hashes to
+    dies at step 0 (undetected: fail-fast + rehash), its first
+    processor is dead (remapped), or a wire out of that processor is
+    down for the first steps of the request run."""
+    first = (step.reads + step.writes)[0]
+    if kind == "none":
+        return None
+    if kind == "dead_processor":
+        return FaultPlan(dead_processors={first.pid})
+    if kind == "dead_module":
+        # same seed, same first hash function
+        probe = make_emulator(net, mode, intermediate, None, seed, "fast")
+        return FaultSchedule().kill_module(0, probe.module_of(first.addr))
+    if isinstance(net, Mesh2D):
+        wire = (first.pid, first.pid + 1 if (first.pid + 1) % net.cols else first.pid - 1)
+    else:
+        wire = (0, first.pid, net.out_neighbors(0, first.pid)[0])
+    return FaultSchedule().link_down(0, wire).link_up(9, wire)
+
+
+def serve(emulator, steps, *, caller_built=False):
+    """Emulate *steps*; returns everything the three ways must agree on.
+    With *caller_built*, every routing run is handed a ``Packet`` list
+    built from the columns the emulator passed (the pre-columns
+    contract), checked against the arrays it was written back from."""
+    runs = []
+    make_router = emulator._make_router
+
+    def spied_router(engine_mode, fault_base=0):
+        router = make_router(engine_mode, fault_base)
+        route = router.route
+
+        def spy(sources, dests, *, max_steps=None, combine_keys=None):
+            if caller_built:
+                keys = repeat(None) if combine_keys is None else combine_keys.tolist()
+                packets = [
+                    Packet(i, router._source_key(s), d, address=k)
+                    for i, (s, d, k) in enumerate(
+                        zip(sources.tolist(), dests.tolist(), keys)
+                    )
+                ]
+                stats = router.route_packets(packets, max_steps=max_steps)
+                arrays = router.last_fast_run
+                if arrays is not None:  # None: not compilable, ran on reference
+                    assert [p.hops for p in packets] == arrays.hops.tolist()
+                    assert [p.combined for p in packets] == np.isin(
+                        np.arange(len(packets)), arrays.absorbed
+                    ).tolist()
+            else:
+                stats = route(
+                    sources, dests, max_steps=max_steps, combine_keys=combine_keys
+                )
+            runs.append(stats)
+            return stats
+
+        router.route = spy
+        return router
+
+    reverse_path_replies = emulator._reverse_path_replies
+
+    def spied_replies(*args, **kwargs):
+        runs.append(reverse_path_replies(*args, **kwargs))
+        return runs[-1]
+
+    emulator._make_router = spied_router
+    emulator._reverse_path_replies = spied_replies
+    costs = [emulator.emulate_step(step) for step in steps]
+    memory = emulator.memory
+    return dict(
+        costs=costs,
+        runs=runs,
+        memory={addr: memory.read(addr) for addr in memory.touched()},
+        rng=emulator.rng.bit_generator.state,
+        hash=emulator.hash.coeffs,
+        rehashes=emulator.rehash_count,
+        clock=emulator.virtual_clock,
+        known_dead=emulator.faults.known_dead,
+    )
+
+
+def assert_same_simulation(a, b, *, same_engine):
+    assert len(a["runs"]) == len(b["runs"])
+    for x, y in zip(a["runs"], b["runs"]):
+        assert_stats_equal(x, y)
+    for x, y in zip(a["costs"], b["costs"]):
+        # run_modes name the engine; everything else is the simulation
+        assert x == (y if same_engine else replace(y, run_modes=x.run_modes))
+        assert len(x.run_modes) == len(y.run_modes)
+    for field in ("memory", "rng", "hash", "rehashes", "clock", "known_dead"):
+        assert a[field] == b[field], field
+
+
+def three_ways(net, mode, intermediate, faults, seed, steps):
+    make = lambda engine: make_emulator(net, mode, intermediate, faults, seed, engine)
+    columns = serve(make("fast"), steps)
+    assert_same_simulation(
+        columns, serve(make("fast"), steps, caller_built=True), same_engine=True
+    )
+    assert_same_simulation(columns, serve(make("reference"), steps), same_engine=False)
+    return columns
+
+
+@st.composite
+def served_steps(draw):
+    name = draw(st.sampled_from(sorted(NETWORKS)))
+    net = NETWORKS[name]
+    n = n_procs(net)
+    mode = draw(st.sampled_from(["erew", "crcw"]))
+    intermediate = draw(st.sampled_from(["node", "coin"]))
+    steps = []
+    for _ in range(draw(st.integers(1, 2))):
+        if mode == "erew":
+            # one request per processor, every address its own
+            pids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            addrs = draw(
+                st.lists(
+                    st.integers(0, 4 * n - 1),
+                    min_size=len(pids),
+                    max_size=len(pids),
+                    unique=True,
+                )
+            )
+        else:
+            # hot keys: many processors, a few addresses
+            hot = draw(st.lists(st.integers(0, 4 * n - 1), min_size=1, max_size=3))
+            pids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+            addrs = [draw(st.sampled_from(hot)) for _ in pids]
+        step = StepTrace()
+        for pid, addr in zip(pids, addrs):
+            if draw(st.integers(0, 3)):
+                step.reads.append(ReadRequest(pid, addr))
+            else:
+                step.writes.append(WriteRequest(pid, addr, pid + 100))
+        steps.append(step)
+    fault = draw(st.sampled_from(FAULTS))
+    seed = draw(st.integers(0, 2**16))
+    return net, mode, intermediate, fault, seed, steps
+
+
+@given(case=served_steps())
+@settings(max_examples=60, deadline=None)
+def test_columns_caller_built_packets_and_reference_agree(case):
+    net, mode, intermediate, fault, seed, steps = case
+    faults = fault_spec(fault, net, mode, intermediate, seed, steps[0])
+    served = three_ways(net, mode, intermediate, faults, seed, steps)
+    first = served["costs"][0]
+    assert first.requests == steps[0].num_requests
+    if fault == "dead_module":
+        # the kill was found by a request aimed at it: NACK, rehash, retry
+        assert first.run_modes[0] == "fault-failfast" and first.rehashes >= 1
+        assert served["known_dead"]
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+@pytest.mark.parametrize("intermediate", ["node", "coin"])
+def test_the_empty_step(name, intermediate):
+    served = three_ways(NETWORKS[name], "crcw", intermediate, None, 3, [StepTrace()])
+    (cost,) = served["costs"]
+    assert (cost.requests, cost.total_steps, cost.combines) == (0, 0, 0)
+    assert len(served["runs"]) == 1 and not served["memory"]
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_an_all_writes_step_has_no_reply_phase(name):
+    net = NETWORKS[name]
+    n = n_procs(net)
+    # every processor writes; the even ones fight over address 5
+    step = StepTrace(
+        writes=[WriteRequest(p, p + 8 if p % 2 else 5, 10 * p) for p in range(n)]
+    )
+    served = three_ways(net, "crcw", "coin", None, 11, [step])
+    (cost,) = served["costs"]
+    assert cost.reply_steps == 0 and len(cost.run_modes) == 1
+    assert cost.combines > 0 and len(served["runs"]) == 1
+    # ARBITRARY write policy: the lowest processor id wins
+    assert served["memory"] == {5: 0, **{p + 8: 10 * p for p in range(1, n, 2)}}
+
+
+def test_every_request_combined_into_one_host():
+    """Six reads of one cell from one processor of a 1 x 5 mesh share
+    their first link: the first is queued, five are absorbed at
+    injection, one host reaches the module and its reply fans out to
+    all six."""
+    net = Mesh2D(1, 5)
+    step = StepTrace(reads=[ReadRequest(0, 4)] * 6)
+    results = {}
+    for engine in ("fast", "reference"):
+        emulator = MeshEmulator(
+            net, 5, mode="crcw", placement="direct", seed=2, engine=engine
+        )
+        seen = []
+        serve_memory = emulator._serve_memory
+        emulator._serve_memory = lambda *a: seen.append(serve_memory(*a)) or seen[-1]
+        results[engine] = (emulator.emulate_step(step), seen)
+    for cost, ((read_hosts, values),) in results.values():
+        assert cost.combines == 5 and cost.requests == 6
+        assert (cost.request_steps, cost.reply_steps) == (4, 4)
+        assert read_hosts.tolist() == [0] and values == {0: 0}
+    fast, ref = results["fast"][0], results["reference"][0]
+    assert fast == replace(ref, run_modes=fast.run_modes)
+
+
+def test_a_run_that_gives_up_without_faults_is_typed_and_terminal():
+    """No fault schedule: non-completion is a bug, not a storm — a
+    ``RequestRoutingError`` (never the retryable ``RehashStormError``)
+    carrying the attempt accounting."""
+    net = NETWORKS["butterfly"]
+    emulator = LeveledEmulator(net, 32, seed=1, rehash_factor=0.01, max_rehashes=2)
+    # an allotment of one step cannot be met; shrink the last resort too
+    emulator._make_router = lambda mode, base=0, make=emulator._make_router: _capped(
+        make(mode, base)
+    )
+    step = StepTrace(reads=[ReadRequest(p, p) for p in range(net.column_size)])
+    with pytest.raises(RequestRoutingError, match="request routing failed") as exc:
+        emulator.emulate_step(step)
+    err = exc.value
+    assert not isinstance(err, RehashStormError) and isinstance(err, RuntimeError)
+    assert err.rehashes == 2 and err.stall_steps == 4  # four one-step attempts
+    assert len(err.run_modes) == 4 and err.flight_tail == ()
+
+
+def _capped(router):
+    """*router* with every run cut to one step."""
+    route = router.route
+    router.route = lambda s, d, *, max_steps=None, combine_keys=None: route(
+        s, d, max_steps=1, combine_keys=combine_keys
+    )
+    return router
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_a_served_step_builds_packets_on_the_reference_engine_only(name, monkeypatch):
+    built = []
+    init = Packet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Packet, "__init__", counting)
+    net = NETWORKS[name]
+    n = n_procs(net)
+    step = StepTrace(
+        reads=[ReadRequest(p, p % 3) for p in range(n)],
+        writes=[WriteRequest(p, 7, p) for p in range(0, n, 2)],
+    )
+    fast = make_emulator(net, "crcw", "coin", None, 4, "fast").emulate_step(step)
+    assert not built and fast.combines
+    make_emulator(net, "crcw", "coin", None, 4, "reference").emulate_step(step)
+    # the request population, then one reply per read
+    assert [p.pid for p in built[: step.num_requests]] == list(range(step.num_requests))
+    assert len(built) == step.num_requests + len(step.reads)
