@@ -172,9 +172,7 @@ def run_app(
     result = replay_program(spec, emulator, max_steps=max_steps)
     got = [emulator.memory.read(i) for i in range(len(expected))]
     report = result.report
-    n_processors = getattr(emulator, "n_processors", None)
-    if n_processors is None:
-        n_processors = emulator.mesh.num_nodes  # MeshEmulator
+    n_processors = emulator.n_processors
     requests = sum(c.requests for c in report.costs)
     modes: set[str] = set()
     for c in report.costs:

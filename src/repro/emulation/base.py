@@ -224,14 +224,49 @@ class Emulator(ABC):
     :meth:`drain` serves the rest — which is what lets a scatter/gather
     front end step N shards independently.
 
-    Concrete emulators may be built with an
-    :class:`~repro.obs.Observer`; the class-level ``observer = None``
-    default keeps old pickles (and observer-less subclasses) loading.
+    Service contract
+    ----------------
+    What a front end (:class:`~repro.traffic.OnlineEmulator`,
+    :class:`~repro.sharding.ShardedEmulator`,
+    :func:`~repro.emulation.replay.replay_program`, ``apps.harness``)
+    may read of *any* emulator — plain attribute reads, never
+    ``getattr`` / ``hasattr`` probes (lint rule ``REPRO008``).  The
+    class-level defaults below are what an emulator with nothing to say
+    reports (a scripted test double only defines ``emulate_step``); they
+    also keep old pickles loading:
+
+    ``n_processors``
+        processors a step may name (``None``: unbounded / unknown).
+    ``scale``
+        diameter-like normalization of a step's cost (default 1).
+    ``mode``
+        ``"erew"`` / ``"crcw"``; drivers admit exclusively under
+        ``"erew"`` (``None``: no stated mode).
+    ``memory``
+        the emulated shared memory (``size`` / ``read`` / ``write`` /
+        ``touched``), or ``None``.
+    ``observer``
+        optional :class:`~repro.obs.Observer`, forwarded by subclasses
+        to the routers and engines they build.
+    ``faults``
+        the :class:`~repro.faults.FaultState`, or ``None`` when there is
+        no single fault timeline to annotate epochs from.
+    ``virtual_clock``
+        the fault timeline's "now"; drivers assign it to pin the
+        emulator to their clock.
+    ``serving_modules(addrs)`` / ``module_of(addr)``
+        which memory module serves each address right now.
     """
 
-    #: optional repro.obs observer (metrics/tracing/profiling/flight
-    #: recorder); forwarded to routers and engines by the subclasses
+    n_processors: int | None = None
+    scale: float = 1.0
+    mode: str | None = None
+    memory = None
     observer = None
+    faults = None
+    virtual_clock = 0
+    #: the address -> module hash (``None``: no placement to report)
+    hash = None
 
     @abstractmethod
     def emulate_step(self, step: StepTrace) -> StepCost:
@@ -339,18 +374,28 @@ class Emulator(ABC):
             len(reads), sources, addrs, keys, [w.value for w in writes]
         )
 
-    def _serving_modules(self, addrs: np.ndarray) -> np.ndarray:
+    def serving_modules(self, addrs: np.ndarray) -> np.ndarray:
         """The module serving every address under the current hash: one
-        vectorized evaluation for the whole step (the scalar
+        vectorized evaluation for the whole column (the scalar
         ``PolynomialHash.__call__`` is an O(S) Python Horner loop per
         address), then the detected-dead remap — a dead module's
         addresses go to its deterministic surrogate (next live module,
         cyclic), engine-independent, so differential runs stay
-        identical."""
+        identical.  The only per-attempt column of a step, and what a
+        driver records per delivered request (asked *after* the step, it
+        reflects the hash the successful attempt used).  An emulator
+        that places nothing reports nothing."""
+        if self.hash is None:
+            return np.empty(0, dtype=np.int64)
         modules = self._modules_of(addrs)
-        if self.faults.known_dead:
-            modules = self.faults.map_modules(modules)
+        faults = self.faults
+        if faults is not None and faults.known_dead:
+            modules = faults.map_modules(modules)
         return modules
+
+    def module_of(self, addr: int) -> int:
+        """Module currently serving ``addr`` (dead modules remapped)."""
+        return int(self.serving_modules(np.asarray([addr], dtype=np.int64))[0])
 
     def _failure(self, message: str, log: AttemptLog, burned: int = 0) -> RuntimeError:
         """The exception for a phase that gave up, carrying *log*'s
@@ -389,7 +434,7 @@ class Emulator(ABC):
         faults = self.faults
         if faults.has_module_faults:
             faults.refresh(fault_base)
-        modules = self._serving_modules(addrs)
+        modules = self.serving_modules(addrs)
         while faults.has_module_faults:
             dead = faults.undetected_dead(fault_base)
             if not dead or not np.isin(modules, list(dead)).any():
@@ -402,7 +447,7 @@ class Emulator(ABC):
             log.run_modes.append("fault-failfast")
             if log.fault_failfasts > self.max_rehashes + faults.num_modules:
                 raise self._failure("fault detections keep forcing rehashes", log)
-            modules = self._serving_modules(addrs)
+            modules = self.serving_modules(addrs)
         return modules
 
     def _route_requests(
@@ -604,11 +649,6 @@ class Emulator(ABC):
         obs.count("network_steps_total", cost.total_steps, network=self.network)
         obs.observe("step_total_steps", cost.total_steps, network=self.network)
         return cost
-
-    @property
-    @abstractmethod
-    def scale(self) -> float:
-        """Normalization scale (diameter-like) for the report."""
 
     def emulate_trace(self, trace: MemoryTrace | Sequence[StepTrace]) -> EmulationReport:
         report = EmulationReport(scale=self.scale)

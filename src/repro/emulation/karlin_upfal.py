@@ -15,6 +15,8 @@ our algorithm's 4n + o(n); experiment E10 measures the factor-2 gap.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.emulation.base import Emulator, StepCost
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import StepTrace
@@ -47,7 +49,9 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
             ("write", w.pid, w.addr, w.value) for w in step.writes
         ]
         sources = [pid for _, pid, _, _ in reqs]
-        modules = [self.module_of(addr) for _, _, addr, _ in reqs]
+        modules = self.serving_modules(
+            np.asarray(step.addresses(), dtype=np.int64)
+        ).tolist()
         meta = [(kind, addr, val) for kind, _, addr, val in reqs]
 
         # Phase 1: to a random processor each.

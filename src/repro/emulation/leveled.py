@@ -151,10 +151,6 @@ class LeveledEmulator(Emulator):
     def n_processors(self) -> int:
         return self.net.column_size
 
-    def module_of(self, addr: int) -> int:
-        """Module currently serving ``addr`` (dead modules remapped)."""
-        return self.faults.map_module(int(self.hash(addr)))
-
     def _make_router(self, engine_mode: str, fault_base: int = 0) -> LeveledRouter:
         # The fast engine only engages when trajectories are compilable
         # (node mode, or coin mode on a uniform-degree network).  Traces

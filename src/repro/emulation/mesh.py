@@ -164,10 +164,9 @@ class MeshEmulator(Emulator):
         """n (the mesh side): Theorem 3.2's bound is 4n + o(n)."""
         return float(self.mesh.rows)
 
-    def module_of(self, addr: int) -> int:
-        """Module currently serving ``addr`` (dead modules remapped)."""
-        home = addr if self.placement == "direct" else int(self.hash(addr))
-        return self.faults.map_module(home)
+    @property
+    def n_processors(self) -> int:
+        return self.mesh.num_nodes
 
     def _modules_of(self, addrs: np.ndarray) -> np.ndarray:
         return addrs if self.placement == "direct" else self.hash.map(addrs)

@@ -48,7 +48,7 @@ def configure_emulator_for(spec: ProgramSpec, emulator: Emulator) -> None:
     for target in targets:
         target.write_policy = spec.write_policy
         target.combine_op = spec.combine_op
-    if spec.mode is not AccessMode.EREW and getattr(emulator, "mode", None) == "erew":
+    if spec.mode is not AccessMode.EREW and emulator.mode == "erew":
         raise ValueError(
             f"{spec.name} needs concurrent access; build the emulator with "
             "mode='crcw'"
@@ -68,9 +68,7 @@ def replay_program(
     The emulator must span at least ``spec.n_procs`` processors and
     ``spec.memory_size`` addresses.
     """
-    n_available = getattr(emulator, "n_processors", None)
-    if n_available is None:
-        n_available = emulator.mesh.num_nodes  # MeshEmulator
+    n_available = emulator.n_processors
     if spec.n_procs > n_available:
         raise ValueError(
             f"{spec.name} needs {spec.n_procs} processors; the network has "
@@ -82,19 +80,19 @@ def replay_program(
             f"{emulator.memory.size}"
         )
 
-    obs = getattr(emulator, "observer", None) or NULL_OBSERVER
+    obs = emulator.observer or NULL_OBSERVER
     with obs.span("native_run", category="app", program=spec.name):
         pram = spec.run(max_steps=max_steps)  # native reference (also verifies)
     configure_emulator_for(spec, emulator)
     with obs.span(
         "emulate_trace",
         category="app",
-        virtual_clock=getattr(emulator, "virtual_clock", None),
+        virtual_clock=emulator.virtual_clock,
         program=spec.name,
         pram_steps=len(pram.trace.steps),
     ) as sp:
         report = emulator.emulate_trace(pram.trace)
-        sp.virtual_end = getattr(emulator, "virtual_clock", None)
+        sp.virtual_end = emulator.virtual_clock
 
     with obs.span("verify_memory", category="app", program=spec.name):
         # The check covers all ``spec.memory_size`` cells by reading the

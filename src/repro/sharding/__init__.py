@@ -6,9 +6,10 @@ address space across N independent emulator shards with two-level
 hashing — a seeded global :class:`ShardPlacement` picks the shard, each
 shard's own Karlin–Upfal hash spreads its addresses over its modules —
 and serves every PRAM step scatter/gather over the shards' queued-work
-API.  On top of the front end, :mod:`repro.sharding.qos` adds
-multi-tenant admission: QoS classes and per-epoch quotas layered onto
-the PR 5 admission queue, with per-tenant conservation guaranteed.
+API.  In front of it, the one :class:`~repro.traffic.OnlineEmulator`
+driver does multi-tenant admission (QoS classes and per-epoch quotas,
+per-tenant conservation guaranteed); :mod:`repro.sharding.qos` merges
+tenant workloads and re-exports the policy names.
 
 Quickstart::
 
@@ -36,9 +37,15 @@ from repro.sharding.qos import (
     MultiTenantWorkload,
     TenantPolicy,
 )
-from repro.sharding.service import ShardedEmulator, ShardedMemory, merge_costs
+from repro.sharding.service import (
+    EmptyShardStepError,
+    ShardedEmulator,
+    ShardedMemory,
+    merge_costs,
+)
 
 __all__ = [
+    "EmptyShardStepError",
     "MultiTenantOnlineEmulator",
     "MultiTenantWorkload",
     "QOS_CLASSES",

@@ -1,23 +1,26 @@
 """Multi-tenant admission: QoS classes and per-tenant quotas.
 
-The PR 5 admission queue (:class:`~repro.traffic.OnlineEmulator`) is
-single-tenant: one FIFO over sub-queues, every request equal.  A shared
-memory *service* is not — tenants share the front end, and the operator
-wants (a) latency classes and (b) bounds on how much of each epoch any
-one tenant can consume.  This module layers both on top of the existing
-queue without changing its mechanics:
+A shared memory *service* has tenants: they share the front end, and the
+operator wants (a) latency classes and (b) bounds on how much of each
+epoch any one tenant can consume.  Both are part of the one admission
+pass of :class:`~repro.traffic.OnlineEmulator`; this module holds what
+is specific to serving several tenants at once:
 
-* :class:`TenantPolicy` names a tenant's QoS class (``gold`` >
-  ``silver`` > ``bronze``) and an optional per-epoch admission quota.
+* :class:`~repro.traffic.TenantPolicy` (re-exported) names a tenant's
+  QoS class (``gold`` > ``silver`` > ``bronze``, :data:`QOS_CLASSES`)
+  and an optional per-epoch admission quota; the driver takes them as
+  ``policies=`` / ``default_policy=``.
 * :class:`MultiTenantWorkload` merges several seeded single-tenant
   generators into one labeled request stream (round-robin interleave,
   globally re-numbered rids), still a pure function of its sources'
   seeds.
-* :class:`MultiTenantOnlineEmulator` extends the driver's admission
-  heap from ``(seq, addr)`` to ``(qos_rank, seq, addr)`` — strict
-  priority across classes, FIFO within a class — and defers a head
-  whose tenant already used its quota this epoch (position preserved,
-  the same deferral mechanism retry backoff uses).
+* :data:`MultiTenantOnlineEmulator` is a plain alias of
+  :class:`~repro.traffic.OnlineEmulator`, kept for callers that
+  imported the QoS driver under that name: its admission heap orders
+  heads by ``(qos_rank, seq, addr)`` — strict priority across classes,
+  FIFO within a class — and defers a head whose tenant already used its
+  quota this epoch (position preserved, the same deferral mechanism
+  retry backoff uses).
 
 Strict priority can starve bronze under sustained gold load; quotas are
 the knob that bounds it (cap gold's per-epoch admissions and the
@@ -31,11 +34,9 @@ is asserted by the tests and the sharding benchmark gates::
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from dataclasses import replace
 
-from repro.traffic.driver import OnlineEmulator
+from repro.traffic.driver import QOS_CLASSES, OnlineEmulator, TenantPolicy
 from repro.traffic.generators import TrafficRequest, WorkloadGenerator
 
 __all__ = [
@@ -45,34 +46,7 @@ __all__ = [
     "TenantPolicy",
 ]
 
-#: admission priority order, highest first
-QOS_CLASSES = ("gold", "silver", "bronze")
-
-
-@dataclass(frozen=True)
-class TenantPolicy:
-    """Admission policy for one tenant.
-
-    ``quota`` bounds the requests admitted for the tenant in any one
-    epoch (``None`` = unlimited); ``qos`` picks the priority class.
-    """
-
-    tenant: str
-    qos: str = "silver"
-    quota: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.qos not in QOS_CLASSES:
-            raise ValueError(
-                f"unknown qos class {self.qos!r}; pick one of {QOS_CLASSES}"
-            )
-        if self.quota is not None and self.quota < 1:
-            raise ValueError("quota must be >= 1 (or None for unlimited)")
-
-    @property
-    def rank(self) -> int:
-        """Heap rank: lower admits first."""
-        return QOS_CLASSES.index(self.qos)
+MultiTenantOnlineEmulator = OnlineEmulator
 
 
 class MultiTenantWorkload:
@@ -144,123 +118,3 @@ class MultiTenantWorkload:
                     rid += 1
             out.append(merged)
         return out
-
-
-class MultiTenantOnlineEmulator(OnlineEmulator):
-    """:class:`~repro.traffic.OnlineEmulator` with QoS-aware admission.
-
-    Accepts every driver parameter plus ``policies`` (an iterable of
-    :class:`TenantPolicy`) and ``default_policy`` for tenants without
-    one (default: ``silver``, no quota).  Only the admission *order*
-    changes — timeouts, retry/backoff, dead-lettering, overflow and the
-    conservation law are all inherited.
-    """
-
-    def __init__(
-        self,
-        emulator,
-        workload,
-        *,
-        policies=(),
-        default_policy: TenantPolicy | None = None,
-        **kwargs,
-    ) -> None:
-        self.policies: dict[str, TenantPolicy] = {}
-        for policy in policies:
-            if policy.tenant in self.policies:
-                raise ValueError(f"duplicate policy for {policy.tenant!r}")
-            self.policies[policy.tenant] = policy
-        self.default_policy = (
-            default_policy
-            if default_policy is not None
-            else TenantPolicy("default")
-        )
-        super().__init__(emulator, workload, **kwargs)
-        # The heap now orders by (qos_rank, seq, addr).
-        self._heap: list[tuple[int, int, int]] = []
-
-    def policy_for(self, tenant: str) -> TenantPolicy:
-        return self.policies.get(tenant, self.default_policy)
-
-    # ------------------------------------------------------------------
-    def _enqueue(self, req: TrafficRequest, stamp: int, not_before: int) -> None:
-        # Same sub-queue bookkeeping as the base class; only the heap
-        # entry grows a leading qos rank.  The rank pushed is the *new
-        # head's* rank whenever this request becomes the head.
-        dq = self._subq.get(req.addr)
-        if dq is None:
-            dq = self._subq[req.addr] = deque()
-        was_empty = not dq
-        dq.append((self._seq, req, stamp, not_before))
-        if was_empty:
-            heappush(
-                self._heap,
-                (self.policy_for(req.tenant).rank, self._seq, req.addr),
-            )
-        self._seq += 1
-        self._n_queued += 1
-        t = req.tenant
-        self._queued_by_tenant[t] = self._queued_by_tenant.get(t, 0) + 1
-
-    def _admit(self) -> list[tuple[TrafficRequest, int]]:
-        """QoS admission: strict priority across classes, FIFO within.
-
-        Identical to the base admission pass except that (a) heads pop
-        in ``(qos_rank, seq)`` order and (b) a head whose tenant has
-        exhausted its per-epoch ``quota`` is deferred — left queued,
-        position preserved — exactly like a head still backing off.  A
-        deferred head defers its whole address sub-queue for the epoch,
-        matching the base class's deferral semantics.
-        """
-        batch: list[tuple[TrafficRequest, int]] = []
-        expired: list[TrafficRequest] = []
-        self._expired = expired
-        admitted_by_tenant: dict[str, int] = {}
-        deferred: list[tuple[int, int, int]] = []
-        seen_addrs: set[int] = set()
-        heap, subq = self._heap, self._subq
-        while heap and len(batch) < self.admit_limit:
-            rank, seq, addr = heappop(heap)
-            dq = subq.get(addr)
-            if not dq or dq[0][0] != seq:
-                continue  # stale heap entry
-            _seq, req, stamp, not_before = dq[0]
-            policy = self.policy_for(req.tenant)
-            over_quota = (
-                policy.quota is not None
-                and admitted_by_tenant.get(req.tenant, 0) >= policy.quota
-            )
-            if (
-                self.request_timeout is not None
-                and self.clock - stamp > self.request_timeout
-            ):
-                dq.popleft()
-                self._dequeued(req)
-                expired.append(req)
-            elif (
-                not_before > self.clock
-                or over_quota
-                or (self.exclusive and addr in seen_addrs)
-            ):
-                deferred.append((rank, seq, addr))
-                continue
-            else:
-                dq.popleft()
-                self._dequeued(req)
-                if self.exclusive:
-                    seen_addrs.add(addr)
-                admitted_by_tenant[req.tenant] = (
-                    admitted_by_tenant.get(req.tenant, 0) + 1
-                )
-                batch.append((req, stamp))
-            if dq:
-                head_req = dq[0][1]
-                heappush(
-                    heap,
-                    (self.policy_for(head_req.tenant).rank, dq[0][0], addr),
-                )
-            else:
-                del subq[addr]
-        for item in deferred:
-            heappush(heap, item)
-        return batch

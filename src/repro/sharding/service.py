@@ -44,13 +44,24 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import RehashStormError
 from repro.pram.trace import StepTrace
 from repro.sharding.placement import ShardPlacement
 from repro.util.rng import as_generator
 
-__all__ = ["ShardedEmulator", "ShardedMemory", "merge_costs"]
+__all__ = ["EmptyShardStepError", "ShardedEmulator", "ShardedMemory", "merge_costs"]
+
+
+class EmptyShardStepError(RuntimeError):
+    """A shard had nothing to serve right after the scatter submitted
+    its sub-step — its inbox was drained or replaced behind the front
+    end's back.  Terminal: the fleet's inboxes are cleared and the
+    error propagates (see ``docs/faults.md``)."""
+
+    flight_tail: tuple = ()
 
 
 def merge_costs(costs: Sequence[StepCost]) -> StepCost:
@@ -181,7 +192,7 @@ class ShardedEmulator(Emulator):
                     f"shard_factory returned {type(shard).__name__!r} for "
                     f"shard {i}; expected an Emulator"
                 )
-            mem = getattr(shard, "memory", None)
+            mem = shard.memory
             if mem is not None and mem.size < self.address_space:
                 raise ValueError(
                     f"shard {i} covers only {mem.size} of "
@@ -189,47 +200,27 @@ class ShardedEmulator(Emulator):
                 )
         #: shared-access mode of the shard fleet (drivers key admission
         #: exclusivity off this, exactly as for a plain emulator)
-        self.mode = getattr(self.shards[0], "mode", None)
+        self.mode = self.shards[0].mode
         self.memory = ShardedMemory(self)
         #: global module-id stride: shard i's module m is reported as
         #: ``i * module_stride + m``, so telemetry's module-hotness
-        #: rankings stay meaningful across the fleet
-        self.module_stride = max(
-            (self._modules_of(s) or 1) for s in self.shards
-        )
+        #: rankings stay meaningful across the fleet (every emulator has
+        #: one module per processor)
+        self.module_stride = max(s.n_processors or 1 for s in self.shards)
         self._virtual_clock = 0
 
-    # ---- fleet introspection -----------------------------------------
-    @staticmethod
-    def _procs_of(shard) -> int | None:
-        if hasattr(shard, "n_processors"):
-            return int(shard.n_processors)
-        mesh = getattr(shard, "mesh", None)
-        if mesh is not None:
-            return int(mesh.num_nodes)
-        return None
-
-    @staticmethod
-    def _modules_of(shard) -> int | None:
-        faults = getattr(shard, "faults", None)
-        if faults is not None:
-            return int(faults.num_modules)
-        return ShardedEmulator._procs_of(shard)
-
+    # ---- the Emulator service contract, fleet-wide --------------------
     @property
     def scale(self) -> float:
         """Slowest shard's scale: one gather waits for one full pass."""
         return max(s.scale for s in self.shards)
 
     @property
-    def n_processors(self) -> int:
-        procs = [self._procs_of(s) for s in self.shards]
-        known = [p for p in procs if p is not None]
-        if not known:
-            # Property raises -> hasattr() is False, exactly like an
-            # emulator that never had the attribute.
-            raise AttributeError("shards expose no processor count")
-        return min(known)
+    def n_processors(self) -> int | None:
+        """Smallest shard: every pid must be valid on whichever shard
+        its request lands on."""
+        known = [s.n_processors for s in self.shards if s.n_processors is not None]
+        return min(known, default=None)
 
     @property
     def virtual_clock(self) -> int:
@@ -240,15 +231,20 @@ class ShardedEmulator(Emulator):
     def virtual_clock(self, value: int) -> None:
         self._virtual_clock = int(value)
         for shard in self.shards:
-            if hasattr(shard, "virtual_clock"):
-                shard.virtual_clock = self._virtual_clock
+            shard.virtual_clock = self._virtual_clock
 
-    def module_of(self, addr: int) -> int:
-        """Global module serving ``addr`` (shard-strided id)."""
-        shard = self.placement.shard_of(addr)
-        return shard * self.module_stride + int(
-            self.shards[shard].module_of(addr)
-        )
+    def serving_modules(self, addrs: np.ndarray) -> np.ndarray:
+        """Global (shard-strided) module serving every address: the
+        outer hash picks the shard, each shard maps its own rows."""
+        owners = self.placement.map(addrs)
+        modules = np.empty(len(owners), dtype=np.int64)
+        for idx, shard in enumerate(self.shards):
+            rows = np.flatnonzero(owners == idx)
+            if rows.size:
+                modules[rows] = idx * self.module_stride + shard.serving_modules(
+                    addrs[rows]
+                )
+        return modules
 
     # ---- the scatter/gather step -------------------------------------
     def emulate_step(self, step: StepTrace) -> StepCost:
@@ -272,16 +268,20 @@ class ShardedEmulator(Emulator):
             ) as sp:
                 for idx in sorted(parts):
                     cost = self.shards[idx].step()
-                    assert cost is not None  # we just submitted
+                    if cost is None:  # we just submitted
+                        raise EmptyShardStepError(
+                            f"shard {idx} had no sub-step to serve after "
+                            "the scatter submitted one"
+                        )
                     costs.append(cost)
                 sp.virtual_end = self._virtual_clock + max(
                     (c.total_steps + c.stall_steps for c in costs), default=0
                 )
-        except RehashStormError as err:
+        except (RehashStormError, EmptyShardStepError) as err:
             # Gather barrier failed: drop the un-served sub-steps so a
             # retried step does not double-submit, and let the caller's
-            # retry policy re-run the whole batch (reads are idempotent,
-            # re-applied writes carry the same values).
+            # retry policy re-run the whole batch of a storm (reads are
+            # idempotent, re-applied writes carry the same values).
             for shard in self.shards:
                 shard.inbox.clear()
             if not err.flight_tail:

@@ -33,7 +33,12 @@ See ``docs/traffic.md`` for driver semantics and the telemetry field
 reference.
 """
 
-from repro.traffic.driver import OnlineEmulator
+from repro.traffic.driver import (
+    QOS_CLASSES,
+    DriverAlreadyRanError,
+    OnlineEmulator,
+    TenantPolicy,
+)
 from repro.traffic.generators import (
     ArrivalProcess,
     BurstyArrivals,
@@ -53,12 +58,15 @@ __all__ = [
     "ArrivalProcess",
     "BurstyArrivals",
     "DeterministicArrivals",
+    "DriverAlreadyRanError",
     "EpochRecord",
     "HotspotKeys",
     "KeyDistribution",
     "OnlineEmulator",
     "PoissonArrivals",
+    "QOS_CLASSES",
     "ScanKeys",
+    "TenantPolicy",
     "TrafficRequest",
     "UniformKeys",
     "WorkloadGenerator",

@@ -61,6 +61,7 @@ a fixed (workload seed, emulator seed) pair replays bit-identically on
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
@@ -72,9 +73,42 @@ from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
 from repro.traffic.generators import TrafficRequest, WorkloadGenerator
 from repro.traffic.telemetry import EpochRecord, TrafficReport
 
-__all__ = ["OnlineEmulator"]
+__all__ = ["DriverAlreadyRanError", "OnlineEmulator", "QOS_CLASSES", "TenantPolicy"]
 
 OVERFLOW_POLICIES = ("defer", "drop")
+
+#: admission priority order, highest first
+QOS_CLASSES = ("gold", "silver", "bronze")
+
+
+@dataclass(frozen=True)
+class TenantPolicy:
+    """Admission policy for one tenant.
+
+    ``quota`` bounds the requests admitted for the tenant in any one
+    epoch (``None`` = unlimited); ``qos`` picks the priority class.
+    """
+
+    tenant: str
+    qos: str = "silver"
+    quota: int | None = None
+    #: heap rank of ``qos``: lower admits first (derived, read per push)
+    rank: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.qos not in QOS_CLASSES:
+            raise ValueError(
+                f"unknown qos class {self.qos!r}; pick one of {QOS_CLASSES}"
+            )
+        if self.quota is not None and self.quota < 1:
+            raise ValueError("quota must be >= 1 (or None for unlimited)")
+        object.__setattr__(self, "rank", QOS_CLASSES.index(self.qos))
+
+
+class DriverAlreadyRanError(RuntimeError):
+    """A second :meth:`OnlineEmulator.run` on the same driver.  Terminal:
+    the workload stream and the clock both restart at 0, so a re-run
+    would replay the same arrivals against mutated emulator state."""
 
 
 def _tenant_counts(*groups) -> dict[str, int]:
@@ -92,11 +126,14 @@ class OnlineEmulator:
     Parameters
     ----------
     emulator:
-        A configured :class:`~repro.emulation.MeshEmulator` or
+        Any :class:`~repro.emulation.base.Emulator` — a configured
+        :class:`~repro.emulation.MeshEmulator` or
         :class:`~repro.emulation.LeveledEmulator` (any engine, any
-        flow-control setting, optionally carrying a fault schedule).
-        The driver calls :meth:`emulate_step` and, for fault-aware
-        emulators, keeps their ``virtual_clock`` pinned to its own.
+        flow-control setting, optionally carrying a fault schedule) or
+        a :class:`~repro.sharding.ShardedEmulator` fleet.  The driver
+        calls :meth:`emulate_step`, keeps the emulator's
+        ``virtual_clock`` pinned to its own, and reads nothing of it
+        beyond the ``Emulator`` service contract.
     workload:
         The seeded request source.  Its ``n_procs`` must not exceed the
         emulator's processor count.
@@ -137,6 +174,16 @@ class OnlineEmulator:
         rehashes, the run aborts with
         :class:`~repro.faults.RehashStormError` instead of silently
         burning time.  ``None`` (default) disables the guard.
+    policies / default_policy:
+        Multi-tenant QoS: an iterable of :class:`TenantPolicy` (one per
+        tenant label, duplicates rejected) and the policy of every
+        tenant without one (default: ``silver``, no quota).  Heads pop
+        in ``(qos rank, arrival)`` order — strict priority across
+        classes, FIFO within a class — and a head whose tenant already
+        used its per-epoch ``quota`` is deferred like one still backing
+        off.  Only the admission *order* depends on policies; with none
+        given every tenant shares the default class and admission is
+        plain FIFO.
     """
 
     def __init__(
@@ -153,6 +200,8 @@ class OnlineEmulator:
         backoff: int = 4,
         rehash_storm_cap: int | None = None,
         observer=None,
+        policies=(),
+        default_policy: TenantPolicy | None = None,
     ) -> None:
         if overflow not in OVERFLOW_POLICIES:
             raise ValueError(
@@ -176,13 +225,13 @@ class OnlineEmulator:
             raise ValueError("backoff must be >= 1")
         if rehash_storm_cap is not None and rehash_storm_cap < 1:
             raise ValueError("rehash_storm_cap must be >= 1")
-        procs = self._emulator_procs(emulator)
+        procs = emulator.n_processors
         if procs is not None and workload.n_procs > procs:
             raise ValueError(
                 f"workload spans {workload.n_procs} processors but the "
                 f"emulator has only {procs}"
             )
-        memory = getattr(emulator, "memory", None)
+        memory = emulator.memory
         if memory is not None and workload.address_space > memory.size:
             raise ValueError(
                 f"workload draws addresses in [0, {workload.address_space}) "
@@ -193,15 +242,13 @@ class OnlineEmulator:
         if admit_limit < 1:
             raise ValueError("admit_limit must be >= 1")
         if exclusive is None:
-            exclusive = getattr(emulator, "mode", None) == "erew"
+            exclusive = emulator.mode == "erew"
         self.emulator = emulator
         self.workload = workload
         #: repro.obs observer for epoch spans and service metrics; when
         #: not given explicitly, the emulator's own observer is reused so
         #: one wiring point covers the whole serving stack
-        self.observer = (
-            observer if observer is not None else getattr(emulator, "observer", None)
-        )
+        self.observer = observer if observer is not None else emulator.observer
         self.admit_limit = int(admit_limit)
         self.queue_limit = queue_limit
         self.overflow = overflow
@@ -210,8 +257,18 @@ class OnlineEmulator:
         self.retry_limit = int(retry_limit)
         self.backoff = int(backoff)
         self.rehash_storm_cap = rehash_storm_cap
+        self.policies: dict[str, TenantPolicy] = {}
+        for policy in policies:
+            if policy.tenant in self.policies:
+                raise ValueError(f"duplicate policy for {policy.tenant!r}")
+            self.policies[policy.tenant] = policy
+        self.default_policy = (
+            default_policy if default_policy is not None else TenantPolicy("default")
+        )
         # Admission state: one FIFO sub-queue per address plus a lazy
-        # min-heap of (seq, addr) over the sub-queue *heads*.  Exclusive
+        # min-heap of (qos rank, seq, addr) over the sub-queue *heads*
+        # (the rank is the head's tenant's; with one class it is a
+        # constant and the order is (seq, addr)).  Exclusive
         # admission used to rescan (and re-splice) the whole backlog
         # every epoch — O(epochs x backlog) on a hot-spot workload; the
         # heap pops exactly the admitted/deferred heads instead.
@@ -220,7 +277,7 @@ class OnlineEmulator:
         # the seq check discards).  Entries are
         # (seq, request, arrival_clock, not_before).
         self._subq: dict[int, deque[tuple[int, TrafficRequest, int, int]]] = {}
-        self._heap: list[tuple[int, int]] = []
+        self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
         self._n_queued = 0
         #: queued requests per tenant label (kept incrementally so the
@@ -238,14 +295,8 @@ class OnlineEmulator:
         self.clock = 0
         self._ran = False
 
-    @staticmethod
-    def _emulator_procs(emulator) -> int | None:
-        if hasattr(emulator, "n_processors"):
-            return int(emulator.n_processors)
-        mesh = getattr(emulator, "mesh", None)
-        if mesh is not None:
-            return int(mesh.num_nodes)
-        return None
+    def policy_for(self, tenant: str) -> TenantPolicy:
+        return self.policies.get(tenant, self.default_policy)
 
     @property
     def backlog(self) -> int:
@@ -270,10 +321,10 @@ class OnlineEmulator:
         dq = self._subq.get(req.addr)
         if dq is None:
             dq = self._subq[req.addr] = deque()
-        was_empty = not dq
+        if not dq:  # the new head: its tenant's class ranks the sub-queue
+            rank = self.policies.get(req.tenant, self.default_policy).rank
+            heappush(self._heap, (rank, self._seq, req.addr))
         dq.append((self._seq, req, stamp, not_before))
-        if was_empty:
-            heappush(self._heap, (self._seq, req.addr))
         self._seq += 1
         self._n_queued += 1
         t = req.tenant
@@ -289,26 +340,30 @@ class OnlineEmulator:
             self._queued_by_tenant.pop(req.tenant, None)
 
     def _admit(self) -> list[tuple[TrafficRequest, int]]:
-        """Pop this epoch's FIFO batch (respecting the exclusive rule).
+        """Pop this epoch's batch: strict priority across QoS classes,
+        FIFO within one, respecting the exclusive rule and quotas.
 
-        Heads are taken in global arrival (seq) order.  A head is
+        Heads are taken in ``(qos rank, arrival seq)`` order.  A head is
         *deferred* — left queued, position preserved — when it is still
-        backing off or (exclusive mode) its address was already admitted
-        this epoch; deferring the head defers its whole sub-queue, which
-        is exactly the old skip-scan semantics, since every later
-        request for that address queued behind it.  Heads past their
-        ``request_timeout`` deadline expire here instead of admitting;
-        they land in ``self._expired`` (reset per call) for the epoch
-        record.
+        backing off, (exclusive mode) its address was already admitted
+        this epoch, or its tenant has used its per-epoch ``quota``;
+        deferring the head defers its whole sub-queue, which is exactly
+        the old skip-scan semantics, since every later request for that
+        address queued behind it.  Heads past their ``request_timeout``
+        deadline expire here instead of admitting; they land in
+        ``self._expired`` (reset per call) for the epoch record.
         """
         batch: list[tuple[TrafficRequest, int]] = []
         expired: list[TrafficRequest] = []
         self._expired = expired
-        deferred: list[tuple[int, int]] = []
+        deferred: list[tuple[int, int, int]] = []
         seen_addrs: set[int] = set()
+        used: dict[str, int] = {}  # admitted this epoch, per quota'd tenant
         heap, subq = self._heap, self._subq
+        policy_of, default = self.policies.get, self.default_policy
         while heap and len(batch) < self.admit_limit:
-            seq, addr = heappop(heap)
+            entry = heappop(heap)
+            _rank, seq, addr = entry
             dq = subq.get(addr)
             if not dq or dq[0][0] != seq:
                 continue  # stale heap entry
@@ -320,19 +375,28 @@ class OnlineEmulator:
                 dq.popleft()
                 self._dequeued(req)
                 expired.append(req)
-            elif not_before > self.clock or (
-                self.exclusive and addr in seen_addrs
+            elif (
+                not_before > self.clock
+                or (self.exclusive and addr in seen_addrs)
+                or (
+                    (quota := policy_of(req.tenant, default).quota) is not None
+                    and used.get(req.tenant, 0) >= quota
+                )
             ):
-                deferred.append((seq, addr))
+                deferred.append(entry)
                 continue
             else:
                 dq.popleft()
                 self._dequeued(req)
                 if self.exclusive:
                     seen_addrs.add(addr)
+                if quota is not None:
+                    used[req.tenant] = used.get(req.tenant, 0) + 1
                 batch.append((req, stamp))
             if dq:
-                heappush(heap, (dq[0][0], addr))
+                head = dq[0]
+                rank = policy_of(head[1].tenant, default).rank
+                heappush(heap, (rank, head[0], addr))
             else:
                 del subq[addr]
         for item in deferred:
@@ -348,27 +412,6 @@ class OnlineEmulator:
             else:
                 step.writes.append(WriteRequest(req.pid, req.addr, req.value))
         return step
-
-    def _served_modules(self, batch: list[tuple[TrafficRequest, int]]) -> list[int]:
-        """Module that served each request (vectorized when possible).
-
-        Evaluated *after* the step, so the mapping reflects the hash
-        the successful attempt actually used (mid-step rehashes
-        included) and the detected-dead remap.
-        """
-        emu = self.emulator
-        if not hasattr(emu, "module_of"):
-            return []
-        hash_fn = getattr(emu, "hash", None)
-        faults = getattr(emu, "faults", None)
-        if (
-            hash_fn is not None
-            and faults is not None
-            and getattr(emu, "placement", "hash") == "hash"
-        ):
-            addrs = np.asarray([req.addr for req, _ in batch], dtype=np.int64)
-            return faults.map_modules(hash_fn.map(addrs)).tolist()
-        return [emu.module_of(req.addr) for req, _ in batch]
 
     def _requeue_failed(
         self, batch: list[tuple[TrafficRequest, int]]
@@ -408,7 +451,7 @@ class OnlineEmulator:
         arrivals against mutated emulator state — it raises instead.
         """
         if self._ran:
-            raise RuntimeError(
+            raise DriverAlreadyRanError(
                 "OnlineEmulator.run is one-shot; build a fresh driver "
                 "(and emulator) to run again"
             )
@@ -419,7 +462,7 @@ class OnlineEmulator:
         report = TrafficReport()
         emu = self.emulator
         obs = self.observer or NULL_OBSERVER
-        faults = getattr(emu, "faults", None)
+        faults = emu.faults
         annotate = faults is not None and bool(faults.schedule)
         for epoch in range(epochs):
             arrivals = stream[epoch]
@@ -444,8 +487,7 @@ class OnlineEmulator:
                 # Pin the emulator's fault clock to the driver's so the
                 # schedule, the backoff timers, and the telemetry all
                 # run on one timeline (fast-forwards included).
-                if hasattr(emu, "virtual_clock"):
-                    emu.virtual_clock = self.clock
+                emu.virtual_clock = self.clock
                 with obs.span(
                     "admission_epoch",
                     category="epoch",
@@ -507,6 +549,7 @@ class OnlineEmulator:
                 tenant_sojourns.setdefault(req.tenant, []).append(
                     self.clock - stamp
                 )
+            addrs = np.asarray([req.addr for req, _ in served], dtype=np.int64)
             record = EpochRecord(
                 epoch=epoch,
                 arrivals=len(arrivals) + dropped,
@@ -531,7 +574,9 @@ class OnlineEmulator:
                 timed_out=len(expired),
                 dead_lettered=dead_lettered,
                 fault_events=fault_events,
-                modules=self._served_modules(served) if served else [],
+                # asked after the step: the hash of the attempt that
+                # succeeded (mid-step rehashes, detected-dead remap)
+                modules=emu.serving_modules(addrs).tolist() if served else [],
                 arrivals_by_tenant=arrivals_by_tenant,
                 dropped_by_tenant=_tenant_counts(dropped_reqs),
                 delivered_by_tenant=_tenant_counts(r for r, _ in served),
@@ -543,17 +588,23 @@ class OnlineEmulator:
                 tenant_sojourns=tenant_sojourns,
             )
             report.add(record)
-            obs.count("epochs_total")
-            obs.count("requests_admitted_total", len(served))
-            if dropped:
-                obs.count("requests_dropped_total", dropped)
-            obs.gauge("backlog_requests", self._n_queued)
-            obs.record(
-                "epoch",
-                virtual_clock=self.clock,
-                epoch=epoch,
-                admitted=len(served),
-                backlog=self._n_queued,
-                rehashes=cost.rehashes,
-            )
+            _publish(obs, record)
         return report
+
+
+def _publish(obs, record: EpochRecord) -> None:
+    """An epoch's service metrics, read off its finished record — the
+    one writer, so the registry and the report cannot drift."""
+    obs.count("epochs_total")
+    obs.count("requests_admitted_total", record.admitted)
+    if record.dropped:
+        obs.count("requests_dropped_total", record.dropped)
+    obs.gauge("backlog_requests", record.backlog)
+    obs.record(
+        "epoch",
+        virtual_clock=record.clock,
+        epoch=record.epoch,
+        admitted=record.admitted,
+        backlog=record.backlog,
+        rehashes=record.rehashes,
+    )

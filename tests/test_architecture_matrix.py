@@ -25,7 +25,9 @@ import numpy as np
 import pytest
 
 import repro.routing
+import repro.sharding
 import repro.topology.compiled
+import repro.traffic
 from repro.routing import (
     GreedyMeshRouter,
     GreedyRouter,
@@ -473,3 +475,22 @@ def test_no_router_option_added_or_lost(entry):
 
 def test_public_routing_names_unchanged():
     assert sorted(repro.routing.__all__) == sorted(PUBLIC_NAMES.split())
+
+
+def test_the_front_end_has_one_admission_pass():
+    """One ``_enqueue`` and one ``_admit`` in all of ``src/repro`` (the
+    QoS driver used to carry a copy of each), both in the driver's
+    module, and the QoS driver's name is the driver itself."""
+    src = DOC.parent.parent / "src/repro"
+    found = [
+        (path.relative_to(src).as_posix(), fn.name)
+        for path in sorted(src.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, FUNCTIONS) and fn.name in ("_admit", "_enqueue")
+    ]
+    assert sorted(found) == [
+        ("traffic/driver.py", "_admit"),
+        ("traffic/driver.py", "_enqueue"),
+    ]
+    assert repro.sharding.MultiTenantOnlineEmulator is repro.traffic.OnlineEmulator
+    assert repro.sharding.TenantPolicy is repro.traffic.TenantPolicy

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.emulation import LeveledEmulator, MeshEmulator
-from repro.emulation.base import StepCost
+from repro.emulation.base import Emulator, StepCost
 from repro.faults import (
     FaultConfigError,
     FaultEvent,
@@ -572,7 +572,7 @@ class TestEmulatorFaultDifferential:
 # ---------------------------------------------------------------------------
 
 
-class _StubEmulator:
+class _StubEmulator(Emulator):
     """Scripted emulator: each emulate_step pops the next outcome —
     a StepCost to return or a RehashStormError to raise."""
 

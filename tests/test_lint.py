@@ -24,6 +24,7 @@ from tools.lint.framework import (
     default_rules,
     run_lint,
 )
+from tools.lint.rules.emulator_contract import EmulatorContractRule
 from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
 from tools.lint.rules.hash_placement import HashPlacementRule
 from tools.lint.rules.metric_names import MetricNamesRule
@@ -493,6 +494,70 @@ class TestMetricNamesRule:
 
 
 # ---------------------------------------------------------------------------
+# REPRO008 emulator contract
+# ---------------------------------------------------------------------------
+
+class TestEmulatorContractRule:
+    DRIVER = "src/repro/traffic/driver.py"
+
+    def test_probes_flagged(self):
+        src = """
+            def procs(emulator):
+                if hasattr(emulator, "n_processors"):
+                    return emulator.n_processors
+                mesh = getattr(emulator, "mesh", None)
+                name = "memory"
+                return getattr(emulator, name, None)
+        """
+        vs = _check(EmulatorContractRule(), src, self.DRIVER)
+        assert [(v.line, "hasattr" in v.message) for v in vs] == [
+            (3, True), (5, False), (7, False),
+        ]
+        assert "'mesh'" in vs[1].message
+
+    def test_attribute_reads_are_the_clean_form(self):
+        src = """
+            def procs(emulator):
+                procs = emulator.n_processors
+                return None if procs is None else int(procs)
+        """
+        assert _check(EmulatorContractRule(), src, self.DRIVER) == []
+
+    def test_computed_field_selection_is_not_a_probe(self):
+        src = """
+            for lane in ("reads", "writes"):
+                getattr(sub, lane).append(req)
+        """
+        rel = "src/repro/sharding/placement.py"
+        assert _check(EmulatorContractRule(), src, rel) == []
+
+    def test_scope_is_the_front_end(self):
+        rule = EmulatorContractRule()
+        for rel in (
+            self.DRIVER,
+            "src/repro/sharding/service.py",
+            "src/repro/sharding/qos.py",
+            "src/repro/emulation/replay.py",
+            "src/repro/apps/harness.py",
+        ):
+            assert rule.applies_to(rel)
+            assert _check(rule, "x = hasattr(emu, 'mode')\n", rel)
+        for rel in (
+            "src/repro/traffic/telemetry.py",
+            "src/repro/emulation/base.py",
+            "src/repro/obs/registry.py",
+        ):
+            assert not rule.applies_to(rel)
+
+    def test_only_the_shards_fan_out_may_stay_in_replay(self):
+        rule, rel = EmulatorContractRule(), "src/repro/emulation/replay.py"
+        ok = 'targets = getattr(emulator, "shards", None) or [emulator]\n'
+        assert _check(rule, ok, rel) == []
+        assert _check(rule, ok, "src/repro/apps/harness.py")
+        assert _check(rule, 'n = getattr(emulator, "n_processors", None)\n', rel)
+
+
+# ---------------------------------------------------------------------------
 # framework: suppressions, scoping, CLI
 # ---------------------------------------------------------------------------
 
@@ -526,6 +591,7 @@ class TestFramework:
             "REPRO005",
             "REPRO006",
             "REPRO007",
+            "REPRO008",
         ]
 
     def test_cli_clean_tree_exits_zero(self):
@@ -573,6 +639,8 @@ class TestFramework:
             "REPRO004",
             "REPRO005",
             "REPRO006",
+            "REPRO007",
+            "REPRO008",
         ):
             assert rid in proc.stdout
 

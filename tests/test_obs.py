@@ -30,7 +30,7 @@ from repro.apps import (
     run_app,
 )
 from repro.emulation import LeveledEmulator, MeshEmulator
-from repro.emulation.base import StepCost
+from repro.emulation.base import Emulator, StepCost
 from repro.faults import RehashStormError
 from repro.obs import (
     NULL_OBSERVER,
@@ -298,7 +298,7 @@ class TestErrorFlightTails:
         """Driver storm-cap abort: the exception arrives with the last-K
         events (here the successful epoch before the storm)."""
 
-        class _StubEmulator:
+        class _StubEmulator(Emulator):
             def __init__(self, outcomes):
                 self._outcomes = list(outcomes)
                 self.virtual_clock = 0

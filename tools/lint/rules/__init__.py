@@ -14,10 +14,13 @@ Rule catalog (docs/static_analysis.md has the long-form version):
   inside ``hashing/`` and ``sharding/`` (placement stays centralized).
 * REPRO007 ``metric-names`` — observability metric names are
   snake_case and each name registers exactly one metric kind.
+* REPRO008 ``emulator-contract`` — the serving front end reads the
+  ``Emulator`` service contract; no ``getattr`` / ``hasattr`` probes.
 """
 
 from __future__ import annotations
 
+from tools.lint.rules.emulator_contract import EmulatorContractRule
 from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
 from tools.lint.rules.hash_placement import HashPlacementRule
 from tools.lint.rules.metric_names import MetricNamesRule
@@ -33,10 +36,12 @@ ALL_RULES = [
     EventKindOrderRule,
     HashPlacementRule,
     MetricNamesRule,
+    EmulatorContractRule,
 ]
 
 __all__ = [
     "ALL_RULES",
+    "EmulatorContractRule",
     "EventKindOrderRule",
     "HashPlacementRule",
     "MetricNamesRule",
