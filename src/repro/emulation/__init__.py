@@ -12,6 +12,7 @@
 from repro.emulation.base import (
     EmulationReport,
     Emulator,
+    ReplyCountError,
     RequestRoutingError,
     StepCost,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "MeshEmulator",
     "RanadeEmulator",
     "ReplayResult",
+    "ReplyCountError",
     "ReplySpawner",
     "RequestRoutingError",
     "StepCost",

@@ -25,7 +25,7 @@ from repro.emulation.combining import (
 )
 from repro.faults import RehashStormError
 from repro.obs import NULL_OBSERVER
-from repro.pram.trace import MemoryTrace, StepTrace
+from repro.pram.trace import MemoryTrace, RequestColumns, StepTrace
 from repro.pram.variants import resolve_writes
 from repro.routing.engine import SynchronousEngine
 from repro.routing.flow_control import DeadlockError
@@ -141,6 +141,13 @@ class RequestRoutingError(RuntimeError):
         self.run_modes = tuple(log.run_modes)
 
 
+class ReplyCountError(RequestRoutingError):
+    """A completed reply phase delivered a different number of replies
+    than the step had reads (checked under ``validate``).  Terminal like
+    its base — no fault explains a lost or duplicated reply — and
+    carries the same accounting and flight tail."""
+
+
 @dataclass
 class EmulationReport:
     """Aggregate outcome of emulating a trace."""
@@ -219,8 +226,8 @@ class Emulator(ABC):
     bit-identically — the contract the sharding layer
     (:mod:`repro.sharding`) relies on to move shards into worker
     processes.  Besides the one-shot :meth:`emulate_step`, every
-    emulator exposes a small queued-work API: :meth:`submit` parks step
-    traces in an inbox, :meth:`step` serves exactly one of them, and
+    emulator exposes a small queued-work API: :meth:`submit` parks steps
+    in an inbox, :meth:`step` serves exactly one of them, and
     :meth:`drain` serves the rest — which is what lets a scatter/gather
     front end step N shards independently.
 
@@ -269,13 +276,21 @@ class Emulator(ABC):
     hash = None
 
     @abstractmethod
-    def emulate_step(self, step: StepTrace) -> StepCost:
-        """Emulate one PRAM instruction; returns its network cost."""
+    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+        """Emulate one PRAM instruction; returns its network cost.
+
+        *step* is the instruction's requests either way they come: the
+        PRAM machine's :class:`~repro.pram.trace.StepTrace` or the
+        :class:`~repro.pram.trace.RequestColumns` a serving front end
+        slices out of its request table.  Both answer ``columns()`` /
+        ``trace()`` / ``num_requests``; an implementation calls the one
+        it computes on, once, at entry.
+        """
 
     # ---- queued-work API (submit / step / drain) ----------------------
     @property
     def inbox(self) -> deque:
-        """Step traces submitted but not yet served (FIFO)."""
+        """Steps submitted but not yet served (FIFO)."""
         # Created lazily so every Emulator subclass gets the queued-work
         # API without having to call a base __init__ (and old pickles
         # without the attribute keep loading).
@@ -286,15 +301,16 @@ class Emulator(ABC):
 
     @property
     def pending(self) -> int:
-        """Submitted step traces waiting to be served."""
+        """Submitted steps waiting to be served."""
         return len(self.inbox)
 
-    def submit(self, step: StepTrace) -> None:
-        """Queue one step trace for a later :meth:`step` / :meth:`drain`."""
+    def submit(self, step: StepTrace | RequestColumns) -> None:
+        """Queue one step (either form :meth:`emulate_step` takes) for a
+        later :meth:`step` / :meth:`drain`."""
         self.inbox.append(step)
 
     def step(self) -> StepCost | None:
-        """Serve the oldest submitted step trace; ``None`` when idle.
+        """Serve the oldest submitted step; ``None`` when idle.
 
         One call emulates exactly one PRAM step, so a coordinator can
         interleave many emulators at step granularity (the sharding
@@ -305,7 +321,7 @@ class Emulator(ABC):
         return self.emulate_step(self.inbox.popleft())
 
     def drain(self) -> list[StepCost]:
-        """Serve every queued step trace, in submission order."""
+        """Serve every queued step, in submission order."""
         costs: list[StepCost] = []
         while self.inbox:
             costs.append(self.emulate_step(self.inbox.popleft()))
@@ -315,7 +331,8 @@ class Emulator(ABC):
     # columns -> hash -> route requests (rehash + retry) -> memory ->
     # route replies -> StepCost: one scheme, parameterised by the network
     # (Theorems 2.5/2.6, 3.2, 3.3), on integer columns from end to end —
-    # ``_step_columns`` reads the ``StepTrace`` once, the router is handed
+    # ``_step_columns`` takes the front end's ``RequestColumns`` (a
+    # ``StepTrace`` is converted at its first line), the router is handed
     # (source, module, combine key) columns, and hosts / absorbed rows
     # come back as row arrays (``Router.absorbed_rows``); no ``Packet`` is
     # built here (the reference engine's are the router's business).  A
@@ -346,32 +363,34 @@ class Emulator(ABC):
         """Home module of every address (placement, before fault remap)."""
         return self.hash.map(addrs)
 
-    def _step_columns(self, step: StepTrace) -> StepColumns:
-        """Read *step* into columns, checking what does not depend on
-        the hash: exclusivity (EREW mode) and the processor bound."""
-        reads, writes = step.reads, step.writes
-        addrs = step.addresses()
-        if self.mode == "erew" and len(set(addrs)) < len(addrs):
-            raise ValueError(
-                f"EREW {self.network} emulator given concurrent accesses; "
-                "use mode='crcw'"
-            )
-        pids = [r.pid for r in reads]
-        pids += [w.pid for w in writes]
+    def _step_columns(self, step: StepTrace | RequestColumns) -> StepColumns:
+        """Read *step* into the routed columns, checking what does not
+        depend on the hash: the processor bound and exclusivity (EREW
+        mode).  A ``StepTrace`` is converted once, here; everything
+        after that line is the one body."""
+        step = step.columns()
+        is_read = np.asarray(step.is_read, dtype=bool)
+        rows = np.argsort(~is_read, kind="stable")  # reads first, issue order kept
+        n_reads = int(np.count_nonzero(is_read))
+        pids, addrs = step.pids[rows], step.addrs[rows]
         faults = self.faults
-        if pids and max(pids) >= faults.num_processors:
+        if pids.size and pids.max() >= faults.num_processors:
             raise ValueError(
-                f"processor {max(pids)} exceeds {self.network} size "
+                f"processor {pids.max()} exceeds {self.network} size "
                 f"{faults.num_processors}"
             )
-        sources = np.asarray(pids, dtype=np.int64)
-        if faults.has_processor_faults:
-            sources = faults.map_processors(sources)
-        addrs = np.asarray(addrs, dtype=np.int64)
+        sources = faults.map_processors(pids) if faults.has_processor_faults else pids
         keys = addrs * 2
-        keys[len(reads) :] += 1
+        keys[n_reads:] += 1
+        if self.mode == "erew":
+            by_addr = np.sort(addrs)
+            if (by_addr[1:] == by_addr[:-1]).any():
+                raise ValueError(
+                    f"EREW {self.network} emulator given concurrent accesses; "
+                    "use mode='crcw'"
+                )
         return StepColumns(
-            len(reads), sources, addrs, keys, [w.value for w in writes]
+            n_reads, sources, addrs, keys, step.values[rows[n_reads:]].tolist()
         )
 
     def serving_modules(self, addrs: np.ndarray) -> np.ndarray:
@@ -621,10 +640,13 @@ class Emulator(ABC):
             if not reply_stats.completed:
                 raise self._failure(f"{self.network} replies did not complete", log)
             if self.validate and reply_stats.delivered != cols.n_reads:
-                raise AssertionError(
+                err = ReplyCountError(
                     f"{cols.n_reads} reads but {reply_stats.delivered} "
-                    "replies delivered"
+                    "replies delivered",
+                    log,
                 )
+                err.flight_tail = self._obs.flight_tail()
+                raise err
             reply_steps = reply_stats.steps
             max_queue = max(max_queue, reply_stats.max_queue)
             credits_stalled += reply_stats.credits_stalled

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
 from repro.emulation.mesh import MeshEmulator
-from repro.pram.trace import StepTrace
+from repro.pram.trace import RequestColumns, StepTrace
 from repro.routing.fast_engine import resolve_engine_mode
 
 
@@ -40,7 +40,8 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
             raise RuntimeError("Karlin–Upfal leg did not complete")
         return stats
 
-    def emulate_step(self, step: StepTrace) -> StepCost:
+    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+        step = step.trace()  # an object-based baseline
         if not step.is_erew():
             raise ValueError("Karlin–Upfal baseline requires EREW steps")
 

@@ -34,7 +34,7 @@ from repro.emulation.base import Emulator, StepCost
 from repro.faults import FaultState
 from repro.hashing.family import HashFamily, degree_for_diameter
 from repro.pram.memory import SharedMemory
-from repro.pram.trace import StepTrace
+from repro.pram.trace import RequestColumns, StepTrace
 from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
@@ -190,7 +190,7 @@ class MeshEmulator(Emulator):
         )
 
     # ------------------------------------------------------------------
-    def emulate_step(self, step: StepTrace) -> StepCost:
+    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
         cols = self._step_columns(step)
         engine_mode = resolve_engine_mode(self.engine_mode)
         n = self.mesh.rows + self.mesh.cols

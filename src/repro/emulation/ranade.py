@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from repro.emulation.base import Emulator, StepCost
 from repro.hashing.family import HashFamily
 from repro.pram.memory import SharedMemory
-from repro.pram.trace import StepTrace
+from repro.pram.trace import RequestColumns, StepTrace
 from repro.pram.variants import WritePolicy
 from repro.util.rng import as_generator
 
@@ -200,7 +200,8 @@ class RanadeEmulator(Emulator):
         return t
 
     # ------------------------------------------------------------------
-    def emulate_step(self, step: StepTrace) -> StepCost:
+    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+        step = step.trace()  # an object-based baseline
         if not step.is_erew():
             raise ValueError("the Ranade baseline is measured on EREW traces")
 

@@ -18,6 +18,7 @@ from repro.pram.programs import (
 from repro.pram.trace import (
     MemoryTrace,
     ReadRequest,
+    RequestColumns,
     StepTrace,
     WriteRequest,
     h_relation_step,
@@ -42,6 +43,7 @@ __all__ = [
     "ProgramSpec",
     "Read",
     "ReadRequest",
+    "RequestColumns",
     "SharedMemory",
     "StepTrace",
     "Write",

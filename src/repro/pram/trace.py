@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.util.rng import as_generator
 
 
@@ -56,6 +58,72 @@ class StepTrace:
 
     def is_erew(self) -> bool:
         return self.max_concurrency() <= 1
+
+    def columns(self) -> "RequestColumns":
+        """The same step as aligned columns (reads first, then writes)."""
+        reqs = self.reads + self.writes
+        is_read = np.zeros(len(reqs), dtype=bool)
+        is_read[: len(self.reads)] = True
+        values = [None] * len(self.reads) + [w.value for w in self.writes]
+        return RequestColumns(
+            np.asarray([r.pid for r in reqs], dtype=np.int64),
+            np.asarray([r.addr for r in reqs], dtype=np.int64),
+            is_read,
+            # fromiter keeps a tuple-valued write one object, not a row
+            np.fromiter(values, dtype=object, count=len(values)),
+        )
+
+    def trace(self) -> "StepTrace":
+        return self
+
+
+@dataclass
+class RequestColumns:
+    """One PRAM step's requests as aligned columns, in issue order.
+
+    What a serving front end hands ``Emulator.emulate_step``: row i is
+    the i-th request, reads and writes interleaved as issued.  ``values``
+    is read on the write rows only (an int64 column on the served path,
+    an object column out of :meth:`StepTrace.columns`).  The object form
+    — :class:`StepTrace` — stays the PRAM machine's and the object-based
+    baselines' interface; :meth:`trace` / :meth:`StepTrace.columns` cross
+    over, and both classes answer both, so a consumer converts at entry
+    without asking which one it was given.
+    """
+
+    pids: np.ndarray
+    addrs: np.ndarray
+    is_read: np.ndarray
+    values: np.ndarray
+
+    @property
+    def num_requests(self) -> int:
+        return len(self.addrs)
+
+    def take(self, rows: np.ndarray) -> "RequestColumns":
+        """The sub-step of *rows*, in the order given."""
+        return RequestColumns(
+            self.pids[rows], self.addrs[rows], self.is_read[rows], self.values[rows]
+        )
+
+    def columns(self) -> "RequestColumns":
+        return self
+
+    def trace(self) -> StepTrace:
+        """The same step as request objects (reads keep their relative
+        order, so do writes)."""
+        step = StepTrace()
+        for pid, addr, is_read, value in zip(
+            self.pids.tolist(),
+            self.addrs.tolist(),
+            self.is_read.tolist(),
+            self.values.tolist(),
+        ):
+            if is_read:
+                step.reads.append(ReadRequest(pid, addr))
+            else:
+                step.writes.append(WriteRequest(pid, addr, value))
+        return step
 
 
 @dataclass

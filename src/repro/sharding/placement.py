@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.family import HashFamily
-from repro.pram.trace import StepTrace
+from repro.pram.trace import RequestColumns, StepTrace
 
 __all__ = ["ShardPlacement"]
 
@@ -73,30 +73,26 @@ class ShardPlacement:
         """Vectorized :meth:`shard_of` over an address array."""
         return self.hash.map(np.asarray(addrs, dtype=np.int64))
 
-    def split(self, step: StepTrace) -> dict[int, StepTrace]:
+    def split(
+        self, step: StepTrace | RequestColumns
+    ) -> dict[int, StepTrace | RequestColumns]:
         """Partition one PRAM step into per-shard sub-steps.
 
-        Requests keep their relative order within each shard (reads
-        stay reads, writes stay writes), so with ``n_shards == 1`` the
-        single sub-step is request-for-request identical to the input —
-        the property the shards=1 bit-identity gate rests on.  Shards
-        that receive no requests are absent from the result.
+        One :meth:`map` over the step's address column, one row-take
+        per loaded shard: requests keep their relative order within
+        each shard.  With ``n_shards == 1`` the single sub-step is the
+        input itself — the property the shards=1 bit-identity gate
+        rests on.  Shards that receive no requests are absent from the
+        result.
         """
         if self.n_shards == 1:
-            if step.num_requests == 0:
-                return {}
-            return {0: step}
-        parts: dict[int, StepTrace] = {}
-        for reqs, lane in ((step.reads, "reads"), (step.writes, "writes")):
-            if not reqs:
-                continue
-            owners = self.map([r.addr for r in reqs]).tolist()
-            for req, shard in zip(reqs, owners):
-                sub = parts.get(shard)
-                if sub is None:
-                    sub = parts[shard] = StepTrace()
-                getattr(sub, lane).append(req)
-        return parts
+            return {0: step} if step.num_requests else {}
+        cols = step.columns()
+        owners = self.map(cols.addrs)
+        return {
+            shard: cols.take(np.flatnonzero(owners == shard))
+            for shard in np.flatnonzero(np.bincount(owners)).tolist()
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

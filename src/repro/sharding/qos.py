@@ -13,14 +13,15 @@ is specific to serving several tenants at once:
 * :class:`MultiTenantWorkload` merges several seeded single-tenant
   generators into one labeled request stream (round-robin interleave,
   globally re-numbered rids), still a pure function of its sources'
-  seeds.
+  seeds — one sort of the concatenated lanes per epoch, no per-request
+  work.
 * :data:`MultiTenantOnlineEmulator` is a plain alias of
   :class:`~repro.traffic.OnlineEmulator`, kept for callers that
-  imported the QoS driver under that name: its admission heap orders
-  heads by ``(qos_rank, seq, addr)`` — strict priority across classes,
-  FIFO within a class — and defers a head whose tenant already used its
-  quota this epoch (position preserved, the same deferral mechanism
-  retry backoff uses).
+  imported the QoS driver under that name: its admission takes
+  per-address heads in ``(qos_rank, seq)`` order — strict priority
+  across classes, FIFO within a class — and a head whose tenant already
+  used its quota this epoch blocks its address for the epoch (position
+  preserved, the same mechanism retry backoff uses).
 
 Strict priority can starve bronze under sustained gold load; quotas are
 the knob that bounds it (cap gold's per-epoch admissions and the
@@ -34,10 +35,16 @@ is asserted by the tests and the sharding benchmark gates::
 
 from __future__ import annotations
 
-from dataclasses import replace
+import numpy as np
 
 from repro.traffic.driver import QOS_CLASSES, OnlineEmulator, TenantPolicy
-from repro.traffic.generators import TrafficRequest, WorkloadGenerator
+from repro.traffic.generators import (
+    RID,
+    TENANT,
+    VALUE,
+    RequestBatch,
+    WorkloadGenerator,
+)
 
 __all__ = [
     "QOS_CLASSES",
@@ -87,34 +94,28 @@ class MultiTenantWorkload:
     def tenants(self) -> list[str]:
         return list(self.sources)
 
-    def stream(self, epochs: int) -> list[list[TrafficRequest]]:
+    def stream(self, epochs: int) -> list[RequestBatch]:
         """The merged, tenant-labeled arrival stream."""
-        per_tenant = {
-            name: gen.stream(epochs) for name, gen in self.sources.items()
-        }
-        out: list[list[TrafficRequest]] = []
+        lanes = [gen.stream(epochs) for gen in self.sources.values()]
+        tenants = tuple(self.sources)
+        out = []
         rid = 0
         for epoch in range(epochs):
-            lanes = [
-                (name, per_tenant[name][epoch]) for name in self.sources
-            ]
-            merged: list[TrafficRequest] = []
-            depth = max((len(batch) for _n, batch in lanes), default=0)
-            for i in range(depth):
-                for name, batch in lanes:
-                    if i >= len(batch):
-                        continue
-                    req = batch[i]
-                    merged.append(
-                        replace(
-                            req,
-                            rid=rid,
-                            tenant=name,
-                            # writes carry their rid as the default
-                            # value; keep that tie after re-numbering
-                            value=rid if req.value == req.rid else req.value,
-                        )
-                    )
-                    rid += 1
-            out.append(merged)
+            mats = [lane[epoch].matrix for lane in lanes]
+            sizes = [m.shape[1] for m in mats]
+            # round-robin: sort by (position in the lane, lane)
+            turn = np.concatenate([np.arange(k) for k in sizes]) * len(lanes)
+            turn += np.repeat(np.arange(len(lanes)), sizes)
+            order = np.argsort(turn, kind="stable")
+            merged = np.concatenate(mats, axis=1)[:, order]
+            merged[TENANT] = turn[order] % len(lanes)
+            rids = np.arange(rid, rid + len(order))
+            # writes carry their rid as the default value; keep that
+            # tie after re-numbering
+            merged[VALUE] = np.where(
+                merged[VALUE] == merged[RID], rids, merged[VALUE]
+            )
+            merged[RID] = rids
+            rid += len(order)
+            out.append(RequestBatch(merged, tenants))
         return out

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import RehashStormError
-from repro.pram.trace import StepTrace
+from repro.pram.trace import RequestColumns, StepTrace
 from repro.sharding.placement import ShardPlacement
 from repro.util.rng import as_generator
 
@@ -95,25 +95,26 @@ class ShardedMemory:
     work unchanged against a shard fleet.
     """
 
-    def __init__(self, service: "ShardedEmulator") -> None:
-        self._service = service
+    def __init__(self, shards: Sequence[Emulator], placement: ShardPlacement) -> None:
+        # the fleet's members, not the fleet: a back-reference would
+        # make every ShardedEmulator cyclic garbage
+        self._shards = shards
+        self._placement = placement
 
     @property
     def size(self) -> int:
-        return self._service.address_space
+        return self._placement.address_space
 
     def read(self, addr: int):
-        svc = self._service
-        return svc.shards[svc.placement.shard_of(addr)].memory.read(addr)
+        return self._shards[self._placement.shard_of(addr)].memory.read(addr)
 
     def write(self, addr: int, value) -> None:
-        svc = self._service
-        svc.shards[svc.placement.shard_of(addr)].memory.write(addr, value)
+        self._shards[self._placement.shard_of(addr)].memory.write(addr, value)
 
     def touched(self) -> set[int]:
         """The addresses ever written on any shard (each lives on the
         shard that owns it); every other cell reads 0."""
-        return set().union(*(s.memory.touched() for s in self._service.shards))
+        return set().union(*(s.memory.touched() for s in self._shards))
 
     def __len__(self) -> int:
         return self.size
@@ -121,7 +122,7 @@ class ShardedMemory:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedMemory(size={self.size}, "
-            f"shards={self._service.n_shards})"
+            f"shards={len(self._shards)})"
         )
 
 
@@ -201,7 +202,7 @@ class ShardedEmulator(Emulator):
         #: shared-access mode of the shard fleet (drivers key admission
         #: exclusivity off this, exactly as for a plain emulator)
         self.mode = self.shards[0].mode
-        self.memory = ShardedMemory(self)
+        self.memory = ShardedMemory(self.shards, self.placement)
         #: global module-id stride: shard i's module m is reported as
         #: ``i * module_stride + m``, so telemetry's module-hotness
         #: rankings stay meaningful across the fleet (every emulator has
@@ -247,7 +248,7 @@ class ShardedEmulator(Emulator):
         return modules
 
     # ---- the scatter/gather step -------------------------------------
-    def emulate_step(self, step: StepTrace) -> StepCost:
+    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
         obs = self._obs
         with obs.span(
             "shard_scatter",

@@ -34,6 +34,7 @@ which never touches the topology again.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,12 +51,28 @@ class CompiledLeveledTopology:
         # Note: nets with uniform_out_degree=False compile fine for
         # node-mode routing (unique-path arithmetic only); out_table —
         # needed by coin mode — raises for them via out_neighbor_table.
-        self.net = net
+        # held weakly: the net caches this object on itself, and a strong
+        # back-reference would make every finished topology (and these
+        # tables) cyclic garbage that only a collector pass frees
+        self._net = weakref.ref(net)
         self.L = net.num_levels
         self.N = net.column_size
         #: one unrolled column per path position 0..2L
         self.num_node_ids = (2 * self.L + 1) * self.N
         self._out_tables: dict[int, np.ndarray] = {}
+
+    @property
+    def net(self) -> LeveledNetwork:
+        return self._net()
+
+    def __getstate__(self) -> dict:
+        # pickled inside its net's state: the strong reference resolves
+        # to that same object through the pickle memo, not to a copy
+        return {**self.__dict__, "_net": self._net()}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._net = weakref.ref(state["_net"])
 
     # ---- id <-> key ----------------------------------------------------
     def out_table(self, level: int) -> np.ndarray:
@@ -118,6 +135,7 @@ class CompiledLeveledTopology:
         if (coins is None) == (inters is None):
             raise ValueError("need exactly one of coins= or inters=")
         L, N = self.L, self.N
+        net = self.net
         rows = np.asarray(source_rows, dtype=np.int64)
         n = len(rows)
         cols = np.empty((n, 2 * L + 1), dtype=np.int64)
@@ -129,11 +147,11 @@ class CompiledLeveledTopology:
         else:
             inters_arr = np.asarray(inters, dtype=np.int64)
             for level in range(L):
-                rows = self.net.unique_next_batch(level, rows, inters_arr)
+                rows = net.unique_next_batch(level, rows, inters_arr)
                 cols[:, level + 1] = rows
         dests_arr = np.asarray(dests, dtype=np.int64)
         for level in range(L):
-            rows = self.net.unique_next_batch(level, rows, dests_arr)
+            rows = net.unique_next_batch(level, rows, dests_arr)
             cols[:, L + 1 + level] = rows
         if not np.array_equal(rows, dests_arr):
             bad = int(np.nonzero(rows != dests_arr)[0][0])
@@ -194,7 +212,11 @@ class CompiledMesh2D:
     """
 
     def __init__(self, mesh) -> None:
-        self.mesh = mesh
+        # the two numbers the compiler needs, not the mesh: the mesh
+        # caches this object on itself, and a back-reference would make
+        # every finished mesh cyclic garbage
+        self.cols = mesh.cols
+        self.num_nodes = mesh.num_nodes
 
     def three_stage(
         self,
@@ -210,7 +232,7 @@ class CompiledMesh2D:
         i'; omitting it pins i' to the source row, which degenerates the
         plan to the deterministic dimension-order baseline.
         """
-        cols_n = self.mesh.cols
+        cols_n = self.cols
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(dests, dtype=np.int64)
         r0, c0 = np.divmod(src, cols_n)
@@ -275,18 +297,16 @@ class CompiledMesh2D:
         """
         cached = getattr(self, "_link_arrays", None)
         if cached is None:
-            num = self.mesh.num_nodes
+            num = self.num_nodes
             src = np.repeat(np.arange(num, dtype=np.int64), 4)
-            delta = np.tile(
-                np.asarray([1, -1, self.mesh.cols, -self.mesh.cols]), num
-            )
+            delta = np.tile(np.asarray([1, -1, self.cols, -self.cols]), num)
             dst = np.clip(src + delta, 0, num - 1)
             cached = self._link_arrays = (src, dst)
         return cached
 
     def link_matrix(self, ids: np.ndarray) -> np.ndarray:
         """Arithmetic link id per hop of a padded trajectory matrix."""
-        cols = self.mesh.cols
+        cols = self.cols
         u = ids[:, :-1]
         diff = ids[:, 1:] - u
         direction = np.zeros_like(diff)

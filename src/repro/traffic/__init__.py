@@ -46,6 +46,7 @@ from repro.traffic.generators import (
     HotspotKeys,
     KeyDistribution,
     PoissonArrivals,
+    RequestBatch,
     ScanKeys,
     TrafficRequest,
     UniformKeys,
@@ -65,6 +66,7 @@ __all__ = [
     "OnlineEmulator",
     "PoissonArrivals",
     "QOS_CLASSES",
+    "RequestBatch",
     "ScanKeys",
     "TenantPolicy",
     "TrafficRequest",

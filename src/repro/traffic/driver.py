@@ -9,29 +9,40 @@ service did.
 
 Epoch loop
 ----------
-Per epoch: (1) the generator's arrivals for the epoch enter the
-admission queue (the ``"drop"`` overflow policy rejects arrivals beyond
-``queue_limit``; ``"defer"`` keeps everything); (2) up to
-``admit_limit`` queued requests are admitted FIFO into a
-:class:`~repro.pram.trace.StepTrace` — requests past their
-``request_timeout`` deadline expire here instead; (3) the emulator
-serves the step — hashing, request routing under whatever
-``node_capacity`` / ``flow_control`` / fault schedule the emulator was
-built with, memory ops, replies; (4) the virtual clock advances by the
-step's network cost (successful phases *plus* failed-attempt stalls)
-and every served request's sojourn (arrival -> delivery, in network
-steps) is recorded.  Un-admitted requests stay queued and carry over —
-under credit backpressure a congested epoch takes longer, the clock
-advances further, and the queued requests' sojourns grow: exactly the
-open-loop feedback a closed batch cannot express.
+Per epoch: (1) the generator's arrivals for the epoch — one
+:class:`~repro.traffic.generators.RequestBatch`, a ``(field x request)``
+integer matrix — are appended to the *pending table* (the ``"drop"``
+overflow policy rejects arrivals beyond ``queue_limit``; ``"defer"``
+keeps everything); (2) ``_admit`` selects up to ``admit_limit`` of the
+table's columns — requests past their ``request_timeout`` deadline
+expire here instead — and their processor / address / kind / value rows
+become the :class:`~repro.pram.trace.RequestColumns` of one PRAM step;
+(3) the emulator serves the step — hashing, request routing under
+whatever ``node_capacity`` / ``flow_control`` / fault schedule the
+emulator was built with, memory ops, replies; (4) the virtual clock
+advances by the step's network cost (successful phases *plus*
+failed-attempt stalls) and the epoch's record is read off the served
+columns (sojourns are ``clock - stamp``, per-tenant counts a
+``bincount`` of the tenant row).  Un-admitted requests stay in the
+table and carry over — under credit backpressure a congested epoch
+takes longer, the clock advances further, and the queued requests'
+sojourns grow: exactly the open-loop feedback a closed batch cannot
+express.
+
+A request is a table column from the generator to the
+:class:`~repro.traffic.telemetry.EpochRecord`; no per-request object is
+built on the way.  :class:`~repro.traffic.generators.TrafficRequest`
+*row views* are made where somebody reads them: :attr:`queue`,
+:attr:`dead_letters`, and iterating a batch.
 
 Degraded-mode hardening
 -----------------------
 A step that the emulator gives up on (it raises
 :class:`~repro.faults.RehashStormError` when a fault schedule keeps an
 attempt from completing) does **not** lose its requests: each one is
-re-enqueued at the back of the queue with an exponential-backoff
-eligibility time (``backoff * 2**(attempt-1)`` virtual steps), up to
+re-appended to the table (a fresh seq, its attempt count one higher)
+with an exponential-backoff eligibility time (``backoff *
+2**(attempt-1)`` virtual steps, computed in int64), up to
 ``retry_limit`` attempts, after which it moves to ``dead_letters``.
 When every queued request is backing off, the driver fast-forwards the
 clock to the earliest eligibility instead of spinning idle epochs.
@@ -45,8 +56,8 @@ its own every epoch, so a :class:`~repro.faults.FaultSchedule` runs on
 the same timeline the telemetry reports, and it annotates each epoch
 with the fault events that fired during it.
 
-Admitted batches are precompiled work for the engines: requests
-become one PRAM step, which the emulators route through their
+Admitted batches are precompiled work for the engines: the selected
+columns are one PRAM step, which the emulators route through their
 ``engine="auto"`` dispatch, so online epochs stay on the vectorized
 batch / constrained-batch paths.  The per-epoch dispatch history on the
 report (``run_modes``) lets tests assert that no epoch silently fell
@@ -60,17 +71,25 @@ a fixed (workload seed, emulator seed) pair replays bit-identically on
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import RehashStormError
 from repro.obs import NULL_OBSERVER
-from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
-from repro.traffic.generators import TrafficRequest, WorkloadGenerator
+from repro.pram.trace import RequestColumns
+from repro.traffic.generators import (
+    ADDR,
+    EPOCH,
+    IS_READ,
+    PID,
+    TENANT,
+    VALUE,
+    RequestBatch,
+    TrafficRequest,
+    WorkloadGenerator,
+)
 from repro.traffic.telemetry import EpochRecord, TrafficReport
 
 __all__ = ["DriverAlreadyRanError", "OnlineEmulator", "QOS_CLASSES", "TenantPolicy"]
@@ -79,6 +98,10 @@ OVERFLOW_POLICIES = ("defer", "drop")
 
 #: admission priority order, highest first
 QOS_CLASSES = ("gold", "silver", "bronze")
+
+#: the pending table's rows below a batch matrix's seven request fields
+STAMP, NOT_BEFORE, ATTEMPTS = 7, 8, 9
+_TABLE_ROWS = 10
 
 
 @dataclass(frozen=True)
@@ -92,7 +115,7 @@ class TenantPolicy:
     tenant: str
     qos: str = "silver"
     quota: int | None = None
-    #: heap rank of ``qos``: lower admits first (derived, read per push)
+    #: rank of ``qos``: lower admits first (derived)
     rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -109,15 +132,6 @@ class DriverAlreadyRanError(RuntimeError):
     """A second :meth:`OnlineEmulator.run` on the same driver.  Terminal:
     the workload stream and the clock both restart at 0, so a re-run
     would replay the same arrivals against mutated emulator state."""
-
-
-def _tenant_counts(*groups) -> dict[str, int]:
-    """Requests per tenant label across any number of request iterables."""
-    counts: dict[str, int] = {}
-    for group in groups:
-        for req in group:
-            counts[req.tenant] = counts.get(req.tenant, 0) + 1
-    return counts
 
 
 class OnlineEmulator:
@@ -161,7 +175,7 @@ class OnlineEmulator:
         Per-request deadline in virtual network steps.  A request still
         undelivered ``request_timeout`` steps after arrival expires at
         its next admission opportunity (lazily, when it reaches the
-        head of its address's sub-queue) and is counted ``timed_out``.
+        head of its address's chain) and is counted ``timed_out``.
         ``None`` (default) disables deadlines.
     retry_limit / backoff:
         Degraded-mode retry policy: a request whose serving step failed
@@ -177,13 +191,14 @@ class OnlineEmulator:
     policies / default_policy:
         Multi-tenant QoS: an iterable of :class:`TenantPolicy` (one per
         tenant label, duplicates rejected) and the policy of every
-        tenant without one (default: ``silver``, no quota).  Heads pop
-        in ``(qos rank, arrival)`` order — strict priority across
-        classes, FIFO within a class — and a head whose tenant already
-        used its per-epoch ``quota`` is deferred like one still backing
-        off.  Only the admission *order* depends on policies; with none
-        given every tenant shares the default class and admission is
-        plain FIFO.
+        tenant without one (default: ``silver``, no quota).  Per-address
+        heads are taken in ``(qos rank, arrival)`` order — strict
+        priority across classes, FIFO within a class — and a head whose
+        tenant already used its per-epoch ``quota`` blocks like one
+        still backing off (the rule is stated once, beside ``_admit``).
+        Only the admission *order* depends on policies; with none given
+        every tenant shares the default class and admission is plain
+        FIFO.
     """
 
     def __init__(
@@ -225,6 +240,10 @@ class OnlineEmulator:
             raise ValueError("backoff must be >= 1")
         if rehash_storm_cap is not None and rehash_storm_cap < 1:
             raise ValueError("rehash_storm_cap must be >= 1")
+        if backoff << retry_limit >= 1 << 62:
+            raise ValueError(
+                "backoff * 2**retry_limit overflows the int64 virtual clock"
+            )
         procs = emulator.n_processors
         if procs is not None and workload.n_procs > procs:
             raise ValueError(
@@ -265,31 +284,24 @@ class OnlineEmulator:
         self.default_policy = (
             default_policy if default_policy is not None else TenantPolicy("default")
         )
-        # Admission state: one FIFO sub-queue per address plus a lazy
-        # min-heap of (qos rank, seq, addr) over the sub-queue *heads*
-        # (the rank is the head's tenant's; with one class it is a
-        # constant and the order is (seq, addr)).  Exclusive
-        # admission used to rescan (and re-splice) the whole backlog
-        # every epoch — O(epochs x backlog) on a hot-spot workload; the
-        # heap pops exactly the admitted/deferred heads instead.
-        # Invariant: the heap holds an entry for the current head of
-        # every non-empty sub-queue (plus possibly stale entries, which
-        # the seq check discards).  Entries are
-        # (seq, request, arrival_clock, not_before).
-        self._subq: dict[int, deque[tuple[int, TrafficRequest, int, int]]] = {}
-        self._heap: list[tuple[int, int, int]] = []
-        self._seq = 0
-        self._n_queued = 0
-        #: queued requests per tenant label (kept incrementally so the
-        #: per-epoch backlog snapshot is O(tenants), not O(backlog))
-        self._queued_by_tenant: dict[str, int] = {}
-        #: retry attempts per request id (only failed-step survivors)
-        self._retries: dict[int, int] = {}
+        # Admission state: the pending table.  One int64 matrix, a column
+        # per queued request: the batch matrix's seven rows (TENANT
+        # re-indexed into this driver's ``_tenants``) plus STAMP (the
+        # clock at arrival), NOT_BEFORE (backoff eligibility) and
+        # ATTEMPTS (failed steps so far).  Columns stay in seq order —
+        # arrivals and backoff re-queues append, ``_admit`` masks out
+        # what it popped — so a column's position *is* its seq.
+        self._table = np.empty((_TABLE_ROWS, 0), dtype=np.int64)
+        #: tenant labels in first-seen order, and per label (same index)
+        #: its policy's rank and quota
+        self._tenants: list[str] = []
+        self._rank = np.empty(0, dtype=np.int64)
+        self._quota: list[int | None] = []
         #: requests that exhausted ``retry_limit``: (request,
         #: arrival_clock, attempts) — kept for post-mortem accounting
         self.dead_letters: list[tuple[TrafficRequest, int, int]] = []
-        #: requests expired by the last ``_admit`` call (per-epoch scratch)
-        self._expired: list[TrafficRequest] = []
+        #: table columns expired by the last ``_admit`` call
+        self._expired = self._table
         #: virtual time in network steps (served cost + retry stalls +
         #: backoff fast-forwards)
         self.clock = 0
@@ -301,146 +313,170 @@ class OnlineEmulator:
     @property
     def backlog(self) -> int:
         """Requests currently waiting in the admission queue."""
-        return self._n_queued
+        return self._table.shape[1]
+
+    @property
+    def backlog_by_tenant(self) -> dict[str, int]:
+        """Queued requests per tenant label."""
+        return self._by_tenant(self._table[TENANT])
 
     @property
     def queue(self) -> list[tuple[TrafficRequest, int]]:
         """The queued (request, arrival_clock) pairs in FIFO order.
 
-        A read-only snapshot (introspection and tests); admission runs
-        on the internal sub-queue structures.
+        A read-only snapshot (introspection and tests): the requests
+        are row views built here; admission runs on the table.
         """
-        entries: list[tuple[int, TrafficRequest, int, int]] = []
-        for dq in self._subq.values():
-            entries.extend(dq)
-        entries.sort(key=lambda t: t[0])
-        return [(req, stamp) for _seq, req, stamp, _nb in entries]
+        return list(zip(self._views(self._table), self._table[STAMP].tolist()))
+
+    def _views(self, columns: np.ndarray) -> RequestBatch:
+        """Table *columns* as a batch (iterate it for ``TrafficRequest``s)."""
+        return RequestBatch(columns[:STAMP], tuple(self._tenants))
 
     # ------------------------------------------------------------------
-    def _enqueue(self, req: TrafficRequest, stamp: int, not_before: int) -> None:
-        dq = self._subq.get(req.addr)
-        if dq is None:
-            dq = self._subq[req.addr] = deque()
-        if not dq:  # the new head: its tenant's class ranks the sub-queue
-            rank = self.policies.get(req.tenant, self.default_policy).rank
-            heappush(self._heap, (rank, self._seq, req.addr))
-        dq.append((self._seq, req, stamp, not_before))
-        self._seq += 1
-        self._n_queued += 1
-        t = req.tenant
-        self._queued_by_tenant[t] = self._queued_by_tenant.get(t, 0) + 1
+    def _tenant_column(self, batch: RequestBatch) -> np.ndarray:
+        """*batch*'s ``TENANT`` row in this driver's tenant indices,
+        interning labels (and their policies) on first sight."""
+        known = self._tenants
+        for name in batch.tenants:
+            if name not in known:
+                known.append(name)
+                policy = self.policy_for(name)
+                self._rank = np.append(self._rank, policy.rank)
+                self._quota.append(policy.quota)
+        column = batch.matrix[TENANT]
+        if list(batch.tenants) == known[: len(batch.tenants)]:
+            return column
+        return np.asarray([known.index(t) for t in batch.tenants])[column]
 
-    def _dequeued(self, req: TrafficRequest) -> None:
-        """Bookkeeping for one request leaving the admission queue."""
-        self._n_queued -= 1
-        left = self._queued_by_tenant.get(req.tenant, 0) - 1
-        if left > 0:
-            self._queued_by_tenant[req.tenant] = left
-        else:
-            self._queued_by_tenant.pop(req.tenant, None)
+    def _by_tenant(self, tenant_ids: np.ndarray) -> dict[str, int]:
+        """Requests per tenant label in a ``TENANT`` column."""
+        counts = np.bincount(tenant_ids, minlength=len(self._tenants)).tolist()
+        return {name: k for name, k in zip(self._tenants, counts) if k}
 
-    def _admit(self) -> list[tuple[TrafficRequest, int]]:
-        """Pop this epoch's batch: strict priority across QoS classes,
-        FIFO within one, respecting the exclusive rule and quotas.
+    def _sojourns_by_tenant(self, tenant_ids, sojourns) -> dict[str, list[int]]:
+        """Served sojourns per tenant label, labels in first-served order."""
+        present, first = np.unique(tenant_ids, return_index=True)
+        return {
+            self._tenants[t]: sojourns[tenant_ids == t].tolist()
+            for t in present[np.argsort(first)].tolist()
+        }
 
-        Heads are taken in ``(qos rank, arrival seq)`` order.  A head is
-        *deferred* — left queued, position preserved — when it is still
-        backing off, (exclusive mode) its address was already admitted
-        this epoch, or its tenant has used its per-epoch ``quota``;
-        deferring the head defers its whole sub-queue, which is exactly
-        the old skip-scan semantics, since every later request for that
-        address queued behind it.  Heads past their ``request_timeout``
-        deadline expire here instead of admitting; they land in
-        ``self._expired`` (reset per call) for the epoch record.
+    def _enqueue(self, batch: RequestBatch, stamp: int, not_before: int) -> None:
+        columns = np.empty((_TABLE_ROWS, len(batch)), dtype=np.int64)
+        columns[:STAMP] = batch.matrix
+        columns[TENANT] = self._tenant_column(batch)
+        columns[STAMP] = stamp
+        columns[NOT_BEFORE] = not_before
+        columns[ATTEMPTS] = 0
+        self._table = np.concatenate((self._table, columns), axis=1)
+
+    def _admit(self) -> np.ndarray:
+        """Pop this epoch's batch off the pending table, as table columns
+        in pop order (``_expired`` gets the columns that timed out).
+
+        The rule, stated without a data structure: each address's queued
+        requests form a FIFO *chain*, and only a chain's oldest request
+        — its head — can be taken.  The next head taken is the one with
+        the smallest ``(qos rank, seq)``: strict priority across
+        classes, FIFO within one.  A head past its ``request_timeout``
+        expires; a head still backing off, whose address was already
+        admitted this epoch (exclusive mode) or whose tenant has used
+        its per-epoch quota *blocks* — it stays queued, and so does
+        everything behind it in its chain; any other head is admitted.
+        The pass ends with the ``admit_limit``-th admission.
+
+        In closed form: a chain is cut at its first blocker and every
+        row before the cut is popped, **in order of the running maximum
+        of ``(rank, seq)`` along its chain, then its own seq** — a head
+        exposed with a smaller key than the last pop is popped next,
+        which is how a gold request waits behind a bronze head for its
+        address and then jumps the silver queue (with one class this is
+        plain seq order).  Back-off and exclusivity blockers are known
+        up front (in exclusive mode: every live row with a live row
+        before it in its chain; expired rows behind an admitted head
+        still expire).  Quota blockers depend on the pop order: the
+        tenant that first exceeds its quota, in pop order, has its live
+        rows from there on made blockers and reachability is recomputed
+        (pop keys never change, and rows already popped stay popped) —
+        one pass per quota'd tenant at most.  Last, the pop sequence is
+        cut right after the ``admit_limit``-th live row; expired rows
+        past it stay queued.
         """
-        batch: list[tuple[TrafficRequest, int]] = []
-        expired: list[TrafficRequest] = []
-        self._expired = expired
-        deferred: list[tuple[int, int, int]] = []
-        seen_addrs: set[int] = set()
-        used: dict[str, int] = {}  # admitted this epoch, per quota'd tenant
-        heap, subq = self._heap, self._subq
-        policy_of, default = self.policies.get, self.default_policy
-        while heap and len(batch) < self.admit_limit:
-            entry = heappop(heap)
-            _rank, seq, addr = entry
-            dq = subq.get(addr)
-            if not dq or dq[0][0] != seq:
-                continue  # stale heap entry
-            _seq, req, stamp, not_before = dq[0]
-            if (
-                self.request_timeout is not None
-                and self.clock - stamp > self.request_timeout
-            ):
-                dq.popleft()
-                self._dequeued(req)
-                expired.append(req)
-            elif (
-                not_before > self.clock
-                or (self.exclusive and addr in seen_addrs)
-                or (
-                    (quota := policy_of(req.tenant, default).quota) is not None
-                    and used.get(req.tenant, 0) >= quota
-                )
-            ):
-                deferred.append(entry)
-                continue
-            else:
-                dq.popleft()
-                self._dequeued(req)
-                if self.exclusive:
-                    seen_addrs.add(addr)
+        clock = self.clock
+        order = np.argsort(self._table[ADDR], kind="stable")  # chains, seq ascending
+        n = order.size
+        table = self._table[:, order]
+        addr, tenant = table[ADDR], table[TENANT]
+        head = np.ones(n, dtype=bool)
+        head[1:] = addr[1:] != addr[:-1]
+        first, chain = np.flatnonzero(head), np.cumsum(head) - 1
+
+        def before_in_chain(flags):
+            """Per row: how many flagged rows precede it in its chain."""
+            before = np.cumsum(flags) - flags
+            return before - before[first][chain]
+
+        if self.request_timeout is None:
+            live = np.ones(n, dtype=bool)
+        else:
+            live = clock - table[STAMP] <= self.request_timeout
+        blocker = live & (table[NOT_BEFORE] > clock)
+        if self.exclusive:
+            blocker |= live & (before_in_chain(live) > 0)
+        # chain c's keys are lifted above chain c-1's, so one running
+        # maximum over the whole column is the per-chain one
+        lift = chain * (len(QOS_CLASSES) * n)
+        key = np.maximum.accumulate(self._rank[tenant] * n + order + lift) - lift
+        while True:
+            pops = np.flatnonzero(before_in_chain(blocker) + blocker == 0)
+            pops = pops[np.argsort(key[pops], kind="stable")]
+            taken = live[pops]
+            # the quota'd-tenant loop: where each one's (quota+1)-th
+            # admission sits in the pop order
+            over = {}
+            for t, quota in enumerate(self._quota):
                 if quota is not None:
-                    used[req.tenant] = used.get(req.tenant, 0) + 1
-                batch.append((req, stamp))
-            if dq:
-                head = dq[0]
-                rank = policy_of(head[1].tenant, default).rank
-                heappush(heap, (rank, head[0], addr))
-            else:
-                del subq[addr]
-        for item in deferred:
-            heappush(heap, item)
-        return batch
+                    at = np.flatnonzero(taken & (tenant[pops] == t))[quota:]
+                    if at.size:
+                        over[at[0]] = pops[at]
+            if not over:
+                break
+            blocker[over[min(over)]] = True
+        last = np.searchsorted(np.cumsum(taken), self.admit_limit) + 1
+        pops, taken = pops[:last], taken[:last]
+        self._expired = table[:, pops[~taken]]
+        keep = np.ones(n, dtype=bool)
+        keep[order[pops]] = False
+        self._table = self._table[:, keep]
+        return table[:, pops[taken]]
 
-    @staticmethod
-    def _build_step(batch: list[tuple[TrafficRequest, int]]) -> StepTrace:
-        step = StepTrace()
-        for req, _stamp in batch:
-            if req.kind == "read":
-                step.reads.append(ReadRequest(req.pid, req.addr))
-            else:
-                step.writes.append(WriteRequest(req.pid, req.addr, req.value))
-        return step
-
-    def _requeue_failed(
-        self, batch: list[tuple[TrafficRequest, int]]
-    ) -> tuple[int, int]:
-        """Retry-or-dead-letter every request of a failed step."""
-        retried = dead = 0
-        for req, stamp in batch:
-            attempt = self._retries.get(req.rid, 0) + 1
-            self._retries[req.rid] = attempt
-            if attempt > self.retry_limit:
-                self.dead_letters.append((req, stamp, attempt - 1))
-                dead += 1
-            else:
-                # Re-enqueue at the back (fresh seq) with exponential
-                # backoff; the original stamp is kept so an eventual
-                # delivery reports the true arrival->delivery sojourn.
-                self._enqueue(
-                    req, stamp, self.clock + self.backoff * 2 ** (attempt - 1)
-                )
-                retried += 1
-        return retried, dead
+    def _requeue_failed(self, batch: np.ndarray) -> np.ndarray:
+        """Retry-or-dead-letter every request of a failed step; returns
+        the dead-lettered columns."""
+        attempt = batch[ATTEMPTS] + 1
+        dead = batch[:, attempt > self.retry_limit]
+        # dead letters: the one place the served path builds request
+        # objects (row views), for post-mortem reading
+        self.dead_letters += zip(
+            self._views(dead), dead[STAMP].tolist(), dead[ATTEMPTS].tolist()
+        )
+        # Re-enqueue the rest at the back (fresh seq) with exponential
+        # backoff; the original stamp is kept so an eventual delivery
+        # reports the true arrival->delivery sojourn.
+        retry = batch[:, attempt <= self.retry_limit]
+        retry[ATTEMPTS] += 1
+        retry[NOT_BEFORE] = self.clock + self.backoff * 2 ** (retry[ATTEMPTS] - 1)
+        self._table = np.concatenate((self._table, retry), axis=1)
+        return dead
 
     def _fast_forward(self) -> int:
         """Steps to the earliest backoff eligibility among queued heads
         (0 when anything is admissible now or the queue is empty)."""
-        if not self._subq:
+        if not self.backlog:
             return 0
-        nxt = min(dq[0][3] for dq in self._subq.values())
-        return max(0, nxt - self.clock)
+        _addrs, heads = np.unique(self._table[ADDR], return_index=True)
+        return max(0, int(self._table[NOT_BEFORE, heads].min()) - self.clock)
 
     # ------------------------------------------------------------------
     def run(self, epochs: int) -> TrafficReport:
@@ -466,24 +502,16 @@ class OnlineEmulator:
         annotate = faults is not None and bool(faults.schedule)
         for epoch in range(epochs):
             arrivals = stream[epoch]
-            dropped = 0
-            dropped_reqs: list[TrafficRequest] = []
-            if self.overflow == "drop":
-                room = self.queue_limit - self._n_queued
-                if len(arrivals) > room:
-                    dropped = len(arrivals) - max(room, 0)
-                    dropped_reqs = list(arrivals[max(room, 0) :])
-                    arrivals = arrivals[: max(room, 0)]
-            arrivals_by_tenant = _tenant_counts(arrivals, dropped_reqs)
-            for req in arrivals:
-                self._enqueue(req, self.clock, self.clock)
+            offered = self._tenant_column(arrivals)
+            room = len(arrivals)
+            if self.overflow == "drop":  # drop-tail beyond queue_limit
+                room = min(room, max(self.queue_limit - self.backlog, 0))
+            self._enqueue(arrivals[:room], self.clock, self.clock)
             clock_before = self.clock
-            dead_before = len(self.dead_letters)
             batch = self._admit()
             expired = self._expired
-            retried = dead_lettered = 0
-            served: list[tuple[TrafficRequest, int]] = []
-            if batch:
+            served = dead = batch[:, :0]
+            if batch.shape[1]:
                 # Pin the emulator's fault clock to the driver's so the
                 # schedule, the backoff timers, and the telemetry all
                 # run on one timeline (fast-forwards included).
@@ -493,10 +521,14 @@ class OnlineEmulator:
                     category="epoch",
                     virtual_clock=self.clock,
                     epoch=epoch,
-                    admitted=len(batch),
+                    admitted=batch.shape[1],
                 ) as sp:
                     try:
-                        cost = emu.emulate_step(self._build_step(batch))
+                        cost = emu.emulate_step(
+                            RequestColumns(
+                                batch[PID], batch[ADDR], batch[IS_READ], batch[VALUE]
+                            )
+                        )
                         served = batch
                     except RehashStormError as exc:
                         # The step burned time but delivered nothing; its
@@ -505,13 +537,13 @@ class OnlineEmulator:
                             0,
                             0,
                             rehashes=exc.rehashes,
-                            requests=len(batch),
+                            requests=batch.shape[1],
                             stall_steps=exc.stall_steps,
                             deadlock_retries=exc.deadlock_retries,
                             run_modes=tuple(exc.run_modes),
                         )
                         self.clock += cost.stall_steps
-                        retried, dead_lettered = self._requeue_failed(batch)
+                        dead = self._requeue_failed(batch)
                         obs.count("epoch_storms_total")
                     else:
                         self.clock += cost.total_steps + cost.stall_steps
@@ -532,8 +564,9 @@ class OnlineEmulator:
                     sp.virtual_end = self.clock
             else:
                 cost = StepCost(0, 0)
+            n_served = served.shape[1]
             stall_steps = cost.stall_steps
-            if not served and self._n_queued:
+            if not n_served and self.backlog:
                 # Nothing admissible: everything queued is backing off.
                 # Jump to the earliest eligibility instead of spinning.
                 ff = self._fast_forward()
@@ -544,18 +577,13 @@ class OnlineEmulator:
                 fault_events = tuple(
                     faults.events_between(clock_before, self.clock)
                 )
-            tenant_sojourns: dict[str, list[int]] = {}
-            for req, stamp in served:
-                tenant_sojourns.setdefault(req.tenant, []).append(
-                    self.clock - stamp
-                )
-            addrs = np.asarray([req.addr for req, _ in served], dtype=np.int64)
+            sojourns = self.clock - served[STAMP]
             record = EpochRecord(
                 epoch=epoch,
-                arrivals=len(arrivals) + dropped,
-                dropped=dropped,
-                admitted=len(served),
-                backlog=self._n_queued,
+                arrivals=len(arrivals),
+                dropped=len(arrivals) - room,
+                admitted=n_served,
+                backlog=self.backlog,
                 steps=cost.total_steps,
                 request_steps=cost.request_steps,
                 reply_steps=cost.reply_steps,
@@ -565,27 +593,25 @@ class OnlineEmulator:
                 credits_stalled=cost.credits_stalled,
                 run_modes=cost.run_modes,
                 clock=self.clock,
-                sojourns=[self.clock - stamp for _req, stamp in served],
-                sojourns_epochs=[epoch - req.epoch for req, _stamp in served],
+                sojourns=sojourns.tolist(),
+                sojourns_epochs=(epoch - served[EPOCH]).tolist(),
                 stall_steps=stall_steps,
                 fault_stalls=cost.fault_stalls,
                 deadlock_retries=cost.deadlock_retries,
-                retried=retried,
-                timed_out=len(expired),
-                dead_lettered=dead_lettered,
+                retried=batch.shape[1] - n_served - dead.shape[1],
+                timed_out=expired.shape[1],
+                dead_lettered=dead.shape[1],
                 fault_events=fault_events,
                 # asked after the step: the hash of the attempt that
                 # succeeded (mid-step rehashes, detected-dead remap)
-                modules=emu.serving_modules(addrs).tolist() if served else [],
-                arrivals_by_tenant=arrivals_by_tenant,
-                dropped_by_tenant=_tenant_counts(dropped_reqs),
-                delivered_by_tenant=_tenant_counts(r for r, _ in served),
-                timed_out_by_tenant=_tenant_counts(expired),
-                dead_lettered_by_tenant=_tenant_counts(
-                    r for r, _stamp, _n in self.dead_letters[dead_before:]
-                ),
-                backlog_by_tenant=dict(self._queued_by_tenant),
-                tenant_sojourns=tenant_sojourns,
+                modules=emu.serving_modules(served[ADDR]).tolist() if n_served else [],
+                arrivals_by_tenant=self._by_tenant(offered),
+                dropped_by_tenant=self._by_tenant(offered[room:]),
+                delivered_by_tenant=self._by_tenant(served[TENANT]),
+                timed_out_by_tenant=self._by_tenant(expired[TENANT]),
+                dead_lettered_by_tenant=self._by_tenant(dead[TENANT]),
+                backlog_by_tenant=self.backlog_by_tenant,
+                tenant_sojourns=self._sojourns_by_tenant(served[TENANT], sojourns),
             )
             report.add(record)
             _publish(obs, record)

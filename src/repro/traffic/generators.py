@@ -5,7 +5,11 @@ it; the traffic subsystem instead *streams* requests at the emulators:
 an :class:`ArrivalProcess` decides how many requests arrive in each
 epoch, a :class:`KeyDistribution` decides which shared-memory addresses
 they touch, and a :class:`WorkloadGenerator` composes the two with a
-read/write mix and per-request processor assignment.
+read/write mix and per-request processor assignment.  An epoch's
+arrivals come out as one :class:`RequestBatch` — the draws, stacked as
+the rows of an integer matrix — which is the form the driver queues,
+admits and serves them in; a :class:`TrafficRequest` is a *view* of one
+of its columns.
 
 Randomness discipline
 ---------------------
@@ -44,6 +48,7 @@ __all__ = [
     "HotspotKeys",
     "KeyDistribution",
     "PoissonArrivals",
+    "RequestBatch",
     "ScanKeys",
     "TrafficRequest",
     "UniformKeys",
@@ -72,6 +77,82 @@ class TrafficRequest:
     epoch: int
     value: Any = None
     tenant: str = "default"
+
+
+#: the rows of a :class:`RequestBatch` matrix, one per request field
+RID, PID, ADDR, IS_READ, EPOCH, VALUE, TENANT = range(7)
+#: the ``VALUE`` of a request that carries none (every generated read)
+NO_VALUE = np.iinfo(np.int64).min
+
+
+class RequestBatch:
+    """One epoch's arrivals as a ``(field x request)`` int64 matrix.
+
+    The representation a request keeps from the generator to the
+    driver's :class:`~repro.traffic.telemetry.EpochRecord`: column j is
+    request j, row ``RID`` / ``PID`` / ``ADDR`` / ``IS_READ`` / ``EPOCH``
+    / ``VALUE`` / ``TENANT`` its fields (``TENANT`` indexes
+    :attr:`tenants`; ``VALUE`` is :data:`NO_VALUE` for ``None``).  The
+    driver stacks these matrices into its pending table and slices the
+    served step back out, so no per-request object exists on the served
+    path.  The object surface is ``len()``, slicing, ``==`` and
+    iteration, which yields :class:`TrafficRequest` *row views* — built
+    on demand for tests, ``OnlineEmulator.queue`` and ``dead_letters``.
+    """
+
+    __slots__ = ("matrix", "tenants")
+
+    def __init__(self, matrix: np.ndarray, tenants: tuple[str, ...] = ("default",)):
+        self.matrix = matrix
+        self.tenants = tenants
+
+    @classmethod
+    def from_requests(cls, requests) -> "RequestBatch":
+        """The batch holding *requests* (integer write values only)."""
+        requests = list(requests)
+        tenants = tuple(dict.fromkeys(r.tenant for r in requests))
+        ids = {name: i for i, name in enumerate(tenants)}
+        rows = [
+            (
+                r.rid,
+                r.pid,
+                r.addr,
+                r.kind == "read",
+                r.epoch,
+                NO_VALUE if r.value is None else r.value,
+                ids[r.tenant],
+            )
+            for r in requests
+        ]
+        matrix = np.asarray(rows, dtype=np.int64).reshape(len(rows), 7).T
+        return cls(matrix, tenants)
+
+    def __len__(self) -> int:
+        return self.matrix.shape[1]
+
+    def __getitem__(self, rows: slice) -> "RequestBatch":
+        return RequestBatch(self.matrix[:, rows], self.tenants)
+
+    def __iter__(self):
+        names = self.tenants
+        for rid, pid, addr, is_read, epoch, value, tenant in self.matrix.T.tolist():
+            yield TrafficRequest(
+                rid,
+                pid,
+                addr,
+                "read" if is_read else "write",
+                epoch,
+                None if value == NO_VALUE else value,
+                names[tenant],
+            )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RequestBatch):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"RequestBatch({len(self)} requests, tenants={self.tenants})"
 
 
 # ---- arrival processes -----------------------------------------------------
@@ -315,43 +396,34 @@ class WorkloadGenerator:
     def address_space(self) -> int:
         return self.keys.address_space
 
-    def stream(self, epochs: int) -> list[list[TrafficRequest]]:
-        """The first *epochs* epochs of arrivals, one list per epoch.
+    def stream(self, epochs: int) -> list[RequestBatch]:
+        """The first *epochs* epochs of arrivals, one batch per epoch.
 
         Fixed draw order — counts, then per-epoch (addresses, kinds,
         pids) — from a generator derived from the snapshotted root
-        seed, so equal seeds give bit-identical streams.
+        seed, so equal seeds give bit-identical streams.  The epochs'
+        batches are column ranges of one matrix.
         """
         if epochs < 0:
             raise ValueError("epochs must be >= 0")
         rng = np.random.default_rng(self.root_seed)
         counts = self.arrivals.counts(epochs, rng)
-        out: list[list[TrafficRequest]] = []
-        rid = 0
-        for epoch, k in enumerate(counts.tolist()):
-            if k == 0:
-                out.append([])
-                continue
-            addrs = self.keys.draw(k, rng)
-            if self.read_fraction >= 1.0:
-                is_read = np.ones(k, dtype=bool)
-            elif self.read_fraction <= 0.0:
-                is_read = np.zeros(k, dtype=bool)
-            else:
-                is_read = rng.random(k) < self.read_fraction
-            pids = rng.integers(self.n_procs, size=k, dtype=np.int64)
-            batch = []
-            for a, r, p in zip(addrs.tolist(), is_read.tolist(), pids.tolist()):
-                batch.append(
-                    TrafficRequest(
-                        rid=rid,
-                        pid=int(p),
-                        addr=int(a),
-                        kind="read" if r else "write",
-                        epoch=epoch,
-                        value=None if r else rid,
-                    )
-                )
-                rid += 1
-            out.append(batch)
+        ends = np.cumsum(counts)
+        matrix = np.empty((7, int(counts.sum())), dtype=np.int64)
+        matrix[RID] = np.arange(matrix.shape[1])
+        matrix[EPOCH] = np.repeat(np.arange(epochs), counts)
+        matrix[TENANT] = 0
+        drawn_kinds = 0.0 < self.read_fraction < 1.0
+        matrix[IS_READ] = self.read_fraction >= 1.0
+        out = []
+        for k, hi in zip(counts.tolist(), ends.tolist()):
+            batch = matrix[:, hi - k : hi]
+            if k:
+                batch[ADDR] = self.keys.draw(k, rng)
+                if drawn_kinds:
+                    batch[IS_READ] = rng.random(k) < self.read_fraction
+                batch[PID] = rng.integers(self.n_procs, size=k, dtype=np.int64)
+            out.append(RequestBatch(batch))
+        # writes carry their rid as the value
+        matrix[VALUE] = np.where(matrix[IS_READ], NO_VALUE, matrix[RID])
         return out

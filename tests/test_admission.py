@@ -1,10 +1,11 @@
-"""The one admission pass (``OnlineEmulator._enqueue`` / ``._admit``)
-against an executable specification.
+"""The one admission pass (``OnlineEmulator._enqueue`` / ``._admit`` /
+``._requeue_failed``) against an executable specification.
 
-The driver keeps one FIFO sub-queue per address and a lazy heap over the
-sub-queue heads; the specification below knows neither structure.  It
+The driver keeps its backlog as one integer table and takes each
+epoch's batch as a closed-form selection on it (sorts, running maxima,
+cumulative sums); the specification below knows none of that.  It
 holds the backlog as one list in arrival order and re-derives every
-choice from the documented rules:
+choice, one request at a time, from the documented rules:
 
 * a request is only ever reachable as the *head* (oldest queued request)
   of its address — a sub-queue is FIFO across tenants, so a gold request
@@ -19,8 +20,10 @@ choice from the documented rules:
   its address's sub-queue" for the rest of the epoch;
 * the pass ends when the batch is full or nothing is reachable.
 
-This is the oracle a table-selection ``_admit`` (ROADMAP item 3) will be
-held to.
+The sweep drives both through the same arrivals, clock ticks and failed
+steps; the directed cases below it pin the facts the closed form rests
+on (pop order is a running maximum, exclusivity and quotas are chain
+cuts, the ``admit_limit`` cut leaves later expired rows queued).
 """
 
 import json
@@ -37,13 +40,18 @@ from repro.traffic import (
     QOS_CLASSES,
     OnlineEmulator,
     PoissonArrivals,
+    RequestBatch,
     TenantPolicy,
     TrafficRequest,
     WorkloadGenerator,
     ZipfKeys,
 )
+from repro.traffic.driver import ATTEMPTS, STAMP
+from repro.traffic.generators import RID
 
 TENANTS = ("acme", "globex", "initech")
+#: the sweep's tenants: a fourth one, so two share a class
+SWEEP_TENANTS = TENANTS + ("umbrella",)
 
 
 class _IdleEmulator(Emulator):
@@ -62,7 +70,33 @@ class _NoWorkload:
     address_space = 64
 
     def stream(self, epochs):  # pragma: no cover - never streamed
-        return [[] for _ in range(epochs)]
+        return [RequestBatch.from_requests([]) for _ in range(epochs)]
+
+
+# the adapter: the driver speaks table columns, the spec request objects
+
+
+def _enqueue(drv, spec, reqs, stamp, not_before):
+    drv._enqueue(RequestBatch.from_requests(reqs), stamp, not_before)
+    for req in reqs:
+        spec.enqueue(req, stamp, not_before)
+
+
+def _pairs(columns):
+    """Table columns -> [(rid, stamp)]."""
+    return list(zip(columns[RID].tolist(), columns[STAMP].tolist()))
+
+
+def _assert_same_pass(drv, spec):
+    """One ``_admit`` against one ``spec.admit``; returns the batch."""
+    got = drv._admit()
+    want, want_expired = spec.admit(drv.clock)
+    assert _pairs(got) == [(r.rid, s) for r, s in want]
+    assert drv._expired[RID].tolist() == [r.rid for r in want_expired]
+    assert [(r, s) for r, s in drv.queue] == [(e.req, e.stamp) for e in spec.backlog]
+    assert drv.backlog == len(spec.backlog)
+    assert drv.backlog_by_tenant == spec.depth_by_tenant()
+    return got, want
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +180,37 @@ POLICY_SETS = {
         "policies": [TenantPolicy("acme", qos="bronze", quota=quota)],
         "default_policy": TenantPolicy("default", qos="gold"),
     },
+    # four tenants over all three classes, every one quota'd
+    "four": lambda quota: {
+        "policies": [
+            TenantPolicy(t, qos=q, quota=quota)
+            for t, q in zip(SWEEP_TENANTS, QOS_CLASSES + ("gold",))
+        ]
+    },
 }
 
 
 @st.composite
 def admission_cases(draw):
-    n_addrs = draw(st.integers(1, 6))
+    n_addrs = draw(st.integers(1, 12))
     epochs = draw(st.integers(1, 6))
     arrival = st.tuples(
-        st.integers(0, n_addrs - 1), st.sampled_from(TENANTS)
+        st.integers(0, n_addrs - 1), st.sampled_from(SWEEP_TENANTS)
     )
     return dict(
         policy_set=draw(st.sampled_from(sorted(POLICY_SETS))),
-        quota=draw(st.sampled_from([None, 1, 2])),
+        quota=draw(st.sampled_from([None, 1, 2, 3, 4])),
         exclusive=draw(st.booleans()),
         timeout=draw(st.sampled_from([None, 2, 5])),
-        admit_limit=draw(st.integers(1, 8)),
+        admit_limit=draw(st.integers(1, 16)),
+        retry_limit=draw(st.integers(0, 3)),
         epochs=[
             dict(
-                arrivals=draw(st.lists(arrival, max_size=10)),
-                # how many of the admitted batch a failed step re-queues,
-                # and how far in the future they become eligible again
-                requeue=draw(st.integers(0, 3)),
-                backoff=draw(st.integers(1, 6)),
+                arrivals=draw(st.lists(arrival, max_size=30)),
+                # how many of the admitted batch a failed step sends
+                # back through the retry policy, and its base backoff
+                requeue=draw(st.integers(0, 6)),
+                backoff=draw(st.integers(1, 3)),
                 tick=draw(st.integers(0, 4)),
             )
             for _ in range(epochs)
@@ -186,6 +228,7 @@ def test_admit_matches_the_executable_spec(case):
         admit_limit=case["admit_limit"],
         exclusive=case["exclusive"],
         request_timeout=case["timeout"],
+        retry_limit=case["retry_limit"],
         **kwargs,
     )
     spec = SpecQueue(
@@ -196,33 +239,59 @@ def test_admit_matches_the_executable_spec(case):
     )
     rid = 0
     for epoch, plan in enumerate(case["epochs"]):
-        for addr, tenant in plan["arrivals"]:
-            req = _req(rid, addr, tenant, epoch)
-            rid += 1
-            drv._enqueue(req, drv.clock, drv.clock)
-            spec.enqueue(req, drv.clock, drv.clock)
-        got = drv._admit()
-        want, want_expired = spec.admit(drv.clock)
-        assert [(r.rid, s) for r, s in got] == [(r.rid, s) for r, s in want]
-        assert [r.rid for r in drv._expired] == [r.rid for r in want_expired]
-        # a failed step's survivors go to the back with a future
-        # eligibility, keeping their original stamp
-        for req, stamp in got[: plan["requeue"]]:
-            drv._enqueue(req, stamp, drv.clock + plan["backoff"])
-            spec.enqueue(req, stamp, drv.clock + plan["backoff"])
-        assert [(r.rid, s) for r, s in drv.queue] == [
-            (e.req.rid, e.stamp) for e in spec.backlog
+        reqs = [
+            _req(rid + i, addr, tenant, epoch)
+            for i, (addr, tenant) in enumerate(plan["arrivals"])
         ]
-        assert drv.backlog == len(spec.backlog)
-        assert drv._queued_by_tenant == spec.depth_by_tenant()
+        rid += len(reqs)
+        _enqueue(drv, spec, reqs, drv.clock, drv.clock)
+        got, want = _assert_same_pass(drv, spec)
+        # a failed step's survivors go to the back with a future
+        # eligibility that doubles per attempt (the table carries each
+        # row's attempts across re-queues), keeping their original
+        # stamp; rows out of attempts are dead-lettered instead
+        failed = got[:, : plan["requeue"]]
+        drv.backoff = plan["backoff"]
+        letters = len(drv.dead_letters)
+        dead = drv._requeue_failed(failed)
+        want_dead = []
+        for (req, stamp), attempts in zip(want, failed[ATTEMPTS].tolist()):
+            if attempts + 1 > case["retry_limit"]:
+                want_dead.append((req, stamp, attempts))
+            else:
+                spec.enqueue(req, stamp, drv.clock + plan["backoff"] * 2**attempts)
+        assert drv.dead_letters[letters:] == want_dead
+        assert dead[RID].tolist() == [r.rid for r, _s, _a in want_dead]
+        assert [(r, s) for r, s in drv.queue] == [
+            (e.req, e.stamp) for e in spec.backlog
+        ]
         drv.clock += plan["tick"]
 
 
+# ---------------------------------------------------------------------------
+# directed cases: the facts the closed form rests on
+# ---------------------------------------------------------------------------
+
+
+def _pair(*, policies=(), **kwargs):
+    """A driver and its spec twin."""
+    kwargs.setdefault("admit_limit", 16)
+    kwargs.setdefault("exclusive", False)
+    drv = OnlineEmulator(_IdleEmulator(), _NoWorkload(), policies=policies, **kwargs)
+    spec = SpecQueue(
+        admit_limit=kwargs["admit_limit"],
+        exclusive=kwargs["exclusive"],
+        timeout=kwargs.get("request_timeout"),
+        policy_for=drv.policy_for,
+    )
+    return drv, spec
+
+
 def test_a_gold_request_waits_behind_a_bronze_head_for_its_address():
-    """Per-address FIFO beats class priority: the heap only ever sees a
-    sub-queue's head, so gold rid 1 (behind bronze rid 0 on cell 7) is
-    admitted after it — and ahead of silver rid 2, whose turn it jumps
-    the moment it becomes a head."""
+    """Per-address FIFO beats class priority: only a chain's head can be
+    taken, so gold rid 1 (behind bronze rid 0 on cell 7) is admitted
+    after it — and ahead of silver rid 2, whose turn it jumps the moment
+    it becomes a head."""
     drv = OnlineEmulator(
         _IdleEmulator(),
         _NoWorkload(),
@@ -230,11 +299,76 @@ def test_a_gold_request_waits_behind_a_bronze_head_for_its_address():
         exclusive=False,
         policies=[TenantPolicy("acme", qos="gold"), TenantPolicy("initech", qos="bronze")],
     )
-    for rid, (addr, tenant) in enumerate(
-        [(7, "initech"), (7, "acme"), (3, "globex"), (5, "initech")]
-    ):
-        drv._enqueue(_req(rid, addr, tenant), 0, 0)
-    assert [r.rid for r, _ in drv._admit()] == [2, 0, 1, 3]
+    reqs = [
+        _req(rid, addr, tenant)
+        for rid, (addr, tenant) in enumerate(
+            [(7, "initech"), (7, "acme"), (3, "globex"), (5, "initech")]
+        )
+    ]
+    drv._enqueue(RequestBatch.from_requests(reqs), 0, 0)
+    assert drv._admit()[RID].tolist() == [2, 0, 1, 3]
+
+
+def test_pop_order_is_the_running_maximum_along_a_chain():
+    """A three-deep chain whose middle row outranks both neighbours:
+    gold rid 1 pops right after the bronze head that hid it, and silver
+    rid 2 — exposed with a key below the last pop's — right after that,
+    ahead of bronze rid 5 which has been a head all along.  A flat
+    ``(rank, seq)`` sort would give [1, 4, 2, 3, 0, 5]."""
+    drv, spec = _pair(
+        policies=[TenantPolicy("acme", qos="gold"), TenantPolicy("initech", qos="bronze")]
+    )
+    arrivals = [
+        (7, "initech"), (7, "acme"), (7, "globex"),
+        (3, "globex"), (5, "acme"), (9, "initech"),
+    ]  # fmt: skip
+    reqs = [_req(rid, addr, tenant) for rid, (addr, tenant) in enumerate(arrivals)]
+    _enqueue(drv, spec, reqs, 0, 0)
+    got, _want = _assert_same_pass(drv, spec)
+    assert got[RID].tolist() == [4, 3, 0, 1, 2, 5]
+
+
+def test_exclusive_mode_expires_behind_an_admitted_head_up_to_the_next_live_row():
+    drv, spec = _pair(exclusive=True, request_timeout=5)
+    drv.clock = 10
+    # cell 7: live, timed out, timed out, live, timed out
+    for rid, stamp in enumerate([8, 1, 2, 9, 3]):
+        _enqueue(drv, spec, [_req(rid, 7, "acme")], stamp, stamp)
+    got, _want = _assert_same_pass(drv, spec)
+    assert got[RID].tolist() == [0]
+    assert drv._expired[RID].tolist() == [1, 2]
+    assert [r.rid for r, _ in drv.queue] == [3, 4]
+
+
+def test_a_quota_hit_cuts_later_chains_and_the_next_hit_is_found_on_the_new_order():
+    """acme's quota of 1 is used by rid 0, so rid 1 blocks its chain
+    (hiding globex's rid 2) and rid 5 blocks its own; rid 0, already
+    popped, stays.  On the order *before* that cut globex's second
+    admission would have been rid 3 — on the recomputed one it is rid
+    4, so rid 3 is served."""
+    drv, spec = _pair(
+        policies=[TenantPolicy("acme", quota=1), TenantPolicy("globex", quota=1)]
+    )
+    arrivals = [
+        (1, "acme"), (2, "acme"), (2, "globex"),
+        (3, "globex"), (4, "globex"), (5, "acme"),
+    ]  # fmt: skip
+    reqs = [_req(rid, addr, tenant) for rid, (addr, tenant) in enumerate(arrivals)]
+    _enqueue(drv, spec, reqs, 0, 0)
+    got, _want = _assert_same_pass(drv, spec)
+    assert got[RID].tolist() == [0, 3]
+    assert [r.rid for r, _ in drv.queue] == [1, 2, 4, 5]
+
+
+def test_an_expired_row_past_the_last_admission_stays_queued():
+    drv, spec = _pair(admit_limit=1, request_timeout=5)
+    drv.clock = 10
+    for rid, stamp in enumerate([1, 9, 2]):  # timed out, live, timed out
+        _enqueue(drv, spec, [_req(rid, rid, "acme")], stamp, stamp)
+    got, _want = _assert_same_pass(drv, spec)
+    assert got[RID].tolist() == [1]
+    assert drv._expired[RID].tolist() == [0]
+    assert [r.rid for r, _ in drv.queue] == [2]
 
 
 # ---------------------------------------------------------------------------

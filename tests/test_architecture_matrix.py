@@ -448,6 +448,16 @@ SIGNATURES = {
     route_linear: "(n, origins, dests, *, discipline='furthest_first', "
     "max_steps=None, engine='auto')",
     valiant_shuffle_route: "(shuffle, sources, dests, *, seed=None, max_steps=None)",
+    # ... and the serving front end's, before it moved to columns
+    repro.traffic.OnlineEmulator: "(emulator, workload, *, admit_limit=None, "
+    "queue_limit=None, overflow='defer', exclusive=None, request_timeout=None, "
+    "retry_limit=3, backoff=4, rehash_storm_cap=None, observer=None, policies=(), "
+    "default_policy=None)",
+    repro.traffic.WorkloadGenerator: "(n_procs, *, arrivals, keys, read_fraction=1.0, "
+    "seed=None)",
+    repro.sharding.MultiTenantWorkload: "(sources)",
+    repro.sharding.ShardedEmulator: "(shard_factory, n_shards, address_space, *, "
+    "seed=None, placement_degree=4, observer=None)",
 }
 
 PUBLIC_NAMES = """
@@ -494,3 +504,68 @@ def test_the_front_end_has_one_admission_pass():
     ]
     assert repro.sharding.MultiTenantOnlineEmulator is repro.traffic.OnlineEmulator
     assert repro.sharding.TenantPolicy is repro.traffic.TenantPolicy
+
+
+# ---------------------------------------------------------------------------
+# the front end in columns: one request table from generator to EpochRecord
+# ---------------------------------------------------------------------------
+
+SRC = DOC.parent.parent / "src/repro"
+
+
+def _function(relpath: str, name: str):
+    tree = ast.parse((SRC / relpath).read_text())
+    (fn,) = [f for f in ast.walk(tree) if isinstance(f, FUNCTIONS) and f.name == name]
+    return fn
+
+
+def _loops(fn) -> list[str]:
+    """Every ``for`` / ``while`` / comprehension in *fn*, as source of
+    what it iterates (``while`` loops: their test)."""
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            found.append(ast.unparse(node.iter))
+        elif isinstance(node, ast.While):
+            found.append("while " + ast.unparse(node.test))
+    return found
+
+
+def test_the_driver_keeps_no_heap_no_deque_and_builds_no_step_trace():
+    tree = ast.parse((SRC / "traffic/driver.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+    assert not imported & {"heapq", "collections", "deque", "heappush", "heappop"}
+    assert not imported & {"StepTrace", "ReadRequest", "WriteRequest"}
+
+
+def test_the_served_path_loops_over_epochs_and_tenants_only():
+    """No ``for`` over requests: admission is array selections on the
+    pending table, the ``EpochRecord`` is read off the served slice, and
+    dead letters are one ``+= zip(row views, ...)``."""
+    driver = "traffic/driver.py"
+    assert _loops(_function(driver, "run")) == ["range(epochs)"]  # the epoch loop
+    assert _loops(_function(driver, "_enqueue")) == []
+    assert _loops(_function(driver, "_admit")) == [
+        "while True",  # one pass per quota'd tenant that is hit ...
+        "enumerate(self._quota)",  # ... found by the quota'd-tenant loop
+    ]
+    assert _loops(_function(driver, "_requeue_failed")) == []
+
+
+def test_step_columns_has_one_body_behind_one_entry_conversion():
+    fn = _function("emulation/base.py", "_step_columns")
+    body = [s for s in fn.body if not isinstance(s, ast.Expr)]  # drop the docstring
+    assert ast.unparse(body[0]) == "step = step.columns()"
+    rest = {
+        getattr(node, field, None)
+        for stmt in body[1:]
+        for node in ast.walk(stmt)
+        for field in ("id", "attr")
+    }
+    # nothing past the first line knows there are two kinds of step
+    assert not rest & {"isinstance", "StepTrace", "reads", "writes", "trace", "columns"}

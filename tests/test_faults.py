@@ -36,11 +36,13 @@ from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
     DeterministicArrivals,
     OnlineEmulator,
+    RequestBatch,
     ScanKeys,
     TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
 )
+from repro.traffic.generators import RID
 
 ROUTER_STAT_FIELDS = (
     "steps",
@@ -598,7 +600,7 @@ class _StubWorkload:
     def stream(self, epochs):
         out = list(self._epochs[:epochs])
         out += [[] for _ in range(epochs - len(out))]
-        return out
+        return [RequestBatch.from_requests(e) for e in out]
 
 
 def _req(rid, addr, *, pid=0, epoch=0):
@@ -694,8 +696,7 @@ class TestDriverHardening:
         from collections import deque
 
         model = deque(reqs)
-        for r in reqs:
-            drv._enqueue(r, 0, 0)
+        drv._enqueue(RequestBatch.from_requests(reqs), 0, 0)
 
         def model_admit(limit):
             batch, skipped, seen = [], [], set()
@@ -711,7 +712,7 @@ class TestDriverHardening:
             return batch
 
         while drv.backlog:
-            got = [r.rid for r, _ in drv._admit()]
+            got = drv._admit()[RID].tolist()
             want = [r.rid for r in model_admit(drv.admit_limit)]
             assert got == want
         assert not model
@@ -719,7 +720,7 @@ class TestDriverHardening:
     def test_queue_property_is_fifo_snapshot(self):
         drv = OnlineEmulator(_StubEmulator([]), _StubWorkload([]))
         for i, addr in enumerate([3, 1, 3, 2]):
-            drv._enqueue(_req(i, addr), stamp=i, not_before=0)
+            drv._enqueue(RequestBatch.from_requests([_req(i, addr)]), stamp=i, not_before=0)
         assert [r.rid for r, _ in drv.queue] == [0, 1, 2, 3]
         assert [s for _r, s in drv.queue] == [0, 1, 2, 3]
         assert drv.backlog == 4
@@ -728,9 +729,9 @@ class TestDriverHardening:
         drv = OnlineEmulator(
             _StubEmulator([]), _StubWorkload([], n_procs=8), exclusive=False
         )
-        for i, addr in enumerate([5, 5, 5, 2, 5]):
-            drv._enqueue(_req(i, addr), 0, 0)
-        assert [r.rid for r, _ in drv._admit()] == [0, 1, 2, 3, 4]
+        reqs = [_req(i, addr) for i, addr in enumerate([5, 5, 5, 2, 5])]
+        drv._enqueue(RequestBatch.from_requests(reqs), 0, 0)
+        assert drv._admit()[RID].tolist() == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

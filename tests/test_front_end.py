@@ -1,8 +1,9 @@
 """The serving front end's view of an emulator: the ``Emulator`` service
 contract (``n_processors`` / ``scale`` / ``mode`` / ``memory`` /
 ``observer`` / ``faults`` / ``virtual_clock`` / ``serving_modules`` /
-``module_of``), the front end's two typed terminal failures, and the
-one writer of the epoch metrics.
+``module_of``), the front end's two typed terminal failures, the one
+writer of the epoch metrics, and the column pipeline: no request object
+is built between the generator and the ``EpochRecord``.
 """
 
 import numpy as np
@@ -14,20 +15,31 @@ from repro.emulation import (
     MeshEmulator,
     RanadeEmulator,
 )
+from repro.emulation import replay_program
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import FaultPlan, FaultSchedule
 from repro.obs import Observer
-from repro.pram.trace import permutation_step
-from repro.sharding import EmptyShardStepError, ShardedEmulator
+from repro.pram.programs import prefix_sum
+from repro.pram.trace import ReadRequest, StepTrace, WriteRequest, permutation_step
+from repro.sharding import (
+    EmptyShardStepError,
+    MultiTenantWorkload,
+    ShardedEmulator,
+    TenantPolicy,
+)
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
+    DeterministicArrivals,
     DriverAlreadyRanError,
     OnlineEmulator,
     PoissonArrivals,
+    ScanKeys,
+    TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
     ZipfKeys,
 )
+from repro.traffic.generators import ADDR
 
 NET = DAryButterflyLeveled(2, 4)
 N_PROCS = NET.column_size
@@ -124,7 +136,7 @@ def test_direct_placement_mesh_reports_the_modules_it_did_on_the_scalar_path():
     report = drv.run(6)
     assert report.total_delivered > 20
     for record, batch in zip(report.epochs, batches):
-        assert record.modules == [em.faults.map_module(r.addr) for r, _ in batch]
+        assert record.modules == [em.faults.map_module(a) for a in batch[ADDR].tolist()]
     assert not {m for e in report.epochs for m in e.modules} & {2, 3, 9}
 
 
@@ -241,3 +253,111 @@ def test_registry_counters_are_the_reports_totals_after_a_faulted_dropping_run()
     assert [(e["epoch"], e["admitted"], e["backlog"]) for e in epochs] == [
         (r.epoch, r.admitted, r.backlog) for r in report.epochs
     ][-len(epochs):]
+
+
+# ---------------------------------------------------------------------------
+# the column pipeline: no request object on the served path
+# ---------------------------------------------------------------------------
+
+REQUEST_OBJECTS = (TrafficRequest, ReadRequest, WriteRequest, StepTrace)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Constructions of each request-object class, counted."""
+    counts = dict.fromkeys(REQUEST_OBJECTS, 0)
+    for cls in REQUEST_OBJECTS:
+
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def _leveled_crcw():
+    em = LeveledEmulator(NET, SPACE, mode="crcw", seed=3, engine="fast")
+    wl = WorkloadGenerator(
+        N_PROCS, arrivals=PoissonArrivals(9.0), keys=ZipfKeys(SPACE), read_fraction=0.6, seed=4
+    )
+    return OnlineEmulator(em, wl)
+
+
+def _mesh_erew_with_backlog():
+    em = MeshEmulator(MESH, SPACE, mode="erew", seed=3, engine="fast")
+    wl = workload(MESH.num_nodes, 14.0, ZipfKeys(SPACE, exponent=1.3), seed=6)
+    return OnlineEmulator(em, wl, request_timeout=400)
+
+
+def _quota_fleet():
+    def shard(index, seed):
+        return LeveledEmulator(NET, SPACE, mode="crcw", seed=seed, engine="fast")
+
+    tenants = ("gold", "silver", "bronze")
+    wl = MultiTenantWorkload(
+        {t: workload(N_PROCS, 5.0, ZipfKeys(SPACE), seed=10 + i) for i, t in enumerate(tenants)}
+    )
+    return OnlineEmulator(
+        ShardedEmulator(shard, 4, SPACE, seed=5),
+        wl,
+        policies=[TenantPolicy(t, qos=t, quota=q) for t, q in zip(tenants, (6, 4, 3))],
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [_leveled_crcw, _mesh_erew_with_backlog, _quota_fleet], ids=lambda f: f.__name__
+)
+def test_a_served_run_builds_no_request_object(build, built):
+    driver = build()
+    report = driver.run(10)
+    assert report.total_delivered > 50 and report.conservation_deficit() == 0
+    if build is not _leveled_crcw:
+        assert report.final_backlog > 0
+    assert set(report.run_mode_counts()) == {"batch"}
+    assert built == dict.fromkeys(REQUEST_OBJECTS, 0)
+    # the row views are built when somebody asks, and only then
+    assert len(driver.queue) == report.final_backlog
+    assert built[TrafficRequest] == report.final_backlog
+
+
+def test_dead_letters_are_the_only_request_objects_of_a_faulted_run(built):
+    """Cell 3 is unreachable (both wires into its node are down): its
+    requests retry, then dead-letter — as ``TrafficRequest`` row views,
+    the one kind of object the served path builds."""
+    sched = FaultSchedule().link_down(0, (1, 3)).link_down(0, (2, 3))
+    em = MeshEmulator(
+        Mesh2D.square(2), 4, mode="crcw", placement="direct", seed=3,
+        engine="fast", faults=sched, max_rehashes=1,
+    )
+    wl = WorkloadGenerator(
+        4, arrivals=DeterministicArrivals(4.0), keys=ScanKeys(4, scan_length=1),
+        read_fraction=0.0, seed=1,
+    )
+    driver = OnlineEmulator(em, wl, retry_limit=2, backoff=2)
+    report = driver.run(8)
+    assert report.total_dead_lettered == len(driver.dead_letters) > 0
+    assert report.total_delivered > 0 and report.conservation_deficit() == 0
+    assert built == {**dict.fromkeys(REQUEST_OBJECTS, 0), TrafficRequest: len(driver.dead_letters)}
+    assert all(isinstance(req, TrafficRequest) for req, _stamp, _attempts in driver.dead_letters)
+
+
+def test_step_trace_callers_and_the_object_baselines_cost_what_they_did():
+    """``StepTrace`` stays an entry point: a replayed program converts
+    each step once at ``_step_columns``; a driven object-based baseline
+    converts the driver's columns back with ``.trace()``.  The costs are
+    the ones recorded before the front end moved to columns."""
+    spec = prefix_sum(list(range(1, 17)))
+    result = replay_program(spec, LeveledEmulator(NET, spec.memory_size, mode="erew", seed=3))
+    assert result.memory_matches
+    assert [(c.request_steps, c.reply_steps, c.requests) for c in result.report.costs] == [
+        (10, 10, 16), (11, 10, 15), (10, 0, 16), (10, 10, 16), (10, 10, 14), (11, 0, 16),
+        (10, 10, 16), (11, 11, 12), (11, 0, 16), (10, 11, 16), (9, 9, 8), (10, 0, 16),
+    ]  # fmt: skip
+    wl = WorkloadGenerator(
+        16, arrivals=PoissonArrivals(9.0), keys=UniformKeys(256), read_fraction=0.7, seed=5
+    )
+    report = OnlineEmulator(RanadeEmulator(4, address_space=256, seed=18), wl).run(6)
+    assert [(e.request_steps, e.reply_steps, e.admitted) for e in report.epochs] == [
+        (6, 7, 10), (6, 6, 10), (6, 7, 11), (6, 5, 7), (6, 5, 6), (6, 6, 10),
+    ]  # fmt: skip

@@ -26,6 +26,7 @@ from tools.lint.framework import (
 )
 from tools.lint.rules.emulator_contract import EmulatorContractRule
 from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
+from tools.lint.rules.front_end_columns import FrontEndColumnsRule
 from tools.lint.rules.hash_placement import HashPlacementRule
 from tools.lint.rules.metric_names import MetricNamesRule
 from tools.lint.rules.seeded_rng import SeededRngRule
@@ -523,13 +524,17 @@ class TestEmulatorContractRule:
         """
         assert _check(EmulatorContractRule(), src, self.DRIVER) == []
 
-    def test_computed_field_selection_is_not_a_probe(self):
+    def test_computed_field_selection_is_a_probe_too(self):
+        """The computed-name exemption existed for ``placement.py``'s
+        lane append; the loop is gone (the split is row-takes on
+        columns) and so is the exemption."""
         src = """
             for lane in ("reads", "writes"):
                 getattr(sub, lane).append(req)
         """
         rel = "src/repro/sharding/placement.py"
-        assert _check(EmulatorContractRule(), src, rel) == []
+        (v,) = _check(EmulatorContractRule(), src, rel)
+        assert v.line == 3 and "getattr() probe" in v.message
 
     def test_scope_is_the_front_end(self):
         rule = EmulatorContractRule()
@@ -555,6 +560,58 @@ class TestEmulatorContractRule:
         assert _check(rule, ok, rel) == []
         assert _check(rule, ok, "src/repro/apps/harness.py")
         assert _check(rule, 'n = getattr(emulator, "n_processors", None)\n', rel)
+
+
+# ---------------------------------------------------------------------------
+# REPRO009 front-end columns
+# ---------------------------------------------------------------------------
+
+class TestFrontEndColumnsRule:
+    DRIVER = "src/repro/traffic/driver.py"
+
+    def test_request_objects_built_on_the_served_path_flagged(self):
+        src = """
+            from repro.pram import trace
+            def build_step(batch):
+                step = StepTrace()
+                for req, _stamp in batch:
+                    step.reads.append(ReadRequest(req.pid, req.addr))
+                    step.writes.append(trace.WriteRequest(req.pid, req.addr, 1))
+                return TrafficRequest(0, 0, 0, "read", 0), step
+        """
+        vs = _check(FrontEndColumnsRule(), src, self.DRIVER)
+        assert sorted((v.line, v.message.split("(")[0]) for v in vs) == [
+            (4, "StepTrace"), (6, "ReadRequest"), (7, "WriteRequest"), (8, "TrafficRequest"),
+        ]
+
+    def test_columns_row_views_and_annotations_are_the_clean_forms(self):
+        src = """
+            def serve(emu, batch, table) -> "StepTrace | RequestColumns":
+                views: list[TrafficRequest] = list(RequestBatch(table[:7], ("default",)))
+                step = RequestColumns(batch[1], batch[2], batch[3], batch[5])
+                isinstance(step, StepTrace)
+                return step.trace()
+        """
+        assert _check(FrontEndColumnsRule(), src, self.DRIVER) == []
+
+    def test_scope_is_the_served_path(self):
+        rule = FrontEndColumnsRule()
+        for rel in (
+            self.DRIVER,
+            "src/repro/sharding/placement.py",
+            "src/repro/sharding/service.py",
+            "src/repro/emulation/base.py",
+            "src/repro/emulation/leveled.py",
+            "src/repro/emulation/mesh.py",
+        ):
+            assert _check(rule, "step = StepTrace()\n", rel)
+        for rel in (
+            "src/repro/pram/trace.py",  # where the objects are built
+            "src/repro/traffic/generators.py",  # where the row views are
+            "src/repro/emulation/ranade.py",  # an object-based baseline
+            "src/repro/pram/machine.py",
+        ):
+            assert not rule.applies_to(rel)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +649,7 @@ class TestFramework:
             "REPRO006",
             "REPRO007",
             "REPRO008",
+            "REPRO009",
         ]
 
     def test_cli_clean_tree_exits_zero(self):
@@ -641,6 +699,7 @@ class TestFramework:
             "REPRO006",
             "REPRO007",
             "REPRO008",
+            "REPRO009",
         ):
             assert rid in proc.stdout
 

@@ -59,6 +59,7 @@ from repro.traffic import (
     HotspotKeys,
     OnlineEmulator,
     PoissonArrivals,
+    RequestBatch,
     TrafficRequest,
     WorkloadGenerator,
 )
@@ -316,7 +317,7 @@ class TestErrorFlightTails:
             def stream(self, epochs):
                 out = list(self._epochs[:epochs])
                 out += [[] for _ in range(epochs - len(out))]
-                return out
+                return [RequestBatch.from_requests(e) for e in out]
 
         def req(rid):
             return TrafficRequest(rid=rid, pid=0, addr=5 + rid, kind="write",

@@ -21,8 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emulation import LeveledEmulator, MeshEmulator, RequestRoutingError
+from repro.emulation import (
+    LeveledEmulator,
+    MeshEmulator,
+    ReplyCountError,
+    RequestRoutingError,
+)
 from repro.faults import FaultPlan, FaultSchedule, RehashStormError
+from repro.obs import Observer
 from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
 from repro.routing import Packet
 from repro.topology import DAryButterflyLeveled, Mesh2D, StarLogicalLeveled
@@ -268,6 +274,34 @@ def test_a_run_that_gives_up_without_faults_is_typed_and_terminal():
     assert not isinstance(err, RehashStormError) and isinstance(err, RuntimeError)
     assert err.rehashes == 2 and err.stall_steps == 4  # four one-step attempts
     assert len(err.run_modes) == 4 and err.flight_tail == ()
+
+
+@pytest.mark.parametrize("engine", ("fast", "reference"))
+def test_a_lost_reply_is_typed_terminal_and_carries_the_step_accounting(engine):
+    """``validate`` counts the replies of a completed reply phase; a
+    mismatch is a ``ReplyCountError`` — a ``RequestRoutingError``, so
+    the driver does not retry it — with the attempt log and the flight
+    tail, not a bare ``AssertionError``."""
+    net = NETWORKS["butterfly"]
+    emulator = LeveledEmulator(
+        net, 32, seed=1, engine=engine, observer=Observer(flight_recorder=8)
+    )
+    replies = emulator._reverse_path_replies
+
+    def one_short(*args, **kwargs):
+        stats = replies(*args, **kwargs)
+        stats.delivered -= 1
+        return stats
+
+    emulator._reverse_path_replies = one_short
+    n = net.column_size
+    step = StepTrace(reads=[ReadRequest(p, p) for p in range(n)])
+    with pytest.raises(ReplyCountError, match=f"{n} reads but {n - 1} replies delivered") as exc:
+        emulator.emulate_step(step)
+    err = exc.value
+    assert isinstance(err, RequestRoutingError) and not isinstance(err, AssertionError)
+    assert err.rehashes == 0 and len(err.run_modes) == 1
+    assert isinstance(err.flight_tail, tuple)
 
 
 def _capped(router):

@@ -17,15 +17,20 @@ Layers under test:
   and the per-tenant conservation law.
 """
 
+import dataclasses
+import gc
 import json
 import pickle
+import weakref
+
+import numpy as np
 
 import pytest
 
 from repro.emulation import LeveledEmulator
 from repro.emulation.base import StepCost
 from repro.faults import RehashStormError
-from repro.pram.trace import StepTrace, permutation_step, random_trace
+from repro.pram.trace import RequestColumns, StepTrace, permutation_step, random_trace
 from repro.sharding import (
     MultiTenantOnlineEmulator,
     MultiTenantWorkload,
@@ -39,6 +44,8 @@ from repro.traffic import (
     DeterministicArrivals,
     OnlineEmulator,
     PoissonArrivals,
+    RequestBatch,
+    TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
 )
@@ -103,18 +110,40 @@ class TestShardPlacement:
     def test_split_partitions_and_preserves_order(self):
         p = ShardPlacement(SPACE, 4, seed=1)
         step = random_trace(N_PROCS, SPACE, 1, seed=5).steps[0]
-        parts = p.split(step)
+        parts = {shard: sub.trace() for shard, sub in p.split(step).items()}
         # every request lands in exactly the shard that owns its address
         for shard, sub in parts.items():
             for req in sub.reads + sub.writes:
                 assert p.shard_of(req.addr) == shard
         # reassembling the per-shard reads in shard-scan order yields a
-        # subsequence-stable partition of the original
+        # subsequence-stable partition of the original (requests are
+        # frozen dataclasses and this trace's are pairwise distinct)
         all_reads = [r for sub in parts.values() for r in sub.reads]
-        assert sorted(map(id, all_reads)) == sorted(map(id, step.reads))
+        assert sorted(all_reads, key=step.reads.index) == step.reads
         for sub in parts.values():
             idx = [step.reads.index(r) for r in sub.reads]
             assert idx == sorted(idx)
+        all_writes = [w for sub in parts.values() for w in sub.writes]
+        assert sorted(all_writes, key=step.writes.index) == step.writes
+
+    def test_split_of_columns_is_one_map_and_a_row_take_per_shard(self):
+        p = ShardPlacement(SPACE, 4, seed=1)
+        cols = RequestColumns(
+            pids=np.arange(12) % N_PROCS,
+            addrs=np.arange(100, 112),
+            is_read=np.arange(12) % 3 > 0,  # reads and writes interleaved
+            values=np.arange(12) * 10,
+        )
+        owners = p.map(cols.addrs)
+        parts = p.split(cols)
+        assert sorted(parts) == sorted(set(owners.tolist()))
+        for shard, sub in parts.items():
+            rows = np.flatnonzero(owners == shard)  # issue order kept
+            assert isinstance(sub, RequestColumns) and sub.num_requests == len(rows)
+            for name in ("pids", "addrs", "is_read", "values"):
+                assert getattr(sub, name).tolist() == getattr(cols, name)[rows].tolist()
+        single = ShardPlacement(SPACE, 1, seed=1)
+        assert single.split(cols)[0] is cols and single.split(cols.take(rows[:0])) == {}
 
     def test_single_shard_split_is_passthrough(self):
         p = ShardPlacement(SPACE, 1, seed=1)
@@ -203,6 +232,22 @@ class TestShardedEmulator:
         cf = [fast.emulate_step(s) for s in steps]
         cr = [ref.emulate_step(s) for s in steps]
         assert costs_sans_modes(cf) == costs_sans_modes(cr)
+
+    def test_columns_and_their_trace_are_the_same_step_to_a_fleet(self):
+        """``submit`` / ``step`` / ``inbox`` carry whichever form the
+        front end was handed; the scatter span still counts requests."""
+        from repro.obs import Observer
+
+        step = random_trace(N_PROCS, SPACE, 1, seed=7, erew=False).steps[0]
+        costs, spans = [], []
+        for form in (step, step.columns()):
+            obs = Observer(flight_recorder=0)
+            service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42, observer=obs)
+            costs.append(service.emulate_step(form))
+            spans.append([s.args for s in obs.tracer.spans() if s.name == "shard_scatter"])
+            assert all(shard.pending == 0 for shard in service.shards)
+        assert costs[0] == costs[1] and costs[0].requests == step.num_requests
+        assert spans[0] == spans[1] == [{"requests": step.num_requests}]
 
     def test_writes_land_in_owning_shard(self):
         service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42)
@@ -315,6 +360,21 @@ class TestPicklability:
             clone.emulate_step(s) for s in cont
         ]
 
+    def test_a_fleet_and_its_memory_facade_are_not_a_cycle(self):
+        """``ShardedMemory`` holds the shards and the placement, not the
+        fleet: a served fleet dies with its last reference."""
+        gc.collect()
+        gc.disable()
+        try:
+            service = ShardedEmulator(make_factory("fast"), 2, SPACE, seed=1)
+            service.emulate_step(steps_for(1)[0])
+            service.memory.write(5, 1)
+            alive = weakref.ref(service)
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()
+
 
 # ---------------------------------------------------------------------------
 # multi-tenant workloads
@@ -351,6 +411,63 @@ class TestMultiTenantWorkload:
         for epoch in wl.stream(3):
             for r in epoch:
                 assert r.kind == "write" and r.value == r.rid
+
+    @staticmethod
+    def _merge_one_by_one(lanes: dict, epochs: int):
+        """The merge as it was written per request: the reference."""
+        out, rid = [], 0
+        for epoch in range(epochs):
+            merged = []
+            depth = max((len(batch[epoch]) for batch in lanes.values()), default=0)
+            for i in range(depth):
+                for name, batch in lanes.items():
+                    if i < len(batch[epoch]):
+                        req = batch[epoch][i]
+                        value = rid if req.value == req.rid else req.value
+                        merged.append(
+                            dataclasses.replace(req, rid=rid, tenant=name, value=value)
+                        )
+                        rid += 1
+            out.append(merged)
+        return out
+
+    def test_merge_is_the_round_robin_interleave(self):
+        """Unequal lane lengths, a lane that never sends, epochs in
+        which nobody does, and a write whose value is not its rid."""
+
+        class Lane:
+            n_procs, address_space = N_PROCS, SPACE
+
+            def __init__(self, epochs):
+                self.epochs = epochs
+
+            def stream(self, epochs):
+                return [RequestBatch.from_requests(e) for e in self.epochs[:epochs]]
+
+        def lane(sizes, first_rid=0):
+            rid, out = first_rid, []
+            for epoch, k in enumerate(sizes):
+                reqs = []
+                for i in range(k):
+                    kind = "read" if (rid + i) % 3 else "write"
+                    value = None if kind == "read" else (rid + i if i % 2 else -7)
+                    reqs.append(
+                        TrafficRequest(rid + i, i % N_PROCS, 5 * rid + i, kind, epoch, value)
+                    )
+                rid += k
+                out.append(reqs)
+            return out
+
+        lanes = {
+            "gold": lane([3, 0, 1, 0]),
+            "silver": lane([0, 0, 0, 0]),
+            "bronze": lane([5, 0, 4, 0]),
+        }
+        wl = MultiTenantWorkload({name: Lane(e) for name, e in lanes.items()})
+        got = wl.stream(4)
+        assert [list(batch) for batch in got] == self._merge_one_by_one(lanes, 4)
+        assert [len(batch) for batch in got] == [8, 0, 5, 0]
+        assert all(batch.tenants == ("gold", "silver", "bronze") for batch in got)
 
     def test_address_space_mismatch_rejected(self):
         bad = _tenant_sources()

@@ -1,10 +1,25 @@
-"""Tests for hypercube, butterfly, mesh, and linear array topologies."""
+"""Tests for hypercube, butterfly, mesh, and linear array topologies,
+and the lifetime of the compiled tables a topology caches on itself."""
 
+import gc
+import pickle
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology import Butterfly, Hypercube, LinearArray, Mesh2D
+from repro.routing import LeveledRouter, MeshRouter
+from repro.topology import (
+    Butterfly,
+    Hypercube,
+    LinearArray,
+    Mesh2D,
+    StarLogicalLeveled,
+    compile_leveled,
+    compile_mesh,
+)
 
 
 class TestHypercube:
@@ -202,3 +217,55 @@ class TestLinearArray:
     def test_distance(self):
         a = LinearArray(8)
         assert a.distance(1, 7) == 6
+
+
+class TestCompiledTopologyLifetime:
+    """A topology caches its compiled tables on itself; the tables must
+    not point back strongly, or every finished topology is cyclic
+    garbage that only a collector pass frees — and a front end that
+    allocates no per-request objects almost never triggers one."""
+
+    @staticmethod
+    def _leveled():
+        net = StarLogicalLeveled(4)
+        compiled = compile_leveled(net)
+        router = LeveledRouter(net, seed=1, engine="fast")
+        return net, compiled, router, net.column_size
+
+    @staticmethod
+    def _mesh():
+        mesh = Mesh2D.square(6)
+        compiled = compile_mesh(mesh)
+        router = MeshRouter(mesh, seed=1, engine="fast")
+        return mesh, compiled, router, mesh.num_nodes
+
+    @pytest.mark.parametrize("build", ["_leveled", "_mesh"])
+    def test_a_routed_compiled_topology_dies_with_its_last_reference(self, build):
+        gc.collect()
+        gc.disable()
+        try:
+            topo, compiled, router, n = getattr(self, build)()
+            stats = router.route(np.arange(n), np.arange(n)[::-1].copy())
+            assert stats.completed and stats.run_mode == "batch"
+            kinds = (type(topo), type(compiled))
+            alive = weakref.ref(topo)
+            del topo, compiled, router, stats
+            assert alive() is None
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, kinds)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_a_pickled_net_brings_its_tables_and_no_second_net(self):
+        net = StarLogicalLeveled(4)
+        table = compile_leveled(net).out_table(0)
+        clone = pickle.loads(pickle.dumps(net))
+        compiled = compile_leveled(clone)
+        assert compiled.net is clone and compiled.net is not net
+        assert np.array_equal(compiled.out_table(0), table)
+        alive = weakref.ref(clone)
+        del clone
+        assert alive() is None and compiled.net is None

@@ -14,6 +14,9 @@ vectorized batch / constrained-batch engine modes, never silently the
 reference engine.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,12 +28,15 @@ from repro.traffic import (
     HotspotKeys,
     OnlineEmulator,
     PoissonArrivals,
+    RequestBatch,
     ScanKeys,
     TrafficReport,
+    TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
     ZipfKeys,
 )
+from repro.traffic.generators import RID
 
 SPACE = 256
 
@@ -106,6 +112,60 @@ class TestGeneratorSeedStability:
         reqs = _flatten(wl.stream(20))
         rids = [r.rid for r in reqs]
         assert rids == list(range(len(reqs)))
+
+
+#: sha256 of the object stream the per-request generator produced (three
+#: seeds x 25 epochs of Zipf keys per cell), computed at the commit before
+#: ``stream`` returned column batches
+OBJECT_STREAM_SHA256 = {
+    ("bursty", "mixed"): "d9f2c274784810883685981c4a9cda95f8ea0c75a656a0bd7ae46c778965da60",
+    ("bursty", "reads"): "89eac34f5ab749512c4c75bb36d97510f45e77b711195a3c0815231c4e0773a5",
+    ("bursty", "writes"): "7bbb26928da95ef89e22b8046addc26a27cfa309d7e103f5b8ad14e74f2b0fb0",
+    ("deterministic", "mixed"): "0d808e7aefc6405f35ed53685a28212bb1acebd3fd0bdce2d1cc2a59e99fcb75",
+    ("deterministic", "reads"): "d4243fdeb4004a267c4ad7641bb6ff01ee2e0925ae2f3befcfc3b2651dea91e7",
+    ("deterministic", "writes"): "cd3e3ac42733845c24d254f9f9a2ebaf05fe7094a99d0c06fce56332165a003e",
+    ("poisson", "mixed"): "043068bdae24060979d71d7bdcc47ef92f6770b0cec5b168bb0a28ae6766682c",
+    ("poisson", "reads"): "aa308d5a413beb97621ef534d2d881b354802706da1ff710c6097252ff03d419",
+    ("poisson", "writes"): "027e815cba161cc53c6da8642041610b2676ff11b42525f3cae8c1eecfde34bc",
+}
+READ_FRACTIONS = {"reads": 1.0, "mixed": 0.6, "writes": 0.0}
+
+
+class TestRequestBatch:
+    @pytest.mark.parametrize("arrival_name,mix", sorted(OBJECT_STREAM_SHA256))
+    def test_row_views_are_the_object_stream(self, arrival_name, mix):
+        """Same draws, same order, same values: iterating the column
+        batches yields request for request what the generator used to
+        build one object at a time."""
+        dump = []
+        for seed in (3, 11, 2024):
+            wl = WorkloadGenerator(
+                16,
+                arrivals=ARRIVALS[arrival_name](),
+                keys=ZipfKeys(SPACE, exponent=1.2),
+                read_fraction=READ_FRACTIONS[mix],
+                seed=seed,
+            )
+            stream = wl.stream(25)
+            assert all(isinstance(batch, RequestBatch) for batch in stream)
+            dump.append([[dataclasses.astuple(r) for r in batch] for batch in stream])
+        sha = hashlib.sha256(repr(dump).encode()).hexdigest()
+        assert sha == OBJECT_STREAM_SHA256[arrival_name, mix]
+
+    def test_object_surface(self):
+        reqs = [
+            TrafficRequest(0, 3, 9, "read", 0, tenant="b"),
+            TrafficRequest(1, 2, 9, "write", 0, value=-5, tenant="a"),
+            TrafficRequest(2, 1, 4, "write", 1, value=2, tenant="b"),
+        ]
+        batch = RequestBatch.from_requests(reqs)
+        assert len(batch) == 3 and list(batch) == reqs
+        assert batch.tenants == ("b", "a")
+        assert list(batch[1:]) == reqs[1:] and len(batch[:0]) == 0
+        # equality is by request, not by how the tenants were indexed
+        assert batch[1:] == RequestBatch.from_requests(reqs[1:])
+        assert batch != batch[:2]
+        assert list(RequestBatch.from_requests([])) == []
 
 
 class TestArrivalProcesses:
@@ -351,7 +411,7 @@ class TestAdmissionConservation:
         original_step = driver.emulator.emulate_step
 
         def spy(step):
-            served.extend(w.value for w in step.writes)
+            served.extend(w.value for w in step.trace().writes)
             return original_step(step)
 
         driver.emulator.emulate_step = spy
@@ -370,7 +430,7 @@ class TestAdmissionConservation:
 
         def spy():
             batch = original_admit()
-            admitted.extend(req.rid for req, _ in batch)
+            admitted.extend(batch[RID].tolist())
             return batch
 
         driver._admit = spy
@@ -413,7 +473,7 @@ class TestExclusiveAdmission:
         original_step = em.emulate_step
 
         def spy(step):
-            seen.append([r.addr for r in step.reads])
+            seen.append([r.addr for r in step.trace().reads])
             return original_step(step)
 
         em.emulate_step = spy

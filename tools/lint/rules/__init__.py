@@ -16,12 +16,16 @@ Rule catalog (docs/static_analysis.md has the long-form version):
   snake_case and each name registers exactly one metric kind.
 * REPRO008 ``emulator-contract`` — the serving front end reads the
   ``Emulator`` service contract; no ``getattr`` / ``hasattr`` probes.
+* REPRO009 ``front-end-columns`` — served-path modules (driver,
+  sharding, the emulators' shared pipeline) construct no
+  ``TrafficRequest`` / ``ReadRequest`` / ``WriteRequest`` / ``StepTrace``.
 """
 
 from __future__ import annotations
 
 from tools.lint.rules.emulator_contract import EmulatorContractRule
 from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
+from tools.lint.rules.front_end_columns import FrontEndColumnsRule
 from tools.lint.rules.hash_placement import HashPlacementRule
 from tools.lint.rules.metric_names import MetricNamesRule
 from tools.lint.rules.seeded_rng import SeededRngRule
@@ -37,12 +41,14 @@ ALL_RULES = [
     HashPlacementRule,
     MetricNamesRule,
     EmulatorContractRule,
+    FrontEndColumnsRule,
 ]
 
 __all__ = [
     "ALL_RULES",
     "EmulatorContractRule",
     "EventKindOrderRule",
+    "FrontEndColumnsRule",
     "HashPlacementRule",
     "MetricNamesRule",
     "SeededRngRule",

@@ -11,14 +11,10 @@ made "how many processors" exist four times and sent a shard fleet down
 a scalar per-request hash path because it had no ``.hash`` — so in the
 front-end modules a *probe* is a violation:
 
-* any ``hasattr(...)`` call;
-* any ``getattr(...)`` with a string-literal name or a default.
-
-``getattr(obj, name)`` with a computed name and no default is field
-selection, not a probe (``placement.py``'s lane append), and stays
-legal.  One probe is allow-listed: ``replay.py`` fans write semantics
-out over ``getattr(emulator, "shards", None)`` — a fleet is the only
-emulator with members, and that is not part of the contract.
+any ``hasattr(...)`` or ``getattr(...)`` call.  One probe is
+allow-listed: ``replay.py`` fans write semantics out over
+``getattr(emulator, "shards", None)`` — a fleet is the only emulator
+with members, and that is not part of the contract.
 """
 
 from __future__ import annotations
@@ -59,8 +55,6 @@ class EmulatorContractRule(FileRule):
                 if isinstance(name, ast.Constant) and isinstance(name.value, str)
                 else None
             )
-            if node.func.id == "getattr" and literal is None and len(node.args) == 2:
-                continue  # computed field selection
             if (ctx.relpath, literal) in ALLOWED:
                 continue
             yield Violation(

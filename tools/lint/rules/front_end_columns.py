@@ -1,0 +1,60 @@
+"""REPRO009: the served path runs on columns, it builds no request object.
+
+A request is one column of a table from the generator to the
+``EpochRecord``: ``WorkloadGenerator.stream`` yields ``RequestBatch``
+matrices, the driver's admission is a selection on its pending table,
+``emulate_step`` is handed ``RequestColumns``, a shard fleet splits
+them with row-takes.  The per-request objects — ``TrafficRequest``,
+``ReadRequest``, ``WriteRequest``, ``StepTrace`` — still exist, for the
+PRAM machine, the object-based baselines, and *row views* a test or a
+post-mortem reads; constructing one by name in a served-path module is
+how the per-request loops come back (each one needs a loop to fill it).
+
+Hence: no ``TrafficRequest(...)`` / ``ReadRequest(...)`` /
+``WriteRequest(...)`` / ``StepTrace(...)`` call in the driver, the
+sharding layer, or the emulators' shared pipeline.  Row views come from
+iterating a ``RequestBatch``; a step's object form from
+``RequestColumns.trace()`` — both live next to the classes they build.
+"""
+
+from __future__ import annotations
+
+import ast
+from typing import Iterator
+
+from tools.lint.framework import FileContext, FileRule, Violation, call_name
+
+#: the modules a served request passes through
+SERVED_PATH = (
+    "src/repro/traffic/driver.py",
+    "src/repro/sharding/",
+    "src/repro/emulation/base.py",
+    "src/repro/emulation/leveled.py",
+    "src/repro/emulation/mesh.py",
+)
+
+REQUEST_OBJECTS = ("TrafficRequest", "ReadRequest", "WriteRequest", "StepTrace")
+
+
+class FrontEndColumnsRule(FileRule):
+    id = "REPRO009"
+    title = "served-path modules construct no per-request object"
+    scopes = SERVED_PATH
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = call_name(node)
+            if name is not None and name.split(".")[-1] in REQUEST_OBJECTS:
+                yield Violation(
+                    self.id,
+                    ctx.relpath,
+                    node.lineno,
+                    node.col_offset,
+                    f"{name.split('.')[-1]}(...) built on the served path; "
+                    "requests are table columns here — iterate a "
+                    "RequestBatch for row views, or call "
+                    "RequestColumns.trace() where an object-based "
+                    "consumer needs the step",
+                )
