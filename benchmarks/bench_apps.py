@@ -34,10 +34,7 @@ Not collected by pytest (file name is not ``test_*``); run directly:
 
 from __future__ import annotations
 
-import argparse
-import json
-from pathlib import Path
-
+import gate
 from repro.analysis.races import classify_program
 from repro.apps import (
     bisimulation,
@@ -120,8 +117,8 @@ def run_suite() -> list[dict]:
     return rows
 
 
-def structural_gates(rows: list[dict]) -> int:
-    """Seed-independent gates; returns the number of failures.
+def structural_gates(rows: list[dict], check) -> None:
+    """Seed-independent gates, one ``check(cond, msg)`` each.
 
     * every emulated run reproduces its sequential oracle exactly and
       replays the native memory image cell for cell;
@@ -134,15 +131,6 @@ def structural_gates(rows: list[dict]) -> int:
     * normalized slowdown stays O(1): bounded by a generous constant on
       every network (the baseline gate pins the exact values).
     """
-    failures = 0
-
-    def check(cond: bool, msg: str) -> None:
-        nonlocal failures
-        print(f"  {'ok' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures += 1
-
-    print("\nstructural gates:")
     for r in rows:
         key = f"{r['scenario']}/{r['network']}"
         check(r["oracle_match"], f"{key}: oracle agreement")
@@ -168,44 +156,6 @@ def structural_gates(rows: list[dict]) -> int:
                 r["combining_hit_rate"] > 0,
                 f"cc-star/{r['network']}: hot-cell input exercises combining",
             )
-    return failures
-
-
-def check_baseline(rows: list[dict], baseline: dict, *, tolerance: float) -> int:
-    """Compare deterministic metrics against a committed report.
-
-    Rows are matched by (scenario, network); new rows are skipped until
-    the baseline is regenerated, baseline rows missing from the run
-    fail.  Slowdowns are exact functions of the committed seeds, so the
-    tolerance only absorbs intentional routing-layer retunes.
-    """
-    by_key = {
-        (r["scenario"], r["network"]): r for r in baseline.get("scenarios", [])
-    }
-    failures = 0
-    print(f"\nbaseline check (tolerance: +-{tolerance:.0%}):")
-    for row in rows:
-        base = by_key.get((row["scenario"], row["network"]))
-        if base is None:
-            print(f"  {row['scenario']:24s} not in baseline — skipped")
-            continue
-        for metric in ("slowdown", "combining_hit_rate"):
-            b, v = base[metric], row[metric]
-            if b == 0:
-                ok = v == 0
-            else:
-                ok = abs(v / b - 1.0) <= tolerance
-            print(
-                f"  {row['scenario']:24s} {row['network']:14s} {metric:20s} "
-                f"{b:8.3f} -> {v:8.3f} {'ok' if ok else 'REGRESSED'}"
-            )
-            if not ok:
-                failures += 1
-    ran = {(r["scenario"], r["network"]) for r in rows}
-    for scenario, network in sorted(set(by_key) - ran):
-        print(f"  {scenario:24s} {network:14s} in baseline but MISSING")
-        failures += 1
-    return failures
 
 
 def _render(row: dict) -> str:
@@ -218,45 +168,30 @@ def _render(row: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_apps.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        type=Path,
-        default=None,
-        metavar="BASELINE_JSON",
-        help="compare deterministic metrics (slowdown, combining hit rate) "
-        "against this committed report and exit nonzero on a >30%% drift; "
-        "runs are seeded, so the gate is host-speed-safe",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = None
-    if args.check_baseline is not None:
-        baseline = json.loads(args.check_baseline.read_text())
-
-    rows = run_suite()
-    failures = structural_gates(rows)
-    report = {
-        "benchmark": "applications",
-        "note": (
+    # Slowdowns are exact functions of the committed seeds, so the
+    # tolerance only absorbs intentional routing-layer retunes.
+    return gate.main(
+        argv,
+        description=__doc__.splitlines()[0],
+        out="BENCH_apps.json",
+        run_suite=run_suite,
+        structural_gates=structural_gates,
+        baseline_gate=gate.BaselineGate(
+            key=("scenario", "network"),
+            head=(("scenario", 24), ("network", 14)),
+            metrics=("slowdown", "combining_hit_rate"),
+            metric_width=20,
+            value_format="8.3f",
+            tolerance=0.30,
+        ),
+        benchmark="applications",
+        note=(
             "real PRAM algorithms (connected components, bisimulation) "
             "replayed through the full emulation stack on both networks; "
             "slowdown is reported beside the paper's O(log n) prediction; "
             "all metrics deterministic under the committed seeds"
         ),
-        "scenarios": rows,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    if baseline is not None:
-        failures += check_baseline(rows, baseline, tolerance=0.30)
-    return 1 if failures else 0
+    )
 
 
 if __name__ == "__main__":

@@ -35,10 +35,7 @@ Not collected by pytest (file name is not ``test_*``); run directly:
 
 from __future__ import annotations
 
-import argparse
-import json
-from pathlib import Path
-
+import gate
 from repro.emulation import MeshEmulator
 from repro.faults import FaultSchedule
 from repro.topology import Mesh2D
@@ -149,8 +146,8 @@ def run_suite() -> list[dict]:
     return rows
 
 
-def structural_gates(rows: list[dict]) -> int:
-    """Seed-independent gates; returns the number of failures.
+def structural_gates(rows: list[dict], check) -> None:
+    """Seed-independent gates, one ``check(cond, msg)`` each.
 
     * every row balances the conservation law exactly (deficit 0);
     * no row dispatches outside the allowed engine modes;
@@ -163,15 +160,6 @@ def structural_gates(rows: list[dict]) -> int:
       delivers everything.
     """
     by_scenario = {r["scenario"]: r for r in rows}
-    failures = 0
-
-    def check(cond: bool, msg: str) -> None:
-        nonlocal failures
-        print(f"  {'ok' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures += 1
-
-    print("\nstructural gates:")
     for r in rows:
         check(
             r["conservation_deficit"] == 0,
@@ -207,43 +195,6 @@ def structural_gates(rows: list[dict]) -> int:
         == clean["delivered"] + clean["final_backlog"],
         "link-flap row accounts for the same arrivals as the clean row",
     )
-    return failures
-
-
-def check_baseline(rows: list[dict], baseline: dict, *, tolerance: float) -> int:
-    """Compare deterministic service metrics against a committed report.
-
-    Same contract as bench_traffic: rows matched by (scenario,
-    network); new rows are skipped until the baseline is regenerated,
-    baseline rows missing from the run fail.
-    """
-    by_key = {
-        (r["scenario"], r["network"]): r for r in baseline.get("scenarios", [])
-    }
-    failures = 0
-    print(f"\nbaseline check (tolerance: +-{tolerance:.0%}):")
-    for row in rows:
-        base = by_key.get((row["scenario"], row["network"]))
-        if base is None:
-            print(f"  {row['scenario']:36s} not in baseline — skipped")
-            continue
-        for metric in ("sojourn_p99", "throughput_per_step"):
-            b, v = base[metric], row[metric]
-            if b == 0:
-                ok = v == 0
-            else:
-                ok = abs(v / b - 1.0) <= tolerance
-            print(
-                f"  {row['scenario']:36s} {metric:20s} "
-                f"{b:10.2f} -> {v:10.2f} {'ok' if ok else 'REGRESSED'}"
-            )
-            if not ok:
-                failures += 1
-    ran = {(r["scenario"], r["network"]) for r in rows}
-    for scenario, network in sorted(set(by_key) - ran):
-        print(f"  {scenario:36s} in baseline but MISSING from this run")
-        failures += 1
-    return failures
 
 
 def _render(row: dict) -> str:
@@ -258,45 +209,20 @@ def _render(row: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_faults.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        type=Path,
-        default=None,
-        metavar="BASELINE_JSON",
-        help="compare deterministic service metrics (p99 sojourn, per-step "
-        "throughput) against this committed report and exit nonzero on a "
-        ">30%% drift; runs are seeded, so the gate is host-speed-safe",
-    )
-    args = parser.parse_args(argv)
-
-    # Load the baseline up front: --out may point at the same file.
-    baseline = None
-    if args.check_baseline is not None:
-        baseline = json.loads(args.check_baseline.read_text())
-
-    rows = run_suite()
-    failures = structural_gates(rows)
-    report = {
-        "benchmark": "fault-injection",
-        "note": (
+    return gate.main(
+        argv,
+        description=__doc__.splitlines()[0],
+        out="BENCH_faults.json",
+        run_suite=run_suite,
+        structural_gates=structural_gates,
+        baseline_gate=gate.service_gate(36),
+        benchmark="fault-injection",
+        note=(
             "degraded-mode service under k dead modules and link flaps; "
             "all metrics deterministic under the committed seeds "
             "(engine-independent by the differential contract)"
         ),
-        "scenarios": rows,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    if baseline is not None:
-        failures += check_baseline(rows, baseline, tolerance=0.30)
-    return 1 if failures else 0
+    )
 
 
 if __name__ == "__main__":

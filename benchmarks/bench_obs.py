@@ -40,12 +40,10 @@ Not collected by pytest (file name is not ``test_*``); run directly:
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
 import time
-from pathlib import Path
 
+import gate
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.obs import NullObserver, Observer
 from repro.pram.trace import random_trace
@@ -145,17 +143,8 @@ def run_suite() -> list[dict]:
     return rows
 
 
-def structural_gates(rows: list[dict]) -> int:
-    """Seed-independent gates; returns the number of failures."""
-    failures = 0
-
-    def check(cond: bool, msg: str) -> None:
-        nonlocal failures
-        print(f"  {'ok' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures += 1
-
-    print("\nstructural gates:")
+def structural_gates(rows: list[dict], check) -> None:
+    """Seed-independent gates, one ``check(cond, msg)`` each."""
     for r in rows:
         key = r["scenario"]
         check(
@@ -172,38 +161,6 @@ def structural_gates(rows: list[dict]) -> int:
             f"{key}: network-step counter matches the report "
             f"({r['network_steps_total']} == {r['total_steps']})",
         )
-    return failures
-
-
-def check_baseline(rows: list[dict], baseline: dict) -> int:
-    """Deterministic metrics must match the committed report exactly.
-
-    Wall times and overhead ratios are host-dependent and stay out of
-    the gate; the step counts are exact functions of the committed
-    seeds, so any drift is a semantic change, not noise.
-    """
-    by_key = {r["scenario"]: r for r in baseline.get("scenarios", [])}
-    failures = 0
-    print("\nbaseline check (exact, deterministic metrics only):")
-    for row in rows:
-        base = by_key.get(row["scenario"])
-        if base is None:
-            print(f"  {row['scenario']:16s} not in baseline — skipped")
-            continue
-        for metric in ("total_steps", "pram_steps_total", "network_steps_total"):
-            ok = base[metric] == row[metric]
-            print(
-                f"  {row['scenario']:16s} {metric:22s} "
-                f"{base[metric]:8d} -> {row[metric]:8d} "
-                f"{'ok' if ok else 'REGRESSED'}"
-            )
-            if not ok:
-                failures += 1
-    ran = {r["scenario"] for r in rows}
-    for scenario in sorted(set(by_key) - ran):
-        print(f"  {scenario:16s} in baseline but MISSING")
-        failures += 1
-    return failures
 
 
 def _render(row: dict) -> str:
@@ -217,45 +174,32 @@ def _render(row: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_obs.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        type=Path,
-        default=None,
-        metavar="BASELINE_JSON",
-        help="compare the deterministic step counts against this committed "
-        "report (exact match; wall times are never gated)",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = None
-    if args.check_baseline is not None:
-        baseline = json.loads(args.check_baseline.read_text())
-
-    rows = run_suite()
-    failures = structural_gates(rows)
-    report = {
-        "benchmark": "observability",
-        "note": (
+    # Wall times and overhead ratios are host-dependent and stay out of
+    # the gate; the step counts are exact functions of the committed
+    # seeds, so any drift is a semantic change, not noise.
+    return gate.main(
+        argv,
+        description=__doc__.splitlines()[0],
+        out="BENCH_obs.json",
+        run_suite=run_suite,
+        structural_gates=structural_gates,
+        baseline_gate=gate.BaselineGate(
+            key=("scenario",),
+            head=(("scenario", 16),),
+            metrics=("total_steps", "pram_steps_total", "network_steps_total"),
+            metric_width=22,
+            value_format="8d",
+            tolerance=None,
+        ),
+        benchmark="observability",
+        note=(
             "observer overhead by configuration (median of repeats with the "
             "configurations interleaved round-robin after one warm-up round, "
             "ratios vs observer=None in the same process, so host speed "
             "cancels) - reported, not gated; step counts are "
             "deterministic under the committed seeds and gated exactly"
         ),
-        "scenarios": rows,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    if baseline is not None:
-        failures += check_baseline(rows, baseline)
-    return 1 if failures else 0
+    )
 
 
 if __name__ == "__main__":

@@ -35,10 +35,9 @@ Not collected by pytest (file name is not ``test_*``); run directly:
 
 from __future__ import annotations
 
-import argparse
 import json
-from pathlib import Path
 
+import gate
 from repro.emulation import LeveledEmulator
 from repro.sharding import (
     MultiTenantOnlineEmulator,
@@ -164,17 +163,8 @@ def run_suite() -> list[dict]:
     return rows
 
 
-def structural_gates(rows: list[dict]) -> int:
-    """Seed-independent sanity gates; returns the number of failures."""
-    failures = 0
-
-    def check(cond: bool, msg: str) -> None:
-        nonlocal failures
-        print(f"  {'ok' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures += 1
-
-    print("\nstructural gates:")
+def structural_gates(rows: list[dict], check) -> None:
+    """Seed-independent sanity gates, one ``check(cond, msg)`` each."""
     for r in rows:
         name = r["scenario"]
         check(
@@ -205,40 +195,6 @@ def structural_gates(rows: list[dict]) -> int:
             f"{name}: gold p99 ({r['tenant_p99']['gold']}) <= "
             f"bronze p99 ({r['tenant_p99']['bronze']})",
         )
-    return failures
-
-
-def check_baseline(rows: list[dict], baseline: dict, *, tolerance: float) -> int:
-    """Compare deterministic service metrics against a committed report.
-
-    Same contract as the other benchmark gates: rows match by
-    (scenario, network); new rows are skipped until the baseline is
-    regenerated, baseline rows missing from the run fail.
-    """
-    by_key = {
-        (r["scenario"], r["network"]): r for r in baseline.get("scenarios", [])
-    }
-    failures = 0
-    print(f"\nbaseline check (tolerance: +-{tolerance:.0%}):")
-    for row in rows:
-        base = by_key.get((row["scenario"], row["network"]))
-        if base is None:
-            print(f"  {row['scenario']:32s} not in baseline — skipped")
-            continue
-        for metric in ("sojourn_p99", "throughput_per_step"):
-            b, v = base[metric], row[metric]
-            ok = (v == 0) if b == 0 else abs(v / b - 1.0) <= tolerance
-            print(
-                f"  {row['scenario']:32s} {metric:20s} "
-                f"{b:10.2f} -> {v:10.2f} {'ok' if ok else 'REGRESSED'}"
-            )
-            if not ok:
-                failures += 1
-    ran = {(r["scenario"], r["network"]) for r in rows}
-    for scenario, network in sorted(set(by_key) - ran):
-        print(f"  {scenario:32s} in baseline but MISSING from this run")
-        failures += 1
-    return failures
 
 
 def _render(row: dict) -> str:
@@ -251,45 +207,20 @@ def _render(row: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_sharding.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        type=Path,
-        default=None,
-        metavar="BASELINE_JSON",
-        help="compare deterministic service metrics (p99 sojourn, per-step "
-        "throughput) against this committed report and exit nonzero on a "
-        ">30%% drift; runs are seeded, so the gate is host-speed-safe",
-    )
-    args = parser.parse_args(argv)
-
-    # Load the baseline up front: --out may point at the same file.
-    baseline = None
-    if args.check_baseline is not None:
-        baseline = json.loads(args.check_baseline.read_text())
-
-    rows = run_suite()
-    failures = structural_gates(rows)
-    report = {
-        "benchmark": "sharded-memory-service",
-        "note": (
+    return gate.main(
+        argv,
+        description=__doc__.splitlines()[0],
+        out="BENCH_sharding.json",
+        run_suite=run_suite,
+        structural_gates=structural_gates,
+        baseline_gate=gate.service_gate(32),
+        benchmark="sharded-memory-service",
+        note=(
             "two-level-hashed scatter/gather service over 2^20 addresses; "
             "three QoS tenants (gold/silver/bronze quotas 32/24/16); all "
             "metrics deterministic under the committed seeds"
         ),
-        "scenarios": rows,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    if baseline is not None:
-        failures += check_baseline(rows, baseline, tolerance=0.30)
-    return 1 if failures else 0
+    )
 
 
 if __name__ == "__main__":

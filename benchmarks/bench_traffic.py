@@ -40,10 +40,7 @@ Not collected by pytest (file name is not ``test_*``); run directly:
 
 from __future__ import annotations
 
-import argparse
-import json
-from pathlib import Path
-
+import gate
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
@@ -209,8 +206,8 @@ def run_suite() -> list[dict]:
     return rows
 
 
-def structural_gates(rows: list[dict]) -> int:
-    """Seed-independent sanity gates; returns the number of failures.
+def structural_gates(rows: list[dict], check) -> None:
+    """Seed-independent sanity gates, one ``check(cond, msg)`` each.
 
     * no scenario may dispatch to a non-vectorized engine mode;
     * the mesh Zipf sub-saturation row must show measurably (>= 1.5x)
@@ -220,15 +217,6 @@ def structural_gates(rows: list[dict]) -> int:
     * the drop-policy row must actually drop.
     """
     by_scenario = {r["scenario"]: r for r in rows}
-    failures = 0
-
-    def check(cond: bool, msg: str) -> None:
-        nonlocal failures
-        print(f"  {'ok' if cond else 'FAIL'}  {msg}")
-        if not cond:
-            failures += 1
-
-    print("\nstructural gates:")
     for r in rows:
         check(
             not r["fallback_modes"],
@@ -248,47 +236,6 @@ def structural_gates(rows: list[dict]) -> int:
     drop = by_scenario["leveled-crcw-bursty-credit-drop"]
     check(drop["dropped"] > 0, "bounded-queue drop row drops arrivals")
     check(drop["credits_stalled"] > 0, "credit row records credit stalls")
-    return failures
-
-
-def check_baseline(rows: list[dict], baseline: dict, *, tolerance: float) -> int:
-    """Compare deterministic service metrics against a committed report.
-
-    Rows are matched by (scenario, network); rows missing from the
-    baseline are reported and skipped (a new scenario gates once the
-    baseline is regenerated), while baseline rows missing from the run
-    *fail* — dropping a scenario must be an explicit baseline
-    regeneration, not a silent loss of coverage.  The run is seeded, so
-    drift beyond the tolerance means the service changed behaviour —
-    not that the host was slow.
-    """
-    by_key = {
-        (r["scenario"], r["network"]): r for r in baseline.get("scenarios", [])
-    }
-    failures = 0
-    print(f"\nbaseline check (tolerance: +-{tolerance:.0%}):")
-    for row in rows:
-        base = by_key.get((row["scenario"], row["network"]))
-        if base is None:
-            print(f"  {row['scenario']:36s} not in baseline — skipped")
-            continue
-        for metric in ("sojourn_p99", "throughput_per_step"):
-            b, v = base[metric], row[metric]
-            if b == 0:
-                ok = v == 0
-            else:
-                ok = abs(v / b - 1.0) <= tolerance
-            print(
-                f"  {row['scenario']:36s} {metric:20s} "
-                f"{b:10.2f} -> {v:10.2f} {'ok' if ok else 'REGRESSED'}"
-            )
-            if not ok:
-                failures += 1
-    ran = {(r["scenario"], r["network"]) for r in rows}
-    for scenario, network in sorted(set(by_key) - ran):
-        print(f"  {scenario:36s} in baseline but MISSING from this run")
-        failures += 1
-    return failures
 
 
 def _render(row: dict) -> str:
@@ -301,45 +248,20 @@ def _render(row: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_traffic.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        type=Path,
-        default=None,
-        metavar="BASELINE_JSON",
-        help="compare deterministic service metrics (p99 sojourn, per-step "
-        "throughput) against this committed report and exit nonzero on a "
-        ">30%% drift; runs are seeded, so the gate is host-speed-safe",
-    )
-    args = parser.parse_args(argv)
-
-    # Load the baseline up front: --out may point at the same file.
-    baseline = None
-    if args.check_baseline is not None:
-        baseline = json.loads(args.check_baseline.read_text())
-
-    rows = run_suite()
-    failures = structural_gates(rows)
-    report = {
-        "benchmark": "online-traffic",
-        "note": (
+    return gate.main(
+        argv,
+        description=__doc__.splitlines()[0],
+        out="BENCH_traffic.json",
+        run_suite=run_suite,
+        structural_gates=structural_gates,
+        baseline_gate=gate.service_gate(36),
+        benchmark="online-traffic",
+        note=(
             "open-loop service scenarios; all metrics deterministic under "
             "the committed seeds (engine-independent by the differential "
             "contract)"
         ),
-        "scenarios": rows,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    if baseline is not None:
-        failures += check_baseline(rows, baseline, tolerance=0.30)
-    return 1 if failures else 0
+    )
 
 
 if __name__ == "__main__":

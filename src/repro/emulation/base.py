@@ -10,7 +10,6 @@ every emulated step so experiments can check the paper's bounds
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Sequence
@@ -23,12 +22,16 @@ from repro.emulation.combining import (
     reply_next_hop,
     route_replies_fast,
 )
-from repro.faults import RehashStormError
+from repro.faults import FaultState, RehashStormError
+from repro.hashing.family import HashFamily, degree_for_diameter
 from repro.obs import NULL_OBSERVER
+from repro.pram.memory import SharedMemory
 from repro.pram.trace import MemoryTrace, RequestColumns, StepTrace
-from repro.pram.variants import resolve_writes
+from repro.pram.variants import WritePolicy, resolve_writes
 from repro.routing.engine import SynchronousEngine
-from repro.routing.flow_control import DeadlockError
+from repro.routing.fast_engine import resolve_engine_mode
+from repro.routing.flow_control import DeadlockError, resolve_flow_control
+from repro.util.rng import as_generator
 from repro.util.stats import Summary, summarize
 
 
@@ -220,16 +223,13 @@ class EmulationReport:
 class Emulator(ABC):
     """A machine that executes PRAM memory traces on a network.
 
-    Emulators are *cheap, picklable, independently steppable* instances:
+    One object, one verb: :meth:`emulate_step` emulates exactly one PRAM
+    instruction as one synchronous round — hash, route requests, serve
+    memory, route replies.  Emulators are *cheap, picklable* instances:
     all state lives on the instance (no module-level caches), so a
     mid-run emulator round-trips through ``pickle`` and continues
-    bit-identically — the contract the sharding layer
-    (:mod:`repro.sharding`) relies on to move shards into worker
-    processes.  Besides the one-shot :meth:`emulate_step`, every
-    emulator exposes a small queued-work API: :meth:`submit` parks steps
-    in an inbox, :meth:`step` serves exactly one of them, and
-    :meth:`drain` serves the rest — which is what lets a scatter/gather
-    front end step N shards independently.
+    bit-identically — which is what lets a scatter/gather front end
+    (:mod:`repro.sharding`) own N of them and step each in a plain loop.
 
     Service contract
     ----------------
@@ -239,8 +239,9 @@ class Emulator(ABC):
     may read of *any* emulator — plain attribute reads, never
     ``getattr`` / ``hasattr`` probes (lint rule ``REPRO008``).  The
     class-level defaults below are what an emulator with nothing to say
-    reports (a scripted test double only defines ``emulate_step``); they
-    also keep old pickles loading:
+    reports (a scripted test double defines ``emulate_step`` and a
+    constructor that skips :meth:`__init__`'s shared state); they also
+    keep old pickles loading:
 
     ``n_processors``
         processors a step may name (``None``: unbounded / unknown).
@@ -261,6 +262,9 @@ class Emulator(ABC):
     ``virtual_clock``
         the fault timeline's "now"; drivers assign it to pin the
         emulator to their clock.
+    ``write_policy`` / ``combine_op``
+        concurrent-write resolution; the replay layer assigns them to
+        match the program it replays.
     ``serving_modules(addrs)`` / ``module_of(addr)``
         which memory module serves each address right now.
     """
@@ -272,8 +276,106 @@ class Emulator(ABC):
     observer = None
     faults = None
     virtual_clock = 0
+    write_policy = WritePolicy.ARBITRARY
+    combine_op = "sum"
     #: the address -> module hash (``None``: no placement to report)
     hash = None
+
+    def __init__(
+        self,
+        address_space: int,
+        *,
+        n_modules: int,
+        n_processors: int,
+        diameter: int,
+        mode: str,
+        write_policy: WritePolicy = WritePolicy.ARBITRARY,
+        combine_op: str = "sum",
+        hash_c: float = 1.0,
+        rehash_factor: float = 8.0,
+        max_rehashes: int = 8,
+        node_capacity: int | None = None,
+        flow_control: str = "none",
+        seed=None,
+        validate: bool = True,
+        engine: str = "auto",
+        faults=None,
+        observer=None,
+    ) -> None:
+        """The state every hashed-memory network emulator shares — all
+        the step pipeline below reads off the instance.  A subclass
+        passes what is network-specific (*n_modules*, *n_processors*,
+        the *diameter* that sizes the hash degree, its default *mode*),
+        defines ``_check_link_spec(target)`` — ``ValueError`` unless a
+        link-fault event's *target* names a link of its network — and
+        hands every other keyword of its own constructor through:
+
+        write_policy / combine_op:
+            Concurrent-write resolution (CRCW variants).
+        hash_c / rehash_factor / max_rehashes:
+            Hash-family degree scaling and the §2.1 rehash-on-timeout
+            loop: the request phase's time allotment is *rehash_factor*
+            times the network's path length; missing it draws a new
+            hash, at most *max_rehashes* times.
+        node_capacity / flow_control:
+            Per-node buffer bound for the *request* phase (and the
+            mesh's EREW fresh-route replies; reverse-path reply fan-out
+            always runs unconstrained, on both engines).
+            ``flow_control="credit"`` (requires ``node_capacity``)
+            enables the deadlock-free escape protocol of
+            :mod:`repro.routing.flow_control`; a wedged attempt
+            (``DeadlockError``) is treated like a missed allotment:
+            rehash and retry.  On the fast engine, capacity requests
+            take the vectorized constrained-batch mode.
+        seed:
+            One generator, one draw order: the first hash function, then
+            every router's randomness, step by step.
+        validate:
+            Check each reply phase delivered one reply per read.
+        engine:
+            ``"auto"`` (default; compiled fast path, see
+            :mod:`repro.routing.fast_engine`), ``"fast"`` or
+            ``"reference"`` for every routing phase; identical step
+            costs under a fixed seed.
+        faults / observer:
+            A :class:`~repro.faults.FaultPlan` / ``FaultSchedule`` (or
+            ``None``), and an optional :class:`~repro.obs.Observer`.
+        """
+        if mode not in ("erew", "crcw"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.mode = mode
+        self.n_processors = n_processors
+        #: repro.obs observer forwarded to every router/engine this
+        #: emulator builds; None stays a no-op
+        self.observer = observer
+        self.engine_mode = engine
+        resolve_engine_mode(engine)  # validate eagerly
+        self.write_policy = write_policy
+        self.combine_op = combine_op
+        self.node_capacity = node_capacity
+        self.flow_control = resolve_flow_control(
+            flow_control, node_capacity=node_capacity
+        )
+        self.rehash_factor = rehash_factor
+        self.max_rehashes = max_rehashes
+        self.validate = validate
+        self.rng = as_generator(seed)
+        self.memory = SharedMemory(address_space)
+        self.family = HashFamily(
+            address_space, n_modules, degree_for_diameter(diameter, hash_c)
+        )
+        self.hash = self.family.sample(self.rng)
+        self.rehash_count = 0
+        self.faults = FaultState(
+            faults, num_modules=n_modules, num_processors=n_processors
+        )
+        if self.faults.has_link_faults:
+            for event in self.faults.schedule.link_events:
+                self._check_link_spec(event.target)
+        #: global virtual-network clock: advanced by each emulated step's
+        #: ``total_steps + stall_steps`` so the fault schedule is sampled
+        #: on one continuous timeline across steps and phases
+        self.virtual_clock = 0
 
     @abstractmethod
     def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
@@ -286,46 +388,6 @@ class Emulator(ABC):
         ``trace()`` / ``num_requests``; an implementation calls the one
         it computes on, once, at entry.
         """
-
-    # ---- queued-work API (submit / step / drain) ----------------------
-    @property
-    def inbox(self) -> deque:
-        """Steps submitted but not yet served (FIFO)."""
-        # Created lazily so every Emulator subclass gets the queued-work
-        # API without having to call a base __init__ (and old pickles
-        # without the attribute keep loading).
-        box = getattr(self, "_inbox", None)
-        if box is None:
-            box = self._inbox = deque()
-        return box
-
-    @property
-    def pending(self) -> int:
-        """Submitted steps waiting to be served."""
-        return len(self.inbox)
-
-    def submit(self, step: StepTrace | RequestColumns) -> None:
-        """Queue one step (either form :meth:`emulate_step` takes) for a
-        later :meth:`step` / :meth:`drain`."""
-        self.inbox.append(step)
-
-    def step(self) -> StepCost | None:
-        """Serve the oldest submitted step; ``None`` when idle.
-
-        One call emulates exactly one PRAM step, so a coordinator can
-        interleave many emulators at step granularity (the sharding
-        front end steps every shard once per gather barrier).
-        """
-        if not self.inbox:
-            return None
-        return self.emulate_step(self.inbox.popleft())
-
-    def drain(self) -> list[StepCost]:
-        """Serve every queued step, in submission order."""
-        costs: list[StepCost] = []
-        while self.inbox:
-            costs.append(self.emulate_step(self.inbox.popleft()))
-        return costs
 
     # ---- the step pipeline --------------------------------------------
     # columns -> hash -> route requests (rehash + retry) -> memory ->
@@ -340,9 +402,7 @@ class Emulator(ABC):
     # supplies what is network-specific: ``_make_router(engine_mode,
     # fault_base)``, its allotment and budgets, placement
     # (``_modules_of``) and the shape of its reply phase.  The pieces
-    # read the instance's ``mode`` / ``hash`` / ``family`` / ``rng`` /
-    # ``faults`` / ``memory`` / ``max_rehashes`` / ``validate`` /
-    # ``virtual_clock``.
+    # read the state ``__init__`` builds.
 
     #: label on step metrics, rehash events and failure messages
     network = "network"

@@ -70,27 +70,19 @@ def reply_next_hop(reply: Packet):
 class ReplySpawner:
     """``on_arrival`` hook spawning child replies at merge points.
 
-    The spawn rule — every absorbed child's reply is born where the
-    child was merged, carrying the parent reply's value — lives here for
-    *both* engines.  ``reply_factory`` and ``merge_key`` parameterize
-    the representation: the defaults build trace-based replies for the
-    reference engine; the fast reply path supplies integer-path
-    equivalents (see ``LeveledEmulator._route_replies_fast``) while
-    sharing the pid assignment, double-spawn guard, and counters.
+    The reference engine's spawn rule — every absorbed child's reply is
+    born where the child was merged, carrying the parent reply's value.
+    The fast engine replays the same rule off a static array plan
+    (:func:`route_replies_fast`); ``tests/test_reply_phase.py`` holds
+    the two together.
     """
 
-    def __init__(self, *, reply_factory=None, merge_key=None) -> None:
+    def __init__(self) -> None:
         self._next_pid = 10_000_000  # disjoint from request pids
         self._done: set[int] = set()  # child request pids already spawned
-        self._groups: dict[int, dict] = {}  # id(request) -> merge key -> kids
-        self._make = reply_factory if reply_factory is not None else make_reply
-        self._merge_key = (
-            merge_key if merge_key is not None else self._trace_merge_key
-        )
-        self.spawned = 0
 
     @staticmethod
-    def _trace_merge_key(child: Packet):
+    def _merge_key(child: Packet):
         """Where *child*'s reply must spawn: its absorption node."""
         return child.trace[-1] if child.trace else None
 
@@ -99,17 +91,16 @@ class ReplySpawner:
         return self._next_pid
 
     def _spawn(self, child: Packet, here, payload) -> Packet:
-        child_reply = self._make(child, self._fresh_pid(), payload)
+        child_reply = make_reply(child, self._fresh_pid(), payload)
         child_reply.node = here
         self._done.add(child.pid)
-        self.spawned += 1
         return child_reply
 
     def __call__(self, reply: Packet):
         return self.spawn_at(reply, reply.node) or None
 
     def spawn_at(self, reply: Packet, here) -> "list[Packet]":
-        """Child replies to inject at node *here* (linear scan form)."""
+        """Child replies to inject at node *here*."""
         if reply.kind != "reply":
             return []
         request = reply.state[2]
@@ -125,34 +116,6 @@ class ReplySpawner:
             if self._merge_key(child) == here:
                 out.append(self._spawn(child, here, reply.payload))
         return out
-
-    def spawn_grouped(self, reply: Packet, here) -> "list[Packet]":
-        """Like :meth:`spawn_at`, but children are bucketed by merge key
-        once per request — O(children) total instead of a full scan at
-        every node the reply visits.  Same spawns in the same order; the
-        fast reply path uses this because large combining trees make the
-        repeated scan quadratic.
-        """
-        if reply.kind != "reply":
-            return []
-        request = reply.state[2]
-        children = request.children
-        if not children:
-            return []
-        groups = self._groups.get(id(request))
-        if groups is None:
-            groups = {}
-            for child in children:
-                if child.pid in self._done:
-                    continue
-                key = self._merge_key(child)
-                if key is not None:
-                    groups.setdefault(key, []).append(child)
-            self._groups[id(request)] = groups
-        kids = groups.pop(here, None)
-        if not kids:
-            return []
-        return [self._spawn(child, here, reply.payload) for child in kids]
 
 
 def build_replies(hosts: list[Packet], values: dict[int, object], pid_base: int = 0):

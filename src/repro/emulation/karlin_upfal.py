@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.emulation.base import Emulator, StepCost
+from repro.emulation.base import AttemptLog, StepCost
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import RequestColumns, StepTrace
 from repro.routing.fast_engine import resolve_engine_mode
@@ -36,8 +36,12 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
         router = self._make_router(resolve_engine_mode(self.engine_mode))
         n = self.mesh.rows + self.mesh.cols
         stats = router.route(sources, dests, max_steps=500 * n + 2000)
-        if not stats.completed:
-            raise RuntimeError("Karlin–Upfal leg did not complete")
+        if not stats.completed:  # the baseline has no rehash / retry loop
+            raise self._failure(
+                "Karlin–Upfal leg did not complete",
+                AttemptLog(run_modes=[stats.run_mode]),
+                stats.steps,
+            )
         return stats
 
     def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:

@@ -24,17 +24,11 @@ from __future__ import annotations
 from typing import Literal
 
 from repro.emulation.base import Emulator, StepCost
-from repro.faults import FaultState
-from repro.hashing.family import HashFamily, degree_for_diameter
-from repro.pram.memory import SharedMemory
 from repro.pram.trace import RequestColumns, StepTrace
-from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
-from repro.routing.flow_control import resolve_flow_control
 from repro.routing.leveled_router import LeveledRouter
 from repro.topology.compiled import compile_leveled
 from repro.topology.leveled import LeveledNetwork
-from repro.util.rng import as_generator
 
 
 class LeveledEmulator(Emulator):
@@ -54,23 +48,9 @@ class LeveledEmulator(Emulator):
     intermediate:
         Phase-1 flavor of the universal algorithm ("coin" = Algorithm 2.1,
         "node" = Algorithms 2.2/2.3).
-    rehash_factor:
-        Time allotment per routing phase, as a multiple of the 2L path
-        length; exceeding it triggers a rehash.
-    node_capacity / flow_control:
-        Bounded per-node buffering for the *request* phase (reply
-        fan-out runs unconstrained in both engines, mirroring the mesh
-        emulator's CRCW reply contract); ``flow_control="credit"``
-        enables the deadlock-free escape protocol of
-        :mod:`repro.routing.flow_control`, and a wedged attempt
-        (``DeadlockError``) is treated like a missed allotment: rehash
-        and retry.  On the fast engine, capacity requests take the
-        vectorized constrained-batch mode (batch credit accounting).
-    engine:
-        Routing simulator: "auto" (default; compiled fast path, see
-        :mod:`repro.routing.fast_engine`), "fast", or "reference".  Both
-        request and reply phases honour the choice and produce identical
-        step costs under a fixed seed.
+    **shared:
+        Every other keyword (``seed``, ``engine``, ``faults``, ...) is
+        documented on :meth:`Emulator.__init__`, which takes them.
     """
 
     network = "leveled"
@@ -81,75 +61,34 @@ class LeveledEmulator(Emulator):
         address_space: int,
         *,
         mode: Literal["erew", "crcw"] = "crcw",
-        write_policy: WritePolicy = WritePolicy.ARBITRARY,
-        combine_op: str = "sum",
         intermediate: Literal["coin", "node"] = "coin",
-        hash_c: float = 1.0,
-        rehash_factor: float = 8.0,
-        max_rehashes: int = 8,
-        node_capacity: int | None = None,
-        flow_control: str = "none",
-        seed=None,
-        validate: bool = True,
-        engine: str = "auto",
-        faults=None,
-        observer=None,
+        **shared,
     ) -> None:
-        if mode not in ("erew", "crcw"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.net = net
-        self.mode = mode
-        #: repro.obs observer forwarded to every router/engine this
-        #: emulator builds; None stays a no-op (see Emulator.observer)
-        self.observer = observer
-        self.engine_mode = engine
-        resolve_engine_mode(engine)  # validate eagerly
-        self.write_policy = write_policy
-        self.combine_op = combine_op
         self.intermediate = intermediate
-        self.node_capacity = node_capacity
-        self.flow_control = resolve_flow_control(
-            flow_control, node_capacity=node_capacity
+        # Modules are last-column rows, processors are column-0 rows; a
+        # request path crosses the leveled structure twice.
+        super().__init__(
+            address_space,
+            n_modules=net.column_size,
+            n_processors=net.column_size,
+            diameter=2 * net.num_levels,
+            mode=mode,
+            **shared,
         )
-        self.rehash_factor = rehash_factor
-        self.max_rehashes = max_rehashes
-        self.validate = validate
-        self.rng = as_generator(seed)
-        self.memory = SharedMemory(address_space)
 
-        diameter = 2 * net.num_levels  # request path length in the network
-        self.family = HashFamily(
-            address_space, net.column_size, degree_for_diameter(diameter, hash_c)
-        )
-        self.hash = self.family.sample(self.rng)
-        self.rehash_count = 0
-        # Fault model: modules are last-column rows, processors are
-        # column-0 rows.  Link specs are (col, u_row, v_row) wires.
-        self.faults = FaultState(
-            faults,
-            num_modules=net.column_size,
-            num_processors=net.column_size,
-        )
-        if self.faults.link_timeline is not None:
-            for e in self.faults.schedule.link_events:
-                c, u, v = e.target
-                L, N = net.num_levels, net.column_size
-                if not (0 <= c < L and 0 <= u < N and 0 <= v < N):
-                    raise ValueError(f"link fault spec {e.target!r} out of range")
-        #: global virtual-network clock: advanced by each emulated step's
-        #: ``total_steps + stall_steps`` so the fault schedule is sampled
-        #: on one continuous timeline across steps and phases
-        self.virtual_clock = 0
+    def _check_link_spec(self, target) -> None:
+        """Link specs are ``(col, u_row, v_row)`` wires."""
+        c, u, v = target
+        L, N = self.net.num_levels, self.net.column_size
+        if not (0 <= c < L and 0 <= u < N and 0 <= v < N):
+            raise ValueError(f"link fault spec {target!r} out of range")
 
     # ------------------------------------------------------------------
     @property
     def scale(self) -> float:
         """2L: one pass through the leveled structure each way."""
         return 2.0 * self.net.num_levels
-
-    @property
-    def n_processors(self) -> int:
-        return self.net.column_size
 
     def _make_router(self, engine_mode: str, fault_base: int = 0) -> LeveledRouter:
         # The fast engine only engages when trajectories are compilable

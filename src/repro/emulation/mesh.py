@@ -31,16 +31,10 @@ from typing import Literal
 import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
-from repro.faults import FaultState
-from repro.hashing.family import HashFamily, degree_for_diameter
-from repro.pram.memory import SharedMemory
 from repro.pram.trace import RequestColumns, StepTrace
-from repro.pram.variants import WritePolicy
 from repro.routing.fast_engine import resolve_engine_mode
-from repro.routing.flow_control import resolve_flow_control
 from repro.routing.mesh_router import MeshRouter
 from repro.topology.mesh import Mesh2D
-from repro.util.rng import as_generator
 
 
 def locality_slice_rows(delta: int) -> int:
@@ -56,28 +50,15 @@ class MeshEmulator(Emulator):
     mode:
         ``"erew"`` (exclusive accesses, Theorem 3.2) or ``"crcw"``
         (combining + reply fan-out along the merge trees).
-    write_policy / combine_op:
-        Concurrent-write resolution (CRCW variants).
     placement:
         ``"hash"`` (Karlin–Upfal hashed memory, the default) or
         ``"direct"`` (address a lives at node a — the locality mode of
         Theorem 3.3, see :func:`locality_slice_rows`).
     slice_rows:
         Stage-0 slice height forwarded to the router.
-    hash_c / rehash_factor / max_rehashes:
-        Hash-family degree scaling and the §2.1 rehash-on-timeout loop.
-    node_capacity:
-        Per-node buffer bound for the *request* phase (EREW replies
-        too; CRCW reply fan-out always runs unconstrained in both
-        engines).  On the fast engine, capacity requests take the
-        vectorized constrained-batch mode.
-    flow_control:
-        ``"none"`` or ``"credit"`` (requires ``node_capacity``): the
-        deadlock-free escape protocol; a wedged attempt is treated as a
-        failed attempt and rehashed.
-    engine:
-        ``"auto"`` (default), ``"fast"``, or ``"reference"`` for every
-        routing phase; identical step costs under a fixed seed.
+    **shared:
+        Every other keyword (``seed``, ``engine``, ``faults``, ...) is
+        documented on :meth:`Emulator.__init__`, which takes them.
     """
 
     network = "mesh"
@@ -88,85 +69,48 @@ class MeshEmulator(Emulator):
         address_space: int,
         *,
         mode: Literal["erew", "crcw"] = "erew",
-        write_policy: WritePolicy = WritePolicy.ARBITRARY,
-        combine_op: str = "sum",
         placement: Literal["hash", "direct"] = "hash",
         slice_rows: int | None = None,
-        hash_c: float = 1.0,
-        rehash_factor: float = 8.0,
-        max_rehashes: int = 8,
-        node_capacity: int | None = None,
-        flow_control: str = "none",
-        seed=None,
-        validate: bool = True,
-        engine: str = "auto",
-        faults=None,
-        observer=None,
+        **shared,
     ) -> None:
-        if mode not in ("erew", "crcw"):
-            raise ValueError(f"unknown mode {mode!r}")
         if placement not in ("hash", "direct"):
             raise ValueError(f"unknown placement {placement!r}")
-        self.mesh = mesh
-        self.mode = mode
-        #: repro.obs observer forwarded to every router/engine this
-        #: emulator builds; None stays a no-op (see Emulator.observer)
-        self.observer = observer
-        self.engine_mode = engine
-        resolve_engine_mode(engine)  # validate eagerly
-        self.write_policy = write_policy
-        self.combine_op = combine_op
-        self.placement = placement
-        self.slice_rows = slice_rows
-        self.rehash_factor = rehash_factor
-        self.max_rehashes = max_rehashes
-        self.node_capacity = node_capacity
-        self.flow_control = resolve_flow_control(
-            flow_control, node_capacity=node_capacity
-        )
-        self.validate = validate
-        self.rng = as_generator(seed)
-        self.memory = SharedMemory(address_space)
-
         n = mesh.num_nodes
         if placement == "direct" and address_space > n:
             raise ValueError(
                 "direct placement needs address_space <= number of nodes"
             )
-        self.family = HashFamily(
-            address_space, n, degree_for_diameter(mesh.diameter, hash_c)
+        self.mesh = mesh
+        self.placement = placement
+        self.slice_rows = slice_rows
+        # Every mesh node is both a processor and a memory module, so
+        # both id spaces are [0, num_nodes).
+        super().__init__(
+            address_space,
+            n_modules=n,
+            n_processors=n,
+            diameter=mesh.diameter,
+            mode=mode,
+            **shared,
         )
-        self.hash = self.family.sample(self.rng)
-        self.rehash_count = 0
-        # Fault model: every mesh node is both a processor and a memory
-        # module, so both id spaces are [0, num_nodes).  Link specs are
-        # (u, v) packed-node-id pairs and must be mesh edges.
-        self.faults = FaultState(faults, num_modules=n, num_processors=n)
-        if self.faults.link_timeline is not None:
-            for e in self.faults.schedule.link_events:
-                u, v = e.target
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"link fault spec {e.target!r} out of range")
-                ur, uc = mesh.unpack(u)
-                vr, vc = mesh.unpack(v)
-                if abs(ur - vr) + abs(uc - vc) != 1:
-                    raise ValueError(
-                        f"link fault spec {e.target!r} is not a mesh edge"
-                    )
-        #: global virtual-network clock: advanced by each emulated step's
-        #: ``total_steps + stall_steps`` so the fault schedule is sampled
-        #: on one continuous timeline across steps and phases
-        self.virtual_clock = 0
+
+    def _check_link_spec(self, target) -> None:
+        """Link specs are ``(u, v)`` packed-node-id pairs and must be
+        mesh edges."""
+        u, v = target
+        n = self.mesh.num_nodes
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"link fault spec {target!r} out of range")
+        ur, uc = self.mesh.unpack(u)
+        vr, vc = self.mesh.unpack(v)
+        if abs(ur - vr) + abs(uc - vc) != 1:
+            raise ValueError(f"link fault spec {target!r} is not a mesh edge")
 
     # ------------------------------------------------------------------
     @property
     def scale(self) -> float:
         """n (the mesh side): Theorem 3.2's bound is 4n + o(n)."""
         return float(self.mesh.rows)
-
-    @property
-    def n_processors(self) -> int:
-        return self.mesh.num_nodes
 
     def _modules_of(self, addrs: np.ndarray) -> np.ndarray:
         return addrs if self.placement == "direct" else self.hash.map(addrs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Sequence
 
-from repro.emulation.base import Emulator, StepCost
+from repro.emulation.base import AttemptLog, Emulator, RequestRoutingError, StepCost
 from repro.hashing.family import HashFamily
 from repro.pram.memory import SharedMemory
 from repro.pram.trace import RequestColumns, StepTrace
@@ -133,9 +133,12 @@ class RanadeEmulator(Emulator):
 
         while delivered < total:
             if t >= self.max_pass_steps:
-                raise RuntimeError(
+                # terminal: the baseline has no rehash / retry loop
+                raise RequestRoutingError(
                     f"Ranade pass exceeded {self.max_pass_steps} steps "
-                    f"({delivered}/{total} delivered)"
+                    f"({delivered}/{total} delivered)",
+                    AttemptLog(),  # no engine runs: the merge is its own
+                    burned=t,
                 )
             # per-port occupancy snapshot: a full sibling port must never
             # block the (smaller-key) packet another port is waiting for

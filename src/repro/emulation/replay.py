@@ -39,15 +39,12 @@ class ReplayResult:
 def configure_emulator_for(spec: ProgramSpec, emulator: Emulator) -> None:
     """Align the emulator's write semantics and memory with the program.
 
-    Works on a :class:`~repro.sharding.ShardedEmulator` too: write
-    semantics are pushed to every shard (the front end itself never
-    resolves writes) and init values route through the sharded memory
-    facade to their owning shards.
+    Works on a :class:`~repro.sharding.ShardedEmulator` too: it fans
+    the write semantics out to its shards, and init values route
+    through the sharded memory facade to their owning shards.
     """
-    targets = getattr(emulator, "shards", None) or [emulator]
-    for target in targets:
-        target.write_policy = spec.write_policy
-        target.combine_op = spec.combine_op
+    emulator.write_policy = spec.write_policy
+    emulator.combine_op = spec.combine_op
     if spec.mode is not AccessMode.EREW and emulator.mode == "erew":
         raise ValueError(
             f"{spec.name} needs concurrent access; build the emulator with "

@@ -5,8 +5,8 @@ scales the same idea out: a :class:`ShardedEmulator` partitions the
 address space across N independent emulator shards with two-level
 hashing — a seeded global :class:`ShardPlacement` picks the shard, each
 shard's own Karlin–Upfal hash spreads its addresses over its modules —
-and serves every PRAM step scatter/gather over the shards' queued-work
-API.  In front of it, the one :class:`~repro.traffic.OnlineEmulator`
+and serves every PRAM step scatter/gather: one ``emulate_step`` per
+loaded shard.  In front of it, the one :class:`~repro.traffic.OnlineEmulator`
 driver does multi-tenant admission (QoS classes and per-epoch quotas,
 per-tenant conservation guaranteed); :mod:`repro.sharding.qos` merges
 tenant workloads and re-exports the policy names.
@@ -23,8 +23,8 @@ Quickstart::
         return LeveledEmulator(net, 1 << 20, mode="crcw", seed=seed)
 
     service = ShardedEmulator(make_shard, 4, 1 << 20, seed=7)
-    # service is itself an Emulator: emulate_step / emulate_trace /
-    # submit / step / drain all work, and OnlineEmulator can drive it.
+    # service is itself an Emulator: emulate_step / emulate_trace
+    # work, and OnlineEmulator can drive it.
 
 See ``docs/sharding.md`` for the architecture, the clock/failure
 models, and a worked multi-tenant example.
@@ -37,15 +37,9 @@ from repro.sharding.qos import (
     MultiTenantWorkload,
     TenantPolicy,
 )
-from repro.sharding.service import (
-    EmptyShardStepError,
-    ShardedEmulator,
-    ShardedMemory,
-    merge_costs,
-)
+from repro.sharding.service import ShardedEmulator, ShardedMemory, merge_costs
 
 __all__ = [
-    "EmptyShardStepError",
     "MultiTenantOnlineEmulator",
     "MultiTenantWorkload",
     "QOS_CLASSES",

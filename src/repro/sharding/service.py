@@ -6,10 +6,9 @@ work's "emulating a large memory with a collection of smaller ones"
 address space across N *independent* emulator shards with the two-level
 hash of :mod:`repro.sharding.placement` and serves each PRAM step by
 
-1. **scatter** — splitting the step into per-shard sub-steps and
-   submitting each to its shard's inbox (the queued-work API every
-   :class:`~repro.emulation.base.Emulator` exposes);
-2. **step** — serving every loaded shard exactly once, independently;
+1. **scatter** — splitting the step into per-shard sub-steps;
+2. **step** — one ``emulate_step`` on every loaded shard, in shard
+   order, each independent of the others;
 3. **gather** — merging the per-shard :class:`StepCost` records into
    one step cost under the parallel-shards clock model below.
 
@@ -29,15 +28,15 @@ unsharded emulator built from the same derived seed.
 
 Failure model: a shard that exhausts its rehash budget raises
 :class:`~repro.faults.RehashStormError`.  The gather barrier then fails
-the *whole* step — remaining inboxes are cleared and the error
-propagates, so a driver retries the full batch.  Reads are idempotent
-and retried writes re-apply the same values, so the retry is safe; the
-work shards completed before the failure is charged to the failed
-attempt's clock by the driver's stall accounting.
+the *whole* step — the error propagates, so a driver retries the full
+batch, and since a sub-step exists only inside the loop that serves it
+there is nothing to clean up.  Reads are idempotent and retried writes
+re-apply the same values, so the retry is safe; the work shards
+completed before the failure is charged to the failed attempt's clock
+by the driver's stall accounting.
 
-Shards are cheap, picklable, independently steppable instances (the
-Emulator contract), so the same front end can later scatter to a
-process pool; today it steps them in-process, in shard order.
+Shards are cheap, picklable instances (the Emulator contract), stepped
+in-process, in shard order.
 """
 
 from __future__ import annotations
@@ -52,16 +51,7 @@ from repro.pram.trace import RequestColumns, StepTrace
 from repro.sharding.placement import ShardPlacement
 from repro.util.rng import as_generator
 
-__all__ = ["EmptyShardStepError", "ShardedEmulator", "ShardedMemory", "merge_costs"]
-
-
-class EmptyShardStepError(RuntimeError):
-    """A shard had nothing to serve right after the scatter submitted
-    its sub-step — its inbox was drained or replaced behind the front
-    end's back.  Terminal: the fleet's inboxes are cleared and the
-    error propagates (see ``docs/faults.md``)."""
-
-    flight_tail: tuple = ()
+__all__ = ["ShardedEmulator", "ShardedMemory", "merge_costs"]
 
 
 def merge_costs(costs: Sequence[StepCost]) -> StepCost:
@@ -199,9 +189,15 @@ class ShardedEmulator(Emulator):
                     f"shard {i} covers only {mem.size} of "
                     f"{self.address_space} addresses"
                 )
+        modes = {shard.mode for shard in self.shards}
+        if len(modes) > 1:
+            raise ValueError(
+                f"shards disagree on mode ({sorted(map(str, modes))}); a fleet "
+                "is admitted under one"
+            )
         #: shared-access mode of the shard fleet (drivers key admission
         #: exclusivity off this, exactly as for a plain emulator)
-        self.mode = self.shards[0].mode
+        (self.mode,) = modes
         self.memory = ShardedMemory(self.shards, self.placement)
         #: global module-id stride: shard i's module m is reported as
         #: ``i * module_stride + m``, so telemetry's module-hotness
@@ -234,6 +230,26 @@ class ShardedEmulator(Emulator):
         for shard in self.shards:
             shard.virtual_clock = self._virtual_clock
 
+    @property
+    def write_policy(self):
+        """The fleet's concurrent-write resolution (the front end itself
+        never resolves writes); assigning sets it on every shard."""
+        return self.shards[0].write_policy
+
+    @write_policy.setter
+    def write_policy(self, value) -> None:
+        for shard in self.shards:
+            shard.write_policy = value
+
+    @property
+    def combine_op(self):
+        return self.shards[0].combine_op
+
+    @combine_op.setter
+    def combine_op(self, value) -> None:
+        for shard in self.shards:
+            shard.combine_op = value
+
     def serving_modules(self, addrs: np.ndarray) -> np.ndarray:
         """Global (shard-strided) module serving every address: the
         outer hash picks the shard, each shard maps its own rows."""
@@ -257,8 +273,6 @@ class ShardedEmulator(Emulator):
             requests=step.num_requests,
         ):
             parts = self.placement.split(step)
-            for idx, sub in parts.items():
-                self.shards[idx].submit(sub)
         costs: list[StepCost] = []
         try:
             with obs.span(
@@ -268,23 +282,14 @@ class ShardedEmulator(Emulator):
                 shards=len(parts),
             ) as sp:
                 for idx in sorted(parts):
-                    cost = self.shards[idx].step()
-                    if cost is None:  # we just submitted
-                        raise EmptyShardStepError(
-                            f"shard {idx} had no sub-step to serve after "
-                            "the scatter submitted one"
-                        )
-                    costs.append(cost)
+                    costs.append(self.shards[idx].emulate_step(parts[idx]))
                 sp.virtual_end = self._virtual_clock + max(
                     (c.total_steps + c.stall_steps for c in costs), default=0
                 )
-        except (RehashStormError, EmptyShardStepError) as err:
-            # Gather barrier failed: drop the un-served sub-steps so a
-            # retried step does not double-submit, and let the caller's
-            # retry policy re-run the whole batch of a storm (reads are
-            # idempotent, re-applied writes carry the same values).
-            for shard in self.shards:
-                shard.inbox.clear()
+        except RehashStormError as err:
+            # Gather barrier failed: the caller's retry policy re-runs
+            # the whole batch (reads are idempotent, re-applied writes
+            # carry the same values).
             if not err.flight_tail:
                 err.flight_tail = obs.flight_tail()
             raise

@@ -55,6 +55,9 @@ SWEEP_TENANTS = TENANTS + ("umbrella",)
 
 
 class _IdleEmulator(Emulator):
+    def __init__(self):  # none of a network emulator's shared state
+        pass
+
     def emulate_step(self, step):  # pragma: no cover - never stepped
         return StepCost(1, 1)
 

@@ -569,3 +569,44 @@ def test_step_columns_has_one_body_behind_one_entry_conversion():
     }
     # nothing past the first line knows there are two kinds of step
     assert not rest & {"isinstance", "StepTrace", "reads", "writes", "trace", "columns"}
+
+
+# ---------------------------------------------------------------------------
+# one emulator object: a shared constructor, one way to step it
+# ---------------------------------------------------------------------------
+
+
+def test_an_emulator_has_one_verb_and_one_builder_of_its_shared_state():
+    """``Emulator`` carries no mailbox (``emulate_step`` is how a shard is
+    stepped, so a failed gather has nothing to clean up), and the state
+    the step pipeline reads is assigned by ``Emulator.__init__`` alone:
+    the network emulators hand their arguments through."""
+    base = ast.parse((SRC / "emulation/base.py").read_text())
+    (emulator,) = [
+        c for c in ast.walk(base) if isinstance(c, ast.ClassDef) and c.name == "Emulator"
+    ]
+    defined = {f.name for f in emulator.body if isinstance(f, FUNCTIONS)}
+    assert not defined & {"submit", "step", "drain", "inbox", "pending"}
+    (init,) = [f for f in emulator.body if isinstance(f, FUNCTIONS) and f.name == "__init__"]
+
+    def self_assigned(tree) -> set:
+        return {
+            t.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self"
+        }
+
+    shared = self_assigned(init)
+    assert shared >= {
+        "mode", "n_processors", "observer", "engine_mode", "write_policy", "combine_op",
+        "node_capacity", "flow_control", "rehash_factor", "max_rehashes", "validate",
+        "rng", "memory", "family", "hash", "rehash_count", "faults", "virtual_clock",
+    }
+    constructed = {"SharedMemory", "HashFamily", "FaultState"}
+    assert constructed <= _calls(init)
+    for module in ("emulation/leveled.py", "emulation/mesh.py"):
+        tree = ast.parse((SRC / module).read_text())
+        assert not self_assigned(tree) & shared, module
+        assert not _calls(tree) & constructed, module

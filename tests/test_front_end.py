@@ -1,7 +1,8 @@
 """The serving front end's view of an emulator: the ``Emulator`` service
 contract (``n_processors`` / ``scale`` / ``mode`` / ``memory`` /
 ``observer`` / ``faults`` / ``virtual_clock`` / ``serving_modules`` /
-``module_of``), the front end's two typed terminal failures, the one
+``write_policy`` / ``combine_op`` / ``module_of``), the front end's
+typed terminal failure and its construction-time fleet check, the one
 writer of the epoch metrics, and the column pipeline: no request object
 is built between the generator and the ``EpochRecord``.
 """
@@ -21,8 +22,8 @@ from repro.faults import FaultPlan, FaultSchedule
 from repro.obs import Observer
 from repro.pram.programs import prefix_sum
 from repro.pram.trace import ReadRequest, StepTrace, WriteRequest, permutation_step
+from repro.pram.variants import WritePolicy
 from repro.sharding import (
-    EmptyShardStepError,
     MultiTenantWorkload,
     ShardedEmulator,
     TenantPolicy,
@@ -146,7 +147,11 @@ def test_direct_placement_mesh_reports_the_modules_it_did_on_the_scalar_path():
 
 
 class Scripted(Emulator):
-    """A test double the ordinary way: only ``emulate_step``."""
+    """A test double the ordinary way: ``emulate_step``, and a
+    constructor that builds none of a network emulator's shared state."""
+
+    def __init__(self):
+        pass
 
     def emulate_step(self, step):
         return StepCost(2, 1, requests=step.num_requests)
@@ -158,6 +163,7 @@ def test_an_emulator_with_nothing_to_say_reports_the_contract_defaults():
         None, None, None, None, None,
     )
     assert (em.scale, em.virtual_clock) == (1.0, 0)
+    assert (em.write_policy, em.combine_op) == (WritePolicy.ARBITRARY, "sum")
     assert em.serving_modules(ADDRS).tolist() == []
     drv = OnlineEmulator(em, workload(8, 5.0, UniformKeys(64)))
     assert not drv.exclusive
@@ -180,6 +186,13 @@ def test_every_emulator_class_answers_the_contract():
     assert fleet.mode == "crcw" and fleet.faults is None
     fleet.virtual_clock = 17
     assert [s.virtual_clock for s in fleet.shards] == [17, 17, 17]
+    # ... and write semantics fan out to the shards the same way
+    assert (fleet.write_policy, fleet.combine_op) == (WritePolicy.ARBITRARY, "sum")
+    fleet.write_policy, fleet.combine_op = WritePolicy.COMBINE, "max"
+    assert {(s.write_policy, s.combine_op) for s in fleet.shards} == {
+        (WritePolicy.COMBINE, "max")
+    }
+    assert (fleet.write_policy, fleet.combine_op) == (WritePolicy.COMBINE, "max")
 
 
 def test_the_driver_sizes_itself_from_the_contract():
@@ -206,24 +219,14 @@ def test_a_second_run_is_a_typed_terminal_error():
     assert isinstance(exc.value, RuntimeError)
 
 
-def test_a_shard_that_lost_its_sub_step_fails_the_gather_and_clears_the_fleet():
-    class Amnesiac(LeveledEmulator):
-        def step(self):
-            return None  # leaves the submitted sub-step in the inbox
-
+def test_a_fleet_whose_shards_disagree_on_mode_is_rejected_at_construction():
+    """It used to adopt shard 0's mode: the driver admitted
+    non-exclusively and the EREW shard raised mid-gather."""
     def factory(index, seed):
-        cls = Amnesiac if index == 2 else LeveledEmulator
-        return cls(NET, SPACE, mode="crcw", seed=seed)
+        return LeveledEmulator(NET, SPACE, mode="erew" if index == 1 else "crcw", seed=seed)
 
-    obs = Observer(flight_recorder=8)
-    service = ShardedEmulator(factory, 4, SPACE, seed=42, observer=obs)
-    step = permutation_step(N_PROCS, SPACE, seed=9)
-    assert set(service.placement.split(step)) == {0, 1, 2, 3}
-    with pytest.raises(EmptyShardStepError, match="shard 2") as exc:
-        service.emulate_step(step)
-    assert isinstance(exc.value, RuntimeError)
-    assert all(shard.pending == 0 for shard in service.shards)
-    assert isinstance(exc.value.flight_tail, tuple)
+    with pytest.raises(ValueError, match="shards disagree on mode"):
+        ShardedEmulator(factory, 4, SPACE, seed=42)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.emulation import (
+    KarlinUpfalMeshEmulator,
     LeveledEmulator,
     MeshEmulator,
+    RanadeEmulator,
     ReplyCountError,
     RequestRoutingError,
 )
@@ -302,6 +304,31 @@ def test_a_lost_reply_is_typed_terminal_and_carries_the_step_accounting(engine):
     assert isinstance(err, RequestRoutingError) and not isinstance(err, AssertionError)
     assert err.rehashes == 0 and len(err.run_modes) == 1
     assert isinstance(err.flight_tail, tuple)
+
+
+def test_a_baseline_that_runs_out_its_budget_is_typed_too():
+    """The Karlin–Upfal leg and the Ranade pass used to raise bare
+    ``RuntimeError``s; both carry the burned steps now, and the leg goes
+    through ``_failure`` like every routing phase (retryable under a
+    fault schedule, terminal without)."""
+    mesh = Mesh2D.square(4)
+    step = StepTrace(reads=[ReadRequest(p, p) for p in range(mesh.num_nodes)])
+    for faults, expected in (
+        (None, RequestRoutingError),
+        (FaultSchedule().kill_module(10_000, 3), RehashStormError),
+    ):
+        ku = KarlinUpfalMeshEmulator(
+            mesh, 64, seed=1, faults=faults, observer=Observer(flight_recorder=8)
+        )
+        ku._make_router = lambda mode, base=0, make=ku._make_router: _capped(make(mode, base))
+        with pytest.raises(expected, match="leg did not complete") as exc:
+            ku.emulate_step(step)
+        assert type(exc.value) is expected and exc.value.stall_steps == 1
+        assert len(exc.value.run_modes) == 1 and isinstance(exc.value.flight_tail, tuple)
+    ranade = RanadeEmulator(3, 64, seed=1, max_pass_steps=2)
+    with pytest.raises(RequestRoutingError, match="Ranade pass exceeded 2 steps") as exc:
+        ranade.emulate_step(StepTrace(reads=[ReadRequest(p, p) for p in range(8)]))
+    assert (exc.value.stall_steps, exc.value.run_modes) == (2, ())
 
 
 def _capped(router):

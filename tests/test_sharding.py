@@ -1,5 +1,5 @@
 """The sharded memory service (repro.sharding): placement, scatter/gather,
-tenant QoS, and the Emulator queued-work/picklability contract.
+tenant QoS, and the Emulator picklability contract.
 
 Layers under test:
 
@@ -8,11 +8,9 @@ Layers under test:
 * **service** — :class:`ShardedEmulator`: the shards=1 row is
   bit-identical to an unsharded emulator on *both* engines, the fast
   and reference fleets agree cost for cost, writes land in the owning
-  shard, gather-barrier failures clear the scattered inboxes;
-* **queued work + pickle** — the refactored Emulator contract: explicit
-  ``submit``/``step``/``drain``, and a mid-run shard round-trips
-  through ``pickle`` with a bit-identical continuation (the property
-  that lets shards move into worker processes);
+  shard, a failed gather leaves nothing behind for the next step;
+* **pickle** — a mid-run emulator (either network) or fleet
+  round-trips through ``pickle`` with a bit-identical continuation;
 * **qos** — multi-tenant admission: strict priority, per-epoch quotas,
   and the per-tenant conservation law.
 """
@@ -27,7 +25,7 @@ import numpy as np
 
 import pytest
 
-from repro.emulation import LeveledEmulator
+from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.emulation.base import StepCost
 from repro.faults import RehashStormError
 from repro.pram.trace import RequestColumns, StepTrace, permutation_step, random_trace
@@ -39,7 +37,7 @@ from repro.sharding import (
     TenantPolicy,
     merge_costs,
 )
-from repro.topology import DAryButterflyLeveled
+from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
     DeterministicArrivals,
     OnlineEmulator,
@@ -184,31 +182,6 @@ class TestMergeCosts:
 
 
 # ---------------------------------------------------------------------------
-# the Emulator queued-work API (submit / step / drain)
-# ---------------------------------------------------------------------------
-
-class TestQueuedWork:
-    def test_submit_step_drain_matches_emulate_step(self):
-        queued = LeveledEmulator(NET, SPACE, mode="crcw", seed=7)
-        direct = LeveledEmulator(NET, SPACE, mode="crcw", seed=7)
-        steps = steps_for(4)
-        for s in steps:
-            queued.submit(s)
-        assert queued.pending == 4
-        first = queued.step()
-        rest = queued.drain()
-        assert queued.pending == 0 and queued.step() is None
-        assert [first] + rest == [direct.emulate_step(s) for s in steps]
-
-    def test_inbox_survives_pickle(self):
-        em = LeveledEmulator(NET, SPACE, mode="crcw", seed=7)
-        em.submit(steps_for(1)[0])
-        clone = pickle.loads(pickle.dumps(em))
-        assert clone.pending == 1
-        assert clone.step() == em.step()
-
-
-# ---------------------------------------------------------------------------
 # the scatter/gather service
 # ---------------------------------------------------------------------------
 
@@ -234,8 +207,8 @@ class TestShardedEmulator:
         assert costs_sans_modes(cf) == costs_sans_modes(cr)
 
     def test_columns_and_their_trace_are_the_same_step_to_a_fleet(self):
-        """``submit`` / ``step`` / ``inbox`` carry whichever form the
-        front end was handed; the scatter span still counts requests."""
+        """The scatter splits whichever form the front end was handed;
+        its span still counts requests."""
         from repro.obs import Observer
 
         step = random_trace(N_PROCS, SPACE, 1, seed=7, erew=False).steps[0]
@@ -245,7 +218,6 @@ class TestShardedEmulator:
             service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42, observer=obs)
             costs.append(service.emulate_step(form))
             spans.append([s.args for s in obs.tracer.spans() if s.name == "shard_scatter"])
-            assert all(shard.pending == 0 for shard in service.shards)
         assert costs[0] == costs[1] and costs[0].requests == step.num_requests
         assert spans[0] == spans[1] == [{"requests": step.num_requests}]
 
@@ -287,19 +259,53 @@ class TestShardedEmulator:
         with pytest.raises(ValueError):
             ShardedEmulator(small, 2, SPACE, seed=1)
 
-    def test_gather_failure_clears_scattered_inboxes(self):
-        class FailingShard(LeveledEmulator):
+    def test_a_failed_gather_leaves_nothing_behind_for_the_next_step(self):
+        """Shard 1 fails once with something that is not a storm; the
+        next, clean step must serve exactly its own requests.  (With
+        per-shard inboxes cleared only on a storm, shards 2 and 3 kept
+        the failed step's sub-steps and served those instead — 11 of
+        these 16 — off by one from then on.)"""
+
+        class FailsOnce(LeveledEmulator):
+            failed = False
+
+            def emulate_step(self, step):
+                if not self.failed:
+                    self.failed = True
+                    raise ValueError("not a storm")
+                return super().emulate_step(step)
+
+        def factory(index, seed):
+            cls = FailsOnce if index == 1 else LeveledEmulator
+            return cls(NET, SPACE, mode="crcw", seed=seed, engine="fast")
+
+        service = ShardedEmulator(factory, 4, SPACE, seed=42)
+        bad, clean = steps_for(2, kind="write")
+        assert set(service.placement.split(bad)) == {0, 1, 2, 3}
+        with pytest.raises(ValueError, match="not a storm"):
+            service.emulate_step(bad)
+        cost = service.emulate_step(clean)
+        assert cost.requests == clean.num_requests == N_PROCS
+        assert all(service.memory.read(w.addr) == w.value for w in clean.writes)
+
+    def test_a_storm_on_one_shard_fails_the_gather_with_a_flight_tail(self):
+        from repro.obs import Observer
+
+        class Wedged(LeveledEmulator):
             def emulate_step(self, step):
                 raise RehashStormError("wedged", rehashes=3, stall_steps=11)
 
         def factory(index, seed):
-            cls = FailingShard if index == 0 else LeveledEmulator
+            cls = Wedged if index == 0 else LeveledEmulator
             return cls(NET, SPACE, mode="crcw", seed=seed, engine="fast")
 
-        service = ShardedEmulator(factory, 4, SPACE, seed=42)
-        with pytest.raises(RehashStormError):
+        obs = Observer(flight_recorder=8)
+        obs.record("marker", virtual_clock=0)
+        service = ShardedEmulator(factory, 4, SPACE, seed=42, observer=obs)
+        with pytest.raises(RehashStormError) as exc:
             service.emulate_step(steps_for(1)[0])
-        assert all(shard.pending == 0 for shard in service.shards)
+        # the shard had no observer of its own: the tail is the fleet's
+        assert [e["kind"] for e in exc.value.flight_tail] == ["marker"]
 
     def test_online_driver_runs_a_sharded_service(self):
         service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42)
@@ -338,16 +344,19 @@ class TestShardedEmulator:
 class TestPicklability:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_midrun_shard_roundtrip_continues_identically(self, engine):
-        em = LeveledEmulator(NET, SPACE, mode="crcw", seed=13, engine=engine)
-        for s in steps_for(3, kind="write"):
-            em.emulate_step(s)
-        clone = pickle.loads(pickle.dumps(em))
-        cont = steps_for(3, start=50)
-        assert [em.emulate_step(s) for s in cont] == [
-            clone.emulate_step(s) for s in cont
-        ]
-        assert em.virtual_clock == clone.virtual_clock
-        assert em.memory.snapshot() == clone.memory.snapshot()
+        for em in (
+            LeveledEmulator(NET, SPACE, mode="crcw", seed=13, engine=engine),
+            MeshEmulator(Mesh2D.square(4), SPACE, mode="crcw", seed=13, engine=engine),
+        ):
+            for s in steps_for(3, kind="write"):
+                em.emulate_step(s)
+            clone = pickle.loads(pickle.dumps(em))
+            cont = steps_for(3, start=50)
+            assert [em.emulate_step(s) for s in cont] == [
+                clone.emulate_step(s) for s in cont
+            ]
+            assert em.virtual_clock == clone.virtual_clock
+            assert em.memory.snapshot() == clone.memory.snapshot()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_midrun_service_roundtrip(self, engine):

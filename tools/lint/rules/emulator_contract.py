@@ -4,17 +4,17 @@ Everything the serving front end drives subclasses
 :class:`repro.emulation.base.Emulator`, whose class docstring lists what
 a front end may ask of any emulator (``n_processors``, ``scale``,
 ``mode``, ``memory``, ``observer``, ``faults``, ``virtual_clock``,
-``serving_modules`` / ``module_of``) with class-level defaults for an
-emulator that has nothing to say.  A ``hasattr`` / ``getattr(x, "name",
-default)`` in the front end re-opens the duck-typed side door that once
-made "how many processors" exist four times and sent a shard fleet down
-a scalar per-request hash path because it had no ``.hash`` — so in the
-front-end modules a *probe* is a violation:
+``write_policy`` / ``combine_op``, ``serving_modules`` / ``module_of``)
+with class-level defaults for an emulator that has nothing to say.  A
+``hasattr`` / ``getattr(x, "name", default)`` in the front end re-opens
+the duck-typed side door that once made "how many processors" exist
+four times and sent a shard fleet down a scalar per-request hash path
+because it had no ``.hash`` — so in the front-end modules a *probe* is
+a violation:
 
-any ``hasattr(...)`` or ``getattr(...)`` call.  One probe is
-allow-listed: ``replay.py`` fans write semantics out over
-``getattr(emulator, "shards", None)`` — a fleet is the only emulator
-with members, and that is not part of the contract.
+any ``hasattr(...)`` or ``getattr(...)`` call, with no allow-list (the
+last one, ``replay.py``'s ``getattr(emulator, "shards", None)`` fan-out
+of write semantics, became an assignment the fleet forwards itself).
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ FRONT_END = (
     "src/repro/emulation/replay.py",
     "src/repro/apps/harness.py",
 )
-
-#: (path, attribute) probes that may stay
-ALLOWED = {("src/repro/emulation/replay.py", "shards")}
 
 
 class EmulatorContractRule(FileRule):
@@ -55,8 +52,6 @@ class EmulatorContractRule(FileRule):
                 if isinstance(name, ast.Constant) and isinstance(name.value, str)
                 else None
             )
-            if (ctx.relpath, literal) in ALLOWED:
-                continue
             yield Violation(
                 self.id,
                 ctx.relpath,
