@@ -146,7 +146,7 @@ class RequestRoutingError(RuntimeError):
 
 class ReplyCountError(RequestRoutingError):
     """A completed reply phase delivered a different number of replies
-    than the step had reads (checked under ``validate``).  Terminal like
+    than the step had reads.  Terminal like
     its base — no fault explains a lost or duplicated reply — and
     carries the same accounting and flight tail."""
 
@@ -291,13 +291,11 @@ class Emulator(ABC):
         mode: str,
         write_policy: WritePolicy = WritePolicy.ARBITRARY,
         combine_op: str = "sum",
-        hash_c: float = 1.0,
         rehash_factor: float = 8.0,
         max_rehashes: int = 8,
         node_capacity: int | None = None,
         flow_control: str = "none",
         seed=None,
-        validate: bool = True,
         engine: str = "auto",
         faults=None,
         observer=None,
@@ -312,11 +310,11 @@ class Emulator(ABC):
 
         write_policy / combine_op:
             Concurrent-write resolution (CRCW variants).
-        hash_c / rehash_factor / max_rehashes:
-            Hash-family degree scaling and the §2.1 rehash-on-timeout
-            loop: the request phase's time allotment is *rehash_factor*
-            times the network's path length; missing it draws a new
-            hash, at most *max_rehashes* times.
+        rehash_factor / max_rehashes:
+            The §2.1 rehash-on-timeout loop: the request phase's time
+            allotment is *rehash_factor* times the network's path
+            length; missing it draws a new hash, at most *max_rehashes*
+            times.
         node_capacity / flow_control:
             Per-node buffer bound for the *request* phase (and the
             mesh's EREW fresh-route replies; reverse-path reply fan-out
@@ -330,8 +328,6 @@ class Emulator(ABC):
         seed:
             One generator, one draw order: the first hash function, then
             every router's randomness, step by step.
-        validate:
-            Check each reply phase delivered one reply per read.
         engine:
             ``"auto"`` (default; compiled fast path, see
             :mod:`repro.routing.fast_engine`), ``"fast"`` or
@@ -358,11 +354,10 @@ class Emulator(ABC):
         )
         self.rehash_factor = rehash_factor
         self.max_rehashes = max_rehashes
-        self.validate = validate
         self.rng = as_generator(seed)
         self.memory = SharedMemory(address_space)
         self.family = HashFamily(
-            address_space, n_modules, degree_for_diameter(diameter, hash_c)
+            address_space, n_modules, degree_for_diameter(diameter)
         )
         self.hash = self.family.sample(self.rng)
         self.rehash_count = 0
@@ -699,7 +694,7 @@ class Emulator(ABC):
         if reply_stats is not None:
             if not reply_stats.completed:
                 raise self._failure(f"{self.network} replies did not complete", log)
-            if self.validate and reply_stats.delivered != cols.n_reads:
+            if reply_stats.delivered != cols.n_reads:
                 err = ReplyCountError(
                     f"{cols.n_reads} reads but {reply_stats.delivered} "
                     "replies delivered",

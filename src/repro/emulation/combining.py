@@ -118,12 +118,9 @@ class ReplySpawner:
         return out
 
 
-def build_replies(hosts: list[Packet], values: dict[int, object], pid_base: int = 0):
+def build_replies(hosts: list[Packet], values: dict[int, object]):
     """Reply packets for delivered hosts; values keyed by host pid."""
-    replies = []
-    for i, host in enumerate(hosts):
-        replies.append(make_reply(host, pid_base + i, values.get(host.pid)))
-    return replies
+    return [make_reply(host, i, values.get(host.pid)) for i, host in enumerate(hosts)]
 
 
 class MergeNodeMissingError(RuntimeError):
@@ -242,7 +239,6 @@ def route_replies_fast(
         spawn_plan = (par, qpos, child)
 
     return FastPathEngine(observer=observer).run(
-        None,
         reply_mat,
         num_nodes=num_nodes,
         max_steps=budget,

@@ -127,16 +127,13 @@ def run_e6_combining_ablation(size: int = 5, *, trials: int = 3, seed=53) -> Tab
         # control: route the same hot-spot requests with combining disabled
         from repro.hashing.family import HashFamily
         from repro.routing.leveled_router import LeveledRouter
-        from repro.routing.packet import Packet
 
         h = HashFamily(m, net.column_size, 2 * net.num_levels).sample(rng)
         router = LeveledRouter(net, seed=rng, combine=False)
-        packets = [
-            Packet(i, (0, 0, r.pid), int(h(r.addr)), kind="read", address=r.addr)
-            for i, r in enumerate(step.reads)
-        ]
-        stats = router.route_packets(
-            packets, max_steps=100 * net.num_levels + 4 * net.column_size
+        stats = router.route(
+            [r.pid for r in step.reads],
+            [int(h(r.addr)) for r in step.reads],
+            max_steps=100 * net.num_levels + 4 * net.column_size,
         )
         assert stats.completed
         return {"time": 2 * stats.steps, "combines": 0}  # + symmetric replies

@@ -15,8 +15,11 @@ This is the machine model of §2.2.1 made executable:
 
 The engine is topology-agnostic: a routing algorithm is just a
 ``next_hop(packet) -> node-key | None`` policy.  Node keys are arbitrary
-hashables, which lets leveled networks use ``(pass, level, row)`` keys
-while flat topologies use plain ints.
+hashables to the engine; the routers of this package all use plain ints
+(a leveled network's are the position-encoded ids of
+:mod:`repro.topology.compiled`).  ``packet.dest`` is the key of the node
+the packet exits at: the capacity exemption compares it with link
+targets.
 
 Combining (Theorem 2.6) is supported at enqueue time: when an arriving
 packet finds a queued packet with the same (kind, address, destination) it
@@ -138,17 +141,6 @@ class SynchronousEngine:
         ``"none"`` (default) is plain backpressure; ``"credit"`` adds
         the deadlock-free escape channel of
         :mod:`repro.routing.flow_control` (requires ``node_capacity``).
-    exit_dest:
-        Optional ``packet -> node key`` mapping a packet to the node at
-        which it exits the network, for the capacity exemption.  Needed
-        when ``packet.dest`` is not itself an engine node key (leveled
-        routes address destinations by row while the engine keys are
-        ``(pass, column, row)`` triples).  Defaults to ``packet.dest``.
-    capacity_key:
-        Optional canonicalization of link-target keys for capacity
-        accounting, for topologies where two engine keys alias one
-        physical node (the leveled wrap identifies ``(0, L, r)`` with
-        ``(1, 0, r)``).  Identity when omitted.
     track_paths:
         Record every visited node key in ``packet.trace`` (needed to fan
         replies back along combining trees).
@@ -172,8 +164,6 @@ class SynchronousEngine:
         node_capacity: int | None = None,
         node_service_rate: int | None = None,
         flow_control: str = "none",
-        exit_dest: Callable[[Packet], Hashable] | None = None,
-        capacity_key: Callable[[Hashable], Hashable] | None = None,
         track_paths: bool = False,
         observer=None,
     ) -> None:
@@ -186,8 +176,6 @@ class SynchronousEngine:
             node_capacity=node_capacity,
             node_service_rate=node_service_rate,
         )
-        self.exit_dest = exit_dest
-        self.capacity_key = capacity_key
         self.track_paths = track_paths
         self.observer = observer
 
@@ -369,15 +357,9 @@ class SynchronousEngine:
                 # node transmit in the same step (N arrivals past a
                 # capacity-1 node).
                 reserved: dict[Hashable, int] = defaultdict(int)
-                ck = self.capacity_key
-                exit_dest = self.exit_dest
-
-                def exit_node(p: Packet) -> Hashable:
-                    return p.dest if exit_dest is None else exit_dest(p)
 
                 def stalled(key: tuple[Hashable, Hashable]) -> bool:
-                    dest_node = key[1] if ck is None else ck(key[1])
-                    if node_load[dest_node] + reserved[dest_node] < capacity:
+                    if node_load[key[1]] + reserved[key[1]] < capacity:
                         return False
                     return not self._is_exit(queues[key], key)
 
@@ -390,8 +372,8 @@ class SynchronousEngine:
                     q = queues[key]
                     p = q.pop()
                     node_load[key[0]] -= 1
-                    if reserve and capacity is not None and exit_node(p) != key[1]:
-                        reserved[key[1] if ck is None else ck(key[1])] += 1
+                    if reserve and capacity is not None and p.dest != key[1]:
+                        reserved[key[1]] += 1
                     p.node = key[1]
                     p.hops += 1
                     arrivals.append(p)
@@ -416,10 +398,9 @@ class SynchronousEngine:
                             fc.stall()
                             continue
                         w = nl[1]
-                        if exit_node(p) != w:
-                            a = w if ck is None else ck(w)
-                            if node_load[a] + reserved[a] < capacity:
-                                reserved[a] += 1  # drain back into bulk
+                        if p.dest != w:
+                            if node_load[w] + reserved[w] < capacity:
+                                reserved[w] += 1  # drain back into bulk
                             elif fc.available(nl):
                                 fc.claim(nl)
                                 pending_escape[p] = nl
@@ -553,12 +534,9 @@ class SynchronousEngine:
         A packet that will be *delivered* at the target node does not
         occupy queue space there, so backpressure must let it through;
         we approximate by checking whether the head's destination equals
-        the link's target node (via ``exit_dest`` when the two live in
-        different key spaces).
+        the link's target node.
         """
-        head = q.peek()
-        dest = head.dest if self.exit_dest is None else self.exit_dest(head)
-        return dest == key[1]
+        return q.peek().dest == key[1]
 
 
 def route_with_function(

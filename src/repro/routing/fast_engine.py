@@ -16,8 +16,10 @@ rectangular matrix plus ``path_lengths`` (the pad repeats the
 destination), and a ragged list of per-packet lists is padded into that
 form on entry (:func:`_normalise_paths`).
 
-This module is the engine's interface — validation, ``Packet`` read-in
-and write-back, the step loop.  The run state the loop advances (dense
+This module is the engine's interface — validation and the step loop,
+on columns only: a population is the rows of its path matrix, and a
+caller holding per-packet objects converts at its own boundary
+(:mod:`repro.routing.packet`).  The run state the loop advances (dense
 link ids, intrusive queues kept in service order, combining residency,
 credit accounting) and the phase functions it calls live in
 :mod:`repro.routing.fast_phases`.
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import os
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +68,6 @@ from repro.routing.fast_phases import (
 )
 from repro.routing.flow_control import DeadlockError, resolve_flow_control
 from repro.routing.metrics import RoutingStats, stats_from_arrays
-from repro.routing.packet import Packet, combine_groups_of
 
 ENGINE_MODES = ("auto", "fast", "reference")
 
@@ -97,7 +98,7 @@ def resolve_engine_mode(mode: str) -> str:
 
 
 def _normalise_paths(
-    paths, path_lengths: Sequence[int] | None, n_packets: int
+    paths, path_lengths: Sequence[int] | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate *paths* / *path_lengths*; return ``(path matrix, last)``.
 
@@ -126,8 +127,6 @@ def _normalise_paths(
             flat = np.fromiter(
                 chain.from_iterable(rows), dtype=np.int64, count=int(widths.sum())
             )
-    if n_packets != n:
-        raise ValueError("one path per packet required")
     if not widths.all():
         raise ValueError(
             f"paths[{int(np.argmin(widths))}] is empty: a path starts at its source"
@@ -189,11 +188,11 @@ class FastPathEngine:
     The capacity exemption compares a head's *final node id* against the
     link's target, which equals the reference engine's ``head.dest ==
     link target`` check on every flat integer topology (mesh, linear
-    array, hypercube, shuffle, star).  Leveled routes compare
-    position-encoded ids, which bakes in the reference engine's
-    ``exit_dest`` / ``capacity_key`` reconciliation: the wrap aliases
-    ``(0, L, r)`` and ``(1, 0, r)`` share one id, so capacity is
-    accounted per physical node exactly as the tuple-keyed engine does.
+    array, hypercube, shuffle, star) and on leveled routes alike: both
+    engines walk the position-encoded ids of
+    :mod:`repro.topology.compiled`, in which the last column of the
+    first pass and the first column of the second are one node, so
+    capacity is accounted per physical node.
 
     Attributes
     ----------
@@ -207,13 +206,11 @@ class FastPathEngine:
         self,
         *,
         combine: bool = False,
-        track_paths: bool = False,
         node_capacity: int | None = None,
         flow_control: str = "none",
         observer=None,
     ) -> None:
         self.combine = combine
-        self.track_paths = track_paths
         self.node_capacity = node_capacity
         self.flow_control = resolve_flow_control(
             flow_control, node_capacity=node_capacity
@@ -230,7 +227,6 @@ class FastPathEngine:
 
     def run(
         self,
-        packets: Sequence[Packet] | None,
         paths,
         *,
         num_nodes: int,
@@ -239,14 +235,14 @@ class FastPathEngine:
         priorities=None,
         links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         spawn_plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        injected_at: Sequence[int] | None = None,
         combine_groups: np.ndarray | None = None,
         raise_on_timeout: bool = False,
-        node_key: Callable[[int, int], object] | None = None,
-        trace_key: Callable[[int, int], object] | None = None,
         link_faults=None,
         fault_base: int = 0,
     ) -> RoutingStats:
-        """Route *packets* along *paths* until delivery or *max_steps*.
+        """Route one packet along each row of *paths* until delivery or
+        *max_steps*.
 
         ``paths[i]`` is packet i's node-id itinerary including its start;
         the packet is delivered on reaching entry ``path_lengths[i]``
@@ -260,9 +256,7 @@ class FastPathEngine:
         priority at its k-th link crossing (largest first, FIFO ties):
         the furthest-destination-first discipline with priorities
         evaluated at push time, exactly like the reference
-        ``FurthestFirstQueue``.  ``node_key`` / ``trace_key`` decode
-        ``(position, node_id)`` into the hashable keys written back to
-        ``packet.node`` / ``packet.trace`` (identity when omitted).
+        ``FurthestFirstQueue``.
         ``links`` — a ready ``(link_id_matrix, link_src, link_dst)``
         triple aligned with a rectangular *paths* matrix — skips the
         np.unique interning pass, which otherwise gives the run a dense
@@ -273,18 +267,17 @@ class FastPathEngine:
         request run's triple (:attr:`RunArrays.links`).  Leveled runs
         pass none.
 
-        ``packets=None`` routes an *anonymous* population: one packet
-        per row of *paths*, all injected at step 0, no ``Packet`` read
-        or written back — every served run: requests routed from
-        :class:`~repro.routing.packet.PacketColumns`, and replies, which
-        exist only as rows of the reverse-path matrix.  The stats are
-        the same either way; the run's per-packet arrays stay on
-        :attr:`last_arrays`.  ``combine_groups`` is a combining
+        The population is anonymous — requests routed from
+        :class:`~repro.routing.packet.PacketColumns`, replies that exist
+        only as rows of the reverse-path matrix — and the run's outcome
+        is the returned stats plus the per-packet arrays left on
+        :attr:`last_arrays`; a caller that holds an object per packet
+        reads those back itself (:func:`repro.routing.packet.write_back`).
+        ``injected_at[i]`` is the step packet i enters the network
+        (default: all at step 0).  ``combine_groups`` is a combining
         engine's key column: one non-negative int per row, two packets
         may merge iff they share it (and then share a destination — the
-        caller's guarantee).  Omitted, caller-built *packets* are
-        grouped by their ``combine_key`` and an anonymous population
-        does not combine.
+        caller's guarantee); omitted, nothing combines.
 
         ``link_faults`` is an optional
         :class:`~repro.faults.runtime.LinkFaultView` whose keys are
@@ -318,14 +311,15 @@ class FastPathEngine:
             "batch" if self.node_capacity is None else "batch-constrained"
         )
         try:
-            all_packets = None if packets is None else list(packets)
-            n = len(paths) if all_packets is None else len(all_packets)
-            path_arr, last = _normalise_paths(paths, path_lengths, n)
-            injected_at = np.zeros(n, dtype=np.int64)
-            if all_packets is not None:
-                injected_at[:] = [p.injected_at for p in all_packets]
-                if self.combine and combine_groups is None:
-                    combine_groups = combine_groups_of(all_packets)
+            path_arr, last = _normalise_paths(paths, path_lengths)
+            n = len(last)
+            if injected_at is None:
+                injected_at = np.zeros(n, dtype=np.int64)
+            else:
+                # a copy: spawned rows get their trigger step written in
+                injected_at = np.array(injected_at, dtype=np.int64)
+                if injected_at.shape != (n,):
+                    raise ValueError("one injection step per packet required")
             state = RunState(
                 path_arr,
                 last,
@@ -348,8 +342,6 @@ class FastPathEngine:
             )
             self.last_arrays = arrays
             _t_fin0 = wall_time() if _prof is not None else 0.0
-            if all_packets is not None:
-                self._write_back(all_packets, arrays, node_key, trace_key)
             rows = slice(None) if arrays.order is None else arrays.order
             stats = stats_from_arrays(
                 arrays.hops[rows],
@@ -379,59 +371,6 @@ class FastPathEngine:
             raise RoutingTimeout(stats)
         return stats
 
-    def _write_back(
-        self, all_packets: list[Packet], arrays: RunArrays, node_key, trace_key
-    ) -> None:
-        """Copy a run's outcome onto its ``Packet`` objects.
-
-        Without combining, ``combined`` / ``children`` keep their
-        constructor defaults — matching the reference engine, which also
-        only touches them through combining.
-        """
-        combine = self.combine
-        track = self.track_paths
-        tkey = trace_key if trace_key is not None else node_key
-        n = len(all_packets)
-        hops = arrays.hops
-        hops_l = hops.tolist()
-        arrived_l = arrays.arrived.tolist()
-        node_vals = arrays.paths[np.arange(n), hops].tolist()
-        path_rows = arrays.paths.tolist() if track else None
-        if combine:
-            combined = np.zeros(n, dtype=bool)
-            combined[arrays.absorbed] = True
-            combined_l = combined.tolist()
-            # hosts get their children in absorption order
-            children_map: dict[int, list[Packet]] = {}
-            for h, c in zip(arrays.absorbed_by.tolist(), arrays.absorbed.tolist()):
-                children_map.setdefault(h, []).append(all_packets[c])
-        if arrays.order is None:
-            sel = range(n)
-            inj_l = None
-        else:
-            # spawned packets were injected when their trigger fired;
-            # never-triggered ones were never part of the run
-            sel = arrays.order.tolist()
-            inj_l = arrays.injected_at.tolist()
-        for i in sel:
-            p = all_packets[i]
-            k = hops_l[i]
-            a = arrived_l[i]
-            nv = node_vals[i]
-            p.hops = k
-            p.arrived_at = None if a < 0 else a
-            p.node = node_key(k, nv) if node_key is not None else nv
-            if inj_l is not None:
-                p.injected_at = inj_l[i]
-            if combine:
-                p.combined = combined_l[i]
-                p.children = children_map.get(i)
-            if track:
-                path = path_rows[i]
-                if tkey is not None:
-                    p.trace = [tkey(j, path[j]) for j in range(k + 1)]
-                else:
-                    p.trace = path[: k + 1]
     def _run_batch(
         self,
         s: RunState,

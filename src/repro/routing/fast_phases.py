@@ -59,12 +59,13 @@ class RunArrays:
     """What a finished fast run knows, as arrays (row i = packet i).
 
     :meth:`FastPathEngine.run` turns these into a :class:`RoutingStats`
-    (and into ``Packet`` fields, for a caller that brought packets); the
-    emulators read them directly — hosts are the rows not in
-    ``absorbed``, and the reply phase
-    (:func:`repro.emulation.combining.route_replies_fast`) replays
+    and leaves them on ``last_arrays``; the emulators read them
+    directly — hosts are the rows not in ``absorbed``, and the reply
+    phase (:func:`repro.emulation.combining.route_replies_fast`) replays
     ``paths`` up to ``hops`` backwards — so a request's path, the hop it
-    stopped at and who absorbed whom never go through ``Packet`` objects.
+    stopped at and who absorbed whom never go through per-packet
+    objects (a caller that brought some copies the outcome onto them
+    with :func:`repro.routing.packet.write_back`).
     """
 
     #: the padded ``(n, width)`` node-id itineraries the run followed

@@ -15,7 +15,11 @@ wrapped butterfly, the star's logical network — all our families) let the
 packet re-enter column 0 for the second pass, so every packet traverses
 exactly ``2 * num_levels`` links.
 
-Engine node keys are ``(pass, column, row)`` triples.
+Node keys are the ids :func:`~repro.topology.compiled.compile_leveled`
+defines, on both engines: position k of the 2L-hop journey is unrolled
+column k, ``id = k * N + row``.  The identified columns are position L
+— one id — so a source row is its own key (position 0) and a packet to
+destination row r exits at ``2L * N + r``.
 """
 
 from __future__ import annotations
@@ -37,13 +41,11 @@ class LeveledRouter(Router):
     """Two-phase randomized router for a :class:`LeveledNetwork`.
 
     ``node_capacity`` bounds each node's resident packets (leveled paths
-    move strictly forward in (pass, level), so plain backpressure cannot
+    move strictly forward in position, so plain backpressure cannot
     cycle here), and ``flow_control="credit"`` adds the escape channel
-    of :mod:`repro.routing.flow_control` for O(1)-queue runs.  Capacity
-    accounting identifies the wrap aliases ``(0, L, r)`` / ``(1, 0, r)``
-    as one physical node, matching the compiled ids (escape buffers are
-    keyed by the fast run's interned link ids, 1:1 with the reference
-    engine's ``(u, w)`` keys).  ``link_faults`` specs are
+    of :mod:`repro.routing.flow_control` for O(1)-queue runs (escape
+    buffers are keyed by the fast run's interned link ids, 1:1 with the
+    reference engine's ``(u, w)`` keys).  ``link_faults`` specs are
     ``(col, u_row, v_row)`` physical wires, blocked on both passes.
     Everything else — ``engine``, option forwarding, the permutation
     entry points — is :class:`~repro.routing.router.Router`'s.
@@ -84,6 +86,8 @@ class LeveledRouter(Router):
         )
         self.net = net
         self.intermediate = intermediate
+        # destinations are the last column of the second pass
+        self._exit_base = 2 * net.num_levels * net.column_size
 
     # ---- the itinerary -------------------------------------------------
     def _draw(self, sources, dests):
@@ -101,28 +105,25 @@ class LeveledRouter(Router):
         )
 
     def _next_hop(self, p: Packet):
-        pass_idx, col, row = p.node
-        L = self.net.num_levels
-        if col == L:
-            if pass_idx == 1:
-                if row != p.dest:
-                    raise RouteStalledError(row, p.dest, packet=p.pid)
-                return None
-            # wrap into the second pass (columns identified)
-            pass_idx, col = 1, 0
-            p.node = (1, 0, row)
-        if pass_idx == 0:
-            if self.intermediate == "coin":
-                options = self.net.out_neighbors(col, row)
-                if p.state is not None:
-                    nxt = options[p.state[col]]  # pre-drawn coin
-                else:
-                    nxt = options[int(self.rng.integers(len(options)))]
+        L, N = self.net.num_levels, self.net.column_size
+        pos, row = divmod(p.node, N)
+        if pos == 2 * L:
+            if p.node != p.dest:
+                raise RouteStalledError(row, p.dest - self._exit_base, packet=p.pid)
+            return None
+        if pos >= L:
+            # second pass (position L is both its first column and the
+            # first pass's last)
+            nxt = self.net.unique_next(pos - L, row, p.dest - self._exit_base)
+        elif self.intermediate == "coin":
+            options = self.net.out_neighbors(pos, row)
+            if p.state is not None:
+                nxt = options[p.state[pos]]  # pre-drawn coin
             else:
-                nxt = self.net.unique_next(col, row, p.state)
+                nxt = options[int(self.rng.integers(len(options)))]
         else:
-            nxt = self.net.unique_next(col, row, p.dest)
-        return (pass_idx, col + 1, nxt)
+            nxt = self.net.unique_next(pos, row, p.state)
+        return (pos + 1) * N + nxt
 
     def _compile(self, sources, dests, draw) -> CompiledRun | None:
         if draw is None:
@@ -134,53 +135,14 @@ class LeveledRouter(Router):
             paths = compiled.build_paths(sources, dests, coins=draw)
         # no ``links``: the engine interns the links this batch crosses,
         # so its tables are batch-sized, not 2L * N * d
-        return CompiledRun(
-            paths,
-            compiled.num_node_ids,
-            node_key=compiled.node_key,
-            trace_key=compiled.trace_key,
-        )
+        return CompiledRun(paths, compiled.num_node_ids)
 
-    # endpoints are column-0 rows; the engines' keys are (pass, column,
-    # row) triples
-    def _source_key(self, endpoint: int):
-        return (0, 0, endpoint)
-
-    def _endpoint(self, p: Packet) -> int:
-        pass_idx, col, row = p.node
-        if pass_idx != 0 or col != 0:
-            raise ValueError(f"packet {p.pid} must start in column 0, not {p.node}")
-        return row
-
-    def _reference_options(self) -> dict:
-        # Capacity bookkeeping needs the two key spaces reconciled: a
-        # packet exits at the (pass, column, row) key (1, L, dest) while
-        # packet.dest is the bare row, and the wrap identifies (0, L, r)
-        # with (1, 0, r) as one physical node — exactly how the compiled
-        # ids see it (id L*N + r).
-        L = self.net.num_levels
-        return dict(
-            exit_dest=lambda p: (1, L, p.dest),
-            capacity_key=lambda k: (1, 0, k[2]) if k[0] == 0 and k[1] == L else k,
-        )
-
-    # A (col, u_row, v_row) wire is blocked on both passes; each engine
-    # gets the pair in its own key space (tuples vs. compiled node ids),
-    # translated so the two stay step-equivalent.
-    def _wire(self, spec):
+    def _fault_keys(self, spec):
+        """A ``(col, u_row, v_row)`` wire is blocked on both passes."""
         c, u, v = spec
-        N = self.net.column_size
-        if not (0 <= c < self.net.num_levels and 0 <= u < N and 0 <= v < N):
-            raise ValueError(f"link fault spec {spec!r} out of range")
-        return c, u, v
-
-    def _reference_fault_keys(self, spec):
-        c, u, v = self._wire(spec)
-        return (((0, c, u), (0, c + 1, v)), ((1, c, u), (1, c + 1, v)))
-
-    def _fast_fault_keys(self, spec):
-        c, u, v = self._wire(spec)
         L, N = self.net.num_levels, self.net.column_size
+        if not (0 <= c < L and 0 <= u < N and 0 <= v < N):
+            raise ValueError(f"link fault spec {spec!r} out of range")
         return (
             (c * N + u, (c + 1) * N + v),
             ((L + c) * N + u, (L + c + 1) * N + v),
@@ -191,8 +153,8 @@ class LeveledRouter(Router):
         self, packets: list[Packet] | PacketColumns, *, max_steps: int | None = None
     ) -> RoutingStats:
         """Route a population: columns of column-0 source rows and
-        last-column dest rows, or prebuilt packets (node keys
-        ``(0, 0, row)``; int dests).
+        last-column dest rows, or prebuilt packets (``source`` a
+        column-0 row, ``dest`` the exit key ``2L * N + row``).
 
         Defined on this class because the end-to-end benchmark's tracer
         wraps it here by name.
@@ -257,14 +219,15 @@ class LeveledRouter(Router):
         if allotment < 1 or max_rounds < 1:
             raise ValueError("allotment and max_rounds must be positive")
 
-        pending = list(zip(map(int, sources), map(int, dests)))
+        # (source row, exit key) of every packet still to deliver
+        pending = [(int(s), int(d) + self._exit_base) for s, d in zip(sources, dests)]
         total_time = 0
         max_queue = 0
         delays: list[int] = []
         hops: list[int] = []
         delivered = 0
         for round_idx in range(1, max_rounds + 1):
-            packets = make_packets([(0, 0, s) for s, _ in pending], [d for _, d in pending])
+            packets = make_packets([s for s, _ in pending], [d for _, d in pending])
             stats = self.route_packets(packets, max_steps=allotment)
             max_queue = max(max_queue, stats.max_queue)
             done = [p for p in packets if p.delivered]
@@ -292,7 +255,7 @@ class LeveledRouter(Router):
             # stragglers unwind their partial paths back to their sources
             traceback = max(p.hops for p in failed)
             total_time += allotment + traceback
-            pending = [(p.source[2], p.dest) for p in failed]
+            pending = [(p.source, p.dest) for p in failed]
         # stragglers outlived every round: the allotment is below the
         # c1 f(N) per trial that Lemma 2.1 needs
         raise RoutingTimeout(stats)

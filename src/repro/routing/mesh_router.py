@@ -164,7 +164,7 @@ class MeshRouter(Router):
             return {}
         return {"queue_factory": furthest_first_factory(self._priority)}
 
-    def _reference_fault_keys(self, spec):
+    def _fault_keys(self, spec):
         u, w = spec
         nn = self.mesh.num_nodes
         if not (0 <= u < nn and 0 <= w < nn):
@@ -177,18 +177,14 @@ class MeshRouter(Router):
         dests: Sequence[int],
         *,
         max_steps: int | None = None,
-        packets: list[Packet] | None = None,
         combine_keys: Sequence[int] | None = None,
     ) -> RoutingStats:
-        """Route *sources* → *dests* (packed node ids), or the prebuilt
-        *packets* when given.  The emulation layer's entry, defined on
-        this class because the end-to-end benchmark's tracer wraps it
-        here by name."""
-        if packets is None:
-            return super().route(
-                sources, dests, max_steps=max_steps, combine_keys=combine_keys
-            )
-        return self.route_packets(packets, max_steps=max_steps)
+        """Route *sources* → *dests* (packed node ids).  The emulation
+        layer's entry, defined on this class because the end-to-end
+        benchmark's tracer wraps it here by name."""
+        return super().route(
+            sources, dests, max_steps=max_steps, combine_keys=combine_keys
+        )
 
 
 class GreedyMeshRouter(GreedyRouter):

@@ -9,9 +9,12 @@ remembered merge structure).
 
 from __future__ import annotations
 
-from typing import Any, Hashable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.routing.fast_phases import RunArrays
 
 
 class PacketColumns(NamedTuple):
@@ -36,10 +39,14 @@ class PacketColumns(NamedTuple):
 class Packet:
     """A routable packet.
 
-    ``node`` is the engine-level position key (an int for flat topologies,
-    a tuple like ``(pass, level, row)`` for leveled networks).  ``state``
-    is scratch space owned by the routing policy (phase counters, chosen
-    intermediate nodes, ...).
+    ``node`` is the engine-level position key, an int on every network:
+    a node id on a flat topology, the compiled id ``position * N + row``
+    on a leveled one (:mod:`repro.topology.compiled`; a packet starts at
+    position 0, so a column-0 row is its own id).  ``dest`` is the node
+    key the packet exits at — the engines compare it with link targets —
+    which on a leveled network is the last-column row's id at position
+    ``2L``.  ``state`` is scratch space owned by the routing policy
+    (phase counters, chosen intermediate nodes, ...).
     """
 
     __slots__ = (
@@ -165,6 +172,18 @@ def make_packets(
     return packets
 
 
+# ---- caller-built lists <-> the fast engine's columns -------------------
+# The fast engine routes rows of a path matrix; these three are the only
+# code that moves a run between ``Packet`` objects and those rows.
+
+
+def injection_times(packets: Sequence[Packet]) -> np.ndarray:
+    """The ``injected_at`` column of caller-built packets."""
+    return np.fromiter(
+        (p.injected_at for p in packets), dtype=np.int64, count=len(packets)
+    )
+
+
 def combine_groups_of(packets: Sequence[Packet]) -> np.ndarray:
     """The combine-key column of caller-built packets: two rows share an
     id iff the packets share a :attr:`Packet.combine_key`; keyless
@@ -176,3 +195,47 @@ def combine_groups_of(packets: Sequence[Packet]) -> np.ndarray:
         # a keyless packet is keyed by its row: a 1-tuple no key equals
         gid[i] = key_ids.setdefault((i,) if key is None else key, len(key_ids))
     return gid
+
+
+def write_back(
+    packets: Sequence[Packet],
+    arrays: RunArrays,
+    *,
+    combine: bool = False,
+    track_paths: bool = False,
+) -> None:
+    """Copy a fast run's outcome (*arrays*, row i = ``packets[i]``) onto
+    the caller's ``Packet`` objects, field for field what the reference
+    engine leaves on them.
+
+    Without *combine*, ``combined`` / ``children`` keep their
+    constructor defaults — the reference engine also touches them only
+    through combining; ``trace`` is written under *track_paths* only.
+    """
+    n = len(packets)
+    hops_l = arrays.hops.tolist()
+    arrived_l = arrays.arrived.tolist()
+    # a spawned packet was injected when its trigger fired
+    injected_l = arrays.injected_at.tolist()
+    node_l = arrays.paths[np.arange(n), arrays.hops].tolist()
+    path_rows = arrays.paths.tolist() if track_paths else None
+    if combine:
+        combined = np.zeros(n, dtype=bool)
+        combined[arrays.absorbed] = True
+        combined_l = combined.tolist()
+        # hosts get their children in absorption order
+        children_map: dict[int, list[Packet]] = {}
+        for h, c in zip(arrays.absorbed_by.tolist(), arrays.absorbed.tolist()):
+            children_map.setdefault(h, []).append(packets[c])
+    for i, p in enumerate(packets):
+        k = hops_l[i]
+        a = arrived_l[i]
+        p.hops = k
+        p.arrived_at = None if a < 0 else a
+        p.injected_at = injected_l[i]
+        p.node = node_l[i]
+        if combine:
+            p.combined = combined_l[i]
+            p.children = children_map.get(i)
+        if track_paths:
+            p.trace = path_rows[i][: k + 1]

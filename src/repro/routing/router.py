@@ -23,22 +23,24 @@ per routing run (never per packet) on the population's integer columns
     ``packet.state`` that ``_states(draw)`` derives from the draw
 ``_reference_options()``
     what the reference engine needs beyond the shared options (queue
-    discipline, key-space reconciliation, service rate)
-``_reference_fault_keys(spec)`` / ``_fast_fault_keys(spec)``
-    a physical link-fault spec in each engine's key space
+    discipline, service rate)
+``_fault_keys(spec)``
+    a physical link-fault spec as ``(u, w)`` node-key pairs
 
-plus two numbers at construction: the step budget of a run that names
-none, and how many endpoints a permutation has.  A router whose engine
-keys are not its endpoint ids (the leveled ``(pass, column, row)``
-triples) also says how the two convert (``_source_key`` /
-``_endpoint``).
+plus three numbers: the step budget of a run that names none, how many
+endpoints a permutation has, and ``_exit_base``.  A network has one id
+space — both engines, ``packet.node`` / ``trace`` and fault keys use the
+same integer node keys — and an endpoint id *is* the key of the node a
+packet from it starts at; a packet to endpoint ``d`` exits at key
+``_exit_base + d`` (0 wherever endpoints are the nodes themselves; a
+leveled network's destinations sit one full itinerary past its sources).
 
-A run on the fast engine is an anonymous population: no ``Packet`` is
-built, read or written.  ``Packet`` objects exist at the reference
-engine's boundary only — :meth:`Router.route_packets` materialises the
-columns there — and in the hands of callers that bring their own list
-(whose columns are read once, and whose packets get the run's outcome
-written back on either engine).
+A run on the fast engine is an anonymous population: the engine takes
+columns only.  ``Packet`` objects exist at the reference engine's
+boundary — :meth:`Router.route_packets` materialises the columns there —
+and in the hands of callers that bring their own list, whose columns
+``route_packets`` reads once and whose packets get the run's outcome on
+either engine (:func:`repro.routing.packet.write_back` after a fast run).
 
 All randomness is drawn *before* an engine is chosen — the permutation
 first, then ``_draw`` — so both engines consume identical random bits
@@ -50,7 +52,7 @@ differential-test contract).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +60,13 @@ from repro.routing.engine import SynchronousEngine
 from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, PacketColumns
+from repro.routing.packet import (
+    Packet,
+    PacketColumns,
+    combine_groups_of,
+    injection_times,
+    write_back,
+)
 from repro.util.rng import as_generator, random_h_relation
 
 
@@ -72,8 +80,6 @@ class CompiledRun(NamedTuple):
     path_lengths: np.ndarray | None = None
     priorities: np.ndarray | None = None
     links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    node_key: Callable[[int, int], object] | None = None
-    trace_key: Callable[[int, int], object] | None = None
 
 
 class Router:
@@ -101,8 +107,9 @@ class Router:
         ``"credit"`` (requires ``node_capacity``) adds the deadlock-free
         credit/escape protocol of :mod:`repro.routing.flow_control`.
     track_paths:
-        Record visited nodes in ``packet.trace`` (reference engine; the
-        fast path exposes compiled itineraries via ``last_fast_run``).
+        Record visited node keys in ``packet.trace`` (the fast path
+        exposes compiled itineraries via ``last_fast_run``, and fills the
+        traces of a caller-built list from them).
     engine:
         ``"reference"`` is the readable per-hop engine, ``"fast"`` the
         compiled integer path
@@ -114,8 +121,9 @@ class Router:
         itineraries cannot be compiled runs ``"reference"`` regardless.
     link_faults, fault_base:
         A :class:`~repro.faults.runtime.LinkFaultTimeline` of
-        physical-wire specs; each engine gets a view in its own key
-        space, sampled at the global virtual step ``fault_base + t``.
+        physical-wire specs; the engine that runs gets a view keyed by
+        ``_fault_keys``, sampled at the global virtual step
+        ``fault_base + t``.
     observer:
         Optional :class:`repro.obs.Observer`, handed to whichever
         engine runs (profiling / flight data).
@@ -189,61 +197,63 @@ class Router:
         without one."""
         return repeat(None) if draw is None else draw.tolist()
 
-    def _source_key(self, endpoint: int):
-        """The engine node key a packet from *endpoint* starts at."""
-        return endpoint
-
-    def _endpoint(self, p: Packet) -> int:
-        """The endpoint id a caller-built packet starts from."""
-        return p.source
+    #: a packet to endpoint d exits at node key ``_exit_base + d``
+    _exit_base = 0
 
     def _reference_options(self) -> dict:
         return {}
 
-    def _reference_fault_keys(self, spec) -> tuple:
+    def _fault_keys(self, spec) -> tuple:
         raise NotImplementedError
-
-    def _fast_fault_keys(self, spec) -> tuple:
-        # flat integer topologies key a link alike in both engines
-        return self._reference_fault_keys(spec)
 
     # ---- the one place a router meets an engine ------------------------
     def route_packets(
         self, packets: list[Packet] | PacketColumns, *, max_steps: int | None = None
     ) -> RoutingStats:
         """Route a population: :class:`PacketColumns`, or prebuilt packets
-        (``packet.node`` / ``packet.dest`` in the router's own key
-        space), which get the run's outcome written back.
+        (``source`` an endpoint id, ``dest`` the node key the packet
+        exits at), which get the run's outcome on either engine.
 
         This is the only fast-vs-reference branch of a request run, and
-        its reference side the only place columns become ``Packet``
-        objects (kept on :attr:`last_packets`).
+        the only place a run changes form: columns become ``Packet``
+        objects on its reference side (kept on :attr:`last_packets`), a
+        caller's list is read into columns here and written back after
+        a fast run.
         """
         if max_steps is None:
             max_steps = self.default_max_steps
+        injected_at = None
         if isinstance(packets, PacketColumns):
             cols, packets = packets, None
         else:
             n = len(packets)
             cols = PacketColumns(
-                np.fromiter(map(self._endpoint, packets), dtype=np.int64, count=n),
-                np.fromiter((p.dest for p in packets), dtype=np.int64, count=n),
+                np.fromiter((p.source for p in packets), dtype=np.int64, count=n),
+                np.fromiter((p.dest for p in packets), dtype=np.int64, count=n)
+                - self._exit_base,
+                combine_groups_of(packets) if self.combine else None,
             )
+            injected_at = injection_times(packets)
+        n_end = self.num_endpoints
+        for name, col in (("sources", cols.sources), ("dests", cols.dests)):
+            # viewed unsigned, a negative id is larger than any bound
+            if col.size and int(col.view(np.uint64).max()) >= n_end:
+                i = int(np.flatnonzero((col < 0) | (col >= n_end))[0])
+                raise ValueError(
+                    f"{name}[{i}]={int(col[i])} is not one of the {n_end} endpoints"
+                )
         draw = self._draw(cols.sources, cols.dests)
         self.last_fast_run = self.last_packets = None
         fast = resolve_engine_mode(self.engine_mode) == "fast"
         run = self._compile(cols.sources, cols.dests, draw) if fast else None
         faults = None
         if self._link_faults is not None:
-            faults = self._link_faults.view(
-                self._reference_fault_keys if run is None else self._fast_fault_keys
-            )
+            faults = self._link_faults.view(self._fault_keys)
         # forwarded unchanged to whichever engine runs
         options = dict(
             combine=self.combine,
             node_capacity=self.node_capacity,
             flow_control=self.flow_control,
-            track_paths=self.track_paths,
             observer=self.observer,
         )
         if run is None:
@@ -254,7 +264,9 @@ class Router:
             self.last_packets = packets
             if self._reference is None:
                 self._reference = SynchronousEngine(
-                    **options, **self._reference_options()
+                    **options,
+                    track_paths=self.track_paths,
+                    **self._reference_options(),
                 )
             return self._reference.run(
                 packets,
@@ -264,28 +276,45 @@ class Router:
                 fault_base=self.fault_base,
             )
         engine = FastPathEngine(**options)
-        stats = engine.run(
-            packets,
-            max_steps=max_steps,
-            combine_groups=cols.combine_keys,
-            link_faults=faults,
-            fault_base=self.fault_base,
-            **run._asdict(),
-        )
+        try:
+            stats = engine.run(
+                max_steps=max_steps,
+                injected_at=injected_at,
+                combine_groups=cols.combine_keys,
+                link_faults=faults,
+                fault_base=self.fault_base,
+                **run._asdict(),
+            )
+        finally:
+            # like the reference engine, a run that wedges still leaves
+            # its progress on the caller's packets
+            if packets is not None and engine.last_arrays is not None:
+                write_back(
+                    packets,
+                    engine.last_arrays,
+                    combine=self.combine,
+                    track_paths=self.track_paths,
+                )
         self.last_fast_run = engine.last_arrays
         return stats
 
     def _materialise(self, cols: PacketColumns) -> list[Packet]:
-        """The reference engine's packets for *cols*: pid = row, and a
-        row's combine key travels as the packet's ``address`` (all the
-        engine asks of an address is equality)."""
-        sources = map(self._source_key, cols.sources.tolist())
+        """The reference engine's packets for *cols*: pid = row, source
+        the endpoint id, dest the node key it exits at, and a row's
+        combine key travels as the packet's ``address`` (all the engine
+        asks of an address is equality)."""
         keys = (
             repeat(None) if cols.combine_keys is None else cols.combine_keys.tolist()
         )
         return [
             Packet(i, s, d, address=k)
-            for i, (s, d, k) in enumerate(zip(sources, cols.dests.tolist(), keys))
+            for i, (s, d, k) in enumerate(
+                zip(
+                    cols.sources.tolist(),
+                    (cols.dests + self._exit_base).tolist(),
+                    keys,
+                )
+            )
         ]
 
     def absorbed_rows(self) -> np.ndarray:
@@ -316,6 +345,8 @@ class Router:
         )
         if cols.sources.shape != cols.dests.shape or cols.sources.ndim != 1:
             raise ValueError("sources and dests must have equal length")
+        if cols.combine_keys is not None and cols.combine_keys.shape != cols.dests.shape:
+            raise ValueError("one combine key per packet required")
         return self.route_packets(cols, max_steps=max_steps)
 
     def route_permutation(

@@ -21,7 +21,9 @@ Leveled compilation in detail:
   packet's 2L-hop journey lies in "unrolled column" k (the two passes of
   Algorithm 2.1 laid end to end, with the last column of pass 1
   identified with the first column of pass 2, exactly the paper's
-  wrap-around), so ``id = k * N + row`` with k in [0, 2L];
+  wrap-around), so ``id = k * N + row`` with k in [0, 2L].  This is the
+  network's one id space: both engines, ``Packet.node`` / ``dest`` /
+  ``trace`` and link-fault keys all use it;
 * per-level **out-neighbor tables** (``(N, d)`` arrays) replace
   ``out_neighbors`` calls, so a pre-drawn coin becomes one array gather;
 * :meth:`build_paths` rolls a whole packet population's trajectories
@@ -74,44 +76,12 @@ class CompiledLeveledTopology:
         self.__dict__.update(state)
         self._net = weakref.ref(state["_net"])
 
-    # ---- id <-> key ----------------------------------------------------
+    # ---- per-level tables ----------------------------------------------
     def out_table(self, level: int) -> np.ndarray:
         table = self._out_tables.get(level)
         if table is None:
             table = self._out_tables[level] = self.net.out_neighbor_table(level)
         return table
-
-    def encode_key(self, key: tuple[int, int, int]) -> int:
-        """(pass, column, row) -> node id.
-
-        The wrap identification makes this well defined: ``(0, L, r)``
-        and ``(1, 0, r)`` are the same physical node and map to the same
-        id ``L * N + r``.
-        """
-        pass_idx, col, row = key
-        return (pass_idx * self.L + col) * self.N + row
-
-    def node_key(self, position: int, node_id: int) -> tuple[int, int, int]:
-        """Node-style key at a path *position*: what ``packet.node`` holds.
-
-        The reference engine rewrites the wrap node to its pass-2 alias
-        before enqueueing, so position L decodes to ``(1, 0, row)``.
-        """
-        row = node_id - position * self.N
-        if position < self.L:
-            return (0, position, row)
-        return (1, position - self.L, row)
-
-    def trace_key(self, position: int, node_id: int) -> tuple[int, int, int]:
-        """Trace-style key: what ``packet.trace`` records at *position*.
-
-        Traces capture the node key *before* the wrap rewrite, so
-        position L decodes to ``(0, L, row)``.
-        """
-        row = node_id - position * self.N
-        if position <= self.L:
-            return (0, position, row)
-        return (1, position - self.L, row)
 
     # ---- trajectory compilation ----------------------------------------
     def build_paths(

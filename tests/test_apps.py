@@ -465,7 +465,7 @@ class TestMeshReplyRetry:
                 Packet(0, 7, 0, kind="reply", payload=1),
                 Packet(1, 5, 3, kind="reply", payload=2),
             ]
-            stats[engine] = router.route(None, None, max_steps=50, packets=packets)
+            stats[engine] = router.route_packets(packets, max_steps=50)
         assert not stats["fast"].completed
         assert not stats["reference"].completed
         assert stats["fast"].steps == stats["reference"].steps

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.emulation
 import repro.routing
 import repro.sharding
 import repro.topology.compiled
@@ -385,7 +386,65 @@ def test_a_reference_run_from_columns_materialises_one_packet_a_row(built_packet
     router = LeveledRouter(DAryButterflyLeveled(2, 3), seed=1, engine="reference")
     assert router.route_random_permutation().completed
     assert built_packets == router.last_packets and len(built_packets) == 8
-    assert [p.source for p in built_packets] == [(0, 0, r) for r in range(8)]
+    # a source row is its own node key; the exit key is the last-column
+    # row at position 2L of the compiled ids (L=3, N=8)
+    assert [p.source for p in built_packets] == list(range(8))
+    assert sorted(p.dest for p in built_packets) == list(range(48, 56))
+    assert all(p.node == p.dest for p in built_packets)
+
+
+def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
+    """The boundary, pinned: ``FastPathEngine.run`` routes rows of a
+    path matrix (no packet list, no key decoders, no ``track_paths``),
+    neither engine module names ``Packet``, the reference engine has no
+    key-space reconciliation options, and the translation hooks between
+    a leveled network's two old id spaces exist nowhere in ``src``."""
+    from repro.routing import FastPathEngine, SynchronousEngine
+    from repro.routing.router import CompiledRun, Router
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(FastPathEngine.run) == [
+        "self", "paths", "num_nodes", "max_steps", "path_lengths", "priorities",
+        "links", "spawn_plan", "injected_at", "combine_groups", "raise_on_timeout",
+        "link_faults", "fault_base",
+    ]
+    assert params(FastPathEngine.__init__) == [
+        "self", "combine", "node_capacity", "flow_control", "observer",
+    ]
+    assert params(SynchronousEngine.__init__) == [
+        "self", "queue_factory", "combine", "node_capacity", "node_service_rate",
+        "flow_control", "track_paths", "observer",
+    ]
+    assert CompiledRun._fields == (
+        "paths", "num_nodes", "path_lengths", "priorities", "links",
+    )
+    src = DOC.parent.parent / "src/repro"
+
+    def identifiers(path) -> set:
+        # every way a name is spelled: def, argument, keyword, import
+        # alias, bare name, attribute
+        return {
+            getattr(node, field, None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("name", "arg", "id", "attr")
+        }
+
+    for module in ("fast_engine.py", "fast_phases.py"):
+        assert not identifiers(src / "routing" / module) & {
+            "Packet", "make_packets", "combine_groups_of", "write_back",
+        }, module
+    everywhere = set().union(*map(identifiers, sorted(src.rglob("*.py"))))
+    assert not everywhere & {
+        "encode_key", "node_key", "trace_key", "exit_dest", "capacity_key",
+        "_source_key", "_endpoint", "_wire", "_write_back",
+        "_reference_fault_keys", "_fast_fault_keys",
+    }
+    # one fault-key hook, defined where a network has wires to name
+    assert "_fault_keys" in Router.__dict__
+    assert "_fault_keys" in LeveledRouter.__dict__ and "_fault_keys" in MeshRouter.__dict__
+    assert "_reference_options" not in LeveledRouter.__dict__
 
 
 def test_links_are_interned_in_one_place():
@@ -601,9 +660,15 @@ def test_an_emulator_has_one_verb_and_one_builder_of_its_shared_state():
     shared = self_assigned(init)
     assert shared >= {
         "mode", "n_processors", "observer", "engine_mode", "write_policy", "combine_op",
-        "node_capacity", "flow_control", "rehash_factor", "max_rehashes", "validate",
+        "node_capacity", "flow_control", "rehash_factor", "max_rehashes",
         "rng", "memory", "family", "hash", "rehash_count", "faults", "virtual_clock",
     }
+    # the reply-count check is unconditional and the hash degree is the
+    # diameter's: neither is a constructor knob, nor is a reply's pid base
+    assert not {"validate", "hash_c"} & ({a.arg for a in init.args.kwonlyargs} | shared)
+    assert list(inspect.signature(repro.emulation.build_replies).parameters) == [
+        "hosts", "values",
+    ]
     constructed = {"SharedMemory", "HashFamily", "FaultState"}
     assert constructed <= _calls(init)
     for module in ("emulation/leveled.py", "emulation/mesh.py"):

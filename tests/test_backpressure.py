@@ -59,7 +59,7 @@ class TestHubStarRegression:
     def test_fast_engine_respects_capacity(self):
         engine = FastPathEngine(node_capacity=1)
         paths = [[s, self.HUB, self.SINK] for s in range(5)]
-        stats = engine.run(self._packets(), paths, num_nodes=7, max_steps=100)
+        stats = engine.run(paths, num_nodes=7, max_steps=100)
         assert stats.completed
         assert stats.max_node_load == 1
 
@@ -68,7 +68,6 @@ class TestHubStarRegression:
             self._packets(), self._route, max_steps=100
         )
         fast = FastPathEngine(node_capacity=1).run(
-            self._packets(),
             [[s, self.HUB, self.SINK] for s in range(5)],
             num_nodes=7,
             max_steps=100,

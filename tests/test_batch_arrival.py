@@ -38,7 +38,7 @@ from repro.routing import (
     route_linear,
 )
 from repro.topology import Mesh2D
-from test_fast_engine import assert_stats_equal
+from test_fast_engine import assert_stats_equal, run_packets
 
 
 class DownUntil:
@@ -103,7 +103,8 @@ def run_both(
     ref_packets = _packets(paths, last, inject, addresses)
 
     def fast():
-        return fast_engine.run(
+        return run_packets(
+            fast_engine,
             fast_packets,
             paths if ragged else np.asarray(paths, dtype=np.int64),
             num_nodes=num_nodes,
@@ -396,7 +397,6 @@ def test_empty_run_matches_reference(paths, regime):
     kwargs = dict(RAGGED_REGIMES[regime])
     down = kwargs.pop("down", None)
     fast = FastPathEngine(**kwargs).run(
-        [],
         paths,
         num_nodes=SINK + 1,
         max_steps=5,
@@ -438,13 +438,14 @@ def test_never_triggered_packets_are_not_counted():
 
 
 def test_anonymous_population_counts_like_packets():
-    """``packets=None`` (how replies are routed) returns the stats the
-    same run returns for ``Packet`` objects, field for field."""
+    """A bare path matrix (how replies are routed) returns the stats
+    the same run returns when ``Packet`` objects are read in and written
+    back around it, field for field."""
     kwargs = scenario_spawn_interleaved()
     paths = np.asarray(kwargs["paths"], dtype=np.int64)
     engine = FastPathEngine()
     anonymous = engine.run(
-        None, paths, num_nodes=SINK + 8, max_steps=400, spawn_plan=kwargs["spawn_plan"]
+        paths, num_nodes=SINK + 8, max_steps=400, spawn_plan=kwargs["spawn_plan"]
     )
     assert_stats_equal(anonymous, run_both(**kwargs))
     assert engine.last_arrays.order.tolist() == [*range(12), *range(12, 18)]
@@ -464,10 +465,13 @@ def test_anonymous_population_counts_like_packets():
 )
 def test_malformed_spawn_plans_are_value_errors(plan, engine_kwargs, match):
     paths = np.asarray([[0, HUB, SINK]] * 3, dtype=np.int64)
-    packets = _packets(paths.tolist(), [2] * 3, [0] * 3, [None] * 3)
     with pytest.raises(ValueError, match=match):
         FastPathEngine(**engine_kwargs).run(
-            packets, paths, num_nodes=SINK + 1, max_steps=9, spawn_plan=plan
+            paths,
+            num_nodes=SINK + 1,
+            max_steps=9,
+            spawn_plan=plan,
+            combine_groups=[0, 1, 2],
         )
 
 
@@ -632,7 +636,7 @@ def test_mesh_furthest_first_matches_reference(
         packets = make_packets(
             list(range(n)), dests.tolist(), kind="read", addresses=addresses
         )
-        return router.route(None, None, max_steps=60 * side + 200, packets=packets)
+        return router.route_packets(packets, max_steps=60 * side + 200)
 
     (fast, fast_dead), (ref, ref_dead) = _routed(lambda: run("fast")), _routed(
         lambda: run("reference")

@@ -55,13 +55,13 @@ class TestDispatch:
     def test_engine_reports_constrained_batch(self):
         engine = FastPathEngine(node_capacity=1)
         paths = [[s, 5, 6] for s in range(5)]
-        engine.run(make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50)
+        engine.run(paths, num_nodes=7, max_steps=50)
         assert engine.last_run_mode == "batch-constrained"
 
     def test_engine_reports_batch_when_unconstrained(self):
         engine = FastPathEngine()
         paths = [[s, 5, 6] for s in range(5)]
-        engine.run(make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50)
+        engine.run(paths, num_nodes=7, max_steps=50)
         assert engine.last_run_mode == "batch"
 
     @pytest.mark.parametrize(
@@ -70,9 +70,7 @@ class TestDispatch:
     def test_ragged_paths_pad_into_the_batch_modes(self, capacity, mode):
         engine = FastPathEngine(node_capacity=capacity)
         paths = [[0, 2, 3], [1, 2, 3, 4]]
-        stats = engine.run(
-            make_packets([0, 1], [3, 4]), paths, num_nodes=5, max_steps=50
-        )
+        stats = engine.run(paths, num_nodes=5, max_steps=50)
         assert engine.last_run_mode == stats.run_mode == mode
         assert stats.hops == [2, 3]
 
@@ -137,9 +135,7 @@ class TestPinnedRegressions:
             return sink if p.node == hub else hub
 
         fast = FastPathEngine(node_capacity=1)
-        f = fast.run(
-            make_packets(range(5), [sink] * 5), paths, num_nodes=7, max_steps=100
-        )
+        f = fast.run(paths, num_nodes=7, max_steps=100)
         assert fast.last_run_mode == "batch-constrained"
         r = SynchronousEngine(node_capacity=1).run(
             make_packets(range(5), [sink] * 5), route, max_steps=100
@@ -157,9 +153,7 @@ class TestPinnedRegressions:
             return None if p.node == p.dest else row[row.index(p.node) + 1]
 
         with pytest.raises(DeadlockError) as fast_exc:
-            FastPathEngine(node_capacity=1).run(
-                make_packets([1, 2], [3, 0]), paths, num_nodes=4, max_steps=10**9
-            )
+            FastPathEngine(node_capacity=1).run(paths, num_nodes=4, max_steps=10**9)
         with pytest.raises(DeadlockError) as ref_exc:
             SynchronousEngine(node_capacity=1).run(
                 make_packets([1, 2], [3, 0]), route, max_steps=10**9
@@ -168,9 +162,7 @@ class TestPinnedRegressions:
         assert fast_exc.value.stats.steps == 0  # detected immediately
 
         engine = FastPathEngine(node_capacity=1, flow_control="credit")
-        f = engine.run(
-            make_packets([1, 2], [3, 0]), paths, num_nodes=4, max_steps=100
-        )
+        f = engine.run(paths, num_nodes=4, max_steps=100)
         assert engine.last_run_mode == "batch-constrained"
         r = SynchronousEngine(node_capacity=1, flow_control="credit").run(
             make_packets([1, 2], [3, 0]), route, max_steps=100
@@ -202,9 +194,7 @@ class TestCyclicRoutesWithCredit:
         fast_engine = FastPathEngine(node_capacity=1, flow_control="credit")
         ref_engine = SynchronousEngine(node_capacity=1, flow_control="credit")
         try:
-            f = fast_engine.run(
-                self._packets(), self.PATHS, num_nodes=3, max_steps=500
-            )
+            f = fast_engine.run(self.PATHS, num_nodes=3, max_steps=500)
             fast_deadlocked = False
         except DeadlockError as exc:
             f = exc.stats
@@ -353,7 +343,7 @@ class TestDifferentialSweep:
             pkts = make_packets(
                 list(range(n)), dests.tolist(), addresses=addresses.tolist()
             )
-            runs.append(router.route(None, None, packets=pkts, max_steps=20_000))
+            runs.append(router.route_packets(pkts, max_steps=20_000))
         assert_stats_equal(*runs)
         assert runs[0].completed
         assert runs[0].combines > 0
@@ -385,11 +375,11 @@ class TestDifferentialSweep:
             [p + [p[-1]] * (width - len(p)) for p in paths], dtype=np.int64
         )
         f = fast_engine.run(
-            packets(),
             padded,
             num_nodes=12,
             max_steps=1000,
             path_lengths=lengths,
+            injected_at=[p.injected_at for p in packets()],
         )
         assert fast_engine.last_run_mode == "batch-constrained"
         r = SynchronousEngine(node_capacity=1, flow_control="credit").run(

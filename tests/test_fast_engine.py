@@ -29,7 +29,12 @@ from repro.routing import (
     resolve_engine_mode,
 )
 from repro.routing.fast_engine import ENGINE_ENV_VAR
-from repro.routing.packet import make_packets
+from repro.routing.packet import (
+    combine_groups_of,
+    injection_times,
+    make_packets,
+    write_back,
+)
 from repro.topology import (
     DAryButterflyLeveled,
     DWayShuffle,
@@ -39,7 +44,6 @@ from repro.topology import (
     ShuffleLeveled,
     StarGraph,
     StarLogicalLeveled,
-    compile_leveled,
 )
 
 STAT_FIELDS = (
@@ -61,6 +65,40 @@ def assert_stats_equal(fast, ref):
         assert getattr(fast, field) == getattr(ref, field), field
     assert fast.delays == ref.delays
     assert fast.hops == ref.hops
+
+
+def run_packets(engine, packets, paths, *, track_paths=False, **run_kwargs):
+    """The fast engine on a caller-built ``Packet`` list, driven the way
+    ``Router.route_packets`` drives it: read the list into columns,
+    ``run``, write the outcome back — so the packets compare field for
+    field with the ones the reference engine was handed.  A run that
+    raises after its last step (``DeadlockError``, ``RoutingTimeout``)
+    still leaves its progress on the packets, as the reference does."""
+    before = engine.last_arrays
+    try:
+        return engine.run(
+            paths,
+            injected_at=injection_times(packets),
+            combine_groups=combine_groups_of(packets) if engine.combine else None,
+            **run_kwargs,
+        )
+    finally:
+        if engine.last_arrays is not before:
+            write_back(
+                packets,
+                engine.last_arrays,
+                combine=engine.combine,
+                track_paths=track_paths,
+            )
+
+
+def leveled_packets(net, sources, dests):
+    """Caller-built packets for a ``LeveledRouter``: a source row is its
+    own node id, a destination row's exit key sits at position 2L."""
+    exit_base = 2 * net.num_levels * net.column_size
+    return make_packets(
+        [int(s) for s in sources], [exit_base + int(d) for d in dests]
+    )
 
 
 def leveled_nets():
@@ -109,13 +147,17 @@ class TestLeveledDifferential:
         """track_paths: every packet's recorded trace must be identical."""
         n = net.column_size
         perm = np.random.default_rng(3).permutation(n)
-        pf = make_packets([(0, 0, int(s)) for s in range(n)], perm.tolist())
-        pr = make_packets([(0, 0, int(s)) for s in range(n)], perm.tolist())
+        pf = leveled_packets(net, range(n), perm)
+        pr = leveled_packets(net, range(n), perm)
         LeveledRouter(net, seed=1, track_paths=True, engine="fast").route_packets(pf)
         LeveledRouter(net, seed=1, track_paths=True, engine="reference").route_packets(pr)
+        L, N = net.num_levels, net.column_size
         for a, b in zip(pf, pr):
             assert a.trace == b.trace
-            assert a.node == b.node
+            assert a.node == b.node == a.dest
+            # one id per position, the identified columns (position L)
+            # included: the trace is the unrolled walk
+            assert [v // N for v in a.trace] == list(range(2 * L + 1))
 
     def test_timeout_matches(self):
         net = DAryButterflyLeveled(2, 6)
@@ -207,7 +249,7 @@ class TestPhysicalRouterDifferential:
             return pkts
 
         pf = mk()
-        sf = FastPathEngine().run(pf, paths, num_nodes=4, max_steps=20)
+        sf = run_packets(FastPathEngine(), pf, paths, num_nodes=4, max_steps=20)
         pr = mk()
         walkers = {p.pid: iter(path[1:]) for p, path in zip(pr, paths)}
         sr = SynchronousEngine().run(
@@ -260,7 +302,7 @@ class TestMeshStackDifferential:
         def run(engine):
             router = MeshRouter(mesh, seed=3, track_paths=True, engine=engine)
             pkts = make_packets(list(range(mesh.num_nodes)), perm.tolist())
-            router.route(None, None, packets=pkts)
+            router.route_packets(pkts)
             return pkts
 
         for a, b in zip(run("fast"), run("reference")):
@@ -450,7 +492,7 @@ class TestMeshStackDifferential:
             pkts = make_packets(
                 list(range(n)), dests.tolist(), addresses=addresses.tolist()
             )
-            return router.route(None, None, packets=pkts, max_steps=4000)
+            return router.route_packets(pkts, max_steps=4000)
 
         fast, ref = run("fast"), run("reference")
         assert fast.combines > 0
@@ -581,18 +623,16 @@ class TestEngineSelection:
 class TestFastPathEngineUnit:
     def test_shared_link_serializes(self):
         # Two packets crossing the same link: second waits one step.
-        pkts = make_packets([0, 0], [2, 2])
         stats = FastPathEngine().run(
-            pkts, [[0, 1, 2], [0, 1, 2]], num_nodes=3, max_steps=10
+            [[0, 1, 2], [0, 1, 2]], num_nodes=3, max_steps=10
         )
         assert stats.completed
         assert stats.steps == 3
-        assert sorted(p.delay for p in pkts) == [0, 1]
+        assert sorted(stats.delays) == [0, 1]
 
     def test_combining_on_shared_queue(self):
-        pkts = make_packets([0, 0, 0], [2, 2, 2], addresses=[7, 7, 7])
         stats = FastPathEngine(combine=True).run(
-            pkts, [[0, 1, 2]] * 3, num_nodes=3, max_steps=10
+            [[0, 1, 2]] * 3, num_nodes=3, max_steps=10, combine_groups=[7, 7, 7]
         )
         assert stats.completed
         assert stats.combines == 2
@@ -600,8 +640,12 @@ class TestFastPathEngineUnit:
 
     def test_mismatched_paths_rejected(self):
         pkts = make_packets([0], [1])
-        with pytest.raises(ValueError):
-            FastPathEngine().run(pkts, [], num_nodes=2, max_steps=5)
+        with pytest.raises(ValueError, match="one injection step per packet"):
+            run_packets(FastPathEngine(), pkts, [], num_nodes=2, max_steps=5)
+        with pytest.raises(ValueError, match="one combine group per packet"):
+            FastPathEngine(combine=True).run(
+                [[0, 1]], num_nodes=2, max_steps=5, combine_groups=[3, 3]
+            )
 
     @pytest.mark.parametrize(
         "paths, lengths, message, extra",
@@ -631,10 +675,9 @@ class TestFastPathEngineUnit:
         ],
     )
     def test_malformed_paths_rejected(self, paths, lengths, message, extra):
-        pkts = make_packets([0, 0, 0], [1, 1, 1])
         with pytest.raises(ValueError, match=message):
             FastPathEngine().run(
-                pkts, paths, num_nodes=2, max_steps=5, path_lengths=lengths, **extra
+                paths, num_nodes=2, max_steps=5, path_lengths=lengths, **extra
             )
 
     def test_reference_only_options_are_plain_type_errors(self):
@@ -642,39 +685,23 @@ class TestFastPathEngineUnit:
         reference engine only; the fast engine has no such parameters."""
         with pytest.raises(TypeError):
             FastPathEngine(node_service_rate=1)
-        pkts = make_packets([0], [1])
         for hook in ({"on_arrival": lambda *a: None}, {"hook_filter": bool}):
             with pytest.raises(TypeError):
-                FastPathEngine().run(
-                    pkts, [[0, 1]], num_nodes=2, max_steps=5, **hook
-                )
+                FastPathEngine().run([[0, 1]], num_nodes=2, max_steps=5, **hook)
 
     def test_single_packet_delivers(self):
-        pkts = make_packets([0], [1])
-        stats = FastPathEngine().run(pkts, [[0, 1]], num_nodes=2, max_steps=5)
+        stats = FastPathEngine().run([[0, 1]], num_nodes=2, max_steps=5)
         assert stats.completed
         assert stats.steps == 1
-        assert pkts[0].hops == 1
+        assert stats.hops == [1]
 
     def test_timeout_raises_when_asked(self):
         from repro.routing import RoutingTimeout
 
-        pkts = make_packets([0, 0], [2, 2])
         with pytest.raises(RoutingTimeout):
             FastPathEngine().run(
-                pkts,
                 [[0, 1, 2], [0, 1, 2]],
                 num_nodes=3,
                 max_steps=2,
                 raise_on_timeout=True,
             )
-
-    def test_node_ids_roundtrip(self):
-        net = DAryButterflyLeveled(2, 3)
-        compiled = compile_leveled(net)
-        L, N = net.num_levels, net.column_size
-        # trace-style keys: wrap position decodes to (0, L, row)
-        assert compiled.trace_key(L, L * N + 3) == (0, L, 3)
-        # node-style keys: wrap position decodes to its pass-2 alias
-        assert compiled.node_key(L, L * N + 3) == (1, 0, 3)
-        assert compiled.encode_key((0, L, 3)) == compiled.encode_key((1, 0, 3))

@@ -30,7 +30,7 @@ from repro.routing.fast_phases import (
     transmit_constrained,
     transmit_unconstrained,
 )
-from repro.routing import LeveledRouter, make_packets
+from repro.routing import LeveledRouter
 from repro.topology import Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh
 from test_batch_arrival import DownUntil
@@ -105,12 +105,7 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     rng = np.random.default_rng(4)
     n = N // 2
     sources, dests = rng.integers(0, N, n), rng.integers(0, 6, n)
-    packets = make_packets(
-        [(0, 0, int(r)) for r in sources],
-        [int(d) for d in dests],
-        kind="read",
-        addresses=rng.integers(0, 12, n).tolist(),
-    )
+    addresses = rng.integers(0, 12, n)
     router = LeveledRouter(net, seed=9, combine=True, engine="fast")
     run = router._compile(sources, dests, router._draw(sources, dests))
     assert run.links is None and run.paths.shape == (n, 2 * L + 1)
@@ -126,7 +121,7 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     # ... and the finished run hands the same tables on, for its replies
     # (a fresh router on the same seed draws the same coins)
     rerun = LeveledRouter(net, seed=9, combine=True, engine="fast")
-    assert rerun.route_packets(packets).completed
+    assert rerun.route(sources, dests, addresses=addresses).completed
     link_mat, link_src, link_dst = rerun.last_fast_run.links
     assert link_mat.shape == (n, 2 * L)
     assert np.array_equal(link_mat.ravel(), s.li_flat)

@@ -33,7 +33,7 @@ from repro.routing import (
     route_linear,
 )
 from repro.topology import DAryButterflyLeveled, LinearArray, Mesh2D
-from test_fast_engine import assert_stats_equal
+from test_fast_engine import assert_stats_equal, run_packets
 
 # Two packets crossing on a line with capacity-1 nodes: the canonical
 # wedge.  p0 (1 -> 3, eastbound) waits on node 2, held full by p1
@@ -67,7 +67,7 @@ class TestPinnedCrossingFlow:
     def test_fast_none_deadlocks(self):
         engine = FastPathEngine(node_capacity=1)
         with pytest.raises(DeadlockError) as exc:
-            engine.run(_crossing_packets(), CROSS_PATHS, num_nodes=4, max_steps=10**9)
+            engine.run(CROSS_PATHS, num_nodes=4, max_steps=10**9)
         assert not exc.value.stats.completed
         assert exc.value.stats.steps == 0
 
@@ -78,7 +78,7 @@ class TestPinnedCrossingFlow:
             )
         with pytest.raises(DeadlockError) as fast:
             FastPathEngine(node_capacity=1).run(
-                _crossing_packets(), CROSS_PATHS, num_nodes=4, max_steps=100
+                CROSS_PATHS, num_nodes=4, max_steps=100
             )
         assert_stats_equal(fast.value.stats, ref.value.stats)
 
@@ -93,9 +93,7 @@ class TestPinnedCrossingFlow:
 
     def test_fast_credit_completes(self):
         engine = FastPathEngine(node_capacity=1, flow_control="credit")
-        stats = engine.run(
-            _crossing_packets(), CROSS_PATHS, num_nodes=4, max_steps=100
-        )
+        stats = engine.run(CROSS_PATHS, num_nodes=4, max_steps=100)
         assert stats.completed
         assert stats.max_node_load <= 1
         assert stats.escape_hops >= 1
@@ -105,7 +103,7 @@ class TestPinnedCrossingFlow:
             _crossing_packets(), _crossing_next_hop, max_steps=100
         )
         fast = FastPathEngine(node_capacity=1, flow_control="credit").run(
-            _crossing_packets(), CROSS_PATHS, num_nodes=4, max_steps=100
+            CROSS_PATHS, num_nodes=4, max_steps=100
         )
         assert_stats_equal(fast, ref)
 
@@ -145,8 +143,12 @@ class TestDeadlockDetector:
     def test_stats_attached_with_packet_writeback(self):
         pkts = _crossing_packets()
         with pytest.raises(DeadlockError) as exc:
-            FastPathEngine(node_capacity=1).run(
-                pkts, CROSS_PATHS, num_nodes=4, max_steps=100
+            run_packets(
+                FastPathEngine(node_capacity=1),
+                pkts,
+                CROSS_PATHS,
+                num_nodes=4,
+                max_steps=100,
             )
         assert exc.value.stats.delivered == 0
         # Both packets were written back at their wedged positions.
@@ -232,7 +234,7 @@ class TestCreditDifferentialSweep:
             pkts = make_packets(
                 list(range(n)), dests.tolist(), addresses=addresses.tolist()
             )
-            runs.append(router.route(None, None, packets=pkts, max_steps=8000))
+            runs.append(router.route_packets(pkts, max_steps=8000))
         assert_stats_equal(*runs)
         assert runs[0].completed
         assert runs[0].combines > 0

@@ -594,6 +594,26 @@ class TestFrontEndColumnsRule:
         """
         assert _check(FrontEndColumnsRule(), src, self.DRIVER) == []
 
+    def test_packets_built_in_the_fast_engine_flagged(self):
+        src = """
+            from repro.routing import packet
+            def run(self, paths, packets: "list[Packet] | None" = None):
+                placeholder = make_packets(paths[:, 0], paths[:, -1])
+                return packet.Packet(0, 0, 1), StepTrace()
+        """
+        for rel in (
+            "src/repro/routing/fast_engine.py",
+            "src/repro/routing/fast_phases.py",
+        ):
+            vs = _check(FrontEndColumnsRule(), src, rel)
+            assert sorted((v.line, v.message.split("(")[0]) for v in vs) == [
+                (4, "make_packets"), (5, "Packet"),
+            ]
+        # ... and only there: the boundary modules build them by design
+        for rel in ("src/repro/routing/router.py", "src/repro/routing/packet.py"):
+            assert not FrontEndColumnsRule().applies_to(rel)
+        assert _check(FrontEndColumnsRule(), "p = Packet(0, 0, 1)\n", self.DRIVER) == []
+
     def test_scope_is_the_served_path(self):
         rule = FrontEndColumnsRule()
         for rel in (

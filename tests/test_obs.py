@@ -283,8 +283,7 @@ class TestErrorFlightTails:
         obs = Observer(flight_recorder=8)
         engine = FastPathEngine(node_capacity=1, observer=obs)
         with pytest.raises(DeadlockError) as exc:
-            engine.run(_crossing_packets(), CROSS_PATHS, num_nodes=4,
-                       max_steps=100)
+            engine.run(CROSS_PATHS, num_nodes=4, max_steps=100)
         assert exc.value.flight_tail
         assert len(exc.value.flight_tail) <= 8
 
@@ -420,9 +419,9 @@ class TestBitIdentity:
 
     def test_failed_setup_is_billed_to_the_configured_mode(self):
         obs = Observer(metrics=False, tracing=False, flight_recorder=0)
-        with pytest.raises(ValueError, match="one path per packet"):
+        with pytest.raises(ValueError, match="one path length per packet"):
             FastPathEngine(node_capacity=2, observer=obs).run(
-                make_packets([0], [1]), [], num_nodes=2, max_steps=5
+                [[0, 1]], num_nodes=2, max_steps=5, path_lengths=[]
             )
         assert list(obs.profile.to_dict()["modes"]) == ["batch-constrained"]
 

@@ -225,8 +225,15 @@ def routed_hot_requests(engine, max_steps):
     net = DAryButterflyLeveled(2, 4)
     rng = np.random.default_rng(8)
     n = 3 * net.column_size
+    exit_base = 2 * net.num_levels * net.column_size
     packets = [
-        Packet(i, (0, 0, i % net.column_size), int(dest), kind="read", address=int(dest))
+        Packet(
+            i,
+            i % net.column_size,
+            exit_base + int(dest),
+            kind="read",
+            address=int(dest),
+        )
         for i, dest in enumerate(rng.integers(0, 3, n))
     ]
     router = LeveledRouter(

@@ -32,7 +32,7 @@ from repro.emulation import (
 from repro.faults import FaultPlan, FaultSchedule, RehashStormError
 from repro.obs import Observer
 from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
-from repro.routing import Packet
+from repro.routing import LeveledRouter, MeshRouter, Packet
 from repro.topology import DAryButterflyLeveled, Mesh2D, StarLogicalLeveled
 from test_fast_engine import assert_stats_equal
 
@@ -93,7 +93,7 @@ def serve(emulator, steps, *, caller_built=False):
             if caller_built:
                 keys = repeat(None) if combine_keys is None else combine_keys.tolist()
                 packets = [
-                    Packet(i, router._source_key(s), d, address=k)
+                    Packet(i, s, router._exit_base + d, address=k)
                     for i, (s, d, k) in enumerate(
                         zip(sources.tolist(), dests.tolist(), keys)
                     )
@@ -280,7 +280,7 @@ def test_a_run_that_gives_up_without_faults_is_typed_and_terminal():
 
 @pytest.mark.parametrize("engine", ("fast", "reference"))
 def test_a_lost_reply_is_typed_terminal_and_carries_the_step_accounting(engine):
-    """``validate`` counts the replies of a completed reply phase; a
+    """The replies of a completed reply phase are counted; a
     mismatch is a ``ReplyCountError`` — a ``RequestRoutingError``, so
     the driver does not retry it — with the attempt log and the flight
     tail, not a bare ``AssertionError``."""
@@ -329,6 +329,47 @@ def test_a_baseline_that_runs_out_its_budget_is_typed_too():
     with pytest.raises(RequestRoutingError, match="Ranade pass exceeded 2 steps") as exc:
         ranade.emulate_step(StepTrace(reads=[ReadRequest(p, p) for p in range(8)]))
     assert (exc.value.stall_steps, exc.value.run_modes) == (2, ())
+
+
+#: two routers with 8 endpoints each: a leveled and a flat network
+ROUTERS = {
+    "leveled": lambda **kw: LeveledRouter(NETWORKS["butterfly"], **kw),
+    "flat": lambda **kw: MeshRouter(Mesh2D(2, 4), **kw),
+}
+BOTH = pytest.mark.parametrize("engine", ("fast", "reference"))
+EACH = pytest.mark.parametrize("name", sorted(ROUTERS))
+
+
+@BOTH
+@EACH
+def test_a_short_combine_key_column_is_rejected_on_either_engine(name, engine):
+    """The fast engine refused it; the reference engine routed anyway,
+    silently dropping the rows past the key column's end
+    (``completed=True`` for one packet of three)."""
+    router = ROUTERS[name](combine=True, engine=engine, seed=1)
+    with pytest.raises(ValueError, match="one combine key per packet"):
+        router.route([0, 1, 2], [1, 1, 1], combine_keys=[5])
+    stats = router.route([0, 1, 2], [1, 1, 1], combine_keys=[5, 5, 5])
+    assert (stats.delivered, stats.total_packets) == (3, 3)
+
+
+@BOTH
+@EACH
+def test_an_endpoint_out_of_range_is_the_same_value_error_on_either_engine(name, engine):
+    """Used to be an ``IndexError``, a ``RouteStalledError`` or a wrong
+    answer, depending on engine, network and sign; now one ``ValueError``
+    naming the first offending row, raised before anything is drawn."""
+    router = ROUTERS[name](engine=engine, seed=1)
+    rng_before = router.rng.bit_generator.state
+    for sources, dests, message in (
+        ([0, 1, 9], [1, 1, 1], r"sources\[2\]=9 is not one of the 8 endpoints"),
+        ([0, -1, 2], [1, 1, 1], r"sources\[1\]=-1 is not one of the 8 endpoints"),
+        ([0, 1, 2], [8, 1, 1], r"dests\[0\]=8 is not one of the 8 endpoints"),
+        ([0, 1, 2], [1, 1, -3], r"dests\[2\]=-3 is not one of the 8 endpoints"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            router.route(sources, dests)
+    assert router.rng.bit_generator.state == rng_before
 
 
 def _capped(router):

@@ -259,9 +259,8 @@ class TestNetworkDrained:
         obs.record("note", virtual_clock=0, what="before the run")
         capacity = 2 if mode == "batch-constrained" else None
         engine = FastPathEngine(node_capacity=capacity, observer=obs)
-        pkts = make_packets([p[0] for p in paths], [p[-1] for p in paths])
         with pytest.raises(NetworkDrainedError) as exc:
-            engine.run(pkts, paths, num_nodes=3, max_steps=10)
+            engine.run(paths, num_nodes=3, max_steps=10)
         assert engine.last_run_mode == mode
         assert (exc.value.remaining, exc.value.t) == (2, 0)
         assert exc.value.flight_tail == obs.flight_tail() != ()

@@ -18,7 +18,8 @@ Rule catalog (docs/static_analysis.md has the long-form version):
   ``Emulator`` service contract; no ``getattr`` / ``hasattr`` probes.
 * REPRO009 ``front-end-columns`` — served-path modules (driver,
   sharding, the emulators' shared pipeline) construct no
-  ``TrafficRequest`` / ``ReadRequest`` / ``WriteRequest`` / ``StepTrace``.
+  ``TrafficRequest`` / ``ReadRequest`` / ``WriteRequest`` / ``StepTrace``,
+  and the fast engine's two modules no ``Packet``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,13 @@ Hence: no ``TrafficRequest(...)`` / ``ReadRequest(...)`` /
 sharding layer, or the emulators' shared pipeline.  Row views come from
 iterating a ``RequestBatch``; a step's object form from
 ``RequestColumns.trace()`` — both live next to the classes they build.
+
+The same holds one layer down: the fast engine routes the rows of a path
+matrix, and a ``Packet`` exists only at the reference engine's boundary
+and in the hands of a caller that brought a list
+(``routing/packet.py`` converts, ``Router.route_packets`` calls it).
+Hence also: no ``Packet(...)`` / ``make_packets(...)`` call in
+``routing/fast_engine.py`` or ``routing/fast_phases.py``.
 """
 
 from __future__ import annotations
@@ -35,26 +42,43 @@ SERVED_PATH = (
 
 REQUEST_OBJECTS = ("TrafficRequest", "ReadRequest", "WriteRequest", "StepTrace")
 
+#: the fast engine's two modules
+ENGINE_PATH = (
+    "src/repro/routing/fast_engine.py",
+    "src/repro/routing/fast_phases.py",
+)
+
+PACKET_OBJECTS = ("Packet", "make_packets")
+
 
 class FrontEndColumnsRule(FileRule):
     id = "REPRO009"
-    title = "served-path modules construct no per-request object"
-    scopes = SERVED_PATH
+    title = "served-path modules construct no per-request object, the fast engine no Packet"
+    scopes = SERVED_PATH + ENGINE_PATH
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if ctx.relpath.startswith(ENGINE_PATH):
+            banned, why = PACKET_OBJECTS, (
+                "built in the fast engine; it routes rows of a path matrix "
+                "— convert a caller's list in routing/packet.py "
+                "(combine_groups_of / injection_times / write_back)"
+            )
+        else:
+            banned, why = REQUEST_OBJECTS, (
+                "built on the served path; requests are table columns here "
+                "— iterate a RequestBatch for row views, or call "
+                "RequestColumns.trace() where an object-based consumer "
+                "needs the step"
+            )
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
-            if name is not None and name.split(".")[-1] in REQUEST_OBJECTS:
+            if name is not None and name.split(".")[-1] in banned:
                 yield Violation(
                     self.id,
                     ctx.relpath,
                     node.lineno,
                     node.col_offset,
-                    f"{name.split('.')[-1]}(...) built on the served path; "
-                    "requests are table columns here — iterate a "
-                    "RequestBatch for row views, or call "
-                    "RequestColumns.trace() where an object-based "
-                    "consumer needs the step",
+                    f"{name.split('.')[-1]}(...) {why}",
                 )
