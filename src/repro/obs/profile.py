@@ -9,11 +9,12 @@ bucket families:
 * **phases** — wall seconds per step-loop phase: ``"transmission"``
   (links send), ``"arrival"`` (packets place/enqueue), ``"escape"``
   (the credit flow-control escape subphase), ``"combining"`` (CRCW
-  combine-index work); and, on the fast engine, the two edges of a run:
-  ``"setup"`` (everything before the first step — path normalisation,
-  link interning, the spawn plan's trigger tables) and ``"finish"``
-  (everything after the last — absorption roots, ``Packet`` write-back,
-  stats).
+  absorption: the reference engine's per-arrival combine lookup, the
+  fast engine's absorb pass over a step's contended residue — a packet
+  alone on an idle link books none); and, on the fast engine, the two
+  edges of a run: ``"setup"`` (everything before the first step — path
+  normalisation, link interning, the spawn plan's trigger tables) and
+  ``"finish"`` (everything after the last — absorption roots, stats).
 
 Phase buckets are disjoint: time attributed to ``combining`` or
 ``escape`` is subtracted from the enclosing ``arrival`` /

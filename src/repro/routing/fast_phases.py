@@ -22,10 +22,16 @@ How the state is laid out:
   among ties — exactly the order the reference ``FurthestFirstQueue``
   pops in, priorities being fixed at push time — and it is arrivals
   that keep it: one that finds waiters and outranks the last of them
-  is spliced in ahead (:func:`insert_ahead`); every other arrival
-  appends, as under FIFO.
-* Every per-position table (link id, priority, combine code)
-  is raveled once per run and read through one flat cursor per packet:
+  is spliced in ahead (by a walk from the chain's head — scalar, or
+  :func:`insert_ahead`); every other arrival appends, as under FIFO.
+* CRCW residency is chain membership: a packet's *resident* on a link
+  is the packet queued in that link's chain with its combine key
+  (``gid``), found by walking the chain — O(1) long in the paper's
+  emulations — so a departure ends a residency by leaving the chain and
+  no table records one.  Only an arrival that meets others — the
+  *contended residue* of a step (:func:`enqueue`) — can combine.
+* Every per-position table (link id, priority) is raveled once per
+  run and read through one flat cursor per packet:
   packet i at position k reads slot ``i * (width - 1) + k``, and
   delivery is ``cursor == last slot``.
 * All state is int64: values double as fancy indices, and mixed dtypes
@@ -52,6 +58,26 @@ from repro.obs.clock import wall_time
 from repro.routing.flow_control import CreditState, no_progress_detail
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: The largest contended residue (:func:`enqueue`) resolved arrival by
+#: arrival in Python (~1-2 µs an arrival); a larger one takes the numpy
+#: lane (~12-45 µs whatever its size).  Timed alone the lanes cross at
+#: 32-48 arrivals; end to end 24, 32 and 64 tie and 8 is slower.  The
+#: census (``python tools/residue_census.py``, seed 7, one timed unit;
+#: sizes over the arrival phases that have a residue):
+#:
+#: ====================  ===========  ======  ===  ===  ===========
+#: workload              has residue  p50     p90  max  vector lane
+#: ====================  ===========  ======  ===  ===  ===========
+#: mesh_crcw_zipf        48 %         5       21   251  6 %
+#: mesh_erew_hot         50 %         8       53   215  20 %
+#: star_crcw_zipf        92 %         98      309  535  87 %
+#: bfly_small_steps      46 %         2       5    13   0 %
+#: bfly_credit_bursty    85 %         61      105  454  83 %
+#: sharded_tenants       60 %         3       9    25   0 %
+#: apps_replay           54 %         10      33   243  11 %
+#: ====================  ===========  ======  ===  ===  ===========
+SCALAR_RESIDUE_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -178,26 +204,6 @@ def pack_priorities(priorities, n: int, n_slots: int) -> np.ndarray | None:
     return prio[:, :n_slots].astype(np.int64).ravel()
 
 
-def combine_codes(link_mat: np.ndarray, gid, n_links: int) -> tuple[np.ndarray, int]:
-    """Interned (link, combine-group) codes: ``(vc_flat, n_codes)``.
-
-    A link holds at most one resident packet per combine key (an arrival
-    matching a resident is absorbed instead of queued), so the combine
-    index is a flat array over these codes; ``vc_flat`` is the raveled
-    per-position code table.  *gid* is any non-negative int label per
-    packet (a served run passes ``address * 2 + is_write`` as is; the
-    one sort below is what makes the codes dense), small enough that
-    ``link * groups + gid`` over the run's *n_links* links fits int64.
-    """
-    gid = np.asarray(gid, dtype=np.int64)
-    if gid.shape != link_mat.shape[:1]:
-        raise ValueError("one combine group per packet required")
-    _check_ids(gid, (1 << 63) // max(n_links, 1), "combine group")
-    groups = int(gid.max()) + 1 if gid.size else 1
-    uniq, inverse = np.unique(link_mat * groups + gid[:, None], return_inverse=True)
-    return inverse.ravel(), int(uniq.size)
-
-
 class SpawnTables:
     """An array spawn plan, validated and indexed by trigger.
 
@@ -322,18 +328,19 @@ class RunState:
 
     Built from arrays only — the padded path matrix, each packet's last
     position, injection steps (owned by the run: a spawn plan's trigger
-    steps are written into it), dense combine-group ids *gid* (``None``:
-    nothing combines), per-hop *priorities*, a precompiled *links*
-    triple and an array *spawn_plan* (each optional) — through the table
-    builders above, which is where malformed input is rejected.
-    *capacity* selects the constrained tables, *credit* the escape
-    buffers; *profile* is the observer's ``PhaseProfile`` or ``None``.
+    steps are written into it), one int combine key per packet *gid*
+    (``None``: nothing combines; keys are only compared for equality),
+    per-hop *priorities*, a precompiled *links* triple and an array
+    *spawn_plan* (each optional) — through the table builders above,
+    which is where malformed input is rejected.  *capacity* selects the
+    constrained tables, *credit* the escape buffers; *profile* is the
+    observer's ``PhaseProfile`` or ``None``.
 
     Every table is sized by the batch: per packet, per link position
-    (``li_flat``, ``prio_flat``, ``vc_flat``), per link or combine code
-    the batch crosses, or per node.  Queue discipline adds no table of
-    its own beyond ``prio_flat`` — FIFO and furthest-first runs share
-    the one chain per link.
+    (``li_flat``, ``prio_flat``), per link the batch crosses, or per
+    node.  Queue discipline adds no table of its own beyond
+    ``prio_flat`` — FIFO and furthest-first runs share the one chain per
+    link — and neither does combining beyond ``gid``.
     """
 
     # Slots, not a dict: a phase reads a dozen fields per call, and past
@@ -344,7 +351,7 @@ class RunState:
         "link_src", "link_dst", "li_flat",
         "prio_flat",
         "spawn", "roots", "remaining",
-        "vc_flat", "host_at", "parent", "subtree", "child_pairs", "combines",
+        "gid", "parent", "subtree", "child_pairs", "combines",
         "q_head", "q_tail", "q_next", "q_len", "node_load", "active", "first_at",
         "fl_base", "fl", "fl_last", "arrived",
         "max_queue", "max_node_load", "fault_stalls",
@@ -397,16 +404,16 @@ class RunState:
         #: packets injected or spawned so far and not yet delivered
         self.remaining = int(self.roots.size)
 
-        # CRCW combining: ``host_at[code]`` is the resident host of an
-        # interned (link, gid) code, -1 if none; absorption trees are
-        # parent pointers plus subtree sizes, resolved to the reference
-        # engine's delivery cascade by finish().
-        self.vc_flat = self.host_at = self.parent = self.subtree = None
+        # CRCW combining: absorption trees are parent pointers plus
+        # subtree sizes, resolved to the reference engine's delivery
+        # cascade by finish().
+        self.gid = self.parent = self.subtree = None
         self.child_pairs = []  # (hosts, children) per absorbing batch, in order
         self.combines = 0
         if gid is not None:
-            self.vc_flat, n_codes = combine_codes(link_mat, gid, n_links)
-            self.host_at = np.full(n_codes, -1, dtype=np.int64)
+            self.gid = np.asarray(gid, dtype=np.int64)
+            if self.gid.shape != (n,):
+                raise ValueError("one combine group per packet required")
             self.parent = np.full(n, -1, dtype=np.int64)
             self.subtree = np.ones(n, dtype=np.int64)
 
@@ -511,21 +518,19 @@ def select_heads(s: RunState) -> np.ndarray:
 def pop_heads(s: RunState, links: np.ndarray, heads: np.ndarray) -> None:
     """Each of *links* (a subset of ``active``, in its order) sends its
     chain head ``heads[k]``: unlink it, advance its cursor, and drop
-    emptied links from ``active``."""
-    nxt = s.q_next[heads]
-    s.q_head[links] = nxt
-    s.q_tail[links[nxt < 0]] = -1
-    fl = s.fl
-    if s.host_at is not None:
-        # A departing packet releases its combine-code residency (every
-        # queued packet is its code's resident: arrivals that met one
-        # were absorbed).
-        s.host_at[s.vc_flat[fl[heads]]] = -1
+    emptied links from ``active``.
+
+    Leaving the chain is all it takes to end a packet's combining
+    residency (residents are found by walking chains), and an emptied
+    link keeps its stale ``q_tail``: a tail is read only while its chain
+    is non-empty.
+    """
+    s.q_head[links] = s.q_next[heads]
     q_len = s.q_len
     after = q_len[links] - 1
     q_len[links] = after
     np.subtract.at(s.node_load, s.link_src[links], 1)
-    fl[heads] += 1
+    s.fl[heads] += 1
     active = s.active
     # every active link sent: the lengths just written say who stays
     s.active = active[after > 0] if links is active else active[q_len[active] > 0]
@@ -810,8 +815,8 @@ def land_escapes(s: RunState, arrivals: np.ndarray) -> np.ndarray:
 
 def admit(s: RunState, batch: np.ndarray, t: int) -> None:
     """Place a batch of packets, in order, at step *t*: fire the spawn
-    triggers it hits, deliver what has arrived, absorb what combines,
-    enqueue the rest.
+    triggers it hits, deliver what has arrived, and :func:`enqueue` the
+    rest — which absorbs what combines.
 
     An arrival batch is already in reference order (transmission order
     of the source links), and every stage keeps it.  A delivered host
@@ -843,54 +848,22 @@ def admit(s: RunState, batch: np.ndarray, t: int) -> None:
         keep = ~done
         batch = batch[keep]
         f = f[keep]
-    if batch.size and s.host_at is not None:
-        c0 = wall_time() if prof is not None else 0.0
-        batch, f = combine_arrivals(s, batch, f)
-        if prof is not None:
-            combining_dt = wall_time() - c0
-            prof.add_phase("combining", combining_dt)
     if batch.size:
-        enqueue(s, batch, f)
+        combining_dt = enqueue(s, batch, f)
     if prof is not None:
         prof.add_phase("arrival", wall_time() - t0 - combining_dt)
 
 
-def combine_arrivals(
-    s: RunState, batch: np.ndarray, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb the members of *batch* (cursors *f*) that meet a resident
-    of their (link, key) code; returns the survivors and their cursors.
-
-    Sort-free: a code never holds two residents, so a batch member is
-    absorbed iff its code already had a resident or an earlier member
-    of the batch claimed it.  The batch is scattered in reverse (a
-    repeated index keeps its last write, i.e. the *first* arrival),
-    codes that had a resident are restored, and whoever the re-gather
-    finds is the host — exactly the reference engine's
-    arrival-by-arrival semantics, with hosts and children left in batch
-    order.
-    """
-    host_at = s.host_at
-    vc = s.vc_flat[f]
-    resident = host_at[vc]
-    host_at[vc[::-1]] = batch[::-1]
-    had = resident >= 0
-    if had.any():
-        host_at[vc[had]] = resident[had]
-    hosts = host_at[vc]
-    absorbed = hosts != batch
-    if absorbed.any():
-        ch = batch[absorbed]
-        hs = hosts[absorbed]
-        subtree = s.subtree
-        s.parent[ch] = hs
-        np.add.at(subtree, hs, subtree[ch])
-        s.combines += int(ch.size)
-        s.child_pairs.append((hs, ch))
-        keep = ~absorbed
-        batch = batch[keep]
-        f = f[keep]
-    return batch, f
+def record_absorptions(s: RunState, hosts: np.ndarray, children: np.ndarray) -> None:
+    """Merge *children* into *hosts* (aligned, in batch order): parent
+    pointers, subtree sizes, and the ordered log :func:`finish` turns
+    into ``absorbed_by`` / ``absorbed``.  No child of a step hosts
+    another in that step, so every subtree read here is final."""
+    subtree = s.subtree
+    s.parent[children] = hosts
+    np.add.at(subtree, hosts, subtree[children])
+    s.combines += int(children.size)
+    s.child_pairs.append((hosts, children))
 
 
 def insert_ahead(
@@ -940,100 +913,268 @@ def insert_ahead(
     q_next[pred[behind]] = packets[behind]
 
 
-def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> None:
+def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
     """Add *batch* (cursors *f*, batch order = arrival order) to the
-    chains of the links its packets cross next, keeping each chain in
-    service order: a solo lane for nearly all served traffic (the
-    paper's emulations keep link queues O(1)), a sort-and-splice
-    residue for the rest.  Only a prioritised arrival that finds
-    waiters and outranks the last of them is not an append
-    (:func:`insert_ahead`).
-    ``tests/test_batch_arrival.py`` pins the lanes by construction.
+    chains of the links its packets cross next, in service order,
+    absorbing what combines; returns the seconds booked to
+    ``combining`` (0.0 unobserved).
+
+    The **solo** lane takes nearly all served traffic (the paper's
+    emulations keep link queues O(1)): after the batch's scatter-add
+    into the link lengths, a length of 1 marks a packet alone on a
+    previously idle link.  Nobody there can combine with it, so it is
+    only placed — its queue's head and tail — and solo links activate
+    in batch order, their first-arrival order.  The rest — a link shared
+    within the batch, or already busy — is the **contended residue**:
+    absorbed, then threaded, by :func:`resolve_residue_scalar` up to
+    :data:`SCALAR_RESIDUE_MAX` arrivals, by :func:`resolve_residue_vector`
+    above.  Lengths, loads and max stats count survivors only.
+    ``tests/test_batch_arrival.py`` pins both lanes by construction.
     """
-    q_head = s.q_head
-    q_tail = s.q_tail
-    q_next = s.q_next
     q_len = s.q_len
     node_load = s.node_load
     li = s.li_flat[f]
     pre_len = q_len[li]  # pre-batch lengths (gather before add)
     np.add.at(q_len, li, 1)
     post_len = q_len[li]
-    srcs = s.link_src[li]
-    np.add.at(node_load, srcs, 1)
-    # Max stats only need the touched entries: within the phase
-    # lengths/loads only grow, so the post-batch values are the step's
-    # peaks (gathers see each link's final value at its last duplicate).
-    mq = int(post_len.max())
-    if mq > s.max_queue:
-        s.max_queue = mq
-    mnl = int(node_load[srcs].max())
-    if mnl > s.max_node_load:
-        s.max_node_load = mnl
-    # Solo lane: after the scatter-add, ``post_len == 1`` marks a packet
-    # alone on a previously idle link.  It is its queue's head and tail.
-    # Solo links activate in batch order, which is their first-arrival
-    # order.
     solo = post_len == 1
+    combining_dt = 0.0
     if solo.all():
-        newly = li
+        newly = placed = li
     else:
-        # Contended residue (a link shared within the batch, or already
-        # busy), grouped by link in service order.  FIFO: the batch's
-        # own arrival order — sorting (link, position) as one combined
-        # key gives stable group order with the default introsort
-        # (faster than a stable mergesort on int64).  Prioritised:
-        # largest first, arrival order among ties (lexsort is stable).
-        rest = ~solo
-        r_li = li[rest]
-        prio = s.prio_flat
-        if prio is None:
-            order = np.argsort(
-                r_li * np.int64(r_li.size) + np.arange(r_li.size, dtype=np.int64)
-            )
-        else:
-            r_p = prio[f[rest]]
-            order = np.lexsort((-r_p, r_li))
-        s_li = r_li[order]
-        s_i = batch[rest][order]
-        prev = q_tail[s_li]
-        if prio is not None:
-            # Whoever outranks the last waiter of its link goes in ahead
-            # of it; the others (a group's lowest, sorted last) append.
-            met = np.nonzero(prev >= 0)[0]
-            if met.size:
-                s_p = r_p[order]
-                ahead = met[s_p[met] > prio[s.fl[prev[met]]]]
-                if ahead.size:
-                    insert_ahead(s, s_li[ahead], s_i[ahead], s_p[ahead])
-                    behind = np.ones(s_i.size, dtype=bool)
-                    behind[ahead] = False
-                    s_li, s_i, prev = s_li[behind], s_i[behind], prev[behind]
-        # Each packet chains behind the previous member of its group, a
-        # group's first behind the queue's old tail.
-        cont = s_li[1:] == s_li[:-1]
-        prev[1:][cont] = s_i[:-1][cont]
-        chained = prev >= 0
-        q_next[s_i] = -1
-        q_next[prev[chained]] = s_i[chained]
-        q_head[s_li[~chained]] = s_i[~chained]
-        # a repeated index keeps its last write: the group's tail
-        q_tail[s_li] = s_i
         # Newly activated links in first-arrival order: a repeated index
         # keeps its last write, so scattering batch positions back to
         # front leaves each idle link the position of its *first*
-        # arrival — O(batch), no scan over all links.
+        # arrival — O(batch), no scan over all links.  That arrival
+        # survives: an idle link holds nobody to combine with.
         first_at = s.first_at
         idx = np.nonzero(pre_len == 0)[0]
         newly = li[idx]
         first_at[newly[::-1]] = idx[::-1]
         newly = newly[first_at[newly] == idx]
+        rest = np.nonzero(~solo)[0]
+        resolve = (
+            resolve_residue_scalar
+            if rest.size <= SCALAR_RESIDUE_MAX
+            else resolve_residue_vector
+        )
+        combining_dt, gone = resolve(s, batch[rest], f[rest], li[rest], pre_len[rest])
+        placed = li
+        if gone is not None:
+            gone = rest[gone]
+            np.subtract.at(q_len, li[gone], 1)
+            keep = np.ones(li.size, dtype=bool)
+            keep[gone] = False
+            placed = li[keep]
+            post_len = q_len[placed]
         batch = batch[solo]
         li = li[solo]
-    q_head[li] = batch
-    q_tail[li] = batch
-    q_next[batch] = -1
+    if placed.size:
+        srcs = s.link_src[placed]
+        np.add.at(node_load, srcs, 1)
+        # Max stats only need the touched entries: within the phase
+        # lengths/loads only grow, so the post-batch values are the
+        # step's peaks (gathers see each link's final value at its last
+        # duplicate).
+        mq = int(post_len.max())
+        if mq > s.max_queue:
+            s.max_queue = mq
+        mnl = int(node_load[srcs].max())
+        if mnl > s.max_node_load:
+            s.max_node_load = mnl
+    s.q_head[li] = batch
+    s.q_tail[li] = batch
+    s.q_next[batch] = -1
     s.active = np.concatenate([s.active, newly])
+    return combining_dt
+
+
+def resolve_residue_scalar(
+    s: RunState, r_i: np.ndarray, r_f: np.ndarray, r_li: np.ndarray, r_pre: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """Resolve a small contended residue arrival by arrival in Python:
+    packets *r_i* (cursors *r_f*) arriving, in batch order, on links
+    *r_li* whose chains held *r_pre* packets before the batch.  Returns
+    the absorb pass's seconds and the residue positions absorbed
+    (``None``: none).
+
+    Absorb (combining runs only): an arrival meets the resident of its
+    (link, key) — found by walking that link's chain — or else the first
+    earlier arrival of the step with its link and key, and is absorbed
+    into it.  Thread: each survivor appends to its link's chain, unless
+    it outranks the chain's tail, when it walks from the head to just
+    behind the last waiter whose priority is not smaller.  Both are the
+    reference engine's push-by-push semantics, taken literally.
+    """
+    q_head = s.q_head
+    q_tail = s.q_tail
+    q_next = s.q_next
+    prio = s.prio_flat
+    fl = s.fl
+    prios = [0] * r_i.size if prio is None else prio[r_f].tolist()
+    arrivals = list(zip(r_i.tolist(), r_li.tolist(), r_pre.tolist(), prios))
+    combining_dt = 0.0
+    gone = None
+    gid = s.gid
+    if gid is not None:
+        t0 = wall_time() if s.prof is not None else 0.0
+        host_of: dict[tuple[int, int], int] = {}
+        hosts: list[int] = []
+        gone_l: list[int] = []
+        for k, ((i, li, busy, _), g) in enumerate(zip(arrivals, gid[r_i].tolist())):
+            h = host_of.get((li, g))
+            if h is None:
+                h = i
+                w = q_head[li] if busy else -1
+                while w >= 0:
+                    if gid[w] == g:
+                        h = int(w)
+                        break
+                    w = q_next[w]
+                host_of[li, g] = h
+            if h != i:
+                hosts.append(h)
+                gone_l.append(k)
+        if gone_l:
+            gone = np.asarray(gone_l, dtype=np.int64)
+            record_absorptions(s, np.asarray(hosts, dtype=np.int64), r_i[gone])
+            absorbed = set(gone_l)
+            arrivals = [a for k, a in enumerate(arrivals) if k not in absorbed]
+        if s.prof is not None:
+            combining_dt = wall_time() - t0
+            s.prof.add_phase("combining", combining_dt)
+    tails: dict[int, tuple[int, int]] = {}  # link -> (tail, its priority)
+    for i, li, busy, p in arrivals:
+        tail = tails.get(li)
+        if tail is None and busy:
+            last = q_tail[li]
+            tail = (last, 0 if prio is None else prio[fl[last]])
+        if tail is None or p <= tail[1]:
+            if tail is None:
+                q_head[li] = i
+            else:
+                q_next[tail[0]] = i
+            q_next[i] = -1
+            tails[li] = (i, p)
+        else:
+            pred = -1
+            cur = q_head[li]
+            while prio[fl[cur]] >= p:
+                pred = cur
+                cur = q_next[cur]
+            q_next[i] = cur
+            if pred < 0:
+                q_head[li] = i
+            else:
+                q_next[pred] = i
+    for li, (tail, _) in tails.items():
+        q_tail[li] = tail
+    return combining_dt, gone
+
+
+def match_residents(
+    s: RunState, r_i: np.ndarray, r_li: np.ndarray, r_pre: np.ndarray
+) -> np.ndarray:
+    """Each residue arrival's host — the packet it is absorbed into, or
+    itself — vectorized (arguments as :func:`resolve_residue_scalar`).
+
+    Arrivals on busy links walk their chains together, one position per
+    round, until a waiter has their key (the resident) or the chain
+    ends; one stable (link, key) sort then gives each same-link,
+    same-key group its first member's host.
+    """
+    gid = s.gid
+    q_next = s.q_next
+    keys = gid[r_i]
+    hosts = r_i.copy()
+    walking = np.nonzero(r_pre)[0]
+    cur = s.q_head[r_li[walking]]
+    while walking.size:
+        hit = gid[cur] == keys[walking]
+        hosts[walking[hit]] = cur[hit]
+        cur = q_next[cur]
+        on = (cur >= 0) & ~hit
+        walking = walking[on]
+        cur = cur[on]
+    order = np.lexsort((keys, r_li))
+    s_li = r_li[order]
+    s_keys = keys[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = (s_li[1:] != s_li[:-1]) | (s_keys[1:] != s_keys[:-1])
+    first = np.maximum.accumulate(np.where(lead, np.arange(order.size), 0))
+    hosts[order] = hosts[order][first]
+    return hosts
+
+
+def resolve_residue_vector(
+    s: RunState, r_i: np.ndarray, r_f: np.ndarray, r_li: np.ndarray, r_pre: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """Resolve a large contended residue in numpy calls, with
+    :func:`resolve_residue_scalar`'s arguments, result and semantics.
+
+    Absorb: :func:`match_residents`.  Thread: one sort groups the
+    survivors by link in service order — FIFO: (link, position) as one
+    combined key (the default introsort keeps group order and beats a
+    stable mergesort on int64); prioritised: largest first, batch order
+    among ties (lexsort is stable) — and each group is chained behind
+    its queue's old tail, except the arrivals that outrank that tail,
+    which :func:`insert_ahead` splices in.
+    """
+    combining_dt = 0.0
+    gone = None
+    if s.gid is not None:
+        prof = s.prof
+        t0 = wall_time() if prof is not None else 0.0
+        hosts = match_residents(s, r_i, r_li, r_pre)
+        absorbed = hosts != r_i
+        if absorbed.any():
+            record_absorptions(s, hosts[absorbed], r_i[absorbed])
+            gone = np.nonzero(absorbed)[0]
+            keep = ~absorbed
+            r_i, r_f, r_li, r_pre = r_i[keep], r_f[keep], r_li[keep], r_pre[keep]
+        if prof is not None:
+            combining_dt = wall_time() - t0
+            prof.add_phase("combining", combining_dt)
+    if not r_i.size:
+        return combining_dt, gone
+    q_head = s.q_head
+    q_tail = s.q_tail
+    q_next = s.q_next
+    prio = s.prio_flat
+    if prio is None:
+        order = np.argsort(
+            r_li * np.int64(r_li.size) + np.arange(r_li.size, dtype=np.int64)
+        )
+    else:
+        r_p = prio[r_f]
+        order = np.lexsort((-r_p, r_li))
+    s_li = r_li[order]
+    s_i = r_i[order]
+    # a chain's tail is only meaningful while the chain is non-empty
+    prev = np.where(r_pre[order] > 0, q_tail[s_li], -1)
+    if prio is not None:
+        # Whoever outranks the last waiter of its link goes in ahead
+        # of it; the others (a group's lowest, sorted last) append.
+        met = np.nonzero(prev >= 0)[0]
+        if met.size:
+            s_p = r_p[order]
+            ahead = met[s_p[met] > prio[s.fl[prev[met]]]]
+            if ahead.size:
+                insert_ahead(s, s_li[ahead], s_i[ahead], s_p[ahead])
+                behind = np.ones(s_i.size, dtype=bool)
+                behind[ahead] = False
+                s_li, s_i, prev = s_li[behind], s_i[behind], prev[behind]
+    # Each packet chains behind the previous member of its group, a
+    # group's first behind the queue's old tail.
+    cont = s_li[1:] == s_li[:-1]
+    prev[1:][cont] = s_i[:-1][cont]
+    chained = prev >= 0
+    q_next[s_i] = -1
+    q_next[prev[chained]] = s_i[chained]
+    q_head[s_li[~chained]] = s_i[~chained]
+    # a repeated index keeps its last write: the group's tail
+    q_tail[s_li] = s_i
+    return combining_dt, gone
 
 
 def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:

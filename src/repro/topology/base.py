@@ -11,12 +11,13 @@ class RouteStalledError(RuntimeError):
     """A walk that cannot reach where it is headed.
 
     Raised wherever an itinerary is followed or compiled — by
-    :meth:`Topology.greedy_path`, the compiled leveled path builder and
-    the routers' reference ``_next_hop`` policies, so the same failure
-    has the same type whichever engine ran: ``route_next`` stopped
-    advancing (or wandered past any possible path length) at ``node`` on
-    the way to ``dest``, or a leveled second pass ended on row ``node``
-    instead of ``dest``.  ``packet`` is the packet id when a router
+    :meth:`Topology.greedy_path` and :meth:`Topology.distance`,
+    :meth:`~repro.topology.leveled.LeveledNetwork.unique_path`, the
+    compiled leveled path builder and the routers' reference
+    ``_next_hop`` policies, so the same failure has the same type
+    whichever engine ran: ``route_next`` stopped advancing (or wandered
+    past any possible path length) at ``node`` on the way to ``dest``,
+    or a leveled pass ended on row ``node`` instead of ``dest``.  ``packet`` is the packet id when a router
     knows it (the compiled leveled builder, which sees no packets,
     gives the row of its input), ``None`` for a bare path walk.
     """
@@ -96,11 +97,11 @@ class Topology(ABC):
         while cur != v:
             nxt = self.route_next(cur, v)
             if nxt == cur:
-                raise RuntimeError(f"route stalled at {cur} toward {v}")
+                raise RouteStalledError(cur, v)
             cur = nxt
             steps += 1
             if steps > limit:
-                raise RuntimeError(f"route from {u} to {v} exceeded {limit} hops")
+                raise RouteStalledError(cur, v)
         return steps
 
     def greedy_path(self, u: int, v: int) -> list[int]:

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.topology.base import RouteStalledError
 from repro.topology.shuffle import DWayShuffle
 from repro.topology.star import StarGraph, perm_rank, perm_unrank, swap_j
 
@@ -135,9 +136,7 @@ class LeveledNetwork(ABC):
             cur = self.unique_next(level, cur, dest)
             path.append(cur)
         if cur != dest:
-            raise RuntimeError(
-                f"unique path from {src} ended at {cur}, expected {dest}"
-            )
+            raise RouteStalledError(cur, dest)
         return path
 
     def validate_level(self, level: int) -> None:

@@ -449,10 +449,11 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
 
 def test_links_are_interned_in_one_place():
     """A run's links get their dense ids in ``fast_phases.link_tables``
-    and nowhere else: the only sorts in ``routing/`` + ``emulation/``
-    are its ``np.unique`` and ``combine_codes``'s, the leveled
-    arithmetic id space is gone, and the reply run is handed the request
-    run's tables instead of a per-emulator ``links_of`` hook."""
+    and nowhere else: the only ``np.unique`` in ``routing/`` +
+    ``emulation/`` is its own — combining interns no (link, key) codes,
+    its residents are found on the link chains — the leveled arithmetic
+    id space is gone, and the reply run is handed the request run's
+    tables instead of a per-emulator ``links_of`` hook."""
     src = DOC.parent.parent / "src/repro"
     uniques, names = [], set()
     for path in sorted(src.rglob("*.py")):
@@ -470,11 +471,9 @@ def test_links_are_interned_in_one_place():
                 for node in ast.walk(fn)
                 if isinstance(node, ast.Attribute) and node.attr == "unique"
             ]
-    assert uniques == [
-        ("fast_phases.py", "link_tables"),
-        ("fast_phases.py", "combine_codes"),
-    ]
+    assert uniques == [("fast_phases.py", "link_tables")]
     assert not names & {"links_of", "_reply_links"}
+    assert not names & {"combine_codes", "host_at", "vc_flat", "combine_arrivals"}
     compiled = repro.topology.compiled
     assert not hasattr(compiled.CompiledLeveledTopology, "link_matrix")
     assert not hasattr(compiled.CompiledLeveledTopology, "link_arrays")

@@ -1,9 +1,12 @@
 """The batch arrival kernel, pinned by construction: fast ≡ reference.
 
-``repro.routing.fast_phases.admit`` places a step's arrivals through two
-lanes — a *solo* lane for a packet alone on a previously idle link and a
-sort-and-thread *residue* for everything else — plus sort-free CRCW
-combining.  Served traffic is > 90 % solo, so the residue and the
+``repro.routing.fast_phases.enqueue`` places a step's arrivals through
+a *solo* lane for a packet alone on a previously idle link — which
+cannot combine, so it is only placed — and resolves everything else,
+the *contended residue*, by absorbing what meets a resident (or an
+earlier arrival) with its key and threading the survivors in service
+order: arrival by arrival in Python for a small residue, in numpy calls
+for a large one.  Served traffic is > 90 % solo, so the residue and the
 combining corner cases are built by hand here and compared with the
 reference engine field for field, each scenario unconstrained, under
 ``node_capacity`` + credit flow control, and with one transiently down
@@ -12,13 +15,18 @@ hypothesis sweep over layered many-to-one traffic closes the gaps
 between the hand-picked cases; a second one drives the
 furthest-destination-first order — deep queues under sparse, wide
 priority ranges — by hand-built fan-ins and through the mesh and
-linear-array routers.
+linear-array routers.  Every fast run here is made twice, with the
+residue forced through each lane (:data:`LANES`), and both must equal
+the one reference run.
 
 Ragged path lists (the star-graph and generic greedy walks) reach the
 same kernel through the padding in ``FastPathEngine.run``; the edges of
 that normalisation — an empty run, zero-hop packets, explicit
 ``path_lengths`` on ragged rows — are pinned here the same way.
 """
+
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -33,12 +41,35 @@ from repro.routing import (
     MeshRouter,
     Packet,
     SynchronousEngine,
+    fast_phases,
     furthest_first_factory,
     make_packets,
     route_linear,
 )
 from repro.topology import Mesh2D
 from test_fast_engine import assert_stats_equal, run_packets
+
+#: ``SCALAR_RESIDUE_MAX`` values that send every contended residue
+#: through one lane: the arrival-by-arrival walk, or the numpy calls
+LANES = {"scalar": sys.maxsize, "vector": 0}
+
+
+@contextmanager
+def residue_lane(lane: str):
+    """Force the arrival phase's residue lane for the block."""
+    saved = fast_phases.SCALAR_RESIDUE_MAX
+    fast_phases.SCALAR_RESIDUE_MAX = LANES[lane]
+    try:
+        yield
+    finally:
+        fast_phases.SCALAR_RESIDUE_MAX = saved
+
+
+def _routed(run):
+    try:
+        return run(), False
+    except DeadlockError as err:
+        return err.stats, True
 
 
 class DownUntil:
@@ -76,16 +107,17 @@ def run_both(
     down=None,
     max_steps=400,
 ):
-    """Route one hand-built instance through both engines.
+    """Route one hand-built instance through both engines — the fast
+    one once per residue lane.
 
     ``paths`` holds one node-id row per packet — handed to the fast
     engine as a matrix when rectangular, as the ragged list otherwise;
     the reference engine follows the same rows through ``packet.hops``.
     ``lengths`` (the fast engine's ``path_lengths``) defaults to every
     row's last position.  Returns the fast
-    engine's ``RoutingStats`` once they equal the reference's (a
-    ``DeadlockError`` counts as its ``stats``, and must then be raised
-    by both engines).
+    engine's ``RoutingStats`` once they equal the reference's in both
+    lanes (a ``DeadlockError`` counts as its ``stats``, and must then
+    be raised by every run).
     """
     n = len(paths)
     last = list(lengths) if lengths is not None else [len(row) - 1 for row in paths]
@@ -99,13 +131,12 @@ def run_both(
     faults = (lambda: DownUntil(*down)) if down is not None else (lambda: None)
 
     fast_engine = FastPathEngine(**kwargs)
-    fast_packets = _packets(paths, last, inject, addresses)
     ref_packets = _packets(paths, last, inject, addresses)
 
-    def fast():
+    def fast(packets):
         return run_packets(
             fast_engine,
-            fast_packets,
+            packets,
             paths if ragged else np.asarray(paths, dtype=np.int64),
             num_nodes=num_nodes,
             max_steps=max_steps,
@@ -146,24 +177,22 @@ def run_both(
             link_faults=faults(),
         )
 
-    results = []
-    for run in (fast, ref):
-        try:
-            results.append((run(), False))
-        except DeadlockError as err:
-            results.append((err.stats, True))
-    (f, f_dead), (r, r_dead) = results
-    assert f_dead == r_dead
-    assert fast_engine.last_run_mode == (
-        "batch" if node_capacity is None else "batch-constrained"
-    )
-    assert_stats_equal(f, r)
-    if combine:
-        for a, b in zip(fast_packets, ref_packets):
-            assert a.combined == b.combined
-            assert [c.pid for c in a.children or ()] == [
-                c.pid for c in b.children or ()
-            ]
+    r, r_dead = _routed(ref)
+    for lane in LANES:
+        fast_packets = _packets(paths, last, inject, addresses)
+        with residue_lane(lane):
+            f, f_dead = _routed(lambda: fast(fast_packets))
+        assert f_dead == r_dead, lane
+        assert fast_engine.last_run_mode == (
+            "batch" if node_capacity is None else "batch-constrained"
+        )
+        assert_stats_equal(f, r)
+        if combine:
+            for a, b in zip(fast_packets, ref_packets):
+                assert a.combined == b.combined, lane
+                assert [c.pid for c in a.children or ()] == [
+                    c.pid for c in b.children or ()
+                ], lane
     return f
 
 
@@ -235,6 +264,46 @@ def scenario_combining():
         paths=[[s, HUB, SINK] for s in range(len(inject))],
         inject=inject,
         addresses=addresses,
+    )
+
+
+def scenario_resident_mid_chain():
+    """A resident in the middle of a furthest-first chain: W (hub
+    priority 9), R (1, key 7) and V (0) queue on the hub's out-link; X
+    (5) arrives with Y (R's key) and goes in ahead of R, and Z, one step
+    later, walks past W and X to find R."""
+    #          W  R  V  X  Y  Z
+    hub_prio = [9, 1, 0, 5, 1, 1]
+    return dict(
+        paths=[[s, HUB, SINK] for s in range(6)],
+        inject=[0, 0, 0, 1, 1, 2],
+        priorities=[[0, p] for p in hub_prio],
+        addresses=[None, 7, None, None, 7, 7],
+    )
+
+
+def scenario_same_key_on_an_idle_link():
+    """Two arrivals with one key land on the idle hub link in one step:
+    the first of the batch hosts the second.  Packet 1 comes through
+    node 5, whose link activated a step before packet 0 was injected,
+    so the batch's first is the higher pid."""
+    return dict(
+        paths=[[0, HUB, SINK], [1, 5, HUB, SINK]],
+        inject=[1, 0],
+        addresses=[7, 7],
+    )
+
+
+def scenario_deep_fifo_chain():
+    """Thirty packets from sources of their own pile up on the hub's
+    FIFO out-link; two in three are keyless, so a keyed arrival walks
+    past a long run of waiters before it finds — or misses — the
+    resident of its key."""
+    n = 30
+    return dict(
+        paths=[[20 + i, HUB, SINK] for i in range(n)],
+        inject=[i % 4 for i in range(n)],
+        addresses=[None if i % 3 else 1 + i // 3 % 2 for i in range(n)],
     )
 
 
@@ -317,6 +386,9 @@ SCENARIOS = [
     scenario_waiters,
     scenario_stale_class_max,
     scenario_combining,
+    scenario_resident_mid_chain,
+    scenario_same_key_on_an_idle_link,
+    scenario_deep_fifo_chain,
     scenario_width_one,
     scenario_spawn_at_zero,
     scenario_spawn_nested_three_deep,
@@ -480,6 +552,83 @@ def test_combining_counts_and_hosts():
     assert f.combines == 3  # K1, K2 into H; K4 into K3
 
 
+def test_a_resident_in_the_middle_of_a_chain_absorbs():
+    """Held behind a down hub link, R sits between X, which outranked it,
+    and V when Y and then Z arrive with its key."""
+    f = run_both(**scenario_resident_mid_chain(), down=((HUB, SINK), 4))
+    assert (f.combines, f.max_queue) == (2, 4)
+
+
+def test_the_first_same_key_arrival_on_an_idle_link_hosts():
+    kwargs = scenario_same_key_on_an_idle_link()
+    assert run_both(**kwargs).combines == 1
+    engine = FastPathEngine(combine=True)
+    for lane in LANES:
+        with residue_lane(lane):
+            engine.run(
+                kwargs["paths"],
+                num_nodes=SINK + 1,
+                max_steps=9,
+                injected_at=kwargs["inject"],
+                combine_groups=[0, 0],
+            )
+        arrays = engine.last_arrays
+        assert (arrays.absorbed_by.tolist(), arrays.absorbed.tolist()) == ([1], [0])
+
+
+def test_a_resident_held_on_a_down_link_absorbs():
+    """R waits behind the down hub link; Y meets it there two steps on."""
+    f = run_both(
+        paths=[[0, HUB, SINK], [1, HUB, SINK], [2, HUB, SINK]],
+        inject=[0, 2, 2],
+        addresses=[7, 7, None],
+        down=((HUB, SINK), 5),
+    )
+    assert f.combines == 1 and f.fault_stalls > 0
+
+
+#: R and Y share a key and a route through node 5; B1 and B2 fill the
+#: hub (capacity 2) behind its down out-link
+STALL_PATHS = [[0, 5, HUB, SINK], [2, HUB, SINK], [3, HUB, SINK], [1, 5, HUB, SINK]]
+
+
+def test_a_resident_held_by_a_credit_stall_absorbs():
+    """Without escape buffers R stalls on (5, hub) — the hub is full —
+    and is still that link's resident when Y arrives with its key."""
+    f = run_both(
+        paths=STALL_PATHS,
+        inject=[0, 0, 0, 1],
+        addresses=[7, None, None, 7],
+        node_capacity=2,
+        down=((HUB, SINK), 6),
+    )
+    assert f.combines == 1 and f.completed
+
+
+def test_an_escape_buffer_occupant_is_no_resident():
+    """R is credit-starved into the escape buffer of (5, hub) while the
+    hub's out-link is down: its next link is the one Y and W queue on,
+    with R's key, but an occupant is in no chain, so nobody combines."""
+    #        R                 B1               B2
+    paths = [[0, 5, HUB, SINK], [2, HUB, 20], [3, HUB, 21]]
+    #         Y                 W
+    paths += [[1, HUB, SINK], [4, HUB, SINK]]
+    f = run_both(
+        paths=paths,
+        inject=[0, 0, 0, 2, 2],
+        addresses=[7, None, None, 7, None],
+        node_capacity=2,
+        flow_control="credit",
+        down=((HUB, SINK), 10),
+    )
+    assert (f.combines, f.escape_hops, f.completed) == (0, 1, True)
+
+
+def test_a_deep_fifo_chain_combines_like_the_reference():
+    f = run_both(**scenario_deep_fifo_chain())
+    assert f.max_queue >= 20 and f.combines > 0
+
+
 def test_numpy_repeated_index_assignment_keeps_last_write():
     """The first-writer scatters (and the residue's tail write) assume
     that a fancy assignment through a repeated index keeps the last
@@ -590,13 +739,6 @@ def test_deep_prioritised_queues_match_reference(instance):
         assert f.max_queue >= 40 // 3
 
 
-def _routed(run):
-    try:
-        return run(), False
-    except DeadlockError as err:
-        return err.stats, True
-
-
 @given(
     side=st.integers(4, 7),
     hot_share=st.sampled_from([0, 2, 4]),
@@ -638,12 +780,13 @@ def test_mesh_furthest_first_matches_reference(
         )
         return router.route_packets(packets, max_steps=60 * side + 200)
 
-    (fast, fast_dead), (ref, ref_dead) = _routed(lambda: run("fast")), _routed(
-        lambda: run("reference")
-    )
-    assert fast_dead == ref_dead
-    assert fast.run_mode == ("batch" if capacity is None else "batch-constrained")
-    assert_stats_equal(fast, ref)
+    ref, ref_dead = _routed(lambda: run("reference"))
+    for lane in LANES:
+        with residue_lane(lane):
+            fast, fast_dead = _routed(lambda: run("fast"))
+        assert fast_dead == ref_dead, lane
+        assert fast.run_mode == ("batch" if capacity is None else "batch-constrained")
+        assert_stats_equal(fast, ref)
 
 
 @given(
@@ -659,10 +802,12 @@ def test_linear_furthest_first_matches_reference(n, total, hot, seed):
     rng = np.random.default_rng(seed)
     origins = rng.integers(0, n, size=total).tolist()
     dests = rng.integers(n - 2 if hot else 0, n, size=total).tolist()
-    fast = route_linear(n, origins, dests, engine="fast")
     ref = route_linear(n, origins, dests, engine="reference")
-    assert fast.completed and fast.run_mode == "batch"
-    assert_stats_equal(fast, ref)
+    for lane in LANES:
+        with residue_lane(lane):
+            fast = route_linear(n, origins, dests, engine="fast")
+        assert fast.completed and fast.run_mode == "batch"
+        assert_stats_equal(fast, ref)
 
 
 def test_many_one_on_the_32x32_mesh_matches_reference():
@@ -678,6 +823,9 @@ def test_many_one_on_the_32x32_mesh_matches_reference():
             np.arange(n), np.zeros(n, dtype=np.int64), max_steps=5000
         )
 
-    fast, ref = run("fast"), run("reference")
-    assert (fast.completed, fast.steps, fast.max_queue) == (True, 997, 46)
-    assert_stats_equal(fast, ref)
+    ref = run("reference")
+    for lane in LANES:
+        with residue_lane(lane):
+            fast = run("fast")
+        assert (fast.completed, fast.steps, fast.max_queue) == (True, 997, 46)
+        assert_stats_equal(fast, ref)

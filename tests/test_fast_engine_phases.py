@@ -59,13 +59,16 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
 
 
 def chain(s: RunState, link: int) -> list[int]:
-    """Packets queued on *link*, head first."""
+    """Packets queued on *link*, head first.  An emptied link keeps a
+    stale tail: ``q_tail`` is checked only while the chain is non-empty,
+    the one time the engine reads it."""
     out = []
     i = int(s.q_head[link])
-    while i >= 0:
+    while i >= 0 and len(out) <= s.q_len[link]:  # bounded: a cycle fails below
         out.append(i)
         i = int(s.q_next[i])
-    assert (out[-1] if out else -1) == s.q_tail[link]
+    if out:
+        assert out[-1] == s.q_tail[link]
     assert len(out) == s.q_len[link]
     return out
 
@@ -117,7 +120,9 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     assert set(zip(s.link_src.tolist(), s.link_dst.tolist())) == crossed
     for table in ("link_dst", "q_head", "q_tail", "q_len", "first_at"):
         assert getattr(s, table).size == len(crossed), table
-    assert s.host_at.size <= n * 2 * L
+    # combining adds one key per packet, and no table over (link, key)
+    assert s.gid.shape == (n,)
+    assert not {"host_at", "vc_flat"} & set(RunState.__slots__)
     # ... and the finished run hands the same tables on, for its replies
     # (a fresh router on the same seed draws the same coins)
     rerun = LeveledRouter(net, seed=9, combine=True, engine="fast")
@@ -217,8 +222,11 @@ def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
     assert s.combines == 2
     (hosts, children), = s.child_pairs
     assert (hosts.tolist(), children.tolist()) == ([0, 2], [1, 3])
+    # residency is chain membership: one queued packet per key, and the
+    # absorbed packets are in no chain
     assert chain(s, 0) == [0, 2]
-    assert sorted(s.host_at[s.vc_flat[s.fl[ids(0, 2)]]].tolist()) == [0, 2]
+    assert s.gid[chain(s, 0)].tolist() == [0, 1]
+    assert (s.q_len[0], s.node_load[0], s.max_queue) == (2, 2, 2)
     assert s.remaining == 4  # absorbed packets leave with their host
 
 
@@ -334,8 +342,14 @@ def test_arrivals_of_one_step_are_merged_into_a_chain_in_service_order():
     # ... which is the order the link then sends in
     sent = [transmit_unconstrained(s).tolist() for _ in range(11)]
     assert [batch[0] for batch in sent] == [6, 10, 0, 4, 8, 1, 2, 5, 9, 3, 7]
-    assert (s.q_head[0], s.q_tail[0], s.q_len[0]) == (-1, -1, 0)
+    assert (s.q_head[0], s.q_len[0]) == (-1, 0)
     assert not s.active.size and not s.node_load.any()
+    # the emptied link's tail is left stale, and arrivals there start a
+    # new chain instead of threading behind it
+    assert s.q_tail[0] == 7
+    s.fl[ids(3, 7)] = s.fl_base[ids(3, 7)]
+    admit(s, ids(7, 3), 12)
+    assert chain(s, 0) == [3, 7]
 
 
 def test_a_group_landing_on_an_idle_link_is_chained_in_service_order():
@@ -367,18 +381,20 @@ def test_a_fifo_run_appends_whatever_arrives():
 
 
 def test_pop_heads_empties_queues_and_releases_combine_residency():
-    s = make_state([[0, 1, 2]] * 2, gid=[0, 1])
+    """Leaving the chain is what ends a residency: an arrival with the
+    departed packet's key queues, one with a waiter's key is absorbed."""
+    s = make_state([[0, 1, 2]] * 4, gid=[0, 1, 0, 1])
     admit(s, ids(0, 1), 0)
-    codes = s.vc_flat[s.fl[ids(0, 1)]]
-    assert s.host_at[codes].tolist() == [0, 1]
     pop_heads(s, s.active, select_heads(s))
     assert chain(s, 0) == [1]
-    assert s.host_at[codes].tolist() == [-1, 1]
     assert (s.fl[0] - s.fl_base[0], s.q_len[0], s.node_load[0]) == (1, 1, 1)
     assert s.active.tolist() == [0]
+    admit(s, ids(2, 3), 1)  # 2 has 0's key, 3 has 1's
+    assert chain(s, 0) == [1, 2]
+    assert (s.combines, s.parent.tolist()) == (1, [-1, -1, -1, 1])
     pop_heads(s, s.active, select_heads(s))
-    assert (s.q_head[0], s.q_tail[0]) == (-1, -1)
-    assert s.host_at[codes].tolist() == [-1, -1]
+    pop_heads(s, s.active, select_heads(s))
+    assert s.q_head[0] == -1 and chain(s, 0) == []
     assert (s.q_len[0], s.node_load[0]) == (0, 0)
     assert not s.active.size
 

@@ -437,6 +437,31 @@ class TestBitIdentity:
         assert phases["fast"] and phases["reference"]
         assert "transmission" in phases["reference"]
 
+    def test_combining_is_booked_only_where_arrivals_meet(self):
+        """The fast engine's ``combining`` bucket times the contended
+        residue's absorb pass: a CRCW step whose arrivals meet books
+        some, an EREW step books none, and so does a combining run whose
+        packets never share a link — a packet alone on an idle link
+        costs no combining work.  ``benchmarks/e2e/tracing.py`` checks
+        the same split from outside (``NONZERO_ONLY_ON``)."""
+
+        def combining(mode, step):
+            obs = Observer(metrics=False, tracing=False, flight_recorder=0)
+            mesh = Mesh2D.square(4)
+            emu = MeshEmulator(mesh, 64, mode=mode, seed=3, engine="fast", observer=obs)
+            emu.emulate_step(step(mesh.num_nodes, 64, seed=4))
+            return obs.profile.phase_total("combining")
+
+        assert combining("crcw", hotspot_step) > 0
+        assert combining("erew", permutation_step) == 0
+        obs = Observer(metrics=False, tracing=False, flight_recorder=0)
+        FastPathEngine(combine=True, observer=obs).run(
+            [[0, 3, 6], [1, 4, 6], [2, 5, 6]], num_nodes=7, max_steps=9,
+            combine_groups=[1, 1, 1],
+        )
+        assert obs.profile.phase_total("arrival") > 0
+        assert obs.profile.phase_total("combining") == 0
+
 
 # ---------------------------------------------------------------------------
 # unified report schema

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.topology import (
     DAryButterflyLeveled,
+    RouteStalledError,
     ShuffleLeveled,
     StarLogicalLeveled,
 )
@@ -187,3 +188,18 @@ class TestStarLogical:
         batch = net.unique_next_batch(0, rows, dests)
         expected = net.unique_next(0, 17, 3)
         assert np.array_equal(batch, np.full(50, expected))
+
+
+def test_unique_path_ending_on_the_wrong_row_is_a_route_stall():
+    """A canonical path that ends anywhere but its destination raises
+    the typed ``RouteStalledError`` (the row it ended on, the row it
+    was headed for), like the compiled builder, not a bare
+    ``RuntimeError``."""
+
+    class Stuck(DAryButterflyLeveled):
+        def unique_next(self, level, node, dest):
+            return node  # never leaves its row
+
+    with pytest.raises(RouteStalledError) as err:
+        Stuck(2, 2).unique_path(0, 3)
+    assert (err.value.node, err.value.dest) == (0, 3)

@@ -16,10 +16,50 @@ from repro.topology import (
     Hypercube,
     LinearArray,
     Mesh2D,
+    RouteStalledError,
     StarLogicalLeveled,
+    Topology,
     compile_leveled,
     compile_mesh,
 )
+
+
+class _Ring(Topology):
+    """A 6-node ring whose greedy next hop is the test's *step*, so
+    ``Topology.distance`` walks it (the ring keeps the default)."""
+
+    def __init__(self, step) -> None:
+        self._step = step
+
+    num_nodes = property(lambda self: 6)
+    degree = property(lambda self: 2)
+    diameter = property(lambda self: 3)
+
+    def neighbors(self, v):
+        return [(v - 1) % 6, (v + 1) % 6]
+
+    def route_next(self, cur, dest):
+        return self._step(cur, dest)
+
+
+class TestDistanceWalkFailures:
+    """A greedy walk that cannot reach its target raises the typed
+    ``RouteStalledError`` — as ``greedy_path`` does — not a bare
+    ``RuntimeError``."""
+
+    def test_a_walk_that_stops_advancing(self):
+        with pytest.raises(RouteStalledError) as err:
+            _Ring(lambda cur, dest: cur).distance(0, 3)
+        assert (err.value.node, err.value.dest, err.value.packet) == (0, 3, None)
+
+    def test_a_walk_past_any_possible_path_length(self):
+        # bounces between 0 and 1 forever: always moving, never arriving
+        with pytest.raises(RouteStalledError) as err:
+            _Ring(lambda cur, dest: 1 - cur).distance(0, 3)
+        assert err.value.node in (0, 1) and err.value.dest == 3
+
+    def test_a_sound_walk_still_counts_its_hops(self):
+        assert _Ring(lambda cur, dest: (cur + 1) % 6).distance(1, 4) == 3
 
 
 class TestHypercube:
