@@ -26,6 +26,7 @@ import numpy as np
 from repro.routing.fast_engine import FastPathEngine, RunArrays
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet
+from repro.topology.compiled import FlatPaths, segment_index
 
 
 def reverse_path_of(request: Packet) -> list[Hashable]:
@@ -167,21 +168,23 @@ def route_replies_fast(
     roots in host order, then level by level every absorbed request's
     reply, the children of one request in absorption order
     (:class:`ReplySpawner`'s order; it fixes the order of the stats'
-    ``delays`` / ``hops``) — together with the padded reverse
-    itineraries and the *spawn plan*: a child reply activates when its
-    parent reply first reaches the child's absorption node, which is a
-    static property of the compiled paths (the **first** occurrence of
-    the merge node on the parent's reverse path — mesh same-column
-    routes revisit nodes — exactly where :class:`ReplySpawner` would
-    fire).  That keeps the entire reply phase on the engine's
-    vectorized batch mode; replies whose trigger never fires (parent
-    timed out) are excluded from the stats just as if they had never
-    been spawned.
+    ``delays`` / ``hops``) — together with the reverse itineraries, each
+    exactly as long as its request got, and the *spawn plan*: a child
+    reply activates when its parent reply first reaches the child's
+    absorption node, which is a static property of the compiled paths
+    (the **first** occurrence of the merge node on the parent's reverse
+    path — mesh same-column routes revisit nodes — exactly where
+    :class:`ReplySpawner` would fire).  That keeps the entire reply
+    phase on the engine's vectorized batch mode; replies whose trigger
+    never fires (parent timed out) are excluded from the stats just as
+    if they had never been spawned.
 
     The reply run interns nothing: hop k of a reply crosses link
     ``hops - 1 - k`` of its request the other way, so it keeps that
     link's id (:attr:`RunArrays.links`) — one gather, whatever the
     encoding, mesh and leveled alike — with the endpoint tables swapped.
+    No (replies x longest path) matrix is built: every gather runs over
+    the positions the requests really visited.
     """
     roots = np.asarray(host_rows, dtype=np.int64)
     # Children of every request, grouped by host with one stable sort
@@ -210,27 +213,43 @@ def route_replies_fast(
         levels.append(frontier)
     rows = np.concatenate(levels)
     hops = requests.hops[rows]
-    width = int(hops.max()) + 1
-    rev = np.clip(hops[:, None] - np.arange(width), 0, None)
-    reply_mat = requests.paths[rows[:, None], rev]
+    # reply j is row rows[j] of the requests read from hop hops[j] back
+    # to its start, each reply exactly its length: its flat entry p is
+    # request entry start + hops - (p - offsets[j]), one gather
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    (hops + 1).cumsum(out=offsets[1:])
+    at = np.arange(offsets[-1], dtype=np.int64)
+    start = requests.paths.offsets[rows]
+    nodes = requests.paths.nodes[(start + hops + offsets[:-1]).repeat(hops + 1) - at]
+    paths = FlatPaths(nodes, offsets)
     links = None
     if requests.links is not None:
-        # position k + 1 of a reply is position ``rev[:, k + 1]`` of its
-        # request, which is also the index of the request link between
-        # the two (a pad names link 0 reversed: never traversed)
-        link_mat, link_src, link_dst = requests.links
-        links = (link_mat[rows[:, None], rev[:, 1:]], link_dst, link_src)
+        # hop k of reply j — link slot offsets[j] - j + k — crosses link
+        # hops - 1 - k of its request, slot start - rows + hops - 1 - k
+        link_ids, link_src, link_dst = requests.links
+        top = start - rows + hops - 1 + offsets[:-1] - np.arange(rows.size)
+        links = (
+            link_ids[top.repeat(hops) - at[: at.size - rows.size]],
+            link_dst,
+            link_src,
+        )
 
     spawn_plan = None
     if level_parents:
         par = np.concatenate(level_parents)
         child = np.arange(roots.size, rows.size, dtype=np.int64)
-        # a child reply starts at the node its request was absorbed at
-        merge_nodes = reply_mat[child, 0]
-        hit = reply_mat[par] == merge_nodes[:, None]
-        hit &= np.arange(width)[None, :] <= hops[par][:, None]
-        qpos = hit.argmax(axis=1)
-        lost = np.nonzero(~hit[np.arange(child.size), qpos])[0]
+        # a child reply starts at the node its request was absorbed at;
+        # it spawns at the first position of its parent's reply there,
+        # found over the parent's real positions only
+        merge_nodes = nodes[offsets[child]]
+        span = hops[par] + 1
+        q = segment_index(span)
+        hit = nodes[offsets[par].repeat(span) + q] == merge_nodes.repeat(span)
+        # the lowest hit position per parent row; span itself where none
+        qpos = np.minimum.reduceat(
+            np.where(hit, q, span.repeat(span)), span.cumsum() - span
+        )
+        lost = np.flatnonzero(qpos == span)
         if lost.size:
             j = int(lost[0])
             raise MergeNodeMissingError(
@@ -239,10 +258,9 @@ def route_replies_fast(
         spawn_plan = (par, qpos, child)
 
     return FastPathEngine(observer=observer).run(
-        reply_mat,
+        paths,
         num_nodes=num_nodes,
         max_steps=budget,
-        path_lengths=hops,
         links=links,
         spawn_plan=spawn_plan,
     )

@@ -9,15 +9,18 @@ and a per-hop ``next_hop`` callback, with whole transmission and arrival
 phases as numpy array operations.  Each packet i carries ``paths[i]``:
 the full list of integer node ids it will visit (produced by, e.g.,
 :meth:`repro.topology.compiled.CompiledLeveledTopology.build_paths` or
-:meth:`repro.topology.compiled.CompiledMesh2D.three_stage`).  The
+:meth:`repro.topology.compiled.CompiledMesh2D.itineraries`).  The
 paper's routing is oblivious, so every itinerary is known before the
-first step; variable-length trajectories arrive as one padded
-rectangular matrix plus ``path_lengths`` (the pad repeats the
-destination), and a ragged list of per-packet lists is padded into that
-form on entry (:func:`_normalise_paths`).
+first step.  Itineraries are exact-length rows laid end to end — a
+:class:`~repro.topology.compiled.FlatPaths`, flat node ids plus
+per-packet offsets — and every per-position table of a run follows that
+layout, so a run costs the hops its packets make, not its longest path
+times its size; an equal-length matrix (every leveled run) is the
+special case of a raveled matrix, and a ragged list of per-packet lists
+is concatenated on entry (:func:`_normalise_paths`).
 
 This module is the engine's interface — validation and the step loop,
-on columns only: a population is the rows of its path matrix, and a
+on columns only: a population is the rows of its paths, and a
 caller holding per-packet objects converts at its own boundary
 (:mod:`repro.routing.packet`).  The run state the loop advances (dense
 link ids, intrusive queues kept in service order, combining residency,
@@ -68,6 +71,7 @@ from repro.routing.fast_phases import (
 )
 from repro.routing.flow_control import DeadlockError, resolve_flow_control
 from repro.routing.metrics import RoutingStats, stats_from_arrays
+from repro.topology.compiled import FlatPaths
 
 ENGINE_MODES = ("auto", "fast", "reference")
 
@@ -99,59 +103,54 @@ def resolve_engine_mode(mode: str) -> str:
 
 def _normalise_paths(
     paths, path_lengths: Sequence[int] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate *paths* / *path_lengths*; return ``(path matrix, last)``.
+) -> tuple[FlatPaths, np.ndarray]:
+    """Validate *paths* / *path_lengths*; return ``(paths, last)``.
 
-    The matrix is rectangular (a ragged list of per-packet lists is
-    padded by repeating each packet's destination, the convention of
-    :class:`~repro.topology.compiled.TrajectoryPlan`) and ``last[i]`` is
-    the int64 position at which packet i is delivered.  An empty run
-    comes back as a ``(0, 1)`` matrix, so the run state sees at least
-    one path position in every case.
+    Every accepted form becomes one :class:`FlatPaths`: a 2-D matrix is
+    raveled (no copy), a list of per-packet lists — ragged or not — is
+    concatenated.  ``last[i]`` is the int64 position at which packet i
+    is delivered.
     """
-    flat = None
-    if isinstance(paths, np.ndarray):
+    if isinstance(paths, FlatPaths):
+        nodes = np.asarray(paths.nodes, dtype=np.int64)
+        offsets = np.asarray(paths.offsets, dtype=np.int64)
+        if offsets.ndim != 1 or not offsets.size or offsets[0] != 0 or (
+            offsets[-1] != nodes.size
+        ):
+            raise ValueError("offsets must run from 0 to the number of nodes")
+        flat = FlatPaths(nodes, offsets)
+    elif isinstance(paths, np.ndarray):
         if paths.ndim != 2:
             raise ValueError("ndarray paths must be 2-D (packets x positions)")
-        n, width = paths.shape
-        path_arr = paths if n else np.empty((0, 1), dtype=np.int64)
-        widths = np.full(n, width, dtype=np.int64)
+        flat = FlatPaths.from_matrix(paths)
     else:
         rows = list(paths)
         n = len(rows)
-        widths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-        width = int(widths.max()) if n else 1
-        if (widths == width).all():
-            path_arr = np.asarray(rows, dtype=np.int64).reshape(n, width)
-        else:
-            flat = np.fromiter(
-                chain.from_iterable(rows), dtype=np.int64, count=int(widths.sum())
-            )
-    if not widths.all():
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.fromiter(map(len, rows), dtype=np.int64, count=n).cumsum(out=offsets[1:])
+        nodes = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
+        )
+        flat = FlatPaths(nodes, offsets)
+    widths = flat.offsets[1:] - flat.offsets[:-1]
+    if (widths <= 0).any():
         raise ValueError(
             f"paths[{int(np.argmin(widths))}] is empty: a path starts at its source"
         )
+    n = widths.size
     if path_lengths is None:
-        last = widths - 1
-    else:
-        last = np.asarray(path_lengths, dtype=np.int64)
-        if last.shape != (n,):
-            raise ValueError("one path length per packet required")
-        bad = np.nonzero((last < 0) | (last >= widths))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"path_lengths[{i}]={int(last[i])} outside its {int(widths[i])}"
-                "-node path"
-            )
-    if flat is not None:
-        # Ragged rows: scatter the entries row-major into the matrix and
-        # fill each row's tail with its destination.
-        starts = np.cumsum(widths) - widths
-        filled = np.arange(width, dtype=np.int64)[None, :] < widths[:, None]
-        path_arr = np.repeat(flat[starts + last], width).reshape(n, width)
-        path_arr[filled] = flat
-    return path_arr, last
+        return flat, widths - 1
+    last = np.asarray(path_lengths, dtype=np.int64)
+    if last.shape != (n,):
+        raise ValueError("one path length per packet required")
+    bad = np.nonzero((last < 0) | (last >= widths))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"path_lengths[{i}]={int(last[i])} outside its {int(widths[i])}"
+            "-node path"
+        )
+    return flat, last
 
 
 def _injection_batches(
@@ -246,30 +245,32 @@ class FastPathEngine:
 
         ``paths[i]`` is packet i's node-id itinerary including its start;
         the packet is delivered on reaching entry ``path_lengths[i]``
-        (default: the last entry).  *paths* is either a 2-D
-        ``np.ndarray`` padded past each packet's end (repeating the
-        destination) or a list of per-packet lists, which may be ragged:
-        those are padded here with the same destination-repeat
-        convention — the pad is never traversed.  ``num_nodes`` bounds
+        (default: the last entry).  *paths* is a
+        :class:`~repro.topology.compiled.FlatPaths` (rows laid end to
+        end), a 2-D ``np.ndarray`` of equal-length rows (raveled, no
+        copy) or a list of per-packet lists, which may be ragged (they
+        are concatenated); a row never holds anything past its
+        packet's path.  ``num_nodes`` bounds
         the id space (used to intern links and size load tables).
         ``priorities[i][k]`` — when given — is packet i's integer queue
         priority at its k-th link crossing (largest first, FIFO ties):
         the furthest-destination-first discipline with priorities
         evaluated at push time, exactly like the reference
-        ``FurthestFirstQueue``.
-        ``links`` — a ready ``(link_id_matrix, link_src, link_dst)``
-        triple aligned with a rectangular *paths* matrix — skips the
+        ``FurthestFirstQueue`` — a 2-D table, or one flat entry per link
+        position of *paths* in their layout.
+        ``links`` — a ready ``(link_ids, link_src, link_dst)`` triple,
+        ``link_ids`` one per link position of *paths*, flat — skips the
         np.unique interning pass, which otherwise gives the run a dense
         id per link this population crosses.  Two callers have one: the
-        mesh (the arithmetic encoding of
-        :meth:`repro.topology.compiled.CompiledMesh2D.link_matrix` with
-        its ``link_arrays()``) and the reply phase, which inherits its
+        mesh (the arithmetic ids
+        :meth:`repro.topology.compiled.CompiledMesh2D.itineraries`
+        emits, with its ``link_arrays()``) and the reply phase, which inherits its
         request run's triple (:attr:`RunArrays.links`).  Leveled runs
         pass none.
 
         The population is anonymous — requests routed from
         :class:`~repro.routing.packet.PacketColumns`, replies that exist
-        only as rows of the reverse-path matrix — and the run's outcome
+        only as reversed request rows — and the run's outcome
         is the returned stats plus the per-packet arrays left on
         :attr:`last_arrays`; a caller that holds an object per packet
         reads those back itself (:func:`repro.routing.packet.write_back`).
@@ -311,7 +312,7 @@ class FastPathEngine:
             "batch" if self.node_capacity is None else "batch-constrained"
         )
         try:
-            path_arr, last = _normalise_paths(paths, path_lengths)
+            flat, last = _normalise_paths(paths, path_lengths)
             n = len(last)
             if injected_at is None:
                 injected_at = np.zeros(n, dtype=np.int64)
@@ -321,7 +322,7 @@ class FastPathEngine:
                 if injected_at.shape != (n,):
                     raise ValueError("one injection step per packet required")
             state = RunState(
-                path_arr,
+                flat,
                 last,
                 injected_at,
                 combine_groups if self.combine else None,

@@ -30,10 +30,13 @@ How the state is laid out:
   emulations — so a departure ends a residency by leaving the chain and
   no table records one.  Only an arrival that meets others — the
   *contended residue* of a step (:func:`enqueue`) — can combine.
-* Every per-position table (link id, priority) is raveled once per
-  run and read through one flat cursor per packet:
-  packet i at position k reads slot ``i * (width - 1) + k``, and
-  delivery is ``cursor == last slot``.
+* Every per-position table (link id, priority) is flat and
+  exact-length — one entry per hop of each packet's own path
+  (:class:`~repro.topology.compiled.FlatPaths`), no padding — and read
+  through one flat cursor per packet: packet i at position k reads
+  slot ``fl_base[i] + k`` (``fl_base[i] = offsets[i] - i``, the link
+  positions of the rows before it), and delivery is ``cursor == last
+  slot``.
 * All state is int64: values double as fancy indices, and mixed dtypes
   make numpy recast index arrays (and buffer ``ufunc.at`` operands) on
   every call.
@@ -56,6 +59,7 @@ import numpy as np
 
 from repro.obs.clock import wall_time
 from repro.routing.flow_control import CreditState, no_progress_detail
+from repro.topology.compiled import FlatPaths, segment_index
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -91,16 +95,21 @@ class RunArrays:
     ``paths`` up to ``hops`` backwards — so a request's path, the hop it
     stopped at and who absorbed whom never go through per-packet
     objects (a caller that brought some copies the outcome onto them
-    with :func:`repro.routing.packet.write_back`).
+    with :func:`repro.routing.packet.write_back`).  Nothing here is a
+    (packets x path length) matrix: the per-position arrays hold each
+    packet's own hops and no more.
     """
 
-    #: the padded ``(n, width)`` node-id itineraries the run followed
-    paths: np.ndarray
-    #: the run's :func:`link_tables` triple ``(link_mat, link_src,
-    #: link_dst)``, ``link_mat`` being ``(n, width - 1)``: a reply
-    #: crosses its request's links the other way, so the reply run
-    #: inherits these ids instead of interning the same links again
-    #: (``None`` on hand-built arrays: the reply run interns its own)
+    #: the node-id itineraries the run followed, row i packet i's
+    #: (:class:`FlatPaths`: flat nodes + per-packet offsets, each row as
+    #: long as its path)
+    paths: FlatPaths
+    #: the run's :func:`link_tables` triple ``(link_ids, link_src,
+    #: link_dst)``, ``link_ids`` flat in the layout of ``paths``' link
+    #: positions: a reply crosses its request's links the other way, so
+    #: the reply run inherits these ids instead of interning the same
+    #: links again (``None`` on hand-built arrays: the reply run interns
+    #: its own)
     links: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     #: position each packet stopped at: delivery, absorption, or the
     #: queue it sat in when the run ended
@@ -139,69 +148,90 @@ def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
 
 
 def link_tables(
-    path_arr: np.ndarray, links, num_nodes: int
+    paths: FlatPaths, links, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense link ids of a path matrix: ``(link_mat, link_src, link_dst)``.
+    """Dense link ids of a population's paths: ``(link_ids, link_src,
+    link_dst)``.
 
-    ``link_mat[i, k]`` is the id of the link packet i crosses at its
-    k-th hop (pad positions included — a pad's self-loop gets an id too,
-    never traversed), ``link_src`` / ``link_dst`` the endpoints per id.
-    *links* is either that triple, made elsewhere — the mesh's
-    arithmetic ``u * 4 + direction`` ids (a 4N id space, smaller than a
-    served batch; boundary slots may share a ``(src, dst)`` pair), or a
-    reply run's, inherited from its request run
-    (:attr:`RunArrays.links`) — or ``None``: one ``np.unique`` over the
-    ``src * num_nodes + dst`` codes interns the links this batch
-    crosses, which is what every leveled run takes, so its per-link
-    tables are sized by the batch and not by the network.  Ids are
-    opaque to every phase, and this is the only place that knows the
-    format; a malformed triple, a link id outside the endpoint tables
-    or a node id outside ``num_nodes`` is a ``ValueError`` here rather
-    than an ``IndexError`` from inside the step loop (the endpoint
-    tables themselves are their maker's and taken on trust).
+    ``link_ids`` has one entry per link position of *paths* — packet i's
+    k-th hop is slot ``offsets[i] - i + k`` — and ``link_src`` /
+    ``link_dst`` are the endpoints per id.  *links* is either that
+    triple, made elsewhere — the mesh's arithmetic ``u * 4 + direction``
+    ids (a 4N id space, smaller than a served batch; boundary slots may
+    share a ``(src, dst)`` pair), or a reply run's, inherited from its
+    request run (:attr:`RunArrays.links`) — or ``None``: one
+    ``np.unique`` over the ``src * num_nodes + dst`` codes interns the
+    links this batch crosses, which is what every leveled run takes, so
+    its per-link tables are sized by the batch and not by the network.
+    Ids are opaque to every phase, and this is the only place that knows
+    the format; a malformed triple, a link id outside the endpoint
+    tables or a node id outside ``num_nodes`` is a ``ValueError`` here
+    rather than an ``IndexError`` from inside the step loop (the
+    endpoint tables themselves are their maker's and taken on trust).
     """
-    n, width = path_arr.shape
+    nodes, offsets = paths
+    n = offsets.size - 1
+    n_slots = nodes.size - n
     if links is not None:
         if len(links) != 3:
             raise ValueError(
-                "links must be the (link_id_matrix, link_src, link_dst) triple"
+                "links must be the (link_ids, link_src, link_dst) triple"
             )
-        link_mat, link_src, link_dst = (np.asarray(a, dtype=np.int64) for a in links)
-        if link_mat.shape != (n, width - 1):
-            raise ValueError("links matrix must align with the path matrix")
+        link_ids, link_src, link_dst = (np.asarray(a, dtype=np.int64) for a in links)
+        # a matrix aligned with equal-length rows is their raveled layout
+        if link_ids.size != n_slots:
+            raise ValueError("link ids must align with the link positions of paths")
+        link_ids = link_ids.reshape(-1)
         if link_src.ndim != 1 or link_src.shape != link_dst.shape:
             raise ValueError("link_src and link_dst must be aligned 1-D arrays")
-        _check_ids(link_mat, link_src.size, "links matrix names link id")
-        return link_mat, link_src, link_dst
-    path_arr = np.asarray(path_arr, dtype=np.int64)
-    _check_ids(path_arr, num_nodes, "paths name node id")
-    codes = path_arr[:, :-1] * num_nodes + path_arr[:, 1:]
+        _check_ids(link_ids, link_src.size, "links matrix names link id")
+        return link_ids, link_src, link_dst
+    _check_ids(nodes, num_nodes, "paths name node id")
+    width = nodes.size // n if n else 1
+    if (offsets[1:] - offsets[:-1] == width).all():
+        # equal-length rows (every leveled run): the raveled matrix
+        mat = nodes.reshape(n, width)
+        codes = mat[:, :-1] * num_nodes + mat[:, 1:]
+    else:
+        # a link leaves every node but the last of its row
+        leaves = np.ones(nodes.size - 1, dtype=bool)
+        leaves[offsets[1:-1] - 1] = False
+        codes = nodes[:-1][leaves] * num_nodes + nodes[1:][leaves]
     uniq, inverse = np.unique(codes, return_inverse=True)
-    return inverse.reshape(codes.shape), uniq // num_nodes, uniq % num_nodes
+    return inverse.reshape(-1), uniq // num_nodes, uniq % num_nodes
 
 
-def pack_priorities(priorities, n: int, n_slots: int) -> np.ndarray | None:
-    """The per-position priority table of a run, raveled, or ``None``.
+def pack_priorities(priorities, paths: FlatPaths) -> np.ndarray | None:
+    """The per-position priority table of a run, flat, or ``None``.
 
-    ``priorities[i][k]`` is packet i's integer queue priority at its
-    k-th link crossing; the result is the ``(n, n_slots)`` table as one
-    flat int64 array, read through the flat cursor — the only priority
-    state a run has, whatever range the values span.  Without
-    priorities — or with all of them equal — queues are FIFO and there
-    is no table.
+    *priorities* is either one integer queue priority per link position
+    of *paths* (flat, in their layout) or a 2-D table whose row i gives
+    packet i's priority at its k-th link crossing in column k (columns
+    past a row's hops are not read).  The result is the flat table, read
+    through the flat cursor — the only priority state a run has,
+    whatever range the values span.  Without priorities — or with all of
+    them equal — queues are FIFO and there is no table.
     """
     if priorities is None:
         return None
     prio = np.asarray(priorities)
-    if prio.ndim != 2:
-        raise ValueError("priorities must be 2-D (packets x link positions)")
-    if prio.shape[0] != n:
-        raise ValueError("one priority row per packet required")
-    if prio.shape[1] < n_slots:
-        raise ValueError("one priority per link position required")
+    hops = paths.hops
+    n_slots = int(hops.sum())
+    if prio.ndim == 2:
+        if prio.shape[0] != hops.size:
+            raise ValueError("one priority row per packet required")
+        if hops.size and prio.shape[1] < hops.max():
+            raise ValueError("one priority per link position required")
+        rows = np.repeat(np.arange(hops.size, dtype=np.int64), hops)
+        prio = prio[rows, segment_index(hops)]
+    elif prio.shape != (n_slots,):
+        raise ValueError(
+            "priorities must be 2-D (packets x link positions) or one per "
+            "link position"
+        )
     if not prio.size or prio.min() == prio.max():
         return None
-    return prio[:, :n_slots].astype(np.int64).ravel()
+    return prio.astype(np.int64, copy=False)
 
 
 class SpawnTables:
@@ -213,16 +243,18 @@ class SpawnTables:
     stable sort groups the rows by trigger — a parent's triggers end up
     adjacent and ascending in position — and the result is a CSR over
     them: trigger k belongs to ``trig_parent[k]``, fires at flat cursor
-    ``trig_cursor[k]`` (``parent * (width - 1) + position``) and
-    activates ``kids[bounds[k]:bounds[k + 1]]``.  ``next_trig[i]`` is
-    packet i's first pending trigger (-1: none) and ``nsp[i]`` that
-    trigger's cursor (-9: none).  ``dormant`` and ``nsp`` are arrays —
-    :func:`admit` finds the triggers a batch fires with one vector
-    compare — the rest plain lists, read only for the triggers that
-    fire: Python work is O(triggers fired), whatever the batch size.
+    ``trig_cursor[k]`` (the parent's first link slot *fl_base* plus the
+    position) and activates ``kids[bounds[k]:bounds[k + 1]]``.
+    ``next_trig[i]`` is packet i's first pending trigger (-1: none) and
+    ``nsp[i]`` that trigger's cursor (-9: none).  ``dormant`` and
+    ``nsp`` are arrays — :func:`admit` finds the triggers a batch fires
+    with one vector compare — the rest plain lists, read only for the
+    triggers that fire: Python work is O(triggers fired), whatever the
+    batch size.
     """
 
-    def __init__(self, spawn_plan, n: int, width: int) -> None:
+    def __init__(self, spawn_plan, fl_base: np.ndarray, widths: np.ndarray) -> None:
+        n = fl_base.size
         sp_parent, sp_pos, sp_child = (
             np.asarray(a, dtype=np.int64) for a in spawn_plan
         )
@@ -239,11 +271,12 @@ class SpawnTables:
                 f"spawn_plan names packet {int(ids[bad][0])}, outside the "
                 f"{n}-packet population"
             )
-        bad = (sp_pos < 0) | (sp_pos >= width)
+        bad = (sp_pos < 0) | (sp_pos >= widths[sp_parent])
         if bad.any():
+            j = int(np.argmax(bad))
             raise ValueError(
-                f"spawn_plan position {int(sp_pos[bad][0])} is outside the "
-                f"{width}-node paths"
+                f"spawn_plan position {int(sp_pos[j])} is outside the "
+                f"{int(widths[sp_parent[j]])}-node path of packet {int(sp_parent[j])}"
             )
         dormant = np.zeros(n, dtype=bool)
         dormant[sp_child] = True
@@ -253,14 +286,14 @@ class SpawnTables:
                 f"spawn_plan lists child {int(twice[0])} twice: a dormant packet "
                 "has one trigger"
             )
-        order = np.argsort(sp_parent * width + sp_pos, kind="stable")
+        order = np.lexsort((sp_pos, sp_parent))
         by_parent = sp_parent[order]
         by_pos = sp_pos[order]
         first = np.ones(order.size, dtype=bool)
         first[1:] = (by_parent[1:] != by_parent[:-1]) | (by_pos[1:] != by_pos[:-1])
         starts = np.nonzero(first)[0]
         trig_parent = by_parent[starts]
-        trig_cursor = trig_parent * (width - 1) + by_pos[starts]
+        trig_cursor = fl_base[trig_parent] + by_pos[starts]
         # a repeated index keeps its last write: scattered back to front,
         # each parent keeps its first (lowest-position) trigger
         back = trig_parent[::-1]
@@ -269,13 +302,13 @@ class SpawnTables:
         self.nsp = np.full(n, -9, dtype=np.int64)
         self.nsp[back] = trig_cursor[::-1]
         self.dormant = dormant
-        self.n_slots = width - 1
         self.next_trig: list[int] = next_trig.tolist()
         self.kids: list[int] = sp_child[order].tolist()
         self.bounds: list[int] = np.append(starts, order.size).tolist()
         # sentinel: the last trigger has no successor
         self.trig_parent: list[int] = trig_parent.tolist() + [-1]
         self.trig_cursor: list[int] = trig_cursor.tolist()
+        self.trig_at_start: list[bool] = (by_pos[starts] == 0).tolist()
         #: the packets each fired batch activated, in spawn order
         self.spawned: list[np.ndarray] = []
 
@@ -298,7 +331,7 @@ class SpawnTables:
         for c in group:
             seq.append(c)
             kc = next_trig[c]
-            if kc >= 0 and trig_cursor[kc] == c * self.n_slots:
+            if kc >= 0 and self.trig_at_start[kc]:
                 self.fire(c, out, seq)
             out.append(c)
 
@@ -326,28 +359,29 @@ class SpawnTables:
 class RunState:
     """Everything one fast run reads and mutates (see the module docstring).
 
-    Built from arrays only — the padded path matrix, each packet's last
-    position, injection steps (owned by the run: a spawn plan's trigger
-    steps are written into it), one int combine key per packet *gid*
-    (``None``: nothing combines; keys are only compared for equality),
-    per-hop *priorities*, a precompiled *links* triple and an array
-    *spawn_plan* (each optional) — through the table builders above,
+    Built from arrays only — the population's :class:`FlatPaths`, each
+    packet's last position, injection steps (owned by the run: a spawn
+    plan's trigger steps are written into it), one int combine key per
+    packet *gid* (``None``: nothing combines; keys are only compared for
+    equality), per-hop *priorities*, a precompiled *links* triple and an
+    array *spawn_plan* (each optional) — through the table builders above,
     which is where malformed input is rejected.  *capacity* selects the
     constrained tables, *credit* the escape buffers; *profile* is the
     observer's ``PhaseProfile`` or ``None``.
 
     Every table is sized by the batch: per packet, per link position
-    (``li_flat``, ``prio_flat``), per link the batch crosses, or per
-    node.  Queue discipline adds no table of its own beyond
-    ``prio_flat`` — FIFO and furthest-first runs share the one chain per
-    link — and neither does combining beyond ``gid``.
+    (``li_flat``, ``prio_flat``: exactly one entry per hop the paths
+    hold), per link the batch crosses, or per node.  Queue discipline
+    adds no table of its own beyond ``prio_flat`` — FIFO and
+    furthest-first runs share the one chain per link — and neither does
+    combining beyond ``gid``.
     """
 
     # Slots, not a dict: a phase reads a dozen fields per call, and past
     # 30 attributes CPython stops sharing instance-dict keys, which
     # makes every such read a hash lookup.
     __slots__ = (
-        "path_arr", "num_nodes", "injected_at", "prof",
+        "paths", "num_nodes", "injected_at", "prof",
         "link_src", "link_dst", "li_flat",
         "prio_flat",
         "spawn", "roots", "remaining",
@@ -365,7 +399,7 @@ class RunState:
 
     def __init__(
         self,
-        path_arr: np.ndarray,
+        paths: FlatPaths,
         last: np.ndarray,
         injected_at: np.ndarray,
         gid: np.ndarray | None = None,
@@ -379,24 +413,29 @@ class RunState:
         link_faults=None,
         profile=None,
     ) -> None:
-        n, width = path_arr.shape
-        n_slots = width - 1  # link positions per packet row
-        self.path_arr = path_arr
+        n = last.size
+        self.paths = paths
         self.num_nodes = num_nodes
         self.injected_at = injected_at
         self.prof = profile
-        link_mat, self.link_src, self.link_dst = link_tables(path_arr, links, num_nodes)
+        self.li_flat, self.link_src, self.link_dst = link_tables(
+            paths, links, num_nodes
+        )
         n_links = int(self.link_src.size)
-        self.li_flat = link_mat.ravel()
         #: per-position queue priorities (None: every queue is FIFO)
-        self.prio_flat = pack_priorities(priorities, n, n_slots)
+        self.prio_flat = pack_priorities(priorities, paths)
+        # packet i's k-th hop is link slot fl_base[i] + k
+        row_start = paths.offsets[:-1]
+        self.fl_base = row_start - np.arange(n, dtype=np.int64)
 
         #: reply fan-out (:class:`SpawnTables`) or None
         self.spawn = None
         if spawn_plan is not None:
             if gid is not None:
                 raise ValueError("spawn_plan and combining are mutually exclusive")
-            self.spawn = SpawnTables(spawn_plan, n, width)
+            self.spawn = SpawnTables(
+                spawn_plan, self.fl_base, paths.offsets[1:] - row_start
+            )
             #: packets injected by the run's schedule, not by a trigger
             self.roots = np.nonzero(~self.spawn.dormant)[0]
         else:
@@ -422,7 +461,6 @@ class RunState:
         self.q_next = np.full(n, -1, dtype=np.int64)
         self.q_len = np.zeros(n_links, dtype=np.int64)
         self.node_load = np.zeros(num_nodes, dtype=np.int64)
-        self.fl_base = np.arange(n, dtype=np.int64) * n_slots
         self.fl = self.fl_base.copy()
         self.fl_last = self.fl_base + last
         # first-writer scratch: only entries just written are read
@@ -456,7 +494,7 @@ class RunState:
         self.fc = CreditState() if credit else None
         self.pending_escape = None
         if capacity is not None:
-            self.dest_arr = path_arr[np.arange(n), last] if n else _EMPTY
+            self.dest_arr = paths.nodes[row_start + last]
             self.dest_l = self.dest_arr.tolist()
             self.link_dst_l = self.link_dst.tolist()
             self.inc_np = np.zeros(num_nodes, dtype=np.int64)
@@ -1200,10 +1238,9 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
             root = up
         arrived[absorbed] = arrived[root[absorbed]]
     fc = s.fc
-    n, width = s.path_arr.shape
     arrays = RunArrays(
-        paths=s.path_arr,
-        links=(s.li_flat.reshape(n, width - 1), s.link_src, s.link_dst),
+        paths=s.paths,
+        links=(s.li_flat, s.link_src, s.link_dst),
         hops=s.fl - s.fl_base,
         arrived=arrived,
         injected_at=s.injected_at,

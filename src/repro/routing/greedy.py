@@ -32,16 +32,14 @@ def compile_mesh_run(
     greedy dimension order — the same plan with an empty random stage —
     when *inter_rows* is omitted."""
     compiled = compile_mesh(mesh)
-    plan = compiled.three_stage(
+    paths, link_ids, priorities = compiled.itineraries(
         sources, dests, inter_rows, with_priorities=with_priorities
     )
     # Arithmetic link ids skip the engine's np.unique interning pass in
     # both vectorized modes (capacity runs also need link_dst for the
     # credit/exemption accounting).
-    links = (compiled.link_matrix(plan.ids), *compiled.link_arrays())
-    return CompiledRun(
-        plan.ids, mesh.num_nodes, plan.lengths, plan.priorities, links
-    )
+    links = (link_ids, *compiled.link_arrays())
+    return CompiledRun(paths, mesh.num_nodes, priorities, links)
 
 
 class GreedyRouter(Router):
@@ -104,13 +102,12 @@ class GreedyRouter(Router):
         engine the ragged list."""
         topo = self.topology
         if isinstance(topo, Hypercube):
-            plan = hypercube_paths(topo.n, sources, dests, inters=inters)
-            return CompiledRun(plan.ids, topo.num_nodes, plan.lengths)
+            paths = hypercube_paths(topo.n, sources, dests, inters=inters)
+            return CompiledRun(paths, topo.num_nodes)
         if inters is None and isinstance(topo, Mesh2D):
             return compile_mesh_run(topo, sources, dests)
         if inters is None and isinstance(topo, LinearArray):
-            plan = linear_paths(sources, dests)
-            return CompiledRun(plan.ids, topo.num_nodes, plan.lengths)
+            return CompiledRun(linear_paths(sources, dests), topo.num_nodes)
         paths = []
         vias = dests if inters is None else inters
         for row, (s, via, d) in enumerate(

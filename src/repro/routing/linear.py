@@ -6,10 +6,10 @@ line, and contention is resolved furthest-destination-first.  The claimed
 bound is n' + o(n) steps w.h.p. for random destinations.
 
 Like the routers, :func:`route_linear` runs on either engine: the
-monotone walks compile to padded integer trajectories
+monotone walks compile to exact-length integer trajectories
 (:func:`repro.topology.compiled.linear_paths`) and the push-time
-furthest-destination-first priorities are a closed form of
-``|dest - node|`` along the walk, so the fast engine replays the
+furthest-destination-first priorities are a closed form of the walk —
+``|dest - node|`` is the hops left, so the fast engine replays the
 reference queue dynamics bit for bit.
 """
 
@@ -24,6 +24,7 @@ from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet
 from repro.routing.queues import furthest_first_factory
 from repro.routing.router import CompiledRun
+from repro.topology.compiled import segment_index
 from repro.topology.mesh import LinearArray
 from repro.util.rng import as_generator
 
@@ -41,9 +42,10 @@ class _FurthestFirstLine(GreedyRouter):
     def _compile(self, sources, dests, inters) -> CompiledRun:
         run = super()._compile(sources, dests, inters)
         # Push-time priority of the k-th crossing: distance left from
-        # the node the packet is pushed at — |dest - paths[:, k]|.
+        # the node the packet is pushed at, the walk's hops - k.
+        hops = run.paths.hops
         return run._replace(
-            priorities=np.abs(dests[:, None] - run.paths[:, :-1])
+            priorities=np.repeat(hops, hops) - segment_index(hops)
         )
 
 

@@ -173,7 +173,7 @@ def make_packets(
 
 
 # ---- caller-built lists <-> the fast engine's columns -------------------
-# The fast engine routes rows of a path matrix; these three are the only
+# The fast engine routes rows of flat paths; these three are the only
 # code that moves a run between ``Packet`` objects and those rows.
 
 
@@ -217,8 +217,12 @@ def write_back(
     arrived_l = arrays.arrived.tolist()
     # a spawned packet was injected when its trigger fired
     injected_l = arrays.injected_at.tolist()
-    node_l = arrays.paths[np.arange(n), arrays.hops].tolist()
-    path_rows = arrays.paths.tolist() if track_paths else None
+    nodes, offsets = arrays.paths
+    start = offsets[:-1]
+    node_l = nodes[start + arrays.hops].tolist()
+    if track_paths:
+        nodes_l = nodes.tolist()
+        start_l = start.tolist()
     if combine:
         combined = np.zeros(n, dtype=bool)
         combined[arrays.absorbed] = True
@@ -238,4 +242,4 @@ def write_back(
             p.combined = combined_l[i]
             p.children = children_map.get(i)
         if track_paths:
-            p.trace = path_rows[i][: k + 1]
+            p.trace = nodes_l[start_l[i] : start_l[i] + k + 1]

@@ -67,17 +67,19 @@ from repro.routing.packet import (
     injection_times,
     write_back,
 )
+from repro.topology.compiled import FlatPaths
 from repro.util.rng import as_generator, random_h_relation
 
 
 class CompiledRun(NamedTuple):
     """A population's itineraries: the keywords of
     ``FastPathEngine.run`` that describe them (see there for each
-    field); only ``paths`` and ``num_nodes`` are required."""
+    field); only ``paths`` and ``num_nodes`` are required.  Every
+    router compiles a path per packet of exactly its length — a packet
+    is delivered at the end of its row."""
 
-    paths: np.ndarray | list
+    paths: FlatPaths | np.ndarray | list
     num_nodes: int
-    path_lengths: np.ndarray | None = None
     priorities: np.ndarray | None = None
     links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -167,9 +169,9 @@ class Router:
         #: built by the first run that takes the reference engine
         self._reference: SynchronousEngine | None = None
         #: after a fast-path run: its per-packet arrays, aligned with
-        #: the routed population — the compiled (padded) node-id
-        #: itineraries, the hop each packet stopped at (row i is valid
-        #: up to it), the absorptions (None after a reference run).  The
+        #: the routed population — the compiled node-id itineraries
+        #: (flat, one exact-length row per packet), the hop each packet
+        #: stopped at, the absorptions (None after a reference run).  The
         #: emulation layer reads its hosts and builds the reply phase
         #: from these.
         self.last_fast_run: RunArrays | None = None

@@ -20,7 +20,7 @@ from repro.topology.leveled import (
 from repro.topology.compiled import (
     CompiledLeveledTopology,
     CompiledMesh2D,
-    TrajectoryPlan,
+    FlatPaths,
     compact_paths,
     compile_leveled,
     compile_mesh,
@@ -35,6 +35,7 @@ __all__ = [
     "CompiledMesh2D",
     "DAryButterflyLeveled",
     "DWayShuffle",
+    "FlatPaths",
     "Hypercube",
     "LeveledNetwork",
     "LinearArray",
@@ -44,7 +45,6 @@ __all__ = [
     "StarGraph",
     "StarLogicalLeveled",
     "Topology",
-    "TrajectoryPlan",
     "compact_paths",
     "compile_leveled",
     "compile_mesh",

@@ -13,12 +13,15 @@ class RouteStalledError(RuntimeError):
     Raised wherever an itinerary is followed or compiled — by
     :meth:`Topology.greedy_path` and :meth:`Topology.distance`,
     :meth:`~repro.topology.leveled.LeveledNetwork.unique_path`, the
-    compiled leveled path builder and the routers' reference
-    ``_next_hop`` policies, so the same failure has the same type
-    whichever engine ran: ``route_next`` stopped advancing (or wandered
-    past any possible path length) at ``node`` on the way to ``dest``,
-    or a leveled pass ended on row ``node`` instead of ``dest``.  ``packet`` is the packet id when a router
-    knows it (the compiled leveled builder, which sees no packets,
+    compiled leveled path builder, the star's canonical path
+    (:meth:`~repro.topology.leveled.StarLogicalLeveled.unique_next` and
+    its batch form) and the routers' reference ``_next_hop`` policies,
+    so the same failure has the same type whichever engine ran:
+    ``route_next`` stopped advancing (or wandered past any possible path
+    length) at ``node`` on the way to ``dest``, a leveled pass ended on
+    row ``node`` instead of ``dest``, or a star canonical step found
+    row ``node`` without its symbol staged.  ``packet`` is the packet id
+    when a router knows it (a batch builder, which sees no packets,
     gives the row of its input), ``None`` for a bare path walk.
     """
 

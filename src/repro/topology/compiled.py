@@ -10,7 +10,8 @@ populations' trajectories with a handful of vectorized operations:
   :class:`LeveledNetwork` (both passes of Algorithm 2.1);
 * :class:`CompiledMesh2D` — the 3-stage randomized mesh trajectories of
   §3.4 (and their furthest-destination-first priorities) plus greedy
-  dimension-order paths, as padded matrices + lengths;
+  dimension-order paths, straight from their segments as exact-length
+  :class:`FlatPaths`;
 * :func:`linear_paths`, :func:`hypercube_paths`,
   :func:`shuffle_unique_paths` — the linear array, Valiant–Brebner
   bit-fixing, and d-way-shuffle digit-insertion itineraries.
@@ -37,8 +38,7 @@ which never touches the topology again.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,30 +142,66 @@ def compile_leveled(net: LeveledNetwork) -> CompiledLeveledTopology:
 
 
 # ======================================================================
-# Flat-topology trajectory builders (mesh, linear array, hypercube,
-# shuffle).  These produce padded rectangular matrices: row i repeats
-# packet i's destination past position ``lengths[i]``, which the fast
-# engine never traverses (it delivers at ``path_lengths``).  Keeping the
-# matrix rectangular lets one np.unique intern every link at C speed.
+# Flat-topology trajectory builders (mesh, linear array, hypercube).
+# These produce exact-length itineraries (FlatPaths): row i holds
+# packet i's nodes and nothing past its destination, so every table the
+# engine builds from them is sized by the hops the population makes,
+# not by its longest route times its size.
 # ======================================================================
 
 
-@dataclass
-class TrajectoryPlan:
-    """A compiled routing plan for one packet population.
+class FlatPaths(NamedTuple):
+    """A population's node-id itineraries, concatenated (CSR): row i,
+    packet i's path from its start, is ``nodes[offsets[i]:offsets[i + 1]]``.
 
-    ``ids[i, k]`` is the node id of packet i at position k; positions
-    beyond ``lengths[i]`` repeat the destination (padding).
-    ``priorities[i, k]``, when compiled, is the §3.4
-    furthest-destination-first priority of packet i's k-th link crossing
-    — the distance left in its current stage, exactly the value the
-    reference :class:`~repro.routing.mesh_router.MeshRouter` computes at
-    push time.
+    A row of w nodes has w - 1 link positions, and a population's
+    per-position tables (link ids, priorities) are laid out the same
+    way: packet i's k-th link crossing is slot ``offsets[i] - i + k``.
+    Equal-length rows are the special case ``offsets[i] = i * width`` —
+    a raveled matrix (:meth:`from_matrix`), which is what every leveled
+    run is.
     """
 
-    ids: np.ndarray
-    lengths: np.ndarray
-    priorities: np.ndarray | None = None
+    nodes: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, mat) -> "FlatPaths":
+        """One row per packet, all of one width: the matrix raveled."""
+        mat = np.asarray(mat, dtype=np.int64)
+        n, width = mat.shape
+        return cls(mat.reshape(-1), np.arange(n + 1, dtype=np.int64) * width)
+
+    @classmethod
+    def from_hops(cls, nodes: np.ndarray, hops: np.ndarray) -> "FlatPaths":
+        """Rows of ``hops[i] + 1`` nodes each, laid end to end in *nodes*."""
+        offsets = np.zeros(hops.size + 1, dtype=np.int64)
+        (hops + 1).cumsum(out=offsets[1:])
+        return cls(nodes, offsets)
+
+    @property
+    def hops(self) -> np.ndarray:
+        """Link positions per row."""
+        return self.offsets[1:] - self.offsets[:-1] - 1
+
+
+def segment_index(lens: np.ndarray) -> np.ndarray:
+    """Position within its segment of every entry of segments of
+    *lens* entries laid end to end: ``[0..lens[0]), [0..lens[1]), ...``."""
+    kk = np.arange(int(lens.sum()), dtype=np.int64)
+    kk -= (lens.cumsum() - lens).repeat(lens)
+    return kk
+
+
+def _walk(starts: np.ndarray, strides: np.ndarray, lens: np.ndarray):
+    """Straight segments laid end to end: segment j visits ``starts[j] +
+    k * strides[j]`` for k in ``[0, lens[j])``.  Returns ``(nodes, k)``."""
+    kk = segment_index(lens)
+    # in place: at n = 256 every table here is ~90 MB
+    nodes = strides.repeat(lens)
+    nodes *= kk
+    nodes += starts.repeat(lens)
+    return nodes, kk
 
 
 class CompiledMesh2D:
@@ -173,10 +209,13 @@ class CompiledMesh2D:
 
     The 3-stage randomized route of §3.4 (Theorem 3.1) — column to a
     random row, row to the destination column, column to the destination
-    row — is a pure function of (source, random row, destination), so a
-    whole population's trajectories fall out of a few broadcast clips:
-    position k's row/column is the stage-wise saturating walk
-    ``start + clip(k - stage_offset, 0, stage_len) * step``.  Greedy
+    row — is at most three straight segments, each a pure function of
+    (source, random row, destination): a start node, a stride (±1 along
+    a row, ±cols along a column), a direction and a length.  Every
+    per-hop table falls out of one ``np.repeat`` of those and the index
+    k within the segment: the node a hop leaves is ``start + k *
+    stride``, its link ``4 * node + direction`` and its
+    furthest-destination-first priority ``length - k``.  Greedy
     dimension-order (column-then-row) paths are the degenerate plan with
     an empty stage 0 (the random row equals the source row).
     """
@@ -188,64 +227,52 @@ class CompiledMesh2D:
         self.cols = mesh.cols
         self.num_nodes = mesh.num_nodes
 
-    def three_stage(
+    def itineraries(
         self,
         sources: Sequence[int],
         dests: Sequence[int],
         inter_rows: Sequence[int] | None = None,
         *,
         with_priorities: bool = False,
-    ) -> TrajectoryPlan:
-        """Compile 3-stage (or, with ``inter_rows=None``, greedy XY) paths.
+    ) -> tuple[FlatPaths, np.ndarray, np.ndarray | None]:
+        """Compile 3-stage (or, with ``inter_rows=None``, greedy XY)
+        routes: ``(paths, link ids, priorities)``.
 
         ``inter_rows`` holds each packet's pre-drawn stage-0 random row
         i'; omitting it pins i' to the source row, which degenerates the
-        plan to the deterministic dimension-order baseline.
+        plan to the deterministic dimension-order baseline.  Link ids
+        are the arithmetic ids of :meth:`link_arrays`, one per hop,
+        aligned with *paths*' link positions; so are the priorities (the
+        distance left in the hop's stage — exactly the value the
+        reference :class:`~repro.routing.mesh_router.MeshRouter` computes
+        at push time), or ``None`` without ``with_priorities``.
         """
-        cols_n = self.cols
+        cols = self.cols
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(dests, dtype=np.int64)
-        r0, c0 = np.divmod(src, cols_n)
-        dr, dc = np.divmod(dst, cols_n)
+        r0, c0 = np.divmod(src, cols)
+        dr, dc = np.divmod(dst, cols)
         ir = r0 if inter_rows is None else np.asarray(inter_rows, dtype=np.int64)
-        la = np.abs(ir - r0)
-        sa = np.sign(ir - r0)
-        lb = np.abs(dc - c0)
-        sb = np.sign(dc - c0)
-        lc = np.abs(dr - ir)
-        sc = np.sign(dr - ir)
-        lengths = la + lb + lc
-        maxlen = int(lengths.max()) if src.size else 0
-        k = np.arange(maxlen + 1, dtype=np.int64)[None, :]
-        # ids accumulated in place: row*cols + col with one live temporary.
-        ids = np.clip(k, 0, la[:, None])
-        ids *= sa[:, None]
-        seg = np.clip(k - (la + lb)[:, None], 0, lc[:, None])
-        seg *= sc[:, None]
-        ids += seg
-        ids += r0[:, None]
-        ids *= cols_n
-        np.clip(k - la[:, None], 0, lb[:, None], out=seg)
-        seg *= sb[:, None]
-        ids += seg
-        ids += c0[:, None]
+        # one row per packet, one column per stage: along the column, the
+        # row, the column; a negative delta is a step north / west
+        delta = np.stack([ir - r0, dc - c0, dr - ir], axis=1)
+        starts = np.stack([src, ir * cols + c0, ir * cols + dc], axis=1).ravel()
+        lens = np.abs(delta).ravel()
+        strides = (np.sign(delta) * np.asarray([cols, 1, cols])).ravel()
+        forward = np.asarray([self._DIR_SOUTH, self._DIR_EAST, self._DIR_SOUTH])
+        direction = (forward + (delta < 0)).ravel()
+        hop_nodes, kk = _walk(starts, strides, lens)
         priorities = None
         if with_priorities:
-            # Priority of link crossing k = distance left in the stage
-            # containing k: la-k in stage 0, (la+lb)-k in stage 1,
-            # (la+lb+lc)-k in stage 2 — empty stages skip naturally.
-            kk = np.arange(maxlen, dtype=np.int64)[None, :]
-            ab = (la + lb)[:, None]
-            priorities = np.where(
-                kk < la[:, None],
-                la[:, None] - kk,
-                np.where(kk < ab, ab - kk, lengths[:, None] - kk),
-            )
-            # Entries past a packet's length are never pushed; clamp them
-            # so packed heap keys stay well-formed anyway.
-            priorities = np.maximum(priorities, 0)
-        return TrajectoryPlan(ids, lengths, priorities)
-
+            priorities = lens.repeat(lens)
+            priorities -= kk
+        del kk  # one full-size temporary fewer at the peak below
+        links = hop_nodes * 4
+        links += direction.repeat(lens)
+        # each row's hops, then its destination
+        hops = lens.reshape(-1, 3).sum(axis=1)
+        nodes = np.insert(hop_nodes, np.cumsum(hops), dst)
+        return FlatPaths.from_hops(nodes, hops), links, priorities
 
     # ---- arithmetic link ids -----------------------------------------
     # A mesh node has at most 4 out-links, so directed link (u, v) gets
@@ -274,17 +301,6 @@ class CompiledMesh2D:
             cached = self._link_arrays = (src, dst)
         return cached
 
-    def link_matrix(self, ids: np.ndarray) -> np.ndarray:
-        """Arithmetic link id per hop of a padded trajectory matrix."""
-        cols = self.cols
-        u = ids[:, :-1]
-        diff = ids[:, 1:] - u
-        direction = np.zeros_like(diff)
-        direction[diff == -1] = self._DIR_WEST
-        direction[diff == cols] = self._DIR_SOUTH
-        direction[diff == -cols] = self._DIR_NORTH
-        return u * 4 + direction
-
 
 def compile_mesh(mesh) -> CompiledMesh2D:
     """Compiled view of *mesh*, cached on the mesh instance."""
@@ -295,39 +311,29 @@ def compile_mesh(mesh) -> CompiledMesh2D:
     return compiled
 
 
-def linear_paths(sources: Sequence[int], dests: Sequence[int]) -> TrajectoryPlan:
-    """Monotone walks on a linear array, as a padded plan."""
+def linear_paths(sources: Sequence[int], dests: Sequence[int]) -> FlatPaths:
+    """Monotone walks on a linear array: one segment per packet."""
     src = np.asarray(sources, dtype=np.int64)
     dst = np.asarray(dests, dtype=np.int64)
-    lengths = np.abs(dst - src)
-    step = np.sign(dst - src)
-    maxlen = int(lengths.max()) if src.size else 0
-    k = np.arange(maxlen + 1, dtype=np.int64)[None, :]
-    ids = src[:, None] + np.clip(k, 0, lengths[:, None]) * step[:, None]
-    return TrajectoryPlan(ids, lengths)
+    hops = np.abs(dst - src)
+    nodes, _ = _walk(src, np.sign(dst - src), hops + 1)
+    return FlatPaths.from_hops(nodes, hops)
 
 
-def compact_paths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def compact_paths(arr: np.ndarray) -> FlatPaths:
     """Remove in-place repeats from each row of a trajectory matrix.
 
     Phase-structured builders (e.g. two-phase bit fixing) emit one column
     per potential hop, so packets that finish a phase early repeat their
     position mid-row; the engine would traverse those repeats as
-    self-loop links.  This squeezes every row to its true itinerary and
-    re-pads at the end with the destination, returning ``(ids, lengths)``.
+    self-loop links.  This squeezes every row to its true itinerary.
     """
-    n, width = arr.shape
-    if width == 0:
+    if arr.shape[1] == 0:
         raise ValueError("trajectory matrix needs at least one column")
     keep = np.ones(arr.shape, dtype=bool)
     keep[:, 1:] = arr[:, 1:] != arr[:, :-1]
-    idx = np.cumsum(keep, axis=1) - 1
-    lengths = idx[:, -1].copy()
-    maxlen = int(lengths.max()) if n else 0
-    out = np.repeat(arr[:, -1][:, None], maxlen + 1, axis=1)
-    rows = np.broadcast_to(np.arange(n)[:, None], arr.shape)
-    out[rows[keep], idx[keep]] = arr[keep]
-    return out, lengths
+    # a row-major boolean gather keeps each row's survivors, rows in order
+    return FlatPaths.from_hops(arr[keep], keep.sum(axis=1) - 1)
 
 
 def hypercube_paths(
@@ -335,7 +341,7 @@ def hypercube_paths(
     sources: Sequence[int],
     dests: Sequence[int],
     inters: Sequence[int] | None = None,
-) -> TrajectoryPlan:
+) -> FlatPaths:
     """Valiant–Brebner e-cube itineraries on the binary n-cube.
 
     Phase 1 (when ``inters`` is given) fixes differing bits
@@ -352,8 +358,7 @@ def hypercube_paths(
             diff = cur ^ target
             cur = cur ^ (diff & -diff)
             columns.append(cur.copy())
-    ids, lengths = compact_paths(np.stack(columns, axis=1))
-    return TrajectoryPlan(ids, lengths)
+    return compact_paths(np.stack(columns, axis=1))
 
 
 def shuffle_unique_paths(

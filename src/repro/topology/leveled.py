@@ -352,12 +352,10 @@ class StarLogicalLeveled(LeveledNetwork):
                 return node  # symbol staged at the front; place next layer
             loc = cur_p.index(sym)
             return perm_rank(swap_j(cur_p, loc))
-        # substep 1: the symbol is at the front (substep 0 guarantees it).
+        # substep 1: the symbol is at the front (substep 0 guarantees it);
+        # if not, the canonical path is broken and cannot reach dest
         if cur_p[0] != sym:
-            raise RuntimeError(
-                "canonical star path invariant violated: "
-                f"symbol {sym} not staged at front of {cur_p}"
-            )
+            raise RouteStalledError(node, dest)
         return perm_rank(swap_j(cur_p, pos))
 
     # ---- batched canonical paths (compiled fast path) -------------------
@@ -410,10 +408,9 @@ class StarLogicalLeveled(LeveledNetwork):
             out = nbr[rows, loc]
         else:
             # Place the staged front symbol (substep 0 guarantees it).
-            if not np.all(settled | (perm[rows, 0] == sym)):
-                raise RuntimeError(
-                    "canonical star path invariant violated: "
-                    f"symbol not staged at front before level {level}"
-                )
+            unstaged = ~(settled | (perm[rows, 0] == sym))
+            if unstaged.any():
+                bad = int(np.argmax(unstaged))
+                raise RouteStalledError(int(rows[bad]), int(dests[bad]), packet=bad)
             out = nbr[rows, pos]
         return np.where(settled, rows, out)

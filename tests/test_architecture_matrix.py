@@ -417,9 +417,7 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
         "self", "queue_factory", "combine", "node_capacity", "node_service_rate",
         "flow_control", "track_paths", "observer",
     ]
-    assert CompiledRun._fields == (
-        "paths", "num_nodes", "path_lengths", "priorities", "links",
-    )
+    assert CompiledRun._fields == ("paths", "num_nodes", "priorities", "links")
     src = DOC.parent.parent / "src/repro"
 
     def identifiers(path) -> set:
@@ -477,7 +475,11 @@ def test_links_are_interned_in_one_place():
     compiled = repro.topology.compiled
     assert not hasattr(compiled.CompiledLeveledTopology, "link_matrix")
     assert not hasattr(compiled.CompiledLeveledTopology, "link_arrays")
-    assert hasattr(compiled.CompiledMesh2D, "link_matrix")  # 4N ids: kept
+    # the mesh's 4N arithmetic ids are kept, emitted straight from the
+    # route's segments: no padded builder, no pass over a node matrix
+    assert hasattr(compiled.CompiledMesh2D, "link_arrays")
+    assert not {"three_stage", "link_matrix"} & set(vars(compiled.CompiledMesh2D))
+    assert not hasattr(compiled, "TrajectoryPlan")
 
 
 def test_traced_entry_points_stay_on_their_own_classes():

@@ -20,8 +20,8 @@ residue forced through each lane (:data:`LANES`), and both must equal
 the one reference run.
 
 Ragged path lists (the star-graph and generic greedy walks) reach the
-same kernel through the padding in ``FastPathEngine.run``; the edges of
-that normalisation — an empty run, zero-hop packets, explicit
+same kernel concatenated by ``FastPathEngine.run``; the edges of that
+normalisation — an empty run, zero-hop packets, explicit
 ``path_lengths`` on ragged rows — are pinned here the same way.
 """
 
@@ -328,6 +328,22 @@ def scenario_spawn_at_zero():
     )
 
 
+def scenario_spawn_at_zero_on_ragged_rows():
+    """Rows of different lengths side by side: a zero-hop child (row 1)
+    whose position-0 trigger activates a long row next to it, and a
+    position-0 trigger on a one-hop row behind a long root."""
+    return dict(
+        paths=[
+            [0, HUB, SINK, 12, 13],  # root: fires {1} at position 1
+            [HUB],  # zero hops: delivered on activation, fires {2} first
+            [HUB, SINK, 12, 13, 14],  # long row activated by the short one
+            [1, HUB],  # root, one hop: fires {4} at position 0
+            [1, 5, 6, 7, HUB, SINK],  # long row activated at 3's start
+        ],
+        spawn_plan=([0, 1, 3], [1, 0, 0], [1, 2, 4]),
+    )
+
+
 def scenario_spawn_nested_three_deep():
     """Position-0 triggers nested three deep: activating 1 fires its own
     trigger, which activates 2, which activates 3 — placed 3, 2, 1 and
@@ -391,6 +407,7 @@ SCENARIOS = [
     scenario_deep_fifo_chain,
     scenario_width_one,
     scenario_spawn_at_zero,
+    scenario_spawn_at_zero_on_ragged_rows,
     scenario_spawn_nested_three_deep,
     scenario_spawn_shared_trigger,
     scenario_spawn_two_triggers,
@@ -417,7 +434,7 @@ def test_scenario_matches_reference(scenario, regime):
 def ragged_mixed():
     """Ragged rows through the hub, one of them a zero-hop packet
     (source == destination: delivered where it is injected) and one
-    ending *at* the hub, so padded tails sit next to live queues."""
+    ending *at* the hub, so rows of every length meet at live queues."""
     return dict(
         paths=[
             [0, HUB, SINK],

@@ -67,12 +67,17 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "capacity, mode", [(None, "batch"), (1, "batch-constrained")]
     )
-    def test_ragged_paths_pad_into_the_batch_modes(self, capacity, mode):
+    def test_ragged_paths_concatenate_into_the_batch_modes(self, capacity, mode):
         engine = FastPathEngine(node_capacity=capacity)
         paths = [[0, 2, 3], [1, 2, 3, 4]]
         stats = engine.run(paths, num_nodes=5, max_steps=50)
         assert engine.last_run_mode == stats.run_mode == mode
         assert stats.hops == [2, 3]
+        # the rows laid end to end, nothing appended: one link id per hop
+        arrays = engine.last_arrays
+        assert arrays.paths.nodes.tolist() == [0, 2, 3, 1, 2, 3, 4]
+        assert arrays.paths.offsets.tolist() == [0, 3, 7]
+        assert arrays.links[0].shape == (5,)
 
     @pytest.mark.parametrize("flow", ["none", "credit"])
     def test_mesh_routers_take_constrained_batch(self, monkeypatch, flow):

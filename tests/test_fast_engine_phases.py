@@ -8,8 +8,12 @@ itself instead of surfacing as a stats mismatch many steps later.
 
 Without ``links`` the state interns each directed link by its
 ``src * num_nodes + dst`` code, so ids follow (src, dst) order; the
-fixtures spell the ids they rely on.
+fixtures spell the ids they rely on.  Paths are exact-length rows laid
+end to end (:class:`~repro.topology.compiled.FlatPaths`): packet i's
+k-th hop is link slot ``fl_base[i] + k``.
 """
+
+from itertools import chain as concat
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from repro.routing.fast_phases import (
     transmit_unconstrained,
 )
 from repro.routing import LeveledRouter
-from repro.topology import Mesh2D, StarLogicalLeveled
+from repro.topology import FlatPaths, Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh
 from test_batch_arrival import DownUntil
 
@@ -40,15 +44,23 @@ def ids(*values):
     return np.asarray(values, dtype=np.int64)
 
 
+def flat(rows) -> FlatPaths:
+    """Per-packet lists (or a matrix) as the engine's flat layout."""
+    if isinstance(rows, np.ndarray):
+        return FlatPaths.from_matrix(rows)
+    widths = [len(row) for row in rows]
+    return FlatPaths(ids(*concat(*rows)), ids(0, *np.cumsum(widths)))
+
+
 def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
-    path_arr = np.asarray(paths, dtype=np.int64)
-    n, width = path_arr.shape
-    last = np.full(n, width - 1, dtype=np.int64) if last is None else ids(*last)
+    paths = flat(paths)
+    n = paths.offsets.size - 1
+    last = paths.hops if last is None else ids(*last)
     if num_nodes is None:
-        num_nodes = int(path_arr.max()) + 1
+        num_nodes = int(paths.nodes.max()) + 1
     gid = kwargs.pop("gid", None)
     return RunState(
-        path_arr,
+        paths,
         last,
         np.zeros(n, dtype=np.int64),
         None if gid is None else ids(*gid),
@@ -81,18 +93,20 @@ def test_arithmetic_link_tables_match_interned_up_to_relabelling():
     compiled = compile_mesh(mesh)
     n = mesh.num_nodes
     perm = np.random.default_rng(2).permutation(n)
-    plan = compiled.three_stage(list(range(n)), perm.tolist())
-    triple = (compiled.link_matrix(plan.ids), *compiled.link_arrays())
-    a_mat, a_src, a_dst = link_tables(plan.ids, triple, n)
-    i_mat, i_src, i_dst = link_tables(plan.ids, None, n)
-    # pad columns repeat the destination: never traversed, and the two
-    # schemes need not agree on what they call that self-loop
-    traversed = np.arange(plan.ids.shape[1] - 1)[None, :] < plan.lengths[:, None]
-    a_ids, i_ids = a_mat[traversed], i_mat[traversed]
+    paths, link_ids, _ = compiled.itineraries(list(range(n)), perm.tolist())
+    triple = (link_ids, *compiled.link_arrays())
+    a_ids, a_src, a_dst = link_tables(paths, triple, n)
+    i_ids, i_src, i_dst = link_tables(paths, None, n)
+    # exact-length rows: every slot is a hop some packet makes, and its
+    # link leaves every node of the row but the last
+    hops = paths.hops
+    assert a_ids.shape == i_ids.shape == (int(hops.sum()),)
+    leaves = np.ones(paths.nodes.size, dtype=bool)
+    leaves[paths.offsets[1:] - 1] = False
     assert (a_src[a_ids] == i_src[i_ids]).all()
     assert (a_dst[a_ids] == i_dst[i_ids]).all()
-    assert (a_src[a_ids] == plan.ids[:, :-1][traversed]).all()
-    assert (a_dst[a_ids] == plan.ids[:, 1:][traversed]).all()
+    assert (a_src[a_ids] == paths.nodes[leaves]).all()
+    assert (a_dst[a_ids] == paths.nodes[np.roll(leaves, 1)]).all()
     pairs = set(zip(a_ids.tolist(), i_ids.tolist()))
     assert len(pairs) == len(set(a_ids.tolist())) == len(set(i_ids.tolist()))
 
@@ -113,6 +127,10 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     run = router._compile(sources, dests, router._draw(sources, dests))
     assert run.links is None and run.paths.shape == (n, 2 * L + 1)
     s = make_state(run.paths, num_nodes=run.num_nodes, gid=range(n))
+    # equal-length rows are the flat layout's special case: the matrix
+    # raveled in place, row i starting at i * (2L + 1)
+    assert np.shares_memory(s.paths.nodes, run.paths)
+    assert s.fl_base.tolist() == list(range(0, n * 2 * L, 2 * L))
     crossed = set(
         zip(run.paths[:, :-1].ravel().tolist(), run.paths[:, 1:].ravel().tolist())
     )
@@ -127,21 +145,27 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     # (a fresh router on the same seed draws the same coins)
     rerun = LeveledRouter(net, seed=9, combine=True, engine="fast")
     assert rerun.route(sources, dests, addresses=addresses).completed
-    link_mat, link_src, link_dst = rerun.last_fast_run.links
-    assert link_mat.shape == (n, 2 * L)
-    assert np.array_equal(link_mat.ravel(), s.li_flat)
+    link_ids, link_src, link_dst = rerun.last_fast_run.links
+    assert link_ids.shape == (n * 2 * L,)
+    assert np.array_equal(link_ids, s.li_flat)
     assert np.array_equal(link_src, s.link_src)
     assert np.array_equal(link_dst, s.link_dst)
 
 
 def test_priority_packing():
-    assert pack_priorities(None, 2, 2) is None
-    prio_flat = pack_priorities([[5, 7, 9], [6, 5, 9]], 2, 2)
-    # the table as given, raveled; extra columns past the link positions
-    # are not read
+    paths = flat([[0, 1, 2], [3, 1, 2]])
+    assert pack_priorities(None, paths) is None
+    prio_flat = pack_priorities([[5, 7, 9], [6, 5, 9]], paths)
+    # a 2-D table is read row by row up to each row's hops; extra
+    # columns past the link positions are not read
     assert prio_flat.dtype == np.int64 and prio_flat.tolist() == [5, 7, 6, 5]
+    # a flat table is already in the layout of the link positions
+    assert pack_priorities(ids(5, 7, 6, 5), paths).tolist() == [5, 7, 6, 5]
+    # ragged rows: one entry per hop, nothing for the short row's tail
+    ragged = flat([[0], [3, 1, 2], [4, 2]])
+    assert pack_priorities([[9, 9], [6, 5], [8, 9]], ragged).tolist() == [6, 5, 8]
     # equal priorities order nothing: FIFO, no table
-    assert pack_priorities(np.full((2, 2), 4), 2, 2) is None
+    assert pack_priorities(np.full((2, 2), 4), paths) is None
 
 
 def test_run_state_is_sized_by_links_whatever_the_priority_range():
@@ -157,7 +181,7 @@ def test_run_state_is_sized_by_links_whatever_the_priority_range():
     for name in RunState.__slots__:
         value = getattr(s, name, None)
         if isinstance(value, np.ndarray):
-            assert value.size <= s.path_arr.size, name
+            assert value.size <= s.paths.nodes.size, name
 
 
 # -------------------------------------------------------------- arrival
@@ -237,9 +261,11 @@ SPAWN_PATHS = [[0, 1, 3]] + [[1, 2, 3]] * 4
 
 
 def test_spawn_firing_order():
-    sp = SpawnTables(SPAWN_PLAN, 5, 3)
+    paths = flat(SPAWN_PATHS)
+    fl_base = paths.offsets[:-1] - np.arange(5)
+    sp = SpawnTables(SPAWN_PLAN, fl_base, np.diff(paths.offsets))
     assert sp.dormant.tolist() == [False, True, True, True, True]
-    assert sp.nsp.tolist() == [1, 2, -9, -9, -9]  # flat cursors: i * 2 + position
+    assert sp.nsp.tolist() == [1, 2, -9, -9, -9]  # flat cursors: fl_base + position
     out, seq = [], []
     sp.fire(0, out, seq)
     # spawn order is parents first; placement puts a child's own
@@ -401,7 +427,7 @@ def test_pop_heads_empties_queues_and_releases_combine_residency():
 
 def test_fault_flags_cover_every_slot_of_a_down_wire():
     # arithmetic ids may give one (src, dst) wire several slots
-    links = (ids(0, 2, 1).reshape(3, 1), ids(0, 0, 1), ids(1, 1, 2))
+    links = (ids(0, 2, 1), ids(0, 0, 1), ids(1, 1, 2))
     s = make_state(
         [[0, 1], [1, 2], [0, 1]],
         last=[1, 1, 1],
@@ -418,15 +444,14 @@ def test_fault_flags_cover_every_slot_of_a_down_wire():
     assert transmit_unconstrained(s).tolist() == [0, 2]
 
 
-#: links (0,3)=0 (1,3)=1 (2,4)=2 (3,5)=3 (4,5)=4.  Packets 0 and 1 pass
-#: through node 3, packet 2 exits at 4, packet 3 waits at node 3 and
-#: exits at 5 — so with capacity 1 node 3 is full.
-CROSSING = [[0, 3, 5], [1, 3, 5], [2, 4, 4], [3, 5, 5]]
-CROSSING_LAST = [2, 2, 1, 1]
+#: links (0,3)=0 (1,3)=1 (2,4)=2 (3,5)=3.  Packets 0 and 1 pass through
+#: node 3, packet 2 exits at 4, packet 3 waits at node 3 and exits at 5
+#: — so with capacity 1 node 3 is full.
+CROSSING = [[0, 3, 5], [1, 3, 5], [2, 4], [3, 5]]
 
 
 def crossing_state(order, **kwargs) -> RunState:
-    s = make_state(CROSSING, last=CROSSING_LAST, capacity=1, **kwargs)
+    s = make_state(CROSSING, capacity=1, **kwargs)
     admit(s, ids(*order), 0)
     return s
 

@@ -37,7 +37,7 @@ from repro.routing import LeveledRouter, Packet, SynchronousEngine, collect_stat
 from repro.routing import fast_phases
 from repro.routing.fast_engine import RunArrays
 from repro.routing.metrics import stats_from_arrays
-from repro.topology import DAryButterflyLeveled, Mesh2D, StarLogicalLeveled
+from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from test_fast_engine import assert_stats_equal
 
 
@@ -58,8 +58,13 @@ def reply_stats(make_emulator, step, engine):
         seen.append(inner(router, read_hosts, values, **kwargs))
         requests = router.last_fast_run
         if requests is not None:
-            n, width = requests.paths.shape
-            assert requests.links[0].shape == (n, width - 1)
+            # flat, exact-length rows: offsets from 0 to the node count
+            # and one link id per hop of the rows, nothing past their ends
+            paths, n = requests.paths, requests.hops.size
+            assert paths.offsets.shape == (n + 1,)
+            assert paths.offsets[-1] == paths.nodes.size
+            assert requests.links[0].shape == (paths.nodes.size - n,)
+            assert (requests.hops <= paths.hops).all()
             # the emulator's read hosts are rows of the request run
             interned = route_replies_fast(
                 replace(requests, links=None), read_hosts, **kwargs
@@ -258,7 +263,7 @@ def test_undelivered_request_rows_stay_out_of_the_reply_run():
     )
     stranded = set(np.nonzero(requests.arrived < 0)[0].tolist())
     assert stranded & set(requests.absorbed_by.tolist())
-    kwargs = dict(budget=200, num_nodes=int(requests.paths.max()) + 1)
+    kwargs = dict(budget=200, num_nodes=int(requests.paths.nodes.max()) + 1)
     inherited = route_replies_fast(requests, rows_of(hosts), **kwargs)
     interned = route_replies_fast(
         replace(requests, links=None), rows_of(hosts), **kwargs
@@ -284,9 +289,9 @@ def test_a_step_interns_its_links_once(monkeypatch):
     calls = []
     inner = fast_phases.link_tables
 
-    def spy(path_arr, links, num_nodes):
-        tables = inner(path_arr, links, num_nodes)
-        calls.append((links is None, tables[1].size, path_arr[:, :-1].size))
+    def spy(paths, links, num_nodes):
+        tables = inner(paths, links, num_nodes)
+        calls.append((links is None, tables[1].size, tables[0].size))
         return tables
 
     monkeypatch.setattr(fast_phases, "link_tables", spy)
@@ -303,6 +308,97 @@ def test_a_step_interns_its_links_once(monkeypatch):
     (req_interned, req_links, req_hops), (rep_interned, rep_links, _) = calls
     assert (req_interned, rep_interned) == (True, False)
     assert rep_links == req_links <= req_hops
+
+
+def hand_built_requests(rows, hops, absorbed_by, absorbed):
+    """``RunArrays`` of a finished CRCW request run, built by hand, and the
+    reference engine's ``Packet`` view of the same run (trace = the row
+    up to its hop, children in absorption order)."""
+    widths = [len(r) for r in rows]
+    paths = FlatPaths(
+        np.asarray([v for r in rows for v in r], dtype=np.int64),
+        np.asarray([0, *np.cumsum(widths)], dtype=np.int64),
+    )
+    n = len(rows)
+    arrays = RunArrays(
+        paths=paths,
+        links=fast_phases.link_tables(paths, None, int(paths.nodes.max()) + 1),
+        hops=np.asarray(hops, dtype=np.int64),
+        arrived=np.zeros(n, dtype=np.int64),
+        injected_at=np.zeros(n, dtype=np.int64),
+        absorbed_by=np.asarray(absorbed_by, dtype=np.int64),
+        absorbed=np.asarray(absorbed, dtype=np.int64),
+        order=None,
+        steps=0,
+        completed=True,
+        max_queue=1,
+        max_node_load=1,
+        combines=len(absorbed),
+        credits_stalled=0,
+        escape_hops=0,
+        fault_stalls=0,
+        deadlock=None,
+    )
+    packets = []
+    for i, (row, k) in enumerate(zip(rows, hops)):
+        p = Packet(i, row[0], row[-1], kind="read", address=0)
+        p.trace, p.node = list(row[: k + 1]), row[k]
+        packets.append(p)
+    for h, c in zip(absorbed_by, absorbed):
+        packets[h].children = (packets[h].children or []) + [packets[c]]
+        packets[c].combined = True
+    return arrays, packets
+
+
+def assert_replies_match(rows, hops, absorbed_by, absorbed, host_rows):
+    arrays, packets = hand_built_requests(rows, hops, absorbed_by, absorbed)
+    num_nodes = int(arrays.paths.nodes.max()) + 1
+    fast = route_replies_fast(arrays, host_rows, budget=50, num_nodes=num_nodes)
+    interned = route_replies_fast(
+        replace(arrays, links=None), host_rows, budget=50, num_nodes=num_nodes
+    )
+    ref = SynchronousEngine().run(
+        build_replies([packets[i] for i in host_rows], {}),
+        reply_next_hop,
+        max_steps=50,
+        on_arrival=ReplySpawner(),
+    )
+    assert_stats_equal(fast, ref)
+    assert_stats_equal(interned, ref)
+    return fast
+
+
+def test_a_revisited_merge_node_spawns_at_its_first_visit():
+    """A same-column mesh route runs up to its random row and back down
+    the column, so its reply passes the nodes below that row twice.  The
+    child absorbed at node 2 spawns the first time the parent's reply
+    gets there — position 1, not 3 — as ``ReplySpawner`` does."""
+    fast = assert_replies_match(
+        rows=[[0, 1, 2, 3, 2, 1], [4, 3, 2]],
+        hops=[5, 2],
+        absorbed_by=[0],
+        absorbed=[1],
+        host_rows=[0],
+    )
+    # spawned at step 1, the child's reply is queued ahead of its parent's
+    # on link (2, 3) and delays it a step; spawned at the later visit it
+    # would have met nobody (5 steps, no delays)
+    assert fast.hops == [5, 2] and fast.steps == 6
+    assert fast.delays == [1, 0]
+
+
+def test_a_position_0_trigger_on_a_short_row_beside_a_long_one():
+    """Rows of every length side by side: a one-hop child whose reply
+    starts where its own child was absorbed (a trigger at position 0 of
+    the short row) next to long rows, a host that never moved, and a
+    grandchild deep in the forest."""
+    assert_replies_match(
+        rows=[[0, 1, 2, 3, 4], [9], [6, 2], [10, 11, 12, 13, 14, 2], [7, 11]],
+        hops=[4, 0, 1, 5, 1],
+        absorbed_by=[0, 2, 3],
+        absorbed=[2, 3, 4],
+        host_rows=[0, 1],
+    )
 
 
 # ---- the array-backed stats constructor -------------------------------------
@@ -353,7 +449,7 @@ def test_missing_merge_node_is_a_typed_error():
     been absorbed by request 0 at node 7, which request 0 never visited —
     name the rows and the node instead of a bare RuntimeError."""
     empty = np.empty(0, dtype=np.int64)
-    paths = np.asarray([[0, 1, 2], [5, 6, 7]], dtype=np.int64)
+    paths = FlatPaths.from_matrix([[0, 1, 2], [5, 6, 7]])
     requests = RunArrays(
         paths=paths,
         links=fast_phases.link_tables(paths, None, 8),

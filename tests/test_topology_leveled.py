@@ -11,6 +11,7 @@ from repro.topology import (
     ShuffleLeveled,
     StarLogicalLeveled,
 )
+from repro.topology.star import perm_unrank
 
 
 def _count_paths(net, src: int, dst: int) -> int:
@@ -203,3 +204,40 @@ def test_unique_path_ending_on_the_wrong_row_is_a_route_stall():
     with pytest.raises(RouteStalledError) as err:
         Stuck(2, 2).unique_path(0, 3)
     assert (err.value.node, err.value.dest) == (0, 3)
+
+
+def _unstaged_star_pair(net):
+    """A (node, dest) pair that reaches the star's level 1 without its
+    symbol staged at the front: only a broken level 0 could hand it on."""
+    n = net.n
+    for node in range(net.column_size):
+        for dest in range(net.column_size):
+            sym = perm_unrank(dest, n)[n - 1]
+            cur = perm_unrank(node, n)
+            if cur[n - 1] != sym and cur[0] != sym:
+                return node, dest
+    raise AssertionError("no unstaged pair")
+
+
+def test_star_canonical_step_off_its_invariant_is_a_route_stall():
+    """``StarLogicalLeveled.unique_next`` on a node whose symbol is not
+    staged raises the typed ``RouteStalledError`` (where it was, where
+    it was headed), not a bare ``RuntimeError``."""
+    net = StarLogicalLeveled(4)
+    node, dest = _unstaged_star_pair(net)
+    with pytest.raises(RouteStalledError) as err:
+        net.unique_next(1, node, dest)
+    assert (err.value.node, err.value.dest, err.value.packet) == (node, dest, None)
+
+
+def test_star_canonical_batch_off_its_invariant_names_the_first_bad_row():
+    """The batch form raises the same type and names the first offending
+    row of its input as ``packet``."""
+    net = StarLogicalLeveled(4)
+    node, dest = _unstaged_star_pair(net)
+    # rows 0-2 are settled (already at their destination), row 3 is not
+    rows = np.asarray([5, 6, 7, node, node], dtype=np.int64)
+    dests = np.asarray([5, 6, 7, dest, dest], dtype=np.int64)
+    with pytest.raises(RouteStalledError) as err:
+        net.unique_next_batch(1, rows, dests)
+    assert (err.value.node, err.value.dest, err.value.packet) == (node, dest, 3)

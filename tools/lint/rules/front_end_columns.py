@@ -59,7 +59,7 @@ class FrontEndColumnsRule(FileRule):
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.relpath.startswith(ENGINE_PATH):
             banned, why = PACKET_OBJECTS, (
-                "built in the fast engine; it routes rows of a path matrix "
+                "built in the fast engine; it routes rows of flat paths "
                 "— convert a caller's list in routing/packet.py "
                 "(combine_groups_of / injection_times / write_back)"
             )
