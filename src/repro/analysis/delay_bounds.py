@@ -48,6 +48,21 @@ def total_delay_tail(levels: int, degree: int, delta: int) -> float:
     return min(1.0, math.exp(delta * (1.0 + math.log(s / delta))))
 
 
+class TailBoundError(RuntimeError):
+    """:func:`routing_time_bound` found no δ below 10,000 at which the
+    union-bounded tail drops under *failure_prob* (ℓ²/d ≥ 10,000 bounds
+    every such tail by 1).  Carries the arguments."""
+
+    def __init__(self, levels: int, degree: int, failure_prob: float) -> None:
+        super().__init__(
+            f"tail bound did not converge for levels={levels}, "
+            f"degree={degree}, failure_prob={failure_prob}"
+        )
+        self.levels = levels
+        self.degree = degree
+        self.failure_prob = failure_prob
+
+
 def routing_time_bound(levels: int, degree: int, failure_prob: float) -> float:
     """Smallest T = 2ℓ + δ with total_delay_tail(δ) * (packets) <= target.
 
@@ -63,7 +78,7 @@ def routing_time_bound(levels: int, degree: int, failure_prob: float) -> float:
         if total_delay_tail(levels, degree, delta) * n_packets <= failure_prob:
             return 2 * levels + delta
         delta += 1
-    raise RuntimeError("tail bound did not converge")  # pragma: no cover
+    raise TailBoundError(levels, degree, failure_prob)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The PRAM model: machine, memory, variants, programs, traces (§1)."""
 
-from repro.pram.machine import PRAM, Read, Write, run_program
+from repro.pram.machine import PRAM, PRAMStepLimitError, Read, Write, run_program
 from repro.pram.memory import SharedMemory
 from repro.pram.programs import (
     ALL_PROGRAM_BUILDERS,
@@ -40,6 +40,7 @@ __all__ = [
     "ConcurrentAccessError",
     "MemoryTrace",
     "PRAM",
+    "PRAMStepLimitError",
     "ProgramSpec",
     "Read",
     "ReadRequest",

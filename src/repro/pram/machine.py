@@ -53,6 +53,20 @@ class Write:
 ProgramFactory = Callable[[int, int], Generator]
 
 
+class PRAMStepLimitError(RuntimeError):
+    """:meth:`PRAM.run` reached *max_steps* with processors still live:
+    a program that does not halt, or a budget below its running time.
+    Terminal; carries the budget and how many processors were live."""
+
+    def __init__(self, max_steps: int, live_processors: int) -> None:
+        super().__init__(
+            f"PRAM exceeded {max_steps} steps with {live_processors} "
+            "processors live"
+        )
+        self.max_steps = max_steps
+        self.live_processors = live_processors
+
+
 class PRAM:
     """An N-processor PRAM over an M-cell shared memory."""
 
@@ -186,7 +200,8 @@ class PRAM:
         max_steps: int = 100_000,
         check_races: bool | AccessMode | None = None,
     ) -> MemoryTrace:
-        """Step until every processor halts (or raise past *max_steps*).
+        """Step until every processor halts (or raise
+        :class:`PRAMStepLimitError` past *max_steps*).
 
         ``check_races`` turns on the conflict sanitizer
         (:class:`repro.analysis.races.ConflictChecker`, fed step by step
@@ -212,10 +227,7 @@ class PRAM:
             checker = ConflictChecker()
         while self.live_processors > 0:
             if self.steps_executed >= max_steps:
-                raise RuntimeError(
-                    f"PRAM exceeded {max_steps} steps with "
-                    f"{self.live_processors} processors live"
-                )
+                raise PRAMStepLimitError(max_steps, self.live_processors)
             step = self.step()
             if checker is not None and step is not None:
                 reports.extend(checker.check_step(self.steps_executed - 1, step))

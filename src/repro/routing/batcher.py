@@ -29,6 +29,21 @@ from repro.routing.metrics import RoutingStats
 from repro.topology.hypercube import Hypercube
 
 
+class BitonicSortError(RuntimeError):
+    """The compare-exchange network left the destinations unsorted:
+    node *index* is the first whose key is not its own id, and *key* the
+    destination it holds.  A correct bitonic network sorts every
+    permutation, so this is a bug, terminal."""
+
+    def __init__(self, index: int, key: int) -> None:
+        super().__init__(
+            f"bitonic network failed to sort the permutation: node {index} "
+            f"holds destination {key}"
+        )
+        self.index = index
+        self.key = key
+
+
 def bitonic_stage_count(k: int) -> int:
     """Compare-exchange rounds of a bitonic sorter over 2**k keys."""
     return k * (k + 1) // 2
@@ -71,8 +86,9 @@ def bitonic_route(
             keys = new_keys
             stages += 1
 
-    if not np.array_equal(keys, idx):
-        raise RuntimeError("bitonic network failed to sort the permutation")
+    if not np.array_equal(keys, idx):  # pragma: no cover - the network sorts
+        bad = int(np.argmax(keys != idx))
+        raise BitonicSortError(bad, int(keys[bad]))
 
     hops = [stages] * n
     return RoutingStats(

@@ -145,6 +145,22 @@ class DeadlockError(RuntimeError):
         self.stats = stats
 
 
+class EscapeDoubleBookedError(RuntimeError):
+    """An escape buffer was booked twice: :meth:`CreditState.occupy`
+    found *link*'s buffer held by *occupant* when *incoming* claimed it.
+    The engines allow one transmission per link per step, so this is a
+    protocol bug, terminal; the standing booking is left as it was."""
+
+    def __init__(self, link: Hashable, occupant, incoming) -> None:
+        super().__init__(
+            f"escape buffer of link {link!r} double-booked: held by "
+            f"{occupant!r}, claimed again by {incoming!r}"
+        )
+        self.link = link
+        self.occupant = occupant
+        self.incoming = incoming
+
+
 def no_progress_detail(
     t: int, remaining: int, queued_links: int, fc: "CreditState | None"
 ) -> str:
@@ -204,8 +220,8 @@ class CreditState:
         self.escape_hops += 1
 
     def occupy(self, link: Hashable, occupant, next_link: Hashable) -> None:
-        if link in self.escape_at:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"escape buffer of link {link!r} double-booked")
+        if link in self.escape_at:
+            raise EscapeDoubleBookedError(link, self.escape_at[link], occupant)
         self.escape_at[link] = occupant
         self.escape_next[link] = next_link
 

@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.routing.greedy import GreedyRouter
 from repro.routing.router import Router
-from repro.topology.star import StarGraph
+from repro.topology.star import (
+    StarGraph,
+    lexicographic_perms,
+    perm_keys,
+    perm_rank_batch,
+)
 
 
 class StarRouter(GreedyRouter):
@@ -56,11 +61,8 @@ def adversarial_star_permutation(star: StarGraph) -> np.ndarray:
     Every node routes to its "reversal-rotation" image: the permutation
     label reversed.  Reversal concentrates traffic through the identity
     region of the graph under the greedy cycle algorithm, creating hot
-    links — the classical motivation for Valiant's random phase.
+    links — the classical motivation for Valiant's random phase.  Built
+    as one batch rank of the reversed label table.
     """
-    n = star.n
-    out = np.empty(star.num_nodes, dtype=np.int64)
-    for v in range(star.num_nodes):
-        perm = star.label(v)
-        out[v] = star.node_id(tuple(reversed(perm)))
-    return out
+    labels = lexicographic_perms(star.n)
+    return perm_rank_batch(labels[:, ::-1], perm_keys(labels))

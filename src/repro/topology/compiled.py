@@ -27,6 +27,9 @@ Leveled compilation in detail:
   ``trace`` and link-fault keys all use it;
 * per-level **out-neighbor tables** (``(N, d)`` arrays) replace
   ``out_neighbors`` calls, so a pre-drawn coin becomes one array gather;
+  every built-in family builds them in closed form (the star's from the
+  permutation kernels of :mod:`repro.topology.star`), so compiling a
+  network costs O(d) numpy calls, not N Python ones;
 * :meth:`build_paths` rolls a whole packet population's trajectories
   forward level by level with ``unique_next_batch`` — the entire routing
   plan for N packets is produced by ~2L vectorized operations.

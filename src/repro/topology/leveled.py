@@ -33,7 +33,14 @@ import numpy as np
 
 from repro.topology.base import RouteStalledError
 from repro.topology.shuffle import DWayShuffle
-from repro.topology.star import StarGraph, perm_rank, perm_unrank, swap_j
+from repro.topology.star import (
+    StarGraph,
+    lexicographic_perms,
+    perm_keys,
+    perm_rank,
+    perm_unrank,
+    swap_j,
+)
 
 
 class LeveledNetwork(ABC):
@@ -80,8 +87,10 @@ class LeveledNetwork(ABC):
 
         Column order matches :meth:`out_neighbors` so a pre-drawn coin c
         selects the same bridge as ``out_neighbors(level, r)[c]``.
-        Subclasses override with closed-form vectorized constructions;
-        this generic fallback loops once per row.
+        Every built-in family (butterfly, shuffle, star) overrides this
+        with a closed-form vectorized construction; this generic
+        fallback loops once per row and serves user-defined networks
+        only.
         """
         self.validate_level(level)
         if not self.uniform_out_degree:
@@ -329,12 +338,20 @@ class StarLogicalLeveled(LeveledNetwork):
     def out_neighbor_table(self, level: int) -> np.ndarray:
         # The star's logical links are the same at every stage, so one
         # table (self link + n-1 swaps per node) serves all levels.
+        # SWAP_j exchanges base-n digits 0 and j of a row's key (see
+        # repro.topology.star.perm_keys), so column j is one key update
+        # and one sorted lookup into the keys, which ascend with rank.
         self.validate_level(level)
         if self._nbr_table is None:
-            table = np.empty((self.column_size, self.n), dtype=np.int64)
-            for node in range(self.column_size):
-                table[node, 0] = node
-                table[node, 1:] = self.star.neighbors(node)
+            n = self.n
+            perm = self._symbol_tables()[0]
+            keys = perm_keys(perm)
+            weight = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+            table = np.empty((self.column_size, n), dtype=np.int64)
+            table[:, 0] = np.arange(self.column_size, dtype=np.int64)
+            for j in range(1, n):
+                swapped = keys + (perm[:, j] - perm[:, 0]) * (weight[0] - weight[j])
+                table[:, j] = np.searchsorted(keys, swapped)
             self._nbr_table = table
         return self._nbr_table
 
@@ -363,19 +380,18 @@ class StarLogicalLeveled(LeveledNetwork):
         """``(perm, pos)`` lookup tables over all N = n! nodes.
 
         ``perm[v, i]`` is the symbol at position i of node v's label and
-        ``pos[v, s]`` the position of symbol s (the inverse row).  One
-        O(N n) Lehmer sweep replaces the per-pair unrank/rank arithmetic
-        the generic ``unique_next_batch`` fallback had to memoize.
+        ``pos[v, s]`` the position of symbol s (the inverse row).  Both
+        are closed-form — ``perm`` is
+        :func:`~repro.topology.star.lexicographic_perms` (the Lehmer rank
+        is the lexicographic rank), ``pos`` one scatter of it — and
+        replace the per-pair unrank/rank arithmetic the generic
+        ``unique_next_batch`` fallback had to memoize.
         """
         if self._perm_table is None:
-            n = self.n
-            N = self.column_size
-            perm = np.empty((N, n), dtype=np.int64)
-            for v in range(N):
-                perm[v] = perm_unrank(v, n)
+            perm = lexicographic_perms(self.n)
             pos = np.empty_like(perm)
             np.put_along_axis(
-                pos, perm, np.arange(n, dtype=np.int64)[None, :], axis=1
+                pos, perm, np.arange(self.n, dtype=np.int64)[None, :], axis=1
             )
             self._perm_table = perm
             self._pos_table = pos

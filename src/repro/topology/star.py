@@ -7,13 +7,25 @@ Degree n-1, diameter ``floor(3(n-1)/2)`` — sub-logarithmic in N = n!, which
 is what makes the paper's emulation result interesting.
 
 Permutations are encoded as dense ids via the Lehmer code so the routing
-engine sees plain integers.
+engine sees plain integers.  The scalar :func:`perm_rank` /
+:func:`perm_unrank` are the reference; numpy kernels beside them build
+whole tables in closed form:
+
+* :func:`lexicographic_perms` — the ``(n!, n)`` label table in rank
+  order (the Lehmer rank is the lexicographic rank), filled in place
+  block by block with no per-node Python work;
+* :func:`perm_keys` / :func:`perm_rank_batch` — a permutation's base-n
+  key ascends with its rank, so one ``searchsorted`` into the table's
+  keys ranks any batch of rows, and a ``SWAP_j`` image's key is an O(1)
+  update of its row's key.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from repro.topology.base import Topology
 
@@ -51,6 +63,48 @@ def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
         idx, rank = divmod(rank, f)
         out.append(available.pop(idx))
     return tuple(out)
+
+
+def lexicographic_perms(n: int) -> np.ndarray:
+    """Every permutation of ``0..n-1`` as an ``(n!, n)`` int64 table in
+    rank order: row r is ``perm_unrank(r, n)``.
+
+    Filled in place, suffix by suffix: the table of the last k columns
+    is k blocks of (k-1)! rows, block s holding symbol s in front of the
+    (k-1)-symbol table with every entry >= s bumped by one.  That
+    (k-1)-table already sits in block 0's tail, so blocks k-1 .. 1 are
+    written from it first and block 0 is bumped last.  O(n! n) numpy
+    work in O(n^2) calls; no Python tuple is built.
+    """
+    fact = _factorials(n)
+    out = np.zeros((fact[n], n), dtype=np.int64)
+    for k in range(2, n + 1):
+        f = fact[k - 1]
+        col = n - k
+        sub = out[:f, col + 1 :]
+        for s in range(k - 1, 0, -1):
+            block = out[s * f : (s + 1) * f]
+            np.add(sub, sub >= s, out=block[:, col + 1 :])
+            block[:, col] = s
+        sub += 1
+        out[:f, col] = 0
+    return out
+
+
+def perm_keys(perms: np.ndarray) -> np.ndarray:
+    """Base-n key of each row of *perms* (permutations of ``0..n-1``):
+    ``sum(perms[:, i] * n**(n-1-i))``.  Every digit is below n, so keys
+    order rows lexicographically, i.e. they ascend with rank."""
+    perms = np.asarray(perms, dtype=np.int64)
+    n = perms.shape[1]
+    return perms @ (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def perm_rank_batch(perms: np.ndarray, table_keys: np.ndarray) -> np.ndarray:
+    """:func:`perm_rank` of every row of *perms*: one ``searchsorted`` of
+    their keys into *table_keys*, the :func:`perm_keys` of
+    ``lexicographic_perms(n)``."""
+    return np.searchsorted(table_keys, perm_keys(perms))
 
 
 def swap_j(perm: tuple[int, ...], j: int) -> tuple[int, ...]:

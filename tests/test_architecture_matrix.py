@@ -18,6 +18,7 @@ and that queue state is per link, never per (link, priority class).
 
 import ast
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -676,3 +677,37 @@ def test_an_emulator_has_one_verb_and_one_builder_of_its_shared_state():
         tree = ast.parse((SRC / module).read_text())
         assert not self_assigned(tree) & shared, module
         assert not _calls(tree) & constructed, module
+
+
+# ---------------------------------------------------------------------------
+# the star's tables are closed-form: no per-node loop
+# ---------------------------------------------------------------------------
+
+
+def test_the_star_tables_have_no_per_node_loop():
+    """``StarLogicalLeveled``'s neighbor and symbol tables and
+    ``adversarial_star_permutation`` are built by the numpy kernels of
+    ``topology/star.py``: no loop or comprehension over the N = n! nodes
+    (the loops left run over symbols and swap columns), and no call of
+    the scalar per-node functions, which stay as the tests' reference."""
+    leveled = ast.parse((SRC / "topology/leveled.py").read_text())
+    (star,) = [
+        c for c in ast.walk(leveled)
+        if isinstance(c, ast.ClassDef) and c.name == "StarLogicalLeveled"
+    ]
+    builders = [
+        f for f in star.body
+        if isinstance(f, FUNCTIONS) and f.name in ("out_neighbor_table", "_symbol_tables")
+    ]
+    builders += [
+        _function("routing/star_router.py", "adversarial_star_permutation"),
+        _function("topology/star.py", "lexicographic_perms"),
+        _function("topology/star.py", "perm_rank_batch"),
+    ]
+    assert len(builders) == 5
+    per_node = {"column_size", "num_nodes", "N", "fact"}
+    scalar = {"perm_unrank", "perm_rank", "neighbors", "label", "node_id", "swap_j"}
+    for fn in builders:
+        for loop in _loops(fn):
+            assert not per_node & set(re.findall(r"\w+", loop)), (fn.name, loop)
+        assert not _calls(fn) & scalar, fn.name

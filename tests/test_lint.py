@@ -24,6 +24,7 @@ from tools.lint.framework import (
     default_rules,
     run_lint,
 )
+from tools.lint.rules.bare_raise import BareRaiseRule
 from tools.lint.rules.emulator_contract import EmulatorContractRule
 from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
 from tools.lint.rules.front_end_columns import FrontEndColumnsRule
@@ -635,6 +636,48 @@ class TestFrontEndColumnsRule:
 
 
 # ---------------------------------------------------------------------------
+# REPRO010 bare raise
+# ---------------------------------------------------------------------------
+
+class TestBareRaiseRule:
+    def test_bare_raises_flagged_called_or_not_bare_or_dotted(self):
+        src = """
+            import builtins
+            def f(x):
+                if x:
+                    raise RuntimeError("no")
+                if x > 1:
+                    raise AssertionError
+                raise builtins.RuntimeError(f"x={x}") from None
+        """
+        vs = _check(BareRaiseRule(), src)
+        assert sorted(v.line for v in vs) == [5, 7, 8]
+        assert all("typed subclass" in v.message for v in vs)
+
+    def test_typed_subclasses_and_reraise_are_the_clean_forms(self):
+        src = """
+            class StepLimitError(RuntimeError):
+                pass
+            def f(x):
+                try:
+                    g()
+                except RuntimeError:
+                    raise
+                if x:
+                    raise ValueError(x)
+                raise StepLimitError(x)
+        """
+        assert _check(BareRaiseRule(), src) == []
+
+    def test_scope_is_the_library(self):
+        rule = BareRaiseRule()
+        for rel in ("src/repro/pram/machine.py", "src/repro/routing/batcher.py"):
+            assert rule.applies_to(rel)
+        for rel in ("tests/test_x.py", "tools/residue_census.py", "benchmarks/gate.py"):
+            assert not rule.applies_to(rel)
+
+
+# ---------------------------------------------------------------------------
 # framework: suppressions, scoping, CLI
 # ---------------------------------------------------------------------------
 
@@ -670,6 +713,7 @@ class TestFramework:
             "REPRO007",
             "REPRO008",
             "REPRO009",
+            "REPRO010",
         ]
 
     def test_cli_clean_tree_exits_zero(self):
@@ -720,6 +764,7 @@ class TestFramework:
             "REPRO007",
             "REPRO008",
             "REPRO009",
+            "REPRO010",
         ):
             assert rid in proc.stdout
 

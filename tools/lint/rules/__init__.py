@@ -20,10 +20,13 @@ Rule catalog (docs/static_analysis.md has the long-form version):
   sharding, the emulators' shared pipeline) construct no
   ``TrafficRequest`` / ``ReadRequest`` / ``WriteRequest`` / ``StepTrace``,
   and the fast engine's two modules no ``Packet``.
+* REPRO010 ``bare-raise`` — no bare ``RuntimeError`` / ``AssertionError``
+  raise in ``src/repro``: failures are typed subclasses.
 """
 
 from __future__ import annotations
 
+from tools.lint.rules.bare_raise import BareRaiseRule
 from tools.lint.rules.emulator_contract import EmulatorContractRule
 from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
 from tools.lint.rules.front_end_columns import FrontEndColumnsRule
@@ -43,10 +46,12 @@ ALL_RULES = [
     MetricNamesRule,
     EmulatorContractRule,
     FrontEndColumnsRule,
+    BareRaiseRule,
 ]
 
 __all__ = [
     "ALL_RULES",
+    "BareRaiseRule",
     "EmulatorContractRule",
     "EventKindOrderRule",
     "FrontEndColumnsRule",
