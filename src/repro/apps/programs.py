@@ -58,7 +58,7 @@ def connected_components(graph: Graph) -> "ProgramSpec":
     the hook phase and vertex p in the shortcut phase.  Each round is 10
     lockstep steps (4 hook + 3 shortcut + 3 flag).
     """
-    from repro.pram.programs import ProgramSpec
+    from repro.pram.programs import ProgramSpec, check_oracle
 
     n, m = graph.n, graph.m
     flag = n + 2 * m
@@ -124,7 +124,7 @@ def connected_components(graph: Graph) -> "ProgramSpec":
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(v) for v in range(n)]
-        assert got == expected, f"components {got} != {expected}"
+        check_oracle("connected-components", got, expected)
 
     init: dict[int, object] = {v: v for v in range(n)}
     for i, (u, v) in enumerate(graph.edges):
@@ -156,7 +156,7 @@ def matching_components(graph: Graph) -> "ProgramSpec":
     shortcut rounds (a matching converges after one; the second is the
     quiet read-only pass), no flag phase.
     """
-    from repro.pram.programs import ProgramSpec
+    from repro.pram.programs import ProgramSpec, check_oracle
 
     n, m = graph.n, graph.m
     degree = [0] * n
@@ -211,7 +211,7 @@ def matching_components(graph: Graph) -> "ProgramSpec":
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(v) for v in range(n)]
-        assert got == expected, f"components {got} != {expected}"
+        check_oracle("matching-components", got, expected)
 
     init: dict[int, object] = {v: v for v in range(n)}
     for i, (u, v) in enumerate(graph.edges):
@@ -260,7 +260,7 @@ def bisimulation(lts: LTS) -> "ProgramSpec":
     cell itself one step earlier) — stale entries from prior rounds are
     never consulted and the table needs no reset phase.
     """
-    from repro.pram.programs import ProgramSpec
+    from repro.pram.programs import ProgramSpec, check_oracle
 
     n, n_labels = lts.n_states, lts.n_labels
     radix = n + 1
@@ -302,7 +302,7 @@ def bisimulation(lts: LTS) -> "ProgramSpec":
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(s) for s in range(n)]
-        assert got == expected, f"partition {got} != {expected}"
+        check_oracle("bisimulation", got, expected)
 
     init: dict[int, object] = {s: lts.obs[s] for s in range(n)}
     for s in range(n):

@@ -20,6 +20,40 @@ from repro.pram.machine import PRAM, Read, Write, run_program
 from repro.pram.variants import AccessMode, WritePolicy
 
 
+class OracleMismatchError(AssertionError):
+    """A program's result disagrees with its sequential oracle.
+
+    Raised by every verifier in the program library (and the
+    applications' in :mod:`repro.apps.programs`) through
+    :func:`check_oracle`, an explicit ``raise`` that ``python -O``
+    cannot strip the way it strips an ``assert``.  Carries
+    ``program``, ``expected``, ``got`` and ``index``: the first
+    position where two sequences differ (their common length when one
+    is a prefix of the other), ``None`` for scalar results.  An
+    ``AssertionError`` subclass, so ``except AssertionError`` callers
+    keep working.
+    """
+
+    def __init__(self, program: str, expected, got) -> None:
+        self.program = program
+        self.expected = expected
+        self.got = got
+        self.index = None
+        if isinstance(expected, list) and isinstance(got, list):
+            self.index = next(
+                (i for i, (e, g) in enumerate(zip(expected, got)) if e != g),
+                min(len(expected), len(got)),
+            )
+        where = "" if self.index is None else f" (first difference at index {self.index})"
+        super().__init__(f"{program}: got {got!r}, expected {expected!r}{where}")
+
+
+def check_oracle(program: str, got, expected) -> None:
+    """Raise :class:`OracleMismatchError` unless ``got == expected``."""
+    if got != expected:
+        raise OracleMismatchError(program, expected, got)
+
+
 @dataclass
 class ProgramSpec:
     """A runnable, verifiable PRAM workload."""
@@ -32,7 +66,7 @@ class ProgramSpec:
     init: dict[int, object] = field(default_factory=dict)
     write_policy: WritePolicy = WritePolicy.COMMON
     combine_op: str = "sum"
-    #: verifier(memory_snapshot_fn) -> None, raises AssertionError on failure
+    #: verifier(pram) -> None, raises OracleMismatchError on failure
     verify: Callable[[PRAM], None] | None = None
 
     def run(
@@ -86,9 +120,7 @@ def parallel_sum(values: Sequence[float]) -> ProgramSpec:
             stride *= 2
 
     def verify(pram: PRAM) -> None:
-        assert pram.memory.read(0) == total, (
-            f"sum: got {pram.memory.read(0)}, want {total}"
-        )
+        check_oracle("parallel-sum", pram.memory.read(0), total)
 
     return ProgramSpec(
         name="parallel-sum",
@@ -133,7 +165,7 @@ def prefix_sum(values: Sequence[float]) -> ProgramSpec:
     def verify(pram: PRAM) -> None:
         base = buf(rounds)
         got = [pram.memory.read(base + i) for i in range(n)]
-        assert got == expected, f"scan mismatch: {got} != {expected}"
+        check_oracle("prefix-sum", got, expected)
 
     return ProgramSpec(
         name="prefix-sum",
@@ -168,7 +200,7 @@ def broadcast(n: int, value: object = 42) -> ProgramSpec:
 
     def verify(pram: PRAM) -> None:
         vals = [pram.memory.read(i) for i in range(n)]
-        assert all(v == value for v in vals), f"broadcast incomplete: {vals}"
+        check_oracle("broadcast", vals, [value] * n)
 
     return ProgramSpec(
         name="broadcast",
@@ -198,7 +230,7 @@ def boolean_or(bits: Sequence[int]) -> ProgramSpec:
             yield None
 
     def verify(pram: PRAM) -> None:
-        assert pram.memory.read(n) == expected
+        check_oracle("boolean-or", pram.memory.read(n), expected)
 
     return ProgramSpec(
         name="boolean-or",
@@ -238,7 +270,7 @@ def find_max(values: Sequence[float]) -> ProgramSpec:
                 yield None
 
     def verify(pram: PRAM) -> None:
-        assert pram.memory.read(2 * n) == expected
+        check_oracle("find-max", pram.memory.read(2 * n), expected)
 
     return ProgramSpec(
         name="find-max",
@@ -292,7 +324,7 @@ def list_ranking(next_ptrs: Sequence[int]) -> ProgramSpec:
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(n + i) for i in range(n)]
-        assert got == expected, f"ranks {got} != {expected}"
+        check_oracle("list-ranking", got, expected)
 
     init: dict[int, object] = dict(enumerate(next_ptrs))
     for i in range(n):
@@ -336,7 +368,7 @@ def matrix_multiply(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) 
             [pram.memory.read(2 * k * k + i * k + j) for j in range(k)]
             for i in range(k)
         ]
-        assert got == expected
+        check_oracle("matrix-multiply", got, expected)
 
     init: dict[int, object] = {}
     for i in range(k):
@@ -383,7 +415,7 @@ def odd_even_sort(values: Sequence[float]) -> ProgramSpec:
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(i) for i in range(n)]
-        assert got == expected, f"sort failed: {got}"
+        check_oracle("odd-even-sort", got, expected)
 
     return ProgramSpec(
         name="odd-even-sort",
@@ -415,7 +447,7 @@ def histogram(keys: Sequence[int], n_bins: int) -> ProgramSpec:
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(n + b) for b in range(n_bins)]
-        assert got == expected, f"histogram {got} != {expected}"
+        check_oracle("histogram", got, expected)
 
     return ProgramSpec(
         name="histogram",

@@ -29,10 +29,20 @@ hash-based memory distribution exactly where Hanlon's "large memory
 from small ones" analysis predicts contention, and bursty arrivals
 (:class:`BurstyArrivals`, an on/off MMPP) exercise sustained
 multi-round operation instead of one-shot batches.
+
+No key law holds a table over the address space: the emulated memory
+is sparse (a dict), and a generator that allocated O(M) floats would
+undo what hashing M cells over small modules is for.
+:class:`ZipfKeys` inverts its CDF from the first ``2**15`` ranks plus
+two floats per 32-rank tail block (0.73 MB at M = ``2**20``, where the
+dense CDF was 8 MB), recomputing a tail block at draw time, and draws
+exactly the keys the dense inversion would.  Constructors reject
+non-finite and negative rates and exponents by name.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -158,6 +168,13 @@ class RequestBatch:
 # ---- arrival processes -----------------------------------------------------
 
 
+def _check_rate(name: str, value: float) -> float:
+    """*value* as a float, or ``ValueError`` naming *name* (NaN fails ``value < 0`` too)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 class ArrivalProcess(ABC):
     """How many requests arrive in each epoch (an open-loop source)."""
 
@@ -174,9 +191,7 @@ class DeterministicArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        self.rate = float(rate)
+        self.rate = _check_rate("rate", rate)
 
     def counts(self, epochs: int, rng: np.random.Generator) -> np.ndarray:
         marks = np.floor(self.rate * np.arange(epochs + 1, dtype=np.float64))
@@ -187,9 +202,7 @@ class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals: epoch counts ~ Poisson(rate), independent."""
 
     def __init__(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        self.rate = float(rate)
+        self.rate = _check_rate("rate", rate)
 
     def counts(self, epochs: int, rng: np.random.Generator) -> np.ndarray:
         return rng.poisson(self.rate, size=epochs).astype(np.int64)
@@ -214,12 +227,10 @@ class BurstyArrivals(ArrivalProcess):
         p_exit_off: float = 0.2,
         start_on: bool = True,
     ) -> None:
-        if on_rate < 0 or off_rate < 0:
-            raise ValueError("rates must be >= 0")
+        self.on_rate = _check_rate("on_rate", on_rate)
+        self.off_rate = _check_rate("off_rate", off_rate)
         if not (0 < p_exit_on <= 1 and 0 < p_exit_off <= 1):
             raise ValueError("state-exit probabilities must be in (0, 1]")
-        self.on_rate = float(on_rate)
-        self.off_rate = float(off_rate)
         self.p_exit_on = float(p_exit_on)
         self.p_exit_off = float(p_exit_off)
         self.start_on = start_on
@@ -268,28 +279,103 @@ class ZipfKeys(KeyDistribution):
 
     Address 0 is the hottest (rank 1), address 1 the next, and so on —
     a deterministic rank layout, so a run's hot set is known a priori
-    and two streams with equal seeds agree address for address.  Drawn
-    by inverting a precomputed CDF (one ``searchsorted`` per batch),
-    truncated to the address space: the bounded analogue of the classic
+    and two streams with equal seeds agree address for address.
+    Truncated to the address space: the bounded analogue of the classic
     Zipf law, the standard skewed-popularity model for cache and
     key-value workloads.
+
+    Drawn by inverting the CDF without holding it.  The address space
+    stays sparse (the emulated memory is a dict), so the key law must
+    not cost O(M) memory either.  One chunked pass over the ranks, at
+    most ``2**16`` at a time, keeps two tables:
+
+    * the normalised CDF of the first ``2**15`` ranks (the *head*,
+      87 % of Zipf(1.1) draws at M = ``2**20``);
+    * for every 32-rank tail block, its normalised last value and the
+      raw partial sum just before it.
+
+    That is O(2^15 + M/16) floats.  A draw runs one ``searchsorted``
+    over head ++ block ends; a key past the head recomputes its
+    block's 32 weights and running sums from the stored raw start,
+    divides by the same total and counts the values <= u.
+
+    The result equals the dense ``searchsorted(cdf, u, side="right")``
+    bit for bit, from the same single ``rng.random(k)`` call: numpy's
+    float64 ``**`` is elementwise, so a weight does not depend on the
+    array it is computed in; ``np.cumsum`` (``np.add.accumulate``) is a
+    sequential accumulate,
+    so a sum restarted from a stored partial sum (``w[0] += prev`` is
+    ``prev + w[0]``) reproduces every later partial sum; and every
+    value is divided by the same total.  Weights come from numpy
+    arrays only — Python's ``float ** -s`` rounds differently.
     """
+
+    #: ranks whose CDF values are held (the head)
+    _HEAD = 1 << 15
+    #: ranks per tail block, recomputed at draw time
+    _BLOCK = 32
+    #: ranks per chunk of the build pass (head and chunk are multiples of the block)
+    _CHUNK = 1 << 16
 
     def __init__(self, address_space: int, exponent: float = 1.1) -> None:
         super().__init__(address_space)
-        if exponent <= 0:
-            raise ValueError("exponent must be > 0")
+        if not (math.isfinite(exponent) and exponent > 0):
+            raise ValueError(f"exponent must be finite and > 0, got {exponent!r}")
         self.exponent = float(exponent)
-        weights = np.arange(1, self.address_space + 1, dtype=np.float64)
-        weights **= -self.exponent
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        self._cdf = cdf
+        m, block = self.address_space, self._BLOCK
+        head = min(self._HEAD, m)
+        n_blocks = -(-(m - head) // block)
+        head_sums = np.empty(head)
+        # marks[j] is the raw partial sum just before tail block j; marks[-1] the total
+        marks = np.empty(n_blocks + 1)
+        total = 0.0
+        for lo in range(0, m, self._CHUNK):
+            sums = np.arange(lo + 1, min(lo + self._CHUNK, m) + 1, dtype=np.float64)
+            sums **= -self.exponent
+            sums[0] += total
+            np.cumsum(sums, out=sums)
+            total = sums[-1]
+            if lo < head:
+                head_sums[lo:] = sums[: head - lo]
+            if n_blocks:
+                # a mark sits at each rank p = head - 1 + block*j, i.e. at
+                # every block-th rank of an aligned chunk from p = head - 1 on
+                # (with a tail, head is _HEAD: a multiple of the block)
+                skip = max(0, (head - lo) // block - 1)
+                ends = sums[block - 1 :: block][skip:]
+                j = (lo - head) // block + skip + 1
+                marks[j : j + ends.size] = ends
+        marks[-1] = total
+        self._head = head
+        self._table = np.concatenate((head_sums, marks[1:])) / total
+        self._marks = marks
+        self._total = total
+        # a block's ranks (key + 1) as offsets from its first key
+        self._ranks = np.arange(1, block + 1, dtype=np.float64)
 
     def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        return np.searchsorted(self._cdf, rng.random(k), side="right").astype(
-            np.int64
-        )
+        u = rng.random(k)
+        keys = np.searchsorted(self._table, u, side="right")
+        if self._marks.size > 1:
+            past = np.flatnonzero(keys >= self._head)
+            if past.size:
+                keys[past] = self._block_keys(keys[past], u[past])
+        return keys.astype(np.int64, copy=False)
+
+    def _block_keys(self, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The keys of draws *u* whose ``searchsorted`` slots lie past the head."""
+        # u >= 1.0 (never drawn, but inverted like the dense CDF) passes every end
+        np.minimum(slots, self._table.size - 1, out=slots)
+        blocks = slots - self._head
+        first = blocks * self._BLOCK + self._head  # each block's first key
+        sums = first[:, None] + self._ranks
+        sums **= -self.exponent
+        sums[:, 0] += self._marks[blocks]
+        np.add.accumulate(sums, axis=1, out=sums)
+        sums /= self._total
+        first += (sums <= u[:, None]).sum(axis=1)
+        # a short last block's padding ranks sum past the total: only u >= 1.0 counts them
+        return np.minimum(first, self.address_space, out=first)
 
 
 class HotspotKeys(KeyDistribution):

@@ -1,13 +1,20 @@
-"""The typed errors of the last bare-raise sites in ``src/repro``.
+"""The typed errors of the last bare-raise and oracle-``assert`` sites.
 
-Each subclasses ``RuntimeError`` (``except RuntimeError`` callers keep
-working) and carries its diagnostics; ``docs/faults.md`` lists them.
+Each subclasses ``RuntimeError`` or, for the program oracles,
+``AssertionError`` (existing ``except`` callers keep working) and
+carries its diagnostics; ``docs/faults.md`` lists them.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.delay_bounds import TailBoundError, routing_time_bound
-from repro.pram import PRAM, PRAMStepLimitError
+from repro.pram import PRAM, OracleMismatchError, PRAMStepLimitError, prefix_sum
 from repro.routing.flow_control import CreditState, EscapeDoubleBookedError
 
 
@@ -45,3 +52,43 @@ def test_a_tail_bound_that_cannot_converge_carries_its_arguments():
         routing_time_bound(200, 2, 0.01)
     assert isinstance(err.value, RuntimeError)
     assert (err.value.levels, err.value.degree, err.value.failure_prob) == (200, 2, 0.01)
+
+
+def test_every_oracle_check_survives_python_O():
+    # run every library program, then make each verifier read wrong cells:
+    # under -O an ``assert`` would be stripped and the check pass silently
+    code = textwrap.dedent(
+        """
+        from repro.pram import ALL_PROGRAM_BUILDERS, OracleMismatchError
+        caught = []
+        for name, build in sorted(ALL_PROGRAM_BUILDERS.items()):
+            spec = build()
+            pram = spec.run()
+            pram.memory.read = lambda addr: -12345
+            try:
+                spec.verify(pram)
+            except OracleMismatchError as err:
+                assert err.program == name and err.got != err.expected
+                caught.append(name)
+        print(len(ALL_PROGRAM_BUILDERS), len(caught))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["12", "12"]
+
+
+def test_an_oracle_mismatch_names_the_first_differing_index():
+    spec = prefix_sum([1, 2, 3, 4])
+    pram = spec.run()
+    pram.memory.write(2, 99)  # the scan ends in buffer A: cells 0..3
+    with pytest.raises(OracleMismatchError) as err:
+        spec.verify(pram)
+    assert isinstance(err.value, AssertionError)
+    assert (err.value.program, err.value.index) == ("prefix-sum", 2)
+    assert (err.value.expected, err.value.got) == ([1, 3, 6, 10], [1, 3, 99, 10])
