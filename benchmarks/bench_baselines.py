@@ -16,7 +16,7 @@ from repro.emulation import (
     RanadeEmulator,
 )
 from repro.experiments.exp_emulation import run_e10
-from repro.pram import ReadRequest, StepTrace, permutation_step
+from repro.pram import RequestColumns, permutation_step
 from repro.topology import DAryButterflyLeveled, Mesh2D
 
 
@@ -41,7 +41,7 @@ def test_ranade_machinery_overhead_under_load(benchmark):
     m = 16 * rows
     rng = np.random.default_rng(26)
     addrs = rng.choice(m, size=h * rows, replace=False)
-    step = StepTrace(reads=[ReadRequest(i % rows, int(a)) for i, a in enumerate(addrs)])
+    step = RequestColumns.of(reads=[(i % rows, a) for i, a in enumerate(addrs.tolist())])
 
     def run():
         ranade = RanadeEmulator(k, address_space=m, seed=27)
@@ -71,7 +71,7 @@ def test_ranade_buffer_size_sensitivity(benchmark):
     m = 16 * rows
     rng = np.random.default_rng(28)
     addrs = rng.choice(m, size=h * rows, replace=False)
-    step = StepTrace(reads=[ReadRequest(i % rows, int(a)) for i, a in enumerate(addrs)])
+    step = RequestColumns.of(reads=[(i % rows, a) for i, a in enumerate(addrs.tolist())])
 
     def run():
         out = {}

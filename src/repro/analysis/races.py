@@ -6,8 +6,8 @@ so a program that silently violates its declared :class:`AccessMode`
 invalidates whichever bound it is run under.  This module turns that
 contract into a checkable artifact:
 
-* :class:`ConflictChecker` consumes :class:`~repro.pram.trace.StepTrace`
-  records (post-hoc over a whole :class:`~repro.pram.trace.MemoryTrace`,
+* :class:`ConflictChecker` consumes :class:`~repro.pram.trace.RequestColumns`
+  steps (post-hoc over a whole :class:`~repro.pram.trace.MemoryTrace`,
   or incrementally step by step as a run sanitizer) and emits structured
   :class:`RaceReport` entries — one per (step, address) conflict, naming
   the step, the address, the participating pids, and the conflict kind.
@@ -44,7 +44,7 @@ import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.pram.trace import MemoryTrace, StepTrace
+from repro.pram.trace import MemoryTrace, RequestColumns
 from repro.pram.variants import AccessMode, ConcurrentAccessError, WritePolicy
 
 __all__ = [
@@ -171,19 +171,25 @@ class RaceError(ConcurrentAccessError):
 class ConflictChecker:
     """Detect same-step conflicts in PRAM memory traces.
 
-    Stateless across steps: feed it :class:`StepTrace` records in any
+    Stateless across steps: feed it :class:`RequestColumns` steps in any
     order (each carries no cross-step state) via :meth:`check_step`, or
     a whole trace via :meth:`analyze`.
     """
 
-    def check_step(self, step_index: int, step: StepTrace) -> list[RaceReport]:
+    def check_step(self, step_index: int, step: RequestColumns) -> list[RaceReport]:
         """All conflicts in one step, ordered by address."""
         readers: dict[int, list[int]] = {}
         writers: dict[int, list[tuple[int, object]]] = {}
-        for r in step.reads:
-            readers.setdefault(r.addr, []).append(r.pid)
-        for w in step.writes:
-            writers.setdefault(w.addr, []).append((w.pid, w.value))
+        for pid, addr, is_read, value in zip(
+            step.pids.tolist(),
+            step.addrs.tolist(),
+            step.is_read.tolist(),
+            step.values.tolist(),
+        ):
+            if is_read:
+                readers.setdefault(addr, []).append(pid)
+            else:
+                writers.setdefault(addr, []).append((pid, value))
 
         reports: list[RaceReport] = []
         for addr in sorted(set(readers) | set(writers)):
@@ -223,7 +229,7 @@ class ConflictChecker:
                 )
         return reports
 
-    def analyze(self, trace: Iterable[StepTrace]) -> TraceAnalysis:
+    def analyze(self, trace: Iterable[RequestColumns]) -> TraceAnalysis:
         """Scan a whole trace and summarize the minimal legal variant."""
         reports: list[RaceReport] = []
         n = 0
@@ -243,7 +249,7 @@ class ConflictChecker:
 
     def verify(
         self,
-        trace: Iterable[StepTrace],
+        trace: Iterable[RequestColumns],
         mode: AccessMode,
         write_policy: WritePolicy | None = None,
     ) -> list[RaceReport]:

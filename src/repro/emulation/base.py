@@ -26,7 +26,7 @@ from repro.faults import FaultState, RehashStormError
 from repro.hashing.family import HashFamily, degree_for_diameter
 from repro.obs import NULL_OBSERVER
 from repro.pram.memory import SharedMemory
-from repro.pram.trace import MemoryTrace, RequestColumns, StepTrace
+from repro.pram.trace import MemoryTrace, RequestColumns
 from repro.pram.variants import WritePolicy, resolve_writes
 from repro.routing.engine import SynchronousEngine
 from repro.routing.fast_engine import resolve_engine_mode
@@ -373,31 +373,28 @@ class Emulator(ABC):
         self.virtual_clock = 0
 
     @abstractmethod
-    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+    def emulate_step(self, step: RequestColumns) -> StepCost:
         """Emulate one PRAM instruction; returns its network cost.
 
-        *step* is the instruction's requests either way they come: the
-        PRAM machine's :class:`~repro.pram.trace.StepTrace` or the
-        :class:`~repro.pram.trace.RequestColumns` a serving front end
-        slices out of its request table.  Both answer ``columns()`` /
-        ``trace()`` / ``num_requests``; an implementation calls the one
-        it computes on, once, at entry.
+        *step* is the instruction's requests as
+        :class:`~repro.pram.trace.RequestColumns` — what the PRAM
+        machine records and what a serving front end slices out of its
+        request table.
         """
 
     # ---- the step pipeline --------------------------------------------
     # columns -> hash -> route requests (rehash + retry) -> memory ->
     # route replies -> StepCost: one scheme, parameterised by the network
     # (Theorems 2.5/2.6, 3.2, 3.3), on integer columns from end to end —
-    # ``_step_columns`` takes the front end's ``RequestColumns`` (a
-    # ``StepTrace`` is converted at its first line), the router is handed
-    # (source, module, combine key) columns, and hosts / absorbed rows
-    # come back as row arrays (``Router.absorbed_rows``); no ``Packet`` is
-    # built here (the reference engine's are the router's business).  A
-    # served emulator's ``emulate_step`` composes the pieces below and
-    # supplies what is network-specific: ``_make_router(engine_mode,
-    # fault_base)``, its allotment and budgets, placement
-    # (``_modules_of``) and the shape of its reply phase.  The pieces
-    # read the state ``__init__`` builds.
+    # ``_step_columns`` reads the step's ``RequestColumns``, the router
+    # is handed (source, module, combine key) columns, and hosts /
+    # absorbed rows come back as row arrays (``Router.absorbed_rows``);
+    # no ``Packet`` is built here (the reference engine's are the
+    # router's business).  A served emulator's ``emulate_step`` composes
+    # the pieces below and supplies what is network-specific:
+    # ``_make_router(engine_mode, fault_base)``, its allotment and
+    # budgets, placement (``_modules_of``) and the shape of its reply
+    # phase.  The pieces read the state ``__init__`` builds.
 
     #: label on step metrics, rehash events and failure messages
     network = "network"
@@ -418,16 +415,13 @@ class Emulator(ABC):
         """Home module of every address (placement, before fault remap)."""
         return self.hash.map(addrs)
 
-    def _step_columns(self, step: StepTrace | RequestColumns) -> StepColumns:
-        """Read *step* into the routed columns, checking what does not
-        depend on the hash: the processor bound and exclusivity (EREW
-        mode).  A ``StepTrace`` is converted once, here; everything
-        after that line is the one body."""
-        step = step.columns()
-        is_read = np.asarray(step.is_read, dtype=bool)
-        rows = np.argsort(~is_read, kind="stable")  # reads first, issue order kept
-        n_reads = int(np.count_nonzero(is_read))
-        pids, addrs = step.pids[rows], step.addrs[rows]
+    def _step_columns(self, step: RequestColumns) -> StepColumns:
+        """Read *step* into the routed columns, reads first, checking
+        what does not depend on the hash: the processor bound and
+        exclusivity (EREW mode)."""
+        step = step.reads_first()
+        n_reads = int(np.count_nonzero(step.is_read))
+        pids, addrs = step.pids, step.addrs
         faults = self.faults
         if pids.size and pids.max() >= faults.num_processors:
             raise ValueError(
@@ -444,9 +438,7 @@ class Emulator(ABC):
                     f"EREW {self.network} emulator given concurrent accesses; "
                     "use mode='crcw'"
                 )
-        return StepColumns(
-            n_reads, sources, addrs, keys, step.values[rows[n_reads:]].tolist()
-        )
+        return StepColumns(n_reads, sources, addrs, keys, step.values[n_reads:].tolist())
 
     def serving_modules(self, addrs: np.ndarray) -> np.ndarray:
         """The module serving every address under the current hash: one
@@ -727,7 +719,9 @@ class Emulator(ABC):
         obs.observe("step_total_steps", cost.total_steps, network=self.network)
         return cost
 
-    def emulate_trace(self, trace: MemoryTrace | Sequence[StepTrace]) -> EmulationReport:
+    def emulate_trace(
+        self, trace: MemoryTrace | Sequence[RequestColumns]
+    ) -> EmulationReport:
         report = EmulationReport(scale=self.scale)
         steps = trace.steps if isinstance(trace, MemoryTrace) else list(trace)
         for step in steps:

@@ -15,11 +15,9 @@ our algorithm's 4n + o(n); experiment E10 measures the factor-2 gap.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.emulation.base import AttemptLog, StepCost
 from repro.emulation.mesh import MeshEmulator
-from repro.pram.trace import RequestColumns, StepTrace
+from repro.pram.trace import RequestColumns
 from repro.routing.fast_engine import resolve_engine_mode
 
 
@@ -44,31 +42,27 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
             )
         return stats
 
-    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
-        step = step.trace()  # an object-based baseline
+    def emulate_step(self, step: RequestColumns) -> StepCost:
+        # reads first: the random intermediates are drawn in this row order
+        step = step.reads_first()
         if not step.is_erew():
             raise ValueError("Karlin–Upfal baseline requires EREW steps")
 
         n_nodes = self.mesh.num_nodes
-        reqs = [("read", r.pid, r.addr, None) for r in step.reads] + [
-            ("write", w.pid, w.addr, w.value) for w in step.writes
-        ]
-        sources = [pid for _, pid, _, _ in reqs]
-        modules = self.serving_modules(
-            np.asarray(step.addresses(), dtype=np.int64)
-        ).tolist()
-        meta = [(kind, addr, val) for kind, _, addr, val in reqs]
+        sources = step.pids.tolist()
+        modules = self.serving_modules(step.addrs).tolist()
+        meta = list(zip(step.is_read.tolist(), step.addrs.tolist(), step.values.tolist()))
 
         # Phase 1: to a random processor each.
-        rand1 = self.rng.integers(0, n_nodes, size=len(reqs)).tolist()
+        rand1 = self.rng.integers(0, n_nodes, size=step.num_requests).tolist()
         legs = [self._route_leg(sources, rand1)]
         # Phase 2: random processor -> memory module h(addr).
         legs.append(self._route_leg(rand1, modules))
         request_steps = legs[0].steps + legs[1].steps
 
         read_values = self._apply_memory(
-            [(i, addr) for i, (kind, addr, _) in enumerate(meta) if kind == "read"],
-            [(addr, i, val) for i, (kind, addr, val) in enumerate(meta) if kind == "write"],
+            [(i, addr) for i, (is_read, addr, _) in enumerate(meta) if is_read],
+            [(addr, i, val) for i, (is_read, addr, val) in enumerate(meta) if not is_read],
         )
 
         if read_values:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Literal
 
 from repro.emulation.base import Emulator, StepCost
-from repro.pram.trace import RequestColumns, StepTrace
+from repro.pram.trace import RequestColumns
 from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.leveled_router import LeveledRouter
 from repro.topology.compiled import compile_leveled
@@ -114,7 +114,7 @@ class LeveledEmulator(Emulator):
         )
 
     # ------------------------------------------------------------------
-    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+    def emulate_step(self, step: RequestColumns) -> StepCost:
         cols = self._step_columns(step)
         engine_mode = resolve_engine_mode(self.engine_mode)
         L = self.net.num_levels

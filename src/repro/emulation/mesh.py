@@ -31,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
-from repro.pram.trace import RequestColumns, StepTrace
+from repro.pram.trace import RequestColumns
 from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.mesh_router import MeshRouter
 from repro.topology.mesh import Mesh2D
@@ -134,7 +134,7 @@ class MeshEmulator(Emulator):
         )
 
     # ------------------------------------------------------------------
-    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+    def emulate_step(self, step: RequestColumns) -> StepCost:
         cols = self._step_columns(step)
         engine_mode = resolve_engine_mode(self.engine_mode)
         n = self.mesh.rows + self.mesh.cols

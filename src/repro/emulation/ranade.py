@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from repro.emulation.base import AttemptLog, Emulator, RequestRoutingError, StepCost
 from repro.hashing.family import HashFamily
 from repro.pram.memory import SharedMemory
-from repro.pram.trace import RequestColumns, StepTrace
+from repro.pram.trace import RequestColumns
 from repro.pram.variants import WritePolicy
 from repro.util.rng import as_generator
 
@@ -203,8 +203,9 @@ class RanadeEmulator(Emulator):
         return t
 
     # ------------------------------------------------------------------
-    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
-        step = step.trace()  # an object-based baseline
+    def emulate_step(self, step: RequestColumns) -> StepCost:
+        # Row order is free: an EREW step's keys are distinct and every
+        # injection stream is sorted by key before the pass.
         if not step.is_erew():
             raise ValueError("the Ranade baseline is measured on EREW traces")
 
@@ -212,16 +213,20 @@ class RanadeEmulator(Emulator):
         injections: dict[int, list[_MergePacket]] = {}
         reads = []
         writes = []
-        for r in step.reads:
-            module = int(self.hash(r.addr))
-            pkt = _MergePacket((module, r.addr, "r"), module, (r.pid, r.addr, None))
-            injections.setdefault(r.pid % self.rows, []).append(pkt)
-            reads.append(pkt)
-        for w in step.writes:
-            module = int(self.hash(w.addr))
-            pkt = _MergePacket((module, w.addr, "w"), module, (w.pid, w.addr, w.value))
-            injections.setdefault(w.pid % self.rows, []).append(pkt)
-            writes.append(pkt)
+        for pid, addr, is_read, value in zip(
+            step.pids.tolist(),
+            step.addrs.tolist(),
+            step.is_read.tolist(),
+            step.values.tolist(),
+        ):
+            module = int(self.hash(addr))
+            if is_read:
+                pkt = _MergePacket((module, addr, "r"), module, (pid, addr, None))
+                reads.append(pkt)
+            else:
+                pkt = _MergePacket((module, addr, "w"), module, (pid, addr, value))
+                writes.append(pkt)
+            injections.setdefault(pid % self.rows, []).append(pkt)
 
         request_steps = self._merge_pass(injections, lambda s: s)
 

@@ -18,8 +18,8 @@ from repro.emulation.karlin_upfal import KarlinUpfalMeshEmulator
 from repro.emulation.leveled import LeveledEmulator
 from repro.emulation.mesh import MeshEmulator
 from repro.emulation.ranade import RanadeEmulator
-from repro.experiments.harness import rows_to_table, run_sweep
-from repro.pram.trace import ReadRequest, StepTrace, hotspot_step, permutation_step
+from repro.experiments.harness import require_completed, rows_to_table, run_sweep
+from repro.pram.trace import RequestColumns, hotspot_step, permutation_step
 from repro.topology.leveled import (
     DAryButterflyLeveled,
     ShuffleLeveled,
@@ -131,11 +131,11 @@ def run_e6_combining_ablation(size: int = 5, *, trials: int = 3, seed=53) -> Tab
         h = HashFamily(m, net.column_size, 2 * net.num_levels).sample(rng)
         router = LeveledRouter(net, seed=rng, combine=False)
         stats = router.route(
-            [r.pid for r in step.reads],
-            [int(h(r.addr)) for r in step.reads],
+            step.pids.tolist(),
+            [int(h(addr)) for addr in step.addrs.tolist()],
             max_steps=100 * net.num_levels + 4 * net.column_size,
         )
-        assert stats.completed
+        require_completed(stats)
         return {"time": 2 * stats.steps, "combines": 0}  # + symmetric replies
 
     rows = run_sweep(
@@ -154,11 +154,9 @@ def run_e10(n: int = 16, *, trials: int = 3, seed=54) -> Table:
     """Ours vs Karlin–Upfal on the same mesh; Ranade machinery on its
     butterfly; paper-cited constants for context."""
 
-    def _loaded_step(rng, rows_: int, m: int, h: int) -> StepTrace:
-        addrs = rng.choice(m, size=h * rows_, replace=False)
-        return StepTrace(
-            reads=[ReadRequest(i % rows_, int(a)) for i, a in enumerate(addrs)]
-        )
+    def _loaded_step(rng, rows_: int, m: int, h: int) -> RequestColumns:
+        addrs = rng.choice(m, size=h * rows_, replace=False).tolist()
+        return RequestColumns.of(reads=[(i % rows_, a) for i, a in enumerate(addrs)])
 
     def trial(rng, *, scheme: str) -> dict:
         if scheme in ("ours", "karlin-upfal"):

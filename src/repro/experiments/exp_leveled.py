@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.harness import rows_to_table, run_sweep
+from repro.experiments.harness import require_completed, rows_to_table, run_sweep
 from repro.routing.leveled_router import LeveledRouter
 from repro.topology.leveled import DAryButterflyLeveled
 from repro.util.tables import Table
@@ -21,7 +21,7 @@ def _permutation_trial(rng, *, d: int, levels: int, mode: str) -> dict:
     net = DAryButterflyLeveled(d, levels)
     router = LeveledRouter(net, intermediate=mode, seed=rng)
     stats = router.route_permutation(rng.permutation(net.column_size))
-    assert stats.completed
+    require_completed(stats)
     return {
         "time": stats.steps,
         "time/2L": stats.steps / (2 * levels),
@@ -60,7 +60,7 @@ def _relation_trial(rng, *, d: int, levels: int, h: int) -> dict:
     sources = np.repeat(np.arange(n), h)
     dests = np.concatenate([rng.permutation(n) for _ in range(h)])
     stats = router.route_h_relation(sources, dests)
-    assert stats.completed
+    require_completed(stats)
     return {
         "time": stats.steps,
         "time/2L": stats.steps / (2 * levels),

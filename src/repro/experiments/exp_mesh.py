@@ -19,7 +19,7 @@ from repro.analysis.theory import (
     MESH_ROUTING_CLAIM,
 )
 from repro.emulation.mesh import MeshEmulator, locality_slice_rows
-from repro.experiments.harness import rows_to_table, run_sweep
+from repro.experiments.harness import require_completed, rows_to_table, run_sweep
 from repro.pram.trace import local_step_for_mesh, permutation_step
 from repro.routing.linear import random_linear_instance, route_linear
 from repro.routing.mesh_router import MeshRouter
@@ -32,7 +32,7 @@ def run_e7(ns=(8, 16, 24, 32), *, trials: int = 3, seed=41, discipline="furthest
         mesh = Mesh2D.square(n)
         router = MeshRouter(mesh, seed=rng, discipline=discipline)
         stats = router.route_permutation(rng.permutation(n * n))
-        assert stats.completed
+        require_completed(stats)
         return {
             "time": stats.steps,
             "time/n": stats.steps / n,
@@ -132,7 +132,7 @@ def run_e7_discipline_ablation(n: int = 16, *, trials: int = 3, seed=44) -> Tabl
         mesh = Mesh2D.square(n)
         router = MeshRouter(mesh, seed=rng, discipline=discipline)
         stats = router.route_permutation(rng.permutation(n * n))
-        assert stats.completed
+        require_completed(stats)
         return {"time": stats.steps, "time/n": stats.steps / n, "max_queue": stats.max_queue}
 
     rows = run_sweep(
@@ -160,7 +160,7 @@ def run_e7_slice_ablation(n: int = 16, *, trials: int = 3, seed=45) -> Table:
         mesh = Mesh2D.square(n)
         router = MeshRouter(mesh, seed=rng, slice_rows=slice_rows)
         stats = router.route_permutation(rng.permutation(n * n))
-        assert stats.completed
+        require_completed(stats)
         return {"time": stats.steps, "time/n": stats.steps / n, "max_queue": stats.max_queue}
 
     choices = [1, max(1, round(n / math.log2(n))), n // 2, n]
@@ -184,7 +184,7 @@ def run_e7_queue_variant(n: int = 16, *, trials: int = 3, seed=46) -> Table:
         mesh = Mesh2D.square(n)
         router = MeshRouter(mesh, seed=rng, node_capacity=cap)
         stats = router.route_permutation(rng.permutation(n * n))
-        assert stats.completed
+        require_completed(stats)
         return {
             "time": stats.steps,
             "time/n": stats.steps / n,
@@ -207,7 +207,7 @@ def run_linear_primitive(ns=(32, 64, 128), *, trials: int = 3, seed=47) -> Table
     def trial(rng, *, n: int) -> dict:
         origins, dests = random_linear_instance(n, n, seed=rng)
         stats = route_linear(n, origins, dests)
-        assert stats.completed
+        require_completed(stats)
         return {"time": stats.steps, "time/n": stats.steps / n, "max_queue": stats.max_queue}
 
     rows = run_sweep(trial, [{"n": n} for n in ns], trials=trials, seed=seed)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.harness import rows_to_table, run_sweep
+from repro.experiments.harness import require_completed, rows_to_table, run_sweep
 from repro.routing.shuffle_router import ShuffleRouter
 from repro.routing.valiant import valiant_shuffle_route
 from repro.topology.shuffle import DWayShuffle
@@ -18,7 +18,7 @@ def run_e3(settings=((2, 4), (2, 6), (3, 3), (2, 8), (3, 4)), *, trials: int = 3
         sh = DWayShuffle(d, n)
         router = ShuffleRouter(sh, seed=rng)
         stats = router.route_permutation(rng.permutation(sh.num_nodes))
-        assert stats.completed
+        require_completed(stats)
         return {
             "N": sh.num_nodes,
             "time": stats.steps,
@@ -42,7 +42,7 @@ def run_e3_relation(settings=((2, 4), (3, 3)), *, trials: int = 3, seed=24) -> T
         sh = DWayShuffle(d, n)
         router = ShuffleRouter(sh, seed=rng)
         stats = router.route_n_relation(h=n)
-        assert stats.completed
+        require_completed(stats)
         return {"time": stats.steps, "time/n": stats.steps / n, "max_queue": stats.max_queue}
 
     grid = [{"d": d, "n": n} for d, n in settings]
@@ -72,7 +72,7 @@ def run_e12(ns=(2, 3, 4), *, trials: int = 3, seed=25) -> Table:
         ser = valiant_shuffle_route(
             sh, np.arange(sh.num_nodes), perm, seed=rng
         )
-        assert ours.completed and ser.completed
+        require_completed(ours, ser)
         import math
 
         predicted = math.log(max(3, n)) / math.log(math.log(max(3, n)) + 1e-9) if n >= 3 else 1.0

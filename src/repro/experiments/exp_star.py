@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.harness import rows_to_table, run_sweep
+from repro.experiments.harness import require_completed, rows_to_table, run_sweep
 from repro.routing.leveled_router import LeveledRouter
 from repro.routing.star_router import StarRouter, adversarial_star_permutation
 from repro.topology.leveled import StarLogicalLeveled
@@ -27,7 +27,7 @@ def _star_trial(rng, *, n: int, randomized: bool, workload: str) -> dict:
     else:
         raise ValueError(workload)
     stats = router.route_permutation(perm)
-    assert stats.completed
+    require_completed(stats)
     diam = star.diameter
     return {
         "N": star.num_nodes,
@@ -63,7 +63,7 @@ def run_e2_relation(ns=(4, 5), *, trials: int = 3, seed=18) -> Table:
         star = StarGraph(n)
         router = StarRouter(star, seed=rng)
         stats = router.route_n_relation()
-        assert stats.completed
+        require_completed(stats)
         return {
             "time": stats.steps,
             "time/diam": stats.steps / star.diameter,
@@ -108,7 +108,7 @@ def run_e2_logical(ns=(4, 5), *, trials: int = 3, seed=20) -> Table:
         net = StarLogicalLeveled(n)
         router = LeveledRouter(net, intermediate="node", seed=rng)
         stats = router.route_permutation(rng.permutation(net.column_size))
-        assert stats.completed
+        require_completed(stats)
         return {
             "levels": net.num_levels,
             "time": stats.steps,

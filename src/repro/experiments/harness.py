@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.routing.engine import RoutingStats, RoutingTimeout
 from repro.util.rng import spawn_generators
 from repro.util.stats import summarize
 from repro.util.tables import Table
@@ -38,6 +39,15 @@ class SweepRow:
 
     def summary(self, key: str):
         return summarize(self.samples[key])
+
+
+def require_completed(*runs: RoutingStats) -> None:
+    """Raise :class:`~repro.routing.engine.RoutingTimeout` for the first
+    of *runs* that did not deliver every packet: a table row is only
+    measured on completed routes (a check ``python -O`` keeps)."""
+    for stats in runs:
+        if not stats.completed:
+            raise RoutingTimeout(stats)
 
 
 def run_sweep(

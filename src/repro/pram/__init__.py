@@ -18,10 +18,7 @@ from repro.pram.programs import (
 )
 from repro.pram.trace import (
     MemoryTrace,
-    ReadRequest,
     RequestColumns,
-    StepTrace,
-    WriteRequest,
     h_relation_step,
     hotspot_step,
     local_step_for_mesh,
@@ -45,13 +42,10 @@ __all__ = [
     "PRAMStepLimitError",
     "ProgramSpec",
     "Read",
-    "ReadRequest",
     "RequestColumns",
     "SharedMemory",
-    "StepTrace",
     "Write",
     "WritePolicy",
-    "WriteRequest",
     "boolean_or",
     "broadcast",
     "find_max",

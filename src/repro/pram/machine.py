@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Mapping
 
 from repro.pram.memory import SharedMemory
-from repro.pram.trace import MemoryTrace, ReadRequest, StepTrace, WriteRequest
+from repro.pram.trace import MemoryTrace, RequestColumns
 from repro.pram.variants import (
     AccessMode,
     ConcurrentAccessError,
@@ -126,14 +126,16 @@ class PRAM:
         return sum(1 for g in self._procs if g is not None)
 
     # ------------------------------------------------------------------
-    def step(self) -> StepTrace | None:
-        """Execute one synchronous PRAM step; None when all procs halted."""
+    def step(self) -> RequestColumns | None:
+        """Execute one synchronous PRAM step and return its requests
+        (reads, then writes, each in pid order); None when all procs
+        halted."""
         if self.live_processors == 0:
             return None
 
         # 1. collect this step's requests (already primed in _pending)
-        reads: list[ReadRequest] = []
-        writes: list[WriteRequest] = []
+        reads: list[tuple[int, int]] = []
+        writes: list[tuple[int, int, object]] = []
         for pid, slot in enumerate(self._pending):
             if slot is None:
                 continue
@@ -141,9 +143,9 @@ class PRAM:
             if req is None:
                 continue  # compute-only step
             if isinstance(req, Read):
-                reads.append(ReadRequest(pid, req.addr))
+                reads.append((pid, req.addr))
             elif isinstance(req, Write):
-                writes.append(WriteRequest(pid, req.addr, req.value))
+                writes.append((pid, req.addr, req.value))
             else:
                 raise TypeError(
                     f"processor {pid} yielded {req!r}; expected Read/Write/None"
@@ -153,12 +155,12 @@ class PRAM:
             self._validate(reads, writes)
 
         # 2. reads see pre-step memory
-        read_results = {r.pid: self.memory.read(r.addr) for r in reads}
+        read_results = {pid: self.memory.read(addr) for pid, addr in reads}
 
         # 3. writes applied at end of step, conflicts resolved per policy
         by_addr: dict[int, list[tuple[int, object]]] = {}
-        for w in writes:
-            by_addr.setdefault(w.addr, []).append((w.pid, w.value))
+        for pid, addr, value in writes:
+            by_addr.setdefault(addr, []).append((pid, value))
         for addr, writers in by_addr.items():
             value = resolve_writes(
                 sorted(writers),
@@ -168,8 +170,9 @@ class PRAM:
             )
             self.memory.write(addr, value)
 
+        step = RequestColumns.of(reads, writes)
         if self.record_trace:
-            self.trace.steps.append(StepTrace(reads=reads, writes=writes))
+            self.trace.steps.append(step)
         self.steps_executed += 1
         obs = self.observer
         if obs is not None and obs.recorder is not None:
@@ -192,7 +195,7 @@ class PRAM:
                 self._procs[pid] = None
                 self._pending[pid] = None
 
-        return self.trace.steps[-1] if self.record_trace else StepTrace(reads, writes)
+        return step
 
     def run(
         self,
@@ -251,16 +254,16 @@ class PRAM:
 
     # ------------------------------------------------------------------
     def _validate(
-        self, reads: list[ReadRequest], writes: list[WriteRequest]
+        self, reads: list[tuple[int, int]], writes: list[tuple[int, int, object]]
     ) -> None:
         if self.mode is AccessMode.CRCW:
             return
         write_addrs: dict[int, int] = {}
-        for w in writes:
-            write_addrs[w.addr] = write_addrs.get(w.addr, 0) + 1
+        for _pid, addr, _value in writes:
+            write_addrs[addr] = write_addrs.get(addr, 0) + 1
         read_addrs: dict[int, int] = {}
-        for r in reads:
-            read_addrs[r.addr] = read_addrs.get(r.addr, 0) + 1
+        for _pid, addr in reads:
+            read_addrs[addr] = read_addrs.get(addr, 0) + 1
 
         for addr, cnt in write_addrs.items():
             if cnt > 1:

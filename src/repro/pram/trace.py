@@ -3,8 +3,8 @@
 One PRAM instruction (step) is, from the network's point of view, a set of
 read/write requests — "each processor has a packet of information and also
 each processor wants to access the information some other processor has"
-(§3.3).  The machine records a :class:`StepTrace` per step; emulators
-replay them and charge network time.
+(§3.3).  The machine records one :class:`RequestColumns` per step;
+emulators replay them and charge network time.
 
 Synthetic trace generators cover the workloads the experiments need
 without running full programs: permutation steps, h-relation steps,
@@ -14,87 +14,71 @@ Theorem 3.3.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.util.rng import as_generator
 
 
-@dataclass(frozen=True)
-class ReadRequest:
-    pid: int
-    addr: int
-
-
-@dataclass(frozen=True)
-class WriteRequest:
-    pid: int
-    addr: int
-    value: object = None
-
-
-@dataclass
-class StepTrace:
-    """All shared-memory requests issued in one PRAM step."""
-
-    reads: list[ReadRequest] = field(default_factory=list)
-    writes: list[WriteRequest] = field(default_factory=list)
-
-    @property
-    def num_requests(self) -> int:
-        return len(self.reads) + len(self.writes)
-
-    def addresses(self) -> list[int]:
-        return [r.addr for r in self.reads] + [w.addr for w in self.writes]
-
-    def max_concurrency(self) -> int:
-        """Largest number of requests aimed at one address (1 = exclusive)."""
-        # counted over the requests, not the address space: a step's
-        # cost must not depend on how large its addresses are
-        return max(Counter(self.addresses()).values(), default=0)
-
-    def is_erew(self) -> bool:
-        return self.max_concurrency() <= 1
-
-    def columns(self) -> "RequestColumns":
-        """The same step as aligned columns (reads first, then writes)."""
-        reqs = self.reads + self.writes
-        is_read = np.zeros(len(reqs), dtype=bool)
-        is_read[: len(self.reads)] = True
-        values = [None] * len(self.reads) + [w.value for w in self.writes]
-        return RequestColumns(
-            np.asarray([r.pid for r in reqs], dtype=np.int64),
-            np.asarray([r.addr for r in reqs], dtype=np.int64),
-            is_read,
-            # fromiter keeps a tuple-valued write one object, not a row
-            np.fromiter(values, dtype=object, count=len(values)),
-        )
-
-    def trace(self) -> "StepTrace":
-        return self
-
-
 @dataclass
 class RequestColumns:
-    """One PRAM step's requests as aligned columns, in issue order.
+    """One PRAM step's requests as aligned columns.
 
-    What a serving front end hands ``Emulator.emulate_step``: row i is
-    the i-th request, reads and writes interleaved as issued.  ``values``
-    is read on the write rows only (an int64 column on the served path,
-    an object column out of :meth:`StepTrace.columns`).  The object form
-    — :class:`StepTrace` — stays the PRAM machine's and the object-based
-    baselines' interface; :meth:`trace` / :meth:`StepTrace.columns` cross
-    over, and both classes answer both, so a consumer converts at entry
-    without asking which one it was given.
+    Row i is the i-th request.  :meth:`of` — what the PRAM machine and
+    the synthetic generators build with — puts reads first, then
+    writes, each in the order given; a serving front end slices its
+    rows out of its request table in issue order, reads and writes
+    interleaved.  ``values`` is read on the write rows only (an int64
+    column on the served path, an object column out of :meth:`of`).
     """
 
     pids: np.ndarray
     addrs: np.ndarray
     is_read: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        # a short column would silently drop the rows it lacks
+        lengths = {
+            name: len(getattr(self, name))
+            for name in ("pids", "addrs", "is_read", "values")
+        }
+        longest = max(lengths, key=lengths.__getitem__)
+        for name, n in lengths.items():
+            if n != lengths[longest]:
+                raise ValueError(
+                    f"RequestColumns.{name} has {n} rows but "
+                    f"{longest} has {lengths[longest]}"
+                )
+
+    @classmethod
+    def of(
+        cls,
+        reads: Iterable[tuple[int, int]] = (),
+        writes: Iterable[tuple[int, int, object]] = (),
+    ) -> "RequestColumns":
+        """A step from ``(pid, addr)`` reads and ``(pid, addr, value)``
+        writes: the reads' rows first, then the writes', each in the
+        order given."""
+        reads, writes = list(reads), list(writes)
+        is_read = np.zeros(len(reads) + len(writes), dtype=bool)
+        is_read[: len(reads)] = True
+        values = [None] * len(reads) + [value for _pid, _addr, value in writes]
+        return cls(
+            np.asarray(
+                [pid for pid, _addr in reads] + [pid for pid, _addr, _v in writes],
+                dtype=np.int64,
+            ),
+            np.asarray(
+                [addr for _pid, addr in reads] + [addr for _pid, addr, _v in writes],
+                dtype=np.int64,
+            ),
+            is_read,
+            # fromiter keeps a tuple-valued write one object, not a row
+            np.fromiter(values, dtype=object, count=len(values)),
+        )
 
     @property
     def num_requests(self) -> int:
@@ -106,35 +90,32 @@ class RequestColumns:
             self.pids[rows], self.addrs[rows], self.is_read[rows], self.values[rows]
         )
 
-    def columns(self) -> "RequestColumns":
-        return self
+    def reads_first(self) -> "RequestColumns":
+        """The same step with its reads' rows first, then its writes';
+        each kind keeps its issue order."""
+        return self.take(np.argsort(~np.asarray(self.is_read, dtype=bool), kind="stable"))
 
-    def trace(self) -> StepTrace:
-        """The same step as request objects (reads keep their relative
-        order, so do writes)."""
-        step = StepTrace()
-        for pid, addr, is_read, value in zip(
-            self.pids.tolist(),
-            self.addrs.tolist(),
-            self.is_read.tolist(),
-            self.values.tolist(),
-        ):
-            if is_read:
-                step.reads.append(ReadRequest(pid, addr))
-            else:
-                step.writes.append(WriteRequest(pid, addr, value))
-        return step
+    def max_concurrency(self) -> int:
+        """Largest number of requests aimed at one address (1 = exclusive)."""
+        # counted over the requests, not the address space: a step's
+        # cost must not depend on how large its addresses are
+        if not self.num_requests:
+            return 0
+        return int(np.unique(self.addrs, return_counts=True)[1].max())
+
+    def is_erew(self) -> bool:
+        return self.max_concurrency() <= 1
 
 
 @dataclass
 class MemoryTrace:
     """A full program execution's step-by-step request log."""
 
-    steps: list[StepTrace] = field(default_factory=list)
+    steps: list[RequestColumns] = field(default_factory=list)
     num_processors: int = 0
     address_space: int = 0
 
-    def __iter__(self) -> Iterator[StepTrace]:
+    def __iter__(self) -> Iterator[RequestColumns]:
         return iter(self.steps)
 
     def __len__(self) -> int:
@@ -144,40 +125,34 @@ class MemoryTrace:
     def total_requests(self) -> int:
         return sum(s.num_requests for s in self.steps)
 
-    def nonempty_steps(self) -> list[StepTrace]:
-        return [s for s in self.steps if s.num_requests > 0]
-
 
 # ---- synthetic traces ------------------------------------------------------
 
 def permutation_step(
     n_procs: int, address_space: int, seed=None, *, kind: str = "read"
-) -> StepTrace:
+) -> RequestColumns:
     """Every processor touches a distinct random address (EREW-legal)."""
+    if kind not in ("read", "write"):
+        raise ValueError(f"kind must be 'read' or 'write', not {kind!r}")
     rng = as_generator(seed)
     if n_procs > address_space:
         raise ValueError("need at least one address per processor")
-    addrs = rng.choice(address_space, size=n_procs, replace=False)
-    step = StepTrace()
-    for pid, addr in enumerate(addrs):
-        if kind == "read":
-            step.reads.append(ReadRequest(pid, int(addr)))
-        else:
-            step.writes.append(WriteRequest(pid, int(addr), pid))
-    return step
+    addrs = rng.choice(address_space, size=n_procs, replace=False).tolist()
+    if kind == "read":
+        return RequestColumns.of(reads=enumerate(addrs))
+    return RequestColumns.of(writes=[(pid, addr, pid) for pid, addr in enumerate(addrs)])
 
 
 def h_relation_step(
     n_procs: int, address_space: int, h: int, seed=None
-) -> StepTrace:
+) -> RequestColumns:
     """Up to h requests per processor-address (stresses Theorem 2.4)."""
     rng = as_generator(seed)
-    step = StepTrace()
-    for rep in range(h):
+    reads: list[tuple[int, int]] = []
+    for _rep in range(h):
         addrs = rng.choice(address_space, size=n_procs, replace=False)
-        for pid, addr in enumerate(addrs):
-            step.reads.append(ReadRequest(pid, int(addr)))
-    return step
+        reads += enumerate(addrs.tolist())
+    return RequestColumns.of(reads=reads)
 
 
 def hotspot_step(
@@ -187,26 +162,27 @@ def hotspot_step(
     hot_addresses: int = 1,
     hot_fraction: float = 1.0,
     seed=None,
-) -> StepTrace:
+) -> RequestColumns:
     """Concurrent-read hot spot: a fraction of processors all read the
     same few addresses (the CRCW pattern combining is for)."""
     if not 0 <= hot_fraction <= 1:
         raise ValueError("hot_fraction must be in [0,1]")
     rng = as_generator(seed)
     hot = rng.choice(address_space, size=hot_addresses, replace=False)
-    step = StepTrace()
+    reads = []
+    # scalar draws, interleaved per processor: the seeded stream of record
     for pid in range(n_procs):
         if rng.random() < hot_fraction:
             addr = int(hot[int(rng.integers(hot_addresses))])
         else:
             addr = int(rng.integers(address_space))
-        step.reads.append(ReadRequest(pid, addr))
-    return step
+        reads.append((pid, addr))
+    return RequestColumns.of(reads=reads)
 
 
 def local_step_for_mesh(
     n: int, max_distance: int, seed=None
-) -> StepTrace:
+) -> RequestColumns:
     """Theorem 3.3 workload on an n x n mesh: processor (r, c) reads the
     *module-address* of a distinct node within Manhattan distance
     ``max_distance`` (an EREW-legal "local permutation").
@@ -220,7 +196,6 @@ def local_step_for_mesh(
         raise ValueError("max_distance must be >= 0")
     rng = as_generator(seed)
     b = max(1, max_distance // 2 + 1)
-    step = StepTrace()
     requests: dict[int, int] = {}
     for br in range(0, n, b):
         for bc in range(0, n, b):
@@ -233,9 +208,7 @@ def local_step_for_mesh(
             for (r, c), t in zip(cells, perm):
                 tr, tc = cells[int(t)]
                 requests[r * n + c] = tr * n + tc
-    for pid in sorted(requests):
-        step.reads.append(ReadRequest(pid, requests[pid]))
-    return step
+    return RequestColumns.of(reads=sorted(requests.items()))
 
 
 def random_trace(
@@ -251,15 +224,16 @@ def random_trace(
     rng = as_generator(seed)
     trace = MemoryTrace(num_processors=n_procs, address_space=address_space)
     for _ in range(n_steps):
-        step = StepTrace()
         if erew:
             addrs = rng.choice(address_space, size=n_procs, replace=False)
         else:
             addrs = rng.integers(0, address_space, size=n_procs)
-        for pid in range(n_procs):
-            if rng.random() < read_fraction:
-                step.reads.append(ReadRequest(pid, int(addrs[pid])))
-            else:
-                step.writes.append(WriteRequest(pid, int(addrs[pid]), pid))
-        trace.steps.append(step)
+        is_read = (rng.random(n_procs) < read_fraction).tolist()
+        rows = list(enumerate(addrs.tolist()))
+        trace.steps.append(
+            RequestColumns.of(
+                reads=[(pid, addr) for pid, addr in rows if is_read[pid]],
+                writes=[(pid, addr, pid) for pid, addr in rows if not is_read[pid]],
+            )
+        )
     return trace

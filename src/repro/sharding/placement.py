@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.family import HashFamily
-from repro.pram.trace import RequestColumns, StepTrace
+from repro.pram.trace import RequestColumns
 
 __all__ = ["ShardPlacement"]
 
@@ -73,9 +73,7 @@ class ShardPlacement:
         """Vectorized :meth:`shard_of` over an address array."""
         return self.hash.map(np.asarray(addrs, dtype=np.int64))
 
-    def split(
-        self, step: StepTrace | RequestColumns
-    ) -> dict[int, StepTrace | RequestColumns]:
+    def split(self, step: RequestColumns) -> dict[int, RequestColumns]:
         """Partition one PRAM step into per-shard sub-steps.
 
         One :meth:`map` over the step's address column, one row-take
@@ -87,10 +85,9 @@ class ShardPlacement:
         """
         if self.n_shards == 1:
             return {0: step} if step.num_requests else {}
-        cols = step.columns()
-        owners = self.map(cols.addrs)
+        owners = self.map(step.addrs)
         return {
-            shard: cols.take(np.flatnonzero(owners == shard))
+            shard: step.take(np.flatnonzero(owners == shard))
             for shard in np.flatnonzero(np.bincount(owners)).tolist()
         }
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import RehashStormError
-from repro.pram.trace import RequestColumns, StepTrace
+from repro.pram.trace import RequestColumns
 from repro.sharding.placement import ShardPlacement
 from repro.util.rng import as_generator
 
@@ -264,7 +264,7 @@ class ShardedEmulator(Emulator):
         return modules
 
     # ---- the scatter/gather step -------------------------------------
-    def emulate_step(self, step: StepTrace | RequestColumns) -> StepCost:
+    def emulate_step(self, step: RequestColumns) -> StepCost:
         obs = self._obs
         with obs.span(
             "shard_scatter",

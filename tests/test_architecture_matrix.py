@@ -592,7 +592,7 @@ def _loops(fn) -> list[str]:
     return found
 
 
-def test_the_driver_keeps_no_heap_no_deque_and_builds_no_step_trace():
+def test_the_driver_keeps_no_heap_and_no_deque():
     tree = ast.parse((SRC / "traffic/driver.py").read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -601,7 +601,6 @@ def test_the_driver_keeps_no_heap_no_deque_and_builds_no_step_trace():
         elif isinstance(node, ast.ImportFrom):
             imported |= {node.module} | {alias.name for alias in node.names}
     assert not imported & {"heapq", "collections", "deque", "heappush", "heappop"}
-    assert not imported & {"StepTrace", "ReadRequest", "WriteRequest"}
 
 
 def test_the_served_path_loops_over_epochs_and_tenants_only():
@@ -621,15 +620,44 @@ def test_the_served_path_loops_over_epochs_and_tenants_only():
 def test_step_columns_has_one_body_behind_one_entry_conversion():
     fn = _function("emulation/base.py", "_step_columns")
     body = [s for s in fn.body if not isinstance(s, ast.Expr)]  # drop the docstring
-    assert ast.unparse(body[0]) == "step = step.columns()"
+    assert ast.unparse(body[0]) == "step = step.reads_first()"
     rest = {
         getattr(node, field, None)
         for stmt in body[1:]
         for node in ast.walk(stmt)
         for field in ("id", "attr")
     }
-    # nothing past the first line knows there are two kinds of step
-    assert not rest & {"isinstance", "StepTrace", "reads", "writes", "trace", "columns"}
+    # the reorder is RequestColumns.reads_first's, done once, at entry
+    assert not rest & {"isinstance", "argsort", "reads_first"}
+
+
+def test_one_request_format_from_the_machine_to_every_emulator():
+    """A PRAM step is ``RequestColumns`` from ``PRAM.step()`` to every
+    ``emulate_step``: no request-object classes, no crossover to and
+    from them, and the reads-first reorder defined in one place."""
+    gone = {"StepTrace", "ReadRequest", "WriteRequest"}
+    found, crossovers, reorders = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            found += [(rel, name) for name in names & gone]
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("trace", "columns")
+                and not node.args
+            ):
+                crossovers.append((rel, node.lineno))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("argsort"):
+                if "is_read" in ast.unparse(node):
+                    reorders.append(rel)
+    assert found == [] and crossovers == []
+    assert reorders == ["pram/trace.py"]
 
 
 # ---------------------------------------------------------------------------

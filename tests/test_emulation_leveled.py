@@ -9,10 +9,8 @@ from repro.obs import Observer
 from repro.pram import (
     AccessMode,
     MemoryTrace,
-    ReadRequest,
-    StepTrace,
+    RequestColumns,
     WritePolicy,
-    WriteRequest,
     hotspot_step,
     permutation_step,
     random_trace,
@@ -33,21 +31,21 @@ class TestLeveledEmulatorBasics:
     def test_single_read_roundtrip(self):
         emu = LeveledEmulator(_net(), address_space=100, seed=1)
         emu.memory.write(42, "payload")
-        step = StepTrace(reads=[ReadRequest(0, 42)])
+        step = RequestColumns.of(reads=[(0, 42)])
         cost = emu.emulate_step(step)
         assert cost.total_steps > 0
         assert cost.request_steps >= 2 * 3  # at least one full traversal
 
     def test_write_then_read(self):
         emu = LeveledEmulator(_net(), address_space=50, seed=2)
-        emu.emulate_step(StepTrace(writes=[WriteRequest(3, 7, "hello")]))
+        emu.emulate_step(RequestColumns.of(writes=[(3, 7, "hello")]))
         assert emu.memory.read(7) == "hello"
-        cost = emu.emulate_step(StepTrace(reads=[ReadRequest(5, 7)]))
+        cost = emu.emulate_step(RequestColumns.of(reads=[(5, 7)]))
         assert cost.reply_steps > 0
 
     def test_write_only_step_has_no_reply_phase(self):
         emu = LeveledEmulator(_net(), address_space=50, seed=3)
-        cost = emu.emulate_step(StepTrace(writes=[WriteRequest(0, 1, 9)]))
+        cost = emu.emulate_step(RequestColumns.of(writes=[(0, 1, 9)]))
         assert cost.reply_steps == 0
 
     def test_permutation_step_full_machine(self):
@@ -62,8 +60,8 @@ class TestLeveledEmulatorBasics:
     def test_reads_see_pre_step_memory(self):
         emu = LeveledEmulator(_net(), address_space=10, seed=6)
         emu.memory.write(0, "old")
-        step = StepTrace(
-            reads=[ReadRequest(1, 0)], writes=[WriteRequest(2, 0, "new")]
+        step = RequestColumns.of(
+            reads=[(1, 0)], writes=[(2, 0, "new")]
         )
         emu.emulate_step(step)
         assert emu.memory.read(0) == "new"
@@ -78,7 +76,7 @@ class TestLeveledEmulatorBasics:
 
     def test_erew_mode_rejects_concurrent(self):
         emu = LeveledEmulator(_net(), address_space=64, mode="erew", seed=7)
-        step = StepTrace(reads=[ReadRequest(0, 5), ReadRequest(1, 5)])
+        step = RequestColumns.of(reads=[(0, 5), (1, 5)])
         with pytest.raises(ValueError):
             emu.emulate_step(step)
 
@@ -88,7 +86,7 @@ class TestLeveledEmulatorBasics:
 
     def test_processor_bound_checked(self):
         emu = LeveledEmulator(_net(), address_space=64, seed=8)
-        step = StepTrace(reads=[ReadRequest(999, 5)])
+        step = RequestColumns.of(reads=[(999, 5)])
         with pytest.raises(ValueError):
             emu.emulate_step(step)
 
@@ -98,7 +96,7 @@ class TestCombining:
         net = _net()
         emu = LeveledEmulator(net, address_space=128, mode="crcw", seed=9)
         emu.memory.write(17, "hot")
-        step = StepTrace(reads=[ReadRequest(pid, 17) for pid in range(net.column_size)])
+        step = RequestColumns.of(reads=[(pid, 17) for pid in range(net.column_size)])
         cost = emu.emulate_step(step)
         assert cost.combines > 0
         # all 27 readers answered (validated internally), in Õ(diameter)
@@ -110,7 +108,7 @@ class TestCombining:
         # diameter (the whole point of Theorem 2.6).
         net = DAryButterflyLeveled(2, 5)  # 32 processors
         emu = LeveledEmulator(net, address_space=64, mode="crcw", seed=10)
-        step = StepTrace(reads=[ReadRequest(pid, 3) for pid in range(32)])
+        step = RequestColumns.of(reads=[(pid, 3) for pid in range(32)])
         cost = emu.emulate_step(step)
         assert cost.total_steps < 32  # far below the N lower bound sans combining
 
@@ -120,7 +118,7 @@ class TestCombining:
             net, address_space=64, mode="crcw",
             write_policy=WritePolicy.COMBINE, combine_op="sum", seed=11,
         )
-        step = StepTrace(writes=[WriteRequest(pid, 9, 1) for pid in range(10)])
+        step = RequestColumns.of(writes=[(pid, 9, 1) for pid in range(10)])
         emu.emulate_step(step)
         assert emu.memory.read(9) == 10
 
@@ -130,8 +128,8 @@ class TestCombining:
             net, address_space=64, mode="crcw",
             write_policy=WritePolicy.PRIORITY, seed=12,
         )
-        step = StepTrace(
-            writes=[WriteRequest(5, 9, "five"), WriteRequest(2, 9, "two")]
+        step = RequestColumns.of(
+            writes=[(5, 9, "five"), (2, 9, "two")]
         )
         emu.emulate_step(step)
         assert emu.memory.read(9) == "two"
@@ -163,7 +161,7 @@ class TestTraceEmulation:
 
     def test_empty_step_costs_nothing(self):
         emu = LeveledEmulator(_net(), address_space=16, seed=19)
-        report = emu.emulate_trace(MemoryTrace(steps=[StepTrace()]))
+        report = emu.emulate_trace(MemoryTrace(steps=[RequestColumns.of()]))
         assert report.total_network_steps == 0
 
     def test_report_aggregates(self):

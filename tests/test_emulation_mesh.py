@@ -12,10 +12,8 @@ from repro.emulation import (
     locality_slice_rows,
 )
 from repro.pram import (
-    ReadRequest,
-    StepTrace,
+    RequestColumns,
     WritePolicy,
-    WriteRequest,
     local_step_for_mesh,
     permutation_step,
     random_trace,
@@ -26,9 +24,9 @@ from repro.topology import Mesh2D
 class TestMeshEmulatorBasics:
     def test_read_write_roundtrip(self):
         emu = MeshEmulator(Mesh2D.square(4), address_space=64, seed=1)
-        emu.emulate_step(StepTrace(writes=[WriteRequest(0, 9, "v")]))
+        emu.emulate_step(RequestColumns.of(writes=[(0, 9, "v")]))
         assert emu.memory.read(9) == "v"
-        cost = emu.emulate_step(StepTrace(reads=[ReadRequest(7, 9)]))
+        cost = emu.emulate_step(RequestColumns.of(reads=[(7, 9)]))
         assert cost.reply_steps > 0
 
     def test_full_permutation_step_time_shape(self):
@@ -43,7 +41,7 @@ class TestMeshEmulatorBasics:
 
     def test_erew_rejects_concurrent(self):
         emu = MeshEmulator(Mesh2D.square(4), address_space=32, seed=4)
-        step = StepTrace(reads=[ReadRequest(0, 5), ReadRequest(1, 5)])
+        step = RequestColumns.of(reads=[(0, 5), (1, 5)])
         with pytest.raises(ValueError):
             emu.emulate_step(step)
 
@@ -53,7 +51,7 @@ class TestMeshEmulatorBasics:
             Mesh2D.square(n), address_space=64, mode="crcw", seed=5
         )
         emu.memory.write(3, "hot")
-        step = StepTrace(reads=[ReadRequest(pid, 3) for pid in range(n * n)])
+        step = RequestColumns.of(reads=[(pid, 3) for pid in range(n * n)])
         cost = emu.emulate_step(step)
         assert cost.combines > 0
         assert cost.total_steps < n * n  # combining beats serialization
@@ -67,7 +65,7 @@ class TestMeshEmulatorBasics:
             combine_op="sum",
             seed=6,
         )
-        step = StepTrace(writes=[WriteRequest(pid, 2, 1) for pid in range(8)])
+        step = RequestColumns.of(writes=[(pid, 2, 1) for pid in range(8)])
         emu.emulate_step(step)
         assert emu.memory.read(2) == 8
 
@@ -82,7 +80,7 @@ class TestMeshEmulatorBasics:
     def test_validation_bounds(self):
         emu = MeshEmulator(Mesh2D.square(3), address_space=16, seed=9)
         with pytest.raises(ValueError):
-            emu.emulate_step(StepTrace(reads=[ReadRequest(99, 0)]))
+            emu.emulate_step(RequestColumns.of(reads=[(99, 0)]))
         with pytest.raises(ValueError):
             MeshEmulator(Mesh2D.square(3), 16, mode="qrqw")
         with pytest.raises(ValueError):
@@ -152,14 +150,14 @@ class TestKarlinUpfalBaseline:
 
     def test_ku_memory_correctness(self):
         emu = KarlinUpfalMeshEmulator(Mesh2D.square(4), 32, seed=16)
-        emu.emulate_step(StepTrace(writes=[WriteRequest(1, 5, "x")]))
+        emu.emulate_step(RequestColumns.of(writes=[(1, 5, "x")]))
         assert emu.memory.read(5) == "x"
 
     def test_ku_rejects_crcw(self):
         with pytest.raises(ValueError):
             KarlinUpfalMeshEmulator(Mesh2D.square(4), 32, mode="crcw")
         emu = KarlinUpfalMeshEmulator(Mesh2D.square(4), 32, seed=17)
-        step = StepTrace(reads=[ReadRequest(0, 1), ReadRequest(1, 1)])
+        step = RequestColumns.of(reads=[(0, 1), (1, 1)])
         with pytest.raises(ValueError):
             emu.emulate_step(step)
 
@@ -174,12 +172,12 @@ class TestRanadeBaseline:
 
     def test_memory_roundtrip(self):
         emu = RanadeEmulator(3, address_space=32, seed=20)
-        emu.emulate_step(StepTrace(writes=[WriteRequest(2, 7, "w")]))
+        emu.emulate_step(RequestColumns.of(writes=[(2, 7, "w")]))
         assert emu.memory.read(7) == "w"
 
     def test_rejects_non_erew(self):
         emu = RanadeEmulator(3, address_space=32, seed=21)
-        step = StepTrace(reads=[ReadRequest(0, 1), ReadRequest(1, 1)])
+        step = RequestColumns.of(reads=[(0, 1), (1, 1)])
         with pytest.raises(ValueError):
             emu.emulate_step(step)
 
@@ -195,8 +193,8 @@ class TestRanadeBaseline:
         rows = 1 << k
         rng = np.random.default_rng(22)
         addrs = rng.choice(16 * rows, size=h * rows, replace=False)
-        step = StepTrace(
-            reads=[ReadRequest(i % rows, int(a)) for i, a in enumerate(addrs)]
+        step = RequestColumns.of(
+            reads=[(i % rows, int(a)) for i, a in enumerate(addrs)]
         )
         ranade = RanadeEmulator(k, address_space=16 * rows, seed=23)
         const_ranade = ranade.emulate_step(step).total_steps / ranade.scale
@@ -216,8 +214,8 @@ class TestCrossEmulatorConsistency:
         # The same write/read sequence leaves identical memory contents on
         # every emulator (they differ only in cost, never in semantics).
         steps = [
-            StepTrace(writes=[WriteRequest(pid, pid, pid * 10) for pid in range(9)]),
-            StepTrace(reads=[ReadRequest(pid, (pid + 1) % 9) for pid in range(9)]),
+            RequestColumns.of(writes=[(pid, pid, pid * 10) for pid in range(9)]),
+            RequestColumns.of(reads=[(pid, (pid + 1) % 9) for pid in range(9)]),
         ]
         from repro.topology import DAryButterflyLeveled
 
@@ -255,7 +253,7 @@ class TestCrossEmulatorConsistency:
         result = replay_program(spec, emu)
         assert result.memory_matches
         steps = result.pram.trace.steps
-        assert any(s.reads for s in steps) and any(s.writes for s in steps)
+        assert any(s.is_read.any() for s in steps) and any((~s.is_read).any() for s in steps)
         assert [c.requests for c in result.report.costs] == [
             s.num_requests for s in steps
         ]
@@ -280,8 +278,8 @@ class TestRanadeDeterminismPin:
             for s in (1, 2):
                 c = emu.emulate_step(permutation_step(16, 64, seed=s))
                 costs.append((c.total_steps, c.requests, c.max_queue))
-            writes = [WriteRequest(p, (p * 3) % 64, p) for p in range(16)]
-            c = emu.emulate_step(StepTrace(writes=writes))
+            writes = [(p, (p * 3) % 64, p) for p in range(16)]
+            c = emu.emulate_step(RequestColumns.of(writes=writes))
             costs.append((c.total_steps, c.requests, c.max_queue))
             mem = [emu.memory.read((p * 3) % 64) for p in range(16)]
             return costs, mem

@@ -30,7 +30,7 @@ from repro.faults import (
     RehashStormError,
 )
 from repro.faults.runtime import FaultState, LinkFaultTimeline
-from repro.pram.trace import ReadRequest, StepTrace, WriteRequest, permutation_step
+from repro.pram.trace import RequestColumns, permutation_step
 from repro.routing import LeveledRouter, MeshRouter
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
@@ -479,14 +479,8 @@ class TestEmulatorFaultDifferential:
 
     def test_mesh_memory_correct_under_dead_modules(self):
         em = _mesh_emu("fast", faults=FaultPlan(dead_modules=[0, 9, 20, 33]))
-        step = StepTrace()
-        for pid in range(36):
-            step.writes.append(WriteRequest(pid, pid, 1000 + pid))
-        em.emulate_step(step)
-        rd = StepTrace()
-        for pid in range(36):
-            rd.reads.append(ReadRequest(pid, pid))
-        em.emulate_step(rd)
+        em.emulate_step(RequestColumns.of(writes=[(pid, pid, 1000 + pid) for pid in range(36)]))
+        em.emulate_step(RequestColumns.of(reads=[(pid, pid) for pid in range(36)]))
         assert [em.memory.read(a) for a in range(36)] == [
             1000 + a for a in range(36)
         ]
@@ -495,9 +489,7 @@ class TestEmulatorFaultDifferential:
 
     def test_mesh_dead_processor_requests_proxied(self):
         em = _mesh_emu("fast", faults=FaultPlan(dead_processors=[3]))
-        step = StepTrace()
-        step.writes.append(WriteRequest(3, 5, 77))
-        cost = em.emulate_step(step)
+        cost = em.emulate_step(RequestColumns.of(writes=[(3, 5, 77)]))
         assert cost.requests == 1
         assert em.memory.read(5) == 77
 

@@ -21,7 +21,7 @@ from repro.emulation.base import Emulator, StepCost
 from repro.faults import FaultPlan, FaultSchedule
 from repro.obs import Observer
 from repro.pram.programs import prefix_sum
-from repro.pram.trace import ReadRequest, StepTrace, WriteRequest, permutation_step
+from repro.pram.trace import permutation_step
 from repro.pram.variants import WritePolicy
 from repro.sharding import (
     MultiTenantWorkload,
@@ -262,20 +262,17 @@ def test_registry_counters_are_the_reports_totals_after_a_faulted_dropping_run()
 # the column pipeline: no request object on the served path
 # ---------------------------------------------------------------------------
 
-REQUEST_OBJECTS = (TrafficRequest, ReadRequest, WriteRequest, StepTrace)
-
-
 @pytest.fixture
 def built(monkeypatch):
-    """Constructions of each request-object class, counted."""
-    counts = dict.fromkeys(REQUEST_OBJECTS, 0)
-    for cls in REQUEST_OBJECTS:
+    """Constructions of ``TrafficRequest`` row views, counted."""
+    counts = [0]
+    init = TrafficRequest.__init__
 
-        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
-            counts[_cls] += 1
-            _init(self, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        counts[0] += 1
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(TrafficRequest, "__init__", counting)
     return counts
 
 
@@ -318,10 +315,10 @@ def test_a_served_run_builds_no_request_object(build, built):
     if build is not _leveled_crcw:
         assert report.final_backlog > 0
     assert set(report.run_mode_counts()) == {"batch"}
-    assert built == dict.fromkeys(REQUEST_OBJECTS, 0)
+    assert built == [0]
     # the row views are built when somebody asks, and only then
     assert len(driver.queue) == report.final_backlog
-    assert built[TrafficRequest] == report.final_backlog
+    assert built == [report.final_backlog]
 
 
 def test_dead_letters_are_the_only_request_objects_of_a_faulted_run(built):
@@ -341,15 +338,17 @@ def test_dead_letters_are_the_only_request_objects_of_a_faulted_run(built):
     report = driver.run(8)
     assert report.total_dead_lettered == len(driver.dead_letters) > 0
     assert report.total_delivered > 0 and report.conservation_deficit() == 0
-    assert built == {**dict.fromkeys(REQUEST_OBJECTS, 0), TrafficRequest: len(driver.dead_letters)}
+    assert built == [len(driver.dead_letters)]
     assert all(isinstance(req, TrafficRequest) for req, _stamp, _attempts in driver.dead_letters)
 
 
-def test_step_trace_callers_and_the_object_baselines_cost_what_they_did():
-    """``StepTrace`` stays an entry point: a replayed program converts
-    each step once at ``_step_columns``; a driven object-based baseline
-    converts the driver's columns back with ``.trace()``.  The costs are
-    the ones recorded before the front end moved to columns."""
+def test_replayed_programs_and_driven_baselines_cost_what_they_did():
+    """A replayed program hands the machine's reads-first columns to
+    ``_step_columns``; driven Karlin–Upfal puts the driver's interleaved
+    columns reads first itself, Ranade sorts its streams by key.  The
+    costs are the ones recorded while the baselines still converted
+    each step to request objects (the replay and Ranade rows before the
+    front end moved to columns)."""
     spec = prefix_sum(list(range(1, 17)))
     result = replay_program(spec, LeveledEmulator(NET, spec.memory_size, mode="erew", seed=3))
     assert result.memory_matches
@@ -357,10 +356,18 @@ def test_step_trace_callers_and_the_object_baselines_cost_what_they_did():
         (10, 10, 16), (11, 10, 15), (10, 0, 16), (10, 10, 16), (10, 10, 14), (11, 0, 16),
         (10, 10, 16), (11, 11, 12), (11, 0, 16), (10, 11, 16), (9, 9, 8), (10, 0, 16),
     ]  # fmt: skip
-    wl = WorkloadGenerator(
-        16, arrivals=PoissonArrivals(9.0), keys=UniformKeys(256), read_fraction=0.7, seed=5
-    )
-    report = OnlineEmulator(RanadeEmulator(4, address_space=256, seed=18), wl).run(6)
-    assert [(e.request_steps, e.reply_steps, e.admitted) for e in report.epochs] == [
-        (6, 7, 10), (6, 6, 10), (6, 7, 11), (6, 5, 7), (6, 5, 6), (6, 6, 10),
-    ]  # fmt: skip
+    # Karlin–Upfal draws its random intermediates in reads-first row order
+    baselines = {
+        RanadeEmulator(4, address_space=256, seed=18): [
+            (6, 7, 10), (6, 6, 10), (6, 7, 11), (6, 5, 7), (6, 5, 6), (6, 6, 10),
+        ],
+        KarlinUpfalMeshEmulator(Mesh2D.square(4), 256, seed=18): [
+            (11, 15, 10), (11, 12, 10), (15, 10, 11), (10, 6, 7), (9, 8, 6), (10, 11, 10),
+        ],
+    }  # fmt: skip
+    for baseline, expected in baselines.items():
+        wl = WorkloadGenerator(
+            16, arrivals=PoissonArrivals(9.0), keys=UniformKeys(256), read_fraction=0.7, seed=5
+        )
+        report = OnlineEmulator(baseline, wl).run(6)
+        assert [(e.request_steps, e.reply_steps, e.admitted) for e in report.epochs] == expected

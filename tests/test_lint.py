@@ -572,26 +572,26 @@ class TestFrontEndColumnsRule:
 
     def test_request_objects_built_on_the_served_path_flagged(self):
         src = """
-            from repro.pram import trace
-            def build_step(batch):
-                step = StepTrace()
+            from repro.traffic import generators
+            def build_views(batch):
+                views = []
                 for req, _stamp in batch:
-                    step.reads.append(ReadRequest(req.pid, req.addr))
-                    step.writes.append(trace.WriteRequest(req.pid, req.addr, 1))
-                return TrafficRequest(0, 0, 0, "read", 0), step
+                    views.append(TrafficRequest(0, req.pid, req.addr, "read", 0))
+                return views, generators.TrafficRequest(1, 0, 0, "write", 5)
         """
         vs = _check(FrontEndColumnsRule(), src, self.DRIVER)
         assert sorted((v.line, v.message.split("(")[0]) for v in vs) == [
-            (4, "StepTrace"), (6, "ReadRequest"), (7, "WriteRequest"), (8, "TrafficRequest"),
+            (6, "TrafficRequest"), (7, "TrafficRequest"),
         ]
+        assert "RequestBatch" in vs[0].message
 
     def test_columns_row_views_and_annotations_are_the_clean_forms(self):
         src = """
-            def serve(emu, batch, table) -> "StepTrace | RequestColumns":
+            def serve(emu, batch, table) -> "list[TrafficRequest]":
                 views: list[TrafficRequest] = list(RequestBatch(table[:7], ("default",)))
                 step = RequestColumns(batch[1], batch[2], batch[3], batch[5])
-                isinstance(step, StepTrace)
-                return step.trace()
+                isinstance(views[0], TrafficRequest)
+                return views, step.reads_first()
         """
         assert _check(FrontEndColumnsRule(), src, self.DRIVER) == []
 
@@ -600,7 +600,7 @@ class TestFrontEndColumnsRule:
             from repro.routing import packet
             def run(self, paths, packets: "list[Packet] | None" = None):
                 placeholder = make_packets(paths[:, 0], paths[:, -1])
-                return packet.Packet(0, 0, 1), StepTrace()
+                return packet.Packet(0, 0, 1), TrafficRequest(0, 0, 0, "read", 0)
         """
         for rel in (
             "src/repro/routing/fast_engine.py",
@@ -625,11 +625,10 @@ class TestFrontEndColumnsRule:
             "src/repro/emulation/leveled.py",
             "src/repro/emulation/mesh.py",
         ):
-            assert _check(rule, "step = StepTrace()\n", rel)
+            assert _check(rule, "view = TrafficRequest(0, 0, 0, 'read', 0)\n", rel)
         for rel in (
-            "src/repro/pram/trace.py",  # where the objects are built
             "src/repro/traffic/generators.py",  # where the row views are
-            "src/repro/emulation/ranade.py",  # an object-based baseline
+            "src/repro/emulation/ranade.py",  # a baseline
             "src/repro/pram/machine.py",
         ):
             assert not rule.applies_to(rel)
@@ -653,6 +652,21 @@ class TestBareRaiseRule:
         vs = _check(BareRaiseRule(), src)
         assert sorted(v.line for v in vs) == [5, 7, 8]
         assert all("typed subclass" in v.message for v in vs)
+
+    def test_every_assert_statement_flagged(self):
+        """``python -O`` strips an ``assert``: a check that must run is
+        an ``if`` that raises.  No allow-list, in any module."""
+        src = """
+            def table_row(stats, x):
+                assert stats.completed
+                assert x > 0, "positive"
+                if not stats.completed:
+                    raise RoutingTimeout(stats)
+        """
+        for rel in ("src/repro/experiments/exp_mesh.py", "src/repro/pram/programs.py"):
+            vs = _check(BareRaiseRule(), src, rel)
+            assert [v.line for v in vs] == [3, 4]
+            assert all("python -O" in v.message for v in vs)
 
     def test_typed_subclasses_and_reraise_are_the_clean_forms(self):
         src = """

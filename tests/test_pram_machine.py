@@ -240,9 +240,25 @@ class TestTraceRecording:
         pram = run_program(program, 3, 6, init=[1, 2, 3])
         assert len(pram.trace) == 2
         step0, step1 = pram.trace.steps
-        assert len(step0.reads) == 3 and not step0.writes
-        assert len(step1.writes) == 3 and not step1.reads
+        assert step0.is_read.tolist() == [True] * 3
+        assert step1.is_read.tolist() == [False] * 3
         assert pram.trace.total_requests == 6
+
+    def test_a_step_is_its_reads_then_its_writes_each_in_pid_order(self):
+        def program(pid, n):
+            if pid % 2:
+                yield Read(pid)
+            else:
+                yield Write(pid, (pid, "pair"))  # a tuple value stays one object
+
+        pram = PRAM(6, 6)
+        pram.load(program)
+        step = pram.step()
+        assert step is pram.trace.steps[0]
+        assert step.pids.tolist() == [1, 3, 5, 0, 2, 4]
+        assert step.addrs.tolist() == [1, 3, 5, 0, 2, 4]
+        assert step.is_read.tolist() == [True] * 3 + [False] * 3
+        assert step.values.tolist() == [None] * 3 + [(0, "pair"), (2, "pair"), (4, "pair")]
 
     def test_trace_step_properties(self):
         def program(pid, n):

@@ -1,5 +1,6 @@
 """Tests for the PRAM program library and synthetic traces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.pram import (
     prefix_sum,
     random_trace,
 )
-from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
+from repro.pram.trace import RequestColumns
 
 
 class TestPrograms:
@@ -124,11 +125,15 @@ class TestSyntheticTraces:
 
     def test_permutation_step_write_kind(self):
         step = permutation_step(8, 32, seed=2, kind="write")
-        assert len(step.writes) == 8 and not step.reads
+        assert step.num_requests == 8 and not step.is_read.any()
+        assert step.values.tolist() == list(range(8))
 
     def test_permutation_step_validates(self):
         with pytest.raises(ValueError):
             permutation_step(10, 5, seed=0)
+        # a misspelt kind used to fall through to writes
+        with pytest.raises(ValueError, match="'wirte'"):
+            permutation_step(4, 16, seed=0, kind="wirte")
 
     def test_h_relation_step_concurrency(self):
         step = h_relation_step(16, 64, h=3, seed=3)
@@ -150,15 +155,15 @@ class TestSyntheticTraces:
             hotspot_step(64, 256, hot_addresses=3, hot_fraction=0.5, seed=5),
         ]
         for step in steps:
-            assert step.max_concurrency() == int(np.bincount(step.addresses()).max())
-        assert StepTrace().max_concurrency() == 0 and StepTrace().is_erew()
+            assert step.max_concurrency() == int(np.bincount(step.addrs).max())
+        assert RequestColumns.of().max_concurrency() == 0 and RequestColumns.of().is_erew()
         # an address no counter array could span
-        far = StepTrace(
-            reads=[ReadRequest(0, 2**40), ReadRequest(1, 5)],
-            writes=[WriteRequest(2, 2**40, 1)],
+        far = RequestColumns.of(
+            reads=[(0, 2**40), (1, 5)],
+            writes=[(2, 2**40, 1)],
         )
         assert far.max_concurrency() == 2 and not far.is_erew()
-        assert StepTrace(reads=[ReadRequest(0, 2**40)]).is_erew()
+        assert RequestColumns.of(reads=[(0, 2**40)]).is_erew()
 
     def test_hotspot_fraction_validation(self):
         with pytest.raises(ValueError):
@@ -168,9 +173,10 @@ class TestSyntheticTraces:
         n, d = 8, 2
         step = local_step_for_mesh(n, d, seed=5)
         assert step.num_requests == n * n
-        for req in step.reads:
-            pr, pc = divmod(req.pid, n)
-            ar, ac = divmod(req.addr, n)
+        assert step.is_read.all()
+        for pid, addr in zip(step.pids.tolist(), step.addrs.tolist()):
+            pr, pc = divmod(pid, n)
+            ar, ac = divmod(addr, n)
             assert abs(pr - ar) + abs(pc - ac) <= d
 
     def test_random_trace_shape(self):
@@ -178,6 +184,50 @@ class TestSyntheticTraces:
         assert len(trace) == 5
         assert all(s.is_erew() for s in trace)
         assert trace.total_requests == 80
+
+    #: per generator, a digest of the columns (pids, addrs, is_read,
+    #: values) it drew at seeds 0-4, recorded when the generators still
+    #: built request objects: a rewrite must keep every draw
+    GOLDEN_DIGESTS = {
+        "h_relation": ["0ca999dbee18a0bf", "d441d1f242f55316", "f67fb8fa7a820afa", "fbb989fc09abda90", "4b9c9b1a006aab29"],
+        "hotspot": ["1c413b83292ce389", "48bf6a661720a0eb", "b1c04f2af1085539", "92bcd22cac23daa0", "ee2e223e27e791a6"],
+        "local_mesh": ["e123a69063fcb03d", "b0f4b25c8e73f60d", "b751200a6278b909", "ed6b476c0e0eaf6e", "ea25b75b34c01fc7"],
+        "permutation_read": ["226eaf1f7a351dae", "d96ced0edf41478d", "c4538844a6ac9448", "018677fa9a0dd647", "9e0fc95381fc1393"],
+        "permutation_write": ["f85f807ba2eb3e7a", "0e41995af404f38f", "ae0dfa64b83d3d8e", "998c30b0f14fd5f2", "746b2840ffb4b5d4"],
+        "random_trace_crcw": ["f6cb606405708eb1", "cec00b839716a496", "7e7811ccc4792a52", "da707a2c3b05fed4", "5ca9c38076263dbc"],
+        "random_trace_erew": ["b586ef20db04803a", "f143bc111a4df5a8", "efcb85b2145ec96b", "4916078276da7ca6", "63b0a5eb99b9c9ed"],
+    }  # fmt: skip
+
+    @staticmethod
+    def _digest(step) -> str:
+        h = hashlib.sha256()
+        for column in (step.pids, step.addrs, step.is_read):
+            h.update(np.ascontiguousarray(column).astype(np.int64).tobytes())
+        h.update(repr(step.values.tolist()).encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generators_draw_what_they_drew(self, seed):
+        def trace_digest(trace):
+            joined = "".join(self._digest(s) for s in trace.steps)
+            return hashlib.sha256(joined.encode()).hexdigest()[:16]
+
+        drawn = {
+            "h_relation": self._digest(h_relation_step(12, 40, 3, seed)),
+            "hotspot": self._digest(
+                hotspot_step(20, 100, hot_addresses=3, hot_fraction=0.6, seed=seed)
+            ),
+            "local_mesh": self._digest(local_step_for_mesh(6, 3, seed)),
+            "permutation_read": self._digest(permutation_step(16, 64, seed)),
+            "permutation_write": self._digest(permutation_step(16, 64, seed, kind="write")),
+            "random_trace_crcw": trace_digest(
+                random_trace(10, 50, 4, seed, read_fraction=0.4, erew=False)
+            ),
+            "random_trace_erew": trace_digest(
+                random_trace(10, 50, 4, seed, read_fraction=0.4, erew=True)
+            ),
+        }
+        assert drawn == {name: digests[seed] for name, digests in self.GOLDEN_DIGESTS.items()}
 
     def test_random_trace_non_erew(self):
         trace = random_trace(32, 8, 3, seed=7, erew=False)

@@ -159,7 +159,7 @@ class TestMachinePolicies:
             return (
                 pram.memory.read(0),
                 [
-                    [(w.pid, w.addr, w.value) for w in s.writes]
+                    list(zip(s.pids.tolist(), s.addrs.tolist(), s.values.tolist()))
                     for s in pram.trace.steps
                 ],
             )

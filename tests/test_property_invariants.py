@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import queue_line_check
 from repro.emulation import LeveledEmulator
-from repro.pram import ReadRequest, StepTrace
+from repro.pram import RequestColumns
 from repro.routing import LeveledRouter, MeshRouter, SynchronousEngine, make_packets
 from repro.topology import DAryButterflyLeveled, DWayShuffle, Mesh2D, StarGraph
 
@@ -92,7 +92,7 @@ class TestCombiningInvariants:
         net = DAryButterflyLeveled(2, 5)
         emu = LeveledEmulator(net, address_space=64, mode="crcw", seed=seed)
         emu.memory.write(7, "v")
-        step = StepTrace(reads=[ReadRequest(pid, 7) for pid in range(n_readers)])
+        step = RequestColumns.of(reads=[(pid, 7) for pid in range(n_readers)])
         cost = emu.emulate_step(step)  # internal validation counts replies
         assert cost.requests == n_readers
 
@@ -113,8 +113,9 @@ class TestCombiningInvariants:
 
         ref = SharedMemory(m)
         for step in trace:
-            for w in step.writes:
-                ref.write(w.addr, w.value)
+            writes = ~step.is_read
+            for addr, value in zip(step.addrs[writes].tolist(), step.values[writes]):
+                ref.write(addr, value)
         for addr in range(m):
             assert emu.memory.read(addr) == ref.read(addr)
 

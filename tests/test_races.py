@@ -35,7 +35,7 @@ from repro.analysis.races import (
 )
 from repro.pram.machine import PRAM, Read, Write, run_program
 from repro.pram.programs import ALL_PROGRAM_BUILDERS, ProgramSpec, broadcast
-from repro.pram.trace import MemoryTrace, ReadRequest, StepTrace, WriteRequest
+from repro.pram.trace import MemoryTrace, RequestColumns
 from repro.pram.variants import AccessMode, WritePolicy
 
 
@@ -76,14 +76,14 @@ def _data_dependent_prog(pid: int, nprocs: int):
 
 class TestConflictChecker:
     def test_clean_step_has_no_reports(self):
-        step = StepTrace(
-            reads=[ReadRequest(0, 0), ReadRequest(1, 1)],
-            writes=[WriteRequest(2, 2, "x")],
+        step = RequestColumns.of(
+            reads=[(0, 0), (1, 1)],
+            writes=[(2, 2, "x")],
         )
         assert ConflictChecker().check_step(0, step) == []
 
     def test_read_read(self):
-        step = StepTrace(reads=[ReadRequest(2, 5), ReadRequest(0, 5)])
+        step = RequestColumns.of(reads=[(2, 5), (0, 5)])
         (r,) = ConflictChecker().check_step(3, step)
         assert r.kind is ConflictKind.READ_READ
         assert (r.step, r.addr) == (3, 5)
@@ -94,8 +94,8 @@ class TestConflictChecker:
         assert r.values_agree is None
 
     def test_read_write(self):
-        step = StepTrace(
-            reads=[ReadRequest(1, 9)], writes=[WriteRequest(4, 9, 7)]
+        step = RequestColumns.of(
+            reads=[(1, 9)], writes=[(4, 9, 7)]
         )
         (r,) = ConflictChecker().check_step(0, step)
         assert r.kind is ConflictKind.READ_WRITE
@@ -105,8 +105,8 @@ class TestConflictChecker:
         assert r.required_mode is AccessMode.CRCW
 
     def test_write_write_agreeing(self):
-        step = StepTrace(
-            writes=[WriteRequest(3, 2, "v"), WriteRequest(1, 2, "v")]
+        step = RequestColumns.of(
+            writes=[(3, 2, "v"), (1, 2, "v")]
         )
         (r,) = ConflictChecker().check_step(0, step)
         assert r.kind is ConflictKind.WRITE_WRITE
@@ -115,8 +115,8 @@ class TestConflictChecker:
         assert "values agree" in r.describe()
 
     def test_write_write_diverging(self):
-        step = StepTrace(
-            writes=[WriteRequest(0, 2, "a"), WriteRequest(1, 2, "b")]
+        step = RequestColumns.of(
+            writes=[(0, 2, "a"), (1, 2, "b")]
         )
         (r,) = ConflictChecker().check_step(0, step)
         assert r.values_agree is False
@@ -124,9 +124,9 @@ class TestConflictChecker:
 
     def test_same_addr_can_carry_ww_and_rw(self):
         """Readers plus multiple writers on one cell report both kinds."""
-        step = StepTrace(
-            reads=[ReadRequest(5, 1)],
-            writes=[WriteRequest(0, 1, 1), WriteRequest(2, 1, 2)],
+        step = RequestColumns.of(
+            reads=[(5, 1)],
+            writes=[(0, 1, 1), (2, 1, 2)],
         )
         reports = ConflictChecker().check_step(7, step)
         assert {r.kind for r in reports} == {
@@ -136,15 +136,15 @@ class TestConflictChecker:
         assert all(r.step == 7 and r.addr == 1 for r in reports)
 
     def test_reports_ordered_by_address(self):
-        step = StepTrace(
-            reads=[ReadRequest(0, 9), ReadRequest(1, 9)],
-            writes=[WriteRequest(0, 4, 1), WriteRequest(1, 4, 1)],
+        step = RequestColumns.of(
+            reads=[(0, 9), (1, 9)],
+            writes=[(0, 4, 1), (1, 4, 1)],
         )
         reports = ConflictChecker().check_step(0, step)
         assert [r.addr for r in reports] == [4, 9]
 
     def test_describe_names_step_addr_pids(self):
-        step = StepTrace(reads=[ReadRequest(3, 11), ReadRequest(6, 11)])
+        step = RequestColumns.of(reads=[(3, 11), (6, 11)])
         (r,) = ConflictChecker().check_step(2, step)
         text = r.describe()
         assert "step 2" in text and "address 11" in text
@@ -152,12 +152,12 @@ class TestConflictChecker:
 
     def test_analyze_whole_trace(self):
         trace = MemoryTrace(num_processors=4, address_space=16)
-        trace.steps.append(StepTrace(reads=[ReadRequest(0, 0)]))  # clean
+        trace.steps.append(RequestColumns.of(reads=[(0, 0)]))  # clean
         trace.steps.append(
-            StepTrace(reads=[ReadRequest(0, 3), ReadRequest(1, 3)])
+            RequestColumns.of(reads=[(0, 3), (1, 3)])
         )
         trace.steps.append(
-            StepTrace(writes=[WriteRequest(0, 5, 1), WriteRequest(1, 5, 1)])
+            RequestColumns.of(writes=[(0, 5, 1), (1, 5, 1)])
         )
         analysis = ConflictChecker().analyze(trace)
         assert analysis.steps_analyzed == 3
@@ -170,7 +170,7 @@ class TestConflictChecker:
     def test_verify_against_declared_mode(self):
         trace = MemoryTrace(num_processors=2, address_space=8)
         trace.steps.append(
-            StepTrace(reads=[ReadRequest(0, 1), ReadRequest(1, 1)])
+            RequestColumns.of(reads=[(0, 1), (1, 1)])
         )
         checker = ConflictChecker()
         assert checker.verify(trace, AccessMode.CREW) == []
@@ -347,11 +347,8 @@ class TestClassification:
         pre = prerun_trace(spec)
         assert len(pre.steps) == len(real.steps)
         for a, b in zip(pre.steps, real.steps):
-            assert [(r.pid, r.addr) for r in a.reads] == [
-                (r.pid, r.addr) for r in b.reads
-            ]
-            assert [(w.pid, w.addr, w.value) for w in a.writes] == [
-                (w.pid, w.addr, w.value) for w in b.writes
+            assert [c.tolist() for c in (a.pids, a.addrs, a.is_read, a.values)] == [
+                c.tolist() for c in (b.pids, b.addrs, b.is_read, b.values)
             ]
 
 

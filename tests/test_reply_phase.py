@@ -32,7 +32,7 @@ from repro.emulation.combining import (
     reply_next_hop,
     route_replies_fast,
 )
-from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
+from repro.pram.trace import RequestColumns
 from repro.routing import LeveledRouter, Packet, SynchronousEngine, collect_stats
 from repro.routing import fast_phases
 from repro.routing.fast_engine import RunArrays
@@ -83,7 +83,7 @@ def assert_reply_phase_matches(make_emulator, step):
     ref, ref_cost = reply_stats(make_emulator, step, "reference")
     assert (fast.run_mode, ref.run_mode) == ("batch", "reference")
     assert_stats_equal(fast, ref)
-    assert fast.completed and fast.delivered == len(step.reads)
+    assert fast.completed and fast.delivered == np.count_nonzero(step.is_read)
     assert fast_cost.combines == ref_cost.combines
     return fast_cost
 
@@ -106,19 +106,19 @@ def hot_mesh_steps(draw):
                 addr = draw(st.sampled_from(hot))
             else:  # a module in the reader's own column
                 addr = draw(st.integers(0, rows - 1)) * cols + pid % cols
-            reads.append(ReadRequest(pid, addr))
+            reads.append((pid, addr))
     writes = [
-        WriteRequest(pid, draw(st.sampled_from(hot)), pid)
+        (pid, draw(st.sampled_from(hot)), pid)
         for pid in draw(st.lists(st.integers(0, n - 1), max_size=3))
     ]
-    return rows, cols, draw(st.integers(0, 2**16)), StepTrace(reads=reads, writes=writes)
+    return rows, cols, draw(st.integers(0, 2**16)), RequestColumns.of(reads=reads, writes=writes)
 
 
 @given(case=hot_mesh_steps())
 @settings(max_examples=40, deadline=None)
 def test_mesh_hot_key_replies_match_reference(case):
     rows, cols, seed, step = case
-    if not step.reads:
+    if not step.is_read.any():
         return
     mesh = Mesh2D(rows, cols)
 
@@ -141,7 +141,7 @@ def hot_leveled_steps(draw, num_processors):
     space = 4 * num_processors
     hot = draw(st.lists(st.integers(0, space - 1), min_size=1, max_size=3))
     reads = [
-        ReadRequest(
+        (
             pid,
             draw(st.sampled_from(hot))
             if draw(st.integers(0, 3))
@@ -150,7 +150,7 @@ def hot_leveled_steps(draw, num_processors):
         for pid in range(num_processors)
         for _ in range(draw(st.integers(0, 2)))
     ]
-    return draw(st.integers(0, 2**16)), StepTrace(reads=reads)
+    return draw(st.integers(0, 2**16)), RequestColumns.of(reads=reads)
 
 
 @pytest.mark.parametrize("network", LEVELED)
@@ -160,7 +160,7 @@ def hot_leveled_steps(draw, num_processors):
 def test_leveled_hot_key_replies_match_reference(network, intermediate, data):
     net = LEVELED[network]()
     seed, step = data.draw(hot_leveled_steps(net.column_size))
-    if not step.reads:
+    if not step.is_read.any():
         return
 
     def make(engine):
@@ -181,7 +181,7 @@ def test_same_column_hot_spot_builds_deep_forests():
     one is it by construction: every processor of a 6x3 mesh reads one
     address in column 0, twice."""
     mesh = Mesh2D(6, 3)
-    step = StepTrace(reads=[ReadRequest(pid, 9) for pid in range(18)] * 2)
+    step = RequestColumns.of(reads=[(pid, 9) for pid in range(18)] * 2)
 
     def make(engine):
         return MeshEmulator(
@@ -189,7 +189,7 @@ def test_same_column_hot_spot_builds_deep_forests():
         )
 
     cost = assert_reply_phase_matches(make, step)
-    assert cost.combines > len(step.reads) // 2  # most replies are spawned
+    assert cost.combines > np.count_nonzero(step.is_read) // 2  # most replies are spawned
 
 
 # ---- the shapes the link hand-over has to survive ---------------------------
@@ -203,9 +203,9 @@ def test_hosts_that_never_left_their_node_reply_on_an_empty_link_matrix(far_writ
     gathered from a request link matrix that is itself ``(n, 0)`` or,
     with a write crossing the mesh, has columns nobody's reply uses."""
     mesh = Mesh2D(3, 4)
-    step = StepTrace(
-        reads=[ReadRequest(pid, pid) for pid in range(12)],
-        writes=[WriteRequest(0, 11, 5)] if far_write else [],
+    step = RequestColumns.of(
+        reads=[(pid, pid) for pid in range(12)],
+        writes=[(0, 11, 5)] if far_write else [],
     )
 
     def make(engine):
@@ -300,10 +300,10 @@ def test_a_step_interns_its_links_once(monkeypatch):
     )
     rng = np.random.default_rng(6)
     reads = [
-        ReadRequest(pid, int(addr))
+        (pid, int(addr))
         for pid, addr in enumerate(rng.integers(0, 8, net.column_size))
     ]
-    cost = emulator.emulate_step(StepTrace(reads=reads))
+    cost = emulator.emulate_step(RequestColumns.of(reads=reads))
     assert cost.run_modes == ("batch", "batch") and cost.combines
     (req_interned, req_links, req_hops), (rep_interned, rep_links, _) = calls
     assert (req_interned, rep_interned) == (True, False)

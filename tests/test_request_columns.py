@@ -31,8 +31,9 @@ from repro.emulation import (
 )
 from repro.faults import FaultPlan, FaultSchedule, RehashStormError
 from repro.obs import Observer
-from repro.pram.trace import ReadRequest, StepTrace, WriteRequest
+from repro.pram.trace import RequestColumns
 from repro.routing import LeveledRouter, MeshRouter, Packet
+from repro.sharding import ShardedEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D, StarLogicalLeveled
 from test_fast_engine import assert_stats_equal
 
@@ -61,19 +62,19 @@ def fault_spec(kind, net, mode, intermediate, seed, step):
     dies at step 0 (undetected: fail-fast + rehash), its first
     processor is dead (remapped), or a wire out of that processor is
     down for the first steps of the request run."""
-    first = (step.reads + step.writes)[0]
+    pid, addr = int(step.pids[0]), int(step.addrs[0])
     if kind == "none":
         return None
     if kind == "dead_processor":
-        return FaultPlan(dead_processors={first.pid})
+        return FaultPlan(dead_processors={pid})
     if kind == "dead_module":
         # same seed, same first hash function
         probe = make_emulator(net, mode, intermediate, None, seed, "fast")
-        return FaultSchedule().kill_module(0, probe.module_of(first.addr))
+        return FaultSchedule().kill_module(0, probe.module_of(addr))
     if isinstance(net, Mesh2D):
-        wire = (first.pid, first.pid + 1 if (first.pid + 1) % net.cols else first.pid - 1)
+        wire = (pid, pid + 1 if (pid + 1) % net.cols else pid - 1)
     else:
-        wire = (0, first.pid, net.out_neighbors(0, first.pid)[0])
+        wire = (0, pid, net.out_neighbors(0, pid)[0])
     return FaultSchedule().link_down(0, wire).link_up(9, wire)
 
 
@@ -184,13 +185,13 @@ def served_steps(draw):
             hot = draw(st.lists(st.integers(0, 4 * n - 1), min_size=1, max_size=3))
             pids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
             addrs = [draw(st.sampled_from(hot)) for _ in pids]
-        step = StepTrace()
+        reads, writes = [], []
         for pid, addr in zip(pids, addrs):
             if draw(st.integers(0, 3)):
-                step.reads.append(ReadRequest(pid, addr))
+                reads.append((pid, addr))
             else:
-                step.writes.append(WriteRequest(pid, addr, pid + 100))
-        steps.append(step)
+                writes.append((pid, addr, pid + 100))
+        steps.append(RequestColumns.of(reads, writes))
     fault = draw(st.sampled_from(FAULTS))
     seed = draw(st.integers(0, 2**16))
     return net, mode, intermediate, fault, seed, steps
@@ -210,10 +211,34 @@ def test_columns_caller_built_packets_and_reference_agree(case):
         assert served["known_dead"]
 
 
+@pytest.mark.parametrize("short", ["pids", "addrs", "is_read", "values"])
+@pytest.mark.parametrize("fleet", [False, True], ids=["bare", "sharded"])
+def test_misaligned_columns_are_rejected(short, fleet):
+    """A short column used to be served silently: ``_step_columns``
+    indexed every column by the rows of ``is_read`` and dropped the
+    requests the short one lacked."""
+    net = NETWORKS["butterfly"]
+
+    def shard(index, seed):
+        return LeveledEmulator(net, 32, mode="crcw", seed=seed)
+
+    emulator = ShardedEmulator(shard, 2, 32, seed=1) if fleet else shard(0, 1)
+    columns = {
+        "pids": np.arange(5),
+        "addrs": np.arange(3, 8),
+        "is_read": np.ones(5, dtype=bool),
+        "values": np.zeros(5, dtype=np.int64),
+    }
+    columns[short] = columns[short][:3]
+    with pytest.raises(ValueError, match=rf"RequestColumns\.{short} has 3 rows but \w+ has 5"):
+        emulator.emulate_step(RequestColumns(**columns))
+    assert emulator.virtual_clock == 0
+
+
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 @pytest.mark.parametrize("intermediate", ["node", "coin"])
 def test_the_empty_step(name, intermediate):
-    served = three_ways(NETWORKS[name], "crcw", intermediate, None, 3, [StepTrace()])
+    served = three_ways(NETWORKS[name], "crcw", intermediate, None, 3, [RequestColumns.of()])
     (cost,) = served["costs"]
     assert (cost.requests, cost.total_steps, cost.combines) == (0, 0, 0)
     assert len(served["runs"]) == 1 and not served["memory"]
@@ -224,8 +249,8 @@ def test_an_all_writes_step_has_no_reply_phase(name):
     net = NETWORKS[name]
     n = n_procs(net)
     # every processor writes; the even ones fight over address 5
-    step = StepTrace(
-        writes=[WriteRequest(p, p + 8 if p % 2 else 5, 10 * p) for p in range(n)]
+    step = RequestColumns.of(
+        writes=[(p, p + 8 if p % 2 else 5, 10 * p) for p in range(n)]
     )
     served = three_ways(net, "crcw", "coin", None, 11, [step])
     (cost,) = served["costs"]
@@ -241,7 +266,7 @@ def test_every_request_combined_into_one_host():
     injection, one host reaches the module and its reply fans out to
     all six."""
     net = Mesh2D(1, 5)
-    step = StepTrace(reads=[ReadRequest(0, 4)] * 6)
+    step = RequestColumns.of(reads=[(0, 4)] * 6)
     results = {}
     for engine in ("fast", "reference"):
         emulator = MeshEmulator(
@@ -269,7 +294,7 @@ def test_a_run_that_gives_up_without_faults_is_typed_and_terminal():
     emulator._make_router = lambda mode, base=0, make=emulator._make_router: _capped(
         make(mode, base)
     )
-    step = StepTrace(reads=[ReadRequest(p, p) for p in range(net.column_size)])
+    step = RequestColumns.of(reads=[(p, p) for p in range(net.column_size)])
     with pytest.raises(RequestRoutingError, match="request routing failed") as exc:
         emulator.emulate_step(step)
     err = exc.value
@@ -297,7 +322,7 @@ def test_a_lost_reply_is_typed_terminal_and_carries_the_step_accounting(engine):
 
     emulator._reverse_path_replies = one_short
     n = net.column_size
-    step = StepTrace(reads=[ReadRequest(p, p) for p in range(n)])
+    step = RequestColumns.of(reads=[(p, p) for p in range(n)])
     with pytest.raises(ReplyCountError, match=f"{n} reads but {n - 1} replies delivered") as exc:
         emulator.emulate_step(step)
     err = exc.value
@@ -312,7 +337,7 @@ def test_a_baseline_that_runs_out_its_budget_is_typed_too():
     through ``_failure`` like every routing phase (retryable under a
     fault schedule, terminal without)."""
     mesh = Mesh2D.square(4)
-    step = StepTrace(reads=[ReadRequest(p, p) for p in range(mesh.num_nodes)])
+    step = RequestColumns.of(reads=[(p, p) for p in range(mesh.num_nodes)])
     for faults, expected in (
         (None, RequestRoutingError),
         (FaultSchedule().kill_module(10_000, 3), RehashStormError),
@@ -327,7 +352,7 @@ def test_a_baseline_that_runs_out_its_budget_is_typed_too():
         assert len(exc.value.run_modes) == 1 and isinstance(exc.value.flight_tail, tuple)
     ranade = RanadeEmulator(3, 64, seed=1, max_pass_steps=2)
     with pytest.raises(RequestRoutingError, match="Ranade pass exceeded 2 steps") as exc:
-        ranade.emulate_step(StepTrace(reads=[ReadRequest(p, p) for p in range(8)]))
+        ranade.emulate_step(RequestColumns.of(reads=[(p, p) for p in range(8)]))
     assert (exc.value.stall_steps, exc.value.run_modes) == (2, ())
 
 
@@ -393,13 +418,13 @@ def test_a_served_step_builds_packets_on_the_reference_engine_only(name, monkeyp
     monkeypatch.setattr(Packet, "__init__", counting)
     net = NETWORKS[name]
     n = n_procs(net)
-    step = StepTrace(
-        reads=[ReadRequest(p, p % 3) for p in range(n)],
-        writes=[WriteRequest(p, 7, p) for p in range(0, n, 2)],
+    step = RequestColumns.of(
+        reads=[(p, p % 3) for p in range(n)],
+        writes=[(p, 7, p) for p in range(0, n, 2)],
     )
     fast = make_emulator(net, "crcw", "coin", None, 4, "fast").emulate_step(step)
     assert not built and fast.combines
     make_emulator(net, "crcw", "coin", None, 4, "reference").emulate_step(step)
     # the request population, then one reply per read
     assert [p.pid for p in built[: step.num_requests]] == list(range(step.num_requests))
-    assert len(built) == step.num_requests + len(step.reads)
+    assert len(built) == step.num_requests + np.count_nonzero(step.is_read)

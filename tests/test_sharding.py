@@ -28,7 +28,7 @@ import pytest
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.emulation.base import StepCost
 from repro.faults import RehashStormError
-from repro.pram.trace import RequestColumns, StepTrace, permutation_step, random_trace
+from repro.pram.trace import RequestColumns, permutation_step, random_trace
 from repro.sharding import (
     MultiTenantOnlineEmulator,
     MultiTenantWorkload,
@@ -108,21 +108,19 @@ class TestShardPlacement:
     def test_split_partitions_and_preserves_order(self):
         p = ShardPlacement(SPACE, 4, seed=1)
         step = random_trace(N_PROCS, SPACE, 1, seed=5).steps[0]
-        parts = {shard: sub.trace() for shard, sub in p.split(step).items()}
+        parts = p.split(step)
         # every request lands in exactly the shard that owns its address
         for shard, sub in parts.items():
-            for req in sub.reads + sub.writes:
-                assert p.shard_of(req.addr) == shard
-        # reassembling the per-shard reads in shard-scan order yields a
-        # subsequence-stable partition of the original (requests are
-        # frozen dataclasses and this trace's are pairwise distinct)
-        all_reads = [r for sub in parts.values() for r in sub.reads]
-        assert sorted(all_reads, key=step.reads.index) == step.reads
-        for sub in parts.values():
-            idx = [step.reads.index(r) for r in sub.reads]
-            assert idx == sorted(idx)
-        all_writes = [w for sub in parts.values() for w in sub.writes]
-        assert sorted(all_writes, key=step.writes.index) == step.writes
+            assert (p.map(sub.addrs) == shard).all()
+        # the shards' rows partition the step's, each shard's in issue
+        # order (this trace's addresses are pairwise distinct)
+        row_of = {addr: row for row, addr in enumerate(step.addrs.tolist())}
+        rows = [[row_of[addr] for addr in sub.addrs.tolist()] for sub in parts.values()]
+        assert all(r == sorted(r) for r in rows)
+        assert sorted(sum(rows, [])) == list(range(step.num_requests))
+        for sub, r in zip(parts.values(), rows):
+            for name in ("pids", "is_read", "values"):
+                assert getattr(sub, name).tolist() == getattr(step, name)[r].tolist()
 
     def test_split_of_columns_is_one_map_and_a_row_take_per_shard(self):
         p = ShardPlacement(SPACE, 4, seed=1)
@@ -147,7 +145,7 @@ class TestShardPlacement:
         p = ShardPlacement(SPACE, 1, seed=1)
         step = steps_for(1)[0]
         assert p.split(step) == {0: step}
-        assert p.split(StepTrace()) == {}
+        assert p.split(RequestColumns.of()) == {}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -206,34 +204,41 @@ class TestShardedEmulator:
         cr = [ref.emulate_step(s) for s in steps]
         assert costs_sans_modes(cf) == costs_sans_modes(cr)
 
-    def test_columns_and_their_trace_are_the_same_step_to_a_fleet(self):
-        """The scatter splits whichever form the front end was handed;
-        its span still counts requests."""
+    def test_a_fleet_serves_a_step_the_same_in_any_read_write_interleaving(self):
+        """Every shard puts its reads first, issue order kept, so the
+        fleet's cost and memory do not depend on how the step
+        interleaves reads and writes; its scatter span counts the
+        requests."""
         from repro.obs import Observer
 
         step = random_trace(N_PROCS, SPACE, 1, seed=7, erew=False).steps[0]
-        costs, spans = [], []
-        for form in (step, step.columns()):
+        by_pid = step.take(np.argsort(step.pids, kind="stable"))
+        assert (by_pid.is_read != step.is_read).any()  # really interleaved
+        costs, spans, cells = [], [], []
+        for form in (step, by_pid):
             obs = Observer(flight_recorder=0)
             service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42, observer=obs)
             costs.append(service.emulate_step(form))
             spans.append([s.args for s in obs.tracer.spans() if s.name == "shard_scatter"])
+            cells.append([service.memory.read(addr) for addr in step.addrs.tolist()])
         assert costs[0] == costs[1] and costs[0].requests == step.num_requests
         assert spans[0] == spans[1] == [{"requests": step.num_requests}]
+        # every write landed with its own value
+        assert cells[0] == cells[1] and set(step.values[~step.is_read]) <= set(cells[0])
 
     def test_writes_land_in_owning_shard(self):
         service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42)
         step = permutation_step(N_PROCS, SPACE, seed=5, kind="write")
         service.emulate_step(step)
-        for w in step.writes:
-            owner = service.placement.shard_of(w.addr)
-            assert service.shards[owner].memory.read(w.addr) == w.value
+        for addr, value in zip(step.addrs.tolist(), step.values):
+            owner = service.placement.shard_of(addr)
+            assert service.shards[owner].memory.read(addr) == value
             # the facade routes the read to the same cell
-            assert service.memory.read(w.addr) == w.value
+            assert service.memory.read(addr) == value
             # shards that do not own the address never saw the write
             for i, shard in enumerate(service.shards):
                 if i != owner:
-                    assert shard.memory.read(w.addr) == 0
+                    assert shard.memory.read(addr) == 0
 
     def test_module_of_strides_by_shard(self):
         service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42)
@@ -286,7 +291,10 @@ class TestShardedEmulator:
             service.emulate_step(bad)
         cost = service.emulate_step(clean)
         assert cost.requests == clean.num_requests == N_PROCS
-        assert all(service.memory.read(w.addr) == w.value for w in clean.writes)
+        assert all(
+            service.memory.read(addr) == value
+            for addr, value in zip(clean.addrs.tolist(), clean.values)
+        )
 
     def test_a_storm_on_one_shard_fails_the_gather_with_a_flight_tail(self):
         from repro.obs import Observer

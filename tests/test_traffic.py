@@ -411,7 +411,7 @@ class TestAdmissionConservation:
         original_step = driver.emulator.emulate_step
 
         def spy(step):
-            served.extend(w.value for w in step.trace().writes)
+            served.extend(step.values[step.is_read == 0].tolist())
             return original_step(step)
 
         driver.emulator.emulate_step = spy
@@ -473,7 +473,7 @@ class TestExclusiveAdmission:
         original_step = em.emulate_step
 
         def spy(step):
-            seen.append([r.addr for r in step.trace().reads])
+            seen.append(step.addrs[step.is_read != 0].tolist())
             return original_step(step)
 
         em.emulate_step = spy

@@ -1,4 +1,4 @@
-"""The typed errors of the last bare-raise and oracle-``assert`` sites.
+"""The typed errors of the last bare-raise and ``assert`` sites.
 
 Each subclasses ``RuntimeError`` or, for the program oracles,
 ``AssertionError`` (existing ``except`` callers keep working) and
@@ -16,6 +16,18 @@ import pytest
 from repro.analysis.delay_bounds import TailBoundError, routing_time_bound
 from repro.pram import PRAM, OracleMismatchError, PRAMStepLimitError, prefix_sum
 from repro.routing.flow_control import CreditState, EscapeDoubleBookedError
+
+
+def run_optimized(code: str) -> list[str]:
+    """Run *code* under ``python -O`` (asserts stripped); its stdout words."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 def test_a_pram_step_overrun_names_its_budget_and_live_processors():
@@ -73,14 +85,29 @@ def test_every_oracle_check_survives_python_O():
         print(len(ALL_PROGRAM_BUILDERS), len(caught))
         """
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    assert run_optimized(code) == ["12", "12"]
+
+
+def test_an_incomplete_experiment_route_survives_python_O():
+    # one experiment table whose routes get a one-step budget: under -O
+    # an ``assert stats.completed`` would be stripped and the row printed
+    code = textwrap.dedent(
+        """
+        from repro.experiments import exp_leveled
+        from repro.routing import RoutingTimeout
+
+        class OneStep(exp_leveled.LeveledRouter):
+            def route_permutation(self, perm, *, max_steps=None):
+                return super().route_permutation(perm, max_steps=1)
+
+        exp_leveled.LeveledRouter = OneStep
+        try:
+            exp_leveled.run_e1(((2, 4),), trials=1)
+        except RoutingTimeout as err:
+            print(err.stats.completed, err.stats.steps)
+        """
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["12", "12"]
+    assert run_optimized(code) == ["False", "1"]
 
 
 def test_an_oracle_mismatch_names_the_first_differing_index():

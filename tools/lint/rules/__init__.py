@@ -18,10 +18,10 @@ Rule catalog (docs/static_analysis.md has the long-form version):
   ``Emulator`` service contract; no ``getattr`` / ``hasattr`` probes.
 * REPRO009 ``front-end-columns`` — served-path modules (driver,
   sharding, the emulators' shared pipeline) construct no
-  ``TrafficRequest`` / ``ReadRequest`` / ``WriteRequest`` / ``StepTrace``,
-  and the fast engine's two modules no ``Packet``.
+  ``TrafficRequest``, and the fast engine's two modules no ``Packet``.
 * REPRO010 ``bare-raise`` — no bare ``RuntimeError`` / ``AssertionError``
-  raise in ``src/repro``: failures are typed subclasses.
+  raise and no ``assert`` statement in ``src/repro``: failures are
+  typed subclasses, and no check is stripped by ``python -O``.
 """
 
 from __future__ import annotations

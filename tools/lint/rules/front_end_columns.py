@@ -4,17 +4,14 @@ A request is one column of a table from the generator to the
 ``EpochRecord``: ``WorkloadGenerator.stream`` yields ``RequestBatch``
 matrices, the driver's admission is a selection on its pending table,
 ``emulate_step`` is handed ``RequestColumns``, a shard fleet splits
-them with row-takes.  The per-request objects — ``TrafficRequest``,
-``ReadRequest``, ``WriteRequest``, ``StepTrace`` — still exist, for the
-PRAM machine, the object-based baselines, and *row views* a test or a
-post-mortem reads; constructing one by name in a served-path module is
-how the per-request loops come back (each one needs a loop to fill it).
+them with row-takes.  The per-request object — ``TrafficRequest`` —
+still exists, as the *row view* a test or a post-mortem reads;
+constructing one by name in a served-path module is how the
+per-request loops come back (each one needs a loop to fill it).
 
-Hence: no ``TrafficRequest(...)`` / ``ReadRequest(...)`` /
-``WriteRequest(...)`` / ``StepTrace(...)`` call in the driver, the
-sharding layer, or the emulators' shared pipeline.  Row views come from
-iterating a ``RequestBatch``; a step's object form from
-``RequestColumns.trace()`` — both live next to the classes they build.
+Hence: no ``TrafficRequest(...)`` call in the driver, the sharding
+layer, or the emulators' shared pipeline.  Row views come from
+iterating a ``RequestBatch``, next to the class that builds them.
 
 The same holds one layer down: the fast engine routes the rows of a path
 matrix, and a ``Packet`` exists only at the reference engine's boundary
@@ -40,7 +37,7 @@ SERVED_PATH = (
     "src/repro/emulation/mesh.py",
 )
 
-REQUEST_OBJECTS = ("TrafficRequest", "ReadRequest", "WriteRequest", "StepTrace")
+REQUEST_OBJECTS = ("TrafficRequest",)
 
 #: the fast engine's two modules
 ENGINE_PATH = (
@@ -66,9 +63,7 @@ class FrontEndColumnsRule(FileRule):
         else:
             banned, why = REQUEST_OBJECTS, (
                 "built on the served path; requests are table columns here "
-                "— iterate a RequestBatch for row views, or call "
-                "RequestColumns.trace() where an object-based consumer "
-                "needs the step"
+                "— iterate a RequestBatch for row views"
             )
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
