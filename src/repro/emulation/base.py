@@ -70,6 +70,14 @@ class StepCost:
     #: online runs assert on these that no epoch falls back to the
     #: reference engine.
     run_modes: tuple[str, ...] = ()
+    #: the module that served each request, in the step's row order:
+    #: the column the successful attempt routed on (its hash, the
+    #: detected-dead remap applied) — what a front end records per
+    #: delivered request without hashing the step again.  Empty from an
+    #: emulator that places nothing; not part of equality or ``repr``.
+    modules: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), compare=False, repr=False
+    )
 
     @property
     def total_steps(self) -> int:
@@ -118,6 +126,21 @@ class StepColumns:
     @property
     def n(self) -> int:
         return len(self.addrs)
+
+
+def check_addresses(addrs: np.ndarray, address_space: int) -> None:
+    """``ValueError`` naming the first address of *addrs* outside
+    ``[0, address_space)`` — checked before a step routes, so a bad
+    address leaves memory, clock and generator as they were.  One
+    reduction on the common path: viewed unsigned, a negative address
+    is larger than any bound."""
+    addrs = np.asarray(addrs, dtype=np.int64)
+    if addrs.size and int(np.maximum.reduce(addrs.view(np.uint64))) >= address_space:
+        bad = np.flatnonzero((addrs < 0) | (addrs >= address_space))
+        raise ValueError(
+            f"address {int(addrs[bad[0]])} is outside the address space "
+            f"[0, {address_space})"
+        )
 
 
 class RequestRoutingError(RuntimeError):
@@ -266,7 +289,9 @@ class Emulator(ABC):
         concurrent-write resolution; the replay layer assigns them to
         match the program it replays.
     ``serving_modules(addrs)`` / ``module_of(addr)``
-        which memory module serves each address right now.
+        which memory module serves each address right now.  What served
+        a step's requests is not asked afterwards: ``emulate_step``
+        returns it as :attr:`StepCost.modules`.
     """
 
     n_processors: int | None = None
@@ -417,8 +442,9 @@ class Emulator(ABC):
 
     def _step_columns(self, step: RequestColumns) -> StepColumns:
         """Read *step* into the routed columns, reads first, checking
-        what does not depend on the hash: the processor bound and
-        exclusivity (EREW mode)."""
+        what does not depend on the hash — the processor bound, the
+        address space and exclusivity (EREW mode) — before anything
+        routes, draws or writes."""
         step = step.reads_first()
         n_reads = int(np.count_nonzero(step.is_read))
         pids, addrs = step.pids, step.addrs
@@ -428,6 +454,7 @@ class Emulator(ABC):
                 f"processor {pids.max()} exceeds {self.network} size "
                 f"{faults.num_processors}"
             )
+        check_addresses(addrs, self.memory.size)
         sources = faults.map_processors(pids) if faults.has_processor_faults else pids
         keys = addrs * 2
         keys[n_reads:] += 1
@@ -447,10 +474,10 @@ class Emulator(ABC):
         address), then the detected-dead remap — a dead module's
         addresses go to its deterministic surrogate (next live module,
         cyclic), engine-independent, so differential runs stay
-        identical.  The only per-attempt column of a step, and what a
-        driver records per delivered request (asked *after* the step, it
-        reflects the hash the successful attempt used).  An emulator
-        that places nothing reports nothing."""
+        identical.  The only per-attempt column of a step; the
+        successful attempt's comes back as :attr:`StepCost.modules`, so
+        a front end never asks again.  An emulator that places nothing
+        reports nothing."""
         if self.hash is None:
             return np.empty(0, dtype=np.int64)
         modules = self._modules_of(addrs)
@@ -676,10 +703,13 @@ class Emulator(ABC):
             on_arrival=ReplySpawner(),
         )
 
-    def _finish_step(self, cols: StepColumns, req_stats, reply_stats, log) -> StepCost:
+    def _finish_step(
+        self, cols: StepColumns, req_stats, reply_stats, log, modules: np.ndarray
+    ) -> StepCost:
         """Check the reply phase (``None`` when the step had no reads),
-        assemble the :class:`StepCost`, advance ``virtual_clock`` past
-        the step and emit the step metrics."""
+        assemble the :class:`StepCost` — *modules* is the successful
+        attempt's column, in the step's row order — advance
+        ``virtual_clock`` past the step and emit the step metrics."""
         reply_steps = 0
         max_queue = req_stats.max_queue
         credits_stalled = req_stats.credits_stalled
@@ -711,6 +741,7 @@ class Emulator(ABC):
             fault_stalls=log.fault_stalls,
             deadlock_retries=log.deadlock_retries,
             run_modes=tuple(log.run_modes),
+            modules=modules,
         )
         self.virtual_clock += cost.total_steps + cost.stall_steps
         obs = self._obs

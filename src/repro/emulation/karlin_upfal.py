@@ -15,7 +15,7 @@ our algorithm's 4n + o(n); experiment E10 measures the factor-2 gap.
 
 from __future__ import annotations
 
-from repro.emulation.base import AttemptLog, StepCost
+from repro.emulation.base import AttemptLog, StepCost, check_addresses
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import RequestColumns
 from repro.routing.fast_engine import resolve_engine_mode
@@ -43,6 +43,8 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
         return stats
 
     def emulate_step(self, step: RequestColumns) -> StepCost:
+        check_addresses(step.addrs, self.memory.size)
+        as_given = step
         # reads first: the random intermediates are drawn in this row order
         step = step.reads_first()
         if not step.is_erew():
@@ -50,7 +52,8 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
 
         n_nodes = self.mesh.num_nodes
         sources = step.pids.tolist()
-        modules = self.serving_modules(step.addrs).tolist()
+        module_col = self.serving_modules(step.addrs)
+        modules = module_col.tolist()
         meta = list(zip(step.is_read.tolist(), step.addrs.tolist(), step.values.tolist()))
 
         # Phase 1: to a random processor each.
@@ -81,4 +84,5 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
             max_queue=max(leg.max_queue for leg in legs),
             requests=step.num_requests,
             run_modes=tuple(leg.run_mode for leg in legs),
+            modules=as_given.from_reads_first(module_col),
         )

@@ -118,7 +118,7 @@ class LeveledEmulator(Emulator):
         cols = self._step_columns(step)
         engine_mode = resolve_engine_mode(self.engine_mode)
         L = self.net.num_levels
-        router, _modules, req_stats, log = self._route_requests(
+        router, modules, req_stats, log = self._route_requests(
             cols,
             engine_mode,
             # An allotment below the 2L path length guarantees timeouts;
@@ -147,4 +147,6 @@ class LeveledEmulator(Emulator):
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
-        return self._finish_step(cols, req_stats, reply_stats, log)
+        return self._finish_step(
+            cols, req_stats, reply_stats, log, step.from_reads_first(modules)
+        )

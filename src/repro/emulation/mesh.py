@@ -177,7 +177,9 @@ class MeshEmulator(Emulator):
                 sp.virtual_end = (
                     self.virtual_clock + req_stats.steps + reply_stats.steps
                 )
-        return self._finish_step(cols, req_stats, reply_stats, log)
+        return self._finish_step(
+            cols, req_stats, reply_stats, log, step.from_reads_first(modules)
+        )
 
     def _replies_fresh_route(
         self, modules, processors, engine_mode: str, budget: int, log, fault_base: int

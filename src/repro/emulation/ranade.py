@@ -25,7 +25,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Sequence
 
-from repro.emulation.base import AttemptLog, Emulator, RequestRoutingError, StepCost
+from repro.emulation.base import (
+    AttemptLog,
+    Emulator,
+    RequestRoutingError,
+    StepCost,
+    check_addresses,
+)
 from repro.hashing.family import HashFamily
 from repro.pram.memory import SharedMemory
 from repro.pram.trace import RequestColumns
@@ -208,18 +214,20 @@ class RanadeEmulator(Emulator):
         # injection stream is sorted by key before the pass.
         if not step.is_erew():
             raise ValueError("the Ranade baseline is measured on EREW traces")
+        check_addresses(step.addrs, self.memory.size)
+        modules = self.serving_modules(step.addrs)
 
         # Forward pass: requests keyed by (module row, address).
         injections: dict[int, list[_MergePacket]] = {}
         reads = []
         writes = []
-        for pid, addr, is_read, value in zip(
+        for pid, addr, module, is_read, value in zip(
             step.pids.tolist(),
             step.addrs.tolist(),
+            modules.tolist(),
             step.is_read.tolist(),
             step.values.tolist(),
         ):
-            module = int(self.hash(addr))
             if is_read:
                 pkt = _MergePacket((module, addr, "r"), module, (pid, addr, None))
                 reads.append(pkt)
@@ -259,4 +267,5 @@ class RanadeEmulator(Emulator):
             combines=0,
             max_queue=self.buffer_size,
             requests=step.num_requests,
+            modules=modules,
         )

@@ -95,6 +95,19 @@ class RequestColumns:
         each kind keeps its issue order."""
         return self.take(np.argsort(~np.asarray(self.is_read, dtype=bool), kind="stable"))
 
+    def from_reads_first(self, column: np.ndarray) -> np.ndarray:
+        """*column*, one entry per row of :meth:`reads_first`, put back
+        in this step's row order: the reads' entries come first there,
+        each kind in issue order, so two mask writes undo the reorder."""
+        is_read = np.asarray(self.is_read, dtype=bool)
+        n_reads = np.count_nonzero(is_read)
+        if n_reads in (0, is_read.size):
+            return column
+        out = np.empty_like(column)
+        out[is_read] = column[:n_reads]
+        out[~is_read] = column[n_reads:]
+        return out
+
     def max_concurrency(self) -> int:
         """Largest number of requests aimed at one address (1 = exclusive)."""
         # counted over the requests, not the address space: a step's

@@ -48,7 +48,17 @@ order of their source links.
 
 The phase functions bind the arrays they touch to locals on entry and
 write scalar counters back once per call: a step of a 16-packet batch
-costs ~50 µs, so an attribute read per array *use* would show.
+costs ~50 µs, so an attribute read per array *use* would show.  For the
+same reason the per-step phases call no ndarray reduction method (~2 µs
+each, whatever the size): "anyone delivered?" and "all solo?" are
+``np.count_nonzero``, and the peak queue length and node load are
+logged per arrival phase and folded (:func:`fold_peaks`) every
+:data:`PEAK_LOG_FOLD` phases — fewer for a large batch, so the log
+stays small — and once more by :func:`finish`.
+
+:func:`check_invariants` is the run state's checker — conservation,
+chain shape, ``active``, loads and cursors — which the phase tests call
+after every phase; nothing on the served path calls it.
 """
 
 from __future__ import annotations
@@ -82,6 +92,16 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: apps_replay           54 %         10      33   243  11 %
 #: ====================  ===========  ======  ===  ===  ===========
 SCALAR_RESIDUE_MAX = 32
+
+#: Arrival phases logged between two folds of the max stats
+#: (:func:`fold_peaks`): a reduction costs ~2 µs however small the
+#: array, a list append ~50 ns.  A run of n packets folds every
+#: ``min(PEAK_LOG_FOLD, PEAK_LOG_ENTRIES // n)`` phases (at least one):
+#: an arrival phase brings each packet at most once, so the log holds at
+#: most 64 arrays per stat and no more than 4,096 entries unless one
+#: phase alone brings more (a 2.5k-packet star run folds every phase).
+PEAK_LOG_FOLD = 64
+PEAK_LOG_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -388,7 +408,8 @@ class RunState:
         "gid", "parent", "subtree", "child_pairs", "combines",
         "q_head", "q_tail", "q_next", "q_len", "node_load", "active", "first_at",
         "fl_base", "fl", "fl_last", "arrived",
-        "max_queue", "max_node_load", "fault_stalls",
+        "max_queue", "max_node_load", "queue_peaks", "load_peaks", "peak_fold",
+        "fault_stalls",
         "link_faults", "f_any", "capacity", "fc", "pending_escape",
         # set only with a link-fault view
         "f_code_li", "f_flags", "f_cur", "f_last_parts",
@@ -468,8 +489,14 @@ class RunState:
         self.arrived = np.full(n, -1, dtype=np.int64)
         #: links with queued packets, in activation order
         self.active = _EMPTY
+        #: peak queue length and node load so far — exact after
+        #: :func:`fold_peaks`; the arrival phase logs its touched values
+        #: in ``queue_peaks`` / ``load_peaks`` instead of reducing them
         self.max_queue = 0
         self.max_node_load = 0
+        self.queue_peaks: list[np.ndarray] = []
+        self.load_peaks: list[np.ndarray] = []
+        self.peak_fold = max(1, min(PEAK_LOG_FOLD, PEAK_LOG_ENTRIES // max(n, 1)))
         self.fault_stalls = 0
 
         # Link faults: ``f_flags`` marks the dense link ids that are
@@ -583,7 +610,7 @@ def transmit_unconstrained(s: RunState) -> np.ndarray:
     links = s.active
     if s.f_any and links.size:
         keep = ~s.f_flags[links]
-        nblocked = int(links.size) - int(keep.sum())
+        nblocked = int(links.size - np.count_nonzero(keep))
         if nblocked:
             s.fault_stalls += nblocked
             links, heads = links[keep], heads[keep]
@@ -851,6 +878,22 @@ def land_escapes(s: RunState, arrivals: np.ndarray) -> np.ndarray:
     return arrivals[~pmask]
 
 
+def fold_peaks(s: RunState) -> None:
+    """Fold the arrival phases' logged queue lengths and node loads into
+    ``max_queue`` / ``max_node_load`` and empty the log: one reduction
+    per stat for up to ``peak_fold`` steps (:data:`PEAK_LOG_FOLD`).
+    :func:`finish` folds the rest, and so must anyone reading the maxima
+    mid-run."""
+    queue_peaks = s.queue_peaks
+    if queue_peaks:
+        s.max_queue = max(s.max_queue, int(np.concatenate(queue_peaks).max()))
+        s.max_node_load = max(
+            s.max_node_load, int(np.concatenate(s.load_peaks).max())
+        )
+        queue_peaks.clear()
+        s.load_peaks.clear()
+
+
 def admit(s: RunState, batch: np.ndarray, t: int) -> None:
     """Place a batch of packets, in order, at step *t*: fire the spawn
     triggers it hits, deliver what has arrived, and :func:`enqueue` the
@@ -859,8 +902,9 @@ def admit(s: RunState, batch: np.ndarray, t: int) -> None:
     An arrival batch is already in reference order (transmission order
     of the source links), and every stage keeps it.  A delivered host
     delivers its whole absorption subtree (the reference engine's
-    deliver cascade).  Profile time is booked to ``arrival``, minus the
-    ``combining`` share booked inside, so the buckets stay disjoint.
+    deliver cascade; summed only once the run has absorbed anything).
+    Profile time is booked to ``arrival``, minus the ``combining`` share
+    booked inside, so the buckets stay disjoint.
     """
     prof = s.prof
     t0 = wall_time() if prof is not None else 0.0
@@ -876,12 +920,12 @@ def admit(s: RunState, batch: np.ndarray, t: int) -> None:
             s.remaining += int(new.size)
             f = fl[batch]
     done = f == s.fl_last[batch]
-    if done.any():
+    n_done = np.count_nonzero(done)
+    if n_done:
         done_idx = batch[done]
         s.arrived[done_idx] = t
-        subtree = s.subtree
         s.remaining -= int(
-            done_idx.size if subtree is None else subtree[done_idx].sum()
+            np.add.reduce(s.subtree[done_idx]) if s.combines else n_done
         )
         keep = ~done
         batch = batch[keep]
@@ -966,8 +1010,9 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
     within the batch, or already busy — is the **contended residue**:
     absorbed, then threaded, by :func:`resolve_residue_scalar` up to
     :data:`SCALAR_RESIDUE_MAX` arrivals, by :func:`resolve_residue_vector`
-    above.  Lengths, loads and max stats count survivors only.
-    ``tests/test_batch_arrival.py`` pins both lanes by construction.
+    above.  Lengths, loads and the logged peaks (:func:`fold_peaks`)
+    count survivors only.  ``tests/test_batch_arrival.py`` pins both
+    lanes by construction.
     """
     q_len = s.q_len
     node_load = s.node_load
@@ -977,7 +1022,7 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
     post_len = q_len[li]
     solo = post_len == 1
     combining_dt = 0.0
-    if solo.all():
+    if np.count_nonzero(solo) == solo.size:
         newly = placed = li
     else:
         # Newly activated links in first-arrival order: a repeated index
@@ -1013,13 +1058,13 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
         # Max stats only need the touched entries: within the phase
         # lengths/loads only grow, so the post-batch values are the
         # step's peaks (gathers see each link's final value at its last
-        # duplicate).
-        mq = int(post_len.max())
-        if mq > s.max_queue:
-            s.max_queue = mq
-        mnl = int(node_load[srcs].max())
-        if mnl > s.max_node_load:
-            s.max_node_load = mnl
+        # duplicate).  They are logged, not reduced: fold_peaks takes
+        # the maxima of many steps in one call.
+        queue_peaks = s.queue_peaks
+        queue_peaks.append(post_len)
+        s.load_peaks.append(node_load[srcs])
+        if len(queue_peaks) >= s.peak_fold:
+            fold_peaks(s)
     s.q_head[li] = batch
     s.q_tail[li] = batch
     s.q_next[batch] = -1
@@ -1224,6 +1269,7 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
     """
     prof = s.prof
     t0 = wall_time() if prof is not None else 0.0
+    fold_peaks(s)
     arrived = s.arrived
     absorbed_by = absorbed = _EMPTY
     if s.child_pairs:
@@ -1267,3 +1313,136 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
     if prof is not None:
         prof.add_phase("finish", wall_time() - t0)
     return arrays
+
+
+class RunInvariantError(RuntimeError):
+    """A :class:`RunState` broke an invariant every phase keeps
+    (:func:`check_invariants`): an engine bug, never an input error.
+    ``invariant`` names the rule, ``detail`` the first offender."""
+
+    def __init__(self, invariant: str, detail: str) -> None:
+        super().__init__(f"{invariant}: {detail}")
+        self.invariant = invariant
+        self.detail = detail
+
+
+def check_invariants(s: RunState, in_flight: np.ndarray | None = None) -> None:
+    """Raise :class:`RunInvariantError` unless *s* is a state the phases
+    can leave between two of their calls.  *in_flight* are the packets a
+    transmission phase returned and no arrival phase has taken yet.
+
+    * cursors: every packet's lies in ``[fl_base, fl_last]``;
+    * chains: from ``q_head``, each non-empty link's chain has ``q_len``
+      members, ends at ``q_tail`` and holds packets whose next hop is
+      that link, in service order (priority never rising along it); an
+      empty link has no head, and no packet waits in two chains;
+    * ``active`` is exactly the links with ``q_len > 0``, once each, and
+      ``node_load`` counts the packets queued on each node's out-links;
+    * conservation: queued, in flight, in an escape buffer, delivered,
+      absorbed and not yet injected are disjoint, and ``remaining`` is
+      the live packets (with the subtrees absorbed into them) plus the
+      roots not yet injected — a packet in none of the states has never
+      moved.
+
+    A test instrument: O(packets + links) with a Python walk per chain,
+    called by nothing on the served path.
+    """
+    n = s.fl.size
+    bad = np.flatnonzero((s.fl < s.fl_base) | (s.fl > s.fl_last))
+    if bad.size:
+        i = int(bad[0])
+        raise RunInvariantError(
+            "cursor", f"packet {i} at slot {int(s.fl[i])} outside "
+            f"[{int(s.fl_base[i])}, {int(s.fl_last[i])}]"
+        )
+    q_head = s.q_head.tolist()
+    q_tail = s.q_tail.tolist()
+    q_next = s.q_next.tolist()
+    fl = s.fl
+    prio = s.prio_flat
+    state = np.zeros(n, dtype=np.int64)  # how many states claim each packet
+    for li, length in enumerate(s.q_len.tolist()):
+        if length < 0:
+            raise RunInvariantError("chain", f"link {li} has length {length}")
+        if length == 0:
+            if q_head[li] != -1:
+                raise RunInvariantError("chain", f"empty link {li} has head {q_head[li]}")
+            continue
+        members = []
+        i = q_head[li]
+        while i >= 0 and len(members) <= length:
+            members.append(i)
+            i = q_next[i]
+        if len(members) != length or members[-1] != q_tail[li]:
+            raise RunInvariantError(
+                "chain", f"link {li}: length {length}, tail {q_tail[li]}, "
+                f"chain from its head {members}"
+            )
+        rows = np.asarray(members, dtype=np.int64)
+        done = rows[fl[rows] >= s.fl_last[rows]]
+        if done.size:
+            raise RunInvariantError(
+                "chain", f"packet {int(done[0])} waits on link {li} past its last hop"
+            )
+        strays = rows[s.li_flat[fl[rows]] != li]
+        if strays.size:
+            raise RunInvariantError(
+                "chain", f"packet {int(strays[0])} waits on link {li}, not its next hop"
+            )
+        if prio is not None and (np.diff(prio[fl[rows]]) > 0).any():
+            raise RunInvariantError(
+                "chain", f"link {li} is out of service order: {members}"
+            )
+        np.add.at(state, rows, 1)
+    twice = np.flatnonzero(state > 1)
+    if twice.size:
+        raise RunInvariantError("chain", f"packet {int(twice[0])} waits twice")
+    queued = np.flatnonzero(state)
+    busy = np.flatnonzero(s.q_len > 0)
+    active = s.active
+    if active.size != busy.size or not np.array_equal(np.sort(active), busy):
+        raise RunInvariantError(
+            "active", f"active links {active.tolist()}, non-empty links {busy.tolist()}"
+        )
+    load = np.bincount(s.link_src, weights=s.q_len, minlength=s.node_load.size)
+    off = np.flatnonzero(load != s.node_load)
+    if off.size:
+        u = int(off[0])
+        raise RunInvariantError(
+            "node_load", f"node {u} has load {int(s.node_load[u])}, queues {int(load[u])}"
+        )
+
+    flight = _EMPTY if in_flight is None else np.asarray(in_flight, dtype=np.int64)
+    escaped = np.asarray(
+        [] if s.fc is None else list(s.fc.escape_at.values()), dtype=np.int64
+    )
+    delivered = np.flatnonzero(s.arrived >= 0)
+    absorbed = _EMPTY if s.parent is None else np.flatnonzero(s.parent >= 0)
+    for part in (flight, escaped, delivered, absorbed):
+        np.add.at(state, part, 1)
+    twice = np.flatnonzero(state > 1)
+    if twice.size:
+        raise RunInvariantError(
+            "conservation", f"packet {int(twice[0])} is in two states at once"
+        )
+    early = delivered[fl[delivered] != s.fl_last[delivered]]
+    if early.size:
+        raise RunInvariantError(
+            "conservation", f"packet {int(early[0])} delivered before its last hop"
+        )
+    unborn = np.flatnonzero(state == 0)
+    moved = unborn[fl[unborn] != s.fl_base[unborn]]
+    if moved.size:
+        raise RunInvariantError(
+            "conservation", f"packet {int(moved[0])} moved but is in no state"
+        )
+    live = np.concatenate([queued, flight, escaped])
+    weight = live.size if s.subtree is None else int(np.add.reduce(s.subtree[live]))
+    if s.spawn is not None:
+        unborn = unborn[~s.spawn.dormant[unborn]]  # a dormant packet is no root
+    if s.remaining != weight + unborn.size:
+        raise RunInvariantError(
+            "conservation",
+            f"remaining {s.remaining}, but {weight} live (absorbed subtrees "
+            f"included) + {unborn.size} roots not yet injected",
+        )

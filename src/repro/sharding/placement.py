@@ -73,22 +73,37 @@ class ShardPlacement:
         """Vectorized :meth:`shard_of` over an address array."""
         return self.hash.map(np.asarray(addrs, dtype=np.int64))
 
-    def split(self, step: RequestColumns) -> dict[int, RequestColumns]:
-        """Partition one PRAM step into per-shard sub-steps.
+    def scatter(self, step: RequestColumns) -> dict[int, np.ndarray | None]:
+        """The rows of *step* each loaded shard owns, in issue order.
 
-        One :meth:`map` over the step's address column, one row-take
-        per loaded shard: requests keep their relative order within
-        each shard.  With ``n_shards == 1`` the single sub-step is the
-        input itself — the property the shards=1 bit-identity gate
-        rests on.  Shards that receive no requests are absent from the
-        result.
+        One :meth:`map` over the step's address column; shards that
+        receive no requests are absent.  With ``n_shards == 1`` there is
+        no map and the one shard's rows are ``None``: all of them, in
+        place.
         """
         if self.n_shards == 1:
-            return {0: step} if step.num_requests else {}
+            return {0: None} if step.num_requests else {}
         owners = self.map(step.addrs)
         return {
-            shard: step.take(np.flatnonzero(owners == shard))
+            shard: np.flatnonzero(owners == shard)
             for shard in np.flatnonzero(np.bincount(owners)).tolist()
+        }
+
+    def split(
+        self, step: RequestColumns, scatter: dict | None = None
+    ) -> dict[int, RequestColumns]:
+        """Partition one PRAM step into per-shard sub-steps: one row-take
+        per loaded shard of its :meth:`scatter` (*scatter*, when the
+        caller already has it), so requests keep their relative order
+        within each shard.  With ``n_shards == 1`` the single sub-step
+        is the input itself — the property the shards=1 bit-identity
+        gate rests on.
+        """
+        if scatter is None:
+            scatter = self.scatter(step)
+        return {
+            shard: step if rows is None else step.take(rows)
+            for shard, rows in scatter.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.emulation.base import Emulator, StepCost
+from repro.emulation.base import Emulator, StepCost, check_addresses
 from repro.faults import RehashStormError
 from repro.pram.trace import RequestColumns
 from repro.sharding.placement import ShardPlacement
@@ -265,14 +265,21 @@ class ShardedEmulator(Emulator):
 
     # ---- the scatter/gather step -------------------------------------
     def emulate_step(self, step: RequestColumns) -> StepCost:
+        """Scatter → one ``emulate_step`` per loaded shard, in shard
+        order → gather.  The merged cost's ``modules`` puts each shard's
+        column at the rows it served, as ``shard * module_stride + m``.
+        An address outside the fleet is rejected before any shard
+        steps."""
         obs = self._obs
+        check_addresses(step.addrs, self.address_space)
         with obs.span(
             "shard_scatter",
             category="sharding",
             virtual_clock=self._virtual_clock,
             requests=step.num_requests,
         ):
-            parts = self.placement.split(step)
+            rows = self.placement.scatter(step)
+            parts = self.placement.split(step, rows)
         costs: list[StepCost] = []
         try:
             with obs.span(
@@ -294,6 +301,7 @@ class ShardedEmulator(Emulator):
                 err.flight_tail = obs.flight_tail()
             raise
         merged = merge_costs(costs)
+        merged.modules = self._gather_modules(step.num_requests, rows, costs)
         obs.count("shard_gathers_total")
         obs.observe("shards_loaded", len(parts))
         # One fleet timeline: advance by the merged (parallel-shards)
@@ -303,6 +311,16 @@ class ShardedEmulator(Emulator):
             self._virtual_clock + merged.total_steps + merged.stall_steps
         )
         return merged
+
+    def _gather_modules(self, n: int, rows: dict, costs: list[StepCost]) -> np.ndarray:
+        """The fleet's module column of a step: shard ``idx``'s
+        ``cost.modules`` at its scatter rows, strided to global ids."""
+        modules = np.empty(n, dtype=np.int64)
+        for (idx, at), cost in zip(sorted(rows.items()), costs):
+            modules[slice(None) if at is None else at] = (
+                idx * self.module_stride + cost.modules
+            )
+        return modules
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -602,9 +602,9 @@ class OnlineEmulator:
                 timed_out=expired.shape[1],
                 dead_lettered=dead.shape[1],
                 fault_events=fault_events,
-                # asked after the step: the hash of the attempt that
+                # the step's own column: the hash of the attempt that
                 # succeeded (mid-step rehashes, detected-dead remap)
-                modules=emu.serving_modules(served[ADDR]).tolist() if n_served else [],
+                modules=cost.modules.tolist(),
                 arrivals_by_tenant=self._by_tenant(offered),
                 dropped_by_tenant=self._by_tenant(offered[room:]),
                 delivered_by_tenant=self._by_tenant(served[TENANT]),

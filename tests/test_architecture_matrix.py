@@ -253,6 +253,29 @@ def test_fast_engine_stays_a_loop_over_phase_functions(module):
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]
 
 
+#: the phases every network step of every fast run calls
+PER_STEP_PHASES = ("admit", "enqueue", "pop_heads", "transmit_unconstrained")
+
+
+def test_the_per_step_phases_call_no_reduction_method():
+    """An ndarray reduction method costs ~2 µs whatever the array's
+    size — a 16-packet step pays several per step for nothing.  The
+    per-step phases test with ``np.count_nonzero`` and log their peaks
+    for ``fold_peaks``; no ``.any()`` / ``.all()`` / ``.max()`` /
+    ``.min()`` / ``.sum()`` call, on any receiver."""
+    tree = ast.parse((DOC.parent.parent / "src/repro/routing/fast_phases.py").read_text())
+    fns = {n.name: n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)}
+    for name in PER_STEP_PHASES:
+        found = [
+            (node.lineno, node.func.attr)
+            for node in ast.walk(fns[name])
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"any", "all", "max", "min", "sum"}
+        ]
+        assert not found, f"{name} reduces per step: {found}"
+
+
 def test_queue_state_has_no_priority_class_tables():
     """One chain per link serves FIFO and furthest-first: nothing in
     ``fast_phases`` is indexed by a (link, priority class) pair, so no

@@ -16,18 +16,24 @@ k-th hop is link slot ``fl_base[i] + k``.
 from itertools import chain as concat
 
 import numpy as np
+import pytest
 
+from repro.routing.fast_engine import FastPathEngine, _injection_batches
 from repro.routing.fast_phases import (
     RunState,
     SpawnTables,
     admit,
+    RunInvariantError,
     advance_escapes,
+    check_invariants,
     classify_constrained,
     finish,
+    fold_peaks,
     land_escapes,
     link_tables,
     pack_priorities,
     pop_heads,
+    record_absorptions,
     refresh_fault_flags,
     replay_contended,
     select_heads,
@@ -35,9 +41,9 @@ from repro.routing.fast_phases import (
     transmit_unconstrained,
 )
 from repro.routing import LeveledRouter
-from repro.topology import FlatPaths, Mesh2D, StarLogicalLeveled
-from repro.topology.compiled import compile_mesh
-from test_batch_arrival import DownUntil
+from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
+from repro.topology.compiled import compile_mesh, segment_index
+from test_batch_arrival import DownUntil, residue_lane
 
 
 def ids(*values):
@@ -68,6 +74,12 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
         num_nodes=num_nodes,
         **kwargs,
     )
+
+
+def admit_checked(s: RunState, batch, t: int, in_flight=None) -> None:
+    """:func:`admit`, then :func:`check_invariants` on what it left."""
+    admit(s, batch, t)
+    check_invariants(s, in_flight)
 
 
 def chain(s: RunState, link: int) -> list[int]:
@@ -192,24 +204,27 @@ DISJOINT = [[0, 3, 6], [1, 4, 6], [2, 5, 6]]
 
 def test_admit_solo_lane():
     s = make_state(DISJOINT)
-    admit(s, ids(2, 0, 1), 0)
+    admit_checked(s, ids(2, 0, 1), 0)
     assert s.q_head[:3].tolist() == s.q_tail[:3].tolist() == [0, 1, 2]
     assert s.q_next.tolist() == [-1, -1, -1]
     assert s.active.tolist() == [2, 0, 1]  # batch order = first-arrival order
     assert s.q_len.tolist() == [1, 1, 1, 0, 0, 0]
     assert s.node_load.tolist() == [1, 1, 1, 0, 0, 0, 0]
+    fold_peaks(s)  # the arrival phase logs its peaks; folding reads them
     assert (s.max_queue, s.max_node_load, s.remaining) == (1, 1, 3)
 
 
 def test_admit_contended_residue():
     s = make_state([[0, 1, 2]] * 4)  # all four cross link (0,1)=0
-    admit(s, ids(1, 0, 2), 0)
+    admit_checked(s, ids(1, 0, 2), 0)
     assert chain(s, 0) == [1, 0, 2]  # fan-in onto an idle link, batch order
     assert s.active.tolist() == [0]
+    fold_peaks(s)
     assert (s.max_queue, s.max_node_load) == (3, 3)
-    admit(s, ids(3), 1)  # an arrival onto waiters chains behind the tail
+    admit_checked(s, ids(3), 1)  # an arrival onto waiters chains behind the tail
     assert chain(s, 0) == [1, 0, 2, 3]
     assert s.active.tolist() == [0]  # an already active link is not re-added
+    fold_peaks(s)
     assert (s.max_queue, s.max_node_load) == (4, 4)
 
 
@@ -217,20 +232,22 @@ def test_admit_mixed_batch_activates_links_in_first_arrival_order():
     # links: (0,4)=0 for A, (1,4)=1 for B and C, (2,4)=2 for D
     s = make_state([[0, 4, 5], [1, 4, 5], [1, 4, 5], [2, 4, 5]])
     a, b, c, d = range(4)
-    admit(s, ids(b, a, c, d), 0)
+    admit_checked(s, ids(b, a, c, d), 0)
     assert s.active.tolist() == [1, 0, 2]
     assert chain(s, 1) == [b, c]
     assert chain(s, 0) == [a] and chain(s, 2) == [d]
     assert s.q_len[:3].tolist() == [1, 2, 1]
+    fold_peaks(s)
     assert (s.max_queue, s.max_node_load) == (2, 2)
 
 
 def test_delivered_host_delivers_its_absorption_subtree():
     s = make_state([[0, 1]] * 3, gid=[0, 0, 0])
     assert s.remaining == 3
-    s.subtree[0] = 3  # packets 1 and 2 were absorbed into 0 on the way
+    record_absorptions(s, ids(0, 0), ids(1, 2))  # 1 and 2 met 0 on the way
+    assert s.subtree[0] == 3
     s.fl[0] = s.fl_last[0]
-    admit(s, ids(0), 7)
+    admit_checked(s, ids(0), 7)
     assert s.remaining == 0
     assert s.arrived.tolist() == [7, -1, -1]  # finish() resolves the absorbed
     assert not s.active.size
@@ -238,8 +255,8 @@ def test_delivered_host_delivers_its_absorption_subtree():
 
 def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
     s = make_state([[0, 1, 2]] * 4, gid=[0, 0, 1, 1])
-    admit(s, ids(0), 0)  # packet 0 becomes key 0's resident on link 0
-    admit(s, ids(1, 2, 3), 1)
+    admit_checked(s, ids(0), 0)  # packet 0 becomes key 0's resident on link 0
+    admit_checked(s, ids(1, 2, 3), 1)
     # 1 meets the resident; 2 is key 1's first arrival, so it hosts 3
     assert s.parent.tolist() == [-1, 0, -1, 2]
     assert s.subtree.tolist() == [2, 1, 2, 1]
@@ -250,6 +267,7 @@ def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
     # absorbed packets are in no chain
     assert chain(s, 0) == [0, 2]
     assert s.gid[chain(s, 0)].tolist() == [0, 1]
+    fold_peaks(s)
     assert (s.q_len[0], s.node_load[0], s.max_queue) == (2, 2, 2)
     assert s.remaining == 4  # absorbed packets leave with their host
 
@@ -281,10 +299,10 @@ def test_spawn_firing_order():
 def test_admit_splices_spawned_children_in_front_of_their_parent():
     s = make_state(SPAWN_PATHS, spawn_plan=SPAWN_PLAN, num_nodes=4)
     assert (s.roots.tolist(), s.remaining) == ([0], 1)
-    admit(s, ids(0), 0)  # position 0: no trigger there
+    admit_checked(s, ids(0), 0)  # position 0: no trigger there
     assert s.remaining == 1 and not s.spawn.spawned
-    transmit_unconstrained(s)
-    admit(s, ids(0), 4)  # position 1: the trigger fires
+    check_invariants(s, transmit_unconstrained(s))
+    admit_checked(s, ids(0), 4)  # position 1: the trigger fires
     assert s.remaining == 4
     assert s.injected_at.tolist() == [0, 4, 4, 4, 0]
     link_12 = int(s.li_flat[s.fl[1]])
@@ -305,8 +323,10 @@ def test_select_heads_walks_a_stale_class_maximum_down():
         # both packets cross link 0; packet 0 in class 2, packet 1 in class 0
         s = make_state([[0, 1, 2]] * 2, priorities=[[2, 0], [0, 0]])
         for t, batch in enumerate(pushes):
-            admit(s, batch, t)
-        assert transmit_unconstrained(s).tolist() == [0]  # highest class first
+            admit_checked(s, batch, t)
+        sent = transmit_unconstrained(s)
+        check_invariants(s, sent)
+        assert sent.tolist() == [0]  # highest class first
         assert chain(s, 0) == [1]
         assert select_heads(s).tolist() == [1]
         assert transmit_unconstrained(s).tolist() == [1]
@@ -324,7 +344,7 @@ def deep_chain(arriving_prio) -> RunState:
     priorities *arriving_prio* there) have not been admitted yet."""
     hub_prio = DEEP_PRIO + list(arriving_prio)
     s = make_state([[0, 1, 2]] * len(hub_prio), priorities=[[p, 0] for p in hub_prio])
-    admit(s, ids(0, 1, 2, 3), 0)
+    admit_checked(s, ids(0, 1, 2, 3), 0)
     assert chain(s, 0) == [0, 1, 2, 3]
     return s
 
@@ -332,28 +352,29 @@ def deep_chain(arriving_prio) -> RunState:
 def test_an_arrival_goes_in_at_the_head_the_middle_or_the_tail_of_a_chain():
     # outranks every waiter: the new chain head
     s = deep_chain([9])
-    admit(s, ids(4), 1)
+    admit_checked(s, ids(4), 1)
     assert chain(s, 0) == [4, 0, 1, 2, 3]
     assert (s.q_head[0], s.q_next[4], s.q_tail[0]) == (4, 0, 3)
     # outranks the last waiter only: the middle, just ahead of it
     s = deep_chain([4])
-    admit(s, ids(4), 1)
+    admit_checked(s, ids(4), 1)
     assert chain(s, 0) == [0, 1, 2, 4, 3]
     assert (s.q_head[0], s.q_next[2], s.q_next[4], s.q_tail[0]) == (0, 4, 3, 3)
     # ties with waiters: behind the last of them (FIFO among ties)
     s = deep_chain([5])
-    admit(s, ids(4), 1)
+    admit_checked(s, ids(4), 1)
     assert chain(s, 0) == [0, 1, 2, 4, 3]
     s = deep_chain([7])
-    admit(s, ids(4), 1)
+    admit_checked(s, ids(4), 1)
     assert chain(s, 0) == [0, 4, 1, 2, 3]
     # outranks nobody — lower than, or tied with, the last waiter: the
     # plain append, no walk
     for low in (1, 3):
         s = deep_chain([low])
-        admit(s, ids(4), 1)
+        admit_checked(s, ids(4), 1)
         assert chain(s, 0) == [0, 1, 2, 3, 4]
         assert (s.q_next[3], s.q_next[4], s.q_tail[0]) == (4, -1, 4)
+    fold_peaks(s)
     assert (s.q_len[0], s.max_queue, s.active.tolist()) == (5, 5, [0])
 
 
@@ -363,7 +384,7 @@ def test_arrivals_of_one_step_are_merged_into_a_chain_in_service_order():
     # second 5) and keep their arrival order, two go to the head, one
     # appends
     s = deep_chain([6, 4, 9, 1, 6, 4, 8])
-    admit(s, ids(4, 5, 6, 7, 8, 9, 10), 1)
+    admit_checked(s, ids(4, 5, 6, 7, 8, 9, 10), 1)
     assert chain(s, 0) == [6, 10, 0, 4, 8, 1, 2, 5, 9, 3, 7]
     # ... which is the order the link then sends in
     sent = [transmit_unconstrained(s).tolist() for _ in range(11)]
@@ -380,7 +401,7 @@ def test_arrivals_of_one_step_are_merged_into_a_chain_in_service_order():
 
 def test_a_group_landing_on_an_idle_link_is_chained_in_service_order():
     s = make_state([[0, 1, 2]] * 4, priorities=[[2, 0], [7, 0], [2, 0], [7, 0]])
-    admit(s, ids(0, 1, 2, 3), 0)
+    admit_checked(s, ids(0, 1, 2, 3), 0)
     assert chain(s, 0) == [1, 3, 0, 2]  # equal priorities keep push order
 
 
@@ -391,8 +412,8 @@ def test_merges_on_several_links_in_one_step():
     paths = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 5
     hub_prio = [5, 1, 9] + [5, 1, 3, 0, 9]
     s = make_state(paths, priorities=[[p, 0] for p in hub_prio])
-    admit(s, ids(0, 1, 3, 4), 0)
-    admit(s, ids(6, 5, 2, 7), 1)
+    admit_checked(s, ids(0, 1, 3, 4), 0)
+    admit_checked(s, ids(6, 5, 2, 7), 1)
     assert chain(s, 0) == [2, 0, 1]
     assert chain(s, 1) == [7, 3, 5, 4, 6]
     assert s.active.tolist() == [0, 1]
@@ -401,8 +422,8 @@ def test_merges_on_several_links_in_one_step():
 def test_a_fifo_run_appends_whatever_arrives():
     s = make_state([[0, 1, 2]] * 3)
     assert s.prio_flat is None
-    admit(s, ids(2), 0)
-    admit(s, ids(0, 1), 1)
+    admit_checked(s, ids(2), 0)
+    admit_checked(s, ids(0, 1), 1)
     assert chain(s, 0) == [2, 0, 1]
 
 
@@ -410,16 +431,18 @@ def test_pop_heads_empties_queues_and_releases_combine_residency():
     """Leaving the chain is what ends a residency: an arrival with the
     departed packet's key queues, one with a waiter's key is absorbed."""
     s = make_state([[0, 1, 2]] * 4, gid=[0, 1, 0, 1])
-    admit(s, ids(0, 1), 0)
+    admit_checked(s, ids(0, 1), 0)
     pop_heads(s, s.active, select_heads(s))
+    check_invariants(s, ids(0))
     assert chain(s, 0) == [1]
     assert (s.fl[0] - s.fl_base[0], s.q_len[0], s.node_load[0]) == (1, 1, 1)
     assert s.active.tolist() == [0]
-    admit(s, ids(2, 3), 1)  # 2 has 0's key, 3 has 1's
+    admit_checked(s, ids(2, 3), 1, in_flight=ids(0))  # 2 has 0's key, 3 has 1's
     assert chain(s, 0) == [1, 2]
     assert (s.combines, s.parent.tolist()) == (1, [-1, -1, -1, 1])
     pop_heads(s, s.active, select_heads(s))
     pop_heads(s, s.active, select_heads(s))
+    check_invariants(s, ids(0, 1, 2))
     assert s.q_head[0] == -1 and chain(s, 0) == []
     assert (s.q_len[0], s.node_load[0]) == (0, 0)
     assert not s.active.size
@@ -434,10 +457,12 @@ def test_fault_flags_cover_every_slot_of_a_down_wire():
         links=links,
         link_faults=DownUntil((0, 1), 2),
     )
-    admit(s, ids(0, 1, 2), 0)
+    admit_checked(s, ids(0, 1, 2), 0)
     refresh_fault_flags(s, 0)
     assert s.f_any and s.f_flags.tolist() == [True, True, False]
-    assert transmit_unconstrained(s).tolist() == [1]  # blocked links hold
+    sent = transmit_unconstrained(s)
+    check_invariants(s, sent)
+    assert sent.tolist() == [1]  # blocked links hold
     assert s.fault_stalls == 2 and s.active.tolist() == [0, 1]
     refresh_fault_flags(s, 2)
     assert not s.f_any and not s.f_flags.any()
@@ -452,7 +477,7 @@ CROSSING = [[0, 3, 5], [1, 3, 5], [2, 4], [3, 5]]
 
 def crossing_state(order, **kwargs) -> RunState:
     s = make_state(CROSSING, capacity=1, **kwargs)
-    admit(s, ids(*order), 0)
+    admit_checked(s, ids(*order), 0)
     return s
 
 
@@ -514,12 +539,15 @@ def test_escape_subphase_moves_occupants_in_occupancy_order():
         s.fl[i] += 1
         s.fc.escape_at[i] = i
         s.fc.escape_next[i] = 3
+    check_invariants(s)
     moved, used, reserved = advance_escapes(s)
+    check_invariants(s, ids(*moved))
     assert (moved, used, reserved) == ([0], {3}, {})  # exits reserve nothing
     assert s.fc.escape_at == {1: 1} and s.fc.credits_stalled == 1
     assert s.fl[0] == s.fl_last[0]
     # the bulk head of the used link stalls behind the occupant
     arrivals = transmit_constrained(s)
+    check_invariants(s, np.concatenate([ids(*moved), arrivals]))
     assert arrivals.tolist() == [1]
     assert s.active.tolist() == [3] and s.fc.credits_stalled == 2
 
@@ -558,3 +586,192 @@ def test_finish_reports_a_deadlock():
     arrays = finish(s, 4, True)
     assert not arrays.completed
     assert arrays.deadlock == "no progress at t=4 with 4 packets queued over 4 links"
+
+
+# ----------------------------------------------------------- invariants
+
+
+def drive_checked(s: RunState, injected_at: np.ndarray, max_steps: int = 10_000):
+    """``FastPathEngine._run_batch`` spelled out phase by phase, with
+    :func:`check_invariants` after every one of them."""
+    pending = _injection_batches(s.roots, injected_at[s.roots])
+    transmit = transmit_unconstrained if s.capacity is None else transmit_constrained
+    t = 0
+    while s.remaining > 0:
+        while pending and pending[-1][0] <= t:
+            admit_checked(s, pending.pop()[1], t)
+        if s.remaining == 0 or t >= max_steps:
+            break
+        if s.link_faults is not None:
+            refresh_fault_flags(s, t)
+        arrivals = transmit(s)
+        check_invariants(s, arrivals)
+        t += 1
+        if s.pending_escape:
+            arrivals = land_escapes(s, arrivals)
+            check_invariants(s, arrivals)
+        if arrivals.size:
+            admit_checked(s, arrivals, t)
+    return finish(s, t, False)
+
+
+def sweep_run(network: str, seed: int):
+    """A small seeded request run: ``(paths, num_nodes, links,
+    furthest-first priorities, destinations)``.  Destinations crowd onto
+    a few nodes, so queues build and same-destination keys meet."""
+    rng = np.random.default_rng(seed)
+    if network == "leveled":
+        net = DAryButterflyLeveled(2, 4)
+        n, N = 24, net.column_size
+        sources, dests = rng.integers(0, N, n), rng.integers(0, 3, n)
+        router = LeveledRouter(net, seed=seed, engine="fast")
+        run = router._compile(sources, dests, router._draw(sources, dests))
+        paths = FlatPaths.from_matrix(run.paths)
+        num_nodes, links, prio = run.num_nodes, None, None
+    else:
+        mesh = Mesh2D.square(6)
+        compiled = compile_mesh(mesh)
+        n = 30
+        sources = rng.integers(0, mesh.num_nodes, n)
+        dests = rng.integers(0, 4, n) * 7
+        paths, link_ids, prio = compiled.itineraries(
+            sources, dests, rng.integers(0, mesh.rows, n), with_priorities=True
+        )
+        num_nodes, links = mesh.num_nodes, (link_ids, *compiled.link_arrays())
+    if prio is None:  # furthest-first: the hops still to go
+        hops = paths.hops
+        prio = np.repeat(hops, hops) - segment_index(hops)
+    return paths, num_nodes, links, prio, dests
+
+
+@pytest.mark.parametrize("network", ["leveled", "mesh"])
+@pytest.mark.parametrize("furthest_first", [False, True])
+@pytest.mark.parametrize("combine", [False, True])
+@pytest.mark.parametrize("capacity", [None, 2])
+@pytest.mark.parametrize("lane", ["scalar", "vector"])
+def test_every_phase_keeps_the_run_invariants(network, furthest_first, combine, capacity, lane):
+    """Seeded runs driven phase by phase, checked after every phase —
+    with a link down for the first steps, the contended residue forced
+    through each lane — and the hand-driven run is the engine's own:
+    same outcome as ``FastPathEngine.run``."""
+    for seed in (3, 11):
+        paths, num_nodes, links, prio, dests = sweep_run(network, seed)
+        prio = prio if furthest_first else None
+        gid = dests if combine else None
+        n = paths.offsets.size - 1
+        injected_at = np.random.default_rng(seed).integers(0, 3, n)
+        first = int(np.flatnonzero(paths.hops)[0])
+        down = DownUntil(tuple(paths.nodes[paths.offsets[first] :][:2].tolist()), 4)
+        s = RunState(
+            paths,
+            paths.hops,
+            injected_at.copy(),
+            gid,
+            prio,
+            num_nodes=num_nodes,
+            links=links,
+            capacity=capacity,
+            credit=capacity is not None,
+            link_faults=down,
+        )
+        engine = FastPathEngine(
+            combine=combine,
+            node_capacity=capacity,
+            flow_control="none" if capacity is None else "credit",
+        )
+        with residue_lane(lane):
+            by_hand = drive_checked(s, injected_at)
+            stats = engine.run(
+                paths,
+                num_nodes=num_nodes,
+                max_steps=10_000,
+                priorities=prio,
+                links=links,
+                injected_at=injected_at,
+                combine_groups=gid,
+                link_faults=down,
+            )
+        ref = engine.last_arrays
+        assert stats.completed and by_hand.completed
+        for field in ("hops", "arrived", "absorbed_by", "absorbed"):
+            assert np.array_equal(getattr(by_hand, field), getattr(ref, field)), field
+        for field in ("steps", "max_queue", "max_node_load", "combines", "fault_stalls"):
+            assert getattr(by_hand, field) == getattr(ref, field), field
+        assert ref.fault_stalls > 0 and (ref.combines > 0) == combine
+
+
+def mid_run() -> RunState:
+    """A furthest-first CRCW run on the 6x6 mesh, a few steps in."""
+    paths, num_nodes, links, prio, dests = sweep_run("mesh", 5)
+    s = RunState(
+        paths, paths.hops, np.zeros(paths.offsets.size - 1, dtype=np.int64),
+        dests, prio, num_nodes=num_nodes, links=links,
+    )  # fmt: skip
+    admit(s, s.roots, 0)
+    for t in (1, 2):
+        admit(s, transmit_unconstrained(s), t)
+    check_invariants(s)
+    assert (s.q_len > 1).any()  # some chain has an order to break
+    return s
+
+
+def _deep(s: RunState) -> tuple[int, int, int]:
+    """The longest chain's link, its head and its tail."""
+    li = int(np.argmax(s.q_len))
+    return li, int(s.q_head[li]), int(s.q_tail[li])
+
+
+def skipped_unlink(s):
+    s.q_len[_deep(s)[0]] += 1
+
+
+def off_by_one_cursor(s):
+    s.fl[_deep(s)[1]] += 1
+
+
+def stale_tail(s):
+    li, head, _ = _deep(s)
+    s.q_tail[li] = head
+
+
+def broken_service_order(s):
+    s.prio_flat[s.fl[_deep(s)[2]]] = 10**6  # the tail outranks the head
+
+
+def lost_activation(s):
+    s.active = s.active[1:]
+
+
+def miscounted_load(s):
+    s.node_load[0] += 1
+
+
+def lost_packet(s):
+    s.remaining += 1
+
+
+def cursor_past_delivery(s):
+    s.fl[0] = s.fl_last[0] + 1
+
+
+#: one hand-made engine bug each, and the invariant that must name it
+CORRUPTIONS = {
+    skipped_unlink: "chain",
+    off_by_one_cursor: "chain",
+    stale_tail: "chain",
+    broken_service_order: "chain",
+    lost_activation: "active",
+    miscounted_load: "node_load",
+    lost_packet: "conservation",
+    cursor_past_delivery: "cursor",
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS), ids=lambda f: f.__name__)
+def test_the_invariant_checker_names_each_corruption(corrupt):
+    s = mid_run()
+    corrupt(s)
+    with pytest.raises(RunInvariantError) as err:
+        check_invariants(s)
+    assert err.value.invariant == CORRUPTIONS[corrupt]
+    assert isinstance(err.value, RuntimeError)

@@ -73,11 +73,12 @@ def steps_for(n: int, *, kind: str = "read", start: int = 0):
 def costs_sans_modes(costs):
     """Step costs with the engine-mode labels stripped (the labels name
     the executing engine, so they differ across a differential pair by
-    construction)."""
+    construction), and the module column as a list (compared too)."""
     out = []
     for c in costs:
         d = dict(c.__dict__)
         d.pop("run_modes")
+        d["modules"] = c.modules.tolist()
         out.append(d)
     return out
 
