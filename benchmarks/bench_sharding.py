@@ -101,7 +101,7 @@ def _run_row(mix: str, n_shards: int, net) -> dict:
     quota_violations = sum(
         1
         for e in report.epochs
-        for t, n in e.delivered_by_tenant.items()
+        for t, n in e.by_tenant("delivered").items()
         if quota.get(t) is not None and n > quota[t]
     )
     modes = report.run_mode_counts()

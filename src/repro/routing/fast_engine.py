@@ -101,15 +101,13 @@ def resolve_engine_mode(mode: str) -> str:
     )
 
 
-def _normalise_paths(
-    paths, path_lengths: Sequence[int] | None
-) -> tuple[FlatPaths, np.ndarray]:
-    """Validate *paths* / *path_lengths*; return ``(paths, last)``.
+def _normalise_paths(paths) -> tuple[FlatPaths, np.ndarray]:
+    """Validate *paths*; return ``(paths, last)``.
 
     Every accepted form becomes one :class:`FlatPaths`: a 2-D matrix is
     raveled (no copy), a list of per-packet lists — ragged or not — is
     concatenated.  ``last[i]`` is the int64 position at which packet i
-    is delivered.
+    is delivered: its row's last entry.
     """
     if isinstance(paths, FlatPaths):
         nodes = np.asarray(paths.nodes, dtype=np.int64)
@@ -137,20 +135,7 @@ def _normalise_paths(
         raise ValueError(
             f"paths[{int(np.argmin(widths))}] is empty: a path starts at its source"
         )
-    n = widths.size
-    if path_lengths is None:
-        return flat, widths - 1
-    last = np.asarray(path_lengths, dtype=np.int64)
-    if last.shape != (n,):
-        raise ValueError("one path length per packet required")
-    bad = np.nonzero((last < 0) | (last >= widths))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"path_lengths[{i}]={int(last[i])} outside its {int(widths[i])}"
-            "-node path"
-        )
-    return flat, last
+    return flat, widths - 1
 
 
 def _injection_batches(
@@ -230,7 +215,6 @@ class FastPathEngine:
         *,
         num_nodes: int,
         max_steps: int,
-        path_lengths: Sequence[int] | None = None,
         priorities=None,
         links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         spawn_plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -244,8 +228,7 @@ class FastPathEngine:
         *max_steps*.
 
         ``paths[i]`` is packet i's node-id itinerary including its start;
-        the packet is delivered on reaching entry ``path_lengths[i]``
-        (default: the last entry).  *paths* is a
+        the packet is delivered on reaching its last entry.  *paths* is a
         :class:`~repro.topology.compiled.FlatPaths` (rows laid end to
         end), a 2-D ``np.ndarray`` of equal-length rows (raveled, no
         copy) or a list of per-packet lists, which may be ragged (they
@@ -312,7 +295,7 @@ class FastPathEngine:
             "batch" if self.node_capacity is None else "batch-constrained"
         )
         try:
-            flat, last = _normalise_paths(paths, path_lengths)
+            flat, last = _normalise_paths(paths)
             n = len(last)
             if injected_at is None:
                 injected_at = np.zeros(n, dtype=np.int64)

@@ -55,7 +55,8 @@ class CompiledLeveledTopology:
     def __init__(self, net: LeveledNetwork) -> None:
         # Note: nets with uniform_out_degree=False compile fine for
         # node-mode routing (unique-path arithmetic only); out_table —
-        # needed by coin mode — raises for them via out_neighbor_table.
+        # needed by coin mode — is never read for them: their coins
+        # cannot be pre-drawn, so the router runs the reference engine.
         # held weakly: the net caches this object on itself, and a strong
         # back-reference would make every finished topology (and these
         # tables) cyclic garbage that only a collector pass frees

@@ -82,50 +82,21 @@ class LeveledNetwork(ABC):
         """Next hop on the (canonical) unique path toward last-column *dest*."""
 
     # ---- batched forms (compiled fast path) -----------------------------
+    @abstractmethod
     def out_neighbor_table(self, level: int) -> np.ndarray:
         """Dense ``(N, degree)`` array: row r lists out_neighbors(level, r).
 
         Column order matches :meth:`out_neighbors` so a pre-drawn coin c
-        selects the same bridge as ``out_neighbors(level, r)[c]``.
-        Every built-in family (butterfly, shuffle, star) overrides this
-        with a closed-form vectorized construction; this generic
-        fallback loops once per row and serves user-defined networks
-        only.
+        selects the same bridge as ``out_neighbors(level, r)[c]``.  Only
+        coin-mode compilation reads it, and only on a network with
+        :attr:`uniform_out_degree`.
         """
-        self.validate_level(level)
-        if not self.uniform_out_degree:
-            raise ValueError(
-                f"{type(self).__name__} has non-uniform out-degree; "
-                "no dense out-neighbor table exists"
-            )
-        table = np.empty((self.column_size, self.degree), dtype=np.int64)
-        for row in range(self.column_size):
-            table[row] = self.out_neighbors(level, row)
-        return table
 
+    @abstractmethod
     def unique_next_batch(
         self, level: int, rows: np.ndarray, dests: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`unique_next` over parallel row/dest arrays.
-
-        The generic fallback memoizes on (row, dest) — with hotspot
-        traffic many packets share a destination, so repeated canonical
-        next-hop computations collapse to one.  Families with arithmetic
-        unique paths (butterfly, shuffle) override with closed forms.
-        """
-        self.validate_level(level)
-        rows_l = np.asarray(rows, dtype=np.int64).tolist()
-        dests_l = np.asarray(dests, dtype=np.int64).tolist()
-        out = np.empty(len(rows_l), dtype=np.int64)
-        memo: dict[tuple[int, int], int] = {}
-        unique_next = self.unique_next
-        for i, (r, dd) in enumerate(zip(rows_l, dests_l)):
-            key = (r, dd)
-            nxt = memo.get(key)
-            if nxt is None:
-                nxt = memo[key] = unique_next(level, r, dd)
-            out[i] = nxt
-        return out
+        """Vectorized :meth:`unique_next` over parallel row/dest arrays."""
 
     # ---- derived --------------------------------------------------------
     @property
@@ -384,8 +355,8 @@ class StarLogicalLeveled(LeveledNetwork):
         are closed-form — ``perm`` is
         :func:`~repro.topology.star.lexicographic_perms` (the Lehmer rank
         is the lexicographic rank), ``pos`` one scatter of it — and
-        replace the per-pair unrank/rank arithmetic the generic
-        ``unique_next_batch`` fallback had to memoize.
+        replace the per-pair unrank/rank arithmetic of the scalar
+        :meth:`unique_next`.
         """
         if self._perm_table is None:
             perm = lexicographic_perms(self.n)

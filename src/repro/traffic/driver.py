@@ -22,8 +22,8 @@ whatever ``node_capacity`` / ``flow_control`` / fault schedule the
 emulator was built with, memory ops, replies; (4) the virtual clock
 advances by the step's network cost (successful phases *plus*
 failed-attempt stalls) and the epoch's record is read off the served
-columns (sojourns are ``clock - stamp``, per-tenant counts a
-``bincount`` of the tenant row).  Un-admitted requests stay in the
+columns (sojourns are ``clock - stamp``, per-tenant counts one
+``bincount`` over the tenant rows).  Un-admitted requests stay in the
 table and carry over — under credit backpressure a congested epoch
 takes longer, the clock advances further, and the queued requests'
 sojourns grow: exactly the open-loop feedback a closed batch cannot
@@ -318,7 +318,8 @@ class OnlineEmulator:
     @property
     def backlog_by_tenant(self) -> dict[str, int]:
         """Queued requests per tenant label."""
-        return self._by_tenant(self._table[TENANT])
+        counts = self._tenant_counts(self._table[TENANT])[0].tolist()
+        return {t: k for t, k in zip(self._tenants, counts) if k}
 
     @property
     def queue(self) -> list[tuple[TrafficRequest, int]]:
@@ -349,18 +350,14 @@ class OnlineEmulator:
             return column
         return np.asarray([known.index(t) for t in batch.tenants])[column]
 
-    def _by_tenant(self, tenant_ids: np.ndarray) -> dict[str, int]:
-        """Requests per tenant label in a ``TENANT`` column."""
-        counts = np.bincount(tenant_ids, minlength=len(self._tenants)).tolist()
-        return {name: k for name, k in zip(self._tenants, counts) if k}
-
-    def _sojourns_by_tenant(self, tenant_ids, sojourns) -> dict[str, list[int]]:
-        """Served sojourns per tenant label, labels in first-served order."""
-        present, first = np.unique(tenant_ids, return_index=True)
-        return {
-            self._tenants[t]: sojourns[tenant_ids == t].tolist()
-            for t in present[np.argsort(first)].tolist()
-        }
+    def _tenant_counts(self, *columns: np.ndarray) -> np.ndarray:
+        """Requests per tenant label in each ``TENANT`` column, as a
+        ``(len(columns), len(_tenants))`` table: one ``bincount`` over
+        the columns, column r's ids offset by ``r * len(_tenants)``."""
+        width = len(self._tenants)
+        ids = np.concatenate([c + r * width for r, c in enumerate(columns)])
+        counts = np.bincount(ids, minlength=len(columns) * width)
+        return counts.reshape(len(columns), width)
 
     def _enqueue(self, batch: RequestBatch, stamp: int, not_before: int) -> None:
         columns = np.empty((_TABLE_ROWS, len(batch)), dtype=np.int64)
@@ -577,7 +574,6 @@ class OnlineEmulator:
                 fault_events = tuple(
                     faults.events_between(clock_before, self.clock)
                 )
-            sojourns = self.clock - served[STAMP]
             record = EpochRecord(
                 epoch=epoch,
                 arrivals=len(arrivals),
@@ -593,7 +589,7 @@ class OnlineEmulator:
                 credits_stalled=cost.credits_stalled,
                 run_modes=cost.run_modes,
                 clock=self.clock,
-                sojourns=sojourns.tolist(),
+                sojourns=(self.clock - served[STAMP]).tolist(),
                 sojourns_epochs=(epoch - served[EPOCH]).tolist(),
                 stall_steps=stall_steps,
                 fault_stalls=cost.fault_stalls,
@@ -605,13 +601,17 @@ class OnlineEmulator:
                 # the step's own column: the hash of the attempt that
                 # succeeded (mid-step rehashes, detected-dead remap)
                 modules=cost.modules.tolist(),
-                arrivals_by_tenant=self._by_tenant(offered),
-                dropped_by_tenant=self._by_tenant(offered[room:]),
-                delivered_by_tenant=self._by_tenant(served[TENANT]),
-                timed_out_by_tenant=self._by_tenant(expired[TENANT]),
-                dead_lettered_by_tenant=self._by_tenant(dead[TENANT]),
-                backlog_by_tenant=self.backlog_by_tenant,
-                tenant_sojourns=self._sojourns_by_tenant(served[TENANT], sojourns),
+                tenants=tuple(self._tenants),
+                # rows in TENANT_COUNTERS order
+                tenant_counts=self._tenant_counts(
+                    offered,
+                    served[TENANT],
+                    offered[room:],
+                    expired[TENANT],
+                    dead[TENANT],
+                    self._table[TENANT],
+                ),
+                sojourn_tenants=served[TENANT].tolist(),
             )
             report.add(record)
             _publish(obs, record)

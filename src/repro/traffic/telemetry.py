@@ -23,7 +23,32 @@ import numpy as np
 
 from repro.obs.schema import versioned
 
-__all__ = ["EpochRecord", "TrafficReport"]
+__all__ = ["EpochRecord", "TENANT_COUNTERS", "TrafficReport"]
+
+#: the rows of :attr:`EpochRecord.tenant_counts`: arrivals first, then
+#: every state an arrival can be in at the end of an epoch (``backlog``
+#: is a depth, the others are this epoch's counts)
+TENANT_COUNTERS = (
+    "arrivals",
+    "delivered",
+    "dropped",
+    "timed_out",
+    "dead_lettered",
+    "backlog",
+)
+_ARRIVALS, _DELIVERED, *_, _BACKLOG = range(len(TENANT_COUNTERS))
+
+
+def _no_counts(width: int) -> np.ndarray:
+    return np.zeros((len(TENANT_COUNTERS), width), dtype=np.int64)
+
+
+def _deficits(totals: dict[str, dict[str, int]]) -> dict[str, int]:
+    """Per tenant, arrivals minus the requests in every end state."""
+    return {
+        t: c["arrivals"] - sum(k for name, k in c.items() if name != "arrivals")
+        for t, c in totals.items()
+    }
 
 
 @dataclass
@@ -79,20 +104,25 @@ class EpochRecord:
     #: memory module that served each delivered request, aligned with
     #: ``sojourns`` (empty when the emulator exposes no module mapping)
     modules: list[int] = field(default_factory=list)
-    #: per-tenant slices of this epoch's counters (keys are tenant
-    #: labels; single-tenant runs put everything under ``"default"``).
-    #: The driver maintains them so the conservation law can be checked
-    #: *per tenant* — the isolation property multi-tenant admission
-    #: (quotas, QoS classes) must not break.
-    arrivals_by_tenant: dict[str, int] = field(default_factory=dict)
-    dropped_by_tenant: dict[str, int] = field(default_factory=dict)
-    delivered_by_tenant: dict[str, int] = field(default_factory=dict)
-    timed_out_by_tenant: dict[str, int] = field(default_factory=dict)
-    dead_lettered_by_tenant: dict[str, int] = field(default_factory=dict)
-    #: admission-queue depth per tenant *after* the epoch
-    backlog_by_tenant: dict[str, int] = field(default_factory=dict)
-    #: sojourns (network steps) of this epoch's deliveries per tenant
-    tenant_sojourns: dict[str, list[int]] = field(default_factory=dict)
+    #: the driver's tenant labels at the end of the epoch, in first-seen
+    #: order (single-tenant runs: ``("default",)``).  Labels are only
+    #: ever appended, so an earlier epoch's labels are a prefix of a
+    #: later epoch's.
+    tenants: tuple[str, ...] = ()
+    #: this epoch's counters per tenant: row r counts
+    #: ``TENANT_COUNTERS[r]``, column j the label ``tenants[j]``.  The
+    #: driver keeps them so the conservation law can be checked *per
+    #: tenant* — the isolation property multi-tenant admission (quotas,
+    #: QoS classes) must not break.  Read a row with :meth:`by_tenant`.
+    tenant_counts: np.ndarray = field(default_factory=lambda: _no_counts(0))
+    #: tenant index (into ``tenants``) of each delivered request,
+    #: aligned with ``sojourns`` and ``modules``
+    sojourn_tenants: list[int] = field(default_factory=list)
+
+    def by_tenant(self, counter: str) -> dict[str, int]:
+        """*counter*'s nonzero entries, keyed by tenant label."""
+        row = self.tenant_counts[TENANT_COUNTERS.index(counter)].tolist()
+        return {t: k for t, k in zip(self.tenants, row) if k}
 
 
 class TrafficReport:
@@ -185,48 +215,44 @@ class TrafficReport:
         return out
 
     # ---- per-tenant accounting -------------------------------------------
+    def _tenant_table(self) -> tuple[dict[str, int], np.ndarray]:
+        """The whole-run tenant table and the labels it reports.
+
+        The table is every epoch's ``tenant_counts`` summed (an earlier
+        epoch's labels are a prefix of the last one's, so its table adds
+        into the leading columns), except ``backlog``: the final
+        epoch's.  The labels are those with arrivals, deliveries or
+        backlog in some epoch — a multi-tenant batch carries every
+        label, even one whose lane is empty — sorted, each mapped to
+        its column.
+        """
+        if not self.epochs:
+            return {}, _no_counts(0)
+        last = self.epochs[-1]
+        total = _no_counts(len(last.tenants))
+        for e in self.epochs:
+            total[:, : len(e.tenants)] += e.tenant_counts
+        seen = total[[_ARRIVALS, _DELIVERED, _BACKLOG]].any(axis=0)
+        total[_BACKLOG] = last.tenant_counts[_BACKLOG]
+        columns = {t: j for j, t in enumerate(last.tenants) if seen[j]}
+        return dict(sorted(columns.items())), total
+
     @property
     def tenants(self) -> list[str]:
         """Every tenant label observed anywhere in the run, sorted."""
-        names: set[str] = set()
-        for e in self.epochs:
-            names.update(e.arrivals_by_tenant)
-            names.update(e.delivered_by_tenant)
-            names.update(e.backlog_by_tenant)
-        return sorted(names)
+        return list(self._tenant_table()[0])
 
     def tenant_totals(self) -> dict[str, dict[str, int]]:
         """Whole-run counters per tenant.
 
-        Keys per tenant: ``arrivals``, ``delivered``, ``dropped``,
-        ``timed_out``, ``dead_lettered``, and ``backlog`` (the *final*
-        epoch's queue depth, not a sum).
+        Keys per tenant: :data:`TENANT_COUNTERS` — ``backlog`` is the
+        *final* epoch's queue depth, not a sum.
         """
-        out: dict[str, dict[str, int]] = {
-            t: {
-                "arrivals": 0,
-                "delivered": 0,
-                "dropped": 0,
-                "timed_out": 0,
-                "dead_lettered": 0,
-                "backlog": 0,
-            }
-            for t in self.tenants
+        columns, total = self._tenant_table()
+        return {
+            t: dict(zip(TENANT_COUNTERS, total[:, j].tolist()))
+            for t, j in columns.items()
         }
-        for e in self.epochs:
-            for field_name, key in (
-                ("arrivals_by_tenant", "arrivals"),
-                ("delivered_by_tenant", "delivered"),
-                ("dropped_by_tenant", "dropped"),
-                ("timed_out_by_tenant", "timed_out"),
-                ("dead_lettered_by_tenant", "dead_lettered"),
-            ):
-                for t, k in getattr(e, field_name).items():
-                    out[t][key] += k
-        if self.epochs:
-            for t, depth in self.epochs[-1].backlog_by_tenant.items():
-                out[t]["backlog"] = depth
-        return out
 
     def tenant_conservation_deficits(self) -> dict[str, int]:
         """The conservation law, sliced per tenant — every value must be 0.
@@ -236,34 +262,22 @@ class TrafficReport:
         priorities) may *reorder* and *delay* a tenant's requests but
         must never lose or leak one across tenant boundaries.
         """
-        return {
-            t: c["arrivals"]
-            - (
-                c["delivered"]
-                + c["dropped"]
-                + c["timed_out"]
-                + c["dead_lettered"]
-                + c["backlog"]
-            )
-            for t, c in self.tenant_totals().items()
-        }
+        return _deficits(self.tenant_totals())
 
     def tenant_sojourn_percentiles(
         self, qs: tuple[float, ...] = (50.0, 95.0, 99.0), *, skip_epochs: int = 0
     ) -> dict[str, dict[str, float]]:
         """Per-tenant sojourn percentiles — the QoS-class outcome metric."""
-        samples: dict[str, list[int]] = {}
-        for e in self.epochs[skip_epochs:]:
-            for t, sj in e.tenant_sojourns.items():
-                samples.setdefault(t, []).extend(sj)
+        tail = self.epochs[skip_epochs:]
+        sojourns = np.asarray([s for e in tail for s in e.sojourns], dtype=np.float64)
+        owners = np.asarray([t for e in tail for t in e.sojourn_tenants], dtype=np.int64)
         out: dict[str, dict[str, float]] = {}
-        for t in self.tenants:
-            vals = samples.get(t, [])
-            if vals:
-                arr = np.asarray(vals, dtype=np.float64)
-                out[t] = {f"p{q:g}": float(np.percentile(arr, q)) for q in qs}
-            else:
-                out[t] = {f"p{q:g}": float("nan") for q in qs}
+        for t, j in self._tenant_table()[0].items():
+            vals = sojourns[owners == j]
+            out[t] = {
+                f"p{q:g}": float(np.percentile(vals, q)) if len(vals) else float("nan")
+                for q in qs
+            }
         return out
 
     # ---- dispatch history ------------------------------------------------
@@ -377,7 +391,10 @@ class TrafficReport:
         dict per fault epoch: ``epoch``, ``events``, ``pre_throughput``,
         ``recovered_epoch`` (None if never), and ``recovery_steps`` —
         virtual steps from the start of the fault epoch to the end of
-        the recovery epoch (0 if throughput never left the band).
+        the recovery epoch (None if never).  The search starts at the
+        fault epoch itself, so when throughput never left the band the
+        fault epoch is its own recovery epoch and ``recovery_steps`` is
+        that epoch's length (its clock advance), not 0.
         """
         thr = self.throughput_series(window)
         out: list[dict] = []
@@ -469,67 +486,19 @@ class TrafficReport:
         return second > first and tail[-1].backlog > mean_arrivals
 
     # ---- serialization ---------------------------------------------------
-    def traffic_section(self) -> dict:
-        """The service-level numbers, grouped (versioned ``traffic``).
-
-        Engine-dispatch detail (``run_mode_counts``) deliberately stays
-        out: the sections hold only engine-invariant numbers, so a fast
-        and a reference run of the same seed dump identical sections.
-        """
-        return versioned(
-            "traffic",
-            {
-                "num_epochs": self.num_epochs,
-                "total_arrivals": self.total_arrivals,
-                "total_delivered": self.total_delivered,
-                "total_dropped": self.total_dropped,
-                "total_steps": self.total_steps,
-                "final_backlog": self.final_backlog,
-                "conservation_deficit": self.conservation_deficit(),
-            },
-        )
-
-    def faults_section(self) -> dict:
-        """The degraded-mode numbers, grouped (versioned ``faults``)."""
-        return versioned(
-            "faults",
-            {
-                "total_rehashes": self.total_rehashes,
-                "total_deadlock_retries": self.total_deadlock_retries,
-                "total_fault_stalls": self.total_fault_stalls,
-                "total_stall_steps": self.total_stall_steps,
-                "total_retried": self.total_retried,
-                "total_timed_out": self.total_timed_out,
-                "total_dead_lettered": self.total_dead_lettered,
-            },
-        )
-
-    def tenants_section(self) -> dict:
-        """The multi-tenant QoS numbers, grouped (versioned ``tenants``)."""
-        return versioned(
-            "tenants",
-            {
-                "totals": self.tenant_totals(),
-                "conservation_deficits": self.tenant_conservation_deficits(),
-            },
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump (benchmarks commit these as baselines).
-
-        Carries the shared versioned envelope of
-        :mod:`repro.obs.schema` plus three grouped section views —
-        ``traffic`` / ``faults`` / ``tenants``, each with its own
-        envelope — over the same numbers.  The historical flat keys are
-        all preserved, so existing consumers (committed baselines,
-        engine-vs-engine dump comparisons) read the dump unchanged.
-        """
-        flat = {
+    def _traffic_numbers(self) -> dict:
+        return {
             "num_epochs": self.num_epochs,
             "total_arrivals": self.total_arrivals,
             "total_delivered": self.total_delivered,
             "total_dropped": self.total_dropped,
             "total_steps": self.total_steps,
+            "final_backlog": self.final_backlog,
+            "conservation_deficit": self.conservation_deficit(),
+        }
+
+    def _fault_numbers(self) -> dict:
+        return {
             "total_rehashes": self.total_rehashes,
             "total_deadlock_retries": self.total_deadlock_retries,
             "total_fault_stalls": self.total_fault_stalls,
@@ -537,10 +506,48 @@ class TrafficReport:
             "total_retried": self.total_retried,
             "total_timed_out": self.total_timed_out,
             "total_dead_lettered": self.total_dead_lettered,
-            "final_backlog": self.final_backlog,
-            "conservation_deficit": self.conservation_deficit(),
-            "tenant_totals": self.tenant_totals(),
-            "tenant_conservation_deficits": self.tenant_conservation_deficits(),
+        }
+
+    def _tenant_numbers(self) -> dict:
+        totals = self.tenant_totals()
+        return {"totals": totals, "conservation_deficits": _deficits(totals)}
+
+    def traffic_section(self) -> dict:
+        """The service-level numbers, grouped (versioned ``traffic``).
+
+        Engine-dispatch detail (``run_mode_counts``) deliberately stays
+        out: the sections hold only engine-invariant numbers, so a fast
+        and a reference run of the same seed dump identical sections.
+        """
+        return versioned("traffic", self._traffic_numbers())
+
+    def faults_section(self) -> dict:
+        """The degraded-mode numbers, grouped (versioned ``faults``)."""
+        return versioned("faults", self._fault_numbers())
+
+    def tenants_section(self) -> dict:
+        """The multi-tenant QoS numbers, grouped (versioned ``tenants``)."""
+        return versioned("tenants", self._tenant_numbers())
+
+    def to_dict(self) -> dict:
+        """JSON-ready dump (benchmarks commit these as baselines).
+
+        Carries the shared versioned envelope of
+        :mod:`repro.obs.schema` plus three grouped section views —
+        ``traffic`` / ``faults`` / ``tenants``, each with its own
+        envelope — over the same numbers: the historical flat keys are
+        the sections' entries, so existing consumers (committed
+        baselines, engine-vs-engine dump comparisons) read the dump
+        unchanged.
+        """
+        traffic = self._traffic_numbers()
+        faults = self._fault_numbers()
+        tenants = self._tenant_numbers()
+        flat = {
+            **traffic,
+            **faults,
+            "tenant_totals": tenants["totals"],
+            "tenant_conservation_deficits": tenants["conservation_deficits"],
             "run_mode_counts": self.run_mode_counts(),
             "epochs": [
                 {
@@ -568,16 +575,16 @@ class TrafficReport:
                     "dead_lettered": e.dead_lettered,
                     "fault_events": list(e.fault_events),
                     "modules": list(e.modules),
-                    "arrivals_by_tenant": dict(e.arrivals_by_tenant),
-                    "delivered_by_tenant": dict(e.delivered_by_tenant),
-                    "backlog_by_tenant": dict(e.backlog_by_tenant),
+                    "arrivals_by_tenant": e.by_tenant("arrivals"),
+                    "delivered_by_tenant": e.by_tenant("delivered"),
+                    "backlog_by_tenant": e.by_tenant("backlog"),
                 }
                 for e in self.epochs
             ],
+            "traffic": versioned("traffic", traffic),
+            "faults": versioned("faults", faults),
+            "tenants": versioned("tenants", tenants),
         }
-        flat["traffic"] = self.traffic_section()
-        flat["faults"] = self.faults_section()
-        flat["tenants"] = self.tenants_section()
         return versioned("traffic_report", flat)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

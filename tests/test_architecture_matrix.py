@@ -430,7 +430,7 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
         return list(inspect.signature(fn).parameters)
 
     assert params(FastPathEngine.run) == [
-        "self", "paths", "num_nodes", "max_steps", "path_lengths", "priorities",
+        "self", "paths", "num_nodes", "max_steps", "priorities",
         "links", "spawn_plan", "injected_at", "combine_groups", "raise_on_timeout",
         "link_faults", "fault_base",
     ]

@@ -21,8 +21,8 @@ the one reference run.
 
 Ragged path lists (the star-graph and generic greedy walks) reach the
 same kernel concatenated by ``FastPathEngine.run``; the edges of that
-normalisation — an empty run, zero-hop packets, explicit
-``path_lengths`` on ragged rows — are pinned here the same way.
+normalisation — an empty run, zero-hop packets — are pinned here the
+same way.
 """
 
 import sys
@@ -97,7 +97,6 @@ def _packets(paths, last, inject, addresses):
 def run_both(
     paths,
     *,
-    lengths=None,
     inject=None,
     priorities=None,
     addresses=None,
@@ -112,15 +111,14 @@ def run_both(
 
     ``paths`` holds one node-id row per packet — handed to the fast
     engine as a matrix when rectangular, as the ragged list otherwise;
-    the reference engine follows the same rows through ``packet.hops``.
-    ``lengths`` (the fast engine's ``path_lengths``) defaults to every
-    row's last position.  Returns the fast
+    the reference engine follows the same rows through ``packet.hops``
+    and delivers each packet at its row's last position.  Returns the fast
     engine's ``RoutingStats`` once they equal the reference's in both
     lanes (a ``DeadlockError`` counts as its ``stats``, and must then
     be raised by every run).
     """
     n = len(paths)
-    last = list(lengths) if lengths is not None else [len(row) - 1 for row in paths]
+    last = [len(row) - 1 for row in paths]
     inject = list(inject) if inject is not None else [0] * n
     num_nodes = max((max(row) for row in paths), default=0) + 1
     ragged = len({len(row) for row in paths}) > 1
@@ -140,7 +138,6 @@ def run_both(
             paths if ragged else np.asarray(paths, dtype=np.int64),
             num_nodes=num_nodes,
             max_steps=max_steps,
-            path_lengths=lengths,
             priorities=priorities,
             spawn_plan=spawn_plan,
             link_faults=faults(),
@@ -386,12 +383,13 @@ def scenario_spawn_interleaved():
 
 
 def scenario_spawn_never_triggered():
-    """A trigger past its parent's delivery never fires: the dormant
-    child (and its own child) were never part of the run."""
+    """Dormant packets 1 and 2 each wait on the other's trigger, so
+    neither ever fires: they were never part of the run.  (Every other
+    trigger fires — a parent walks its whole row — unless the run
+    times out first.)"""
     return dict(
         paths=[[0, HUB, SINK], [SINK, 12, 13], [12, 13, 14], [HUB, SINK, 12]],
-        lengths=[1, 2, 2, 2],
-        spawn_plan=([0, 1, 0], [2, 1, 1], [1, 2, 3]),
+        spawn_plan=([1, 2, 0], [1, 1, 1], [2, 1, 3]),
     )
 
 
@@ -450,16 +448,7 @@ def ragged_mixed():
 
 def ragged_all_zero_hop():
     """Every packet is delivered at injection; no link is ever used."""
-    return dict(paths=[[3], [4, 5], [3, 9, 9]], lengths=[0, 0, 0], inject=[0, 2, 2])
-
-
-def ragged_explicit_lengths():
-    """``path_lengths`` on ragged rows: packets stop short of their
-    row's end (one of them before the hub), the rest is never walked."""
-    return dict(
-        paths=[[0, HUB, SINK, 12, 13], [1, HUB, SINK], [2, 5, HUB, SINK], [3, HUB]],
-        lengths=[2, 2, 1, 1],
-    )
+    return dict(paths=[[3], [4], [3]], inject=[0, 2, 2])
 
 
 #: ragged input must reach both batch modes, under every constraint
@@ -467,14 +456,12 @@ RAGGED_REGIMES = {**REGIMES, "capacity": dict(node_capacity=1)}
 
 
 @pytest.mark.parametrize("regime", RAGGED_REGIMES)
-@pytest.mark.parametrize(
-    "scenario", [ragged_mixed, ragged_all_zero_hop, ragged_explicit_lengths]
-)
+@pytest.mark.parametrize("scenario", [ragged_mixed, ragged_all_zero_hop])
 def test_ragged_paths_match_reference(scenario, regime):
     kwargs = scenario()
     f = run_both(**kwargs, **RAGGED_REGIMES[regime])
     assert f.completed
-    assert f.hops == kwargs.get("lengths", [len(r) - 1 for r in kwargs["paths"]])
+    assert f.hops == [len(r) - 1 for r in kwargs["paths"]]
 
 
 @pytest.mark.parametrize("regime", RAGGED_REGIMES)
@@ -523,7 +510,7 @@ def test_spawn_splice_leaves_the_rest_of_the_batch_in_place():
 def test_never_triggered_packets_are_not_counted():
     f = run_both(**scenario_spawn_never_triggered())
     assert (f.total_packets, f.delivered) == (2, 2)
-    assert f.hops == [1, 2]
+    assert f.hops == [2, 2]
 
 
 def test_anonymous_population_counts_like_packets():

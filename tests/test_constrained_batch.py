@@ -374,16 +374,10 @@ class TestDifferentialSweep:
             list(range(11, -1, -1)),
             list(range(4, 10)),
         ]
-        lengths = [len(p) - 1 for p in paths]
-        width = max(lengths) + 1
-        padded = np.asarray(
-            [p + [p[-1]] * (width - len(p)) for p in paths], dtype=np.int64
-        )
         f = fast_engine.run(
-            padded,
+            paths,
             num_nodes=12,
             max_steps=1000,
-            path_lengths=lengths,
             injected_at=[p.injected_at for p in packets()],
         )
         assert fast_engine.last_run_mode == "batch-constrained"

@@ -45,6 +45,7 @@ from repro.topology import (
     StarGraph,
     StarLogicalLeveled,
 )
+from repro.topology.compiled import FlatPaths
 
 STAT_FIELDS = (
     "steps",
@@ -648,12 +649,13 @@ class TestFastPathEngineUnit:
             )
 
     @pytest.mark.parametrize(
-        "paths, lengths, message, extra",
+        "paths, offsets, message, extra",
         [
-            ([[0, 1]] * 3, [1, 2, -1], r"path_lengths\[1\]=2 outside its 2-node path", {}),
-            (np.zeros((3, 2), dtype=np.int64), [1, 1, -1], r"path_lengths\[2\]=-1 ", {}),
-            ([[0, 1], [0], [0, 1, 1]], [1, 1, 0], r"path_lengths\[1\]=1 outside its 1-node", {}),
-            ([[0, 1]] * 3, [1], "one path length per packet", {}),
+            # with offsets, paths are the nodes of a FlatPaths
+            ([0, 1, 0, 1], [1, 2, 4], "offsets must run from 0 to the number of nodes", {}),
+            ([0, 1, 0, 1], [0, 2, 3], "offsets must run from 0 to the number of nodes", {}),
+            ([0, 1, 0, 1], [0, 2, 2, 4], r"paths\[1\] is empty", {}),
+            (np.zeros(3, dtype=np.int64), None, r"ndarray paths must be 2-D", {}),
             ([[0, 1], [], [0]], None, r"paths\[1\] is empty", {}),
             (np.zeros((3, 0), dtype=np.int64), None, r"paths\[0\] is empty", {}),
             # these used to surface as IndexErrors from inside the step loop
@@ -674,11 +676,11 @@ class TestFastPathEngineUnit:
             ),
         ],
     )
-    def test_malformed_paths_rejected(self, paths, lengths, message, extra):
+    def test_malformed_paths_rejected(self, paths, offsets, message, extra):
+        if offsets is not None:
+            paths = FlatPaths(np.asarray(paths), np.asarray(offsets))
         with pytest.raises(ValueError, match=message):
-            FastPathEngine().run(
-                paths, num_nodes=2, max_steps=5, path_lengths=lengths, **extra
-            )
+            FastPathEngine().run(paths, num_nodes=2, max_steps=5, **extra)
 
     def test_reference_only_options_are_plain_type_errors(self):
         """node_service_rate and the on_arrival hook live on the

@@ -419,9 +419,9 @@ class TestBitIdentity:
 
     def test_failed_setup_is_billed_to_the_configured_mode(self):
         obs = Observer(metrics=False, tracing=False, flight_recorder=0)
-        with pytest.raises(ValueError, match="one path length per packet"):
+        with pytest.raises(ValueError, match=r"paths\[0\] is empty"):
             FastPathEngine(node_capacity=2, observer=obs).run(
-                [[0, 1]], num_nodes=2, max_steps=5, path_lengths=[]
+                [[]], num_nodes=2, max_steps=5
             )
         assert list(obs.profile.to_dict()["modes"]) == ["batch-constrained"]
 

@@ -538,14 +538,14 @@ class TestQoSAdmission:
         ))
         report = driver.run(4)
         first = report.epochs[0]
-        assert first.delivered_by_tenant == {"gold": 4}
+        assert first.by_tenant("delivered") == {"gold": 4}
 
     def test_quota_caps_each_epoch(self):
         driver = self._driver()
         report = driver.run(8)
         for e in report.epochs:
-            assert e.delivered_by_tenant.get("silver", 0) <= 4
-            assert e.delivered_by_tenant.get("bronze", 0) <= 2
+            assert e.by_tenant("delivered").get("silver", 0) <= 4
+            assert e.by_tenant("delivered").get("bronze", 0) <= 2
 
     def test_conservation_per_tenant(self):
         report = self._driver().run(10)
