@@ -656,13 +656,21 @@ class Emulator(ABC):
         every write of the step is applied, a combined one standing
         behind the host that carried it, with the requesting
         processor's id — not the row — deciding write conflicts.
+        Only replies built as packets carry a value: after a fast
+        request run nothing is read and ``values`` is empty (a reply
+        run of arrays carries none, see :meth:`_reverse_path_replies`).
         """
         n_reads = cols.n_reads
         is_host = np.ones(cols.n, dtype=bool)
         is_host[router.absorbed_rows()] = False
         read_hosts = np.flatnonzero(is_host[:n_reads])
+        reads = (
+            zip(read_hosts.tolist(), cols.addrs[read_hosts].tolist())
+            if router.last_fast_run is None
+            else ()
+        )
         values = self._apply_memory(
-            zip(read_hosts.tolist(), cols.addrs[read_hosts].tolist()),
+            reads,
             zip(
                 cols.addrs[n_reads:].tolist(),
                 cols.sources[n_reads:].tolist(),

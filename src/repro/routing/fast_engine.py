@@ -25,7 +25,12 @@ caller holding per-packet objects converts at its own boundary
 (:mod:`repro.routing.packet`).  The run state the loop advances (dense
 link ids, intrusive queues kept in service order, combining residency,
 credit accounting) and the phase functions it calls live in
-:mod:`repro.routing.fast_phases`.
+:mod:`repro.routing.fast_phases`.  A run has two lanes, chosen from its
+population size and configuration only
+(:func:`repro.routing.fast_scalar.takes`): a small one without
+``node_capacity`` or link faults is stepped on Python lists by
+:mod:`repro.routing.fast_scalar`, every other run on that numpy state;
+both share the validation and return the same :class:`RunArrays`.
 
 The mode of a run (recorded in ``last_run_mode`` and
 ``RoutingStats.run_mode``) follows from the configuration: ``"batch"``,
@@ -58,6 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs.clock import wall_time
+from repro.routing import fast_scalar
 from repro.routing.engine import NetworkDrainedError, RoutingTimeout
 from repro.routing.fast_phases import (
     RunArrays,
@@ -153,6 +159,25 @@ def _injection_batches(
     cuts = np.nonzero(times[1:] != times[:-1])[0] + 1
     steps = times[np.append(0, cuts)].tolist()
     return list(zip(steps, np.split(roots[by_time], cuts)))[::-1]
+
+
+def _stats_of(arrays: RunArrays, mode: str) -> RoutingStats:
+    """The :class:`RoutingStats` of a finished run of either lane."""
+    rows = slice(None) if arrays.order is None else arrays.order
+    return stats_from_arrays(
+        arrays.hops[rows],
+        arrays.injected_at[rows],
+        arrays.arrived[rows],
+        steps=arrays.steps,
+        max_queue=arrays.max_queue,
+        completed=arrays.completed,
+        combines=arrays.combines,
+        max_node_load=arrays.max_node_load,
+        credits_stalled=arrays.credits_stalled,
+        escape_hops=arrays.escape_hops,
+        fault_stalls=arrays.fault_stalls,
+        run_mode=mode,
+    )
 
 
 class FastPathEngine:
@@ -304,43 +329,39 @@ class FastPathEngine:
                 injected_at = np.array(injected_at, dtype=np.int64)
                 if injected_at.shape != (n,):
                     raise ValueError("one injection step per packet required")
-            state = RunState(
-                flat,
-                last,
-                injected_at,
-                combine_groups if self.combine else None,
-                priorities,
+            tables = (flat, last, injected_at, combine_groups if self.combine else None)
+            shared = dict(
+                priorities=priorities,
                 num_nodes=num_nodes,
                 links=links,
                 spawn_plan=spawn_plan,
-                capacity=self.node_capacity,
-                credit=self.flow_control == "credit",
-                link_faults=link_faults,
                 profile=_prof,
             )
+            scalar = fast_scalar.takes(n, self.node_capacity, link_faults)
+            if scalar:
+                state = fast_scalar.ScalarRun(*tables, **shared)
+            else:
+                state = RunState(
+                    *tables,
+                    **shared,
+                    capacity=self.node_capacity,
+                    credit=self.flow_control == "credit",
+                    link_faults=link_faults,
+                )
             pending = _injection_batches(state.roots, injected_at[state.roots])
             if _prof is not None:
                 _prof.add_phase("setup", wall_time() - _t_run0)
-            arrays = self._run_batch(
-                state, pending, max_steps=max_steps, fault_base=fault_base
-            )
+            if scalar:
+                arrays = fast_scalar.run_steps(
+                    state, pending, max_steps=max_steps, observer=_obs
+                )
+            else:
+                arrays = self._run_batch(
+                    state, pending, max_steps=max_steps, fault_base=fault_base
+                )
             self.last_arrays = arrays
             _t_fin0 = wall_time() if _prof is not None else 0.0
-            rows = slice(None) if arrays.order is None else arrays.order
-            stats = stats_from_arrays(
-                arrays.hops[rows],
-                arrays.injected_at[rows],
-                arrays.arrived[rows],
-                steps=arrays.steps,
-                max_queue=arrays.max_queue,
-                completed=arrays.completed,
-                combines=arrays.combines,
-                max_node_load=arrays.max_node_load,
-                credits_stalled=arrays.credits_stalled,
-                escape_hops=arrays.escape_hops,
-                fault_stalls=arrays.fault_stalls,
-                run_mode=mode,
-            )
+            stats = _stats_of(arrays, mode)
             if _prof is not None:
                 _prof.add_phase("finish", wall_time() - _t_fin0)
         finally:

@@ -78,7 +78,10 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: lane (~12-45 µs whatever its size).  Timed alone the lanes cross at
 #: 32-48 arrivals; end to end 24, 32 and 64 tie and 8 is slower.  The
 #: census (``python tools/residue_census.py``, seed 7, one timed unit;
-#: sizes over the arrival phases that have a residue):
+#: sizes over the arrival phases that have a residue; the runs of the
+#: scalar run lane, :mod:`repro.routing.fast_scalar`, never reach this
+#: phase — all of ``bfly_small_steps``' and ``sharded_tenants``', 168
+#: of ``apps_replay``'s 240):
 #:
 #: ====================  ===========  ======  ===  ===  ===========
 #: workload              has residue  p50     p90  max  vector lane
@@ -86,10 +89,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: mesh_crcw_zipf        48 %         5       21   251  6 %
 #: mesh_erew_hot         50 %         8       53   215  20 %
 #: star_crcw_zipf        92 %         98      309  535  87 %
-#: bfly_small_steps      46 %         2       5    13   0 %
 #: bfly_credit_bursty    85 %         61      105  454  83 %
-#: sharded_tenants       60 %         3       9    25   0 %
-#: apps_replay           54 %         10      33   243  11 %
+#: apps_replay           60 %         18      53   243  20 %
 #: ====================  ===========  ======  ===  ===  ===========
 SCALAR_RESIDUE_MAX = 32
 

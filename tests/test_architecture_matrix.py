@@ -230,7 +230,7 @@ def test_every_router_row_is_probed():
 
 
 #: the fast engine and every module split out of it
-FAST_ENGINE_MODULES = ("fast_engine.py", "fast_phases.py")
+FAST_ENGINE_MODULES = ("fast_engine.py", "fast_phases.py", "fast_scalar.py")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -274,6 +274,27 @@ def test_the_per_step_phases_call_no_reduction_method():
             and node.func.attr in {"any", "all", "max", "min", "sum"}
         ]
         assert not found, f"{name} reduces per step: {found}"
+
+
+#: the scalar lane's functions that every network step of its runs calls
+SCALAR_STEP_FUNCTIONS = ("run_steps", "transmit", "spliced", "admit")
+
+
+def test_the_scalar_lane_steps_without_numpy():
+    """A numpy call costs 0.4-2.5 µs whatever its size — the cost the
+    scalar lane exists to avoid — so its per-step functions name no
+    ``np.`` attribute; set-up and ``finish`` build the arrays."""
+    tree = ast.parse((DOC.parent.parent / "src/repro/routing/fast_scalar.py").read_text())
+    fns = {n.name: n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)}
+    for name in SCALAR_STEP_FUNCTIONS:
+        found = [
+            (node.lineno, node.attr)
+            for node in ast.walk(fns[name])
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in {"np", "numpy"}
+        ]
+        assert not found, f"{name} calls numpy per step: {found}"
 
 
 def test_queue_state_has_no_priority_class_tables():

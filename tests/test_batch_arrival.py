@@ -15,9 +15,11 @@ hypothesis sweep over layered many-to-one traffic closes the gaps
 between the hand-picked cases; a second one drives the
 furthest-destination-first order — deep queues under sparse, wide
 priority ranges — by hand-built fan-ins and through the mesh and
-linear-array routers.  Every fast run here is made twice, with the
-residue forced through each lane (:data:`LANES`), and both must equal
-the one reference run.
+linear-array routers.  Every fast run here is made three times — on
+the scalar run lane (:mod:`repro.routing.fast_scalar`, Python lists),
+and on the vector run lane with the residue forced through each of its
+lanes (:data:`LANES`) — and all three must equal the one reference
+run.
 
 Ragged path lists (the star-graph and generic greedy walks) reach the
 same kernel concatenated by ``FastPathEngine.run``; the edges of that
@@ -42,6 +44,7 @@ from repro.routing import (
     Packet,
     SynchronousEngine,
     fast_phases,
+    fast_scalar,
     furthest_first_factory,
     make_packets,
     route_linear,
@@ -49,20 +52,29 @@ from repro.routing import (
 from repro.topology import Mesh2D
 from test_fast_engine import assert_stats_equal, run_packets
 
-#: ``SCALAR_RESIDUE_MAX`` values that send every contended residue
-#: through one lane: the arrival-by-arrival walk, or the numpy calls
-LANES = {"scalar": sys.maxsize, "vector": 0}
+#: ``(SCALAR_RUN_MAX, SCALAR_RESIDUE_MAX)`` values that send every run
+#: the configuration allows through one lane: the scalar run lane
+#: (:mod:`repro.routing.fast_scalar`, where the residue lanes take no
+#: part), or the vector run lane with every contended residue through
+#: one of its lanes — the arrival-by-arrival walk, or the numpy calls
+LANES = {
+    "scalar run": (sys.maxsize, 0),
+    "scalar residue": (0, sys.maxsize),
+    "vector residue": (0, 0),
+}
 
 
 @contextmanager
-def residue_lane(lane: str):
-    """Force the arrival phase's residue lane for the block."""
-    saved = fast_phases.SCALAR_RESIDUE_MAX
-    fast_phases.SCALAR_RESIDUE_MAX = LANES[lane]
+def forced_lane(name: str):
+    """Force the fast engine's run lane and residue lane for the block:
+    a context manager, not a fixture, so a hypothesis example can set
+    both constants too."""
+    saved = fast_scalar.SCALAR_RUN_MAX, fast_phases.SCALAR_RESIDUE_MAX
+    fast_scalar.SCALAR_RUN_MAX, fast_phases.SCALAR_RESIDUE_MAX = LANES[name]
     try:
         yield
     finally:
-        fast_phases.SCALAR_RESIDUE_MAX = saved
+        fast_scalar.SCALAR_RUN_MAX, fast_phases.SCALAR_RESIDUE_MAX = saved
 
 
 def _routed(run):
@@ -107,14 +119,14 @@ def run_both(
     max_steps=400,
 ):
     """Route one hand-built instance through both engines — the fast
-    one once per residue lane.
+    one once per lane of :data:`LANES`.
 
     ``paths`` holds one node-id row per packet — handed to the fast
     engine as a matrix when rectangular, as the ragged list otherwise;
     the reference engine follows the same rows through ``packet.hops``
     and delivers each packet at its row's last position.  Returns the fast
-    engine's ``RoutingStats`` once they equal the reference's in both
-    lanes (a ``DeadlockError`` counts as its ``stats``, and must then
+    engine's ``RoutingStats`` once they equal the reference's in every
+    lane (a ``DeadlockError`` counts as its ``stats``, and must then
     be raised by every run).
     """
     n = len(paths)
@@ -175,21 +187,21 @@ def run_both(
         )
 
     r, r_dead = _routed(ref)
-    for lane in LANES:
+    for name in LANES:
         fast_packets = _packets(paths, last, inject, addresses)
-        with residue_lane(lane):
+        with forced_lane(name):
             f, f_dead = _routed(lambda: fast(fast_packets))
-        assert f_dead == r_dead, lane
+        assert f_dead == r_dead, name
         assert fast_engine.last_run_mode == (
             "batch" if node_capacity is None else "batch-constrained"
         )
         assert_stats_equal(f, r)
         if combine:
             for a, b in zip(fast_packets, ref_packets):
-                assert a.combined == b.combined, lane
+                assert a.combined == b.combined, name
                 assert [c.pid for c in a.children or ()] == [
                     c.pid for c in b.children or ()
-                ], lane
+                ], name
     return f
 
 
@@ -567,8 +579,8 @@ def test_the_first_same_key_arrival_on_an_idle_link_hosts():
     kwargs = scenario_same_key_on_an_idle_link()
     assert run_both(**kwargs).combines == 1
     engine = FastPathEngine(combine=True)
-    for lane in LANES:
-        with residue_lane(lane):
+    for name in LANES:
+        with forced_lane(name):
             engine.run(
                 kwargs["paths"],
                 num_nodes=SINK + 1,
@@ -785,10 +797,10 @@ def test_mesh_furthest_first_matches_reference(
         return router.route_packets(packets, max_steps=60 * side + 200)
 
     ref, ref_dead = _routed(lambda: run("reference"))
-    for lane in LANES:
-        with residue_lane(lane):
+    for name in LANES:
+        with forced_lane(name):
             fast, fast_dead = _routed(lambda: run("fast"))
-        assert fast_dead == ref_dead, lane
+        assert fast_dead == ref_dead, name
         assert fast.run_mode == ("batch" if capacity is None else "batch-constrained")
         assert_stats_equal(fast, ref)
 
@@ -807,8 +819,8 @@ def test_linear_furthest_first_matches_reference(n, total, hot, seed):
     origins = rng.integers(0, n, size=total).tolist()
     dests = rng.integers(n - 2 if hot else 0, n, size=total).tolist()
     ref = route_linear(n, origins, dests, engine="reference")
-    for lane in LANES:
-        with residue_lane(lane):
+    for name in LANES:
+        with forced_lane(name):
             fast = route_linear(n, origins, dests, engine="fast")
         assert fast.completed and fast.run_mode == "batch"
         assert_stats_equal(fast, ref)
@@ -828,8 +840,8 @@ def test_many_one_on_the_32x32_mesh_matches_reference():
         )
 
     ref = run("reference")
-    for lane in LANES:
-        with residue_lane(lane):
+    for name in LANES:
+        with forced_lane(name):
             fast = run("fast")
         assert (fast.completed, fast.steps, fast.max_queue) == (True, 997, 46)
         assert_stats_equal(fast, ref)

@@ -7,14 +7,21 @@ readable reference engine, on every supported network family and router
 configuration.  These tests pin that contract on star, shuffle, and
 butterfly networks (logical leveled views and physical routers), for
 both phase-1 flavors, with and without CRCW combining, and through the
-full emulation pipeline including reply fan-out.
+full emulation pipeline including reply fan-out — each scenario class
+once per lane of the fast engine (``repro.routing.fast_scalar``): as
+written on the scalar lane, and again as its ``...VectorLane``
+subclass.
 """
 
 import numpy as np
 import pytest
+from conftest import RUN_LANES, forced_run_lane
 
 from repro.emulation.leveled import LeveledEmulator
 from repro.emulation.mesh import MeshEmulator
+from repro.faults import FaultSchedule
+from repro.faults.runtime import LinkFaultTimeline
+from repro.obs import Observer
 from repro.pram.trace import h_relation_step, hotspot_step, permutation_step
 from repro.routing import (
     DeadlockError,
@@ -26,6 +33,7 @@ from repro.routing import (
     ShuffleRouter,
     StarRouter,
     ValiantHypercubeRouter,
+    fast_scalar,
     resolve_engine_mode,
 )
 from repro.routing.fast_engine import ENGINE_ENV_VAR
@@ -111,6 +119,7 @@ def leveled_nets():
     ]
 
 
+@pytest.mark.usefixtures("run_lane")
 class TestLeveledDifferential:
     @pytest.mark.parametrize("net", leveled_nets(), ids=lambda n: repr(n))
     @pytest.mark.parametrize("intermediate", ["coin", "node"])
@@ -188,6 +197,7 @@ class TestLeveledDifferential:
         assert sorted(sf.hops) == sorted(sr.hops)
 
 
+@pytest.mark.usefixtures("run_lane")
 class TestPhysicalRouterDifferential:
     def test_star_permutation_matches(self):
         star = StarGraph(5)
@@ -260,6 +270,7 @@ class TestPhysicalRouterDifferential:
         assert pf[1].arrived_at == pr[1].arrived_at == 5
 
 
+@pytest.mark.usefixtures("run_lane")
 class TestMeshStackDifferential:
     """The §3.3–3.4 mesh stack: routers and emulator, both engines."""
 
@@ -501,6 +512,7 @@ class TestMeshStackDifferential:
         assert_stats_equal(fast, ref)
 
 
+@pytest.mark.usefixtures("run_lane")
 class TestEmulatorDifferential:
     @pytest.mark.parametrize(
         "net", [DAryButterflyLeveled(2, 5), StarLogicalLeveled(4)], ids=lambda n: repr(n)
@@ -621,6 +633,7 @@ class TestEngineSelection:
             LeveledRouter(DAryButterflyLeveled(2, 2), engine="warp")
 
 
+@pytest.mark.usefixtures("run_lane")
 class TestFastPathEngineUnit:
     def test_shared_link_serializes(self):
         # Two packets crossing the same link: second waits one step.
@@ -707,3 +720,102 @@ class TestFastPathEngineUnit:
                 max_steps=2,
                 raise_on_timeout=True,
             )
+
+
+# The scenario classes once more with every fast run on the vector
+# lane: the ``run_lane`` fixture (``tests/conftest.py``) reads
+# ``RUN_LANE``, and the classes above run on the scalar lane.
+
+
+class TestLeveledDifferentialVectorLane(TestLeveledDifferential):
+    RUN_LANE = "vector"
+
+
+class TestPhysicalRouterDifferentialVectorLane(TestPhysicalRouterDifferential):
+    RUN_LANE = "vector"
+
+
+class TestMeshStackDifferentialVectorLane(TestMeshStackDifferential):
+    RUN_LANE = "vector"
+
+
+class TestEmulatorDifferentialVectorLane(TestEmulatorDifferential):
+    RUN_LANE = "vector"
+
+
+class TestFastPathEngineUnitVectorLane(TestFastPathEngineUnit):
+    RUN_LANE = "vector"
+
+
+class TestRunLanes:
+    """The two lanes of ``FastPathEngine.run`` (``fast_scalar``): which
+    runs take the scalar one, and that an observer sees the same run on
+    either."""
+
+    @staticmethod
+    def _lane_of(monkeypatch, **kwargs):
+        calls = []
+        inner = fast_scalar.run_steps
+        monkeypatch.setattr(
+            fast_scalar, "run_steps", lambda *a, **k: calls.append(1) or inner(*a, **k)
+        )
+        n = kwargs.pop("n")
+        FastPathEngine(**kwargs.pop("engine", {})).run(
+            [[0, 1, 2]] * n, num_nodes=3, max_steps=4 * n, **kwargs
+        )
+        return "scalar" if calls else "vector"
+
+    def test_the_lane_follows_the_size_and_the_configuration(self, monkeypatch):
+        most = fast_scalar.SCALAR_RUN_MAX
+        timeline = LinkFaultTimeline(FaultSchedule().link_down(0, (1, 2)).link_events)
+        down = timeline.view(lambda spec: [spec])
+        cases = [
+            ({"n": most}, "scalar"),
+            ({"n": most + 1}, "vector"),
+            ({"n": 2, "engine": {"observer": Observer()}}, "scalar"),
+            ({"n": 2, "engine": {"node_capacity": 4}}, "vector"),
+            ({"n": 2, "link_faults": down}, "vector"),
+        ]
+        for kwargs, lane in cases:
+            assert self._lane_of(monkeypatch, **kwargs) == lane, kwargs
+
+    RUNS = {
+        # packets 0 and 2 share a key and their first link, 1 meets 0 at
+        # node 2 with another key
+        "crcw contended": (
+            dict(combine=True),
+            [[0, 2, 3], [1, 2, 3], [0, 2, 3]],
+            dict(combine_groups=[5, 6, 5]),
+        ),
+        "crcw solo": (
+            dict(combine=True),
+            [[0, 3, 6], [1, 4, 6], [2, 5, 6]],
+            dict(combine_groups=[1, 1, 1]),
+        ),
+        "spawn": (
+            {},
+            [[0, 1, 2, 3], [1, 4], [4, 5]],
+            dict(spawn_plan=(np.array([0, 1]), np.array([1, 1]), np.array([1, 2]))),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_an_observer_sees_the_same_run_on_both_lanes(self, name):
+        """The same profile buckets — ``combining`` only where arrivals
+        of a combining run meet — and the same flight-recorder events."""
+        engine_kwargs, paths, run_kwargs = self.RUNS[name]
+        seen = {}
+        for lane in RUN_LANES:
+            obs = Observer(metrics=False, tracing=False)
+            with forced_run_lane(lane):
+                stats = FastPathEngine(observer=obs, **engine_kwargs).run(
+                    paths, num_nodes=7, max_steps=20, **run_kwargs
+                )
+            profile = obs.profile.to_dict()
+            seen[lane] = (stats, sorted(profile["phases"]), obs.flight_tail())
+        (scalar, buckets, events), (vector, *rest) = seen["scalar"], seen["vector"]
+        assert_stats_equal(scalar, vector)
+        assert [buckets, events] == rest
+        assert ("combining" in buckets) == (name == "crcw contended")
+        assert {"setup", "arrival", "transmission", "finish"} <= set(buckets)
+        assert [e["kind"] for e in events] == ["engine_step"] * scalar.steps

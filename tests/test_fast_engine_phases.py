@@ -43,7 +43,7 @@ from repro.routing.fast_phases import (
 from repro.routing import LeveledRouter
 from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh, segment_index
-from test_batch_arrival import DownUntil, residue_lane
+from test_batch_arrival import DownUntil, forced_lane
 
 
 def ids(*values):
@@ -679,7 +679,7 @@ def test_every_phase_keeps_the_run_invariants(network, furthest_first, combine, 
             node_capacity=capacity,
             flow_control="none" if capacity is None else "credit",
         )
-        with residue_lane(lane):
+        with forced_lane(f"{lane} residue"):
             by_hand = drive_checked(s, injected_at)
             stats = engine.run(
                 paths,

@@ -40,6 +40,10 @@ from repro.routing.metrics import stats_from_arrays
 from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from test_fast_engine import assert_stats_equal
 
+# every fast run on the scalar lane (``tests/conftest.py``);
+# ``test_reply_phase_vector_lane.py`` runs this module on the vector lane
+pytestmark = pytest.mark.usefixtures("run_lane")
+
 
 def rows_of(packets) -> list[int]:
     """A request packet's pid is its row of the routed population."""

@@ -276,10 +276,12 @@ def test_every_request_combined_into_one_host():
         serve_memory = emulator._serve_memory
         emulator._serve_memory = lambda *a: seen.append(serve_memory(*a)) or seen[-1]
         results[engine] = (emulator.emulate_step(step), seen)
-    for cost, ((read_hosts, values),) in results.values():
+    for engine, (cost, ((read_hosts, values),)) in results.items():
         assert cost.combines == 5 and cost.requests == 6
         assert (cost.request_steps, cost.reply_steps) == (4, 4)
-        assert read_hosts.tolist() == [0] and values == {0: 0}
+        # only the reference engine's replies carry the value they read
+        assert read_hosts.tolist() == [0]
+        assert values == ({0: 0} if engine == "reference" else {})
     fast, ref = results["fast"][0], results["reference"][0]
     assert fast == replace(ref, run_modes=fast.run_modes)
 

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import forced_run_lane
 
 from repro.routing import (
     GreedyMeshRouter,
@@ -528,11 +529,20 @@ GOLDEN = {
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 @pytest.mark.parametrize("case", CASES)
-def test_seeded_stats_equal_the_recorded_goldens(case, engine):
+def test_seeded_stats_equal_the_recorded_goldens(case, engine, run_lane):
     fast_mode, row = GOLDEN[case]
     stats = CASES[case](engine)
     assert stats_row(stats) == row
     assert stats.run_mode == (fast_mode if engine == "fast" else "reference")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_seeded_stats_equal_the_recorded_goldens_on_the_vector_lane(case):
+    """The goldens above run the fast engine's small runs on the scalar
+    lane (``run_lane``); every one of them again on the vector lane."""
+    with forced_run_lane("vector"):
+        stats = CASES[case]("fast")
+    assert stats_row(stats) == GOLDEN[case][1]
 
 
 #: the seven router classes on a small instance, as engine -> router

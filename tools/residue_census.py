@@ -1,29 +1,43 @@
-"""Census of the fast engine's contended residue on the e2e workloads.
+"""Census of the fast engine's lanes and contended residue on the e2e workloads.
 
-The arrival phase (``repro.routing.fast_phases.enqueue``) places a
-packet alone on an idle link through its solo lane; everything else —
-a link shared within the step's batch, or one that already has waiters
-— is the *contended residue*, resolved by a scalar lane when it has at
-most ``SCALAR_RESIDUE_MAX`` arrivals and by a vectorized lane otherwise.
-This tool measures the property that choice depends on: per workload,
-one timed unit of ``benchmarks/e2e/workloads.py`` (imported read-only,
-set-up and warm-up excluded), with ``enqueue`` wrapped from outside for
-the duration of the unit.  It prints one markdown row per workload:
+``FastPathEngine.run`` steps a run of at most ``SCALAR_RUN_MAX`` packets
+with no node capacity and no link-fault view on Python lists (the
+*scalar lane*, ``repro.routing.fast_scalar``) and every other run on
+numpy tables (the *vector lane*).  Within the vector lane, the arrival
+phase (``repro.routing.fast_phases.enqueue``) places a packet alone on
+an idle link through its solo lane; everything else — a link shared
+within the step's batch, or one that already has waiters — is the
+*contended residue*, resolved by a scalar walk when it has at most
+``SCALAR_RESIDUE_MAX`` arrivals and by numpy calls otherwise.  This
+tool measures the properties those choices depend on: per workload, one
+timed unit of ``benchmarks/e2e/workloads.py`` (imported read-only,
+set-up and warm-up excluded), with ``enqueue`` and ``FastPathEngine.run``
+wrapped from outside for the duration of the unit.  It prints one
+markdown row per workload:
 
-- ``net steps`` — network steps routed (``RoutingStats.steps`` summed),
-- ``arrival phases`` — calls of ``enqueue`` (steps that place packets),
+- ``runs`` / ``scalar runs`` — engine runs, and those on the scalar lane,
+- ``net steps`` / ``scalar steps`` — network steps routed
+  (``RoutingStats.steps`` summed), all and on the scalar lane,
+- ``population p50 / p90 / max`` — packets per engine run,
+- ``arrival phases`` — vector-lane calls of ``enqueue``,
 - ``with residue`` — the share of those calls whose batch has a residue,
-- ``p50 / p90 / max`` — residue size over the calls that have one,
-- ``vector lane`` — the share of those above ``SCALAR_RESIDUE_MAX``,
-- ``absorptions`` — CRCW combines made in the arrival phase.
+- ``residue p50 / p90 / max`` — residue size over the calls that have one,
+- ``vector residue`` — the share of those above ``SCALAR_RESIDUE_MAX``,
+- ``absorptions`` — CRCW combines made in the vector arrival phase.
 
-Run:  python tools/residue_census.py [--workload NAME ...] [--seed 7]
+``--lanes`` instead replays every engine run of the unit through both
+lanes (best of three each, the scalar lane only where the configuration
+allows it) and prints the seconds per population bucket and the
+speedup, vector over scalar — the table beside ``SCALAR_RUN_MAX``.
+
+Run:  python tools/residue_census.py [--workload NAME ...] [--seed 7] [--lanes]
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -36,30 +50,50 @@ if str(ROOT / "benchmarks" / "e2e") not in sys.path:
     sys.path.append(str(ROOT / "benchmarks" / "e2e"))
 
 import workloads  # noqa: E402  (benchmarks/e2e, read-only)
-from repro.routing import DeadlockError, RoutingTimeout, fast_phases  # noqa: E402
-from repro.routing.fast_engine import FastPathEngine  # noqa: E402
+from repro.routing import DeadlockError, RoutingTimeout  # noqa: E402
+from repro.routing import fast_phases, fast_scalar  # noqa: E402
+from repro.routing.fast_engine import FastPathEngine, _normalise_paths  # noqa: E402
 
 COLUMNS = (
-    "workload", "net steps", "arrival phases", "with residue",
-    "residue p50", "p90", "max", "vector lane", "absorptions",
+    "workload", "runs", "scalar runs", "net steps", "scalar steps",
+    "population p50", "p90", "max", "arrival phases", "with residue",
+    "residue p50", "p90", "max", "vector residue", "absorptions",
 )  # fmt: skip
+
+#: population buckets of ``--lanes``: (lowest, highest) packets per run
+BUCKETS = ((1, 16), (17, 32), (33, 64), (65, 128), (129, 256), (257, 1 << 30))
+LANE_COLUMNS = ("workload", "population", "runs", "vector ms", "scalar ms", "speedup")
 
 
 class Census:
     """What the wrapped calls saw during one timed unit."""
 
     def __init__(self) -> None:
-        self.net_steps = 0
+        self.populations: list[int] = []
+        self.scalar: list[bool] = []  # per run: took the scalar lane
+        self.eligible: list[bool] = []  # per run: its configuration allows it
+        self.steps: list[int] = []  # per run
         self.phases = 0
         self.residues: list[int] = []
         self.absorptions = 0
+        #: ``(engine, args, kwargs)`` per run, kept for ``--lanes``
+        self.calls: list[tuple] = []
 
     def row(self, name: str) -> list[str]:
         sizes = np.asarray(self.residues or [0])
+        pops = np.asarray(self.populations or [0])
+        steps = np.asarray(self.steps or [0])
+        on_scalar = np.asarray(self.scalar or [False])
         crossover = fast_phases.SCALAR_RESIDUE_MAX
         return [
             name,
-            str(self.net_steps),
+            str(len(self.populations)),
+            str(int(on_scalar.sum())),
+            str(int(steps.sum())),
+            str(int(steps[on_scalar].sum())),
+            f"{np.percentile(pops, 50):g}",
+            f"{np.percentile(pops, 90):g}",
+            str(int(pops.max())),
             str(self.phases),
             f"{len(self.residues) / max(self.phases, 1):.0%}",
             f"{np.percentile(sizes, 50):g}",
@@ -78,10 +112,16 @@ def residue_size(s, f: np.ndarray) -> int:
     return int(((s.q_len[li] > 0) | (counts[inverse] > 1)).sum())
 
 
+def population(args, kwargs) -> int:
+    """Packets of the run ``FastPathEngine.run(*args, **kwargs)``."""
+    return int(_normalise_paths(args[0] if args else kwargs["paths"])[1].size)
+
+
 @contextmanager
-def counting(census: Census):
+def counting(census: Census, keep_calls: bool = False):
     """Wrap ``fast_phases.enqueue`` and ``FastPathEngine.run`` for the
-    block, then restore both."""
+    block, then restore both; *keep_calls* keeps every run's arguments
+    in ``census.calls``."""
     enqueue = fast_phases.__dict__["enqueue"]
     run = FastPathEngine.__dict__["run"]
 
@@ -97,12 +137,20 @@ def counting(census: Census):
             census.absorptions += s.combines - before
 
     def counted_run(self, *args, **kwargs):
+        n = population(args, kwargs)
+        faults = kwargs.get("link_faults")
+        census.populations.append(n)
+        census.scalar.append(fast_scalar.takes(n, self.node_capacity, faults))
+        # the configuration's half of the rule: an empty run always fits
+        census.eligible.append(fast_scalar.takes(0, self.node_capacity, faults))
+        if keep_calls:
+            census.calls.append((self, args, kwargs))
         try:
             stats = run(self, *args, **kwargs)
         except (DeadlockError, RoutingTimeout) as exc:  # it still routed its steps
-            census.net_steps += exc.stats.steps
+            census.steps.append(exc.stats.steps)
             raise
-        census.net_steps += stats.steps
+        census.steps.append(stats.steps)
         return stats
 
     fast_phases.enqueue = counted_enqueue
@@ -114,11 +162,68 @@ def counting(census: Census):
         FastPathEngine.run = run
 
 
-def census_of(workload, seed: int) -> Census:
+def census_of(workload, seed: int, keep_calls: bool = False) -> Census:
     prepared = workload.prepare(seed, None)
-    with counting(Census()) as census:
+    with counting(Census(), keep_calls) as census:
         prepared.timed()
     return census
+
+
+def lane_seconds(engine, args, kwargs, run_max: int, repeats: int = 3):
+    """``(best-of-repeats seconds, steps)`` of one engine run with
+    ``SCALAR_RUN_MAX`` set to *run_max* (restored after)."""
+    saved = fast_scalar.SCALAR_RUN_MAX
+    fast_scalar.SCALAR_RUN_MAX = run_max
+    best = float("inf")
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            try:
+                steps = engine.run(*args, **kwargs).steps
+            except (DeadlockError, RoutingTimeout) as exc:
+                steps = exc.stats.steps
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        fast_scalar.SCALAR_RUN_MAX = saved
+    return best, steps
+
+
+def lane_rows(name: str, census: Census) -> list[list[str]]:
+    """One ``--lanes`` row per population bucket with an eligible run."""
+    totals = {bucket: [0, 0.0, 0.0] for bucket in BUCKETS}
+    for (engine, args, kwargs), n, eligible, steps in zip(
+        census.calls, census.populations, census.eligible, census.steps
+    ):
+        if not eligible:
+            continue
+        vector, v_steps = lane_seconds(engine, args, kwargs, 0)
+        scalar, s_steps = lane_seconds(engine, args, kwargs, sys.maxsize)
+        if v_steps != steps or s_steps != steps:
+            raise RuntimeError(f"{name}: a replayed run took {v_steps} / {s_steps} "
+                               f"steps, {steps} in the unit")
+        entry = totals[next(b for b in BUCKETS if b[0] <= n <= b[1])]
+        entry[0] += 1
+        entry[1] += vector
+        entry[2] += scalar
+    return [
+        [
+            name,
+            f"{lo}-{hi}" if hi < 1 << 30 else f">= {lo}",
+            str(runs),
+            f"{vector * 1e3:.1f}",
+            f"{scalar * 1e3:.1f}",
+            f"{vector / scalar:.2f}x" if scalar else "-",
+        ]
+        for (lo, hi), (runs, vector, scalar) in totals.items()
+        if runs
+    ]
+
+
+def _print_table(columns, rows) -> None:
+    print("| " + " | ".join(columns) + " |")
+    print("|" + "---|" * len(columns))
+    for row in rows:
+        print("| " + " | ".join(row) + " |", flush=True)
 
 
 def main(argv=None) -> int:
@@ -126,11 +231,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=names)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--lanes", action="store_true", help="time both lanes on every run"
+    )
     args = parser.parse_args(argv)
     chosen = [w for w in workloads.WORKLOADS if w.name in (args.workload or names)]
-    print(f"seed {args.seed}, SCALAR_RESIDUE_MAX = {fast_phases.SCALAR_RESIDUE_MAX}")
-    print("| " + " | ".join(COLUMNS) + " |")
-    print("|" + "---|" * len(COLUMNS))
+    print(
+        f"seed {args.seed}, SCALAR_RUN_MAX = {fast_scalar.SCALAR_RUN_MAX}, "
+        f"SCALAR_RESIDUE_MAX = {fast_phases.SCALAR_RESIDUE_MAX}"
+    )
+    if args.lanes:
+        _print_table(LANE_COLUMNS, [])
+        for workload in chosen:
+            census = census_of(workload, args.seed, keep_calls=True)
+            for row in lane_rows(workload.name, census):
+                print("| " + " | ".join(row) + " |", flush=True)
+        return 0
+    _print_table(COLUMNS, [])
     for workload in chosen:
         row = census_of(workload, args.seed).row(workload.name)
         print("| " + " | ".join(row) + " |", flush=True)
