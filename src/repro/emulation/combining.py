@@ -183,6 +183,9 @@ def route_replies_fast(
     ``hops - 1 - k`` of its request the other way, so it keeps that
     link's id (:attr:`RunArrays.links`) — one gather, whatever the
     encoding, mesh and leveled alike — with the endpoint tables swapped.
+    A scalar-lane request run that was handed no ids leaves none; its
+    reply run, no larger, is on the scalar lane too and keys its own
+    hops by their ``(src, dst)`` codes.
     No (replies x longest path) matrix is built: every gather runs over
     the positions the requests really visited.
     """

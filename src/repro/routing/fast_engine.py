@@ -30,7 +30,7 @@ population size and configuration only
 (:func:`repro.routing.fast_scalar.takes`): a small one without
 ``node_capacity`` or link faults is stepped on Python lists by
 :mod:`repro.routing.fast_scalar`, every other run on that numpy state;
-both share the validation and return the same :class:`RunArrays`.
+both share the path validation and return the same :class:`RunArrays`.
 
 The mode of a run (recorded in ``last_run_mode`` and
 ``RoutingStats.run_mode``) follows from the configuration: ``"batch"``,
@@ -268,13 +268,15 @@ class FastPathEngine:
         position of *paths* in their layout.
         ``links`` — a ready ``(link_ids, link_src, link_dst)`` triple,
         ``link_ids`` one per link position of *paths*, flat — skips the
-        np.unique interning pass, which otherwise gives the run a dense
-        id per link this population crosses.  Two callers have one: the
+        vector lane's np.unique interning pass, which otherwise gives the
+        run a dense id per link this population crosses (the scalar lane
+        interns nothing: it keys a hop by its ``(src, dst)`` code, or by
+        the handed id).  Two callers have one: the
         mesh (the arithmetic ids
         :meth:`repro.topology.compiled.CompiledMesh2D.itineraries`
         emits, with its ``link_arrays()``) and the reply phase, which inherits its
-        request run's triple (:attr:`RunArrays.links`).  Leveled runs
-        pass none.
+        request run's triple (:attr:`RunArrays.links`) when that run left
+        one.  Leveled runs pass none.
 
         The population is anonymous — requests routed from
         :class:`~repro.routing.packet.PacketColumns`, replies that exist

@@ -129,8 +129,10 @@ class RunArrays:
     #: link_dst)``, ``link_ids`` flat in the layout of ``paths``' link
     #: positions: a reply crosses its request's links the other way, so
     #: the reply run inherits these ids instead of interning the same
-    #: links again (``None`` on hand-built arrays: the reply run interns
-    #: its own)
+    #: links again.  ``None`` after a scalar-lane run that was handed no
+    #: links (:mod:`repro.routing.fast_scalar` keys its hops by their
+    #: :func:`hop_codes` and interns nothing) and on hand-built arrays:
+    #: the reply run then keys, or interns, its own
     links: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     #: position each packet stopped at: delivery, absorption, or the
     #: queue it sat in when the run ended
@@ -168,6 +170,45 @@ def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
         raise ValueError(f"{what} {int(bad.flat[0])} is outside [0, {bound})")
 
 
+def handed_links(links, n_slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A caller's ``(link_ids, link_src, link_dst)`` triple as int64
+    arrays, checked against a population with *n_slots* link positions:
+    a malformed triple or a link id outside the endpoint tables is a
+    ``ValueError`` here rather than an ``IndexError`` from inside the
+    step loop (the endpoint tables themselves are their maker's and
+    taken on trust)."""
+    if len(links) != 3:
+        raise ValueError("links must be the (link_ids, link_src, link_dst) triple")
+    link_ids, link_src, link_dst = (np.asarray(a, dtype=np.int64) for a in links)
+    # a matrix aligned with equal-length rows is their raveled layout
+    if link_ids.size != n_slots:
+        raise ValueError("link ids must align with the link positions of paths")
+    link_ids = link_ids.reshape(-1)
+    if link_src.ndim != 1 or link_src.shape != link_dst.shape:
+        raise ValueError("link_src and link_dst must be aligned 1-D arrays")
+    _check_ids(link_ids, link_src.size, "links matrix names link id")
+    return link_ids, link_src, link_dst
+
+
+def hop_codes(paths: FlatPaths, num_nodes: int) -> np.ndarray:
+    """``src * num_nodes + dst`` of every link position of *paths*, flat
+    in their layout — packet i's k-th hop is slot ``offsets[i] - i + k``
+    — after checking every node id against ``num_nodes``: one code per
+    directed link, the same for every packet that crosses it."""
+    nodes, offsets = paths
+    n = offsets.size - 1
+    _check_ids(nodes, num_nodes, "paths name node id")
+    width = nodes.size // n if n else 1
+    if (offsets[1:] - offsets[:-1] == width).all():
+        # equal-length rows (every leveled run): the raveled matrix
+        mat = nodes.reshape(n, width)
+        return (mat[:, :-1] * num_nodes + mat[:, 1:]).reshape(-1)
+    # a link leaves every node but the last of its row
+    leaves = np.ones(nodes.size - 1, dtype=bool)
+    leaves[offsets[1:-1] - 1] = False
+    return nodes[:-1][leaves] * num_nodes + nodes[1:][leaves]
+
+
 def link_tables(
     paths: FlatPaths, links, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,45 +221,16 @@ def link_tables(
     triple, made elsewhere — the mesh's arithmetic ``u * 4 + direction``
     ids (a 4N id space, smaller than a served batch; boundary slots may
     share a ``(src, dst)`` pair), or a reply run's, inherited from its
-    request run (:attr:`RunArrays.links`) — or ``None``: one
-    ``np.unique`` over the ``src * num_nodes + dst`` codes interns the
-    links this batch crosses, which is what every leveled run takes, so
-    its per-link tables are sized by the batch and not by the network.
-    Ids are opaque to every phase, and this is the only place that knows
-    the format; a malformed triple, a link id outside the endpoint
-    tables or a node id outside ``num_nodes`` is a ``ValueError`` here
-    rather than an ``IndexError`` from inside the step loop (the
-    endpoint tables themselves are their maker's and taken on trust).
+    request run (:attr:`RunArrays.links`) — checked by
+    :func:`handed_links`, or ``None``: one ``np.unique`` over the
+    :func:`hop_codes` interns the links this batch crosses, which is
+    what every leveled vector-lane run takes, so its per-link tables are
+    sized by the batch and not by the network.  Ids are opaque to every
+    phase, and this is the only place that knows the format.
     """
-    nodes, offsets = paths
-    n = offsets.size - 1
-    n_slots = nodes.size - n
     if links is not None:
-        if len(links) != 3:
-            raise ValueError(
-                "links must be the (link_ids, link_src, link_dst) triple"
-            )
-        link_ids, link_src, link_dst = (np.asarray(a, dtype=np.int64) for a in links)
-        # a matrix aligned with equal-length rows is their raveled layout
-        if link_ids.size != n_slots:
-            raise ValueError("link ids must align with the link positions of paths")
-        link_ids = link_ids.reshape(-1)
-        if link_src.ndim != 1 or link_src.shape != link_dst.shape:
-            raise ValueError("link_src and link_dst must be aligned 1-D arrays")
-        _check_ids(link_ids, link_src.size, "links matrix names link id")
-        return link_ids, link_src, link_dst
-    _check_ids(nodes, num_nodes, "paths name node id")
-    width = nodes.size // n if n else 1
-    if (offsets[1:] - offsets[:-1] == width).all():
-        # equal-length rows (every leveled run): the raveled matrix
-        mat = nodes.reshape(n, width)
-        codes = mat[:, :-1] * num_nodes + mat[:, 1:]
-    else:
-        # a link leaves every node but the last of its row
-        leaves = np.ones(nodes.size - 1, dtype=bool)
-        leaves[offsets[1:-1] - 1] = False
-        codes = nodes[:-1][leaves] * num_nodes + nodes[1:][leaves]
-    uniq, inverse = np.unique(codes, return_inverse=True)
+        return handed_links(links, paths.nodes.size - paths.offsets.size + 1)
+    uniq, inverse = np.unique(hop_codes(paths, num_nodes), return_inverse=True)
     return inverse.reshape(-1), uniq // num_nodes, uniq % num_nodes
 
 

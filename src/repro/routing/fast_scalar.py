@@ -5,24 +5,36 @@ has two lanes for one run semantics.  The *vector* lane
 (:mod:`repro.routing.fast_phases`) advances a :class:`RunState` of numpy
 tables, paying ~35 numpy calls — ~37 µs — a network step whatever the
 batch size.  This lane advances a run of at most :data:`SCALAR_RUN_MAX`
-packets with no ``node_capacity`` and no link-fault view on Python
-lists, at ~0.5-1 µs a packet-hop: one queue per busy link (a list in
-service order), held in a dict whose insertion order is the links'
-activation order, plus per-packet cursor, subtree and arrival lists.
+packets with no ``node_capacity`` and no link-fault view on Python lists
+and flat tables, at ~0.65 µs a packet-hop: one queue per busy link (a
+list in service order), held in a dict whose insertion order is the
+links' activation order; per-packet cursor, subtree and arrival lists;
+per link slot the key of the queue the hop joins and the node it
+leaves; and per node the packets queued on its out-links, one byte a
+node in a ``bytearray`` (a table the allocator zeroes, no Python work
+per node; a list from 256 packets up, which only tests force here).
 The lane is chosen from the population size and the configuration only;
 credit / capacity runs and link faults stay on the vector lane.
 
-Both lanes share the validation and the tables every run is built from
+Both lanes share the validation every run gets
 (:func:`~repro.routing.fast_engine._normalise_paths`,
-:func:`~repro.routing.fast_phases.link_tables`,
 :func:`~repro.routing.fast_phases.pack_priorities`,
 :class:`~repro.routing.fast_phases.SpawnTables`, the injection
-schedule) and return the same :class:`RunArrays`, so the stats, the
-reply phase and :func:`~repro.routing.packet.write_back` read a run
-without knowing its lane.  The step is the paper's, taken literally:
-every busy link sends its head in activation order (:func:`transmit`),
-then every arrival, in that order, fires its spawn triggers (children
-placed before their parent), is delivered with its absorption subtree,
+schedule, a handed-in link triple's checks in
+:func:`~repro.routing.fast_phases.handed_links`) and return the same
+:class:`RunArrays`, so the stats, the reply phase and
+:func:`~repro.routing.packet.write_back` read a run without knowing its
+lane.  What this lane does not share is the link interning
+(:func:`~repro.routing.fast_phases.link_tables`' ``np.unique``): a hop's
+queue is keyed by its ``src * num_nodes + dst`` code
+(:func:`~repro.routing.fast_phases.hop_codes`), or by the caller's link
+id when it hands a triple, so a run handed no links leaves
+:attr:`RunArrays.links` ``None`` and its reply run — a subset of its
+population, so on this lane too — keys its own hops the same way.  The
+step is the paper's, taken literally: every busy link sends its head in
+activation order (:func:`transmit`), then every arrival, in that order,
+fires its spawn triggers (children placed before their parent), is
+delivered with its absorption subtree, is placed alone on an idle link,
 is absorbed into the queued packet on its link with its combine key, or
 joins the queue — appended, unless under furthest-first it outranks
 the tail, when it goes in behind the last waiter whose priority is not
@@ -50,17 +62,20 @@ from repro.routing.fast_phases import RunArrays, SpawnTables
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #: workload            runs     p50/max    1-16   17-32  33-64  65-128  129-256  > 256
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
-#: bfly_small_steps    500/500  16/31      2.34x  2.22x
-#: sharded_tenants     280/280  54/96             1.43x  1.28x  1.17x
-#: apps_replay         168/240  64/318     3.44x  2.39x  1.56x  1.01x   0.99x    0.71x
-#: mesh_crcw_zipf      0/40     510/558                                          0.47x
-#: mesh_erew_hot       0/30     660/696                                          0.34x
-#: star_crcw_zipf      0/10     2462/2596                                        0.17x
-#: bfly_credit_bursty  0/32     957/1024                                         0.29x
+#: bfly_small_steps    500/500  16/31      2.80x  2.58x
+#: sharded_tenants     280/280  54/96             1.71x  1.58x  1.43x
+#: apps_replay         168/240  64/318     4.14x  3.46x  1.84x  1.23x   1.28x    0.91x
+#: mesh_crcw_zipf      0/40     510/558                                          0.65x
+#: mesh_erew_hot       0/30     660/696                                          0.41x
+#: star_crcw_zipf      0/10     2462/2596                                        0.20x
+#: bfly_credit_bursty  0/32     957/1024                                         0.34x
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #:
 #: (``bfly_credit_bursty``'s replayed runs are its unconstrained reply
-#: runs.)  Lists win ~2.3x below 32 packets and break even near 128.
+#: runs.)  Lists win ~2.5x below 32 packets.  The 129-256 bucket's eight
+#: runs favour lists alone, but moving the constant to 192 or 256 left
+#: ``apps_replay``'s whole-unit engine time where it was (366.5 / 370.8
+#: / 372.2 ms, best of seven in-process replays), so it stays at 128.
 SCALAR_RUN_MAX = 128
 
 
@@ -71,12 +86,12 @@ def takes(n: int, node_capacity, link_faults) -> bool:
 
 
 class ScalarRun:
-    """One scalar-lane run: the shared tables as lists, and the state
-    the step loop mutates (see the module docstring)."""
+    """One scalar-lane run: the per-slot and per-packet tables as lists,
+    and the state the step loop mutates (see the module docstring)."""
 
     __slots__ = (
         "paths", "links", "fl_base", "injected_at", "prof", "spawn", "roots",
-        "li", "src", "prio", "gid", "fl", "fl_last", "subtree", "arrived",
+        "key", "src", "prio", "gid", "fl", "fl_last", "subtree", "arrived",
         "active", "load", "remaining", "max_queue", "max_node_load",
         "absorbed_by", "absorbed", "spawned",
     )  # fmt: skip
@@ -89,8 +104,10 @@ class ScalarRun:
         self.paths = paths
         self.injected_at = injected_at
         self.prof = profile
-        # the module attribute: tests count the interning calls
-        self.links = fast_phases.link_tables(paths, links, num_nodes)
+        codes = fast_phases.hop_codes(paths, num_nodes)
+        self.links = (
+            None if links is None else fast_phases.handed_links(links, codes.size)
+        )
         prio = fast_phases.pack_priorities(priorities, paths)
         row_start = paths.offsets[:-1]
         self.fl_base = row_start - np.arange(n, dtype=np.int64)
@@ -109,8 +126,9 @@ class ScalarRun:
             if gid.shape != (n,):
                 raise ValueError("one combine group per packet required")
             self.gid = gid.tolist()
-        self.li = self.links[0].tolist()
-        self.src = self.links[1].tolist()
+        #: per link slot: the queue it joins, and the node it leaves
+        self.key = (codes if links is None else self.links[0]).tolist()
+        self.src = (codes // num_nodes).tolist()
         self.prio = None if prio is None else prio.tolist()
         self.fl = self.fl_base.tolist()
         self.fl_last = (self.fl_base + last).tolist()
@@ -118,7 +136,10 @@ class ScalarRun:
         self.arrived = [-1] * n
         #: busy link -> its queue in service order, in activation order
         self.active: dict[int, list[int]] = {}
-        self.load: dict[int, int] = {}  # node -> packets queued on its out-links
+        #: node -> packets queued on its out-links; a count never
+        #: exceeds the population, so below 256 packets one byte a node
+        #: does (zeroed by the allocator, ~4 µs for 126k nodes)
+        self.load = bytearray(num_nodes) if n < 256 else [0] * num_nodes
         self.remaining = int(self.roots.size)
         self.max_queue = self.max_node_load = 0
         self.absorbed_by: list[int] = []
@@ -165,12 +186,16 @@ def transmit(s: ScalarRun) -> list[int]:
     src = s.src
     load = s.load
     sent = []
-    for li, q in s.active.items():
+    busy = {}
+    for k, q in s.active.items():
         i = q.pop(0)
         sent.append(i)
-        fl[i] += 1
-        load[src[li]] -= 1
-    s.active = {li: q for li, q in s.active.items() if q}
+        f = fl[i]
+        load[src[f]] -= 1
+        fl[i] = f + 1
+        if q:
+            busy[k] = q
+    s.active = busy
     return sent
 
 
@@ -206,7 +231,7 @@ def admit(s: ScalarRun, batch: list[int], t: int) -> None:
     met = False
     if s.spawn is not None:
         batch = spliced(s, batch, t)
-    fl, fl_last, li_flat, src = s.fl, s.fl_last, s.li, s.src
+    fl, fl_last, key, src = s.fl, s.fl_last, s.key, s.src
     active, load, gid, prio, subtree = s.active, s.load, s.gid, s.prio, s.subtree
     arrived = s.arrived
     max_queue, max_load, remaining = s.max_queue, s.max_node_load, s.remaining
@@ -216,10 +241,13 @@ def admit(s: ScalarRun, batch: list[int], t: int) -> None:
             arrived[i] = t
             remaining -= subtree[i]
             continue
-        li = li_flat[f]
-        q = active.get(li)
+        k = key[f]
+        q = active.get(k)
         if q is None:
-            q = active[li] = [i]
+            # alone on an idle link: nothing to meet, outrank or exceed
+            active[k] = [i]
+            if not max_queue:
+                max_queue = 1
         else:
             if gid is not None:
                 met = True
@@ -245,10 +273,11 @@ def admit(s: ScalarRun, batch: list[int], t: int) -> None:
                 while prio[fl[q[j]]] >= p:
                     j += 1
                 q.insert(j, i)
-        if len(q) > max_queue:
-            max_queue = len(q)
-        u = src[li]
-        ld = load[u] = load.get(u, 0) + 1
+            if len(q) > max_queue:
+                max_queue = len(q)
+        u = src[f]
+        ld = load[u] + 1
+        load[u] = ld
         if ld > max_load:
             max_load = ld
     s.max_queue, s.max_node_load, s.remaining = max_queue, max_load, remaining

@@ -284,9 +284,10 @@ class CompiledMesh2D:
     # That pays on the mesh only: its 4N id space is smaller than the
     # links a served batch crosses, so the engine's per-link tables stay
     # batch-sized either way.  Leveled networks have no such encoding —
-    # their ``2L * N * d`` link space dwarfs any batch, so the engine
-    # interns the links a leveled batch actually crosses (one np.unique,
-    # :func:`repro.routing.fast_phases.link_tables`).
+    # their ``2L * N * d`` link space dwarfs any batch, so the engine's
+    # vector lane interns the links a leveled batch actually crosses (one
+    # np.unique, :func:`repro.routing.fast_phases.link_tables`) and its
+    # scalar lane keys a small batch's queues by ``(src, dst)`` code.
     _DIR_EAST, _DIR_WEST, _DIR_SOUTH, _DIR_NORTH = 0, 1, 2, 3
 
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,13 @@ compare the reply ``RoutingStats`` themselves — including the order of
 ``delays`` / ``hops``, which is the forest's breadth-first order — on
 generated hot-key steps.
 
-Every comparison is three-way.  The fast reply run inherits its link
-ids from the request run (``RunArrays.links``: the request's ids, the
-endpoint tables swapped) instead of interning the reply matrix; since
-link ids are opaque to the engine, the same run with ``links=None``
-(self-interned) must give the same stats, and both must equal the
+Every comparison is three-way.  On the vector lane the fast reply run
+inherits its link ids from the request run (``RunArrays.links``: the
+request's ids, the endpoint tables swapped) instead of interning the
+reply matrix; on the scalar lane a leveled request run keys its hops by
+their ``(src, dst)`` codes and leaves no ids, so its reply run keys its
+own.  Since link ids are opaque to the engine, the same reply run with
+``links=None`` must give the same stats, and both must equal the
 reference engine's.
 """
 
@@ -34,8 +36,8 @@ from repro.emulation.combining import (
 )
 from repro.pram.trace import RequestColumns
 from repro.routing import LeveledRouter, Packet, SynchronousEngine, collect_stats
-from repro.routing import fast_phases
-from repro.routing.fast_engine import RunArrays
+from repro.routing import fast_phases, fast_scalar
+from repro.routing.fast_engine import FastPathEngine, RunArrays
 from repro.routing.metrics import stats_from_arrays
 from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from test_fast_engine import assert_stats_equal
@@ -52,9 +54,12 @@ def rows_of(packets) -> list[int]:
 
 def reply_stats(make_emulator, step, engine):
     """The reply run's ``RoutingStats`` of one emulated step, plus its
-    cost.  A fast reply run is made twice — on the request run's link
-    ids (what the emulator does) and self-interned — and must agree."""
+    cost.  A fast reply run is made twice — on whatever ids its request
+    run left (what the emulator does) and with none — and must agree."""
     emulator = make_emulator(engine)
+    # the mesh hands every run its arithmetic link ids; a leveled run
+    # has none unless the vector lane interned them
+    handed = isinstance(emulator, MeshEmulator)
     seen = []
     inner = emulator._reverse_path_replies
 
@@ -67,7 +72,10 @@ def reply_stats(make_emulator, step, engine):
             paths, n = requests.paths, requests.hops.size
             assert paths.offsets.shape == (n + 1,)
             assert paths.offsets[-1] == paths.nodes.size
-            assert requests.links[0].shape == (paths.nodes.size - n,)
+            if fast_scalar.takes(n, None, None) and not handed:
+                assert requests.links is None
+            else:
+                assert requests.links[0].shape == (paths.nodes.size - n,)
             assert (requests.hops <= paths.hops).all()
             # the emulator's read hosts are rows of the request run
             interned = route_replies_fast(
@@ -285,10 +293,12 @@ def test_undelivered_request_rows_stay_out_of_the_reply_run():
     assert len(hosts) < inherited.delivered == len(fast_packets) - len(stranded)
 
 
-def test_a_step_interns_its_links_once(monkeypatch):
-    """One CRCW step on the star's logical network, counted: the
-    request run interns the links its batch crosses, the reply run is
-    handed them — never a second sort, never the network's id space."""
+def test_a_step_interns_its_links_once(monkeypatch, run_lane):
+    """One CRCW step on the star's logical network, counted.  On the
+    vector lane the request run interns the links its batch crosses and
+    the reply run is handed them — never a second sort, never the
+    network's id space.  On the scalar lane neither run interns: each
+    keys its hops by their ``(src, dst)`` codes and leaves no ids."""
     net = StarLogicalLeveled(4)
     calls = []
     inner = fast_phases.link_tables
@@ -299,6 +309,15 @@ def test_a_step_interns_its_links_once(monkeypatch):
         return tables
 
     monkeypatch.setattr(fast_phases, "link_tables", spy)
+    arrays = []
+    run = FastPathEngine.run
+
+    def spy_run(self, *args, **kwargs):
+        stats = run(self, *args, **kwargs)
+        arrays.append(self.last_arrays)
+        return stats
+
+    monkeypatch.setattr(FastPathEngine, "run", spy_run)
     emulator = LeveledEmulator(
         net, 4 * net.column_size, mode="crcw", seed=5, engine="fast"
     )
@@ -309,9 +328,17 @@ def test_a_step_interns_its_links_once(monkeypatch):
     ]
     cost = emulator.emulate_step(RequestColumns.of(reads=reads))
     assert cost.run_modes == ("batch", "batch") and cost.combines
+    request, reply = arrays
+    if run_lane == "scalar":
+        assert calls == []
+        assert request.links is None and reply.links is None
+        return
     (req_interned, req_links, req_hops), (rep_interned, rep_links, _) = calls
     assert (req_interned, rep_interned) == (True, False)
     assert rep_links == req_links <= req_hops
+    # the reply crosses the request's links the other way
+    assert np.array_equal(reply.links[1], request.links[2])
+    assert np.array_equal(reply.links[2], request.links[1])
 
 
 def hand_built_requests(rows, hops, absorbed_by, absorbed):

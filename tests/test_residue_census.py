@@ -1,7 +1,10 @@
 """``tools/residue_census.py``: what it counts, and that it leaves the
 engine as it found it."""
 
+from repro.emulation import LeveledEmulator
+from repro.pram.trace import RequestColumns
 from repro.routing import FastPathEngine, fast_phases, fast_scalar
+from repro.topology import StarLogicalLeveled
 from tools.residue_census import Census, counting, lane_rows
 
 
@@ -39,3 +42,32 @@ def test_census_counts_the_scalar_lane_and_times_both():
     assert (name, bucket, runs) == ("fan-in", "1-16", "1")
     assert float(vector_ms) >= 0 and float(scalar_ms) >= 0 and speedup.endswith("x")
     assert fast_scalar.SCALAR_RUN_MAX == run_max  # restored after the replays
+
+
+def test_a_scalar_runs_reply_is_replayed_interning_on_the_vector_lane(monkeypatch):
+    """A scalar-lane request run leaves no link ids, so its reply run is
+    recorded with ``links=None``: ``--lanes`` replays it on the vector
+    lane by interning its own links, in the steps the unit took."""
+    net = StarLogicalLeveled(4)
+    emulator = LeveledEmulator(
+        net, 4 * net.column_size, mode="crcw", seed=5, engine="fast"
+    )
+    reads = [(pid, pid % 3) for pid in range(net.column_size)]
+    with counting(Census(), keep_calls=True) as census:
+        emulator.emulate_step(RequestColumns.of(reads=reads))
+    assert census.scalar == [True, True]
+    (_, _, request), (_, _, reply) = census.calls
+    assert request.get("links") is None and reply["links"] is None
+    assert reply["spawn_plan"] is not None
+    interned = []
+    inner = fast_phases.link_tables
+
+    def spy(paths, links, num_nodes):
+        interned.append(links is None)
+        return inner(paths, links, num_nodes)
+
+    monkeypatch.setattr(fast_phases, "link_tables", spy)
+    rows = lane_rows("crcw", census)
+    assert [row[2] for row in rows] == ["2"]
+    # three vector replays of each run, each interning; none on the scalar lane
+    assert interned == [True] * 6

@@ -1,0 +1,227 @@
+"""The scalar lane's own tables, case by case: scalar ≡ vector ≡ reference.
+
+The scalar lane (:mod:`repro.routing.fast_scalar`) keys a hop's queue by
+its ``src * num_nodes + dst`` code, or by the caller's link id when it
+hands a triple, and counts the packets queued per node in a flat table
+indexed by node id — a ``bytearray`` below 256 packets, a list at and
+above (a count never exceeds the population).  Each case routes one
+population on both lanes, whose ``RunArrays`` must agree field for
+field — ``max_node_load``, ``max_queue`` and ``combines`` included —
+and, where the reference engine can route it, once more there.
+"""
+
+import numpy as np
+import pytest
+from conftest import RUN_LANES, forced_run_lane
+
+from repro.emulation import LeveledEmulator
+from repro.pram.trace import RequestColumns
+from repro.routing import (
+    FastPathEngine,
+    LeveledRouter,
+    MeshRouter,
+    NetworkDrainedError,
+    RoutingTimeout,
+    fast_engine,
+)
+from repro.topology import Mesh2D, StarLogicalLeveled
+from repro.topology.compiled import compile_mesh
+from test_batch_arrival import run_both, scenario_spawn_at_zero
+from test_fast_engine import assert_stats_equal
+
+RUN_FIELDS = (
+    "hops", "arrived", "injected_at", "absorbed_by", "absorbed", "order",
+    "steps", "completed", "max_queue", "max_node_load", "combines",
+)  # fmt: skip
+
+
+def assert_runs_equal(a, b):
+    for field in RUN_FIELDS:
+        x, y = getattr(a, field), getattr(b, field)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert x is not None and y is not None, field
+            assert np.array_equal(x, y), field
+        else:
+            assert x == y, field
+
+
+def on_both_lanes(run):
+    """``run()`` once per lane, every fast run of the call forced
+    through it: ``(scalar result, vector result)``."""
+    out = {}
+    for lane in RUN_LANES:
+        with forced_run_lane(lane):
+            out[lane] = run()
+    return out["scalar"], out["vector"]
+
+
+def engine_run(paths, num_nodes, **kwargs):
+    """One run on a fresh engine: ``(stats, arrays)``."""
+    engine = FastPathEngine(combine="combine_groups" in kwargs)
+    stats = engine.run(paths, num_nodes=num_nodes, max_steps=400, **kwargs)
+    return stats, engine.last_arrays
+
+
+def test_a_handed_mesh_triple_keys_the_queues_by_id():
+    """The mesh hands its arithmetic ``u * 4 + direction`` ids, whose
+    boundary slots share endpoints; the scalar lane queues by those ids
+    and hands the triple on as it came."""
+    mesh = Mesh2D.square(6)
+    link_src, link_dst = compile_mesh(mesh).link_arrays()
+    pairs = link_src * mesh.num_nodes + link_dst
+    assert np.unique(pairs).size < pairs.size
+    perm = np.random.default_rng(8).permutation(mesh.num_nodes)
+
+    def run():
+        router = MeshRouter(mesh, seed=3, engine="fast")
+        return router.route_permutation(perm), router.last_fast_run
+
+    (scalar, s_run), (vector, v_run) = on_both_lanes(run)
+    assert_runs_equal(s_run, v_run)
+    assert np.array_equal(s_run.links[0], v_run.links[0])
+    assert s_run.links[1] is link_src and s_run.links[2] is link_dst
+    ref = MeshRouter(mesh, seed=3, engine="reference").route_permutation(perm)
+    assert_stats_equal(scalar, ref)
+    assert_stats_equal(vector, ref)
+    assert scalar.max_queue >= 2 and scalar.max_node_load >= 2
+
+
+def test_two_ids_of_one_link_are_two_queues_on_both_lanes():
+    """Ids are opaque: two ids that name the same ``(src, dst)`` pair are
+    two queues on either lane, where the pair's code would be one."""
+    paths = [[0, 1, 2]] * 4
+    # packets 0 and 2 leave node 0 on id 0, packets 1 and 3 on id 1
+    ids = np.array([0, 2, 1, 2, 0, 2, 1, 2])
+    links = (ids, np.array([0, 0, 1]), np.array([1, 1, 2]))
+    (s_stats, s_run), (v_stats, v_run) = on_both_lanes(
+        lambda: engine_run(paths, 3, links=links)
+    )
+    assert_runs_equal(s_run, v_run)
+    # two at a time leave node 0 and meet on id 2, behind the first pair's tail
+    assert (s_run.max_queue, s_run.max_node_load) == (3, 4)
+    (coded, _), (interned, _) = on_both_lanes(lambda: engine_run(paths, 3))
+    assert_stats_equal(coded, interned)
+    assert coded.max_queue == 4 > s_stats.max_queue == v_stats.max_queue
+
+
+@pytest.mark.parametrize("combine", [False, True])
+def test_a_star_population_with_large_sparse_node_ids(combine):
+    """At most 128 of the 120-row star network's packets, onto a few hot
+    destinations: node ids run to ``2L * 120 + 119`` and the table is
+    indexed by them directly, combining or not."""
+    net = StarLogicalLeveled(5)
+    rng = np.random.default_rng(11)
+    sources = rng.integers(0, net.column_size, 110)
+    dests = rng.integers(0, 6, 110)
+    keys = dests if combine else None
+
+    def run(engine="fast"):
+        router = LeveledRouter(net, seed=4, engine=engine, combine=combine)
+        return router.route(sources, dests, combine_keys=keys), router.last_fast_run
+
+    (scalar, s_run), (vector, v_run) = on_both_lanes(run)
+    assert s_run.links is None and v_run.links is not None
+    assert_runs_equal(s_run, v_run)
+    ref, _ = run("reference")
+    assert_stats_equal(scalar, ref)
+    assert_stats_equal(vector, ref)
+    assert scalar.max_node_load >= 2 and (scalar.combines > 0) == combine
+
+
+def test_a_star_crcw_step_with_its_reply_fan_out():
+    """A served CRCW step on the star network: the request run combines,
+    the reply run fans out by a spawn plan — both on the lane forced,
+    the reply keyed by its own codes on the scalar lane."""
+    net = StarLogicalLeveled(5)
+    rng = np.random.default_rng(3)
+    reads = [(pid, int(a)) for pid, a in enumerate(rng.integers(0, 12, 120))]
+    step = RequestColumns.of(reads=reads)
+
+    def cost(engine):
+        emulator = LeveledEmulator(
+            net, 4 * net.column_size, mode="crcw", seed=9, engine=engine
+        )
+        return emulator.emulate_step(step)
+
+    scalar, vector = on_both_lanes(lambda: cost("fast"))
+    ref = cost("reference")
+    assert scalar.combines > 0 and scalar.reply_steps > 0
+    for field in ("request_steps", "reply_steps", "combines", "max_queue"):
+        assert getattr(scalar, field) == getattr(vector, field) == getattr(ref, field)
+
+
+def sparse(scenario, scale=997, shift=13):
+    """*scenario* with every node id ``v`` renamed ``v * scale + shift``:
+    the same run over a large, sparse id space."""
+    return dict(
+        scenario,
+        paths=[[v * scale + shift for v in row] for row in scenario["paths"]],
+    )
+
+
+def test_a_child_that_fires_at_position_zero_over_sparse_ids():
+    """Position-0 triggers (children placed before their parent,
+    recursively) on node ids in the tens of thousands."""
+    case = sparse(scenario_spawn_at_zero())
+    stats = run_both(**case)
+    assert stats.max_queue >= 2 and stats.max_node_load >= 2
+    num_nodes = max(map(max, case["paths"])) + 1
+    (_, s_run), (_, v_run) = on_both_lanes(
+        lambda: engine_run(case["paths"], num_nodes, spawn_plan=case["spawn_plan"])
+    )
+    assert_runs_equal(s_run, v_run)
+    assert s_run.order is not None and s_run.order.size == len(case["paths"])
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_a_node_load_past_one_byte(n):
+    """Every packet leaves one node: its load reaches the population —
+    255 fits the byte table, 256 and more take the list table."""
+    stats = run_both([[0, 1, 2]] * n, max_steps=2 * n)
+    assert (stats.max_node_load, stats.max_queue, stats.completed) == (n, n, True)
+
+
+def test_a_timed_out_run_leaves_its_engine_clean():
+    """A run that ends in ``RoutingTimeout`` with packets still queued
+    (its node loads non-zero) is the reference's, and the same engine's
+    next run starts from nothing."""
+    hub = [[0, 1, 2, 3]] * 6 + [[4, 1, 2, 3]] * 3
+    timed_out = run_both(hub, max_steps=3)
+    assert not timed_out.completed and timed_out.max_node_load == 6
+    after = [[4, 1, 2], [0, 1, 2]]
+    for lane in RUN_LANES:
+        with forced_run_lane(lane):
+            engine = FastPathEngine()
+            with pytest.raises(RoutingTimeout) as exc:
+                engine.run(hub, num_nodes=5, max_steps=3, raise_on_timeout=True)
+            assert_stats_equal(exc.value.stats, timed_out)
+            stats = engine.run(after, num_nodes=5, max_steps=9)
+            fresh, fresh_run = engine_run(after, 5)
+        assert_stats_equal(stats, fresh)
+        assert_runs_equal(engine.last_arrays, fresh_run)
+        assert (stats.max_node_load, stats.max_queue) == (2, 2)
+
+
+def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
+    """Injection batches after the first are dropped, so the run owes
+    packets nothing will bring (``NetworkDrainedError``) — at the same
+    step with the same count on both lanes; the engine's next run, with
+    the batches restored, starts from nothing."""
+    batches = fast_engine._injection_batches
+    paths = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 2
+    inject = [0, 0, 0, 5, 5]
+    seen = []
+    for lane in RUN_LANES:
+        monkeypatch.setattr(
+            fast_engine, "_injection_batches", lambda r, t: batches(r, t)[-1:]
+        )
+        engine = FastPathEngine()
+        with forced_run_lane(lane):
+            with pytest.raises(NetworkDrainedError) as exc:
+                engine.run(paths, num_nodes=4, max_steps=50, injected_at=inject)
+            seen.append((exc.value.remaining, exc.value.t))
+            monkeypatch.setattr(fast_engine, "_injection_batches", batches)
+            stats = engine.run(paths, num_nodes=4, max_steps=50, injected_at=inject)
+            fresh, _ = engine_run(paths, 4, injected_at=inject)
+        assert_stats_equal(stats, fresh)
+    assert seen == [(2, 4)] * 2

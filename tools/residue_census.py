@@ -29,6 +29,11 @@ markdown row per workload:
 lanes (best of three each, the scalar lane only where the configuration
 allows it) and prints the seconds per population bucket and the
 speedup, vector over scalar — the table beside ``SCALAR_RUN_MAX``.
+Each run is replayed with the arguments the unit gave it: a reply run
+whose request run took the scalar lane was handed no link ids, so its
+vector replay interns its own links (one ``np.unique``, which a reply
+of a vector-lane request would have inherited instead), and a reply of
+a vector-lane request keeps the ids it was handed on both lanes.
 
 Run:  python tools/residue_census.py [--workload NAME ...] [--seed 7] [--lanes]
 """
