@@ -71,12 +71,13 @@ from repro.routing.fast_phases import (
     admit,
     finish,
     land_escapes,
+    peak_node_load,
     refresh_fault_flags,
     transmit_constrained,
     transmit_unconstrained,
 )
 from repro.routing.flow_control import DeadlockError, resolve_flow_control
-from repro.routing.metrics import RoutingStats, stats_from_arrays
+from repro.routing.metrics import DeferredStat, RoutingStats, stats_from_arrays
 from repro.topology.compiled import FlatPaths
 
 ENGINE_MODES = ("auto", "fast", "reference")
@@ -162,8 +163,13 @@ def _injection_batches(
 
 
 def _stats_of(arrays: RunArrays, mode: str) -> RoutingStats:
-    """The :class:`RoutingStats` of a finished run of either lane."""
+    """The :class:`RoutingStats` of a finished run of either lane; a run
+    without ``node_capacity`` defers ``max_node_load`` to its first read
+    (:func:`~repro.routing.fast_phases.peak_node_load`)."""
     rows = slice(None) if arrays.order is None else arrays.order
+    max_node_load = arrays.max_node_load
+    if max_node_load is None:
+        max_node_load = DeferredStat(peak_node_load, arrays)
     return stats_from_arrays(
         arrays.hops[rows],
         arrays.injected_at[rows],
@@ -172,7 +178,7 @@ def _stats_of(arrays: RunArrays, mode: str) -> RoutingStats:
         max_queue=arrays.max_queue,
         completed=arrays.completed,
         combines=arrays.combines,
-        max_node_load=arrays.max_node_load,
+        max_node_load=max_node_load,
         credits_stalled=arrays.credits_stalled,
         escape_hops=arrays.escape_hops,
         fault_stalls=arrays.fault_stalls,

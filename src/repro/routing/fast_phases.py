@@ -51,14 +51,23 @@ write scalar counters back once per call: a step of a 16-packet batch
 costs ~50 µs, so an attribute read per array *use* would show.  For the
 same reason the per-step phases call no ndarray reduction method (~2 µs
 each, whatever the size): "anyone delivered?" and "all solo?" are
-``np.count_nonzero``, and the peak queue length and node load are
-logged per arrival phase and folded (:func:`fold_peaks`) every
-:data:`PEAK_LOG_FOLD` phases — fewer for a large batch, so the log
-stays small — and once more by :func:`finish`.
+``np.count_nonzero``, and the peak queue length is logged per arrival
+phase and folded (:func:`fold_peaks`) every :data:`PEAK_LOG_FOLD`
+phases — fewer for a large batch, so the log stays small — and once
+more by :func:`finish`.
+
+Node loads are counted only where they decide something: a
+``node_capacity`` run keeps ``node_load`` (its credits read it) and
+folds its peak with the queue's.  Every other run keeps an *arrival
+log* instead — per link slot, the step its packet arrived there, one
+scatter per arrival phase — and ``max_node_load`` is derived from it
+when first read (:func:`peak_node_load`, through
+:class:`~repro.routing.metrics.DeferredStat`).
 
 :func:`check_invariants` is the run state's checker — conservation,
-chain shape, ``active``, loads and cursors — which the phase tests call
-after every phase; nothing on the served path calls it.
+chain shape, ``active``, loads or the arrival log, and cursors — which
+the phase tests call after every phase; nothing on the served path
+calls it.
 """
 
 from __future__ import annotations
@@ -101,6 +110,7 @@ SCALAR_RESIDUE_MAX = 32
 #: an arrival phase brings each packet at most once, so the log holds at
 #: most 64 arrays per stat and no more than 4,096 entries unless one
 #: phase alone brings more (a 2.5k-packet star run folds every phase).
+#: The node-load peak is logged this way only by ``node_capacity`` runs.
 PEAK_LOG_FOLD = 64
 PEAK_LOG_ENTRIES = 4096
 
@@ -152,13 +162,21 @@ class RunArrays:
     steps: int
     completed: bool
     max_queue: int
-    max_node_load: int
+    #: a ``node_capacity`` run's peak node load; ``None`` on every other
+    #: run, whose peak :func:`peak_node_load` derives from ``arrival_log``
+    max_node_load: int | None
     combines: int
     credits_stalled: int
     escape_hops: int
     fault_stalls: int
     #: the no-progress report of a wedged constrained run, else ``None``
     deadlock: str | None
+    #: per link slot (the layout of ``paths``' link positions), the step
+    #: its packet arrived there and did not stop — absorbed arrivals
+    #: included, deliveries not; -1 where none did.  An int64 array on
+    #: the vector lane, a list on the scalar lane; ``None`` when
+    #: ``max_node_load`` is set
+    arrival_log: np.ndarray | list[int] | None = None
 
 
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
@@ -419,8 +437,8 @@ class RunState:
         "prio_flat",
         "spawn", "roots", "remaining",
         "gid", "parent", "subtree", "child_pairs", "combines",
-        "q_head", "q_tail", "q_next", "q_len", "node_load", "active", "first_at",
-        "fl_base", "fl", "fl_last", "arrived",
+        "q_head", "q_tail", "q_next", "q_len", "node_load", "arr_log", "active",
+        "first_at", "fl_base", "fl", "fl_last", "arrived",
         "max_queue", "max_node_load", "queue_peaks", "load_peaks", "peak_fold",
         "fault_stalls",
         "link_faults", "f_any", "capacity", "fc", "pending_escape",
@@ -494,7 +512,14 @@ class RunState:
         self.q_tail = np.full(n_links, -1, dtype=np.int64)
         self.q_next = np.full(n, -1, dtype=np.int64)
         self.q_len = np.zeros(n_links, dtype=np.int64)
-        self.node_load = np.zeros(num_nodes, dtype=np.int64)
+        #: packets queued per node: a capacity run's credits read it;
+        #: any other run logs its arrivals instead (see the module
+        #: docstring) and sizes no table by the network
+        self.node_load = self.arr_log = None
+        if capacity is None:
+            self.arr_log = np.full(self.li_flat.size, -1, dtype=np.int64)
+        else:
+            self.node_load = np.zeros(num_nodes, dtype=np.int64)
         self.fl = self.fl_base.copy()
         self.fl_last = self.fl_base + last
         # first-writer scratch: only entries just written are read
@@ -502,9 +527,10 @@ class RunState:
         self.arrived = np.full(n, -1, dtype=np.int64)
         #: links with queued packets, in activation order
         self.active = _EMPTY
-        #: peak queue length and node load so far — exact after
-        #: :func:`fold_peaks`; the arrival phase logs its touched values
-        #: in ``queue_peaks`` / ``load_peaks`` instead of reducing them
+        #: peak queue length (and, under capacity, node load) so far —
+        #: exact after :func:`fold_peaks`; the arrival phase logs its
+        #: touched values in ``queue_peaks`` / ``load_peaks`` instead of
+        #: reducing them
         self.max_queue = 0
         self.max_node_load = 0
         self.queue_peaks: list[np.ndarray] = []
@@ -607,7 +633,8 @@ def pop_heads(s: RunState, links: np.ndarray, heads: np.ndarray) -> None:
     q_len = s.q_len
     after = q_len[links] - 1
     q_len[links] = after
-    np.subtract.at(s.node_load, s.link_src[links], 1)
+    if s.capacity is not None:
+        np.subtract.at(s.node_load, s.link_src[links], 1)
     s.fl[heads] += 1
     active = s.active
     # every active link sent: the lengths just written say who stays
@@ -892,25 +919,26 @@ def land_escapes(s: RunState, arrivals: np.ndarray) -> np.ndarray:
 
 
 def fold_peaks(s: RunState) -> None:
-    """Fold the arrival phases' logged queue lengths and node loads into
-    ``max_queue`` / ``max_node_load`` and empty the log: one reduction
-    per stat for up to ``peak_fold`` steps (:data:`PEAK_LOG_FOLD`).
-    :func:`finish` folds the rest, and so must anyone reading the maxima
-    mid-run."""
+    """Fold the arrival phases' logged queue lengths (and a capacity
+    run's node loads) into ``max_queue`` / ``max_node_load`` and empty
+    the log: one reduction per stat for up to ``peak_fold`` steps
+    (:data:`PEAK_LOG_FOLD`).  :func:`finish` folds the rest, and so must
+    anyone reading the maxima mid-run."""
     queue_peaks = s.queue_peaks
     if queue_peaks:
         s.max_queue = max(s.max_queue, int(np.concatenate(queue_peaks).max()))
-        s.max_node_load = max(
-            s.max_node_load, int(np.concatenate(s.load_peaks).max())
-        )
         queue_peaks.clear()
-        s.load_peaks.clear()
+    load_peaks = s.load_peaks
+    if load_peaks:
+        s.max_node_load = max(s.max_node_load, int(np.concatenate(load_peaks).max()))
+        load_peaks.clear()
 
 
 def admit(s: RunState, batch: np.ndarray, t: int) -> None:
     """Place a batch of packets, in order, at step *t*: fire the spawn
-    triggers it hits, deliver what has arrived, and :func:`enqueue` the
-    rest — which absorbs what combines.
+    triggers it hits, deliver what has arrived, log the rest's arrival
+    (one scatter; not under capacity) and :func:`enqueue` them — which
+    absorbs what combines.
 
     An arrival batch is already in reference order (transmission order
     of the source links), and every stage keeps it.  A delivered host
@@ -944,6 +972,9 @@ def admit(s: RunState, batch: np.ndarray, t: int) -> None:
         batch = batch[keep]
         f = f[keep]
     if batch.size:
+        arr_log = s.arr_log
+        if arr_log is not None:
+            arr_log[f] = t
         combining_dt = enqueue(s, batch, f)
     if prof is not None:
         prof.add_phase("arrival", wall_time() - t0 - combining_dt)
@@ -1023,12 +1054,11 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
     within the batch, or already busy — is the **contended residue**:
     absorbed, then threaded, by :func:`resolve_residue_scalar` up to
     :data:`SCALAR_RESIDUE_MAX` arrivals, by :func:`resolve_residue_vector`
-    above.  Lengths, loads and the logged peaks (:func:`fold_peaks`)
-    count survivors only.  ``tests/test_batch_arrival.py`` pins both
-    lanes by construction.
+    above.  Lengths, a capacity run's loads and the logged peaks
+    (:func:`fold_peaks`) count survivors only.
+    ``tests/test_batch_arrival.py`` pins both lanes by construction.
     """
     q_len = s.q_len
-    node_load = s.node_load
     li = s.li_flat[f]
     pre_len = q_len[li]  # pre-batch lengths (gather before add)
     np.add.at(q_len, li, 1)
@@ -1066,8 +1096,6 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
         batch = batch[solo]
         li = li[solo]
     if placed.size:
-        srcs = s.link_src[placed]
-        np.add.at(node_load, srcs, 1)
         # Max stats only need the touched entries: within the phase
         # lengths/loads only grow, so the post-batch values are the
         # step's peaks (gathers see each link's final value at its last
@@ -1075,7 +1103,11 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
         # the maxima of many steps in one call.
         queue_peaks = s.queue_peaks
         queue_peaks.append(post_len)
-        s.load_peaks.append(node_load[srcs])
+        if s.capacity is not None:
+            node_load = s.node_load
+            srcs = s.link_src[placed]
+            np.add.at(node_load, srcs, 1)
+            s.load_peaks.append(node_load[srcs])
         if len(queue_peaks) >= s.peak_fold:
             fold_peaks(s)
     s.q_head[li] = batch
@@ -1312,7 +1344,7 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
         steps=t,
         completed=s.remaining == 0,
         max_queue=s.max_queue,
-        max_node_load=s.max_node_load,
+        max_node_load=None if s.capacity is None else s.max_node_load,
         combines=s.combines,
         credits_stalled=fc.credits_stalled if fc is not None else 0,
         escape_hops=fc.escape_hops if fc is not None else 0,
@@ -1322,10 +1354,55 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
             if deadlocked
             else None
         ),
+        arrival_log=s.arr_log,
     )
     if prof is not None:
         prof.add_phase("finish", wall_time() - t0)
     return arrays
+
+
+def peak_node_load(arrays: RunArrays) -> int:
+    """``max_node_load`` of a finished run, derived from its
+    ``arrival_log`` (:class:`RunArrays`).
+
+    A packet counts toward the node its queued hop leaves from the step
+    it arrived at that hop's slot until one step before its next
+    arrival, its delivery, its absorption (an absorbed arrival never
+    counts) or — still queued when the run ended — through the run's
+    last step: exactly the packets the engine's per-node table held
+    after each arrival phase.  One sort sweeps every such episode: the
+    stat is the largest running count of any node.  O(hops the run
+    made · log), paid by whoever reads the stat, never by the step loop.
+    """
+    if arrays.max_node_load is not None:
+        return arrays.max_node_load
+    log = np.asarray(arrays.arrival_log, dtype=np.int64)
+    seen = np.flatnonzero(log >= 0)
+    if not seen.size:
+        return 0
+    nodes, offsets = arrays.paths
+    n = offsets.size - 1
+    last = offsets[1:] - offsets[:-1] - 1  # link slots per packet
+    fl_base = offsets[:-1] - np.arange(n, dtype=np.int64)
+    # each logged hop ends at the packet's next arrival ...
+    until = np.empty(log.size, dtype=np.int64)
+    until[:-1] = log[1:]
+    # ... or, from its last link slot, at its delivery ...
+    out = last > 0
+    until[fl_base[out] + last[out] - 1] = arrays.arrived[out]
+    # ... and where it stopped short of delivery, when the run ended if
+    # it is still queued there, at once if it was absorbed there
+    stop = fl_base + arrays.hops
+    until[stop[arrays.hops < last]] = arrays.steps + 1
+    gone = stop[arrays.absorbed]
+    until[gone] = log[gone]
+    # slot f of packet i leaves node nodes[f + i]
+    src = nodes[seen + np.repeat(np.arange(n, dtype=np.int64), last)[seen]]
+    base = src * np.int64(arrays.steps + 2)
+    # a departure (even key) sorts before an arrival (odd) at one step
+    keys = np.concatenate([(base + until[seen]) * 2, (base + log[seen]) * 2 + 1])
+    keys.sort()
+    return int(np.cumsum((keys & 1) * 2 - 1).max())
 
 
 class RunInvariantError(RuntimeError):
@@ -1339,18 +1416,25 @@ class RunInvariantError(RuntimeError):
         self.detail = detail
 
 
-def check_invariants(s: RunState, in_flight: np.ndarray | None = None) -> None:
+def check_invariants(
+    s: RunState, in_flight: np.ndarray | None = None, t: int | None = None
+) -> None:
     """Raise :class:`RunInvariantError` unless *s* is a state the phases
     can leave between two of their calls.  *in_flight* are the packets a
-    transmission phase returned and no arrival phase has taken yet.
+    transmission phase returned and no arrival phase has taken yet; *t*
+    is the step the run is at (omitted: any).
 
     * cursors: every packet's lies in ``[fl_base, fl_last]``;
     * chains: from ``q_head``, each non-empty link's chain has ``q_len``
       members, ends at ``q_tail`` and holds packets whose next hop is
       that link, in service order (priority never rising along it); an
       empty link has no head, and no packet waits in two chains;
-    * ``active`` is exactly the links with ``q_len > 0``, once each, and
-      ``node_load`` counts the packets queued on each node's out-links;
+    * ``active`` is exactly the links with ``q_len > 0``, once each;
+    * loads (:func:`_check_loads`): under capacity ``node_load`` counts
+      the packets queued on each node's out-links; otherwise every
+      queued packet's slot is logged in ``arr_log``, at *t* or before,
+      and the logged steps strictly increase along the slots a packet
+      has passed;
     * conservation: queued, in flight, in an escape buffer, delivered,
       absorbed and not yet injected are disjoint, and ``remaining`` is
       the live packets (with the subtrees absorbed into them) plus the
@@ -1417,13 +1501,7 @@ def check_invariants(s: RunState, in_flight: np.ndarray | None = None) -> None:
         raise RunInvariantError(
             "active", f"active links {active.tolist()}, non-empty links {busy.tolist()}"
         )
-    load = np.bincount(s.link_src, weights=s.q_len, minlength=s.node_load.size)
-    off = np.flatnonzero(load != s.node_load)
-    if off.size:
-        u = int(off[0])
-        raise RunInvariantError(
-            "node_load", f"node {u} has load {int(s.node_load[u])}, queues {int(load[u])}"
-        )
+    _check_loads(s, queued, t)
 
     flight = _EMPTY if in_flight is None else np.asarray(in_flight, dtype=np.int64)
     escaped = np.asarray(
@@ -1458,4 +1536,45 @@ def check_invariants(s: RunState, in_flight: np.ndarray | None = None) -> None:
             "conservation",
             f"remaining {s.remaining}, but {weight} live (absorbed subtrees "
             f"included) + {unborn.size} roots not yet injected",
+        )
+
+
+def _check_loads(s: RunState, queued: np.ndarray, t: int | None) -> None:
+    """:func:`check_invariants`' load clause: a capacity run's
+    ``node_load`` against its queues, any other run's arrival log
+    against its cursors (*queued*: the packets waiting in a chain)."""
+    if s.node_load is not None:
+        load = np.bincount(s.link_src, weights=s.q_len, minlength=s.node_load.size)
+        off = np.flatnonzero(load != s.node_load)
+        if off.size:
+            u = int(off[0])
+            raise RunInvariantError(
+                "node_load",
+                f"node {u} has load {int(s.node_load[u])}, queues {int(load[u])}",
+            )
+        return
+    log = s.arr_log
+    steps = log[s.fl[queued]]
+    late = np.flatnonzero((steps < 0) if t is None else (steps < 0) | (steps > t))
+    if late.size:
+        i = int(queued[late[0]])
+        raise RunInvariantError(
+            "arrival_log",
+            f"packet {i} waits at slot {int(s.fl[i])}, logged at step "
+            f"{int(steps[late[0]])}" + ("" if t is None else f" (now {t})"),
+        )
+    # the slots each packet has passed or sits on, in path order
+    reach = np.minimum(s.fl + 1, s.fl_last) - s.fl_base
+    rows = np.repeat(np.arange(reach.size, dtype=np.int64), reach)
+    slots = s.fl_base[rows] + segment_index(reach)
+    steps = log[slots]
+    logged = steps >= 0
+    rows, slots, steps = rows[logged], slots[logged], steps[logged]
+    back = np.flatnonzero((rows[1:] == rows[:-1]) & (steps[1:] <= steps[:-1]))
+    if back.size:
+        k = int(back[0])
+        raise RunInvariantError(
+            "arrival_log",
+            f"packet {int(rows[k])} logged slot {int(slots[k])} at step "
+            f"{int(steps[k])}, its next slot at step {int(steps[k + 1])}",
         )

@@ -5,15 +5,15 @@ has two lanes for one run semantics.  The *vector* lane
 (:mod:`repro.routing.fast_phases`) advances a :class:`RunState` of numpy
 tables, paying ~35 numpy calls — ~37 µs — a network step whatever the
 batch size.  This lane advances a run of at most :data:`SCALAR_RUN_MAX`
-packets with no ``node_capacity`` and no link-fault view on Python lists
-and flat tables, at ~0.65 µs a packet-hop: one queue per busy link (a
-list in service order), held in a dict whose insertion order is the
-links' activation order; per-packet cursor, subtree and arrival lists;
-per link slot the key of the queue the hop joins and the node it
-leaves; and per node the packets queued on its out-links, one byte a
-node in a ``bytearray`` (a table the allocator zeroes, no Python work
-per node; a list from 256 packets up, which only tests force here).
-The lane is chosen from the population size and the configuration only;
+packets with no ``node_capacity`` and no link-fault view on Python lists,
+at ~0.5 µs a packet-hop: one queue per busy link (a list in service
+order), held in a dict whose insertion order is the links' activation
+order; per-packet cursor, subtree and arrival lists; and per link slot
+the key of the queue the hop joins and the step its packet arrived
+there (the *arrival log*).  No table is sized by the network and no
+node load is counted: ``max_node_load`` is derived from the log when it
+is first read (:func:`~repro.routing.fast_phases.peak_node_load`).  The
+lane is chosen from the population size and the configuration only;
 credit / capacity runs and link faults stay on the vector lane.
 
 Both lanes share the validation every run gets
@@ -38,9 +38,10 @@ delivered with its absorption subtree, is placed alone on an idle link,
 is absorbed into the queued packet on its link with its combine key, or
 joins the queue — appended, unless under furthest-first it outranks
 the tail, when it goes in behind the last waiter whose priority is not
-smaller (:func:`admit`).  The peaks are the post-arrival ones, raised
-as queues and loads grow.  The differential suites run through each lane (the ``run_lane``
-fixture of ``tests/conftest.py``).
+smaller (:func:`admit`) — every arrival but a delivery logged first.
+The queue peak is the post-arrival one, raised as queues grow.  The
+differential suites run through each lane (the ``run_lane`` fixture of
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -62,20 +63,21 @@ from repro.routing.fast_phases import RunArrays, SpawnTables
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #: workload            runs     p50/max    1-16   17-32  33-64  65-128  129-256  > 256
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
-#: bfly_small_steps    500/500  16/31      2.80x  2.58x
-#: sharded_tenants     280/280  54/96             1.71x  1.58x  1.43x
-#: apps_replay         168/240  64/318     4.14x  3.46x  1.84x  1.23x   1.28x    0.91x
-#: mesh_crcw_zipf      0/40     510/558                                          0.65x
-#: mesh_erew_hot       0/30     660/696                                          0.41x
-#: star_crcw_zipf      0/10     2462/2596                                        0.20x
-#: bfly_credit_bursty  0/32     957/1024                                         0.34x
+#: bfly_small_steps    500/500  16/31      3.06x  2.95x
+#: sharded_tenants     280/280  54/96             2.05x  1.83x  1.70x
+#: apps_replay         168/240  64/318     3.97x  3.20x  2.06x  1.40x   1.44x    0.98x
+#: mesh_crcw_zipf      0/40     510/558                                          0.69x
+#: mesh_erew_hot       0/30     660/696                                          0.49x
+#: star_crcw_zipf      0/10     2462/2596                                        0.26x
+#: bfly_credit_bursty  0/32     957/1024                                         0.38x
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #:
 #: (``bfly_credit_bursty``'s replayed runs are its unconstrained reply
-#: runs.)  Lists win ~2.5x below 32 packets.  The 129-256 bucket's eight
+#: runs.)  Lists win ~2-3x below 64 packets.  The 129-256 bucket's eight
 #: runs favour lists alone, but moving the constant to 192 or 256 left
 #: ``apps_replay``'s whole-unit engine time where it was (366.5 / 370.8
-#: / 372.2 ms, best of seven in-process replays), so it stays at 128.
+#: / 372.2 ms, best of seven in-process replays, measured before the
+#: lane stopped counting node loads), so it stays at 128.
 SCALAR_RUN_MAX = 128
 
 
@@ -91,9 +93,8 @@ class ScalarRun:
 
     __slots__ = (
         "paths", "links", "fl_base", "injected_at", "prof", "spawn", "roots",
-        "key", "src", "prio", "gid", "fl", "fl_last", "subtree", "arrived",
-        "active", "load", "remaining", "max_queue", "max_node_load",
-        "absorbed_by", "absorbed", "spawned",
+        "key", "log", "prio", "gid", "fl", "fl_last", "subtree", "arrived",
+        "active", "remaining", "max_queue", "absorbed_by", "absorbed", "spawned",
     )  # fmt: skip
 
     def __init__(
@@ -126,9 +127,10 @@ class ScalarRun:
             if gid.shape != (n,):
                 raise ValueError("one combine group per packet required")
             self.gid = gid.tolist()
-        #: per link slot: the queue it joins, and the node it leaves
+        #: per link slot: the queue it joins, and the step its packet
+        #: arrived there (-1: not yet)
         self.key = (codes if links is None else self.links[0]).tolist()
-        self.src = (codes // num_nodes).tolist()
+        self.log = [-1] * codes.size
         self.prio = None if prio is None else prio.tolist()
         self.fl = self.fl_base.tolist()
         self.fl_last = (self.fl_base + last).tolist()
@@ -136,12 +138,8 @@ class ScalarRun:
         self.arrived = [-1] * n
         #: busy link -> its queue in service order, in activation order
         self.active: dict[int, list[int]] = {}
-        #: node -> packets queued on its out-links; a count never
-        #: exceeds the population, so below 256 packets one byte a node
-        #: does (zeroed by the allocator, ~4 µs for 126k nodes)
-        self.load = bytearray(num_nodes) if n < 256 else [0] * num_nodes
         self.remaining = int(self.roots.size)
-        self.max_queue = self.max_node_load = 0
+        self.max_queue = 0
         self.absorbed_by: list[int] = []
         self.absorbed: list[int] = []
         self.spawned: list[int] = []  # in spawn order
@@ -183,16 +181,12 @@ def transmit(s: ScalarRun) -> list[int]:
     returns the packets sent, in that order.  Emptied links leave
     ``active`` (a later arrival activates them anew, at the end)."""
     fl = s.fl
-    src = s.src
-    load = s.load
     sent = []
     busy = {}
     for k, q in s.active.items():
         i = q.pop(0)
         sent.append(i)
-        f = fl[i]
-        load[src[f]] -= 1
-        fl[i] = f + 1
+        fl[i] += 1
         if q:
             busy[k] = q
     s.active = busy
@@ -231,16 +225,17 @@ def admit(s: ScalarRun, batch: list[int], t: int) -> None:
     met = False
     if s.spawn is not None:
         batch = spliced(s, batch, t)
-    fl, fl_last, key, src = s.fl, s.fl_last, s.key, s.src
-    active, load, gid, prio, subtree = s.active, s.load, s.gid, s.prio, s.subtree
+    fl, fl_last, key, log = s.fl, s.fl_last, s.key, s.log
+    active, gid, prio, subtree = s.active, s.gid, s.prio, s.subtree
     arrived = s.arrived
-    max_queue, max_load, remaining = s.max_queue, s.max_node_load, s.remaining
+    max_queue, remaining = s.max_queue, s.remaining
     for i in batch:
         f = fl[i]
         if f == fl_last[i]:
             arrived[i] = t
             remaining -= subtree[i]
             continue
+        log[f] = t
         k = key[f]
         q = active.get(k)
         if q is None:
@@ -275,12 +270,7 @@ def admit(s: ScalarRun, batch: list[int], t: int) -> None:
                 q.insert(j, i)
             if len(q) > max_queue:
                 max_queue = len(q)
-        u = src[f]
-        ld = load[u] + 1
-        load[u] = ld
-        if ld > max_load:
-            max_load = ld
-    s.max_queue, s.max_node_load, s.remaining = max_queue, max_load, remaining
+    s.max_queue, s.remaining = max_queue, remaining
     if prof is not None:
         if met:
             prof.add_phase("combining", combining_dt)
@@ -316,12 +306,13 @@ def finish(s: ScalarRun, t: int) -> RunArrays:
         steps=t,
         completed=s.remaining == 0,
         max_queue=s.max_queue,
-        max_node_load=s.max_node_load,
+        max_node_load=None,
         combines=len(s.absorbed),
         credits_stalled=0,
         escape_hops=0,
         fault_stalls=0,
         deadlock=None,
+        arrival_log=s.log,
     )
     if prof is not None:
         prof.add_phase("finish", wall_time() - t0)

@@ -17,6 +17,55 @@ from repro.routing.packet import Packet
 from repro.util.stats import Summary, summarize
 
 
+class DeferredStat:
+    """A stat worked out the first time it is read: ``derive(*args)``.
+
+    A fast run hands its :class:`RoutingStats` one of these where a
+    number is costly to compute and rarely read (``max_node_load``,
+    derived from the run's arrival log).  :meth:`resolve` computes the
+    value once, keeps it and drops *args*, so nothing holds the run's
+    arrays past the first read; an unread one pickles with its
+    arguments (*derive* must be a module-level function).
+    """
+
+    __slots__ = ("derive", "args", "value")
+
+    def __init__(self, derive, *args) -> None:
+        self.derive = derive
+        self.args = args
+        self.value = None
+
+    def resolve(self) -> int:
+        if self.args is not None:
+            self.value = int(self.derive(*self.args))
+            self.derive = self.args = None
+        return self.value
+
+
+class _ReadResolves:
+    """A dataclass field whose value may be a :class:`DeferredStat`:
+    the first read through the instance resolves it and stores the
+    number in its place, so attribute access, ``==``, ``repr`` and
+    :func:`dataclasses.asdict` all see the number (``vars()`` shows
+    what is stored).  A data descriptor, so it wins over the instance
+    dict it stores into; read through the class it is the field's
+    default, 0."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return 0
+        value = obj.__dict__[self.name]
+        if isinstance(value, DeferredStat):
+            value = obj.__dict__[self.name] = value.resolve()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class RoutingStats:
     """Outcome of one routing run."""
@@ -31,8 +80,14 @@ class RoutingStats:
     #: number of packet merges performed (CRCW combining)
     combines: int = 0
     #: peak number of packets resident at any single node (sum of its
-    #: outgoing link queues); the per-processor buffer requirement
-    max_node_load: int = 0
+    #: outgoing link queues) after an arrival phase; the per-processor
+    #: buffer requirement.  The reference engine and a fast
+    #: ``node_capacity`` run count it as they go; every other fast run
+    #: stores a :class:`DeferredStat` here, which derives it from the
+    #: run's arrival log on the first read
+    #: (:func:`repro.routing.fast_phases.peak_node_load`) and is
+    #: replaced by the number — no served path reads it
+    max_node_load: int = _ReadResolves()
     #: (link, step) pairs where credit flow control held a transmission
     #: back — a queue head or escape occupant that could not move this
     #: step.  Zero unless ``flow_control="credit"``; identical across

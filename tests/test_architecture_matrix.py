@@ -297,6 +297,47 @@ def test_the_scalar_lane_steps_without_numpy():
         assert not found, f"{name} calls numpy per step: {found}"
 
 
+def _names(node) -> set[str]:
+    """Every name and attribute *node* mentions."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_scalar_lane_counts_no_node_load():
+    """Node loads are derived from the arrival log when read
+    (``fast_phases.peak_node_load``), so the scalar lane's step names no
+    load table, node table or node peak."""
+    tree = ast.parse((DOC.parent.parent / "src/repro/routing/fast_scalar.py").read_text())
+    fns = {n.name: n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)}
+    for name in ("run_steps", "transmit", "admit"):
+        found = _names(fns[name]) & {"load", "node_load", "src", "max_node_load"}
+        assert not found, f"{name} keeps a node table: {sorted(found)}"
+
+
+def test_only_capacity_runs_count_node_loads_per_step():
+    """The vector lane's per-step phases touch ``node_load`` only under
+    an ``if`` on the run's capacity: every other run logs arrivals."""
+    tree = ast.parse((DOC.parent.parent / "src/repro/routing/fast_phases.py").read_text())
+    fns = {n.name: n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)}
+    for name in ("pop_heads", "enqueue"):
+        guarded = set()
+        for node in ast.walk(fns[name]):
+            if isinstance(node, ast.If) and "capacity" in _names(node.test):
+                guarded |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+        loose = [
+            n.lineno
+            for n in ast.walk(fns[name])
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and "node_load" in (getattr(n, "id", None), getattr(n, "attr", None))
+            and id(n) not in guarded
+        ]
+        assert not loose, f"{name} touches node_load outside a capacity branch: {loose}"
+        assert guarded, f"{name} has no capacity branch"
+
+
 def test_queue_state_has_no_priority_class_tables():
     """One chain per link serves FIFO and furthest-first: nothing in
     ``fast_phases`` is indexed by a (link, priority class) pair, so no

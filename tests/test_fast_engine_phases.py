@@ -32,6 +32,7 @@ from repro.routing.fast_phases import (
     land_escapes,
     link_tables,
     pack_priorities,
+    peak_node_load,
     pop_heads,
     record_absorptions,
     refresh_fault_flags,
@@ -79,7 +80,14 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
 def admit_checked(s: RunState, batch, t: int, in_flight=None) -> None:
     """:func:`admit`, then :func:`check_invariants` on what it left."""
     admit(s, batch, t)
-    check_invariants(s, in_flight)
+    check_invariants(s, in_flight, t)
+
+
+def peak_load(s: RunState, t: int) -> int:
+    """``max_node_load`` of the run so far, derived from its arrival log
+    as a reader of the finished run at step *t* would (no packet may be
+    in flight: its next hop is not logged yet)."""
+    return peak_node_load(finish(s, t, False))
 
 
 def chain(s: RunState, link: int) -> list[int]:
@@ -209,9 +217,11 @@ def test_admit_solo_lane():
     assert s.q_next.tolist() == [-1, -1, -1]
     assert s.active.tolist() == [2, 0, 1]  # batch order = first-arrival order
     assert s.q_len.tolist() == [1, 1, 1, 0, 0, 0]
-    assert s.node_load.tolist() == [1, 1, 1, 0, 0, 0, 0]
+    # no node table: each arrival's step is logged at its slot instead
+    assert s.node_load is None
+    assert s.arr_log.tolist() == [0, -1, 0, -1, 0, -1]
     fold_peaks(s)  # the arrival phase logs its peaks; folding reads them
-    assert (s.max_queue, s.max_node_load, s.remaining) == (1, 1, 3)
+    assert (s.max_queue, peak_load(s, 0), s.remaining) == (1, 1, 3)
 
 
 def test_admit_contended_residue():
@@ -220,12 +230,12 @@ def test_admit_contended_residue():
     assert chain(s, 0) == [1, 0, 2]  # fan-in onto an idle link, batch order
     assert s.active.tolist() == [0]
     fold_peaks(s)
-    assert (s.max_queue, s.max_node_load) == (3, 3)
+    assert (s.max_queue, peak_load(s, 0)) == (3, 3)
     admit_checked(s, ids(3), 1)  # an arrival onto waiters chains behind the tail
     assert chain(s, 0) == [1, 0, 2, 3]
     assert s.active.tolist() == [0]  # an already active link is not re-added
     fold_peaks(s)
-    assert (s.max_queue, s.max_node_load) == (4, 4)
+    assert (s.max_queue, peak_load(s, 1)) == (4, 4)
 
 
 def test_admit_mixed_batch_activates_links_in_first_arrival_order():
@@ -238,7 +248,7 @@ def test_admit_mixed_batch_activates_links_in_first_arrival_order():
     assert chain(s, 0) == [a] and chain(s, 2) == [d]
     assert s.q_len[:3].tolist() == [1, 2, 1]
     fold_peaks(s)
-    assert (s.max_queue, s.max_node_load) == (2, 2)
+    assert (s.max_queue, peak_load(s, 0)) == (2, 2)
 
 
 def test_delivered_host_delivers_its_absorption_subtree():
@@ -267,8 +277,11 @@ def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
     # absorbed packets are in no chain
     assert chain(s, 0) == [0, 2]
     assert s.gid[chain(s, 0)].tolist() == [0, 1]
+    # an absorbed arrival is logged too (it ends its last hop), but
+    # never counts toward a node's load
+    assert s.arr_log.tolist() == [0, -1, 1, -1, 1, -1, 1, -1]
     fold_peaks(s)
-    assert (s.q_len[0], s.node_load[0], s.max_queue) == (2, 2, 2)
+    assert (s.q_len[0], peak_load(s, 1), s.max_queue) == (2, 2, 2)
     assert s.remaining == 4  # absorbed packets leave with their host
 
 
@@ -390,7 +403,9 @@ def test_arrivals_of_one_step_are_merged_into_a_chain_in_service_order():
     sent = [transmit_unconstrained(s).tolist() for _ in range(11)]
     assert [batch[0] for batch in sent] == [6, 10, 0, 4, 8, 1, 2, 5, 9, 3, 7]
     assert (s.q_head[0], s.q_len[0]) == (-1, 0)
-    assert not s.active.size and not s.node_load.any()
+    # all in flight: each first hop logged, no next hop yet
+    assert not s.active.size and s.node_load is None
+    assert (s.arr_log[s.fl_base] >= 0).all() and (s.arr_log[s.fl] == -1).all()
     # the emptied link's tail is left stale, and arrivals there start a
     # new chain instead of threading behind it
     assert s.q_tail[0] == 7
@@ -435,7 +450,8 @@ def test_pop_heads_empties_queues_and_releases_combine_residency():
     pop_heads(s, s.active, select_heads(s))
     check_invariants(s, ids(0))
     assert chain(s, 0) == [1]
-    assert (s.fl[0] - s.fl_base[0], s.q_len[0], s.node_load[0]) == (1, 1, 1)
+    # packet 0 is in flight: its next slot is not logged until it arrives
+    assert (s.fl[0] - s.fl_base[0], s.q_len[0], s.arr_log[s.fl[0]]) == (1, 1, -1)
     assert s.active.tolist() == [0]
     admit_checked(s, ids(2, 3), 1, in_flight=ids(0))  # 2 has 0's key, 3 has 1's
     assert chain(s, 0) == [1, 2]
@@ -444,7 +460,7 @@ def test_pop_heads_empties_queues_and_releases_combine_residency():
     pop_heads(s, s.active, select_heads(s))
     check_invariants(s, ids(0, 1, 2))
     assert s.q_head[0] == -1 and chain(s, 0) == []
-    assert (s.q_len[0], s.node_load[0]) == (0, 0)
+    assert s.q_len[0] == 0 and s.arr_log[s.fl_base].tolist() == [0, 0, 1, 1]
     assert not s.active.size
 
 
@@ -605,11 +621,11 @@ def drive_checked(s: RunState, injected_at: np.ndarray, max_steps: int = 10_000)
         if s.link_faults is not None:
             refresh_fault_flags(s, t)
         arrivals = transmit(s)
-        check_invariants(s, arrivals)
+        check_invariants(s, arrivals, t)
         t += 1
         if s.pending_escape:
             arrivals = land_escapes(s, arrivals)
-            check_invariants(s, arrivals)
+            check_invariants(s, arrivals, t)
         if arrivals.size:
             admit_checked(s, arrivals, t)
     return finish(s, t, False)
@@ -695,22 +711,30 @@ def test_every_phase_keeps_the_run_invariants(network, furthest_first, combine, 
         assert stats.completed and by_hand.completed
         for field in ("hops", "arrived", "absorbed_by", "absorbed"):
             assert np.array_equal(getattr(by_hand, field), getattr(ref, field)), field
-        for field in ("steps", "max_queue", "max_node_load", "combines", "fault_stalls"):
+        for field in ("steps", "max_queue", "combines", "fault_stalls"):
             assert getattr(by_hand, field) == getattr(ref, field), field
+        # counted under capacity, derived from the arrival log otherwise
+        assert (by_hand.max_node_load is None) == (capacity is None)
+        assert peak_node_load(by_hand) == peak_node_load(ref) == stats.max_node_load
         assert ref.fault_stalls > 0 and (ref.combines > 0) == combine
 
 
-def mid_run() -> RunState:
+#: the step :func:`mid_run` stops at
+MID_RUN_STEP = 2
+
+
+def mid_run(capacity=None) -> RunState:
     """A furthest-first CRCW run on the 6x6 mesh, a few steps in."""
     paths, num_nodes, links, prio, dests = sweep_run("mesh", 5)
     s = RunState(
         paths, paths.hops, np.zeros(paths.offsets.size - 1, dtype=np.int64),
-        dests, prio, num_nodes=num_nodes, links=links,
+        dests, prio, num_nodes=num_nodes, links=links, capacity=capacity,
     )  # fmt: skip
+    transmit = transmit_unconstrained if capacity is None else transmit_constrained
     admit(s, s.roots, 0)
-    for t in (1, 2):
-        admit(s, transmit_unconstrained(s), t)
-    check_invariants(s)
+    for t in range(1, MID_RUN_STEP + 1):
+        admit(s, transmit(s), t)
+    check_invariants(s, t=MID_RUN_STEP)
     assert (s.q_len > 1).any()  # some chain has an order to break
     return s
 
@@ -746,6 +770,17 @@ def miscounted_load(s):
     s.node_load[0] += 1
 
 
+def arrival_logged_ahead(s):
+    tail = _deep(s)[2]
+    s.arr_log[s.fl[tail]] = MID_RUN_STEP + 1
+
+
+def arrival_log_out_of_order(s):
+    moved = np.flatnonzero((s.fl > s.fl_base) & (s.fl < s.fl_last))
+    i = int(moved[0])
+    s.arr_log[s.fl_base[i]] = s.arr_log[s.fl[i]]
+
+
 def lost_packet(s):
     s.remaining += 1
 
@@ -762,6 +797,8 @@ CORRUPTIONS = {
     broken_service_order: "chain",
     lost_activation: "active",
     miscounted_load: "node_load",
+    arrival_logged_ahead: "arrival_log",
+    arrival_log_out_of_order: "arrival_log",
     lost_packet: "conservation",
     cursor_past_delivery: "cursor",
 }
@@ -769,9 +806,10 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("corrupt", list(CORRUPTIONS), ids=lambda f: f.__name__)
 def test_the_invariant_checker_names_each_corruption(corrupt):
-    s = mid_run()
+    # only a node_capacity run keeps a node-load table to miscount
+    s = mid_run(capacity=3 if corrupt is miscounted_load else None)
     corrupt(s)
     with pytest.raises(RunInvariantError) as err:
-        check_invariants(s)
+        check_invariants(s, t=MID_RUN_STEP)
     assert err.value.invariant == CORRUPTIONS[corrupt]
     assert isinstance(err.value, RuntimeError)

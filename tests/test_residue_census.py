@@ -1,9 +1,14 @@
 """``tools/residue_census.py``: what it counts, and that it leaves the
 engine as it found it."""
 
+import dataclasses
+
+import pytest
+
 from repro.emulation import LeveledEmulator
 from repro.pram.trace import RequestColumns
 from repro.routing import FastPathEngine, fast_phases, fast_scalar
+from repro.routing.fast_phases import peak_node_load
 from repro.topology import StarLogicalLeveled
 from tools.residue_census import Census, counting, lane_rows
 
@@ -71,3 +76,20 @@ def test_a_scalar_runs_reply_is_replayed_interning_on_the_vector_lane(monkeypatc
     assert [row[2] for row in rows] == ["2"]
     # three vector replays of each run, each interning; none on the scalar lane
     assert interned == [True] * 6
+
+
+def test_lanes_compares_every_stat_of_the_replays(monkeypatch):
+    """``--lanes`` checks lane parity on every field of ``RoutingStats``:
+    a scalar replay whose derived ``max_node_load`` is off while its
+    steps agree fails, naming the field."""
+    census, stats = fan_in({"keep_calls": True})
+    assert census.results == [stats] and lane_rows("fan-in", census)
+    finish = fast_scalar.finish
+
+    def off_by_one(s, t):
+        arrays = finish(s, t)
+        return dataclasses.replace(arrays, max_node_load=peak_node_load(arrays) + 1)
+
+    monkeypatch.setattr(fast_scalar, "finish", off_by_one)
+    with pytest.raises(RuntimeError, match="max_node_load 1 / 1 / 2"):
+        lane_rows("fan-in", census)

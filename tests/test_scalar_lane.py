@@ -2,12 +2,13 @@
 
 The scalar lane (:mod:`repro.routing.fast_scalar`) keys a hop's queue by
 its ``src * num_nodes + dst`` code, or by the caller's link id when it
-hands a triple, and counts the packets queued per node in a flat table
-indexed by node id — a ``bytearray`` below 256 packets, a list at and
-above (a count never exceeds the population).  Each case routes one
-population on both lanes, whose ``RunArrays`` must agree field for
-field — ``max_node_load``, ``max_queue`` and ``combines`` included —
-and, where the reference engine can route it, once more there.
+hands a triple, and keeps no per-node table: it logs the step each
+packet arrived at each link slot, and ``max_node_load`` is derived from
+that log when read (:func:`repro.routing.fast_phases.peak_node_load`).
+Each case routes one population on both lanes, whose ``RunArrays`` must
+agree field for field — the arrival log, the derived ``max_node_load``,
+``max_queue`` and ``combines`` included — and, where the reference
+engine can route it, once more there.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.routing import (
     RoutingTimeout,
     fast_engine,
 )
+from repro.routing.fast_phases import peak_node_load
 from repro.topology import Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh
 from test_batch_arrival import run_both, scenario_spawn_at_zero
@@ -31,13 +33,19 @@ from test_fast_engine import assert_stats_equal
 
 RUN_FIELDS = (
     "hops", "arrived", "injected_at", "absorbed_by", "absorbed", "order",
-    "steps", "completed", "max_queue", "max_node_load", "combines",
+    "steps", "completed", "max_queue", "max_node_load", "combines", "arrival_log",
 )  # fmt: skip
 
 
 def assert_runs_equal(a, b):
+    """Field for field; ``max_node_load`` as a reader sees it — derived
+    from the arrival log, which the scalar lane keeps as a list."""
     for field in RUN_FIELDS:
         x, y = getattr(a, field), getattr(b, field)
+        if field == "max_node_load":
+            x, y = peak_node_load(a), peak_node_load(b)
+        elif field == "arrival_log":
+            x, y = np.asarray(x), np.asarray(y)
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             assert x is not None and y is not None, field
             assert np.array_equal(x, y), field
@@ -98,7 +106,8 @@ def test_two_ids_of_one_link_are_two_queues_on_both_lanes():
     )
     assert_runs_equal(s_run, v_run)
     # two at a time leave node 0 and meet on id 2, behind the first pair's tail
-    assert (s_run.max_queue, s_run.max_node_load) == (3, 4)
+    assert (s_run.max_queue, peak_node_load(s_run)) == (3, 4)
+    assert (s_stats.max_node_load, v_stats.max_node_load) == (4, 4)
     (coded, _), (interned, _) = on_both_lanes(lambda: engine_run(paths, 3))
     assert_stats_equal(coded, interned)
     assert coded.max_queue == 4 > s_stats.max_queue == v_stats.max_queue
@@ -175,8 +184,8 @@ def test_a_child_that_fires_at_position_zero_over_sparse_ids():
 
 @pytest.mark.parametrize("n", [255, 256, 300])
 def test_a_node_load_past_one_byte(n):
-    """Every packet leaves one node: its load reaches the population —
-    255 fits the byte table, 256 and more take the list table."""
+    """Every packet leaves one node: its load reaches the population,
+    on either side of what one byte a node could count."""
     stats = run_both([[0, 1, 2]] * n, max_steps=2 * n)
     assert (stats.max_node_load, stats.max_queue, stats.completed) == (n, n, True)
 

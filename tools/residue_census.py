@@ -29,6 +29,10 @@ markdown row per workload:
 lanes (best of three each, the scalar lane only where the configuration
 allows it) and prints the seconds per population bucket and the
 speedup, vector over scalar — the table beside ``SCALAR_RUN_MAX``.
+It fails unless both replays of every run report the unit's
+``RoutingStats`` field for field — ``max_node_load`` included, which
+each lane derives from its own arrival log — so it doubles as a lane
+parity check on real units.
 Each run is replayed with the arguments the unit gave it: a reply run
 whose request run took the scalar lane was handed no link ids, so its
 vector replay interns its own links (one ``np.unique``, which a reply
@@ -41,6 +45,7 @@ Run:  python tools/residue_census.py [--workload NAME ...] [--seed 7] [--lanes]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from contextlib import contextmanager
@@ -81,8 +86,16 @@ class Census:
         self.phases = 0
         self.residues: list[int] = []
         self.absorptions = 0
-        #: ``(engine, args, kwargs)`` per run, kept for ``--lanes``
+        #: ``(engine, args, kwargs)`` per run, and the ``RoutingStats``
+        #: it returned (or raised with), kept for ``--lanes``
         self.calls: list[tuple] = []
+        self.results: list = []
+
+    def record(self, stats, keep: bool) -> None:
+        """A finished run's stats: its steps, and with *keep* the whole."""
+        self.steps.append(stats.steps)
+        if keep:
+            self.results.append(stats)
 
     def row(self, name: str) -> list[str]:
         sizes = np.asarray(self.residues or [0])
@@ -153,9 +166,9 @@ def counting(census: Census, keep_calls: bool = False):
         try:
             stats = run(self, *args, **kwargs)
         except (DeadlockError, RoutingTimeout) as exc:  # it still routed its steps
-            census.steps.append(exc.stats.steps)
+            census.record(exc.stats, keep_calls)
             raise
-        census.steps.append(stats.steps)
+        census.record(stats, keep_calls)
         return stats
 
     fast_phases.enqueue = counted_enqueue
@@ -175,7 +188,7 @@ def census_of(workload, seed: int, keep_calls: bool = False) -> Census:
 
 
 def lane_seconds(engine, args, kwargs, run_max: int, repeats: int = 3):
-    """``(best-of-repeats seconds, steps)`` of one engine run with
+    """``(best-of-repeats seconds, RoutingStats)`` of one engine run with
     ``SCALAR_RUN_MAX`` set to *run_max* (restored after)."""
     saved = fast_scalar.SCALAR_RUN_MAX
     fast_scalar.SCALAR_RUN_MAX = run_max
@@ -184,28 +197,42 @@ def lane_seconds(engine, args, kwargs, run_max: int, repeats: int = 3):
         for _ in range(repeats):
             t0 = time.perf_counter()
             try:
-                steps = engine.run(*args, **kwargs).steps
+                stats = engine.run(*args, **kwargs)
             except (DeadlockError, RoutingTimeout) as exc:
-                steps = exc.stats.steps
+                stats = exc.stats
             best = min(best, time.perf_counter() - t0)
     finally:
         fast_scalar.SCALAR_RUN_MAX = saved
-    return best, steps
+    return best, stats
+
+
+def stats_mismatch(unit, vector, scalar) -> list[str]:
+    """The ``RoutingStats`` fields on which the two replays and the unit
+    do not all agree (reading each field resolves a deferred one)."""
+    seen, *replays = (dataclasses.asdict(stats) for stats in (unit, vector, scalar))
+    return [f for f, value in seen.items() if any(r[f] != value for r in replays)]
 
 
 def lane_rows(name: str, census: Census) -> list[list[str]]:
-    """One ``--lanes`` row per population bucket with an eligible run."""
+    """One ``--lanes`` row per population bucket with an eligible run;
+    ``RuntimeError`` if a run's replays disagree with the unit."""
     totals = {bucket: [0, 0.0, 0.0] for bucket in BUCKETS}
-    for (engine, args, kwargs), n, eligible, steps in zip(
-        census.calls, census.populations, census.eligible, census.steps
+    for (engine, args, kwargs), n, eligible, unit in zip(
+        census.calls, census.populations, census.eligible, census.results
     ):
         if not eligible:
             continue
-        vector, v_steps = lane_seconds(engine, args, kwargs, 0)
-        scalar, s_steps = lane_seconds(engine, args, kwargs, sys.maxsize)
-        if v_steps != steps or s_steps != steps:
-            raise RuntimeError(f"{name}: a replayed run took {v_steps} / {s_steps} "
-                               f"steps, {steps} in the unit")
+        vector, v_stats = lane_seconds(engine, args, kwargs, 0)
+        scalar, s_stats = lane_seconds(engine, args, kwargs, sys.maxsize)
+        fields = stats_mismatch(unit, v_stats, s_stats)
+        if fields:
+            detail = ", ".join(
+                f"{f} {getattr(unit, f)!r} / {getattr(v_stats, f)!r} / "
+                f"{getattr(s_stats, f)!r}"
+                for f in fields
+            )
+            raise RuntimeError(f"{name}: a {n}-packet run's unit / vector / scalar "
+                               f"stats differ: {detail}")
         entry = totals[next(b for b in BUCKETS if b[0] <= n <= b[1])]
         entry[0] += 1
         entry[1] += vector
