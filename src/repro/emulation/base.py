@@ -692,8 +692,8 @@ class Emulator(ABC):
         """
         if router.last_fast_run is not None:
             # The fast request run left its arrays: replay the compiled
-            # trajectories backwards, on the link ids that run already
-            # made, off a static spawn plan.
+            # trajectories backwards, keyed by the links that run
+            # already keyed, off a static spawn plan.
             return route_replies_fast(
                 router.last_fast_run,
                 read_hosts,

@@ -21,12 +21,20 @@ from __future__ import annotations
 
 from typing import Hashable
 
-import numpy as np
-
 from repro.routing.fast_engine import FastPathEngine, RunArrays
+from repro.routing.fast_phases import MergeNodeMissingError, Replies
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet
-from repro.topology.compiled import FlatPaths, segment_index
+
+__all__ = [
+    "MergeNodeMissingError",
+    "ReplySpawner",
+    "build_replies",
+    "make_reply",
+    "reply_next_hop",
+    "reverse_path_of",
+    "route_replies_fast",
+]
 
 
 def reverse_path_of(request: Packet) -> list[Hashable]:
@@ -73,9 +81,9 @@ class ReplySpawner:
 
     The reference engine's spawn rule — every absorbed child's reply is
     born where the child was merged, carrying the parent reply's value.
-    The fast engine replays the same rule off a static array plan
-    (:func:`route_replies_fast`); ``tests/test_reply_phase.py`` holds
-    the two together.
+    The fast engine replays the same rule off static trigger tables
+    (:func:`route_replies_fast`); ``tests/test_reply_phase.py`` and
+    ``tests/test_reply_lists.py`` hold the two together.
     """
 
     def __init__(self) -> None:
@@ -124,26 +132,6 @@ def build_replies(hosts: list[Packet], values: dict[int, object]):
     return [make_reply(host, i, values.get(host.pid)) for i, host in enumerate(hosts)]
 
 
-class MergeNodeMissingError(RuntimeError):
-    """A child reply has nowhere to spawn: its absorption node is not on
-    its parent's reverse path.  Compiled request paths make this
-    impossible; it means the run's arrays disagree with one another.
-
-    ``child_row`` / ``parent_row`` index the routed request population,
-    ``merge_node`` is the compiled id of the node the child was
-    absorbed at.
-    """
-
-    def __init__(self, child_row: int, parent_row: int, merge_node: int) -> None:
-        super().__init__(
-            f"merge node {merge_node} of request {child_row} is missing from "
-            f"the reply path of request {parent_row}, which absorbed it"
-        )
-        self.child_row = child_row
-        self.parent_row = parent_row
-        self.merge_node = merge_node
-
-
 def route_replies_fast(
     requests: RunArrays,
     host_rows,
@@ -157,113 +145,34 @@ def route_replies_fast(
     Shared by the leveled and mesh emulators.  *requests* is what the
     fast request run left behind (:attr:`FastPathEngine.last_arrays`):
     compiled integer paths, the hop each request stopped at — delivery
-    for hosts, absorption for combined children — and the absorptions
-    in the order they happened.  *host_rows* names the delivered read
-    hosts (rows of that population) in host order.  A reply's itinerary
-    is its request's path in reverse up to that hop, so no trace keys
-    are encoded or decoded, and the replies themselves exist only as
-    rows: the engine routes them as an anonymous population.
+    for hosts, absorption for combined children — the absorptions in
+    the order they happened, and the queue key of every hop.  *host_rows*
+    names the delivered read hosts (rows of that population) in host
+    order.  The engine is handed them as one
+    :class:`~repro.routing.fast_phases.Replies` population: the
+    combining forest below the hosts, breadth first, each reply its
+    request's path in reverse up to the hop it stopped at, and each
+    child's reply spawned where its parent's reply first reaches the
+    child's absorption node — exactly where :class:`ReplySpawner` would
+    fire.  No trace keys are encoded or decoded, and the replies exist
+    only as rows.
 
-    The whole combining forest is laid out up front, breadth first —
-    roots in host order, then level by level every absorbed request's
-    reply, the children of one request in absorption order
-    (:class:`ReplySpawner`'s order; it fixes the order of the stats'
-    ``delays`` / ``hops``) — together with the reverse itineraries, each
-    exactly as long as its request got, and the *spawn plan*: a child
-    reply activates when its parent reply first reaches the child's
-    absorption node, which is a static property of the compiled paths
-    (the **first** occurrence of the merge node on the parent's reverse
-    path — mesh same-column routes revisit nodes — exactly where
-    :class:`ReplySpawner` would fire).  That keeps the entire reply
-    phase on the engine's vectorized batch mode; replies whose trigger
-    never fires (parent timed out) are excluded from the stats just as
-    if they had never been spawned.
-
-    The reply run interns nothing: hop k of a reply crosses link
-    ``hops - 1 - k`` of its request the other way, so it keeps that
-    link's id (:attr:`RunArrays.links`) — one gather, whatever the
-    encoding, mesh and leveled alike — with the endpoint tables swapped.
-    A scalar-lane request run that was handed no ids leaves none; its
-    reply run, no larger, is on the scalar lane too and keys its own
-    hops by their ``(src, dst)`` codes.
-    No (replies x longest path) matrix is built: every gather runs over
-    the positions the requests really visited.
+    The engine lays the population out on the lane its size chooses.  A
+    small one goes straight into the scalar lane's lists from the
+    request run's own tables: the forest by a queue walk of the
+    absorption lists, each reply's queue keys as its request's reversed
+    — the link ids of a vector-lane or mesh request, the ``(src, dst)``
+    codes a scalar-lane request keyed its hops by — and the spawn
+    triggers as the lists :class:`~repro.routing.fast_phases.SpawnTables`
+    fires from (:func:`repro.routing.fast_scalar.reply_run`).  A larger
+    one is laid out in arrays (:func:`repro.routing.fast_phases.reply_layout`):
+    reversed itineraries in one gather, the request run's link ids
+    inherited with the endpoint tables swapped, and an array spawn plan.
+    Either way a merge node missing from its parent's reverse path is a
+    :class:`MergeNodeMissingError`, and replies whose trigger never
+    fires (parent timed out) are excluded from the stats just as if they
+    had never been spawned.
     """
-    roots = np.asarray(host_rows, dtype=np.int64)
-    # Children of every request, grouped by host with one stable sort
-    # (absorption order survives within a host).
-    n = requests.hops.size
-    by_host = np.argsort(requests.absorbed_by, kind="stable")
-    kids = requests.absorbed[by_host]
-    n_kids = np.bincount(requests.absorbed_by, minlength=n)
-    first_kid = np.cumsum(n_kids) - n_kids
-    levels = [roots]
-    level_parents = []
-    frontier, base = roots, 0
-    while True:
-        cnt = n_kids[frontier]
-        total = int(cnt.sum())
-        if not total:
-            break
-        level_parents.append(
-            np.repeat(np.arange(base, base + frontier.size, dtype=np.int64), cnt)
-        )
-        base += frontier.size
-        # slot j of this level holds its parent's first child plus j's
-        # rank among that parent's children
-        shift = first_kid[frontier] - (np.cumsum(cnt) - cnt)
-        frontier = kids[np.arange(total, dtype=np.int64) + np.repeat(shift, cnt)]
-        levels.append(frontier)
-    rows = np.concatenate(levels)
-    hops = requests.hops[rows]
-    # reply j is row rows[j] of the requests read from hop hops[j] back
-    # to its start, each reply exactly its length: its flat entry p is
-    # request entry start + hops - (p - offsets[j]), one gather
-    offsets = np.zeros(rows.size + 1, dtype=np.int64)
-    (hops + 1).cumsum(out=offsets[1:])
-    at = np.arange(offsets[-1], dtype=np.int64)
-    start = requests.paths.offsets[rows]
-    nodes = requests.paths.nodes[(start + hops + offsets[:-1]).repeat(hops + 1) - at]
-    paths = FlatPaths(nodes, offsets)
-    links = None
-    if requests.links is not None:
-        # hop k of reply j — link slot offsets[j] - j + k — crosses link
-        # hops - 1 - k of its request, slot start - rows + hops - 1 - k
-        link_ids, link_src, link_dst = requests.links
-        top = start - rows + hops - 1 + offsets[:-1] - np.arange(rows.size)
-        links = (
-            link_ids[top.repeat(hops) - at[: at.size - rows.size]],
-            link_dst,
-            link_src,
-        )
-
-    spawn_plan = None
-    if level_parents:
-        par = np.concatenate(level_parents)
-        child = np.arange(roots.size, rows.size, dtype=np.int64)
-        # a child reply starts at the node its request was absorbed at;
-        # it spawns at the first position of its parent's reply there,
-        # found over the parent's real positions only
-        merge_nodes = nodes[offsets[child]]
-        span = hops[par] + 1
-        q = segment_index(span)
-        hit = nodes[offsets[par].repeat(span) + q] == merge_nodes.repeat(span)
-        # the lowest hit position per parent row; span itself where none
-        qpos = np.minimum.reduceat(
-            np.where(hit, q, span.repeat(span)), span.cumsum() - span
-        )
-        lost = np.flatnonzero(qpos == span)
-        if lost.size:
-            j = int(lost[0])
-            raise MergeNodeMissingError(
-                int(rows[child[j]]), int(rows[par[j]]), int(merge_nodes[j])
-            )
-        spawn_plan = (par, qpos, child)
-
     return FastPathEngine(observer=observer).run(
-        paths,
-        num_nodes=num_nodes,
-        max_steps=budget,
-        links=links,
-        spawn_plan=spawn_plan,
+        Replies(requests, host_rows), num_nodes=num_nodes, max_steps=budget
     )

@@ -13,7 +13,8 @@ bucket families:
   fast engine's absorb pass over a step's contended residue — a packet
   alone on an idle link books none); and, on the fast engine, the two
   edges of a run: ``"setup"`` (everything before the first step — path
-  normalisation, link interning, the spawn plan's trigger tables) and
+  normalisation, link interning, the spawn plan's trigger tables, a
+  reply population's layout) and
   ``"finish"`` (everything after the last — absorption roots, stats).
 
 Phase buckets are disjoint: time attributed to ``combining`` or

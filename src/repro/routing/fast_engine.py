@@ -66,6 +66,7 @@ from repro.obs.clock import wall_time
 from repro.routing import fast_scalar
 from repro.routing.engine import NetworkDrainedError, RoutingTimeout
 from repro.routing.fast_phases import (
+    Replies,
     RunArrays,
     RunState,
     admit,
@@ -73,6 +74,7 @@ from repro.routing.fast_phases import (
     land_escapes,
     peak_node_load,
     refresh_fault_flags,
+    reply_layout,
     transmit_constrained,
     transmit_unconstrained,
 )
@@ -146,13 +148,16 @@ def _normalise_paths(paths) -> tuple[FlatPaths, np.ndarray]:
 
 
 def _injection_batches(
-    roots: np.ndarray, times: np.ndarray
+    roots: np.ndarray, times: np.ndarray | None = None
 ) -> list[tuple[int, np.ndarray]]:
-    """``(step, packets)`` injection batches of *roots*, latest first
-    (the run pops them off the end); packets sharing an injection step
-    enter in input order."""
+    """``(step, packets)`` injection batches of *roots* entering at
+    *times* (``None``: all at step 0), latest first (the run pops them
+    off the end); packets sharing an injection step enter in input
+    order."""
     if not roots.size:
         return []
+    if times is None:
+        return [(0, roots)]
     if (times == times[0]).all():
         return [(int(times[0]), roots)]
     by_time = np.argsort(times, kind="stable")
@@ -264,8 +269,16 @@ class FastPathEngine:
         end), a 2-D ``np.ndarray`` of equal-length rows (raveled, no
         copy) or a list of per-packet lists, which may be ragged (they
         are concatenated); a row never holds anything past its
-        packet's path.  ``num_nodes`` bounds
-        the id space (used to intern links and size load tables).
+        packet's path.  Or it is a
+        :class:`~repro.routing.fast_phases.Replies` — the replies of a
+        finished CRCW read run, the reply fan-out of Theorem 2.6 — which
+        brings its own itineraries, link keys and spawn plan (so
+        ``priorities``, ``links``, ``spawn_plan``, ``injected_at`` and
+        ``combine_groups`` stay unset), and is laid out by the lane its
+        size chooses: a small one straight into the scalar lane's lists
+        from the request run's tables, any other in arrays.
+        ``num_nodes`` bounds the id space (used to intern links and size
+        load tables).
         ``priorities[i][k]`` — when given — is packet i's integer queue
         priority at its k-th link crossing (largest first, FIFO ties):
         the furthest-destination-first discipline with priorities
@@ -320,7 +333,9 @@ class FastPathEngine:
         _obs = self.observer
         _prof = _obs.profile if _obs is not None else None
         _t_run0 = wall_time() if _prof is not None else 0.0
-        if spawn_plan is not None and self.node_capacity is not None:
+        if self.node_capacity is not None and (
+            spawn_plan is not None or isinstance(paths, Replies)
+        ):
             raise ValueError("spawn_plan is not supported with node_capacity")
         # a pure function of the configuration, so a run that fails
         # before its first step is still billed to the right mode
@@ -328,35 +343,17 @@ class FastPathEngine:
             "batch" if self.node_capacity is None else "batch-constrained"
         )
         try:
-            flat, last = _normalise_paths(paths)
-            n = len(last)
-            if injected_at is None:
-                injected_at = np.zeros(n, dtype=np.int64)
-            else:
-                # a copy: spawned rows get their trigger step written in
-                injected_at = np.array(injected_at, dtype=np.int64)
-                if injected_at.shape != (n,):
-                    raise ValueError("one injection step per packet required")
-            tables = (flat, last, injected_at, combine_groups if self.combine else None)
-            shared = dict(
+            scalar, state, pending = self._start(
+                paths,
+                injected_at,
+                combine_groups,
+                link_faults,
                 priorities=priorities,
                 num_nodes=num_nodes,
                 links=links,
                 spawn_plan=spawn_plan,
                 profile=_prof,
             )
-            scalar = fast_scalar.takes(n, self.node_capacity, link_faults)
-            if scalar:
-                state = fast_scalar.ScalarRun(*tables, **shared)
-            else:
-                state = RunState(
-                    *tables,
-                    **shared,
-                    capacity=self.node_capacity,
-                    credit=self.flow_control == "credit",
-                    link_faults=link_faults,
-                )
-            pending = _injection_batches(state.roots, injected_at[state.roots])
             if _prof is not None:
                 _prof.add_phase("setup", wall_time() - _t_run0)
             if scalar:
@@ -383,6 +380,62 @@ class FastPathEngine:
         if not arrays.completed and raise_on_timeout:
             raise RoutingTimeout(stats)
         return stats
+
+    def _start(self, paths, injected_at, combine_groups, link_faults, **shared):
+        """Validate a run's input and build its state on the lane its
+        population size and configuration choose
+        (:func:`~repro.routing.fast_scalar.takes`): ``(on the scalar
+        lane, state, injection batches)``.
+
+        A :class:`~repro.routing.fast_phases.Replies` population is laid
+        out by the lane that routes it: straight into lists from its
+        request run's tables (:func:`~repro.routing.fast_scalar.reply_run`)
+        when it is small enough, else in arrays
+        (:func:`~repro.routing.fast_phases.reply_layout`), which then go
+        through the same checks as any caller's.
+        """
+        if isinstance(paths, Replies):
+            given = (shared[k] for k in ("priorities", "links", "spawn_plan"))
+            if any(v is not None for v in (injected_at, combine_groups, *given)):
+                raise ValueError(
+                    "a Replies population brings its own itineraries, links, "
+                    "spawn plan and injection steps: pass none of them"
+                )
+            paths = Replies(paths.requests, np.asarray(paths.hosts, dtype=np.int64))
+            forest = None
+            if fast_scalar.takes(0, self.node_capacity, link_faults):
+                # the configuration allows lists: the forest's size decides
+                forest = fast_scalar.forest_rows(paths, fast_scalar.SCALAR_RUN_MAX)
+            if forest is not None:
+                state = fast_scalar.reply_run(
+                    paths, forest, num_nodes=shared["num_nodes"], profile=shared["profile"]
+                )
+                return True, state, _injection_batches(state.roots)
+            paths, shared["links"], shared["spawn_plan"] = reply_layout(paths)
+        flat, last = _normalise_paths(paths)
+        n = len(last)
+        times = injected_at
+        if injected_at is None:
+            injected_at = np.zeros(n, dtype=np.int64)
+        else:
+            # a copy: spawned rows get their trigger step written in
+            injected_at = times = np.array(injected_at, dtype=np.int64)
+            if injected_at.shape != (n,):
+                raise ValueError("one injection step per packet required")
+        tables = (flat, last, injected_at, combine_groups if self.combine else None)
+        if fast_scalar.takes(n, self.node_capacity, link_faults):
+            state = fast_scalar.ScalarRun(*tables, **shared)
+        else:
+            state = RunState(
+                *tables,
+                **shared,
+                capacity=self.node_capacity,
+                credit=self.flow_control == "credit",
+                link_faults=link_faults,
+            )
+        roots = state.roots
+        pending = _injection_batches(roots, None if times is None else times[roots])
+        return isinstance(state, fast_scalar.ScalarRun), state, pending
 
     def _run_batch(
         self,

@@ -68,11 +68,17 @@ when first read (:func:`peak_node_load`, through
 chain shape, ``active``, loads or the arrival log, and cursors — which
 the phase tests call after every phase; nothing on the served path
 calls it.
+
+The CRCW reply phase hands the engine a finished request run's arrays
+as one :class:`Replies` population; this lane lays a large one out in
+arrays (:func:`reply_layout`), and the scalar lane lays a small one out
+in lists (:func:`repro.routing.fast_scalar.reply_run`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +147,9 @@ class RunArrays:
     #: the reply run inherits these ids instead of interning the same
     #: links again.  ``None`` after a scalar-lane run that was handed no
     #: links (:mod:`repro.routing.fast_scalar` keys its hops by their
-    #: :func:`hop_codes` and interns nothing) and on hand-built arrays:
-    #: the reply run then keys, or interns, its own
+    #: :func:`hop_codes` and interns nothing: its keys are in
+    #: ``slot_keys``), after a list-built reply run, and on hand-built
+    #: arrays
     links: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     #: position each packet stopped at: delivery, absorption, or the
     #: queue it sat in when the run ended
@@ -177,6 +184,12 @@ class RunArrays:
     #: the vector lane, a list on the scalar lane; ``None`` when
     #: ``max_node_load`` is set
     arrival_log: np.ndarray | list[int] | None = None
+    #: per link slot, the key of the queue its hop joined — a handed
+    #: link id, or the hop's :func:`hop_codes` code — as the scalar lane
+    #: keeps it (a list); ``None`` on the vector lane, whose keys are
+    #: ``links[0]``.  A list-built reply run reads its request run's keys
+    #: here (:func:`repro.routing.fast_scalar.reply_run`)
+    slot_keys: list[int] | None = None
 
 
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
@@ -405,6 +418,195 @@ class SpawnTables:
         new = np.asarray(out, dtype=np.int64)
         self.spawned.append(np.asarray(seq, dtype=np.int64))
         return np.insert(batch, np.repeat(hits, sizes), new), new
+
+    @classmethod
+    def of_triggers(
+        cls,
+        next_trig: list[int],
+        kids: list[int],
+        bounds: list[int],
+        trig_parent: list[int],
+        trig_cursor: list[int],
+        trig_at_start: list[bool],
+    ) -> "SpawnTables":
+        """Tables already in the form :meth:`fire` walks, from a builder
+        whose triggers are valid by construction (a list-built reply run,
+        :func:`repro.routing.fast_scalar.reply_run`): no plan to check and
+        no arrays — ``nsp`` is a list, and ``dormant`` / ``spawned``,
+        which only the vector lane reads, are unset.  Takes *trig_parent*
+        without its sentinel and appends it."""
+        self = cls.__new__(cls)
+        self.next_trig, self.kids, self.bounds = next_trig, kids, bounds
+        self.trig_parent = trig_parent
+        trig_parent.append(-1)
+        self.trig_cursor, self.trig_at_start = trig_cursor, trig_at_start
+        self.nsp = [-9] * len(next_trig)
+        self.dormant = self.spawned = None
+        return self
+
+
+# ---- the reply population of a finished CRCW read run -----------------------
+
+
+class MergeNodeMissingError(RuntimeError):
+    """A child reply has nowhere to spawn: its absorption node is not on
+    its parent's reverse path.  Compiled request paths make this
+    impossible; it means the run's arrays disagree with one another.
+
+    ``child_row`` / ``parent_row`` index the routed request population,
+    ``merge_node`` is the compiled id of the node the child was
+    absorbed at.
+    """
+
+    def __init__(self, child_row: int, parent_row: int, merge_node: int) -> None:
+        super().__init__(
+            f"merge node {merge_node} of request {child_row} is missing from "
+            f"the reply path of request {parent_row}, which absorbed it"
+        )
+        self.child_row = child_row
+        self.parent_row = parent_row
+        self.merge_node = merge_node
+
+
+class Replies(NamedTuple):
+    """The replies of a finished CRCW read run: an input form of
+    :meth:`FastPathEngine.run <repro.routing.fast_engine.FastPathEngine.run>`
+    (Theorem 2.6's fan-out along the combining trees).
+
+    *requests* is the request run's :class:`RunArrays`; *hosts* are the
+    rows of that population whose replies are routed — the delivered
+    read hosts — in host order (any int sequence: the engine reads it as
+    an int64 array before laying the population out).  The reply
+    population is the combining forest below them, breadth first: roots
+    in host order, then level by level every absorbed request's reply,
+    the children of one request in absorption order (the order of
+    :class:`~repro.emulation.combining.ReplySpawner`, which fixes the
+    order of the stats' ``delays`` / ``hops``).  Reply j walks its
+    request's row backwards from the hop the request stopped at —
+    delivery for a host, absorption for a child — to its start, across
+    the same links the other way, so it joins one queue per link its
+    request's hops joined.  A child's reply activates when its parent's
+    reply first reaches the node the child was absorbed at — the
+    **first** occurrence on the parent's reverse path (mesh same-column
+    routes revisit nodes), a static property of the compiled paths — or
+    a :class:`MergeNodeMissingError` says the arrays disagree.  A reply
+    whose trigger never fires (its parent timed out) is excluded from
+    the stats as if it had never been spawned.
+
+    Each lane lays the population out its own way:
+    :func:`reply_layout` in arrays for the vector lane, and
+    :func:`repro.routing.fast_scalar.reply_run` straight into the scalar
+    lane's lists, from the request run's own tables.
+    """
+
+    requests: RunArrays
+    hosts: np.ndarray
+
+
+def reply_forest(replies: Replies) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The request row of every reply, in the population's breadth-first
+    order, and per level below the roots the index of each reply's
+    parent reply: ``(rows, level_parents)``."""
+    requests, roots = replies
+    # Children of every request, grouped by host with one stable sort
+    # (absorption order survives within a host).
+    n = requests.hops.size
+    by_host = np.argsort(requests.absorbed_by, kind="stable")
+    kids = requests.absorbed[by_host]
+    n_kids = np.bincount(requests.absorbed_by, minlength=n)
+    first_kid = np.cumsum(n_kids) - n_kids
+    levels = [roots]
+    level_parents = []
+    frontier, base = roots, 0
+    while True:
+        cnt = n_kids[frontier]
+        total = int(cnt.sum())
+        if not total:
+            break
+        level_parents.append(
+            np.repeat(np.arange(base, base + frontier.size, dtype=np.int64), cnt)
+        )
+        base += frontier.size
+        # slot j of this level holds its parent's first child plus j's
+        # rank among that parent's children
+        shift = first_kid[frontier] - (np.cumsum(cnt) - cnt)
+        frontier = kids[np.arange(total, dtype=np.int64) + np.repeat(shift, cnt)]
+        levels.append(frontier)
+    return np.concatenate(levels), level_parents
+
+
+def reversed_rows(
+    requests: RunArrays, rows: np.ndarray, hops: np.ndarray
+) -> tuple[FlatPaths, np.ndarray, np.ndarray]:
+    """Itineraries of replies to request rows *rows* that stopped at hops
+    *hops*, each read from that hop back to its start and exactly that
+    long: ``(paths, start, at)``, *start* the requests' first entries in
+    their layout and *at* ``arange`` over the replies' entries.  Reply
+    j's flat entry p is request entry ``start + hops - (p - offsets[j])``:
+    one gather over the positions the requests really visited."""
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    (hops + 1).cumsum(out=offsets[1:])
+    at = np.arange(offsets[-1], dtype=np.int64)
+    start = requests.paths.offsets[rows]
+    nodes = requests.paths.nodes[(start + hops + offsets[:-1]).repeat(hops + 1) - at]
+    return FlatPaths(nodes, offsets), start, at
+
+
+def reply_layout(replies: Replies):
+    """The vector lane's form of *replies*: ``(paths, links,
+    spawn_plan)`` for :meth:`FastPathEngine.run
+    <repro.routing.fast_engine.FastPathEngine.run>`.
+
+    The reply run interns nothing when its request run left link ids:
+    hop k of a reply crosses link ``hops - 1 - k`` of its request the
+    other way, so it keeps that link's id (:attr:`RunArrays.links`) —
+    one gather, whatever the encoding, mesh and leveled alike — with the
+    endpoint tables swapped.  A request run that left none (a scalar-lane
+    run handed no ids) gives ``links`` ``None``, and the run interns its
+    own.  The spawn plan's position for a child is found over its
+    parent's real positions only; no (replies x longest path) matrix is
+    built.
+    """
+    requests = replies.requests
+    rows, level_parents = reply_forest(replies)
+    hops = requests.hops[rows]
+    paths, start, at = reversed_rows(requests, rows, hops)
+    nodes, offsets = paths
+    links = None
+    if requests.links is not None:
+        # hop k of reply j — link slot offsets[j] - j + k — crosses link
+        # hops - 1 - k of its request, slot start - rows + hops - 1 - k
+        link_ids, link_src, link_dst = requests.links
+        top = start - rows + hops - 1 + offsets[:-1] - np.arange(rows.size)
+        links = (
+            link_ids[top.repeat(hops) - at[: at.size - rows.size]],
+            link_dst,
+            link_src,
+        )
+
+    spawn_plan = None
+    if level_parents:
+        roots = replies.hosts.size
+        par = np.concatenate(level_parents)
+        child = np.arange(roots, rows.size, dtype=np.int64)
+        # a child reply starts at the node its request was absorbed at;
+        # it spawns at the first position of its parent's reply there
+        merge_nodes = nodes[offsets[child]]
+        span = hops[par] + 1
+        q = segment_index(span)
+        hit = nodes[offsets[par].repeat(span) + q] == merge_nodes.repeat(span)
+        # the lowest hit position per parent row; span itself where none
+        qpos = np.minimum.reduceat(
+            np.where(hit, q, span.repeat(span)), span.cumsum() - span
+        )
+        lost = np.flatnonzero(qpos == span)
+        if lost.size:
+            j = int(lost[0])
+            raise MergeNodeMissingError(
+                int(rows[child[j]]), int(rows[par[j]]), int(merge_nodes[j])
+            )
+        spawn_plan = (par, qpos, child)
+    return paths, links, spawn_plan
 
 
 class RunState:

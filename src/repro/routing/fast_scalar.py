@@ -16,7 +16,7 @@ is first read (:func:`~repro.routing.fast_phases.peak_node_load`).  The
 lane is chosen from the population size and the configuration only;
 credit / capacity runs and link faults stay on the vector lane.
 
-Both lanes share the validation every run gets
+Both lanes share the validation a caller's population gets
 (:func:`~repro.routing.fast_engine._normalise_paths`,
 :func:`~repro.routing.fast_phases.pack_priorities`,
 :class:`~repro.routing.fast_phases.SpawnTables`, the injection
@@ -29,8 +29,18 @@ lane.  What this lane does not share is the link interning
 queue is keyed by its ``src * num_nodes + dst`` code
 (:func:`~repro.routing.fast_phases.hop_codes`), or by the caller's link
 id when it hands a triple, so a run handed no links leaves
-:attr:`RunArrays.links` ``None`` and its reply run — a subset of its
-population, so on this lane too — keys its own hops the same way.  The
+:attr:`RunArrays.links` ``None`` and its keys, as a list, in
+:attr:`RunArrays.slot_keys`.
+
+A reply population (:class:`~repro.routing.fast_phases.Replies`) of at
+most :data:`SCALAR_RUN_MAX` replies is laid out here from its request
+run's own tables instead of from arrays it would convert back to lists
+(:func:`forest_rows`, :func:`reply_run`): the forest by a queue walk of
+the absorptions, each reply's keys its request's reversed (the queue
+identity the vector lane's inherited ids give), merge positions by
+``list.index``, and the triggers straight into the lists
+:meth:`SpawnTables.fire` walks.  That data is the engine's own, so the
+checks above, which guard a caller's, are not run on it again.  The
 step is the paper's, taken literally: every busy link sends its head in
 activation order (:func:`transmit`), then every arrival, in that order,
 fires its spawn triggers (children placed before their parent), is
@@ -51,7 +61,12 @@ import numpy as np
 from repro.obs.clock import wall_time
 from repro.routing import fast_phases
 from repro.routing.engine import NetworkDrainedError
-from repro.routing.fast_phases import RunArrays, SpawnTables
+from repro.routing.fast_phases import (
+    MergeNodeMissingError,
+    Replies,
+    RunArrays,
+    SpawnTables,
+)
 
 #: The largest population stepped on lists; a larger run, or one with
 #: ``node_capacity`` or a link-fault view, takes the vector lane.  The
@@ -63,21 +78,23 @@ from repro.routing.fast_phases import RunArrays, SpawnTables
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #: workload            runs     p50/max    1-16   17-32  33-64  65-128  129-256  > 256
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
-#: bfly_small_steps    500/500  16/31      3.06x  2.95x
-#: sharded_tenants     280/280  54/96             2.05x  1.83x  1.70x
-#: apps_replay         168/240  64/318     3.97x  3.20x  2.06x  1.40x   1.44x    0.98x
-#: mesh_crcw_zipf      0/40     510/558                                          0.69x
+#: bfly_small_steps    500/500  16/31      3.20x  2.96x
+#: sharded_tenants     280/280  54/96             2.19x  1.91x  1.67x
+#: apps_replay         168/240  64/318     3.97x  3.16x  2.12x  1.40x   1.28x    0.92x
+#: mesh_crcw_zipf      0/40     510/558                                          0.67x
 #: mesh_erew_hot       0/30     660/696                                          0.49x
-#: star_crcw_zipf      0/10     2462/2596                                        0.26x
-#: bfly_credit_bursty  0/32     957/1024                                         0.38x
+#: star_crcw_zipf      0/10     2462/2596                                        0.24x
+#: bfly_credit_bursty  0/32     957/1024                                         0.35x
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #:
 #: (``bfly_credit_bursty``'s replayed runs are its unconstrained reply
 #: runs.)  Lists win ~2-3x below 64 packets.  The 129-256 bucket's eight
-#: runs favour lists alone, but moving the constant to 192 or 256 left
-#: ``apps_replay``'s whole-unit engine time where it was (366.5 / 370.8
-#: / 372.2 ms, best of seven in-process replays, measured before the
-#: lane stopped counting node loads), so it stays at 128.
+#: runs favour lists alone, but with the constant at 128 / 192 / 256 /
+#: 320 ``apps_replay``'s whole-unit engine time stayed within 2 % (84.4
+#: / 83.5 / 83.3 / 83.1 ms, units 118.2 / 117.1 / 117.1 / 118.2 ms, best
+#: of seven in-process units, interleaved, with reply runs laid out in
+#: lists), as it did at 192 / 256 before the lane stopped counting node
+#: loads, so it stays at 128.
 SCALAR_RUN_MAX = 128
 
 
@@ -127,13 +144,18 @@ class ScalarRun:
             if gid.shape != (n,):
                 raise ValueError("one combine group per packet required")
             self.gid = gid.tolist()
-        #: per link slot: the queue it joins, and the step its packet
-        #: arrived there (-1: not yet)
+        #: per link slot: the key of the queue its hop joins
         self.key = (codes if links is None else self.links[0]).tolist()
-        self.log = [-1] * codes.size
         self.prio = None if prio is None else prio.tolist()
         self.fl = self.fl_base.tolist()
         self.fl_last = (self.fl_base + last).tolist()
+        self.start(n)
+
+    def start(self, n: int) -> None:
+        """The state the step loop mutates, before step 0, for *n*
+        packets over the slots of ``key``."""
+        #: per link slot: the step its packet arrived there (-1: not yet)
+        self.log = [-1] * len(self.key)
         self.subtree = [1] * n
         self.arrived = [-1] * n
         #: busy link -> its queue in service order, in activation order
@@ -143,6 +165,130 @@ class ScalarRun:
         self.absorbed_by: list[int] = []
         self.absorbed: list[int] = []
         self.spawned: list[int] = []  # in spawn order
+
+
+def forest_rows(replies: Replies, cap: int) -> tuple[list[int], list[tuple]] | None:
+    """The reply population of *replies* as lists, or ``None`` if it has
+    more than *cap* replies: the request row of every reply, breadth
+    first — a queue walk of ``absorbed_by`` / ``absorbed`` from the hosts
+    in host order, children in absorption order — and per reply with
+    children ``(its index, its first child's, one past its last
+    child's)``, in reply order."""
+    requests, hosts = replies
+    if hosts.size > cap:
+        return None
+    rows = hosts.tolist()
+    families: list[tuple] = []
+    if not requests.absorbed.size:
+        return rows, families
+    kids: dict[int, list[int]] = {}
+    for h, c in zip(requests.absorbed_by.tolist(), requests.absorbed.tolist()):
+        if h in kids:
+            kids[h].append(c)
+        else:
+            kids[h] = [c]
+    j = 0
+    while j < len(rows):
+        group = kids.get(rows[j])
+        if group:
+            first = len(rows)
+            rows += group
+            if len(rows) > cap:
+                return None
+            families.append((j, first, len(rows)))
+        j += 1
+    return rows, families
+
+
+def slot_keys(requests: RunArrays, num_nodes: int) -> list[int]:
+    """Per link slot of a finished run, the key of the queue its hop
+    joined: the scalar lane's own list, the vector lane's link ids, or —
+    on hand-built arrays with neither — the hops' ``(src, dst)`` codes."""
+    if requests.slot_keys is not None:
+        return requests.slot_keys
+    if requests.links is not None:
+        return requests.links[0].tolist()
+    return fast_phases.hop_codes(requests.paths, num_nodes).tolist()
+
+
+def reply_run(
+    replies: Replies, forest, *, num_nodes: int, profile=None
+) -> ScalarRun:
+    """A :class:`ScalarRun` of the reply population *replies*, whose
+    :func:`forest_rows` are *forest*, laid out from the request run's own
+    tables (:class:`~repro.routing.fast_phases.Replies` has the rules).
+
+    Reply j's slot keys are its request's, reversed — a reply crosses its
+    request's links the other way, so it keeps their queue identity
+    whether they were link ids or ``(src, dst)`` codes.  A child spawns
+    at the first index of its merge node — where its request stopped —
+    in its parent's reversed node slice; its parent's triggers go
+    straight into the lists :meth:`SpawnTables.fire` walks, one per
+    distinct position in ascending order, children in reply order.  The
+    itineraries themselves are gathered once
+    (:func:`~repro.routing.fast_phases.reversed_rows`), for the run's
+    arrays only: the step loop never reads a node.
+    """
+    requests = replies.requests
+    rows, families = forest
+    n = len(rows)
+    hops = requests.hops.tolist()
+    offsets = requests.paths.offsets.tolist()
+    keys = slot_keys(requests, num_nodes)
+    s = ScalarRun.__new__(ScalarRun)
+    key: list[int] = []
+    fl: list[int] = []
+    for r in rows:
+        fl.append(len(key))
+        base = offsets[r] - r
+        key += keys[base : base + hops[r]][::-1]
+    fl_last = fl[1:]
+    fl_last.append(len(key))
+    s.spawn = None
+    if families:
+        nodes = requests.paths.nodes.tolist()
+        next_trig = [-1] * n
+        kids: list[int] = []
+        bounds = [0]
+        trig_parent: list[int] = []
+        trig_cursor: list[int] = []
+        at_start: list[bool] = []
+        for p, first, end in families:
+            parent = rows[p]
+            o = offsets[parent]
+            rev = nodes[o : o + hops[parent] + 1]
+            rev.reverse()
+            by_position: dict[int, list[int]] = {}
+            for c in range(first, end):
+                child = rows[c]
+                merge = nodes[offsets[child] + hops[child]]
+                try:
+                    q = rev.index(merge)
+                except ValueError:
+                    raise MergeNodeMissingError(child, parent, merge) from None
+                if q in by_position:
+                    by_position[q].append(c)
+                else:
+                    by_position[q] = [c]
+            next_trig[p] = len(trig_parent)
+            for q in sorted(by_position):
+                trig_parent.append(p)
+                trig_cursor.append(fl[p] + q)
+                at_start.append(q == 0)
+                kids += by_position[q]
+                bounds.append(len(kids))
+        s.spawn = SpawnTables.of_triggers(
+            next_trig, kids, bounds, trig_parent, trig_cursor, at_start
+        )
+    rows_np = np.asarray(rows, dtype=np.int64)
+    s.paths = fast_phases.reversed_rows(requests, rows_np, requests.hops[rows_np])[0]
+    s.links = s.prio = s.gid = None
+    s.injected_at = np.zeros(n, dtype=np.int64)
+    s.prof = profile
+    s.roots = np.arange(replies.hosts.size, dtype=np.int64)
+    s.key, s.fl_base, s.fl, s.fl_last = key, fl, fl[:], fl_last
+    s.start(n)
+    return s
 
 
 def run_steps(s: ScalarRun, pending, *, max_steps: int, observer) -> RunArrays:
@@ -313,6 +459,7 @@ def finish(s: ScalarRun, t: int) -> RunArrays:
         fault_stalls=0,
         deadlock=None,
         arrival_log=s.log,
+        slot_keys=s.key,
     )
     if prof is not None:
         prof.add_phase("finish", wall_time() - t0)

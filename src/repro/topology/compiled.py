@@ -32,7 +32,10 @@ Leveled compilation in detail:
   network costs O(d) numpy calls, not N Python ones;
 * :meth:`build_paths` rolls a whole packet population's trajectories
   forward level by level with ``unique_next_batch`` — the entire routing
-  plan for N packets is produced by ~2L vectorized operations.
+  plan for N packets is produced by ~2L vectorized operations — or, on a
+  network whose passes have a closed form
+  (:meth:`~repro.topology.leveled.LeveledNetwork.pass_rows`: the d-ary
+  butterfly, where pass l rewrites digit l), by one broadcast per pass.
 
 The plan is then replayed by :class:`repro.routing.fast_engine.FastPathEngine`,
 which never touches the topology again.
@@ -109,24 +112,19 @@ class CompiledLeveledTopology:
         if (coins is None) == (inters is None):
             raise ValueError("need exactly one of coins= or inters=")
         L, N = self.L, self.N
-        net = self.net
         rows = np.asarray(source_rows, dtype=np.int64)
         n = len(rows)
         cols = np.empty((n, 2 * L + 1), dtype=np.int64)
         cols[:, 0] = rows
         if coins is not None:
-            for level in range(L):
-                rows = self.out_table(level)[rows, coins[:, level]]
-                cols[:, level + 1] = rows
+            coins = np.asarray(coins, dtype=np.int64)
+            self._pass(cols[:, 1 : L + 1], rows, coins=coins)
         else:
             inters_arr = np.asarray(inters, dtype=np.int64)
-            for level in range(L):
-                rows = net.unique_next_batch(level, rows, inters_arr)
-                cols[:, level + 1] = rows
+            self._pass(cols[:, 1 : L + 1], rows, targets=inters_arr)
         dests_arr = np.asarray(dests, dtype=np.int64)
-        for level in range(L):
-            rows = net.unique_next_batch(level, rows, dests_arr)
-            cols[:, L + 1 + level] = rows
+        self._pass(cols[:, L + 1 :], cols[:, L], targets=dests_arr)
+        rows = cols[:, 2 * L]
         if not np.array_equal(rows, dests_arr):
             bad = int(np.nonzero(rows != dests_arr)[0][0])
             raise RouteStalledError(
@@ -134,6 +132,22 @@ class CompiledLeveledTopology:
             )
         ids = cols + (np.arange(2 * L + 1, dtype=np.int64) * N)[None, :]
         return ids
+
+    def _pass(self, out: np.ndarray, rows: np.ndarray, *, coins=None, targets=None):
+        """Fill *out* (``(n, L)``) with the rows one pass from *rows*
+        visits — column l the row after edge layer l — following *coins*
+        or the unique path to *targets*: in closed form where the network
+        has one (:meth:`LeveledNetwork.pass_rows`), else level by level."""
+        closed = self.net.pass_rows(rows, coins=coins, targets=targets)
+        if closed is not None:
+            out[:] = closed
+            return
+        for level in range(self.L):
+            if coins is not None:
+                rows = self.out_table(level)[rows, coins[:, level]]
+            else:
+                rows = self.net.unique_next_batch(level, rows, targets)
+            out[:, level] = rows
 
 
 def compile_leveled(net: LeveledNetwork) -> CompiledLeveledTopology:

@@ -98,6 +98,19 @@ class LeveledNetwork(ABC):
     ) -> np.ndarray:
         """Vectorized :meth:`unique_next` over parallel row/dest arrays."""
 
+    def pass_rows(
+        self, rows: np.ndarray, *, coins=None, targets=None
+    ) -> np.ndarray | None:
+        """A whole pass in closed form, or ``None`` if the network has
+        none (the default): the ``(n, L)`` rows visited from *rows* —
+        column l the row after edge layer l — following the int64 bridge
+        choices *coins* (``(n, L)``, columns of :meth:`out_neighbor_table`,
+        each in ``[0, degree)``) or the unique path to *targets*.
+        :meth:`CompiledLeveledTopology.build_paths
+        <repro.topology.compiled.CompiledLeveledTopology.build_paths>`
+        walks the levels itself where this is ``None``."""
+        return None
+
     # ---- derived --------------------------------------------------------
     @property
     def num_columns(self) -> int:
@@ -155,6 +168,8 @@ class DAryButterflyLeveled(LeveledNetwork):
         self.d = d
         self._levels = levels
         self._n = d**levels
+        #: d**(l+1) per edge layer l: the span of the digits 0..l
+        self._spans = d ** np.arange(1, levels + 1, dtype=np.int64)
 
     @property
     def num_levels(self) -> int:
@@ -202,6 +217,18 @@ class DAryButterflyLeveled(LeveledNetwork):
         dest_digit = (np.asarray(dests, dtype=np.int64) // base) % self.d
         rest = rows - rows % (base * self.d) + rows % base
         return rest + dest_digit * base
+
+    def pass_rows(self, rows, *, coins=None, targets=None) -> np.ndarray:
+        """Edge layer l rewrites digit l, so after layer l digits 0..l
+        are the coins' (digit j is coin j) or the target's:
+        ``row - row % d**(l+1)`` plus those low digits, one broadcast."""
+        spans = self._spans
+        if coins is None:
+            low = targets[:, None] % spans
+        else:
+            low = np.cumsum(coins * (spans // self.d), axis=1)
+        rows = rows[:, None]
+        return rows - rows % spans + low
 
 
 class ShuffleLeveled(LeveledNetwork):

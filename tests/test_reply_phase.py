@@ -79,7 +79,7 @@ def reply_stats(make_emulator, step, engine):
             assert (requests.hops <= paths.hops).all()
             # the emulator's read hosts are rows of the request run
             interned = route_replies_fast(
-                replace(requests, links=None), read_hosts, **kwargs
+                replace(requests, links=None, slot_keys=None), read_hosts, **kwargs
             )
             assert_stats_equal(seen[-1], interned)
         return seen[-1]
@@ -297,8 +297,10 @@ def test_a_step_interns_its_links_once(monkeypatch, run_lane):
     """One CRCW step on the star's logical network, counted.  On the
     vector lane the request run interns the links its batch crosses and
     the reply run is handed them — never a second sort, never the
-    network's id space.  On the scalar lane neither run interns: each
-    keys its hops by their ``(src, dst)`` codes and leaves no ids."""
+    network's id space.  On the scalar lane neither run interns: the
+    request run keys its hops by their ``(src, dst)`` codes and leaves
+    no ids, and the reply run keys its hops by those same codes,
+    reversed — one code pass per step."""
     net = StarLogicalLeveled(4)
     calls = []
     inner = fast_phases.link_tables
@@ -309,6 +311,14 @@ def test_a_step_interns_its_links_once(monkeypatch, run_lane):
         return tables
 
     monkeypatch.setattr(fast_phases, "link_tables", spy)
+    coded = []
+    codes = fast_phases.hop_codes
+
+    def spy_codes(paths, num_nodes):
+        coded.append(paths.offsets.size - 1)
+        return codes(paths, num_nodes)
+
+    monkeypatch.setattr(fast_phases, "hop_codes", spy_codes)
     arrays = []
     run = FastPathEngine.run
 
@@ -332,6 +342,9 @@ def test_a_step_interns_its_links_once(monkeypatch, run_lane):
     if run_lane == "scalar":
         assert calls == []
         assert request.links is None and reply.links is None
+        # the request's codes, and no codes of the reply's own
+        assert coded == [request.hops.size]
+        assert set(reply.slot_keys) <= set(request.slot_keys)
         return
     (req_interned, req_links, req_hops), (rep_interned, rep_links, _) = calls
     assert (req_interned, rep_interned) == (True, False)

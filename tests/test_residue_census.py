@@ -7,9 +7,9 @@ import pytest
 
 from repro.emulation import LeveledEmulator
 from repro.pram.trace import RequestColumns
-from repro.routing import FastPathEngine, fast_phases, fast_scalar
-from repro.routing.fast_phases import peak_node_load
-from repro.topology import StarLogicalLeveled
+from repro.routing import FastPathEngine, fast_engine, fast_phases, fast_scalar
+from repro.routing.fast_phases import Replies, peak_node_load
+from repro.topology import DAryButterflyLeveled, StarLogicalLeveled
 from tools.residue_census import Census, counting, lane_rows
 
 
@@ -50,9 +50,11 @@ def test_census_counts_the_scalar_lane_and_times_both():
 
 
 def test_a_scalar_runs_reply_is_replayed_interning_on_the_vector_lane(monkeypatch):
-    """A scalar-lane request run leaves no link ids, so its reply run is
-    recorded with ``links=None``: ``--lanes`` replays it on the vector
-    lane by interning its own links, in the steps the unit took."""
+    """A scalar-lane request run leaves no link ids, so its reply run —
+    recorded as a ``Replies`` population of that run's arrays — carries
+    none: ``--lanes`` replays it on the vector lane by interning its own
+    links, in the steps the unit took, and on the scalar lane from the
+    request's own hop keys."""
     net = StarLogicalLeveled(4)
     emulator = LeveledEmulator(
         net, 4 * net.column_size, mode="crcw", seed=5, engine="fast"
@@ -61,9 +63,12 @@ def test_a_scalar_runs_reply_is_replayed_interning_on_the_vector_lane(monkeypatc
     with counting(Census(), keep_calls=True) as census:
         emulator.emulate_step(RequestColumns.of(reads=reads))
     assert census.scalar == [True, True]
-    (_, _, request), (_, _, reply) = census.calls
-    assert request.get("links") is None and reply["links"] is None
-    assert reply["spawn_plan"] is not None
+    (_, _, request), (_, reply_args, reply) = census.calls
+    assert request.get("links") is None
+    (replies,) = reply_args
+    assert isinstance(replies, Replies) and "links" not in reply
+    assert replies.requests.links is None and replies.requests.slot_keys
+    assert replies.requests.absorbed.size  # the reply run has a spawn plan
     interned = []
     inner = fast_phases.link_tables
 
@@ -93,3 +98,56 @@ def test_lanes_compares_every_stat_of_the_replays(monkeypatch):
     monkeypatch.setattr(fast_scalar, "finish", off_by_one)
     with pytest.raises(RuntimeError, match="max_node_load 1 / 1 / 2"):
         lane_rows("fan-in", census)
+
+
+def vector_request_small_reply():
+    """One CRCW step whose request run is too large for lists (160
+    packets: 150 writes and ten reads) while its reply run — ten reads
+    and whatever combined into them — is not, under the census."""
+    net = DAryButterflyLeveled(2, 6)
+    emulator = LeveledEmulator(
+        net, 4 * net.column_size, mode="crcw", seed=3, engine="fast"
+    )
+    reads = [(pid, pid % 2) for pid in range(10)]
+    writes = [(pid % net.column_size, 7 + pid % 40, pid) for pid in range(150)]
+    with counting(Census(), keep_calls=True) as census:
+        emulator.emulate_step(RequestColumns.of(reads=reads, writes=writes))
+    return census
+
+
+def test_lanes_replays_a_reply_population_through_both_layouts(monkeypatch):
+    """``--lanes`` hands each replay the reply run's ``Replies`` as the
+    unit did: the vector replay lays it out in arrays on the request's
+    link ids, the scalar replay in lists off the request's arrays, and
+    a replay whose stats differ from the unit's fails."""
+    census = vector_request_small_reply()
+    assert census.scalar == [False, True] and census.populations[0] == 160
+    (replies,) = census.calls[1][1]
+    assert isinstance(replies, Replies) and replies.requests.links is not None
+    built = []
+    reply_run, reply_layout = fast_scalar.reply_run, fast_phases.reply_layout
+
+    def lists(*args, **kwargs):
+        built.append("lists")
+        return reply_run(*args, **kwargs)
+
+    def arrays(*args, **kwargs):
+        built.append("arrays")
+        return reply_layout(*args, **kwargs)
+
+    monkeypatch.setattr(fast_scalar, "reply_run", lists)
+    monkeypatch.setattr(fast_engine, "reply_layout", arrays)
+    rows = lane_rows("crcw", census)
+    # one run per bucket, each replayed through both lanes
+    assert [row[1:3] for row in rows] == [["1-16", "1"], ["129-256", "1"]]
+    assert built == ["arrays"] * 3 + ["lists"] * 3
+
+    def reordered(replies, forest, **kwargs):
+        # the hosts' replies in the opposite order: the same replies, in
+        # another stats order
+        flipped = Replies(replies.requests, replies.hosts[::-1])
+        return reply_run(flipped, fast_scalar.forest_rows(flipped, 1 << 30), **kwargs)
+
+    monkeypatch.setattr(fast_scalar, "reply_run", reordered)
+    with pytest.raises(RuntimeError, match="scalar stats differ: delays"):
+        lane_rows("crcw", census)

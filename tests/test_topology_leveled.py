@@ -241,3 +241,55 @@ def test_star_canonical_batch_off_its_invariant_names_the_first_bad_row():
     with pytest.raises(RouteStalledError) as err:
         net.unique_next_batch(1, rows, dests)
     assert (err.value.node, err.value.dest, err.value.packet) == (node, dest, 3)
+
+
+# ---- closed-form butterfly passes ------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("levels", [1, 2, 3, 5])
+@pytest.mark.parametrize("intermediate", ["coin", "node"])
+def test_closed_form_butterfly_passes_equal_the_level_loop(
+    monkeypatch, d, levels, intermediate
+):
+    """``DAryButterflyLeveled.pass_rows`` rewrites digits 0..l in one
+    broadcast per pass; ``build_paths`` must compile exactly what the
+    per-level loop (every other family's, the base class's ``None``)
+    compiles, in both intermediate modes."""
+    from repro.topology.compiled import CompiledLeveledTopology
+    from repro.topology.leveled import LeveledNetwork
+
+    net = DAryButterflyLeveled(d, levels)
+    rng = np.random.default_rng(d * 10 + levels)
+    n = 3 * net.column_size
+    sources = rng.integers(0, net.column_size, n)
+    dests = rng.integers(0, net.column_size, n)
+    if intermediate == "coin":
+        draw = dict(coins=rng.integers(0, d, (n, levels)))
+    else:
+        draw = dict(inters=rng.integers(0, net.column_size, n))
+    closed = CompiledLeveledTopology(net).build_paths(sources, dests, **draw)
+    monkeypatch.setattr(DAryButterflyLeveled, "pass_rows", LeveledNetwork.pass_rows)
+    looped = CompiledLeveledTopology(net).build_paths(sources, dests, **draw)
+    assert closed.shape == (n, 2 * levels + 1)
+    assert np.array_equal(closed, looped)
+    # every hop is an edge of the network
+    N = net.column_size
+    for row in closed[:5]:
+        for level in range(2 * levels):
+            here, there = row[level] % N, row[level + 1] % N
+            assert there in net.out_neighbors(level % levels, here)
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_closed_form_butterfly_pass_off_the_network_is_a_route_stall(bad):
+    """A destination outside the column cannot be reached by rewriting
+    digits: the closed form keeps the builder's typed stall check."""
+    from repro.topology.compiled import CompiledLeveledTopology
+
+    net = DAryButterflyLeveled(2, 3)
+    with pytest.raises(RouteStalledError) as err:
+        CompiledLeveledTopology(net).build_paths(
+            [0, 1], [2, bad], coins=np.zeros((2, 3), dtype=np.int64)
+        )
+    assert err.value.dest == bad and err.value.packet == 1

@@ -33,11 +33,13 @@ It fails unless both replays of every run report the unit's
 ``RoutingStats`` field for field — ``max_node_load`` included, which
 each lane derives from its own arrival log — so it doubles as a lane
 parity check on real units.
-Each run is replayed with the arguments the unit gave it: a reply run
-whose request run took the scalar lane was handed no link ids, so its
-vector replay interns its own links (one ``np.unique``, which a reply
-of a vector-lane request would have inherited instead), and a reply of
-a vector-lane request keeps the ids it was handed on both lanes.
+Each run is replayed with the arguments the unit gave it.  A reply run
+is handed its request run's arrays as one ``Replies`` population, and
+each replay lays it out the way its lane does: the scalar replay
+straight into lists from the request's tables, the vector replay in
+arrays — inheriting a vector-lane request's link ids, and interning its
+own links (one ``np.unique``) for a scalar-lane request, which keyed its
+hops by ``(src, dst)`` codes and left none.
 
 Run:  python tools/residue_census.py [--workload NAME ...] [--seed 7] [--lanes]
 """
@@ -63,6 +65,7 @@ import workloads  # noqa: E402  (benchmarks/e2e, read-only)
 from repro.routing import DeadlockError, RoutingTimeout  # noqa: E402
 from repro.routing import fast_phases, fast_scalar  # noqa: E402
 from repro.routing.fast_engine import FastPathEngine, _normalise_paths  # noqa: E402
+from repro.routing.fast_phases import Replies, reply_forest  # noqa: E402
 
 COLUMNS = (
     "workload", "runs", "scalar runs", "net steps", "scalar steps",
@@ -131,8 +134,13 @@ def residue_size(s, f: np.ndarray) -> int:
 
 
 def population(args, kwargs) -> int:
-    """Packets of the run ``FastPathEngine.run(*args, **kwargs)``."""
-    return int(_normalise_paths(args[0] if args else kwargs["paths"])[1].size)
+    """Packets of the run ``FastPathEngine.run(*args, **kwargs)`` — for a
+    ``Replies`` population, the replies of its combining forest."""
+    paths = args[0] if args else kwargs["paths"]
+    if isinstance(paths, Replies):
+        hosts = np.asarray(paths.hosts, dtype=np.int64)
+        return int(reply_forest(Replies(paths.requests, hosts))[0].size)
+    return int(_normalise_paths(paths)[1].size)
 
 
 @contextmanager
