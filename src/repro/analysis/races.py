@@ -138,13 +138,6 @@ class TraceAnalysis:
     #: WritePolicy.COMMON would not raise on this trace
     common_compatible: bool
 
-    @property
-    def has_conflicts(self) -> bool:
-        return bool(self.reports)
-
-    def conflicts_of_kind(self, kind: ConflictKind) -> list[RaceReport]:
-        return [r for r in self.reports if r.kind is kind]
-
     def violations(
         self, mode: AccessMode, write_policy: WritePolicy | None = None
     ) -> list[RaceReport]:
@@ -246,15 +239,6 @@ class ConflictChecker:
                 if r.kind is ConflictKind.WRITE_WRITE
             ),
         )
-
-    def verify(
-        self,
-        trace: Iterable[RequestColumns],
-        mode: AccessMode,
-        write_policy: WritePolicy | None = None,
-    ) -> list[RaceReport]:
-        """Reports that violate the declared *mode* (and COMMON policy)."""
-        return self.analyze(trace).violations(mode, write_policy)
 
 
 def find_violations(

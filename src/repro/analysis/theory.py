@@ -22,24 +22,13 @@ def star_nodes(n: int) -> int:
     return math.factorial(n)
 
 
-def shuffle_diameter(n: int) -> int:
-    return n
-
-
-def shuffle_nodes(d: int, n: int) -> int:
-    return d**n
-
-def hypercube_diameter(n: int) -> int:
-    return n
-
-
 def sublogarithmic_gap(n: int, network: str = "star") -> float:
     """diameter / log2(N): < 1 and shrinking for star and n-way shuffle —
     the property that makes Theorem 2.6 beat O(log N) emulations."""
     if network == "star":
         return star_diameter(n) / math.log2(star_nodes(n))
     if network == "shuffle":
-        return shuffle_diameter(n) / math.log2(shuffle_nodes(n, n))
+        return n / math.log2(n**n)  # the n-way shuffle: diameter n, n**n nodes
     if network == "hypercube":
         return 1.0
     raise ValueError(f"unknown network {network!r}")
@@ -60,9 +49,6 @@ class Claim:
     def bound(self, scale: float) -> float:
         return self.constant * scale + self.slack_coeff * scale**self.slack_power
 
-    def holds(self, measured: float, scale: float) -> bool:
-        return measured <= self.bound(scale)
-
 
 #: Theorem 3.1 — each mesh routing phase: 2n + o(n)
 MESH_ROUTING_CLAIM = Claim("Theorem 3.1 (2n + o(n))", 2.0, slack_coeff=6.0)
@@ -72,15 +58,6 @@ MESH_EMULATION_CLAIM = Claim("Theorem 3.2 (4n + o(n))", 4.0, slack_coeff=12.0)
 MESH_LOCALITY_CLAIM = Claim("Theorem 3.3 (6d + o(d))", 6.0, slack_coeff=12.0)
 #: §3.4.1 — linear array with furthest-first: n' + o(n)
 LINEAR_ARRAY_CLAIM = Claim("§3.4.1 (n' + o(n))", 1.0, slack_coeff=6.0)
-
-
-def leveled_routing_claim(constant: float = 8.0) -> Claim:
-    """Theorems 2.1-2.4: Õ(ℓ) — time <= c * (2ℓ) for a modest c.
-
-    The paper leaves the constant implicit ("Õ"); the experiments fit it
-    and check it stays flat as ℓ grows.
-    """
-    return Claim("Theorem 2.1/2.4 (Õ(ℓ))", constant)
 
 
 def ranade_mesh_constant() -> float:

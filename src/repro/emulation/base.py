@@ -32,7 +32,6 @@ from repro.routing.engine import SynchronousEngine
 from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.flow_control import DeadlockError, resolve_flow_control
 from repro.util.rng import as_generator
-from repro.util.stats import Summary, summarize
 
 
 @dataclass
@@ -202,43 +201,16 @@ class EmulationReport:
         return sum(c.combines for c in self.costs)
 
     @property
-    def total_stall_steps(self) -> int:
-        return sum(c.stall_steps for c in self.costs)
-
-    @property
-    def total_fault_stalls(self) -> int:
-        return sum(c.fault_stalls for c in self.costs)
-
-    @property
-    def total_deadlock_retries(self) -> int:
-        return sum(c.deadlock_retries for c in self.costs)
-
-    @property
-    def max_queue(self) -> int:
-        return max((c.max_queue for c in self.costs), default=0)
-
-    @property
     def mean_step_time(self) -> float:
         if not self.costs:
             return 0.0
         return self.total_network_steps / len(self.costs)
 
-    @property
-    def max_step_time(self) -> int:
-        return max((c.total_steps for c in self.costs), default=0)
-
-    def normalized_step_times(self) -> list[float]:
-        """Per-step total time divided by the reference scale — the
-        quantity the theorems bound by a constant."""
-        return [c.total_steps / self.scale for c in self.costs]
-
-    def step_time_summary(self) -> Summary:
-        return summarize(c.total_steps for c in self.costs)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"EmulationReport(steps={self.pram_steps}, "
-            f"mean={self.mean_step_time:.1f}, max={self.max_step_time}, "
+            f"mean={self.mean_step_time:.1f}, "
+            f"max={max((c.total_steps for c in self.costs), default=0)}, "
             f"scale={self.scale}, rehashes={self.total_rehashes})"
         )
 

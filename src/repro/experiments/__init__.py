@@ -2,12 +2,7 @@
 
 from repro.experiments.harness import SweepRow, rows_to_table, run_sweep
 from repro.experiments.exp_leveled import run_e1, run_e4
-from repro.experiments.exp_star import (
-    run_e2,
-    run_e2_ablation,
-    run_e2_logical,
-    run_e2_relation,
-)
+from repro.experiments.exp_star import run_e2, run_e2_ablation, run_e2_logical
 from repro.experiments.exp_shuffle import run_e3, run_e3_relation, run_e12
 from repro.experiments.exp_hash import (
     run_e5,
@@ -36,7 +31,6 @@ from repro.experiments.exp_figures import all_figures
 ALL_EXPERIMENTS = {
     "E1": run_e1,
     "E2": run_e2,
-    "E2b": run_e2_relation,
     "E2c": run_e2_ablation,
     "E2d": run_e2_logical,
     "E3": run_e3,

@@ -1,4 +1,4 @@
-"""E2 — Theorem 2.2 / Corollary 2.1: routing on the n-star graph.
+"""E2 — Theorem 2.2: routing on the n-star graph.
 
 Measured on the physical star graph (both phases share links) and on the
 logical leveled network of Figure 3.  Includes the deterministic-greedy
@@ -6,8 +6,6 @@ ablation showing why the Valiant phase matters on structured inputs.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.experiments.harness import require_completed, rows_to_table, run_sweep
 from repro.routing.leveled_router import LeveledRouter
@@ -55,28 +53,6 @@ def run_e2(
             "Claim: Õ(n) — time within a constant factor of the diameter "
             "⌊3(n-1)/2⌋, FIFO queues O(n)."
         ),
-    )
-
-
-def run_e2_relation(ns=(4, 5), *, trials: int = 3, seed=18) -> Table:
-    def trial(rng, *, n: int) -> dict:
-        star = StarGraph(n)
-        router = StarRouter(star, seed=rng)
-        stats = router.route_n_relation()
-        require_completed(stats)
-        return {
-            "time": stats.steps,
-            "time/diam": stats.steps / star.diameter,
-            "max_queue": stats.max_queue,
-        }
-
-    rows = run_sweep(trial, [{"n": n} for n in ns], trials=trials, seed=seed)
-    return rows_to_table(
-        rows,
-        ["n"],
-        [("time", "mean"), ("time/diam", "mean"), ("max_queue", "max")],
-        title="E2b  Corollary 2.1: partial n-relation routing on the n-star",
-        caption="Claim: partial n-relations also route in Õ(n).",
     )
 
 

@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.routing.engine import RoutingStats, RoutingTimeout
 from repro.util.rng import spawn_generators
-from repro.util.stats import summarize
 from repro.util.tables import Table
 
 
@@ -36,9 +35,6 @@ class SweepRow:
 
     def max(self, key: str) -> float:
         return max(self.samples[key])
-
-    def summary(self, key: str):
-        return summarize(self.samples[key])
 
 
 def require_completed(*runs: RoutingStats) -> None:
@@ -71,35 +67,6 @@ def run_sweep(
                 row.samples.setdefault(key, []).append(float(value))
         rows.append(row)
     return rows
-
-
-def run_online_sweep(
-    driver_fn: Callable,
-    param_grid: Sequence[Mapping],
-    *,
-    epochs: int,
-    trials: int = 1,
-    seed=0,
-    skip_epochs: int | None = None,
-) -> list[SweepRow]:
-    """Sweep online-traffic scenarios like :func:`run_sweep` sweeps trials.
-
-    ``driver_fn(rng=..., **params)`` must build a *fresh* driver (an
-    object with ``run(epochs)`` returning a report exposing
-    ``steady_state(skip_epochs=...)`` — in practice an
-    :class:`repro.traffic.OnlineEmulator`) seeded from the supplied
-    generator; each trial's steady-state summary becomes one sample per
-    metric, so :func:`rows_to_table` renders traffic sweeps exactly
-    like batch sweeps (and trial seeding is :func:`run_sweep`'s, so
-    online and batch sweeps under one seed stay comparable).
-    """
-
-    def trial(rng, **params):
-        return driver_fn(rng=rng, **params).run(epochs).steady_state(
-            skip_epochs=skip_epochs
-        )
-
-    return run_sweep(trial, param_grid, trials=trials, seed=seed)
 
 
 def rows_to_table(

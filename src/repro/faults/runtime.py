@@ -115,10 +115,6 @@ class LinkFaultTimeline:
         i = bisect_right(self._starts, t) - 1
         return self._segments[max(i, 0)]
 
-    @property
-    def has_slow_links(self) -> bool:
-        return any(slow for _down, slow in self._segments)
-
     def view(self, translate: Callable[[tuple], tuple]) -> "LinkFaultView":
         """Engine-facing view; ``translate(spec)`` yields engine keys."""
         return LinkFaultView(self, translate)
@@ -271,20 +267,8 @@ class FaultState:
         """Vectorized module remap under the *detected* fault set."""
         return self._remap[modules]
 
-    def map_module(self, module: int) -> int:
-        return int(self._remap[module])
-
     def map_processors(self, pids: np.ndarray) -> np.ndarray:
         return self._proc_remap[pids]
-
-    def map_processor(self, pid: int) -> int:
-        return int(self._proc_remap[pid])
-
-    # -- link views -----------------------------------------------------
-    def link_view(self, translate: Callable[[tuple], tuple]) -> LinkFaultView | None:
-        if self.link_timeline is None:
-            return None
-        return self.link_timeline.view(translate)
 
     # -- annotations ----------------------------------------------------
     def events_between(self, lo: int, hi: int) -> list[str]:

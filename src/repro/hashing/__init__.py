@@ -2,7 +2,6 @@
 
 from repro.hashing.family import (
     HashFamily,
-    IdealRandomHash,
     PolynomialHash,
     degree_for_diameter,
 )
@@ -13,14 +12,12 @@ from repro.hashing.loads import (
     corollary32_reference,
     corollary33_reference,
     empirical_overflow_rate,
-    fact_max_load_bound,
     lemma22_bound,
     max_load,
 )
 
 __all__ = [
     "HashFamily",
-    "IdealRandomHash",
     "PolynomialHash",
     "bucket_loads",
     "collection_load",
@@ -29,7 +26,6 @@ __all__ = [
     "corollary33_reference",
     "degree_for_diameter",
     "empirical_overflow_rate",
-    "fact_max_load_bound",
     "lemma22_bound",
     "max_load",
 ]

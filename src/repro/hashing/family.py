@@ -126,22 +126,3 @@ class HashFamily:
 def degree_for_diameter(diameter: int, c: float = 1.0) -> int:
     """S = cL (the paper's choice 'S = cL for some constant c')."""
     return max(1, round(c * diameter))
-
-
-class IdealRandomHash:
-    """Ablation baseline: a fully random map (what Valiant-style analyses
-    assume; unimplementable at scale — needs M log N description bits)."""
-
-    def __init__(self, address_space: int, n_modules: int, seed=None) -> None:
-        rng = as_generator(seed)
-        self.table = rng.integers(0, n_modules, size=address_space)
-        self.n_modules = n_modules
-
-    def __call__(self, x: int) -> int:
-        return int(self.table[x])
-
-    def map(self, xs) -> np.ndarray:
-        return self.table[np.asarray(xs)]
-
-    def description_bits(self) -> int:
-        return int(len(self.table) * max(1, math.ceil(math.log2(self.n_modules))))

@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hashing.family import PolynomialHash
-
 
 def bucket_loads(h, addresses: Sequence[int] | np.ndarray, n_buckets: int | None = None) -> np.ndarray:
     """Histogram of module loads for the given live address set."""
@@ -84,18 +82,6 @@ def empirical_overflow_rate(
 
 
 # ---- §3.3 Fact and corollaries ------------------------------------------
-
-def fact_max_load_bound(n_items: int, log2_shrink: int) -> float:
-    """§3.3 Fact [4]: mapping N items into N/2^i buckets, the max bucket
-    load k_i satisfies (roughly) k_i ≲ 2^i + O(sqrt(2^i log N) + log N).
-
-    Returns the reference value 2^i + 4*sqrt(2^i * ln N) + 4*ln N used by
-    the experiments as the "claimed" curve.
-    """
-    mean = 2.0**log2_shrink
-    ln_n = math.log(max(2, n_items))
-    return mean + 4.0 * math.sqrt(mean * ln_n) + 4.0 * ln_n
-
 
 def corollary31_reference(n_items: int) -> float:
     """Corollary 3.1: N items into N buckets → max load O(log N / log log N)."""

@@ -53,14 +53,6 @@ class PhaseProfile:
     def phase_total(self, phase: str) -> float:
         return self.phase_seconds.get(phase, 0.0)
 
-    def merge(self, other: "PhaseProfile") -> None:
-        """Fold *other*'s buckets into this profile."""
-        for mode, sec in other.mode_seconds.items():
-            self.mode_seconds[mode] = self.mode_seconds.get(mode, 0.0) + sec
-        for phase, sec in other.phase_seconds.items():
-            self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + sec
-        self.runs += other.runs
-
     def to_dict(self) -> dict:
         """Deterministically ordered JSON-ready view."""
         return {

@@ -42,6 +42,3 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()

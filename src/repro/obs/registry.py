@@ -22,9 +22,7 @@ values).
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Iterator
 
 __all__ = ["MetricsError", "MetricsRegistry"]
 
@@ -107,11 +105,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def kinds(self) -> Iterator[tuple[str, str]]:
-        """Yield ``(name, kind)`` pairs in sorted name order."""
-        for name in sorted(self._metrics):
-            yield name, self._metrics[name].kind
-
     def value(self, name: str, **labels):
         """Current value of one series (None if never recorded)."""
         m = self._metrics.get(name)
@@ -140,6 +133,3 @@ class MetricsRegistry:
                 series.append({"labels": dict(key), "value": val})
             out[name] = {"kind": m.kind, "series": series}
         return versioned("metrics", {"metrics": out})
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=indent)

@@ -90,27 +90,6 @@ class SpanTracer:
     def __len__(self) -> int:
         return len(self._spans)
 
-    def spans(self) -> list[Span]:
-        """Finished spans in completion order."""
-        return list(self._spans)
-
-    def events(self) -> list[dict]:
-        """Finished spans as plain dicts (completion order)."""
-        out = []
-        for s in self._spans:
-            out.append(
-                {
-                    "name": s.name,
-                    "category": s.category,
-                    "wall_start": s.wall_start - self._origin,
-                    "wall_duration": (s.wall_end or s.wall_start) - s.wall_start,
-                    "virtual_start": s.virtual_start,
-                    "virtual_end": s.virtual_end,
-                    "args": dict(s.args),
-                }
-            )
-        return out
-
     def to_chrome_trace(self) -> dict:
         """The span list as a Chrome trace-event / Perfetto document."""
         events = []

@@ -19,7 +19,6 @@ from repro.pram.programs import (
 from repro.pram.trace import (
     MemoryTrace,
     RequestColumns,
-    h_relation_step,
     hotspot_step,
     local_step_for_mesh,
     permutation_step,
@@ -49,7 +48,6 @@ __all__ = [
     "boolean_or",
     "broadcast",
     "find_max",
-    "h_relation_step",
     "histogram",
     "hotspot_step",
     "list_ranking",

@@ -134,10 +134,6 @@ class MemoryTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def total_requests(self) -> int:
-        return sum(s.num_requests for s in self.steps)
-
 
 # ---- synthetic traces ------------------------------------------------------
 
@@ -154,18 +150,6 @@ def permutation_step(
     if kind == "read":
         return RequestColumns.of(reads=enumerate(addrs))
     return RequestColumns.of(writes=[(pid, addr, pid) for pid, addr in enumerate(addrs)])
-
-
-def h_relation_step(
-    n_procs: int, address_space: int, h: int, seed=None
-) -> RequestColumns:
-    """Up to h requests per processor-address (stresses Theorem 2.4)."""
-    rng = as_generator(seed)
-    reads: list[tuple[int, int]] = []
-    for _rep in range(h):
-        addrs = rng.choice(address_space, size=n_procs, replace=False)
-        reads += enumerate(addrs.tolist())
-    return RequestColumns.of(reads=reads)
 
 
 def hotspot_step(

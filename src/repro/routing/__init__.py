@@ -15,7 +15,6 @@ from repro.routing.engine import (
     NetworkDrainedError,
     RoutingTimeout,
     SynchronousEngine,
-    route_with_function,
 )
 from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
 from repro.routing.flow_control import (
@@ -75,7 +74,6 @@ __all__ = [
     "resolve_engine_mode",
     "resolve_flow_control",
     "route_linear",
-    "route_with_function",
     "transpose_permutation",
     "valiant_shuffle_route",
 ]

@@ -73,7 +73,7 @@ reproduce exactly across processes and interpreter builds.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from repro.obs.clock import wall_time
 from repro.routing.flow_control import (
@@ -537,27 +537,3 @@ class SynchronousEngine:
         the link's target node.
         """
         return q.peek().dest == key[1]
-
-
-def route_with_function(
-    packets: Iterable[Packet],
-    next_hop: NextHop,
-    *,
-    max_steps: int,
-    queue_factory: Callable[[], LinkQueue] = fifo_factory,
-    combine: bool = False,
-    node_capacity: int | None = None,
-    node_service_rate: int | None = None,
-    flow_control: str = "none",
-    track_paths: bool = False,
-) -> RoutingStats:
-    """One-shot convenience wrapper around :class:`SynchronousEngine`."""
-    engine = SynchronousEngine(
-        queue_factory=queue_factory,
-        combine=combine,
-        node_capacity=node_capacity,
-        node_service_rate=node_service_rate,
-        flow_control=flow_control,
-        track_paths=track_paths,
-    )
-    return engine.run(list(packets), next_hop, max_steps=max_steps)

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.routing.packet import Packet
-from repro.util.stats import Summary, summarize
 
 
 class DeferredStat:
@@ -114,34 +113,8 @@ class RoutingStats:
     run_mode: str = ""
 
     @property
-    def routing_time(self) -> int:
-        """Alias for ``steps`` matching the paper's vocabulary."""
-        return self.steps
-
-    @property
     def max_delay(self) -> int:
         return max(self.delays) if self.delays else 0
-
-    @property
-    def mean_delay(self) -> float:
-        return sum(self.delays) / len(self.delays) if self.delays else 0.0
-
-    @property
-    def max_hops(self) -> int:
-        return max(self.hops) if self.hops else 0
-
-    def delay_summary(self) -> Summary:
-        return summarize(self.delays)
-
-    def hop_summary(self) -> Summary:
-        return summarize(self.hops)
-
-    def normalized_time(self, scale: float) -> float:
-        """routing_time / scale — e.g. scale = diameter for Theorem 2.1,
-        scale = n for Theorems 3.1-3.2."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return self.steps / scale
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         flag = "" if self.completed else "  [TIMED OUT]"

@@ -182,8 +182,7 @@ class Router:
 
     # ---- the hooks a concrete router supplies --------------------------
     def _draw(self, sources: np.ndarray, dests: np.ndarray):
-        """Pre-draw this run's randomness; deterministic routers draw none."""
-        return None
+        raise NotImplementedError
 
     def _compile(
         self, sources: np.ndarray, dests: np.ndarray, draw

@@ -90,10 +90,6 @@ class MultiTenantWorkload:
     def address_space(self) -> int:
         return next(iter(self.sources.values())).address_space
 
-    @property
-    def tenants(self) -> list[str]:
-        return list(self.sources)
-
     def stream(self, epochs: int) -> list[RequestBatch]:
         """The merged, tenant-labeled arrival stream."""
         lanes = [gen.stream(epochs) for gen in self.sources.values()]

@@ -1,15 +1,14 @@
 """Interconnection-network topologies (the paper's §2.3.1, §2.3.4, §2.3.5, §3.1).
 
-Every topology exposes dense integer node ids, label codecs, neighbor
-enumeration, deterministic greedy routing, and exact distances, so the
-routing engine can stay topology-agnostic.
+Every topology exposes dense integer node ids, neighbor enumeration,
+deterministic greedy routing, and exact distances, so the routing engine
+can stay topology-agnostic.
 """
 
 from repro.topology.base import RouteStalledError, Topology
 from repro.topology.star import StarGraph
 from repro.topology.shuffle import DWayShuffle
 from repro.topology.hypercube import Hypercube
-from repro.topology.butterfly import Butterfly
 from repro.topology.mesh import LinearArray, Mesh2D
 from repro.topology.leveled import (
     DAryButterflyLeveled,
@@ -30,7 +29,6 @@ from repro.topology.compiled import (
 )
 
 __all__ = [
-    "Butterfly",
     "CompiledLeveledTopology",
     "CompiledMesh2D",
     "DAryButterflyLeveled",

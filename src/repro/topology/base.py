@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 
 class RouteStalledError(RuntimeError):
@@ -36,9 +36,7 @@ class RouteStalledError(RuntimeError):
 class Topology(ABC):
     """A static point-to-point interconnection network.
 
-    Nodes are dense integers ``0 .. num_nodes-1``.  Subclasses provide label
-    codecs (``label``/``node_id``) for human-meaningful identities
-    (permutations, digit strings, grid coordinates).
+    Nodes are dense integers ``0 .. num_nodes-1``.
 
     The contract needed by the routing engine is deliberately small:
     ``neighbors`` (bidirectional links, as in the paper's models) and
@@ -56,11 +54,6 @@ class Topology(ABC):
 
     @property
     @abstractmethod
-    def degree(self) -> int:
-        """Maximum node degree d."""
-
-    @property
-    @abstractmethod
     def diameter(self) -> int:
         """Exact network diameter."""
 
@@ -75,17 +68,6 @@ class Topology(ABC):
         Must satisfy ``route_next(dest, dest) == dest`` and strictly
         decrease ``distance(cur, dest)`` along the path it induces.
         """
-
-    # ---- label codecs -------------------------------------------------
-    def label(self, v: int) -> Hashable:
-        """Human-readable label of node *v* (default: the id itself)."""
-        return v
-
-    def node_id(self, label: Hashable) -> int:
-        """Inverse of :meth:`label`."""
-        if not isinstance(label, int):
-            raise TypeError(f"{type(self).__name__} uses integer labels")
-        return label
 
     # ---- derived helpers ----------------------------------------------
     def distance(self, u: int, v: int) -> int:
@@ -151,21 +133,11 @@ class Topology(ABC):
             raise ValueError(f"graph disconnected from {u}")
         return ecc
 
-    def all_nodes(self) -> range:
-        return range(self.num_nodes)
-
     def validate_node(self, v: int) -> None:
         if not 0 <= v < self.num_nodes:
             raise ValueError(f"node {v} out of range [0, {self.num_nodes})")
 
-    def edges(self) -> Iterable[tuple[int, int]]:
-        """All directed edges (u, v)."""
-        for u in self.all_nodes():
-            for v in self.neighbors(u):
-                yield (u, v)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"{type(self).__name__}(N={self.num_nodes}, d={self.degree}, "
-            f"diam={self.diameter})"
+            f"{type(self).__name__}(N={self.num_nodes}, diam={self.diameter})"
         )

@@ -26,23 +26,11 @@ class Hypercube(Topology):
         return self._num_nodes
 
     @property
-    def degree(self) -> int:
-        return self.n
-
-    @property
     def diameter(self) -> int:
         return self.n
 
     def neighbors(self, v: int) -> list[int]:
         return [v ^ (1 << i) for i in range(self.n)]
-
-    def label(self, v: int) -> str:
-        return format(v, f"0{self.n}b")
-
-    def node_id(self, label) -> int:
-        if isinstance(label, str):
-            return int(label, 2)
-        return int(label)
 
     def route_next(self, cur: int, dest: int) -> int:
         """Fix differing bits lowest-dimension first (e-cube routing)."""

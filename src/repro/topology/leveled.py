@@ -116,11 +116,6 @@ class LeveledNetwork(ABC):
     def num_columns(self) -> int:
         return self.num_levels + 1
 
-    @property
-    def total_nodes(self) -> int:
-        """ℓN in the paper's counting (here (L+1) * N)."""
-        return self.num_columns * self.column_size
-
     def unique_path(self, src: int, dest: int) -> list[int]:
         """Column-by-column node sequence of the canonical path."""
         path = [src]
@@ -135,10 +130,6 @@ class LeveledNetwork(ABC):
     def validate_level(self, level: int) -> None:
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} out of range [0, {self.num_levels})")
-
-    def validate_node(self, node: int) -> None:
-        if not 0 <= node < self.column_size:
-            raise ValueError(f"node {node} out of range [0, {self.column_size})")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,8 +8,6 @@ array is the 1-D analysis primitive used to prove Theorem 3.1.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.topology.base import Topology
 
 
@@ -39,21 +37,10 @@ class Mesh2D(Topology):
     def unpack(self, v: int) -> tuple[int, int]:
         return divmod(v, self.cols)
 
-    def label(self, v: int) -> tuple[int, int]:
-        return self.unpack(v)
-
-    def node_id(self, label: Sequence[int]) -> int:
-        r, c = label
-        return self.pack(r, c)
-
     # ---- Topology interface -------------------------------------------
     @property
     def num_nodes(self) -> int:
         return self.rows * self.cols
-
-    @property
-    def degree(self) -> int:
-        return 4
 
     @property
     def diameter(self) -> int:
@@ -88,13 +75,6 @@ class Mesh2D(Topology):
         return abs(ur - vr) + abs(uc - vc)
 
     # ---- slices (Figure 5) ----------------------------------------------
-    def slice_of_row(self, r: int, slice_rows: int) -> int:
-        """Index of the horizontal slice containing row r, for slices of
-        ``slice_rows`` rows each (the partitioning of Figure 5)."""
-        if slice_rows < 1:
-            raise ValueError("slice_rows must be >= 1")
-        return r // slice_rows
-
     def slice_row_range(self, slice_idx: int, slice_rows: int) -> range:
         """Rows belonging to the given slice (last slice may be short)."""
         lo = slice_idx * slice_rows
@@ -116,10 +96,6 @@ class LinearArray(Topology):
     @property
     def num_nodes(self) -> int:
         return self.n
-
-    @property
-    def degree(self) -> int:
-        return 2
 
     @property
     def diameter(self) -> int:

@@ -17,8 +17,6 @@ edges, re-entering the "first column" of the logical leveled view).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.topology.base import Topology
 
 
@@ -46,10 +44,6 @@ class DWayShuffle(Topology):
     @property
     def num_nodes(self) -> int:
         return self._num_nodes
-
-    @property
-    def degree(self) -> int:
-        return self.d
 
     @property
     def diameter(self) -> int:
@@ -81,16 +75,6 @@ class DWayShuffle(Topology):
             digits.append(v % self.d)
             v //= self.d
         return tuple(reversed(digits))
-
-    def node_id(self, label: Sequence[int]) -> int:
-        if len(label) != self.n:
-            raise ValueError(f"label needs {self.n} digits")
-        v = 0
-        for digit in label:
-            if not 0 <= digit < self.d:
-                raise ValueError(f"digit {digit} out of range [0, {self.d})")
-            v = v * self.d + digit
-        return v
 
     # ---- unique-path routing -------------------------------------------
     def digit(self, v: int, k: int) -> int:

@@ -192,9 +192,6 @@ class StarGraph(Topology):
     def label(self, v: int) -> tuple[int, ...]:
         return perm_unrank(v, self.n)
 
-    def node_id(self, label: Sequence[int]) -> int:
-        return perm_rank(tuple(label))
-
     # ---- routing -------------------------------------------------------
     def _relative(self, cur: tuple[int, ...], dest: tuple[int, ...]) -> tuple[int, ...]:
         """dest^{-1} ∘ cur: the permutation that must be sorted to identity.
@@ -222,26 +219,3 @@ class StarGraph(Topology):
     def distance(self, u: int, v: int) -> int:
         rel = self._relative(perm_unrank(u, self.n), perm_unrank(v, self.n))
         return star_distance_to_identity(rel)
-
-    # ---- substructure (Definition 2.6, used by the logical network) ----
-    def stage_subgraph_key(self, v: int, i: int) -> tuple[int, ...]:
-        """The last i symbols of node v's label.
-
-        All nodes sharing this key form one i-th stage subgraph G^i (an
-        (n-i)-star).  ``i = 0`` gives the whole graph.
-        """
-        if not 0 <= i < self.n:
-            raise ValueError(f"stage i={i} out of range [0, {self.n})")
-        return perm_unrank(v, self.n)[self.n - i :]
-
-    def critical_point(self, v: int, i: int) -> int:
-        """The critical point of v at stage i (§2.3.4).
-
-        At stage i the G^i's partition G^{i-1}; node v's unique neighbor
-        lying in a *different* G^i is ``SWAP_{n-i}(v)`` (the swap that
-        changes the i-th symbol from the end).
-        """
-        if not 1 <= i < self.n:
-            raise ValueError(f"stage i={i} out of range [1, {self.n})")
-        perm = perm_unrank(v, self.n)
-        return perm_rank(swap_j(perm, self.n - i))

@@ -27,7 +27,7 @@ Quickstart::
         seed=2,
     )
     report = OnlineEmulator(em, wl).run(epochs=50)
-    print(report.sojourn_percentiles(), report.last_run_mode)
+    print(report.sojourn_percentiles(), report.run_mode_counts())
 
 See ``docs/traffic.md`` for driver semantics and the telemetry field
 reference.
@@ -47,7 +47,6 @@ from repro.traffic.generators import (
     KeyDistribution,
     PoissonArrivals,
     RequestBatch,
-    ScanKeys,
     TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
@@ -67,7 +66,6 @@ __all__ = [
     "PoissonArrivals",
     "QOS_CLASSES",
     "RequestBatch",
-    "ScanKeys",
     "TenantPolicy",
     "TrafficRequest",
     "UniformKeys",

@@ -32,8 +32,8 @@ express.
 A request is a table column from the generator to the
 :class:`~repro.traffic.telemetry.EpochRecord`; no per-request object is
 built on the way.  :class:`~repro.traffic.generators.TrafficRequest`
-*row views* are made where somebody reads them: :attr:`queue`,
-:attr:`dead_letters`, and iterating a batch.
+*row views* are made where somebody reads them: :attr:`dead_letters`
+and iterating a batch.
 
 Degraded-mode hardening
 -----------------------
@@ -314,21 +314,6 @@ class OnlineEmulator:
     def backlog(self) -> int:
         """Requests currently waiting in the admission queue."""
         return self._table.shape[1]
-
-    @property
-    def backlog_by_tenant(self) -> dict[str, int]:
-        """Queued requests per tenant label."""
-        counts = self._tenant_counts(self._table[TENANT])[0].tolist()
-        return {t: k for t, k in zip(self._tenants, counts) if k}
-
-    @property
-    def queue(self) -> list[tuple[TrafficRequest, int]]:
-        """The queued (request, arrival_clock) pairs in FIFO order.
-
-        A read-only snapshot (introspection and tests): the requests
-        are row views built here; admission runs on the table.
-        """
-        return list(zip(self._views(self._table), self._table[STAMP].tolist()))
 
     def _views(self, columns: np.ndarray) -> RequestBatch:
         """Table *columns* as a batch (iterate it for ``TrafficRequest``s)."""

@@ -59,7 +59,6 @@ __all__ = [
     "KeyDistribution",
     "PoissonArrivals",
     "RequestBatch",
-    "ScanKeys",
     "TrafficRequest",
     "UniformKeys",
     "WorkloadGenerator",
@@ -107,7 +106,7 @@ class RequestBatch:
     served step back out, so no per-request object exists on the served
     path.  The object surface is ``len()``, slicing, ``==`` and
     iteration, which yields :class:`TrafficRequest` *row views* — built
-    on demand for tests, ``OnlineEmulator.queue`` and ``dead_letters``.
+    on demand for tests and ``OnlineEmulator.dead_letters``.
     """
 
     __slots__ = ("matrix", "tenants")
@@ -115,27 +114,6 @@ class RequestBatch:
     def __init__(self, matrix: np.ndarray, tenants: tuple[str, ...] = ("default",)):
         self.matrix = matrix
         self.tenants = tenants
-
-    @classmethod
-    def from_requests(cls, requests) -> "RequestBatch":
-        """The batch holding *requests* (integer write values only)."""
-        requests = list(requests)
-        tenants = tuple(dict.fromkeys(r.tenant for r in requests))
-        ids = {name: i for i, name in enumerate(tenants)}
-        rows = [
-            (
-                r.rid,
-                r.pid,
-                r.addr,
-                r.kind == "read",
-                r.epoch,
-                NO_VALUE if r.value is None else r.value,
-                ids[r.tenant],
-            )
-            for r in requests
-        ]
-        matrix = np.asarray(rows, dtype=np.int64).reshape(len(rows), 7).T
-        return cls(matrix, tenants)
 
     def __len__(self) -> int:
         return self.matrix.shape[1]
@@ -407,29 +385,6 @@ class HotspotKeys(KeyDistribution):
         hot_draw = rng.integers(self.hot_addresses, size=k, dtype=np.int64)
         cold_draw = rng.integers(self.address_space, size=k, dtype=np.int64)
         return np.where(hot, hot_draw, cold_draw)
-
-
-class ScanKeys(KeyDistribution):
-    """Sequential scans instead of point lookups.
-
-    Requests come in runs of ``scan_length`` consecutive addresses
-    (wrapping at the space boundary) from random start points — the
-    access shape of table scans and bulk reads, at the opposite end of
-    the locality spectrum from Zipf point traffic.
-    """
-
-    def __init__(self, address_space: int, *, scan_length: int = 8) -> None:
-        super().__init__(address_space)
-        if scan_length < 1:
-            raise ValueError("scan_length must be >= 1")
-        self.scan_length = int(scan_length)
-
-    def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        n_scans = -(-k // self.scan_length)  # ceil
-        starts = rng.integers(self.address_space, size=n_scans, dtype=np.int64)
-        offsets = np.arange(self.scan_length, dtype=np.int64)
-        grid = (starts[:, None] + offsets[None, :]) % self.address_space
-        return grid.reshape(-1)[:k]
 
 
 # ---- the composed generator ------------------------------------------------

@@ -206,14 +206,6 @@ class TrafficReport:
             + self.final_backlog
         )
 
-    @property
-    def sojourns(self) -> list[int]:
-        """All delivered requests' sojourns (network steps), epoch order."""
-        out: list[int] = []
-        for e in self.epochs:
-            out.extend(e.sojourns)
-        return out
-
     # ---- per-tenant accounting -------------------------------------------
     def _tenant_table(self) -> tuple[dict[str, int], np.ndarray]:
         """The whole-run tenant table and the labels it reports.
@@ -281,19 +273,6 @@ class TrafficReport:
         return out
 
     # ---- dispatch history ------------------------------------------------
-    @property
-    def dispatch_history(self) -> list[tuple[str, ...]]:
-        """Per-epoch engine run modes (idle epochs contribute ``()``)."""
-        return [e.run_modes for e in self.epochs]
-
-    @property
-    def last_run_mode(self) -> str | None:
-        """Mode of the most recent routing run, ``None`` if never routed."""
-        for e in reversed(self.epochs):
-            if e.run_modes:
-                return e.run_modes[-1]
-        return None
-
     def run_mode_counts(self) -> dict[str, int]:
         """How many routing runs each engine mode served."""
         counts: dict[str, int] = {}
@@ -303,14 +282,8 @@ class TrafficReport:
         return counts
 
     # ---- time series -----------------------------------------------------
-    def queue_depth_series(self) -> list[int]:
-        return [e.backlog for e in self.epochs]
-
     def credits_stalled_series(self) -> list[int]:
         return [e.credits_stalled for e in self.epochs]
-
-    def epoch_steps_series(self) -> list[int]:
-        return [e.steps for e in self.epochs]
 
     def throughput_series(self, window: int = 1) -> list[float]:
         """Delivered requests per network step over a trailing window.
@@ -328,26 +301,6 @@ class TrafficReport:
             lo = max(0, i - window + 1)
             s = sum(steps[lo : i + 1])
             out.append(sum(served[lo : i + 1]) / s if s else 0.0)
-        return out
-
-    def sojourn_percentile_series(
-        self, q: float, window: int = 1
-    ) -> list[float]:
-        """Trailing-window q-th percentile of sojourn latency per epoch.
-
-        Windows that delivered nothing report ``nan``.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        out: list[float] = []
-        for i in range(len(self.epochs)):
-            lo = max(0, i - window + 1)
-            samples: list[int] = []
-            for e in self.epochs[lo : i + 1]:
-                samples.extend(e.sojourns)
-            out.append(
-                float(np.percentile(samples, q)) if samples else float("nan")
-            )
         return out
 
     # ---- degraded-mode analyses ------------------------------------------
@@ -511,23 +464,6 @@ class TrafficReport:
     def _tenant_numbers(self) -> dict:
         totals = self.tenant_totals()
         return {"totals": totals, "conservation_deficits": _deficits(totals)}
-
-    def traffic_section(self) -> dict:
-        """The service-level numbers, grouped (versioned ``traffic``).
-
-        Engine-dispatch detail (``run_mode_counts``) deliberately stays
-        out: the sections hold only engine-invariant numbers, so a fast
-        and a reference run of the same seed dump identical sections.
-        """
-        return versioned("traffic", self._traffic_numbers())
-
-    def faults_section(self) -> dict:
-        """The degraded-mode numbers, grouped (versioned ``faults``)."""
-        return versioned("faults", self._fault_numbers())
-
-    def tenants_section(self) -> dict:
-        """The multi-tenant QoS numbers, grouped (versioned ``tenants``)."""
-        return versioned("tenants", self._tenant_numbers())
 
     def to_dict(self) -> dict:
         """JSON-ready dump (benchmarks commit these as baselines).

@@ -8,8 +8,6 @@ experiment is reproducible from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
@@ -40,26 +38,6 @@ def spawn_generators(seed, n: int) -> list[np.random.Generator]:
         return [np.random.default_rng(int(s)) for s in seeds]
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-class RngMixin:
-    """Mixin storing a lazily created generator under ``self._rng``."""
-
-    def __init__(self, seed=None) -> None:
-        self._rng = as_generator(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
-
-    def reseed(self, seed) -> None:
-        """Replace the generator (used by rehashing logic and tests)."""
-        self._rng = as_generator(seed)
-
-
-def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A uniformly random permutation of ``range(n)`` as an int64 array."""
-    return rng.permutation(n)
 
 
 def random_partial_permutation(
@@ -104,10 +82,3 @@ def random_h_relation(
     if not srcs:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(srcs), np.concatenate(dsts)
-
-
-def choice_weighted(rng: np.random.Generator, options: Sequence, weights: Iterable[float]):
-    """Pick one element of *options* with the given (unnormalized) weights."""
-    w = np.asarray(list(weights), dtype=float)
-    idx = rng.choice(len(options), p=w / w.sum())
-    return options[idx]

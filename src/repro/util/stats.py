@@ -2,15 +2,13 @@
 
 Implements the tools of §2.2.2: binomial tails B(m, N, P), the Hoeffding
 fact reducing Poisson trials to Bernoulli trials, and Chernoff bounds — plus
-small summary helpers the experiment harness uses to report measured
-distributions.
+the least-squares fit the experiments read leading constants from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,55 +85,6 @@ def poisson_tail(m: int, lam: float) -> float:
             1.0 if k == 0 else 0.0
         )
     return max(0.0, 1.0 - total)
-
-
-def mean(xs: Iterable[float]) -> float:
-    xs = list(xs)
-    return sum(xs) / len(xs) if xs else float("nan")
-
-
-def percentile(xs: Iterable[float], q: float) -> float:
-    """q-th percentile (0..100) with linear interpolation."""
-    arr = np.asarray(list(xs), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    return float(np.percentile(arr, q))
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample; printed in experiment tables."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    p95: float
-    maximum: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.n} mean={self.mean:.3f} std={self.std:.3f} "
-            f"min={self.minimum:.3f} med={self.median:.3f} "
-            f"p95={self.p95:.3f} max={self.maximum:.3f}"
-        )
-
-
-def summarize(xs: Iterable[float]) -> Summary:
-    arr = np.asarray(list(xs), dtype=float)
-    if arr.size == 0:
-        nan = float("nan")
-        return Summary(0, nan, nan, nan, nan, nan, nan)
-    return Summary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=0)),
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        p95=float(np.percentile(arr, 95)),
-        maximum=float(arr.max()),
-    )
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

@@ -1,11 +1,15 @@
-"""Fixtures shared by the fast-engine differential suites."""
+"""Fixtures shared by the fast-engine differential suites, and the
+front-end suites' helpers for hand-built request batches."""
 
 import sys
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.routing import fast_scalar
+from repro.traffic.driver import STAMP
+from repro.traffic.generators import NO_VALUE, RequestBatch
 
 #: ``SCALAR_RUN_MAX`` values that send every fast run the configuration
 #: allows through one lane: Python lists, or numpy tables
@@ -35,3 +39,31 @@ def run_lane(request):
     )
     with forced_run_lane(lane):
         yield lane
+
+
+def batch_of(requests) -> RequestBatch:
+    """The batch holding *requests* (``TrafficRequest``s, integer write
+    values only): what a stub workload's ``stream`` returns."""
+    requests = list(requests)
+    tenants = tuple(dict.fromkeys(r.tenant for r in requests))
+    ids = {name: i for i, name in enumerate(tenants)}
+    rows = [
+        (
+            r.rid,
+            r.pid,
+            r.addr,
+            r.kind == "read",
+            r.epoch,
+            NO_VALUE if r.value is None else r.value,
+            ids[r.tenant],
+        )
+        for r in requests
+    ]
+    matrix = np.asarray(rows, dtype=np.int64).reshape(len(rows), 7).T
+    return RequestBatch(matrix, tenants)
+
+
+def queued(drv) -> list:
+    """An ``OnlineEmulator``'s queued ``(request, arrival_clock)`` pairs
+    in FIFO order, the requests as row views of its pending table."""
+    return list(zip(drv._views(drv._table), drv._table[STAMP].tolist()))

@@ -27,11 +27,13 @@ cuts, the ``admit_limit`` cut leaves later expired rows queued).
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import batch_of, queued
 from repro.emulation import LeveledEmulator
 from repro.emulation.base import Emulator, StepCost
 from repro.sharding import MultiTenantOnlineEmulator, MultiTenantWorkload
@@ -40,7 +42,6 @@ from repro.traffic import (
     QOS_CLASSES,
     OnlineEmulator,
     PoissonArrivals,
-    RequestBatch,
     TenantPolicy,
     TrafficRequest,
     WorkloadGenerator,
@@ -73,14 +74,14 @@ class _NoWorkload:
     address_space = 64
 
     def stream(self, epochs):  # pragma: no cover - never streamed
-        return [RequestBatch.from_requests([]) for _ in range(epochs)]
+        return [batch_of([]) for _ in range(epochs)]
 
 
 # the adapter: the driver speaks table columns, the spec request objects
 
 
 def _enqueue(drv, spec, reqs, stamp, not_before):
-    drv._enqueue(RequestBatch.from_requests(reqs), stamp, not_before)
+    drv._enqueue(batch_of(reqs), stamp, not_before)
     for req in reqs:
         spec.enqueue(req, stamp, not_before)
 
@@ -96,9 +97,9 @@ def _assert_same_pass(drv, spec):
     want, want_expired = spec.admit(drv.clock)
     assert _pairs(got) == [(r.rid, s) for r, s in want]
     assert drv._expired[RID].tolist() == [r.rid for r in want_expired]
-    assert [(r, s) for r, s in drv.queue] == [(e.req, e.stamp) for e in spec.backlog]
+    assert [(r, s) for r, s in queued(drv)] == [(e.req, e.stamp) for e in spec.backlog]
     assert drv.backlog == len(spec.backlog)
-    assert drv.backlog_by_tenant == spec.depth_by_tenant()
+    assert Counter(r.tenant for r, _ in queued(drv)) == spec.depth_by_tenant()
     return got, want
 
 
@@ -265,7 +266,7 @@ def test_admit_matches_the_executable_spec(case):
                 spec.enqueue(req, stamp, drv.clock + plan["backoff"] * 2**attempts)
         assert drv.dead_letters[letters:] == want_dead
         assert dead[RID].tolist() == [r.rid for r, _s, _a in want_dead]
-        assert [(r, s) for r, s in drv.queue] == [
+        assert [(r, s) for r, s in queued(drv)] == [
             (e.req, e.stamp) for e in spec.backlog
         ]
         drv.clock += plan["tick"]
@@ -308,7 +309,7 @@ def test_a_gold_request_waits_behind_a_bronze_head_for_its_address():
             [(7, "initech"), (7, "acme"), (3, "globex"), (5, "initech")]
         )
     ]
-    drv._enqueue(RequestBatch.from_requests(reqs), 0, 0)
+    drv._enqueue(batch_of(reqs), 0, 0)
     assert drv._admit()[RID].tolist() == [2, 0, 1, 3]
 
 
@@ -340,7 +341,7 @@ def test_exclusive_mode_expires_behind_an_admitted_head_up_to_the_next_live_row(
     got, _want = _assert_same_pass(drv, spec)
     assert got[RID].tolist() == [0]
     assert drv._expired[RID].tolist() == [1, 2]
-    assert [r.rid for r, _ in drv.queue] == [3, 4]
+    assert [r.rid for r, _ in queued(drv)] == [3, 4]
 
 
 def test_a_quota_hit_cuts_later_chains_and_the_next_hit_is_found_on_the_new_order():
@@ -360,7 +361,7 @@ def test_a_quota_hit_cuts_later_chains_and_the_next_hit_is_found_on_the_new_orde
     _enqueue(drv, spec, reqs, 0, 0)
     got, _want = _assert_same_pass(drv, spec)
     assert got[RID].tolist() == [0, 3]
-    assert [r.rid for r, _ in drv.queue] == [1, 2, 4, 5]
+    assert [r.rid for r, _ in queued(drv)] == [1, 2, 4, 5]
 
 
 def test_an_expired_row_past_the_last_admission_stays_queued():
@@ -371,7 +372,7 @@ def test_an_expired_row_past_the_last_admission_stays_queued():
     got, _want = _assert_same_pass(drv, spec)
     assert got[RID].tolist() == [1]
     assert drv._expired[RID].tolist() == [0]
-    assert [r.rid for r, _ in drv.queue] == [2]
+    assert [r.rid for r, _ in queued(drv)] == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import ValiantHypercubeRouter, bitonic_route, bitonic_stage_count
+from repro.routing.batcher import bitonic_vs_valiant_times
 from repro.topology import Hypercube
 
 
@@ -19,6 +20,12 @@ class TestStageCount:
     def test_quadratic_growth(self):
         # Θ(log² N): doubling k roughly quadruples the stages.
         assert bitonic_stage_count(8) / bitonic_stage_count(4) > 3
+
+    def test_comparison_record(self):
+        rec = bitonic_vs_valiant_times(4, 5)
+        assert rec == {"log2N": 4, "batcher_steps": 10, "valiant_steps": 5, "ratio": 2.0}
+        # a zero-step Valiant run does not divide by zero
+        assert bitonic_vs_valiant_times(4, 0)["ratio"] == 10
 
 
 class TestBitonicRoute:

@@ -5,10 +5,14 @@ executing them.  The weak point used to be *discovery*: a new docs page
 outside the executed glob would silently skip execution.  These tests
 pin the audit that closes the gap — a no-args run must fail when any
 README/docs markdown file containing fences is absent from the
-executed set.
+executed set.  The last test holds ``docs/faults.md``'s who-retries-what
+table to the error classes the library defines.
 """
 
+import ast
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +103,23 @@ class TestMain:
         # ones) are not an error there
         _write(doc_tree, "docs/guides/deep.md", FENCED)
         assert rds.main([str(doc_tree / "docs" / "a.md")]) == 0
+
+
+def test_every_error_class_has_a_row_in_the_faults_table():
+    """Each ``class ...Error`` in ``src/repro`` is named in the first
+    column of ``docs/faults.md``'s who-retries-what table."""
+    root = Path(__file__).resolve().parent.parent
+    defined = {
+        node.name
+        for path in (root / "src" / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Error")
+    }
+    first_cells = [
+        line.split("|")[1]
+        for line in (root / "docs" / "faults.md").read_text().splitlines()
+        if line.startswith("| ")
+    ]
+    rowed = {name for cell in first_cells for name in re.findall(r"\.(\w+Error)`", cell)}
+    assert defined, "no error classes found"
+    assert not defined - rowed

@@ -22,7 +22,7 @@ from repro.emulation.mesh import MeshEmulator
 from repro.faults import FaultSchedule
 from repro.faults.runtime import LinkFaultTimeline
 from repro.obs import Observer
-from repro.pram.trace import h_relation_step, hotspot_step, permutation_step
+from repro.pram.trace import RequestColumns, hotspot_step, permutation_step
 from repro.routing import (
     DeadlockError,
     FastPathEngine,
@@ -67,6 +67,16 @@ STAT_FIELDS = (
     "escape_hops",
     "fault_stalls",
 )
+
+
+def h_relation_step(n_procs: int, address_space: int, h: int, seed: int) -> RequestColumns:
+    """*h* reads per processor, each round a fresh random partial
+    permutation of the addresses: an h-relation (stresses Theorem 2.4)."""
+    rng = np.random.default_rng(seed)
+    reads: list[tuple[int, int]] = []
+    for _rep in range(h):
+        reads += enumerate(rng.choice(address_space, size=n_procs, replace=False).tolist())
+    return RequestColumns.of(reads=reads)
 
 
 def assert_stats_equal(fast, ref):

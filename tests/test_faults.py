@@ -20,6 +20,7 @@ Four layers, pinned bottom-up:
 import numpy as np
 import pytest
 
+from conftest import batch_of, queued
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import (
@@ -36,8 +37,6 @@ from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
     DeterministicArrivals,
     OnlineEmulator,
-    RequestBatch,
-    ScanKeys,
     TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
@@ -168,10 +167,10 @@ class TestFaultState:
         st = FaultState(
             FaultPlan(dead_modules=[2, 3, 7]), num_modules=8, num_processors=8
         )
-        assert st.map_module(2) == 4
-        assert st.map_module(3) == 4
-        assert st.map_module(7) == 0  # wraps
-        assert st.map_module(5) == 5  # live ids are identity
+        assert st.map_modules(2) == 4
+        assert st.map_modules(3) == 4
+        assert st.map_modules(7) == 0  # wraps
+        assert st.map_modules(5) == 5  # live ids are identity
         got = st.map_modules(np.arange(8)).tolist()
         assert got == [0, 1, 4, 4, 4, 5, 6, 0]
 
@@ -179,8 +178,8 @@ class TestFaultState:
         st = FaultState(
             FaultPlan(dead_processors=[0, 5]), num_modules=8, num_processors=6
         )
-        assert st.map_processor(0) == 1
-        assert st.map_processor(5) == 1  # wraps past the dead head
+        assert st.map_processors(0) == 1
+        assert st.map_processors(5) == 1  # wraps past the dead head
         assert st.map_processors(np.array([0, 3, 5])).tolist() == [1, 3, 1]
 
     def test_detection_lag_and_acknowledge(self):
@@ -195,15 +194,15 @@ class TestFaultState:
         assert st.dead_modules_at(30) == frozenset()
         # ... but the remap only moves after detection
         assert st.known_dead == frozenset()
-        assert st.map_module(3) == 3
+        assert st.map_modules(3) == 3
         assert st.undetected_dead(15) == {3}
         assert st.acknowledge(15) == {3}
-        assert st.map_module(3) == 4
+        assert st.map_modules(3) == 4
         assert st.undetected_dead(15) == frozenset()
         # revive becomes visible via refresh
         assert st.refresh(30) == {3}
         assert st.known_dead == frozenset()
-        assert st.map_module(3) == 3
+        assert st.map_modules(3) == 3
 
     def test_static_faults_known_from_step_zero(self):
         st = FaultState(
@@ -248,7 +247,6 @@ class TestLinkTimeline:
             9, (2, 3)
         )
         tl = LinkFaultTimeline(sched.link_events)
-        assert tl.has_slow_links
         view = tl.view(lambda spec: (spec,))
         for t in range(9):
             static, extra = view.parts_at(t)
@@ -592,7 +590,7 @@ class _StubWorkload:
     def stream(self, epochs):
         out = list(self._epochs[:epochs])
         out += [[] for _ in range(epochs - len(out))]
-        return [RequestBatch.from_requests(e) for e in out]
+        return [batch_of(e) for e in out]
 
 
 def _req(rid, addr, *, pid=0, epoch=0):
@@ -688,7 +686,7 @@ class TestDriverHardening:
         from collections import deque
 
         model = deque(reqs)
-        drv._enqueue(RequestBatch.from_requests(reqs), 0, 0)
+        drv._enqueue(batch_of(reqs), 0, 0)
 
         def model_admit(limit):
             batch, skipped, seen = [], [], set()
@@ -712,9 +710,9 @@ class TestDriverHardening:
     def test_queue_property_is_fifo_snapshot(self):
         drv = OnlineEmulator(_StubEmulator([]), _StubWorkload([]))
         for i, addr in enumerate([3, 1, 3, 2]):
-            drv._enqueue(RequestBatch.from_requests([_req(i, addr)]), stamp=i, not_before=0)
-        assert [r.rid for r, _ in drv.queue] == [0, 1, 2, 3]
-        assert [s for _r, s in drv.queue] == [0, 1, 2, 3]
+            drv._enqueue(batch_of([_req(i, addr)]), stamp=i, not_before=0)
+        assert [r.rid for r, _ in queued(drv)] == [0, 1, 2, 3]
+        assert [s for _r, s in queued(drv)] == [0, 1, 2, 3]
         assert drv.backlog == 4
 
     def test_non_exclusive_admission_is_plain_fifo(self):
@@ -722,7 +720,7 @@ class TestDriverHardening:
             _StubEmulator([]), _StubWorkload([], n_procs=8), exclusive=False
         )
         reqs = [_req(i, addr) for i, addr in enumerate([5, 5, 5, 2, 5])]
-        drv._enqueue(RequestBatch.from_requests(reqs), 0, 0)
+        drv._enqueue(batch_of(reqs), 0, 0)
         assert drv._admit()[RID].tolist() == [0, 1, 2, 3, 4]
 
 
@@ -821,7 +819,7 @@ class TestOnlineFaultRuns:
         wl = WorkloadGenerator(
             4,
             arrivals=DeterministicArrivals(4.0),
-            keys=ScanKeys(4, scan_length=1),
+            keys=UniformKeys(4),
             read_fraction=0.0,
             seed=1,
         )

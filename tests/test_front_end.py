@@ -10,6 +10,7 @@ is built between the generator and the ``EpochRecord``.
 import numpy as np
 import pytest
 
+from conftest import queued
 from repro.emulation import (
     KarlinUpfalMeshEmulator,
     LeveledEmulator,
@@ -34,7 +35,6 @@ from repro.traffic import (
     DriverAlreadyRanError,
     OnlineEmulator,
     PoissonArrivals,
-    ScanKeys,
     TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
@@ -70,7 +70,7 @@ def old_sharded_module_of(service, addr):
     contract: two scalar Horner hashes and a scalar remap per address."""
     shard = service.placement.shard_of(addr)
     inner = service.shards[shard]
-    return shard * service.module_stride + inner.faults.map_module(
+    return shard * service.module_stride + inner.faults.map_modules(
         int(inner.hash(int(addr)))
     )
 
@@ -137,7 +137,7 @@ def test_direct_placement_mesh_reports_the_modules_it_did_on_the_scalar_path():
     report = drv.run(6)
     assert report.total_delivered > 20
     for record, batch in zip(report.epochs, batches):
-        assert record.modules == [em.faults.map_module(a) for a in batch[ADDR].tolist()]
+        assert record.modules == [em.faults.map_modules(a) for a in batch[ADDR].tolist()]
     assert not {m for e in report.epochs for m in e.modules} & {2, 3, 9}
 
 
@@ -317,7 +317,7 @@ def test_a_served_run_builds_no_request_object(build, built):
     assert set(report.run_mode_counts()) == {"batch"}
     assert built == [0]
     # the row views are built when somebody asks, and only then
-    assert len(driver.queue) == report.final_backlog
+    assert len(queued(driver)) == report.final_backlog
     assert built == [report.final_backlog]
 
 
@@ -331,7 +331,7 @@ def test_dead_letters_are_the_only_request_objects_of_a_faulted_run(built):
         engine="fast", faults=sched, max_rehashes=1,
     )
     wl = WorkloadGenerator(
-        4, arrivals=DeterministicArrivals(4.0), keys=ScanKeys(4, scan_length=1),
+        4, arrivals=DeterministicArrivals(4.0), keys=UniformKeys(4),
         read_fraction=0.0, seed=1,
     )
     driver = OnlineEmulator(em, wl, retry_limit=2, backoff=2)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from repro.hashing import (
     HashFamily,
-    IdealRandomHash,
     PolynomialHash,
     bucket_loads,
     collection_load,
     corollary31_reference,
     corollary32_reference,
+    corollary33_reference,
     degree_for_diameter,
     empirical_overflow_rate,
     lemma22_bound,
@@ -169,6 +169,19 @@ class TestReferences:
             32 + 64**0.75
         )
 
+    def test_corollary33_reference_is_natural_log_clamped_at_two(self):
+        assert corollary33_reference(1024) == pytest.approx(math.log(1024))
+        assert corollary33_reference(1) == corollary33_reference(2) == math.log(2)
+
+    def test_corollary33_shape(self):
+        # any log N buckets receive O(log N) items: a handful of times
+        # the reference, not a constant share of the N items
+        n = 1024
+        h = HashFamily(4 * n, n, degree_param=8).sample(seed=3)
+        k = int(math.log2(n))
+        load = collection_load(h, np.arange(n), list(range(0, n, n // k))[:k])
+        assert load <= 6 * corollary33_reference(n)
+
     def test_empirical_max_load_matches_corollary31_shape(self):
         # N items into N buckets: max load should be near log N / log log N,
         # certainly below, say, 6x that reference.
@@ -186,11 +199,3 @@ class TestReferences:
         h = family.sample(seed=12)
         ml = max_load(h, np.arange(n * n))
         assert ml <= corollary32_reference(n, beta) * 1.5
-
-    def test_ideal_random_hash(self):
-        ideal = IdealRandomHash(1000, 10, seed=1)
-        assert all(0 <= ideal(x) < 10 for x in range(100))
-        assert ideal.map(np.arange(10)).shape == (10,)
-        assert ideal.description_bits() > PolynomialHash(
-            [1, 2], p=1009, n_modules=10
-        ).description_bits()

@@ -242,7 +242,7 @@ class TestTraceRecording:
         step0, step1 = pram.trace.steps
         assert step0.is_read.tolist() == [True] * 3
         assert step1.is_read.tolist() == [False] * 3
-        assert pram.trace.total_requests == 6
+        assert sum(s.num_requests for s in pram.trace.steps) == 6
 
     def test_a_step_is_its_reads_then_its_writes_each_in_pid_order(self):
         def program(pid, n):

@@ -14,7 +14,6 @@ from repro.pram import (
     boolean_or,
     broadcast,
     find_max,
-    h_relation_step,
     histogram,
     hotspot_step,
     list_ranking,
@@ -135,11 +134,6 @@ class TestSyntheticTraces:
         with pytest.raises(ValueError, match="'wirte'"):
             permutation_step(4, 16, seed=0, kind="wirte")
 
-    def test_h_relation_step_concurrency(self):
-        step = h_relation_step(16, 64, h=3, seed=3)
-        assert step.num_requests == 48
-        assert step.max_concurrency() <= 3
-
     def test_hotspot_step_concentrates(self):
         step = hotspot_step(64, 256, hot_addresses=1, hot_fraction=1.0, seed=4)
         assert step.max_concurrency() == 64
@@ -150,7 +144,6 @@ class TestSyntheticTraces:
         steps = [
             permutation_step(16, 64, seed=1),
             permutation_step(8, 32, seed=2, kind="write"),
-            h_relation_step(16, 64, h=3, seed=3),
             hotspot_step(64, 256, hot_addresses=1, hot_fraction=1.0, seed=4),
             hotspot_step(64, 256, hot_addresses=3, hot_fraction=0.5, seed=5),
         ]
@@ -183,13 +176,12 @@ class TestSyntheticTraces:
         trace = random_trace(16, 64, 5, seed=6)
         assert len(trace) == 5
         assert all(s.is_erew() for s in trace)
-        assert trace.total_requests == 80
+        assert sum(s.num_requests for s in trace.steps) == 80
 
     #: per generator, a digest of the columns (pids, addrs, is_read,
     #: values) it drew at seeds 0-4, recorded when the generators still
     #: built request objects: a rewrite must keep every draw
     GOLDEN_DIGESTS = {
-        "h_relation": ["0ca999dbee18a0bf", "d441d1f242f55316", "f67fb8fa7a820afa", "fbb989fc09abda90", "4b9c9b1a006aab29"],
         "hotspot": ["1c413b83292ce389", "48bf6a661720a0eb", "b1c04f2af1085539", "92bcd22cac23daa0", "ee2e223e27e791a6"],
         "local_mesh": ["e123a69063fcb03d", "b0f4b25c8e73f60d", "b751200a6278b909", "ed6b476c0e0eaf6e", "ea25b75b34c01fc7"],
         "permutation_read": ["226eaf1f7a351dae", "d96ced0edf41478d", "c4538844a6ac9448", "018677fa9a0dd647", "9e0fc95381fc1393"],
@@ -213,7 +205,6 @@ class TestSyntheticTraces:
             return hashlib.sha256(joined.encode()).hexdigest()[:16]
 
         drawn = {
-            "h_relation": self._digest(h_relation_step(12, 40, 3, seed)),
             "hotspot": self._digest(
                 hotspot_step(20, 100, hot_addresses=3, hot_fraction=0.6, seed=seed)
             ),

@@ -161,11 +161,11 @@ class TestConflictChecker:
         )
         analysis = ConflictChecker().analyze(trace)
         assert analysis.steps_analyzed == 3
-        assert analysis.has_conflicts
         assert [r.step for r in analysis.reports] == [1, 2]
         assert analysis.minimal_mode is AccessMode.CRCW
         assert analysis.common_compatible  # the lone WW agrees
-        assert len(analysis.conflicts_of_kind(ConflictKind.READ_READ)) == 1
+        kinds = [r.kind for r in analysis.reports]
+        assert kinds.count(ConflictKind.READ_READ) == 1
 
     def test_verify_against_declared_mode(self):
         trace = MemoryTrace(num_processors=2, address_space=8)
@@ -173,8 +173,9 @@ class TestConflictChecker:
             RequestColumns.of(reads=[(0, 1), (1, 1)])
         )
         checker = ConflictChecker()
-        assert checker.verify(trace, AccessMode.CREW) == []
-        bad = checker.verify(trace, AccessMode.EREW)
+        analysis = checker.analyze(trace)
+        assert analysis.violations(AccessMode.CREW) == []
+        bad = analysis.violations(AccessMode.EREW)
         assert len(bad) == 1 and bad[0].kind is ConflictKind.READ_READ
 
 

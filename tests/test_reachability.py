@@ -1,0 +1,109 @@
+"""``tools/reachability.py``: the audit's classification on a tiny
+package, and a ``KEEP`` table that names only functions that exist."""
+
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+from tools import reachability
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _package(tmp_path: Path, source: str) -> Path:
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(textwrap.dedent(source))
+    return pkg
+
+
+def test_a_served_a_tested_and_a_dead_function_are_told_apart(tmp_path):
+    pkg = _package(
+        tmp_path,
+        """
+        def served():
+            return 1
+
+        def tested():
+            return 2
+
+        def dead():
+            return 3
+        """,
+    )
+    (tmp_path / "serve.py").write_text("import pkg\npkg.served()\n")
+    (tmp_path / "check.py").write_text("import pkg\npkg.served()\npkg.tested()\n")
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "reachability.py"), "--check",
+            "--src", str(pkg), f"--served={tmp_path / 'serve.py'}",
+            f"--tests={tmp_path / 'check.py'}", "--out", str(out),
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    report = json.loads(out.read_text())
+    statuses = {key: f["status"] for key, f in report["functions"].items()}
+    assert statuses == {
+        "pkg:served": "served", "pkg:tested": "tests-only", "pkg:dead": "unreached",
+    }
+    assert report["counts"] == {"served": 1, "tests-only": 1, "unreached": 1}
+    # neither is a dunder, a stub or on KEEP: --check fails on both
+    assert proc.returncode == 1
+    assert report["rejected"] == ["pkg:dead", "pkg:tested"]
+    assert "not kept: pkg:dead (unreached)" in proc.stderr
+
+
+def test_functions_are_keyed_by_qualname_and_stubs_kept_by_rule(tmp_path):
+    pkg = _package(
+        tmp_path,
+        """
+        import functools
+        from abc import ABC, abstractmethod
+
+        class Shape(ABC):
+            @abstractmethod
+            def area(self): ...
+
+            @property
+            def name(self):
+                return "shape"
+
+            @name.setter
+            def name(self, value):
+                pass
+
+            def __repr__(self):
+                return "Shape()"
+
+        @functools.lru_cache
+        def outer():
+            def inner():
+                return 0
+            return inner
+
+        def todo():
+            \"\"\"Not written yet.\"\"\"
+            raise NotImplementedError
+        """,
+    )
+    found = reachability.inventory(pkg)
+    assert sorted(found) == [
+        "pkg:Shape.__repr__", "pkg:Shape.area", "pkg:Shape.name",
+        "pkg:outer", "pkg:outer.<locals>.inner", "pkg:todo",
+    ]
+    by_rule = {key for key, fn in found.items() if fn.by_rule}
+    assert by_rule == {"pkg:Shape.__repr__", "pkg:Shape.area", "pkg:todo"}
+    # a property's getter and setter are one entry of both bodies' lines
+    assert found["pkg:Shape.name"].lines == 2 + 2
+
+
+def test_every_keep_entry_names_a_function_that_exists():
+    """A rename or deletion of a kept function has to update ``KEEP``."""
+    found = reachability.inventory(reachability.DEFAULT_SRC)
+    assert not set(reachability.KEEP) - set(found)
+    assert set(reachability.KEEP.values()) <= set("abcde")
+    # rule f needs no entry
+    assert not [key for key in reachability.KEEP if found[key].by_rule]

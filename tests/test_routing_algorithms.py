@@ -148,7 +148,7 @@ class TestStarRouter:
         stats = router.route_random_permutation()
         assert stats.completed
         # hop counts are exact star distances for the greedy variant
-        assert stats.max_hops <= star.diameter
+        assert max(stats.hops) <= star.diameter
 
     def test_adversarial_permutation_is_valid(self):
         star = StarGraph(5)

@@ -14,7 +14,6 @@ from repro.routing import (
     collect_stats,
     fast_engine,
     make_packets,
-    route_with_function,
 )
 from repro.routing.queues import furthest_first_factory
 from repro.topology import LinearArray
@@ -131,7 +130,7 @@ class TestEngineBasics:
     def test_single_packet_travels_distance(self):
         array = LinearArray(10)
         pkts = make_packets([0], [7])
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=100)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=100)
         assert stats.completed
         assert stats.steps == 7
         assert pkts[0].hops == 7
@@ -140,7 +139,7 @@ class TestEngineBasics:
     def test_zero_hop_delivery(self):
         array = LinearArray(5)
         pkts = make_packets([3], [3])
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=10)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=10)
         assert stats.completed
         assert stats.steps == 0
         assert pkts[0].hops == 0
@@ -150,7 +149,7 @@ class TestEngineBasics:
         # is delayed exactly 1 step behind the first.
         array = LinearArray(5)
         pkts = make_packets([0, 0], [4, 4])
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=50)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=50)
         assert stats.completed
         assert stats.steps == 5  # 4 hops + 1 queueing delay
         assert sorted(p.delay for p in pkts) == [0, 1]
@@ -159,7 +158,7 @@ class TestEngineBasics:
         # Bidirectional links are two directed links: no contention.
         array = LinearArray(5)
         pkts = make_packets([0, 4], [4, 0])
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=50)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=50)
         assert stats.completed
         assert stats.steps == 4
         assert all(p.delay == 0 for p in pkts)
@@ -167,7 +166,7 @@ class TestEngineBasics:
     def test_timeout_reports_incomplete(self):
         array = LinearArray(20)
         pkts = make_packets([0], [19])
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=5)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=5)
         assert not stats.completed
         assert stats.delivered == 0
 
@@ -183,7 +182,7 @@ class TestEngineBasics:
         array = LinearArray(6)
         k = 4
         pkts = make_packets([0] * k, [5] * k)
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=100)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=100)
         assert stats.completed
         assert stats.max_queue == k
         assert stats.max_node_load == k
@@ -192,7 +191,7 @@ class TestEngineBasics:
         array = LinearArray(6)
         pkts = make_packets([0, 0], [5, 5])
         pkts[1].injected_at = 3
-        stats = route_with_function(pkts, line_next_hop(array), max_steps=100)
+        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=100)
         assert stats.completed
         # First leaves immediately (arrives t=5); second injected at 3,
         # clear road, arrives 3+5=8.
@@ -205,7 +204,7 @@ class TestEngineBasics:
             return None if p.node == p.dest else None  # pretend delivered
 
         pkts = make_packets([0], [5])
-        stats = route_with_function(pkts, bad_next_hop, max_steps=10)
+        stats = SynchronousEngine().run(pkts, bad_next_hop, max_steps=10)
         # "delivered" at wrong node still counts as delivered by contract:
         # the policy is responsible for correctness.
         assert stats.completed
@@ -241,7 +240,7 @@ class TestNetworkDrained:
         pkts = make_packets([0], [5])
         pkts[0].arrived_at = 3
         with pytest.raises(RuntimeError) as exc:
-            route_with_function(pkts, line_next_hop(LinearArray(6)), max_steps=9)
+            SynchronousEngine().run(pkts, line_next_hop(LinearArray(6)), max_steps=9)
         assert isinstance(exc.value, NetworkDrainedError)
         assert exc.value.flight_tail == ()
 
@@ -339,23 +338,6 @@ class TestEngineCapacity:
         assert par.steps == 2  # both leave simultaneously
         assert ser.steps == 3  # serialized: one waits a step
 
-    def test_route_with_function_forwards_service_rate(self):
-        # The convenience wrapper used to drop node_service_rate silently.
-        array = LinearArray(5)
-
-        def next_hop(p):
-            if p.node == p.dest:
-                return None
-            return array.route_next(p.node, p.dest)
-
-        ser = route_with_function(
-            make_packets([2, 2], [0, 4]),
-            next_hop,
-            max_steps=50,
-            node_service_rate=1,
-        )
-        assert ser.steps == 3  # serialized, matching the engine directly
-
     def test_service_rate_ties_break_by_activation_order(self):
         # Node 0 drives two equal-length queues; with rate 1 the link
         # that became active first must win the tie, deterministically.
@@ -368,8 +350,8 @@ class TestEngineCapacity:
             order.append(p.dest)
             return None
 
-        stats = route_with_function(
-            pkts, next_hop, max_steps=50, node_service_rate=1
+        stats = SynchronousEngine(node_service_rate=1).run(
+            pkts, next_hop, max_steps=50
         )
         assert stats.completed
         assert order == [1, 2]  # packet to 1 enqueued (activated) first
@@ -393,13 +375,3 @@ class TestStats:
         stats = collect_stats(pkts, steps=2, max_queue=1, completed=True)
         assert stats.delivered == 2
         assert stats.max_delay == 1
-        assert stats.mean_delay == 0.5
-        assert stats.routing_time == 2
-
-    def test_normalized_time(self):
-        pkts = make_packets([0], [1])
-        pkts[0].hops, pkts[0].arrived_at = 1, 1
-        stats = collect_stats(pkts, steps=10, max_queue=1, completed=True)
-        assert stats.normalized_time(5) == 2.0
-        with pytest.raises(ValueError):
-            stats.normalized_time(0)

@@ -25,6 +25,7 @@ import numpy as np
 
 import pytest
 
+from conftest import batch_of
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.emulation.base import StepCost
 from repro.faults import RehashStormError
@@ -42,7 +43,6 @@ from repro.traffic import (
     DeterministicArrivals,
     OnlineEmulator,
     PoissonArrivals,
-    RequestBatch,
     TrafficRequest,
     UniformKeys,
     WorkloadGenerator,
@@ -220,10 +220,11 @@ class TestShardedEmulator:
             obs = Observer(flight_recorder=0)
             service = ShardedEmulator(make_factory("fast"), 4, SPACE, seed=42, observer=obs)
             costs.append(service.emulate_step(form))
-            spans.append([s.args for s in obs.tracer.spans() if s.name == "shard_scatter"])
+            events = obs.tracer.to_chrome_trace()["traceEvents"]
+            spans.append([e["args"] for e in events if e["name"] == "shard_scatter"])
             cells.append([service.memory.read(addr) for addr in step.addrs.tolist()])
         assert costs[0] == costs[1] and costs[0].requests == step.num_requests
-        assert spans[0] == spans[1] == [{"requests": step.num_requests}]
+        assert spans[0] == spans[1] == [{"requests": step.num_requests, "virtual_start": 0}]
         # every write landed with its own value
         assert cells[0] == cells[1] and set(step.values[~step.is_read]) <= set(cells[0])
 
@@ -460,7 +461,7 @@ class TestMultiTenantWorkload:
                 self.epochs = epochs
 
             def stream(self, epochs):
-                return [RequestBatch.from_requests(e) for e in self.epochs[:epochs]]
+                return [batch_of(e) for e in self.epochs[:epochs]]
 
         def lane(sizes, first_rid=0):
             rid, out = first_rid, []

@@ -75,6 +75,6 @@ def test_adversarial_permutation_equals_the_per_node_loop(n):
     star = StarGraph(n)
     loop = np.empty(star.num_nodes, dtype=np.int64)
     for v in range(star.num_nodes):
-        loop[v] = star.node_id(tuple(reversed(star.label(v))))
+        loop[v] = perm_rank(tuple(reversed(star.label(v))))
     out = adversarial_star_permutation(star)
     assert out.dtype == np.int64 and out.tolist() == loop.tolist()

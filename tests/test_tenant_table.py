@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import batch_of
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.faults import FaultSchedule
 from repro.sharding import (
@@ -31,8 +32,6 @@ from repro.traffic import (
     DeterministicArrivals,
     OnlineEmulator,
     PoissonArrivals,
-    RequestBatch,
-    ScanKeys,
     TrafficReport,
     TrafficRequest,
     UniformKeys,
@@ -114,7 +113,7 @@ def timeouts_and_faults():
     wl = WorkloadGenerator(
         4,
         arrivals=DeterministicArrivals(6.0),
-        keys=ScanKeys(4, scan_length=1),
+        keys=UniformKeys(4),
         read_fraction=0.0,
         seed=1,
     )
@@ -267,7 +266,7 @@ class _Batches:
 
     def stream(self, epochs):
         out = [self._epochs[k] if k < len(self._epochs) else [] for k in range(epochs)]
-        return [RequestBatch.from_requests(e) for e in out]
+        return [batch_of(e) for e in out]
 
 
 def test_label_first_seen_mid_run_pads_earlier_tables():

@@ -33,7 +33,6 @@ class TestDAryButterfly:
         assert net.num_levels == 2
         assert net.num_columns == 3
         assert net.degree == 3
-        assert net.total_nodes == 27
 
     def test_out_neighbors_rewrite_one_digit(self):
         net = DAryButterflyLeveled(3, 2)
@@ -66,6 +65,20 @@ class TestDAryButterfly:
         with pytest.raises(ValueError):
             DAryButterflyLeveled(2, 0)
 
+    def test_binary_out_neighbors_flip_one_bit(self):
+        net = DAryButterflyLeveled(2, 3)
+        # the binary butterfly: edge layer l goes straight or flips bit l
+        assert sorted(net.out_neighbors(1, 0b000)) == [0b000, 0b010]
+        assert sorted(net.out_neighbors(2, 0b101)) == [0b001, 0b101]
+
+    def test_last_column_has_no_out_links(self):
+        net = DAryButterflyLeveled(2, 3)
+        for level in (-1, net.num_levels):
+            with pytest.raises(ValueError):
+                net.validate_level(level)
+            with pytest.raises(ValueError):
+                net.out_neighbors(level, 0)
+
     @given(st.integers(0, 26), st.integers(0, 26))
     @settings(max_examples=40, deadline=None)
     def test_unique_path_property(self, src, dst):
@@ -93,8 +106,8 @@ class TestShuffleLeveled:
 
     def test_out_neighbors_are_shuffle_moves(self):
         net = ShuffleLeveled(3, 3)
-        v = net.shuffle.node_id((2, 1, 0))
-        expected = {net.shuffle.node_id((l, 2, 1)) for l in range(3)}
+        v = 2 * 9 + 1 * 3 + 0  # label (2, 1, 0)
+        expected = {l * 9 + 2 * 3 + 1 for l in range(3)}  # labels (l, 2, 1)
         for level in range(3):
             assert set(net.out_neighbors(level, v)) == expected
 
@@ -189,6 +202,41 @@ class TestStarLogical:
         batch = net.unique_next_batch(0, rows, dests)
         expected = net.unique_next(0, 17, 3)
         assert np.array_equal(batch, np.full(50, expected))
+
+
+FAMILIES = {
+    "butterfly": lambda: DAryButterflyLeveled(2, 3),
+    "shuffle": lambda: ShuffleLeveled(3, 2),
+    "star": lambda: StarLogicalLeveled(4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_out_neighbor_table_matches_out_neighbors(family):
+    """Row r of the dense table lists out_neighbors(level, r) in order,
+    so a coin c picks the same bridge in the compiled and scalar forms."""
+    net = FAMILIES[family]()
+    for level in range(net.num_levels):
+        table = net.out_neighbor_table(level)
+        assert table.shape == (net.column_size, net.degree)
+        for row in range(net.column_size):
+            assert table[row].tolist() == list(net.out_neighbors(level, row))
+
+
+@pytest.mark.parametrize("family", ["butterfly", "shuffle"])
+def test_unique_next_batch_matches_scalar(family):
+    """Every (row, dest) pair, level by level: the vectorized hop is the
+    scalar hop, and the walk ends on the destinations."""
+    net = FAMILIES[family]()
+    n = net.column_size
+    cur = np.repeat(np.arange(n), n)
+    dests = np.tile(np.arange(n), n)
+    for level in range(net.num_levels):
+        scalar = [net.unique_next(level, int(r), int(d)) for r, d in zip(cur, dests)]
+        batch = net.unique_next_batch(level, cur, dests)
+        assert batch.tolist() == scalar, f"level {level}"
+        cur = batch
+    assert np.array_equal(cur, dests)
 
 
 def test_unique_path_ending_on_the_wrong_row_is_a_route_stall():

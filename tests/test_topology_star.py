@@ -155,48 +155,3 @@ class TestStarRouting:
         s = StarGraph(5)
         path = s.greedy_path(u, v)
         assert len(path) - 1 == s.distance(u, v)
-
-
-class TestStarStages:
-    def test_stage_subgraph_key(self):
-        s = StarGraph(4)
-        v = s.node_id((1, 0, 2, 3))
-        assert s.stage_subgraph_key(v, 0) == ()
-        assert s.stage_subgraph_key(v, 1) == (3,)
-        assert s.stage_subgraph_key(v, 2) == (2, 3)
-
-    def test_stage_subgraphs_partition(self):
-        s = StarGraph(4)
-        keys = {}
-        for v in range(s.num_nodes):
-            keys.setdefault(s.stage_subgraph_key(v, 1), []).append(v)
-        # n subgraphs of size (n-1)!
-        assert len(keys) == 4
-        assert all(len(nodes) == 6 for nodes in keys.values())
-
-    def test_critical_point_paper_example(self):
-        # Paper: in the 4-star, BACD is the critical point of DACB at stage 1
-        # (symbols A,B,C,D -> 0,1,2,3).
-        s = StarGraph(4)
-        dacb = s.node_id((3, 0, 2, 1))
-        bacd = s.node_id((1, 0, 2, 3))
-        assert s.critical_point(dacb, 1) == bacd
-        assert s.critical_point(bacd, 1) == dacb
-
-    def test_critical_point_changes_subgraph(self):
-        s = StarGraph(5)
-        for v in (0, 13, 40, 77):
-            for i in (1, 2):
-                w = s.critical_point(v, i)
-                assert w in s.neighbors(v)
-                assert s.stage_subgraph_key(w, i) != s.stage_subgraph_key(v, i)
-                # but stays within the same (i-1)-th stage subgraph
-                if i > 1:
-                    assert s.stage_subgraph_key(w, i - 1) == s.stage_subgraph_key(v, i - 1)
-
-    def test_critical_point_bad_stage(self):
-        s = StarGraph(4)
-        with pytest.raises(ValueError):
-            s.critical_point(0, 0)
-        with pytest.raises(ValueError):
-            s.critical_point(0, 4)

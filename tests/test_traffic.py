@@ -20,6 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import batch_of, queued
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import (
@@ -29,7 +30,6 @@ from repro.traffic import (
     OnlineEmulator,
     PoissonArrivals,
     RequestBatch,
-    ScanKeys,
     TrafficReport,
     TrafficRequest,
     UniformKeys,
@@ -52,7 +52,6 @@ KEYS = {
     "uniform": lambda: UniformKeys(SPACE),
     "zipf": lambda: ZipfKeys(SPACE, exponent=1.2),
     "hotspot": lambda: HotspotKeys(SPACE, hot_addresses=3, hot_fraction=0.7),
-    "scan": lambda: ScanKeys(SPACE, scan_length=4),
 }
 
 
@@ -158,14 +157,14 @@ class TestRequestBatch:
             TrafficRequest(1, 2, 9, "write", 0, value=-5, tenant="a"),
             TrafficRequest(2, 1, 4, "write", 1, value=2, tenant="b"),
         ]
-        batch = RequestBatch.from_requests(reqs)
+        batch = batch_of(reqs)
         assert len(batch) == 3 and list(batch) == reqs
         assert batch.tenants == ("b", "a")
         assert list(batch[1:]) == reqs[1:] and len(batch[:0]) == 0
         # equality is by request, not by how the tenants were indexed
-        assert batch[1:] == RequestBatch.from_requests(reqs[1:])
+        assert batch[1:] == batch_of(reqs[1:])
         assert batch != batch[:2]
-        assert list(RequestBatch.from_requests([])) == []
+        assert list(batch_of([])) == []
 
 
 class TestArrivalProcesses:
@@ -213,13 +212,6 @@ class TestKeyDistributions:
         draws = keys.draw(20000, np.random.default_rng(6))
         hot_share = (draws < 2).mean()
         assert 0.75 < hot_share < 0.85
-
-    def test_scan_runs_are_consecutive(self):
-        draws = ScanKeys(SPACE, scan_length=8).draw(
-            64, np.random.default_rng(7)
-        )
-        runs = draws.reshape(8, 8)
-        assert ((np.diff(runs, axis=1) % SPACE) == 1).all()
 
 
 def _mesh_driver(engine, *, mode="crcw", capacity=None, flow="none", seed=9):
@@ -325,15 +317,14 @@ class TestDispatchHistory:
     def test_mesh_online_dispatches_batch_every_epoch(self):
         report = _mesh_driver("fast").run(15)
         assert report.num_epochs == 15
-        for modes in report.dispatch_history:
-            assert modes, "every epoch should have routed at least one run"
-            for m in modes:
+        for e in report.epochs:
+            assert e.run_modes, "every epoch should have routed at least one run"
+            for m in e.run_modes:
                 assert m == "batch", f"silent fallback to {m!r}"
-        assert report.last_run_mode == "batch"
 
     def test_mesh_credit_online_dispatches_constrained_batch(self):
         report = _mesh_driver("fast", capacity=3, flow="credit").run(12)
-        flat = [m for modes in report.dispatch_history for m in modes]
+        flat = [m for e in report.epochs for m in e.run_modes]
         assert flat, "no routing runs recorded"
         # Requests route under capacity (constrained batch); the CRCW
         # reply fan-out intentionally runs unconstrained (plain batch).
@@ -342,14 +333,14 @@ class TestDispatchHistory:
 
     def test_reference_engine_reports_reference_modes(self):
         report = _mesh_driver("reference").run(6)
-        flat = [m for modes in report.dispatch_history for m in modes]
+        flat = [m for e in report.epochs for m in e.run_modes]
         assert flat and set(flat) == {"reference"}
 
     def test_run_mode_counts(self):
         report = _mesh_driver("fast").run(6)
         counts = report.run_mode_counts()
         assert set(counts) == {"batch"}
-        assert counts["batch"] == sum(len(m) for m in report.dispatch_history)
+        assert counts["batch"] == sum(len(e.run_modes) for e in report.epochs)
 
 
 class TestAdmissionConservation:
@@ -418,8 +409,8 @@ class TestAdmissionConservation:
         # All-write workload so every admitted rid is observable.
         driver.workload.read_fraction = 0.0
         report = driver.run(12)
-        queued = [req.rid for req, _ in driver.queue]
-        all_rids = served + queued
+        waiting = [req.rid for req, _ in queued(driver)]
+        all_rids = served + waiting
         assert len(all_rids) == len(set(all_rids))  # no duplicates
         assert sorted(all_rids) == list(range(report.total_arrivals))
 
@@ -552,10 +543,8 @@ class TestTelemetry:
 
     def test_series_lengths(self, report):
         n = report.num_epochs
-        assert len(report.queue_depth_series()) == n
         assert len(report.credits_stalled_series()) == n
         assert len(report.throughput_series(window=4)) == n
-        assert len(report.sojourn_percentile_series(99, window=4)) == n
 
     def test_windowed_throughput_consistent_with_totals(self, report):
         full = report.throughput_series(window=report.num_epochs)[-1]
@@ -566,8 +555,17 @@ class TestTelemetry:
     def test_clock_is_cumulative_steps(self, report):
         assert report.epochs[-1].clock == report.total_steps
 
+    def test_str_names_the_totals(self, report):
+        text = str(report)
+        p = report.sojourn_percentiles()
+        assert text.startswith(f"TrafficReport(epochs={report.num_epochs}, ")
+        assert f"arrivals={report.total_arrivals}" in text
+        assert f"delivered={report.total_delivered}" in text
+        assert f"backlog={report.final_backlog}" in text
+        assert f"p99={p['p99']:.0f})" in text
+
     def test_sojourn_counts_match_deliveries(self, report):
-        assert len(report.sojourns) == report.total_delivered
+        assert sum(len(e.sojourns) for e in report.epochs) == report.total_delivered
 
     def test_to_dict_roundtrip_totals(self, report):
         d = report.to_dict()
@@ -613,11 +611,11 @@ class TestTelemetry:
             assert e.steps == 0 and e.run_modes == ()
 
 
-class TestHarnessIntegration:
-    def test_run_online_sweep(self):
-        from repro.experiments.harness import run_online_sweep
-
-        def driver_fn(rng, rate_frac):
+class TestSteadyStateSaturation:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overload_saturates_and_light_load_does_not(self, seed):
+        def steady(rate_frac):
+            rng = np.random.default_rng(seed)
             mesh = Mesh2D.square(4)
             n = mesh.num_nodes
             em = MeshEmulator(
@@ -629,17 +627,9 @@ class TestHarnessIntegration:
                 keys=UniformKeys(4 * n),
                 seed=rng,
             )
-            return OnlineEmulator(em, wl)
+            return OnlineEmulator(em, wl).run(10).steady_state()
 
-        rows = run_online_sweep(
-            driver_fn,
-            [{"rate_frac": 0.5}, {"rate_frac": 2.0}],
-            epochs=10,
-            trials=2,
-            seed=0,
-        )
-        assert len(rows) == 2
-        assert len(rows[0].samples["throughput_per_step"]) == 2
-        # The overloaded setting saturates; the light one does not.
-        assert rows[0].mean("saturated") == 0.0
-        assert rows[1].mean("saturated") == 1.0
+        light, overloaded = steady(0.5), steady(2.0)
+        assert light["throughput_per_step"] > 0
+        assert not light["saturated"]
+        assert overloaded["saturated"]
