@@ -27,7 +27,7 @@ t = Table(["n", "N = n!", "diameter", "log2(N)", "diam/log2(N)"])
 for n in range(4, 10):
     t.add_row(
         [n, star_nodes(n), star_diameter(n),
-         round(math.log2(star_nodes(n)), 1), round(sublogarithmic_gap(n, "star"), 3)]
+         round(math.log2(star_nodes(n)), 1), round(sublogarithmic_gap(n), 3)]
     )
 print(t.render())
 

@@ -412,8 +412,7 @@ def _affine_pid_coeff(node: ast.expr, pid_name: str) -> tuple[int, bool] | None:
 
     Handles ``pid``, integer constants, closure names (coefficient 0 but
     *inexact* — their value is unknown, so a surrounding multiply cannot
-    be proven nonzero), unary +/-, and +, -, * with at most one
-    pid-dependent factor.
+    be proven nonzero), ``+``, and ``*`` by a pid-free left factor.
     """
     if isinstance(node, ast.Name):
         if node.id == pid_name:
@@ -423,12 +422,6 @@ def _affine_pid_coeff(node: ast.expr, pid_name: str) -> tuple[int, bool] | None:
         if isinstance(node.value, int) and not isinstance(node.value, bool):
             return 0, True
         return None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        inner = _affine_pid_coeff(node.operand, pid_name)
-        if inner is None:
-            return None
-        coeff, exact = inner
-        return (-coeff if isinstance(node.op, ast.USub) else coeff), exact
     if isinstance(node, ast.BinOp):
         left = _affine_pid_coeff(node.left, pid_name)
         right = _affine_pid_coeff(node.right, pid_name)
@@ -437,38 +430,24 @@ def _affine_pid_coeff(node: ast.expr, pid_name: str) -> tuple[int, bool] | None:
         (lc, lex), (rc, rex) = left, right
         if isinstance(node.op, ast.Add):
             return lc + rc, lex and rex
-        if isinstance(node.op, ast.Sub):
-            return lc - rc, lex and rex
         if isinstance(node.op, ast.Mult):
-            # affine only when one side is pid-free
+            # affine only when the left side is an exact pid-free factor
             if lc == 0 and lex:
-                # exact integer constant on the left scales the right
+                # an integer literal on the left scales the right
                 const = _const_int(node.left)
                 if const is not None and rc != 0:
                     return const * rc, rex
                 return (0, lex and rex) if rc == 0 else None
-            if rc == 0 and rex:
-                const = _const_int(node.right)
-                if const is not None and lc != 0:
-                    return const * lc, lex
-                return (0, lex and rex) if lc == 0 else None
-            if lc == 0 and rc == 0:
-                return 0, False  # product of two unknowns: pid-free
             return None
         return None
     return None
 
 
 def _const_int(node: ast.expr) -> int | None:
-    """Literal integer value of *node* (through unary +/-), else None."""
+    """Literal integer value of *node*, else None."""
     if isinstance(node, ast.Constant) and isinstance(node.value, int) \
             and not isinstance(node.value, bool):
         return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        inner = _const_int(node.operand)
-        if inner is None:
-            return None
-        return -inner if isinstance(node.op, ast.USub) else inner
     return None
 
 

@@ -75,9 +75,8 @@ class LTS:
 # graph families
 # ---------------------------------------------------------------------------
 
-def gnp_graph(n: int, p: float, seed=None, *, max_edges: int | None = None) -> Graph:
-    """Erdős–Rényi G(n, p); ``max_edges`` caps m (first edges kept in a
-    seeded shuffle order, so the cap is deterministic too)."""
+def gnp_graph(n: int, p: float, seed=None) -> Graph:
+    """Erdős–Rényi G(n, p)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 <= p <= 1.0:
@@ -86,9 +85,6 @@ def gnp_graph(n: int, p: float, seed=None, *, max_edges: int | None = None) -> G
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     coins = rng.random(len(pairs))
     edges = [pair for pair, c in zip(pairs, coins) if c < p]
-    if max_edges is not None and len(edges) > max_edges:
-        order = rng.permutation(len(edges))[:max_edges]
-        edges = [edges[i] for i in sorted(order.tolist())]
     return Graph(n, tuple(edges))
 
 

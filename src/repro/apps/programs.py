@@ -179,35 +179,28 @@ def matching_components(graph: Graph) -> "ProgramSpec":
                 fu = yield Read(eu)
                 fv = yield Read(ev)
                 if fu != fv:
+                    # in a matching hi is still its own root, so the
+                    # hook's check read always passes and the hook writes
                     lo, hi = (fu, fv) if fu < fv else (fv, fu)
-                    fhi = yield Read(hi)
-                    if lo < fhi:
-                        yield Write(hi, lo)
-                    else:
-                        yield None
+                    yield Read(hi)
+                    yield Write(hi, lo)
                 else:
                     yield None
                     yield None
             else:
                 for _ in range(4):
                     yield None
-            if pid < n:
-                c = yield Read(pid)
-                # skipping the root lookup when c == pid is what keeps
-                # this EREW: matched partners would otherwise read the
-                # same parent cell concurrently
-                if c != pid:
-                    root = yield Read(c)
-                    if root != c:
-                        yield Write(pid, root)
-                    else:
-                        yield None
-                else:
-                    yield None
-                    yield None
+            # every pid is a vertex (m <= n / 2 in a matching)
+            c = yield Read(pid)
+            # skipping the root lookup when c == pid is what keeps this
+            # EREW: matched partners would otherwise read the same parent
+            # cell concurrently.  A hooked vertex's parent is a root
+            # (trees have depth 1), so the lookup never writes.
+            if c != pid:
+                yield Read(c)
             else:
-                for _ in range(3):
-                    yield None
+                yield None
+            yield None
 
     def verify(pram: PRAM) -> None:
         got = [pram.memory.read(v) for v in range(n)]

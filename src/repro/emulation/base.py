@@ -202,8 +202,6 @@ class EmulationReport:
 
     @property
     def mean_step_time(self) -> float:
-        if not self.costs:
-            return 0.0
         return self.total_network_steps / len(self.costs)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

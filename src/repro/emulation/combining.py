@@ -110,8 +110,6 @@ class ReplySpawner:
 
     def spawn_at(self, reply: Packet, here) -> "list[Packet]":
         """Child replies to inject at node *here*."""
-        if reply.kind != "reply":
-            return []
         request = reply.state[2]
         children = request.children
         if not children:

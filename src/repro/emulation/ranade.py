@@ -16,14 +16,15 @@ wide margin.  We reproduce the *mechanism* on its native butterfly and
 compare normalized constants (time / diameter) against the paper's
 emulators; see EXPERIMENTS.md (E10) for the substitution notes.
 
-Only EREW traces are measured through this baseline (combining still
-works, but reply fan-out for hot spots is not modeled here).
+Only EREW traces are measured through this baseline: a step's keys
+are distinct, so no two stream heads ever share one and combining is
+not modeled here.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.emulation.base import (
     AttemptLog,
@@ -42,13 +43,12 @@ _EOS = object()  # end-of-stream marker
 
 
 class _MergePacket:
-    __slots__ = ("key", "dest_row", "payload", "merged", "delivered_at")
+    __slots__ = ("key", "dest_row", "payload", "delivered_at")
 
     def __init__(self, key, dest_row: int, payload) -> None:
         self.key = key
         self.dest_row = dest_row
         self.payload = payload
-        self.merged: list["_MergePacket"] = []
         self.delivered_at: int | None = None
 
 
@@ -134,9 +134,6 @@ class RanadeEmulator(Emulator):
         delivered = 0
         t = 0
 
-        def tree_size(p: _MergePacket) -> int:
-            return 1 + sum(tree_size(m) for m in p.merged)
-
         while delivered < total:
             if t >= self.max_pass_steps:
                 # terminal: the baseline has no rehash / retry loop
@@ -176,9 +173,6 @@ class RanadeEmulator(Emulator):
                         target = (s + 1, nxt_r)
                         if s + 1 > k - 1 or occupancy[(target, r)] < cap:
                             ports[port].popleft()
-                            for op, q in ports.items():
-                                if op != port and q and q[0].key == pkt.key:
-                                    pkt.merged.append(q.popleft())
                             moves.append((pkt, target, r))
                             # the emitted key is also a promise to BOTH
                             # successors (the ghost to the other side)
@@ -195,9 +189,7 @@ class RanadeEmulator(Emulator):
                 s_t, _r_t = target
                 if s_t == k:
                     pkt.delivered_at = t
-                    delivered += tree_size(pkt)
-                    for m in pkt.merged:
-                        m.delivered_at = t
+                    delivered += 1
                 else:
                     buffers[target][from_row].append(pkt)
             for target, from_row, key in ghost_moves:

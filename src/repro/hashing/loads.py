@@ -30,9 +30,7 @@ def max_load(h, addresses) -> int:
 
 
 def _log_comb(n: float, k: float) -> float:
-    """log C(n, k) via lgamma (n may be large)."""
-    if k < 0 or k > n:
-        return float("-inf")
+    """log C(n, k) via lgamma (n may be large; 0 <= k <= n)."""
     return (
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     )

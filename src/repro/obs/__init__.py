@@ -87,9 +87,6 @@ class NullObserver:
     def count(self, name: str, inc: float = 1, **labels) -> None:
         pass
 
-    def gauge(self, name: str, value: float, **labels) -> None:
-        pass
-
     def observe(self, name: str, value: float, **labels) -> None:
         pass
 
@@ -137,10 +134,6 @@ class Observer(NullObserver):
     def count(self, name: str, inc: float = 1, **labels) -> None:
         if self.metrics is not None:
             self.metrics.counter(name, inc, **labels)
-
-    def gauge(self, name: str, value: float, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(name, value, **labels)
 
     def observe(self, name: str, value: float, **labels) -> None:
         if self.metrics is not None:

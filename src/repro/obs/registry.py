@@ -106,11 +106,9 @@ class MetricsRegistry:
         return name in self._metrics
 
     def value(self, name: str, **labels):
-        """Current value of one series (None if never recorded)."""
-        m = self._metrics.get(name)
-        if m is None:
-            return None
-        return m.series.get(_label_key(labels))
+        """Current value of one series of a registered metric (None if
+        that label set was never recorded)."""
+        return self._metrics[name].series.get(_label_key(labels))
 
     # -- export ----------------------------------------------------------
     def snapshot(self) -> dict:

@@ -22,7 +22,7 @@ write conflicts via :class:`WritePolicy`; every step is recorded into a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Mapping
+from typing import Callable, Generator, Mapping
 
 from repro.pram.memory import SharedMemory
 from repro.pram.trace import MemoryTrace, RequestColumns
@@ -78,7 +78,7 @@ class PRAM:
         mode: AccessMode = AccessMode.EREW,
         write_policy: WritePolicy = WritePolicy.COMMON,
         combine_op: str = "sum",
-        init: Mapping[int, object] | Iterable | None = None,
+        init: Mapping[int, object] | None = None,
         record_trace: bool = True,
         enforce_mode: bool = True,
         observer=None,
@@ -290,7 +290,7 @@ def run_program(
     mode: AccessMode = AccessMode.EREW,
     write_policy: WritePolicy = WritePolicy.COMMON,
     combine_op: str = "sum",
-    init: Mapping[int, object] | Iterable | None = None,
+    init: Mapping[int, object] | None = None,
     max_steps: int = 100_000,
     enforce_mode: bool = True,
     check_races: bool | AccessMode | None = None,

@@ -7,24 +7,20 @@ the whole paper is about making physically realizable.  Cells default to
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class SharedMemory:
     """M-cell shared memory with dense integer addresses."""
 
-    def __init__(self, size: int, init: Mapping[int, object] | Iterable | None = None) -> None:
+    def __init__(self, size: int, init: Mapping[int, object] | None = None) -> None:
         if size < 1:
             raise ValueError("memory size must be positive")
         self.size = size
         self._cells: dict[int, object] = {}
         if init is not None:
-            if isinstance(init, Mapping):
-                for addr, val in init.items():
-                    self.write(int(addr), val)
-            else:
-                for addr, val in enumerate(init):
-                    self.write(addr, val)
+            for addr, val in init.items():
+                self.write(int(addr), val)
 
     def _check(self, addr: int) -> None:
         if not 0 <= addr < self.size:

@@ -519,7 +519,7 @@ class SynchronousEngine:
             prof.add_mode("reference", wall_time() - _t_run0)
         if deadlocked:
             err = DeadlockError(
-                stats, detail=no_progress_detail(t, remaining, len(active), fc)
+                stats, detail=no_progress_detail(t, remaining, len(active))
             )
             if obs is not None:
                 err.flight_tail = obs.flight_tail()

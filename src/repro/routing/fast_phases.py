@@ -268,10 +268,8 @@ def link_tables(
 def pack_priorities(priorities, paths: FlatPaths) -> np.ndarray | None:
     """The per-position priority table of a run, flat, or ``None``.
 
-    *priorities* is either one integer queue priority per link position
-    of *paths* (flat, in their layout) or a 2-D table whose row i gives
-    packet i's priority at its k-th link crossing in column k (columns
-    past a row's hops are not read).  The result is the flat table, read
+    *priorities* is one integer queue priority per link position of
+    *paths* (flat, in their layout).  The result is the flat table, read
     through the flat cursor — the only priority state a run has,
     whatever range the values span.  Without priorities — or with all of
     them equal — queues are FIFO and there is no table.
@@ -279,20 +277,8 @@ def pack_priorities(priorities, paths: FlatPaths) -> np.ndarray | None:
     if priorities is None:
         return None
     prio = np.asarray(priorities)
-    hops = paths.hops
-    n_slots = int(hops.sum())
-    if prio.ndim == 2:
-        if prio.shape[0] != hops.size:
-            raise ValueError("one priority row per packet required")
-        if hops.size and prio.shape[1] < hops.max():
-            raise ValueError("one priority per link position required")
-        rows = np.repeat(np.arange(hops.size, dtype=np.int64), hops)
-        prio = prio[rows, segment_index(hops)]
-    elif prio.shape != (n_slots,):
-        raise ValueError(
-            "priorities must be 2-D (packets x link positions) or one per "
-            "link position"
-        )
+    if prio.shape != (int(paths.hops.sum()),):
+        raise ValueError("priorities must be one per link position")
     if not prio.size or prio.min() == prio.max():
         return None
     return prio.astype(np.int64, copy=False)
@@ -1465,8 +1451,6 @@ def resolve_residue_vector(
         if prof is not None:
             combining_dt = wall_time() - t0
             prof.add_phase("combining", combining_dt)
-    if not r_i.size:
-        return combining_dt, gone
     q_head = s.q_head
     q_tail = s.q_tail
     q_next = s.q_next
@@ -1552,7 +1536,7 @@ def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:
         escape_hops=fc.escape_hops if fc is not None else 0,
         fault_stalls=s.fault_stalls,
         deadlock=(
-            no_progress_detail(t, s.remaining, int(s.active.size), fc)
+            no_progress_detail(t, s.remaining, int(s.active.size))
             if deadlocked
             else None
         ),

@@ -161,21 +161,16 @@ class EscapeDoubleBookedError(RuntimeError):
         self.incoming = incoming
 
 
-def no_progress_detail(
-    t: int, remaining: int, queued_links: int, fc: "CreditState | None"
-) -> str:
+def no_progress_detail(t: int, remaining: int, queued_links: int) -> str:
     """Shared diagnostic line for a detected no-progress step.
 
     Used by the reference engine and both fast-engine modes so a
     :class:`DeadlockError` reads the same whichever simulator raised it.
     """
-    detail = (
+    return (
         f"no progress at t={t} with {remaining} packets queued "
         f"over {queued_links} links"
     )
-    if fc is not None and fc.escape_at:
-        detail += f" and {len(fc.escape_at)} escape buffers"
-    return detail
 
 
 class CreditState:

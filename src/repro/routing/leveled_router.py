@@ -195,7 +195,7 @@ class LeveledRouter(Router):
         sources: Sequence[int],
         dests: Sequence[int],
         *,
-        allotment: int | None = None,
+        allotment: int,
         max_rounds: int = 10,
     ) -> tuple[RoutingStats, int]:
         """Lemma 2.1's amplification: repeat the algorithm on stragglers.
@@ -213,9 +213,6 @@ class LeveledRouter(Router):
         *max_rounds* raise :class:`~repro.routing.engine.RoutingTimeout`
         with the last round's stats.
         """
-        L = self.net.num_levels
-        if allotment is None:
-            allotment = 3 * 2 * L  # deliberately tight: restarts do occur
         if allotment < 1 or max_rounds < 1:
             raise ValueError("allotment and max_rounds must be positive")
 

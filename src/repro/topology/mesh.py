@@ -16,9 +16,7 @@ class Mesh2D(Topology):
 
     name = "mesh"
 
-    def __init__(self, rows: int, cols: int | None = None) -> None:
-        if cols is None:
-            cols = rows
+    def __init__(self, rows: int, cols: int) -> None:
         if rows < 1 or cols < 1:
             raise ValueError("mesh needs positive dimensions")
         self.rows = rows

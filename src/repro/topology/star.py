@@ -210,10 +210,9 @@ class StarGraph(Topology):
             return cur
         cur_p = perm_unrank(cur, self.n)
         dest_p = perm_unrank(dest, self.n)
-        rel = self._relative(cur_p, dest_p)
-        j = greedy_move_to_identity(rel)
-        if j == 0:
-            return cur
+        # cur != dest: the relative permutation is not the identity, so
+        # the greedy move is a real swap
+        j = greedy_move_to_identity(self._relative(cur_p, dest_p))
         return perm_rank(swap_j(cur_p, j))
 
     def distance(self, u: int, v: int) -> int:

@@ -610,7 +610,6 @@ def _publish(obs, record: EpochRecord) -> None:
     obs.count("requests_admitted_total", record.admitted)
     if record.dropped:
         obs.count("requests_dropped_total", record.dropped)
-    obs.gauge("backlog_requests", record.backlog)
     obs.record(
         "epoch",
         virtual_clock=record.clock,

@@ -135,8 +135,6 @@ class RequestBatch:
             )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RequestBatch):
-            return NotImplemented
         return list(self) == list(other)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -433,8 +433,8 @@ class TrafficReport:
         if len(tail) < 2:
             return False
         mid = len(tail) // 2
-        first = sum(e.backlog for e in tail[:mid]) / max(mid, 1)
-        second = sum(e.backlog for e in tail[mid:]) / max(len(tail) - mid, 1)
+        first = sum(e.backlog for e in tail[:mid]) / mid
+        second = sum(e.backlog for e in tail[mid:]) / (len(tail) - mid)
         mean_arrivals = sum(e.arrivals for e in tail) / len(tail)
         return second > first and tail[-1].backlog > mean_arrivals
 

@@ -30,12 +30,8 @@ def spawn_generators(seed, n: int) -> list[np.random.Generator]:
 
     Used when an experiment fans out over trials: each trial gets its own
     stream so trials are independent yet the whole sweep replays from one
-    seed.
+    seed (an int, ``None`` or a ``SeedSequence``).
     """
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing seeds from the parent stream.
-        seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
@@ -56,29 +52,15 @@ def random_partial_permutation(
 
 
 def random_h_relation(
-    rng: np.random.Generator, n: int, h: int, *, total: int | None = None
+    rng: np.random.Generator, n: int, h: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A random partial h-relation on ``n`` nodes (§2.2.1).
+    """A random h-relation on ``n`` nodes (§2.2.1).
 
-    At most ``h`` packets originate at any node and at most ``h`` packets
-    share a destination.  Built by superposing ``h`` random partial
-    permutations; ``total`` (defaults to ``h * n``) caps the number of
-    packets.  Returns ``(sources, dests)``.
+    Every node originates exactly ``h`` packets and ``h`` packets share
+    each destination: ``h`` random permutations superposed.  Returns
+    ``(sources, dests)``.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
-    cap = h * n if total is None else total
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    remaining = cap
-    for _ in range(h):
-        k = min(n, remaining)
-        if k <= 0:
-            break
-        s, d = random_partial_permutation(rng, n, k)
-        srcs.append(s)
-        dsts.append(d)
-        remaining -= k
-    if not srcs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    srcs, dsts = zip(*(random_partial_permutation(rng, n, n) for _ in range(h)))
     return np.concatenate(srcs), np.concatenate(dsts)

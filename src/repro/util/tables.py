@@ -41,8 +41,6 @@ class Table:
     @staticmethod
     def _fmt(v: Any) -> str:
         if isinstance(v, float):
-            if v != v:  # NaN
-                return "nan"
             if abs(v) >= 1000 or (abs(v) < 0.01 and v != 0):
                 return f"{v:.3g}"
             return f"{v:.3f}".rstrip("0").rstrip(".")

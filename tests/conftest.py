@@ -67,3 +67,12 @@ def queued(drv) -> list:
     """An ``OnlineEmulator``'s queued ``(request, arrival_clock)`` pairs
     in FIFO order, the requests as row views of its pending table."""
     return list(zip(drv._views(drv._table), drv._table[STAMP].tolist()))
+
+
+def flat_priorities(table, paths):
+    """A hand-built priority table (row i: packet i's priority at its
+    k-th link crossing; columns past its hops unread) as the engine's
+    flat column, one priority per link position of *paths*' rows."""
+    if table is None:
+        return None
+    return [row[k] for row, path in zip(table, paths) for k in range(len(path) - 1)]

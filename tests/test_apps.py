@@ -32,7 +32,6 @@ from repro.apps import (
     bisimulation,
     bisimulation_oracle,
     bounded_degree_graph,
-    broken_erew_components,
     build_emulator,
     connected_components,
     connected_components_oracle,

@@ -50,6 +50,7 @@ from repro.routing import (
     route_linear,
 )
 from repro.topology import Mesh2D
+from conftest import flat_priorities
 from test_fast_engine import assert_stats_equal, run_packets
 
 #: ``(SCALAR_RUN_MAX, SCALAR_RESIDUE_MAX)`` values that send every run
@@ -150,7 +151,7 @@ def run_both(
             paths if ragged else np.asarray(paths, dtype=np.int64),
             num_nodes=num_nodes,
             max_steps=max_steps,
-            priorities=priorities,
+            priorities=flat_priorities(priorities, paths),
             spawn_plan=spawn_plan,
             link_faults=faults(),
         )

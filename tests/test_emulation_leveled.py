@@ -1,19 +1,20 @@
 """Tests for PRAM emulation on leveled networks (Theorems 2.5-2.6)."""
 
-import numpy as np
 import pytest
 
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.faults import FaultSchedule
 from repro.obs import Observer
+from repro.routing import DeadlockError
 from repro.pram import (
-    AccessMode,
     MemoryTrace,
+    Read,
     RequestColumns,
+    Write,
     WritePolicy,
-    hotspot_step,
     permutation_step,
     random_trace,
+    run_program,
 )
 from repro.topology import (
     DAryButterflyLeveled,
@@ -222,6 +223,54 @@ class TestRehashing:
         assert sum(e["name"] == "rehash" for e in spans) == emu.max_rehashes
         last = [e["args"] for e in spans if e["name"] == "route_attempt"][-1]
         assert last["last_resort"] and last["attempt"] == emu.max_rehashes + 1
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("network", ["leveled", "mesh"])
+    def test_a_wedged_request_run_is_rehashed_and_retried(self, network, engine):
+        # The first request run stops after WEDGE steps and raises
+        # DeadlockError, as a wedged credit run does: the attempt counts
+        # as failed, one rehash follows, and the retry completes the step.
+        WEDGE = 2
+        if network == "leveled":
+            emu = LeveledEmulator(_net(), 64, seed=31, engine=engine)
+        else:
+            emu = MeshEmulator(Mesh2D.square(4), 64, seed=31, engine=engine)
+        make_router, wedged = emu._make_router, []
+
+        def wedge_once(engine_mode, fault_base=0):
+            router = make_router(engine_mode, fault_base)
+            if not wedged:
+                route = router.route
+
+                def wedged_route(sources, modules, *, max_steps, combine_keys):
+                    stats = route(sources, modules, max_steps=WEDGE, combine_keys=combine_keys)
+                    wedged.append(stats)
+                    raise DeadlockError(stats, "wedged on purpose")
+
+                router.route = wedged_route
+            return router
+
+        emu._make_router = wedge_once
+        n = 16
+
+        def program(pid, nprocs):
+            mine = yield Read(pid)
+            yield Write((pid * 5) % n + n, mine + pid)
+
+        init = {a: 10 * a for a in range(n)}
+        for addr, value in init.items():
+            emu.memory.write(addr, value)
+        pram = run_program(program, n, 2 * n, init=init)
+        costs = [emu.emulate_step(step) for step in pram.trace]
+        assert len(wedged) == 1 and not wedged[0].completed
+        assert wedged[0].steps == WEDGE
+        first = costs[0]
+        assert first.deadlock_retries == 1
+        assert first.stall_steps == WEDGE
+        assert first.rehashes == emu.rehash_count == 1
+        assert len(first.run_modes) == 3  # the wedged attempt, the retry, the replies
+        assert [c.deadlock_retries for c in costs[1:]] == [0]
+        assert emu.memory.snapshot(0, 2 * n) == pram.memory.snapshot(0, 2 * n)
 
     def test_normal_runs_do_not_rehash(self):
         net = _net()

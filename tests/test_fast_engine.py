@@ -684,7 +684,7 @@ class TestFastPathEngineUnit:
             # these used to surface as IndexErrors from inside the step loop
             ([[0, 1], [0, 5], [0, 1]], None, r"paths name node id 5", {}),
             ([[0, 1], [-1, 1], [0, 1]], None, r"paths name node id -1", {}),
-            ([[0, 1]] * 3, None, "priorities must be 2-D", {"priorities": np.array([1, 2])}),
+            ([[0, 1]] * 3, None, "priorities must be one per link position", {"priorities": np.array([1, 2])}),
             (
                 [[0, 1]] * 3,
                 None,

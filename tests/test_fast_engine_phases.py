@@ -44,6 +44,7 @@ from repro.routing.fast_phases import (
 from repro.routing import LeveledRouter
 from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh, segment_index
+from conftest import flat_priorities
 from test_batch_arrival import DownUntil, forced_lane
 
 
@@ -60,6 +61,7 @@ def flat(rows) -> FlatPaths:
 
 
 def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
+    priorities = flat_priorities(kwargs.pop("priorities", None), paths)
     paths = flat(paths)
     n = paths.offsets.size - 1
     last = paths.hops if last is None else ids(*last)
@@ -71,7 +73,7 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
         last,
         np.zeros(n, dtype=np.int64),
         None if gid is None else ids(*gid),
-        kwargs.pop("priorities", None),
+        priorities,
         num_nodes=num_nodes,
         **kwargs,
     )
@@ -175,17 +177,16 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
 def test_priority_packing():
     paths = flat([[0, 1, 2], [3, 1, 2]])
     assert pack_priorities(None, paths) is None
-    prio_flat = pack_priorities([[5, 7, 9], [6, 5, 9]], paths)
-    # a 2-D table is read row by row up to each row's hops; extra
-    # columns past the link positions are not read
+    # the table is already in the layout of the link positions
+    prio_flat = pack_priorities([5, 7, 6, 5], paths)
     assert prio_flat.dtype == np.int64 and prio_flat.tolist() == [5, 7, 6, 5]
-    # a flat table is already in the layout of the link positions
-    assert pack_priorities(ids(5, 7, 6, 5), paths).tolist() == [5, 7, 6, 5]
     # ragged rows: one entry per hop, nothing for the short row's tail
     ragged = flat([[0], [3, 1, 2], [4, 2]])
-    assert pack_priorities([[9, 9], [6, 5], [8, 9]], ragged).tolist() == [6, 5, 8]
+    assert pack_priorities([6, 5, 8], ragged).tolist() == [6, 5, 8]
+    with pytest.raises(ValueError, match="one per link position"):
+        pack_priorities([[5, 7], [6, 5]], paths)
     # equal priorities order nothing: FIFO, no table
-    assert pack_priorities(np.full((2, 2), 4), paths) is None
+    assert pack_priorities(np.full(4, 4), paths) is None
 
 
 def test_run_state_is_sized_by_links_whatever_the_priority_range():

@@ -150,6 +150,8 @@ class TestLemma22:
         bound = lemma22_bound(s_size, 32, delta=4, gamma=gamma, p=family.p)
         emp = empirical_overflow_rate(family, s_size, gamma, trials=120, seed=9)
         assert emp <= bound + 0.05
+        # and it counts what it sees: every function loads some module once
+        assert empirical_overflow_rate(family, s_size, 1, trials=4, seed=9) == 1.0
 
     def test_paper_regime_is_tiny(self):
         # γ = cℓ with S=cℓ coefficients: the probability the routing

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import forced_run_lane
+from conftest import flat_priorities, forced_run_lane
 
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.routing import FastPathEngine, SynchronousEngine, furthest_first_factory
@@ -50,7 +50,7 @@ def routed(paths, *, inject, priorities=None, addresses=None, spawn_plan=None,
         paths,
         num_nodes=num_nodes,
         max_steps=max_steps,
-        priorities=priorities,
+        priorities=flat_priorities(priorities, paths),
         spawn_plan=spawn_plan,
         link_faults=faults(),
     )

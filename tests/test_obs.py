@@ -216,7 +216,6 @@ class TestObserverComposition:
         with obs.span("x", virtual_clock=1) as sp:
             sp.virtual_end = 2  # must tolerate the live-span protocol
         obs.count("a_total")
-        obs.gauge("b_now", 1)
         obs.observe("c_steps", 1)
         obs.record("step")
         assert obs.flight_tail() == ()
@@ -237,14 +236,12 @@ class TestObserverComposition:
     def test_full_observer_routes_hooks(self):
         obs = Observer(flight_recorder=2)
         obs.count("a_total", 3)
-        obs.gauge("b_now", 7)
         obs.observe("c_steps", 5)
         with obs.span("s", virtual_clock=0) as sp:
             sp.virtual_end = 1
         for i in range(5):
             obs.record("step", virtual_clock=i)
         assert obs.metrics.value("a_total") == 3
-        assert obs.metrics.value("b_now") == 7
         assert len(obs.tracer) == 1
         assert [e["virtual_clock"] for e in obs.flight_tail()] == [3, 4]
 

@@ -32,10 +32,6 @@ class TestSharedMemory:
         with pytest.raises(IndexError):
             m.write(-1, 0)
 
-    def test_init_from_iterable(self):
-        m = SharedMemory(5, init=[10, 20, 30])
-        assert m.snapshot(0, 3) == [10, 20, 30]
-
     def test_init_from_mapping(self):
         m = SharedMemory(5, init={4: "end"})
         assert m.read(4) == "end"
@@ -92,7 +88,7 @@ class TestMachineBasics:
             v = yield Read(pid)
             yield Write(pid + n, v * 2)
 
-        pram = run_program(program, 4, 8, init=[1, 2, 3, 4])
+        pram = run_program(program, 4, 8, init={0: 1, 1: 2, 2: 3, 3: 4})
         assert pram.memory.snapshot(4, 8) == [2, 4, 6, 8]
         assert pram.steps_executed == 2
 
@@ -110,7 +106,7 @@ class TestMachineBasics:
             other = yield Read(1 - pid)
             yield Write(pid, other)
 
-        pram = run_program(program, 2, 2, init=[10, 20])
+        pram = run_program(program, 2, 2, init={0: 10, 1: 20})
         assert pram.memory.snapshot(0, 2) == [20, 10]
 
     def test_processors_may_halt_early(self):
@@ -171,7 +167,7 @@ class TestModeEnforcement:
             v = yield Read(0)
             yield Write(1 + pid, v)
 
-        pram = run_program(program, 2, 3, mode=AccessMode.CREW, init=[7])
+        pram = run_program(program, 2, 3, mode=AccessMode.CREW, init={0: 7})
         assert pram.memory.snapshot(1, 3) == [7, 7]
 
     def test_crew_rejects_concurrent_writes(self):
@@ -237,7 +233,7 @@ class TestTraceRecording:
             v = yield Read(pid)
             yield Write(n + pid, v)
 
-        pram = run_program(program, 3, 6, init=[1, 2, 3])
+        pram = run_program(program, 3, 6, init={0: 1, 1: 2, 2: 3})
         assert len(pram.trace) == 2
         step0, step1 = pram.trace.steps
         assert step0.is_read.tolist() == [True] * 3

@@ -1,7 +1,6 @@
 """Tests for the PRAM program library and synthetic traces."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.pram import (
     ALL_PROGRAM_BUILDERS,
-    AccessMode,
     boolean_or,
     broadcast,
     find_max,

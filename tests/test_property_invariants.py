@@ -8,7 +8,7 @@ from repro.analysis import queue_line_check
 from repro.emulation import LeveledEmulator
 from repro.pram import RequestColumns
 from repro.routing import LeveledRouter, MeshRouter, SynchronousEngine, make_packets
-from repro.topology import DAryButterflyLeveled, DWayShuffle, Mesh2D, StarGraph
+from repro.topology import DAryButterflyLeveled, Mesh2D, StarGraph
 
 
 class TestRoutingInvariants:

@@ -394,6 +394,20 @@ class TestSymbolicScan:
         scan = scan_program_addresses(lambda pid, n: iter(()))
         assert not scan.parsed
         assert not scan.proves_exclusive
+        # no source at all (a builtin), and source that does not parse
+        assert not scan_program_addresses(len).parsed
+        assert not scan_program_addresses("def p(pid, n) yield").parsed
+
+    def test_outside_the_affine_fragment_is_data_dependent(self):
+        # a call folds to nothing, and neither do pid - c or pid * c
+        scan = scan_program_addresses(
+            "def p(pid, n):\n"
+            "    v = yield Read(pid + len(XS))\n"
+            "    w = yield Read(pid - 1)\n"
+            "    yield Write(pid * 2, v)\n"
+        )
+        assert scan.parsed
+        assert [s.klass for s in scan.sites] == [AddressClass.DATA_DEPENDENT] * 3
 
     def test_scan_agrees_with_trace_on_library_erew_programs(self):
         """Advisory static proof, where it fires, must agree with the

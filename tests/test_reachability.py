@@ -1,5 +1,6 @@
-"""``tools/reachability.py``: the audit's classification on a tiny
-package, and a ``KEEP`` table that names only functions that exist."""
+"""``tools/reachability.py``: the audit's classification of functions
+and arms on a tiny package, and a ``KEEP`` table that names only
+functions and arms that exist."""
 
 import json
 import subprocess
@@ -12,6 +13,20 @@ from tools import reachability
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: a served function with an untaken arm ending in ``raise`` and an
+#: untaken ``else``
+BRANCHY = """
+def branchy(x):
+    if x is None:
+        raise ValueError("x")
+    if x > 0:
+        return 1
+    else:
+        x = -x
+        return x
+"""
+
+
 def _package(tmp_path: Path, source: str) -> Path:
     pkg = tmp_path / "pkg"
     pkg.mkdir()
@@ -22,7 +37,7 @@ def _package(tmp_path: Path, source: str) -> Path:
 def test_a_served_a_tested_and_a_dead_function_are_told_apart(tmp_path):
     pkg = _package(
         tmp_path,
-        """
+        textwrap.dedent("""
         def served():
             return 1
 
@@ -31,9 +46,9 @@ def test_a_served_a_tested_and_a_dead_function_are_told_apart(tmp_path):
 
         def dead():
             return 3
-        """,
+        """) + BRANCHY,
     )
-    (tmp_path / "serve.py").write_text("import pkg\npkg.served()\n")
+    (tmp_path / "serve.py").write_text("import pkg\npkg.served()\npkg.branchy(1)\n")
     (tmp_path / "check.py").write_text("import pkg\npkg.served()\npkg.tested()\n")
     out = tmp_path / "report.json"
     proc = subprocess.run(
@@ -48,12 +63,34 @@ def test_a_served_a_tested_and_a_dead_function_are_told_apart(tmp_path):
     statuses = {key: f["status"] for key, f in report["functions"].items()}
     assert statuses == {
         "pkg:served": "served", "pkg:tested": "tests-only", "pkg:dead": "unreached",
+        "pkg:branchy": "served",
     }
-    assert report["counts"] == {"served": 1, "tests-only": 1, "unreached": 1}
-    # neither is a dunder, a stub or on KEEP: --check fails on both
+    assert report["counts"] == {"served": 2, "tests-only": 1, "unreached": 1}
+    # the served function's arms: the untaken raise is kept by rule, the
+    # untaken else is not
+    assert report["arms"] == {
+        "pkg:branchy | if x is None:": {"status": "unreached", "lines": 1, "keep": "a"},
+        "pkg:branchy | if x > 0:": {"status": "served", "lines": 1, "keep": None},
+        "pkg:branchy | else of if x > 0:": {"status": "unreached", "lines": 2, "keep": None},
+    }
+    # none is a dunder, a stub or on KEEP: --check fails on all three
     assert proc.returncode == 1
-    assert report["rejected"] == ["pkg:dead", "pkg:tested"]
+    assert report["rejected"] == ["pkg:branchy | else of if x > 0:", "pkg:dead", "pkg:tested"]
     assert "not kept: pkg:dead (unreached)" in proc.stderr
+    assert "not kept: pkg:branchy | else of if x > 0: (unreached)" in proc.stderr
+
+
+def test_an_arm_keep_entry_matches_by_header_after_the_lines_shift(tmp_path, monkeypatch):
+    monkeypatch.setitem(reachability.KEEP, "pkg:branchy | else of if x > 0:", "a")
+    for shift in (0, 7):
+        root = tmp_path / f"shift{shift}"
+        root.mkdir()
+        pkg = _package(root, "\n" * shift + BRANCHY)
+        (root / "serve.py").write_text("import pkg\npkg.branchy(1)\n")
+        served = reachability.trace([[str(root / "serve.py")]], pkg, root, "served")
+        report = reachability.classify(reachability.inventory(pkg), served, {})
+        assert report["arms"]["pkg:branchy | else of if x > 0:"]["keep"] == "a"
+        assert report["rejected"] == []
 
 
 def test_functions_are_keyed_by_qualname_and_stubs_kept_by_rule(tmp_path):
@@ -100,10 +137,13 @@ def test_functions_are_keyed_by_qualname_and_stubs_kept_by_rule(tmp_path):
     assert found["pkg:Shape.name"].lines == 2 + 2
 
 
-def test_every_keep_entry_names_a_function_that_exists():
-    """A rename or deletion of a kept function has to update ``KEEP``."""
+def test_every_keep_entry_names_a_function_or_arm_that_exists():
+    """A rename or deletion of a kept function, or an edit of a kept
+    arm's header, has to update ``KEEP``."""
     found = reachability.inventory(reachability.DEFAULT_SRC)
-    assert not set(reachability.KEEP) - set(found)
+    arms = {arm.key: arm for fn in found.values() for arm in fn.arms}
+    assert not set(reachability.KEEP) - set(found) - set(arms)
     assert set(reachability.KEEP.values()) <= set("abcde")
-    # rule f needs no entry
-    assert not [key for key in reachability.KEEP if found[key].by_rule]
+    # rule f, and an arm ending in raise, need no entry
+    assert not [key for key in reachability.KEEP if key in found and found[key].by_rule]
+    assert not [key for key in reachability.KEEP if key in arms and arms[key].raises]

@@ -49,7 +49,7 @@ class TestRouteWithRestarts:
         with pytest.raises(ValueError):
             router.route_with_restarts([0], [0], allotment=0)
         with pytest.raises(ValueError):
-            router.route_with_restarts([0], [0], max_rounds=0)
+            router.route_with_restarts([0], [0], allotment=6, max_rounds=0)
 
     def test_aggregate_stats_cover_all_packets(self):
         net = DAryButterflyLeveled(2, 5)

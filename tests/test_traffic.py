@@ -541,6 +541,13 @@ class TestTelemetry:
         p = report.sojourn_percentiles()
         assert p["p50"] <= p["p95"] <= p["p99"]
 
+    def test_a_short_tail_has_no_percentiles_and_no_trend(self, report):
+        # past every epoch there is no sojourn to rank
+        p = report.sojourn_percentiles(skip_epochs=report.num_epochs)
+        assert all(np.isnan(v) for v in p.values())
+        # one epoch has no two halves to compare: never saturated
+        assert report.steady_state(skip_epochs=report.num_epochs - 1)["saturated"] == 0.0
+
     def test_series_lengths(self, report):
         n = report.num_epochs
         assert len(report.credits_stalled_series()) == n

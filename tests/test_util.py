@@ -40,10 +40,6 @@ class TestRng:
         assert draws1 == draws2
         assert len(set(draws1)) == 3  # overwhelmingly likely distinct
 
-    def test_spawn_from_generator(self):
-        gens = spawn_generators(as_generator(5), 4)
-        assert len(gens) == 4
-
     def test_partial_permutation_distinctness(self):
         s, d = random_partial_permutation(as_generator(3), 20, 12)
         assert len(set(s.tolist())) == 12
@@ -60,10 +56,6 @@ class TestRng:
         dst_counts = np.bincount(d, minlength=30)
         assert src_counts.max() <= 3
         assert dst_counts.max() <= 3
-
-    def test_h_relation_total_cap(self):
-        s, d = random_h_relation(as_generator(1), 10, 4, total=25)
-        assert len(s) == 25
 
     def test_h_relation_rejects_bad_h(self):
         with pytest.raises(ValueError):

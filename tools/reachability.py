@@ -1,11 +1,11 @@
-"""Reachability audit: which functions of ``src/repro`` does anything run?
+"""Reachability audit: which functions of ``src/repro``, and which
+branch arms inside them, does anything run?
 
-Every function of the package (found by ``ast``: module functions,
-methods, nested functions) is classified by two traced sets of entry
-points, each entry run in its own subprocess under a temporary
-``sitecustomize.py`` that installs ``sys.setprofile`` and
-``threading.setprofile`` and, at exit, writes the ``(file, qualname)``
-of every code object it saw called:
+Two sets of entry points are traced, each entry in its own subprocess
+under a temporary ``sitecustomize.py`` that installs ``sys.settrace``
+and ``threading.settrace``.  The hook follows line events only in
+frames whose code lies under ``--src`` and, at exit, writes the lines
+each code object ran:
 
 - **served** — reached by the served set: one ``--seconds 1 --trace 1``
   unit of each e2e workload (``benchmarks/e2e/run.py``, run read-only
@@ -15,18 +15,32 @@ of every code object it saw called:
 - **tests-only** — reached by tier-1 (``pytest``) and nothing served;
 - **unreached** — reached by neither.
 
-A function is matched on ``(path, qualname)``, never on a line number:
-decorators move ``co_firstlineno``.  Two definitions with one qualname
-(a property's getter and setter) are one entry.
+Every function of the package (found by ``ast``: module functions,
+methods, nested functions) gets a status: it ran if a code object
+starting on its first line (its first decorator's, or its ``def``)
+ran a line.  It is keyed ``module:qualname``, never by a line number;
+two definitions with one qualname (a property's getter and setter)
+are one entry.
+
+Inside a served function the unit of verdict is the **arm**: the body
+of an ``if`` / ``elif`` / ``else`` / ``except`` / try-``else`` / ``match
+case``.  An arm ran if any line of its body (its header's lines
+excepted) ran.  It is keyed by its function's key and its
+``ast.unparse``d header (``pkg.mod:f | if x is None:``, ``... | else of
+if x is None:``, a ``#2`` suffix on a repeated header), never by a line
+number.
 
 A function that is not served is *kept* by rule when it is a dunder or
 an abstract stub (reason f), or by the ``KEEP`` table below (reasons
-a-e, see ``REASONS``).  ``--check`` exits 1 on any unreached function
-outside rule f and on any tests-only function that is neither kept by
-rule nor on ``KEEP``.
+a-e, see ``REASONS``).  An arm that is not served is kept by rule when
+its last statement is a ``raise`` (reason a), or by a ``KEEP`` entry
+under its arm key.  ``--check`` exits 1 on any unreached function
+outside rule f, on any tests-only function that is neither kept by
+rule nor on ``KEEP``, and on any unkept arm.
 
-The JSON report maps each function (``module:qualname``) to its status,
-its line count and its keep reason, with the counts per status.
+The JSON report maps each function (``module:qualname``) and each arm
+of a served function to its status, its line count and its keep
+reason, with the counts per status.
 
 Run:  python tools/reachability.py [--check] [--out PATH]
           [--src DIR] [--served=ARGS ...] [--tests=ARGS ...]
@@ -34,7 +48,7 @@ Run:  python tools/reachability.py [--check] [--out PATH]
 ``--served`` / ``--tests`` replace the default entry sets; each ARGS is
 the argument list of one Python interpreter, split like a shell line
 (``--served='examples/quickstart.py'``, ``--tests='-m pytest -q'``).
-The full audit traces tier-1 too, so it costs a few minutes.
+Line tracing is slow: the full audit takes about five minutes.
 """
 
 from __future__ import annotations
@@ -48,7 +62,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -63,8 +78,9 @@ REASONS = {
     "f": "a dunder or an abstract stub (kept by rule)",
 }
 
-#: tests-only functions that stay, each with its reason (a-e above);
-#: rule f (dunders, abstract stubs) needs no entry
+#: tests-only functions, and non-served arms of served functions, that
+#: stay, each with its reason (a-e above); rule f (dunders, abstract
+#: stubs) and arms ending in ``raise`` need no entry
 KEEP = {
     # (a) safety code: invariant checks, validation, failure and retry paths
     "repro.routing.fast_phases:check_invariants": "a",
@@ -133,33 +149,178 @@ KEEP = {
     "repro.util.stats:chernoff_upper": "e",
     "repro.util.stats:hoeffding_poisson_tail": "e",
     "repro.util.stats:poisson_tail": "e",
+    # ---- arms of served functions, keyed "function | header" ----------
+    # (a) the race detector's verdicts, and the address scan's soundness
+    # (names bound in the body) and tractability boundary
+    "repro.analysis.races:ConflictChecker.check_step | if wr and rd:": "a",
+    "repro.analysis.races:classify_program | if violations:": "a",
+    "repro.analysis.races:classify_program | else of elif analysis.minimal_mode is spec.mode:":
+        "a",
+    "repro.analysis.races:find_violations | elif r.kind is ConflictKind.WRITE_WRITE and "
+    "write_policy is WritePolicy.COMMON and (not r.values_agree):": "a",
+    "repro.analysis.races:_affine_pid_coeff | if left is None or right is None:": "a",
+    "repro.analysis.races:scan_program_addresses | except (OSError, TypeError, SyntaxError):":
+        "a",
+    "repro.analysis.races:scan_program_addresses | if func is None or not func.args.args:": "a",
+    "repro.analysis.races:scan_program_addresses | elif isinstance(node, ast.For):": "a",
+    "repro.analysis.races:scan_program_addresses | elif node.target is not None:": "a",
+    "repro.analysis.races:scan_program_addresses.<locals>.classify | "
+    "if isinstance(sub, ast.Name) and sub.id in local_names:": "a",
+    "repro.analysis.races:scan_program_addresses.<locals>.classify | if affine is None:": "a",
+    # (a) the request phase's rehash-and-retry loop (section 2.1) and the
+    # fault vocabulary's recovery half
+    "repro.emulation.base:Emulator._route_requests | except DeadlockError as exc:": "a",
+    "repro.emulation.base:Emulator._route_requests | if wedged:": "a",
+    "repro.emulation.base:Emulator._route_requests | "
+    "if rehash and attempt < self.max_rehashes:": "a",
+    "repro.faults.plan:FaultEvent.__post_init__ | if self.kind == 'slow_link':": "a",
+    "repro.faults.runtime:FaultState.__init__ | else of if e.kind == 'kill_module':": "a",
+    "repro.faults.runtime:FaultState.refresh | if revived:": "a",
+    "repro.faults.runtime:LinkFaultTimeline.__init__ | elif e.kind == 'slow_link':": "a",
+    "repro.faults.runtime:LinkFaultTimeline.__init__ | elif e.kind == 'restore_link':": "a",
+    "repro.traffic.driver:OnlineEmulator.run | except RehashStormError as exc:": "a",
+    "repro.traffic.driver:OnlineEmulator.run | else of if batch.shape[1]:": "a",
+    "repro.traffic.driver:OnlineEmulator.run | if not n_served and self.backlog:": "a",
+    "repro.traffic.driver:OnlineEmulator._admit | else of if self.request_timeout is None:": "a",
+    # (a) the flight recorder's feed, whose tail rides on every typed error
+    "repro.obs:Observer.record | if self.recorder is not None:": "a",
+    "repro.pram.machine:PRAM.step | if obs is not None and obs.recorder is not None:": "a",
+    "repro.pram.machine:PRAM.run | if self.observer is not None:": "a",
+    "repro.routing.fast_engine:FastPathEngine.run | if _obs is not None:": "a",
+    "repro.routing.fast_engine:FastPathEngine._run_batch | if rec is not None:": "a",
+    "repro.sharding.service:ShardedEmulator.emulate_step | if not err.flight_tail:": "a",
+    # (a) a run that misses its allotment, and link faults on a capacity run
+    "repro.routing.fast_engine:FastPathEngine._run_batch | "
+    "if s.remaining == 0 or t >= max_steps:": "a",
+    "repro.routing.fast_phases:advance_escapes | if f_flags is not None and f_flags[nl]:": "a",
+    "repro.routing.fast_phases:classify_constrained | if s.f_any:": "a",
+    "repro.routing.fast_phases:classify_constrained | if nb:": "a",
+    "repro.routing.fast_phases:classify_constrained | if can is not None:": "a",
+    # (a) the peak an invariant-checked drive reads off a capacity run
+    "repro.routing.fast_phases:peak_node_load | if arrays.max_node_load is not None:": "a",
+    # (a) degenerate input: empty, halted, too small or unenveloped
+    "repro.routing.fast_phases:peak_node_load | if not seen.size:": "a",
+    "repro.routing.fast_engine:_injection_batches | if not roots.size:": "a",
+    "repro.pram.machine:PRAM.load | except StopIteration:": "a",
+    "repro.pram.machine:PRAM.step | if self.live_processors == 0:": "a",
+    "repro.pram.trace:RequestColumns.max_concurrency | if not self.num_requests:": "a",
+    "repro.traffic.telemetry:TrafficReport._tenant_table | if not self.epochs:": "a",
+    "repro.traffic.telemetry:TrafficReport.sojourn_percentiles | if not samples:": "a",
+    "repro.traffic.telemetry:TrafficReport._is_saturated | if len(tail) < 2:": "a",
+    "repro.routing.mesh_router:default_slice_rows | if n <= 2:": "a",
+    "repro.util.primes:is_prime | if n < 2:": "a",
+    "repro.util.primes:next_prime | if n <= 2:": "a",
+    "repro.hashing.loads:lemma22_bound | if gamma < delta:": "a",
+    "repro.hashing.loads:lemma22_bound | if s_size < gamma:": "a",
+    "repro.obs.schema:schema_of | if not isinstance(env, dict):": "a",
+    # (b) the reference engine's step loop: faults, capacity, profiling
+    "repro.routing.engine:SynchronousEngine.run | if remaining == 0:": "b",
+    "repro.routing.engine:SynchronousEngine.run | if t >= max_steps:": "b",
+    "repro.routing.engine:SynchronousEngine.run | if blocked and nl in blocked:": "b",
+    "repro.routing.engine:SynchronousEngine.run | if blocked and key in blocked: #2": "b",
+    "repro.routing.engine:SynchronousEngine.run | if blocked and key in blocked: #3": "b",
+    "repro.routing.engine:SynchronousEngine.run | if blocked and key in blocked: #4": "b",
+    "repro.routing.engine:SynchronousEngine.run | if capacity is not None and stalled(key):":
+        "b",
+    "repro.routing.engine:SynchronousEngine.run | if prof is not None:": "b",
+    "repro.routing.engine:SynchronousEngine.run | if prof is not None: #3": "b",
+    "repro.routing.engine:SynchronousEngine.run.<locals>.enqueue | if prof is not None:": "b",
+    "repro.routing.engine:SynchronousEngine.run.<locals>.enqueue | if prof is not None: #2":
+        "b",
+    # (b) the routers' hop-by-hop rules and the reference queues
+    "repro.routing.fast_engine:resolve_engine_mode | if env in ('fast', 'reference'):": "b",
+    "repro.routing.greedy:GreedyRouter._next_hop | if p.state is not None:": "b",
+    "repro.routing.greedy:GreedyRouter._next_hop | if p.node == p.state:": "b",
+    "repro.routing.greedy:GreedyRouter._next_hop | else of if p.node == p.state:": "b",
+    "repro.routing.leveled_router:LeveledRouter._next_hop | else of if p.state is not None:":
+        "b",
+    "repro.routing.leveled_router:LeveledRouter._next_hop | "
+    "else of elif self.intermediate == 'coin':": "b",
+    # coin flips on a network of mixed out-degree are the reference's
+    "repro.routing.leveled_router:LeveledRouter._draw | "
+    "if not (self.net.uniform_out_degree and len(sources)):": "b",
+    "repro.routing.leveled_router:LeveledRouter._compile | if draw is None:": "b",
+    "repro.routing.mesh_router:MeshRouter._reference_options | if self.discipline == 'fifo':":
+        "b",
+    "repro.topology.star:StarGraph.route_next | if cur == dest:": "b",
+    "repro.routing.queues:_index_build | if key is not None:": "b",
+    "repro.routing.queues:_index_remove | if key is None:": "b",
+    # (b) caller-built packets and spawn plans: what the reference engine
+    # leaves on them, and its spawn rule, on the fast engine too
+    "repro.routing.packet:Packet.combine_key | if self.address is None:": "b",
+    "repro.routing.packet:write_back | if track_paths:": "b",
+    "repro.routing.packet:write_back | if track_paths: #2": "b",
+    "repro.routing.packet:write_back | if combine:": "b",
+    "repro.routing.packet:write_back | if combine: #2": "b",
+    "repro.routing.fast_scalar:ScalarRun.__init__ | if spawn_plan is not None:": "b",
+    "repro.routing.fast_phases:SpawnTables.fire | if kc >= 0 and self.trig_at_start[kc]:": "b",
+    # (c) the empirical side of Lemma 2.2 and the shuffle's ablation baseline
+    "repro.hashing.loads:empirical_overflow_rate | if max_load(h, addresses) >= gamma:": "c",
+    "repro.routing.shuffle_router:ShuffleRouter._draw | if not self.randomized:": "c",
+    "repro.routing.shuffle_router:ShuffleRouter._states | if inters is None:": "c",
+    # (d) the Emulator contract: any step (writes, no requests), any double
+    "repro.emulation.ranade:RanadeEmulator.emulate_step | else of if is_read:": "d",
+    "repro.sharding.service:merge_costs | if not costs:": "d",
+    "repro.emulation.base:Emulator.serving_modules | if self.hash is None:": "d",
 }
 
-#: the profiler every traced interpreter starts with
+#: the tracer every traced interpreter starts with: line events of the
+#: frames whose code lies under REACHABILITY_SRC, nothing from the rest
 SITECUSTOMIZE = '''\
 import atexit, json, os, sys, threading
 
 _OUT = os.environ["REACHABILITY_OUT"]
-_seen = set()
+_SRC = os.environ["REACHABILITY_SRC"]
+_hits = set()
+_ours = {}
 
 
-def _profile(frame, event, arg, _add=_seen.add):
-    if event == "call":
-        _add(frame.f_code)
+def _line(frame, event, arg, _add=_hits.add):
+    if event == "line":
+        _add((frame.f_code, frame.f_lineno))
+    return _line
+
+
+def _call(frame, event, arg):
+    code = frame.f_code
+    ours = _ours.get(code)
+    if ours is None:
+        ours = _ours[code] = os.path.realpath(code.co_filename).startswith(_SRC)
+    return _line if ours else None
 
 
 @atexit.register
 def _dump():
-    sys.setprofile(None)
-    rows = sorted({(os.path.realpath(c.co_filename), getattr(c, "co_qualname", c.co_name))
-                   for c in list(_seen)})
+    sys.settrace(None)
+    lines = {}
+    for code, line in list(_hits):
+        lines.setdefault(code, set()).add(line)
+    rows = [(os.path.realpath(c.co_filename), c.co_firstlineno, sorted(ls))
+            for c, ls in lines.items()]
     with open(os.path.join(_OUT, "%d.json" % os.getpid()), "w") as f:
         json.dump(rows, f)
 
 
-sys.setprofile(_profile)
-threading.setprofile(_profile)
+sys.settrace(_call)
+threading.settrace(_call)
 '''
+
+
+@dataclass
+class Arm:
+    function: str
+    #: the ``ast.unparse``d header, made unique within its function
+    header: str
+    path: str
+    #: the lines of its body that no header shares
+    body: frozenset[int]
+    lines: int
+    #: its last statement is a ``raise``: kept by rule (reason a)
+    raises: bool
+
+    @property
+    def key(self) -> str:
+        return f"{self.function} | {self.header}"
 
 
 @dataclass
@@ -170,6 +331,9 @@ class Function:
     lines: int
     #: rule f applies: a dunder, or a body that is only a stub
     by_rule: bool
+    #: the first line of each definition's code object
+    starts: set[int] = field(default_factory=set)
+    arms: list[Arm] = field(default_factory=list)
 
     @property
     def key(self) -> str:
@@ -197,12 +361,68 @@ def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return True
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+_TRIES = (ast.Try, getattr(ast, "TryStar", ast.Try))  # except* is 3.11+
+
+
+def _span(*nodes: ast.AST | None) -> set[int]:
+    return {line for node in nodes if node is not None
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def _arms(fn: ast.FunctionDef | ast.AsyncFunctionDef, source: list[str]):
+    """``(header, header lines, body)`` of every arm in *fn*'s own body
+    (nested functions and classes hold their own), in source order."""
+    found: list[tuple[str, set[int], list[ast.stmt]]] = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, _SCOPES):
+            return
+        if isinstance(node, ast.If):
+            keyword = "if"
+            while True:
+                header = f"{keyword} {ast.unparse(node.test)}:"
+                found.append((header, {node.lineno} | _span(node.test), node.body))
+                for stmt in node.body:
+                    visit(stmt)
+                orelse = node.orelse
+                if len(orelse) == 1 and isinstance(orelse[0], ast.If) \
+                        and source[orelse[0].lineno - 1].lstrip().startswith("elif"):
+                    node, keyword = orelse[0], "elif"
+                    continue
+                if orelse:
+                    found.append((f"else of {header}", set(), orelse))
+                    for stmt in orelse:
+                        visit(stmt)
+                return
+        if isinstance(node, _TRIES):
+            star = "*" if type(node).__name__ == "TryStar" else ""
+            for handler in node.handlers:
+                header = f"except{star}" \
+                    + (f" {ast.unparse(handler.type)}" if handler.type else "") \
+                    + (f" as {handler.name}" if handler.name else "") + ":"
+                found.append((header, {handler.lineno} | _span(handler.type), handler.body))
+            if node.orelse:
+                found.append((f"else of {header}", set(), node.orelse))
+        elif isinstance(node, ast.match_case):
+            header = f"case {ast.unparse(node.pattern)}" \
+                + (f" if {ast.unparse(node.guard)}" if node.guard else "") + ":"
+            found.append((header, _span(node.pattern, node.guard), node.body))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for stmt in fn.body:
+        visit(stmt)
+    return sorted(found, key=lambda arm: arm[2][0].lineno)
+
+
 def inventory(src: Path) -> dict[str, Function]:
-    """Every function defined under the package directory *src*, by key."""
+    """Every function defined under the package directory *src*, by key,
+    with the arms of its own body."""
     src = src.resolve()
     found: dict[str, Function] = {}
 
-    def walk(node: ast.AST, module: str, path: Path, prefix: str) -> None:
+    def walk(node: ast.AST, module: str, path: Path, source: list[str], prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = prefix + child.name
@@ -214,17 +434,34 @@ def inventory(src: Path) -> dict[str, Function]:
                 if old is not None:  # a property's setter, a conditional definition
                     fn.lines += old.lines
                     fn.by_rule = old.by_rule and by_rule
+                    fn.starts, fn.arms = old.starts, old.arms
+                fn.starts.add(min([child.lineno] + [d.lineno for d in child.decorator_list]))
+                seen = {arm.header for arm in fn.arms}
+                for header, header_lines, body in _arms(child, source):
+                    unique, n = header, 1
+                    while unique in seen:
+                        n += 1
+                        unique = f"{header} #{n}"
+                    seen.add(unique)
+                    span = _span(*body)
+                    # a one-line arm (``if x: y``) has no line of its
+                    # own: it is judged by its header's
+                    fn.arms.append(Arm(fn.key, unique, str(path),
+                                       frozenset(span - header_lines or span),
+                                       body[-1].end_lineno - body[0].lineno + 1,
+                                       isinstance(body[-1], ast.Raise)))
                 found[fn.key] = fn
-                walk(child, module, path, qualname + ".<locals>.")
+                walk(child, module, path, source, qualname + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
-                walk(child, module, path, prefix + child.name + ".")
+                walk(child, module, path, source, prefix + child.name + ".")
             else:
-                walk(child, module, path, prefix)
+                walk(child, module, path, source, prefix)
 
     for path in sorted(src.rglob("*.py")):
         parts = path.relative_to(src.parent).with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        walk(ast.parse(path.read_text(), str(path)), module, path, "")
+        text = path.read_text()
+        walk(ast.parse(text, str(path)), module, path, text.splitlines(), "")
     return found
 
 
@@ -260,50 +497,85 @@ def default_served(tmp: Path) -> list[list[str]]:
 DEFAULT_TESTS = [["-m", "pytest", "-q", "-p", "no:cacheprovider"]]
 
 
-def trace(commands: list[list[str]], src: Path, tmp: Path, label: str) -> set[tuple[str, str]]:
-    """``(realpath, qualname)`` of every function the commands called
-    under *src*; exits if a command fails (its trace would be partial)."""
+#: what a trace holds: the lines each code object under --src ran,
+#: keyed ``(realpath, first line)``
+Hits = dict[tuple[str, int], set[int]]
+
+
+def trace(commands: list[list[str]], src: Path, tmp: Path, label: str) -> Hits:
+    """The lines the commands ran under *src*, per code object; exits if
+    a command fails (its trace would be partial)."""
     hook = tmp / f"hook_{label}"
-    out = tmp / f"calls_{label}"
+    out = tmp / f"lines_{label}"
     hook.mkdir()
     out.mkdir()
     (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    root = str(src.resolve()) + os.sep
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(hook), str(src.resolve().parent), env.get("PYTHONPATH", "")) if p)
     env["REACHABILITY_OUT"] = str(out)
+    env["REACHABILITY_SRC"] = root
     for args in commands:
-        print(f"[{label}] python {shlex.join(args)}", file=sys.stderr, flush=True)
+        start = time.perf_counter()
         proc = subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env,
                               stdout=subprocess.DEVNULL)
+        print(f"[{label}] {time.perf_counter() - start:5.0f} s  python {shlex.join(args)}",
+              file=sys.stderr, flush=True)
         if proc.returncode != 0:
             sys.exit(f"reachability: entry point failed (exit {proc.returncode}): "
                      f"python {shlex.join(args)}")
-    root = str(src.resolve()) + os.sep
-    called = set()
+    hits: Hits = {}
     for dump in out.glob("*.json"):
-        called.update((path, qualname) for path, qualname in json.loads(dump.read_text())
-                      if path.startswith(root))
-    return called
+        for path, first, lines in json.loads(dump.read_text()):
+            hits.setdefault((path, first), set()).update(lines)
+    return hits
 
 
-def classify(functions: dict[str, Function], served: set, tests: set) -> dict:
-    """The report: each function's status and keep reason, the counts,
-    and the functions ``--check`` rejects."""
-    report: dict = {"counts": {}, "lines": {}, "functions": {}, "rejected": []}
+def _by_file(hits: Hits) -> dict[str, set[int]]:
+    lines: dict[str, set[int]] = {}
+    for (path, _), ran in hits.items():
+        lines.setdefault(path, set()).update(ran)
+    return lines
+
+
+def classify(functions: dict[str, Function], served: Hits, tests: Hits) -> dict:
+    """The report: each function's and each served function's arms'
+    status and keep reason, the counts, and the keys ``--check`` rejects."""
+    report: dict = {"counts": {}, "lines": {}, "functions": {},
+                    "arm_counts": {}, "arm_lines": {}, "arms": {}, "rejected": []}
+    served_lines, tests_lines = _by_file(served), _by_file(tests)
+
+    def tally(kind: str, key: str, status: str, lines: int, keep: str | None) -> None:
+        if status != "served" and keep is None:
+            report["rejected"].append(key)
+        report[kind][key] = {"status": status, "lines": lines, "keep": keep}
+        counts, totals = (report["counts"], report["lines"]) if kind == "functions" \
+            else (report["arm_counts"], report["arm_lines"])
+        counts[status] = counts.get(status, 0) + 1
+        totals[status] = totals.get(status, 0) + lines
+
     for key, fn in sorted(functions.items()):
-        site = (fn.path, fn.qualname)
-        status = "served" if site in served else "tests-only" if site in tests else "unreached"
+        sites = [(fn.path, first) for first in fn.starts]
+        status = "served" if any(site in served for site in sites) else \
+            "tests-only" if any(site in tests for site in sites) else "unreached"
         keep = None
         if status != "served":
             keep = "f" if fn.by_rule else KEEP.get(key) if status == "tests-only" else None
-            if keep is None:
-                report["rejected"].append(key)
-        report["functions"][key] = {"status": status, "lines": fn.lines, "keep": keep}
-        report["counts"][status] = report["counts"].get(status, 0) + 1
-        report["lines"][status] = report["lines"].get(status, 0) + fn.lines
-    report["stale_keep"] = sorted(k for k in KEEP if report["functions"].get(k, {})
-                                  .get("status") == "served")
+        tally("functions", key, status, fn.lines, keep)
+        if status != "served":
+            continue
+        for arm in fn.arms:
+            status = "served" if arm.body & served_lines.get(arm.path, set()) else \
+                "tests-only" if arm.body & tests_lines.get(arm.path, set()) else "unreached"
+            keep = None
+            if status != "served":
+                keep = "a" if arm.raises else KEEP.get(arm.key)
+            tally("arms", arm.key, status, arm.lines, keep)
+    report["rejected"].sort()
+    report["stale_keep"] = sorted(
+        k for k in KEEP if (report["functions"].get(k) or report["arms"].get(k) or {})
+        .get("status") == "served")
     return report
 
 
@@ -317,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="a tests entry point (replaces tier-1; repeatable)")
     ap.add_argument("--out", type=Path, help="write the JSON report here (default: stdout)")
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 on an unreached or tests-only function that is not kept")
+                    help="exit 1 on a function or arm that is not served and not kept")
     args = ap.parse_args(argv)
 
     functions = inventory(args.src)
@@ -334,15 +606,18 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    counts = report["counts"]
-    print(f"{len(functions)} functions: " + ", ".join(
-        f"{counts.get(s, 0)} {s} ({report['lines'].get(s, 0)} lines)"
-        for s in ("served", "tests-only", "unreached")), file=sys.stderr)
+    for what, counts, lines in (("functions", report["counts"], report["lines"]),
+                                ("arms of served functions", report["arm_counts"],
+                                 report["arm_lines"])):
+        print(f"{sum(counts.values())} {what}: " + ", ".join(
+            f"{counts.get(s, 0)} {s} ({lines.get(s, 0)} lines)"
+            for s in ("served", "tests-only", "unreached")), file=sys.stderr)
     for key in report["stale_keep"]:
         print(f"note: KEEP entry {key} is served now", file=sys.stderr)
     if args.check and report["rejected"]:
         for key in report["rejected"]:
-            print(f"not kept: {key} ({report['functions'][key]['status']})", file=sys.stderr)
+            entry = report["functions"].get(key) or report["arms"][key]
+            print(f"not kept: {key} ({entry['status']})", file=sys.stderr)
         return 1
     return 0
 
