@@ -17,13 +17,6 @@ from repro.util.tables import Table
 
 
 @dataclass
-class TrialResult:
-    """Metrics from one trial of one parameter setting."""
-
-    metrics: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class SweepRow:
     params: dict
     #: metric name -> list of per-trial values

@@ -356,6 +356,43 @@ class TestEngineCapacity:
         assert stats.completed
         assert order == [1, 2]  # packet to 1 enqueued (activated) first
 
+    def test_a_down_link_does_not_burn_the_service_slot(self):
+        # Node 2 serves one link a step; its first-activated link (2,3)
+        # is down at step 0, so the slot goes to (2,1) instead of idling.
+        array = LinearArray(5)
+
+        class DownAtZero:
+            def parts_at(self, t):
+                return (frozenset({(2, 3)}) if t == 0 else frozenset()), ()
+
+        arrivals = {}
+        for faults in (None, DownAtZero()):
+            pkts = make_packets([2, 2], [4, 0])
+            stats = SynchronousEngine(node_service_rate=1).run(
+                pkts, line_next_hop(array), max_steps=50, link_faults=faults
+            )
+            assert stats.completed and stats.steps == 3
+            assert stats.fault_stalls == (faults is not None)
+            arrivals[faults is None] = [p.arrived_at for p in pkts]
+        assert arrivals[True] == [2, 3]  # unfaulted: the packet to 4 goes first
+        assert arrivals[False] == [3, 2]  # faulted: the packet to 0 takes the slot
+
+
+class TestEngineProfile:
+    def test_an_observed_credit_run_books_its_escape_subphase(self):
+        array = LinearArray(8)
+        runs = []
+        for obs in (None, Observer(metrics=False, tracing=False, flight_recorder=0)):
+            engine = SynchronousEngine(node_capacity=1, flow_control="credit", observer=obs)
+            runs.append(engine.run(
+                make_packets([0] * 6, [7] * 6), line_next_hop(array), max_steps=500
+            ))
+        assert runs[0] == runs[1]  # observing changes no result
+        assert runs[1].completed and runs[1].escape_hops > 0
+        phases = obs.profile.to_dict()["phases"]
+        assert phases["escape"] > 0
+        assert {"arrival", "transmission"} <= set(phases)
+
 
 class TestPathTracking:
     def test_trace_records_visited_nodes(self):

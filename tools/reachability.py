@@ -9,9 +9,10 @@ each code object ran:
 
 - **served** — reached by the served set: one ``--seconds 1 --trace 1``
   unit of each e2e workload (``benchmarks/e2e/run.py``, run read-only
-  from a temporary copy), the five seeded ``bench_*.py`` gates,
-  ``bench_engine_scaling.py --quick``, the paper-claims suite, the
-  examples and the doc snippets;
+  from a temporary copy), the six seeded ``bench_*.py`` gates
+  (``bench_paper.py``, the paper's claims, among them),
+  ``bench_engine_scaling.py --quick``, the examples and the doc
+  snippets;
 - **tests-only** — reached by tier-1 (``pytest``) and nothing served;
 - **unreached** — reached by neither.
 
@@ -167,12 +168,10 @@ KEEP = {
     "repro.analysis.races:scan_program_addresses.<locals>.classify | "
     "if isinstance(sub, ast.Name) and sub.id in local_names:": "a",
     "repro.analysis.races:scan_program_addresses.<locals>.classify | if affine is None:": "a",
-    # (a) the request phase's rehash-and-retry loop (section 2.1) and the
-    # fault vocabulary's recovery half
+    # (a) the request phase's retry of a wedged credit run (section 2.1)
+    # and the fault vocabulary's recovery half
     "repro.emulation.base:Emulator._route_requests | except DeadlockError as exc:": "a",
     "repro.emulation.base:Emulator._route_requests | if wedged:": "a",
-    "repro.emulation.base:Emulator._route_requests | "
-    "if rehash and attempt < self.max_rehashes:": "a",
     "repro.faults.plan:FaultEvent.__post_init__ | if self.kind == 'slow_link':": "a",
     "repro.faults.runtime:FaultState.__init__ | else of if e.kind == 'kill_module':": "a",
     "repro.faults.runtime:FaultState.refresh | if revived:": "a",
@@ -254,8 +253,7 @@ KEEP = {
     "repro.routing.packet:write_back | if combine: #2": "b",
     "repro.routing.fast_scalar:ScalarRun.__init__ | if spawn_plan is not None:": "b",
     "repro.routing.fast_phases:SpawnTables.fire | if kc >= 0 and self.trig_at_start[kc]:": "b",
-    # (c) the empirical side of Lemma 2.2 and the shuffle's ablation baseline
-    "repro.hashing.loads:empirical_overflow_rate | if max_load(h, addresses) >= gamma:": "c",
+    # (c) the shuffle's ablation baseline
     "repro.routing.shuffle_router:ShuffleRouter._draw | if not self.randomized:": "c",
     "repro.routing.shuffle_router:ShuffleRouter._states | if inters is None:": "c",
     # (d) the Emulator contract: any step (writes, no requests), any double
@@ -481,14 +479,10 @@ def default_served(tmp: Path) -> list[list[str]]:
     run_py = str(_e2e_checkout(tmp) / "benchmarks" / "e2e" / "run.py")
     served = [[run_py, "--workload", w["name"], "--seed", "7", "--seconds", "1", "--trace", "1"]
               for w in manifest["workloads"]]
-    for bench in ("traffic", "faults", "sharding", "apps", "obs"):
+    for bench in ("paper", "traffic", "faults", "sharding", "apps", "obs"):
         served.append([f"benchmarks/bench_{bench}.py", "--out", str(tmp / f"BENCH_{bench}.json")])
     served.append(["benchmarks/bench_engine_scaling.py", "--quick", "--no-gate",
                    "--out", str(tmp / "BENCH_quick.json")])
-    claims = sorted(str(p.relative_to(REPO_ROOT))
-                    for p in (REPO_ROOT / "benchmarks").glob("bench_*.py"))
-    served.append(["-m", "pytest", *claims, "-q", "-p", "no:cacheprovider",
-                   "--benchmark-disable"])
     served.append(["tools/run_examples.py"])
     served.append(["tools/run_doc_snippets.py"])
     return served
