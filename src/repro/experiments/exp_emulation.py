@@ -70,6 +70,7 @@ def run_e6(
             ("time", "mean"),
             ("time/diam", "mean"),
             ("rehashes", "max"),
+            ("time", "max"),
         ],
         title="E6  Theorems 2.5/2.6 + Cor 2.3-2.6: one EREW PRAM step in Õ(diameter)",
         caption=(
@@ -104,7 +105,14 @@ def run_e6_crcw(
     return rows_to_table(
         rows,
         ["kind", "size"],
-        [("N", "max"), ("time", "mean"), ("time/diam", "mean"), ("combines", "mean")],
+        [
+            ("N", "max"),
+            ("time", "mean"),
+            ("time/diam", "mean"),
+            ("combines", "mean"),
+            ("time", "max"),
+            ("time/diam", "max"),
+        ],
         title="E6b  Theorem 2.6: CRCW hot spot (all N processors read one cell)",
         caption=(
             "Combining keeps the hot-spot step at Õ(diameter) — without it "

@@ -51,6 +51,7 @@ def run_e7(ns=(8, 16, 24, 32), *, trials: int = 3, seed=41, discipline="furthest
             ("bound(2n+o)", "mean"),
             ("max_queue", "max"),
             ("queue/log2n", "max"),
+            ("time", "max"),
         ],
         title="E7  Theorem 3.1: 3-stage mesh routing in 2n + o(n), queue O(log n)",
         caption="Check: time/n → 2 from above as n grows; queue/log2(n) bounded.",
@@ -82,6 +83,7 @@ def run_e8(ns=(8, 16, 24), *, trials: int = 3, seed=42) -> Table:
             ("request", "mean"),
             ("reply", "mean"),
             ("rehashes", "max"),
+            ("time", "max"),
         ],
         title="E8  Theorem 3.2: EREW PRAM step on the mesh in 4n + o(n)",
         caption=(
@@ -118,6 +120,7 @@ def run_e9(deltas=(2, 4, 8), n: int = 24, *, trials: int = 3, seed=43) -> Table:
             ("time/delta", "mean"),
             ("bound(6d+o)", "mean"),
             ("global_4n", "mean"),
+            ("time", "max"),
         ],
         title=f"E9  Theorem 3.3: δ-local requests on a {n}x{n} mesh in 6δ + o(δ)",
         caption=(
@@ -214,7 +217,7 @@ def run_linear_primitive(ns=(32, 64, 128), *, trials: int = 3, seed=47) -> Table
     return rows_to_table(
         rows,
         ["n"],
-        [("time", "mean"), ("time/n", "mean"), ("max_queue", "max")],
+        [("time", "mean"), ("time/n", "mean"), ("max_queue", "max"), ("time", "max")],
         title="E7e  §3.4.1 primitive: n' random packets on a linear array in n' + o(n)",
         caption="Furthest-destination-first keeps the 1-D stage time near n.",
     )

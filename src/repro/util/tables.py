@@ -25,15 +25,19 @@ class Table:
         self.columns = [str(c) for c in columns]
         self.title = title
         self.rows: list[list[str]] = []
+        #: the cells as given to :meth:`add_row`, before rendering
+        self.values: list[list[Any]] = []
         self.caption: str | None = None
 
     def add_row(self, values: Iterable[Any]) -> None:
+        values = list(values)
         row = [self._fmt(v) for v in values]
         if len(row) != len(self.columns):
             raise ValueError(
                 f"row has {len(row)} cells, table has {len(self.columns)} columns"
             )
         self.rows.append(row)
+        self.values.append(values)
 
     def set_caption(self, caption: str) -> None:
         self.caption = caption

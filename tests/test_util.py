@@ -155,6 +155,12 @@ class TestTable:
         assert "long-cell" in out
         assert "0.333" in out
 
+    def test_values_keep_the_cells_before_rendering(self):
+        t = Table(["a", "value"])
+        t.add_row(iter([1, 2.1996]))
+        assert t.rows == [["1", "2.2"]]
+        assert t.values == [[1, 2.1996]]
+
     def test_row_width_mismatch(self):
         t = Table(["a", "b"])
         with pytest.raises(ValueError):
