@@ -79,7 +79,7 @@ from repro.routing.fast_phases import (
     transmit_unconstrained,
 )
 from repro.routing.flow_control import DeadlockError, resolve_flow_control
-from repro.routing.metrics import DeferredStat, RoutingStats, stats_from_arrays
+from repro.routing.metrics import Deferred, RoutingStats, stats_from_arrays
 from repro.topology.compiled import FlatPaths
 
 ENGINE_MODES = ("auto", "fast", "reference")
@@ -174,7 +174,7 @@ def _stats_of(arrays: RunArrays, mode: str) -> RoutingStats:
     rows = slice(None) if arrays.order is None else arrays.order
     max_node_load = arrays.max_node_load
     if max_node_load is None:
-        max_node_load = DeferredStat(peak_node_load, arrays)
+        max_node_load = Deferred(peak_node_load, arrays)
     return stats_from_arrays(
         arrays.hops[rows],
         arrays.injected_at[rows],

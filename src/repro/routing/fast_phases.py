@@ -62,7 +62,7 @@ folds its peak with the queue's.  Every other run keeps an *arrival
 log* instead — per link slot, the step its packet arrived there, one
 scatter per arrival phase — and ``max_node_load`` is derived from it
 when first read (:func:`peak_node_load`, through
-:class:`~repro.routing.metrics.DeferredStat`).
+:class:`~repro.routing.metrics.Deferred`).
 
 :func:`check_invariants` is the run state's checker — conservation,
 chain shape, ``active``, loads or the arrival log, and cursors — which
@@ -84,6 +84,7 @@ import numpy as np
 
 from repro.obs.clock import wall_time
 from repro.routing.flow_control import CreditState, no_progress_detail
+from repro.routing.metrics import ReadResolves
 from repro.topology.compiled import FlatPaths, segment_index
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -139,8 +140,11 @@ class RunArrays:
 
     #: the node-id itineraries the run followed, row i packet i's
     #: (:class:`FlatPaths`: flat nodes + per-packet offsets, each row as
-    #: long as its path)
-    paths: FlatPaths
+    #: long as its path); a list-built reply run stores a
+    #: :class:`~repro.routing.metrics.Deferred` here, which gathers them
+    #: from its request run on the first read
+    #: (:func:`repro.routing.fast_scalar.reply_paths`)
+    paths: FlatPaths = ReadResolves()
     #: the run's :func:`link_tables` triple ``(link_ids, link_src,
     #: link_dst)``, ``link_ids`` flat in the layout of ``paths``' link
     #: positions: a reply crosses its request's links the other way, so

@@ -6,15 +6,18 @@ has two lanes for one run semantics.  The *vector* lane
 tables, paying ~35 numpy calls — ~37 µs — a network step whatever the
 batch size.  This lane advances a run of at most :data:`SCALAR_RUN_MAX`
 packets with no ``node_capacity`` and no link-fault view on Python lists,
-at ~0.5 µs a packet-hop: one queue per busy link (a list in service
-order), held in a dict whose insertion order is the links' activation
-order; per-packet cursor, subtree and arrival lists; and per link slot
-the key of the queue the hop joins and the step its packet arrived
-there (the *arrival log*).  No table is sized by the network and no
-node load is counted: ``max_node_load`` is derived from the log when it
-is first read (:func:`~repro.routing.fast_phases.peak_node_load`).  The
-lane is chosen from the population size and the configuration only;
-credit / capacity runs and link faults stay on the vector lane.
+at ~0.52 µs a packet-hop (whole engine runs, set-up included, of one
+``sharded_tenants`` unit, best of nine on a 2-core box).  Per busy link
+it keeps its *head* — the packet it sends next — in ``active``, a dict
+whose insertion order is the links' activation order, and, only for a
+link with more than one packet, the rest of its queue in service order
+in ``waiting``; per-packet cursor, subtree and arrival lists; and per
+link slot the key of the queue the hop joins and the step its packet
+arrived there (the *arrival log*).  No table is sized by the network
+and no node load is counted: ``max_node_load`` is derived from the log
+when it is first read (:func:`~repro.routing.fast_phases.peak_node_load`).
+The lane is chosen from the population size and the configuration
+only; credit / capacity runs and link faults stay on the vector lane.
 
 Both lanes share the validation a caller's population gets
 (:func:`~repro.routing.fast_engine._normalise_paths`,
@@ -40,17 +43,28 @@ the absorptions, each reply's keys its request's reversed (the queue
 identity the vector lane's inherited ids give), merge positions by
 ``list.index``, and the triggers straight into the lists
 :meth:`SpawnTables.fire` walks.  That data is the engine's own, so the
-checks above, which guard a caller's, are not run on it again.  The
-step is the paper's, taken literally: every busy link sends its head in
-activation order (:func:`transmit`), then every arrival, in that order,
-fires its spawn triggers (children placed before their parent), is
-delivered with its absorption subtree, is placed alone on an idle link,
-is absorbed into the queued packet on its link with its combine key, or
-joins the queue — appended, unless under furthest-first it outranks
-the tail, when it goes in behind the last waiter whose priority is not
-smaller (:func:`admit`) — every arrival but a delivery logged first.
-The queue peak is the post-arrival one, raised as queues grow.  The
-differential suites run through each lane (the ``run_lane`` fixture of
+checks above, which guard a caller's, are not run on it again, and
+its itineraries are gathered only if something reads them
+(:func:`reply_paths`).
+
+The step is the paper's, taken literally, in one pass over each batch.
+Every busy link sends its head in activation order (:func:`transmit`:
+the heads are ``active``'s values; only when some link has waiters is
+the dict rebuilt, each such link keeping its place with its first
+waiter as head).  Then :func:`admit` walks the arrivals in that order,
+each packet's cursor moved on one slot as the pass reaches it (an
+injection's not at all): its pending spawn trigger fires there, its
+children — each with its own position-0 spawns before it — placed
+before it, cursors not advanced (:func:`spawn_children`); then it is
+delivered with its absorption subtree, placed alone on an idle link as
+its head, absorbed into the queued packet on its link with its combine
+key (the head first, then the waiters), or it waits — appended, unless
+under furthest-first it outranks the tail, when it goes in behind the
+last queued packet whose priority is not smaller, becoming the head if
+that is none — every arrival but a delivery logged first.  The queue
+peak is the post-arrival one, raised as queues grow.
+:func:`check_invariants` is this lane's checker.  The differential
+suites run through each lane (the ``run_lane`` fixture of
 ``tests/conftest.py``).
 """
 
@@ -65,8 +79,11 @@ from repro.routing.fast_phases import (
     MergeNodeMissingError,
     Replies,
     RunArrays,
+    RunInvariantError,
     SpawnTables,
 )
+from repro.routing.metrics import Deferred
+from repro.topology.compiled import FlatPaths
 
 #: The largest population stepped on lists; a larger run, or one with
 #: ``node_capacity`` or a link-fault view, takes the vector lane.  The
@@ -78,23 +95,24 @@ from repro.routing.fast_phases import (
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #: workload            runs     p50/max    1-16   17-32  33-64  65-128  129-256  > 256
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
-#: bfly_small_steps    500/500  16/31      3.20x  2.96x
-#: sharded_tenants     280/280  54/96             2.19x  1.91x  1.67x
-#: apps_replay         168/240  64/318     3.97x  3.16x  2.12x  1.40x   1.28x    0.92x
-#: mesh_crcw_zipf      0/40     510/558                                          0.67x
-#: mesh_erew_hot       0/30     660/696                                          0.49x
-#: star_crcw_zipf      0/10     2462/2596                                        0.24x
-#: bfly_credit_bursty  0/32     957/1024                                         0.35x
+#: bfly_small_steps    500/500  16/31      3.73x  3.55x
+#: sharded_tenants     280/280  54/96             2.86x  2.53x  2.16x
+#: apps_replay         168/240  64/318     3.91x  3.66x  2.51x  1.73x   1.64x    1.14x
+#: mesh_crcw_zipf      0/40     510/558                                          0.92x
+#: mesh_erew_hot       0/30     660/696                                          0.64x
+#: star_crcw_zipf      0/10     2462/2596                                        0.40x
+#: bfly_credit_bursty  0/32     957/1024                                         0.54x
 #: ==================  =======  =========  =====  =====  =====  ======  =======  =====
 #:
 #: (``bfly_credit_bursty``'s replayed runs are its unconstrained reply
-#: runs.)  Lists win ~2-3x below 64 packets.  The 129-256 bucket's eight
-#: runs favour lists alone, but with the constant at 128 / 192 / 256 /
-#: 320 ``apps_replay``'s whole-unit engine time stayed within 2 % (84.4
-#: / 83.5 / 83.3 / 83.1 ms, units 118.2 / 117.1 / 117.1 / 118.2 ms, best
+#: runs.)  Lists win ~2.5-3.9x below 64 packets.  The buckets above 128
+#: favour lists alone, but with the constant at 128 / 192 / 256 / 320
+#: ``apps_replay``'s whole-unit engine time stayed within 2 % (84.4 /
+#: 83.5 / 83.3 / 83.1 ms, units 118.2 / 117.1 / 117.1 / 118.2 ms, best
 #: of seven in-process units, interleaved, with reply runs laid out in
-#: lists), as it did at 192 / 256 before the lane stopped counting node
-#: loads, so it stays at 128.
+#: lists, measured before the lane kept heads apart from waiters), as
+#: it did at 192 / 256 before the lane stopped counting node loads, so
+#: it stays at 128.
 SCALAR_RUN_MAX = 128
 
 
@@ -111,7 +129,8 @@ class ScalarRun:
     __slots__ = (
         "paths", "links", "fl_base", "injected_at", "prof", "spawn", "roots",
         "key", "log", "prio", "gid", "fl", "fl_last", "subtree", "arrived",
-        "active", "remaining", "max_queue", "absorbed_by", "absorbed", "spawned",
+        "active", "waiting", "remaining", "max_queue", "absorbed_by", "absorbed",
+        "spawned",
     )  # fmt: skip
 
     def __init__(
@@ -158,8 +177,12 @@ class ScalarRun:
         self.log = [-1] * len(self.key)
         self.subtree = [1] * n
         self.arrived = [-1] * n
-        #: busy link -> its queue in service order, in activation order
-        self.active: dict[int, list[int]] = {}
+        #: busy link -> its head (the packet it sends next), in activation
+        #: order
+        self.active: dict[int, int] = {}
+        #: busy link with more than one packet -> the rest of its queue,
+        #: in service order
+        self.waiting: dict[int, list[int]] = {}
         self.remaining = int(self.roots.size)
         self.max_queue = 0
         self.absorbed_by: list[int] = []
@@ -222,12 +245,12 @@ def reply_run(
     request's links the other way, so it keeps their queue identity
     whether they were link ids or ``(src, dst)`` codes.  A child spawns
     at the first index of its merge node — where its request stopped —
-    in its parent's reversed node slice; its parent's triggers go
+    in its parent's reversed node slice (of the request run's nodes,
+    only the merge families' rows are read); its parent's triggers go
     straight into the lists :meth:`SpawnTables.fire` walks, one per
     distinct position in ascending order, children in reply order.  The
-    itineraries themselves are gathered once
-    (:func:`~repro.routing.fast_phases.reversed_rows`), for the run's
-    arrays only: the step loop never reads a node.
+    run's itineraries are :func:`reply_paths`, deferred to their first
+    read.
     """
     requests = replies.requests
     rows, families = forest
@@ -246,7 +269,7 @@ def reply_run(
     fl_last.append(len(key))
     s.spawn = None
     if families:
-        nodes = requests.paths.nodes.tolist()
+        nodes = requests.paths.nodes
         next_trig = [-1] * n
         kids: list[int] = []
         bounds = [0]
@@ -256,12 +279,12 @@ def reply_run(
         for p, first, end in families:
             parent = rows[p]
             o = offsets[parent]
-            rev = nodes[o : o + hops[parent] + 1]
+            rev = nodes[o : o + hops[parent] + 1].tolist()
             rev.reverse()
             by_position: dict[int, list[int]] = {}
             for c in range(first, end):
                 child = rows[c]
-                merge = nodes[offsets[child] + hops[child]]
+                merge = nodes.item(offsets[child] + hops[child])
                 try:
                     q = rev.index(merge)
                 except ValueError:
@@ -280,8 +303,7 @@ def reply_run(
         s.spawn = SpawnTables.of_triggers(
             next_trig, kids, bounds, trig_parent, trig_cursor, at_start
         )
-    rows_np = np.asarray(rows, dtype=np.int64)
-    s.paths = fast_phases.reversed_rows(requests, rows_np, requests.hops[rows_np])[0]
+    s.paths = Deferred(reply_paths, requests, rows)
     s.links = s.prio = s.gid = None
     s.injected_at = np.zeros(n, dtype=np.int64)
     s.prof = profile
@@ -289,6 +311,16 @@ def reply_run(
     s.key, s.fl_base, s.fl, s.fl_last = key, fl, fl[:], fl_last
     s.start(n)
     return s
+
+
+def reply_paths(requests: RunArrays, rows: list[int]) -> FlatPaths:
+    """The itineraries of the replies to request rows *rows*, each its
+    request's row read back from where it stopped: a list-built reply
+    run's :attr:`RunArrays.paths`, gathered when first read
+    (:func:`~repro.routing.fast_phases.reversed_rows`) — the step loop
+    never reads a node."""
+    at = np.asarray(rows, dtype=np.int64)
+    return fast_phases.reversed_rows(requests, at, requests.hops[at])[0]
 
 
 def run_steps(s: ScalarRun, pending, *, max_steps: int, observer) -> RunArrays:
@@ -302,7 +334,7 @@ def run_steps(s: ScalarRun, pending, *, max_steps: int, observer) -> RunArrays:
     t = 0
     while s.remaining > 0:
         while pending and pending[-1][0] <= t:
-            admit(s, pending.pop()[1], t)
+            admit(s, pending.pop()[1], t, 0, prof)
         if s.remaining == 0 or t >= max_steps:
             break
         if not s.active and not pending:
@@ -318,109 +350,127 @@ def run_steps(s: ScalarRun, pending, *, max_steps: int, observer) -> RunArrays:
             )  # fmt: skip
         t += 1
         if arrivals:
-            admit(s, arrivals, t)
+            admit(s, arrivals, t, 1, prof)
     return finish(s, t)
 
 
 def transmit(s: ScalarRun) -> list[int]:
-    """Every busy link sends its queue's head, in activation order;
-    returns the packets sent, in that order.  Emptied links leave
-    ``active`` (a later arrival activates them anew, at the end)."""
-    fl = s.fl
-    sent = []
+    """Every busy link sends its head, in activation order; returns the
+    packets sent, in that order (their cursors advance when they are
+    admitted).  A link with waiters keeps its place, its first waiter
+    the new head; every other link leaves ``active`` (a later arrival
+    activates it anew, at the end)."""
+    active = s.active
+    sent = list(active.values())
+    waiting = s.waiting
+    if not waiting:
+        s.active = {}
+        return sent
     busy = {}
-    for k, q in s.active.items():
-        i = q.pop(0)
-        sent.append(i)
-        fl[i] += 1
-        if q:
-            busy[k] = q
+    for k in active:
+        if k in waiting:
+            w = waiting[k]
+            busy[k] = w.pop(0)
+            if not w:
+                del waiting[k]
     s.active = busy
     return sent
 
 
-def spliced(s: ScalarRun, batch: list[int], t: int) -> list[int]:
-    """*batch* with the packets its spawn triggers activate at step *t*
-    placed before their parents (:meth:`SpawnTables.fire`)."""
-    spawn = s.spawn
-    next_trig = spawn.next_trig
-    trig_cursor = spawn.trig_cursor
-    fl = s.fl
-    seq = s.spawned
-    before = len(seq)
-    out: list[int] = []
-    for i in batch:
-        k = next_trig[i]
-        if k >= 0 and trig_cursor[k] == fl[i]:
-            spawn.fire(i, out, seq)
-        out.append(i)
-    for c in seq[before:]:
-        s.injected_at[c] = t
-    s.remaining += len(seq) - before
-    return out
-
-
-def admit(s: ScalarRun, batch: list[int], t: int) -> None:
-    """Place *batch*, in order, at step *t*: deliver, absorb or enqueue
-    each packet (see the module docstring).  Profile time is booked to
-    ``arrival``, minus the ``combining`` share — the resident searches
-    of a combining run's arrivals that meet a busy link."""
-    prof = s.prof
+def admit(s: ScalarRun, batch: list[int], t: int, advance: int, prof) -> None:
+    """Place *batch*, in order, at step *t*, each packet's cursor moved
+    on by *advance* first (1 for arrivals, 0 for injections): fire its
+    pending trigger if it is there (:func:`spawn_children`), then
+    deliver, absorb or enqueue it (see the module docstring).  With a
+    *prof*, time is booked to ``arrival``, minus the ``combining`` share
+    — the resident searches of a combining run's arrivals that meet a
+    busy link."""
     t0 = wall_time() if prof is not None else 0.0
     combining_dt = 0.0
     met = False
-    if s.spawn is not None:
-        batch = spliced(s, batch, t)
     fl, fl_last, key, log = s.fl, s.fl_last, s.key, s.log
-    active, gid, prio, subtree = s.active, s.gid, s.prio, s.subtree
-    arrived = s.arrived
+    active, waiting, gid, prio = s.active, s.waiting, s.gid, s.prio
+    subtree, arrived, spawn = s.subtree, s.arrived, s.spawn
+    if spawn is not None:
+        next_trig, trig_cursor = spawn.next_trig, spawn.trig_cursor
     max_queue, remaining = s.max_queue, s.remaining
     for i in batch:
-        f = fl[i]
+        f = fl[i] + advance
+        fl[i] = f
+        if spawn is not None:
+            trig = next_trig[i]
+            if trig >= 0 and trig_cursor[trig] == f:
+                s.max_queue, s.remaining = max_queue, remaining
+                spawn_children(s, i, t)
+                max_queue, remaining = s.max_queue, s.remaining
         if f == fl_last[i]:
             arrived[i] = t
             remaining -= subtree[i]
             continue
         log[f] = t
         k = key[f]
-        q = active.get(k)
-        if q is None:
+        if k not in active:
             # alone on an idle link: nothing to meet, outrank or exceed
-            active[k] = [i]
+            active[k] = i
             if not max_queue:
                 max_queue = 1
-        else:
-            if gid is not None:
-                met = True
-                c0 = wall_time() if prof is not None else 0.0
-                g = gid[i]
-                for h in q:
-                    if gid[h] == g:
-                        subtree[h] += subtree[i]
-                        s.absorbed_by.append(h)
-                        s.absorbed.append(i)
+            continue
+        h = active[k]
+        w = waiting.get(k)
+        if gid is not None:
+            met = True
+            c0 = wall_time() if prof is not None else 0.0
+            g = gid[i]
+            m = h if gid[h] == g else -1
+            if m < 0 and w is not None:
+                for x in w:
+                    if gid[x] == g:
+                        m = x
                         break
-                else:
-                    h = -1
-                if prof is not None:
-                    combining_dt += wall_time() - c0
-                if h >= 0:
-                    continue
-            if prio is None or prio[f] <= prio[fl[q[-1]]]:
-                q.append(i)
-            else:
-                p = prio[f]
-                j = 0
-                while prio[fl[q[j]]] >= p:
-                    j += 1
-                q.insert(j, i)
-            if len(q) > max_queue:
-                max_queue = len(q)
+            if prof is not None:
+                combining_dt += wall_time() - c0
+            if m >= 0:
+                subtree[m] += subtree[i]
+                s.absorbed_by.append(m)
+                s.absorbed.append(i)
+                continue
+        if w is None:
+            w = waiting[k] = []
+        if prio is None or prio[f] <= prio[fl[w[-1] if w else h]]:
+            w.append(i)
+        elif prio[f] > prio[fl[h]]:
+            # outranks the head: it is sent next, the old head waits first
+            active[k] = i
+            w.insert(0, h)
+        else:
+            p = prio[f]
+            j = 0
+            while prio[fl[w[j]]] >= p:
+                j += 1
+            w.insert(j, i)
+        if len(w) >= max_queue:
+            max_queue = len(w) + 1
     s.max_queue, s.remaining = max_queue, remaining
     if prof is not None:
         if met:
             prof.add_phase("combining", combining_dt)
         prof.add_phase("arrival", wall_time() - t0 - combining_dt)
+
+
+def spawn_children(s: ScalarRun, i: int, t: int) -> None:
+    """Packet *i*'s pending trigger fires at step *t*: its children —
+    each with its own position-0 spawns before it, recursively
+    (:meth:`SpawnTables.fire`) — are injected and placed, cursors not
+    advanced, before *i* is."""
+    out: list[int] = []
+    seq = s.spawned
+    before = len(seq)
+    s.spawn.fire(i, out, seq)
+    for c in seq[before:]:
+        s.injected_at[c] = t
+    s.remaining += len(seq) - before
+    # no profile: the pass that reached i books this time
+    admit(s, out, t, 0, None)
 
 
 def finish(s: ScalarRun, t: int) -> RunArrays:
@@ -464,3 +514,68 @@ def finish(s: ScalarRun, t: int) -> RunArrays:
     if prof is not None:
         prof.add_phase("finish", wall_time() - t0)
     return arrays
+
+
+def check_invariants(s: ScalarRun, t: int | None = None) -> None:
+    """Raise :class:`~repro.routing.fast_phases.RunInvariantError`
+    unless *s* is a state the step loop leaves between two of its
+    :func:`admit` calls (no packet in flight); *t* is the step the run
+    is at (omitted: any).  The vector lane's checker is
+    :func:`repro.routing.fast_phases.check_invariants`.
+
+    * waiters: every ``waiting`` key is a busy link, its list non-empty;
+    * chains: no packet is queued twice, each queued packet's next hop
+      (``key[fl[i]]``) is its link, and under priorities each chain —
+      the head, then its waiters — never rises;
+    * conservation: ``remaining`` is the subtree sizes of the queued
+      packets plus the roots not yet injected (those neither queued,
+      delivered nor absorbed); a spawned packet is always one of those;
+    * the arrival log: no entry after *t*.
+
+    Nothing on the served path calls it; ``tests/test_scalar_lane.py``
+    calls it after every step of its cases.
+    """
+    fl, fl_last, key, prio = s.fl, s.fl_last, s.key, s.prio
+    for k, w in s.waiting.items():
+        if k not in s.active or not w:
+            raise RunInvariantError(
+                "waiters", f"link {k} has waiters {w} and head {s.active.get(k)}"
+            )
+    queued: dict[int, int] = {}
+    for k, h in s.active.items():
+        chain = [h, *s.waiting.get(k, ())]
+        for i in chain:
+            if i in queued:
+                raise RunInvariantError(
+                    "chains", f"packet {i} is queued on links {queued[i]} and {k}"
+                )
+            queued[i] = k
+            if fl[i] >= fl_last[i] or key[fl[i]] != k:
+                raise RunInvariantError(
+                    "chains", f"packet {i} at slot {fl[i]} is queued on link {k}"
+                )
+        ranks = [prio[fl[i]] for i in chain] if prio is not None else []
+        if any(a < b for a, b in zip(ranks, ranks[1:])):
+            raise RunInvariantError("chains", f"link {k}'s priorities rise: {ranks}")
+    placed = set(queued).union(s.absorbed)
+    placed.update(i for i, step in enumerate(s.arrived) if step >= 0)
+    lost = set(s.spawned) - placed
+    if lost:
+        raise RunInvariantError(
+            "conservation",
+            f"spawned packet {min(lost)} is neither queued, delivered nor absorbed",
+        )
+    pending = len(set(s.roots.tolist()) - placed)
+    owed = sum(s.subtree[i] for i in queued) + pending
+    if s.remaining != owed:
+        raise RunInvariantError(
+            "conservation",
+            f"remaining {s.remaining}, but {len(queued)} queued packets carry "
+            f"{owed - pending} and {pending} roots are not yet injected",
+        )
+    if t is not None:
+        late = [f for f, step in enumerate(s.log) if step > t]
+        if late:
+            raise RunInvariantError(
+                "arrival log", f"slot {late[0]} logged step {s.log[late[0]]} after {t}"
+            )

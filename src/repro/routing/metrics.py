@@ -16,15 +16,17 @@ import numpy as np
 from repro.routing.packet import Packet
 
 
-class DeferredStat:
-    """A stat worked out the first time it is read: ``derive(*args)``.
+class Deferred:
+    """A value worked out the first time it is read: ``derive(*args)``.
 
-    A fast run hands its :class:`RoutingStats` one of these where a
-    number is costly to compute and rarely read (``max_node_load``,
-    derived from the run's arrival log).  :meth:`resolve` computes the
-    value once, keeps it and drops *args*, so nothing holds the run's
-    arrays past the first read; an unread one pickles with its
-    arguments (*derive* must be a module-level function).
+    A fast run leaves one of these where a value is costly to compute
+    and rarely read: its :class:`RoutingStats` ``max_node_load``, derived
+    from the run's arrival log, and a list-built reply run's
+    :attr:`~repro.routing.fast_phases.RunArrays.paths`, gathered from
+    its request run.  :meth:`resolve` computes the value once, keeps it
+    and drops *args*, so nothing holds the arguments past the first
+    read; an unread one pickles with them (*derive* must be a
+    module-level function).
     """
 
     __slots__ = ("derive", "args", "value")
@@ -34,30 +36,36 @@ class DeferredStat:
         self.args = args
         self.value = None
 
-    def resolve(self) -> int:
+    def resolve(self):
         if self.args is not None:
-            self.value = int(self.derive(*self.args))
+            self.value = self.derive(*self.args)
             self.derive = self.args = None
         return self.value
 
 
-class _ReadResolves:
-    """A dataclass field whose value may be a :class:`DeferredStat`:
-    the first read through the instance resolves it and stores the
-    number in its place, so attribute access, ``==``, ``repr`` and
-    :func:`dataclasses.asdict` all see the number (``vars()`` shows
-    what is stored).  A data descriptor, so it wins over the instance
-    dict it stores into; read through the class it is the field's
-    default, 0."""
+class ReadResolves:
+    """A dataclass field whose value may be a :class:`Deferred`: the
+    first read through the instance resolves it and stores the value in
+    its place, so attribute access, ``==``, ``repr`` and
+    :func:`dataclasses.asdict` all see the value (``vars()`` shows what
+    is stored).  A data descriptor, so it wins over the instance dict it
+    stores into — on a frozen dataclass too.  Read through the class it
+    is the field's *default*; given none, the field has none (a
+    dataclass takes the ``AttributeError`` to mean so)."""
+
+    def __init__(self, *default) -> None:
+        self.default = default
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return 0
+            if not self.default:
+                raise AttributeError(self.name)
+            return self.default[0]
         value = obj.__dict__[self.name]
-        if isinstance(value, DeferredStat):
+        if isinstance(value, Deferred):
             value = obj.__dict__[self.name] = value.resolve()
         return value
 
@@ -82,11 +90,11 @@ class RoutingStats:
     #: outgoing link queues) after an arrival phase; the per-processor
     #: buffer requirement.  The reference engine and a fast
     #: ``node_capacity`` run count it as they go; every other fast run
-    #: stores a :class:`DeferredStat` here, which derives it from the
+    #: stores a :class:`Deferred` here, which derives it from the
     #: run's arrival log on the first read
     #: (:func:`repro.routing.fast_phases.peak_node_load`) and is
     #: replaced by the number — no served path reads it
-    max_node_load: int = _ReadResolves()
+    max_node_load: int = ReadResolves(0)
     #: (link, step) pairs where credit flow control held a transmission
     #: back — a queue head or escape occupant that could not move this
     #: step.  Zero unless ``flow_control="credit"``; identical across

@@ -277,7 +277,7 @@ def test_the_per_step_phases_call_no_reduction_method():
 
 
 #: the scalar lane's functions that every network step of its runs calls
-SCALAR_STEP_FUNCTIONS = ("run_steps", "transmit", "spliced", "admit")
+SCALAR_STEP_FUNCTIONS = ("run_steps", "transmit", "admit", "spawn_children")
 
 
 def test_the_scalar_lane_steps_without_numpy():

@@ -4,7 +4,7 @@ A fast run without ``node_capacity`` counts no node loads while it
 steps: both lanes log the step each packet arrived at each link slot,
 and :func:`repro.routing.fast_phases.peak_node_load` sweeps that log
 the first time ``RoutingStats.max_node_load`` is read (a
-:class:`~repro.routing.metrics.DeferredStat` until then).  Here the
+:class:`~repro.routing.metrics.Deferred` until then).  Here the
 derived number must equal the reference engine's running count on
 generated leveled and mesh populations, through each lane (the
 ``run_lane`` fixture; the ``VectorLane`` class collects the suite
@@ -24,7 +24,7 @@ from conftest import flat_priorities, forced_run_lane
 
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.routing import FastPathEngine, SynchronousEngine, furthest_first_factory
-from repro.routing.metrics import DeferredStat
+from repro.routing.metrics import Deferred
 from repro.sharding import ShardedEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import OnlineEmulator, PoissonArrivals, WorkloadGenerator, ZipfKeys
@@ -54,7 +54,7 @@ def routed(paths, *, inject, priorities=None, addresses=None, spawn_plan=None,
         spawn_plan=spawn_plan,
         link_faults=faults(),
     )
-    assert isinstance(vars(fast)["max_node_load"], DeferredStat)
+    assert isinstance(vars(fast)["max_node_load"], Deferred)
 
     ref_packets = _packets(paths, last, inject, addresses)
     roots, on_arrival = ref_packets, None
@@ -240,10 +240,10 @@ class TestDerivedNodeLoad:
         paths = [[0, 1, 2]] * 5 + [[3, 1, 2]] * 2
         stats = engine.run(paths, num_nodes=4, max_steps=20)
         deferred = vars(stats)["max_node_load"]
-        assert isinstance(deferred, DeferredStat)
+        assert isinstance(deferred, Deferred)
         # unread, it pickles with its arrays and resolves on the far side
         copy = pickle.loads(pickle.dumps(stats))
-        assert isinstance(vars(copy)["max_node_load"], DeferredStat)
+        assert isinstance(vars(copy)["max_node_load"], Deferred)
         arrays = weakref.ref(engine.last_arrays)
         engine.last_arrays = None
         gc.collect()
@@ -284,9 +284,9 @@ def test_served_epochs_never_resolve_the_stat(monkeypatch):
     ``max_node_load``: one epoch on a mesh, a leveled and a sharded
     emulator resolves no deferred stat (and derives no peak)."""
     resolved = []
-    resolve = DeferredStat.resolve
+    resolve = Deferred.resolve
     monkeypatch.setattr(
-        DeferredStat, "resolve", lambda self: resolved.append(self) or resolve(self)
+        Deferred, "resolve", lambda self: resolved.append(self) or resolve(self)
     )
     mesh = Mesh2D.square(6)
     one_epoch(MeshEmulator(mesh, 4 * mesh.num_nodes, mode="crcw", seed=5), mesh.num_nodes)

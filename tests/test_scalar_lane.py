@@ -8,7 +8,11 @@ that log when read (:func:`repro.routing.fast_phases.peak_node_load`).
 Each case routes one population on both lanes, whose ``RunArrays`` must
 agree field for field — the arrival log, the derived ``max_node_load``,
 ``max_queue`` and ``combines`` included — and, where the reference
-engine can route it, once more there.
+engine can route it, once more there.  Every scalar-lane step of every
+case ends in the lane's checker (``fast_scalar.check_invariants``,
+through the ``checked_steps`` fixture), which has cases of its own.
+The lane keeps a busy link's head in ``active`` and only a longer
+queue's rest in ``waiting``; the last cases pin that shape's edges.
 """
 
 import numpy as np
@@ -25,16 +29,46 @@ from repro.routing import (
     RoutingTimeout,
     fast_engine,
 )
-from repro.routing.fast_phases import peak_node_load
+from repro.routing import fast_scalar
+from repro.routing.fast_engine import _normalise_paths
+from repro.routing.fast_phases import Replies, RunInvariantError, peak_node_load
+from repro.routing.metrics import Deferred
 from repro.topology import Mesh2D, StarLogicalLeveled
-from repro.topology.compiled import compile_mesh
+from repro.topology.compiled import FlatPaths, compile_mesh
 from test_batch_arrival import run_both, scenario_spawn_at_zero
 from test_fast_engine import assert_stats_equal
+from test_reply_lists import NODES, assert_three_ways
+from test_reply_phase import hand_built_requests
 
 RUN_FIELDS = (
     "hops", "arrived", "injected_at", "absorbed_by", "absorbed", "order",
     "steps", "completed", "max_queue", "max_node_load", "combines", "arrival_log",
 )  # fmt: skip
+
+
+@pytest.fixture(autouse=True)
+def checked_steps(monkeypatch):
+    """Check every scalar-lane run of the test after each of its steps:
+    after each :func:`~repro.routing.fast_scalar.admit` the step loop
+    makes — not the ones a firing trigger makes inside it for the
+    children.  Yields the steps checked; the test must have made one."""
+    admit = fast_scalar.admit
+    depth = []
+    checked = []
+
+    def admit_then_check(s, batch, t, advance, prof):
+        depth.append(t)
+        try:
+            admit(s, batch, t, advance, prof)
+        finally:
+            depth.pop()
+        if not depth:
+            fast_scalar.check_invariants(s, t)
+            checked.append(t)
+
+    monkeypatch.setattr(fast_scalar, "admit", admit_then_check)
+    yield checked
+    assert checked, "no scalar-lane step ran"
 
 
 def assert_runs_equal(a, b):
@@ -234,3 +268,171 @@ def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
             fresh, _ = engine_run(paths, 4, injected_at=inject)
         assert_stats_equal(stats, fresh)
     assert seen == [(2, 4)] * 2
+
+
+# ---- the checker ------------------------------------------------------------
+
+
+def a_run_after_one_step(priorities=None):
+    """A scalar run of five packets through node 2, injected and stepped
+    once: link 0→2 holds 1 then 2, link 1→2 holds 4, and link 2→3 holds
+    the two that crossed, 0 then 3."""
+    paths = np.asarray([[0, 2, 3]] * 3 + [[1, 2, 3]] * 2)
+    flat, last = _normalise_paths(paths)
+    s = fast_scalar.ScalarRun(
+        flat, last, np.zeros(5, dtype=np.int64), priorities=priorities, num_nodes=4
+    )
+    admit = fast_scalar.admit
+    admit(s, list(range(5)), 0, 0, None)
+    admit(s, fast_scalar.transmit(s), 1, 1, None)
+    fast_scalar.check_invariants(s, 1)
+    return s
+
+
+def link(src, dst):
+    return src * 4 + dst
+
+
+def swap_heads(s):
+    s.active[link(0, 2)], s.active[link(2, 3)] = s.active[link(2, 3)], s.active[link(0, 2)]
+
+
+def swap_head_and_waiter(s):
+    k = link(2, 3)
+    s.active[k], s.waiting[k][0] = s.waiting[k][0], s.active[k]
+
+
+@pytest.mark.parametrize(
+    "invariant, breaks",
+    [
+        ("waiters", lambda s: s.waiting.update({link(1, 2): []})),
+        ("waiters", lambda s: s.waiting.update({link(0, 3): [4]})),
+        ("chains", lambda s: s.waiting[link(2, 3)].append(1)),
+        ("chains", swap_heads),
+        ("conservation", lambda s: setattr(s, "remaining", s.remaining + 1)),
+        ("conservation", lambda s: s.spawned.append(2) or s.waiting.pop(link(0, 2))),
+    ],
+)
+def test_the_checker_names_each_broken_clause(invariant, breaks):
+    s = a_run_after_one_step()
+    breaks(s)
+    with pytest.raises(RunInvariantError) as exc:
+        fast_scalar.check_invariants(s, 1)
+    assert exc.value.invariant == invariant
+
+
+def test_the_checker_reads_priorities_and_the_arrival_log():
+    """Under furthest-first a chain never rises (0 ranks 5 on its second
+    hop, 3 ranks 2), and no slot is logged after the step given."""
+    s = a_run_after_one_step(np.asarray([1, 5] * 3 + [1, 2] * 2))
+    with pytest.raises(RunInvariantError, match="arrival log"):
+        fast_scalar.check_invariants(s, 0)
+    swap_head_and_waiter(s)
+    with pytest.raises(RunInvariantError, match="priorities rise"):
+        fast_scalar.check_invariants(s, 1)
+
+
+# ---- the head / waiting split, edge by edge ---------------------------------
+
+
+def on_both_lanes_equal(paths, num_nodes, **kwargs):
+    """One engine run per lane, ``RunArrays`` equal field for field:
+    the scalar lane's ``(stats, arrays)``."""
+    (stats, run), (_, v_run) = on_both_lanes(
+        lambda: engine_run(paths, num_nodes, **kwargs)
+    )
+    assert_runs_equal(run, v_run)
+    return stats, run
+
+
+def test_an_arrival_that_outranks_the_head_is_sent_next():
+    """Packets 0 and 1 wait at node 1 (rank 1); 0 leaves, 1 is the head —
+    and 2 arrives ranked 9, takes the head and leaves first: furthest-
+    first, where FIFO would have sent 1."""
+    paths = [[1, 2], [1, 2], [0, 1, 2]]
+    ranks = [[1], [1], [1, 9]]
+    stats = run_both(paths, priorities=ranks)
+    assert stats.delays == [0, 2, 0]  # steps queued
+    flat = np.asarray([r for row in ranks for r in row])
+    _, run = on_both_lanes_equal(paths, 3, priorities=flat)
+    assert run.arrived.tolist() == [1, 3, 2] and run.max_queue == 2
+    assert run_both(paths).delays == [0, 1, 1]  # FIFO
+
+
+def test_combining_into_the_head_and_into_a_waiter():
+    """Four reads onto one link in one batch: 0 is the head, 1 waits;
+    2 finds 1 (a waiter) and 3 finds 0 (the head)."""
+    paths = [[0, 1, 2]] * 4
+    stats = run_both(paths, addresses=[5, 7, 7, 5])
+    assert (stats.combines, stats.max_queue) == (2, 2)
+    _, run = on_both_lanes_equal(paths, 3, combine_groups=[5, 7, 7, 5])
+    assert run.absorbed_by.tolist() == [1, 0] and run.absorbed.tolist() == [2, 3]
+
+
+def test_a_link_that_empties_rejoins_at_the_end_of_the_activation_order():
+    """Link 0→2 sends 0 at step 0 and leaves ``active`` while 1→2 stays
+    busy; 3's injection at step 1 activates it again, behind 1→2 and
+    2→3, so at step 2 2 reaches node 2 before 3 and is sent first."""
+    paths = [[0, 2, 3], [1, 2, 3], [1, 2, 3], [0, 2, 3]]
+    inject = [0, 0, 0, 1]
+    stats = run_both(paths, inject=inject)
+    assert stats.delays == [0, 1, 2, 2]
+    _, run = on_both_lanes_equal(paths, 4, injected_at=inject)
+    assert run.arrived.tolist() == [2, 3, 4, 5]
+
+
+def test_an_injection_among_the_same_steps_arrivals_is_not_advanced():
+    """At step 1 packets 0 and 1 arrive at node 2 and 2 is injected
+    there: it joins link 2→3 behind them at its first slot, and is
+    delivered after one hop."""
+    paths = [[0, 2, 3], [1, 2, 3], [2, 3]]
+    inject = [0, 0, 1]
+    stats = run_both(paths, inject=inject)
+    assert (stats.delays, stats.hops, stats.max_queue) == ([0, 1, 2], [2, 2, 1], 3)
+    _, run = on_both_lanes_equal(paths, 4, injected_at=inject)
+    assert run.arrival_log == [0, 1, 0, 1, 1]
+
+
+def test_a_position_0_reply_cascade_fires_inside_the_arrival_pass(monkeypatch):
+    """Host 0's reply reaches node 5 at step 1, where 1 was absorbed: 1's
+    reply spawns there, and with it — each at position 0 of its parent —
+    2's and the zero-hop 3's, in the same pass over that step's
+    arrivals."""
+    fired = []
+    spawn_children = fast_scalar.spawn_children
+    monkeypatch.setattr(
+        fast_scalar,
+        "spawn_children",
+        lambda s, i, t: fired.append((i, t)) or spawn_children(s, i, t),
+    )
+    requests, packets = hand_built_requests(
+        rows=[[0, 5, 2], [6, 5], [4, 5], [5]],
+        hops=[2, 1, 1, 0],
+        absorbed_by=[0, 1, 2],
+        absorbed=[1, 2, 3],
+    )
+    stats = assert_three_ways(requests, packets, [0], NODES)
+    assert fired == [(0, 1)] * 2  # lists keyed by link ids, then by hop codes
+    assert stats.hops == [2, 1, 1, 0] and stats.delays == [0] * 4
+
+
+def test_a_list_built_reply_run_gathers_its_paths_on_first_read():
+    """The step loop never reads a node, so a list-built reply run leaves
+    its itineraries deferred; read, they are the array layout's."""
+    requests, _ = hand_built_requests(
+        rows=[[0, 5, 2], [6, 5], [4, 5], [5]],
+        hops=[2, 1, 1, 0],
+        absorbed_by=[0, 1, 2],
+        absorbed=[1, 2, 3],
+    )
+    runs = {}
+    for lane in RUN_LANES:
+        engine = FastPathEngine()
+        with forced_run_lane(lane):
+            engine.run(Replies(requests, np.asarray([0])), num_nodes=NODES, max_steps=9)
+        runs[lane] = engine.last_arrays
+    assert isinstance(vars(runs["scalar"])["paths"], Deferred)
+    assert not isinstance(vars(runs["vector"])["paths"], Deferred)
+    for lists, arrays in zip(runs["scalar"].paths, runs["vector"].paths):
+        assert np.array_equal(lists, arrays)
+    assert isinstance(vars(runs["scalar"])["paths"], FlatPaths)  # kept once read

@@ -33,7 +33,7 @@ number.
 
 A function that is not served is *kept* by rule when it is a dunder or
 an abstract stub (reason f), or by the ``KEEP`` table below (reasons
-a-e, see ``REASONS``).  An arm that is not served is kept by rule when
+a-e and g, see ``REASONS``).  An arm that is not served is kept by rule when
 its last statement is a ``raise`` (reason a), or by a ``KEEP`` entry
 under its arm key.  ``--check`` exits 1 on any unreached function
 outside rule f, on any tests-only function that is neither kept by
@@ -77,15 +77,17 @@ REASONS = {
     "d": "a member of the Emulator service contract",
     "e": "the analysis bounds ROADMAP item 8(b) is to call",
     "f": "a dunder or an abstract stub (kept by rule)",
+    "g": "a run field's value no served path reads, worked out on first read",
 }
 
 #: tests-only functions, and non-served arms of served functions, that
-#: stay, each with its reason (a-e above); rule f (dunders, abstract
+#: stay, each with its reason (a-e, g above); rule f (dunders, abstract
 #: stubs) and arms ending in ``raise`` need no entry
 KEEP = {
     # (a) safety code: invariant checks, validation, failure and retry paths
     "repro.routing.fast_phases:check_invariants": "a",
     "repro.routing.fast_phases:_check_loads": "a",
+    "repro.routing.fast_scalar:check_invariants": "a",
     "repro.emulation.base:Emulator._failure": "a",
     "repro.obs:NullObserver.flight_tail": "a",  # what _failure reads unobserved
     "repro.emulation.leveled:LeveledEmulator._check_link_spec": "a",
@@ -150,6 +152,8 @@ KEEP = {
     "repro.util.stats:chernoff_upper": "e",
     "repro.util.stats:hoeffding_poisson_tail": "e",
     "repro.util.stats:poisson_tail": "e",
+    # (g) a list-built reply run's itineraries (RunArrays.paths), deferred
+    "repro.routing.fast_scalar:reply_paths": "g",
     # ---- arms of served functions, keyed "function | header" ----------
     # (a) the race detector's verdicts, and the address scan's soundness
     # (names bound in the body) and tractability boundary
