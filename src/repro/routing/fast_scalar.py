@@ -6,10 +6,13 @@ has two lanes for one run semantics.  The *vector* lane
 tables, paying ~35 numpy calls — ~37 µs — a network step whatever the
 batch size.  This lane advances a run of at most :data:`SCALAR_RUN_MAX`
 packets with no ``node_capacity`` and no link-fault view on Python lists,
-at ~0.52 µs a packet-hop (whole engine runs, set-up included, of one
-``sharded_tenants`` unit, best of nine on a 2-core box).  Per busy link
-it keeps its *head* — the packet it sends next — in ``active``, a dict
-whose insertion order is the links' activation order, and, only for a
+at ~0.5 µs a packet-hop (whole engine runs, set-up included, best of
+nine each, on a 2-core box: 0.52 µs over one ``sharded_tenants`` unit's
+27-96-packet runs, 0.44 µs over one ``apps_replay`` unit's 1-318-packet
+ones; the box's speed varied by up to 30 % between such measurements).
+Per busy link it keeps its *head* — the packet it sends next — in
+``active``, a dict whose insertion order is the links' activation
+order, and, only for a
 link with more than one packet, the rest of its queue in service order
 in ``waiting``; per-packet cursor, subtree and arrival lists; and per
 link slot the key of the queue the hop joins and the step its packet
@@ -88,32 +91,38 @@ from repro.topology.compiled import FlatPaths
 #: The largest population stepped on lists; a larger run, or one with
 #: ``node_capacity`` or a link-fault view, takes the vector lane.  The
 #: census (``python tools/residue_census.py [--lanes]``, seed 7, one
-#: unit): engine runs on this lane / all, their population p50 / max,
-#: and ``--lanes``' replay of every run the configuration allows through
-#: both lanes, best of three — vector / scalar seconds by population:
+#: unit): engine runs on this lane / all, and ``--lanes``' replay of
+#: every run the configuration allows through both lanes, best of three
+#: — vector / scalar seconds by population:
 #:
-#: ==================  =======  =========  =====  =====  =====  ======  =======  =====
-#: workload            runs     p50/max    1-16   17-32  33-64  65-128  129-256  > 256
-#: ==================  =======  =========  =====  =====  =====  ======  =======  =====
-#: bfly_small_steps    500/500  16/31      3.73x  3.55x
-#: sharded_tenants     280/280  54/96             2.86x  2.53x  2.16x
-#: apps_replay         168/240  64/318     3.91x  3.66x  2.51x  1.73x   1.64x    1.14x
-#: mesh_crcw_zipf      0/40     510/558                                          0.92x
-#: mesh_erew_hot       0/30     660/696                                          0.64x
-#: star_crcw_zipf      0/10     2462/2596                                        0.40x
-#: bfly_credit_bursty  0/32     957/1024                                         0.54x
-#: ==================  =======  =========  =====  =====  =====  ======  =======  =====
+#: ==================  =======  =====  =====  =====  ======  =======  =======  =====
+#: workload            runs     1-16   17-32  33-64  65-128  129-256  257-384  > 384
+#: ==================  =======  =====  =====  =====  ======  =======  =======  =====
+#: bfly_small_steps    500/500  3.90x  3.81x
+#: sharded_tenants     280/280         3.17x  2.84x  2.39x
+#: apps_replay         240/240  4.15x  3.93x  2.75x  1.92x   1.81x    1.30x
+#: mesh_crcw_zipf      0/40                                                   0.86x
+#: mesh_erew_hot       0/30                                                   0.65x
+#: star_crcw_zipf      0/10                                                   0.37x
+#: bfly_credit_bursty  0/32                                                   0.56x
+#: ==================  =======  =====  =====  =====  ======  =======  =======  =====
 #:
-#: (``bfly_credit_bursty``'s replayed runs are its unconstrained reply
-#: runs.)  Lists win ~2.5-3.9x below 64 packets.  The buckets above 128
-#: favour lists alone, but with the constant at 128 / 192 / 256 / 320
-#: ``apps_replay``'s whole-unit engine time stayed within 2 % (84.4 /
-#: 83.5 / 83.3 / 83.1 ms, units 118.2 / 117.1 / 117.1 / 118.2 ms, best
-#: of seven in-process units, interleaved, with reply runs laid out in
-#: lists, measured before the lane kept heads apart from waiters), as
-#: it did at 192 / 256 before the lane stopped counting node loads, so
-#: it stays at 128.
-SCALAR_RUN_MAX = 128
+#: The populations those replays cover, min-max at seeds 7 / 31:
+#: ``bfly_small_steps`` 4-31 / 7-29, ``sharded_tenants`` 27-96 / 22-105,
+#: ``apps_replay`` 1-318 / 1-338; then ``mesh_crcw_zipf`` 432-558 /
+#: 469-552, ``mesh_erew_hot`` 628-696 / 599-697, ``bfly_credit_bursty``
+#: 766-1024 / 753-1024 (its unconstrained reply runs) and
+#: ``star_crcw_zipf`` 2342-2596 / 2445-2515.  Lists win every bucket up
+#: to ``apps_replay``'s largest runs (its 129-384-packet requests 1.57x,
+#: their replies 1.19x) and lose on every row above them
+#: (``mesh_crcw_zipf``'s requests 0.93x, replies 0.88x).  The constant
+#: sits in the gap no run falls in, 339-431, so it moves no run of a row
+#: but ``apps_replay``, and whole units of that row agree:
+#: ``python tools/ab.py --workload apps_replay --pairs 10 --seconds 15``
+#: against this constant at 128 (2-core box) read ``requests_per_s``
+#: 71,310 → 78,865 (1.11x) at seed 7 and 74,131 → 81,027 (1.09x) at
+#: seed 31, 10/10 pairs won each, ``sim_digest`` equal in every pair.
+SCALAR_RUN_MAX = 384
 
 
 def takes(n: int, node_capacity, link_faults) -> bool:

@@ -44,7 +44,7 @@ from repro.routing.fast_phases import (
 from repro.routing import LeveledRouter
 from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh, segment_index
-from conftest import flat_priorities
+from conftest import flat_priorities, forced_run_lane
 from test_batch_arrival import DownUntil, forced_lane
 
 
@@ -164,9 +164,11 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     assert s.gid.shape == (n,)
     assert not {"host_at", "vc_flat"} & set(RunState.__slots__)
     # ... and the finished run hands the same tables on, for its replies
-    # (a fresh router on the same seed draws the same coins)
+    # (a fresh router on the same seed draws the same coins; 360 packets
+    # would take the scalar lane, which interns no links)
     rerun = LeveledRouter(net, seed=9, combine=True, engine="fast")
-    assert rerun.route(sources, dests, addresses=addresses).completed
+    with forced_run_lane("vector"):
+        assert rerun.route(sources, dests, addresses=addresses).completed
     link_ids, link_src, link_dst = rerun.last_fast_run.links
     assert link_ids.shape == (n * 2 * L,)
     assert np.array_equal(link_ids, s.li_flat)

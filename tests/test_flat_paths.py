@@ -25,6 +25,7 @@ from repro.routing import (
 from repro.routing.packet import make_packets
 from repro.topology import DWayShuffle, Hypercube, Mesh2D, StarGraph
 from repro.topology.compiled import compact_paths, hypercube_paths
+from conftest import forced_run_lane
 from test_batch_arrival import _routed
 from test_fast_engine import assert_stats_equal
 
@@ -186,7 +187,9 @@ def test_no_per_position_table_is_padded(monkeypatch):
     monkeypatch.setattr(fast_engine, "finish", spy)
     mesh = Mesh2D.square(16)
     router = MeshRouter(mesh, seed=7, engine="fast")
-    assert router.route_random_permutation().completed
+    # 256 packets would take the scalar lane, which keeps no such tables
+    with forced_run_lane("vector"):
+        assert router.route_random_permutation().completed
     (s,) = states
     arrays = router.last_fast_run
     hops = arrays.paths.hops

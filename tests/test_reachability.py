@@ -87,10 +87,31 @@ def test_an_arm_keep_entry_matches_by_header_after_the_lines_shift(tmp_path, mon
         root.mkdir()
         pkg = _package(root, "\n" * shift + BRANCHY)
         (root / "serve.py").write_text("import pkg\npkg.branchy(1)\n")
-        served = reachability.trace([[str(root / "serve.py")]], pkg, root, "served")
+        served = reachability.trace({"served": [[str(root / "serve.py")]]}, pkg, root)["served"]
         report = reachability.classify(reachability.inventory(pkg), served, {})
         assert report["arms"]["pkg:branchy | else of if x > 0:"]["keep"] == "a"
         assert report["rejected"] == []
+
+
+def test_entries_that_run_at_once_keep_their_own_lines(tmp_path):
+    """Two served entries and a tests entry, traced concurrently: each
+    interpreter dumps its own file, and every set gets every line its
+    entries ran, none of another set's."""
+    pkg = _package(tmp_path, "\ndef a():\n    return 1\n\ndef b():\n    return 2\n")
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.py").write_text(f"import pkg\npkg.{name}()\n")
+    hits = reachability.trace(
+        {"served": [[str(tmp_path / "a.py")], [str(tmp_path / "b.py")]],
+         "tests": [[str(tmp_path / "b.py")]]},
+        pkg, tmp_path,
+    )  # fmt: skip
+    report = reachability.classify(reachability.inventory(pkg), hits["served"], hits["tests"])
+    assert report["counts"] == {"served": 2}
+    assert len(list((tmp_path / "lines_served").glob("*.json"))) == 2
+    tested = reachability.classify(reachability.inventory(pkg), hits["tests"], {})
+    assert {k: f["status"] for k, f in tested["functions"].items()} == {
+        "pkg:a": "unreached", "pkg:b": "served",
+    }
 
 
 def test_functions_are_keyed_by_qualname_and_stubs_kept_by_rule(tmp_path):

@@ -180,35 +180,37 @@ def test_a_missing_merge_node_is_the_same_error_on_both_layouts():
         )
 
 
-def routed_hot_reads(engine, seed):
-    """192 hot-key CRCW reads on a 64-row butterfly — a vector-lane
-    request run at the default ``SCALAR_RUN_MAX`` — and the packets."""
-    net = DAryButterflyLeveled(2, 6)
+def routed_hot_reads(engine, seed, levels=6, n=None, keys=6):
+    """*n* (three per row unless given) CRCW reads of *keys* hot
+    addresses on a ``2**levels``-row butterfly, each address's module
+    its own exit row — 192 reads on 64 rows by default: the router,
+    the packets, the node count and the run's stats."""
+    net = DAryButterflyLeveled(2, levels)
     rng = np.random.default_rng(seed)
-    n = 3 * net.column_size
+    n = 3 * net.column_size if n is None else n
     exit_base = 2 * net.num_levels * net.column_size
     packets = [
         Packet(i, i % net.column_size, exit_base + int(d), kind="read", address=int(d))
-        for i, d in enumerate(rng.integers(0, 6, n))
+        for i, d in enumerate(rng.integers(0, keys, n))
     ]
     router = LeveledRouter(
         net, seed=seed, combine=True, track_paths=engine == "reference", engine=engine
     )
-    router.route_packets(packets, max_steps=400)
-    return router, packets, (2 * net.num_levels + 1) * net.column_size
+    stats = router.route_packets(packets, max_steps=400)
+    return router, packets, (2 * net.num_levels + 1) * net.column_size, stats
 
 
 @given(seed=st.integers(0, 2**16), data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_small_replies_of_a_vector_lane_request_are_built_from_its_arrays(seed, data):
-    """A request run too large for lists leaves link ids and no hop-key
+    """A request run on the vector lane leaves link ids and no hop-key
     list; replies to a few of its hosts are small enough for lists, read
     off its arrays (``links[0]``, one ``.tolist()``), and agree with the
     array layout of the same ids and with the reference engine."""
-    router, fast_packets, num_nodes = routed_hot_reads("fast", seed)
-    _, ref_packets, _ = routed_hot_reads("reference", seed)
+    with forced_run_lane("vector"):
+        router, fast_packets, num_nodes, _ = routed_hot_reads("fast", seed)
+    _, ref_packets, _, _ = routed_hot_reads("reference", seed)
     requests = router.last_fast_run
-    assert not fast_scalar.takes(requests.hops.size, None, None)
     assert requests.slot_keys is None and requests.links is not None
     hosts = [p.pid for p in ref_packets if p.delivered and not p.combined]
     assert hosts == [p.pid for p in fast_packets if p.delivered and not p.combined]

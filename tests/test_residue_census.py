@@ -4,6 +4,7 @@ engine as it found it."""
 import dataclasses
 
 import pytest
+from conftest import forced_run_lane
 
 from repro.emulation import LeveledEmulator
 from repro.pram.trace import RequestColumns
@@ -34,15 +35,23 @@ def test_census_counts_a_fan_in_and_restores_the_engine(monkeypatch):
     row = census.row("fan-in")
     # runs, on the scalar lane, net steps, on the scalar lane
     assert row[1:5] == ["1", "0", "2", "0"]
-    # population p50 / p90 / max, then the residue columns
-    assert row[5:] == ["3", "3", "3", "2", "50%", "3", "3", "3", "0%", "2"]
+    # population min / p50 / p90 / max, then the residue columns
+    assert row[5:] == ["3", "3", "3", "3", "2", "50%", "3", "3", "3", "0%", "2"]
     assert (fast_phases.enqueue, FastPathEngine.run) == (enqueue, run)
+
+
+def test_the_population_columns_span_the_runs():
+    """min / p50 / p90 / max of the packets per run: a lane boundary
+    that sits between two workloads' ranges moves none of their runs."""
+    census = Census()
+    census.populations, census.scalar, census.steps = [3, 9, 5, 7], [True] * 4, [1] * 4
+    assert census.row("spread")[5:9] == ["3", "6", "8.4", "9"]
 
 
 def test_census_counts_the_scalar_lane_and_times_both():
     run_max = fast_scalar.SCALAR_RUN_MAX
     census, _ = fan_in({"keep_calls": True})
-    assert census.row("fan-in")[1:9] == ["1", "1", "2", "2", "3", "3", "3", "0"]
+    assert census.row("fan-in")[1:10] == ["1", "1", "2", "2", "3", "3", "3", "3", "0"]
     ((name, bucket, runs, vector_ms, scalar_ms, speedup),) = lane_rows("fan-in", census)
     assert (name, bucket, runs) == ("fan-in", "1-16", "1")
     assert float(vector_ms) >= 0 and float(scalar_ms) >= 0 and speedup.endswith("x")
@@ -101,16 +110,16 @@ def test_lanes_compares_every_stat_of_the_replays(monkeypatch):
 
 
 def vector_request_small_reply():
-    """One CRCW step whose request run is too large for lists (160
-    packets: 150 writes and ten reads) while its reply run — ten reads
-    and whatever combined into them — is not, under the census."""
+    """One CRCW step on the vector lane whose request run has 160
+    packets (150 writes and ten reads) while its reply run — ten reads
+    and whatever combined into them — is small, under the census."""
     net = DAryButterflyLeveled(2, 6)
     emulator = LeveledEmulator(
         net, 4 * net.column_size, mode="crcw", seed=3, engine="fast"
     )
     reads = [(pid, pid % 2) for pid in range(10)]
     writes = [(pid % net.column_size, 7 + pid % 40, pid) for pid in range(150)]
-    with counting(Census(), keep_calls=True) as census:
+    with forced_run_lane("vector"), counting(Census(), keep_calls=True) as census:
         emulator.emulate_step(RequestColumns.of(reads=reads, writes=writes))
     return census
 
@@ -121,7 +130,7 @@ def test_lanes_replays_a_reply_population_through_both_layouts(monkeypatch):
     link ids, the scalar replay in lists off the request's arrays, and
     a replay whose stats differ from the unit's fails."""
     census = vector_request_small_reply()
-    assert census.scalar == [False, True] and census.populations[0] == 160
+    assert census.scalar == [False, False] and census.populations[0] == 160
     (replies,) = census.calls[1][1]
     assert isinstance(replies, Replies) and replies.requests.links is not None
     built = []

@@ -15,6 +15,8 @@ The lane keeps a busy link's head in ``active`` and only a longer
 queue's rest in ``waiting``; the last cases pin that shape's edges.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import RUN_LANES, forced_run_lane
@@ -37,7 +39,13 @@ from repro.topology import Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import FlatPaths, compile_mesh
 from test_batch_arrival import run_both, scenario_spawn_at_zero
 from test_fast_engine import assert_stats_equal
-from test_reply_lists import NODES, assert_three_ways
+from test_reply_lists import (
+    NODES,
+    assert_three_ways,
+    laid_out,
+    reference_replies,
+    routed_hot_reads,
+)
 from test_reply_phase import hand_built_requests
 
 RUN_FIELDS = (
@@ -149,7 +157,7 @@ def test_two_ids_of_one_link_are_two_queues_on_both_lanes():
 
 @pytest.mark.parametrize("combine", [False, True])
 def test_a_star_population_with_large_sparse_node_ids(combine):
-    """At most 128 of the 120-row star network's packets, onto a few hot
+    """110 of the 120-row star network's packets, onto a few hot
     destinations: node ids run to ``2L * 120 + 119`` and the table is
     indexed by them directly, combining or not."""
     net = StarLogicalLeveled(5)
@@ -436,3 +444,55 @@ def test_a_list_built_reply_run_gathers_its_paths_on_first_read():
     for lists, arrays in zip(runs["scalar"].paths, runs["vector"].paths):
         assert np.array_equal(lists, arrays)
     assert isinstance(vars(runs["scalar"])["paths"], FlatPaths)  # kept once read
+
+
+def test_the_boundary_is_384_packets_and_384_replies():
+    """``SCALAR_RUN_MAX``'s edge, on both kinds of population: 384
+    packets take the lists and 385 the arrays, and so do the replies of
+    384 and 385 hosts (one reply each, no combining)."""
+    assert fast_scalar.takes(384, None, None)
+    assert not fast_scalar.takes(385, None, None)
+    requests, _ = hand_built_requests(
+        rows=[[2 * i, 2 * i + 1] for i in range(385)],
+        hops=[1] * 385,
+        absorbed_by=[],
+        absorbed=[],
+    )
+    for hosts, layout in ((384, "lists"), (385, "arrays")):
+        stats, built = laid_out(requests, list(range(hosts)), 2 * 385)
+        assert built == [layout] and stats.total_packets == hosts
+        assert stats.completed and stats.steps == 1
+
+
+def test_an_apps_replay_sized_crcw_step_on_both_lanes_and_the_reference():
+    """``apps_replay``'s shape, the runs the 384 boundary moved onto
+    lists: 300 hot CRCW reads on a 128-row butterfly combine at several
+    levels (packets absorbed after absorbing others), and the 300
+    replies of that forest fan back out.  At the default boundary both
+    runs take the lists; forced through each lane, each run's stats are
+    ``dataclasses.asdict``-equal, and equal to the reference engine's."""
+
+    def step(engine):
+        router, packets, num_nodes, request = routed_hot_reads(
+            engine, 6, levels=7, n=300, keys=8
+        )
+        hosts = [p.pid for p in packets if p.delivered and not p.combined]
+        if engine == "reference":
+            return request, reference_replies(packets, hosts)
+        arrays = router.last_fast_run
+        reply, built = laid_out(arrays, hosts, num_nodes, budget=400)
+        return request, reply, arrays, built
+
+    request, reply, arrays, built = step("fast")
+    # the request run took the lists (no link ids, its hop keys kept),
+    # and so did its replies
+    assert arrays.links is None and arrays.slot_keys is not None
+    assert built == ["lists"] and reply.total_packets == 300
+    assert set(arrays.absorbed_by.tolist()) & set(arrays.absorbed.tolist())
+    (s_req, s_reply, *_), (v_req, v_reply, *_) = on_both_lanes(lambda: step("fast"))
+    ref_req, ref_reply = step("reference")
+    for scalar, vector, ref in ((s_req, v_req, ref_req), (s_reply, v_reply, ref_reply)):
+        assert dataclasses.asdict(scalar) == dataclasses.asdict(vector)
+        assert dataclasses.asdict(scalar) == dataclasses.asdict(
+            dataclasses.replace(ref, run_mode=scalar.run_mode)
+        )

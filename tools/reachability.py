@@ -3,9 +3,11 @@ branch arms inside them, does anything run?
 
 Two sets of entry points are traced, each entry in its own subprocess
 under a temporary ``sitecustomize.py`` that installs ``sys.settrace``
-and ``threading.settrace``.  The hook follows line events only in
-frames whose code lies under ``--src`` and, at exit, writes the lines
-each code object ran:
+and ``threading.settrace``, :data:`WORKERS` subprocesses at a time.
+The hook follows line events only in frames whose code lies under
+``--src`` and, at exit, writes the lines each code object ran to
+``<pid>.json`` in its set's directory, so concurrent entries never
+share a file:
 
 - **served** — reached by the served set: one ``--seconds 1 --trace 1``
   unit of each e2e workload (``benchmarks/e2e/run.py``, run read-only
@@ -49,7 +51,9 @@ Run:  python tools/reachability.py [--check] [--out PATH]
 ``--served`` / ``--tests`` replace the default entry sets; each ARGS is
 the argument list of one Python interpreter, split like a shell line
 (``--served='examples/quickstart.py'``, ``--tests='-m pytest -q'``).
-Line tracing is slow: the full audit takes about five minutes.
+Line tracing is slow: the full audit takes about seven minutes on two
+cores, most of it ``bench_engine_scaling.py --quick``, which therefore
+starts first.
 """
 
 from __future__ import annotations
@@ -64,11 +68,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SRC = REPO_ROOT / "src" / "repro"
+#: traced entry points run at once: the cores of a CI runner
+WORKERS = 2
 
 REASONS = {
     "a": "safety code: invariant checks, validation, failure and retry paths",
@@ -479,14 +486,15 @@ def _e2e_checkout(tmp: Path) -> Path:
 
 
 def default_served(tmp: Path) -> list[list[str]]:
+    """The served entry points, the longest traced run first."""
     manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     run_py = str(_e2e_checkout(tmp) / "benchmarks" / "e2e" / "run.py")
-    served = [[run_py, "--workload", w["name"], "--seed", "7", "--seconds", "1", "--trace", "1"]
-              for w in manifest["workloads"]]
+    served = [["benchmarks/bench_engine_scaling.py", "--quick", "--no-gate",
+               "--out", str(tmp / "BENCH_quick.json")]]
+    served += [[run_py, "--workload", w["name"], "--seed", "7", "--seconds", "1", "--trace", "1"]
+               for w in manifest["workloads"]]
     for bench in ("paper", "traffic", "faults", "sharding", "apps", "obs"):
         served.append([f"benchmarks/bench_{bench}.py", "--out", str(tmp / f"BENCH_{bench}.json")])
-    served.append(["benchmarks/bench_engine_scaling.py", "--quick", "--no-gate",
-                   "--out", str(tmp / "BENCH_quick.json")])
     served.append(["tools/run_examples.py"])
     served.append(["tools/run_doc_snippets.py"])
     return served
@@ -500,33 +508,44 @@ DEFAULT_TESTS = [["-m", "pytest", "-q", "-p", "no:cacheprovider"]]
 Hits = dict[tuple[str, int], set[int]]
 
 
-def trace(commands: list[list[str]], src: Path, tmp: Path, label: str) -> Hits:
-    """The lines the commands ran under *src*, per code object; exits if
-    a command fails (its trace would be partial)."""
-    hook = tmp / f"hook_{label}"
-    out = tmp / f"lines_{label}"
+def trace(entries: dict[str, list[list[str]]], src: Path, tmp: Path) -> dict[str, Hits]:
+    """The lines each set's commands (``{label: commands}``) ran under
+    *src*, per code object.  Every command runs in its own traced
+    interpreter, :data:`WORKERS` at a time, started in the order given;
+    exits if one fails (its trace would be partial)."""
+    hook = tmp / "hook"
     hook.mkdir()
-    out.mkdir()
     (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
-    root = str(src.resolve()) + os.sep
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(hook), str(src.resolve().parent), env.get("PYTHONPATH", "")) if p)
-    env["REACHABILITY_OUT"] = str(out)
-    env["REACHABILITY_SRC"] = root
-    for args in commands:
+    env["REACHABILITY_SRC"] = str(src.resolve()) + os.sep
+
+    def run(label: str, args: list[str]) -> str | None:
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, *args], cwd=REPO_ROOT, env=env,
-                              stdout=subprocess.DEVNULL)
+        proc = subprocess.run([sys.executable, *args], cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+                              env=dict(env, REACHABILITY_OUT=str(tmp / f"lines_{label}")))
         print(f"[{label}] {time.perf_counter() - start:5.0f} s  python {shlex.join(args)}",
               file=sys.stderr, flush=True)
         if proc.returncode != 0:
-            sys.exit(f"reachability: entry point failed (exit {proc.returncode}): "
-                     f"python {shlex.join(args)}")
-    hits: Hits = {}
-    for dump in out.glob("*.json"):
-        for path, first, lines in json.loads(dump.read_text()):
-            hits.setdefault((path, first), set()).update(lines)
+            return (f"reachability: entry point failed (exit {proc.returncode}): "
+                    f"python {shlex.join(args)}")
+        return None
+
+    for label in entries:
+        (tmp / f"lines_{label}").mkdir()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        runs = [pool.submit(run, label, args)
+                for label, commands in entries.items() for args in commands]
+        for done in as_completed(runs):
+            if failed := done.result():
+                pool.shutdown(cancel_futures=True)
+                sys.exit(failed)
+    hits: dict[str, Hits] = {label: {} for label in entries}
+    for label, found in hits.items():
+        for dump in (tmp / f"lines_{label}").glob("*.json"):
+            for path, first, lines in json.loads(dump.read_text()):
+                found.setdefault((path, first), set()).update(lines)
     return hits
 
 
@@ -595,9 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp_name)
         served_cmds = [shlex.split(a) for a in args.served] if args.served else default_served(tmp)
         tests_cmds = [shlex.split(a) for a in args.tests] if args.tests else DEFAULT_TESTS
-        served = trace(served_cmds, args.src, tmp, "served")
-        tests = trace(tests_cmds, args.src, tmp, "tests")
-    report = {"src": str(args.src), "reasons": REASONS, **classify(functions, served, tests)}
+        hits = trace({"served": served_cmds, "tests": tests_cmds}, args.src, tmp)
+    report = {"src": str(args.src), "reasons": REASONS,
+              **classify(functions, hits["served"], hits["tests"])}
 
     text = json.dumps(report, indent=1) + "\n"
     if args.out:

@@ -18,7 +18,9 @@ markdown row per workload:
 - ``runs`` / ``scalar runs`` — engine runs, and those on the scalar lane,
 - ``net steps`` / ``scalar steps`` — network steps routed
   (``RoutingStats.steps`` summed), all and on the scalar lane,
-- ``population p50 / p90 / max`` — packets per engine run,
+- ``population min / p50 / p90 / max`` — packets per engine run (the
+  gap between two rows' ranges is where ``SCALAR_RUN_MAX`` can sit
+  without moving a run),
 - ``arrival phases`` — vector-lane calls of ``enqueue``,
 - ``with residue`` — the share of those calls whose batch has a residue,
 - ``residue p50 / p90 / max`` — residue size over the calls that have one,
@@ -69,12 +71,14 @@ from repro.routing.fast_phases import Replies, reply_forest  # noqa: E402
 
 COLUMNS = (
     "workload", "runs", "scalar runs", "net steps", "scalar steps",
-    "population p50", "p90", "max", "arrival phases", "with residue",
+    "population min", "p50", "p90", "max", "arrival phases", "with residue",
     "residue p50", "p90", "max", "vector residue", "absorptions",
 )  # fmt: skip
 
 #: population buckets of ``--lanes``: (lowest, highest) packets per run
-BUCKETS = ((1, 16), (17, 32), (33, 64), (65, 128), (129, 256), (257, 1 << 30))
+BUCKETS = (
+    (1, 16), (17, 32), (33, 64), (65, 128), (129, 256), (257, 384), (385, 1 << 30),
+)  # fmt: skip
 LANE_COLUMNS = ("workload", "population", "runs", "vector ms", "scalar ms", "speedup")
 
 
@@ -112,6 +116,7 @@ class Census:
             str(int(on_scalar.sum())),
             str(int(steps.sum())),
             str(int(steps[on_scalar].sum())),
+            str(int(pops.min())),
             f"{np.percentile(pops, 50):g}",
             f"{np.percentile(pops, 90):g}",
             str(int(pops.max())),
