@@ -663,7 +663,7 @@ class Emulator(ABC):
         if router.last_fast_run is not None:
             # The fast request run left its arrays: replay the compiled
             # trajectories backwards, keyed by the links that run
-            # already keyed, off a static spawn plan.
+            # already keyed, spawning off static trigger tables.
             return route_replies_fast(
                 router.last_fast_run,
                 read_hosts,

@@ -165,7 +165,10 @@ def route_replies_fast(
     fires from (:func:`repro.routing.fast_scalar.reply_run`).  A larger
     one is laid out in arrays (:func:`repro.routing.fast_phases.reply_layout`):
     reversed itineraries in one gather, the request run's link ids
-    inherited with the endpoint tables swapped, and an array spawn plan.
+    inherited with the endpoint tables swapped, and the triggers grouped
+    by one stable sort.  Both builders fill the same
+    :class:`~repro.routing.fast_phases.SpawnTables` and neither output is
+    checked again: it is made from a finished run's own arrays.
     Either way a merge node missing from its parent's reverse path is a
     :class:`MergeNodeMissingError`, and replies whose trigger never
     fires (parent timed out) are excluded from the stats just as if they

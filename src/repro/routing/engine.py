@@ -90,7 +90,8 @@ NextHop = Callable[[Packet], Optional[Hashable]]
 
 
 class RoutingTimeout(RuntimeError):
-    """Raised (optionally) when a run exceeds its step budget."""
+    """A run exceeded its step budget; raised over its stats by callers
+    that need every packet delivered (the engines only return them)."""
 
     def __init__(self, stats: RoutingStats) -> None:
         super().__init__(f"routing did not complete: {stats}")
@@ -186,7 +187,6 @@ class SynchronousEngine:
         next_hop: NextHop,
         *,
         max_steps: int,
-        raise_on_timeout: bool = False,
         on_arrival: Callable[[Packet], "list[Packet] | None"] | None = None,
         link_faults=None,
         fault_base: int = 0,
@@ -524,8 +524,6 @@ class SynchronousEngine:
             if obs is not None:
                 err.flight_tail = obs.flight_tail()
             raise err
-        if not completed and raise_on_timeout:
-            raise RoutingTimeout(stats)
         return stats
 
     def _is_exit(self, q: LinkQueue, key) -> bool:

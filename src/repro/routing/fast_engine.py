@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.obs.clock import wall_time
 from repro.routing import fast_scalar
-from repro.routing.engine import NetworkDrainedError, RoutingTimeout
+from repro.routing.engine import NetworkDrainedError
 from repro.routing.fast_phases import (
     Replies,
     RunArrays,
@@ -253,10 +253,8 @@ class FastPathEngine:
         max_steps: int,
         priorities=None,
         links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        spawn_plan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         injected_at: Sequence[int] | None = None,
         combine_groups: np.ndarray | None = None,
-        raise_on_timeout: bool = False,
         link_faults=None,
         fault_base: int = 0,
     ) -> RoutingStats:
@@ -272,19 +270,22 @@ class FastPathEngine:
         packet's path.  Or it is a
         :class:`~repro.routing.fast_phases.Replies` — the replies of a
         finished CRCW read run, the reply fan-out of Theorem 2.6 — which
-        brings its own itineraries, link keys and spawn plan (so
-        ``priorities``, ``links``, ``spawn_plan``, ``injected_at`` and
-        ``combine_groups`` stay unset), and is laid out by the lane its
-        size chooses: a small one straight into the scalar lane's lists
-        from the request run's tables, any other in arrays.
+        brings its own itineraries, link keys and spawn triggers (so
+        ``priorities``, ``links``, ``injected_at`` and ``combine_groups``
+        stay unset, and ``node_capacity`` is not supported), and is laid
+        out by the lane its size chooses: a small one straight into the
+        scalar lane's lists from the request run's tables, any other in
+        arrays.  A reply whose trigger never fires within *max_steps* is
+        excluded from the run's stats, exactly as if it were never
+        spawned.
         ``num_nodes`` bounds the id space (used to intern links and size
         load tables).
-        ``priorities[i][k]`` — when given — is packet i's integer queue
-        priority at its k-th link crossing (largest first, FIFO ties):
-        the furthest-destination-first discipline with priorities
-        evaluated at push time, exactly like the reference
-        ``FurthestFirstQueue`` — a 2-D table, or one flat entry per link
-        position of *paths* in their layout.
+        ``priorities`` — when given — is flat: one integer queue
+        priority per link position of *paths*, in their layout, packet
+        i's at its k-th link crossing at index ``offsets[i] - i + k``
+        (largest first, FIFO ties): the furthest-destination-first
+        discipline with priorities evaluated at push time, exactly like
+        the reference ``FurthestFirstQueue``.
         ``links`` — a ready ``(link_ids, link_src, link_dst)`` triple,
         ``link_ids`` one per link position of *paths*, flat — skips the
         vector lane's np.unique interning pass, which otherwise gives the
@@ -317,26 +318,12 @@ class FastPathEngine:
         ``fault_base + t`` — semantics identical to the reference
         engine's, so differential tests stay bit-exact.
 
-        ``spawn_plan`` is the static form of the reference engine's
-        ``on_arrival`` hook for reply fan-out: three aligned int arrays
-        ``(parent, position, child)``, one row per dormant packet,
-        meaning that when packet *parent* reaches path position
-        *position*, packet *child* activates there.  Rows sharing a
-        ``(parent, position)`` are one trigger and activate in row
-        order, before the parent is placed (a child's own position-0
-        trigger fires as it activates, recursively) — the order of
-        :class:`~repro.emulation.combining.ReplySpawner`.  Dormant
-        packets are passed in *paths* up front; one never triggered is
-        excluded from the run's stats, exactly as if it were never
-        created.  Not supported with ``node_capacity``.
+        A run that ends at *max_steps* returns its stats with
+        ``completed`` false; the caller decides what that means.
         """
         _obs = self.observer
         _prof = _obs.profile if _obs is not None else None
         _t_run0 = wall_time() if _prof is not None else 0.0
-        if self.node_capacity is not None and (
-            spawn_plan is not None or isinstance(paths, Replies)
-        ):
-            raise ValueError("spawn_plan is not supported with node_capacity")
         # a pure function of the configuration, so a run that fails
         # before its first step is still billed to the right mode
         mode = self.last_run_mode = (
@@ -351,7 +338,6 @@ class FastPathEngine:
                 priorities=priorities,
                 num_nodes=num_nodes,
                 links=links,
-                spawn_plan=spawn_plan,
                 profile=_prof,
             )
             if _prof is not None:
@@ -377,8 +363,6 @@ class FastPathEngine:
             if _obs is not None:
                 err.flight_tail = _obs.flight_tail()
             raise err
-        if not arrays.completed and raise_on_timeout:
-            raise RoutingTimeout(stats)
         return stats
 
     def _start(self, paths, injected_at, combine_groups, link_faults, **shared):
@@ -391,15 +375,21 @@ class FastPathEngine:
         out by the lane that routes it: straight into lists from its
         request run's tables (:func:`~repro.routing.fast_scalar.reply_run`)
         when it is small enough, else in arrays
-        (:func:`~repro.routing.fast_phases.reply_layout`), which then go
-        through the same checks as any caller's.
+        (:func:`~repro.routing.fast_phases.reply_layout`), whose paths and
+        links then go through the same checks as any caller's and whose
+        spawn triggers :class:`RunState` takes as built.
         """
+        spawn = None
         if isinstance(paths, Replies):
-            given = (shared[k] for k in ("priorities", "links", "spawn_plan"))
-            if any(v is not None for v in (injected_at, combine_groups, *given)):
+            given = (shared["priorities"], shared["links"], injected_at, combine_groups)
+            if any(v is not None for v in given):
                 raise ValueError(
-                    "a Replies population brings its own itineraries, links, "
-                    "spawn plan and injection steps: pass none of them"
+                    "a Replies population brings its own itineraries, links "
+                    "and injection steps: pass none of them"
+                )
+            if self.node_capacity is not None:
+                raise ValueError(
+                    "a Replies population is not supported with node_capacity"
                 )
             paths = Replies(paths.requests, np.asarray(paths.hosts, dtype=np.int64))
             forest = None
@@ -411,14 +401,16 @@ class FastPathEngine:
                     paths, forest, num_nodes=shared["num_nodes"], profile=shared["profile"]
                 )
                 return True, state, _injection_batches(state.roots)
-            paths, shared["links"], shared["spawn_plan"] = reply_layout(paths)
+            # the lists refused it (too large, or the configuration), so
+            # takes() below refuses it too: the vector lane routes it
+            paths, shared["links"], spawn = reply_layout(paths)
         flat, last = _normalise_paths(paths)
         n = len(last)
         times = injected_at
         if injected_at is None:
             injected_at = np.zeros(n, dtype=np.int64)
         else:
-            # a copy: spawned rows get their trigger step written in
+            # a copy: the run owns its injection steps and hands them on
             injected_at = times = np.array(injected_at, dtype=np.int64)
             if injected_at.shape != (n,):
                 raise ValueError("one injection step per packet required")
@@ -429,6 +421,7 @@ class FastPathEngine:
             state = RunState(
                 *tables,
                 **shared,
+                spawn=spawn,
                 capacity=self.node_capacity,
                 credit=self.flow_control == "credit",
                 link_faults=link_faults,

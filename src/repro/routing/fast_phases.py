@@ -289,81 +289,44 @@ def pack_priorities(priorities, paths: FlatPaths) -> np.ndarray | None:
 
 
 class SpawnTables:
-    """An array spawn plan, validated and indexed by trigger.
+    """A reply run's spawn triggers, indexed for :meth:`fire`.
 
-    *spawn_plan* is ``(parent, position, child)``: aligned int arrays,
-    one row per dormant packet, in the order the children of one trigger
-    activate.  A *trigger* is a distinct ``(parent, position)``; one
-    stable sort groups the rows by trigger — a parent's triggers end up
-    adjacent and ascending in position — and the result is a CSR over
-    them: trigger k belongs to ``trig_parent[k]``, fires at flat cursor
-    ``trig_cursor[k]`` (the parent's first link slot *fl_base* plus the
-    position) and activates ``kids[bounds[k]:bounds[k + 1]]``.
-    ``next_trig[i]`` is packet i's first pending trigger (-1: none) and
-    ``nsp[i]`` that trigger's cursor (-9: none).  ``dormant`` and
-    ``nsp`` are arrays — :func:`admit` finds the triggers a batch fires
-    with one vector compare — the rest plain lists, read only for the
-    triggers that fire: Python work is O(triggers fired), whatever the
-    batch size.
+    A *trigger* is a distinct ``(parent, position)``: when reply
+    *parent* reaches that position of its path, the children absorbed
+    there activate.  Both reply builders lay them out in this form —
+    :func:`reply_layout` for the vector lane and
+    :func:`repro.routing.fast_scalar.reply_run` for the scalar one — from
+    a finished run's own arrays, so nothing here is checked again.
+    Triggers are grouped by parent in reply order, a parent's ascending
+    in position: trigger k belongs to ``trig_parent[k]``, fires at flat
+    cursor ``trig_cursor[k]`` (the parent's first link slot plus the
+    position) and activates ``kids[bounds[k]:bounds[k + 1]]``;
+    ``trig_at_start[k]`` says its position is 0.  ``next_trig[i]`` is
+    reply i's first pending trigger (-1: none) and ``nsp[i]`` that
+    trigger's cursor (-9: none) — an array on the vector lane, where
+    :func:`admit` finds the triggers a batch fires with one vector
+    compare; the rest are plain lists, read only for the triggers that
+    fire, so Python work is O(triggers fired), whatever the batch size.
+    *trig_parent* is taken without its sentinel and gets one appended.
     """
 
-    def __init__(self, spawn_plan, fl_base: np.ndarray, widths: np.ndarray) -> None:
-        n = fl_base.size
-        sp_parent, sp_pos, sp_child = (
-            np.asarray(a, dtype=np.int64) for a in spawn_plan
-        )
-        if not (
-            sp_parent.ndim == 1 and sp_parent.shape == sp_pos.shape == sp_child.shape
-        ):
-            raise ValueError(
-                "spawn_plan must be three aligned (parent, position, child) int arrays"
-            )
-        ids = np.concatenate([sp_parent, sp_child])
-        bad = (ids < 0) | (ids >= n)
-        if bad.any():
-            raise ValueError(
-                f"spawn_plan names packet {int(ids[bad][0])}, outside the "
-                f"{n}-packet population"
-            )
-        bad = (sp_pos < 0) | (sp_pos >= widths[sp_parent])
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ValueError(
-                f"spawn_plan position {int(sp_pos[j])} is outside the "
-                f"{int(widths[sp_parent[j]])}-node path of packet {int(sp_parent[j])}"
-            )
-        dormant = np.zeros(n, dtype=bool)
-        dormant[sp_child] = True
-        if int(dormant.sum()) != sp_child.size:
-            twice = sp_child[np.bincount(sp_child, minlength=n)[sp_child] > 1]
-            raise ValueError(
-                f"spawn_plan lists child {int(twice[0])} twice: a dormant packet "
-                "has one trigger"
-            )
-        order = np.lexsort((sp_pos, sp_parent))
-        by_parent = sp_parent[order]
-        by_pos = sp_pos[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (by_parent[1:] != by_parent[:-1]) | (by_pos[1:] != by_pos[:-1])
-        starts = np.nonzero(first)[0]
-        trig_parent = by_parent[starts]
-        trig_cursor = fl_base[trig_parent] + by_pos[starts]
-        # a repeated index keeps its last write: scattered back to front,
-        # each parent keeps its first (lowest-position) trigger
-        back = trig_parent[::-1]
-        next_trig = np.full(n, -1, dtype=np.int64)
-        next_trig[back] = np.arange(starts.size - 1, -1, -1)
-        self.nsp = np.full(n, -9, dtype=np.int64)
-        self.nsp[back] = trig_cursor[::-1]
-        self.dormant = dormant
-        self.next_trig: list[int] = next_trig.tolist()
-        self.kids: list[int] = sp_child[order].tolist()
-        self.bounds: list[int] = np.append(starts, order.size).tolist()
+    def __init__(
+        self,
+        next_trig: list[int],
+        nsp,
+        kids: list[int],
+        bounds: list[int],
+        trig_parent: list[int],
+        trig_cursor: list[int],
+        trig_at_start: list[bool],
+    ) -> None:
+        self.next_trig, self.nsp, self.kids, self.bounds = next_trig, nsp, kids, bounds
         # sentinel: the last trigger has no successor
-        self.trig_parent: list[int] = trig_parent.tolist() + [-1]
-        self.trig_cursor: list[int] = trig_cursor.tolist()
-        self.trig_at_start: list[bool] = (by_pos[starts] == 0).tolist()
-        #: the packets each fired batch activated, in spawn order
+        trig_parent.append(-1)
+        self.trig_parent = trig_parent
+        self.trig_cursor, self.trig_at_start = trig_cursor, trig_at_start
+        #: the packets each fired batch activated, in spawn order (the
+        #: vector lane's; the scalar lane keeps its own list)
         self.spawned: list[np.ndarray] = []
 
     def fire(self, i: int, out: list[int], seq: list[int]) -> None:
@@ -408,31 +371,6 @@ class SpawnTables:
         new = np.asarray(out, dtype=np.int64)
         self.spawned.append(np.asarray(seq, dtype=np.int64))
         return np.insert(batch, np.repeat(hits, sizes), new), new
-
-    @classmethod
-    def of_triggers(
-        cls,
-        next_trig: list[int],
-        kids: list[int],
-        bounds: list[int],
-        trig_parent: list[int],
-        trig_cursor: list[int],
-        trig_at_start: list[bool],
-    ) -> "SpawnTables":
-        """Tables already in the form :meth:`fire` walks, from a builder
-        whose triggers are valid by construction (a list-built reply run,
-        :func:`repro.routing.fast_scalar.reply_run`): no plan to check and
-        no arrays — ``nsp`` is a list, and ``dormant`` / ``spawned``,
-        which only the vector lane reads, are unset.  Takes *trig_parent*
-        without its sentinel and appends it."""
-        self = cls.__new__(cls)
-        self.next_trig, self.kids, self.bounds = next_trig, kids, bounds
-        self.trig_parent = trig_parent
-        trig_parent.append(-1)
-        self.trig_cursor, self.trig_at_start = trig_cursor, trig_at_start
-        self.nsp = [-9] * len(next_trig)
-        self.dormant = self.spawned = None
-        return self
 
 
 # ---- the reply population of a finished CRCW read run -----------------------
@@ -483,10 +421,13 @@ class Replies(NamedTuple):
     whose trigger never fires (its parent timed out) is excluded from
     the stats as if it had never been spawned.
 
-    Each lane lays the population out its own way:
+    This is the only form in which spawning packets enter the engine.
+    Each lane lays the population out its own way —
     :func:`reply_layout` in arrays for the vector lane, and
     :func:`repro.routing.fast_scalar.reply_run` straight into the scalar
-    lane's lists, from the request run's own tables.
+    lane's lists, from the request run's own tables — and both hand the
+    run the same :class:`SpawnTables`.  The roots of the population are
+    its first ``hosts.size`` rows.
     """
 
     requests: RunArrays
@@ -543,9 +484,10 @@ def reversed_rows(
 
 
 def reply_layout(replies: Replies):
-    """The vector lane's form of *replies*: ``(paths, links,
-    spawn_plan)`` for :meth:`FastPathEngine.run
-    <repro.routing.fast_engine.FastPathEngine.run>`.
+    """The vector lane's form of *replies*: ``(paths, links, spawn)`` —
+    the reversed itineraries, the link triple (or ``None``) and the
+    :class:`SpawnTables` (``None`` without absorptions) that
+    :class:`RunState` takes.
 
     The reply run interns nothing when its request run left link ids:
     hop k of a reply crosses link ``hops - 1 - k`` of its request the
@@ -553,9 +495,8 @@ def reply_layout(replies: Replies):
     one gather, whatever the encoding, mesh and leveled alike — with the
     endpoint tables swapped.  A request run that left none (a scalar-lane
     run handed no ids) gives ``links`` ``None``, and the run interns its
-    own.  The spawn plan's position for a child is found over its
-    parent's real positions only; no (replies x longest path) matrix is
-    built.
+    own.  A child's trigger position is found over its parent's real
+    positions only; no (replies x longest path) matrix is built.
     """
     requests = replies.requests
     rows, level_parents = reply_forest(replies)
@@ -573,8 +514,7 @@ def reply_layout(replies: Replies):
             link_dst,
             link_src,
         )
-
-    spawn_plan = None
+    spawn = None
     if level_parents:
         roots = replies.hosts.size
         par = np.concatenate(level_parents)
@@ -595,22 +535,49 @@ def reply_layout(replies: Replies):
             raise MergeNodeMissingError(
                 int(rows[child[j]]), int(rows[par[j]]), int(merge_nodes[j])
             )
-        spawn_plan = (par, qpos, child)
-    return paths, links, spawn_plan
+        # One trigger per distinct (parent, position).  The parents are in
+        # reply order already, so one stable sort by position within each
+        # parent groups them — a parent's ascending in position, the
+        # children of each in reply order.
+        order = np.lexsort((qpos, par))
+        by_parent, by_pos = par[order], qpos[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (by_parent[1:] != by_parent[:-1]) | (by_pos[1:] != by_pos[:-1])
+        starts = np.flatnonzero(first)
+        trig_parent = by_parent[starts]
+        trig_cursor = offsets[trig_parent] - trig_parent + by_pos[starts]
+        # each parent's first trigger is the one pending when it starts
+        lead = np.ones(starts.size, dtype=bool)
+        lead[1:] = trig_parent[1:] != trig_parent[:-1]
+        next_trig = np.full(rows.size, -1, dtype=np.int64)
+        next_trig[trig_parent[lead]] = np.flatnonzero(lead)
+        nsp = np.full(rows.size, -9, dtype=np.int64)
+        nsp[trig_parent[lead]] = trig_cursor[lead]
+        spawn = SpawnTables(
+            next_trig.tolist(),
+            nsp,
+            (order + roots).tolist(),
+            np.append(starts, order.size).tolist(),
+            trig_parent.tolist(),
+            trig_cursor.tolist(),
+            (by_pos[starts] == 0).tolist(),
+        )
+    return paths, links, spawn
 
 
 class RunState:
     """Everything one fast run reads and mutates (see the module docstring).
 
     Built from arrays only — the population's :class:`FlatPaths`, each
-    packet's last position, injection steps (owned by the run: a spawn
-    plan's trigger steps are written into it), one int combine key per
+    packet's last position, injection steps (owned by the run: a spawned
+    reply's trigger step is written into it), one int combine key per
     packet *gid* (``None``: nothing combines; keys are only compared for
-    equality), per-hop *priorities*, a precompiled *links* triple and an
-    array *spawn_plan* (each optional) — through the table builders above,
-    which is where malformed input is rejected.  *capacity* selects the
-    constrained tables, *credit* the escape buffers; *profile* is the
-    observer's ``PhaseProfile`` or ``None``.
+    equality), per-hop *priorities* and a precompiled *links* triple
+    (each optional) — through the table builders above, which is where
+    malformed input is rejected — or, for a reply population, the
+    :class:`SpawnTables` *spawn* that :func:`reply_layout` built.
+    *capacity* selects the constrained tables, *credit* the escape
+    buffers; *profile* is the observer's ``PhaseProfile`` or ``None``.
 
     Every table is sized by the batch: per packet, per link position
     (``li_flat``, ``prio_flat``: exactly one entry per hop the paths
@@ -651,7 +618,7 @@ class RunState:
         *,
         num_nodes: int,
         links=None,
-        spawn_plan=None,
+        spawn: SpawnTables | None = None,
         capacity: int | None = None,
         credit: bool = False,
         link_faults=None,
@@ -673,17 +640,13 @@ class RunState:
         self.fl_base = row_start - np.arange(n, dtype=np.int64)
 
         #: reply fan-out (:class:`SpawnTables`) or None
-        self.spawn = None
-        if spawn_plan is not None:
-            if gid is not None:
-                raise ValueError("spawn_plan and combining are mutually exclusive")
-            self.spawn = SpawnTables(
-                spawn_plan, self.fl_base, paths.offsets[1:] - row_start
-            )
-            #: packets injected by the run's schedule, not by a trigger
-            self.roots = np.nonzero(~self.spawn.dormant)[0]
-        else:
-            self.roots = np.arange(n, dtype=np.int64)
+        self.spawn = spawn
+        #: packets injected by the run's schedule, not by a trigger: a
+        #: reply population's first rows, every other reply being some
+        #: trigger's child
+        self.roots = np.arange(
+            n if spawn is None else n - len(spawn.kids), dtype=np.int64
+        )
         #: packets injected or spawned so far and not yet delivered
         self.remaining = int(self.roots.size)
 
@@ -1719,8 +1682,7 @@ def check_invariants(
         )
     live = np.concatenate([queued, flight, escaped])
     weight = live.size if s.subtree is None else int(np.add.reduce(s.subtree[live]))
-    if s.spawn is not None:
-        unborn = unborn[~s.spawn.dormant[unborn]]  # a dormant packet is no root
+    unborn = unborn[unborn < s.roots.size]  # a reply not yet spawned is no root
     if s.remaining != weight + unborn.size:
         raise RunInvariantError(
             "conservation",

@@ -24,8 +24,7 @@ only; credit / capacity runs and link faults stay on the vector lane.
 
 Both lanes share the validation a caller's population gets
 (:func:`~repro.routing.fast_engine._normalise_paths`,
-:func:`~repro.routing.fast_phases.pack_priorities`,
-:class:`~repro.routing.fast_phases.SpawnTables`, the injection
+:func:`~repro.routing.fast_phases.pack_priorities`, the injection
 schedule, a handed-in link triple's checks in
 :func:`~repro.routing.fast_phases.handed_links`) and return the same
 :class:`RunArrays`, so the stats, the reply phase and
@@ -44,11 +43,12 @@ run's own tables instead of from arrays it would convert back to lists
 (:func:`forest_rows`, :func:`reply_run`): the forest by a queue walk of
 the absorptions, each reply's keys its request's reversed (the queue
 identity the vector lane's inherited ids give), merge positions by
-``list.index``, and the triggers straight into the lists
-:meth:`SpawnTables.fire` walks.  That data is the engine's own, so the
-checks above, which guard a caller's, are not run on it again, and
-its itineraries are gathered only if something reads them
-(:func:`reply_paths`).
+``list.index``, and the triggers straight into the
+:class:`~repro.routing.fast_phases.SpawnTables` lists
+:meth:`~repro.routing.fast_phases.SpawnTables.fire` walks.  That data is
+the engine's own, so the checks above, which guard a caller's, are not
+run on it again, and its itineraries are gathered only if something
+reads them (:func:`reply_paths`).
 
 The step is the paper's, taken literally, in one pass over each batch.
 Every busy link sends its head in activation order (:func:`transmit`:
@@ -144,7 +144,7 @@ class ScalarRun:
 
     def __init__(
         self, paths, last, injected_at, gid=None, priorities=None, *,
-        num_nodes: int, links=None, spawn_plan=None, profile=None,
+        num_nodes: int, links=None, profile=None,
     ) -> None:  # fmt: skip
         n = last.size
         self.paths = paths
@@ -155,17 +155,10 @@ class ScalarRun:
             None if links is None else fast_phases.handed_links(links, codes.size)
         )
         prio = fast_phases.pack_priorities(priorities, paths)
-        row_start = paths.offsets[:-1]
-        self.fl_base = row_start - np.arange(n, dtype=np.int64)
+        self.fl_base = paths.offsets[:-1] - np.arange(n, dtype=np.int64)
+        # a reply run with spawn triggers is built by reply_run
         self.spawn = None
         self.roots = np.arange(n, dtype=np.int64)
-        if spawn_plan is not None:
-            if gid is not None:
-                raise ValueError("spawn_plan and combining are mutually exclusive")
-            self.spawn = SpawnTables(
-                spawn_plan, self.fl_base, paths.offsets[1:] - row_start
-            )
-            self.roots = np.nonzero(~self.spawn.dormant)[0]
         self.gid = None
         if gid is not None:
             gid = np.asarray(gid, dtype=np.int64)
@@ -256,10 +249,10 @@ def reply_run(
     at the first index of its merge node — where its request stopped —
     in its parent's reversed node slice (of the request run's nodes,
     only the merge families' rows are read); its parent's triggers go
-    straight into the lists :meth:`SpawnTables.fire` walks, one per
-    distinct position in ascending order, children in reply order.  The
-    run's itineraries are :func:`reply_paths`, deferred to their first
-    read.
+    straight into the :class:`~repro.routing.fast_phases.SpawnTables`
+    lists, one per distinct position in ascending order, children in
+    reply order.  The run's itineraries are :func:`reply_paths`,
+    deferred to their first read.
     """
     requests = replies.requests
     rows, families = forest
@@ -309,8 +302,8 @@ def reply_run(
                 at_start.append(q == 0)
                 kids += by_position[q]
                 bounds.append(len(kids))
-        s.spawn = SpawnTables.of_triggers(
-            next_trig, kids, bounds, trig_parent, trig_cursor, at_start
+        s.spawn = SpawnTables(
+            next_trig, [-9] * n, kids, bounds, trig_parent, trig_cursor, at_start
         )
     s.paths = Deferred(reply_paths, requests, rows)
     s.links = s.prio = s.gid = None

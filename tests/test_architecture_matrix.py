@@ -484,7 +484,10 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
     path matrix (no packet list, no key decoders, no ``track_paths``),
     neither engine module names ``Packet``, the reference engine has no
     key-space reconciliation options, and the translation hooks between
-    a leveled network's two old id spaces exist nowhere in ``src``."""
+    a leveled network's two old id spaces exist nowhere in ``src``.
+    Neither engine's ``run`` takes a caller-built spawn plan or a
+    raise-on-timeout switch: reply fan-out enters the fast engine only
+    as a ``Replies`` population, and a timed-out run returns its stats."""
     from repro.routing import FastPathEngine, SynchronousEngine
     from repro.routing.router import CompiledRun, Router
 
@@ -493,8 +496,11 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
 
     assert params(FastPathEngine.run) == [
         "self", "paths", "num_nodes", "max_steps", "priorities",
-        "links", "spawn_plan", "injected_at", "combine_groups", "raise_on_timeout",
-        "link_faults", "fault_base",
+        "links", "injected_at", "combine_groups", "link_faults", "fault_base",
+    ]
+    assert params(SynchronousEngine.run) == [
+        "self", "packets", "next_hop", "max_steps", "on_arrival", "link_faults",
+        "fault_base",
     ]
     assert params(FastPathEngine.__init__) == [
         "self", "combine", "node_capacity", "flow_control", "observer",
@@ -524,6 +530,7 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
         "encode_key", "node_key", "trace_key", "exit_dest", "capacity_key",
         "_source_key", "_endpoint", "_wire", "_write_back",
         "_reference_fault_keys", "_fast_fault_keys",
+        "spawn_plan", "raise_on_timeout", "dormant",
     }
     # one fault-key hook, defined where a network has wires to name
     assert "_fault_keys" in Router.__dict__

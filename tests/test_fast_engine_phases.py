@@ -20,8 +20,8 @@ import pytest
 
 from repro.routing.fast_engine import FastPathEngine, _injection_batches
 from repro.routing.fast_phases import (
+    Replies,
     RunState,
-    SpawnTables,
     admit,
     RunInvariantError,
     advance_escapes,
@@ -37,6 +37,7 @@ from repro.routing.fast_phases import (
     record_absorptions,
     refresh_fault_flags,
     replay_contended,
+    reply_layout,
     select_heads,
     transmit_constrained,
     transmit_unconstrained,
@@ -46,6 +47,7 @@ from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalL
 from repro.topology.compiled import compile_mesh, segment_index
 from conftest import flat_priorities, forced_run_lane
 from test_batch_arrival import DownUntil, forced_lane
+from test_reply_phase import reply_population
 
 
 def ids(*values):
@@ -288,44 +290,55 @@ def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
     assert s.remaining == 4  # absorbed packets leave with their host
 
 
-#: packet 0 triggers {1, 2} at its position 1 and {4} at position 2;
-#: child 1 triggers {3} at its own position 0
-SPAWN_PLAN = ([0, 0, 1, 0], [1, 1, 0, 2], [1, 2, 3, 4])
-SPAWN_PATHS = [[0, 1, 3]] + [[1, 2, 3]] * 4
+#: a reply forest: reply 0 spawns {1, 2} at its position 1 (node 1) and
+#: {3} at position 2 (node 3); reply 1 spawns {4} at its own position 0
+SPAWN_FOREST = ([[0, 1, 3], [1, 2, 3], [1, 2, 3], [3, 2], [1, 2, 3]], [-1, 0, 0, 0, 1])
+
+
+def spawn_layout():
+    """:func:`reply_layout` of :data:`SPAWN_FOREST`: ``(paths, links,
+    spawn)``."""
+    requests, _, hosts = reply_population(*SPAWN_FOREST)
+    return reply_layout(Replies(requests, np.asarray(hosts)))
 
 
 def test_spawn_firing_order():
-    paths = flat(SPAWN_PATHS)
-    fl_base = paths.offsets[:-1] - np.arange(5)
-    sp = SpawnTables(SPAWN_PLAN, fl_base, np.diff(paths.offsets))
-    assert sp.dormant.tolist() == [False, True, True, True, True]
+    _, _, sp = spawn_layout()
     assert sp.nsp.tolist() == [1, 2, -9, -9, -9]  # flat cursors: fl_base + position
     out, seq = [], []
     sp.fire(0, out, seq)
     # spawn order is parents first; placement puts a child's own
     # position-0 children in front of it
-    assert (seq, out) == ([1, 3, 2], [3, 1, 2])
+    assert (seq, out) == ([1, 4, 2], [4, 1, 2])
     assert sp.nsp.tolist() == [2, -9, -9, -9, -9]  # 0's next trigger; 1's is spent
     out, seq = [], []
     sp.fire(0, out, seq)
-    assert (seq, out) == ([4], [4])
+    assert (seq, out) == ([3], [3])
     assert sp.nsp[0] == -9
 
 
 def test_admit_splices_spawned_children_in_front_of_their_parent():
-    s = make_state(SPAWN_PATHS, spawn_plan=SPAWN_PLAN, num_nodes=4)
+    paths, links, spawn = spawn_layout()
+    s = RunState(
+        paths,
+        paths.hops,
+        np.zeros(5, dtype=np.int64),
+        num_nodes=4,
+        links=links,
+        spawn=spawn,
+    )
     assert (s.roots.tolist(), s.remaining) == ([0], 1)
     admit_checked(s, ids(0), 0)  # position 0: no trigger there
     assert s.remaining == 1 and not s.spawn.spawned
     check_invariants(s, transmit_unconstrained(s))
     admit_checked(s, ids(0), 4)  # position 1: the trigger fires
     assert s.remaining == 4
-    assert s.injected_at.tolist() == [0, 4, 4, 4, 0]
+    assert s.injected_at.tolist() == [0, 4, 4, 0, 4]
     link_12 = int(s.li_flat[s.fl[1]])
     link_13 = int(s.li_flat[s.fl[0]])
-    assert chain(s, link_12) == [3, 1, 2]
+    assert chain(s, link_12) == [4, 1, 2]
     assert s.active.tolist() == [link_12, link_13]
-    assert [a.tolist() for a in s.spawn.spawned] == [[1, 3, 2]]
+    assert [a.tolist() for a in s.spawn.spawned] == [[1, 4, 2]]
 
 
 # --------------------------------------------------------- transmission

@@ -24,25 +24,43 @@ from conftest import flat_priorities, forced_run_lane
 
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.routing import FastPathEngine, SynchronousEngine, furthest_first_factory
+from repro.routing.fast_phases import Replies
 from repro.routing.metrics import Deferred
 from repro.sharding import ShardedEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import OnlineEmulator, PoissonArrivals, WorkloadGenerator, ZipfKeys
 from test_batch_arrival import DownUntil, _packets
 from test_fast_engine import assert_stats_equal, run_packets
+from test_reply_phase import reference_replies, reply_population
 
 
-def routed(paths, *, inject, priorities=None, addresses=None, spawn_plan=None,
-           down=None, max_steps=200):  # fmt: skip
-    """``(fast stats, reference stats)`` of one hand-built population:
+def routed(paths=None, *, inject=None, priorities=None, addresses=None,
+           forest=None, down=None, max_steps=200):  # fmt: skip
+    """``(fast stats, reference stats)`` of one hand-built population —
+    packets along *paths*, or the replies of a reply *forest*
+    (:func:`test_reply_phase.reply_population`'s ``(paths, parents)``):
     the fast engine on the lane the test forces, the reference engine
-    following the same rows."""
-    last = [len(row) - 1 for row in paths]
-    num_nodes = max(max(row) for row in paths) + 1
+    following the same rows (spawning with ``ReplySpawner``)."""
 
     def faults():
         return None if down is None else DownUntil(*down)
 
+    if forest is not None:
+        requests, packets, hosts = reply_population(*forest)
+        fast = FastPathEngine().run(
+            Replies(requests, hosts),
+            num_nodes=int(requests.paths.nodes.max()) + 1,
+            max_steps=max_steps,
+            link_faults=faults(),
+        )
+        assert isinstance(vars(fast)["max_node_load"], Deferred)
+        ref = reference_replies(
+            packets, hosts, max_steps=max_steps, link_faults=faults()
+        )
+        return fast, ref
+
+    last = [len(row) - 1 for row in paths]
+    num_nodes = max(max(row) for row in paths) + 1
     engine = FastPathEngine(combine=addresses is not None)
     fast = run_packets(
         engine,
@@ -51,33 +69,20 @@ def routed(paths, *, inject, priorities=None, addresses=None, spawn_plan=None,
         num_nodes=num_nodes,
         max_steps=max_steps,
         priorities=flat_priorities(priorities, paths),
-        spawn_plan=spawn_plan,
         link_faults=faults(),
     )
     assert isinstance(vars(fast)["max_node_load"], Deferred)
 
     ref_packets = _packets(paths, last, inject, addresses)
-    roots, on_arrival = ref_packets, None
-    if spawn_plan is not None:
-        plan = {}
-        for parent, position, child in zip(*spawn_plan):
-            plan.setdefault((parent, position), []).append(ref_packets[child])
-        dormant = set(spawn_plan[2])
-        roots = [p for p in ref_packets if p.pid not in dormant]
-
-        def on_arrival(p):
-            return plan.get((p.pid, p.hops))
-
     queues = {}
     if priorities is not None:
         queues["queue_factory"] = furthest_first_factory(
             lambda p: priorities[p.pid][p.hops]
         )
     ref = SynchronousEngine(combine=addresses is not None, **queues).run(
-        roots,
+        ref_packets,
         lambda p: None if p.hops == last[p.pid] else paths[p.pid][p.hops + 1],
         max_steps=max_steps,
-        on_arrival=on_arrival,
         link_faults=faults(),
     )
     return fast, ref
@@ -117,10 +122,11 @@ def walk(draw, start, shape, size, max_hops):
 def populations(draw):
     """An unconstrained population on a small leveled network (rows of
     equal length, or shorter children) or a small mesh (ragged random
-    walks that may revisit nodes), with staggered injection and, drawn
-    independently: combining keys or a spawn plan (position-0 cascades
-    included), furthest-first priorities, a link down for the first
-    steps, and a step budget short enough to time out."""
+    walks that may revisit nodes): packets with staggered injection and
+    combining keys or not, furthest-first priorities or not — or the
+    replies of a reply forest over such walks (position-0 cascades
+    included) — and, drawn independently, a link down for the first
+    steps and a step budget short enough to time out."""
     shape = draw(st.sampled_from(["leveled", "mesh"]))
     if shape == "leveled":
         size = (draw(st.integers(2, 4)), draw(st.integers(1, 3)))
@@ -142,17 +148,16 @@ def populations(draw):
         bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         case["addresses"] = [row[-1] * 2 + b for row, b in zip(paths, bits)]
     elif extra == "spawn":
-        plan = ([], [], [])
+        # the walks so far are the hosts' replies; a child's walk starts
+        # at a node of its parent's, where it spawns on the first visit
+        parents = [-1] * n
         for child in range(n, n + draw(st.integers(1, 6))):
             parent = draw(st.integers(0, child - 1))
-            position = draw(st.integers(0, len(paths[parent]) - 1))
-            node = paths[parent][position]
+            node = draw(st.sampled_from(paths[parent]))
             paths.append(walk(draw, node, shape, size, max_hops))
-            case["inject"].append(0)
-            for column, value in zip(plan, (parent, position, child)):
-                column.append(value)
-        case["spawn_plan"] = plan
-    if draw(st.booleans()):  # furthest first: the hops still to go
+            parents.append(parent)
+        case = dict(forest=(paths, parents))
+    if "forest" not in case and draw(st.booleans()):  # furthest first: the hops still to go
         width = max(map(len, paths))
         case["priorities"] = [
             [len(row) - 1 - k for k in range(width)] for row in paths
@@ -172,11 +177,12 @@ NAMED = {
         inject=[0, 0, 1, 1, 1, 2],
         addresses=[None, 7, 7, 7, None, 7],
     ),
-    # children placed before their parent, a grandchild at position 0
+    # child replies placed before their parent, a grandchild at position 0
     "position-0 cascade": dict(
-        paths=[[0, 10, 11], [0, 10, 11], [0, 5, 6], [0, 10, 11], [10, 11, 12], [1, 10, 11]],
-        inject=[0] * 6,
-        spawn_plan=([0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]),
+        forest=(
+            [[0, 10, 11], [0, 10, 11], [0, 5, 6], [0, 10, 11], [10, 11, 12], [1, 10, 11]],
+            [-1, 0, 0, 1, 0, -1],
+        ),
     ),
     "staggered injection": dict(
         paths=[[s, 10, 11] for s in range(8)], inject=[0, 0, 0, 1, 1, 2, 3, 9]

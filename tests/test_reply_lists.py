@@ -22,20 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import RUN_LANES, forced_run_lane
 
-from repro.emulation.combining import (
-    MergeNodeMissingError,
-    ReplySpawner,
-    build_replies,
-    reply_next_hop,
-    route_replies_fast,
-)
-from repro.routing import LeveledRouter, Packet, SynchronousEngine, fast_phases
+from repro.emulation.combining import MergeNodeMissingError, route_replies_fast
+from repro.routing import LeveledRouter, Packet, fast_phases
 from repro.routing import fast_engine, fast_scalar
 from repro.routing.fast_engine import FastPathEngine
 from repro.routing.fast_phases import Replies
 from repro.topology import DAryButterflyLeveled
 from test_fast_engine import assert_stats_equal
-from test_reply_phase import hand_built_requests
+from test_reply_phase import hand_built_requests, reference_replies
 
 #: small node ids, so walks revisit nodes and share links
 NODES = 7
@@ -62,15 +56,6 @@ def laid_out(requests, hosts, num_nodes, lane=None, budget=200):
             mp.setattr(fast_scalar, "SCALAR_RUN_MAX", RUN_LANES[lane])
         stats = route_replies_fast(requests, hosts, budget=budget, num_nodes=num_nodes)
     return stats, built
-
-
-def reference_replies(packets, hosts):
-    return SynchronousEngine().run(
-        build_replies([packets[i] for i in hosts], {}),
-        reply_next_hop,
-        max_steps=200,
-        on_arrival=ReplySpawner(),
-    )
 
 
 def assert_three_ways(requests, packets, hosts, num_nodes):
@@ -224,15 +209,16 @@ def test_small_replies_of_a_vector_lane_request_are_built_from_its_arrays(seed, 
 
 
 def test_a_replies_population_takes_nothing_else():
-    """It brings its own itineraries, keys, plan and injection steps."""
+    """It brings its own itineraries, keys, spawn triggers and injection
+    steps."""
     requests, _ = hand_built_requests([[0, 1, 2]], [2], [], [])
     replies = Replies(requests, np.asarray([0]))
     engine = FastPathEngine()
     for extra in (
         dict(links=requests.links),
-        dict(spawn_plan=([0], [0], [0])),
         dict(injected_at=[0]),
         dict(priorities=[[1, 2]]),
+        dict(combine_groups=[0]),
     ):
         with pytest.raises(ValueError, match="Replies population"):
             engine.run(replies, num_nodes=NODES, max_steps=10, **extra)

@@ -1,8 +1,8 @@
 """The CRCW reply phase in arrays: fast ≡ ``ReplySpawner``, field for field.
 
-``route_replies_fast`` lays the combining forest out breadth first,
-reverses the compiled request paths and hands the engine a static spawn
-plan; the reference engine walks recorded traces with ``ReplySpawner``
+``route_replies_fast`` hands the engine the combining forest as one
+``Replies`` population, laid out breadth first on reversed compiled
+request paths with static spawn triggers; the reference engine walks recorded traces with ``ReplySpawner``
 deciding, arrival by arrival, which child replies to spawn.  The step
 costs only carry three numbers of a reply run, so the sweeps here
 compare the reply ``RoutingStats`` themselves — including the order of
@@ -106,7 +106,7 @@ def hot_mesh_steps(draw):
     module), drawn so that many readers share a few addresses and many
     of those sit in the reader's own column: such a route runs up the
     column to its random row and back down it, so the reply path visits
-    nodes twice — the first-occurrence rule of the spawn plan."""
+    nodes twice — the first-occurrence rule of the spawn triggers."""
     rows = draw(st.integers(3, 6))
     cols = draw(st.integers(2, 5))
     n = rows * cols
@@ -394,6 +394,38 @@ def hand_built_requests(rows, hops, absorbed_by, absorbed):
     return arrays, packets
 
 
+def reply_population(paths, parents):
+    """A CRCW request run built by hand from the replies it must give:
+    ``paths[j]`` is reply j's itinerary and ``parents[j]`` the reply it
+    spawns from, -1 for a read host's (hosts are routed in listed order,
+    the children of one parent absorbed in listed order).  A child's
+    request was absorbed where its reply starts, so it spawns where its
+    parent's reply first gets there.  Returns :func:`hand_built_requests`
+    of the reversed paths and the host rows: ``(requests, packets,
+    hosts)``, the engine's population being ``Replies(requests,
+    hosts)``."""
+    kids = [j for j, parent in enumerate(parents) if parent >= 0]
+    requests, packets = hand_built_requests(
+        [row[::-1] for row in paths],
+        [len(row) - 1 for row in paths],
+        [parents[j] for j in kids],
+        kids,
+    )
+    return requests, packets, [j for j, parent in enumerate(parents) if parent < 0]
+
+
+def reference_replies(packets, hosts, *, max_steps=200, link_faults=None):
+    """The reference engine's reply run of request *packets*' *hosts*:
+    traces walked back, children spawned by ``ReplySpawner``."""
+    return SynchronousEngine().run(
+        build_replies([packets[i] for i in hosts], {}),
+        reply_next_hop,
+        max_steps=max_steps,
+        on_arrival=ReplySpawner(),
+        link_faults=link_faults,
+    )
+
+
 def assert_replies_match(rows, hops, absorbed_by, absorbed, host_rows):
     arrays, packets = hand_built_requests(rows, hops, absorbed_by, absorbed)
     num_nodes = int(arrays.paths.nodes.max()) + 1
@@ -401,12 +433,7 @@ def assert_replies_match(rows, hops, absorbed_by, absorbed, host_rows):
     interned = route_replies_fast(
         replace(arrays, links=None), host_rows, budget=50, num_nodes=num_nodes
     )
-    ref = SynchronousEngine().run(
-        build_replies([packets[i] for i in host_rows], {}),
-        reply_next_hop,
-        max_steps=50,
-        on_arrival=ReplySpawner(),
-    )
+    ref = reference_replies(packets, host_rows, max_steps=50)
     assert_stats_equal(fast, ref)
     assert_stats_equal(interned, ref)
     return fast

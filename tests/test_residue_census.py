@@ -77,7 +77,7 @@ def test_a_scalar_runs_reply_is_replayed_interning_on_the_vector_lane(monkeypatc
     (replies,) = reply_args
     assert isinstance(replies, Replies) and "links" not in reply
     assert replies.requests.links is None and replies.requests.slot_keys
-    assert replies.requests.absorbed.size  # the reply run has a spawn plan
+    assert replies.requests.absorbed.size  # the reply run has spawn triggers
     interned = []
     inner = fast_phases.link_tables
 

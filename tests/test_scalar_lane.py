@@ -28,7 +28,6 @@ from repro.routing import (
     LeveledRouter,
     MeshRouter,
     NetworkDrainedError,
-    RoutingTimeout,
     fast_engine,
 )
 from repro.routing import fast_scalar
@@ -37,7 +36,7 @@ from repro.routing.fast_phases import Replies, RunInvariantError, peak_node_load
 from repro.routing.metrics import Deferred
 from repro.topology import Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import FlatPaths, compile_mesh
-from test_batch_arrival import run_both, scenario_spawn_at_zero
+from test_batch_arrival import run_both, run_replies, scenario_spawn_at_zero
 from test_fast_engine import assert_stats_equal
 from test_reply_lists import (
     NODES,
@@ -46,7 +45,7 @@ from test_reply_lists import (
     reference_replies,
     routed_hot_reads,
 )
-from test_reply_phase import hand_built_requests
+from test_reply_phase import hand_built_requests, reply_population
 
 RUN_FIELDS = (
     "hops", "arrived", "injected_at", "absorbed_by", "absorbed", "order",
@@ -181,7 +180,7 @@ def test_a_star_population_with_large_sparse_node_ids(combine):
 
 def test_a_star_crcw_step_with_its_reply_fan_out():
     """A served CRCW step on the star network: the request run combines,
-    the reply run fans out by a spawn plan — both on the lane forced,
+    the reply run fans out by spawn triggers — both on the lane forced,
     the reply keyed by its own codes on the scalar lane."""
     net = StarLogicalLeveled(5)
     rng = np.random.default_rng(3)
@@ -201,27 +200,26 @@ def test_a_star_crcw_step_with_its_reply_fan_out():
         assert getattr(scalar, field) == getattr(vector, field) == getattr(ref, field)
 
 
-def sparse(scenario, scale=997, shift=13):
-    """*scenario* with every node id ``v`` renamed ``v * scale + shift``:
+def sparse(rows, scale=997, shift=13):
+    """*rows* with every node id ``v`` renamed ``v * scale + shift``:
     the same run over a large, sparse id space."""
-    return dict(
-        scenario,
-        paths=[[v * scale + shift for v in row] for row in scenario["paths"]],
-    )
+    return [[v * scale + shift for v in row] for row in rows]
 
 
 def test_a_child_that_fires_at_position_zero_over_sparse_ids():
-    """Position-0 triggers (children placed before their parent,
+    """Position-0 spawns (child replies placed before their parent,
     recursively) on node ids in the tens of thousands."""
-    case = sparse(scenario_spawn_at_zero())
-    stats = run_both(**case)
+    paths, parents = scenario_spawn_at_zero()["forest"]
+    forest = (sparse(paths), parents)
+    stats = run_replies(forest)
     assert stats.max_queue >= 2 and stats.max_node_load >= 2
-    num_nodes = max(map(max, case["paths"])) + 1
+    requests, _, hosts = reply_population(*forest)
+    num_nodes = int(requests.paths.nodes.max()) + 1
     (_, s_run), (_, v_run) = on_both_lanes(
-        lambda: engine_run(case["paths"], num_nodes, spawn_plan=case["spawn_plan"])
+        lambda: engine_run(Replies(requests, hosts), num_nodes)
     )
     assert_runs_equal(s_run, v_run)
-    assert s_run.order is not None and s_run.order.size == len(case["paths"])
+    assert s_run.order is not None and s_run.order.size == len(paths)
 
 
 @pytest.mark.parametrize("n", [255, 256, 300])
@@ -233,9 +231,9 @@ def test_a_node_load_past_one_byte(n):
 
 
 def test_a_timed_out_run_leaves_its_engine_clean():
-    """A run that ends in ``RoutingTimeout`` with packets still queued
-    (its node loads non-zero) is the reference's, and the same engine's
-    next run starts from nothing."""
+    """A run that times out with packets still queued (its node loads
+    non-zero) is the reference's, and the same engine's next run starts
+    from nothing."""
     hub = [[0, 1, 2, 3]] * 6 + [[4, 1, 2, 3]] * 3
     timed_out = run_both(hub, max_steps=3)
     assert not timed_out.completed and timed_out.max_node_load == 6
@@ -243,9 +241,7 @@ def test_a_timed_out_run_leaves_its_engine_clean():
     for lane in RUN_LANES:
         with forced_run_lane(lane):
             engine = FastPathEngine()
-            with pytest.raises(RoutingTimeout) as exc:
-                engine.run(hub, num_nodes=5, max_steps=3, raise_on_timeout=True)
-            assert_stats_equal(exc.value.stats, timed_out)
+            assert_stats_equal(engine.run(hub, num_nodes=5, max_steps=3), timed_out)
             stats = engine.run(after, num_nodes=5, max_steps=9)
             fresh, fresh_run = engine_run(after, 5)
         assert_stats_equal(stats, fresh)

@@ -255,14 +255,13 @@ KEEP = {
     "repro.topology.star:StarGraph.route_next | if cur == dest:": "b",
     "repro.routing.queues:_index_build | if key is not None:": "b",
     "repro.routing.queues:_index_remove | if key is None:": "b",
-    # (b) caller-built packets and spawn plans: what the reference engine
-    # leaves on them, and its spawn rule, on the fast engine too
+    # (b) caller-built packets: what the reference engine leaves on them;
+    # and its spawn rule's position-0 cascade, on the fast engine too
     "repro.routing.packet:Packet.combine_key | if self.address is None:": "b",
     "repro.routing.packet:write_back | if track_paths:": "b",
     "repro.routing.packet:write_back | if track_paths: #2": "b",
     "repro.routing.packet:write_back | if combine:": "b",
     "repro.routing.packet:write_back | if combine: #2": "b",
-    "repro.routing.fast_scalar:ScalarRun.__init__ | if spawn_plan is not None:": "b",
     "repro.routing.fast_phases:SpawnTables.fire | if kc >= 0 and self.trig_at_start[kc]:": "b",
     # (c) the shuffle's ablation baseline
     "repro.routing.shuffle_router:ShuffleRouter._draw | if not self.randomized:": "c",
