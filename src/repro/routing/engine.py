@@ -18,52 +18,48 @@ The engine is topology-agnostic: a routing algorithm is just a
 hashables to the engine; the routers of this package all use plain ints
 (a leveled network's are the position-encoded ids of
 :mod:`repro.topology.compiled`).  ``packet.dest`` is the key of the node
-the packet exits at: the capacity exemption compares it with link
-targets.
+the packet exits at, which the capacity exemption compares with targets.
 
-Combining (Theorem 2.6) is supported at enqueue time: when an arriving
-packet finds a queued packet with the same (kind, address, destination) it
-is absorbed — "any number of incoming packets, which have the same
-destination, from different links can be combined into one packet in one
-unit time" (footnote 3).
+The rules
+---------
+A run's state is one :class:`ReferenceRun`; each rule is a module
+function over it, named after its twin in :mod:`repro.routing.fast_phases`,
+and :meth:`SynchronousEngine.run` is a step loop over them:
 
-Node-capacity backpressure (§3.4 / Corollary 3.3, à la [6]) is enforced
-*during* the transmission phase: each link that transmits toward a node
-reserves one of that node's arrival slots for the step, so later links
-aiming at the same node see the claimed slots and stall.  With capacity c
-a node therefore never holds more than c resident packets
-(``max_node_load <= node_capacity``), no matter how many in-links it has.
-Heads that exit the network at the link's target (head.dest == target)
-are exempt — a delivered packet occupies no queue space — and when
-``node_service_rate`` also caps departures, capacity-stalled links do not
-consume service slots: a node's slots go to links that can actually send.
-
-Plain backpressure can wedge crossing flows (two full nodes each waiting
-on the other); ``flow_control="credit"`` layers the deadlock-free
-credit/escape protocol of :mod:`repro.routing.flow_control` on top: a
-credit-starved queue head may advance into the crossed link's dedicated
-escape buffer, and escape occupants (absolute priority on their next
-link) drain back into bulk slots or forward along the escape chain.  On
-rank-monotone routes the escape channel-dependency graph is acyclic, so
-progress is guaranteed.  Either way, a step that moves nothing while
-packets are still queued raises :class:`DeadlockError` instead of
-spinning to ``max_steps``.
+* :func:`inject` places the packets whose injection step has come;
+  :func:`check_drained` raises :class:`NetworkDrainedError` when packets
+  are owed but nothing is queued, buffered or due;
+* :func:`start_step` clears the arrival slots and samples the link faults;
+* :func:`transmit_unconstrained`: every active link sends its head;
+* :func:`transmit_constrained`: node-capacity backpressure (§3.4 /
+  Corollary 3.3, à la [6]).  A link that transmits toward a node
+  reserves one of its arrival slots for the step, so a node never holds
+  more than ``node_capacity`` packets, however many in-links it has; a
+  head that exits at the target is exempt (:func:`stalled`).  With
+  ``flow_control="credit"`` (:mod:`repro.routing.flow_control`) the
+  escape subphase :func:`advance_escapes` runs first and a
+  credit-starved head takes its link's escape buffer: deadlock-free on
+  rank-monotone routes;
+* :func:`transmit_serialized`: under ``node_service_rate`` a node sends
+  from that many links a step, longest queue first;
+* :func:`held` is the one fault-blocked check, :func:`transmit` the one
+  pop-and-advance, that every transmission rule calls;
+* :func:`no_progress`: a step that moved nothing, with nothing due and
+  no link held by a fault, raises :class:`DeadlockError`;
+* :func:`place` traces the packet, places what ``on_arrival`` spawns,
+  and delivers it (:func:`deliver`), lands it in its escape buffer, or
+  enqueues it (:func:`enqueue`), where :func:`absorb` combines it
+  (Theorem 2.6, "combined into one packet in one unit time").
 
 Reference engine vs. fast path
 ------------------------------
 This module is the **reference** engine: maximally general (arbitrary
 hashable node keys, dynamic ``next_hop`` policies, backpressure, service
 rates, ``on_arrival`` injection) and written for readability.  The
-routers for leveled / shuffle / star / butterfly networks also have a
-**fast path** (:mod:`repro.routing.fast_engine` over
-:mod:`repro.topology.compiled`) that precompiles every packet's
-trajectory to dense integer node ids and replays the very same queue
-dynamics on flat data structures.  The two are step-for-step equivalent
-under a fixed seed (see ``tests/test_fast_engine.py``); routers select
-the fast path automatically when their configuration allows it.  Force a
-specific engine with the routers' ``engine="reference"`` /
-``engine="fast"`` argument, or globally via the ``REPRO_ENGINE``
-environment variable (checked whenever a router is left on ``"auto"``).
+**fast path** (:mod:`repro.routing.fast_engine`) replays the very same
+queue dynamics on precompiled integer trajectories, step for step under
+a fixed seed; routers pick it when their configuration allows.  Force an
+engine with a router's ``engine=`` argument, or via ``REPRO_ENGINE``.
 
 Transmission order is deterministic: active links transmit in the order
 they last became active (insertion order), never in hash order, so runs
@@ -73,6 +69,7 @@ reproduce exactly across processes and interpreter builds.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import Callable, Hashable, Optional, Sequence
 
 from repro.obs.clock import wall_time
@@ -87,6 +84,7 @@ from repro.routing.packet import Packet
 from repro.routing.queues import LinkQueue, fifo_factory
 
 NextHop = Callable[[Packet], Optional[Hashable]]
+Link = tuple[Hashable, Hashable]
 
 
 class RoutingTimeout(RuntimeError):
@@ -133,11 +131,12 @@ class SynchronousEngine:
         Enable CRCW packet combining for packets carrying an ``address``.
     node_capacity:
         If set, a node refuses new arrivals beyond this many resident
-        packets: upstream links stall (backpressure).  Arrival slots are
-        reserved as links transmit within a step, so the cap holds even
-        against simultaneous arrivals from many in-links (heads delivered
-        at the target are exempt, see :meth:`_is_exit`).  Models the O(1)
-        queue variants of §3.4 / [6].
+        packets: upstream links stall (backpressure, see
+        :func:`transmit_constrained`).  Models the O(1) queue variants
+        of §3.4 / [6].
+    node_service_rate:
+        If set, a node sends from at most this many of its out-links per
+        step (:func:`transmit_serialized`).
     flow_control:
         ``"none"`` (default) is plain backpressure; ``"credit"`` adds
         the deadlock-free escape channel of
@@ -180,7 +179,6 @@ class SynchronousEngine:
         self.track_paths = track_paths
         self.observer = observer
 
-    # ------------------------------------------------------------------
     def run(
         self,
         packets: Sequence[Packet],
@@ -207,331 +205,332 @@ class SynchronousEngine:
         at the *global* virtual step ``fault_base + t``, so a multi-run
         emulation step sees one consistent timeline.
         """
-        queues: dict[tuple[Hashable, Hashable], LinkQueue] = {}
-        node_load: dict[Hashable, int] = defaultdict(int)
-        # Insertion-ordered set (dict) of links with queued packets: the
-        # transmission phase iterates it, so using a plain set would make
-        # transmission order — and thus RNG consumption, combining, and
-        # service-rate tie-breaks — depend on hash order.
-        active: dict[tuple[Hashable, Hashable], None] = {}
-        fc = CreditState() if self.flow_control == "credit" else None
-        # Packets that claimed an escape buffer at transmit time; place()
-        # turns the claim into an occupancy (or drops it on delivery).
-        pending_escape: dict[Packet, tuple[Hashable, Hashable]] = {}
-
+        r = ReferenceRun(self, packets, next_hop, on_arrival, link_faults, fault_base)
         obs = self.observer
-        prof = obs.profile if obs is not None else None
+        prof = r.prof
         rec = obs.recorder if obs is not None else None
-        _t_run0 = wall_time() if prof is not None else 0.0
-
-        max_queue = 0
-        max_node_load = 0
-        combines = 0
-        fault_stalls = 0
-        deadlocked = False
-        all_packets = list(packets)
-        remaining = len(all_packets)
-
-        injections: dict[int, list[Packet]] = defaultdict(list)
-        for p in all_packets:
-            injections[p.injected_at].append(p)
-        pending_times = sorted(injections, reverse=True)
-
-        def enqueue(p: Packet, u: Hashable, w: Hashable) -> None:
-            nonlocal max_queue, max_node_load, combines
-            key = (u, w)
-            q = queues.get(key)
-            if q is None:
-                q = queues[key] = self.queue_factory()
-            if self.combine:
-                ckey = p.combine_key
-                if ckey is not None:
-                    _c0 = wall_time() if prof is not None else 0.0
-                    host = q.find_combinable(ckey)
-                    if host is not None:
-                        host.absorb(p)
-                        combines += 1
-                        if prof is not None:
-                            prof.add_phase("combining", wall_time() - _c0)
-                        return
-                    if prof is not None:
-                        prof.add_phase("combining", wall_time() - _c0)
-            q.push(p)
-            active[key] = None
-            node_load[u] += 1
-            if len(q) > max_queue:
-                max_queue = len(q)
-            if node_load[u] > max_node_load:
-                max_node_load = node_load[u]
-
-        def deliver(p: Packet, t: int) -> None:
-            nonlocal remaining
-            for rep in p.all_represented():
-                if rep.arrived_at is None:
-                    rep.arrived_at = t
-                    remaining -= 1
-
-        def place(p: Packet, t: int) -> None:
-            """Compute p's next hop from its current node; enqueue/deliver."""
-            nonlocal remaining
-            if self.track_paths:
-                if p.trace is None:
-                    p.trace = [p.node]
-                else:
-                    p.trace.append(p.node)
-            if on_arrival is not None:
-                spawned = on_arrival(p)
-                if spawned:
-                    for q in spawned:
-                        if q.node != p.node:
-                            raise ValueError(
-                                f"spawned packet {q.pid} at {q.node}, "
-                                f"expected {p.node}"
-                            )
-                        q.injected_at = t
-                        all_packets.append(q)
-                        remaining += 1
-                        place(q, t)
-            w = next_hop(p)
-            if w is None:
-                if fc is not None:
-                    pending_escape.pop(p, None)
-                deliver(p, t)
-            elif fc is not None and (el := pending_escape.pop(p, None)) is not None:
-                # The packet crossed link `el` into its escape buffer;
-                # it advances from there (skipping bulk queues and
-                # combining) until a credit frees up or it exits.
-                fc.occupy(el, p, (p.node, w))
-            else:
-                enqueue(p, p.node, w)
-
+        run0 = wall_time() if prof is not None else 0.0
+        transmission = transmit_serialized if r.service_rate is not None else (
+            transmit_constrained if r.capacity is not None else transmit_unconstrained)
         t = 0
-        while remaining > 0:
-            # inject packets whose time has come
-            while pending_times and pending_times[-1] <= t:
-                for p in injections[pending_times.pop()]:
-                    place(p, t)
-            if remaining == 0:
+        deadlocked = False
+        while r.remaining > 0:
+            inject(r, t)
+            if r.remaining == 0 or t >= max_steps:
                 break
-            if t >= max_steps:
-                break
-            if (
-                not active
-                and not pending_times
-                and (fc is None or not fc.escape_at)
-            ):
-                raise NetworkDrainedError(remaining, t, obs)
+            check_drained(r, t)
 
-            # transmission phase: every active link sends one packet
-            # (unless node_service_rate caps departures per node, the
-            # serialized model used by the Valiant-comparison baseline)
-            arrivals: list[Packet] = []
-            newly_empty: list[tuple[Hashable, Hashable]] = []
-            capacity = self.node_capacity
-            blocked: frozenset = frozenset()
-            if link_faults is not None:
-                fstatic, fextra = link_faults.parts_at(fault_base + t)
-                blocked = fstatic.union(fextra) if fextra else fstatic
-            fault_blocked_step = False
-            _tx0 = wall_time() if prof is not None else 0.0
-            _esc_dt = 0.0
-            if capacity is None and self.node_service_rate is None:
-                # Unconstrained hot loop: no capacity bookkeeping at all.
-                for key in active:
-                    if blocked and key in blocked:
-                        fault_stalls += 1
-                        fault_blocked_step = True
-                        continue
-                    q = queues[key]
-                    p = q.pop()
-                    node_load[key[0]] -= 1
-                    p.node = key[1]
-                    p.hops += 1
-                    arrivals.append(p)
-                    if len(q) == 0:
-                        newly_empty.append(key)
-            else:
-                # Arrival slots already claimed at each node this step.
-                # The capacity check must see them: checking only the
-                # pre-step node_load would let every in-link of a full
-                # node transmit in the same step (N arrivals past a
-                # capacity-1 node).
-                reserved: dict[Hashable, int] = defaultdict(int)
-
-                def stalled(key: tuple[Hashable, Hashable]) -> bool:
-                    if node_load[key[1]] + reserved[key[1]] < capacity:
-                        return False
-                    return not self._is_exit(queues[key], key)
-
-                def transmit(
-                    key: tuple[Hashable, Hashable], reserve: bool = True
-                ) -> Packet:
-                    # reserve=False is the escape landing: the packet
-                    # crosses into the link's dedicated escape buffer,
-                    # so it claims no bulk slot at the target.
-                    q = queues[key]
-                    p = q.pop()
-                    node_load[key[0]] -= 1
-                    if reserve and capacity is not None and p.dest != key[1]:
-                        reserved[key[1]] += 1
-                    p.node = key[1]
-                    p.hops += 1
-                    arrivals.append(p)
-                    if len(q) == 0:
-                        newly_empty.append(key)
-                    return p
-
-                if fc is not None:
-                    # Escape subphase: occupants advance first (absolute
-                    # priority on their next link), in occupancy order.
-                    # `used` then blocks the bulk heads of those links.
-                    _esc0 = wall_time() if prof is not None else 0.0
-                    used: set[tuple[Hashable, Hashable]] = set()
-                    for el in list(fc.escape_at):
-                        p = fc.escape_at[el]
-                        nl = fc.escape_next[el]
-                        if blocked and nl in blocked:
-                            fault_stalls += 1
-                            fault_blocked_step = True
-                            continue
-                        if nl in used:
-                            fc.stall()
-                            continue
-                        w = nl[1]
-                        if p.dest != w:
-                            if node_load[w] + reserved[w] < capacity:
-                                reserved[w] += 1  # drain back into bulk
-                            elif fc.available(nl):
-                                fc.claim(nl)
-                                pending_escape[p] = nl
-                            else:
-                                fc.stall()
-                                continue
-                        used.add(nl)
-                        fc.vacate(el)
-                        p.node = w
-                        p.hops += 1
-                        arrivals.append(p)
-                    if prof is not None:
-                        _esc_dt = wall_time() - _esc0
-                        prof.add_phase("escape", _esc_dt)
-                    # Bulk subphase: credit-starved heads take the escape
-                    # buffer of the link they cross instead of stalling.
-                    for key in active:
-                        if blocked and key in blocked:
-                            fault_stalls += 1
-                            fault_blocked_step = True
-                            continue
-                        if key in used:
-                            fc.stall()
-                            continue
-                        if not stalled(key):
-                            transmit(key)
-                        elif fc.available(key):
-                            fc.claim(key)
-                            pending_escape[transmit(key, reserve=False)] = key
-                        else:
-                            fc.stall()
-                elif self.node_service_rate is None:
-                    for key in active:
-                        if blocked and key in blocked:
-                            fault_stalls += 1
-                            fault_blocked_step = True
-                            continue
-                        if stalled(key):
-                            continue  # backpressure: hold the link this step
-                        transmit(key)
-                else:
-                    by_node: dict[Hashable, list] = defaultdict(list)
-                    for key in active:
-                        by_node[key[0]].append(key)
-                    for node, keys in by_node.items():
-                        # Stable sort + insertion-ordered `active`: ties go
-                        # to the link that became active first.
-                        keys.sort(key=lambda k: -len(queues[k]))
-                        slots = self.node_service_rate
-                        for key in keys:
-                            if slots == 0:
-                                break
-                            # A fault-blocked or capacity-stalled link must
-                            # not burn one of the node's service slots while
-                            # a ready link idles.
-                            if blocked and key in blocked:
-                                fault_stalls += 1
-                                fault_blocked_step = True
-                                continue
-                            if capacity is not None and stalled(key):
-                                continue
-                            transmit(key)
-                            slots -= 1
-            for key in newly_empty:
-                active.pop(key, None)
+            # Phase 1: every active link sends one packet (escape time booked apart)
+            tx0 = wall_time() if prof is not None else 0.0
+            esc0 = prof.phase_total("escape") if prof is not None else 0.0
+            stalls0 = r.fault_stalls
+            start_step(r, t)
+            arrivals = transmission(r)
             if prof is not None:
-                prof.add_phase("transmission", wall_time() - _tx0 - _esc_dt)
+                esc_dt = prof.phase_total("escape") - esc0
+                prof.add_phase("transmission", wall_time() - tx0 - esc_dt)
             if rec is not None:
                 rec.record(
-                    "engine_step",
-                    virtual_clock=t,
-                    arrivals=len(arrivals),
-                    active_links=len(active),
-                    remaining=remaining,
-                    fault_stalls=fault_stalls,
-                )
-
-            if not arrivals and not pending_times and not fault_blocked_step:
-                # No transmission, no future injections, and no link held
-                # back by a (possibly transient) fault: the state is
-                # provably static forever.  Report instead of spinning.
-                # A fault-blocked step instead just burns time — the
-                # schedule may revive the wire.
+                    "engine_step", virtual_clock=t, arrivals=len(arrivals),
+                    active_links=len(r.active), remaining=r.remaining,
+                    fault_stalls=r.fault_stalls,
+                )  # fmt: skip
+            if no_progress(r, arrivals, stalls0):
                 deadlocked = True
                 break
-
             t += 1
-            if prof is not None:
-                _a0 = wall_time()
-                _c_before = prof.phase_total("combining")
-                for p in arrivals:
-                    place(p, t)
-                prof.add_phase(
-                    "arrival",
-                    (wall_time() - _a0)
-                    - (prof.phase_total("combining") - _c_before),
-                )
-            else:
-                for p in arrivals:
-                    place(p, t)
 
-        completed = remaining == 0
+            # Phase 2: every arrival is placed (combine lookups booked apart)
+            a0 = wall_time() if prof is not None else 0.0
+            c0 = prof.phase_total("combining") if prof is not None else 0.0
+            for p in arrivals:
+                place(r, p, t)
+            if prof is not None:
+                c_dt = prof.phase_total("combining") - c0
+                prof.add_phase("arrival", wall_time() - a0 - c_dt)
+
+        fc = r.fc or CreditState()  # a run without credits stalls and escapes none
         stats = collect_stats(
-            all_packets,
-            steps=t,
-            max_queue=max_queue,
-            completed=completed,
-            combines=combines,
-            max_node_load=max_node_load,
-            credits_stalled=fc.credits_stalled if fc is not None else 0,
-            escape_hops=fc.escape_hops if fc is not None else 0,
-            fault_stalls=fault_stalls,
-            run_mode="reference",
-        )
+            r.all_packets, steps=t, max_queue=r.max_queue, completed=r.remaining == 0,
+            combines=r.combines, max_node_load=r.max_node_load,
+            credits_stalled=fc.credits_stalled, escape_hops=fc.escape_hops,
+            fault_stalls=r.fault_stalls, run_mode="reference",
+        )  # fmt: skip
         if prof is not None:
-            prof.add_mode("reference", wall_time() - _t_run0)
+            prof.add_mode("reference", wall_time() - run0)
         if deadlocked:
             err = DeadlockError(
-                stats, detail=no_progress_detail(t, remaining, len(active))
+                stats, detail=no_progress_detail(t, r.remaining, len(r.active))
             )
             if obs is not None:
                 err.flight_tail = obs.flight_tail()
             raise err
         return stats
 
-    def _is_exit(self, q: LinkQueue, key) -> bool:
-        """Heads destined to final delivery never stall on capacity.
 
-        A packet that will be *delivered* at the target node does not
-        occupy queue space there, so backpressure must let it through;
-        we approximate by checking whether the head's destination equals
-        the link's target node.
-        """
-        return q.peek().dest == key[1]
+class ReferenceRun:
+    """The state of one :meth:`SynchronousEngine.run`, which the rules
+    read and write.  ``due``: the packets not injected yet, latest step
+    first (a stable sort: input order within a step).  ``active``: the
+    links with queued packets, an insertion-ordered dict — a set would
+    make transmission order, and so RNG use, combining and service-rate
+    ties, depend on hash order.  ``pending_escape``: packet → the link it
+    crossed into that link's escape buffer, until :func:`place` lands
+    it.  ``blocked`` (links down) and ``reserved`` (arrival slots claimed
+    per node) hold for the current step."""
+
+    def __init__(self, engine: SynchronousEngine, packets: Sequence[Packet], next_hop: NextHop,
+                 on_arrival=None, link_faults=None, fault_base: int = 0) -> None:  # fmt: skip
+        self.queue_factory = engine.queue_factory
+        self.combine = engine.combine
+        self.capacity = engine.node_capacity
+        self.service_rate = engine.node_service_rate
+        self.track_paths = engine.track_paths
+        self.observer = engine.observer
+        self.prof = engine.observer.profile if engine.observer is not None else None
+        self.next_hop = next_hop
+        self.on_arrival = on_arrival
+        self.link_faults = link_faults
+        self.fault_base = fault_base
+        self.fc = CreditState() if engine.flow_control == "credit" else None
+        self.queues: dict[Link, LinkQueue] = {}
+        self.active: dict[Link, None] = {}
+        self.node_load: dict[Hashable, int] = defaultdict(int)
+        self.pending_escape: dict[Packet, Link] = {}
+        self.blocked: frozenset = frozenset()
+        self.reserved: dict[Hashable, int] = defaultdict(int)
+        self.max_queue = self.max_node_load = self.combines = self.fault_stalls = 0
+        self.all_packets = list(packets)
+        self.remaining = len(self.all_packets)
+        self.due = sorted(self.all_packets, key=attrgetter("injected_at"))[::-1]
+
+    def queue_length(self, key: Link) -> int:
+        """How many packets wait on link *key*."""
+        return len(self.queues[key])
+
+
+def inject(r: ReferenceRun, t: int) -> None:
+    """Place the packets whose injection step is *t* or earlier."""
+    while r.due and r.due[-1].injected_at <= t:
+        place(r, r.due.pop(), t)
+
+
+def check_drained(r: ReferenceRun, t: int) -> None:
+    """Raise :class:`NetworkDrainedError` if no link holds a packet, no
+    escape buffer is occupied and no injection is due."""
+    if not r.active and not r.due and (r.fc is None or not r.fc.escape_at):
+        raise NetworkDrainedError(r.remaining, t, r.observer)
+
+
+def start_step(r: ReferenceRun, t: int) -> None:
+    """Open step *t*: no arrival slot is reserved yet, and the links down
+    are those of the global step ``fault_base + t``."""
+    r.reserved.clear()
+    if r.link_faults is not None:
+        static, extra = r.link_faults.parts_at(r.fault_base + t)
+        r.blocked = static.union(extra) if extra else static
+
+
+def held(r: ReferenceRun, key: Link) -> bool:
+    """Whether link *key* is down this step: it holds its queue (or the
+    escape occupant about to cross it), counted in ``fault_stalls``."""
+    if r.blocked and key in r.blocked:
+        r.fault_stalls += 1
+        return True
+    return False
+
+
+def transmit(r: ReferenceRun, key: Link, reserve: bool = True) -> Packet:
+    """Link *key* sends its head across and returns it; under capacity
+    the head reserves a slot at the target unless it exits there or
+    lands in the link's escape buffer (*reserve* false).  An emptied
+    link leaves ``active``."""
+    q = r.queues[key]
+    p = q.pop()
+    r.node_load[key[0]] -= 1
+    if reserve and r.capacity is not None and p.dest != key[1]:
+        r.reserved[key[1]] += 1
+    p.node = key[1]
+    p.hops += 1
+    if not q:
+        del r.active[key]
+    return p
+
+
+def stalled(r: ReferenceRun, key: Link) -> bool:
+    """Whether capacity holds link *key*: the target's residents and reserved
+    slots fill it, and the head does not exit there."""
+    w = key[1]
+    if r.node_load[w] + r.reserved[w] < r.capacity:
+        return False
+    return r.queues[key].peek().dest != w
+
+
+def transmit_unconstrained(r: ReferenceRun) -> list[Packet]:
+    """Every active link that is up sends its head; returns the packets
+    sent, in link activation order."""
+    return [transmit(r, key) for key in list(r.active) if not held(r, key)]
+
+
+def advance_escapes(r: ReferenceRun) -> tuple[list[Packet], set[Link]]:
+    """The escape subphase: occupants advance in occupancy order, with
+    absolute priority on their next link, if they exit there, if the
+    target has a slot left (back into bulk), or else into that link's
+    free escape buffer (a claim in ``pending_escape``); others stall.
+    Returns ``(packets moved, links used)``: a used link's head waits."""
+    prof = r.prof
+    t0 = wall_time() if prof is not None else 0.0
+    fc = r.fc
+    moved: list[Packet] = []
+    used: set[Link] = set()
+    for el in [el for el in fc.escape_at if not held(r, fc.escape_next[el])]:
+        p = fc.escape_at[el]
+        nl = fc.escape_next[el]
+        if nl in used:
+            fc.stall()
+            continue
+        w = nl[1]
+        if p.dest != w:
+            if r.node_load[w] + r.reserved[w] < r.capacity:
+                r.reserved[w] += 1  # drain back into bulk
+            elif fc.available(nl):
+                fc.claim(nl)
+                r.pending_escape[p] = nl
+            else:
+                fc.stall()
+                continue
+        used.add(nl)
+        fc.vacate(el)
+        p.node = w
+        p.hops += 1
+        moved.append(p)
+    if prof is not None:
+        prof.add_phase("escape", wall_time() - t0)
+    return moved, used
+
+
+def transmit_constrained(r: ReferenceRun) -> list[Packet]:
+    """Under ``node_capacity``: the escape subphase (credit flow control),
+    then each active link in activation order sends its head unless it
+    is down, used by an escape occupant or :func:`stalled` — where a
+    credit run's head takes its link's free escape buffer.  Returns the
+    packets sent, escape movers first.  Slots are reserved link by link:
+    the pre-step ``node_load`` alone would let every in-link of a full
+    node transmit at once."""
+    fc = r.fc
+    sent, used = advance_escapes(r) if fc is not None else ([], ())
+    for key in [key for key in r.active if not held(r, key)]:
+        if key in used:
+            fc.stall()
+        elif not stalled(r, key):
+            sent.append(transmit(r, key))
+        elif fc is None:
+            continue  # backpressure: hold the link this step
+        elif fc.available(key):
+            fc.claim(key)
+            p = transmit(r, key, reserve=False)
+            r.pending_escape[p] = key
+            sent.append(p)
+        else:
+            fc.stall()
+    return sent
+
+
+def transmit_serialized(r: ReferenceRun) -> list[Packet]:
+    """Under ``node_service_rate`` (the Valiant baseline's serialized
+    node): each node sends from at most that many links, longest queue
+    first, ties to the earliest active; a link down or held by capacity
+    burns no slot."""
+    by_node: dict[Hashable, list[Link]] = defaultdict(list)
+    for key in r.active:
+        by_node[key[0]].append(key)
+    sent: list[Packet] = []
+    for keys in by_node.values():
+        keys.sort(key=r.queue_length, reverse=True)  # stable: ties keep their order
+        slots = r.service_rate
+        for key in keys:
+            if slots == 0:
+                break
+            if held(r, key) or (r.capacity is not None and stalled(r, key)):
+                continue
+            sent.append(transmit(r, key))
+            slots -= 1
+    return sent
+
+
+def no_progress(r: ReferenceRun, arrivals: list[Packet], stalls0: int) -> bool:
+    """Whether the step leaves the state static forever: nothing sent or
+    due, and no link held by a fault since ``fault_stalls`` read
+    *stalls0* (the schedule may revive the wire)."""
+    return not arrivals and not r.due and r.fault_stalls == stalls0
+
+
+def place(r: ReferenceRun, p: Packet, t: int) -> None:
+    """*p* has reached ``p.node`` at step *t*: trace it, place what
+    ``on_arrival`` spawns there, then deliver *p*, land it in the escape
+    buffer it claimed, or enqueue it toward its next hop."""
+    if r.track_paths:
+        if p.trace is None:
+            p.trace = [p.node]
+        else:
+            p.trace.append(p.node)
+    if r.on_arrival is not None:
+        for q in r.on_arrival(p) or ():
+            if q.node != p.node:
+                raise ValueError(f"spawned packet {q.pid} at {q.node}, expected {p.node}")
+            q.injected_at = t
+            r.all_packets.append(q)
+            r.remaining += 1
+            place(r, q, t)
+    w = r.next_hop(p)
+    if w is None:
+        r.pending_escape.pop(p, None)
+        deliver(r, p, t)
+    elif r.fc is not None and (el := r.pending_escape.pop(p, None)) is not None:
+        # it advances from the buffer of `el` (skipping bulk queues and
+        # combining) until a credit frees up or it exits
+        r.fc.occupy(el, p, (p.node, w))
+    else:
+        enqueue(r, p, (p.node, w))
+
+
+def enqueue(r: ReferenceRun, p: Packet, key: Link) -> None:
+    """Queue *p* on link *key*, unless :func:`absorb` combines it."""
+    q = r.queues.get(key)
+    if q is None:
+        q = r.queues[key] = r.queue_factory()
+    if r.combine:
+        ckey = p.combine_key
+        if ckey is not None and absorb(r, q, p, ckey):
+            return
+    q.push(p)
+    r.active[key] = None
+    u = key[0]
+    r.node_load[u] += 1
+    if len(q) > r.max_queue:
+        r.max_queue = len(q)
+    if r.node_load[u] > r.max_node_load:
+        r.max_node_load = r.node_load[u]
+
+
+def absorb(r: ReferenceRun, q: LinkQueue, p: Packet, ckey) -> bool:
+    """Whether *p* merged into the earliest packet in *q* with combine
+    key *ckey*: the one combine lookup, timed as ``combining``."""
+    prof = r.prof
+    c0 = wall_time() if prof is not None else 0.0
+    host = q.find_combinable(ckey)
+    if host is not None:
+        host.absorb(p)
+        r.combines += 1
+    if prof is not None:
+        prof.add_phase("combining", wall_time() - c0)
+    return host is not None
+
+
+def deliver(r: ReferenceRun, p: Packet, t: int) -> None:
+    """Stamp step *t* as the arrival of *p* and of every packet it
+    absorbed that has none yet."""
+    for rep in p.all_represented():
+        if rep.arrived_at is None:
+            rep.arrived_at = t
+            r.remaining -= 1

@@ -229,16 +229,17 @@ def test_every_router_row_is_probed():
     assert routers and probed == routers
 
 
-#: the fast engine and every module split out of it
-FAST_ENGINE_MODULES = ("fast_engine.py", "fast_phases.py", "fast_scalar.py")
+#: the fast engine and every module split out of it, and the reference
+#: engine (its rule functions over one ``ReferenceRun``)
+ENGINE_MODULES = ("fast_engine.py", "fast_phases.py", "fast_scalar.py", "engine.py")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-@pytest.mark.parametrize("module", FAST_ENGINE_MODULES)
+@pytest.mark.parametrize("module", ENGINE_MODULES)
 def test_fast_engine_stays_a_loop_over_phase_functions(module):
     """No function past 150 lines (docstring included), none defined
-    inside another (closures over a run's locals are what the phase
-    functions replaced), no ``nonlocal``."""
+    inside another (closures over a run's locals are what the phase and
+    rule functions replaced), no ``nonlocal`` — in both engines."""
     source = (DOC.parent.parent / "src/repro/routing" / module).read_text()
     tree = ast.parse(source)
     for fn in (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)):

@@ -80,6 +80,39 @@ def test_a_served_a_tested_and_a_dead_function_are_told_apart(tmp_path):
     assert "not kept: pkg:branchy | else of if x > 0: (unreached)" in proc.stderr
 
 
+def test_a_source_edited_during_the_trace_voids_the_report(tmp_path):
+    """Traced line numbers are mapped onto the sources read before the
+    trace: a served entry that rewrites a file of ``--src`` must fail
+    the run, name the file and leave no report behind."""
+    pkg = _package(tmp_path, "\ndef served():\n    return 1\n")
+    (tmp_path / "serve.py").write_text(
+        "import pkg, pathlib\npkg.served()\n"
+        "path = pathlib.Path(pkg.__file__)\n"
+        "path.write_text('\\n\\n' + path.read_text())\n"
+    )
+    (tmp_path / "check.py").write_text("import pkg\n")
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "reachability.py"), "--check",
+            "--src", str(pkg), f"--served={tmp_path / 'serve.py'}",
+            f"--tests={tmp_path / 'check.py'}", "--out", str(out),
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"changed during the run: {pkg / '__init__.py'}" in proc.stderr
+    assert "no report written" in proc.stderr
+    assert not out.exists()
+
+
+def test_changed_sources_names_added_removed_and_edited_files():
+    before = {"a.py": "1", "b.py": "2", "c.py": "3"}
+    after = {"a.py": "1", "b.py": "9", "d.py": "4"}
+    assert reachability.changed_sources(before, after) == ["b.py", "c.py", "d.py"]
+    assert reachability.changed_sources(before, dict(before)) == []
+
+
 def test_an_arm_keep_entry_matches_by_header_after_the_lines_shift(tmp_path, monkeypatch):
     monkeypatch.setitem(reachability.KEEP, "pkg:branchy | else of if x > 0:", "a")
     for shift in (0, 7):

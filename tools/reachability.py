@@ -43,7 +43,10 @@ rule nor on ``KEEP``, and on any unkept arm.
 
 The JSON report maps each function (``module:qualname``) and each arm
 of a served function to its status, its line count and its keep
-reason, with the counts per status.
+reason, with the counts per status.  Verdicts map traced line numbers
+onto the sources as they were read before the trace, so the run hashes
+every ``*.py`` under ``--src`` before and after: if any changed, it
+names them, writes no report and exits 2.
 
 Run:  python tools/reachability.py [--check] [--out PATH]
           [--src DIR] [--served=ARGS ...] [--tests=ARGS ...]
@@ -51,7 +54,7 @@ Run:  python tools/reachability.py [--check] [--out PATH]
 ``--served`` / ``--tests`` replace the default entry sets; each ARGS is
 the argument list of one Python interpreter, split like a shell line
 (``--served='examples/quickstart.py'``, ``--tests='-m pytest -q'``).
-Line tracing is slow: the full audit takes about seven minutes on two
+Line tracing is slow: the full audit takes five to seven minutes on two
 cores, most of it ``bench_engine_scaling.py --quick``, which therefore
 starts first.
 """
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import shlex
@@ -223,20 +227,14 @@ KEEP = {
     "repro.hashing.loads:lemma22_bound | if gamma < delta:": "a",
     "repro.hashing.loads:lemma22_bound | if s_size < gamma:": "a",
     "repro.obs.schema:schema_of | if not isinstance(env, dict):": "a",
-    # (b) the reference engine's step loop: faults, capacity, profiling
-    "repro.routing.engine:SynchronousEngine.run | if remaining == 0:": "b",
-    "repro.routing.engine:SynchronousEngine.run | if t >= max_steps:": "b",
-    "repro.routing.engine:SynchronousEngine.run | if blocked and nl in blocked:": "b",
-    "repro.routing.engine:SynchronousEngine.run | if blocked and key in blocked: #2": "b",
-    "repro.routing.engine:SynchronousEngine.run | if blocked and key in blocked: #3": "b",
-    "repro.routing.engine:SynchronousEngine.run | if blocked and key in blocked: #4": "b",
-    "repro.routing.engine:SynchronousEngine.run | if capacity is not None and stalled(key):":
-        "b",
-    "repro.routing.engine:SynchronousEngine.run | if prof is not None:": "b",
-    "repro.routing.engine:SynchronousEngine.run | if prof is not None: #3": "b",
-    "repro.routing.engine:SynchronousEngine.run.<locals>.enqueue | if prof is not None:": "b",
-    "repro.routing.engine:SynchronousEngine.run.<locals>.enqueue | if prof is not None: #2":
-        "b",
+    # (b) the reference engine's rules: the step budget, capacity under a
+    # service rate, profiling
+    "repro.routing.engine:SynchronousEngine.run | if r.remaining == 0 or t >= max_steps:": "b",
+    "repro.routing.engine:SynchronousEngine.run | if prof is not None: #2": "b",
+    "repro.routing.engine:transmit_serialized | "
+    "if held(r, key) or (r.capacity is not None and stalled(r, key)):": "b",
+    "repro.routing.engine:advance_escapes | if prof is not None:": "b",
+    "repro.routing.engine:absorb | if prof is not None:": "b",
     # (b) the routers' hop-by-hop rules and the reference queues
     "repro.routing.fast_engine:resolve_engine_mode | if env in ('fast', 'reference'):": "b",
     "repro.routing.greedy:GreedyRouter._next_hop | if p.state is not None:": "b",
@@ -595,6 +593,19 @@ def classify(functions: dict[str, Function], served: Hits, tests: Hits) -> dict:
     return report
 
 
+def source_hashes(src: Path) -> dict[str, str]:
+    """The sha256 of every ``*.py`` under *src*, by path."""
+    return {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(src.rglob("*.py"))}
+
+
+def changed_sources(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """The paths added, removed or edited between two
+    :func:`source_hashes`."""
+    return sorted(path for path in before.keys() | after.keys()
+                  if before.get(path) != after.get(path))
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=DEFAULT_SRC,
@@ -608,12 +619,21 @@ def main(argv: list[str] | None = None) -> int:
                     help="exit 1 on a function or arm that is not served and not kept")
     args = ap.parse_args(argv)
 
+    # traced line numbers are mapped onto the sources read here: an edit
+    # during the run would turn the verdicts into noise
+    hashes = source_hashes(args.src)
     functions = inventory(args.src)
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp_name:
         tmp = Path(tmp_name)
         served_cmds = [shlex.split(a) for a in args.served] if args.served else default_served(tmp)
         tests_cmds = [shlex.split(a) for a in args.tests] if args.tests else DEFAULT_TESTS
         hits = trace({"served": served_cmds, "tests": tests_cmds}, args.src, tmp)
+    if changed := changed_sources(hashes, source_hashes(args.src)):
+        for path in changed:
+            print(f"changed during the run: {path}", file=sys.stderr)
+        print("reachability: sources changed while they were traced; no report written",
+              file=sys.stderr)
+        return 2
     report = {"src": str(args.src), "reasons": REASONS,
               **classify(functions, hits["served"], hits["tests"])}
 
