@@ -598,15 +598,15 @@ class Emulator(ABC):
                 obs.count("emulator_rehashes_total", network=self.network)
                 obs.record("rehash", virtual_clock=now, attempt=attempt, wedged=wedged)
 
-    def _apply_memory(self, reads, writes) -> dict:
-        """One step's memory semantics: reads see pre-step memory, then
-        each written address takes ``resolve_writes`` of its writers.
+    def _apply_memory(self, writes) -> None:
+        """One step's writes: each written address takes
+        ``resolve_writes`` of its writers.
 
-        *reads* yields ``(key, addr)`` pairs, *writes* ``(addr, writer
-        id, value)`` triples; returns ``{key: value read}``.
+        *writes* yields ``(addr, writer id, value)`` triples.  A step's
+        reads see pre-step memory, but the emulators cost the step and
+        deliver no value, so nothing here reads.
         """
         memory = self.memory
-        values = {key: memory.read(addr) for key, addr in reads}
         by_addr: dict[int, list[tuple[int, object]]] = {}
         for addr, writer, value in writes:
             by_addr.setdefault(addr, []).append((writer, value))
@@ -615,41 +615,30 @@ class Emulator(ABC):
                 addr,
                 resolve_writes(sorted(writers), self.write_policy, self.combine_op),
             )
-        return values
 
-    def _serve_memory(self, cols: StepColumns, router) -> tuple[np.ndarray, dict]:
-        """The modules' work for a routed step: ``(read hosts, values)``.
+    def _serve_memory(self, cols: StepColumns, router) -> np.ndarray:
+        """The modules' work for a routed step; returns the read hosts.
 
         A *host* is a request that reached its module — every row the
-        run did not absorb into another.  Each read host reads for the
-        requests combined into it (``values`` is keyed by its row);
-        every write of the step is applied, a combined one standing
-        behind the host that carried it, with the requesting
-        processor's id — not the row — deciding write conflicts.
-        Only replies built as packets carry a value: after a fast
-        request run nothing is read and ``values`` is empty (a reply
-        run of arrays carries none, see :meth:`_reverse_path_replies`).
+        run did not absorb into another; a read host's reply fans out to
+        the requests combined into it.  Every write of the step is
+        applied, a combined one standing behind the host that carried
+        it, with the requesting processor's id — not the row — deciding
+        write conflicts.
         """
         n_reads = cols.n_reads
-        is_host = np.ones(cols.n, dtype=bool)
-        is_host[router.absorbed_rows()] = False
-        read_hosts = np.flatnonzero(is_host[:n_reads])
-        reads = (
-            zip(read_hosts.tolist(), cols.addrs[read_hosts].tolist())
-            if router.last_fast_run is None
-            else ()
-        )
-        values = self._apply_memory(
-            reads,
+        self._apply_memory(
             zip(
                 cols.addrs[n_reads:].tolist(),
                 cols.sources[n_reads:].tolist(),
                 cols.payloads,
-            ),
+            )
         )
-        return read_hosts, values
+        is_host = np.ones(cols.n, dtype=bool)
+        is_host[router.absorbed_rows()] = False
+        return np.flatnonzero(is_host[:n_reads])
 
-    def _reverse_path_replies(self, router, read_hosts, values, *, budget, num_nodes):
+    def _reverse_path_replies(self, router, read_hosts, *, budget, num_nodes):
         """Replies walk the request paths in reverse, splitting at the
         combining-tree merge points (Theorem 2.6); *read_hosts* are rows
         of the request population *router* just routed.
@@ -675,7 +664,7 @@ class Emulator(ABC):
         # on the packets the router materialised.
         requests = router.last_packets
         return SynchronousEngine(observer=self.observer).run(
-            build_replies([requests[i] for i in read_hosts.tolist()], values),
+            build_replies([requests[i] for i in read_hosts.tolist()]),
             reply_next_hop,
             max_steps=budget,
             on_arrival=ReplySpawner(),

@@ -48,7 +48,7 @@ def reverse_path_of(request: Packet) -> list[Hashable]:
     return list(reversed(request.trace))[1:]
 
 
-def make_reply(request: Packet, pid: int, value=None) -> Packet:
+def make_reply(request: Packet, pid: int) -> Packet:
     """Build the reply packet for a delivered (host) request packet.
 
     The reply's ``state`` is ``(path, index, request)``: the reverse path
@@ -61,7 +61,6 @@ def make_reply(request: Packet, pid: int, value=None) -> Packet:
         request.source,
         kind="reply",
         address=request.address,
-        payload=value,
     )
     reply.state = (reverse_path_of(request), 0, request)
     return reply
@@ -80,7 +79,7 @@ class ReplySpawner:
     """``on_arrival`` hook spawning child replies at merge points.
 
     The reference engine's spawn rule — every absorbed child's reply is
-    born where the child was merged, carrying the parent reply's value.
+    born where the child was merged.
     The fast engine replays the same rule off static trigger tables
     (:func:`route_replies_fast`); ``tests/test_reply_phase.py`` and
     ``tests/test_reply_lists.py`` hold the two together.
@@ -99,8 +98,8 @@ class ReplySpawner:
         self._next_pid += 1
         return self._next_pid
 
-    def _spawn(self, child: Packet, here, payload) -> Packet:
-        child_reply = make_reply(child, self._fresh_pid(), payload)
+    def _spawn(self, child: Packet, here) -> Packet:
+        child_reply = make_reply(child, self._fresh_pid())
         child_reply.node = here
         self._done.add(child.pid)
         return child_reply
@@ -121,13 +120,13 @@ class ReplySpawner:
             if child.pid in self._done:
                 continue
             if self._merge_key(child) == here:
-                out.append(self._spawn(child, here, reply.payload))
+                out.append(self._spawn(child, here))
         return out
 
 
-def build_replies(hosts: list[Packet], values: dict[int, object]):
-    """Reply packets for delivered hosts; values keyed by host pid."""
-    return [make_reply(host, i, values.get(host.pid)) for i, host in enumerate(hosts)]
+def build_replies(hosts: list[Packet]) -> list[Packet]:
+    """Reply packets for delivered hosts, numbered in host order."""
+    return [make_reply(host, i) for i, host in enumerate(hosts)]
 
 
 def route_replies_fast(

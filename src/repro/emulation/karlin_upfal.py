@@ -63,13 +63,12 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
         legs.append(self._route_leg(rand1, modules))
         request_steps = legs[0].steps + legs[1].steps
 
-        read_values = self._apply_memory(
-            [(i, addr) for i, (is_read, addr, _) in enumerate(meta) if is_read],
-            [(addr, i, val) for i, (is_read, addr, val) in enumerate(meta) if not is_read],
+        self._apply_memory(
+            (addr, i, val) for i, (is_read, addr, val) in enumerate(meta) if not is_read
         )
 
-        if read_values:
-            read_idx = list(read_values)
+        read_idx = [i for i, (is_read, _, _) in enumerate(meta) if is_read]
+        if read_idx:
             r_modules = [modules[i] for i in read_idx]
             r_sources = [sources[i] for i in read_idx]
             # Phase 3: module -> another random processor.

@@ -126,7 +126,7 @@ class LeveledEmulator(Emulator):
             allotment=max(int(self.rehash_factor * 2 * L), 1),
             last_resort=400 * L + 1000,
         )
-        read_hosts, values = self._serve_memory(cols, router)
+        read_hosts = self._serve_memory(cols, router)
         # Reply phase (reads only): reverse paths + combining-tree fan-out.
         reply_stats = None
         if read_hosts.size:
@@ -140,7 +140,6 @@ class LeveledEmulator(Emulator):
                 reply_stats = self._reverse_path_replies(
                     router,
                     read_hosts,
-                    values,
                     budget=int(self.rehash_factor * 4 * L) + 1000,
                     num_nodes=compiled.num_node_ids,
                 )

@@ -146,7 +146,7 @@ class MeshEmulator(Emulator):
             last_resort=patience,
             rehash=self.placement == "hash",
         )
-        read_hosts, values = self._serve_memory(cols, router)
+        read_hosts = self._serve_memory(cols, router)
         reply_stats = None
         if read_hosts.size:
             with self._obs.span(
@@ -159,7 +159,6 @@ class MeshEmulator(Emulator):
                     reply_stats = self._reverse_path_replies(
                         router,
                         read_hosts,
-                        values,
                         budget=patience,
                         num_nodes=self.mesh.num_nodes,
                     )

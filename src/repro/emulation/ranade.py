@@ -230,9 +230,8 @@ class RanadeEmulator(Emulator):
 
         request_steps = self._merge_pass(injections, lambda s: s)
 
-        read_values = self._apply_memory(
-            ((id(pkt), pkt.payload[1]) for pkt in reads),
-            ((addr, pid, val) for pid, addr, val in (p.payload for p in writes)),
+        self._apply_memory(
+            (addr, pid, val) for pid, addr, val in (p.payload for p in writes)
         )
 
         # Reply pass (reads only): mirrored butterfly, keyed by requester.
@@ -242,11 +241,7 @@ class RanadeEmulator(Emulator):
             for pkt in reads:
                 pid, addr, _ = pkt.payload
                 module = pkt.dest_row
-                reply = _MergePacket(
-                    (pid % self.rows, addr, "v"),
-                    pid % self.rows,
-                    read_values[id(pkt)],
-                )
+                reply = _MergePacket((pid % self.rows, addr, "v"), pid % self.rows, None)
                 reply_inj.setdefault(module, []).append(reply)
             reply_steps = self._merge_pass(
                 reply_inj, lambda s: self.k - 1 - s

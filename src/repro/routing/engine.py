@@ -26,9 +26,10 @@ A run's state is one :class:`ReferenceRun`; each rule is a module
 function over it, named after its twin in :mod:`repro.routing.fast_phases`,
 and :meth:`SynchronousEngine.run` is a step loop over them:
 
-* :func:`inject` places the packets whose injection step has come;
+* :func:`inject` places the population at step 0 (every packet enters
+  then; only ``on_arrival`` adds packets later);
   :func:`check_drained` raises :class:`NetworkDrainedError` when packets
-  are owed but nothing is queued, buffered or due;
+  are owed but nothing is queued or buffered;
 * :func:`start_step` clears the arrival slots and samples the link faults;
 * :func:`transmit_unconstrained`: every active link sends its head;
 * :func:`transmit_constrained`: node-capacity backpressure (§3.4 /
@@ -44,8 +45,8 @@ and :meth:`SynchronousEngine.run` is a step loop over them:
   from that many links a step, longest queue first;
 * :func:`held` is the one fault-blocked check, :func:`transmit` the one
   pop-and-advance, that every transmission rule calls;
-* :func:`no_progress`: a step that moved nothing, with nothing due and
-  no link held by a fault, raises :class:`DeadlockError`;
+* :func:`no_progress`: a step that moved nothing, with no link held by
+  a fault, raises :class:`DeadlockError`;
 * :func:`place` traces the packet, places what ``on_arrival`` spawns,
   and delivers it (:func:`deliver`), lands it in its escape buffer, or
   enqueues it (:func:`enqueue`), where :func:`absorb` combines it
@@ -69,7 +70,6 @@ reproduce exactly across processes and interpreter builds.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import attrgetter
 from typing import Callable, Hashable, Optional, Sequence
 
 from repro.obs.clock import wall_time
@@ -97,13 +97,13 @@ class RoutingTimeout(RuntimeError):
 
 
 class NetworkDrainedError(RuntimeError):
-    """Packets are still owed but nothing is queued, buffered or due.
+    """Packets are still owed but nothing is queued or buffered.
 
     Raised by both engines at step ``t`` when ``remaining`` packets are
-    undelivered while no link holds a packet, no escape buffer is
-    occupied and no injection is pending — the run's bookkeeping is
-    inconsistent (e.g. a packet routed again without resetting its
-    ``arrived_at``), so spinning to ``max_steps`` would only hide it.
+    undelivered while no link holds a packet and no escape buffer is
+    occupied — the run's bookkeeping is inconsistent (e.g. a packet
+    routed again without resetting its ``arrived_at``), so spinning to
+    ``max_steps`` would only hide it.
     ``flight_tail`` holds the observer's flight-recorder tail when the
     raising engine had one, ``()`` otherwise.
     """
@@ -189,7 +189,8 @@ class SynchronousEngine:
         link_faults=None,
         fault_base: int = 0,
     ) -> RoutingStats:
-        """Route *packets* until all are delivered or *max_steps* elapse.
+        """Route *packets*, all injected at their ``node`` at step 0,
+        until all are delivered or *max_steps* elapse.
 
         ``on_arrival(p)``, if given, runs at every node *p* reaches and may
         return new packets to inject there immediately (their ``node`` must
@@ -212,12 +213,10 @@ class SynchronousEngine:
         run0 = wall_time() if prof is not None else 0.0
         transmission = transmit_serialized if r.service_rate is not None else (
             transmit_constrained if r.capacity is not None else transmit_unconstrained)
+        inject(r)
         t = 0
         deadlocked = False
-        while r.remaining > 0:
-            inject(r, t)
-            if r.remaining == 0 or t >= max_steps:
-                break
+        while r.remaining > 0 and t < max_steps:
             check_drained(r, t)
 
             # Phase 1: every active link sends one packet (escape time booked apart)
@@ -270,14 +269,13 @@ class SynchronousEngine:
 
 class ReferenceRun:
     """The state of one :meth:`SynchronousEngine.run`, which the rules
-    read and write.  ``due``: the packets not injected yet, latest step
-    first (a stable sort: input order within a step).  ``active``: the
-    links with queued packets, an insertion-ordered dict — a set would
-    make transmission order, and so RNG use, combining and service-rate
-    ties, depend on hash order.  ``pending_escape``: packet → the link it
-    crossed into that link's escape buffer, until :func:`place` lands
-    it.  ``blocked`` (links down) and ``reserved`` (arrival slots claimed
-    per node) hold for the current step."""
+    read and write.  ``active``: the links with queued packets, an
+    insertion-ordered dict — a set would make transmission order, and so
+    RNG use, combining and service-rate ties, depend on hash order.
+    ``pending_escape``: packet → the link it crossed into that link's
+    escape buffer, until :func:`place` lands it.  ``blocked`` (links
+    down) and ``reserved`` (arrival slots claimed per node) hold for the
+    current step."""
 
     def __init__(self, engine: SynchronousEngine, packets: Sequence[Packet], next_hop: NextHop,
                  on_arrival=None, link_faults=None, fault_base: int = 0) -> None:  # fmt: skip
@@ -302,23 +300,23 @@ class ReferenceRun:
         self.max_queue = self.max_node_load = self.combines = self.fault_stalls = 0
         self.all_packets = list(packets)
         self.remaining = len(self.all_packets)
-        self.due = sorted(self.all_packets, key=attrgetter("injected_at"))[::-1]
 
     def queue_length(self, key: Link) -> int:
         """How many packets wait on link *key*."""
         return len(self.queues[key])
 
 
-def inject(r: ReferenceRun, t: int) -> None:
-    """Place the packets whose injection step is *t* or earlier."""
-    while r.due and r.due[-1].injected_at <= t:
-        place(r, r.due.pop(), t)
+def inject(r: ReferenceRun) -> None:
+    """Place the population at step 0, in input order."""
+    for p in list(r.all_packets):
+        p.injected_at = 0
+        place(r, p, 0)
 
 
 def check_drained(r: ReferenceRun, t: int) -> None:
-    """Raise :class:`NetworkDrainedError` if no link holds a packet, no
-    escape buffer is occupied and no injection is due."""
-    if not r.active and not r.due and (r.fc is None or not r.fc.escape_at):
+    """Raise :class:`NetworkDrainedError` if no link holds a packet and
+    no escape buffer is occupied."""
+    if not r.active and (r.fc is None or not r.fc.escape_at):
         raise NetworkDrainedError(r.remaining, t, r.observer)
 
 
@@ -459,10 +457,10 @@ def transmit_serialized(r: ReferenceRun) -> list[Packet]:
 
 
 def no_progress(r: ReferenceRun, arrivals: list[Packet], stalls0: int) -> bool:
-    """Whether the step leaves the state static forever: nothing sent or
-    due, and no link held by a fault since ``fault_stalls`` read
-    *stalls0* (the schedule may revive the wire)."""
-    return not arrivals and not r.due and r.fault_stalls == stalls0
+    """Whether the step leaves the state static forever: nothing sent,
+    and no link held by a fault since ``fault_stalls`` read *stalls0*
+    (the schedule may revive the wire)."""
+    return not arrivals and r.fault_stalls == stalls0
 
 
 def place(r: ReferenceRun, p: Packet, t: int) -> None:

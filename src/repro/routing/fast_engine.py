@@ -2,8 +2,8 @@
 
 :class:`FastPathEngine` replays the exact queue dynamics of
 :class:`repro.routing.engine.SynchronousEngine` — same one-packet-per-link
-steps, link queues, enqueue-time combining, injection times, timeouts,
-node-capacity backpressure, and insertion-ordered transmission — but
+steps, link queues, enqueue-time combining, timeouts, node-capacity
+backpressure, and insertion-ordered transmission — but
 over **precompiled integer trajectories** instead of hashable node keys
 and a per-hop ``next_hop`` callback, with whole transmission and arrival
 phases as numpy array operations.  Each packet i carries ``paths[i]``:
@@ -20,9 +20,10 @@ special case of a raveled matrix, and a ragged list of per-packet lists
 is concatenated on entry (:func:`_normalise_paths`).
 
 This module is the engine's interface — validation and the step loop,
-on columns only: a population is the rows of its paths, and a
-caller holding per-packet objects converts at its own boundary
-(:mod:`repro.routing.packet`).  The run state the loop advances (dense
+on columns only: a population is the rows of its paths, every one
+injected at its first node at step 0; the only packets that enter
+later are a :class:`~repro.routing.fast_phases.Replies` population's
+spawns.  The run state the loop advances (dense
 link ids, intrusive queues kept in service order, combining residency,
 credit accounting) and the phase functions it calls live in
 :mod:`repro.routing.fast_phases`.  A run has two lanes, chosen from its
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import os
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -147,26 +147,6 @@ def _normalise_paths(paths) -> tuple[FlatPaths, np.ndarray]:
     return flat, widths - 1
 
 
-def _injection_batches(
-    roots: np.ndarray, times: np.ndarray | None = None
-) -> list[tuple[int, np.ndarray]]:
-    """``(step, packets)`` injection batches of *roots* entering at
-    *times* (``None``: all at step 0), latest first (the run pops them
-    off the end); packets sharing an injection step enter in input
-    order."""
-    if not roots.size:
-        return []
-    if times is None:
-        return [(0, roots)]
-    if (times == times[0]).all():
-        return [(int(times[0]), roots)]
-    by_time = np.argsort(times, kind="stable")
-    times = times[by_time]
-    cuts = np.nonzero(times[1:] != times[:-1])[0] + 1
-    steps = times[np.append(0, cuts)].tolist()
-    return list(zip(steps, np.split(roots[by_time], cuts)))[::-1]
-
-
 def _stats_of(arrays: RunArrays, mode: str) -> RoutingStats:
     """The :class:`RoutingStats` of a finished run of either lane; a run
     without ``node_capacity`` defers ``max_node_load`` to its first read
@@ -253,7 +233,6 @@ class FastPathEngine:
         max_steps: int,
         priorities=None,
         links: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        injected_at: Sequence[int] | None = None,
         combine_groups: np.ndarray | None = None,
         link_faults=None,
         fault_base: int = 0,
@@ -261,8 +240,9 @@ class FastPathEngine:
         """Route one packet along each row of *paths* until delivery or
         *max_steps*.
 
-        ``paths[i]`` is packet i's node-id itinerary including its start;
-        the packet is delivered on reaching its last entry.  *paths* is a
+        ``paths[i]`` is packet i's node-id itinerary including its start,
+        where it is injected at step 0; the packet is delivered on
+        reaching its last entry.  *paths* is a
         :class:`~repro.topology.compiled.FlatPaths` (rows laid end to
         end), a 2-D ``np.ndarray`` of equal-length rows (raveled, no
         copy) or a list of per-packet lists, which may be ragged (they
@@ -271,8 +251,8 @@ class FastPathEngine:
         :class:`~repro.routing.fast_phases.Replies` — the replies of a
         finished CRCW read run, the reply fan-out of Theorem 2.6 — which
         brings its own itineraries, link keys and spawn triggers (so
-        ``priorities``, ``links``, ``injected_at`` and ``combine_groups``
-        stay unset, and ``node_capacity`` is not supported), and is laid
+        ``priorities``, ``links`` and ``combine_groups`` stay unset, and
+        ``node_capacity`` is not supported), and is laid
         out by the lane its size chooses: a small one straight into the
         scalar lane's lists from the request run's tables, any other in
         arrays.  A reply whose trigger never fires within *max_steps* is
@@ -302,10 +282,7 @@ class FastPathEngine:
         :class:`~repro.routing.packet.PacketColumns`, replies that exist
         only as reversed request rows — and the run's outcome
         is the returned stats plus the per-packet arrays left on
-        :attr:`last_arrays`; a caller that holds an object per packet
-        reads those back itself (:func:`repro.routing.packet.write_back`).
-        ``injected_at[i]`` is the step packet i enters the network
-        (default: all at step 0).  ``combine_groups`` is a combining
+        :attr:`last_arrays`.  ``combine_groups`` is a combining
         engine's key column: one non-negative int per row, two packets
         may merge iff they share it (and then share a destination — the
         caller's guarantee); omitted, nothing combines.
@@ -330,9 +307,8 @@ class FastPathEngine:
             "batch" if self.node_capacity is None else "batch-constrained"
         )
         try:
-            scalar, state, pending = self._start(
+            state = self._start(
                 paths,
-                injected_at,
                 combine_groups,
                 link_faults,
                 priorities=priorities,
@@ -342,14 +318,10 @@ class FastPathEngine:
             )
             if _prof is not None:
                 _prof.add_phase("setup", wall_time() - _t_run0)
-            if scalar:
-                arrays = fast_scalar.run_steps(
-                    state, pending, max_steps=max_steps, observer=_obs
-                )
+            if isinstance(state, fast_scalar.ScalarRun):
+                arrays = fast_scalar.run_steps(state, max_steps=max_steps, observer=_obs)
             else:
-                arrays = self._run_batch(
-                    state, pending, max_steps=max_steps, fault_base=fault_base
-                )
+                arrays = self._run_batch(state, max_steps=max_steps, fault_base=fault_base)
             self.last_arrays = arrays
             _t_fin0 = wall_time() if _prof is not None else 0.0
             stats = _stats_of(arrays, mode)
@@ -365,11 +337,12 @@ class FastPathEngine:
             raise err
         return stats
 
-    def _start(self, paths, injected_at, combine_groups, link_faults, **shared):
+    def _start(self, paths, combine_groups, link_faults, **shared):
         """Validate a run's input and build its state on the lane its
         population size and configuration choose
-        (:func:`~repro.routing.fast_scalar.takes`): ``(on the scalar
-        lane, state, injection batches)``.
+        (:func:`~repro.routing.fast_scalar.takes`): a
+        :class:`~repro.routing.fast_scalar.ScalarRun` or a
+        :class:`RunState`.
 
         A :class:`~repro.routing.fast_phases.Replies` population is laid
         out by the lane that routes it: straight into lists from its
@@ -381,11 +354,11 @@ class FastPathEngine:
         """
         spawn = None
         if isinstance(paths, Replies):
-            given = (shared["priorities"], shared["links"], injected_at, combine_groups)
+            given = (shared["priorities"], shared["links"], combine_groups)
             if any(v is not None for v in given):
                 raise ValueError(
                     "a Replies population brings its own itineraries, links "
-                    "and injection steps: pass none of them"
+                    "and combining: pass none of them"
                 )
             if self.node_capacity is not None:
                 raise ValueError(
@@ -397,52 +370,32 @@ class FastPathEngine:
                 # the configuration allows lists: the forest's size decides
                 forest = fast_scalar.forest_rows(paths, fast_scalar.SCALAR_RUN_MAX)
             if forest is not None:
-                state = fast_scalar.reply_run(
+                return fast_scalar.reply_run(
                     paths, forest, num_nodes=shared["num_nodes"], profile=shared["profile"]
                 )
-                return True, state, _injection_batches(state.roots)
             # the lists refused it (too large, or the configuration), so
             # takes() below refuses it too: the vector lane routes it
             paths, shared["links"], spawn = reply_layout(paths)
         flat, last = _normalise_paths(paths)
-        n = len(last)
-        times = injected_at
-        if injected_at is None:
-            injected_at = np.zeros(n, dtype=np.int64)
-        else:
-            # a copy: the run owns its injection steps and hands them on
-            injected_at = times = np.array(injected_at, dtype=np.int64)
-            if injected_at.shape != (n,):
-                raise ValueError("one injection step per packet required")
-        tables = (flat, last, injected_at, combine_groups if self.combine else None)
-        if fast_scalar.takes(n, self.node_capacity, link_faults):
-            state = fast_scalar.ScalarRun(*tables, **shared)
-        else:
-            state = RunState(
-                *tables,
-                **shared,
-                spawn=spawn,
-                capacity=self.node_capacity,
-                credit=self.flow_control == "credit",
-                link_faults=link_faults,
-            )
-        roots = state.roots
-        pending = _injection_batches(roots, None if times is None else times[roots])
-        return isinstance(state, fast_scalar.ScalarRun), state, pending
+        tables = (flat, last, combine_groups if self.combine else None)
+        if fast_scalar.takes(len(last), self.node_capacity, link_faults):
+            return fast_scalar.ScalarRun(*tables, **shared)
+        return RunState(
+            *tables,
+            **shared,
+            spawn=spawn,
+            capacity=self.node_capacity,
+            credit=self.flow_control == "credit",
+            link_faults=link_faults,
+        )
 
     def _run_batch(
-        self,
-        s: RunState,
-        pending: list[tuple[int, np.ndarray]],
-        *,
-        max_steps: int,
-        fault_base: int = 0,
+        self, s: RunState, *, max_steps: int, fault_base: int = 0
     ) -> RunArrays:
-        """The step loop: repeat the paper's two-phase step on run state
-        *s* — every link transmits one packet, every arrival is
-        delivered, combined or enqueued — until nothing remains or
-        *max_steps* is reached; the *pending* injection batches (latest
-        first) enter at their steps.
+        """The step loop: admit the roots at step 0, then repeat the
+        paper's two-phase step on run state *s* — every link transmits
+        one packet, every arrival is delivered, combined or enqueued —
+        until nothing remains or *max_steps* is reached.
 
         The phases, the state's layout and why each matches the
         reference engine are documented in
@@ -454,14 +407,11 @@ class FastPathEngine:
         constrained = s.capacity is not None
         transmit = transmit_constrained if constrained else transmit_unconstrained
         fc = s.fc
+        admit(s, s.roots, 0)
         t = 0
         deadlocked = False
-        while s.remaining > 0:
-            while pending and pending[-1][0] <= t:
-                admit(s, pending.pop()[1], t)
-            if s.remaining == 0 or t >= max_steps:
-                break
-            if not s.active.size and not pending and (fc is None or not fc.escape_at):
+        while s.remaining > 0 and t < max_steps:
+            if not s.active.size and (fc is None or not fc.escape_at):
                 raise NetworkDrainedError(s.remaining, t, obs)
             if s.link_faults is not None:
                 refresh_fault_flags(s, fault_base + t)
@@ -476,15 +426,12 @@ class FastPathEngine:
             if prof is not None:
                 esc_dt = prof.phase_total("escape") - esc0
                 prof.add_phase("transmission", wall_time() - tx0 - esc_dt)
-            # No transmission, no future injections, and nothing held
-            # back by a (possibly transient) fault: the state is
-            # provably static forever.  Report instead of spinning (the
-            # reference engine's detector).
+            # No transmission, and nothing held back by a (possibly
+            # transient) fault: the state is provably static forever.
+            # Report instead of spinning (the reference engine's
+            # detector).
             deadlocked = (
-                constrained
-                and not arrivals.size
-                and not pending
-                and s.fault_stalls == stalls0
+                constrained and not arrivals.size and s.fault_stalls == stalls0
             )
             if rec is not None:
                 rec.record(

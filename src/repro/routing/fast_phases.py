@@ -96,8 +96,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: census (``python tools/residue_census.py``, seed 7, one timed unit;
 #: sizes over the arrival phases that have a residue; the runs of the
 #: scalar run lane, :mod:`repro.routing.fast_scalar`, never reach this
-#: phase — all of ``bfly_small_steps``' and ``sharded_tenants``', 168
-#: of ``apps_replay``'s 240):
+#: phase — all of ``bfly_small_steps``', ``sharded_tenants``' and
+#: ``apps_replay``'s):
 #:
 #: ====================  ===========  ======  ===  ===  ===========
 #: workload              has residue  p50     p90  max  vector lane
@@ -106,7 +106,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: mesh_erew_hot         50 %         8       53   215  20 %
 #: star_crcw_zipf        92 %         98      309  535  87 %
 #: bfly_credit_bursty    85 %         61      105  454  83 %
-#: apps_replay           60 %         18      53   243  20 %
 #: ====================  ===========  ======  ===  ===  ===========
 SCALAR_RESIDUE_MAX = 32
 
@@ -132,10 +131,8 @@ class RunArrays:
     phase (:func:`repro.emulation.combining.route_replies_fast`) replays
     ``paths`` up to ``hops`` backwards — so a request's path, the hop it
     stopped at and who absorbed whom never go through per-packet
-    objects (a caller that brought some copies the outcome onto them
-    with :func:`repro.routing.packet.write_back`).  Nothing here is a
-    (packets x path length) matrix: the per-position arrays hold each
-    packet's own hops and no more.
+    objects.  Nothing here is a (packets x path length) matrix: the
+    per-position arrays hold each packet's own hops and no more.
     """
 
     #: the node-id itineraries the run followed, row i packet i's
@@ -569,10 +566,8 @@ class RunState:
     """Everything one fast run reads and mutates (see the module docstring).
 
     Built from arrays only — the population's :class:`FlatPaths`, each
-    packet's last position, injection steps (owned by the run: a spawned
-    reply's trigger step is written into it), one int combine key per
-    packet *gid* (``None``: nothing combines; keys are only compared for
-    equality), per-hop *priorities* and a precompiled *links* triple
+    packet's last position, one int combine key per packet *gid*
+    (``None``: nothing combines; keys are only compared for equality), per-hop *priorities* and a precompiled *links* triple
     (each optional) — through the table builders above, which is where
     malformed input is rejected — or, for a reply population, the
     :class:`SpawnTables` *spawn* that :func:`reply_layout` built.
@@ -612,7 +607,6 @@ class RunState:
         self,
         paths: FlatPaths,
         last: np.ndarray,
-        injected_at: np.ndarray,
         gid: np.ndarray | None = None,
         priorities=None,
         *,
@@ -627,7 +621,9 @@ class RunState:
         n = last.size
         self.paths = paths
         self.num_nodes = num_nodes
-        self.injected_at = injected_at
+        #: every root enters at step 0; a spawned reply's trigger step
+        #: is written here when it fires
+        self.injected_at = np.zeros(n, dtype=np.int64)
         self.prof = profile
         self.li_flat, self.link_src, self.link_dst = link_tables(
             paths, links, num_nodes
@@ -641,8 +637,8 @@ class RunState:
 
         #: reply fan-out (:class:`SpawnTables`) or None
         self.spawn = spawn
-        #: packets injected by the run's schedule, not by a trigger: a
-        #: reply population's first rows, every other reply being some
+        #: packets injected at step 0, not by a trigger: a reply
+        #: population's first rows, every other reply being some
         #: trigger's child
         self.roots = np.arange(
             n if spawn is None else n - len(spawn.kids), dtype=np.int64

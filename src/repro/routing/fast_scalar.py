@@ -24,12 +24,11 @@ only; credit / capacity runs and link faults stay on the vector lane.
 
 Both lanes share the validation a caller's population gets
 (:func:`~repro.routing.fast_engine._normalise_paths`,
-:func:`~repro.routing.fast_phases.pack_priorities`, the injection
-schedule, a handed-in link triple's checks in
-:func:`~repro.routing.fast_phases.handed_links`) and return the same
-:class:`RunArrays`, so the stats, the reply phase and
-:func:`~repro.routing.packet.write_back` read a run without knowing its
-lane.  What this lane does not share is the link interning
+:func:`~repro.routing.fast_phases.pack_priorities`, a handed-in link
+triple's checks in :func:`~repro.routing.fast_phases.handed_links`) and
+return the same :class:`RunArrays`, so the stats, the reply phase and
+the routers read a run without knowing its lane.  What this lane does
+not share is the link interning
 (:func:`~repro.routing.fast_phases.link_tables`' ``np.unique``): a hop's
 queue is keyed by its ``src * num_nodes + dst`` code
 (:func:`~repro.routing.fast_phases.hop_codes`), or by the caller's link
@@ -143,12 +142,12 @@ class ScalarRun:
     )  # fmt: skip
 
     def __init__(
-        self, paths, last, injected_at, gid=None, priorities=None, *,
+        self, paths, last, gid=None, priorities=None, *,
         num_nodes: int, links=None, profile=None,
     ) -> None:  # fmt: skip
         n = last.size
         self.paths = paths
-        self.injected_at = injected_at
+        self.injected_at = np.zeros(n, dtype=np.int64)
         self.prof = profile
         codes = fast_phases.hop_codes(paths, num_nodes)
         self.links = (
@@ -325,21 +324,17 @@ def reply_paths(requests: RunArrays, rows: list[int]) -> FlatPaths:
     return fast_phases.reversed_rows(requests, at, requests.hops[at])[0]
 
 
-def run_steps(s: ScalarRun, pending, *, max_steps: int, observer) -> RunArrays:
+def run_steps(s: ScalarRun, *, max_steps: int, observer) -> RunArrays:
     """The vector lane's step loop (``FastPathEngine._run_batch``) on
-    *s*: the *pending* injection batches (latest first) enter at their
-    steps, every step transmits then admits, and the profile buckets
-    and flight-recorder events are the vector lane's."""
+    *s*: the roots enter at step 0, every step transmits then admits,
+    and the profile buckets and flight-recorder events are the vector
+    lane's."""
     prof = s.prof
     rec = observer.recorder if observer is not None else None
-    pending = [(step, batch.tolist()) for step, batch in pending]
+    admit(s, s.roots.tolist(), 0, 0, prof)
     t = 0
-    while s.remaining > 0:
-        while pending and pending[-1][0] <= t:
-            admit(s, pending.pop()[1], t, 0, prof)
-        if s.remaining == 0 or t >= max_steps:
-            break
-        if not s.active and not pending:
+    while s.remaining > 0 and t < max_steps:
+        if not s.active:
             raise NetworkDrainedError(s.remaining, t, observer)
         tx0 = wall_time() if prof is not None else 0.0
         arrivals = transmit(s)

@@ -44,12 +44,12 @@ I1 (bounded residency)
     Network *arrivals* never push a node's resident bulk packets above
     ``node_capacity``: bulk arrivals reserve credits during the
     transmission phase, escape arrivals occupy only their link's
-    dedicated buffer.  Injections are outside the protocol (a source
-    that injects k packets at once holds k from step 0 — the injection
+    dedicated buffer.  Injection is outside the protocol (a source that
+    injects k packets at step 0 holds k from then on — the injection
     backlog is the PRAM processor's own buffer, not a routing queue),
     so ``max_node_load <= node_capacity`` holds end to end exactly when
-    no node injects more than ``node_capacity`` packets at one step, as
-    in all one-request-per-processor workloads.
+    no node injects more than ``node_capacity`` packets, as in all
+    one-request-per-processor workloads.
 I2 (credit conservation)
     A node's outstanding credits equal capacity minus resident bulk
     packets; every consume (transmit into bulk) is paired with a return
@@ -122,11 +122,12 @@ class DeadlockError(RuntimeError):
     """A routing step made no progress while packets were still queued.
 
     Raised by both engines in place of spinning to ``max_steps``: with
-    no arrivals, no injections, and no pending injection times, the
-    network state is provably static forever.  ``stats`` carries the
-    run's :class:`~repro.routing.metrics.RoutingStats` at the moment of
-    detection (``completed`` is False; per-packet fields are written
-    back, so the blocked packets can be inspected).
+    no arrivals and no link held by a fault, the network state is
+    provably static forever (every packet entered at step 0, and a
+    capacity run spawns none).  ``stats`` carries the run's
+    :class:`~repro.routing.metrics.RoutingStats` at the moment of
+    detection (``completed`` is False; the reference engine's packets
+    keep their positions, so the blocked packets can be inspected).
 
     When an :class:`~repro.obs.Observer` with a flight recorder was
     attached to the raising engine, ``flight_tail`` holds the last-K

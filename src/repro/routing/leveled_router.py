@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.routing.engine import RoutingTimeout
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, PacketColumns, make_packets
+from repro.routing.packet import Packet, PacketColumns
 from repro.routing.router import CompiledRun, Router
 from repro.topology.base import RouteStalledError
 from repro.topology.compiled import compile_leveled
@@ -150,16 +150,15 @@ class LeveledRouter(Router):
 
     # ---- entry points --------------------------------------------------
     def route_packets(
-        self, packets: list[Packet] | PacketColumns, *, max_steps: int | None = None
+        self, cols: PacketColumns, *, max_steps: int | None = None
     ) -> RoutingStats:
-        """Route a population: columns of column-0 source rows and
-        last-column dest rows, or prebuilt packets (``source`` a
-        column-0 row, ``dest`` the exit key ``2L * N + row``).
+        """Route a population of column-0 source rows and last-column
+        dest rows.
 
         Defined on this class because the end-to-end benchmark's tracer
         wraps it here by name.
         """
-        return super().route_packets(packets, max_steps=max_steps)
+        return super().route_packets(cols, max_steps=max_steps)
 
     def route(
         self,
@@ -216,23 +215,23 @@ class LeveledRouter(Router):
         if allotment < 1 or max_rounds < 1:
             raise ValueError("allotment and max_rounds must be positive")
 
-        # (source row, exit key) of every packet still to deliver
-        pending = [(int(s), int(d) + self._exit_base) for s, d in zip(sources, dests)]
+        sources = np.asarray(sources, dtype=np.int64)
+        dests = np.asarray(dests, dtype=np.int64)
         total_time = 0
         max_queue = 0
         delays: list[int] = []
         hops: list[int] = []
         delivered = 0
         for round_idx in range(1, max_rounds + 1):
-            packets = make_packets([s for s, _ in pending], [d for _, d in pending])
-            stats = self.route_packets(packets, max_steps=allotment)
+            stats = self.route(sources, dests, max_steps=allotment)
             max_queue = max(max_queue, stats.max_queue)
-            done = [p for p in packets if p.delivered]
-            failed = [p for p in packets if not p.delivered]
-            delivered += len(done)
-            delays.extend(p.delay for p in done)
-            hops.extend(p.hops for p in done)
-            if not failed:
+            made, arrived = self.row_outcomes()
+            done = arrived >= 0
+            delivered += int(done.sum())
+            # every packet starts at step 0: its delay is arrival - hops
+            delays += (arrived[done] - made[done]).tolist()
+            hops += made[done].tolist()
+            if done.all():
                 total_time += stats.steps
                 return (
                     RoutingStats(
@@ -250,9 +249,9 @@ class LeveledRouter(Router):
                     round_idx,
                 )
             # stragglers unwind their partial paths back to their sources
-            traceback = max(p.hops for p in failed)
-            total_time += allotment + traceback
-            pending = [(p.source, p.dest) for p in failed]
+            failed = ~done
+            total_time += allotment + int(made[failed].max())
+            sources, dests = sources[failed], dests[failed]
         # stragglers outlived every round: the allotment is below the
         # c1 f(N) per trial that Lemma 2.1 needs
         raise RoutingTimeout(stats)

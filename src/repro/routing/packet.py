@@ -9,12 +9,9 @@ remembered merge structure).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, NamedTuple, Sequence
+from typing import Any, Hashable, NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.routing.fast_phases import RunArrays
 
 
 class PacketColumns(NamedTuple):
@@ -46,7 +43,9 @@ class Packet:
     key the packet exits at — the engines compare it with link targets —
     which on a leveled network is the last-column row's id at position
     ``2L``.  ``state`` is scratch space owned by the routing policy
-    (phase counters, chosen intermediate nodes, ...).
+    (phase counters, chosen intermediate nodes, ...).  ``injected_at``
+    is the engine's to write: 0 for the population it was handed, the
+    spawn step for a packet an ``on_arrival`` hook returned.
     """
 
     __slots__ = (
@@ -170,76 +169,3 @@ def make_packets(
             Packet(i, s, d, kind=kind, address=addr, payload=pay)
         )
     return packets
-
-
-# ---- caller-built lists <-> the fast engine's columns -------------------
-# The fast engine routes rows of flat paths; these three are the only
-# code that moves a run between ``Packet`` objects and those rows.
-
-
-def injection_times(packets: Sequence[Packet]) -> np.ndarray:
-    """The ``injected_at`` column of caller-built packets."""
-    return np.fromiter(
-        (p.injected_at for p in packets), dtype=np.int64, count=len(packets)
-    )
-
-
-def combine_groups_of(packets: Sequence[Packet]) -> np.ndarray:
-    """The combine-key column of caller-built packets: two rows share an
-    id iff the packets share a :attr:`Packet.combine_key`; keyless
-    packets get singleton ids."""
-    gid = np.empty(len(packets), dtype=np.int64)
-    key_ids: dict = {}
-    for i, p in enumerate(packets):
-        key = p.combine_key
-        # a keyless packet is keyed by its row: a 1-tuple no key equals
-        gid[i] = key_ids.setdefault((i,) if key is None else key, len(key_ids))
-    return gid
-
-
-def write_back(
-    packets: Sequence[Packet],
-    arrays: RunArrays,
-    *,
-    combine: bool = False,
-    track_paths: bool = False,
-) -> None:
-    """Copy a fast run's outcome (*arrays*, row i = ``packets[i]``) onto
-    the caller's ``Packet`` objects, field for field what the reference
-    engine leaves on them.
-
-    Without *combine*, ``combined`` / ``children`` keep their
-    constructor defaults — the reference engine also touches them only
-    through combining; ``trace`` is written under *track_paths* only.
-    """
-    n = len(packets)
-    hops_l = arrays.hops.tolist()
-    arrived_l = arrays.arrived.tolist()
-    # a spawned packet was injected when its trigger fired
-    injected_l = arrays.injected_at.tolist()
-    nodes, offsets = arrays.paths
-    start = offsets[:-1]
-    node_l = nodes[start + arrays.hops].tolist()
-    if track_paths:
-        nodes_l = nodes.tolist()
-        start_l = start.tolist()
-    if combine:
-        combined = np.zeros(n, dtype=bool)
-        combined[arrays.absorbed] = True
-        combined_l = combined.tolist()
-        # hosts get their children in absorption order
-        children_map: dict[int, list[Packet]] = {}
-        for h, c in zip(arrays.absorbed_by.tolist(), arrays.absorbed.tolist()):
-            children_map.setdefault(h, []).append(packets[c])
-    for i, p in enumerate(packets):
-        k = hops_l[i]
-        a = arrived_l[i]
-        p.hops = k
-        p.arrived_at = None if a < 0 else a
-        p.injected_at = injected_l[i]
-        p.node = node_l[i]
-        if combine:
-            p.combined = combined_l[i]
-            p.children = children_map.get(i)
-        if track_paths:
-            p.trace = nodes_l[start_l[i] : start_l[i] + k + 1]

@@ -35,12 +35,12 @@ packet from it starts at; a packet to endpoint ``d`` exits at key
 ``_exit_base + d`` (0 wherever endpoints are the nodes themselves; a
 leveled network's destinations sit one full itinerary past its sources).
 
-A run on the fast engine is an anonymous population: the engine takes
-columns only.  ``Packet`` objects exist at the reference engine's
-boundary — :meth:`Router.route_packets` materialises the columns there —
-and in the hands of callers that bring their own list, whose columns
-``route_packets`` reads once and whose packets get the run's outcome on
-either engine (:func:`repro.routing.packet.write_back` after a fast run).
+A population is integer columns whose packets all start at step 0,
+and on the fast engine it stays anonymous.  ``Packet`` objects exist at
+the reference engine's boundary only: :meth:`Router.route_packets`
+materialises the columns there.  Either way a run's per-row outcome is
+read back through :meth:`Router.absorbed_rows` and
+:meth:`Router.row_outcomes`.
 
 All randomness is drawn *before* an engine is chosen — the permutation
 first, then ``_draw`` — so both engines consume identical random bits
@@ -60,13 +60,7 @@ from repro.routing.engine import SynchronousEngine
 from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import (
-    Packet,
-    PacketColumns,
-    combine_groups_of,
-    injection_times,
-    write_back,
-)
+from repro.routing.packet import Packet, PacketColumns
 from repro.topology.compiled import FlatPaths
 from repro.util.rng import as_generator, random_h_relation
 
@@ -109,9 +103,9 @@ class Router:
         ``"credit"`` (requires ``node_capacity``) adds the deadlock-free
         credit/escape protocol of :mod:`repro.routing.flow_control`.
     track_paths:
-        Record visited node keys in ``packet.trace`` (the fast path
-        exposes compiled itineraries via ``last_fast_run``, and fills the
-        traces of a caller-built list from them).
+        Record visited node keys in ``packet.trace`` on the reference
+        engine (the fast path exposes compiled itineraries via
+        ``last_fast_run``).
     engine:
         ``"reference"`` is the readable per-hop engine, ``"fast"`` the
         compiled integer path
@@ -168,16 +162,15 @@ class Router:
         self._link_faults = link_faults
         #: built by the first run that takes the reference engine
         self._reference: SynchronousEngine | None = None
-        #: after a fast-path run: its per-packet arrays, aligned with
-        #: the routed population — the compiled node-id itineraries
+        #: after a fast-path run (one that wedged included): its
+        #: per-packet arrays, aligned with the routed population — the compiled node-id itineraries
         #: (flat, one exact-length row per packet), the hop each packet
         #: stopped at, the absorptions (None after a reference run).  The
         #: emulation layer reads its hosts and builds the reply phase
         #: from these.
         self.last_fast_run: RunArrays | None = None
-        #: after a reference run: the packets it routed, row by row —
-        #: the caller's own, or the ones materialised from columns
-        #: (None after a fast run)
+        #: after a reference run: the packets materialised from its
+        #: columns, row by row (None after a fast run)
         self.last_packets: list[Packet] | None = None
 
     # ---- the hooks a concrete router supplies --------------------------
@@ -209,32 +202,17 @@ class Router:
 
     # ---- the one place a router meets an engine ------------------------
     def route_packets(
-        self, packets: list[Packet] | PacketColumns, *, max_steps: int | None = None
+        self, cols: PacketColumns, *, max_steps: int | None = None
     ) -> RoutingStats:
-        """Route a population: :class:`PacketColumns`, or prebuilt packets
-        (``source`` an endpoint id, ``dest`` the node key the packet
-        exits at), which get the run's outcome on either engine.
+        """Route a population of :class:`PacketColumns`, every packet
+        injected at its source at step 0.
 
         This is the only fast-vs-reference branch of a request run, and
-        the only place a run changes form: columns become ``Packet``
-        objects on its reference side (kept on :attr:`last_packets`), a
-        caller's list is read into columns here and written back after
-        a fast run.
+        the only place a run changes form: on its reference side the
+        columns become ``Packet`` objects (kept on :attr:`last_packets`).
         """
         if max_steps is None:
             max_steps = self.default_max_steps
-        injected_at = None
-        if isinstance(packets, PacketColumns):
-            cols, packets = packets, None
-        else:
-            n = len(packets)
-            cols = PacketColumns(
-                np.fromiter((p.source for p in packets), dtype=np.int64, count=n),
-                np.fromiter((p.dest for p in packets), dtype=np.int64, count=n)
-                - self._exit_base,
-                combine_groups_of(packets) if self.combine else None,
-            )
-            injected_at = injection_times(packets)
         n_end = self.num_endpoints
         for name, col in (("sources", cols.sources), ("dests", cols.dests)):
             # viewed unsigned, a negative id is larger than any bound
@@ -258,8 +236,7 @@ class Router:
             observer=self.observer,
         )
         if run is None:
-            if packets is None:
-                packets = self._materialise(cols)
+            packets = self._materialise(cols)
             for p, state in zip(packets, self._states(draw)):
                 p.state = state
             self.last_packets = packets
@@ -278,26 +255,17 @@ class Router:
             )
         engine = FastPathEngine(**options)
         try:
-            stats = engine.run(
+            return engine.run(
                 max_steps=max_steps,
-                injected_at=injected_at,
                 combine_groups=cols.combine_keys,
                 link_faults=faults,
                 fault_base=self.fault_base,
                 **run._asdict(),
             )
         finally:
-            # like the reference engine, a run that wedges still leaves
-            # its progress on the caller's packets
-            if packets is not None and engine.last_arrays is not None:
-                write_back(
-                    packets,
-                    engine.last_arrays,
-                    combine=self.combine,
-                    track_paths=self.track_paths,
-                )
-        self.last_fast_run = engine.last_arrays
-        return stats
+            # like the reference engine's packets, a run that wedges
+            # (DeadlockError) still leaves its progress readable
+            self.last_fast_run = engine.last_arrays
 
     def _materialise(self, cols: PacketColumns) -> list[Packet]:
         """The reference engine's packets for *cols*: pid = row, source
@@ -325,6 +293,21 @@ class Router:
         if self.last_fast_run is not None:
             return self.last_fast_run.absorbed
         return np.flatnonzero([p.combined for p in self.last_packets])
+
+    def row_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(hops, arrived)`` of every row of the last routed
+        population: the hops it made and the step it arrived (-1: not
+        delivered)."""
+        if self.last_fast_run is not None:
+            return self.last_fast_run.hops, self.last_fast_run.arrived
+        packets = self.last_packets
+        hops = np.fromiter((p.hops for p in packets), dtype=np.int64, count=len(packets))
+        arrived = np.fromiter(
+            (-1 if p.arrived_at is None else p.arrived_at for p in packets),
+            dtype=np.int64,
+            count=len(packets),
+        )
+        return hops, arrived
 
     # ---- entry points --------------------------------------------------
     def route(

@@ -76,3 +76,30 @@ def flat_priorities(table, paths):
     if table is None:
         return None
     return [row[k] for row, path in zip(table, paths) for k in range(len(path) - 1)]
+
+
+def delay_lines(paths, inject, priorities=None):
+    """*paths* with packet i entering at step ``inject[i]``, for engines
+    that inject every packet at step 0: each row gets a private
+    ``inject[i]``-hop delay line before its source — fresh node ids,
+    crossed by no other packet — so it reaches its source at that step
+    having waited nowhere.  Returns ``(rows, priorities)``, a hand-built
+    priority table (:func:`flat_priorities`' *table*) getting a 0 for
+    each delay hop; with *inject* ``None``, the inputs unchanged.
+
+    One ordering differs from an injection at step k, which lands after
+    that step's arrivals: a delay-line packet lands *among* them, in the
+    order its line's links activate — row order among the lines, since
+    every line starts at step 0 and never waits.  A scenario whose state
+    depends on that order builds it with its rows or line lengths.
+    """
+    if inject is None:
+        return paths, priorities
+    next_id = max((max(row) for row in paths), default=-1) + 1
+    rows = []
+    for row, k in zip(paths, inject):
+        rows.append([*range(next_id, next_id + k), *row])
+        next_id += k
+    if priorities is not None:
+        priorities = [[0] * k + list(row) for row, k in zip(priorities, inject)]
+    return rows, priorities

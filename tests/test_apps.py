@@ -452,7 +452,6 @@ class TestMeshReplyRetry:
         # fast path used to keep only one slot per code and let packets
         # sail through the other)
         from repro.routing.mesh_router import MeshRouter
-        from repro.routing.packet import Packet
         from repro.faults.runtime import LinkFaultTimeline
 
         mesh = Mesh2D.square(4)
@@ -460,11 +459,7 @@ class TestMeshReplyRetry:
         stats = {}
         for engine in ("fast", "reference"):
             router = MeshRouter(mesh, seed=1, engine=engine, link_faults=timeline)
-            packets = [
-                Packet(0, 7, 0, kind="reply", payload=1),
-                Packet(1, 5, 3, kind="reply", payload=2),
-            ]
-            stats[engine] = router.route_packets(packets, max_steps=50)
+            stats[engine] = router.route([7, 5], [0, 3], max_steps=50)
         assert not stats["fast"].completed
         assert not stats["reference"].completed
         assert stats["fast"].steps == stats["reference"].steps

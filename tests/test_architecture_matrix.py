@@ -427,16 +427,26 @@ def test_the_request_phase_is_columns_until_the_reference_engine():
     for module in ("base.py", "leveled.py", "mesh.py"):
         tree = ast.parse((src / "emulation" / module).read_text())
         assert not _calls(tree) & {"Packet", "make_packets"}, module
-    # Packets are made in the skeleton (once) and by route_with_restarts,
-    # which hands its own list in and reads it back
+    # Packets are made in the skeleton, once: route_with_restarts routes
+    # columns too, and reads its stragglers back by row
     makers = {
         module: _calls(ast.parse((src / "routing" / module).read_text()))
         & {"Packet", "make_packets"}
         for module in ROUTER_MODULES
     }
-    assert {m: c for m, c in makers.items() if c} == {
-        "router.py": {"Packet"},
-        "leveled_router.py": {"make_packets"},
+    assert {m: c for m, c in makers.items() if c} == {"router.py": {"Packet"}}
+    # across the package: the skeleton's materialisation, the reference
+    # reply packets, and the reference engine's caller-side constructor
+    packet_calls = {
+        (path.relative_to(src).as_posix(), fn.name)
+        for path in sorted(src.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, FUNCTIONS) and "Packet" in _calls(fn)
+    }
+    assert packet_calls == {
+        ("routing/router.py", "_materialise"),
+        ("emulation/combining.py", "make_reply"),
+        ("routing/packet.py", "make_packets"),
     }
     engine = ast.parse((src / "routing/fast_engine.py").read_text())
     defined = {n.name for n in ast.walk(engine) if isinstance(n, FUNCTIONS)}
@@ -488,7 +498,9 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
     a leveled network's two old id spaces exist nowhere in ``src``.
     Neither engine's ``run`` takes a caller-built spawn plan or a
     raise-on-timeout switch: reply fan-out enters the fast engine only
-    as a ``Replies`` population, and a timed-out run returns its stats."""
+    as a ``Replies`` population, and a timed-out run returns its stats.
+    Nor an injection schedule: every packet enters at step 0, and a
+    router routes integer columns only."""
     from repro.routing import FastPathEngine, SynchronousEngine
     from repro.routing.router import CompiledRun, Router
 
@@ -497,8 +509,11 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
 
     assert params(FastPathEngine.run) == [
         "self", "paths", "num_nodes", "max_steps", "priorities",
-        "links", "injected_at", "combine_groups", "link_faults", "fault_base",
+        "links", "combine_groups", "link_faults", "fault_base",
     ]
+    # one population form: integer columns, every packet in at step 0
+    assert params(Router.route_packets) == ["self", "cols", "max_steps"]
+    assert params(LeveledRouter.route_packets) == ["self", "cols", "max_steps"]
     assert params(SynchronousEngine.run) == [
         "self", "packets", "next_hop", "max_steps", "on_arrival", "link_faults",
         "fault_base",
@@ -532,7 +547,10 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
         "_source_key", "_endpoint", "_wire", "_write_back",
         "_reference_fault_keys", "_fast_fault_keys",
         "spawn_plan", "raise_on_timeout", "dormant",
+        "write_back", "injection_times", "combine_groups_of", "_injection_batches",
     }
+    # the reference engine keeps no injection schedule either
+    assert "due" not in identifiers(src / "routing/engine.py")
     # one fault-key hook, defined where a network has wires to name
     assert "_fault_keys" in Router.__dict__
     assert "_fault_keys" in LeveledRouter.__dict__ and "_fault_keys" in MeshRouter.__dict__
@@ -789,7 +807,7 @@ def test_an_emulator_has_one_verb_and_one_builder_of_its_shared_state():
     # diameter's: neither is a constructor knob, nor is a reply's pid base
     assert not {"validate", "hash_c"} & ({a.arg for a in init.args.kwonlyargs} | shared)
     assert list(inspect.signature(repro.emulation.build_replies).parameters) == [
-        "hosts", "values",
+        "hosts",
     ]
     constructed = {"SharedMemory", "HashFamily", "FaultState"}
     assert constructed <= _calls(init)

@@ -46,13 +46,12 @@ from repro.routing import (
     fast_phases,
     fast_scalar,
     furthest_first_factory,
-    make_packets,
     route_linear,
 )
 from repro.topology import Mesh2D
 from repro.routing.fast_phases import Replies
-from conftest import flat_priorities
-from test_fast_engine import assert_stats_equal, run_packets
+from conftest import delay_lines, flat_priorities
+from test_fast_engine import assert_absorptions_equal, assert_stats_equal, combine_groups
 from test_reply_phase import reference_replies, reply_population
 
 #: ``(SCALAR_RUN_MAX, SCALAR_RESIDUE_MAX)`` values that send every run
@@ -99,14 +98,11 @@ class DownUntil:
         return (self._down if t < self._until else self._up), ()
 
 
-def _packets(paths, last, inject, addresses):
-    out = []
-    for i, row in enumerate(paths):
-        addr = None if addresses is None else addresses[i]
-        p = Packet(i, row[0], row[last[i]], address=addr)
-        p.injected_at = inject[i]
-        out.append(p)
-    return out
+def _packets(paths, addresses):
+    return [
+        Packet(i, row[0], row[-1], address=None if addresses is None else addresses[i])
+        for i, row in enumerate(paths)
+    ]
 
 
 def run_both(
@@ -126,14 +122,15 @@ def run_both(
     ``paths`` holds one node-id row per packet — handed to the fast
     engine as a matrix when rectangular, as the ragged list otherwise;
     the reference engine follows the same rows through ``packet.hops``
-    and delivers each packet at its row's last position.  Returns the fast
-    engine's ``RoutingStats`` once they equal the reference's in every
-    lane (a ``DeadlockError`` counts as its ``stats``, and must then
-    be raised by every run).
+    and delivers each packet at its row's last position.  ``inject[i]``
+    puts packet i's row behind a private delay line of that many hops
+    (:func:`conftest.delay_lines`).  Returns the fast engine's
+    ``RoutingStats`` once they equal the reference's in every lane (a
+    ``DeadlockError`` counts as its ``stats``, and must then be raised
+    by every run), and its absorptions the reference packets'.
     """
-    n = len(paths)
+    paths, priorities = delay_lines(paths, inject, priorities)
     last = [len(row) - 1 for row in paths]
-    inject = list(inject) if inject is not None else [0] * n
     num_nodes = max((max(row) for row in paths), default=0) + 1
     ragged = len({len(row) for row in paths}) > 1
     combine = addresses is not None
@@ -143,16 +140,16 @@ def run_both(
     faults = (lambda: DownUntil(*down)) if down is not None else (lambda: None)
 
     fast_engine = FastPathEngine(**kwargs)
-    ref_packets = _packets(paths, last, inject, addresses)
+    ref_packets = _packets(paths, addresses)
+    groups = combine_groups(addresses, [row[-1] for row in paths]) if combine else None
 
-    def fast(packets):
-        return run_packets(
-            fast_engine,
-            packets,
+    def fast():
+        return fast_engine.run(
             paths if ragged else np.asarray(paths, dtype=np.int64),
             num_nodes=num_nodes,
             max_steps=max_steps,
             priorities=flat_priorities(priorities, paths),
+            combine_groups=groups,
             link_faults=faults(),
         )
 
@@ -171,20 +168,14 @@ def run_both(
 
     r, r_dead = _routed(ref)
     for name in LANES:
-        fast_packets = _packets(paths, last, inject, addresses)
         with forced_lane(name):
-            f, f_dead = _routed(lambda: fast(fast_packets))
+            f, f_dead = _routed(fast)
         assert f_dead == r_dead, name
         assert fast_engine.last_run_mode == (
             "batch" if node_capacity is None else "batch-constrained"
         )
         assert_stats_equal(f, r)
-        if combine:
-            for a, b in zip(fast_packets, ref_packets):
-                assert a.combined == b.combined, name
-                assert [c.pid for c in a.children or ()] == [
-                    c.pid for c in b.children or ()
-                ], name
+        assert_absorptions_equal(fast_engine.last_arrays, ref_packets)
     return f
 
 
@@ -302,13 +293,15 @@ def scenario_resident_mid_chain():
 
 def scenario_same_key_on_an_idle_link():
     """Two arrivals with one key land on the idle hub link in one step:
-    the first of the batch hosts the second.  Packet 1 comes through
-    node 5, whose link activated a step before packet 0 was injected,
-    so the batch's first is the higher pid."""
+    the first of the batch hosts the second.  Packet 2 waits a step
+    behind keyless packet 0 on link (1, 5), which keeps its place in the
+    activation order while it has waiters, so packet 2 leaves for the
+    hub ahead of packet 1, whose two-hop delay line activated after that
+    link: the batch's first is the higher pid."""
     return dict(
-        paths=[[0, HUB, SINK], [1, 5, HUB, SINK]],
-        inject=[1, 0],
-        addresses=[7, 7],
+        paths=[[1, 5, 9], [0, HUB, SINK], [1, 5, HUB, SINK]],
+        inject=[0, 2, 0],
+        addresses=[None, 7, 7],
     )
 
 
@@ -326,8 +319,9 @@ def scenario_deep_fifo_chain():
 
 
 def scenario_width_one():
-    """Width-1 paths: every packet is delivered where it is injected."""
-    return dict(paths=[[3], [4], [3]], inject=[0, 2, 2])
+    """Width-1 paths: every packet is delivered at step 0, where it is
+    injected."""
+    return dict(paths=[[3], [4], [3]])
 
 
 # Reply forests: ``paths`` are the replies' itineraries, ``parents`` the
@@ -511,13 +505,13 @@ def ragged_mixed():
             [3, 6, 7, HUB, SINK, 12],
             [4, HUB, SINK],
         ],
-        inject=[0, 0, 0, 1, 0, 1],
+        inject=[0, 0, 0, 0, 0, 1],
     )
 
 
 def ragged_all_zero_hop():
     """Every packet is delivered at injection; no link is ever used."""
-    return dict(paths=[[3], [4], [3]], inject=[0, 2, 2])
+    return dict(paths=[[3], [4], [3]])
 
 
 #: ragged input must reach both batch modes, under every constraint
@@ -530,7 +524,8 @@ def test_ragged_paths_match_reference(scenario, regime):
     kwargs = scenario()
     f = run_both(**kwargs, **RAGGED_REGIMES[regime])
     assert f.completed
-    assert f.hops == [len(r) - 1 for r in kwargs["paths"]]
+    inject = kwargs.get("inject", [0] * len(kwargs["paths"]))
+    assert f.hops == [len(r) - 1 + k for r, k in zip(kwargs["paths"], inject)]
 
 
 @pytest.mark.parametrize("regime", RAGGED_REGIMES)
@@ -622,18 +617,18 @@ def test_a_resident_in_the_middle_of_a_chain_absorbs():
 def test_the_first_same_key_arrival_on_an_idle_link_hosts():
     kwargs = scenario_same_key_on_an_idle_link()
     assert run_both(**kwargs).combines == 1
+    paths, _ = delay_lines(kwargs["paths"], kwargs["inject"])
     engine = FastPathEngine(combine=True)
     for name in LANES:
         with forced_lane(name):
             engine.run(
-                kwargs["paths"],
-                num_nodes=SINK + 1,
+                paths,
+                num_nodes=SINK + 3,
                 max_steps=9,
-                injected_at=kwargs["inject"],
-                combine_groups=[0, 0],
+                combine_groups=combine_groups(kwargs["addresses"], [9, SINK, SINK]),
             )
         arrays = engine.last_arrays
-        assert (arrays.absorbed_by.tolist(), arrays.absorbed.tolist()) == ([1], [0])
+        assert (arrays.absorbed_by.tolist(), arrays.absorbed.tolist()) == ([2], [1])
 
 
 def test_a_resident_held_on_a_down_link_absorbs():
@@ -835,10 +830,12 @@ def test_mesh_furthest_first_matches_reference(
             engine=engine,
             link_faults=LinkFaultTimeline(sched.link_events) if down_for else None,
         )
-        packets = make_packets(
-            list(range(n)), dests.tolist(), kind="read", addresses=addresses
+        return router.route(
+            range(n),
+            dests,
+            max_steps=60 * side + 200,
+            combine_keys=np.asarray(addresses) * n + dests,
         )
-        return router.route_packets(packets, max_steps=60 * side + 200)
 
     ref, ref_dead = _routed(lambda: run("reference"))
     for name in LANES:

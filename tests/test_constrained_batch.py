@@ -32,6 +32,7 @@ from repro.routing import (
     make_packets,
 )
 from repro.topology import DAryButterflyLeveled, LinearArray, Mesh2D
+from conftest import delay_lines
 from test_fast_engine import assert_stats_equal
 
 
@@ -350,44 +351,30 @@ class TestDifferentialSweep:
                 flow_control="credit",
                 engine=eng,
             )
-            pkts = make_packets(
-                list(range(n)), dests.tolist(), addresses=addresses.tolist()
+            runs.append(
+                router.route(
+                    range(n), dests, max_steps=20_000, combine_keys=addresses * n + dests
+                )
             )
-            runs.append(router.route_packets(pkts, max_steps=20_000))
         assert_stats_equal(*runs)
         assert runs[0].completed
         assert runs[0].combines > 0
 
-    def test_staggered_injections(self):
-        """Later injections enter mid-run (outside the credit protocol,
-        invariant I1) and must interleave identically."""
-        arr = LinearArray(12)
-
-        def nh(p):
-            return None if p.node == p.dest else arr.route_next(p.node, p.dest)
-
-        def packets():
-            pkts = make_packets([0, 0, 11, 4], [11, 11, 0, 9])
-            pkts[1].injected_at = 3
-            pkts[2].injected_at = 5
-            return pkts
-
-        fast_engine = FastPathEngine(node_capacity=1, flow_control="credit")
-        paths = [
-            list(range(0, 12)),
-            list(range(0, 12)),
-            list(range(11, -1, -1)),
-            list(range(4, 10)),
-        ]
-        f = fast_engine.run(
-            paths,
-            num_nodes=12,
-            max_steps=1000,
-            injected_at=[p.injected_at for p in packets()],
+    def test_staggered_arrivals(self):
+        """Packets that enter later — behind delay lines of 3 and 5 hops
+        (:func:`conftest.delay_lines`) — meet the credit protocol
+        mid-run and must interleave identically."""
+        paths, _ = delay_lines(
+            [list(range(0, 12)), list(range(0, 12)), list(range(11, -1, -1)), list(range(4, 10))],
+            [0, 3, 5, 0],
         )
+        fast_engine = FastPathEngine(node_capacity=1, flow_control="credit")
+        f = fast_engine.run(paths, num_nodes=20, max_steps=1000)
         assert fast_engine.last_run_mode == "batch-constrained"
         r = SynchronousEngine(node_capacity=1, flow_control="credit").run(
-            packets(), nh, max_steps=1000
+            make_packets([row[0] for row in paths], [row[-1] for row in paths]),
+            lambda p: None if p.hops == len(paths[p.pid]) - 1 else paths[p.pid][p.hops + 1],
+            max_steps=1000,
         )
         assert_stats_equal(f, r)
         assert f.completed

@@ -30,6 +30,7 @@ from repro.routing import (
     GreedyRouter,
     LeveledRouter,
     MeshRouter,
+    RoutingTimeout,
     ShuffleRouter,
     StarRouter,
     ValiantHypercubeRouter,
@@ -38,12 +39,6 @@ from repro.routing import (
 )
 from repro.routing.fast_engine import ENGINE_ENV_VAR
 from repro.routing.fast_phases import Replies
-from repro.routing.packet import (
-    combine_groups_of,
-    injection_times,
-    make_packets,
-    write_back,
-)
 from repro.topology import (
     DAryButterflyLeveled,
     DWayShuffle,
@@ -87,38 +82,36 @@ def assert_stats_equal(fast, ref):
     assert fast.hops == ref.hops
 
 
-def run_packets(engine, packets, paths, *, track_paths=False, **run_kwargs):
-    """The fast engine on a caller-built ``Packet`` list, driven the way
-    ``Router.route_packets`` drives it: read the list into columns,
-    ``run``, write the outcome back — so the packets compare field for
-    field with the ones the reference engine was handed.  A run that
-    raises after its last step (``DeadlockError``) still leaves its
-    progress on the packets, as the reference does."""
-    before = engine.last_arrays
-    try:
-        return engine.run(
-            paths,
-            injected_at=injection_times(packets),
-            combine_groups=combine_groups_of(packets) if engine.combine else None,
-            **run_kwargs,
-        )
-    finally:
-        if engine.last_arrays is not before:
-            write_back(
-                packets,
-                engine.last_arrays,
-                combine=engine.combine,
-                track_paths=track_paths,
-            )
+def combine_groups(addresses, dests):
+    """The fast engine's combine-key column for rows whose reference
+    packets carry *addresses* and exit at *dests*: two rows share a key
+    iff their packets' ``combine_key`` matches, and a keyless row has
+    one of its own."""
+    keys: dict = {}
+    return [
+        keys.setdefault((i,) if a is None else (a, d), len(keys))
+        for i, (a, d) in enumerate(zip(addresses, dests))
+    ]
 
 
-def leveled_packets(net, sources, dests):
-    """Caller-built packets for a ``LeveledRouter``: a source row is its
-    own node id, a destination row's exit key sits at position 2L."""
-    exit_base = 2 * net.num_levels * net.column_size
-    return make_packets(
-        [int(s) for s in sources], [exit_base + int(d) for d in dests]
-    )
+def assert_absorptions_equal(arrays, packets):
+    """A fast run's absorptions are the reference packets' combining
+    trees: the same children under each host, in absorption order."""
+    fast: dict = {}
+    for h, c in zip(arrays.absorbed_by.tolist(), arrays.absorbed.tolist()):
+        fast.setdefault(h, []).append(c)
+    ref = {p.pid: [c.pid for c in p.children] for p in packets if p.children}
+    assert fast == ref
+
+
+def fast_traces(arrays):
+    """Each row's visited node ids in a fast run: its itinerary up to
+    the hop it stopped at (the reference engine's ``packet.trace``)."""
+    nodes, offsets = arrays.paths
+    return [
+        nodes[a : a + k + 1].tolist()
+        for a, k in zip(offsets[:-1].tolist(), arrays.hops.tolist())
+    ]
 
 
 def leveled_nets():
@@ -168,17 +161,17 @@ class TestLeveledDifferential:
         """track_paths: every packet's recorded trace must be identical."""
         n = net.column_size
         perm = np.random.default_rng(3).permutation(n)
-        pf = leveled_packets(net, range(n), perm)
-        pr = leveled_packets(net, range(n), perm)
-        LeveledRouter(net, seed=1, track_paths=True, engine="fast").route_packets(pf)
-        LeveledRouter(net, seed=1, track_paths=True, engine="reference").route_packets(pr)
+        fast = LeveledRouter(net, seed=1, track_paths=True, engine="fast")
+        ref = LeveledRouter(net, seed=1, track_paths=True, engine="reference")
+        fast.route(range(n), perm)
+        ref.route(range(n), perm)
         L, N = net.num_levels, net.column_size
-        for a, b in zip(pf, pr):
-            assert a.trace == b.trace
-            assert a.node == b.node == a.dest
+        for trace, b in zip(fast_traces(fast.last_fast_run), ref.last_packets):
+            assert trace == b.trace
+            assert trace[-1] == b.node == b.dest
             # one id per position, the identified columns (position L)
             # included: the trace is the unrolled walk
-            assert [v // N for v in a.trace] == list(range(2 * L + 1))
+            assert [v // N for v in trace] == list(range(2 * L + 1))
 
     def test_timeout_matches(self):
         net = DAryButterflyLeveled(2, 6)
@@ -193,19 +186,34 @@ class TestLeveledDifferential:
         assert not fast.completed
         assert_stats_equal(fast, ref)
 
-    def test_restarts_match(self):
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    @pytest.mark.parametrize(
+        "allotment, rounds",
+        # 2L = 12 hops a round: a loose allotment, one that only
+        # contention-free packets make, and one below the path length
+        [(120, "one"), (13, "several"), (11, "timeout")],
+    )
+    def test_restarts_match(self, seed, allotment, rounds):
+        """Lemma 2.1's restarts, round by round on either engine: the
+        same rounds, the same aggregate (or, when every round falls
+        short, the same last round in the ``RoutingTimeout``)."""
         net = DAryButterflyLeveled(2, 6)
-        perm = np.random.default_rng(4).permutation(net.column_size)
-        args = (np.arange(net.column_size), perm)
-        sf, rf = LeveledRouter(net, seed=3, engine="fast").route_with_restarts(
-            *args, allotment=2 * net.num_levels + 1
-        )
-        sr, rr = LeveledRouter(net, seed=3, engine="reference").route_with_restarts(
-            *args, allotment=2 * net.num_levels + 1
-        )
+        perm = np.random.default_rng(seed + 1).permutation(net.column_size)
+
+        def run(engine):
+            router = LeveledRouter(net, seed=seed, engine=engine)
+            try:
+                return router.route_with_restarts(
+                    np.arange(net.column_size), perm, allotment=allotment, max_rounds=4
+                )
+            except RoutingTimeout as err:
+                return err.stats, None
+
+        (sf, rf), (sr, rr) = run("fast"), run("reference")
         assert rf == rr
-        assert sf.steps == sr.steps
-        assert sorted(sf.hops) == sorted(sr.hops)
+        assert {"one": rf == 1, "several": (rf or 0) > 1, "timeout": rf is None}[rounds]
+        assert sf.completed == (rf is not None)
+        assert_stats_equal(sf, sr)
 
 
 @pytest.mark.usefixtures("run_lane")
@@ -260,26 +268,6 @@ class TestPhysicalRouterDifferential:
         ref = ShuffleRouter(sh, seed=13, engine="reference").route_n_relation(h=3)
         assert_stats_equal(fast, ref)
 
-    def test_delayed_injection_matches(self):
-        from repro.routing import SynchronousEngine
-
-        paths = [[0, 1, 2], [1, 2, 3]]
-
-        def mk():
-            pkts = make_packets([0, 1], [2, 3])
-            pkts[1].injected_at = 3
-            return pkts
-
-        pf = mk()
-        sf = run_packets(FastPathEngine(), pf, paths, num_nodes=4, max_steps=20)
-        pr = mk()
-        walkers = {p.pid: iter(path[1:]) for p, path in zip(pr, paths)}
-        sr = SynchronousEngine().run(
-            pr, lambda p: next(walkers[p.pid], None), max_steps=20
-        )
-        assert_stats_equal(sf, sr)
-        assert pf[1].arrived_at == pr[1].arrived_at == 5
-
 
 @pytest.mark.usefixtures("run_lane")
 class TestMeshStackDifferential:
@@ -324,13 +312,13 @@ class TestMeshStackDifferential:
 
         def run(engine):
             router = MeshRouter(mesh, seed=3, track_paths=True, engine=engine)
-            pkts = make_packets(list(range(mesh.num_nodes)), perm.tolist())
-            router.route_packets(pkts)
-            return pkts
+            router.route(range(mesh.num_nodes), perm)
+            return router
 
-        for a, b in zip(run("fast"), run("reference")):
-            assert a.trace == b.trace
-            assert a.node == b.node
+        fast, ref = run("fast"), run("reference")
+        for trace, b in zip(fast_traces(fast.last_fast_run), ref.last_packets):
+            assert trace == b.trace
+            assert trace[-1] == b.node
 
     def test_mesh_router_timeout_matches(self):
         mesh = Mesh2D.square(10)
@@ -512,10 +500,9 @@ class TestMeshStackDifferential:
             router = MeshRouter(
                 mesh, seed=19, combine=True, node_capacity=6, engine=engine
             )
-            pkts = make_packets(
-                list(range(n)), dests.tolist(), addresses=addresses.tolist()
+            return router.route(
+                range(n), dests, max_steps=4000, combine_keys=addresses * n + dests
             )
-            return router.route_packets(pkts, max_steps=4000)
 
         fast, ref = run("fast"), run("reference")
         assert fast.combines > 0
@@ -664,9 +651,6 @@ class TestFastPathEngineUnit:
         assert stats.steps == 2  # combined flow behaves as one packet
 
     def test_mismatched_paths_rejected(self):
-        pkts = make_packets([0], [1])
-        with pytest.raises(ValueError, match="one injection step per packet"):
-            run_packets(FastPathEngine(), pkts, [], num_nodes=2, max_steps=5)
         with pytest.raises(ValueError, match="one combine group per packet"):
             FastPathEngine(combine=True).run(
                 [[0, 1]], num_nodes=2, max_steps=5, combine_groups=[3, 3]

@@ -18,7 +18,7 @@ from itertools import chain as concat
 import numpy as np
 import pytest
 
-from repro.routing.fast_engine import FastPathEngine, _injection_batches
+from repro.routing.fast_engine import FastPathEngine
 from repro.routing.fast_phases import (
     Replies,
     RunState,
@@ -65,7 +65,6 @@ def flat(rows) -> FlatPaths:
 def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
     priorities = flat_priorities(kwargs.pop("priorities", None), paths)
     paths = flat(paths)
-    n = paths.offsets.size - 1
     last = paths.hops if last is None else ids(*last)
     if num_nodes is None:
         num_nodes = int(paths.nodes.max()) + 1
@@ -73,7 +72,6 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
     return RunState(
         paths,
         last,
-        np.zeros(n, dtype=np.int64),
         None if gid is None else ids(*gid),
         priorities,
         num_nodes=num_nodes,
@@ -319,14 +317,7 @@ def test_spawn_firing_order():
 
 def test_admit_splices_spawned_children_in_front_of_their_parent():
     paths, links, spawn = spawn_layout()
-    s = RunState(
-        paths,
-        paths.hops,
-        np.zeros(5, dtype=np.int64),
-        num_nodes=4,
-        links=links,
-        spawn=spawn,
-    )
+    s = RunState(paths, paths.hops, num_nodes=4, links=links, spawn=spawn)
     assert (s.roots.tolist(), s.remaining) == ([0], 1)
     admit_checked(s, ids(0), 0)  # position 0: no trigger there
     assert s.remaining == 1 and not s.spawn.spawned
@@ -623,17 +614,13 @@ def test_finish_reports_a_deadlock():
 # ----------------------------------------------------------- invariants
 
 
-def drive_checked(s: RunState, injected_at: np.ndarray, max_steps: int = 10_000):
+def drive_checked(s: RunState, max_steps: int = 10_000):
     """``FastPathEngine._run_batch`` spelled out phase by phase, with
     :func:`check_invariants` after every one of them."""
-    pending = _injection_batches(s.roots, injected_at[s.roots])
     transmit = transmit_unconstrained if s.capacity is None else transmit_constrained
+    admit_checked(s, s.roots, 0)
     t = 0
-    while s.remaining > 0:
-        while pending and pending[-1][0] <= t:
-            admit_checked(s, pending.pop()[1], t)
-        if s.remaining == 0 or t >= max_steps:
-            break
+    while s.remaining > 0 and t < max_steps:
         if s.link_faults is not None:
             refresh_fault_flags(s, t)
         arrivals = transmit(s)
@@ -690,14 +677,11 @@ def test_every_phase_keeps_the_run_invariants(network, furthest_first, combine, 
         paths, num_nodes, links, prio, dests = sweep_run(network, seed)
         prio = prio if furthest_first else None
         gid = dests if combine else None
-        n = paths.offsets.size - 1
-        injected_at = np.random.default_rng(seed).integers(0, 3, n)
         first = int(np.flatnonzero(paths.hops)[0])
         down = DownUntil(tuple(paths.nodes[paths.offsets[first] :][:2].tolist()), 4)
         s = RunState(
             paths,
             paths.hops,
-            injected_at.copy(),
             gid,
             prio,
             num_nodes=num_nodes,
@@ -712,14 +696,13 @@ def test_every_phase_keeps_the_run_invariants(network, furthest_first, combine, 
             flow_control="none" if capacity is None else "credit",
         )
         with forced_lane(f"{lane} residue"):
-            by_hand = drive_checked(s, injected_at)
+            by_hand = drive_checked(s)
             stats = engine.run(
                 paths,
                 num_nodes=num_nodes,
                 max_steps=10_000,
                 priorities=prio,
                 links=links,
-                injected_at=injected_at,
                 combine_groups=gid,
                 link_faults=down,
             )
@@ -743,8 +726,8 @@ def mid_run(capacity=None) -> RunState:
     """A furthest-first CRCW run on the 6x6 mesh, a few steps in."""
     paths, num_nodes, links, prio, dests = sweep_run("mesh", 5)
     s = RunState(
-        paths, paths.hops, np.zeros(paths.offsets.size - 1, dtype=np.int64),
-        dests, prio, num_nodes=num_nodes, links=links, capacity=capacity,
+        paths, paths.hops, dests, prio, num_nodes=num_nodes, links=links,
+        capacity=capacity,
     )  # fmt: skip
     transmit = transmit_unconstrained if capacity is None else transmit_constrained
     admit(s, s.roots, 0)

@@ -22,7 +22,6 @@ from repro.routing import (
     ValiantHypercubeRouter,
     fast_engine,
 )
-from repro.routing.packet import make_packets
 from repro.topology import DWayShuffle, Hypercube, Mesh2D, StarGraph
 from repro.topology.compiled import compact_paths, hypercube_paths
 from conftest import forced_run_lane
@@ -80,29 +79,28 @@ def test_mesh_rows_of_zero_and_maximum_length_match_reference(
             engine=engine,
             link_faults=LinkFaultTimeline(sched.link_events) if down else None,
         )
-        packets = make_packets(sources.tolist(), dests.tolist())
-        stats, dead = _routed(lambda: router.route_packets(packets, max_steps=2000))
-        return router, packets, stats, dead
+        stats, dead = _routed(lambda: router.route(sources, dests, max_steps=2000))
+        return router, stats, dead
 
-    router, fast_packets, fast, fast_dead = run("fast")
-    _, ref_packets, ref, ref_dead = run("reference")
+    router, fast, fast_dead = run("fast")
+    ref_router, ref, ref_dead = run("reference")
     assert fast_dead == ref_dead
     assert_stats_equal(fast, ref)
-    for a, b in zip(fast_packets, ref_packets):
-        assert (a.hops, a.node, a.arrived_at) == (b.hops, b.node, b.arrived_at)
+    # row by row, a wedged run too: hops made, arrival step, last node
+    arrays = router.last_fast_run
+    for a, b in zip(router.row_outcomes(), ref_router.row_outcomes()):
+        assert a.tolist() == b.tolist()
+    at = arrays.paths.nodes[arrays.paths.offsets[:-1] + arrays.hops]
+    assert at.tolist() == [p.node for p in ref_router.last_packets]
     # the population both engines routed, compiled again from the same draw
-    # (a wedged run raises before it leaves its arrays on the router)
     probe = MeshRouter(mesh, seed=3, slice_rows=side, discipline=discipline)
     run = probe._compile(sources, dests, probe._draw(sources, dests))
     assert_flat(run.paths, sources.size)
     hops = run.paths.hops
     assert (hops == 0).any() and hops.max() >= 2 * (side - 1)
     assert run.links[0].shape == (int(hops.sum()),)
-    if fast_dead:
-        assert router.last_fast_run is None
-    else:
-        arrays = router.last_fast_run
-        assert np.array_equal(arrays.paths.nodes, run.paths.nodes)
+    assert np.array_equal(arrays.paths.nodes, run.paths.nodes)
+    if not fast_dead:
         assert fast.completed and arrays.hops.tolist() == hops.tolist()
 
 

@@ -33,7 +33,7 @@ from repro.routing import (
     route_linear,
 )
 from repro.topology import DAryButterflyLeveled, LinearArray, Mesh2D
-from test_fast_engine import assert_stats_equal, run_packets
+from test_fast_engine import assert_stats_equal
 
 # Two packets crossing on a line with capacity-1 nodes: the canonical
 # wedge.  p0 (1 -> 3, eastbound) waits on node 2, held full by p1
@@ -140,34 +140,15 @@ class TestDeadlockDetector:
         assert exc.value.stats.steps < 200
         assert "no progress" in str(exc.value)
 
-    def test_stats_attached_with_packet_writeback(self):
-        pkts = _crossing_packets()
+    def test_stats_attached_and_progress_left_on_the_arrays(self):
+        engine = FastPathEngine(node_capacity=1)
         with pytest.raises(DeadlockError) as exc:
-            run_packets(
-                FastPathEngine(node_capacity=1),
-                pkts,
-                CROSS_PATHS,
-                num_nodes=4,
-                max_steps=100,
-            )
+            engine.run(CROSS_PATHS, num_nodes=4, max_steps=100)
         assert exc.value.stats.delivered == 0
-        # Both packets were written back at their wedged positions.
-        assert [p.node for p in pkts] == [1, 2]
-
-    def test_injection_gaps_are_not_deadlocks(self):
-        """Steps that move nothing while injections are still pending
-        must not trip the detector."""
-        pkts = make_packets([0, 0], [3, 3])
-        pkts[1].injected_at = 5
-        arr = LinearArray(4)
-
-        def nh(p):
-            return None if p.node == p.dest else arr.route_next(p.node, p.dest)
-
-        stats = SynchronousEngine(node_capacity=1, flow_control="credit").run(
-            pkts, nh, max_steps=100
-        )
-        assert stats.completed
+        # Both packets are still at their sources, where they wedged.
+        arrays = engine.last_arrays
+        assert arrays.hops.tolist() == [0, 0]
+        assert arrays.paths.nodes[arrays.paths.offsets[:-1]].tolist() == [1, 2]
 
 
 class TestCreditDifferentialSweep:
@@ -231,10 +212,11 @@ class TestCreditDifferentialSweep:
                 flow_control="credit",
                 engine=eng,
             )
-            pkts = make_packets(
-                list(range(n)), dests.tolist(), addresses=addresses.tolist()
+            runs.append(
+                router.route(
+                    range(n), dests, max_steps=8000, combine_keys=addresses * n + dests
+                )
             )
-            runs.append(router.route_packets(pkts, max_steps=8000))
         assert_stats_equal(*runs)
         assert runs[0].completed
         assert runs[0].combines > 0

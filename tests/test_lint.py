@@ -605,6 +605,7 @@ class TestFrontEndColumnsRule:
         for rel in (
             "src/repro/routing/fast_engine.py",
             "src/repro/routing/fast_phases.py",
+            "src/repro/routing/fast_scalar.py",
         ):
             vs = _check(FrontEndColumnsRule(), src, rel)
             assert sorted((v.line, v.message.split("(")[0]) for v in vs) == [
@@ -614,6 +615,18 @@ class TestFrontEndColumnsRule:
         for rel in ("src/repro/routing/router.py", "src/repro/routing/packet.py"):
             assert not FrontEndColumnsRule().applies_to(rel)
         assert _check(FrontEndColumnsRule(), "p = Packet(0, 0, 1)\n", self.DRIVER) == []
+
+    def test_packets_built_on_the_scalar_lane_flagged(self):
+        """The scalar lane steps lists of ints: a reply laid out as
+        packet objects there is a finding, with the message naming
+        where a ``Packet`` belongs."""
+        src = """
+            def reply_run(replies, forest):
+                return [Packet(i, h, 0, kind="reply") for i, h in enumerate(forest)]
+        """
+        (v,) = _check(FrontEndColumnsRule(), src, "src/repro/routing/fast_scalar.py")
+        assert (v.rule, v.line) == ("REPRO009", 3)
+        assert "integer columns" in v.message and "Router._materialise" in v.message
 
     def test_scope_is_the_served_path(self):
         rule = FrontEndColumnsRule()

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import flat_priorities, forced_run_lane
+from conftest import delay_lines, flat_priorities, forced_run_lane
 
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.routing import FastPathEngine, SynchronousEngine, furthest_first_factory
@@ -30,7 +30,7 @@ from repro.sharding import ShardedEmulator
 from repro.topology import DAryButterflyLeveled, Mesh2D
 from repro.traffic import OnlineEmulator, PoissonArrivals, WorkloadGenerator, ZipfKeys
 from test_batch_arrival import DownUntil, _packets
-from test_fast_engine import assert_stats_equal, run_packets
+from test_fast_engine import assert_stats_equal, combine_groups
 from test_reply_phase import reference_replies, reply_population
 
 
@@ -40,7 +40,8 @@ def routed(paths=None, *, inject=None, priorities=None, addresses=None,
     packets along *paths*, or the replies of a reply *forest*
     (:func:`test_reply_phase.reply_population`'s ``(paths, parents)``):
     the fast engine on the lane the test forces, the reference engine
-    following the same rows (spawning with ``ReplySpawner``)."""
+    following the same rows (spawning with ``ReplySpawner``).  ``inject``
+    puts rows behind delay lines (:func:`conftest.delay_lines`)."""
 
     def faults():
         return None if down is None else DownUntil(*down)
@@ -59,21 +60,23 @@ def routed(paths=None, *, inject=None, priorities=None, addresses=None,
         )
         return fast, ref
 
+    paths, priorities = delay_lines(paths, inject, priorities)
     last = [len(row) - 1 for row in paths]
     num_nodes = max(max(row) for row in paths) + 1
-    engine = FastPathEngine(combine=addresses is not None)
-    fast = run_packets(
-        engine,
-        _packets(paths, last, inject, addresses),
+    combine = addresses is not None
+    fast = FastPathEngine(combine=combine).run(
         paths,
         num_nodes=num_nodes,
         max_steps=max_steps,
         priorities=flat_priorities(priorities, paths),
+        combine_groups=combine_groups(addresses, [row[-1] for row in paths])
+        if combine
+        else None,
         link_faults=faults(),
     )
     assert isinstance(vars(fast)["max_node_load"], Deferred)
 
-    ref_packets = _packets(paths, last, inject, addresses)
+    ref_packets = _packets(paths, addresses)
     queues = {}
     if priorities is not None:
         queues["queue_factory"] = furthest_first_factory(
@@ -122,7 +125,7 @@ def walk(draw, start, shape, size, max_hops):
 def populations(draw):
     """An unconstrained population on a small leveled network (rows of
     equal length, or shorter children) or a small mesh (ragged random
-    walks that may revisit nodes): packets with staggered injection and
+    walks that may revisit nodes): packets behind delay lines and
     combining keys or not, furthest-first priorities or not — or the
     replies of a reply forest over such walks (position-0 cascades
     included) — and, drawn independently, a link down for the first

@@ -39,10 +39,9 @@ from repro.routing.engine import (
     transmit_serialized,
     transmit_unconstrained,
 )
-from repro.routing.fast_engine import _injection_batches
-from repro.routing.packet import combine_groups_of
 from repro.topology import FlatPaths
-from conftest import flat_priorities
+from conftest import delay_lines, flat_priorities
+from test_fast_engine import combine_groups
 from test_batch_arrival import (
     DownUntil,
     forced_lane,
@@ -55,25 +54,23 @@ from test_batch_arrival import (
 )
 
 
-def packets_on(paths, inject_at=None, addresses=None):
+def packets_on(paths, addresses=None):
     """One packet per row of *paths*, entering at its first node."""
-    out = []
-    for i, row in enumerate(paths):
-        p = Packet(i, row[0], row[-1], address=None if addresses is None else addresses[i])
-        p.injected_at = 0 if inject_at is None else inject_at[i]
-        out.append(p)
-    return out
+    return [
+        Packet(i, row[0], row[-1], address=None if addresses is None else addresses[i])
+        for i, row in enumerate(paths)
+    ]
 
 
-def make_run(paths, *, inject_at=None, addresses=None, link_faults=None,
-             on_arrival=None, **engine) -> ReferenceRun:  # fmt: skip
+def make_run(paths, *, addresses=None, link_faults=None, on_arrival=None,
+             **engine) -> ReferenceRun:  # fmt: skip
     """A run of *paths* on a ``SynchronousEngine(**engine)``, nothing
     placed yet."""
     def next_hop(p):
         row = paths[p.pid]
         return None if p.hops == len(row) - 1 else row[p.hops + 1]
 
-    packets = packets_on(paths, inject_at, addresses)
+    packets = packets_on(paths, addresses)
     return ReferenceRun(
         SynchronousEngine(**engine), packets, next_hop, on_arrival, link_faults
     )
@@ -92,14 +89,12 @@ def pids(packets) -> list[int]:
 # ----------------------------------------------------------- arrival side
 
 
-def test_inject_places_only_the_packets_that_are_due():
-    r = make_run([[0, 1], [2, 1], [3, 1]], inject_at=[0, 2, 1])
-    inject(r, 1)
-    assert list(r.active) == [(0, 1), (3, 1)]
-    assert [p.pid for p in r.due] == [1]
-    inject(r, 5)
-    assert list(r.active) == [(0, 1), (3, 1), (2, 1)]
-    assert not r.due
+def test_inject_places_the_population_at_step_zero():
+    r = make_run([[0, 1], [2, 1], [3, 1]])
+    r.all_packets[1].injected_at = 5  # the engine's to write
+    inject(r)
+    assert list(r.active) == [(0, 1), (2, 1), (3, 1)]
+    assert [p.injected_at for p in r.all_packets] == [0, 0, 0]
 
 
 def test_place_records_the_trace_and_places_spawned_packets_first():
@@ -112,7 +107,7 @@ def test_place_records_the_trace_and_places_spawned_packets_first():
     spawned_path = [1, 3]
     next_hop = r.next_hop
     r.next_hop = lambda p: spawned_path[p.hops + 1] if p.pid == 9 else next_hop(p)
-    inject(r, 0)
+    inject(r)
     (p,) = transmit_unconstrained(r)
     place(r, p, 1)
     assert p.trace == [0, 1]
@@ -125,14 +120,14 @@ def test_place_records_the_trace_and_places_spawned_packets_first():
 def test_place_rejects_a_packet_spawned_elsewhere():
     r = make_run([[0, 1]], on_arrival=lambda p: [Packet(9, 5, 6)])
     with pytest.raises(ValueError, match="spawned packet 9 at 5, expected 0"):
-        inject(r, 0)
+        inject(r)
 
 
 def test_enqueue_absorbs_a_same_key_arrival_into_the_resident():
     # 0 and 2 share a key; 1 has none
     r = make_run([[0, 5, 6], [1, 5, 6], [2, 5, 6]], addresses=[7, None, 7],
                  combine=True)  # fmt: skip
-    inject(r, 0)
+    inject(r)
     for p in transmit_unconstrained(r):
         place(r, p, 1)
     host, keyless, child = r.all_packets
@@ -149,7 +144,7 @@ def test_enqueue_absorbs_a_same_key_arrival_into_the_resident():
 
 def test_transmit_pops_the_head_and_an_emptied_link_leaves_active():
     r = make_run([[0, 1, 2], [0, 1, 2], [3, 4]])
-    inject(r, 0)
+    inject(r)
     first = transmit(r, (0, 1))
     assert (first.pid, first.node, first.hops) == (0, 1, 1)
     assert list(r.active) == [(0, 1), (3, 4)] and r.node_load[0] == 1
@@ -159,7 +154,7 @@ def test_transmit_pops_the_head_and_an_emptied_link_leaves_active():
 
 def test_unconstrained_transmission_sends_every_head_in_activation_order():
     r = make_run([[4, 5], [2, 3], [4, 6], [0, 1]])
-    inject(r, 0)
+    inject(r)
     assert pids(transmit_unconstrained(r)) == [0, 1, 2, 3]
 
 
@@ -167,7 +162,7 @@ def test_a_capacity_full_target_still_passes_a_head_that_exits_there():
     # packet 2 fills node 5 (capacity 1) and leaves it only after the
     # two in-links had their turn: packet 0 exits at 5, packet 1 goes on
     r = make_run([[1, 5], [2, 5, 6], [5, 6]], node_capacity=1)
-    inject(r, 0)
+    inject(r)
     assert list(r.active) == [(1, 5), (2, 5), (5, 6)] and r.node_load[5] == 1
     assert pids(transmit_constrained(r)) == [0, 2]
     assert queued(r, (2, 5)) == [1]
@@ -178,7 +173,7 @@ def test_a_capacity_full_target_still_passes_a_head_that_exits_there():
 def test_capacity_reserves_arrival_slots_link_by_link():
     # two in-links of an empty capacity-1 node: only the first sends
     r = make_run([[0, 5, 6], [1, 5, 6]], node_capacity=1)
-    inject(r, 0)
+    inject(r)
     assert pids(transmit_constrained(r)) == [0]
     assert r.reserved[5] == 1 and queued(r, (1, 5)) == [1]
     # the next step starts with no slot reserved
@@ -189,9 +184,8 @@ def test_capacity_reserves_arrival_slots_link_by_link():
 def test_an_escape_occupant_blocks_the_bulk_head_of_its_next_link():
     # occupant 0 sits in the escape buffer of (1, 2) and goes on over
     # (2, 3), the link bulk packet 1 waits on
-    r = make_run([[1, 2, 3, 4], [2, 3, 4]], inject_at=[9, 0], node_capacity=1,
-                 flow_control="credit")  # fmt: skip
-    inject(r, 0)
+    r = make_run([[1, 2, 3, 4], [2, 3, 4]], node_capacity=1, flow_control="credit")
+    place(r, r.all_packets[1], 0)
     occupant = r.all_packets[0]
     occupant.node, occupant.hops = 2, 1
     r.fc.occupy((1, 2), occupant, (2, 3))
@@ -204,9 +198,8 @@ def test_an_escape_occupant_blocks_the_bulk_head_of_its_next_link():
 
 
 def test_an_escape_occupant_takes_the_next_escape_buffer_when_the_target_is_full():
-    r = make_run([[1, 2, 3, 4], [3, 4]], inject_at=[9, 0], node_capacity=1,
-                 flow_control="credit")  # fmt: skip
-    inject(r, 0)  # packet 1 fills node 3
+    r = make_run([[1, 2, 3, 4], [3, 4]], node_capacity=1, flow_control="credit")
+    place(r, r.all_packets[1], 0)  # packet 1 fills node 3
     occupant = r.all_packets[0]
     occupant.node, occupant.hops = 2, 1
     r.fc.occupy((1, 2), occupant, (2, 3))
@@ -222,7 +215,7 @@ def test_a_stalled_head_takes_its_links_escape_buffer_under_credit():
     # packet 0 takes node 5's only slot; packet 1 crosses (1, 5) into
     # that link's escape buffer, claiming no bulk slot
     r = make_run([[0, 5, 6], [1, 5, 6]], node_capacity=1, flow_control="credit")
-    inject(r, 0)
+    inject(r)
     sent = transmit_constrained(r)
     assert pids(sent) == [0, 1] and r.reserved[5] == 1
     assert r.pending_escape == {sent[1]: (1, 5)} and r.fc.escape_hops == 1
@@ -231,7 +224,7 @@ def test_a_stalled_head_takes_its_links_escape_buffer_under_credit():
 def test_a_service_rate_tie_goes_to_the_link_that_became_active_first():
     # node 0 has one slot; (0, 2) became active before (0, 1)
     r = make_run([[0, 2], [0, 1]], node_service_rate=1)
-    inject(r, 0)
+    inject(r)
     assert list(r.active) == [(0, 2), (0, 1)]
     assert pids(transmit_serialized(r)) == [0]
     assert queued(r, (0, 1)) == [1]
@@ -239,14 +232,14 @@ def test_a_service_rate_tie_goes_to_the_link_that_became_active_first():
 
 def test_a_service_rate_slot_goes_to_the_longest_queue_first():
     r = make_run([[0, 2], [0, 1], [0, 1]], node_service_rate=1)
-    inject(r, 0)
+    inject(r)
     assert pids(transmit_serialized(r)) == [1]
 
 
 def test_a_down_link_burns_no_service_slot():
     r = make_run([[0, 1], [0, 1], [0, 2]], node_service_rate=1,
                  link_faults=DownUntil((0, 1), 1))  # fmt: skip
-    inject(r, 0)
+    inject(r)
     start_step(r, 0)
     assert pids(transmit_serialized(r)) == [2]
     assert r.fault_stalls == 1
@@ -257,7 +250,7 @@ def test_a_down_link_burns_no_service_slot():
 
 def test_a_fault_blocked_step_counts_fault_stalls_and_is_no_deadlock():
     r = make_run([[0, 1, 2]], link_faults=DownUntil((0, 1), 2))
-    inject(r, 0)
+    inject(r)
     start_step(r, 0)
     stalls0 = r.fault_stalls
     arrivals = transmit_unconstrained(r)
@@ -277,7 +270,7 @@ def test_a_fault_blocked_step_counts_fault_stalls_and_is_no_deadlock():
 
 
 def test_a_down_next_link_holds_an_escape_occupant_as_a_fault_stall():
-    r = make_run([[1, 2, 3]], inject_at=[9], node_capacity=1, flow_control="credit",
+    r = make_run([[1, 2, 3]], node_capacity=1, flow_control="credit",
                  link_faults=DownUntil((2, 3), 1))  # fmt: skip
     occupant = r.all_packets[0]
     occupant.node, occupant.hops = 2, 1
@@ -291,7 +284,7 @@ def test_a_down_next_link_holds_an_escape_occupant_as_a_fault_stall():
 def test_a_step_that_moves_nothing_is_no_progress():
     # two full capacity-1 nodes, each head waiting on the other
     r = make_run([[0, 1, 9], [1, 0, 9]], node_capacity=1)
-    inject(r, 0)
+    inject(r)
     stalls0 = r.fault_stalls
     arrivals = transmit_constrained(r)
     assert arrivals == [] and no_progress(r, arrivals, stalls0)
@@ -306,7 +299,7 @@ def test_a_drained_run_raises_network_drained_error():
     # at once without being counted, so one packet stays owed
     r = make_run([[0]])
     r.all_packets[0].arrived_at = 3
-    inject(r, 0)
+    inject(r)
     assert r.remaining == 1 and not r.active
     with pytest.raises(NetworkDrainedError, match="1 packets undeliverable: "
                        "network drained at t=0") as err:  # fmt: skip
@@ -353,14 +346,15 @@ def vector_view(s: fast_phases.RunState):
 
 def twin_runs(paths, inject=None, priorities=None, addresses=None):
     """The scenario as a :class:`ReferenceRun` and a vector-lane
-    ``RunState``, with the vector lane's injection batches."""
-    inject = [0] * len(paths) if inject is None else inject
+    ``RunState``, an injection at step k as a k-hop delay line
+    (:func:`conftest.delay_lines`)."""
+    paths, priorities = delay_lines(paths, inject, priorities)
     engine = dict(combine=addresses is not None)
     if priorities is not None:
         engine["queue_factory"] = furthest_first_factory(
             lambda p: priorities[p.pid][p.hops]
         )
-    r = make_run(paths, inject_at=inject, addresses=addresses, **engine)
+    r = make_run(paths, addresses=addresses, **engine)
     flat = FlatPaths(
         np.asarray([v for row in paths for v in row], dtype=np.int64),
         np.cumsum([0] + [len(row) for row in paths]).astype(np.int64),
@@ -368,12 +362,11 @@ def twin_runs(paths, inject=None, priorities=None, addresses=None):
     s = fast_phases.RunState(
         flat,
         np.asarray([len(row) - 1 for row in paths], dtype=np.int64),
-        np.asarray(inject, dtype=np.int64),
-        None if addresses is None else combine_groups_of(r.all_packets),
+        None if addresses is None else combine_groups(addresses, [row[-1] for row in paths]),
         flat_priorities(priorities, paths),
         num_nodes=max(max(row) for row in paths) + 1,
     )
-    return r, s, _injection_batches(s.roots, s.injected_at)
+    return r, s
 
 
 @pytest.mark.parametrize("residue", ["scalar residue", "vector residue"])
@@ -393,13 +386,12 @@ def test_the_reference_rules_and_the_vector_phases_step_alike(scenario, residue)
     """FIFO, furthest-first and combining: ``transmit_unconstrained``
     then ``place`` on one side, ``transmit_unconstrained`` then
     ``admit`` on the other, the projections equal after each phase."""
-    r, s, pending = twin_runs(**scenario())
+    r, s = twin_runs(**scenario())
     with forced_lane(residue):
+        inject(r)
+        fast_phases.admit(s, s.roots, 0)
+        assert vector_view(s) == reference_view(r), "placed at t=0"
         for t in range(100):
-            inject(r, t)
-            while pending and pending[-1][0] <= t:
-                fast_phases.admit(s, pending.pop()[1], t)
-            assert vector_view(s) == reference_view(r), f"placed at t={t}"
             assert s.remaining == r.remaining
             if not r.remaining:
                 break

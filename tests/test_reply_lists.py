@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import RUN_LANES, forced_run_lane
 
 from repro.emulation.combining import MergeNodeMissingError, route_replies_fast
-from repro.routing import LeveledRouter, Packet, fast_phases
+from repro.routing import LeveledRouter, fast_phases
 from repro.routing import fast_engine, fast_scalar
 from repro.routing.fast_engine import FastPathEngine
 from repro.routing.fast_phases import Replies
@@ -169,20 +169,21 @@ def routed_hot_reads(engine, seed, levels=6, n=None, keys=6):
     """*n* (three per row unless given) CRCW reads of *keys* hot
     addresses on a ``2**levels``-row butterfly, each address's module
     its own exit row — 192 reads on 64 rows by default: the router,
-    the packets, the node count and the run's stats."""
+    the rows it delivered as hosts, the node count and the run's
+    stats."""
     net = DAryButterflyLeveled(2, levels)
     rng = np.random.default_rng(seed)
     n = 3 * net.column_size if n is None else n
-    exit_base = 2 * net.num_levels * net.column_size
-    packets = [
-        Packet(i, i % net.column_size, exit_base + int(d), kind="read", address=int(d))
-        for i, d in enumerate(rng.integers(0, keys, n))
-    ]
+    dests = rng.integers(0, keys, n)
     router = LeveledRouter(
         net, seed=seed, combine=True, track_paths=engine == "reference", engine=engine
     )
-    stats = router.route_packets(packets, max_steps=400)
-    return router, packets, (2 * net.num_levels + 1) * net.column_size, stats
+    stats = router.route(
+        np.arange(n) % net.column_size, dests, max_steps=400, addresses=dests
+    )
+    _, arrived = router.row_outcomes()
+    hosts = np.setdiff1d(np.flatnonzero(arrived >= 0), router.absorbed_rows())
+    return router, hosts.tolist(), (2 * net.num_levels + 1) * net.column_size, stats
 
 
 @given(seed=st.integers(0, 2**16), data=st.data())
@@ -193,12 +194,12 @@ def test_small_replies_of_a_vector_lane_request_are_built_from_its_arrays(seed, 
     off its arrays (``links[0]``, one ``.tolist()``), and agree with the
     array layout of the same ids and with the reference engine."""
     with forced_run_lane("vector"):
-        router, fast_packets, num_nodes, _ = routed_hot_reads("fast", seed)
-    _, ref_packets, _, _ = routed_hot_reads("reference", seed)
+        router, hosts, num_nodes, _ = routed_hot_reads("fast", seed)
+    ref_router, ref_hosts, _, _ = routed_hot_reads("reference", seed)
+    ref_packets = ref_router.last_packets
     requests = router.last_fast_run
     assert requests.slot_keys is None and requests.links is not None
-    hosts = [p.pid for p in ref_packets if p.delivered and not p.combined]
-    assert hosts == [p.pid for p in fast_packets if p.delivered and not p.combined]
+    assert hosts == ref_hosts
     picked = sorted(data.draw(st.lists(st.sampled_from(hosts), max_size=6, unique=True)))
     lists, by_lists = laid_out(requests, picked, num_nodes, budget=400)
     arrays, by_arrays = laid_out(requests, picked, num_nodes, "vector", budget=400)
@@ -209,14 +210,12 @@ def test_small_replies_of_a_vector_lane_request_are_built_from_its_arrays(seed, 
 
 
 def test_a_replies_population_takes_nothing_else():
-    """It brings its own itineraries, keys, spawn triggers and injection
-    steps."""
+    """It brings its own itineraries, keys, spawn triggers and combining."""
     requests, _ = hand_built_requests([[0, 1, 2]], [2], [], [])
     replies = Replies(requests, np.asarray([0]))
     engine = FastPathEngine()
     for extra in (
         dict(links=requests.links),
-        dict(injected_at=[0]),
         dict(priorities=[[1, 2]]),
         dict(combine_groups=[0]),
     ):

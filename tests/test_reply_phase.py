@@ -63,8 +63,8 @@ def reply_stats(make_emulator, step, engine):
     seen = []
     inner = emulator._reverse_path_replies
 
-    def spy(router, read_hosts, values, **kwargs):
-        seen.append(inner(router, read_hosts, values, **kwargs))
+    def spy(router, read_hosts, **kwargs):
+        seen.append(inner(router, read_hosts, **kwargs))
         requests = router.last_fast_run
         if requests is not None:
             # flat, exact-length rows: offsets from 0 to the node count
@@ -238,27 +238,19 @@ def test_hosts_that_never_left_their_node_reply_on_an_empty_link_matrix(far_writ
 
 def routed_hot_requests(engine, max_steps):
     """Hot-key CRCW reads on a butterfly under a step budget too small
-    for all of them: ``(router, packets)`` after the request run."""
+    for all of them: the router after the request run."""
     net = DAryButterflyLeveled(2, 4)
     rng = np.random.default_rng(8)
     n = 3 * net.column_size
-    exit_base = 2 * net.num_levels * net.column_size
-    packets = [
-        Packet(
-            i,
-            i % net.column_size,
-            exit_base + int(dest),
-            kind="read",
-            address=int(dest),
-        )
-        for i, dest in enumerate(rng.integers(0, 3, n))
-    ]
+    dests = rng.integers(0, 3, n)
     router = LeveledRouter(
         net, seed=21, combine=True, track_paths=engine == "reference", engine=engine
     )
-    stats = router.route_packets(packets, max_steps=max_steps)
+    stats = router.route(
+        np.arange(n) % net.column_size, dests, max_steps=max_steps, addresses=dests
+    )
     assert not stats.completed and 0 < stats.delivered
-    return router, packets
+    return router
 
 
 def test_undelivered_request_rows_stay_out_of_the_reply_run():
@@ -266,13 +258,11 @@ def test_undelivered_request_rows_stay_out_of_the_reply_run():
     some of them hosts holding absorbed children.  Replies go to the
     delivered hosts' forests only, and the link gather reads nothing of
     the rest: inherited ≡ self-interned ≡ reference."""
-    fast_router, fast_packets = routed_hot_requests("fast", 9)
-    ref_router, ref_packets = routed_hot_requests("reference", 9)
-    requests = fast_router.last_fast_run
+    requests = routed_hot_requests("fast", 9).last_fast_run
+    ref_packets = routed_hot_requests("reference", 9).last_packets
     hosts = [p for p in ref_packets if p.delivered and not p.combined]
-    assert rows_of(hosts) == rows_of(
-        p for p in fast_packets if p.delivered and not p.combined
-    )
+    arrived = np.flatnonzero(requests.arrived >= 0)
+    assert rows_of(hosts) == np.setdiff1d(arrived, requests.absorbed).tolist()
     stranded = set(np.nonzero(requests.arrived < 0)[0].tolist())
     assert stranded & set(requests.absorbed_by.tolist())
     kwargs = dict(budget=200, num_nodes=int(requests.paths.nodes.max()) + 1)
@@ -281,7 +271,7 @@ def test_undelivered_request_rows_stay_out_of_the_reply_run():
         replace(requests, links=None), rows_of(hosts), **kwargs
     )
     reference = SynchronousEngine().run(
-        build_replies(hosts, {}),
+        build_replies(hosts),
         reply_next_hop,
         max_steps=200,
         on_arrival=ReplySpawner(),
@@ -290,7 +280,7 @@ def test_undelivered_request_rows_stay_out_of_the_reply_run():
     assert_stats_equal(inherited, reference)
     # one reply per request that arrived, as a host or absorbed into one
     assert inherited.completed
-    assert len(hosts) < inherited.delivered == len(fast_packets) - len(stranded)
+    assert len(hosts) < inherited.delivered == len(ref_packets) - len(stranded)
 
 
 def test_a_step_interns_its_links_once(monkeypatch, run_lane):
@@ -418,7 +408,7 @@ def reference_replies(packets, hosts, *, max_steps=200, link_faults=None):
     """The reference engine's reply run of request *packets*' *hosts*:
     traces walked back, children spawned by ``ReplySpawner``."""
     return SynchronousEngine().run(
-        build_replies([packets[i] for i in hosts], {}),
+        build_replies([packets[i] for i in hosts]),
         reply_next_hop,
         max_steps=max_steps,
         on_arrival=ReplySpawner(),

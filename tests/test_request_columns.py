@@ -1,11 +1,9 @@
-"""The request phase in columns: three ways to serve a step must agree.
+"""The request phase in columns: both engines must serve a step alike.
 
 An emulator hands its router ``(source, module, combine key)`` columns
 and never builds a ``Packet``.  On the fast engine that run is an
 anonymous population; on the reference engine
-``Router.route_packets`` materialises the packets; and a caller may
-still bring its own ``Packet`` list to the fast engine, which reads its
-columns once and writes the outcome back.  The three are one
+``Router.route_packets`` materialises the packets.  The two are one
 simulation: same ``StepCost``, same ``RoutingStats`` for every routing
 run (``delays`` / ``hops`` order included), same memory, same RNG
 state afterwards — over generated networks, access modes, phase-1
@@ -14,7 +12,6 @@ writes, everything combined into one host).
 """
 
 from dataclasses import replace
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -78,11 +75,9 @@ def fault_spec(kind, net, mode, intermediate, seed, step):
     return FaultSchedule().link_down(0, wire).link_up(9, wire)
 
 
-def serve(emulator, steps, *, caller_built=False):
-    """Emulate *steps*; returns everything the three ways must agree on.
-    With *caller_built*, every routing run is handed a ``Packet`` list
-    built from the columns the emulator passed (the pre-columns
-    contract), checked against the arrays it was written back from."""
+def serve(emulator, steps):
+    """Emulate *steps*; returns everything the two engines must agree
+    on."""
     runs = []
     make_router = emulator._make_router
 
@@ -91,25 +86,7 @@ def serve(emulator, steps, *, caller_built=False):
         route = router.route
 
         def spy(sources, dests, *, max_steps=None, combine_keys=None):
-            if caller_built:
-                keys = repeat(None) if combine_keys is None else combine_keys.tolist()
-                packets = [
-                    Packet(i, s, router._exit_base + d, address=k)
-                    for i, (s, d, k) in enumerate(
-                        zip(sources.tolist(), dests.tolist(), keys)
-                    )
-                ]
-                stats = router.route_packets(packets, max_steps=max_steps)
-                arrays = router.last_fast_run
-                if arrays is not None:  # None: not compilable, ran on reference
-                    assert [p.hops for p in packets] == arrays.hops.tolist()
-                    assert [p.combined for p in packets] == np.isin(
-                        np.arange(len(packets)), arrays.absorbed
-                    ).tolist()
-            else:
-                stats = route(
-                    sources, dests, max_steps=max_steps, combine_keys=combine_keys
-                )
+            stats = route(sources, dests, max_steps=max_steps, combine_keys=combine_keys)
             runs.append(stats)
             return stats
 
@@ -138,25 +115,22 @@ def serve(emulator, steps, *, caller_built=False):
     )
 
 
-def assert_same_simulation(a, b, *, same_engine):
+def assert_same_simulation(a, b):
     assert len(a["runs"]) == len(b["runs"])
     for x, y in zip(a["runs"], b["runs"]):
         assert_stats_equal(x, y)
     for x, y in zip(a["costs"], b["costs"]):
         # run_modes name the engine; everything else is the simulation
-        assert x == (y if same_engine else replace(y, run_modes=x.run_modes))
+        assert x == replace(y, run_modes=x.run_modes)
         assert len(x.run_modes) == len(y.run_modes)
     for field in ("memory", "rng", "hash", "rehashes", "clock", "known_dead"):
         assert a[field] == b[field], field
 
 
-def three_ways(net, mode, intermediate, faults, seed, steps):
+def both_engines(net, mode, intermediate, faults, seed, steps):
     make = lambda engine: make_emulator(net, mode, intermediate, faults, seed, engine)
     columns = serve(make("fast"), steps)
-    assert_same_simulation(
-        columns, serve(make("fast"), steps, caller_built=True), same_engine=True
-    )
-    assert_same_simulation(columns, serve(make("reference"), steps), same_engine=False)
+    assert_same_simulation(columns, serve(make("reference"), steps))
     return columns
 
 
@@ -199,10 +173,10 @@ def served_steps(draw):
 
 @given(case=served_steps())
 @settings(max_examples=60, deadline=None)
-def test_columns_caller_built_packets_and_reference_agree(case):
+def test_columns_and_reference_agree(case):
     net, mode, intermediate, fault, seed, steps = case
     faults = fault_spec(fault, net, mode, intermediate, seed, steps[0])
-    served = three_ways(net, mode, intermediate, faults, seed, steps)
+    served = both_engines(net, mode, intermediate, faults, seed, steps)
     first = served["costs"][0]
     assert first.requests == steps[0].num_requests
     if fault == "dead_module":
@@ -238,7 +212,7 @@ def test_misaligned_columns_are_rejected(short, fleet):
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 @pytest.mark.parametrize("intermediate", ["node", "coin"])
 def test_the_empty_step(name, intermediate):
-    served = three_ways(NETWORKS[name], "crcw", intermediate, None, 3, [RequestColumns.of()])
+    served = both_engines(NETWORKS[name], "crcw", intermediate, None, 3, [RequestColumns.of()])
     (cost,) = served["costs"]
     assert (cost.requests, cost.total_steps, cost.combines) == (0, 0, 0)
     assert len(served["runs"]) == 1 and not served["memory"]
@@ -252,7 +226,7 @@ def test_an_all_writes_step_has_no_reply_phase(name):
     step = RequestColumns.of(
         writes=[(p, p + 8 if p % 2 else 5, 10 * p) for p in range(n)]
     )
-    served = three_ways(net, "crcw", "coin", None, 11, [step])
+    served = both_engines(net, "crcw", "coin", None, 11, [step])
     (cost,) = served["costs"]
     assert cost.reply_steps == 0 and len(cost.run_modes) == 1
     assert cost.combines > 0 and len(served["runs"]) == 1
@@ -276,12 +250,10 @@ def test_every_request_combined_into_one_host():
         serve_memory = emulator._serve_memory
         emulator._serve_memory = lambda *a: seen.append(serve_memory(*a)) or seen[-1]
         results[engine] = (emulator.emulate_step(step), seen)
-    for engine, (cost, ((read_hosts, values),)) in results.items():
+    for cost, (read_hosts,) in results.values():
         assert cost.combines == 5 and cost.requests == 6
         assert (cost.request_steps, cost.reply_steps) == (4, 4)
-        # only the reference engine's replies carry the value they read
         assert read_hosts.tolist() == [0]
-        assert values == ({0: 0} if engine == "reference" else {})
     fast, ref = results["fast"][0], results["reference"][0]
     assert fast == replace(ref, run_modes=fast.run_modes)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.routing import LeveledRouter
+from repro.routing import LeveledRouter, RoutingTimeout
 from repro.topology import DAryButterflyLeveled
 
 
@@ -37,11 +37,15 @@ class TestRouteWithRestarts:
         net = DAryButterflyLeveled(2, 4)
         router = LeveledRouter(net, seed=5)
         perm = np.random.default_rng(6).permutation(net.column_size)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RoutingTimeout) as err:
             # below the 2L path length nothing can ever arrive
             router.route_with_restarts(
                 np.arange(net.column_size), perm, allotment=3, max_rounds=3
             )
+        # the last round's stats: every packet still owed, 3 hops made
+        stats = err.value.stats
+        assert (stats.steps, stats.delivered, stats.completed) == (3, 0, False)
+        assert stats.total_packets == net.column_size
 
     def test_parameter_validation(self):
         net = DAryButterflyLeveled(2, 3)

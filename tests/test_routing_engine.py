@@ -14,6 +14,7 @@ from repro.routing import (
     SynchronousEngine,
     collect_stats,
     fast_engine,
+    fast_scalar,
     make_packets,
 )
 from repro.routing.queues import furthest_first_factory
@@ -193,17 +194,6 @@ class TestEngineBasics:
         assert stats.max_queue == k
         assert stats.max_node_load == k
 
-    def test_delayed_injection(self):
-        array = LinearArray(6)
-        pkts = make_packets([0, 0], [5, 5])
-        pkts[1].injected_at = 3
-        stats = SynchronousEngine().run(pkts, line_next_hop(array), max_steps=100)
-        assert stats.completed
-        # First leaves immediately (arrives t=5); second injected at 3,
-        # clear road, arrives 3+5=8.
-        assert stats.steps == 8
-        assert pkts[1].delay == 0
-
     def test_drained_network_with_undeliverable_raises(self):
         # next_hop that never delivers packet but network empties is a bug
         def bad_next_hop(p):
@@ -216,12 +206,13 @@ class TestEngineBasics:
         assert stats.completed
 
 
-def _forgetful_batches(roots, times):
-    """Stands in for the fast engine's injection batching and forgets
-    every packet: the run starts with packets owed and nothing to
-    inject — the inconsistent bookkeeping the drain check exists to
-    report (no well-formed input reaches it on the fast engine)."""
-    return []
+def _forget_the_population(monkeypatch):
+    """Make both lanes' step-0 admission place nothing: the run starts
+    with packets owed and none queued — the inconsistent bookkeeping the
+    drain check exists to report (no well-formed input reaches it on
+    the fast engine)."""
+    monkeypatch.setattr(fast_engine, "admit", lambda s, batch, t: None)
+    monkeypatch.setattr(fast_scalar, "admit", lambda s, batch, t, advance, prof: None)
 
 
 class TestNetworkDrained:
@@ -259,7 +250,7 @@ class TestNetworkDrained:
         ],
     )
     def test_fast_engine_raises_the_same_type(self, monkeypatch, paths, mode):
-        monkeypatch.setattr(fast_engine, "_injection_batches", _forgetful_batches)
+        _forget_the_population(monkeypatch)
         obs = Observer(flight_recorder=4)
         obs.record("note", virtual_clock=0, what="before the run")
         capacity = 2 if mode == "batch-constrained" else None

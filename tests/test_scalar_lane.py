@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import RUN_LANES, forced_run_lane
+from conftest import RUN_LANES, delay_lines, forced_run_lane
 
 from repro.emulation import LeveledEmulator
 from repro.pram.trace import RequestColumns
@@ -250,26 +250,32 @@ def test_a_timed_out_run_leaves_its_engine_clean():
 
 
 def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
-    """Injection batches after the first are dropped, so the run owes
+    """The step-0 admission drops the last two roots, so the run owes
     packets nothing will bring (``NetworkDrainedError``) — at the same
     step with the same count on both lanes; the engine's next run, with
-    the batches restored, starts from nothing."""
-    batches = fast_engine._injection_batches
+    the admission restored, starts from nothing."""
     paths = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 2
-    inject = [0, 0, 0, 5, 5]
+    admits = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}
+
+    def dropping(admit):
+        def admit_three_at_step_0(s, batch, t, *rest):
+            return admit(s, batch[:3] if t == 0 else batch, t, *rest)
+
+        return admit_three_at_step_0
+
     seen = []
     for lane in RUN_LANES:
-        monkeypatch.setattr(
-            fast_engine, "_injection_batches", lambda r, t: batches(r, t)[-1:]
-        )
+        for module, admit in admits.items():
+            monkeypatch.setattr(module, "admit", dropping(admit))
         engine = FastPathEngine()
         with forced_run_lane(lane):
             with pytest.raises(NetworkDrainedError) as exc:
-                engine.run(paths, num_nodes=4, max_steps=50, injected_at=inject)
+                engine.run(paths, num_nodes=4, max_steps=50)
             seen.append((exc.value.remaining, exc.value.t))
-            monkeypatch.setattr(fast_engine, "_injection_batches", batches)
-            stats = engine.run(paths, num_nodes=4, max_steps=50, injected_at=inject)
-            fresh, _ = engine_run(paths, 4, injected_at=inject)
+            for module, admit in admits.items():
+                monkeypatch.setattr(module, "admit", admit)
+            stats = engine.run(paths, num_nodes=4, max_steps=50)
+            fresh, _ = engine_run(paths, 4)
         assert_stats_equal(stats, fresh)
     assert seen == [(2, 4)] * 2
 
@@ -283,9 +289,7 @@ def a_run_after_one_step(priorities=None):
     the two that crossed, 0 then 3."""
     paths = np.asarray([[0, 2, 3]] * 3 + [[1, 2, 3]] * 2)
     flat, last = _normalise_paths(paths)
-    s = fast_scalar.ScalarRun(
-        flat, last, np.zeros(5, dtype=np.int64), priorities=priorities, num_nodes=4
-    )
+    s = fast_scalar.ScalarRun(flat, last, priorities=priorities, num_nodes=4)
     admit = fast_scalar.admit
     admit(s, list(range(5)), 0, 0, None)
     admit(s, fast_scalar.transmit(s), 1, 1, None)
@@ -375,26 +379,14 @@ def test_combining_into_the_head_and_into_a_waiter():
 
 def test_a_link_that_empties_rejoins_at_the_end_of_the_activation_order():
     """Link 0→2 sends 0 at step 0 and leaves ``active`` while 1→2 stays
-    busy; 3's injection at step 1 activates it again, behind 1→2 and
-    2→3, so at step 2 2 reaches node 2 before 3 and is sent first."""
-    paths = [[0, 2, 3], [1, 2, 3], [1, 2, 3], [0, 2, 3]]
-    inject = [0, 0, 0, 1]
-    stats = run_both(paths, inject=inject)
+    busy; 3, off its one-hop delay line, reaches node 0 at step 1 and
+    activates it again, behind 1→2 and 2→3, so at step 2 2 reaches node
+    2 before 3 and is sent first."""
+    paths, _ = delay_lines([[0, 2, 3], [1, 2, 3], [1, 2, 3], [0, 2, 3]], [0, 0, 0, 1])
+    stats = run_both(paths)
     assert stats.delays == [0, 1, 2, 2]
-    _, run = on_both_lanes_equal(paths, 4, injected_at=inject)
+    _, run = on_both_lanes_equal(paths, 5)
     assert run.arrived.tolist() == [2, 3, 4, 5]
-
-
-def test_an_injection_among_the_same_steps_arrivals_is_not_advanced():
-    """At step 1 packets 0 and 1 arrive at node 2 and 2 is injected
-    there: it joins link 2→3 behind them at its first slot, and is
-    delivered after one hop."""
-    paths = [[0, 2, 3], [1, 2, 3], [2, 3]]
-    inject = [0, 0, 1]
-    stats = run_both(paths, inject=inject)
-    assert (stats.delays, stats.hops, stats.max_queue) == ([0, 1, 2], [2, 2, 1], 3)
-    _, run = on_both_lanes_equal(paths, 4, injected_at=inject)
-    assert run.arrival_log == [0, 1, 0, 1, 1]
 
 
 def test_a_position_0_reply_cascade_fires_inside_the_arrival_pass(monkeypatch):
@@ -469,12 +461,11 @@ def test_an_apps_replay_sized_crcw_step_on_both_lanes_and_the_reference():
     ``dataclasses.asdict``-equal, and equal to the reference engine's."""
 
     def step(engine):
-        router, packets, num_nodes, request = routed_hot_reads(
+        router, hosts, num_nodes, request = routed_hot_reads(
             engine, 6, levels=7, n=300, keys=8
         )
-        hosts = [p.pid for p in packets if p.delivered and not p.combined]
         if engine == "reference":
-            return request, reference_replies(packets, hosts)
+            return request, reference_replies(router.last_packets, hosts)
         arrays = router.last_fast_run
         reply, built = laid_out(arrays, hosts, num_nodes, budget=400)
         return request, reply, arrays, built

@@ -14,11 +14,11 @@ layer, or the emulators' shared pipeline.  Row views come from
 iterating a ``RequestBatch``, next to the class that builds them.
 
 The same holds one layer down: the fast engine routes the rows of a path
-matrix, and a ``Packet`` exists only at the reference engine's boundary
-and in the hands of a caller that brought a list
-(``routing/packet.py`` converts, ``Router.route_packets`` calls it).
-Hence also: no ``Packet(...)`` / ``make_packets(...)`` call in
-``routing/fast_engine.py`` or ``routing/fast_phases.py``.
+matrix, on either lane, and a ``Packet`` exists only at the reference
+engine's boundary (``Router._materialise``, the reference reply
+packets).  Hence also: no ``Packet(...)`` / ``make_packets(...)`` call
+in ``routing/fast_engine.py``, ``routing/fast_phases.py`` or
+``routing/fast_scalar.py``.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ SERVED_PATH = (
 
 REQUEST_OBJECTS = ("TrafficRequest",)
 
-#: the fast engine's two modules
+#: the fast engine's modules: its interface and both lanes
 ENGINE_PATH = (
     "src/repro/routing/fast_engine.py",
     "src/repro/routing/fast_phases.py",
+    "src/repro/routing/fast_scalar.py",
 )
 
 PACKET_OBJECTS = ("Packet", "make_packets")
@@ -56,9 +57,10 @@ class FrontEndColumnsRule(FileRule):
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.relpath.startswith(ENGINE_PATH):
             banned, why = PACKET_OBJECTS, (
-                "built in the fast engine; it routes rows of flat paths "
-                "— convert a caller's list in routing/packet.py "
-                "(combine_groups_of / injection_times / write_back)"
+                "built in the fast engine; it routes integer columns "
+                "— rows of flat paths, read back through RunArrays — and "
+                "a Packet exists only on the reference engine's side "
+                "(Router._materialise)"
             )
         else:
             banned, why = REQUEST_OBJECTS, (

@@ -123,8 +123,6 @@ KEEP = {
     "repro.routing.queues:FurthestFirstQueue.peek": "b",
     "repro.routing.linear:_FurthestFirstLine._priority": "b",
     "repro.routing.linear:_FurthestFirstLine._reference_options": "b",
-    # caller-built packets' combine keys, on either engine
-    "repro.routing.packet:combine_groups_of": "b",
     # (c) oracles that tests compare served code against
     "repro.topology.base:Topology.distance": "c",
     "repro.topology.base:Topology.bfs_distance": "c",
@@ -203,9 +201,7 @@ KEEP = {
     "repro.routing.fast_engine:FastPathEngine.run | if _obs is not None:": "a",
     "repro.routing.fast_engine:FastPathEngine._run_batch | if rec is not None:": "a",
     "repro.sharding.service:ShardedEmulator.emulate_step | if not err.flight_tail:": "a",
-    # (a) a run that misses its allotment, and link faults on a capacity run
-    "repro.routing.fast_engine:FastPathEngine._run_batch | "
-    "if s.remaining == 0 or t >= max_steps:": "a",
+    # (a) link faults on a capacity run
     "repro.routing.fast_phases:advance_escapes | if f_flags is not None and f_flags[nl]:": "a",
     "repro.routing.fast_phases:classify_constrained | if s.f_any:": "a",
     "repro.routing.fast_phases:classify_constrained | if nb:": "a",
@@ -214,7 +210,6 @@ KEEP = {
     "repro.routing.fast_phases:peak_node_load | if arrays.max_node_load is not None:": "a",
     # (a) degenerate input: empty, halted, too small or unenveloped
     "repro.routing.fast_phases:peak_node_load | if not seen.size:": "a",
-    "repro.routing.fast_engine:_injection_batches | if not roots.size:": "a",
     "repro.pram.machine:PRAM.load | except StopIteration:": "a",
     "repro.pram.machine:PRAM.step | if self.live_processors == 0:": "a",
     "repro.pram.trace:RequestColumns.max_concurrency | if not self.num_requests:": "a",
@@ -227,9 +222,8 @@ KEEP = {
     "repro.hashing.loads:lemma22_bound | if gamma < delta:": "a",
     "repro.hashing.loads:lemma22_bound | if s_size < gamma:": "a",
     "repro.obs.schema:schema_of | if not isinstance(env, dict):": "a",
-    # (b) the reference engine's rules: the step budget, capacity under a
-    # service rate, profiling
-    "repro.routing.engine:SynchronousEngine.run | if r.remaining == 0 or t >= max_steps:": "b",
+    # (b) the reference engine's rules: capacity under a service rate,
+    # profiling
     "repro.routing.engine:SynchronousEngine.run | if prof is not None: #2": "b",
     "repro.routing.engine:transmit_serialized | "
     "if held(r, key) or (r.capacity is not None and stalled(r, key)):": "b",
@@ -253,13 +247,9 @@ KEEP = {
     "repro.topology.star:StarGraph.route_next | if cur == dest:": "b",
     "repro.routing.queues:_index_build | if key is not None:": "b",
     "repro.routing.queues:_index_remove | if key is None:": "b",
-    # (b) caller-built packets: what the reference engine leaves on them;
-    # and its spawn rule's position-0 cascade, on the fast engine too
+    # (b) a keyless reference packet; and the reference spawn rule's
+    # position-0 cascade, on the fast engine too
     "repro.routing.packet:Packet.combine_key | if self.address is None:": "b",
-    "repro.routing.packet:write_back | if track_paths:": "b",
-    "repro.routing.packet:write_back | if track_paths: #2": "b",
-    "repro.routing.packet:write_back | if combine:": "b",
-    "repro.routing.packet:write_back | if combine: #2": "b",
     "repro.routing.fast_phases:SpawnTables.fire | if kc >= 0 and self.trig_at_start[kc]:": "b",
     # (c) the shuffle's ablation baseline
     "repro.routing.shuffle_router:ShuffleRouter._draw | if not self.randomized:": "c",
