@@ -181,8 +181,9 @@ def many_one() -> Table:
     collapses the flow (§2.2.1)."""
     net = DAryButterflyLeveled(2, 6)
     n = net.column_size
-    stats = LeveledRouter(net, seed=9, combine=True).route(
-        np.arange(n), np.zeros(n, dtype=int), addresses=np.zeros(n, dtype=int)
+    # one address, one destination: every packet carries the same key
+    stats = LeveledRouter(net, seed=9).route(
+        np.arange(n), np.zeros(n, dtype=int), combine_keys=np.zeros(n, dtype=int)
     )
     return _table(
         "§2.2.1: many-one routing with combining (d=2, L=6)",

@@ -117,8 +117,9 @@ class StepColumns:
     sources: np.ndarray
     addrs: np.ndarray
     #: ``address * 2 + is_write``: requests that may combine (Theorem
-    #: 2.6) share one, and then share a module
-    combine_keys: np.ndarray
+    #: 2.6) share one, and then share a module; ``None`` in EREW mode,
+    #: where nothing combines
+    combine_keys: np.ndarray | None
     #: the writes' values, in row order from ``n_reads``
     payloads: list
 
@@ -385,9 +386,10 @@ class Emulator(ABC):
     # is handed (source, module, combine key) columns, and hosts /
     # absorbed rows come back as row arrays (``Router.absorbed_rows``);
     # no ``Packet`` is built here (the reference engine's are the
-    # router's business).  A served emulator's ``emulate_step`` composes
-    # the pieces below and supplies what is network-specific:
-    # ``_make_router(engine_mode, fault_base)``, its allotment and
+    # router's business, and so is resolving ``engine``: a router is
+    # built with ``engine=self.engine_mode``).  A served emulator's
+    # ``emulate_step`` composes the pieces below and supplies what is
+    # network-specific: ``_make_router(fault_base)``, its allotment and
     # budgets, placement (``_modules_of``) and the shape of its reply
     # phase.  The pieces read the state ``__init__`` builds.
 
@@ -426,9 +428,11 @@ class Emulator(ABC):
             )
         check_addresses(addrs, self.memory.size)
         sources = faults.map_processors(pids) if faults.has_processor_faults else pids
-        keys = addrs * 2
-        keys[n_reads:] += 1
-        if self.mode == "erew":
+        keys = None
+        if self.mode == "crcw":
+            keys = addrs * 2
+            keys[n_reads:] += 1
+        else:
             by_addr = np.sort(addrs)
             if (by_addr[1:] == by_addr[:-1]).any():
                 raise ValueError(
@@ -516,7 +520,6 @@ class Emulator(ABC):
     def _route_requests(
         self,
         cols: StepColumns,
-        engine_mode: str,
         *,
         allotment: int,
         last_resort: int,
@@ -548,7 +551,7 @@ class Emulator(ABC):
             # steps accumulate into the global fault timeline.
             fault_base = self.virtual_clock + log.stall_steps
             modules = self._prepare_attempt(cols.addrs, fault_base, log, rehash=rehash)
-            router = self._make_router(engine_mode, fault_base)
+            router = self._make_router(fault_base)
             wedged = False
             with obs.span(
                 "route_attempt",
@@ -660,8 +663,8 @@ class Emulator(ABC):
                 num_nodes=num_nodes,
                 observer=self.observer,
             )
-        # Reference engine: the requests recorded traces (track_paths)
-        # on the packets the router materialised.
+        # Reference engine: the packets the router materialised
+        # recorded their traces.
         requests = router.last_packets
         return SynchronousEngine(observer=self.observer).run(
             build_replies([requests[i] for i in read_hosts.tolist()]),

@@ -14,7 +14,9 @@ this module builds the reply packets and the spawn rule:
   reply is spawned there and walks the child's own prefix in reverse;
 * recursively for children of children.
 
-Requests routed with ``track_paths=True`` have everything needed.
+A request run on the reference engine has everything needed: every
+packet records its ``trace``.  Replies carry no address, so they never
+combine.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ __all__ = [
 def reverse_path_of(request: Packet) -> list[Hashable]:
     """Remaining reply path for *request*: its trace reversed, excluding
     the node the reply starts at (= the trace's last entry)."""
-    if request.trace is None:
-        raise ValueError(
-            f"packet {request.pid} has no trace; route requests with "
-            "track_paths=True to enable reply fan-out"
-        )
     return list(reversed(request.trace))[1:]
 
 
@@ -53,15 +50,10 @@ def make_reply(request: Packet, pid: int) -> Packet:
 
     The reply's ``state`` is ``(path, index, request)``: the reverse path
     to walk, the current position, and the originating request (for
-    locating children).  ``dest`` is the requester's source node.
+    locating children).  ``dest`` is the requester's source node.  It
+    has no address: replies never combine.
     """
-    reply = Packet(
-        pid,
-        request.node,
-        request.source,
-        kind="reply",
-        address=request.address,
-    )
+    reply = Packet(pid, request.node, request.source)
     reply.state = (reverse_path_of(request), 0, request)
     return reply
 

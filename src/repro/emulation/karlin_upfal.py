@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.emulation.base import AttemptLog, StepCost, check_addresses
 from repro.emulation.mesh import MeshEmulator
 from repro.pram.trace import RequestColumns
-from repro.routing.fast_engine import resolve_engine_mode
 
 
 class KarlinUpfalMeshEmulator(MeshEmulator):
@@ -31,7 +30,7 @@ class KarlinUpfalMeshEmulator(MeshEmulator):
         super().__init__(mesh, address_space, **kwargs)
 
     def _route_leg(self, sources, dests):
-        router = self._make_router(resolve_engine_mode(self.engine_mode))
+        router = self._make_router()
         n = self.mesh.rows + self.mesh.cols
         stats = router.route(sources, dests, max_steps=500 * n + 2000)
         if not stats.completed:  # the baseline has no rehash / retry loop

@@ -25,7 +25,6 @@ from typing import Literal
 
 from repro.emulation.base import Emulator, StepCost
 from repro.pram.trace import RequestColumns
-from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.leveled_router import LeveledRouter
 from repro.topology.compiled import compile_leveled
 from repro.topology.leveled import LeveledNetwork
@@ -44,7 +43,8 @@ class LeveledEmulator(Emulator):
         M — the emulated PRAM's shared-memory size.
     mode:
         "erew" routes requests without combining (Theorem 2.5);
-        "crcw" enables combining + tree fan-out replies (Theorem 2.6).
+        "crcw" routes them with combine keys, so they combine, and fans
+        the replies out along the combining trees (Theorem 2.6).
     intermediate:
         Phase-1 flavor of the universal algorithm ("coin" = Algorithm 2.1,
         "node" = Algorithms 2.2/2.3).
@@ -90,24 +90,14 @@ class LeveledEmulator(Emulator):
         """2L: one pass through the leveled structure each way."""
         return 2.0 * self.net.num_levels
 
-    def _make_router(self, engine_mode: str, fault_base: int = 0) -> LeveledRouter:
-        # The fast engine only engages when trajectories are compilable
-        # (node mode, or coin mode on a uniform-degree network).  Traces
-        # are recorded only when the router will run on the reference
-        # engine: the fast reply phase rebuilds reverse itineraries from
-        # the router's compiled integer paths instead.
-        fast_engages = engine_mode == "fast" and (
-            self.intermediate == "node" or self.net.uniform_out_degree
-        )
+    def _make_router(self, fault_base: int = 0) -> LeveledRouter:
         return LeveledRouter(
             self.net,
             intermediate=self.intermediate,
             seed=self.rng,
-            combine=(self.mode == "crcw"),
             node_capacity=self.node_capacity,
             flow_control=self.flow_control,
-            track_paths=not fast_engages,
-            engine=engine_mode,
+            engine=self.engine_mode,
             link_faults=self.faults.link_timeline,
             fault_base=fault_base,
             observer=self.observer,
@@ -116,11 +106,9 @@ class LeveledEmulator(Emulator):
     # ------------------------------------------------------------------
     def emulate_step(self, step: RequestColumns) -> StepCost:
         cols = self._step_columns(step)
-        engine_mode = resolve_engine_mode(self.engine_mode)
         L = self.net.num_levels
         router, modules, req_stats, log = self._route_requests(
             cols,
-            engine_mode,
             # An allotment below the 2L path length guarantees timeouts;
             # that is intentional (tests force rehash storms this way).
             allotment=max(int(self.rehash_factor * 2 * L), 1),

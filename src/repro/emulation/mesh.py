@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.emulation.base import Emulator, StepCost
 from repro.pram.trace import RequestColumns
-from repro.routing.fast_engine import resolve_engine_mode
 from repro.routing.mesh_router import MeshRouter
 from repro.topology.mesh import Mesh2D
 
@@ -49,7 +48,8 @@ class MeshEmulator(Emulator):
     ----------
     mode:
         ``"erew"`` (exclusive accesses, Theorem 3.2) or ``"crcw"``
-        (combining + reply fan-out along the merge trees).
+        (requests routed with combine keys, so they combine, and reply
+        fan-out along the merge trees).
     placement:
         ``"hash"`` (Karlin–Upfal hashed memory, the default) or
         ``"direct"`` (address a lives at node a — the locality mode of
@@ -115,19 +115,14 @@ class MeshEmulator(Emulator):
     def _modules_of(self, addrs: np.ndarray) -> np.ndarray:
         return addrs if self.placement == "direct" else self.hash.map(addrs)
 
-    def _make_router(self, engine_mode: str, fault_base: int = 0) -> MeshRouter:
-        # Traces are only recorded on the reference engine — the fast
-        # CRCW reply phase rebuilds reverse itineraries from the router's
-        # compiled integer paths instead.
+    def _make_router(self, fault_base: int = 0) -> MeshRouter:
         return MeshRouter(
             self.mesh,
             seed=self.rng,
             slice_rows=self.slice_rows,
             node_capacity=self.node_capacity,
             flow_control=self.flow_control,
-            track_paths=(self.mode == "crcw" and engine_mode == "reference"),
-            combine=(self.mode == "crcw"),
-            engine=engine_mode,
+            engine=self.engine_mode,
             link_faults=self.faults.link_timeline,
             fault_base=fault_base,
             observer=self.observer,
@@ -136,12 +131,10 @@ class MeshEmulator(Emulator):
     # ------------------------------------------------------------------
     def emulate_step(self, step: RequestColumns) -> StepCost:
         cols = self._step_columns(step)
-        engine_mode = resolve_engine_mode(self.engine_mode)
         n = self.mesh.rows + self.mesh.cols
         patience = 500 * n + 2000  # last-resort request and reply budget
         router, modules, req_stats, log = self._route_requests(
             cols,
-            engine_mode,
             allotment=max(int(self.rehash_factor * n), n + 4),
             last_resort=patience,
             rehash=self.placement == "hash",
@@ -166,7 +159,6 @@ class MeshEmulator(Emulator):
                     reply_stats = self._replies_fresh_route(
                         modules[read_hosts],
                         cols.sources[read_hosts],
-                        engine_mode,
                         patience,
                         log,
                         fault_base=(
@@ -180,9 +172,7 @@ class MeshEmulator(Emulator):
             cols, req_stats, reply_stats, log, step.from_reads_first(modules)
         )
 
-    def _replies_fresh_route(
-        self, modules, processors, engine_mode: str, budget: int, log, fault_base: int
-    ):
+    def _replies_fresh_route(self, modules, processors, budget: int, log, fault_base: int):
         """EREW replies: an independent run of the 3-stage router from the
         *modules* back to the requesting *processors* (the paper's
         phase 2).
@@ -199,7 +189,7 @@ class MeshEmulator(Emulator):
         that never completed is ``_finish_step``'s to raise.
         """
         for _attempt in range(self.max_rehashes + 1):
-            router = self._make_router(engine_mode, fault_base)
+            router = self._make_router(fault_base)
             stats = router.route(modules, processors, max_steps=budget)
             if stats.completed:
                 break

@@ -137,7 +137,7 @@ def run_e6_combining_ablation(size: int = 5, *, trials: int = 3, seed=53) -> Tab
         from repro.routing.leveled_router import LeveledRouter
 
         h = HashFamily(m, net.column_size, 2 * net.num_levels).sample(rng)
-        router = LeveledRouter(net, seed=rng, combine=False)
+        router = LeveledRouter(net, seed=rng)
         stats = router.route(
             step.pids.tolist(),
             [int(h(addr)) for addr in step.addrs.tolist()],

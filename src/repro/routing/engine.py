@@ -47,10 +47,11 @@ and :meth:`SynchronousEngine.run` is a step loop over them:
   pop-and-advance, that every transmission rule calls;
 * :func:`no_progress`: a step that moved nothing, with no link held by
   a fault, raises :class:`DeadlockError`;
-* :func:`place` traces the packet, places what ``on_arrival`` spawns,
-  and delivers it (:func:`deliver`), lands it in its escape buffer, or
-  enqueues it (:func:`enqueue`), where :func:`absorb` combines it
-  (Theorem 2.6, "combined into one packet in one unit time").
+* :func:`place` appends the node to the packet's ``trace``, places what
+  ``on_arrival`` spawns, and delivers it (:func:`deliver`), lands it in
+  its escape buffer, or enqueues it (:func:`enqueue`), where
+  :func:`absorb` combines it if it has a ``combine_key`` (Theorem 2.6,
+  "combined into one packet in one unit time").
 
 Reference engine vs. fast path
 ------------------------------
@@ -127,8 +128,6 @@ class SynchronousEngine:
     queue_factory:
         Zero-argument callable building a fresh :class:`LinkQueue` per
         link (default FIFO).
-    combine:
-        Enable CRCW packet combining for packets carrying an ``address``.
     node_capacity:
         If set, a node refuses new arrivals beyond this many resident
         packets: upstream links stall (backpressure, see
@@ -141,9 +140,6 @@ class SynchronousEngine:
         ``"none"`` (default) is plain backpressure; ``"credit"`` adds
         the deadlock-free escape channel of
         :mod:`repro.routing.flow_control` (requires ``node_capacity``).
-    track_paths:
-        Record every visited node key in ``packet.trace`` (needed to fan
-        replies back along combining trees).
     observer:
         Optional :class:`repro.obs.Observer`.  When it carries a
         :class:`~repro.obs.PhaseProfile`, the step loop accumulates
@@ -160,15 +156,12 @@ class SynchronousEngine:
         self,
         *,
         queue_factory: Callable[[], LinkQueue] = fifo_factory,
-        combine: bool = False,
         node_capacity: int | None = None,
         node_service_rate: int | None = None,
         flow_control: str = "none",
-        track_paths: bool = False,
         observer=None,
     ) -> None:
         self.queue_factory = queue_factory
-        self.combine = combine
         self.node_capacity = node_capacity
         self.node_service_rate = node_service_rate
         self.flow_control = resolve_flow_control(
@@ -176,7 +169,6 @@ class SynchronousEngine:
             node_capacity=node_capacity,
             node_service_rate=node_service_rate,
         )
-        self.track_paths = track_paths
         self.observer = observer
 
     def run(
@@ -191,6 +183,11 @@ class SynchronousEngine:
     ) -> RoutingStats:
         """Route *packets*, all injected at their ``node`` at step 0,
         until all are delivered or *max_steps* elapse.
+
+        Every visited node key is recorded in ``packet.trace`` (what a
+        reply walks back), and packets sharing a ``combine_key`` merge
+        when one is enqueued behind the other: a run combines exactly
+        when its packets carry addresses.
 
         ``on_arrival(p)``, if given, runs at every node *p* reaches and may
         return new packets to inject there immediately (their ``node`` must
@@ -280,10 +277,8 @@ class ReferenceRun:
     def __init__(self, engine: SynchronousEngine, packets: Sequence[Packet], next_hop: NextHop,
                  on_arrival=None, link_faults=None, fault_base: int = 0) -> None:  # fmt: skip
         self.queue_factory = engine.queue_factory
-        self.combine = engine.combine
         self.capacity = engine.node_capacity
         self.service_rate = engine.node_service_rate
-        self.track_paths = engine.track_paths
         self.observer = engine.observer
         self.prof = engine.observer.profile if engine.observer is not None else None
         self.next_hop = next_hop
@@ -467,11 +462,10 @@ def place(r: ReferenceRun, p: Packet, t: int) -> None:
     """*p* has reached ``p.node`` at step *t*: trace it, place what
     ``on_arrival`` spawns there, then deliver *p*, land it in the escape
     buffer it claimed, or enqueue it toward its next hop."""
-    if r.track_paths:
-        if p.trace is None:
-            p.trace = [p.node]
-        else:
-            p.trace.append(p.node)
+    if p.trace is None:
+        p.trace = [p.node]
+    else:
+        p.trace.append(p.node)
     if r.on_arrival is not None:
         for q in r.on_arrival(p) or ():
             if q.node != p.node:
@@ -493,14 +487,14 @@ def place(r: ReferenceRun, p: Packet, t: int) -> None:
 
 
 def enqueue(r: ReferenceRun, p: Packet, key: Link) -> None:
-    """Queue *p* on link *key*, unless :func:`absorb` combines it."""
+    """Queue *p* on link *key*, unless it has a combine key and
+    :func:`absorb` combines it."""
     q = r.queues.get(key)
     if q is None:
         q = r.queues[key] = r.queue_factory()
-    if r.combine:
-        ckey = p.combine_key
-        if ckey is not None and absorb(r, q, p, ckey):
-            return
+    ckey = p.combine_key
+    if ckey is not None and absorb(r, q, p, ckey):
+        return
     q.push(p)
     r.active[key] = None
     u = key[0]

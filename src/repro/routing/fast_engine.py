@@ -177,7 +177,8 @@ class FastPathEngine:
     Parameters mirror the reference engine: ``node_capacity`` enables the
     backpressure model (arrival slots reserved during the transmission
     phase, delivered-at-target heads exempt) — bit-for-bit the semantics
-    of :class:`~repro.routing.engine.SynchronousEngine`.
+    of :class:`~repro.routing.engine.SynchronousEngine`.  A run
+    combines exactly when :meth:`run` is handed ``combine_groups``.
     ``flow_control="credit"`` adds the deadlock-free credit/escape
     protocol of :mod:`repro.routing.flow_control` (escape buffers are
     keyed by interned link index — 1:1 with the reference engine's
@@ -205,12 +206,10 @@ class FastPathEngine:
     def __init__(
         self,
         *,
-        combine: bool = False,
         node_capacity: int | None = None,
         flow_control: str = "none",
         observer=None,
     ) -> None:
-        self.combine = combine
         self.node_capacity = node_capacity
         self.flow_control = resolve_flow_control(
             flow_control, node_capacity=node_capacity
@@ -282,10 +281,10 @@ class FastPathEngine:
         :class:`~repro.routing.packet.PacketColumns`, replies that exist
         only as reversed request rows — and the run's outcome
         is the returned stats plus the per-packet arrays left on
-        :attr:`last_arrays`.  ``combine_groups`` is a combining
-        engine's key column: one non-negative int per row, two packets
-        may merge iff they share it (and then share a destination — the
-        caller's guarantee); omitted, nothing combines.
+        :attr:`last_arrays`.  ``combine_groups`` is the population's key
+        column: one non-negative int per row, two packets may merge iff
+        they share it (and then share a destination — the caller's
+        guarantee); omitted, nothing combines.
 
         ``link_faults`` is an optional
         :class:`~repro.faults.runtime.LinkFaultView` whose keys are
@@ -377,7 +376,7 @@ class FastPathEngine:
             # takes() below refuses it too: the vector lane routes it
             paths, shared["links"], spawn = reply_layout(paths)
         flat, last = _normalise_paths(paths)
-        tables = (flat, last, combine_groups if self.combine else None)
+        tables = (flat, last, combine_groups)
         if fast_scalar.takes(len(last), self.node_capacity, link_faults):
             return fast_scalar.ScalarRun(*tables, **shared)
         return RunState(

@@ -753,10 +753,11 @@ def refresh_fault_flags(s: RunState, t: int) -> None:
             codes = (s.link_src * num_nodes + s.link_dst).tolist()
             for li, code in enumerate(codes):
                 s.f_code_li.setdefault(code, []).append(li)
-        for u, w in sorted(fstatic):
-            lis.extend(s.f_code_li.get(u * num_nodes + w, ()))
-        for u, w in fextra:
-            lis.extend(s.f_code_li.get(u * num_nodes + w, ()))
+        for u, w in (*sorted(fstatic), *fextra):
+            # a wire to a node outside the id space is on no path here,
+            # and its code would alias one that is
+            if 0 <= w < num_nodes:
+                lis.extend(s.f_code_li.get(u * num_nodes + w, ()))
     s.f_cur = np.asarray(lis, dtype=np.int64)
     s.f_flags[s.f_cur] = True
     s.f_last_parts = parts
@@ -1588,7 +1589,8 @@ def check_invariants(
       absorbed and not yet injected are disjoint, and ``remaining`` is
       the live packets (with the subtrees absorbed into them) plus the
       roots not yet injected — a packet in none of the states has never
-      moved.
+      moved, and once a step *t* is named (after the step-0 admission)
+      every root is in one of them.
 
     A test instrument: O(packets + links) with a Python walk per chain,
     called by nothing on the served path.
@@ -1679,6 +1681,12 @@ def check_invariants(
     live = np.concatenate([queued, flight, escaped])
     weight = live.size if s.subtree is None else int(np.add.reduce(s.subtree[live]))
     unborn = unborn[unborn < s.roots.size]  # a reply not yet spawned is no root
+    if unborn.size and t is not None:
+        raise RunInvariantError(
+            "conservation",
+            f"root {int(unborn[0])} is neither queued, in flight, delivered nor "
+            f"absorbed at step {t}: the step-0 admission lost it",
+        )
     if s.remaining != weight + unborn.size:
         raise RunInvariantError(
             "conservation",

@@ -524,9 +524,10 @@ def check_invariants(s: ScalarRun, t: int | None = None) -> None:
     * chains: no packet is queued twice, each queued packet's next hop
       (``key[fl[i]]``) is its link, and under priorities each chain —
       the head, then its waiters — never rises;
-    * conservation: ``remaining`` is the subtree sizes of the queued
-      packets plus the roots not yet injected (those neither queued,
-      delivered nor absorbed); a spawned packet is always one of those;
+    * conservation: a spawned packet is always queued, delivered or
+      absorbed, and so — once a step *t* is named, that is after the
+      step-0 admission — is every root; ``remaining`` is the subtree
+      sizes of the queued packets plus the roots not yet injected;
     * the arrival log: no entry after *t*.
 
     Nothing on the served path calls it; ``tests/test_scalar_lane.py``
@@ -562,7 +563,14 @@ def check_invariants(s: ScalarRun, t: int | None = None) -> None:
             "conservation",
             f"spawned packet {min(lost)} is neither queued, delivered nor absorbed",
         )
-    pending = len(set(s.roots.tolist()) - placed)
+    unplaced = set(s.roots.tolist()) - placed
+    if unplaced and t is not None:
+        raise RunInvariantError(
+            "conservation",
+            f"root {min(unplaced)} is neither queued, delivered nor absorbed "
+            f"at step {t}: the step-0 admission lost it",
+        )
+    pending = len(unplaced)
     owed = sum(s.subtree[i] for i in queued) + pending
     if s.remaining != owed:
         raise RunInvariantError(

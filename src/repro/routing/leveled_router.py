@@ -57,10 +57,8 @@ class LeveledRouter(Router):
         *,
         intermediate: Literal["coin", "node"] = "coin",
         seed=None,
-        combine: bool = False,
         node_capacity: int | None = None,
         flow_control: str = "none",
-        track_paths: bool = False,
         engine: str = "auto",
         link_faults=None,
         fault_base: int = 0,
@@ -75,10 +73,8 @@ class LeveledRouter(Router):
             default_max_steps=40 * net.num_levels + 100,
             num_endpoints=net.column_size,
             seed=seed,
-            combine=combine,
             node_capacity=node_capacity,
             flow_control=flow_control,
-            track_paths=track_paths,
             engine=engine,
             link_faults=link_faults,
             fault_base=fault_base,
@@ -159,23 +155,6 @@ class LeveledRouter(Router):
         wraps it here by name.
         """
         return super().route_packets(cols, max_steps=max_steps)
-
-    def route(
-        self,
-        sources: Sequence[int],
-        dests: Sequence[int],
-        *,
-        max_steps: int | None = None,
-        combine_keys: Sequence[int] | None = None,
-        addresses: Sequence[int] | None = None,
-    ) -> RoutingStats:
-        """Route packets from column-0 *sources* to last-column *dests*;
-        with *addresses*, packets sharing (address, dest) may combine."""
-        if addresses is not None:
-            combine_keys = np.asarray(addresses) * self.num_endpoints + np.asarray(dests)
-        return super().route(
-            sources, dests, max_steps=max_steps, combine_keys=combine_keys
-        )
 
     def route_h_relation(
         self,

@@ -77,8 +77,6 @@ class MeshRouter(Router):
         discipline: str = "furthest_first",
         node_capacity: int | None = None,
         flow_control: str = "none",
-        track_paths: bool = False,
-        combine: bool = False,
         engine: str = "auto",
         link_faults=None,
         fault_base: int = 0,
@@ -88,10 +86,8 @@ class MeshRouter(Router):
             mesh,
             default_max_steps=30 * (mesh.rows + mesh.cols) + 200,
             seed=seed,
-            combine=combine,
             node_capacity=node_capacity,
             flow_control=flow_control,
-            track_paths=track_paths,
             engine=engine,
             link_faults=link_faults,
             fault_base=fault_base,

@@ -1,9 +1,9 @@
 """Packets: the unit of communication in every routing algorithm (§2.2.1).
 
 A packet is a (source, destination) pair plus bookkeeping: the engine
-tracks hops, queueing delay, and (optionally) the traversed path; the
-emulation layer adds an address/payload and a combining tree (children
-absorbed at merge points, Theorem 2.6's "log d direction bits" realized as
+tracks hops, queueing delay and the traversed path; a request adds a
+combine key (its ``address``) and a combining tree (children absorbed at
+merge points, Theorem 2.6's "log d direction bits" realized as
 remembered merge structure).
 """
 
@@ -24,8 +24,9 @@ class PacketColumns(NamedTuple):
     ``sources`` / ``dests`` are the router's endpoint ids (a column-0
     row and a last-column row on a leveled network, node ids on a flat
     topology).  Rows sharing a ``combine_keys`` entry (non-negative
-    ints) may combine when the router combines — the caller guarantees
-    that they also share a destination; ``None``: nothing combines.
+    ints) may combine — the caller guarantees that they also share a
+    destination; ``None``: nothing combines.  A run combines exactly
+    when its population carries keys.
     """
 
     sources: np.ndarray
@@ -53,9 +54,7 @@ class Packet:
         "source",
         "dest",
         "node",
-        "kind",
         "address",
-        "payload",
         "state",
         "hops",
         "injected_at",
@@ -71,17 +70,13 @@ class Packet:
         source: Hashable,
         dest: Hashable,
         *,
-        kind: str = "data",
         address: int | None = None,
-        payload: Any = None,
     ) -> None:
         self.pid = pid
         self.source = source
         self.dest = dest
         self.node = source
-        self.kind = kind
         self.address = address
-        self.payload = payload
         self.state: Any = None
         self.hops = 0
         self.injected_at = 0
@@ -95,13 +90,13 @@ class Packet:
     def combine_key(self) -> tuple | None:
         """Key under which this packet may merge with others, or None.
 
-        Packets carrying no ``address`` never combine (a data packet has
-        nothing to deduplicate); packets agree on a key exactly when they
-        request the same (kind, address, destination) triple.
+        Packets carrying no ``address`` never combine (a data packet or
+        a reply has nothing to deduplicate); packets agree on a key
+        exactly when they request the same (address, destination) pair.
         """
         if self.address is None:
             return None
-        return (self.kind, self.address, self.dest)
+        return (self.address, self.dest)
 
     def absorb(self, other: "Packet") -> None:
         """Merge *other* into this packet (concurrent access combining).
@@ -148,24 +143,13 @@ class Packet:
         return f"Packet({self.pid}, {self.source}->{self.dest}, {status})"
 
 
-def make_packets(
-    sources,
-    dests,
-    *,
-    kind: str = "data",
-    addresses=None,
-    payloads=None,
-) -> list[Packet]:
+def make_packets(sources, dests, *, addresses=None) -> list[Packet]:
     """Build a packet per (source, dest) pair with sequential ids."""
     sources = list(sources)
     dests = list(dests)
     if len(sources) != len(dests):
         raise ValueError("sources and dests must have equal length")
-    packets = []
-    for i, (s, d) in enumerate(zip(sources, dests)):
-        addr = None if addresses is None else addresses[i]
-        pay = None if payloads is None else payloads[i]
-        packets.append(
-            Packet(i, s, d, kind=kind, address=addr, payload=pay)
-        )
-    return packets
+    return [
+        Packet(i, s, d, address=None if addresses is None else addresses[i])
+        for i, (s, d) in enumerate(zip(sources, dests))
+    ]

@@ -4,7 +4,8 @@ The paper has *one* routing scheme.  Algorithm 2.1 is "universal", and
 Algorithms 2.2/2.3 and the §3.4 mesh router are the same plan on a
 specific network: pre-draw the randomness, walk to an intermediate, walk
 to the destination.  :class:`Router` owns what every instance of that
-plan shares — engine selection, the one place a router meets an engine,
+plan shares — engine selection (the only place an engine mode is
+resolved), the one place a router meets an engine,
 option forwarding, the link-fault views, the permutation / relation
 entry points and the one place ``Packet`` objects are made — and a
 concrete router keeps only its itinerary, as a few hooks called once
@@ -36,7 +37,9 @@ packet from it starts at; a packet to endpoint ``d`` exits at key
 leveled network's destinations sit one full itinerary past its sources).
 
 A population is integer columns whose packets all start at step 0,
-and on the fast engine it stays anonymous.  ``Packet`` objects exist at
+and on the fast engine it stays anonymous.  It combines exactly when it
+carries combine keys (:class:`~repro.routing.packet.PacketColumns`);
+no router option switches combining on or off.  ``Packet`` objects exist at
 the reference engine's boundary only: :meth:`Router.route_packets`
 materialises the columns there.  Either way a run's per-row outcome is
 read back through :meth:`Router.absorbed_rows` and
@@ -90,8 +93,6 @@ class Router:
         RNG seed/generator for every draw of a run (permutation, then
         intermediates / coins / rows); a fixed seed gives bit-identical
         results on both engines.
-    combine:
-        CRCW combining of same-(kind, address, dest) packets at enqueue.
     node_capacity:
         Bound on packets resident at one node; upstream links stall
         when a node is full (backpressure, §3.4 / Corollary 3.3).
@@ -102,10 +103,6 @@ class Router:
         :class:`~repro.routing.flow_control.DeadlockError`;
         ``"credit"`` (requires ``node_capacity``) adds the deadlock-free
         credit/escape protocol of :mod:`repro.routing.flow_control`.
-    track_paths:
-        Record visited node keys in ``packet.trace`` on the reference
-        engine (the fast path exposes compiled itineraries via
-        ``last_fast_run``).
     engine:
         ``"reference"`` is the readable per-hop engine, ``"fast"`` the
         compiled integer path
@@ -113,8 +110,11 @@ class Router:
         batch, constrained batch under ``node_capacity`` — see
         ``docs/architecture.md``); ``"auto"`` (default) resolves via the
         ``REPRO_ENGINE`` environment variable and falls back to the fast
-        path.  ``RoutingStats.run_mode`` says which ran: a router whose
+        path, once per run in :meth:`route_packets`.
+        ``RoutingStats.run_mode`` says which ran: a router whose
         itineraries cannot be compiled runs ``"reference"`` regardless.
+        A reference run records every packet's ``trace`` (the fast path
+        exposes compiled itineraries via ``last_fast_run``).
     link_faults, fault_base:
         A :class:`~repro.faults.runtime.LinkFaultTimeline` of
         physical-wire specs; the engine that runs gets a view keyed by
@@ -132,10 +132,8 @@ class Router:
         default_max_steps: int,
         num_endpoints: int | None = None,
         seed=None,
-        combine: bool = False,
         node_capacity: int | None = None,
         flow_control: str = "none",
-        track_paths: bool = False,
         engine: str = "auto",
         link_faults=None,
         fault_base: int = 0,
@@ -152,10 +150,8 @@ class Router:
             topology.num_nodes if num_endpoints is None else num_endpoints
         )
         self.rng = as_generator(seed)
-        self.combine = combine
         self.node_capacity = node_capacity
         self.flow_control = flow_control
-        self.track_paths = track_paths
         self.engine_mode = engine
         self.observer = observer
         self.fault_base = int(fault_base)
@@ -230,7 +226,6 @@ class Router:
             faults = self._link_faults.view(self._fault_keys)
         # forwarded unchanged to whichever engine runs
         options = dict(
-            combine=self.combine,
             node_capacity=self.node_capacity,
             flow_control=self.flow_control,
             observer=self.observer,
@@ -242,9 +237,7 @@ class Router:
             self.last_packets = packets
             if self._reference is None:
                 self._reference = SynchronousEngine(
-                    **options,
-                    track_paths=self.track_paths,
-                    **self._reference_options(),
+                    **options, **self._reference_options()
                 )
             return self._reference.run(
                 packets,

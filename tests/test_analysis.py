@@ -65,7 +65,7 @@ class TestQueueLineLemma:
             return array.route_next(p.node, p.dest)
 
         packets = make_packets(origins, dests)
-        engine = SynchronousEngine(track_paths=True)
+        engine = SynchronousEngine()
         stats = engine.run(packets, next_hop, max_steps=200)
         assert stats.completed
         return packets

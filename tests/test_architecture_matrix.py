@@ -518,12 +518,14 @@ def test_the_fast_engine_takes_columns_and_a_network_has_one_id_space():
         "self", "packets", "next_hop", "max_steps", "on_arrival", "link_faults",
         "fault_base",
     ]
+    # no combining switch (a run combines iff its population carries
+    # keys) and no trace switch (the reference engine always traces)
     assert params(FastPathEngine.__init__) == [
-        "self", "combine", "node_capacity", "flow_control", "observer",
+        "self", "node_capacity", "flow_control", "observer",
     ]
     assert params(SynchronousEngine.__init__) == [
-        "self", "queue_factory", "combine", "node_capacity", "node_service_rate",
-        "flow_control", "track_paths", "observer",
+        "self", "queue_factory", "node_capacity", "node_service_rate",
+        "flow_control", "observer",
     ]
     assert CompiledRun._fields == ("paths", "num_nodes", "priorities", "links")
     src = DOC.parent.parent / "src/repro"
@@ -602,14 +604,15 @@ def test_traced_entry_points_stay_on_their_own_classes():
     assert repro.routing.leveled_router.LeveledRouter is LeveledRouter
 
 
-#: the public surface before the routers moved onto one base: no knob
-#: was added to get there, and none was lost
+#: the public surface, pinned: an option is added or removed only with
+#: this table.  There is no combining or trace switch: a population
+#: combines iff it carries keys, and a reference run always traces
 SIGNATURES = {
-    LeveledRouter: "(net, *, intermediate='coin', seed=None, combine=False, "
-    "node_capacity=None, flow_control='none', track_paths=False, engine='auto', "
+    LeveledRouter: "(net, *, intermediate='coin', seed=None, "
+    "node_capacity=None, flow_control='none', engine='auto', "
     "link_faults=None, fault_base=0, observer=None)",
     MeshRouter: "(mesh, *, seed=None, slice_rows=None, discipline='furthest_first', "
-    "node_capacity=None, flow_control='none', track_paths=False, combine=False, "
+    "node_capacity=None, flow_control='none', "
     "engine='auto', link_faults=None, fault_base=0, observer=None)",
     GreedyMeshRouter: "(mesh, *, node_capacity=None, flow_control='none', "
     "engine='auto', observer=None)",
@@ -773,6 +776,48 @@ def test_one_request_format_from_the_machine_to_every_emulator():
 # ---------------------------------------------------------------------------
 # one emulator object: a shared constructor, one way to step it
 # ---------------------------------------------------------------------------
+
+
+def test_the_router_alone_resolves_the_engine_and_keys_alone_combine():
+    """One owner per decision: an emulator builds its routers with
+    ``engine=self.engine_mode`` and lets ``Router.route_packets`` resolve
+    it — ``resolve_engine_mode`` is called under ``emulation/`` only by
+    ``Emulator.__init__``'s eager validation, and no emulator method
+    takes an ``engine_mode`` — and nothing there switches combining or
+    traces: whether a run combines is whether its rows carry keys."""
+    from repro.routing import SynchronousEngine
+    from repro.routing.engine import ReferenceRun
+    from repro.routing.router import Router
+
+    found = []  # (module, enclosing definition, what)
+    for path in sorted((SRC / "emulation").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = {}
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in (f for f in defs if isinstance(f, FUNCTIONS)):
+                label = f"{top.name}.{fn.name}" if fn is not top else fn.name
+                where.update((id(node), label) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            site = (path.name, where.get(id(node), "<module>"))
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == (
+                    "resolve_engine_mode"
+                ):
+                    found.append((*site, "resolve_engine_mode"))
+                found += [
+                    (*site, f"{k.arg}=")
+                    for k in node.keywords
+                    if k.arg in ("combine", "track_paths")
+                ]
+            elif isinstance(node, ast.arg) and node.arg == "engine_mode":
+                found.append((*site, "engine_mode parameter"))
+    assert found == [("base.py", "Emulator.__init__", "resolve_engine_mode")]
+    for fn in (Router.__init__, LeveledRouter, MeshRouter, SynchronousEngine.__init__):
+        assert not {"combine", "track_paths"} & set(inspect.signature(fn).parameters)
+    assert not {"combine", "track_paths"} & set(vars(ReferenceRun(SynchronousEngine(), [], None)))
+    assert "addresses" not in inspect.signature(LeveledRouter.route).parameters
 
 
 def test_an_emulator_has_one_verb_and_one_builder_of_its_shared_state():

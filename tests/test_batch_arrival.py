@@ -134,9 +134,7 @@ def run_both(
     num_nodes = max((max(row) for row in paths), default=0) + 1
     ragged = len({len(row) for row in paths}) > 1
     combine = addresses is not None
-    kwargs = dict(
-        combine=combine, node_capacity=node_capacity, flow_control=flow_control
-    )
+    kwargs = dict(node_capacity=node_capacity, flow_control=flow_control)
     faults = (lambda: DownUntil(*down)) if down is not None else (lambda: None)
 
     fast_engine = FastPathEngine(**kwargs)
@@ -618,7 +616,7 @@ def test_the_first_same_key_arrival_on_an_idle_link_hosts():
     kwargs = scenario_same_key_on_an_idle_link()
     assert run_both(**kwargs).combines == 1
     paths, _ = delay_lines(kwargs["paths"], kwargs["inject"])
-    engine = FastPathEngine(combine=True)
+    engine = FastPathEngine()
     for name in LANES:
         with forced_lane(name):
             engine.run(
@@ -748,6 +746,16 @@ def test_hotspot_sweep_matches_reference(instance):
     run_both(**instance)
 
 
+def test_a_wire_to_a_node_outside_the_id_space_blocks_nothing():
+    """A shrunk counterexample of the sweep above: a down wire to node 3
+    of a run whose paths name nodes 0-2 only.  The reference engine
+    never meets it, so the fast one must not fold its
+    ``u * num_nodes + w`` code onto the delay-line wire (1, 0) and hold
+    packet 0 a step."""
+    f = run_both([[0], [0]], inject=[1, 1], down=((0, 3), 1))
+    assert (f.steps, f.fault_stalls) == (1, 0)
+
+
 #: priority values a furthest-first sweep draws from: a dense handful
 #: (ties are the common case) and a sparse, wide tail — what a table per
 #: (link, priority value) would pay 10^6 slots a link for
@@ -808,7 +816,8 @@ def test_mesh_furthest_first_matches_reference(
 ):
     """The §3.4 router under many-one traffic (``hot_share`` of every
     four packets go to one node), CRCW combining, capacity with and
-    without credits, and a wire that is down for the first steps."""
+    without credits, and a wire that is down for the first steps;
+    without ``combine`` the requests carry no keys."""
     mesh = Mesh2D.square(side)
     n = mesh.num_nodes
     rng = np.random.default_rng(seed)
@@ -824,7 +833,6 @@ def test_mesh_furthest_first_matches_reference(
         router = MeshRouter(
             mesh,
             seed=seed,
-            combine=combine,
             node_capacity=capacity,
             flow_control=flow,
             engine=engine,
@@ -834,7 +842,7 @@ def test_mesh_furthest_first_matches_reference(
             range(n),
             dests,
             max_steps=60 * side + 200,
-            combine_keys=np.asarray(addresses) * n + dests,
+            combine_keys=np.asarray(addresses) * n + dests if combine else None,
         )
 
     ref, ref_dead = _routed(lambda: run("reference"))

@@ -346,7 +346,6 @@ class TestDifferentialSweep:
             router = MeshRouter(
                 mesh,
                 seed=23,
-                combine=True,
                 node_capacity=2,
                 flow_control="credit",
                 engine=eng,

@@ -237,8 +237,8 @@ class TestRehashing:
             emu = MeshEmulator(Mesh2D.square(4), 64, seed=31, engine=engine)
         make_router, wedged = emu._make_router, []
 
-        def wedge_once(engine_mode, fault_base=0):
-            router = make_router(engine_mode, fault_base)
+        def wedge_once(fault_base=0):
+            router = make_router(fault_base)
             if not wedged:
                 route = router.route
 

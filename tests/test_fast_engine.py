@@ -146,23 +146,24 @@ class TestLeveledDifferential:
         sources = np.arange(n)
         addresses = rng.integers(8, size=n)  # few addresses -> heavy combining
         dests = addresses % n
-        kwargs = dict(combine=True, track_paths=True, seed=9)
-        fast = LeveledRouter(net, engine="fast", **kwargs).route(
-            sources, dests, addresses=addresses
+        keys = addresses * n + dests  # one per (address, dest)
+        fast = LeveledRouter(net, engine="fast", seed=9).route(
+            sources, dests, combine_keys=keys
         )
-        ref = LeveledRouter(net, engine="reference", **kwargs).route(
-            sources, dests, addresses=addresses
+        ref = LeveledRouter(net, engine="reference", seed=9).route(
+            sources, dests, combine_keys=keys
         )
         assert fast.combines > 0
         assert_stats_equal(fast, ref)
 
     @pytest.mark.parametrize("net", leveled_nets(), ids=lambda n: repr(n))
     def test_traces_match(self, net):
-        """track_paths: every packet's recorded trace must be identical."""
+        """Every reference packet's recorded trace is the fast run's
+        itinerary."""
         n = net.column_size
         perm = np.random.default_rng(3).permutation(n)
-        fast = LeveledRouter(net, seed=1, track_paths=True, engine="fast")
-        ref = LeveledRouter(net, seed=1, track_paths=True, engine="reference")
+        fast = LeveledRouter(net, seed=1, engine="fast")
+        ref = LeveledRouter(net, seed=1, engine="reference")
         fast.route(range(n), perm)
         ref.route(range(n), perm)
         L, N = net.num_levels, net.column_size
@@ -311,7 +312,7 @@ class TestMeshStackDifferential:
         perm = np.random.default_rng(6).permutation(mesh.num_nodes)
 
         def run(engine):
-            router = MeshRouter(mesh, seed=3, track_paths=True, engine=engine)
+            router = MeshRouter(mesh, seed=3, engine=engine)
             router.route(range(mesh.num_nodes), perm)
             return router
 
@@ -487,7 +488,7 @@ class TestMeshStackDifferential:
             assert costs_fast[3] > 0  # combining actually exercised
 
     def test_mesh_router_combining_with_capacity_matches(self):
-        """combine=True + node_capacity: the constrained fast loop must
+        """Combine keys + node_capacity: the constrained fast loop must
         release combine-index residency and stall exactly like the
         reference priority queues."""
         mesh = Mesh2D.square(8)
@@ -497,9 +498,7 @@ class TestMeshStackDifferential:
         dests = (addresses * 7) % n
 
         def run(engine):
-            router = MeshRouter(
-                mesh, seed=19, combine=True, node_capacity=6, engine=engine
-            )
+            router = MeshRouter(mesh, seed=19, node_capacity=6, engine=engine)
             return router.route(
                 range(n), dests, max_steps=4000, combine_keys=addresses * n + dests
             )
@@ -643,7 +642,7 @@ class TestFastPathEngineUnit:
         assert sorted(stats.delays) == [0, 1]
 
     def test_combining_on_shared_queue(self):
-        stats = FastPathEngine(combine=True).run(
+        stats = FastPathEngine().run(
             [[0, 1, 2]] * 3, num_nodes=3, max_steps=10, combine_groups=[7, 7, 7]
         )
         assert stats.completed
@@ -652,7 +651,7 @@ class TestFastPathEngineUnit:
 
     def test_mismatched_paths_rejected(self):
         with pytest.raises(ValueError, match="one combine group per packet"):
-            FastPathEngine(combine=True).run(
+            FastPathEngine().run(
                 [[0, 1]], num_nodes=2, max_steps=5, combine_groups=[3, 3]
             )
 
@@ -787,12 +786,12 @@ class TestRunLanes:
         # packets 0 and 2 share a key and their first link, 1 meets 0 at
         # node 2 with another key
         "crcw contended": (
-            dict(combine=True),
+            {},
             [[0, 2, 3], [1, 2, 3], [0, 2, 3]],
             dict(combine_groups=[5, 6, 5]),
         ),
         "crcw solo": (
-            dict(combine=True),
+            {},
             [[0, 3, 6], [1, 4, 6], [2, 5, 6]],
             dict(combine_groups=[1, 1, 1]),
         ),

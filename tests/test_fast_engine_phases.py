@@ -79,10 +79,18 @@ def make_state(paths, *, last=None, num_nodes=None, **kwargs) -> RunState:
     )
 
 
-def admit_checked(s: RunState, batch, t: int, in_flight=None) -> None:
-    """:func:`admit`, then :func:`check_invariants` on what it left."""
+def admit_checked(s: RunState, batch, t: int, in_flight=None, staged=()) -> None:
+    """:func:`admit`, then :func:`check_invariants` on what it left.
+
+    The step loop admits every root at step 0; a test that hand-drives
+    arrivals may admit them over several steps instead.  *staged* are
+    the roots it has yet to admit (or to place by hand): each is on its
+    way to its source, so the checker is told it is in flight — it
+    reports a root in no state at all as lost."""
     admit(s, batch, t)
-    check_invariants(s, in_flight, t)
+    if in_flight is not None:
+        staged = [*staged, *in_flight]
+    check_invariants(s, ids(*staged), t)
 
 
 def peak_load(s: RunState, t: int) -> int:
@@ -145,7 +153,7 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     n = N // 2
     sources, dests = rng.integers(0, N, n), rng.integers(0, 6, n)
     addresses = rng.integers(0, 12, n)
-    router = LeveledRouter(net, seed=9, combine=True, engine="fast")
+    router = LeveledRouter(net, seed=9, engine="fast")
     run = router._compile(sources, dests, router._draw(sources, dests))
     assert run.links is None and run.paths.shape == (n, 2 * L + 1)
     s = make_state(run.paths, num_nodes=run.num_nodes, gid=range(n))
@@ -166,9 +174,10 @@ def test_leveled_run_state_is_sized_by_the_links_its_batch_crosses():
     # ... and the finished run hands the same tables on, for its replies
     # (a fresh router on the same seed draws the same coins; 360 packets
     # would take the scalar lane, which interns no links)
-    rerun = LeveledRouter(net, seed=9, combine=True, engine="fast")
+    rerun = LeveledRouter(net, seed=9, engine="fast")
     with forced_run_lane("vector"):
-        assert rerun.route(sources, dests, addresses=addresses).completed
+        keys = addresses * N + dests  # one per (address, dest)
+        assert rerun.route(sources, dests, combine_keys=keys).completed
     link_ids, link_src, link_dst = rerun.last_fast_run.links
     assert link_ids.shape == (n * 2 * L,)
     assert np.array_equal(link_ids, s.li_flat)
@@ -229,7 +238,7 @@ def test_admit_solo_lane():
 
 def test_admit_contended_residue():
     s = make_state([[0, 1, 2]] * 4)  # all four cross link (0,1)=0
-    admit_checked(s, ids(1, 0, 2), 0)
+    admit_checked(s, ids(1, 0, 2), 0, staged=[3])
     assert chain(s, 0) == [1, 0, 2]  # fan-in onto an idle link, batch order
     assert s.active.tolist() == [0]
     fold_peaks(s)
@@ -268,7 +277,7 @@ def test_delivered_host_delivers_its_absorption_subtree():
 
 def test_combining_first_arrival_wins_and_a_resident_beats_the_batch():
     s = make_state([[0, 1, 2]] * 4, gid=[0, 0, 1, 1])
-    admit_checked(s, ids(0), 0)  # packet 0 becomes key 0's resident on link 0
+    admit_checked(s, ids(0), 0, staged=[1, 2, 3])  # packet 0: key 0's resident on link 0
     admit_checked(s, ids(1, 2, 3), 1)
     # 1 meets the resident; 2 is key 1's first arrival, so it hosts 3
     assert s.parent.tolist() == [-1, 0, -1, 2]
@@ -343,7 +352,7 @@ def test_select_heads_walks_a_stale_class_maximum_down():
         # both packets cross link 0; packet 0 in class 2, packet 1 in class 0
         s = make_state([[0, 1, 2]] * 2, priorities=[[2, 0], [0, 0]])
         for t, batch in enumerate(pushes):
-            admit_checked(s, batch, t)
+            admit_checked(s, batch, t, staged=[*concat(*pushes[t + 1 :])])
         sent = transmit_unconstrained(s)
         check_invariants(s, sent)
         assert sent.tolist() == [0]  # highest class first
@@ -364,7 +373,7 @@ def deep_chain(arriving_prio) -> RunState:
     priorities *arriving_prio* there) have not been admitted yet."""
     hub_prio = DEEP_PRIO + list(arriving_prio)
     s = make_state([[0, 1, 2]] * len(hub_prio), priorities=[[p, 0] for p in hub_prio])
-    admit_checked(s, ids(0, 1, 2, 3), 0)
+    admit_checked(s, ids(0, 1, 2, 3), 0, staged=range(4, len(hub_prio)))
     assert chain(s, 0) == [0, 1, 2, 3]
     return s
 
@@ -434,7 +443,7 @@ def test_merges_on_several_links_in_one_step():
     paths = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 5
     hub_prio = [5, 1, 9] + [5, 1, 3, 0, 9]
     s = make_state(paths, priorities=[[p, 0] for p in hub_prio])
-    admit_checked(s, ids(0, 1, 3, 4), 0)
+    admit_checked(s, ids(0, 1, 3, 4), 0, staged=[6, 5, 2, 7])
     admit_checked(s, ids(6, 5, 2, 7), 1)
     assert chain(s, 0) == [2, 0, 1]
     assert chain(s, 1) == [7, 3, 5, 4, 6]
@@ -444,7 +453,7 @@ def test_merges_on_several_links_in_one_step():
 def test_a_fifo_run_appends_whatever_arrives():
     s = make_state([[0, 1, 2]] * 3)
     assert s.prio_flat is None
-    admit_checked(s, ids(2), 0)
+    admit_checked(s, ids(2), 0, staged=[0, 1])
     admit_checked(s, ids(0, 1), 1)
     assert chain(s, 0) == [2, 0, 1]
 
@@ -453,7 +462,7 @@ def test_pop_heads_empties_queues_and_releases_combine_residency():
     """Leaving the chain is what ends a residency: an arrival with the
     departed packet's key queues, one with a waiter's key is absorbed."""
     s = make_state([[0, 1, 2]] * 4, gid=[0, 1, 0, 1])
-    admit_checked(s, ids(0, 1), 0)
+    admit_checked(s, ids(0, 1), 0, staged=[2, 3])
     pop_heads(s, s.active, select_heads(s))
     check_invariants(s, ids(0))
     assert chain(s, 0) == [1]
@@ -499,8 +508,10 @@ CROSSING = [[0, 3, 5], [1, 3, 5], [2, 4], [3, 5]]
 
 
 def crossing_state(order, **kwargs) -> RunState:
+    """:data:`CROSSING` with the rows of *order* admitted at step 0; the
+    rest are the test's to place."""
     s = make_state(CROSSING, capacity=1, **kwargs)
-    admit_checked(s, ids(*order), 0)
+    admit_checked(s, ids(*order), 0, staged=sorted({0, 1, 2, 3} - set(order)))
     return s
 
 
@@ -691,7 +702,6 @@ def test_every_phase_keeps_the_run_invariants(network, furthest_first, combine, 
             link_faults=down,
         )
         engine = FastPathEngine(
-            combine=combine,
             node_capacity=capacity,
             flow_control="none" if capacity is None else "credit",
         )

@@ -195,7 +195,7 @@ class TestCreditDifferentialSweep:
         assert runs[0].max_node_load <= cap
 
     def test_crcw_combining_with_credits(self):
-        """combine=True + capacity + credit: escape landings bypass
+        """Combine keys + capacity + credit: escape landings bypass
         combining identically in both engines."""
         rng = np.random.default_rng(7)
         mesh = Mesh2D.square(8)
@@ -207,7 +207,6 @@ class TestCreditDifferentialSweep:
             router = MeshRouter(
                 mesh,
                 seed=13,
-                combine=True,
                 node_capacity=3,
                 flow_control="credit",
                 engine=eng,

@@ -622,7 +622,7 @@ class TestFrontEndColumnsRule:
         where a ``Packet`` belongs."""
         src = """
             def reply_run(replies, forest):
-                return [Packet(i, h, 0, kind="reply") for i, h in enumerate(forest)]
+                return [Packet(i, h, 0) for i, h in enumerate(forest)]
         """
         (v,) = _check(FrontEndColumnsRule(), src, "src/repro/routing/fast_scalar.py")
         assert (v.rule, v.line) == ("REPRO009", 3)

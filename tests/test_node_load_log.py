@@ -63,14 +63,13 @@ def routed(paths=None, *, inject=None, priorities=None, addresses=None,
     paths, priorities = delay_lines(paths, inject, priorities)
     last = [len(row) - 1 for row in paths]
     num_nodes = max(max(row) for row in paths) + 1
-    combine = addresses is not None
-    fast = FastPathEngine(combine=combine).run(
+    fast = FastPathEngine().run(
         paths,
         num_nodes=num_nodes,
         max_steps=max_steps,
         priorities=flat_priorities(priorities, paths),
         combine_groups=combine_groups(addresses, [row[-1] for row in paths])
-        if combine
+        if addresses is not None
         else None,
         link_faults=faults(),
     )
@@ -82,7 +81,7 @@ def routed(paths=None, *, inject=None, priorities=None, addresses=None,
         queues["queue_factory"] = furthest_first_factory(
             lambda p: priorities[p.pid][p.hops]
         )
-    ref = SynchronousEngine(combine=addresses is not None, **queues).run(
+    ref = SynchronousEngine(**queues).run(
         ref_packets,
         lambda p: None if p.hops == last[p.pid] else paths[p.pid][p.hops + 1],
         max_steps=max_steps,

@@ -452,7 +452,7 @@ class TestBitIdentity:
         assert combining("crcw", hotspot_step) > 0
         assert combining("erew", permutation_step) == 0
         obs = Observer(metrics=False, tracing=False, flight_recorder=0)
-        FastPathEngine(combine=True, observer=obs).run(
+        FastPathEngine(observer=obs).run(
             [[0, 3, 6], [1, 4, 6], [2, 5, 6]], num_nodes=7, max_steps=9,
             combine_groups=[1, 1, 1],
         )

@@ -75,7 +75,7 @@ class TestRoutingInvariants:
             return (level + 1, net.unique_next(level, row, p.dest))
 
         packets = make_packets([(0, int(s)) for s in range(net.column_size)], perm)
-        engine = SynchronousEngine(track_paths=True)
+        engine = SynchronousEngine()
         stats = engine.run(packets, next_hop, max_steps=500)
         assert stats.completed
         assert queue_line_check(packets) == []

@@ -103,7 +103,7 @@ def test_place_records_the_trace_and_places_spawned_packets_first():
     def on_arrival(p):
         return [spawned] if p.pid == 0 and p.node == 1 else None
 
-    r = make_run([[0, 1, 2]], on_arrival=on_arrival, track_paths=True)
+    r = make_run([[0, 1, 2]], on_arrival=on_arrival)
     spawned_path = [1, 3]
     next_hop = r.next_hop
     r.next_hop = lambda p: spawned_path[p.hops + 1] if p.pid == 9 else next_hop(p)
@@ -125,8 +125,7 @@ def test_place_rejects_a_packet_spawned_elsewhere():
 
 def test_enqueue_absorbs_a_same_key_arrival_into_the_resident():
     # 0 and 2 share a key; 1 has none
-    r = make_run([[0, 5, 6], [1, 5, 6], [2, 5, 6]], addresses=[7, None, 7],
-                 combine=True)  # fmt: skip
+    r = make_run([[0, 5, 6], [1, 5, 6], [2, 5, 6]], addresses=[7, None, 7])
     inject(r)
     for p in transmit_unconstrained(r):
         place(r, p, 1)
@@ -349,7 +348,7 @@ def twin_runs(paths, inject=None, priorities=None, addresses=None):
     ``RunState``, an injection at step k as a k-hop delay line
     (:func:`conftest.delay_lines`)."""
     paths, priorities = delay_lines(paths, inject, priorities)
-    engine = dict(combine=addresses is not None)
+    engine = {}
     if priorities is not None:
         engine["queue_factory"] = furthest_first_factory(
             lambda p: priorities[p.pid][p.hops]

@@ -175,11 +175,9 @@ def routed_hot_reads(engine, seed, levels=6, n=None, keys=6):
     rng = np.random.default_rng(seed)
     n = 3 * net.column_size if n is None else n
     dests = rng.integers(0, keys, n)
-    router = LeveledRouter(
-        net, seed=seed, combine=True, track_paths=engine == "reference", engine=engine
-    )
+    router = LeveledRouter(net, seed=seed, engine=engine)
     stats = router.route(
-        np.arange(n) % net.column_size, dests, max_steps=400, addresses=dests
+        np.arange(n) % net.column_size, dests, max_steps=400, combine_keys=dests
     )
     _, arrived = router.row_outcomes()
     hosts = np.setdiff1d(np.flatnonzero(arrived >= 0), router.absorbed_rows())

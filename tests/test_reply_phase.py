@@ -243,11 +243,9 @@ def routed_hot_requests(engine, max_steps):
     rng = np.random.default_rng(8)
     n = 3 * net.column_size
     dests = rng.integers(0, 3, n)
-    router = LeveledRouter(
-        net, seed=21, combine=True, track_paths=engine == "reference", engine=engine
-    )
+    router = LeveledRouter(net, seed=21, engine=engine)
     stats = router.route(
-        np.arange(n) % net.column_size, dests, max_steps=max_steps, addresses=dests
+        np.arange(n) % net.column_size, dests, max_steps=max_steps, combine_keys=dests
     )
     assert not stats.completed and 0 < stats.delivered
     return router
@@ -375,7 +373,7 @@ def hand_built_requests(rows, hops, absorbed_by, absorbed):
     )
     packets = []
     for i, (row, k) in enumerate(zip(rows, hops)):
-        p = Packet(i, row[0], row[-1], kind="read", address=0)
+        p = Packet(i, row[0], row[-1], address=0)
         p.trace, p.node = list(row[: k + 1]), row[k]
         packets.append(p)
     for h, c in zip(absorbed_by, absorbed):

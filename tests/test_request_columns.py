@@ -81,8 +81,8 @@ def serve(emulator, steps):
     runs = []
     make_router = emulator._make_router
 
-    def spied_router(engine_mode, fault_base=0):
-        router = make_router(engine_mode, fault_base)
+    def spied_router(fault_base=0):
+        router = make_router(fault_base)
         route = router.route
 
         def spy(sources, dests, *, max_steps=None, combine_keys=None):
@@ -265,9 +265,7 @@ def test_a_run_that_gives_up_without_faults_is_typed_and_terminal():
     net = NETWORKS["butterfly"]
     emulator = LeveledEmulator(net, 32, seed=1, rehash_factor=0.01, max_rehashes=2)
     # an allotment of one step cannot be met; shrink the last resort too
-    emulator._make_router = lambda mode, base=0, make=emulator._make_router: _capped(
-        make(mode, base)
-    )
+    emulator._make_router = lambda base=0, make=emulator._make_router: _capped(make(base))
     step = RequestColumns.of(reads=[(p, p) for p in range(net.column_size)])
     with pytest.raises(RequestRoutingError, match="request routing failed") as exc:
         emulator.emulate_step(step)
@@ -319,7 +317,7 @@ def test_a_baseline_that_runs_out_its_budget_is_typed_too():
         ku = KarlinUpfalMeshEmulator(
             mesh, 64, seed=1, faults=faults, observer=Observer(flight_recorder=8)
         )
-        ku._make_router = lambda mode, base=0, make=ku._make_router: _capped(make(mode, base))
+        ku._make_router = lambda base=0, make=ku._make_router: _capped(make(base))
         with pytest.raises(expected, match="leg did not complete") as exc:
             ku.emulate_step(step)
         assert type(exc.value) is expected and exc.value.stall_steps == 1
@@ -345,7 +343,7 @@ def test_a_short_combine_key_column_is_rejected_on_either_engine(name, engine):
     """The fast engine refused it; the reference engine routed anyway,
     silently dropping the rows past the key column's end
     (``completed=True`` for one packet of three)."""
-    router = ROUTERS[name](combine=True, engine=engine, seed=1)
+    router = ROUTERS[name](engine=engine, seed=1)
     with pytest.raises(ValueError, match="one combine key per packet"):
         router.route([0, 1, 2], [1, 1, 1], combine_keys=[5])
     stats = router.route([0, 1, 2], [1, 1, 1], combine_keys=[5, 5, 5])

@@ -18,7 +18,7 @@ def fan_in(census_kwargs=None):
     """Three same-key packets onto one idle link at injection, under the
     census: one residue of three, two absorptions, then two solo steps."""
     with counting(Census(), **(census_kwargs or {})) as census:
-        stats = FastPathEngine(combine=True).run(
+        stats = FastPathEngine().run(
             [[0, 1, 2]] * 3, num_nodes=3, max_steps=9, combine_groups=[7, 7, 7]
         )
     return census, stats

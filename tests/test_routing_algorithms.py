@@ -389,8 +389,8 @@ def _seeded_permutation(router, n):
 def _hot_reads(engine):
     # CRCW combining: 16 reads of 3 addresses, each address one row
     addrs = [i % 3 for i in range(16)]
-    return LeveledRouter(BFLY, seed=11, combine=True, engine=engine).route(
-        range(16), [5 * a for a in addrs], addresses=addrs
+    return LeveledRouter(BFLY, seed=11, engine=engine).route(
+        range(16), [5 * a for a in addrs], combine_keys=addrs
     )
 
 

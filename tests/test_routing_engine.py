@@ -92,40 +92,40 @@ class TestQueues:
 
     def test_find_combinable(self):
         q = FIFOQueue()
-        a = Packet(0, 0, 9, kind="read", address=42)
+        a = Packet(0, 0, 9, address=42)
         q.push(a)
-        assert q.find_combinable(("read", 42, 9)) is a
-        assert q.find_combinable(("read", 43, 9)) is None
+        assert q.find_combinable((42, 9)) is a
+        assert q.find_combinable((43, 9)) is None
 
     def test_find_combinable_tracks_pops(self):
         # The O(1) side index must forget popped packets.
         q = FIFOQueue()
-        a = Packet(0, 0, 9, kind="read", address=42)
-        b = Packet(1, 1, 9, kind="read", address=42)
+        a = Packet(0, 0, 9, address=42)
+        b = Packet(1, 1, 9, address=42)
         q.push(a)
         q.push(b)
-        assert q.find_combinable(("read", 42, 9)) is a  # earliest first
+        assert q.find_combinable((42, 9)) is a  # earliest first
         assert q.pop() is a
-        assert q.find_combinable(("read", 42, 9)) is b
+        assert q.find_combinable((42, 9)) is b
         q.pop()
-        assert q.find_combinable(("read", 42, 9)) is None
+        assert q.find_combinable((42, 9)) is None
 
     def test_find_combinable_ignores_addressless(self):
         q = FIFOQueue()
         q.push(Packet(0, 0, 9))  # no address -> no combine key
-        assert q.find_combinable(("data", None, 9)) is None
+        assert q.find_combinable((None, 9)) is None
 
     def test_furthest_first_find_combinable(self):
         q = FurthestFirstQueue(priority=lambda p: abs(p.dest - p.node))
-        near = Packet(0, 0, 1, kind="read", address=5)
-        far = Packet(1, 0, 9, kind="read", address=5)
+        near = Packet(0, 0, 1, address=5)
+        far = Packet(1, 0, 9, address=5)
         q.push(near)
         q.push(far)
-        assert q.find_combinable(("read", 5, 9)) is far
-        assert q.find_combinable(("read", 5, 1)) is near
+        assert q.find_combinable((5, 9)) is far
+        assert q.find_combinable((5, 1)) is near
         assert q.pop() is far  # priority pop, not FIFO
-        assert q.find_combinable(("read", 5, 9)) is None
-        assert q.find_combinable(("read", 5, 1)) is near
+        assert q.find_combinable((5, 9)) is None
+        assert q.find_combinable((5, 1)) is near
 
 
 class TestEngineBasics:
@@ -266,7 +266,7 @@ class TestEngineCombining:
     def test_same_address_packets_combine(self):
         array = LinearArray(6)
         pkts = make_packets([0, 0, 0], [5, 5, 5], addresses=[7, 7, 7])
-        engine = SynchronousEngine(combine=True)
+        engine = SynchronousEngine()
         stats = engine.run(pkts, line_next_hop(array), max_steps=50)
         assert stats.completed
         assert stats.combines == 2
@@ -277,7 +277,7 @@ class TestEngineCombining:
     def test_different_addresses_do_not_combine(self):
         array = LinearArray(6)
         pkts = make_packets([0, 0], [5, 5], addresses=[7, 8])
-        engine = SynchronousEngine(combine=True)
+        engine = SynchronousEngine()
         stats = engine.run(pkts, line_next_hop(array), max_steps=50)
         assert stats.combines == 0
         assert stats.steps == 6
@@ -285,7 +285,7 @@ class TestEngineCombining:
     def test_no_address_no_combine(self):
         array = LinearArray(6)
         pkts = make_packets([0, 0], [5, 5])
-        engine = SynchronousEngine(combine=True)
+        engine = SynchronousEngine()
         stats = engine.run(pkts, line_next_hop(array), max_steps=50)
         assert stats.combines == 0
 
@@ -295,7 +295,7 @@ class TestEngineCombining:
         array = LinearArray(8)
         factory = furthest_first_factory(lambda p: abs(p.dest - p.node))
         pkts = make_packets([0, 0, 0, 0], [7, 7, 5, 7], addresses=[3, 3, 4, 3])
-        engine = SynchronousEngine(queue_factory=factory, combine=True)
+        engine = SynchronousEngine(queue_factory=factory)
         stats = engine.run(pkts, line_next_hop(array), max_steps=100)
         assert stats.completed
         assert stats.combines == 2  # the three address-3 readers merge
@@ -395,7 +395,7 @@ class TestPathTracking:
     def test_trace_records_visited_nodes(self):
         array = LinearArray(6)
         pkts = make_packets([1], [4])
-        engine = SynchronousEngine(track_paths=True)
+        engine = SynchronousEngine()
         stats = engine.run(pkts, line_next_hop(array), max_steps=50)
         assert stats.completed
         assert pkts[0].trace == [1, 2, 3, 4]

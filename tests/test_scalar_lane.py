@@ -30,7 +30,7 @@ from repro.routing import (
     NetworkDrainedError,
     fast_engine,
 )
-from repro.routing import fast_scalar
+from repro.routing import fast_phases, fast_scalar
 from repro.routing.fast_engine import _normalise_paths
 from repro.routing.fast_phases import Replies, RunInvariantError, peak_node_load
 from repro.routing.metrics import Deferred
@@ -106,7 +106,7 @@ def on_both_lanes(run):
 
 def engine_run(paths, num_nodes, **kwargs):
     """One run on a fresh engine: ``(stats, arrays)``."""
-    engine = FastPathEngine(combine="combine_groups" in kwargs)
+    engine = FastPathEngine()
     stats = engine.run(paths, num_nodes=num_nodes, max_steps=400, **kwargs)
     return stats, engine.last_arrays
 
@@ -166,7 +166,7 @@ def test_a_star_population_with_large_sparse_node_ids(combine):
     keys = dests if combine else None
 
     def run(engine="fast"):
-        router = LeveledRouter(net, seed=4, engine=engine, combine=combine)
+        router = LeveledRouter(net, seed=4, engine=engine)
         return router.route(sources, dests, combine_keys=keys), router.last_fast_run
 
     (scalar, s_run), (vector, v_run) = on_both_lanes(run)
@@ -249,24 +249,38 @@ def test_a_timed_out_run_leaves_its_engine_clean():
         assert (stats.max_node_load, stats.max_queue) == (2, 2)
 
 
+#: the scalar lane's admission as the module defines it, before the
+#: ``checked_steps`` fixture wraps it in the checker
+UNCHECKED_SCALAR_ADMIT = fast_scalar.admit
+
+#: five packets through node 2 (links 0→2 and 1→2, then 2→3)
+THROUGH_NODE_2 = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 2
+
+
+def admitting_three_at_step_0(admit):
+    """*admit* with the step-0 admission cut to the first three roots."""
+
+    def admit_three_at_step_0(s, batch, t, *rest):
+        return admit(s, batch[:3] if t == 0 else batch, t, *rest)
+
+    return admit_three_at_step_0
+
+
 def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
     """The step-0 admission drops the last two roots, so the run owes
     packets nothing will bring (``NetworkDrainedError``) — at the same
     step with the same count on both lanes; the engine's next run, with
-    the admission restored, starts from nothing."""
-    paths = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 2
+    the admission restored, starts from nothing.  The scalar lane's drop
+    goes around the checker, which would report it first (the next
+    test)."""
+    paths = THROUGH_NODE_2
     admits = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}
-
-    def dropping(admit):
-        def admit_three_at_step_0(s, batch, t, *rest):
-            return admit(s, batch[:3] if t == 0 else batch, t, *rest)
-
-        return admit_three_at_step_0
+    unchecked = {fast_engine: fast_engine.admit, fast_scalar: UNCHECKED_SCALAR_ADMIT}
 
     seen = []
     for lane in RUN_LANES:
-        for module, admit in admits.items():
-            monkeypatch.setattr(module, "admit", dropping(admit))
+        for module, admit in unchecked.items():
+            monkeypatch.setattr(module, "admit", admitting_three_at_step_0(admit))
         engine = FastPathEngine()
         with forced_run_lane(lane):
             with pytest.raises(NetworkDrainedError) as exc:
@@ -278,6 +292,31 @@ def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
             fresh, _ = engine_run(paths, 4)
         assert_stats_equal(stats, fresh)
     assert seen == [(2, 4)] * 2
+
+
+def test_a_root_dropped_at_step_0_is_lost_to_both_checkers(monkeypatch):
+    """Every root is admitted at step 0, so right after that admission a
+    root in no state is lost, not "not yet injected": each lane's
+    checker names the first of the two roots the admission drops, four
+    steps before the engine's drain check would notice."""
+    vector_admit, scalar_admit = fast_engine.admit, fast_scalar.admit  # the latter checked
+
+    def admit_then_check(s, batch, t):
+        admitting_three_at_step_0(vector_admit)(s, batch, t)
+        fast_phases.check_invariants(s, None, t)
+
+    monkeypatch.setattr(fast_engine, "admit", admit_then_check)
+    monkeypatch.setattr(fast_scalar, "admit", admitting_three_at_step_0(scalar_admit))
+    for lane in RUN_LANES:
+        with forced_run_lane(lane):
+            with pytest.raises(RunInvariantError, match=r"root 3 .* at step 0") as exc:
+                FastPathEngine().run(THROUGH_NODE_2, num_nodes=4, max_steps=50)
+        assert exc.value.invariant == "conservation", lane
+    # restored, the admission places them all, and the checker agrees
+    monkeypatch.setattr(fast_engine, "admit", vector_admit)
+    monkeypatch.setattr(fast_scalar, "admit", scalar_admit)
+    with forced_run_lane("scalar"):
+        assert FastPathEngine().run(THROUGH_NODE_2, num_nodes=4, max_steps=50).completed
 
 
 # ---- the checker ------------------------------------------------------------

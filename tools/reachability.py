@@ -247,9 +247,8 @@ KEEP = {
     "repro.topology.star:StarGraph.route_next | if cur == dest:": "b",
     "repro.routing.queues:_index_build | if key is not None:": "b",
     "repro.routing.queues:_index_remove | if key is None:": "b",
-    # (b) a keyless reference packet; and the reference spawn rule's
-    # position-0 cascade, on the fast engine too
-    "repro.routing.packet:Packet.combine_key | if self.address is None:": "b",
+    # (b) the reference spawn rule's position-0 cascade, on the fast
+    # engine too
     "repro.routing.fast_phases:SpawnTables.fire | if kc >= 0 and self.trig_at_start[kc]:": "b",
     # (c) the shuffle's ablation baseline
     "repro.routing.shuffle_router:ShuffleRouter._draw | if not self.randomized:": "c",
