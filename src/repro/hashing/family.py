@@ -39,6 +39,11 @@ class PolynomialHash:
         self._vec_coeffs = (
             np.asarray(self.coeffs, dtype=np.int64) if p < _VECTOR_P_LIMIT else None
         )
+        #: the coefficients below the leading one, highest first: the
+        #: vectorized Horner loop's operands, as int64 scalars
+        self._horner_tail = (
+            tuple(self._vec_coeffs[-2::-1]) if self._vec_coeffs is not None else ()
+        )
 
     @property
     def degree_param(self) -> int:
@@ -62,11 +67,18 @@ class PolynomialHash:
         ``__call__`` costs an O(S) Python loop per address.
         """
         if self._vec_coeffs is not None:
-            vals = np.asarray(xs, dtype=np.int64) % self.p
-            acc = np.zeros_like(vals)
-            for a in self._vec_coeffs[::-1]:
-                acc = (acc * vals + a) % self.p
-            return acc % self.n_modules
+            p = self.p
+            vals = np.asarray(xs, dtype=np.int64) % p
+            # Horner in place; its first step, (0 * x + a) % P, is the
+            # leading coefficient itself (already reduced mod P)
+            acc = np.empty_like(vals)
+            acc.fill(self.coeffs[-1])
+            for a in self._horner_tail:
+                acc *= vals
+                acc += a
+                acc %= p
+            acc %= self.n_modules
+            return acc
         return np.array([self(int(x)) for x in np.asarray(xs)], dtype=np.int64)
 
     def description_bits(self) -> int:

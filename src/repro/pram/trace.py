@@ -92,17 +92,24 @@ class RequestColumns:
 
     def reads_first(self) -> "RequestColumns":
         """The same step with its reads' rows first, then its writes';
-        each kind keeps its issue order."""
-        return self.take(np.argsort(~np.asarray(self.is_read, dtype=bool), kind="stable"))
+        each kind keeps its issue order.  A step of one kind is already
+        in that order and comes back as itself, its columns shared: a
+        caller that writes into them must copy first (the emulators
+        derive new columns and write into those only)."""
+        if np.count_nonzero(self.is_read) in (0, len(self.is_read)):
+            return self
+        return self.take(
+            (~np.asarray(self.is_read, dtype=bool)).argsort(kind="stable")
+        )
 
     def from_reads_first(self, column: np.ndarray) -> np.ndarray:
         """*column*, one entry per row of :meth:`reads_first`, put back
         in this step's row order: the reads' entries come first there,
         each kind in issue order, so two mask writes undo the reorder."""
-        is_read = np.asarray(self.is_read, dtype=bool)
-        n_reads = np.count_nonzero(is_read)
-        if n_reads in (0, is_read.size):
+        n_reads = np.count_nonzero(self.is_read)
+        if n_reads in (0, len(self.is_read)):
             return column
+        is_read = np.asarray(self.is_read, dtype=bool)
         out = np.empty_like(column)
         out[is_read] = column[:n_reads]
         out[~is_read] = column[n_reads:]

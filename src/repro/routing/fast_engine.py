@@ -114,10 +114,20 @@ def _normalise_paths(paths) -> tuple[FlatPaths, np.ndarray]:
     """Validate *paths*; return ``(paths, last)``.
 
     Every accepted form becomes one :class:`FlatPaths`: a 2-D matrix is
-    raveled (no copy), a list of per-packet lists — ragged or not — is
-    concatenated.  ``last[i]`` is the int64 position at which packet i
-    is delivered: its row's last entry.
+    raveled (no copy) into a :class:`~repro.topology.compiled.RowMatrix`,
+    whose rows' width is its shape, a list of per-packet lists — ragged
+    or not — is concatenated.  ``last[i]`` is the int64 position at which
+    packet i is delivered: its row's last entry.
     """
+    if isinstance(paths, np.ndarray):
+        if paths.ndim != 2:
+            raise ValueError("ndarray paths must be 2-D (packets x positions)")
+        n, width = paths.shape
+        if n and not width:
+            raise ValueError("paths[0] is empty: a path starts at its source")
+        last = np.empty(n, dtype=np.int64)
+        last.fill(width - 1)
+        return FlatPaths.from_matrix(paths), last
     if isinstance(paths, FlatPaths):
         nodes = np.asarray(paths.nodes, dtype=np.int64)
         offsets = np.asarray(paths.offsets, dtype=np.int64)
@@ -126,10 +136,6 @@ def _normalise_paths(paths) -> tuple[FlatPaths, np.ndarray]:
         ):
             raise ValueError("offsets must run from 0 to the number of nodes")
         flat = FlatPaths(nodes, offsets)
-    elif isinstance(paths, np.ndarray):
-        if paths.ndim != 2:
-            raise ValueError("ndarray paths must be 2-D (packets x positions)")
-        flat = FlatPaths.from_matrix(paths)
     else:
         rows = list(paths)
         n = len(rows)
@@ -139,26 +145,32 @@ def _normalise_paths(paths) -> tuple[FlatPaths, np.ndarray]:
             chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
         )
         flat = FlatPaths(nodes, offsets)
-    widths = flat.offsets[1:] - flat.offsets[:-1]
-    if (widths <= 0).any():
+    last = flat.offsets[1:] - flat.offsets[:-1]
+    last -= 1
+    if last.size and last[last.argmin()] < 0:
         raise ValueError(
-            f"paths[{int(np.argmin(widths))}] is empty: a path starts at its source"
+            f"paths[{int(last.argmin())}] is empty: a path starts at its source"
         )
-    return flat, widths - 1
+    return flat, last
 
 
 def _stats_of(arrays: RunArrays, mode: str) -> RoutingStats:
     """The :class:`RoutingStats` of a finished run of either lane; a run
     without ``node_capacity`` defers ``max_node_load`` to its first read
     (:func:`~repro.routing.fast_phases.peak_node_load`)."""
-    rows = slice(None) if arrays.order is None else arrays.order
+    hops, injected_at, arrived = arrays.hops, arrays.injected_at, arrays.arrived
+    rows = arrays.order
+    if rows is not None:
+        hops, arrived = hops[rows], arrived[rows]
+        if injected_at is not None:
+            injected_at = injected_at[rows]
     max_node_load = arrays.max_node_load
     if max_node_load is None:
         max_node_load = Deferred(peak_node_load, arrays)
     return stats_from_arrays(
-        arrays.hops[rows],
-        arrays.injected_at[rows],
-        arrays.arrived[rows],
+        hops,
+        injected_at,
+        arrived,
         steps=arrays.steps,
         max_queue=arrays.max_queue,
         completed=arrays.completed,
@@ -353,8 +365,9 @@ class FastPathEngine:
         """
         spawn = None
         if isinstance(paths, Replies):
-            given = (shared["priorities"], shared["links"], combine_groups)
-            if any(v is not None for v in given):
+            if not (
+                shared["priorities"] is shared["links"] is combine_groups is None
+            ):
                 raise ValueError(
                     "a Replies population brings its own itineraries, links "
                     "and combining: pass none of them"

@@ -78,6 +78,7 @@ from repro.obs.clock import wall_time
 from repro.routing import fast_phases
 from repro.routing.engine import NetworkDrainedError
 from repro.routing.fast_phases import (
+    _EMPTY,
     MergeNodeMissingError,
     Replies,
     RunArrays,
@@ -147,17 +148,17 @@ class ScalarRun:
     ) -> None:  # fmt: skip
         n = last.size
         self.paths = paths
-        self.injected_at = np.zeros(n, dtype=np.int64)
+        # every row enters at step 0: a reply run with spawn triggers is
+        # built by reply_run
+        self.injected_at = self.spawn = None
         self.prof = profile
         codes = fast_phases.hop_codes(paths, num_nodes)
         self.links = (
             None if links is None else fast_phases.handed_links(links, codes.size)
         )
         prio = fast_phases.pack_priorities(priorities, paths)
-        self.fl_base = paths.offsets[:-1] - np.arange(n, dtype=np.int64)
-        # a reply run with spawn triggers is built by reply_run
-        self.spawn = None
         self.roots = np.arange(n, dtype=np.int64)
+        self.fl_base = paths.offsets[:-1] - self.roots
         self.gid = None
         if gid is not None:
             gid = np.asarray(gid, dtype=np.int64)
@@ -268,7 +269,7 @@ def reply_run(
         key += keys[base : base + hops[r]][::-1]
     fl_last = fl[1:]
     fl_last.append(len(key))
-    s.spawn = None
+    s.spawn = s.injected_at = None
     if families:
         nodes = requests.paths.nodes
         next_trig = [-1] * n
@@ -304,9 +305,9 @@ def reply_run(
         s.spawn = SpawnTables(
             next_trig, [-9] * n, kids, bounds, trig_parent, trig_cursor, at_start
         )
+        s.injected_at = np.zeros(n, dtype=np.int64)
     s.paths = Deferred(reply_paths, requests, rows)
     s.links = s.prio = s.gid = None
-    s.injected_at = np.zeros(n, dtype=np.int64)
     s.prof = profile
     s.roots = np.arange(replies.hosts.size, dtype=np.int64)
     s.key, s.fl_base, s.fl, s.fl_last = key, fl, fl[:], fl_last
@@ -483,14 +484,19 @@ def finish(s: ScalarRun, t: int) -> RunArrays:
         while root in parent:
             root = parent[root]
         arrived[i] = arrived[root]
+    # a run that combined nothing shares the vector lane's empty column
+    absorbed_by = absorbed = _EMPTY
+    if s.absorbed:
+        absorbed_by = np.asarray(s.absorbed_by, dtype=np.int64)
+        absorbed = np.asarray(s.absorbed, dtype=np.int64)
     arrays = RunArrays(
         paths=s.paths,
         links=s.links,
         hops=np.asarray(s.fl, dtype=np.int64) - s.fl_base,
         arrived=np.asarray(arrived, dtype=np.int64),
         injected_at=s.injected_at,
-        absorbed_by=np.asarray(s.absorbed_by, dtype=np.int64),
-        absorbed=np.asarray(s.absorbed, dtype=np.int64),
+        absorbed_by=absorbed_by,
+        absorbed=absorbed,
         order=(
             None
             if s.spawn is None

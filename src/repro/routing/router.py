@@ -212,7 +212,8 @@ class Router:
         n_end = self.num_endpoints
         for name, col in (("sources", cols.sources), ("dests", cols.dests)):
             # viewed unsigned, a negative id is larger than any bound
-            if col.size and int(col.view(np.uint64).max()) >= n_end:
+            top = col.view(np.uint64)
+            if col.size and int(top[top.argmax()]) >= n_end:
                 i = int(np.flatnonzero((col < 0) | (col >= n_end))[0])
                 raise ValueError(
                     f"{name}[{i}]={int(col[i])} is not one of the {n_end} endpoints"

@@ -161,6 +161,9 @@ class DAryButterflyLeveled(LeveledNetwork):
         self._n = d**levels
         #: d**(l+1) per edge layer l: the span of the digits 0..l
         self._spans = d ** np.arange(1, levels + 1, dtype=np.int64)
+        #: d**l per edge layer l: the weight of the digit that layer's
+        #: coin writes
+        self._bridge_weights = self._spans // d
 
     @property
     def num_levels(self) -> int:
@@ -217,7 +220,7 @@ class DAryButterflyLeveled(LeveledNetwork):
         if coins is None:
             low = targets[:, None] % spans
         else:
-            low = np.cumsum(coins * (spans // self.d), axis=1)
+            low = (coins * self._bridge_weights).cumsum(axis=1)
         rows = rows[:, None]
         return rows - rows % spans + low
 
