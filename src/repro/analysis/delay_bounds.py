@@ -96,19 +96,34 @@ def _links_of(trace: Sequence) -> set[tuple]:
     return {(a, b) for a, b in zip(trace, trace[1:])}
 
 
+def _delivered_traces(packets: Sequence[Packet]) -> list[tuple[Packet, list]]:
+    """``(packet, trace)`` of every delivered packet.  Every packet a
+    reference run delivers has its trace, so one without was never
+    routed (a hand-built list): ``ValueError`` naming it, rather than a
+    smaller population audited in silence."""
+    out = []
+    for p in packets:
+        if not p.delivered:
+            continue
+        if p.trace is None:
+            raise ValueError(
+                f"packet {p.pid} is delivered but has no trace: "
+                "it did not come out of an engine run"
+            )
+        out.append((p, p.trace))
+    return out
+
+
 def queue_line_check(packets: Sequence[Packet]) -> list[QueueLineViolation]:
-    """Audit Fact 2.1 on a finished run with tracked paths.
+    """Audit Fact 2.1 on a finished run.
 
     For every delivered packet x, its delay must be <= the number of other
     packets whose paths share at least one (directed) link with x's path —
     provided the routing scheme is nonrepeating.  Returns the violations
-    (empty list = lemma holds on this run).
+    (empty list = lemma holds on this run).  A delivered packet without a
+    trace is a ``ValueError``.
     """
-    infos = []
-    for p in packets:
-        if not p.delivered or p.trace is None:
-            continue
-        infos.append((p, _links_of(p.trace)))
+    infos = [(p, _links_of(trace)) for p, trace in _delivered_traces(packets)]
     violations = []
     for p, links in infos:
         if not links:
@@ -123,12 +138,9 @@ def queue_line_check(packets: Sequence[Packet]) -> list[QueueLineViolation]:
 
 def is_nonrepeating(packets: Sequence[Packet]) -> bool:
     """Check Definition 2.1 on a run: once two paths diverge after sharing
-    a link, they never share a link again."""
-    infos = [
-        (p, p.trace)
-        for p in packets
-        if p.delivered and p.trace is not None and len(p.trace) > 1
-    ]
+    a link, they never share a link again.  A delivered packet without a
+    trace is a ``ValueError``."""
+    infos = [(p, trace) for p, trace in _delivered_traces(packets) if len(trace) > 1]
     for i, (p, tp) in enumerate(infos):
         lp = list(zip(tp, tp[1:]))
         set_p = set(lp)

@@ -102,6 +102,9 @@ class PRAM:
         self.trace = MemoryTrace(num_processors=n_procs, address_space=memory_size)
         self._procs: list[Generator | None] = [None] * n_procs
         self._pending: list[object] = [None] * n_procs
+        #: processors in ``_procs`` not yet halted: ``load`` sets it and
+        #: each generator that finishes takes one off
+        self._live = 0
         self.steps_executed = 0
         #: populated by ``run(check_races=...)``: every conflict the
         #: sanitizer saw (not just violations), and the minimal variant
@@ -113,17 +116,25 @@ class PRAM:
         """Instantiate *program(pid, n_procs)* on every processor."""
         self._procs = [program(pid, self.n_procs) for pid in range(self.n_procs)]
         self._pending = [None] * self.n_procs
+        self._live = self.n_procs
         # Prime the generators to their first yield.
         for pid, gen in enumerate(self._procs):
             try:
                 self._pending[pid] = ("request", gen.send(None))
             except StopIteration:
-                self._procs[pid] = None
-                self._pending[pid] = None
+                self._halt(pid)
+
+    def _halt(self, pid: int) -> None:
+        """Processor *pid*'s program returned."""
+        self._procs[pid] = None
+        self._pending[pid] = None
+        self._live -= 1
 
     @property
     def live_processors(self) -> int:
-        return sum(1 for g in self._procs if g is not None)
+        """Processors whose program has not returned (counted, not
+        recounted: ``load`` sets the count and each halt decrements it)."""
+        return self._live
 
     # ------------------------------------------------------------------
     def step(self) -> RequestColumns | None:
@@ -192,8 +203,7 @@ class PRAM:
                 nxt = gen.send(read_results.get(pid))
                 self._pending[pid] = ("request", nxt)
             except StopIteration:
-                self._procs[pid] = None
-                self._pending[pid] = None
+                self._halt(pid)
 
         return step
 

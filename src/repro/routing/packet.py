@@ -55,6 +55,7 @@ class Packet:
         "dest",
         "node",
         "address",
+        "combine_key",
         "state",
         "hops",
         "injected_at",
@@ -77,6 +78,14 @@ class Packet:
         self.dest = dest
         self.node = source
         self.address = address
+        #: key under which this packet may merge with others, or None:
+        #: packets carrying no ``address`` never combine (a data packet
+        #: or a reply has nothing to deduplicate); packets agree on a
+        #: key exactly when they request the same (address, destination)
+        #: pair.  Built once here — the reference engine reads it on
+        #: every enqueue and queue-index update — so ``address`` and
+        #: ``dest`` are fixed at construction
+        self.combine_key: tuple | None = None if address is None else (address, dest)
         self.state: Any = None
         self.hops = 0
         self.injected_at = 0
@@ -86,18 +95,6 @@ class Packet:
         self.combined = False  # True once absorbed into a host packet
 
     # ---- combining (Theorem 2.6) ---------------------------------------
-    @property
-    def combine_key(self) -> tuple | None:
-        """Key under which this packet may merge with others, or None.
-
-        Packets carrying no ``address`` never combine (a data packet or
-        a reply has nothing to deduplicate); packets agree on a key
-        exactly when they request the same (address, destination) pair.
-        """
-        if self.address is None:
-            return None
-        return (self.address, self.dest)
-
     def absorb(self, other: "Packet") -> None:
         """Merge *other* into this packet (concurrent access combining).
 

@@ -84,6 +84,17 @@ class TestQueueLineLemma:
         packets = self._run_line([0, 2, 4], [9, 10, 11])
         assert is_nonrepeating(packets)
 
+    def test_a_delivered_packet_without_a_trace_is_refused(self):
+        """Every packet a reference run delivers has its trace, so a
+        delivered one without came from no engine run: both audits name
+        it instead of auditing a smaller population."""
+        packets = self._run_line([0, 2], [6, 9])
+        hand_built = make_packets([1], [5])[0]
+        hand_built.pid, hand_built.hops, hand_built.arrived_at = 7, 4, 4
+        for audit in (queue_line_check, is_nonrepeating):
+            with pytest.raises(ValueError, match="packet 7 is delivered but has no trace"):
+                audit([*packets, hand_built])
+
     def test_violation_detection(self):
         # Fabricate a delivered packet with delay exceeding overlaps.
         packets = make_packets([0], [3])

@@ -119,6 +119,25 @@ class TestMachineBasics:
         assert pram.memory.read(3) == 99
         assert pram.steps_executed == 2
 
+    def test_live_processors_count_after_load_steps_and_halt(self):
+        """The count ``load`` sets and each halt decrements equals a
+        recount of the processors still running, at every point."""
+
+        def program(pid, n):
+            for _ in range(pid):  # processor p halts after p steps
+                yield Write(pid, pid)
+
+        pram = PRAM(4, 4)
+        assert pram.live_processors == 0  # nothing loaded
+        pram.load(program)
+        seen = [pram.live_processors]  # processor 0 halts while priming
+        while pram.step() is not None:
+            seen.append(pram.live_processors)
+        assert seen == [3, 2, 1, 0]
+        assert pram.live_processors == sum(g is not None for g in pram._procs) == 0
+        pram.load(program)  # a reload counts afresh
+        assert pram.live_processors == 3
+
     def test_max_steps_guard(self):
         def forever(pid, n):
             while True:
