@@ -27,7 +27,7 @@ from repro.routing.greedy import GreedyRouter
 from repro.routing.leveled_router import LeveledRouter
 from repro.routing.linear import random_linear_instance, route_linear
 from repro.routing.mesh_router import GreedyMeshRouter, MeshRouter, default_slice_rows
-from repro.routing.metrics import RoutingStats, collect_stats
+from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
 from repro.routing.queues import (
     FIFOQueue,
@@ -65,7 +65,6 @@ __all__ = [
     "adversarial_star_permutation",
     "bitonic_route",
     "bitonic_stage_count",
-    "collect_stats",
     "default_slice_rows",
     "fifo_factory",
     "furthest_first_factory",

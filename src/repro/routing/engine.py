@@ -80,8 +80,8 @@ from repro.routing.flow_control import (
     no_progress_detail,
     resolve_flow_control,
 )
-from repro.routing.metrics import RoutingStats, collect_stats
-from repro.routing.packet import Packet
+from repro.routing.metrics import RoutingStats, stats_from_arrays
+from repro.routing.packet import Packet, packet_outcomes
 from repro.routing.queues import LinkQueue, fifo_factory
 
 NextHop = Callable[[Packet], Optional[Hashable]]
@@ -246,8 +246,9 @@ class SynchronousEngine:
                 prof.add_phase("arrival", wall_time() - a0 - c_dt)
 
         fc = r.fc or CreditState()  # a run without credits stalls and escapes none
-        stats = collect_stats(
-            r.all_packets, steps=t, max_queue=r.max_queue, completed=r.remaining == 0,
+        stats = stats_from_arrays(
+            *packet_outcomes(r.all_packets),
+            steps=t, max_queue=r.max_queue, completed=r.remaining == 0,
             combines=r.combines, max_node_load=r.max_node_load,
             credits_stalled=fc.credits_stalled, escape_hops=fc.escape_hops,
             fault_stalls=r.fault_stalls, run_mode="reference",

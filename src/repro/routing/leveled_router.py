@@ -29,7 +29,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.routing.engine import RoutingTimeout
-from repro.routing.metrics import RoutingStats
+from repro.routing.metrics import RoutingStats, stats_from_arrays
 from repro.routing.packet import Packet, PacketColumns
 from repro.routing.router import CompiledRun, Router
 from repro.topology.base import RouteStalledError
@@ -187,7 +187,9 @@ class LeveledRouter(Router):
         Returns ``(aggregate_stats, rounds_used)``; the aggregate's
         ``steps`` charges, per round, the allotment plus the trace-back
         time (the maximum progress any straggler must unwind), and the
-        final round's actual completion time.  Stragglers left after
+        final round's actual completion time; its counters are the sums
+        over the rounds, ``max_queue`` and ``max_node_load`` the largest
+        any round saw.  Stragglers left after
         *max_rounds* raise :class:`~repro.routing.engine.RoutingTimeout`
         with the last round's stats.
         """
@@ -197,36 +199,35 @@ class LeveledRouter(Router):
         sources = np.asarray(sources, dtype=np.int64)
         dests = np.asarray(dests, dtype=np.int64)
         total_time = 0
-        max_queue = 0
-        delays: list[int] = []
-        hops: list[int] = []
-        delivered = 0
+        rounds: list[RoutingStats] = []
+        hops: list[np.ndarray] = []
+        arrivals: list[np.ndarray] = []
         for round_idx in range(1, max_rounds + 1):
             stats = self.route(sources, dests, max_steps=allotment)
-            max_queue = max(max_queue, stats.max_queue)
+            rounds.append(stats)
             made, arrived = self.row_outcomes()
             done = arrived >= 0
-            delivered += int(done.sum())
-            # every packet starts at step 0: its delay is arrival - hops
-            delays += (arrived[done] - made[done]).tolist()
-            hops += made[done].tolist()
+            hops.append(made[done])
+            arrivals.append(arrived[done])
             if done.all():
                 total_time += stats.steps
-                return (
-                    RoutingStats(
-                        steps=total_time,
-                        delivered=delivered,
-                        total_packets=delivered,
-                        max_queue=max_queue,
-                        completed=True,
-                        delays=delays,
-                        hops=hops,
-                        # The aggregate spans rounds that all ran the
-                        # same engine; stamp the final round's mode.
-                        run_mode=stats.run_mode,
-                    ),
-                    round_idx,
+                aggregate = stats_from_arrays(
+                    np.concatenate(hops),
+                    None,  # every packet enters at step 0 of its round
+                    np.concatenate(arrivals),
+                    steps=total_time,
+                    max_queue=max(s.max_queue for s in rounds),
+                    completed=True,
+                    combines=sum(s.combines for s in rounds),
+                    max_node_load=max(s.max_node_load for s in rounds),
+                    credits_stalled=sum(s.credits_stalled for s in rounds),
+                    escape_hops=sum(s.escape_hops for s in rounds),
+                    fault_stalls=sum(s.fault_stalls for s in rounds),
+                    # The aggregate spans rounds that all ran the same
+                    # engine; stamp the final round's mode.
+                    run_mode=stats.run_mode,
                 )
+                return aggregate, round_idx
             # stragglers unwind their partial paths back to their sources
             failed = ~done
             total_time += allotment + int(made[failed].max())

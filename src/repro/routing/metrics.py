@@ -4,16 +4,16 @@
 * queue size — max packets ever resident in one link queue;
 * delay — per-packet queueing delay (latency minus path length);
 * hops — per-packet path length.
+
+Both engines report them through one constructor,
+:func:`stats_from_arrays`, over a run's per-packet rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-from repro.routing.packet import Packet
 
 
 class Deferred:
@@ -132,38 +132,6 @@ class RoutingStats:
         )
 
 
-def collect_stats(
-    packets: Sequence[Packet],
-    *,
-    steps: int,
-    max_queue: int,
-    completed: bool,
-    combines: int = 0,
-    max_node_load: int = 0,
-    credits_stalled: int = 0,
-    escape_hops: int = 0,
-    fault_stalls: int = 0,
-    run_mode: str = "",
-) -> RoutingStats:
-    """Assemble a :class:`RoutingStats` from delivered packets."""
-    delivered = [p for p in packets if p.delivered]
-    return RoutingStats(
-        steps=steps,
-        delivered=len(delivered),
-        total_packets=len(packets),
-        max_queue=max_queue,
-        completed=completed,
-        delays=[p.delay for p in delivered],
-        hops=[p.hops for p in delivered],
-        combines=combines,
-        max_node_load=max_node_load,
-        credits_stalled=credits_stalled,
-        escape_hops=escape_hops,
-        fault_stalls=fault_stalls,
-        run_mode=run_mode,
-    )
-
-
 def stats_from_arrays(
     hops: np.ndarray,
     injected_at: np.ndarray | None,
@@ -172,23 +140,28 @@ def stats_from_arrays(
     steps: int,
     max_queue: int,
     completed: bool,
-    combines: int = 0,
-    max_node_load: int = 0,
-    credits_stalled: int = 0,
-    escape_hops: int = 0,
-    fault_stalls: int = 0,
-    run_mode: str = "",
+    combines: int,
+    max_node_load: int | Deferred,
+    credits_stalled: int,
+    escape_hops: int,
+    fault_stalls: int,
+    run_mode: str,
 ) -> RoutingStats:
-    """:func:`collect_stats` over per-packet arrays instead of packets.
+    """The :class:`RoutingStats` of a run, from one row per packet: the
+    one constructor both engines and the restart aggregate report
+    through.
 
-    Row i describes one packet of the run, in the order
-    :func:`collect_stats` would have met it; ``arrived_at[i] < 0`` means
-    it was not delivered, and ``injected_at`` ``None`` that every row
-    entered at step 0.  The delivered rows are masked out only when some
-    row was not delivered: a completed run's lists are its whole
-    columns, element for element.  The fast engine's runs end here, so a
-    reply population that never existed as :class:`Packet` objects is
-    counted exactly like one that did.
+    Row i describes one packet of the run, in the order the engine met
+    it (the reference engine reads its packets into these columns with
+    :func:`~repro.routing.packet.packet_outcomes`); ``arrived_at[i] < 0``
+    means it was not delivered, and ``injected_at`` ``None`` that every
+    row entered at step 0.  ``delivered`` and ``total_packets`` are
+    counted from the rows, ``delays`` / ``hops`` are the delivered rows'
+    entries (Python ints).  The delivered rows are masked out only when
+    some row was not delivered: a completed run's lists are its whole
+    columns, element for element.  Every stat keyword is required, so a
+    counter one caller forgets, or one that does not exist, is a
+    ``TypeError`` at that caller's first run.
     """
     total = hops.size
     if injected_at is None:

@@ -140,6 +140,20 @@ class Packet:
         return f"Packet({self.pid}, {self.source}->{self.dest}, {status})"
 
 
+def packet_outcomes(packets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hops, injected_at, arrived)`` columns of *packets*, row i from
+    ``packets[i]``; ``arrived`` is -1 for a packet not delivered."""
+    n = len(packets)
+    hops = np.fromiter((p.hops for p in packets), dtype=np.int64, count=n)
+    injected = np.fromiter((p.injected_at for p in packets), dtype=np.int64, count=n)
+    arrived = np.fromiter(
+        (-1 if p.arrived_at is None else p.arrived_at for p in packets),
+        dtype=np.int64,
+        count=n,
+    )
+    return hops, injected, arrived
+
+
 def make_packets(sources, dests, *, addresses=None) -> list[Packet]:
     """Build a packet per (source, dest) pair with sequential ids."""
     sources = list(sources)

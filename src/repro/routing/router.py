@@ -63,7 +63,7 @@ from repro.routing.engine import SynchronousEngine
 from repro.routing.fast_engine import FastPathEngine, RunArrays, resolve_engine_mode
 from repro.routing.flow_control import resolve_flow_control
 from repro.routing.metrics import RoutingStats
-from repro.routing.packet import Packet, PacketColumns
+from repro.routing.packet import Packet, PacketColumns, packet_outcomes
 from repro.topology.compiled import FlatPaths
 from repro.util.rng import as_generator, random_h_relation
 
@@ -294,13 +294,7 @@ class Router:
         delivered)."""
         if self.last_fast_run is not None:
             return self.last_fast_run.hops, self.last_fast_run.arrived
-        packets = self.last_packets
-        hops = np.fromiter((p.hops for p in packets), dtype=np.int64, count=len(packets))
-        arrived = np.fromiter(
-            (-1 if p.arrived_at is None else p.arrived_at for p in packets),
-            dtype=np.int64,
-            count=len(packets),
-        )
+        hops, _, arrived = packet_outcomes(self.last_packets)
         return hops, arrived
 
     # ---- entry points --------------------------------------------------

@@ -346,15 +346,20 @@ class OnlineEmulator:
                 counts[r] = np.bincount(column, minlength=width)
         return counts
 
-    def _enqueue(self, batch: RequestBatch, stamp: int, not_before: int) -> None:
-        """Append *batch* to the pending table: one allocation of the
-        grown table, the queued columns copied in front."""
+    def _enqueue(
+        self, matrix: np.ndarray, tenants: np.ndarray, stamp: int, not_before: int
+    ) -> None:
+        """Append a batch's request *matrix* to the pending table, its
+        ``TENANT`` row replaced by *tenants* (the same rows already in
+        this driver's indices, from :meth:`_tenant_column`): one
+        allocation of the grown table, the queued columns copied in
+        front."""
         queued = self._table.shape[1]
-        table = np.empty((_TABLE_ROWS, queued + len(batch)), dtype=np.int64)
+        table = np.empty((_TABLE_ROWS, queued + matrix.shape[1]), dtype=np.int64)
         table[:, :queued] = self._table
         columns = table[:, queued:]
-        columns[:STAMP] = batch.matrix
-        columns[TENANT] = self._tenant_column(batch)
+        columns[:STAMP] = matrix
+        columns[TENANT] = tenants
         columns[STAMP] = stamp
         columns[NOT_BEFORE] = not_before
         columns[ATTEMPTS] = 0
@@ -505,7 +510,9 @@ class OnlineEmulator:
             room = len(arrivals)
             if self.overflow == "drop":  # drop-tail beyond queue_limit
                 room = min(room, max(self.queue_limit - self.backlog, 0))
-            self._enqueue(arrivals[:room], self.clock, self.clock)
+            self._enqueue(
+                arrivals.matrix[:, :room], offered[:room], self.clock, self.clock
+            )
             clock_before = self.clock
             batch = self._admit()
             expired = self._expired

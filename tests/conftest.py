@@ -63,6 +63,13 @@ def batch_of(requests) -> RequestBatch:
     return RequestBatch(matrix, tenants)
 
 
+def enqueue(drv, requests, stamp: int, not_before: int) -> None:
+    """Queue *requests* on an ``OnlineEmulator`` as its epoch loop
+    does: their tenant labels interned, then one ``_enqueue``."""
+    batch = batch_of(requests)
+    drv._enqueue(batch.matrix, drv._tenant_column(batch), stamp, not_before)
+
+
 def queued(drv) -> list:
     """An ``OnlineEmulator``'s queued ``(request, arrival_clock)`` pairs
     in FIFO order, the requests as row views of its pending table."""

@@ -2,9 +2,15 @@
 pairs, and a smoke run on a throwaway git repository whose benchmark
 command is a stub."""
 
+import contextlib
 import json
+import os
 import shutil
+import signal
 import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -61,13 +67,19 @@ def test_an_unclaimed_metric_is_within_its_bound_worse_or_unresolved():
 #: a benchmark command that reports the metrics of ``stub.json`` beside
 #: it, after checking the environment ab.py promises its children
 STUB = '''
-import json, os, sys
+import json, os, sys, time
 from pathlib import Path
-tree = Path(__file__).resolve().parent.parent.parent
+here = Path(__file__).parent
+tree = here.resolve().parent.parent
 if os.environ.get("PYTHONDONTWRITEBYTECODE") != "1" or list(tree.rglob("__pycache__")):
     sys.exit("bytecode cache")
+if (tree / ".git" / "worktrees").exists():
+    sys.exit("a worktree is registered")
+if (here / "hang").exists():  # stand still until killed
+    (here / "started").write_text("")
+    time.sleep(60)
 assert sys.argv[1:] == ["--workload", "w", "--seed", "3", "--seconds", "0.5", "--trace", "0"]
-stub = json.loads((Path(__file__).parent / "stub.json").read_text())
+stub = json.loads((here / "stub.json").read_text())
 print("#detail " + json.dumps({"sim_digest": stub["digest"]}))
 metrics = {k: {"value": v, "unit": ""} for k, v in stub["metrics"].items()}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
@@ -109,6 +121,14 @@ def write_stub(repo, digest, rps):
     (repo / "benchmarks" / "e2e" / "stub.json").write_text(json.dumps(stub))
 
 
+def worktrees(repo) -> str:
+    """``git worktree list`` of *repo*."""
+    return subprocess.run(
+        ["git", "-C", str(repo), "worktree", "list"],
+        check=True, capture_output=True, text=True,
+    ).stdout  # fmt: skip
+
+
 def run_ab(repo, monkeypatch, *extra):
     monkeypatch.chdir(repo)
     argv = ["--base", "HEAD", "--workload", "w", "--seed", "3", "--seconds", "0.5", *extra]
@@ -132,10 +152,8 @@ def test_a_smoke_run_on_a_stub_repository(tmp_path, monkeypatch, capsys):
     assert report["metrics"]["setup_s"]["ties"] == 2
     assert report["sim_digest"] == "d1"
     assert "requests_per_s" in capsys.readouterr().out
-    listed = subprocess.run(
-        ["git", "-C", str(repo), "worktree", "list"], capture_output=True, text=True
-    ).stdout
-    assert len(listed.strip().splitlines()) == 1
+    assert len(worktrees(repo).strip().splitlines()) == 1
+    assert not (repo / ".git" / "worktrees").exists()
 
 
 def test_a_pair_whose_digests_differ_stops_the_tool(tmp_path, monkeypatch):
@@ -143,7 +161,35 @@ def test_a_pair_whose_digests_differ_stops_the_tool(tmp_path, monkeypatch):
     write_stub(repo, "d2", 100.0)
     with pytest.raises(SystemExit, match="sim_digest d1 .base. != d2"):
         run_ab(repo, monkeypatch, "--pairs", "1")
-    listed = subprocess.run(
-        ["git", "-C", str(repo), "worktree", "list"], capture_output=True, text=True
-    ).stdout
-    assert len(listed.strip().splitlines()) == 1
+    assert len(worktrees(repo).strip().splitlines()) == 1
+    assert not (repo / ".git" / "worktrees").exists()
+
+
+def test_a_killed_run_leaves_the_repository_as_it_was(tmp_path):
+    """SIGKILL ``ab.py`` while this tree's run of pair 0 stands still:
+    nothing was registered in the repository to clean up."""
+    repo = stub_repo(tmp_path, 100.0)
+    bench = repo / "benchmarks" / "e2e"
+    (bench / "hang").write_text("")  # this tree only: the base has none
+    before = worktrees(repo)
+    argv = [sys.executable, str(Path(ab.__file__)), "--base", "HEAD", "--workload", "w"]
+    argv += ["--seed", "3", "--seconds", "0.5", "--pairs", "1"]
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.Popen(
+        argv, cwd=repo, env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )  # fmt: skip
+    try:
+        deadline = time.monotonic() + 60
+        while not (bench / "started").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+    finally:  # the stub run ab.py left behind
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    assert worktrees(repo) == before
+    assert not (repo / ".git" / "worktrees").exists()

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_of, queued
+from conftest import batch_of, enqueue, queued
 from repro.emulation import LeveledEmulator
 from repro.emulation.base import Emulator, StepCost
 from repro.sharding import MultiTenantOnlineEmulator, MultiTenantWorkload
@@ -81,7 +81,7 @@ class _NoWorkload:
 
 
 def _enqueue(drv, spec, reqs, stamp, not_before):
-    drv._enqueue(batch_of(reqs), stamp, not_before)
+    enqueue(drv, reqs, stamp, not_before)
     for req in reqs:
         spec.enqueue(req, stamp, not_before)
 
@@ -309,7 +309,7 @@ def test_a_gold_request_waits_behind_a_bronze_head_for_its_address():
             [(7, "initech"), (7, "acme"), (3, "globex"), (5, "initech")]
         )
     ]
-    drv._enqueue(batch_of(reqs), 0, 0)
+    enqueue(drv, reqs, 0, 0)
     assert drv._admit()[RID].tolist() == [2, 0, 1, 3]
 
 
@@ -383,7 +383,7 @@ NET = DAryButterflyLeveled(2, 4)
 SPACE = 512
 
 
-def _report_bytes(driver_cls, **kwargs) -> str:
+def _loaded(driver_cls, **kwargs):
     em = LeveledEmulator(NET, SPACE, mode="erew", seed=5)
     wl = MultiTenantWorkload(
         {
@@ -396,9 +396,31 @@ def _report_bytes(driver_cls, **kwargs) -> str:
             for i, t in enumerate(TENANTS)
         }
     )
-    report = driver_cls(em, wl, admit_limit=12, request_timeout=400, **kwargs).run(12)
+    return driver_cls(em, wl, admit_limit=12, request_timeout=400, **kwargs)
+
+
+def _report_bytes(driver_cls, **kwargs) -> str:
+    report = _loaded(driver_cls, **kwargs).run(12)
     assert report.total_delivered and report.final_backlog  # a loaded run
     return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def test_run_interns_each_epochs_tenant_labels_once(monkeypatch):
+    """An epoch's arrivals are interned once, for the offered counts,
+    and ``_enqueue`` takes that column: no second pass over the labels,
+    also when drop-tail queues only part of the epoch."""
+    interned = []
+    intern = OnlineEmulator._tenant_column
+
+    def counted(self, batch):
+        interned.append(len(batch))
+        return intern(self, batch)
+
+    monkeypatch.setattr(OnlineEmulator, "_tenant_column", counted)
+    report = _loaded(OnlineEmulator, queue_limit=40, overflow="drop").run(12)
+    assert len(interned) == 12
+    assert interned == [e.arrivals for e in report.epochs]
+    assert report.total_dropped  # some epochs queued a prefix only
 
 
 def test_no_policies_is_every_tenant_on_the_default_policy():

@@ -640,7 +640,7 @@ PUBLIC_NAMES = """
     FurthestFirstQueue GreedyMeshRouter GreedyRouter LeveledRouter MeshRouter
     NetworkDrainedError Packet RoutingStats RoutingTimeout ShuffleRouter StarRouter
     SynchronousEngine ValiantHypercubeRouter adversarial_star_permutation
-    bitonic_route bitonic_stage_count collect_stats default_slice_rows fifo_factory
+    bitonic_route bitonic_stage_count default_slice_rows fifo_factory
     furthest_first_factory make_packets random_linear_instance resolve_engine_mode
     resolve_flow_control route_linear transpose_permutation valiant_shuffle_route
 """

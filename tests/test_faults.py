@@ -20,7 +20,7 @@ Four layers, pinned bottom-up:
 import numpy as np
 import pytest
 
-from conftest import batch_of, queued
+from conftest import batch_of, enqueue, queued
 from repro.emulation import LeveledEmulator, MeshEmulator
 from repro.emulation.base import Emulator, StepCost
 from repro.faults import (
@@ -686,7 +686,7 @@ class TestDriverHardening:
         from collections import deque
 
         model = deque(reqs)
-        drv._enqueue(batch_of(reqs), 0, 0)
+        enqueue(drv, reqs, 0, 0)
 
         def model_admit(limit):
             batch, skipped, seen = [], [], set()
@@ -710,7 +710,7 @@ class TestDriverHardening:
     def test_queue_property_is_fifo_snapshot(self):
         drv = OnlineEmulator(_StubEmulator([]), _StubWorkload([]))
         for i, addr in enumerate([3, 1, 3, 2]):
-            drv._enqueue(batch_of([_req(i, addr)]), stamp=i, not_before=0)
+            enqueue(drv, [_req(i, addr)], stamp=i, not_before=0)
         assert [r.rid for r, _ in queued(drv)] == [0, 1, 2, 3]
         assert [s for _r, s in queued(drv)] == [0, 1, 2, 3]
         assert drv.backlog == 4
@@ -720,7 +720,7 @@ class TestDriverHardening:
             _StubEmulator([]), _StubWorkload([], n_procs=8), exclusive=False
         )
         reqs = [_req(i, addr) for i, addr in enumerate([5, 5, 5, 2, 5])]
-        drv._enqueue(batch_of(reqs), 0, 0)
+        enqueue(drv, reqs, 0, 0)
         assert drv._admit()[RID].tolist() == [0, 1, 2, 3, 4]
 
 

@@ -26,7 +26,7 @@ from tools.lint.framework import (
 )
 from tools.lint.rules.bare_raise import BareRaiseRule
 from tools.lint.rules.emulator_contract import EmulatorContractRule
-from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
+from tools.lint.rules.engine_parity import EventKindOrderRule
 from tools.lint.rules.front_end_columns import FrontEndColumnsRule
 from tools.lint.rules.hash_placement import HashPlacementRule
 from tools.lint.rules.metric_names import MetricNamesRule
@@ -228,110 +228,6 @@ class TestUnorderedIterRule:
         assert rule.applies_to("src/repro/faults/runtime.py")
         assert not rule.applies_to("src/repro/pram/machine.py")
         assert not rule.applies_to("src/repro/analysis/races.py")
-
-
-# ---------------------------------------------------------------------------
-# REPRO004 stat parity (cross-file)
-# ---------------------------------------------------------------------------
-
-_METRICS = """
-    class RoutingStats:
-        steps: int
-        delivered: int
-        combines: int
-
-    def collect_stats(packets, *, steps, delivered, combines=0):
-        pass
-"""
-
-_ENGINE_OK = """
-    def run(packets):
-        return collect_stats(packets, steps=1, delivered=2, combines=3)
-"""
-
-
-class TestStatParityRule:
-    def _lint(self, tmp_path, fast_src, engine_src=_ENGINE_OK):
-        root = _tree(
-            tmp_path,
-            {
-                "src/repro/routing/metrics.py": _METRICS,
-                "src/repro/routing/engine.py": engine_src,
-                "src/repro/routing/fast_engine.py": fast_src,
-            },
-        )
-        return run_lint(root, rules=[StatParityRule()])
-
-    def test_matching_engines_clean(self, tmp_path):
-        assert self._lint(tmp_path, _ENGINE_OK) == []
-
-    def test_field_set_in_one_engine_only(self, tmp_path):
-        drifted = """
-            def run(packets):
-                return collect_stats(packets, steps=1, delivered=2)
-        """
-        vs = self._lint(tmp_path, drifted)
-        assert len(vs) == 1
-        assert vs[0].path == "src/repro/routing/fast_engine.py"
-        assert "combines" in vs[0].message
-
-    def test_unknown_field_flagged(self, tmp_path):
-        bad = """
-            def run(packets):
-                return collect_stats(
-                    packets, steps=1, delivered=2, combines=3, warp=9
-                )
-        """
-        vs = self._lint(tmp_path, bad)
-        assert any("warp" in v.message for v in vs)
-
-    _METRICS_ARRAYS = _METRICS + """
-    def stats_from_arrays(hops, injected_at, arrived_at, *, steps, delivered, combines=0):
-        pass
-"""
-
-    _FAST_ARRAYS = """
-        def run(arrays):
-            return stats_from_arrays(
-                arrays.hops, arrays.inj, arrays.arr, steps=1, delivered=2, combines=3
-            )
-    """
-
-    def _lint_arrays(self, tmp_path, fast_src, metrics_src=None):
-        root = _tree(
-            tmp_path,
-            {
-                "src/repro/routing/metrics.py": metrics_src or self._METRICS_ARRAYS,
-                "src/repro/routing/engine.py": _ENGINE_OK,
-                "src/repro/routing/fast_engine.py": fast_src,
-            },
-        )
-        return run_lint(root, rules=[StatParityRule()])
-
-    def test_array_constructor_is_a_stats_site(self, tmp_path):
-        assert self._lint_arrays(tmp_path, self._FAST_ARRAYS) == []
-        # a counter the reference engine reports but the array site drops
-        drifted = self._FAST_ARRAYS.replace(", combines=3", "")
-        vs = self._lint_arrays(tmp_path, drifted)
-        assert [v.path for v in vs] == ["src/repro/routing/fast_engine.py"]
-        assert "combines" in vs[0].message
-        # ... and a keyword the array constructor does not take
-        bad = self._FAST_ARRAYS.replace("combines=3", "combines=3, warp=9")
-        assert any("warp" in v.message for v in self._lint_arrays(tmp_path, bad))
-
-    def test_constructor_signatures_must_agree(self, tmp_path):
-        lagging = self._METRICS_ARRAYS.replace(
-            "steps, delivered, combines=0):\n        pass\n\n    def stats",
-            "steps, delivered, combines=0, stalls=0):\n        pass\n\n    def stats",
-        )
-        assert lagging != self._METRICS_ARRAYS
-        vs = self._lint_arrays(tmp_path, self._FAST_ARRAYS, lagging)
-        assert [v.path for v in vs] == ["src/repro/routing/metrics.py"]
-        assert "stalls" in vs[0].message
-
-    def test_partial_invocation_is_silent(self, tmp_path):
-        root = _tree(tmp_path, {"src/repro/routing/engine.py": _ENGINE_OK})
-        assert run_lint(root, rules=[StatParityRule()]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +626,11 @@ class TestFramework:
 
     def test_default_rules_catalog(self):
         ids = [r.id for r in default_rules()]
+        # REPRO004 (stat-parity) is retired and its id not reused
         assert ids == [
             "REPRO001",
             "REPRO002",
             "REPRO003",
-            "REPRO004",
             "REPRO005",
             "REPRO006",
             "REPRO007",
@@ -785,7 +681,6 @@ class TestFramework:
             "REPRO001",
             "REPRO002",
             "REPRO003",
-            "REPRO004",
             "REPRO005",
             "REPRO006",
             "REPRO007",
@@ -794,6 +689,7 @@ class TestFramework:
             "REPRO010",
         ):
             assert rid in proc.stdout
+        assert "REPRO004" not in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for the synchronous engine, packets, queues, and metrics."""
 
+import dataclasses
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.experiments.harness import require_completed
@@ -12,11 +16,11 @@ from repro.routing import (
     Packet,
     RoutingTimeout,
     SynchronousEngine,
-    collect_stats,
     fast_engine,
     fast_scalar,
     make_packets,
 )
+from repro.routing.metrics import RoutingStats, stats_from_arrays
 from repro.routing.queues import furthest_first_factory
 from repro.topology import LinearArray
 
@@ -402,10 +406,53 @@ class TestPathTracking:
 
 
 class TestStats:
-    def test_collect_stats_fields(self):
-        pkts = make_packets([0, 1], [1, 0])
-        pkts[0].hops, pkts[0].arrived_at = 1, 1
-        pkts[1].hops, pkts[1].arrived_at = 1, 2
-        stats = collect_stats(pkts, steps=2, max_queue=1, completed=True)
-        assert stats.delivered == 2
+    def test_reference_run_stats_by_hand(self):
+        """Packets 0 and 1 share link (0, 1), so 1 waits a step; packet
+        0 spawns a one-hop reply at node 1 on step 1; packet 2 needs 5
+        hops and is still on its way when the 4-step budget ends.  The
+        reply's delay counts from its spawn step, and the undelivered
+        packet is counted but not measured."""
+        array = LinearArray(8)
+        pkts = make_packets([0, 0, 5], [2, 2, 0])
+
+        def reply_at_node_1(p):
+            return [Packet(10, 1, 0)] if (p.pid, p.node) == (0, 1) else None
+
+        stats = SynchronousEngine().run(
+            pkts, line_next_hop(array), max_steps=4, on_arrival=reply_at_node_1
+        )
+        assert dataclasses.asdict(stats) == dict(
+            steps=4,
+            delivered=3,
+            total_packets=4,
+            max_queue=2,
+            completed=False,
+            delays=[0, 1, 0],  # packet 0, packet 1, the reply
+            hops=[2, 2, 1],
+            combines=0,
+            max_node_load=2,
+            credits_stalled=0,
+            escape_hops=0,
+            fault_stalls=0,
+            run_mode="reference",
+        )
+        assert all(type(v) is int for v in stats.delays + stats.hops)
         assert stats.max_delay == 1
+        # an empty population counts nothing and completes at once
+        empty = SynchronousEngine().run([], line_next_hop(array), max_steps=4)
+        assert (empty.steps, empty.total_packets, empty.delays, empty.hops) == (0, 0, [], [])
+        assert empty.completed
+
+    def test_stats_from_arrays_takes_every_counted_field_by_keyword(self):
+        """The one RoutingStats constructor: every field but the four it
+        counts from the rows is a required keyword, so a counter an
+        engine forgets to pass is a TypeError at its first run."""
+        params = inspect.signature(stats_from_arrays).parameters.values()
+        keywords = {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+        derived = {"delivered", "total_packets", "delays", "hops"}
+        fields = {f.name for f in dataclasses.fields(RoutingStats)}
+        assert set(keywords) == fields - derived
+        assert all(p.default is p.empty for p in keywords.values())
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(TypeError):
+            stats_from_arrays(empty, None, empty, steps=0, max_queue=0, completed=True)

@@ -4,13 +4,16 @@
     python tools/ab.py --base REV --workload W [--pairs 10] [--seconds 15]
                        [--seed 7] [--out F.json]
 
-Run from inside the repository.  REV is checked out in a temporary
-``git worktree`` (removed on exit), and the two trees' benchmark command
-(``BENCHMARK.json``'s ``command``: ``benchmarks/e2e/run.py``) runs
-alternately, ``--workload W --seed S --seconds T --trace 0``, the order
-flipped every pair: the base first in pair 0, this tree first in pair 1,
-and so on.  Every child runs with ``PYTHONDONTWRITEBYTECODE=1`` and no
-``__pycache__`` in either tree (both are cleared before each run):
+Run from inside the repository.  REV's files are exported into a
+temporary directory (``git archive``, unpacked with :mod:`tarfile`;
+removed on exit) — the repository's ``.git`` is only read, so a run
+killed at any point leaves nothing registered in it.  The two trees'
+benchmark command (``BENCHMARK.json``'s ``command``:
+``benchmarks/e2e/run.py``) runs alternately, ``--workload W --seed S
+--seconds T --trace 0``, the order flipped every pair: the base first in
+pair 0, this tree first in pair 1, and so on.  Every child runs with
+``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` in either tree
+(both are cleared before each run):
 ``setup_s`` is mostly import time, and importing from a warm bytecode
 cache takes a fraction of importing from source, so a warm cache on one
 side would fake a ``setup_s`` change.
@@ -45,6 +48,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 from statistics import median, quantiles
@@ -97,6 +101,17 @@ def git(root: Path, *args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(root), *args], check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def export(root: Path, rev: str, dest: Path) -> None:
+    """Write revision *rev*'s files into the directory *dest*."""
+    archive = subprocess.Popen(
+        ["git", "-C", str(root), "archive", "--format=tar", rev], stdout=subprocess.PIPE
+    )
+    with archive, tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+        tar.extractall(dest, filter="data")
+    if archive.returncode:
+        raise SystemExit(f"ab.py: git archive {rev} failed (exit {archive.returncode})")
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -187,16 +202,9 @@ def main(argv=None) -> int:
     if args.workload not in workloads:
         ap.error(f"unknown workload {args.workload!r}; pick from {workloads}")
     rev = git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
-    scratch = Path(tempfile.mkdtemp(prefix="ab-"))
-    base = scratch / "base"
-    try:
-        git(root, "worktree", "add", "--detach", str(base), rev)
-        samples, digest = measure(root, base, manifest, args)
-    finally:
-        if base.exists():
-            git(root, "worktree", "remove", "--force", str(base))
-        shutil.rmtree(scratch, ignore_errors=True)
-        git(root, "worktree", "prune")
+    with tempfile.TemporaryDirectory(prefix="ab-") as base:
+        export(root, rev, Path(base))
+        samples, digest = measure(root, Path(base), manifest, args)
     rows = report(manifest, samples)
     print_table(
         rows,

@@ -18,7 +18,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.lint",
         description="repo-invariant lint (seeded RNG, wall clock, "
-        "unordered iteration, engine stat parity, event-kind order, "
+        "unordered iteration, event-kind order, "
         "the Emulator service contract)",
     )
     parser.add_argument(

@@ -6,8 +6,8 @@ Rule catalog (docs/static_analysis.md has the long-form version):
 * REPRO002 ``wall-clock`` — no wall-clock calls in the deterministic core.
 * REPRO003 ``unordered-iter`` — no order-sensitive iteration over sets
   in hot-path modules.
-* REPRO004 ``stat-parity`` — both routing engines assign the same
-  ``RoutingStats`` fields.
+* REPRO004 — retired (``stat-parity``: both engines now build their
+  ``RoutingStats`` through one constructor); the id is not reused.
 * REPRO005 ``event-kind-order`` — fault code honors the canonical
   ``EVENT_KINDS`` tuple (vocabulary + sort order).
 * REPRO006 ``hash-placement`` — ``PolynomialHash`` is constructed only
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from tools.lint.rules.bare_raise import BareRaiseRule
 from tools.lint.rules.emulator_contract import EmulatorContractRule
-from tools.lint.rules.engine_parity import EventKindOrderRule, StatParityRule
+from tools.lint.rules.engine_parity import EventKindOrderRule
 from tools.lint.rules.front_end_columns import FrontEndColumnsRule
 from tools.lint.rules.hash_placement import HashPlacementRule
 from tools.lint.rules.metric_names import MetricNamesRule
@@ -40,7 +40,6 @@ ALL_RULES = [
     SeededRngRule,
     WallClockRule,
     UnorderedIterRule,
-    StatParityRule,
     EventKindOrderRule,
     HashPlacementRule,
     MetricNamesRule,
@@ -58,7 +57,6 @@ __all__ = [
     "HashPlacementRule",
     "MetricNamesRule",
     "SeededRngRule",
-    "StatParityRule",
     "UnorderedIterRule",
     "WallClockRule",
 ]

@@ -162,6 +162,10 @@ KEEP = {
     "repro.util.stats:chernoff_upper": "e",
     "repro.util.stats:hoeffding_poisson_tail": "e",
     "repro.util.stats:poisson_tail": "e",
+    # the per-packet metrics queue_line_check reads off reference packets
+    "repro.routing.packet:Packet.delay": "e",
+    "repro.routing.packet:Packet.delivered": "e",
+    "repro.routing.packet:Packet.latency": "e",
     # (g) a list-built reply run's itineraries (RunArrays.paths), deferred
     "repro.routing.fast_scalar:reply_paths": "g",
     # ---- arms of served functions, keyed "function | header" ----------
