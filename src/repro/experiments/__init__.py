@@ -1,4 +1,5 @@
-"""Experiment suite: one module per claim family; see DESIGN.md §4."""
+"""Experiment suite: one module per claim family; ``benchmarks/bench_paper.py``
+runs every table and checks the paper's bounds on it."""
 
 from repro.experiments.harness import SweepRow, rows_to_table, run_sweep
 from repro.experiments.exp_leveled import run_e1, run_e4

@@ -11,7 +11,7 @@ Both engines report them through one constructor,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +51,22 @@ class ReadResolves:
     is stored).  A data descriptor, so it wins over the instance dict it
     stores into — on a frozen dataclass too.  Read through the class it
     is the field's *default*; given none, the field has none (a
-    dataclass takes the ``AttributeError`` to mean so)."""
+    dataclass takes the ``AttributeError`` to mean so).  Given a
+    *factory* instead, the default read through the class is the
+    descriptor itself, which an instance stores as a fresh
+    ``factory()``: a mutable default no two instances share."""
 
-    def __init__(self, *default) -> None:
+    def __init__(self, *default, factory=None) -> None:
         self.default = default
+        self.factory = factory
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
+            if self.factory is not None:
+                return self
             if not self.default:
                 raise AttributeError(self.name)
             return self.default[0]
@@ -70,7 +76,7 @@ class ReadResolves:
         return value
 
     def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
+        obj.__dict__[self.name] = self.factory() if value is self else value
 
 
 @dataclass
@@ -82,8 +88,12 @@ class RoutingStats:
     total_packets: int
     max_queue: int
     completed: bool
-    delays: list[int] = field(default_factory=list)
-    hops: list[int] = field(default_factory=list)
+    #: the delivered packets' queueing delays and hop counts, in row
+    #: order (Python ints); a run stores a :class:`Deferred` for each,
+    #: worked out from its columns on the first read — no served path
+    #: reads them
+    delays: list[int] = ReadResolves(factory=list)
+    hops: list[int] = ReadResolves(factory=list)
     #: number of packet merges performed (CRCW combining)
     combines: int = 0
     #: peak number of packets resident at any single node (sum of its
@@ -156,29 +166,29 @@ def stats_from_arrays(
     :func:`~repro.routing.packet.packet_outcomes`); ``arrived_at[i] < 0``
     means it was not delivered, and ``injected_at`` ``None`` that every
     row entered at step 0.  ``delivered`` and ``total_packets`` are
-    counted from the rows, ``delays`` / ``hops`` are the delivered rows'
-    entries (Python ints).  The delivered rows are masked out only when
-    some row was not delivered: a completed run's lists are its whole
-    columns, element for element.  Every stat keyword is required, so a
-    counter one caller forgets, or one that does not exist, is a
-    ``TypeError`` at that caller's first run.
+    counted from the rows; ``delays`` / ``hops`` are the delivered rows'
+    entries, deferred to their first read (:func:`delivered_rows`), so
+    the columns must not change after the call.  Every stat keyword is
+    required, so a counter one caller forgets, or one that does not
+    exist, is a ``TypeError`` at that caller's first run.
     """
-    total = hops.size
-    if injected_at is None:
-        delays = arrived_at - hops
-    else:
-        delays = arrived_at - injected_at - hops
+    total = int(hops.size)
+    delivered = total
     if total and arrived_at[arrived_at.argmin()] < 0:
-        ok = arrived_at >= 0
-        hops, delays = hops[ok], delays[ok]
-    return RoutingStats(
+        delivered = int(np.count_nonzero(arrived_at >= 0))
+    minus = (hops,) if injected_at is None else (injected_at, hops)
+    # Filled in place rather than through __init__, where each of the
+    # three ReadResolves fields would cost a descriptor call: this runs
+    # once per engine run, twice a served step.
+    stats = object.__new__(RoutingStats)
+    vars(stats).update(
         steps=steps,
-        delivered=int(hops.size),
-        total_packets=int(total),
+        delivered=delivered,
+        total_packets=total,
         max_queue=max_queue,
         completed=completed,
-        delays=delays.tolist(),
-        hops=hops.tolist(),
+        delays=Deferred(delivered_rows, arrived_at, arrived_at, *minus),
+        hops=Deferred(delivered_rows, arrived_at, hops),
         combines=combines,
         max_node_load=max_node_load,
         credits_stalled=credits_stalled,
@@ -186,3 +196,16 @@ def stats_from_arrays(
         fault_stalls=fault_stalls,
         run_mode=run_mode,
     )
+    return stats
+
+
+def delivered_rows(arrived_at: np.ndarray, column: np.ndarray, *minus) -> list[int]:
+    """*column* minus each of *minus*, at the delivered rows
+    (``arrived_at >= 0``), as Python ints: a run's ``delays`` or
+    ``hops``.  A completed run's list is the whole column, element for
+    element."""
+    for m in minus:
+        column = column - m
+    if column.size and arrived_at[arrived_at.argmin()] < 0:
+        column = column[arrived_at >= 0]
+    return column.tolist()

@@ -1,4 +1,4 @@
-"""Sharded multi-module memory service (ROADMAP open item 1).
+"""Sharded multi-module memory service (``docs/sharding.md``).
 
 The paper emulates one PRAM memory on one network; this subsystem
 scales the same idea out: a :class:`ShardedEmulator` partitions the

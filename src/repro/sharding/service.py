@@ -1,6 +1,6 @@
 """Sharded multi-module memory service: scatter/gather over emulator shards.
 
-ROADMAP open item 1, and the production-scale version of the related
+The production-scale version (``docs/sharding.md``) of the related
 work's "emulating a large memory with a collection of smaller ones"
 (Hanlon, PAPERS.md): a :class:`ShardedEmulator` partitions the PRAM
 address space across N *independent* emulator shards with the two-level

@@ -1,13 +1,14 @@
-"""Fixtures shared by the fast-engine differential suites, and the
+"""Fixtures shared by the engine differential suites, and the
 front-end suites' helpers for hand-built request batches."""
 
+import signal
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.routing import fast_scalar
+from repro.routing import engine, fast_engine, fast_scalar, run_view
 from repro.traffic.driver import STAMP
 from repro.traffic.generators import NO_VALUE, RequestBatch
 
@@ -39,6 +40,65 @@ def run_lane(request):
     )
     with forced_run_lane(lane):
         yield lane
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Check every run the test makes after each of its steps, on all
+    three implementations (:func:`repro.routing.run_view.check`): the
+    scalar lane after each :func:`~repro.routing.fast_scalar.admit` its
+    step loop makes (not the ones a firing trigger makes inside it for
+    the children), the vector lane after each
+    :func:`~repro.routing.fast_engine.admit`, and the reference engine
+    at the top of each step, after its
+    :func:`~repro.routing.engine.check_drained`.  Yields the
+    ``(implementation, step)`` pairs checked."""
+    scalar_admit, vector_admit = fast_scalar.admit, fast_engine.admit
+    check_drained = engine.check_drained
+    depth = []
+    checked = []
+
+    def scalar_step(s, batch, t, advance, prof):
+        depth.append(t)
+        try:
+            scalar_admit(s, batch, t, advance, prof)
+        finally:
+            depth.pop()
+        if not depth:
+            run_view.check(run_view.scalar(s), t)
+            checked.append(("scalar", t))
+
+    def vector_step(s, batch, t):
+        vector_admit(s, batch, t)
+        run_view.check(run_view.vector(s), t)
+        checked.append(("vector", t))
+
+    def reference_step(r, t):
+        check_drained(r, t)
+        run_view.check(run_view.reference(r), t)
+        checked.append(("reference", t))
+
+    monkeypatch.setattr(fast_scalar, "admit", scalar_step)
+    monkeypatch.setattr(fast_engine, "admit", vector_step)
+    monkeypatch.setattr(engine, "check_drained", reference_step)
+    yield checked
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test instead of hanging the suite: the alarm interrupts
+    a Python-level loop that no longer terminates."""
+
+    def expired(_signum, _frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def batch_of(requests) -> RequestBatch:

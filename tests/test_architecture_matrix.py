@@ -229,9 +229,12 @@ def test_every_router_row_is_probed():
     assert routers and probed == routers
 
 
-#: the fast engine and every module split out of it, and the reference
-#: engine (its rule functions over one ``ReferenceRun``)
-ENGINE_MODULES = ("fast_engine.py", "fast_phases.py", "fast_scalar.py", "engine.py")
+#: the fast engine and every module split out of it, the reference
+#: engine (its rule functions over one ``ReferenceRun``), and the run
+#: checker all three share
+ENGINE_MODULES = (
+    "fast_engine.py", "fast_phases.py", "fast_scalar.py", "engine.py", "run_view.py",
+)  # fmt: skip
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -473,6 +473,7 @@ SCENARIOS = [
 ]
 
 
+@pytest.mark.usefixtures("checked_steps")
 @pytest.mark.parametrize(
     "scenario, regime",
     [
@@ -516,6 +517,7 @@ def ragged_all_zero_hop():
 RAGGED_REGIMES = {**REGIMES, "capacity": dict(node_capacity=1)}
 
 
+@pytest.mark.usefixtures("checked_steps")
 @pytest.mark.parametrize("regime", RAGGED_REGIMES)
 @pytest.mark.parametrize("scenario", [ragged_mixed, ragged_all_zero_hop])
 def test_ragged_paths_match_reference(scenario, regime):
@@ -526,6 +528,7 @@ def test_ragged_paths_match_reference(scenario, regime):
     assert f.hops == [len(r) - 1 + k for r, k in zip(kwargs["paths"], inject)]
 
 
+@pytest.mark.usefixtures("checked_steps")
 @pytest.mark.parametrize("regime", RAGGED_REGIMES)
 @pytest.mark.parametrize(
     "paths", [[], np.empty((0, 3), dtype=np.int64)], ids=["list", "matrix"]

@@ -35,6 +35,9 @@ from repro.topology import DAryButterflyLeveled, LinearArray, Mesh2D
 from conftest import delay_lines
 from test_fast_engine import assert_stats_equal
 
+#: every step of every engine run is checked (``tests/conftest.py``)
+pytestmark = pytest.mark.usefixtures("checked_steps")
+
 
 def _routed_modes(monkeypatch):
     """Record FastPathEngine.last_run_mode for every run() call."""

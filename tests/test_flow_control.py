@@ -35,6 +35,10 @@ from repro.routing import (
 from repro.topology import DAryButterflyLeveled, LinearArray, Mesh2D
 from test_fast_engine import assert_stats_equal
 
+#: every step of every engine run is checked (``tests/conftest.py``)
+pytestmark = pytest.mark.usefixtures("checked_steps")
+
+
 # Two packets crossing on a line with capacity-1 nodes: the canonical
 # wedge.  p0 (1 -> 3, eastbound) waits on node 2, held full by p1
 # (2 -> 0, westbound), which waits on node 1, held full by p0.

@@ -5,8 +5,11 @@ other; here a :class:`~repro.routing.engine.ReferenceRun` is built by
 hand on fixtures of two to four links, one rule function is called, and
 the state it leaves is read back — so a rule that breaks names itself,
 the way ``tests/test_fast_engine_phases.py`` does for the fast lanes.
-The last test steps the reference rules and the vector lane's phases
-side by side and compares one projection of both after every phase.
+Every engine run here is checked after each step (the ``checked_steps``
+fixture of ``tests/conftest.py``), a hand-corrupted run must be named by
+the run checker, and the last test steps the reference rules and both
+fast lanes side by side and compares their
+:class:`~repro.routing.run_view.RunView` after every arrival phase.
 
 Node keys are small ints; packet i follows ``paths[i]`` hop by hop (its
 next node is ``paths[i][p.hops + 1]``) and exits at the row's last node.
@@ -22,7 +25,9 @@ from repro.routing import (
     Packet,
     SynchronousEngine,
     fast_phases,
+    fast_scalar,
     furthest_first_factory,
+    run_view,
 )
 from repro.routing.engine import (
     ReferenceRun,
@@ -39,8 +44,9 @@ from repro.routing.engine import (
     transmit_serialized,
     transmit_unconstrained,
 )
+from repro.routing.run_view import RunInvariantError
 from repro.topology import FlatPaths
-from conftest import delay_lines, flat_priorities
+from conftest import deadline, delay_lines, flat_priorities
 from test_fast_engine import combine_groups
 from test_batch_arrival import (
     DownUntil,
@@ -77,9 +83,9 @@ def make_run(paths, *, addresses=None, link_faults=None, on_arrival=None,
 
 
 def queued(r: ReferenceRun, link) -> list[int]:
-    """The pids waiting on *link*, in FIFO order."""
+    """The pids waiting on *link*, in service order."""
     q = r.queues.get(link)
-    return [] if q is None else [p.pid for p in q._q]
+    return [] if q is None else [p.pid for p, _ in q.in_service_order()]
 
 
 def pids(packets) -> list[int]:
@@ -312,41 +318,121 @@ def test_a_drained_run_raises_network_drained_error():
     assert err.value.remaining == 1 and err.value.t == 0
 
 
+# ------------------------------------------------------ the run checker
+
+#: the step :func:`mid_run` stops at
+MID_RUN_STEP = 2
+
+
+def mid_run() -> ReferenceRun:
+    """A furthest-first run (rank: hops still to go) a few steps in:
+    link (4, 5) holds 2 then 0 (ranks 3, 2), (6, 7) holds 4 then 3,
+    (5, 6) holds 1 then 5, and (7, 12) holds 6."""
+    paths = [[0, 4, 5, 6], [1, 4, 5, 6, 7], [2, 4, 5, 6, 7], [3, 5, 6, 7],
+             [8, 6, 7], [9, 10, 5, 6], [11, 6, 7, 12]]  # fmt: skip
+    r = make_run(paths, queue_factory=furthest_first_factory(
+        lambda p: len(paths[p.pid]) - 1 - p.hops))  # fmt: skip
+    inject(r)
+    for t in range(MID_RUN_STEP):
+        for p in transmit_unconstrained(r):
+            place(r, p, t + 1)
+    run_view.check(run_view.reference(r), MID_RUN_STEP)
+    return r
+
+
+def deepest(r: ReferenceRun):
+    """The longest queue's link."""
+    return max(r.active, key=r.queue_length)
+
+
+def lost_packet(r):
+    key = deepest(r)
+    r.queues[key].pop()
+    r.node_load[key[0]] -= 1
+
+
+def queued_twice(r):
+    p = r.queues[deepest(r)].peek()
+    other = next(key for key in r.active if key != deepest(r))
+    r.queues[other].push(p)
+
+
+def on_a_link_off_its_node(r):
+    r.queues[deepest(r)].peek().node = 99
+
+
+def out_of_order(r):
+    heap = r.queues[deepest(r)]._heap  # a corruption pokes where no producer may
+    heap[0], heap[-1] = heap[-1], heap[0]
+
+
+def delivered_early(r):
+    key = next(key for key in r.active if r.queues[key].peek().dest != key[1])
+    p = transmit(r, key)
+    p.arrived_at = MID_RUN_STEP
+    r.remaining -= 1
+
+
+def lost_activation(r):
+    del r.active[deepest(r)]
+
+
+def emptied_link_left_active(r):
+    r.active[(0, 4)] = None  # packet 0, its only one, left it at step 1
+
+
+def miscounted_load(r):
+    r.node_load[deepest(r)[0]] += 1
+
+
+#: one hand-made engine bug each, and the invariant (and words) that
+#: must name it
+REFERENCE_CORRUPTIONS = {
+    lost_packet: ("conservation", "moved but is in no state"),
+    queued_twice: ("chain", "is queued on"),
+    on_a_link_off_its_node: ("chain", "not its next hop"),
+    out_of_order: ("chain", "out of service order"),
+    delivered_early: ("conservation", "delivered before its last hop"),
+    lost_activation: ("node_load", "node 4"),  # its node still counts the hidden queue
+    emptied_link_left_active: ("active", "has no queued packet"),
+    miscounted_load: ("node_load", "node 4"),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(REFERENCE_CORRUPTIONS), ids=lambda f: f.__name__)
+def test_the_run_checker_names_each_reference_corruption(corrupt):
+    r = mid_run()
+    assert max(map(r.queue_length, r.active)) > 1  # some queue has an order to break
+    corrupt(r)
+    invariant, words = REFERENCE_CORRUPTIONS[corrupt]
+    with deadline(10), pytest.raises(RunInvariantError, match=words) as err:
+        run_view.check(run_view.reference(r), MID_RUN_STEP)
+    assert err.value.invariant == invariant
+
+
+def test_the_reference_producer_never_asks_the_router():
+    """A randomized router draws in ``next_hop``: making the view must
+    not call it."""
+    r = mid_run()
+    calls = []
+    next_hop = r.next_hop
+    r.next_hop = lambda p: calls.append(p) or next_hop(p)
+    run_view.reference(r)
+    assert calls == []
+
+
 # ------------------------------------------------------------ phase twin
 #
-# One projection both engines can produce between two phases: per link,
-# the queued packet ids in service order; per packet, its node and hops.
-# The reference engine's rules and the vector lane's phases are stepped
-# side by side and must agree after every phase.
-
-
-def reference_view(r: ReferenceRun):
-    queues = {}
-    for link, q in r.queues.items():
-        order = q._q if hasattr(q, "_q") else [e[2] for e in sorted(q._heap)]
-        if order:
-            queues[link] = [p.pid for p in order]
-    return queues, [(p.node, p.hops) for p in r.all_packets]
-
-
-def vector_view(s: fast_phases.RunState):
-    queues = {}
-    for link in np.nonzero(s.q_len)[0].tolist():
-        chain, i = [], int(s.q_head[link])
-        while i >= 0:
-            chain.append(i)
-            i = int(s.q_next[i])
-        queues[(int(s.link_src[link]), int(s.link_dst[link]))] = chain
-    hops = (s.fl - s.fl_base).tolist()
-    starts = s.paths.offsets[:-1].tolist()
-    nodes = s.paths.nodes.tolist()
-    return queues, [(nodes[a + k], k) for a, k in zip(starts, hops)]
+# The reference engine's rules and both fast lanes' phases are stepped
+# side by side; their views must be equal after every arrival phase (the
+# scalar lane moves a cursor on when it admits, so it has no view of the
+# packets in flight).
 
 
 def twin_runs(paths, inject=None, priorities=None, addresses=None):
-    """The scenario as a :class:`ReferenceRun` and a vector-lane
-    ``RunState``, an injection at step k as a k-hop delay line
-    (:func:`conftest.delay_lines`)."""
+    """The scenario as a :class:`ReferenceRun`, a vector-lane
+    ``RunState`` and a scalar-lane ``ScalarRun``, an injection at step k
+    as a k-hop delay line (:func:`conftest.delay_lines`)."""
     paths, priorities = delay_lines(paths, inject, priorities)
     engine = {}
     if priorities is not None:
@@ -358,14 +444,15 @@ def twin_runs(paths, inject=None, priorities=None, addresses=None):
         np.asarray([v for row in paths for v in row], dtype=np.int64),
         np.cumsum([0] + [len(row) for row in paths]).astype(np.int64),
     )
-    s = fast_phases.RunState(
+    columns = (
         flat,
         np.asarray([len(row) - 1 for row in paths], dtype=np.int64),
         None if addresses is None else combine_groups(addresses, [row[-1] for row in paths]),
         flat_priorities(priorities, paths),
-        num_nodes=max(max(row) for row in paths) + 1,
     )
-    return r, s
+    num_nodes = max(max(row) for row in paths) + 1
+    s = fast_phases.RunState(*columns, num_nodes=num_nodes)
+    return r, s, fast_scalar.ScalarRun(*columns, num_nodes=num_nodes)
 
 
 @pytest.mark.parametrize("residue", ["scalar residue", "vector residue"])
@@ -383,23 +470,34 @@ def twin_runs(paths, inject=None, priorities=None, addresses=None):
 )
 def test_the_reference_rules_and_the_vector_phases_step_alike(scenario, residue):
     """FIFO, furthest-first and combining: ``transmit_unconstrained``
-    then ``place`` on one side, ``transmit_unconstrained`` then
-    ``admit`` on the other, the projections equal after each phase."""
-    r, s = twin_runs(**scenario())
+    then ``place`` on the reference run, ``transmit_unconstrained`` then
+    ``admit`` on the vector one, ``transmit`` then ``admit`` on the
+    scalar one — the three views equal after each arrival phase, and
+    each a state the run checker accepts."""
+    r, s, sc = twin_runs(**scenario())
+
+    def views(t):
+        ref = run_view.reference(r)
+        run_view.check(ref, t)
+        assert run_view.vector(s) == ref == run_view.scalar(sc), f"arrived at t={t}"
+
     with forced_lane(residue):
         inject(r)
         fast_phases.admit(s, s.roots, 0)
-        assert vector_view(s) == reference_view(r), "placed at t=0"
+        fast_scalar.admit(sc, sc.roots.tolist(), 0, 0, None)
+        views(0)
         for t in range(100):
-            assert s.remaining == r.remaining
+            assert s.remaining == r.remaining == sc.remaining
             if not r.remaining:
                 break
             sent = transmit_unconstrained(r)
             fast_sent = fast_phases.transmit_unconstrained(s)
-            assert fast_sent.tolist() == pids(sent), f"sent at t={t}"
+            scalar_sent = fast_scalar.transmit(sc)
+            assert fast_sent.tolist() == pids(sent) == scalar_sent, f"sent at t={t}"
             for p in sent:
                 place(r, p, t + 1)
             if fast_sent.size:
                 fast_phases.admit(s, fast_sent, t + 1)
-            assert vector_view(s) == reference_view(r), f"arrived at t={t + 1}"
-    assert not r.remaining and not s.remaining
+                fast_scalar.admit(sc, scalar_sent, t + 1, 1, None)
+            views(t + 1)
+    assert not r.remaining and not s.remaining and not sc.remaining

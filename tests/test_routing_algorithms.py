@@ -1,13 +1,11 @@
 """Tests for the paper's routing algorithms (Algorithms 2.1-2.3, §3.4)."""
 
 import dataclasses
-import signal
 import zlib
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import forced_run_lane
+from conftest import deadline, forced_run_lane
 
 from repro.routing import (
     GreedyMeshRouter,
@@ -35,23 +33,6 @@ from repro.topology import (
     StarGraph,
     StarLogicalLeveled,
 )
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail the test instead of hanging the suite: the alarm interrupts
-    a Python-level loop that no longer terminates."""
-
-    def expired(_signum, _frame):
-        raise AssertionError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestLeveledRouter:

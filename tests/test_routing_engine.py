@@ -20,7 +20,7 @@ from repro.routing import (
     fast_scalar,
     make_packets,
 )
-from repro.routing.metrics import RoutingStats, stats_from_arrays
+from repro.routing.metrics import Deferred, RoutingStats, stats_from_arrays
 from repro.routing.queues import furthest_first_factory
 from repro.topology import LinearArray
 
@@ -456,3 +456,26 @@ class TestStats:
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(TypeError):
             stats_from_arrays(empty, None, empty, steps=0, max_queue=0, completed=True)
+
+    def test_the_run_lists_are_worked_out_on_first_read(self):
+        """``delays`` / ``hops`` are stored as :class:`Deferred` and read as
+        the delivered rows' Python ints — ``==``, ``repr`` and ``asdict``
+        see what eager lists show; a stats built without them gets fresh
+        empty lists, never one shared default."""
+        counters = dict(
+            steps=6, max_queue=2, completed=False, combines=0, max_node_load=2,
+            credits_stalled=0, escape_hops=0, fault_stalls=0, run_mode="batch",
+        )  # fmt: skip
+        columns = (np.asarray([2, 3, 1]), np.asarray([0, 0, 2]), np.asarray([4, -1, 5]))
+        eager = RoutingStats(delivered=2, total_packets=3, delays=[2, 2], hops=[2, 1], **counters)
+        for read in (repr, dataclasses.asdict, lambda stats: stats):
+            stats = stats_from_arrays(*columns, **counters)
+            assert {f.name for f in dataclasses.fields(RoutingStats)} == set(vars(stats))
+            assert isinstance(vars(stats)["delays"], Deferred)
+            assert isinstance(vars(stats)["hops"], Deferred)
+            assert read(stats) == read(eager)
+        assert all(type(v) is int for v in stats.delays + stats.hops)
+        one, two = (RoutingStats(0, 0, 0, 0, True) for _ in range(2))
+        one.delays.append(1)
+        one.hops.append(2)
+        assert (two.delays, two.hops) == ([], [])

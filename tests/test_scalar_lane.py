@@ -8,9 +8,10 @@ that log when read (:func:`repro.routing.fast_phases.peak_node_load`).
 Each case routes one population on both lanes, whose ``RunArrays`` must
 agree field for field — the arrival log, the derived ``max_node_load``,
 ``max_queue`` and ``combines`` included — and, where the reference
-engine can route it, once more there.  Every scalar-lane step of every
-case ends in the lane's checker (``fast_scalar.check_invariants``,
-through the ``checked_steps`` fixture), which has cases of its own.
+engine can route it, once more there.  Every step of every case ends in
+the run checker (:func:`repro.routing.run_view.check`, through the
+``checked_steps`` fixture of ``tests/conftest.py``), which has scalar-lane
+cases of its own here.
 The lane keeps a busy link's head in ``active`` and only a longer
 queue's rest in ``waiting``; the last cases pin that shape's edges.
 """
@@ -19,7 +20,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import RUN_LANES, delay_lines, forced_run_lane
+from conftest import RUN_LANES, deadline, delay_lines, forced_run_lane
 
 from repro.emulation import LeveledEmulator
 from repro.pram.trace import RequestColumns
@@ -30,9 +31,10 @@ from repro.routing import (
     NetworkDrainedError,
     fast_engine,
 )
-from repro.routing import fast_phases, fast_scalar
+from repro.routing import fast_scalar, run_view
 from repro.routing.fast_engine import _normalise_paths
-from repro.routing.fast_phases import Replies, RunInvariantError, peak_node_load
+from repro.routing.fast_phases import Replies, peak_node_load
+from repro.routing.run_view import RunInvariantError
 from repro.routing.metrics import Deferred
 from repro.topology import Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import FlatPaths, compile_mesh
@@ -54,28 +56,11 @@ RUN_FIELDS = (
 
 
 @pytest.fixture(autouse=True)
-def checked_steps(monkeypatch):
-    """Check every scalar-lane run of the test after each of its steps:
-    after each :func:`~repro.routing.fast_scalar.admit` the step loop
-    makes — not the ones a firing trigger makes inside it for the
-    children.  Yields the steps checked; the test must have made one."""
-    admit = fast_scalar.admit
-    depth = []
-    checked = []
-
-    def admit_then_check(s, batch, t, advance, prof):
-        depth.append(t)
-        try:
-            admit(s, batch, t, advance, prof)
-        finally:
-            depth.pop()
-        if not depth:
-            fast_scalar.check_invariants(s, t)
-            checked.append(t)
-
-    monkeypatch.setattr(fast_scalar, "admit", admit_then_check)
-    yield checked
-    assert checked, "no scalar-lane step ran"
+def scalar_steps(checked_steps):
+    """Every step of every run the case makes is checked, on each lane
+    and the reference; the case must make a scalar-lane one."""
+    yield
+    assert any(lane == "scalar" for lane, _ in checked_steps), "no scalar-lane step ran"
 
 
 def assert_runs_equal(a, b):
@@ -249,9 +234,9 @@ def test_a_timed_out_run_leaves_its_engine_clean():
         assert (stats.max_node_load, stats.max_queue) == (2, 2)
 
 
-#: the scalar lane's admission as the module defines it, before the
+#: each lane's admission as its module defines it, before the
 #: ``checked_steps`` fixture wraps it in the checker
-UNCHECKED_SCALAR_ADMIT = fast_scalar.admit
+UNCHECKED_ADMITS = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}
 
 #: five packets through node 2 (links 0→2 and 1→2, then 2→3)
 THROUGH_NODE_2 = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 2
@@ -270,16 +255,14 @@ def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
     """The step-0 admission drops the last two roots, so the run owes
     packets nothing will bring (``NetworkDrainedError``) — at the same
     step with the same count on both lanes; the engine's next run, with
-    the admission restored, starts from nothing.  The scalar lane's drop
-    goes around the checker, which would report it first (the next
-    test)."""
+    the admission restored, starts from nothing.  The drop goes around
+    the checker, which would report it first (the next test)."""
     paths = THROUGH_NODE_2
     admits = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}
-    unchecked = {fast_engine: fast_engine.admit, fast_scalar: UNCHECKED_SCALAR_ADMIT}
 
     seen = []
     for lane in RUN_LANES:
-        for module, admit in unchecked.items():
+        for module, admit in UNCHECKED_ADMITS.items():
             monkeypatch.setattr(module, "admit", admitting_three_at_step_0(admit))
         engine = FastPathEngine()
         with forced_run_lane(lane):
@@ -296,30 +279,31 @@ def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
 
 def test_a_root_dropped_at_step_0_is_lost_to_both_checkers(monkeypatch):
     """Every root is admitted at step 0, so right after that admission a
-    root in no state is lost, not "not yet injected": each lane's
+    root in no state is lost, not "not yet injected": on each lane the
     checker names the first of the two roots the admission drops, four
     steps before the engine's drain check would notice."""
-    vector_admit, scalar_admit = fast_engine.admit, fast_scalar.admit  # the latter checked
-
-    def admit_then_check(s, batch, t):
-        admitting_three_at_step_0(vector_admit)(s, batch, t)
-        fast_phases.check_invariants(s, None, t)
-
-    monkeypatch.setattr(fast_engine, "admit", admit_then_check)
-    monkeypatch.setattr(fast_scalar, "admit", admitting_three_at_step_0(scalar_admit))
+    admits = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}  # checked
+    for module, admit in admits.items():
+        monkeypatch.setattr(module, "admit", admitting_three_at_step_0(admit))
     for lane in RUN_LANES:
         with forced_run_lane(lane):
             with pytest.raises(RunInvariantError, match=r"root 3 .* at step 0") as exc:
                 FastPathEngine().run(THROUGH_NODE_2, num_nodes=4, max_steps=50)
         assert exc.value.invariant == "conservation", lane
     # restored, the admission places them all, and the checker agrees
-    monkeypatch.setattr(fast_engine, "admit", vector_admit)
-    monkeypatch.setattr(fast_scalar, "admit", scalar_admit)
-    with forced_run_lane("scalar"):
-        assert FastPathEngine().run(THROUGH_NODE_2, num_nodes=4, max_steps=50).completed
+    for module, admit in admits.items():
+        monkeypatch.setattr(module, "admit", admit)
+    for lane in RUN_LANES:
+        with forced_run_lane(lane):
+            assert FastPathEngine().run(THROUGH_NODE_2, num_nodes=4, max_steps=50).completed
 
 
 # ---- the checker ------------------------------------------------------------
+
+
+def checked(s, t):
+    """The run checker on a scalar run's view."""
+    run_view.check(run_view.scalar(s), t)
 
 
 def a_run_after_one_step(priorities=None):
@@ -332,7 +316,7 @@ def a_run_after_one_step(priorities=None):
     admit = fast_scalar.admit
     admit(s, list(range(5)), 0, 0, None)
     admit(s, fast_scalar.transmit(s), 1, 1, None)
-    fast_scalar.check_invariants(s, 1)
+    checked(s, 1)
     return s
 
 
@@ -349,22 +333,30 @@ def swap_head_and_waiter(s):
     s.active[k], s.waiting[k][0] = s.waiting[k][0], s.active[k]
 
 
+def cyclic_chain(s):
+    """The lists' form of a chain that loops back: a head among its own
+    waiters."""
+    k = link(2, 3)
+    s.waiting[k].append(s.active[k])
+
+
 @pytest.mark.parametrize(
     "invariant, breaks",
     [
         ("waiters", lambda s: s.waiting.update({link(1, 2): []})),
         ("waiters", lambda s: s.waiting.update({link(0, 3): [4]})),
-        ("chains", lambda s: s.waiting[link(2, 3)].append(1)),
-        ("chains", swap_heads),
+        ("chain", lambda s: s.waiting[link(2, 3)].append(1)),
+        ("chain", swap_heads),
         ("conservation", lambda s: setattr(s, "remaining", s.remaining + 1)),
         ("conservation", lambda s: s.spawned.append(2) or s.waiting.pop(link(0, 2))),
+        ("chain", cyclic_chain),
     ],
 )
 def test_the_checker_names_each_broken_clause(invariant, breaks):
     s = a_run_after_one_step()
     breaks(s)
-    with pytest.raises(RunInvariantError) as exc:
-        fast_scalar.check_invariants(s, 1)
+    with deadline(10), pytest.raises(RunInvariantError) as exc:
+        checked(s, 1)
     assert exc.value.invariant == invariant
 
 
@@ -372,11 +364,11 @@ def test_the_checker_reads_priorities_and_the_arrival_log():
     """Under furthest-first a chain never rises (0 ranks 5 on its second
     hop, 3 ranks 2), and no slot is logged after the step given."""
     s = a_run_after_one_step(np.asarray([1, 5] * 3 + [1, 2] * 2))
-    with pytest.raises(RunInvariantError, match="arrival log"):
-        fast_scalar.check_invariants(s, 0)
+    with pytest.raises(RunInvariantError, match="arrival_log"):
+        checked(s, 0)
     swap_head_and_waiter(s)
-    with pytest.raises(RunInvariantError, match="priorities rise"):
-        fast_scalar.check_invariants(s, 1)
+    with pytest.raises(RunInvariantError, match="out of service order"):
+        checked(s, 1)
 
 
 # ---- the head / waiting split, edge by edge ---------------------------------
