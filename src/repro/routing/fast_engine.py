@@ -71,6 +71,7 @@ from repro.routing.fast_phases import (
     RunState,
     admit,
     finish,
+    free_flow,
     land_escapes,
     peak_node_load,
     refresh_fault_flags,
@@ -407,7 +408,11 @@ class FastPathEngine:
         """The step loop: admit the roots at step 0, then repeat the
         paper's two-phase step on run state *s* — every link transmits
         one packet, every arrival is delivered, combined or enqueued —
-        until nothing remains or *max_steps* is reached.
+        until nothing remains or *max_steps* is reached.  On a run
+        without ``node_capacity`` or link faults, an arrival phase that
+        leaves no link with a waiter hands the run to
+        :func:`~repro.routing.fast_phases.free_flow`, which advances it
+        through the steps that stay that way in one pass.
 
         The phases, the state's layout and why each matches the
         reference engine are documented in
@@ -418,6 +423,9 @@ class FastPathEngine:
         rec = obs.recorder if obs is not None else None
         constrained = s.capacity is not None
         transmit = transmit_constrained if constrained else transmit_unconstrained
+        # a run whose every packet moves each step while no link holds a
+        # waiter: neither credits nor faults hold a link back
+        free = not constrained and s.link_faults is None
         fc = s.fc
         admit(s, s.roots, 0)
         t = 0
@@ -464,4 +472,7 @@ class FastPathEngine:
                 arrivals = land_escapes(s, arrivals)
             if arrivals.size:
                 admit(s, arrivals, t)
+                # no waiter anywhere: jump the steps that stay that way
+                if free and 0 < s.queued == s.active.size:
+                    t = free_flow(s, t, max_steps, rec)
         return finish(s, t, deadlocked)

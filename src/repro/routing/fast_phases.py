@@ -46,6 +46,20 @@ in activation order (first arrival first — the order of ``active``) and
 packets that arrive at one link in one step enqueue in transmission
 order of their source links.
 
+Free flow: greedy paths of different lengths leave a run with a tail in
+which no two packets share a queue (46 % of ``mesh_erew_hot``'s steps,
+41 % of ``mesh_crcw_zipf``'s at seed 7).  On a run without
+``node_capacity`` or a link-fault view, a state in which no link holds a
+waiter — ``queued``, the count of chained packets that :func:`enqueue`
+and :func:`pop_heads` keep, equals ``active.size`` — moves
+deterministically: every link sends, every packet takes its next slot,
+and nothing waits, combines or is ordered by priority until two packets
+reach one link in one step.  :func:`free_flow` finds the first such
+meeting, the first pending spawn trigger and the last delivery from the
+packets' own remaining slots, and advances the run to the step before
+the earliest of them (or to ``max_steps``) in one pass, writing exactly
+what the skipped steps would have.
+
 The phase functions bind the arrays they touch to locals on entry and
 write scalar counters back once per call: a step of a 16-packet batch
 costs ~50 µs, so an attribute read per array *use* would show.  For the
@@ -95,18 +109,19 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: lane (~12-45 µs whatever its size).  Timed alone the lanes cross at
 #: 32-48 arrivals; end to end 24, 32 and 64 tie and 8 is slower.  The
 #: census (``python tools/residue_census.py``, seed 7, one timed unit;
-#: sizes over the arrival phases that have a residue; the runs of the
-#: scalar run lane, :mod:`repro.routing.fast_scalar`, never reach this
-#: phase — all of ``bfly_small_steps``', ``sharded_tenants``' and
-#: ``apps_replay``'s):
+#: sizes over the arrival phases that have a residue, shares over the
+#: phases stepped — a :func:`free_flow` jump skips only residue-free
+#: ones; the runs of the scalar run lane, :mod:`repro.routing.fast_scalar`,
+#: never reach this phase — all of ``bfly_small_steps``',
+#: ``sharded_tenants``' and ``apps_replay``'s):
 #:
 #: ====================  ===========  ======  ===  ===  ===========
 #: workload              has residue  p50     p90  max  vector lane
 #: ====================  ===========  ======  ===  ===  ===========
-#: mesh_crcw_zipf        48 %         5       21   251  6 %
-#: mesh_erew_hot         50 %         8       53   215  20 %
-#: star_crcw_zipf        92 %         98      309  535  87 %
-#: bfly_credit_bursty    85 %         61      105  454  83 %
+#: mesh_crcw_zipf        79 %         5       21   251  6 %
+#: mesh_erew_hot         91 %         8       53   215  20 %
+#: star_crcw_zipf        97 %         98      309  535  87 %
+#: bfly_credit_bursty    93 %         61      105  454  83 %
 #: ====================  ===========  ======  ===  ===  ===========
 SCALAR_RESIDUE_MAX = 32
 
@@ -599,7 +614,8 @@ class RunState:
         "prio_flat",
         "spawn", "roots", "remaining",
         "gid", "parent", "subtree", "child_pairs", "combines",
-        "q_head", "q_tail", "q_next", "q_len", "node_load", "arr_log", "active",
+        "q_head", "q_tail", "q_next", "q_len", "queued", "active",
+        "node_load", "arr_log",
         "first_at", "fl_base", "fl", "fl_last", "arrived",
         "max_queue", "max_node_load", "queue_peaks", "load_peaks", "peak_fold",
         "fault_stalls",
@@ -671,6 +687,10 @@ class RunState:
         self.q_tail = np.full(n_links, -1, dtype=np.int64)
         self.q_next = np.full(n, -1, dtype=np.int64)
         self.q_len = np.zeros(n_links, dtype=np.int64)
+        #: packets in all chains together, kept by :func:`enqueue` and
+        #: :func:`pop_heads`: equal to ``active.size`` exactly when no
+        #: link holds a waiter (:func:`free_flow`'s test)
+        self.queued = 0
         #: packets queued per node: a capacity run's credits read it;
         #: any other run logs its arrivals instead (see the module
         #: docstring) and sizes no table by the network
@@ -793,6 +813,7 @@ def pop_heads(s: RunState, links: np.ndarray, heads: np.ndarray) -> None:
     q_len = s.q_len
     after = q_len[links] - 1
     q_len[links] = after
+    s.queued -= heads.size
     if s.capacity is not None:
         np.subtract.at(s.node_load, s.link_src[links], 1)
     s.fl[heads] += 1
@@ -1140,6 +1161,120 @@ def admit(s: RunState, batch: np.ndarray, t: int) -> None:
         prof.add_phase("arrival", wall_time() - t0 - combining_dt)
 
 
+def free_flow(s: RunState, t: int, max_steps: int, rec=None) -> int:
+    """Advance a run with no waiter at step *t* through the steps in
+    which it stays that way, in one pass; returns the step it lands at
+    (*t* itself when the next step needs stepping).  Only for runs
+    without ``node_capacity`` or a link-fault view, after an arrival
+    phase that left every busy link holding one packet
+    (``s.queued == s.active.size``).
+
+    Why it is exact: in such a state every link sends, every packet
+    moves one hop a step, and each one's next links are its own
+    remaining slots — until two packets would share a queue (the first
+    step anything can wait, combine or be ordered by priority), a
+    pending spawn trigger fires (:attr:`SpawnTables.nsp`), the last
+    packet is delivered, or ``max_steps`` ends the run.  The landing
+    step is the one before the first meeting or trigger, or else the
+    last delivery or ``max_steps``.  The meeting search reads each
+    packet's remaining queue slots window by window: offset 1 by one
+    scatter into the ``first_at`` scratch — a busy state that happens to
+    hold no waiter and meets at once costs O(packets) and no sort — then
+    offsets 2-5 and windows four times wider, each one sort of
+    (offset, link) keys.  The pass then writes what the skipped steps
+    would have: the arrival log of every slot passed, deliveries
+    (``arrived``, and ``remaining`` by absorption subtree), the cursors
+    and the chains — ``active`` in the same packet order, vacated links
+    with ``q_head`` -1, as :func:`pop_heads` leaves them.  Every skipped
+    queue holds one packet, a peak the log already has from the
+    packet's own enqueue.  With a flight recorder *rec*, each
+    skipped step gets the ``engine_step`` event stepping records; time
+    is booked to ``arrival`` (the search, logs and deliveries) and
+    ``transmission`` (cursors and chains).
+    """
+    prof = s.prof
+    t0 = wall_time() if prof is not None else 0.0
+    active = s.active
+    heads = s.q_head[active]
+    fl = s.fl[heads]
+    togo = s.fl_last[heads] - fl  # the offset at which each is delivered
+    reach = min(int(togo.max()), max_steps - t)
+    spawn = s.spawn
+    if spawn is not None:
+        # a pending trigger lies ahead of its packet's cursor, none at -9
+        trig = spawn.nsp[heads] - fl
+        trig = trig[trig > 0]
+        if trig.size:
+            reach = min(reach, int(trig.min()) - 1)
+    li_flat = s.li_flat
+    if reach > 0:
+        # offset 1 by one scatter into first-writer scratch, no sort: a
+        # busy state that meets at once costs O(packets)
+        nxt = li_flat[fl[togo > 1] + 1]
+        rank = np.arange(nxt.size)
+        first_at = s.first_at
+        first_at[nxt] = rank
+        if np.count_nonzero(first_at[nxt] != rank):
+            reach = 0
+    n_links = s.q_len.size
+    lo, hi = 2, 5
+    while lo <= reach:
+        hi = min(hi, reach)
+        # (packet, offset) pairs still queued in the window, keyed
+        # offset-major by the link each waits on there
+        packet, col = np.nonzero(togo[:, None] > np.arange(lo, hi + 1))
+        keys = li_flat[fl[packet] + col + lo]
+        keys += col * n_links
+        keys.sort()
+        met = keys[1:] == keys[:-1]
+        if np.count_nonzero(met):
+            reach = lo + int(keys[1:][met][0]) // n_links - 1
+            break
+        lo, hi = hi + 1, hi + 4 * (hi - lo + 1)
+    if reach < 1:
+        if prof is not None:
+            prof.add_phase("arrival", wall_time() - t0)
+        return t
+    # the slots passed without delivery, each logged at its arrival step
+    logged = np.minimum(togo - 1, reach)
+    step = segment_index(logged) + 1
+    s.arr_log[fl.repeat(logged) + step] = step + t
+    done = togo <= reach
+    at = togo[done]  # the delivered, by offset
+    done_idx = heads[done]
+    s.arrived[done_idx] = at + t
+    weight = s.subtree[done_idx] if s.combines else None
+    if rec is not None:
+        # step t + k sends what offset k has not delivered, and k's
+        # deliveries are off the books from its arrival phase on
+        sent = heads.size - np.bincount(at, minlength=reach).cumsum()
+        out = np.bincount(at, weights=weight, minlength=reach).cumsum()
+        for k in range(reach):
+            rec.record(
+                "engine_step", virtual_clock=t + k, arrivals=int(sent[k]),
+                active_links=0, remaining=s.remaining - int(out[k]),
+                fault_stalls=s.fault_stalls,
+            )  # fmt: skip
+    s.remaining -= int(np.add.reduce(weight)) if s.combines else at.size
+    t1 = wall_time() if prof is not None else 0.0
+    s.fl[heads] = fl + np.minimum(togo, reach)
+    s.q_head[active] = -1
+    s.q_len[active] = 0
+    stay = ~done
+    links = li_flat[fl[stay] + reach]
+    kept = heads[stay]
+    s.q_head[links] = kept
+    s.q_tail[links] = kept
+    s.q_len[links] = 1
+    s.active = links
+    s.queued = links.size
+    if prof is not None:
+        t2 = wall_time()
+        prof.add_phase("arrival", t1 - t0)
+        prof.add_phase("transmission", t2 - t1)
+    return t + reach
+
+
 def record_absorptions(s: RunState, hosts: np.ndarray, children: np.ndarray) -> None:
     """Merge *children* into *hosts* (aligned, in batch order): parent
     pointers, subtree sizes, and the ordered log :func:`finish` turns
@@ -1255,6 +1390,7 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
             post_len = q_len[placed]
         batch = batch[solo]
         li = li[solo]
+    s.queued += placed.size
     if placed.size:
         # Max stats only need the touched entries: within the phase
         # lengths/loads only grow, so the post-batch values are the

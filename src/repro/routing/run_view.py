@@ -113,7 +113,8 @@ def _itineraries(paths, fl_base, fl, fl_last):
 def vector(s) -> RunView:
     """A vector-lane :class:`~repro.routing.fast_phases.RunState`'s view;
     raises ``active`` unless ``active`` is the links with ``q_len > 0``,
-    and ``chain`` unless each chain from ``q_head`` has ``q_len`` members
+    and ``chain`` unless ``queued`` is the lengths' sum and each chain
+    from ``q_head`` has ``q_len`` members
     (the walk stops one past ``q_len``), ends at ``q_tail`` and holds
     packets whose next slot's id (``li_flat``) is that link."""
     active, busy = s.active.tolist(), np.flatnonzero(s.q_len).tolist()
@@ -122,6 +123,8 @@ def vector(s) -> RunView:
     empty = np.flatnonzero((s.q_len < 0) | ((s.q_len == 0) & (s.q_head != -1)))
     if empty.size:
         raise RunInvariantError("chain", f"link {empty[0]} has a negative length or an idle head")
+    if s.queued != s.q_len.sum():
+        raise RunInvariantError("chain", f"{s.queued} counted queued, {s.q_len.sum()} in chains")
     q_len, q_head, q_tail = s.q_len.tolist(), s.q_head.tolist(), s.q_tail.tolist()
     q_next, fl, li_flat = s.q_next.tolist(), s.fl.tolist(), s.li_flat.tolist()
     prio = s.prio_flat.tolist() if s.prio_flat is not None else None

@@ -49,11 +49,13 @@ def checked_steps(monkeypatch):
     scalar lane after each :func:`~repro.routing.fast_scalar.admit` its
     step loop makes (not the ones a firing trigger makes inside it for
     the children), the vector lane after each
-    :func:`~repro.routing.fast_engine.admit`, and the reference engine
-    at the top of each step, after its
+    :func:`~repro.routing.fast_engine.admit` and after each jump of
+    :func:`~repro.routing.fast_engine.free_flow`, and the reference
+    engine at the top of each step, after its
     :func:`~repro.routing.engine.check_drained`.  Yields the
     ``(implementation, step)`` pairs checked."""
     scalar_admit, vector_admit = fast_scalar.admit, fast_engine.admit
+    free_flow = fast_engine.free_flow
     check_drained = engine.check_drained
     depth = []
     checked = []
@@ -73,6 +75,12 @@ def checked_steps(monkeypatch):
         run_view.check(run_view.vector(s), t)
         checked.append(("vector", t))
 
+    def vector_jump(s, t, max_steps, rec=None):
+        t = free_flow(s, t, max_steps, rec)
+        run_view.check(run_view.vector(s), t)
+        checked.append(("vector", t))
+        return t
+
     def reference_step(r, t):
         check_drained(r, t)
         run_view.check(run_view.reference(r), t)
@@ -80,6 +88,7 @@ def checked_steps(monkeypatch):
 
     monkeypatch.setattr(fast_scalar, "admit", scalar_step)
     monkeypatch.setattr(fast_engine, "admit", vector_step)
+    monkeypatch.setattr(fast_engine, "free_flow", vector_jump)
     monkeypatch.setattr(engine, "check_drained", reference_step)
     yield checked
 

@@ -13,6 +13,8 @@ written on the scalar lane, and again as its ``...VectorLane``
 subclass.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import RUN_LANES, forced_run_lane
@@ -33,7 +35,9 @@ from repro.routing import (
     RoutingTimeout,
     ShuffleRouter,
     StarRouter,
+    SynchronousEngine,
     ValiantHypercubeRouter,
+    fast_engine,
     fast_scalar,
     resolve_engine_mode,
 )
@@ -750,6 +754,122 @@ class TestFastPathEngineUnitVectorLane(TestFastPathEngineUnit):
     RUN_LANE = "vector"
 
 
+def engine_runs(monkeypatch, call, *, jump=True) -> list[list]:
+    """``[stats, arrival log, arrival phases after step 0]`` of every
+    engine run *call* makes, in order, every fast run on the vector lane
+    (a reference run has no log or phase count: ``None``); *jump* False
+    turns the free-flow jump off, so every step is stepped."""
+    seen: list[list] = []
+    admit, run, reference = fast_engine.admit, FastPathEngine.run, SynchronousEngine.run
+
+    def counted(s, batch, t):
+        seen[-1][2] += t > 0
+        admit(s, batch, t)
+
+    def fast(self, *args, **kwargs):
+        seen.append([None, None, 0])
+        stats = run(self, *args, **kwargs)
+        seen[-1][:2] = stats, self.last_arrays.arrival_log
+        return stats
+
+    def oracle(self, *args, **kwargs):
+        stats = reference(self, *args, **kwargs)
+        seen.append([stats, None, None])
+        return stats
+
+    with monkeypatch.context() as patch, forced_run_lane("vector"):
+        patch.setattr(fast_engine, "admit", counted)
+        patch.setattr(FastPathEngine, "run", fast)
+        patch.setattr(SynchronousEngine, "run", oracle)
+        if not jump:
+            patch.setattr(fast_engine, "free_flow", lambda s, t, max_steps, rec=None: t)
+        call()
+    return seen
+
+
+def numbers(stats) -> dict:
+    """A run's stats under ``dataclasses.asdict``, less the engine's name."""
+    fields = dataclasses.asdict(stats)
+    del fields["run_mode"]
+    return fields
+
+
+@pytest.mark.usefixtures("checked_steps")
+class TestFreeFlowRuns:
+    """Whole runs in which the vector lane's free-flow jump fires
+    (:func:`~repro.routing.fast_phases.free_flow`, checked after every
+    jump): each run equals the reference engine's under
+    ``dataclasses.asdict``, logs the arrivals of the same run stepped
+    step by step, and runs fewer arrival phases than it has steps — so
+    the jump cannot silently stop firing."""
+
+    @staticmethod
+    def assert_jumps(monkeypatch, call, jumping):
+        """*call(engine)* on both engines: every run matches, and the
+        runs at the indices *jumping* skip steps."""
+        fast = engine_runs(monkeypatch, lambda: call("fast"))
+        stepped = engine_runs(monkeypatch, lambda: call("fast"), jump=False)
+        ref = engine_runs(monkeypatch, lambda: call("reference"))
+        assert len(fast) == len(stepped) == len(ref) > max(jumping)
+        for k, ((stats, log, phases), (plain, plain_log, every), (oracle, _, _)) in enumerate(
+            zip(fast, stepped, ref)
+        ):
+            assert numbers(stats) == numbers(plain) == numbers(oracle), k
+            assert np.array_equal(log, plain_log), k
+            assert every == stats.steps, k
+            assert (phases < stats.steps) == (k in jumping), k
+
+    @pytest.mark.parametrize("pattern", ["permutation", "hot spot"])
+    def test_mesh_tails(self, monkeypatch, pattern):
+        mesh = Mesh2D.square(12)
+        rng = np.random.default_rng(3)
+        if pattern == "permutation":
+            dests = rng.permutation(mesh.num_nodes)
+        else:  # a third of the packets head for four nodes
+            dests = rng.integers(0, mesh.num_nodes, mesh.num_nodes)
+            dests[::3] = rng.choice([13, 50, 77, 130], dests[::3].size)
+
+        def call(engine):
+            MeshRouter(mesh, seed=5, engine=engine).route(np.arange(mesh.num_nodes), dests)
+
+        self.assert_jumps(monkeypatch, call, jumping={0})
+
+    @pytest.mark.parametrize("mode", ["erew", "crcw"])
+    def test_mesh_emulator_replies(self, monkeypatch, mode):
+        """An EREW step's replies — a ``Replies`` population without
+        triggers — and a CRCW hot spot's, whose combining trees fan out
+        through triggers inside the tail."""
+        n = 100
+        if mode == "erew":
+            step = permutation_step(n, 512, seed=6)
+        else:
+            step = hotspot_step(n, 512, hot_addresses=3, hot_fraction=0.6, seed=6)
+
+        def call(engine):
+            MeshEmulator(Mesh2D.square(10), 512, mode=mode, seed=4, engine=engine).emulate_step(step)
+
+        self.assert_jumps(monkeypatch, call, jumping={0, 1})
+
+    def test_triggers_inside_a_reply_tail(self, monkeypatch):
+        """Reply 1 spawns six hops into reply 0's free tail, and reply 2
+        three hops into reply 1's: each jump lands one step short of a
+        trigger, and the stepped step fires it."""
+        from test_reply_phase import reference_replies, reply_population
+
+        forest = (
+            [list(range(10)), [6, 10, 11, 12, 13], [12, 14, 15], [20, 21]],
+            [-1, 0, 1, -1],
+        )
+
+        def call(engine):
+            requests, packets, hosts = reply_population(*forest)
+            if engine == "reference":
+                return reference_replies(packets, hosts)
+            FastPathEngine().run(Replies(requests, hosts), num_nodes=22, max_steps=200)
+
+        self.assert_jumps(monkeypatch, call, jumping={0})
+
+
 class TestRunLanes:
     """The two lanes of ``FastPathEngine.run`` (``fast_scalar``): which
     runs take the scalar one, and that an observer sees the same run on
@@ -797,12 +917,23 @@ class TestRunLanes:
         ),
         # a reply forest: reply 1 spawns at node 1 of 0's, 2 at node 4 of 1's
         "spawn": ({}, ([[0, 1, 2, 3], [1, 4], [4, 5]], [-1, 0, 1]), {}),
+        # no queue is ever shared: the vector lane jumps from step 1 on
+        "free flow": ({}, [[0, 1, 2, 3, 4, 5, 6], [1, 2, 3], [4, 5, 6]], {}),
     }
 
     @pytest.mark.parametrize("name", RUNS)
-    def test_an_observer_sees_the_same_run_on_both_lanes(self, name):
+    def test_an_observer_sees_the_same_run_on_both_lanes(self, monkeypatch, name):
         """The same profile buckets — ``combining`` only where arrivals
-        of a combining run meet — and the same flight-recorder events."""
+        of a combining run meet — and the same flight-recorder events,
+        one per step, the steps a free-flow jump skips included."""
+        landed = []
+        jump = fast_engine.free_flow
+
+        def spied(*args):
+            landed.append(jump(*args))
+            return landed[-1]
+
+        monkeypatch.setattr(fast_engine, "free_flow", spied)
         engine_kwargs, paths, run_kwargs = self.RUNS[name]
         if name == "spawn":  # routed as its Replies population
             from test_reply_phase import reply_population  # imports this module
@@ -824,3 +955,5 @@ class TestRunLanes:
         assert ("combining" in buckets) == (name == "crcw contended")
         assert {"setup", "arrival", "transmission", "finish"} <= set(buckets)
         assert [e["kind"] for e in events] == ["engine_step"] * scalar.steps
+        if name == "free flow":  # one jump, from step 1 to the end
+            assert landed == [scalar.steps] == [6]

@@ -27,6 +27,7 @@ from repro.routing.fast_phases import (
     classify_constrained,
     finish,
     fold_peaks,
+    free_flow,
     land_escapes,
     link_tables,
     pack_priorities,
@@ -601,6 +602,103 @@ def test_escape_claims_land_in_arrival_order():
     assert s.pending_escape == {} and not s.pend_flag.any()
 
 
+# ------------------------------------------------------------ free flow
+
+
+def stepped(s: RunState, t: int, until: int) -> None:
+    """The step loop's transmit-then-admit, from step *t* to *until*."""
+    for step in range(t + 1, until + 1):
+        admit(s, transmit_unconstrained(s), step)
+
+
+def jump_fields(s: RunState) -> dict:
+    """Every field :func:`free_flow` writes, as lists — ``q_tail`` only
+    on busy links, the one place it is read."""
+    return dict(
+        fl=s.fl.tolist(), arrived=s.arrived.tolist(), remaining=s.remaining,
+        arr_log=s.arr_log.tolist(), q_head=s.q_head.tolist(), q_len=s.q_len.tolist(),
+        q_next=s.q_next.tolist(), active=s.active.tolist(),
+        tails=s.q_tail[s.active].tolist(), queued=s.queued,
+    )  # fmt: skip
+
+
+def jump_from_roots(build, t: int = 0, max_steps: int = 50) -> tuple[RunState, int]:
+    """Build a run twice and step both to *t*; then one jumps
+    (:func:`free_flow`, checked after) and the other steps to where the
+    jump landed.  Returns the jumped state and its step, after checking
+    that the two states agree on every field the jump writes."""
+    s, twin = build(), build()
+    for run in (s, twin):
+        admit(run, run.roots, 0)
+        stepped(run, 0, t)
+    check_state(s, t=t)
+    landed = free_flow(s, t, max_steps)
+    check_state(s, t=landed)
+    stepped(twin, t, landed)
+    assert jump_fields(s) == jump_fields(twin)
+    return s, landed
+
+
+#: three packets on disjoint paths, delivered 4, 2 and 1 steps in
+FREE_RUN = [[0, 1, 2, 3, 4], [5, 6, 7], [8, 9]]
+
+
+def test_a_free_run_jumps_to_its_last_delivery():
+    s, t = jump_from_roots(lambda: make_state(FREE_RUN))
+    assert (t, s.remaining, s.active.size, s.queued) == (4, 0, 0, 0)
+    assert s.arrived.tolist() == [4, 2, 1]
+    # per slot, the step its packet arrived there (the roots' at 0)
+    assert s.arr_log.tolist() == [0, 1, 2, 3, 0, 1, 0]
+    assert (s.q_head == -1).all() and not s.q_len.any()
+    assert finish(s, t, False).completed
+
+
+def test_a_meeting_at_offset_k_lands_the_step_before():
+    # the two paths join at node 3, three hops in
+    s, t = jump_from_roots(lambda: make_state([[0, 1, 2, 3, 4, 5], [6, 7, 8, 3, 4, 5]]))
+    assert (t, s.remaining, s.queued) == (2, 2, 2)
+    admit(s, transmit_unconstrained(s), 3)
+    assert s.q_len.max() == 2 and s.active.size == 1  # they share (3, 4)
+
+
+def test_a_spawn_trigger_at_offset_k_lands_the_step_before():
+    # reply 1 spawns where reply 0 reaches node 3, three hops in
+    forest = ([[0, 1, 2, 3, 4, 5], [3, 6]], [-1, 0])
+
+    def build():
+        requests, _, hosts = reply_population(*forest)
+        paths, links, spawn = reply_layout(Replies(requests, np.asarray(hosts)))
+        return RunState(paths, paths.hops, num_nodes=7, links=links, spawn=spawn)
+
+    s, t = jump_from_roots(build)
+    assert (t, s.remaining, s.spawn.spawned) == (2, 1, [])
+    admit(s, transmit_unconstrained(s), 3)
+    assert s.remaining == 2 and s.injected_at.tolist() == [0, 3]
+
+
+def test_max_steps_inside_the_stretch_ends_the_run_there():
+    s, t = jump_from_roots(lambda: make_state(FREE_RUN), max_steps=2)
+    assert (t, s.remaining) == (2, 1)
+    assert s.arrived.tolist() == [-1, 2, 1]
+    arrays = finish(s, t, False)
+    assert not arrays.completed and arrays.hops.tolist() == [2, 2, 1]
+
+
+def test_a_meeting_at_offset_1_leaves_the_state_untouched():
+    s = make_state([[0, 2, 3], [1, 2, 3]])
+    admit_checked(s, s.roots, 0)
+    before = jump_fields(s)
+    assert free_flow(s, 0, 50) == 0
+    assert jump_fields(s) == before
+
+
+def test_a_host_delivered_by_a_jump_takes_its_subtree_off_remaining():
+    # both meet at node 2 on step 1, one absorbed; the host then flows
+    s, t = jump_from_roots(lambda: make_state([[0, 2, 3, 4]] * 2, gid=[7, 7]), t=1)
+    assert (t, s.remaining, s.combines) == (3, 0, 1)
+    assert finish(s, t, False).arrived.tolist() == [3, 3]
+
+
 # --------------------------------------------------------------- finish
 
 
@@ -633,6 +731,7 @@ def drive_checked(s: RunState, max_steps: int = 10_000):
     """``FastPathEngine._run_batch`` spelled out phase by phase, with
     :func:`check_state` after every one of them."""
     transmit = transmit_unconstrained if s.capacity is None else transmit_constrained
+    free = s.capacity is None and s.link_faults is None
     admit_checked(s, s.roots, 0)
     t = 0
     while s.remaining > 0 and t < max_steps:
@@ -646,6 +745,9 @@ def drive_checked(s: RunState, max_steps: int = 10_000):
             check_state(s, arrivals, t)
         if arrivals.size:
             admit_checked(s, arrivals, t)
+            if free and 0 < s.queued == s.active.size:
+                t = free_flow(s, t, max_steps)
+                check_state(s, t=t)
     return finish(s, t, False)
 
 

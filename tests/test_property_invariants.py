@@ -1,7 +1,7 @@
 """Property-based tests on the library's cross-cutting invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import queue_line_check
@@ -53,11 +53,17 @@ class TestRoutingInvariants:
         assert max(stats.hops) <= 2 * star.diameter  # two greedy phases
 
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_queue_line_lemma_on_single_pass_runs(self, seed):
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_queue_line_lemma_on_single_pass_runs(self, checked_steps, seed):
         """Fact 2.1 audited in its actual setting: a single unique-path
         pass over a *leveled* network, where links are level-distinguished
-        and the scheme is therefore nonrepeating.
+        and the scheme is therefore nonrepeating.  Node keys are
+        ``(level, row)``, so a packet's exit is ``(L, row)``; every step
+        is checked (``checked_steps``).
 
         (On the physical shuffle the same directed link recurs at
         different hop indices, nonrepeating fails, and the lemma is not
@@ -65,19 +71,24 @@ class TestRoutingInvariants:
         this test routes on the logical leveled view.)
         """
         net = DAryButterflyLeveled(2, 4)
+        L = net.num_levels
         rng = np.random.default_rng(seed)
         perm = rng.permutation(net.column_size)
 
         def next_hop(p):
             level, row = p.node
-            if level == net.num_levels:
+            if level == L:
                 return None
-            return (level + 1, net.unique_next(level, row, p.dest))
+            return (level + 1, net.unique_next(level, row, p.dest[1]))
 
-        packets = make_packets([(0, int(s)) for s in range(net.column_size)], perm)
+        packets = make_packets(
+            [(0, s) for s in range(net.column_size)], [(L, int(d)) for d in perm]
+        )
+        checked_steps.clear()
         engine = SynchronousEngine()
         stats = engine.run(packets, next_hop, max_steps=500)
         assert stats.completed
+        assert checked_steps == [("reference", t) for t in range(stats.steps)]
         assert queue_line_check(packets) == []
 
 

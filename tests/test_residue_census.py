@@ -16,7 +16,8 @@ from tools.residue_census import Census, counting, lane_rows
 
 def fan_in(census_kwargs=None):
     """Three same-key packets onto one idle link at injection, under the
-    census: one residue of three, two absorptions, then two solo steps."""
+    census: one residue of three, two absorptions, then one solo step —
+    after which nothing waits, and a free-flow jump takes the last."""
     with counting(Census(), **(census_kwargs or {})) as census:
         stats = FastPathEngine().run(
             [[0, 1, 2]] * 3, num_nodes=3, max_steps=9, combine_groups=[7, 7, 7]
@@ -29,15 +30,17 @@ def test_census_counts_a_fan_in_and_restores_the_engine(monkeypatch):
     # enqueue: the vector lane is forced to count the residue
     monkeypatch.setattr(fast_scalar, "SCALAR_RUN_MAX", 0)
     enqueue, run = fast_phases.enqueue, FastPathEngine.run
+    free_flow = fast_engine.free_flow
     census, stats = fan_in()
     assert (census.steps, census.phases) == ([stats.steps], 2) == ([2], 2)
-    assert (census.residues, census.absorptions) == ([3], 2)
+    assert (census.residues, census.absorptions, census.skipped) == ([3], 2, 1)
     row = census.row("fan-in")
-    # runs, on the scalar lane, net steps, on the scalar lane
-    assert row[1:5] == ["1", "0", "2", "0"]
+    # runs, on the scalar lane, net steps, on the scalar lane, jumped
+    assert row[1:6] == ["1", "0", "2", "0", "1"]
     # population min / p50 / p90 / max, then the residue columns
-    assert row[5:] == ["3", "3", "3", "3", "2", "50%", "3", "3", "3", "0%", "2"]
+    assert row[6:] == ["3", "3", "3", "3", "2", "50%", "3", "3", "3", "0%", "2"]
     assert (fast_phases.enqueue, FastPathEngine.run) == (enqueue, run)
+    assert fast_engine.free_flow is free_flow
 
 
 def test_the_population_columns_span_the_runs():
@@ -45,13 +48,13 @@ def test_the_population_columns_span_the_runs():
     that sits between two workloads' ranges moves none of their runs."""
     census = Census()
     census.populations, census.scalar, census.steps = [3, 9, 5, 7], [True] * 4, [1] * 4
-    assert census.row("spread")[5:9] == ["3", "6", "8.4", "9"]
+    assert census.row("spread")[6:10] == ["3", "6", "8.4", "9"]
 
 
 def test_census_counts_the_scalar_lane_and_times_both():
     run_max = fast_scalar.SCALAR_RUN_MAX
     census, _ = fan_in({"keep_calls": True})
-    assert census.row("fan-in")[1:10] == ["1", "1", "2", "2", "3", "3", "3", "3", "0"]
+    assert census.row("fan-in")[1:11] == ["1", "1", "2", "2", "0", "3", "3", "3", "3", "0"]
     ((name, bucket, runs, vector_ms, scalar_ms, speedup),) = lane_rows("fan-in", census)
     assert (name, bucket, runs) == ("fan-in", "1-16", "1")
     assert float(vector_ms) >= 0 and float(scalar_ms) >= 0 and speedup.endswith("x")

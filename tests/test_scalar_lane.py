@@ -237,6 +237,8 @@ def test_a_timed_out_run_leaves_its_engine_clean():
 #: each lane's admission as its module defines it, before the
 #: ``checked_steps`` fixture wraps it in the checker
 UNCHECKED_ADMITS = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}
+#: the vector lane's free-flow jump, unchecked
+UNCHECKED_JUMP = fast_engine.free_flow
 
 #: five packets through node 2 (links 0→2 and 1→2, then 2→3)
 THROUGH_NODE_2 = [[0, 2, 3]] * 3 + [[1, 2, 3]] * 2
@@ -256,14 +258,18 @@ def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
     packets nothing will bring (``NetworkDrainedError``) — at the same
     step with the same count on both lanes; the engine's next run, with
     the admission restored, starts from nothing.  The drop goes around
-    the checker, which would report it first (the next test)."""
+    the checker, which would report it first (the next test): the
+    admissions and the vector lane's jump to the last delivery run
+    unchecked."""
     paths = THROUGH_NODE_2
     admits = {fast_engine: fast_engine.admit, fast_scalar: fast_scalar.admit}
+    jump = fast_engine.free_flow
 
     seen = []
     for lane in RUN_LANES:
         for module, admit in UNCHECKED_ADMITS.items():
             monkeypatch.setattr(module, "admit", admitting_three_at_step_0(admit))
+        monkeypatch.setattr(fast_engine, "free_flow", UNCHECKED_JUMP)
         engine = FastPathEngine()
         with forced_run_lane(lane):
             with pytest.raises(NetworkDrainedError) as exc:
@@ -271,6 +277,7 @@ def test_a_drained_run_raises_alike_and_leaves_its_engine_clean(monkeypatch):
             seen.append((exc.value.remaining, exc.value.t))
             for module, admit in admits.items():
                 monkeypatch.setattr(module, "admit", admit)
+            monkeypatch.setattr(fast_engine, "free_flow", jump)
             stats = engine.run(paths, num_nodes=4, max_steps=50)
             fresh, _ = engine_run(paths, 4)
         assert_stats_equal(stats, fresh)

@@ -215,6 +215,7 @@ KEEP = {
     "repro.pram.machine:PRAM.run | if self.observer is not None:": "a",
     "repro.routing.fast_engine:FastPathEngine.run | if _obs is not None:": "a",
     "repro.routing.fast_engine:FastPathEngine._run_batch | if rec is not None:": "a",
+    "repro.routing.fast_phases:free_flow | if rec is not None:": "a",
     "repro.sharding.service:ShardedEmulator.emulate_step | if not err.flight_tail:": "a",
     # (a) link faults on a capacity run
     "repro.routing.fast_phases:advance_escapes | if f_flags is not None and f_flags[nl]:": "a",

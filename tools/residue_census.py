@@ -8,16 +8,21 @@ phase (``repro.routing.fast_phases.enqueue``) places a packet alone on
 an idle link through its solo lane; everything else — a link shared
 within the step's batch, or one that already has waiters — is the
 *contended residue*, resolved by a scalar walk when it has at most
-``SCALAR_RESIDUE_MAX`` arrivals and by numpy calls otherwise.  This
-tool measures the properties those choices depend on: per workload, one
-timed unit of ``benchmarks/e2e/workloads.py`` (imported read-only,
-set-up and warm-up excluded), with ``enqueue`` and ``FastPathEngine.run``
+``SCALAR_RESIDUE_MAX`` arrivals and by numpy calls otherwise.  A vector
+run without node capacity or link faults whose arrival phase leaves no
+link with a waiter jumps the steps that stay that way
+(``repro.routing.fast_phases.free_flow``).  This tool measures the
+properties those choices depend on: per workload, one timed unit of
+``benchmarks/e2e/workloads.py`` (imported read-only, set-up and warm-up
+excluded), with ``enqueue``, ``free_flow`` and ``FastPathEngine.run``
 wrapped from outside for the duration of the unit.  It prints one
 markdown row per workload:
 
 - ``runs`` / ``scalar runs`` — engine runs, and those on the scalar lane,
 - ``net steps`` / ``scalar steps`` — network steps routed
   (``RoutingStats.steps`` summed), all and on the scalar lane,
+- ``free-flow steps`` — vector-lane steps a free-flow jump advanced
+  instead of stepping them,
 - ``population min / p50 / p90 / max`` — packets per engine run (the
   gap between two rows' ranges is where ``SCALAR_RUN_MAX`` can sit
   without moving a run),
@@ -65,13 +70,13 @@ if str(ROOT / "benchmarks" / "e2e") not in sys.path:
 
 import workloads  # noqa: E402  (benchmarks/e2e, read-only)
 from repro.routing import DeadlockError, RoutingTimeout  # noqa: E402
-from repro.routing import fast_phases, fast_scalar  # noqa: E402
+from repro.routing import fast_engine, fast_phases, fast_scalar  # noqa: E402
 from repro.routing.fast_engine import FastPathEngine, _normalise_paths  # noqa: E402
 from repro.routing.fast_phases import Replies, reply_forest  # noqa: E402
 
 COLUMNS = (
     "workload", "runs", "scalar runs", "net steps", "scalar steps",
-    "population min", "p50", "p90", "max", "arrival phases", "with residue",
+    "free-flow steps", "population min", "p50", "p90", "max", "arrival phases", "with residue",
     "residue p50", "p90", "max", "vector residue", "absorptions",
 )  # fmt: skip
 
@@ -90,6 +95,7 @@ class Census:
         self.scalar: list[bool] = []  # per run: took the scalar lane
         self.eligible: list[bool] = []  # per run: its configuration allows it
         self.steps: list[int] = []  # per run
+        self.skipped = 0  # steps free-flow jumps advanced
         self.phases = 0
         self.residues: list[int] = []
         self.absorptions = 0
@@ -116,6 +122,7 @@ class Census:
             str(int(on_scalar.sum())),
             str(int(steps.sum())),
             str(int(steps[on_scalar].sum())),
+            str(self.skipped),
             str(int(pops.min())),
             f"{np.percentile(pops, 50):g}",
             f"{np.percentile(pops, 90):g}",
@@ -150,10 +157,11 @@ def population(args, kwargs) -> int:
 
 @contextmanager
 def counting(census: Census, keep_calls: bool = False):
-    """Wrap ``fast_phases.enqueue`` and ``FastPathEngine.run`` for the
-    block, then restore both; *keep_calls* keeps every run's arguments
-    in ``census.calls``."""
+    """Wrap ``fast_phases.enqueue``, the step loop's ``free_flow`` and
+    ``FastPathEngine.run`` for the block, then restore all three;
+    *keep_calls* keeps every run's arguments in ``census.calls``."""
     enqueue = fast_phases.__dict__["enqueue"]
+    free_flow = fast_engine.__dict__["free_flow"]
     run = FastPathEngine.__dict__["run"]
 
     def counted_enqueue(s, batch, f):
@@ -166,6 +174,11 @@ def counting(census: Census, keep_calls: bool = False):
             return enqueue(s, batch, f)
         finally:
             census.absorptions += s.combines - before
+
+    def counted_free_flow(s, t, *rest):
+        landed = free_flow(s, t, *rest)
+        census.skipped += landed - t
+        return landed
 
     def counted_run(self, *args, **kwargs):
         n = population(args, kwargs)
@@ -185,11 +198,13 @@ def counting(census: Census, keep_calls: bool = False):
         return stats
 
     fast_phases.enqueue = counted_enqueue
+    fast_engine.free_flow = counted_free_flow
     FastPathEngine.run = counted_run
     try:
         yield census
     finally:
         fast_phases.enqueue = enqueue
+        fast_engine.free_flow = free_flow
         FastPathEngine.run = run
 
 
