@@ -65,14 +65,18 @@ write scalar counters back once per call: a step of a 16-packet batch
 costs ~50 µs, so an attribute read per array *use* would show.  For the
 same reason the per-step phases call no ndarray reduction method (~2 µs
 each, whatever the size): "anyone delivered?" and "all solo?" are
-``np.count_nonzero``, and the peak queue length is logged per arrival
-phase and folded (:func:`fold_peaks`) every :data:`PEAK_LOG_FOLD`
-phases — fewer for a large batch, so the log stays small — and once
-more by :func:`finish`.
+``np.count_nonzero``, and the peak queue length is logged, not reduced,
+and only where a queue can pass one packet: a solo placement is a queue
+of one and merely lifts ``max_queue`` to 1, a contended arrival phase
+logs its survivors' lengths (residue-sized), and :func:`fold_peaks`
+takes the log's maximum every :data:`PEAK_LOG_FOLD` logged phases and
+once more in :func:`finish`.
 
 Node loads are counted only where they decide something: a
 ``node_capacity`` run keeps ``node_load`` (its credits read it) and
-folds its peak with the queue's.  Every other run keeps an *arrival
+logs the loads of every placement's node, folded every ``peak_fold``
+phases — fewer for a large batch, so that batch-sized log stays small.
+Every other run keeps an *arrival
 log* instead — per link slot, the step its packet arrived there, one
 scatter per arrival phase — and ``max_node_load`` is derived from it
 when first read (:func:`peak_node_load`, through
@@ -125,14 +129,16 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: ====================  ===========  ======  ===  ===  ===========
 SCALAR_RESIDUE_MAX = 32
 
-#: Arrival phases logged between two folds of the max stats
+#: Logged arrival phases between two folds of the max stats
 #: (:func:`fold_peaks`): a reduction costs ~2 µs however small the
-#: array, a list append ~50 ns.  A run of n packets folds every
-#: ``min(PEAK_LOG_FOLD, PEAK_LOG_ENTRIES // n)`` phases (at least one):
-#: an arrival phase brings each packet at most once, so the log holds at
-#: most 64 arrays per stat and no more than 4,096 entries unless one
-#: phase alone brings more (a 2.5k-packet star run folds every phase).
-#: The node-load peak is logged this way only by ``node_capacity`` runs.
+#: array, a list append ~50 ns.  The queue log takes one array per
+#: contended phase, its survivors' lengths — residue-sized (median 5-98
+#: entries on the e2e rows, at most one per link that sent), so 64 of
+#: them stay small.  A ``node_capacity`` run also logs every placement's
+#: node load, a batch-sized array per phase, and folds every
+#: ``min(PEAK_LOG_FOLD, PEAK_LOG_ENTRIES // n)`` phases (at least one) for
+#: n packets: an arrival phase brings each packet at most once, so that
+#: log holds no more than 4,096 entries unless one phase alone brings more.
 PEAK_LOG_FOLD = 64
 PEAK_LOG_ENTRIES = 4096
 
@@ -707,9 +713,10 @@ class RunState:
         #: links with queued packets, in activation order
         self.active = _EMPTY
         #: peak queue length (and, under capacity, node load) so far —
-        #: exact after :func:`fold_peaks`; the arrival phase logs its
-        #: touched values in ``queue_peaks`` / ``load_peaks`` instead of
-        #: reducing them
+        #: exact after :func:`fold_peaks`; the arrival phase logs the
+        #: contended survivors' lengths in ``queue_peaks`` (and a
+        #: capacity run its placements' loads in ``load_peaks``, folded
+        #: every ``peak_fold`` phases) instead of reducing them
         self.max_queue = 0
         self.max_node_load = 0
         self.queue_peaks: list[np.ndarray] = []
@@ -1102,9 +1109,9 @@ def land_escapes(s: RunState, arrivals: np.ndarray) -> np.ndarray:
 def fold_peaks(s: RunState) -> None:
     """Fold the arrival phases' logged queue lengths (and a capacity
     run's node loads) into ``max_queue`` / ``max_node_load`` and empty
-    the log: one reduction per stat for up to ``peak_fold`` steps
-    (:data:`PEAK_LOG_FOLD`).  :func:`finish` folds the rest, and so must
-    anyone reading the maxima mid-run."""
+    the logs: one reduction per stat for up to :data:`PEAK_LOG_FOLD`
+    logged phases (``peak_fold`` for the loads).  :func:`finish` folds
+    the rest, and so must anyone reading the maxima mid-run."""
     queue_peaks = s.queue_peaks
     if queue_peaks:
         s.max_queue = max(s.max_queue, int(np.concatenate(queue_peaks).max()))
@@ -1176,7 +1183,9 @@ def free_flow(s: RunState, t: int, max_steps: int, rec=None) -> int:
     pending spawn trigger fires (:attr:`SpawnTables.nsp`), the last
     packet is delivered, or ``max_steps`` ends the run.  The landing
     step is the one before the first meeting or trigger, or else the
-    last delivery or ``max_steps``.  The meeting search reads each
+    last delivery or ``max_steps``.  A trigger one step out (most of a
+    reply run's calls that skip nothing) returns before the delivery
+    offsets are read.  The meeting search reads each
     packet's remaining queue slots window by window: offset 1 by one
     scatter into the ``first_at`` scratch — a busy state that happens to
     hold no waiter and meets at once costs O(packets) and no sort — then
@@ -1186,8 +1195,8 @@ def free_flow(s: RunState, t: int, max_steps: int, rec=None) -> int:
     (``arrived``, and ``remaining`` by absorption subtree), the cursors
     and the chains — ``active`` in the same packet order, vacated links
     with ``q_head`` -1, as :func:`pop_heads` leaves them.  Every skipped
-    queue holds one packet, a peak the log already has from the
-    packet's own enqueue.  With a flight recorder *rec*, each
+    queue holds one packet, a peak the packet's own enqueue already
+    counted.  With a flight recorder *rec*, each
     skipped step gets the ``engine_step`` event stepping records; time
     is booked to ``arrival`` (the search, logs and deliveries) and
     ``transmission`` (cursors and chains).
@@ -1197,8 +1206,7 @@ def free_flow(s: RunState, t: int, max_steps: int, rec=None) -> int:
     active = s.active
     heads = s.q_head[active]
     fl = s.fl[heads]
-    togo = s.fl_last[heads] - fl  # the offset at which each is delivered
-    reach = min(int(togo.max()), max_steps - t)
+    reach = max_steps - t
     spawn = s.spawn
     if spawn is not None:
         # a pending trigger lies ahead of its packet's cursor, none at -9
@@ -1208,6 +1216,8 @@ def free_flow(s: RunState, t: int, max_steps: int, rec=None) -> int:
             reach = min(reach, int(trig.min()) - 1)
     li_flat = s.li_flat
     if reach > 0:
+        togo = s.fl_last[heads] - fl  # the offset at which each is delivered
+        reach = min(reach, int(togo.max()))
         # offset 1 by one scatter into first-writer scratch, no sort: a
         # busy state that meets at once costs O(packets)
         nxt = li_flat[fl[togo > 1] + 1]
@@ -1344,68 +1354,70 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
     emulations keep link queues O(1)): after the batch's scatter-add
     into the link lengths, a length of 1 marks a packet alone on a
     previously idle link.  Nobody there can combine with it, so it is
-    only placed — its queue's head and tail — and solo links activate
-    in batch order, their first-arrival order.  The rest — a link shared
-    within the batch, or already busy — is the **contended residue**:
-    absorbed, then threaded, by :func:`resolve_residue_scalar` up to
-    :data:`SCALAR_RESIDUE_MAX` arrivals, by :func:`resolve_residue_vector`
-    above.  Lengths, a capacity run's loads and the logged peaks
-    (:func:`fold_peaks`) count survivors only.
-    ``tests/test_batch_arrival.py`` pins both lanes by construction.
+    only placed — its queue's head and tail — and its length, 1 by
+    construction, needs no log: it sets ``max_queue`` to at least 1.
+    The rest — a link shared within the batch, or already busy — is the
+    **contended residue**: absorbed, then threaded, by
+    :func:`resolve_residue_scalar` up to :data:`SCALAR_RESIDUE_MAX`
+    arrivals, by :func:`resolve_residue_vector` above.  A resolver
+    takes its absorptions off ``q_len`` and returns its survivors' link
+    ids, whose lengths alone are logged for :func:`fold_peaks`, and the
+    residue positions that opened an idle link (its first arrival,
+    which always survives: an idle link holds nobody to combine with).
+    Those and the solo arrivals activate their links in batch order,
+    their first-arrival order.  Only a capacity run's node loads are
+    logged for the whole batch.  ``tests/test_batch_arrival.py`` pins
+    both lanes by construction.
     """
     q_len = s.q_len
     li = s.li_flat[f]
     pre_len = q_len[li]  # pre-batch lengths (gather before add)
     np.add.at(q_len, li, 1)
-    post_len = q_len[li]
-    solo = post_len == 1
+    solo = q_len[li] == 1
+    n_placed = np.count_nonzero(solo)
     combining_dt = 0.0
-    if np.count_nonzero(solo) == solo.size:
+    if n_placed == solo.size:
         newly = placed = li
     else:
-        # Newly activated links in first-arrival order: a repeated index
-        # keeps its last write, so scattering batch positions back to
-        # front leaves each idle link the position of its *first*
-        # arrival — O(batch), no scan over all links.  That arrival
-        # survives: an idle link holds nobody to combine with.
-        first_at = s.first_at
-        idx = np.nonzero(pre_len == 0)[0]
-        newly = li[idx]
-        first_at[newly[::-1]] = idx[::-1]
-        newly = newly[first_at[newly] == idx]
-        rest = np.nonzero(~solo)[0]
+        rest = (~solo).nonzero()[0]
         resolve = (
             resolve_residue_scalar
             if rest.size <= SCALAR_RESIDUE_MAX
             else resolve_residue_vector
         )
-        combining_dt, gone = resolve(s, batch[rest], f[rest], li[rest], pre_len[rest])
-        placed = li
-        if gone is not None:
-            gone = rest[gone]
-            np.subtract.at(q_len, li[gone], 1)
-            keep = np.ones(li.size, dtype=bool)
-            keep[gone] = False
-            placed = li[keep]
-            post_len = q_len[placed]
+        combining_dt, kept, opened = resolve(
+            s, batch[rest], f[rest], li[rest], pre_len[rest]
+        )
+        if kept.size:
+            # Within the phase lengths only grow, so the survivors'
+            # post-batch lengths are the step's peaks.  They are logged,
+            # not reduced: fold_peaks takes the maxima of many steps in
+            # one call.
+            queue_peaks = s.queue_peaks
+            queue_peaks.append(q_len[kept])
+            if len(queue_peaks) >= PEAK_LOG_FOLD:
+                fold_peaks(s)
         batch = batch[solo]
-        li = li[solo]
-    s.queued += placed.size
-    if placed.size:
-        # Max stats only need the touched entries: within the phase
-        # lengths/loads only grow, so the post-batch values are the
-        # step's peaks (gathers see each link's final value at its last
-        # duplicate).  They are logged, not reduced: fold_peaks takes
-        # the maxima of many steps in one call.
-        queue_peaks = s.queue_peaks
-        queue_peaks.append(post_len)
+        solo_li = li[solo]
+        # the openers take their place among the solo arrivals
+        solo[rest[opened]] = True
+        newly = li[solo]
+        li = placed = solo_li
+        if s.capacity is not None:
+            placed = np.concatenate([solo_li, kept])
+        n_placed += kept.size
+    if n_placed:
+        s.queued += n_placed
+        if not s.max_queue:
+            s.max_queue = 1
         if s.capacity is not None:
             node_load = s.node_load
             srcs = s.link_src[placed]
             np.add.at(node_load, srcs, 1)
-            s.load_peaks.append(node_load[srcs])
-        if len(queue_peaks) >= s.peak_fold:
-            fold_peaks(s)
+            load_peaks = s.load_peaks
+            load_peaks.append(node_load[srcs])
+            if len(load_peaks) >= s.peak_fold:
+                fold_peaks(s)
     s.q_head[li] = batch
     s.q_tail[li] = batch
     s.q_next[batch] = -1
@@ -1415,20 +1427,22 @@ def enqueue(s: RunState, batch: np.ndarray, f: np.ndarray) -> float:
 
 def resolve_residue_scalar(
     s: RunState, r_i: np.ndarray, r_f: np.ndarray, r_li: np.ndarray, r_pre: np.ndarray
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray, list[int]]:
     """Resolve a small contended residue arrival by arrival in Python:
     packets *r_i* (cursors *r_f*) arriving, in batch order, on links
     *r_li* whose chains held *r_pre* packets before the batch.  Returns
-    the absorb pass's seconds and the residue positions absorbed
-    (``None``: none).
+    the absorb pass's seconds, the survivors' link ids (``q_len``
+    already counts only them) and the residue positions that opened an
+    idle link's chain, in batch order.
 
     Absorb (combining runs only): an arrival meets the resident of its
     (link, key) — found by walking that link's chain — or else the first
     earlier arrival of the step with its link and key, and is absorbed
-    into it.  Thread: each survivor appends to its link's chain, unless
-    it outranks the chain's tail, when it walks from the head to just
-    behind the last waiter whose priority is not smaller.  Both are the
-    reference engine's push-by-push semantics, taken literally.
+    into it.  Thread: each survivor appends to its link's chain — a new
+    chain if the link was idle — unless it outranks the chain's tail,
+    when it walks from the head to just behind the last waiter whose
+    priority is not smaller.  Both are the reference engine's
+    push-by-push semantics, taken literally.
     """
     q_head = s.q_head
     q_tail = s.q_tail
@@ -1438,13 +1452,15 @@ def resolve_residue_scalar(
     prios = [0] * r_i.size if prio is None else prio[r_f].tolist()
     arrivals = list(zip(r_i.tolist(), r_li.tolist(), r_pre.tolist(), prios))
     combining_dt = 0.0
-    gone = None
+    kept = r_li
+    absorbed: set[int] = set()
     gid = s.gid
     if gid is not None:
         t0 = wall_time() if s.prof is not None else 0.0
+        q_len = s.q_len
         host_of: dict[tuple[int, int], int] = {}
         hosts: list[int] = []
-        gone_l: list[int] = []
+        gone: list[int] = []
         for k, ((i, li, busy, _), g) in enumerate(zip(arrivals, gid[r_i].tolist())):
             h = host_of.get((li, g))
             if h is None:
@@ -1458,21 +1474,30 @@ def resolve_residue_scalar(
                 host_of[li, g] = h
             if h != i:
                 hosts.append(h)
-                gone_l.append(k)
-        if gone_l:
-            gone = np.asarray(gone_l, dtype=np.int64)
+                gone.append(k)
+                q_len[li] -= 1
+        if gone:
             record_absorptions(s, np.asarray(hosts, dtype=np.int64), r_i[gone])
-            absorbed = set(gone_l)
-            arrivals = [a for k, a in enumerate(arrivals) if k not in absorbed]
+            absorbed = set(gone)
+            kept = np.asarray(
+                [a[1] for k, a in enumerate(arrivals) if k not in absorbed],
+                dtype=np.int64,
+            )
         if s.prof is not None:
             combining_dt = wall_time() - t0
             s.prof.add_phase("combining", combining_dt)
+    opened: list[int] = []
     tails: dict[int, tuple[int, int]] = {}  # link -> (tail, its priority)
-    for i, li, busy, p in arrivals:
+    for k, (i, li, busy, p) in enumerate(arrivals):
+        if k in absorbed:
+            continue
         tail = tails.get(li)
-        if tail is None and busy:
-            last = q_tail[li]
-            tail = (last, 0 if prio is None else prio[fl[last]])
+        if tail is None:
+            if busy:
+                last = q_tail[li]
+                tail = (last, 0 if prio is None else prio[fl[last]])
+            else:
+                opened.append(k)
         if tail is None or p <= tail[1]:
             if tail is None:
                 q_head[li] = i
@@ -1493,7 +1518,7 @@ def resolve_residue_scalar(
                 q_next[pred] = i
     for li, (tail, _) in tails.items():
         q_tail[li] = tail
-    return combining_dt, gone
+    return combining_dt, kept, opened
 
 
 def match_residents(
@@ -1532,9 +1557,10 @@ def match_residents(
 
 def resolve_residue_vector(
     s: RunState, r_i: np.ndarray, r_f: np.ndarray, r_li: np.ndarray, r_pre: np.ndarray
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Resolve a large contended residue in numpy calls, with
-    :func:`resolve_residue_scalar`'s arguments, result and semantics.
+    :func:`resolve_residue_scalar`'s arguments, result (the positions
+    that opened an idle link in any order) and semantics.
 
     Absorb: :func:`match_residents`.  Thread: one sort groups the
     survivors by link in service order — FIFO: (link, position) as one
@@ -1542,20 +1568,22 @@ def resolve_residue_vector(
     stable mergesort on int64); prioritised: largest first, batch order
     among ties (lexsort is stable) — and each group is chained behind
     its queue's old tail, except the arrivals that outrank that tail,
-    which :func:`insert_ahead` splices in.
+    which :func:`insert_ahead` splices in.  A group on an idle link
+    starts a new chain; the arrival that opened the link is the group's
+    lead under FIFO, its lowest position under priorities.
     """
     combining_dt = 0.0
-    gone = None
+    at = None  # each survivor's residue position (None: all survive)
     if s.gid is not None:
         prof = s.prof
         t0 = wall_time() if prof is not None else 0.0
         hosts = match_residents(s, r_i, r_li, r_pre)
         absorbed = hosts != r_i
-        if absorbed.any():
+        if np.count_nonzero(absorbed):
             record_absorptions(s, hosts[absorbed], r_i[absorbed])
-            gone = np.nonzero(absorbed)[0]
-            keep = ~absorbed
-            r_i, r_f, r_li, r_pre = r_i[keep], r_f[keep], r_li[keep], r_pre[keep]
+            np.subtract.at(s.q_len, r_li[absorbed], 1)
+            at = (~absorbed).nonzero()[0]
+            r_i, r_f, r_li, r_pre = r_i[at], r_f[at], r_li[at], r_pre[at]
         if prof is not None:
             combining_dt = wall_time() - t0
             prof.add_phase("combining", combining_dt)
@@ -1577,7 +1605,7 @@ def resolve_residue_vector(
     if prio is not None:
         # Whoever outranks the last waiter of its link goes in ahead
         # of it; the others (a group's lowest, sorted last) append.
-        met = np.nonzero(prev >= 0)[0]
+        met = (prev >= 0).nonzero()[0]
         if met.size:
             s_p = r_p[order]
             ahead = met[s_p[met] > prio[s.fl[prev[met]]]]
@@ -1586,17 +1614,25 @@ def resolve_residue_vector(
                 behind = np.ones(s_i.size, dtype=bool)
                 behind[ahead] = False
                 s_li, s_i, prev = s_li[behind], s_i[behind], prev[behind]
+                order = order[behind]
     # Each packet chains behind the previous member of its group, a
-    # group's first behind the queue's old tail.
+    # group's first behind the queue's old tail — or nobody: it heads a
+    # new chain.
     cont = s_li[1:] == s_li[:-1]
     prev[1:][cont] = s_i[:-1][cont]
     chained = prev >= 0
     q_next[s_i] = -1
     q_next[prev[chained]] = s_i[chained]
-    q_head[s_li[~chained]] = s_i[~chained]
+    new = (~chained).nonzero()[0]
+    q_head[s_li[new]] = s_i[new]
     # a repeated index keeps its last write: the group's tail
     q_tail[s_li] = s_i
-    return combining_dt, gone
+    opened = order[new]
+    if prio is not None and new.size:
+        # a group's highest rank leads it; its lowest position opened it
+        starts = np.concatenate(([0], (~cont).nonzero()[0] + 1))
+        opened = np.minimum.reduceat(order, starts)[~chained[starts]]
+    return combining_dt, r_li, opened if at is None else at[opened]
 
 
 def finish(s: RunState, t: int, deadlocked: bool) -> RunArrays:

@@ -285,11 +285,20 @@ def _check_conservation(view: RunView, hop, last, queued, t: int | None, in_flig
     if twice.size:
         raise RunInvariantError("conservation", f"packet {twice[0]} is in two states at once")
     if last is None:  # no itineraries: delivery is at the exit node
-        early = [i for i in view.delivered if view.node[i] != view.dest[i]]
+        for i in view.delivered:
+            at, dest = _plain(view.node[i]), _plain(view.dest[i])
+            if at != dest:
+                form = "" if type(at) is type(dest) else ", a key of another form"
+                raise RunInvariantError(
+                    "conservation", f"packet {i} delivered before its last hop: at "
+                    f"node {at!r}, its exit node {dest!r}{form}"
+                )  # fmt: skip
     else:
         early = delivered[hop[delivered] != last[delivered]]
-    if len(early):
-        raise RunInvariantError("conservation", f"packet {early[0]} delivered before its last hop")
+        if early.size:
+            raise RunInvariantError(
+                "conservation", f"packet {early[0]} delivered before its last hop"
+            )
     moved = np.flatnonzero((hop != 0) & (state == 0))
     if moved.size:
         raise RunInvariantError("conservation", f"packet {moved[0]} moved but is in no state")
@@ -309,3 +318,12 @@ def _check_conservation(view: RunView, hop, last, queued, t: int | None, in_flig
             "conservation", f"remaining {view.remaining}, but {weight} live (absorbed "
             f"subtrees included) + {unborn.size} roots not yet injected"
         )  # fmt: skip
+
+
+def _plain(key):
+    """A node key as plain Python values, tuples element by element: a
+    numpy scalar compares with a tuple by broadcasting, not as one key
+    against another."""
+    if isinstance(key, tuple):
+        return tuple(map(_plain, key))
+    return key.item() if isinstance(key, np.generic) else key

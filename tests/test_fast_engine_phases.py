@@ -41,12 +41,18 @@ from repro.routing.fast_phases import (
     transmit_constrained,
     transmit_unconstrained,
 )
-from repro.routing import LeveledRouter, fast_scalar, run_view
+from repro.routing import LeveledRouter, fast_engine, fast_phases, fast_scalar, run_view
+from repro.routing import furthest_first_factory
+from repro.routing.engine import inject, place, start_step
+from repro.routing.engine import transmit_constrained as reference_constrained
+from repro.routing.engine import transmit_unconstrained as reference_unconstrained
 from repro.routing.run_view import RunInvariantError
 from repro.topology import DAryButterflyLeveled, FlatPaths, Mesh2D, StarLogicalLeveled
 from repro.topology.compiled import compile_mesh, segment_index
 from conftest import deadline, flat_priorities, forced_run_lane
 from test_batch_arrival import DownUntil, forced_lane
+from test_fast_engine import combine_groups
+from test_reference_phases import make_run
 from test_reply_phase import reply_population
 
 
@@ -344,6 +350,131 @@ def test_admit_splices_spawned_children_in_front_of_their_parent():
     assert chain(s, link_12) == [4, 1, 2]
     assert s.active.tolist() == [link_12, link_13]
     assert [a.tolist() for a in s.spawn.spawned] == [[1, 4, 2]]
+
+
+# ---------------------------------------------- the arrival phase's contract
+#
+# One step's batch mixes every kind of arrival enqueue() tells apart.
+# Node 20's link (20, 21) starts with W0, W and R (R: the resident of
+# key (7, 21)); every other packet starts alone on a link of its own,
+# in pid order, so step 1's batch is W0 (delivered at 21), then the rest
+# in pid order:
+#
+#   K1  meets resident R: absorbed      D   joins it, absorbed into C
+#   A   solo on (40, 41)                B   solo on (42, 43)
+#   C   opens idle link (10, 11)        F   joins (10, 11), survives
+#   E   joins the busy (20, 21)         E2  joins the busy (20, 21)
+#
+# Residue K1, C, E, D, F, E2: six arrivals, the first one absorbed.
+# (10, 11) activates at C, between the two solo links, whatever its
+# service order; (20, 21) ends the step at length 4, the run's peak, and
+# no other queue passes 2.
+
+#: pid -> (path, combine address)
+MIXED_BATCH = [
+    ([20, 21], None), ([20, 21], None), ([20, 21], 7),  # W0, W, R
+    ([6, 20, 21], 7), ([1, 40, 41], None), ([3, 10, 11], 8),  # K1, A, C
+    ([5, 20, 21], None), ([4, 10, 11], 8), ([2, 42, 43], None),  # E, D, B
+    ([7, 10, 11], None), ([8, 20, 21], None),  # F, E2
+]  # fmt: skip
+#: per pid, its priority at each hop under furthest-first: W0 leads its
+#: chain, F outranks C, and E2 outranks E, both outranking W and R
+MIXED_PRIORITIES = [[9], [2], [1], [0, 1], [0, 0], [0, 1], [0, 3], [0, 1], [0, 0], [0, 5], [0, 4]]
+MIXED_RESIDUE = 6
+W0, W, R, K1, A, C, E, D, B, F, E2 = range(11)
+
+
+def mixed_twins(furthest_first: bool, capacity: int | None):
+    """:data:`MIXED_BATCH` as a reference run and a vector-lane run."""
+    paths = [path for path, _ in MIXED_BATCH]
+    addresses = [address for _, address in MIXED_BATCH]
+    priorities = MIXED_PRIORITIES if furthest_first else None
+    engine = {"node_capacity": capacity}
+    if furthest_first:
+        engine["queue_factory"] = furthest_first_factory(lambda p: priorities[p.pid][p.hops])
+    r = make_run(paths, addresses=addresses, **engine)
+    gid = combine_groups(addresses, [path[-1] for path in paths])
+    s = make_state(paths, gid=gid, priorities=priorities, capacity=capacity)
+    return r, s
+
+
+def assert_twins_agree(r, s: RunState, t: int) -> None:
+    """The views (activation order, chains in service order), every
+    queue's length, the queued count and the folded peaks agree."""
+    ref, view = run_view.reference(r), run_view.vector(s)
+    run_view.check(ref, t)
+    assert view == ref, f"t={t}"
+    lengths = [r.queue_length(key) for key in r.active]
+    assert s.q_len[s.active].tolist() == lengths
+    assert s.queued == sum(lengths)
+    fold_peaks(s)
+    assert s.max_queue == r.max_queue
+    if s.capacity is not None:
+        assert (view.node_load, s.max_node_load) == (ref.node_load, r.max_node_load)
+
+
+@pytest.mark.parametrize("capacity", [None, 5], ids=["unconstrained", "node_capacity"])
+@pytest.mark.parametrize("furthest_first", [False, True], ids=["fifo", "furthest-first"])
+@pytest.mark.parametrize("resolver", ["scalar", "vector"])
+def test_a_mixed_batch_enqueues_as_the_reference_pushes(
+    monkeypatch, checked_steps, resolver, furthest_first, capacity
+):
+    # the residue on either side of the lane boundary
+    limit = MIXED_RESIDUE if resolver == "scalar" else MIXED_RESIDUE - 1
+    monkeypatch.setattr(fast_phases, "SCALAR_RESIDUE_MAX", limit)
+    resolved = []
+    for name in ("resolve_residue_scalar", "resolve_residue_vector"):
+        inner = getattr(fast_phases, name)
+
+        def spy(s, r_i, *rest, inner=inner, name=name):
+            resolved.append((name.rsplit("_", 1)[1], r_i.tolist()))
+            return inner(s, r_i, *rest)
+
+        monkeypatch.setattr(fast_phases, name, spy)
+    r, s = mixed_twins(furthest_first, capacity)
+    inject(r)
+    fast_engine.admit(s, s.roots, 0)
+    assert_twins_agree(r, s, 0)
+    assert resolved == [("scalar", [W0, W, R])]  # a fan-in of three at injection
+    transmit_ref = reference_constrained if capacity else reference_unconstrained
+    transmit_vec = transmit_constrained if capacity else transmit_unconstrained
+    for t in range(1, 6):
+        start_step(r, t - 1)
+        sent = transmit_ref(r)
+        fast_sent = transmit_vec(s)
+        assert fast_sent.tolist() == [p.pid for p in sent], f"t={t}"
+        for p in sent:
+            place(r, p, t)
+        if fast_sent.size:
+            fast_engine.admit(s, fast_sent, t)
+        assert_twins_agree(r, s, t)
+        if t == 1:
+            assert resolved[1:] == [(resolver, [K1, C, E, D, F, E2])]
+            link = {key: li for li, key in enumerate(zip(s.link_src.tolist(), s.link_dst.tolist()))}
+            assert s.active.tolist() == [link[20, 21], link[40, 41], link[10, 11], link[42, 43]]
+            hub = [E2, E, W, R] if furthest_first else [W, R, E, E2]
+            assert chain(s, link[20, 21]) == hub
+            assert chain(s, link[10, 11]) == ([F, C] if furthest_first else [C, F])
+            assert s.parent[[D, K1]].tolist() == [C, R] and s.combines == 2
+            assert (s.max_queue, s.queued) == (4, 8)
+    assert not r.remaining and not s.remaining
+    assert checked_steps == [("vector", t) for t in range(6)]
+
+
+def test_solo_placements_alone_make_a_peak_of_one(checked_steps):
+    """A run whose arrivals are all solo logs no queue length: each
+    placement is a queue of one, and the run's peak reads 1."""
+    r, s = make_run(DISJOINT), make_state(DISJOINT)
+    inject(r)
+    fast_engine.admit(s, s.roots, 0)
+    for t in (1, 2):
+        sent = transmit_unconstrained(s)
+        for p in reference_unconstrained(r):
+            place(r, p, t)
+        fast_engine.admit(s, sent, t)
+        assert_twins_agree(r, s, t)
+    assert (s.max_queue, s.queue_peaks, r.max_queue) == (1, [], 1)
+    assert checked_steps == [("vector", t) for t in range(3)]
 
 
 # --------------------------------------------------------- transmission

@@ -27,6 +27,7 @@ from repro.routing import (
     fast_phases,
     fast_scalar,
     furthest_first_factory,
+    make_packets,
     run_view,
 )
 from repro.routing.engine import (
@@ -45,7 +46,7 @@ from repro.routing.engine import (
     transmit_unconstrained,
 )
 from repro.routing.run_view import RunInvariantError
-from repro.topology import FlatPaths
+from repro.topology import DAryButterflyLeveled, FlatPaths
 from conftest import deadline, delay_lines, flat_priorities
 from test_fast_engine import combine_groups
 from test_batch_arrival import (
@@ -408,6 +409,30 @@ def test_the_run_checker_names_each_reference_corruption(corrupt):
     with deadline(10), pytest.raises(RunInvariantError, match=words) as err:
         run_view.check(run_view.reference(r), MID_RUN_STEP)
     assert err.value.invariant == invariant
+
+
+def test_a_delivery_at_a_key_of_another_form_is_named(checked_steps):
+    """Node keys ``(level, row)`` while each packet names its exit by
+    its numpy-integer row alone: every packet is delivered at a key
+    that is not its exit node, and the checker names the conservation
+    clause (a direct comparison broadcasts the tuple against the numpy
+    integer and raises a bare ``ValueError``)."""
+    net = DAryButterflyLeveled(2, 4)
+    L = net.num_levels
+
+    def next_hop(p):
+        level, row = p.node
+        return None if level == L else (level + 1, net.unique_next(level, row, p.dest))
+
+    rows = np.random.default_rng(0).permutation(net.column_size)
+    packets = make_packets([(0, s) for s in range(net.column_size)], rows)
+    with pytest.raises(RunInvariantError, match=r"at node \(4, \d+\), its exit node "
+                       r"\d+, a key of another form") as err:  # fmt: skip
+        SynchronousEngine().run(packets, next_hop, max_steps=500)
+    assert err.value.invariant == "conservation"
+    # the packets reach level L at step L: that step's check is the first
+    # to see a delivery
+    assert checked_steps == [("reference", t) for t in range(L)]
 
 
 def test_the_reference_producer_never_asks_the_router():

@@ -35,12 +35,26 @@ def test_census_counts_a_fan_in_and_restores_the_engine(monkeypatch):
     assert (census.steps, census.phases) == ([stats.steps], 2) == ([2], 2)
     assert (census.residues, census.absorptions, census.skipped) == ([3], 2, 1)
     row = census.row("fan-in")
-    # runs, on the scalar lane, net steps, on the scalar lane, jumped
-    assert row[1:6] == ["1", "0", "2", "0", "1"]
+    # runs, on the scalar lane, net steps, on the scalar lane, jumped,
+    # free-flow calls / misses
+    assert row[1:7] == ["1", "0", "2", "0", "1", "1 / 0"]
     # population min / p50 / p90 / max, then the residue columns
-    assert row[6:] == ["3", "3", "3", "3", "2", "50%", "3", "3", "3", "0%", "2"]
+    assert row[7:] == ["3", "3", "3", "3", "2", "50%", "3", "3", "3", "0%", "2"]
     assert (fast_phases.enqueue, FastPathEngine.run) == (enqueue, run)
     assert fast_engine.free_flow is free_flow
+
+
+def test_census_counts_free_flow_calls_and_the_ones_that_skip_nothing(monkeypatch):
+    """Two packets flow alone into node 3, where both take link (3, 4):
+    the free-flow call after step 1 meets at offset 1 and lands where it
+    started (a miss); the one after the first delivery, with one packet
+    left, jumps to its delivery."""
+    monkeypatch.setattr(fast_scalar, "SCALAR_RUN_MAX", 0)
+    with counting(Census()) as census:
+        stats = FastPathEngine().run([[0, 2, 3, 4], [1, 5, 3, 4]], num_nodes=6, max_steps=9)
+    assert (stats.steps, stats.max_queue, census.skipped) == (4, 2, 1)
+    assert (census.flow_calls, census.flow_misses) == (2, 1)
+    assert census.row("meet")[5:7] == ["1", "2 / 1"]
 
 
 def test_the_population_columns_span_the_runs():
@@ -48,13 +62,14 @@ def test_the_population_columns_span_the_runs():
     that sits between two workloads' ranges moves none of their runs."""
     census = Census()
     census.populations, census.scalar, census.steps = [3, 9, 5, 7], [True] * 4, [1] * 4
-    assert census.row("spread")[6:10] == ["3", "6", "8.4", "9"]
+    assert census.row("spread")[7:11] == ["3", "6", "8.4", "9"]
 
 
 def test_census_counts_the_scalar_lane_and_times_both():
     run_max = fast_scalar.SCALAR_RUN_MAX
     census, _ = fan_in({"keep_calls": True})
-    assert census.row("fan-in")[1:11] == ["1", "1", "2", "2", "0", "3", "3", "3", "3", "0"]
+    row = census.row("fan-in")
+    assert row[1:12] == ["1", "1", "2", "2", "0", "0 / 0", "3", "3", "3", "3", "0"]
     ((name, bucket, runs, vector_ms, scalar_ms, speedup),) = lane_rows("fan-in", census)
     assert (name, bucket, runs) == ("fan-in", "1-16", "1")
     assert float(vector_ms) >= 0 and float(scalar_ms) >= 0 and speedup.endswith("x")

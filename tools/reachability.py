@@ -105,6 +105,7 @@ KEEP = {
     "repro.routing.run_view:vector": "a",
     "repro.routing.run_view:scalar": "a",
     "repro.routing.run_view:_itineraries": "a",
+    "repro.routing.run_view:_plain": "a",
     "repro.routing.queues:FIFOQueue.in_service_order": "a",
     "repro.routing.queues:FurthestFirstQueue.in_service_order": "a",
     "repro.emulation.base:Emulator._failure": "a",

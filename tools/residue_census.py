@@ -23,6 +23,9 @@ markdown row per workload:
   (``RoutingStats.steps`` summed), all and on the scalar lane,
 - ``free-flow steps`` — vector-lane steps a free-flow jump advanced
   instead of stepping them,
+- ``free-flow calls / misses`` — the step loop's calls of ``free_flow``
+  (one per waiter-free arrival phase), and those that landed where they
+  started, having found a meeting or a spawn trigger one step out,
 - ``population min / p50 / p90 / max`` — packets per engine run (the
   gap between two rows' ranges is where ``SCALAR_RUN_MAX`` can sit
   without moving a run),
@@ -76,8 +79,8 @@ from repro.routing.fast_phases import Replies, reply_forest  # noqa: E402
 
 COLUMNS = (
     "workload", "runs", "scalar runs", "net steps", "scalar steps",
-    "free-flow steps", "population min", "p50", "p90", "max", "arrival phases", "with residue",
-    "residue p50", "p90", "max", "vector residue", "absorptions",
+    "free-flow steps", "free-flow calls / misses", "population min", "p50", "p90", "max",
+    "arrival phases", "with residue", "residue p50", "p90", "max", "vector residue", "absorptions",
 )  # fmt: skip
 
 #: population buckets of ``--lanes``: (lowest, highest) packets per run
@@ -96,6 +99,7 @@ class Census:
         self.eligible: list[bool] = []  # per run: its configuration allows it
         self.steps: list[int] = []  # per run
         self.skipped = 0  # steps free-flow jumps advanced
+        self.flow_calls = self.flow_misses = 0  # calls, and those that skipped nothing
         self.phases = 0
         self.residues: list[int] = []
         self.absorptions = 0
@@ -123,6 +127,7 @@ class Census:
             str(int(steps.sum())),
             str(int(steps[on_scalar].sum())),
             str(self.skipped),
+            f"{self.flow_calls} / {self.flow_misses}",
             str(int(pops.min())),
             f"{np.percentile(pops, 50):g}",
             f"{np.percentile(pops, 90):g}",
@@ -178,6 +183,8 @@ def counting(census: Census, keep_calls: bool = False):
     def counted_free_flow(s, t, *rest):
         landed = free_flow(s, t, *rest)
         census.skipped += landed - t
+        census.flow_calls += 1
+        census.flow_misses += landed == t
         return landed
 
     def counted_run(self, *args, **kwargs):
